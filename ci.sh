@@ -48,6 +48,11 @@
 #      randomness, or unsafe in result-affecting crates; det-lint allow
 #      annotations must be well-formed and live; the golden corpus must
 #      parse as JSON with no orphans and no dangling ci.sh references
+#  15. benchmark harness          — `benchmark/` is a package of its own
+#      (empty [workspace]), so stages 2-5 never compile it and a public-API
+#      change in crates/* could break it unnoticed: run its unit tests and
+#      one `--quick` report (small sizes, every workload plain and traced).
+#      Read-only: builds into benchmark/target, edits nothing tracked.
 #
 # The build is fully offline: external deps are vendored shims under
 # crates/shims/ (see README.md).
@@ -140,5 +145,9 @@ diff -u tests/goldens/stochastic_smoke.json "$stochastic_json" \
 
 step "determinism audit (atlahs lint, docs/DETERMINISM.md)"
 cargo run --release -p atlahs_bench --bin atlahs -- lint
+
+step "benchmark harness (unit tests + --quick report)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
 
 printf '\nCI gate passed.\n'

@@ -11,10 +11,10 @@
 //!
 //! The trace-size results of Table 1 / Fig. 9 are measured on this encoding.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::error::GoalError;
-use crate::schedule::{GoalSchedule, RankSchedule};
+use crate::schedule::{check_edge, GoalSchedule, RankSchedule, TaskColumns};
 use crate::task::{DepKind, Rank, Task, TaskId, TaskKind};
 
 const MAGIC: &[u8; 8] = b"GOALB1\0\0";
@@ -37,23 +37,74 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn get_varint(buf: &mut &[u8], offset: &mut usize) -> Result<u64, GoalError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(GoalError::Decode { offset: *offset, msg: "truncated varint".into() });
+/// Cursor over encoded bytes; `pos` doubles as the offset errors report.
+struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl Reader<'_> {
+    #[cold]
+    fn error(&self, msg: impl Into<String>) -> GoalError {
+        GoalError::Decode { offset: self.pos, msg: msg.into() }
+    }
+
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    #[inline]
+    fn varint(&mut self) -> Result<u64, GoalError> {
+        let mut v: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let Some(&byte) = self.data.get(self.pos) else {
+                return Err(self.error("truncated varint"));
+            };
+            if shift >= 64 {
+                return Err(self.error("varint overflow"));
+            }
+            self.pos += 1;
+            v |= ((byte & 0x7f) as u64) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
         }
-        if shift >= 64 {
-            return Err(GoalError::Decode { offset: *offset, msg: "varint overflow".into() });
+    }
+
+    /// Read an element count and bound it by the input left: a rank, task
+    /// or edge occupies at least two bytes, so a larger count cannot be
+    /// honest and must not reach an allocator.
+    fn count(&mut self, what: &str) -> Result<usize, GoalError> {
+        let n = self.varint()?;
+        let left = self.remaining();
+        if n > (left / 2) as u64 {
+            return Err(self.error(format!("{what} count {n} exceeds the {left} bytes left")));
         }
-        let byte = buf.get_u8();
-        *offset += 1;
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
+        Ok(n as usize)
+    }
+
+    #[inline]
+    fn task(&mut self) -> Result<Task, GoalError> {
+        let Some(&header) = self.data.get(self.pos) else {
+            return Err(self.error("truncated task header"));
+        };
+        self.pos += 1;
+        let code = header & 0x3;
+        if code > KIND_RECV {
+            return Err(self.error(format!("unknown task kind {code}")));
         }
-        shift += 7;
+        let payload = self.varint()?;
+        let peer = if code == KIND_CALC { 0 } else { self.varint()? as u32 };
+        let tag = if header & FLAG_TAG != 0 { self.varint()? as u32 } else { 0 };
+        let stream = if header & FLAG_STREAM != 0 { self.varint()? as u32 } else { 0 };
+        let kind = match code {
+            KIND_CALC => TaskKind::Calc { cost: payload },
+            KIND_SEND => TaskKind::Send { bytes: payload, dst: peer, tag },
+            _ => TaskKind::Recv { bytes: payload, src: peer, tag },
+        };
+        Ok(Task { kind, stream })
     }
 }
 
@@ -133,82 +184,48 @@ fn encode_task(out: &mut Vec<u8>, t: &Task) {
 
 /// Decode a schedule from the compact binary format.
 pub fn decode(data: &[u8]) -> Result<GoalSchedule, GoalError> {
-    let mut buf = data;
-    let mut offset = 0usize;
-    if buf.remaining() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return Err(GoalError::Decode { offset: 0, msg: "bad magic".into() });
+    let mut r = Reader { data, pos: 0 };
+    if !data.starts_with(MAGIC) {
+        return Err(r.error("bad magic"));
     }
-    buf.advance(MAGIC.len());
-    offset += MAGIC.len();
+    r.pos = MAGIC.len();
 
-    let num_ranks = get_varint(&mut buf, &mut offset)? as usize;
+    let num_ranks = r.count("rank")?;
     let mut ranks = Vec::with_capacity(num_ranks);
-    for r in 0..num_ranks {
-        let num_tasks = get_varint(&mut buf, &mut offset)? as usize;
-        let mut tasks = Vec::with_capacity(num_tasks);
+    for rank in 0..num_ranks as Rank {
+        let num_tasks = r.count("task")?;
+        let mut tasks = TaskColumns::default();
+        tasks.reserve(num_tasks);
         for _ in 0..num_tasks {
-            tasks.push(decode_task(&mut buf, &mut offset)?);
+            tasks.push(r.task()?);
         }
-        let num_deps = get_varint(&mut buf, &mut offset)? as usize;
-        let mut deps = Vec::with_capacity(num_deps);
-        let mut prev_a = 0u64;
+        // Edges are stored grouped by dependent task in increasing order,
+        // i.e. as predecessor lists already: count and append.
+        let num_deps = r.count("edge")?;
+        let mut pred_counts = vec![0u32; num_tasks];
+        let mut pred_targets = Vec::with_capacity(num_deps);
+        let mut a = 0u64;
         for _ in 0..num_deps {
-            let a = prev_a + get_varint(&mut buf, &mut offset)?;
-            prev_a = a;
-            let packed = get_varint(&mut buf, &mut offset)?;
+            a = a.saturating_add(r.varint()?);
+            let packed = r.varint()?;
             let kind = if packed & 1 == 1 { DepKind::Start } else { DepKind::Full };
-            let diff = unzigzag(packed >> 1);
-            let b = a as i64 - diff;
-            if b < 0 || b > u32::MAX as i64 || a > u32::MAX as u64 {
-                return Err(GoalError::Decode { offset, msg: "edge index out of range".into() });
-            }
-            deps.push((TaskId(a as u32), TaskId(b as u32), kind));
+            let b = u32::try_from(a)
+                .ok()
+                .and_then(|a| i64::from(a).checked_sub(unzigzag(packed >> 1)))
+                .and_then(|b| u32::try_from(b).ok());
+            let Some(b) = b else {
+                return Err(r.error("edge index out of range"));
+            };
+            check_edge(rank, num_tasks, TaskId(a as u32), TaskId(b))?;
+            pred_counts[a as usize] += 1;
+            pred_targets.push((TaskId(b), kind));
         }
-        ranks.push(RankSchedule::from_parts(r as Rank, tasks, &deps)?);
+        ranks.push(RankSchedule::from_pred_lists(tasks, &pred_counts, pred_targets));
     }
-    if buf.has_remaining() {
-        return Err(GoalError::Decode { offset, msg: "trailing bytes".into() });
+    if r.remaining() > 0 {
+        return Err(r.error("trailing bytes"));
     }
     Ok(GoalSchedule::new(ranks))
-}
-
-fn decode_task(buf: &mut &[u8], offset: &mut usize) -> Result<Task, GoalError> {
-    if !buf.has_remaining() {
-        return Err(GoalError::Decode { offset: *offset, msg: "truncated task header".into() });
-    }
-    let header = buf.get_u8();
-    *offset += 1;
-    let kind_code = header & 0x3;
-    let kind = match kind_code {
-        KIND_CALC => {
-            let cost = get_varint(buf, offset)?;
-            TaskKind::Calc { cost }
-        }
-        KIND_SEND => {
-            let bytes = get_varint(buf, offset)?;
-            let dst = get_varint(buf, offset)? as u32;
-            TaskKind::Send { bytes, dst, tag: 0 }
-        }
-        KIND_RECV => {
-            let bytes = get_varint(buf, offset)?;
-            let src = get_varint(buf, offset)? as u32;
-            TaskKind::Recv { bytes, src, tag: 0 }
-        }
-        _ => {
-            return Err(GoalError::Decode {
-                offset: *offset,
-                msg: format!("unknown task kind {kind_code}"),
-            })
-        }
-    };
-    let tag = if header & FLAG_TAG != 0 { get_varint(buf, offset)? as u32 } else { 0 };
-    let stream = if header & FLAG_STREAM != 0 { get_varint(buf, offset)? as u32 } else { 0 };
-    let kind = match kind {
-        TaskKind::Send { bytes, dst, .. } => TaskKind::Send { bytes, dst, tag },
-        TaskKind::Recv { bytes, src, .. } => TaskKind::Recv { bytes, src, tag },
-        c => c,
-    };
-    Ok(Task { kind, stream })
 }
 
 #[cfg(test)]
@@ -259,6 +276,59 @@ mod tests {
     }
 
     #[test]
+    fn forged_counts_are_rejected_before_allocating() {
+        // Each header claims 2^60 elements in a file of a dozen bytes; the
+        // counts used to go straight to `Vec::with_capacity`.
+        let forged = |prefix: &[u64]| {
+            let mut data = MAGIC.to_vec();
+            for &v in prefix {
+                put_varint(&mut data, v);
+            }
+            put_varint(&mut data, 1 << 60);
+            data.extend_from_slice(&[0, 0]);
+            data
+        };
+        for (what, prefix) in [("rank", &[][..]), ("task", &[1]), ("edge", &[1, 0])] {
+            match decode(&forged(prefix)) {
+                Err(GoalError::Decode { msg, .. }) => {
+                    assert!(msg.starts_with(&format!("{what} count")), "{what}: {msg}")
+                }
+                other => panic!("{what}: forged count accepted: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_edges_are_typed_errors() {
+        let with_edge = |delta: u64, packed: u64| {
+            let mut data = MAGIC.to_vec();
+            for v in [1, 2, 0, 5, 0, 5, 1, delta, packed] {
+                put_varint(&mut data, v); // 1 rank, 2 calcs, 1 edge
+            }
+            data
+        };
+        // a = 1, b = 0 decodes; everything else is rejected, not wrapped.
+        assert!(decode(&with_edge(1, zigzag(1) << 1)).is_ok());
+        assert!(matches!(
+            decode(&with_edge(1, zigzag(0) << 1)),
+            Err(GoalError::SelfDependency { .. })
+        ));
+        assert!(matches!(
+            decode(&with_edge(2, zigzag(1) << 1)),
+            Err(GoalError::UnknownTask { .. })
+        ));
+        for (delta, diff) in [(u64::MAX, 1), (1, -1 << 40), (1, 2), (1 << 40, 1)] {
+            assert!(
+                matches!(
+                    decode(&with_edge(delta, zigzag(diff) << 1)),
+                    Err(GoalError::Decode { .. })
+                ),
+                "delta {delta} diff {diff}"
+            );
+        }
+    }
+
+    #[test]
     fn empty_schedule_roundtrips() {
         let goal = GoalBuilder::new(4).build().unwrap();
         let back = decode(&encode(&goal)).unwrap();
@@ -282,10 +352,9 @@ mod tests {
         for v in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
             buf.clear();
             put_varint(&mut buf, v);
-            let mut slice = buf.as_slice();
-            let mut off = 0;
-            assert_eq!(get_varint(&mut slice, &mut off).unwrap(), v);
-            assert!(slice.is_empty());
+            let mut r = Reader { data: &buf, pos: 0 };
+            assert_eq!(r.varint().unwrap(), v);
+            assert_eq!(r.remaining(), 0);
         }
     }
 

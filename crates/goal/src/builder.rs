@@ -1,13 +1,15 @@
 //! Programmatic construction of GOAL schedules.
 
 use crate::error::GoalError;
-use crate::schedule::{GoalSchedule, RankSchedule};
+use crate::schedule::{Edge, GoalSchedule, RankSchedule, TaskColumns};
 use crate::task::{DepKind, Rank, Stream, Tag, Task, TaskId};
 
 /// A fluent builder for [`GoalSchedule`].
 ///
-/// The builder keeps per-rank task lists and dependency edges; [`GoalBuilder::build`]
-/// validates peers and acyclicity.
+/// Tasks go straight into the per-rank arena columns the finished
+/// [`RankSchedule`] stores, and [`GoalBuilder::build`] moves those columns
+/// into the schedule, indexes the dependency edges and validates peers and
+/// acyclicity.
 ///
 /// ```
 /// use atlahs_goal::GoalBuilder;
@@ -21,32 +23,53 @@ use crate::task::{DepKind, Rank, Stream, Tag, Task, TaskId};
 /// ```
 #[derive(Debug, Clone)]
 pub struct GoalBuilder {
-    tasks: Vec<Vec<Task>>,
-    deps: Vec<Vec<(TaskId, TaskId, DepKind)>>,
+    /// Per rank: the task columns and the edges in insertion order.
+    ranks: Vec<(TaskColumns, Vec<Edge>)>,
 }
 
 impl GoalBuilder {
     /// A builder for `num_ranks` ranks with empty schedules.
     pub fn new(num_ranks: usize) -> Self {
-        GoalBuilder { tasks: vec![Vec::new(); num_ranks], deps: vec![Vec::new(); num_ranks] }
+        GoalBuilder { ranks: vec![Default::default(); num_ranks] }
     }
 
     /// Number of ranks the builder was created with.
     pub fn num_ranks(&self) -> usize {
-        self.tasks.len()
+        self.ranks.len()
     }
 
     /// Number of tasks added to `rank` so far.
     pub fn num_tasks(&self, rank: Rank) -> usize {
-        self.tasks[rank as usize].len()
+        self.ranks[rank as usize].0.len()
     }
 
     /// Add an arbitrary task to `rank`.
     pub fn add_task(&mut self, rank: Rank, task: Task) -> TaskId {
-        let list = &mut self.tasks[rank as usize];
-        let id = TaskId(list.len() as u32);
-        list.push(task);
+        let tasks = &mut self.ranks[rank as usize].0;
+        let id = TaskId(tasks.len() as u32);
+        tasks.push(task);
         id
+    }
+
+    /// Append a whole rank schedule to `rank`: every task of `src`, passed
+    /// through `map` together with the id it receives here, then every
+    /// dependency edge of `src`. New ids are `base + old id`, where `base`
+    /// is [`GoalBuilder::num_tasks`] at the time of the call — merging DAGs
+    /// needs no id table.
+    pub fn append(
+        &mut self,
+        rank: Rank,
+        src: &RankSchedule,
+        mut map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
+    ) -> Result<(), GoalError> {
+        let (tasks, deps) = &mut self.ranks[rank as usize];
+        let base = tasks.len() as u32;
+        tasks.reserve(src.num_tasks());
+        for (i, t) in src.tasks().enumerate() {
+            tasks.push(map(TaskId(base + i as u32), t)?);
+        }
+        deps.extend(src.dep_edges().map(|(a, b, k)| (TaskId(base + a.0), TaskId(base + b.0), k)));
+        Ok(())
     }
 
     /// Add a calc of `cost` nanoseconds on stream 0.
@@ -95,12 +118,12 @@ impl GoalBuilder {
 
     /// Declare `task requires dep`: `task` starts only after `dep` completes.
     pub fn requires(&mut self, rank: Rank, task: TaskId, dep: TaskId) {
-        self.deps[rank as usize].push((task, dep, DepKind::Full));
+        self.ranks[rank as usize].1.push((task, dep, DepKind::Full));
     }
 
     /// Declare `task irequires dep`: `task` starts once `dep` has started.
     pub fn irequires(&mut self, rank: Rank, task: TaskId, dep: TaskId) {
-        self.deps[rank as usize].push((task, dep, DepKind::Start));
+        self.ranks[rank as usize].1.push((task, dep, DepKind::Start));
     }
 
     /// Chain a list of tasks sequentially (each requires the previous).
@@ -118,11 +141,7 @@ impl GoalBuilder {
 
     /// Finish building: validate and produce the schedule.
     pub fn build(self) -> Result<GoalSchedule, GoalError> {
-        let mut ranks = Vec::with_capacity(self.tasks.len());
-        for (r, (tasks, deps)) in self.tasks.into_iter().zip(self.deps).enumerate() {
-            ranks.push(RankSchedule::from_parts(r as Rank, tasks, &deps)?);
-        }
-        let goal = GoalSchedule::new(ranks);
+        let goal = self.build_unchecked()?;
         goal.validate()?;
         Ok(goal)
     }
@@ -133,9 +152,9 @@ impl GoalBuilder {
     /// construction (e.g. collective decompositions) at very large scale.
     /// Dependency edge indices are still checked.
     pub fn build_unchecked(self) -> Result<GoalSchedule, GoalError> {
-        let mut ranks = Vec::with_capacity(self.tasks.len());
-        for (r, (tasks, deps)) in self.tasks.into_iter().zip(self.deps).enumerate() {
-            ranks.push(RankSchedule::from_parts(r as Rank, tasks, &deps)?);
+        let mut ranks = Vec::with_capacity(self.ranks.len());
+        for (r, (tasks, deps)) in self.ranks.into_iter().enumerate() {
+            ranks.push(RankSchedule::assemble(r as Rank, tasks, &deps)?);
         }
         Ok(GoalSchedule::new(ranks))
     }

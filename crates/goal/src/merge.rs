@@ -9,9 +9,10 @@
 //!   construction of the paper) and a disjoint tag namespace (so message
 //!   matching never crosses job boundaries).
 
+use crate::builder::GoalBuilder;
 use crate::error::GoalError;
-use crate::schedule::{GoalSchedule, RankSchedule};
-use crate::task::{DepKind, Rank, Task, TaskId, TaskKind};
+use crate::schedule::GoalSchedule;
+use crate::task::{Rank, Task, TaskId, TaskKind};
 
 /// Tags are namespaced per job in the upper byte; applications must keep
 /// their own tags below this bound to be composable.
@@ -101,9 +102,7 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
         }
     }
 
-    // Per physical node: accumulated tasks and deps.
-    let mut tasks: Vec<Vec<Task>> = vec![Vec::new(); total_ranks];
-    let mut deps: Vec<Vec<(TaskId, TaskId, DepKind)>> = vec![Vec::new(); total_ranks];
+    let mut b = GoalBuilder::new(total_ranks);
     // Next free stream id per node, so tenants get disjoint stream ranges.
     let mut next_stream: Vec<u32> = vec![0; total_ranks];
 
@@ -112,23 +111,21 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
         // stays within u32 and distinct jobs get disjoint tag slices.
         let tag_base = (j as u32) * TAG_STRIDE;
         for (r, sched) in job.goal.ranks().iter().enumerate() {
-            let node = job.nodes[r] as usize;
-            let base = tasks[node].len() as u32;
-            let stream_base = next_stream[node];
+            if sched.is_empty() {
+                // Places nothing and consumes no streams (repeated
+                // composition must not leak stream ids).
+                continue;
+            }
+            let node = job.nodes[r];
+            let stream_base = next_stream[node as usize];
             let mut max_stream = 0u32;
 
             // Dummy root anchoring this tenant's sub-DAG, only where the
-            // node is genuinely shared and this tenant has work to anchor.
-            let shared = tenants[node] >= 2 && !sched.is_empty();
-            let dummy_offset = if shared {
-                tasks[node].push(Task::calc(0).on_stream(stream_base));
-                1u32
-            } else {
-                0
-            };
+            // node is genuinely shared.
+            let dummy = (tenants[node as usize] >= 2).then(|| b.calc_on(node, 0, stream_base));
+            let base = b.num_tasks(node) as u32;
 
-            for t in sched.tasks() {
-                let stream = stream_base + t.stream;
+            b.append(node, sched, |_, t| {
                 max_stream = max_stream.max(t.stream);
                 let kind = match t.kind {
                     TaskKind::Calc { cost } => TaskKind::Calc { cost },
@@ -141,37 +138,17 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
                         TaskKind::Recv { bytes, src: job.nodes[src as usize], tag: tag_base + tag }
                     }
                 };
-                tasks[node].push(Task { kind, stream });
-            }
-            for (a, b, k) in sched.dep_edges() {
-                deps[node].push((
-                    TaskId(base + dummy_offset + a.0),
-                    TaskId(base + dummy_offset + b.0),
-                    k,
-                ));
-            }
-            if dummy_offset == 1 {
-                let dummy = TaskId(base);
+                Ok(Task { kind, stream: stream_base + t.stream })
+            })?;
+            if let Some(dummy) = dummy {
                 for root in sched.roots() {
-                    deps[node].push((TaskId(base + 1 + root.0), dummy, DepKind::Full));
+                    b.requires(node, TaskId(base + root.0), dummy);
                 }
             }
-            // Advance the node's stream namespace by this tenant's true
-            // stream span: a tenant that placed no tasks here consumed no
-            // streams (repeated composition must not leak stream ids).
-            if !sched.is_empty() {
-                next_stream[node] = stream_base + max_stream + 1;
-            }
+            next_stream[node as usize] = stream_base + max_stream + 1;
         }
     }
-
-    let mut ranks = Vec::with_capacity(total_ranks);
-    for (r, (t, d)) in tasks.into_iter().zip(deps).enumerate() {
-        ranks.push(RankSchedule::from_parts(r as Rank, t, &d)?);
-    }
-    let goal = GoalSchedule::new(ranks);
-    goal.validate()?;
-    Ok(goal)
+    b.build()
 }
 
 fn check_tag(job: usize, tag: u32) -> Result<(), GoalError> {

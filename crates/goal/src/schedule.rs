@@ -3,6 +3,9 @@
 use crate::error::GoalError;
 use crate::task::{DepKind, Rank, Stream, Task, TaskId, TaskKind};
 
+/// A dependency edge `(task, depends_on, kind)`.
+pub(crate) type Edge = (TaskId, TaskId, DepKind);
+
 /// Discriminant column of the task arena (1 byte per task).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -12,12 +15,102 @@ enum KindTag {
     Calc,
 }
 
+/// The struct-of-arrays task arena: column `i` describes task `i`.
+///
+/// Every producer — [`crate::GoalBuilder`], the codecs, `merge::compose` —
+/// pushes tasks straight into these columns and a finished
+/// [`RankSchedule`] takes them over by move, so a task is written once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct TaskColumns {
+    kinds: Vec<KindTag>,
+    /// Message bytes (send/recv) or calc nanoseconds.
+    payloads: Vec<u64>,
+    /// Peer rank: dst for sends, src for recvs, 0 for calcs.
+    peers: Vec<Rank>,
+    /// Match tag; 0 for calcs.
+    tags: Vec<u32>,
+    streams: Vec<Stream>,
+}
+
+impl TaskColumns {
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.kinds.reserve(n);
+        self.payloads.reserve(n);
+        self.peers.reserve(n);
+        self.tags.reserve(n);
+        self.streams.reserve(n);
+    }
+
+    /// Append a task; its id is the previous [`TaskColumns::len`].
+    #[inline]
+    pub(crate) fn push(&mut self, t: Task) {
+        let (kind, payload, peer, tag) = match t.kind {
+            TaskKind::Send { bytes, dst, tag } => (KindTag::Send, bytes, dst, tag),
+            TaskKind::Recv { bytes, src, tag } => (KindTag::Recv, bytes, src, tag),
+            TaskKind::Calc { cost } => (KindTag::Calc, cost, 0, 0),
+        };
+        self.kinds.push(kind);
+        self.payloads.push(payload);
+        self.peers.push(peer);
+        self.tags.push(tag);
+        self.streams.push(t.stream);
+    }
+
+    /// Task `i`, reassembled by value. Panics if out of range.
+    #[inline]
+    fn get(&self, i: usize) -> Task {
+        let kind = match self.kinds[i] {
+            KindTag::Send => {
+                TaskKind::Send { bytes: self.payloads[i], dst: self.peers[i], tag: self.tags[i] }
+            }
+            KindTag::Recv => {
+                TaskKind::Recv { bytes: self.payloads[i], src: self.peers[i], tag: self.tags[i] }
+            }
+            KindTag::Calc => TaskKind::Calc { cost: self.payloads[i] },
+        };
+        Task { kind, stream: self.streams[i] }
+    }
+}
+
+/// One direction of the dependency graph in CSR form: the neighbours of
+/// task `i` are `targets[offsets[i]..offsets[i + 1]]`.
+type Csr = (Vec<u32>, Vec<(TaskId, DepKind)>);
+
+/// Stable counting sort of `(key, neighbour, kind)` triples into CSR form:
+/// the neighbours of each key keep the order the iterator yields them in.
+fn csr(n: usize, edges: impl Iterator<Item = Edge> + Clone) -> Csr {
+    let mut offsets = vec![0u32; n + 1];
+    let mut m = 0usize;
+    for (key, _, _) in edges.clone() {
+        offsets[key.index() + 1] += 1;
+        m += 1;
+    }
+    // Exclusive scan kept one slot to the right, so that `offsets[k + 1]`
+    // is key k's fill cursor and ends up as key k + 1's start.
+    let mut start = 0u32;
+    for slot in &mut offsets[1..] {
+        start += std::mem::replace(slot, start);
+    }
+    let mut targets = vec![(TaskId(0), DepKind::Full); m];
+    for (key, other, kind) in edges {
+        let cursor = &mut offsets[key.index() + 1];
+        targets[*cursor as usize] = (other, kind);
+        *cursor += 1;
+    }
+    (offsets, targets)
+}
+
 /// One rank's schedule: a DAG of tasks.
 ///
 /// Tasks are stored as a **struct-of-arrays arena**: parallel
 /// `kind`/`payload`/`peer`/`tag`/`stream` columns indexed by dense
-/// [`TaskId`]s, 21 bytes per task amortized versus the 32 bytes of the
-/// former `Vec<Task>` array-of-structs. The scheduler's issue loop walks
+/// [`TaskId`]s, 21 bytes per task amortized versus the 32 bytes of a
+/// `Vec<Task>` array-of-structs. The scheduler's issue loop walks
 /// ids in near-dense order, so column reads stay cache-linear, and hot
 /// single-field queries (a dispatch needs only the stream id) touch one
 /// 4-byte column instead of loading a 32-byte struct. [`RankSchedule::task`]
@@ -29,15 +122,7 @@ enum KindTag {
 /// (to release dependents on completion) without allocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankSchedule {
-    // SoA task arena: column i describes task i.
-    kinds: Vec<KindTag>,
-    /// Message bytes (send/recv) or calc nanoseconds.
-    payloads: Vec<u64>,
-    /// Peer rank: dst for sends, src for recvs, 0 for calcs.
-    peers: Vec<Rank>,
-    /// Match tag; 0 for calcs.
-    tags: Vec<u32>,
-    streams: Vec<Stream>,
+    tasks: TaskColumns,
     // CSR: predecessors of task i are pred_targets[pred_offsets[i]..pred_offsets[i+1]]
     pred_offsets: Vec<u32>,
     pred_targets: Vec<(TaskId, DepKind)>,
@@ -58,108 +143,78 @@ impl RankSchedule {
         tasks: Vec<Task>,
         deps: &[(TaskId, TaskId, DepKind)],
     ) -> Result<Self, GoalError> {
+        let mut cols = TaskColumns::default();
+        cols.reserve(tasks.len());
+        for t in tasks {
+            cols.push(t);
+        }
+        Self::assemble(rank, cols, deps)
+    }
+
+    /// The one constructor: take over finished task columns and index the
+    /// edges in both directions. Predecessor and successor lists keep the
+    /// order of `deps`, which is what makes schedules comparable with `==`.
+    pub(crate) fn assemble(
+        rank: Rank,
+        tasks: TaskColumns,
+        deps: &[Edge],
+    ) -> Result<Self, GoalError> {
         let n = tasks.len();
         for &(a, b, _) in deps {
-            if a.index() >= n {
-                return Err(GoalError::UnknownTask { rank, task: a });
-            }
-            if b.index() >= n {
-                return Err(GoalError::UnknownTask { rank, task: b });
-            }
-            if a == b {
-                return Err(GoalError::SelfDependency { rank, task: a });
-            }
+            check_edge(rank, n, a, b)?;
         }
+        let (pred_offsets, pred_targets) = csr(n, deps.iter().copied());
+        let (succ_offsets, succ_targets) = csr(n, deps.iter().map(|&(a, b, k)| (b, a, k)));
+        Ok(RankSchedule { tasks, pred_offsets, pred_targets, succ_offsets, succ_targets })
+    }
 
-        // Counting sort into CSR for both directions.
-        let mut pred_offsets = vec![0u32; n + 1];
-        let mut succ_offsets = vec![0u32; n + 1];
-        for &(a, b, _) in deps {
-            pred_offsets[a.index() + 1] += 1;
-            succ_offsets[b.index() + 1] += 1;
-        }
-        for i in 0..n {
-            pred_offsets[i + 1] += pred_offsets[i];
-            succ_offsets[i + 1] += succ_offsets[i];
-        }
-        let mut pred_targets = vec![(TaskId(0), DepKind::Full); deps.len()];
-        let mut succ_targets = vec![(TaskId(0), DepKind::Full); deps.len()];
-        let mut pred_fill = pred_offsets.clone();
-        let mut succ_fill = succ_offsets.clone();
-        for &(a, b, k) in deps {
-            let pi = pred_fill[a.index()] as usize;
-            pred_targets[pi] = (b, k);
-            pred_fill[a.index()] += 1;
-            let si = succ_fill[b.index()] as usize;
-            succ_targets[si] = (a, k);
-            succ_fill[b.index()] += 1;
-        }
-
-        // Shred the task structs into the arena columns.
-        let mut kinds = Vec::with_capacity(n);
-        let mut payloads = Vec::with_capacity(n);
-        let mut peers = Vec::with_capacity(n);
-        let mut tags = Vec::with_capacity(n);
-        let mut streams = Vec::with_capacity(n);
-        for t in &tasks {
-            let (kind, payload, peer, tag) = match t.kind {
-                TaskKind::Send { bytes, dst, tag } => (KindTag::Send, bytes, dst, tag),
-                TaskKind::Recv { bytes, src, tag } => (KindTag::Recv, bytes, src, tag),
-                TaskKind::Calc { cost } => (KindTag::Calc, cost, 0, 0),
-            };
-            kinds.push(kind);
-            payloads.push(payload);
-            peers.push(peer);
-            tags.push(tag);
-            streams.push(t.stream);
-        }
-
-        Ok(RankSchedule {
-            kinds,
-            payloads,
-            peers,
-            tags,
-            streams,
-            pred_offsets,
-            pred_targets,
-            succ_offsets,
-            succ_targets,
-        })
+    /// [`RankSchedule::assemble`] for edges that arrive already grouped by
+    /// dependent task in id order (the binary codec's layout): task `i`
+    /// owns the next `pred_counts[i]` entries of `pred_targets`. Every edge
+    /// must have passed [`check_edge`].
+    pub(crate) fn from_pred_lists(
+        tasks: TaskColumns,
+        pred_counts: &[u32],
+        pred_targets: Vec<(TaskId, DepKind)>,
+    ) -> Self {
+        let mut pred_offsets = Vec::with_capacity(pred_counts.len() + 1);
+        let mut end = 0u32;
+        pred_offsets.push(end);
+        pred_offsets.extend(pred_counts.iter().map(|&count| {
+            end += count;
+            end
+        }));
+        let mut s = RankSchedule { tasks, pred_offsets, pred_targets, ..Default::default() };
+        let (succ_offsets, succ_targets) =
+            csr(s.num_tasks(), s.dep_edges().map(|(a, b, k)| (b, a, k)));
+        s.succ_offsets = succ_offsets;
+        s.succ_targets = succ_targets;
+        s
     }
 
     /// Number of tasks in this rank's schedule.
     #[inline]
     pub fn num_tasks(&self) -> usize {
-        self.kinds.len()
+        self.tasks.len()
     }
 
     /// True if the rank has no tasks.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.tasks.len() == 0
     }
 
     /// The task with the given id, reassembled from the arena columns.
     /// Panics if out of range.
     #[inline]
     pub fn task(&self, id: TaskId) -> Task {
-        let i = id.index();
-        let kind = match self.kinds[i] {
-            KindTag::Send => {
-                TaskKind::Send { bytes: self.payloads[i], dst: self.peers[i], tag: self.tags[i] }
-            }
-            KindTag::Recv => {
-                TaskKind::Recv { bytes: self.payloads[i], src: self.peers[i], tag: self.tags[i] }
-            }
-            KindTag::Calc => TaskKind::Calc { cost: self.payloads[i] },
-        };
-        Task { kind, stream: self.streams[i] }
+        self.tasks.get(id.index())
     }
 
     /// All tasks in id order (reassembled by value; see [`RankSchedule::task`]).
     #[inline]
     pub fn tasks(&self) -> impl Iterator<Item = Task> + '_ {
-        (0..self.num_tasks()).map(move |i| self.task(TaskId(i as u32)))
+        (0..self.num_tasks()).map(move |i| self.tasks.get(i))
     }
 
     /// The compute-stream column: `streams()[id.index()]` is the stream of
@@ -167,7 +222,7 @@ impl RankSchedule {
     /// needs nothing else about the task.
     #[inline]
     pub fn streams(&self) -> &[Stream] {
-        &self.streams
+        &self.tasks.streams
     }
 
     /// Bytes held by the task arena columns (excludes dependency CSR).
@@ -179,7 +234,7 @@ impl RankSchedule {
             + std::mem::size_of::<Rank>()
             + std::mem::size_of::<u32>()
             + std::mem::size_of::<Stream>();
-        (self.kinds.len() * per_task) as u64
+        (self.num_tasks() * per_task) as u64
     }
 
     /// Predecessors of `id`: the tasks it depends on, with edge kinds.
@@ -205,7 +260,7 @@ impl RankSchedule {
     }
 
     /// All dependency edges as `(task, depends_on, kind)` triples.
-    pub fn dep_edges(&self) -> impl Iterator<Item = (TaskId, TaskId, DepKind)> + '_ {
+    pub fn dep_edges(&self) -> impl Iterator<Item = (TaskId, TaskId, DepKind)> + Clone + '_ {
         (0..self.num_tasks()).flat_map(move |i| {
             let a = TaskId(i as u32);
             self.preds(a).iter().map(move |&(b, k)| (a, b, k))
@@ -238,31 +293,50 @@ impl RankSchedule {
     /// Both edge kinds constrain the order (a `Start` edge still requires the
     /// predecessor to have been issued first).
     pub fn topo_order(&self) -> Option<Vec<TaskId>> {
+        let mut order = Vec::with_capacity(self.num_tasks());
+        self.kahn(&mut Vec::new(), |id| order.push(id)).then_some(order)
+    }
+
+    /// Kahn's algorithm: `visit` every task in a topological order (roots in
+    /// id order first, then tasks as their last predecessor is visited) and
+    /// report whether that reached all of them, i.e. the DAG has no cycle.
+    ///
+    /// All working state lives in the caller's `links` column, so checking
+    /// many ranks allocates once: a slot holds its task's remaining
+    /// in-degree until that drops to zero and the task joins the ready
+    /// queue, and from then on the id of the task queued after it. The
+    /// extra slot `n` anchors the queue (its link is the first ready task).
+    fn kahn(&self, links: &mut Vec<u32>, mut visit: impl FnMut(TaskId)) -> bool {
+        const NIL: u32 = u32::MAX;
         let n = self.num_tasks();
-        let mut indeg = vec![0u32; n];
-        for (i, d) in indeg.iter_mut().enumerate() {
-            *d = self.preds(TaskId(i as u32)).len() as u32;
-        }
-        let mut queue: Vec<TaskId> =
-            (0..n).map(|i| TaskId(i as u32)).filter(|&id| indeg[id.index()] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let id = queue[head];
-            head += 1;
-            order.push(id);
-            for &(succ, _) in self.succs(id) {
-                indeg[succ.index()] -= 1;
-                if indeg[succ.index()] == 0 {
-                    queue.push(succ);
-                }
+        links.clear();
+        links.extend(self.pred_offsets.windows(2).map(|w| w[1] - w[0]));
+        links.push(NIL);
+        let mut tail = n;
+        let mut enqueue = |links: &mut Vec<u32>, id: usize| {
+            links[tail] = id as u32;
+            links[id] = NIL;
+            tail = id;
+        };
+        for id in 0..n {
+            if links[id] == 0 {
+                enqueue(links, id);
             }
         }
-        if order.len() == n {
-            Some(order)
-        } else {
-            None
+        let mut head = links[n];
+        let mut visited = 0;
+        while head != NIL {
+            visit(TaskId(head));
+            visited += 1;
+            for &(succ, _) in self.succs(TaskId(head)) {
+                links[succ.index()] -= 1;
+                if links[succ.index()] == 0 {
+                    enqueue(links, succ.index());
+                }
+            }
+            head = links[head as usize];
         }
+        visited == n
     }
 }
 
@@ -313,30 +387,37 @@ impl GoalSchedule {
     /// * every per-rank DAG is acyclic.
     pub fn validate(&self) -> Result<(), GoalError> {
         let nr = self.num_ranks() as Rank;
+        let mut links = Vec::new();
         for (r, sched) in self.ranks.iter().enumerate() {
             let rank = r as Rank;
-            for (i, t) in sched.tasks().enumerate() {
-                let peer = match t.kind {
-                    TaskKind::Send { dst, .. } => Some(dst),
-                    TaskKind::Recv { src, .. } => Some(src),
-                    TaskKind::Calc { .. } => None,
-                };
-                if let Some(p) = peer {
-                    if p >= nr {
-                        return Err(GoalError::PeerOutOfRange {
-                            rank,
-                            task: TaskId(i as u32),
-                            peer: p,
-                        });
-                    }
-                }
+            let cols = &sched.tasks;
+            let bad = |i: &usize| cols.kinds[*i] != KindTag::Calc && cols.peers[*i] >= nr;
+            if let Some(i) = (0..cols.len()).find(bad) {
+                let (task, peer) = (TaskId(i as u32), cols.peers[i]);
+                return Err(GoalError::PeerOutOfRange { rank, task, peer });
             }
-            if sched.topo_order().is_none() {
+            if !sched.kahn(&mut links, |_| {}) {
                 return Err(GoalError::Cycle { rank });
             }
         }
         Ok(())
     }
+}
+
+/// Reject an edge `a depends on b` that leaves the rank's `n` tasks or
+/// loops onto itself.
+#[inline]
+pub(crate) fn check_edge(rank: Rank, n: usize, a: TaskId, b: TaskId) -> Result<(), GoalError> {
+    if a.index() >= n {
+        return Err(GoalError::UnknownTask { rank, task: a });
+    }
+    if b.index() >= n {
+        return Err(GoalError::UnknownTask { rank, task: b });
+    }
+    if a == b {
+        return Err(GoalError::SelfDependency { rank, task: a });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

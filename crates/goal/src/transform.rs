@@ -6,8 +6,9 @@
 //! the GOAL schedule itself, so they compose with any tracer and any
 //! backend.
 
+use crate::builder::GoalBuilder;
 use crate::error::GoalError;
-use crate::schedule::{GoalSchedule, RankSchedule};
+use crate::schedule::GoalSchedule;
 use crate::task::{Rank, Task, TaskKind};
 
 /// Scale every `calc` cost by `factor` (rounding to the nearest ns).
@@ -77,42 +78,30 @@ pub fn permute_ranks(goal: &GoalSchedule, mapping: &[Rank]) -> Result<GoalSchedu
             });
         }
     }
-    let mut ranks: Vec<Option<RankSchedule>> = (0..n).map(|_| None).collect();
+    let mut b = GoalBuilder::new(n);
     for (old, sched) in goal.ranks().iter().enumerate() {
-        let new = mapping[old];
-        let tasks: Vec<Task> = sched
-            .tasks()
-            .map(|t| match t.kind {
-                TaskKind::Send { bytes, dst, tag } => Task {
-                    kind: TaskKind::Send { bytes, dst: mapping[dst as usize], tag },
-                    stream: t.stream,
-                },
-                TaskKind::Recv { bytes, src, tag } => Task {
-                    kind: TaskKind::Recv { bytes, src: mapping[src as usize], tag },
-                    stream: t.stream,
-                },
-                _ => t,
-            })
-            .collect();
-        let deps: Vec<_> = sched.dep_edges().collect();
-        ranks[new as usize] = Some(RankSchedule::from_parts(new, tasks, &deps)?);
+        b.append(mapping[old], sched, |_, t| {
+            let kind = match t.kind {
+                TaskKind::Send { bytes, dst, tag } => {
+                    TaskKind::Send { bytes, dst: mapping[dst as usize], tag }
+                }
+                TaskKind::Recv { bytes, src, tag } => {
+                    TaskKind::Recv { bytes, src: mapping[src as usize], tag }
+                }
+                calc => calc,
+            };
+            Ok(Task { kind, stream: t.stream })
+        })?;
     }
-    Ok(GoalSchedule::new(ranks.into_iter().map(|r| r.expect("bijection")).collect()))
+    b.build_unchecked()
 }
 
 fn map_tasks(goal: &GoalSchedule, f: impl Fn(&Task) -> Task) -> GoalSchedule {
-    let ranks = goal
-        .ranks()
-        .iter()
-        .enumerate()
-        .map(|(r, sched)| {
-            let tasks: Vec<Task> = sched.tasks().map(|t| f(&t)).collect();
-            let deps: Vec<_> = sched.dep_edges().collect();
-            RankSchedule::from_parts(r as Rank, tasks, &deps)
-                .expect("structure unchanged by task mapping")
-        })
-        .collect();
-    GoalSchedule::new(ranks)
+    let mut b = GoalBuilder::new(goal.num_ranks());
+    for (r, sched) in goal.ranks().iter().enumerate() {
+        b.append(r as Rank, sched, |_, t| Ok(f(&t))).expect("the mapping cannot fail");
+    }
+    b.build_unchecked().expect("structure unchanged by task mapping")
 }
 
 #[cfg(test)]

@@ -21,12 +21,18 @@ type RawTask = (u8, u64, u32, u32, u32, Vec<u32>);
 
 /// Deterministically assemble a valid schedule from raw draws.
 fn assemble(num_ranks: usize, raw: Vec<RawTask>) -> GoalSchedule {
+    assemble_with_idle(num_ranks, None, raw)
+}
+
+/// [`assemble`], but rank `idle` receives no task (it stays a valid peer).
+fn assemble_with_idle(num_ranks: usize, idle: Option<usize>, raw: Vec<RawTask>) -> GoalSchedule {
     let mut b = GoalBuilder::new(num_ranks);
     let mut per_rank_count = vec![0u32; num_ranks];
+    let busy: Vec<u32> = (0..num_ranks).filter(|&r| Some(r) != idle).map(|r| r as u32).collect();
     for (i, (kind_sel, size, peer_draw, tag_draw, stream_draw, dep_draws)) in
         raw.into_iter().enumerate()
     {
-        let rank = (i % num_ranks) as u32;
+        let rank = busy[i % busy.len()];
         // Tags stay below merge::TAG_STRIDE; streams small (realistic).
         let tag = tag_draw % (1 << 24);
         let stream = stream_draw % 3;
@@ -94,6 +100,40 @@ proptest! {
         prop_assert_eq!(&decoded, &goal);
         // Encoding is canonical too.
         prop_assert_eq!(binary::encode(&decoded), encoded);
+    }
+
+    #[test]
+    fn decode_into_columns_preserves_every_accessor(
+        num_ranks in 2usize..5,
+        idle in 0usize..5,
+        raw in vec(raw_task(), 8..40),
+    ) {
+        // The decoder fills the task columns and the predecessor CSR
+        // straight from the byte stream and derives the successor CSR from
+        // them. Besides `==`, read everything back through the public
+        // accessors, on schedules that are sure to hold an empty rank and
+        // a tagged send on stream 1 with a `requires` and an `irequires`
+        // edge (8+ tasks on at most 4 ranks: the last has a predecessor).
+        let mut raw = raw;
+        let last = raw.last_mut().expect("at least 8 tasks");
+        (last.0, last.3, last.4, last.5) = (1, last.3 | 1, 1, vec![0, 0]);
+        let goal = assemble_with_idle(num_ranks, Some(idle % num_ranks), raw);
+        let decoded = binary::decode(&binary::encode(&goal)).expect("encoded bytes must decode");
+        prop_assert_eq!(&decoded, &goal);
+        prop_assert!(decoded.rank((idle % num_ranks) as u32).is_empty());
+        for (got, want) in decoded.ranks().iter().zip(goal.ranks()) {
+            prop_assert_eq!(got.num_tasks(), want.num_tasks());
+            prop_assert_eq!(got.streams(), want.streams());
+            prop_assert_eq!(got.indegrees(), want.indegrees());
+            prop_assert_eq!(got.roots().collect::<Vec<_>>(), want.roots().collect::<Vec<_>>());
+            prop_assert_eq!(got.topo_order(), want.topo_order());
+            for i in 0..want.num_tasks() {
+                let id = atlahs_goal::task::TaskId(i as u32);
+                prop_assert_eq!(got.task(id), want.task(id));
+                prop_assert_eq!(got.preds(id), want.preds(id));
+                prop_assert_eq!(got.succs(id), want.succs(id));
+            }
+        }
     }
 
     #[test]

@@ -75,10 +75,9 @@ pub fn convert(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedu
 pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedule, GoalError> {
     let ngpus = report.num_gpus();
     let mut b = GoalBuilder::new(ngpus);
-    // (gpu, record index) -> (entry, exit) vertices of its decomposition.
-    // Lookup-only (never iterated), so a seeded hash map is fine.
-    let mut ports: HashMap<(u32, usize), (TaskId, TaskId), FastBuildHasher> =
-        HashMap::with_hasher(FastBuildHasher::default());
+    // ports[gpu][record] = (entry, exit) vertices of the record's decomposition.
+    let mut ports: Vec<Vec<Option<(TaskId, TaskId)>>> =
+        report.gpus.iter().map(|g| vec![None; g.records.len()]).collect();
     let mut next_tag: u32 = 0;
 
     // ---- Stage 3a: collective instances per communicator ----
@@ -136,7 +135,13 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
             let p = match k0 {
                 NcclKernel::AllReduce => nc::allreduce(&mut b, members, bytes, tag, &ncfg),
                 NcclKernel::Broadcast { root } => {
-                    let root_pos = members.iter().position(|&m| m == root).unwrap_or(0);
+                    let root_pos = members.iter().position(|&m| m == root).ok_or_else(|| {
+                        GoalError::Compose {
+                            msg: format!(
+                                "communicator {comm}: broadcast root {root} is not a member"
+                            ),
+                        }
+                    })?;
                     nc::broadcast(&mut b, members, bytes, root_pos, tag, &ncfg)
                 }
                 NcclKernel::AllGather => nc::allgather(&mut b, members, bytes, tag, &ncfg),
@@ -147,7 +152,7 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
                 NcclKernel::Send { .. } | NcclKernel::Recv { .. } => unreachable!(),
             };
             for (m, &g) in members.iter().enumerate() {
-                ports.insert((g, lists[m][i]), (p.entry[m], p.exit[m]));
+                ports[g as usize][lists[m][i]] = Some((p.entry[m], p.exit[m]));
             }
         }
     }
@@ -182,8 +187,8 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
             ncfg.launch_ns = 0; // launch charged via the stream-gap calc
             let tag = alloc_tag(&mut next_tag);
             let (se, sx, re, rx) = nc::p2p(&mut b, src, dst, bytes, tag, &ncfg);
-            ports.insert((src, sk), (se, sx));
-            ports.insert((dst, rk), (re, rx));
+            ports[src as usize][sk] = Some((se, sx));
+            ports[dst as usize][rk] = Some((re, rx));
         }
     }
 
@@ -193,7 +198,7 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
         let mut last: HashMap<u32, (TaskId, u64), FastBuildHasher> =
             HashMap::with_hasher(FastBuildHasher::default());
         for (ri, rec) in g.records.iter().enumerate() {
-            let &(entry, exit) = ports.get(&(gi as u32, ri)).ok_or_else(|| GoalError::Compose {
+            let (entry, exit) = ports[gi][ri].ok_or_else(|| GoalError::Compose {
                 msg: format!("gpu {gi} record {ri} lost its ports"),
             })?;
             match last.get(&rec.stream) {
@@ -230,91 +235,67 @@ fn alloc_tag(next: &mut u32) -> u32 {
 
 /// Stage 4: merge GPU ranks into node ranks.
 ///
-/// `mapping[g]` is the node of GPU `g`. Streams are offset per GPU so they
-/// stay independent; intra-node sends/recvs become calc vertices joined by
-/// an explicit dependency edge (the NVLink copy).
+/// `mapping[g]` is the node of GPU `g`. A node's tasks are its GPUs' tasks
+/// back to back in GPU order, so a task's node-local id is its old id plus
+/// the task count of the node's earlier GPUs and no id table is needed.
+/// Streams are offset per GPU so they stay independent; intra-node
+/// sends/recvs become calc vertices joined by an explicit dependency edge
+/// (the NVLink copy).
 pub fn group_gpus(
     gpu_goal: &GoalSchedule,
     mapping: &[u32],
     cfg: &NcclToGoalConfig,
 ) -> Result<GoalSchedule, GoalError> {
     let ngpus = gpu_goal.num_ranks();
-    assert_eq!(mapping.len(), ngpus, "mapping must cover every GPU");
-    let nnodes = mapping.iter().copied().max().map_or(0, |m| m as usize + 1);
-    // local index of each gpu within its node
-    let mut local = vec![0u32; ngpus];
-    let mut counts = vec![0u32; nnodes];
-    for g in 0..ngpus {
-        local[g] = counts[mapping[g] as usize];
-        counts[mapping[g] as usize] += 1;
+    if mapping.len() != ngpus {
+        return Err(GoalError::Compose {
+            msg: format!("mapping covers {} GPUs, schedule has {ngpus}", mapping.len()),
+        });
     }
+    let nnodes = mapping.iter().copied().max().map_or(0, |m| m as usize + 1);
+    // GPUs placed on each node so far: a GPU's local index within its node.
+    let mut counts = vec![0u32; nnodes];
 
     let mut b = GoalBuilder::new(nnodes);
-    // (gpu, old task id) -> new task id on the node; lookup-only
-    let mut remap: HashMap<(u32, u32), TaskId, FastBuildHasher> =
-        HashMap::with_hasher(FastBuildHasher::default());
     // intra-node pairing: (src_gpu, dst_gpu, tag) -> fifo lists of new
     // ids. Ordered maps: the pairing loop below iterates them, and the
     // dependency-edge insertion order feeds the CSR layout.
     let mut intra_sends: BTreeMap<(u32, u32, u32), Vec<TaskId>> = BTreeMap::new();
     let mut intra_recvs: BTreeMap<(u32, u32, u32), Vec<(u32, TaskId)>> = BTreeMap::new();
 
-    for g in 0..ngpus {
-        let node = mapping[g];
-        let sched = gpu_goal.rank(g as Rank);
-        for (ti, t) in sched.tasks().enumerate() {
-            let stream = local[g] * STREAM_STRIDE + t.stream;
-            let new_id = match t.kind {
-                TaskKind::Calc { cost } => b.add_task(node, Task::calc(cost).on_stream(stream)),
+    for (g, sched) in gpu_goal.ranks().iter().enumerate() {
+        let g = g as u32;
+        let node = mapping[g as usize];
+        let stream_base = counts[node as usize] * STREAM_STRIDE;
+        counts[node as usize] += 1;
+        b.append(node, sched, |id, t| {
+            let task = match t.kind {
+                TaskKind::Calc { cost } => Task::calc(cost),
                 TaskKind::Send { bytes, dst, tag } => {
                     if mapping[dst as usize] == node {
                         // NVLink copy: sender-side cost carries the transfer.
                         let cost =
                             // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
                             cfg.intra_base_ns + (bytes as f64 * cfg.intra_ns_per_byte) as u64;
-                        let id = b.add_task(node, Task::calc(cost).on_stream(stream));
-                        intra_sends.entry((g as u32, dst, tag)).or_default().push(id);
-                        id
+                        intra_sends.entry((g, dst, tag)).or_default().push(id);
+                        Task::calc(cost)
                     } else {
                         // Tags gain the source GPU's low bits so merged
                         // node pairs don't cross-match different GPU pairs.
-                        let tag = (tag << 3) | (g as u32 & 7);
-                        b.add_task(
-                            node,
-                            Task::send(mapping[dst as usize], bytes, tag).on_stream(stream),
-                        )
+                        Task::send(mapping[dst as usize], bytes, (tag << 3) | (g & 7))
                     }
                 }
                 TaskKind::Recv { bytes, src, tag } => {
                     if mapping[src as usize] == node {
-                        let id = b.add_task(node, Task::calc(0).on_stream(stream));
-                        intra_recvs.entry((src, g as u32, tag)).or_default().push((node, id));
-                        id
+                        intra_recvs.entry((src, g, tag)).or_default().push((node, id));
+                        Task::calc(0)
                     } else {
-                        let tag = (tag << 3) | (src & 7);
-                        b.add_task(
-                            node,
-                            Task::recv(mapping[src as usize], bytes, tag).on_stream(stream),
-                        )
+                        Task::recv(mapping[src as usize], bytes, (tag << 3) | (src & 7))
                     }
                 }
             };
-            remap.insert((g as u32, ti as u32), new_id);
-        }
-    }
-
-    // Copy intra-GPU dependency edges.
-    for g in 0..ngpus {
-        let node = mapping[g];
-        let sched = gpu_goal.rank(g as Rank);
-        for (a, dep, kind) in sched.dep_edges() {
-            let na = remap[&(g as u32, a.0)];
-            let nb = remap[&(g as u32, dep.0)];
-            match kind {
-                atlahs_goal::DepKind::Full => b.requires(node, na, nb),
-                atlahs_goal::DepKind::Start => b.irequires(node, na, nb),
-            }
-        }
+            Ok(task.on_stream(stream_base + t.stream))
+        })?;
     }
 
     // Data-flow edges for intra-node transfers (FIFO per key).
@@ -454,6 +435,39 @@ mod tests {
         let ga = atlahs_goal::binary::encode(&gpu_level(&rep, &cfg).unwrap());
         let gb = atlahs_goal::binary::encode(&gpu_level(&rep, &cfg).unwrap());
         assert_eq!(ga, gb, "gpu-level conversion must be byte-stable");
+    }
+
+    #[test]
+    fn broadcast_from_a_non_member_root_is_an_error() {
+        // Communicator {0, 1} broadcasting from GPU 2: the root used to
+        // fall back to member 0 silently.
+        use atlahs_tracers::nccl::{CommDef, GpuTrace};
+        let record = KernelRecord {
+            kernel: NcclKernel::Broadcast { root: 2 },
+            bytes: 1 << 20,
+            comm: 7,
+            stream: 0,
+            tstart: 0,
+            tend: 10,
+        };
+        let gpus = (0..2).map(|g| GpuTrace { gpu: g, node: 0, records: vec![record] }).collect();
+        let report = NsysReport {
+            app: "bcast".into(),
+            gpus,
+            comms: vec![CommDef { id: 7, gpus: vec![0, 1] }],
+            gpus_per_node: 2,
+        };
+        let err = gpu_level(&report, &NcclToGoalConfig::default()).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, GoalError::Compose { .. }), "{msg}");
+        assert!(msg.contains("communicator 7") && msg.contains("root 2"), "{msg}");
+    }
+
+    #[test]
+    fn short_mapping_is_an_error_not_a_panic() {
+        let gpu_goal = gpu_level(&small_llama(), &NcclToGoalConfig::default()).unwrap();
+        let err = group_gpus(&gpu_goal, &[0; 15], &NcclToGoalConfig::default()).unwrap_err();
+        assert!(matches!(err, GoalError::Compose { .. }), "{err}");
     }
 
     #[test]

@@ -151,3 +151,151 @@ fn empty_cluster_nodes_stay_idle() {
         }
     }
 }
+
+/// `merge::compose` as it stood before it was rebuilt on
+/// `GoalBuilder::append`: per-node `Vec<Task>` + edge lists with
+/// hand-written id offsets, through `RankSchedule::from_parts`. Kept
+/// verbatim (minus the placement validation, which did not change) as the
+/// oracle for [`compose_equals_the_copy_loop_reference`].
+fn compose_reference(jobs: &[PlacedJob<'_>], total_ranks: usize) -> GoalSchedule {
+    use atlahs::goal::{DepKind, Rank, RankSchedule, Task, TaskId};
+
+    let mut tenants: Vec<u32> = vec![0; total_ranks];
+    for job in jobs {
+        for (r, sched) in job.goal.ranks().iter().enumerate() {
+            if !sched.is_empty() {
+                tenants[job.nodes[r] as usize] += 1;
+            }
+        }
+    }
+
+    // Per physical node: accumulated tasks and deps.
+    let mut tasks: Vec<Vec<Task>> = vec![Vec::new(); total_ranks];
+    let mut deps: Vec<Vec<(TaskId, TaskId, DepKind)>> = vec![Vec::new(); total_ranks];
+    // Next free stream id per node, so tenants get disjoint stream ranges.
+    let mut next_stream: Vec<u32> = vec![0; total_ranks];
+
+    for (j, job) in jobs.iter().enumerate() {
+        let tag_base = (j as u32) * TAG_STRIDE;
+        for (r, sched) in job.goal.ranks().iter().enumerate() {
+            let node = job.nodes[r] as usize;
+            let base = tasks[node].len() as u32;
+            let stream_base = next_stream[node];
+            let mut max_stream = 0u32;
+
+            let shared = tenants[node] >= 2 && !sched.is_empty();
+            let dummy_offset = if shared {
+                tasks[node].push(Task::calc(0).on_stream(stream_base));
+                1u32
+            } else {
+                0
+            };
+
+            for t in sched.tasks() {
+                let stream = stream_base + t.stream;
+                max_stream = max_stream.max(t.stream);
+                let kind = match t.kind {
+                    TaskKind::Calc { cost } => TaskKind::Calc { cost },
+                    TaskKind::Send { bytes, dst, tag } => {
+                        TaskKind::Send { bytes, dst: job.nodes[dst as usize], tag: tag_base + tag }
+                    }
+                    TaskKind::Recv { bytes, src, tag } => {
+                        TaskKind::Recv { bytes, src: job.nodes[src as usize], tag: tag_base + tag }
+                    }
+                };
+                tasks[node].push(Task { kind, stream });
+            }
+            for (a, b, k) in sched.dep_edges() {
+                deps[node].push((
+                    TaskId(base + dummy_offset + a.0),
+                    TaskId(base + dummy_offset + b.0),
+                    k,
+                ));
+            }
+            if dummy_offset == 1 {
+                let dummy = TaskId(base);
+                for root in sched.roots() {
+                    deps[node].push((TaskId(base + 1 + root.0), dummy, DepKind::Full));
+                }
+            }
+            if !sched.is_empty() {
+                next_stream[node] = stream_base + max_stream + 1;
+            }
+        }
+    }
+
+    let mut ranks = Vec::with_capacity(total_ranks);
+    for (r, (t, d)) in tasks.into_iter().zip(deps).enumerate() {
+        ranks.push(RankSchedule::from_parts(r as Rank, t, &d).unwrap());
+    }
+    let goal = GoalSchedule::new(ranks);
+    goal.validate().unwrap();
+    goal
+}
+
+/// A job with real DAG structure on several streams: a per-rank chain of
+/// calcs, forward and `irequires` edges, and a ring exchange.
+fn layered_job(ranks: usize) -> GoalSchedule {
+    let mut b = GoalBuilder::new(ranks);
+    let n = ranks as u32;
+    for r in 0..n {
+        let c0 = b.calc(r, 100);
+        let s = b.send_on(r, (r + 1) % n, 4096, r, 1);
+        let v = b.recv_on(r, (r + n - 1) % n, 4096, (r + n - 1) % n, 2);
+        let c1 = b.calc(r, 200);
+        b.requires(r, s, c0);
+        b.irequires(r, v, c0);
+        b.requires(r, c1, s);
+        b.requires(r, c1, v);
+        // A forward edge (dependent id < dependency id) as nccl2goal emits.
+        let late = b.calc_on(r, 5, 3);
+        b.requires(r, c0, late);
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn compose_equals_the_copy_loop_reference() {
+    let chatty = chatty_job(4, 64 << 10);
+    let quiet = quiet_job(4, 100_000);
+    let layered = layered_job(4);
+    let mut lopsided = GoalBuilder::new(2);
+    lopsided.calc(0, 5);
+    let lopsided = lopsided.build().unwrap(); // rank 1 is empty
+
+    let mut cases: Vec<(String, Vec<PlacedJob<'_>>, usize)> = Vec::new();
+    for strategy in [
+        PlacementStrategy::Packed,
+        PlacementStrategy::Random { seed: 3 },
+        PlacementStrategy::RoundRobin,
+    ] {
+        let p = allocate(strategy, 8, &[4, 4]).unwrap();
+        cases.push((
+            format!("disjoint {strategy:?}"),
+            vec![PlacedJob::new(&chatty, p[0].clone()), PlacedJob::new(&layered, p[1].clone())],
+            8,
+        ));
+    }
+    cases.push((
+        "three tenants on shared nodes".into(),
+        vec![
+            PlacedJob::new(&layered, vec![0, 1, 2, 3]),
+            PlacedJob::new(&quiet, vec![3, 2, 1, 0]),
+            PlacedJob::new(&layered, vec![2, 3, 4, 5]),
+        ],
+        6,
+    ));
+    cases.push((
+        "empty ranks between tenants".into(),
+        vec![
+            PlacedJob::new(&lopsided, vec![0, 1]),
+            PlacedJob::new(&layered, vec![1, 0, 2, 3]),
+            PlacedJob::new(&lopsided, vec![1, 0]),
+        ],
+        4,
+    ));
+    for (name, jobs, total) in &cases {
+        let got = compose(jobs, *total).unwrap();
+        assert!(got == compose_reference(jobs, *total), "{name}: compose differs from oracle");
+    }
+}
