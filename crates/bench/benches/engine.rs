@@ -4,10 +4,10 @@
 //!
 //! These complement `benches/backends.rs` (whole-toolchain replay cost)
 //! by pinning the pieces the perf work targets: `EventQueue` push/pop
-//! throughput and the packet engine's events-per-second. Wall-clock
-//! numbers for the tracked trajectory live in `BENCH_engine.json`
-//! (emitted by the `bench_engine` binary); these benches are the
-//! fine-grained view.
+//! throughput and the packet engine's events-per-second. These benches
+//! are the fine-grained view; end-to-end wall clock is measured by the
+//! layered benchmark (`benchmark/README.md`: `storage_htsim_oversub`,
+//! `ai_htsim_spray`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -5,9 +5,10 @@
 //! These complement `benches/engine.rs` (packet-engine hot paths) by
 //! pinning the pieces the message-level perf work targets: the pooled
 //! fast-hash [`atlahs_core::Matcher`], the shared timer-wheel event core,
-//! and the SoA task-arena scan in the core scheduler. Wall-clock numbers
-//! for the tracked trajectory live in `BENCH_lgs.json` (emitted by the
-//! `bench_lgs` binary); these benches are the fine-grained view.
+//! and the SoA task-arena scan in the core scheduler. These benches are
+//! the fine-grained view; end-to-end wall clock is measured by the
+//! layered benchmark (`benchmark/README.md`: `ai_lgs_trace`,
+//! `hpc_lgs_rendezvous`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -48,8 +49,7 @@ fn bench_rendezvous_storm(c: &mut Criterion) {
 
 /// Deep dependency chain: a two-rank ping-pong with every round chained
 /// on the previous one — the scheduler's serial dispatch path, a single
-/// event in flight at any time. Same generator as `bench_lgs`'s
-/// `deep_chain` scenario, at criterion-friendly size.
+/// event in flight at any time, at criterion-friendly size.
 fn bench_deep_chain(c: &mut Criterion) {
     let goal = synthetic::pingpong_chain(10_000, 4 << 10).expect("chain builds");
     let mut g = c.benchmark_group("lgs_deep_chain");

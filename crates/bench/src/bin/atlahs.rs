@@ -46,7 +46,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use atlahs_bench::args::Args;
 use atlahs_bench::branch::execute_branched;
@@ -58,6 +58,7 @@ use atlahs_bench::scenario::{
 };
 use atlahs_bench::smoke;
 use atlahs_bench::sweep::{execute, SweepReport};
+use atlahs_bench::table::Table;
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().collect();
@@ -108,7 +109,8 @@ fn usage() {
          \x20 --placements / --ccs / --backends as for sweep (default packed /\n\
          \x20              mprdma / lgs,ideal)\n\
          \x20 --faults     none | jobfail:<pct>:<at_pct>:<retries> |\n\
-         \x20              mtbf:<mtbf_ns>:<retries> (default none)\n\n\
+         \x20              mtbf:<mtbf_ns>:<retries> | loss:<ppm>[:core|:edge] |\n\
+         \x20              jitter:exp|weibull|uniform:… (htsim only; default none)\n\n\
          EXECUTION:\n\
          \x20 --seed N         grid seed; every cell derives its own (default 1)\n\
          \x20 --threads N      worker threads; 0 = all cores (default 0)\n\
@@ -149,11 +151,12 @@ fn list() {
          \x20 moe:<ranks>:<group>:<bytes>:<layers>:<compute_ns>\n\
          \x20 pipeline:<stages>:<microbatches>:<bytes>:<compute_ns>\n\
          \x20 storage-incast:<clients>:<servers>:<bytes>:<reads>\n\
-         \x20 llm:<preset>:<scale>   presets: llama7b-dp16 llama7b-dp128 llama70b\n\
-         \x20                                 mistral8x7b moe8x13b moe8x70b\n\
+         \x20 llm:<preset>:<scale>[:<iterations>:<cap_batch>]   (default 1:true)\n\
+         \x20   presets: llama7b-dp16 llama7b-dp128 llama70b mistral8x7b moe8x13b moe8x70b\n\
          \x20 hpc:<app>:<procs>:<nodes>:<scale>   apps: cloverleaf hpcg lulesh\n\
          \x20                                           lammps icon openmx\n\
          \x20 storage:<ops>:<gap_ns>:<compress>\n\
+         \x20 multi[<workload>+<workload>+…]   co-scheduled jobs on one fabric (sweep only)\n\
          ccs:        mprdma swift ndp dctcp\n\
          placements: packed random roundrobin\n\
          backends:   htsim htsim-spray lgs ideal\n\
@@ -233,25 +236,70 @@ fn split_list(s: &str) -> Vec<&str> {
     s.split(',').map(str::trim).filter(|t| !t.is_empty()).collect()
 }
 
-fn parse_axis<T>(
-    args: &Args,
-    flag: &str,
-    default: &str,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Vec<T> {
-    let raw = args.get_str(flag, default);
-    split_list(&raw)
-        .into_iter()
-        .map(|tok| {
-            parse(tok).unwrap_or_else(|e| {
-                eprintln!("atlahs sweep: --{flag}: {e}");
-                std::process::exit(2);
+/// The subcommand being run and its flags: what axis parsing and report
+/// emission need to read input and to name themselves in errors.
+struct Cli<'a> {
+    sub: &'a str,
+    args: &'a Args,
+}
+
+impl Cli<'_> {
+    /// Parse the comma-separated axis `--flag`.
+    fn axis<T>(
+        &self,
+        flag: &str,
+        default: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Vec<T> {
+        let raw = self.args.get_str(flag, default);
+        split_list(&raw)
+            .into_iter()
+            .map(|tok| {
+                parse(tok).unwrap_or_else(|e| {
+                    eprintln!("atlahs {}: --{flag}: {e}", self.sub);
+                    std::process::exit(2);
+                })
             })
-        })
-        .collect()
+            .collect()
+    }
+
+    /// The shared tail of `sweep` and `cluster`: the summary table and
+    /// the JSON/CSV/markdown reports the flags ask for.
+    fn emit(
+        &self,
+        cells: usize,
+        elapsed: Duration,
+        cell_wall: Duration,
+        table: Table,
+        reports: [(&str, &str, &dyn Fn() -> String); 3],
+    ) {
+        let quiet = self.args.flag("quiet");
+        if !quiet {
+            table.print();
+            println!(
+                "\n{cells} cells in {:.2} s wall ({:.2} s of single-threaded cell time)",
+                elapsed.as_secs_f64(),
+                cell_wall.as_secs_f64(),
+            );
+        }
+        for (flag, what, render) in reports {
+            let path = self.args.get_str(flag, "");
+            if path.is_empty() {
+                continue;
+            }
+            std::fs::write(&path, render()).unwrap_or_else(|e| {
+                eprintln!("atlahs {}: cannot write {what} report to {path}: {e}", self.sub);
+                std::process::exit(1);
+            });
+            if !quiet {
+                println!("wrote {what} report: {path}");
+            }
+        }
+    }
 }
 
 fn sweep(args: &Args) {
+    let cli = Cli { sub: "sweep", args };
     let grid = if args.flag("branch-smoke") {
         smoke::branch_smoke_grid()
     } else if args.flag("stochastic-smoke") {
@@ -262,22 +310,16 @@ fn sweep(args: &Args) {
         smoke::sweep_smoke_grid()
     } else {
         ScenarioGrid {
-            topologies: parse_axis(
-                args,
-                "topos",
-                "ai-fattree:16:1,ai-fattree:16:4",
-                TopologySpec::parse,
-            ),
-            workloads: parse_axis(
-                args,
+            topologies: cli.axis("topos", "ai-fattree:16:1,ai-fattree:16:4", TopologySpec::parse),
+            workloads: cli.axis(
                 "workloads",
                 "ring:16:262144:1,moe:16:4:262144:2:5000",
                 WorkloadSpec::parse,
             ),
-            ccs: parse_axis(args, "ccs", "mprdma,ndp", parse_cc),
-            placements: parse_axis(args, "placements", "packed", PlacementSpec::parse),
-            backends: parse_axis(args, "backends", "htsim,lgs", BackendFamily::parse),
-            faults: parse_axis(args, "faults", "none", FaultSpec::parse),
+            ccs: cli.axis("ccs", "mprdma,ndp", parse_cc),
+            placements: cli.axis("placements", "packed", PlacementSpec::parse),
+            backends: cli.axis("backends", "htsim,lgs", BackendFamily::parse),
+            faults: cli.axis("faults", "none", FaultSpec::parse),
             seed: args.seed(),
             collect_flows: args.flag("collect-flows"),
         }
@@ -290,25 +332,12 @@ fn sweep(args: &Args) {
     // override values to the fault axis; `--branch-smoke` runs the fixed
     // CI branch grid at its pinned branch time.
     let mut grid = grid;
-    let branch_extra = args.get_str("branch", "");
-    if !branch_extra.is_empty() {
+    if !args.get_str("branch", "").is_empty() {
         if args.get("branch-at", 0u64) == 0 && !args.flag("branch-smoke") {
             eprintln!("atlahs sweep: --branch requires --branch-at <ns>");
             std::process::exit(2);
         }
-        for tok in branch_extra.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match FaultSpec::parse(tok) {
-                Ok(f) => {
-                    if !grid.faults.contains(&f) {
-                        grid.faults.push(f);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("atlahs sweep: --branch: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
+        grid.faults.extend(cli.axis("branch", "", FaultSpec::parse));
     }
     let grid = grid;
     let branch_at = if args.flag("branch-smoke") {
@@ -358,65 +387,47 @@ fn sweep(args: &Args) {
     };
     let elapsed = t0.elapsed();
     let report = SweepReport { seed: grid.seed, results, branch };
-
-    if !quiet {
-        report.summary_table().print();
-        println!(
-            "\n{} cells in {:.2} s wall ({:.2} s of single-threaded cell time)",
-            report.results.len(),
-            elapsed.as_secs_f64(),
-            report.total_cell_wall().as_secs_f64(),
-        );
-    }
-
-    let write = |path: &str, contents: String, what: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("atlahs sweep: cannot write {what} report to {path}: {e}");
-            std::process::exit(1);
-        });
-        if !quiet {
-            println!("wrote {what} report: {path}");
-        }
-    };
-    let out = args.get_str("out", "");
-    if !out.is_empty() {
-        write(&out, report.to_json().pretty(), "JSON");
-    }
-    let csv = args.get_str("csv", "");
-    if !csv.is_empty() {
-        write(&csv, report.to_csv(), "CSV");
-    }
-    let md = args.get_str("md", "");
-    if !md.is_empty() {
-        write(&md, report.to_markdown(), "markdown");
-    }
+    cli.emit(
+        report.results.len(),
+        elapsed,
+        report.total_cell_wall(),
+        report.summary_table(),
+        [
+            ("out", "JSON", &|| report.to_json().pretty()),
+            ("csv", "CSV", &|| report.to_csv()),
+            ("md", "markdown", &|| report.to_markdown()),
+        ],
+    );
 }
 
 fn cluster(args: &Args) {
+    let cli = Cli { sub: "cluster", args };
     let grid = if args.flag("fault-smoke") {
         smoke::cluster_fault_smoke_grid()
     } else if args.flag("smoke") {
         smoke::cluster_smoke_grid()
     } else {
-        let topos = parse_axis(args, "topo", "ai-fattree:16:4", TopologySpec::parse);
+        let topos = cli.axis("topo", "ai-fattree:16:4", TopologySpec::parse);
         if topos.len() != 1 {
             eprintln!("atlahs cluster: --topo takes exactly one fabric");
             std::process::exit(2);
         }
         ClusterGrid {
             topology: topos.into_iter().next().expect("checked above"),
-            catalog: parse_axis(
-                args,
-                "catalog",
-                "ring:4:131072:1,incast:3:65536:1",
-                WorkloadSpec::parse,
-            ),
-            arrivals: parse_axis(args, "arrivals", "poisson:12:200000", ArrivalSpec::parse),
-            queues: parse_axis(args, "queues", "fifo", QueueDiscipline::parse),
-            placements: parse_axis(args, "placements", "packed", PlacementSpec::parse),
-            ccs: parse_axis(args, "ccs", "mprdma", parse_cc),
-            backends: parse_axis(args, "backends", "lgs,ideal", BackendFamily::parse),
-            faults: parse_axis(args, "faults", "none", ClusterFaultSpec::parse),
+            catalog: cli.axis("catalog", "ring:4:131072:1,incast:3:65536:1", |tok| {
+                match WorkloadSpec::parse(tok)? {
+                    WorkloadSpec::MultiJob { .. } => {
+                        Err(format!("catalog entries are single jobs, `{tok}` is several"))
+                    }
+                    single => Ok(single),
+                }
+            }),
+            arrivals: cli.axis("arrivals", "poisson:12:200000", ArrivalSpec::parse),
+            queues: cli.axis("queues", "fifo", QueueDiscipline::parse),
+            placements: cli.axis("placements", "packed", PlacementSpec::parse),
+            ccs: cli.axis("ccs", "mprdma", parse_cc),
+            backends: cli.axis("backends", "lgs,ideal", BackendFamily::parse),
+            faults: cli.axis("faults", "none", ClusterFaultSpec::parse),
             seed: args.seed(),
         }
     };
@@ -451,36 +462,15 @@ fn cluster(args: &Args) {
     let results = run_grid(&cells, threads);
     let elapsed = t0.elapsed();
     let report = ClusterReport { seed: grid.seed, results };
-
-    if !quiet {
-        report.summary_table().print();
-        println!(
-            "\n{} cells in {:.2} s wall ({:.2} s of single-threaded cell time)",
-            report.results.len(),
-            elapsed.as_secs_f64(),
-            report.total_cell_wall().as_secs_f64(),
-        );
-    }
-
-    let write = |path: &str, contents: String, what: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("atlahs cluster: cannot write {what} report to {path}: {e}");
-            std::process::exit(1);
-        });
-        if !quiet {
-            println!("wrote {what} report: {path}");
-        }
-    };
-    let out = args.get_str("out", "");
-    if !out.is_empty() {
-        write(&out, report.to_json().pretty(), "JSON");
-    }
-    let csv = args.get_str("csv", "");
-    if !csv.is_empty() {
-        write(&csv, report.to_csv(), "CSV");
-    }
-    let md = args.get_str("md", "");
-    if !md.is_empty() {
-        write(&md, report.to_markdown(), "markdown");
-    }
+    cli.emit(
+        report.results.len(),
+        elapsed,
+        report.total_cell_wall(),
+        report.summary_table(),
+        [
+            ("out", "JSON", &|| report.to_json().pretty()),
+            ("csv", "CSV", &|| report.to_csv()),
+            ("md", "markdown", &|| report.to_markdown()),
+        ],
+    );
 }

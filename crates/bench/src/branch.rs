@@ -6,12 +6,14 @@
 //! workload, placement, and backend, hence the same derived seed and the
 //! same composed schedule — is grouped; the group's simulation runs
 //! clean (no faults configured) up to the branch time, the backend is
-//! [`Snapshot::checkpoint`]ed and the scheduler driver cloned, and each
+//! [`atlahs_core::Snapshot::checkpoint`]ed and the scheduler driver cloned, and each
 //! cell then restores the snapshot, applies its override at the branch
 //! point, and runs to completion. Only the post-branch suffix is
 //! re-simulated per cell; the prefix is paid once per group (the
 //! `prefix_runs` counter in [`BranchStats`], surfaced in the JSON
-//! report, is how CI verifies that).
+//! report, is how CI verifies that). The mechanics are
+//! [`crate::session`]'s: a group is a session with a branch point and
+//! several members.
 //!
 //! ## Exactness
 //!
@@ -19,7 +21,7 @@
 //! [`execute_branched`] and [`run_cell_branched_straight`] (pause at the
 //! branch time, apply the override, finish — *no* checkpoint/restore)
 //! produce bit-identical [`CellResult`]s. That is the backend
-//! [`Snapshot`] contract, pinned in this module's tests and by the
+//! [`atlahs_core::Snapshot`] contract, pinned in this module's tests and by the
 //! `branch_smoke.json` golden diff in `ci.sh`.
 //!
 //! Branched results are **not** comparable to a straight sweep that
@@ -30,21 +32,11 @@
 //! not "what if this had been failing all along?".
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use atlahs_core::backends::IdealBackend;
-use atlahs_core::{Backend, SimDriver, SimReport, Snapshot};
 use atlahs_goal::GoalSchedule;
-use atlahs_htsim::engine::{HtsimBackend, HtsimConfig};
-use atlahs_htsim::topology::Topology;
-use atlahs_lgs::LgsBackend;
 
-use crate::runner::DistSummary;
-use crate::scenario::{
-    cell_seed, lgs_params_for, prepare_goal, BackendSpec, CellResult, FaultSpec, FaultTelemetry,
-    PreparedGoal, ScenarioCell,
-};
-use crate::sweep::parallel_map;
+use crate::scenario::{run_members, CellResult, ScenarioCell};
+use crate::sweep::execute_groups;
 
 /// Shared-prefix work accounting of one branched sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,326 +62,41 @@ pub fn execute_branched(
     branch_at: u64,
     threads: usize,
 ) -> (Vec<CellResult>, BranchStats) {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    };
-
-    // Group by everything except the fault axis. Cells in one group share
-    // the workload (hence the derived seed), topology, placement, and
-    // backend — exactly the state the prefix depends on.
-    let mut index_of: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    // Group by everything except the fault axis: topology, workload and
+    // seed, placement, and backend — exactly the state the prefix
+    // depends on.
+    let mut index_of: std::collections::HashMap<(String, u64), usize> =
+        std::collections::HashMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
-        let prefix_key = format!(
-            "{}/{}/{}/{}",
-            cell.topology.label(),
-            cell.workload.label(),
-            cell.placement.label(),
-            cell.backend.label()
-        );
-        match index_of.get(&prefix_key) {
-            Some(&g) => groups[g].push(i),
-            None => {
-                index_of.insert(prefix_key, groups.len());
-                groups.push(vec![i]);
-            }
+        let g = *index_of.entry((cell.prefix_key(), cell.seed)).or_insert(groups.len());
+        if g == groups.len() {
+            groups.push(Vec::new());
         }
+        groups[g].push(i);
     }
-
-    // One workload build per distinct (workload, seed), as in the
-    // straight executor.
-    let mut job_index: std::collections::HashMap<(String, u64), usize> =
-        std::collections::HashMap::new();
-    let mut uniq: Vec<&ScenarioCell> = Vec::new();
-    let group_jobs: Vec<usize> = groups
-        .iter()
-        .map(|members| {
-            let cell = &cells[members[0]];
-            *job_index.entry((cell.workload.label(), cell.seed)).or_insert_with(|| {
-                uniq.push(cell);
-                uniq.len() - 1
-            })
-        })
-        .collect();
-    let jobs = parallel_map(&uniq, threads, |cell| cell.workload.build_jobs(cell.seed));
-
-    let group_ids: Vec<usize> = (0..groups.len()).collect();
-    let per_group: Vec<Vec<CellResult>> = parallel_map(&group_ids, threads, |&g| {
-        let members: Vec<&ScenarioCell> = groups[g].iter().map(|&i| &cells[i]).collect();
-        run_group(&members, &jobs[group_jobs[g]], branch_at)
-    });
-
-    let mut slots: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
-    for (g, results) in per_group.into_iter().enumerate() {
-        for (&i, r) in groups[g].iter().zip(results) {
-            slots[i] = Some(r);
-        }
-    }
-    let results = slots.into_iter().map(|s| s.expect("every cell branched once")).collect();
+    let results = execute_groups(cells, &groups, Some(branch_at), threads);
     (results, BranchStats { branch_at, prefix_runs: groups.len() })
 }
 
 /// The straight-through reference for one branched cell: pause at the
 /// branch time, apply the override, run to completion — the identical
-/// mechanics with **no** checkpoint/restore. [`execute_branched`] must
-/// match this bit for bit on every cell; tests (and the golden
-/// regeneration path) use it as the independent oracle.
+/// mechanics with **no** checkpoint/restore (a one-member session).
+/// [`execute_branched`] must match this bit for bit on every cell.
 pub fn run_cell_branched_straight(
     cell: &ScenarioCell,
     jobs: &[Arc<GoalSchedule>],
     branch_at: u64,
 ) -> CellResult {
-    let prepared = prepare_goal(cell, jobs);
-    let goal = prepared.goal(jobs);
-    match cell.backend {
-        BackendSpec::Htsim { cc, spray } => {
-            let topo_cfg = cell.topology.config();
-            let topo = Topology::build(topo_cfg.clone());
-            let mut backend = htsim_clean(cell, topo_cfg, cc, spray);
-            let t0 = Instant::now();
-            let mut driver = SimDriver::start(goal, &mut backend);
-            driver.run_until(&mut backend, branch_at).expect("no deadlock");
-            let telemetry = apply_htsim_override(&mut backend, cell, &topo);
-            let report = driver.finish(&mut backend).expect("no deadlock");
-            htsim_result(cell, goal, &prepared, &backend, report, telemetry, t0.elapsed())
-        }
-        BackendSpec::Lgs => {
-            let mut backend = LgsBackend::new(lgs_params_for(&cell.topology));
-            let t0 = Instant::now();
-            let mut driver = SimDriver::start(goal, &mut backend);
-            driver.run_until(&mut backend, branch_at).expect("no deadlock");
-            let telemetry = apply_lgs_override(&mut backend, cell, goal);
-            let report = driver.finish(&mut backend).expect("no deadlock");
-            plain_result(cell, goal, &prepared, report, telemetry, t0.elapsed())
-        }
-        BackendSpec::Ideal => {
-            let link = cell.topology.edge_link();
-            let mut backend = IdealBackend::new(link.bytes_per_ns(), link.latency_ns);
-            let t0 = Instant::now();
-            let mut driver = SimDriver::start(goal, &mut backend);
-            driver.run_until(&mut backend, branch_at).expect("no deadlock");
-            let report = driver.finish(&mut backend).expect("no deadlock");
-            plain_result(cell, goal, &prepared, report, None, t0.elapsed())
-        }
-    }
-}
-
-/// Run one shared-prefix group: prefix once, snapshot, one restore +
-/// override + finish per member cell, in member order.
-fn run_group(
-    members: &[&ScenarioCell],
-    jobs: &[Arc<GoalSchedule>],
-    branch_at: u64,
-) -> Vec<CellResult> {
-    let lead = members[0];
-    let prepared = prepare_goal(lead, jobs);
-    let goal = prepared.goal(jobs);
-    match lead.backend {
-        BackendSpec::Htsim { cc, spray } => {
-            let topo_cfg = lead.topology.config();
-            let topo = Topology::build(topo_cfg.clone());
-            let mut backend = htsim_clean(lead, topo_cfg, cc, spray);
-            branch_fanout(
-                &mut backend,
-                goal,
-                branch_at,
-                members,
-                |backend, cell| apply_htsim_override(backend, cell, &topo),
-                |backend, cell, report, telemetry, wall| {
-                    htsim_result(cell, goal, &prepared, backend, report, telemetry, wall)
-                },
-            )
-        }
-        BackendSpec::Lgs => {
-            let mut backend = LgsBackend::new(lgs_params_for(&lead.topology));
-            branch_fanout(
-                &mut backend,
-                goal,
-                branch_at,
-                members,
-                |backend, cell| apply_lgs_override(backend, cell, goal),
-                |_backend, cell, report, telemetry, wall| {
-                    plain_result(cell, goal, &prepared, report, telemetry, wall)
-                },
-            )
-        }
-        BackendSpec::Ideal => {
-            let link = lead.topology.edge_link();
-            let mut backend = IdealBackend::new(link.bytes_per_ns(), link.latency_ns);
-            branch_fanout(
-                &mut backend,
-                goal,
-                branch_at,
-                members,
-                |_backend, _cell| None,
-                |_backend, cell, report, telemetry, wall| {
-                    plain_result(cell, goal, &prepared, report, telemetry, wall)
-                },
-            )
-        }
-    }
-}
-
-/// The generic prefix-once/fan-out loop over one backend. `apply` puts a
-/// cell's override onto the restored backend at the branch point;
-/// `collect` turns the finished run into its [`CellResult`].
-///
-/// The prefix wall-clock is charged to the group's first cell; every
-/// other cell carries only its own suffix (wall time never enters the
-/// byte-compared reports).
-fn branch_fanout<B: Backend + Snapshot>(
-    backend: &mut B,
-    goal: &GoalSchedule,
-    branch_at: u64,
-    members: &[&ScenarioCell],
-    mut apply: impl FnMut(&mut B, &ScenarioCell) -> Option<FaultTelemetry>,
-    mut collect: impl FnMut(
-        &B,
-        &ScenarioCell,
-        SimReport,
-        Option<FaultTelemetry>,
-        Duration,
-    ) -> CellResult,
-) -> Vec<CellResult> {
-    let t0 = Instant::now();
-    let mut driver = SimDriver::start(goal, backend);
-    driver.run_until(backend, branch_at).expect("no deadlock");
-    let snapshot = backend.checkpoint();
-    let mut prefix_wall = t0.elapsed();
-    members
-        .iter()
-        .map(|cell| {
-            let t1 = Instant::now();
-            backend.restore(&snapshot);
-            let telemetry = apply(backend, cell);
-            let report = driver.clone().finish(backend).expect("no deadlock");
-            let wall = std::mem::take(&mut prefix_wall) + t1.elapsed();
-            collect(backend, cell, report, telemetry, wall)
-        })
-        .collect()
-}
-
-/// A clean (no configured faults) packet backend for a branched cell:
-/// overrides are injected at the branch point instead.
-fn htsim_clean(
-    cell: &ScenarioCell,
-    topo_cfg: atlahs_htsim::topology::TopologyConfig,
-    cc: atlahs_htsim::CcAlgo,
-    spray: bool,
-) -> HtsimBackend {
-    let mut cfg = HtsimConfig::new(topo_cfg, cc);
-    cfg.seed = cell.seed;
-    cfg.spray = spray;
-    cfg.collect_flows = cell.collect_flows;
-    HtsimBackend::new(cfg)
-}
-
-/// Lower a cell's fault to port windows and inject them at the branch
-/// point (windows are clamped to open no earlier than `now`). Telemetry
-/// describes the *generated* schedule, as in the straight executor.
-fn apply_htsim_override(
-    backend: &mut HtsimBackend,
-    cell: &ScenarioCell,
-    topo: &Topology,
-) -> Option<FaultTelemetry> {
-    if cell.fault == FaultSpec::None {
-        return None;
-    }
-    let fault_seed = cell_seed(cell.seed, &cell.fault.label());
-    // Stochastic link models arm at the branch point: packets already in
-    // flight were drawn (or not) under the prefix's clean model, and the
-    // per-port draw counters ride in the snapshot, so a branch override
-    // produces the same stream a straight-through run with a mid-run
-    // `set_link_model` would.
-    if let Some(model) = cell.fault.link_model(fault_seed) {
-        backend.set_link_model(model);
-        return None;
-    }
-    let faults = cell.fault.port_faults(topo, fault_seed);
-    let telemetry = cell.fault.distributional().then(|| FaultTelemetry {
-        windows: faults.len() as u64,
-        downtime_ns: faults.iter().map(|f| f.end_ns - f.start_ns).sum(),
-        stragglers: 0,
-    });
-    for f in faults {
-        backend.inject_fault(f);
-    }
-    telemetry
-}
-
-/// Apply a cell's straggler override to a running message-level backend.
-fn apply_lgs_override(
-    backend: &mut LgsBackend,
-    cell: &ScenarioCell,
-    goal: &GoalSchedule,
-) -> Option<FaultTelemetry> {
-    if cell.fault == FaultSpec::None {
-        return None;
-    }
-    let fault_seed = cell_seed(cell.seed, &cell.fault.label());
-    let spec = cell.fault.straggler_spec(fault_seed)?;
-    let telemetry = cell.fault.distributional().then(|| FaultTelemetry {
-        windows: 0,
-        downtime_ns: 0,
-        stragglers: (0..goal.num_ranks()).filter(|&r| spec.is_straggler(r)).count() as u64,
-    });
-    backend.apply_straggler_now(spec);
-    telemetry
-}
-
-fn htsim_result(
-    cell: &ScenarioCell,
-    goal: &GoalSchedule,
-    prepared: &PreparedGoal,
-    backend: &HtsimBackend,
-    report: SimReport,
-    telemetry: Option<FaultTelemetry>,
-    wall: Duration,
-) -> CellResult {
-    let mct = DistSummary::of(backend.flow_records().iter().map(|f| f.duration()).collect());
-    let job_finish = prepared.placements.iter().map(|nodes| report.job_finish(nodes)).collect();
-    CellResult {
-        key: cell.key(),
-        seed: cell.seed,
-        makespan: report.makespan,
-        tasks: report.completed,
-        mct,
-        net: Some(backend.net_stats()),
-        job_finish,
-        task_arena_bytes: goal.task_arena_bytes(),
-        fault: telemetry,
-        wall,
-    }
-}
-
-fn plain_result(
-    cell: &ScenarioCell,
-    goal: &GoalSchedule,
-    prepared: &PreparedGoal,
-    report: SimReport,
-    telemetry: Option<FaultTelemetry>,
-    wall: Duration,
-) -> CellResult {
-    let job_finish = prepared.placements.iter().map(|nodes| report.job_finish(nodes)).collect();
-    CellResult {
-        key: cell.key(),
-        seed: cell.seed,
-        makespan: report.makespan,
-        tasks: report.completed,
-        mct: DistSummary::of(Vec::new()),
-        net: None,
-        job_finish,
-        task_arena_bytes: goal.task_arena_bytes(),
-        fault: telemetry,
-        wall,
-    }
+    run_members(&[cell], jobs, Some(branch_at)).pop().expect("one member, one result")
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
+    use crate::scenario::FaultSpec;
     use crate::smoke::{branch_smoke_grid, BRANCH_SMOKE_AT};
     use crate::sweep::SweepReport;
 
@@ -400,6 +107,12 @@ mod tests {
         SweepReport { seed: 1, results, branch: None }.to_json().pretty()
     }
 
+    /// Branch times the session's shapes are compared at: the first
+    /// event, the smoke grid's pinned mid-run point, and a time past
+    /// every makespan (`run_until` goes quiescent before the checkpoint,
+    /// so overrides land on a finished run).
+    const BRANCH_TIMES: [u64; 3] = [1, BRANCH_SMOKE_AT, u64::MAX];
+
     /// The tentpole contract: the shared-prefix snapshot fan-out is
     /// byte-identical to pausing-and-injecting each cell independently,
     /// and the prefix is simulated once per group, not once per cell.
@@ -409,15 +122,17 @@ mod tests {
         let cells = grid.expand();
         assert_eq!(cells.len(), 24);
 
-        let (branched, stats) = execute_branched(&cells, BRANCH_SMOKE_AT, 2);
-        assert_eq!(stats.prefix_runs, 8, "4 prefix groups per workload");
-        assert!(stats.prefix_runs < cells.len(), "suffix-only re-simulation");
+        for branch_at in BRANCH_TIMES {
+            let (branched, stats) = execute_branched(&cells, branch_at, 2);
+            assert_eq!(stats.prefix_runs, 8, "4 prefix groups per workload");
+            assert!(stats.prefix_runs < cells.len(), "suffix-only re-simulation");
 
-        let straight: Vec<CellResult> = cells
-            .iter()
-            .map(|c| run_cell_branched_straight(c, &c.workload.build_jobs(c.seed), BRANCH_SMOKE_AT))
-            .collect();
-        assert_eq!(strip_wall(branched), strip_wall(straight));
+            let straight: Vec<CellResult> = cells
+                .iter()
+                .map(|c| run_cell_branched_straight(c, &c.workload.build_jobs(c.seed), branch_at))
+                .collect();
+            assert_eq!(strip_wall(branched), strip_wall(straight), "branch at {branch_at}");
+        }
     }
 
     /// Thread count must not leak into branched results, and overrides
@@ -491,18 +206,23 @@ mod tests {
         assert_eq!(clean.net.unwrap().stochastic_draws, 0, "the clean sibling never draws");
     }
 
-    /// `FaultSpec::None` branch cells are pure checkpoint/resume — they
-    /// must equal the ordinary straight executor exactly (same makespan,
-    /// stats, and flow summaries), since nothing is ever injected.
+    /// `FaultSpec::None` branch cells are pure pause/checkpoint/resume —
+    /// wherever the branch point falls they must equal the ordinary
+    /// straight executor exactly (same makespan, stats, and flow
+    /// summaries), since nothing is ever injected. The clean cells run
+    /// inside their full groups, so each one is restored from its group's
+    /// snapshot like any faulted sibling.
     #[test]
     fn clean_branch_cells_equal_the_straight_executor() {
-        let cells: Vec<ScenarioCell> = branch_smoke_grid()
-            .expand()
-            .into_iter()
-            .filter(|c| c.fault == FaultSpec::None)
-            .collect();
-        let (branched, _) = execute_branched(&cells, BRANCH_SMOKE_AT, 2);
-        let plain = crate::sweep::execute(&cells, 2);
-        assert_eq!(strip_wall(branched), strip_wall(plain));
+        let cells = branch_smoke_grid().expand();
+        let clean = |results: Vec<CellResult>| -> Vec<CellResult> {
+            let keep = cells.iter().zip(results).filter(|(c, _)| c.fault == FaultSpec::None);
+            keep.map(|(_, r)| r).collect()
+        };
+        let plain = strip_wall(clean(crate::sweep::execute(&cells, 2)));
+        for branch_at in BRANCH_TIMES {
+            let (branched, _) = execute_branched(&cells, branch_at, 2);
+            assert_eq!(strip_wall(clean(branched)), plain, "branch at {branch_at}");
+        }
     }
 }

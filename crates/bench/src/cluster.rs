@@ -33,25 +33,22 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use atlahs_core::backends::IdealBackend;
 use atlahs_core::faultgen;
 use atlahs_core::{NodePool, SimReport};
 use atlahs_goal::merge::{compose, PlacedJob, MAX_JOBS};
 use atlahs_goal::{GoalSchedule, Rank};
-use atlahs_htsim::engine::{HtsimBackend, HtsimConfig};
 use atlahs_htsim::stochastic::LinkModelSpec;
 use atlahs_htsim::CcAlgo;
-use atlahs_lgs::LgsBackend;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::json::Json;
-use crate::runner;
 use crate::scenario::{
-    cell_seed, lgs_params_for, BackendFamily, BackendSpec, PlacementSpec, TopologySpec,
+    cell_seed, unique, BackendFamily, BackendSpec, FaultSpec, PlacementSpec, TopologySpec,
     WorkloadSpec,
 };
-use crate::sweep::parallel_map;
+use crate::session::{self, Session};
+use crate::sweep::{parallel_map, resolve_threads};
 use crate::table::Table;
 
 // ------------------------------------------------------------ arrivals ----
@@ -761,36 +758,25 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
     }
 }
 
-/// Run a composed schedule on the cell's backend (mirrors
-/// [`crate::scenario::run_cell_prepared`]'s backend dispatch).
+/// Run a composed schedule on the cell's backend: a straight
+/// [`session`] that keeps only the report. Stochastic link noise lowers
+/// like the sweep's — its draw-stream seed derives from this
+/// *simulation's* seed, so every batch and every solo baseline
+/// experiences its own loss/jitter realization and no two sims share a
+/// stream.
 fn simulate(spec: &ClusterSpec, goal: &GoalSchedule, sim_seed: u64) -> SimReport {
-    match spec.backend {
-        BackendSpec::Htsim { cc, spray } => {
-            let mut cfg = HtsimConfig::new(spec.topology.config(), cc);
-            cfg.seed = sim_seed;
-            cfg.spray = spray;
-            // The draw-stream seed is derived from this *simulation's*
-            // seed, so every batch and every solo baseline experiences
-            // its own loss/jitter realization — two sims never share a
-            // stream, and a fault-free spec leaves the model inactive.
-            if let ClusterFaultSpec::Stochastic(model) = spec.fault {
-                cfg.link_model = model.model(cell_seed(sim_seed, &spec.fault.label()));
-            }
-            let (report, _) = runner::run_on(goal, &mut HtsimBackend::new(cfg));
-            report
-        }
-        BackendSpec::Lgs => {
-            let (report, _) =
-                runner::run_on(goal, &mut LgsBackend::new(lgs_params_for(&spec.topology)));
-            report
-        }
-        BackendSpec::Ideal => {
-            let link = spec.topology.edge_link();
-            let (report, _) =
-                runner::run_on(goal, &mut IdealBackend::new(link.bytes_per_ns(), link.latency_ns));
-            report
-        }
-    }
+    let fault = match spec.fault {
+        ClusterFaultSpec::Stochastic(model) => FaultSpec::Stochastic(model),
+        _ => FaultSpec::None,
+    };
+    let session = Session {
+        topology: &spec.topology,
+        backend: spec.backend,
+        seed: sim_seed,
+        collect_flows: false,
+    };
+    let outcome = session::run(&session, goal, None, &[&fault]).pop();
+    outcome.expect("one member, one outcome").report
 }
 
 // ---------------------------------------------------------------- grid ----
@@ -814,8 +800,8 @@ pub struct ClusterGrid {
 }
 
 impl ClusterGrid {
-    /// Expand to concrete cells, also returning the catalog workloads
-    /// dropped because they are wider than the fabric.
+    /// Expand to concrete cells (every key once), also returning the
+    /// catalog workloads dropped because they are wider than the fabric.
     pub fn expand_counted(&self) -> (Vec<ClusterSpec>, Vec<String>) {
         let hosts = self.topology.hosts();
         let mut dropped = Vec::new();
@@ -840,48 +826,32 @@ impl ClusterGrid {
             return (Vec::new(), dropped);
         }
         let mut cells = Vec::new();
-        for arrivals in &self.arrivals {
-            for queue in &self.queues {
-                for placement in &self.placements {
-                    for family in &self.backends {
-                        let backends: Vec<BackendSpec> = match family {
-                            BackendFamily::Htsim => self
-                                .ccs
-                                .iter()
-                                .map(|&cc| BackendSpec::Htsim { cc, spray: false })
-                                .collect(),
-                            BackendFamily::HtsimSpray => self
-                                .ccs
-                                .iter()
-                                .map(|&cc| BackendSpec::Htsim { cc, spray: true })
-                                .collect(),
-                            BackendFamily::Lgs => vec![BackendSpec::Lgs],
-                            BackendFamily::Ideal => vec![BackendSpec::Ideal],
-                        };
-                        let faults: &[ClusterFaultSpec] = if self.faults.is_empty() {
-                            &[ClusterFaultSpec::None]
-                        } else {
-                            &self.faults
-                        };
-                        for backend in backends {
-                            for fault in faults.iter().filter(|f| f.applies_to(backend)) {
-                                cells.push(ClusterSpec {
-                                    topology: self.topology.clone(),
-                                    catalog: catalog.clone(),
-                                    arrivals: arrivals.clone(),
-                                    placement: *placement,
-                                    backend,
-                                    queue: *queue,
-                                    fault: *fault,
-                                    // One seed per grid: cells differing
-                                    // only in queue/placement/backend/
-                                    // fault simulate the same arrival
-                                    // stream and job instances, so rows
-                                    // are directly comparable (and the
-                                    // fault axis never perturbs seeds).
-                                    seed: cell_seed(self.seed, &arrivals.label()),
-                                });
-                            }
+        let queues = unique(&self.queues, |q| **q);
+        let placements = unique(&self.placements, |p| **p);
+        let backends = unique(self.backends.iter().flat_map(|f| f.specs(&self.ccs)), |b| *b);
+        let none = [ClusterFaultSpec::None];
+        let faults = if self.faults.is_empty() { &none } else { &self.faults[..] };
+        let faults = unique(faults, |f| **f);
+        for arrivals in unique(&self.arrivals, |a| a.label()) {
+            // One seed per grid: cells differing only in queue/placement/
+            // backend/fault simulate the same arrival stream and job
+            // instances, so rows are directly comparable (and the fault
+            // axis never perturbs seeds).
+            let seed = cell_seed(self.seed, &arrivals.label());
+            for queue in &queues {
+                for placement in &placements {
+                    for &backend in &backends {
+                        for fault in faults.iter().filter(|f| f.applies_to(backend)) {
+                            cells.push(ClusterSpec {
+                                topology: self.topology.clone(),
+                                catalog: catalog.clone(),
+                                arrivals: arrivals.clone(),
+                                placement: **placement,
+                                backend,
+                                queue: **queue,
+                                fault: **fault,
+                                seed,
+                            });
                         }
                     }
                 }
@@ -894,11 +864,7 @@ impl ClusterGrid {
 /// Run every cell of a cluster grid. Cells are independent; a single
 /// cell parallelizes its per-instant simulations instead.
 pub fn run_grid(cells: &[ClusterSpec], threads: usize) -> Vec<ClusterOutcome> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    };
+    let threads = resolve_threads(threads);
     if cells.len() == 1 {
         vec![run_cluster(&cells[0], threads)]
     } else {
@@ -1593,7 +1559,10 @@ mod tests {
             seed: 5,
         };
         let mut faulted = base.clone();
+        // The repeated `none` (`--faults none,none`) names the same cells
+        // again and must not repeat a key in the report.
         faulted.faults = vec![
+            ClusterFaultSpec::None,
             ClusterFaultSpec::None,
             ClusterFaultSpec::JobFail { pct: 50, at_pct: 50, retries: 2 },
         ];

@@ -18,24 +18,24 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use atlahs_core::backends::IdealBackend;
 use atlahs_core::faultgen::{self, ChurnEvent, Distribution};
 use atlahs_core::{allocate, PlacementStrategy};
 use atlahs_goal::merge::{compose, PlacedJob};
 use atlahs_goal::GoalSchedule;
-use atlahs_htsim::engine::{HtsimBackend, HtsimConfig, NetStats};
+use atlahs_htsim::engine::NetStats;
 use atlahs_htsim::fault::{
     normalize_windows, select_fault_domains, select_fault_ports, FaultKind, PortFault,
 };
 use atlahs_htsim::stochastic::{LinkModel, LinkModelSpec};
 use atlahs_htsim::topology::{LinkParams, Topology, TopologyConfig};
 use atlahs_htsim::CcAlgo;
-use atlahs_lgs::{LgsBackend, LogGopsParams, StragglerSpec};
+use atlahs_lgs::{LogGopsParams, StragglerSpec};
 use atlahs_schedgen::synthetic;
 use atlahs_tracers::mpi::Scaling;
 use atlahs_tracers::nccl::{presets, LlmConfig};
 
-use crate::runner::{self, DistSummary};
+use crate::runner::DistSummary;
+use crate::session::{self, Session};
 use crate::workloads::{self, HpcApp, HpcCase};
 
 // ------------------------------------------------------------ topology ----
@@ -343,13 +343,26 @@ impl WorkloadSpec {
         }
     }
 
-    /// Parse a CLI token (see `docs/SCENARIOS.md` for the grammar).
+    /// Parse a CLI token — the inverse of [`WorkloadSpec::label`], plus
+    /// the short forms (see `docs/SCENARIOS.md` for the grammar).
     /// Structural constraints (group divides ranks, enough ranks, …) are
     /// checked here so a bad token fails at the CLI, not inside a worker.
     pub fn parse(tok: &str) -> Result<WorkloadSpec, String> {
-        let spec = Self::parse_inner(tok)?;
-        spec.check().map_err(|e| format!("workload `{tok}`: {e}"))?;
-        Ok(spec)
+        let single = |tok: &str| {
+            let spec = Self::parse_inner(tok)?;
+            spec.check().map_err(|e| format!("workload `{tok}`: {e}"))?;
+            Ok(spec)
+        };
+        match tok.strip_prefix("multi[").and_then(|rest| rest.strip_suffix(']')) {
+            // Jobs are single workloads: `build_jobs` flattens anyway, and
+            // a nested `multi[…]` would make the `+` split ambiguous.
+            Some(jobs) => jobs
+                .split('+')
+                .map(single)
+                .collect::<Result<_, String>>()
+                .map(|jobs| WorkloadSpec::MultiJob { jobs }),
+            None => single(tok),
+        }
     }
 
     /// Validate structural constraints the generators assert. Zero-work
@@ -385,6 +398,9 @@ impl WorkloadSpec {
                 if clients < 1 || servers < 1 || reads < 1 =>
             {
                 Err("need at least one client, one server, and one read".into())
+            }
+            WorkloadSpec::Llm { iterations: 0, .. } => {
+                Err("an LLM run needs at least 1 iteration".into())
             }
             WorkloadSpec::Llm { scale, .. } | WorkloadSpec::Hpc { scale, .. }
                 if !(scale > 0.0 && scale <= 1.0) =>
@@ -440,11 +456,20 @@ impl WorkloadSpec {
                 bytes: b(bytes)?,
                 reads: r(reads)?,
             }),
+            // The short form is one batch-capped iteration.
             ["llm", preset, scale] => Ok(WorkloadSpec::Llm {
                 preset: LlmPreset::parse(preset)?,
                 scale: num::<f64>(scale, tok)?,
                 iterations: 1,
                 cap_batch: true,
+            }),
+            ["llm", preset, scale, iterations, cap_batch] => Ok(WorkloadSpec::Llm {
+                preset: LlmPreset::parse(preset)?,
+                scale: num::<f64>(scale, tok)?,
+                iterations: r(iterations)?,
+                cap_batch: cap_batch.parse().map_err(|_| {
+                    format!("bad cap_batch `{cap_batch}` in workload `{tok}` (true|false)")
+                })?,
             }),
             ["hpc", app, procs, nodes, scale] => Ok(WorkloadSpec::Hpc {
                 app: parse_hpc_app(app)?,
@@ -462,8 +487,10 @@ impl WorkloadSpec {
                  perm:<ranks>:<bytes>:<shift>:<repeat>, uniform:<ranks>:<bytes>:<msgs>, \
                  incast:<ranks>:<bytes>:<repeat>, moe:<ranks>:<group>:<bytes>:<layers>:<ns>, \
                  pipeline:<stages>:<mbs>:<bytes>:<ns>, \
-                 storage-incast:<clients>:<servers>:<bytes>:<reads>, llm:<preset>:<scale>, \
-                 hpc:<app>:<procs>:<nodes>:<scale>, storage:<ops>:<gap>:<compress>)"
+                 storage-incast:<clients>:<servers>:<bytes>:<reads>, \
+                 llm:<preset>:<scale>[:<iterations>:<cap_batch>], \
+                 hpc:<app>:<procs>:<nodes>:<scale>, storage:<ops>:<gap>:<compress>, \
+                 multi[<workload>+<workload>+…])"
             )),
         }
     }
@@ -797,11 +824,57 @@ impl FaultSpec {
         }
     }
 
-    /// Lower a packet-level fault to concrete port windows on `topo`.
-    /// Port choice is seeded by `fault_seed` (derive it with
-    /// [`cell_seed`] from the cell seed and the fault label). Returns an
-    /// empty list for `None`/`Straggler`.
-    pub fn port_faults(&self, topo: &Topology, fault_seed: u64) -> Vec<PortFault> {
+    /// The one lowering: what this fault does to `backend` on `topology`
+    /// ([`FaultAction`]), plus the realized-fault telemetry of the
+    /// distributional regimes. Every draw — which links fail, which ranks
+    /// straggle, the per-packet streams — is keyed by the *derived*
+    /// `cell_seed(sim_seed, label)`, so the simulation seed (workload
+    /// generation, placement, packet RNG) is untouched by the fault axis.
+    /// `ranks` is the simulated schedule's width (straggler telemetry).
+    /// A fault that does not apply to `backend` lowers to nothing.
+    pub fn lower(
+        &self,
+        topology: &TopologySpec,
+        backend: &BackendSpec,
+        ranks: usize,
+        sim_seed: u64,
+    ) -> (FaultAction, Option<FaultTelemetry>) {
+        if matches!(self, FaultSpec::None) || !self.applies_to(backend) {
+            return (FaultAction::None, None);
+        }
+        let fault_seed = cell_seed(sim_seed, &self.label());
+        let action = match *self {
+            FaultSpec::Stochastic(spec) => FaultAction::Link(spec.model(fault_seed)),
+            FaultSpec::Straggler { prob_pct, factor_pct, spread_pct, shape } => {
+                let spec =
+                    StragglerSpec { prob_pct, factor_pct, spread_pct, shape, seed: fault_seed };
+                FaultAction::Straggler(spec)
+            }
+            _ => FaultAction::Ports(
+                self.port_windows(&Topology::build(topology.config()), fault_seed),
+            ),
+        };
+        // Telemetry describes the *generated* schedule (downtime counts
+        // per-port window durations; stochastic cells report through
+        // `NetStats` instead).
+        let telemetry = self.distributional().then(|| {
+            let (windows, downtime_ns, stragglers) = match &action {
+                FaultAction::Ports(w) => {
+                    (w.len() as u64, w.iter().map(|f| f.end_ns - f.start_ns).sum(), 0)
+                }
+                FaultAction::Straggler(spec) => {
+                    (0, 0, (0..ranks).filter(|&r| spec.is_straggler(r)).count() as u64)
+                }
+                _ => (0, 0, 0),
+            };
+            FaultTelemetry { windows, downtime_ns, stragglers }
+        });
+        (action, telemetry)
+    }
+
+    /// The concrete port windows of a packet-level window fault on
+    /// `topo` (empty for every other regime).
+    fn port_windows(&self, topo: &Topology, fault_seed: u64) -> Vec<PortFault> {
         match *self {
             FaultSpec::None | FaultSpec::Straggler { .. } | FaultSpec::Stochastic(_) => Vec::new(),
             FaultSpec::LinkFlap { links, down_ns, up_ns } => {
@@ -888,29 +961,6 @@ impl FaultSpec {
             }
         }
     }
-
-    /// The message-level straggler spec for this fault (`None` when the
-    /// fault is not a straggler).
-    pub fn straggler_spec(&self, fault_seed: u64) -> Option<StragglerSpec> {
-        match *self {
-            FaultSpec::Straggler { prob_pct, factor_pct, spread_pct, shape } => {
-                Some(StragglerSpec { prob_pct, factor_pct, spread_pct, shape, seed: fault_seed })
-            }
-            _ => None,
-        }
-    }
-
-    /// The per-packet stochastic link model for this fault (`None` when
-    /// the fault is not stochastic). `fault_seed` — derived like every
-    /// other fault sub-seed as `cell_seed(cell.seed, label)` — becomes
-    /// the draw-stream seed, so the model never touches the engine's
-    /// own RNG seed or any other cell's draws.
-    pub fn link_model(&self, fault_seed: u64) -> Option<LinkModel> {
-        match *self {
-            FaultSpec::Stochastic(spec) => Some(spec.model(fault_seed)),
-            _ => None,
-        }
-    }
 }
 
 /// Cap on generated windows per flapping port — a backstop against a
@@ -975,6 +1025,20 @@ fn churn_events_from_text(text: &str) -> Result<Vec<ChurnEvent>, String> {
     }
 }
 
+/// A [`FaultSpec`] lowered onto a concrete fabric and seed: the one thing
+/// a backend has to act on, at configuration time or mid-run
+/// ([`crate::session`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultAction {
+    None,
+    /// Timed port windows (packet-level).
+    Ports(Vec<PortFault>),
+    /// Per-packet stochastic link model (packet-level).
+    Link(LinkModel),
+    /// Per-rank calc-cost inflation (message-level).
+    Straggler(StragglerSpec),
+}
+
 /// Realized-fault telemetry for one cell: what the distributional fault
 /// generator actually produced, so a report is auditable without
 /// re-deriving the draw chain. `windows`/`downtime_ns` describe the
@@ -1001,7 +1065,8 @@ pub enum BackendFamily {
     /// Message-level LogGOPS, parameters calibrated from the topology's
     /// edge link (see [`lgs_params_for`]).
     Lgs,
-    /// Contention-free fixed-rate reference ([`IdealBackend`]).
+    /// Contention-free fixed-rate reference
+    /// ([`atlahs_core::backends::IdealBackend`]).
     Ideal,
 }
 
@@ -1014,6 +1079,18 @@ impl BackendFamily {
             "ideal" => BackendFamily::Ideal,
             _ => return Err(format!("unknown backend `{tok}` (htsim|htsim-spray|lgs|ideal)")),
         })
+    }
+
+    /// The concrete backends of this family: htsim families cross with
+    /// the CC axis, CC-less backends appear once.
+    pub fn specs(&self, ccs: &[CcAlgo]) -> Vec<BackendSpec> {
+        let htsim = |spray| ccs.iter().map(|&cc| BackendSpec::Htsim { cc, spray }).collect();
+        match self {
+            BackendFamily::Htsim => htsim(false),
+            BackendFamily::HtsimSpray => htsim(true),
+            BackendFamily::Lgs => vec![BackendSpec::Lgs],
+            BackendFamily::Ideal => vec![BackendSpec::Ideal],
+        }
     }
 }
 
@@ -1085,7 +1162,8 @@ pub struct ScenarioGrid {
 impl ScenarioGrid {
     /// Expand to concrete cells: the cartesian product, minus infeasible
     /// combinations (workload wider than the fabric). htsim families are
-    /// crossed with the CC axis; CC-less backends appear once.
+    /// crossed with the CC axis; CC-less backends appear once; every key
+    /// appears once.
     ///
     /// Cells come out in a deterministic order (topology-major), but each
     /// cell's seed depends only on its own workload, so subsetting or
@@ -1100,9 +1178,16 @@ impl ScenarioGrid {
     pub fn expand_counted(&self) -> (Vec<ScenarioCell>, Vec<String>) {
         let mut cells = Vec::new();
         let mut dropped = Vec::new();
-        for topo in &self.topologies {
+        let workloads = unique(&self.workloads, |w| w.label());
+        let placements = unique(&self.placements, |p| **p);
+        let backends = unique(self.backends.iter().flat_map(|f| f.specs(&self.ccs)), |b| *b);
+        // An empty fault axis is a fault-free grid.
+        let none = [FaultSpec::None];
+        let faults = if self.faults.is_empty() { &none } else { &self.faults[..] };
+        let faults = unique(faults, |f| f.label());
+        for topo in unique(&self.topologies, |t| t.label()) {
             let hosts = topo.hosts();
-            for workload in &self.workloads {
+            for workload in &workloads {
                 if workload.ranks() > hosts {
                     // Infeasible: workload wider than the fabric.
                     dropped.push(format!(
@@ -1113,45 +1198,19 @@ impl ScenarioGrid {
                     ));
                     continue;
                 }
-                for placement in &self.placements {
-                    for family in &self.backends {
-                        let backends: Vec<BackendSpec> = match family {
-                            BackendFamily::Htsim => self
-                                .ccs
-                                .iter()
-                                .map(|&cc| BackendSpec::Htsim { cc, spray: false })
-                                .collect(),
-                            BackendFamily::HtsimSpray => self
-                                .ccs
-                                .iter()
-                                .map(|&cc| BackendSpec::Htsim { cc, spray: true })
-                                .collect(),
-                            BackendFamily::Lgs => vec![BackendSpec::Lgs],
-                            BackendFamily::Ideal => vec![BackendSpec::Ideal],
-                        };
-                        for backend in backends {
-                            // An empty fault axis is a fault-free grid.
-                            let faults: &[FaultSpec] = if self.faults.is_empty() {
-                                &[FaultSpec::None]
-                            } else {
-                                &self.faults
-                            };
-                            for fault in faults {
-                                if !fault.applies_to(&backend) {
-                                    continue;
-                                }
-                                let mut cell = ScenarioCell {
-                                    topology: topo.clone(),
-                                    workload: workload.clone(),
-                                    placement: *placement,
-                                    backend,
-                                    fault: fault.clone(),
-                                    seed: 0,
-                                    collect_flows: self.collect_flows,
-                                };
-                                cell.seed = cell_seed(self.seed, &cell.workload.label());
-                                cells.push(cell);
-                            }
+                let seed = cell_seed(self.seed, &workload.label());
+                for placement in &placements {
+                    for &backend in &backends {
+                        for fault in faults.iter().filter(|f| f.applies_to(&backend)) {
+                            cells.push(ScenarioCell {
+                                topology: topo.clone(),
+                                workload: (*workload).clone(),
+                                placement: **placement,
+                                backend,
+                                fault: (*fault).clone(),
+                                seed,
+                                collect_flows: self.collect_flows,
+                            });
                         }
                     }
                 }
@@ -1159,6 +1218,26 @@ impl ScenarioGrid {
         }
         (cells, dropped)
     }
+}
+
+/// The first occurrence of each value on one grid axis, in order. A value
+/// repeated on an axis (`--faults none,none`) names the same cells again,
+/// and a report carries every key once. `label` is what two values must
+/// differ in to be distinct cells.
+pub(crate) fn unique<T, L: PartialEq>(
+    axis: impl IntoIterator<Item = T>,
+    label: impl Fn(&T) -> L,
+) -> Vec<T> {
+    let mut seen = Vec::new();
+    let first = |value: &T| {
+        let label = label(value);
+        let new = !seen.contains(&label);
+        if new {
+            seen.push(label);
+        }
+        new
+    };
+    axis.into_iter().filter(first).collect()
 }
 
 /// Derive a cell's seed: an FNV-1a fold of the grid seed and the cell's
@@ -1202,20 +1281,25 @@ pub struct ScenarioCell {
 }
 
 impl ScenarioCell {
-    /// Canonical cell key: `topology/workload/placement/backend`, with a
-    /// trailing `/fault` segment only for faulted cells — fault-free keys
-    /// are identical to a grid without the fault axis.
-    pub fn key(&self) -> String {
-        let base = format!(
+    /// `topology/workload/placement/backend`: everything but the fault
+    /// axis — what cells of one branch-and-continue prefix share.
+    pub fn prefix_key(&self) -> String {
+        format!(
             "{}/{}/{}/{}",
             self.topology.label(),
             self.workload.label(),
             self.placement.label(),
             self.backend.label()
-        );
+        )
+    }
+
+    /// Canonical cell key: [`Self::prefix_key`], with a trailing `/fault`
+    /// segment only for faulted cells — fault-free keys are identical to
+    /// a grid without the fault axis.
+    pub fn key(&self) -> String {
         match &self.fault {
-            FaultSpec::None => base,
-            fault => format!("{base}/{}", fault.label()),
+            FaultSpec::None => self.prefix_key(),
+            fault => format!("{}/{}", self.prefix_key(), fault.label()),
         }
     }
 }
@@ -1257,9 +1341,7 @@ pub fn run_cell(cell: &ScenarioCell) -> CellResult {
     run_cell_prepared(cell, &cell.workload.build_jobs(cell.seed))
 }
 
-/// A cell's composed schedule and per-job node placements, shared
-/// between the straight executor ([`run_cell_prepared`]) and the
-/// branch-and-continue executor ([`crate::branch`]).
+/// A cell's composed schedule and per-job node placements.
 pub struct PreparedGoal {
     /// `None` when the single packed job runs un-remapped (the identity
     /// placement) and the schedule is borrowed from `jobs[0]` instead.
@@ -1313,87 +1395,43 @@ pub fn prepare_goal(cell: &ScenarioCell, jobs: &[Arc<GoalSchedule>]) -> Prepared
 /// `cell.workload.build_jobs(cell.seed)` (deterministic), so sharing
 /// cannot change any result.
 pub fn run_cell_prepared(cell: &ScenarioCell, jobs: &[Arc<GoalSchedule>]) -> CellResult {
-    let prepared = prepare_goal(cell, jobs);
+    run_members(&[cell], jobs, None).pop().expect("one member, one result")
+}
+
+/// Run cells that share everything but the fault axis — topology,
+/// workload (hence seed), placement, and backend — as one
+/// [`session`]: straight when `branch_at` is `None` (exactly one
+/// member), otherwise the shared prefix is simulated once and each
+/// member's fault applied at the branch point. Results in member order.
+pub(crate) fn run_members(
+    members: &[&ScenarioCell],
+    jobs: &[Arc<GoalSchedule>],
+    branch_at: Option<u64>,
+) -> Vec<CellResult> {
+    let lead = members[0];
+    let prepared = prepare_goal(lead, jobs);
     let goal = prepared.goal(jobs);
-    let placements = &prepared.placements;
-    let task_arena_bytes = goal.task_arena_bytes();
-
-    // Fault randomness is keyed off the *derived* seed so the base cell
-    // seed (workload generation, placement, packet RNG) is untouched by
-    // the fault axis. `FaultSpec::None` derives nothing.
-    let fault_seed = match &cell.fault {
-        FaultSpec::None => 0,
-        fault => cell_seed(cell.seed, &fault.label()),
+    let session = Session {
+        topology: &lead.topology,
+        backend: lead.backend,
+        seed: lead.seed,
+        collect_flows: lead.collect_flows,
     };
-    let mut fault_telemetry: Option<FaultTelemetry> = None;
-
-    let (report, mct, net, wall) = match cell.backend {
-        BackendSpec::Htsim { cc, spray } => {
-            let topo_cfg = cell.topology.config();
-            let mut cfg = HtsimConfig::new(topo_cfg.clone(), cc);
-            cfg.seed = cell.seed;
-            cfg.spray = spray;
-            cfg.collect_flows = cell.collect_flows;
-            if let Some(model) = cell.fault.link_model(fault_seed) {
-                cfg.link_model = model;
-            } else if !matches!(cell.fault, FaultSpec::None) {
-                let faults = cell.fault.port_faults(&Topology::build(topo_cfg), fault_seed);
-                if cell.fault.distributional() {
-                    fault_telemetry = Some(FaultTelemetry {
-                        windows: faults.len() as u64,
-                        downtime_ns: faults.iter().map(|f| f.end_ns - f.start_ns).sum(),
-                        stragglers: 0,
-                    });
-                }
-                cfg.faults = faults;
-            }
-            let mut backend = HtsimBackend::new(cfg);
-            let (report, wall) = runner::run_on(goal, &mut backend);
-            let mct =
-                DistSummary::of(backend.flow_records().iter().map(|f| f.duration()).collect());
-            (report, mct, Some(backend.net_stats()), wall)
-        }
-        BackendSpec::Lgs => {
-            let mut backend = match cell.fault.straggler_spec(fault_seed) {
-                Some(spec) => {
-                    if cell.fault.distributional() {
-                        let slowed =
-                            (0..goal.num_ranks()).filter(|&r| spec.is_straggler(r)).count();
-                        fault_telemetry = Some(FaultTelemetry {
-                            windows: 0,
-                            downtime_ns: 0,
-                            stragglers: slowed as u64,
-                        });
-                    }
-                    LgsBackend::with_straggler(lgs_params_for(&cell.topology), spec)
-                }
-                None => LgsBackend::new(lgs_params_for(&cell.topology)),
-            };
-            let (report, wall) = runner::run_on(goal, &mut backend);
-            (report, DistSummary::of(Vec::new()), None, wall)
-        }
-        BackendSpec::Ideal => {
-            let link = cell.topology.edge_link();
-            let mut backend = IdealBackend::new(link.bytes_per_ns(), link.latency_ns);
-            let (report, wall) = runner::run_on(goal, &mut backend);
-            (report, DistSummary::of(Vec::new()), None, wall)
-        }
-    };
-
-    let job_finish = placements.iter().map(|nodes| report.job_finish(nodes)).collect();
-
-    CellResult {
+    let faults: Vec<&FaultSpec> = members.iter().map(|cell| &cell.fault).collect();
+    let outcomes = session::run(&session, goal, branch_at, &faults);
+    let results = members.iter().zip(outcomes).map(|(cell, outcome)| CellResult {
         key: cell.key(),
         seed: cell.seed,
-        makespan: report.makespan,
-        tasks: report.completed,
-        mct,
-        net,
-        job_finish,
-        task_arena_bytes,
-        fault: fault_telemetry,
-        wall,
-    }
+        makespan: outcome.report.makespan,
+        tasks: outcome.report.completed,
+        mct: outcome.mct,
+        net: outcome.net,
+        job_finish: prepared.placements.iter().map(|n| outcome.report.job_finish(n)).collect(),
+        task_arena_bytes: goal.task_arena_bytes(),
+        fault: outcome.fault,
+        wall: outcome.wall,
+    });
+    results.collect()
 }
 
 #[cfg(test)]
@@ -1412,6 +1450,57 @@ mod tests {
             assert_eq!(TopologySpec::parse(&spec.label()).unwrap(), spec);
         }
         assert!(TopologySpec::parse("torus:4:4").is_err());
+    }
+
+    /// `parse` is the inverse of `label` for every variant, so any key a
+    /// report prints can be fed back to `--workloads`.
+    #[test]
+    fn workload_labels_roundtrip() {
+        let singles = vec![
+            WorkloadSpec::Ring { ranks: 4, bytes: 1024, laps: 1 },
+            WorkloadSpec::Permutation { ranks: 16, bytes: 65536, shift: 8, repeat: 2 },
+            WorkloadSpec::UniformRandom { ranks: 16, bytes: 4096, msgs: 100 },
+            WorkloadSpec::Incast { ranks: 9, bytes: 65536, repeat: 2 },
+            WorkloadSpec::MoeAllToAll {
+                ranks: 16,
+                group: 4,
+                bytes: 65536,
+                layers: 2,
+                compute_ns: 1000,
+            },
+            WorkloadSpec::PipelineLlm { stages: 4, microbatches: 4, bytes: 1 << 20, compute_ns: 5 },
+            WorkloadSpec::StorageIncast { clients: 2, servers: 8, bytes: 131072, reads: 2 },
+            WorkloadSpec::Llm {
+                preset: LlmPreset::Llama7bDp16,
+                scale: 0.001,
+                iterations: 1,
+                cap_batch: true,
+            },
+            WorkloadSpec::Llm {
+                preset: LlmPreset::Moe8x13b,
+                scale: 1.0,
+                iterations: 3,
+                cap_batch: false,
+            },
+            WorkloadSpec::Hpc { app: HpcApp::Lulesh, procs: 8, nodes: 8, scale: 0.02 },
+            WorkloadSpec::Hpc { app: HpcApp::OpenMx, procs: 16, nodes: 2, scale: 1.0 },
+            WorkloadSpec::Storage { ops: 500, gap_ns: 50, compress: 12 },
+        ];
+        let multi = WorkloadSpec::MultiJob { jobs: singles.clone() };
+        assert!(multi.label().starts_with("multi[ring:4:1024:1+perm:16:65536:8:2+"));
+        for w in singles.into_iter().chain([multi]) {
+            let label = w.label();
+            assert_eq!(WorkloadSpec::parse(&label).unwrap_or_else(|e| panic!("{label}: {e}")), w);
+        }
+        // The short LLM form keeps working and keys as its full label.
+        let short = WorkloadSpec::parse("llm:llama7b-dp16:0.001").unwrap();
+        assert_eq!(short.label(), "llm:llama7b-dp16:0.001:1:true");
+        // Jobs are validated like top-level tokens; wrappers do not nest.
+        assert!(WorkloadSpec::parse("multi[ring:4:1024:1+ring:1:1024:1]").is_err());
+        assert!(WorkloadSpec::parse("multi[ring:4:1024:1+multi[ring:4:1024:1]]").is_err());
+        assert!(WorkloadSpec::parse("multi[]").is_err());
+        assert!(WorkloadSpec::parse("llm:llama7b-dp16:0.001:0:true").is_err());
+        assert!(WorkloadSpec::parse("llm:llama7b-dp16:0.001:1:yes").is_err());
     }
 
     #[test]
@@ -1625,32 +1714,39 @@ mod tests {
         assert_eq!(from_text, inline, "file traces canonicalize to the inline spec");
         assert_eq!(from_json, inline);
         assert_eq!(from_text.label(), "churn:1000;0;d,5000;0;u,20000;0;d,21000;0;u");
+        // Hostile nesting (arrays or objects) is a typed error from the
+        // one depth-bounded JSON parser, not a stack overflow.
+        for deep in ["[".repeat(200_000), "[{\"k\":".repeat(100_000)] {
+            std::fs::write(&json_path, deep).unwrap();
+            let err = FaultSpec::parse(&format!("churn:@{}", json_path.display())).unwrap_err();
+            assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        }
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&json_path).ok();
     }
 
     #[test]
-    fn distributional_port_faults_are_seeded_and_normalized() {
+    fn distributional_port_windows_are_seeded_and_normalized() {
         let topo = Topology::build(TopologySpec::AiFatTree { nodes: 16, oversub: 4 }.config());
         let markov =
             FaultSpec::Markov { links: 2, up_ns: 40_000, down_ns: 8_000, horizon_ns: 400_000 };
-        let a = markov.port_faults(&topo, 7);
-        assert_eq!(a, markov.port_faults(&topo, 7), "same seed, same schedule");
-        assert_ne!(a, markov.port_faults(&topo, 8), "flap schedules are seed-sensitive");
+        let a = markov.port_windows(&topo, 7);
+        assert_eq!(a, markov.port_windows(&topo, 7), "same seed, same schedule");
+        assert_ne!(a, markov.port_windows(&topo, 8), "flap schedules are seed-sensitive");
         assert!(!a.is_empty(), "a 5:1 up:down ratio over 400 µs must flap");
         for w in windows_by_port(&a) {
             assert!(w.windows(2).all(|p| p[0].1 <= p[1].0), "per-port windows stay disjoint");
         }
         // Correlated domain failure downs every port of the rack at once.
         let rack =
-            FaultSpec::RackFail { racks: 1, from_ns: 10_000, to_ns: 90_000 }.port_faults(&topo, 7);
+            FaultSpec::RackFail { racks: 1, from_ns: 10_000, to_ns: 90_000 }.port_windows(&topo, 7);
         let dom_sizes: Vec<usize> = topo.failure_domains(false).iter().map(|d| d.len()).collect();
         assert!(dom_sizes.contains(&rack.len()), "one whole rack domain fails: {rack:?}");
         assert!(rack.iter().all(|f| f.start_ns == 10_000 && f.end_ns == 90_000));
         // Churn maps trace domains onto rack domains and replays windows.
         let churn = FaultSpec::parse("churn:1000;0;d,5000;0;u,2000;1;d,7000;1;u").unwrap();
-        let replay = churn.port_faults(&topo, 7);
-        assert_eq!(replay, churn.port_faults(&topo, 99), "replay ignores the seed");
+        let replay = churn.port_windows(&topo, 7);
+        assert_eq!(replay, churn.port_windows(&topo, 99), "replay ignores the seed");
         assert_eq!(replay.len(), dom_sizes[0] + dom_sizes[1]);
     }
 
@@ -1687,7 +1783,7 @@ mod tests {
         // generated windows' durations.
         let topo = Topology::build(mk(markov.clone()).topology.config());
         let fault_seed = cell_seed(3, &markov.label());
-        let schedule = markov.port_faults(&topo, fault_seed);
+        let schedule = markov.port_windows(&topo, fault_seed);
         assert_eq!(tel.windows, schedule.len() as u64);
         assert_eq!(tel.downtime_ns, schedule.iter().map(|f| f.end_ns - f.start_ns).sum::<u64>());
         assert_ne!(a.makespan, clean.makespan, "heavy flapping must bite");
@@ -1762,13 +1858,17 @@ mod tests {
         let grid = ScenarioGrid {
             topologies: vec![TopologySpec::SingleSwitch { hosts: 8 }],
             workloads: vec![WorkloadSpec::Ring { ranks: 8, bytes: 1024, laps: 1 }],
-            ccs: vec![CcAlgo::Mprdma],
+            // Values repeated on an axis (`--faults none,none`) name the
+            // same cells again and must not repeat a key in the report.
+            ccs: vec![CcAlgo::Mprdma, CcAlgo::Mprdma],
             placements: vec![PlacementSpec::Packed],
             backends: vec![BackendFamily::Htsim, BackendFamily::Lgs, BackendFamily::Ideal],
             faults: vec![
                 FaultSpec::None,
+                FaultSpec::None,
                 FaultSpec::LinkFlap { links: 1, down_ns: 1_000, up_ns: 50_000 },
                 FaultSpec::Straggler { prob_pct: 100, factor_pct: 200, spread_pct: 0, shape: 1 },
+                FaultSpec::parse("loss:20000").unwrap(),
                 FaultSpec::parse("loss:20000").unwrap(),
             ],
             seed: 1,
@@ -1840,8 +1940,13 @@ mod tests {
         assert_eq!(a.fault, None, "stochastic cells report via net stats, not FaultTelemetry");
         // The draw-stream seed is the fault sub-seed, so the model is
         // keyed off (cell seed, fault label) exactly like port faults.
-        let expected = loss.link_model(cell_seed(3, &loss.label())).unwrap();
+        let cell = mk(loss.clone());
+        let lowered = loss.lower(&cell.topology, &cell.backend, 16, cell.seed);
+        let (FaultAction::Link(expected), None) = lowered else {
+            panic!("a loss model lowers to a link model without telemetry: {lowered:?}");
+        };
         assert_eq!(expected.seed, cell_seed(3, "loss:50000"));
+        assert_eq!(loss.lower(&cell.topology, &BackendSpec::Lgs, 16, 3), (FaultAction::None, None));
         // Jitter-only cells delay but never drop.
         let jitter = run_cell(&mk(FaultSpec::parse("jitter:exp:2000").unwrap()));
         let jnet = jitter.net.unwrap();

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use crate::json::Json;
-use crate::scenario::{run_cell_prepared, CellResult, ScenarioCell};
+use crate::scenario::{run_members, CellResult, ScenarioCell};
 use crate::table::Table;
 
 /// Claim-index parallel map: workers steal the next unclaimed item via
@@ -59,28 +59,47 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(
     slots.into_iter().map(|s| s.expect("every item claimed exactly once")).collect()
 }
 
-/// Run every cell, `threads`-wide. 0 means one thread per available core.
-///
-/// Two phases, both over the claim-index pool: first one GOAL lowering
-/// per *distinct* (workload, seed) pair — cells differing only in
-/// topology, CC, placement, or backend share the built schedules instead
-/// of re-tracing the workload per cell — then the simulations themselves.
-/// Sharing cannot change results: job construction is a deterministic
-/// function of exactly that pair.
-pub fn execute(cells: &[ScenarioCell], threads: usize) -> Vec<CellResult> {
-    let threads = if threads == 0 {
+/// `--threads 0` means one thread per available core.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
         threads
-    };
+    }
+}
+
+/// Run every cell, `threads`-wide. 0 means one thread per available core.
+/// Every cell is its own straight, one-member group.
+pub fn execute(cells: &[ScenarioCell], threads: usize) -> Vec<CellResult> {
+    let singletons: Vec<Vec<usize>> = (0..cells.len()).map(|i| vec![i]).collect();
+    execute_groups(cells, &singletons, None, threads)
+}
+
+/// Run `groups` (a partition of `cells` by index; members of a group
+/// differ only in their fault) and return the results in cell order.
+///
+/// Two phases, both over the claim-index pool: first one GOAL lowering
+/// per *distinct* (workload, seed) pair — cells differing only in
+/// topology, CC, placement, backend, or fault share the built schedules
+/// instead of re-tracing the workload per cell — then one
+/// [`run_members`] session per group. Sharing cannot change results: job
+/// construction is a deterministic function of exactly that pair.
+pub(crate) fn execute_groups(
+    cells: &[ScenarioCell],
+    groups: &[Vec<usize>],
+    branch_at: Option<u64>,
+    threads: usize,
+) -> Vec<CellResult> {
+    let threads = resolve_threads(threads);
 
     // Phase 1: deduplicate workload builds.
     let mut index_of: std::collections::HashMap<(String, u64), usize> =
         std::collections::HashMap::new();
     let mut uniq: Vec<&ScenarioCell> = Vec::new();
-    let job_idx: Vec<usize> = cells
+    let group_jobs: Vec<usize> = groups
         .iter()
-        .map(|cell| {
+        .map(|members| {
+            let cell = &cells[members[0]];
             *index_of.entry((cell.workload.label(), cell.seed)).or_insert_with(|| {
                 uniq.push(cell);
                 uniq.len() - 1
@@ -89,9 +108,19 @@ pub fn execute(cells: &[ScenarioCell], threads: usize) -> Vec<CellResult> {
         .collect();
     let jobs = parallel_map(&uniq, threads, |cell| cell.workload.build_jobs(cell.seed));
 
-    // Phase 2: the simulations.
-    let indices: Vec<usize> = (0..cells.len()).collect();
-    parallel_map(&indices, threads, |&i| run_cell_prepared(&cells[i], &jobs[job_idx[i]]))
+    // Phase 2: the simulations, scattered back into cell order.
+    let group_ids: Vec<usize> = (0..groups.len()).collect();
+    let per_group = parallel_map(&group_ids, threads, |&g| {
+        let members: Vec<&ScenarioCell> = groups[g].iter().map(|&i| &cells[i]).collect();
+        run_members(&members, &jobs[group_jobs[g]], branch_at)
+    });
+    let mut slots: Vec<Option<CellResult>> = cells.iter().map(|_| None).collect();
+    for (members, results) in groups.iter().zip(per_group) {
+        for (&i, result) in members.iter().zip(results) {
+            slots[i] = Some(result);
+        }
+    }
+    slots.into_iter().map(|s| s.expect("every cell is in exactly one group")).collect()
 }
 
 /// A finished sweep: the grid seed, the cells, and their results.

@@ -257,9 +257,9 @@ pub fn ai_lgs_params(nodes: usize) -> atlahs_lgs::LogGopsParams {
 
 /// Cross-ToR permutation: every rank sends `bytes` to the rank half a
 /// ring away (tag = sender), so with ≤ `hosts/2` hosts per ToR every
-/// flow crosses the core. Shared by the perf harness (`bench_engine`),
-/// the criterion engine benches, and the determinism goldens — one
-/// definition so they can never drift apart silently.
+/// flow crosses the core. Shared by the criterion engine benches and
+/// the determinism goldens — one definition so they can never drift
+/// apart silently.
 pub fn cross_tor_permutation(hosts: u32, bytes: u64) -> GoalSchedule {
     let mut b = atlahs_goal::GoalBuilder::new(hosts as usize);
     for h in 0..hosts {

@@ -26,10 +26,9 @@ use atlahs_bench::cluster::{
     run_grid, ArrivalSpec, ClusterFaultSpec, ClusterGrid, ClusterReport, QueueDiscipline,
 };
 use atlahs_bench::scenario::{
-    cell_seed, BackendFamily, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
+    BackendFamily, FaultAction, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
 };
 use atlahs_bench::sweep::{execute, SweepReport};
-use atlahs_htsim::topology::Topology;
 use atlahs_htsim::CcAlgo;
 
 fn main() {
@@ -178,7 +177,6 @@ fn main() {
     let dist_cells = dist.expand();
     let dist_report =
         SweepReport { seed: dist.seed, results: execute(&dist_cells, 0), branch: None };
-    let topo = Topology::build(TopologySpec::AiFatTree { nodes: 16, oversub: 4 }.config());
     let clean = dist_report
         .results
         .iter()
@@ -193,7 +191,10 @@ fn main() {
             continue;
         }
         let tel = r.fault.expect("distributional cells report realized-fault telemetry");
-        let schedule = cell.fault.port_faults(&topo, cell_seed(cell.seed, &cell.fault.label()));
+        let (lowered, _) = cell.fault.lower(&cell.topology, &cell.backend, 0, cell.seed);
+        let FaultAction::Ports(schedule) = lowered else {
+            panic!("{}: window faults lower to port windows", r.key);
+        };
         assert_eq!(tel.windows, schedule.len() as u64, "{}: window count", r.key);
         assert_eq!(
             tel.downtime_ns,

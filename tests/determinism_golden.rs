@@ -289,8 +289,7 @@ fn lgs_pipeline_large_smoke() {
 }
 
 /// The ~1M-op pipeline_parallel trace through LGS — the acceptance
-/// workload of the message-level perf work (`bench_lgs` measures the
-/// same schedule). Pinning it here guarantees the hot-path machinery
+/// workload of the message-level perf work. Pinning it here guarantees the hot-path machinery
 /// (timer-wheel event core, pooled matcher, SoA arena, ring-buffer ready
 /// queues) stays bit-identical at trace scale, where rare code paths
 /// (matcher spills, wheel overflow tiers) actually fire.
@@ -475,7 +474,7 @@ fn lgs_moe_straggler() {
     assert!(got.makespan > clean.makespan, "{} <= {}", got.makespan, clean.makespan);
 }
 
-// --- the fault-smoke grid (ci.sh stage 9): every faulted cell must
+// --- the fault-smoke grid (ci.sh stage 8, `sweep --fault-smoke`): every faulted cell must
 // --- diverge from its fault-free sibling, or the golden would silently
 // --- pin a fault spec that does nothing.
 
@@ -648,7 +647,7 @@ fn checkpoint_resume_is_bit_identical_on_ideal() {
     }
 }
 
-// --- the branch-smoke grid (ci.sh stage 12): the shared-prefix snapshot
+// --- the branch-smoke grid (ci.sh stage 8, `sweep --branch-smoke`): the shared-prefix snapshot
 // --- executor must agree byte-for-byte with the checked-in golden, and
 // --- its work counter must prove prefixes ran once per group.
 
@@ -673,7 +672,7 @@ fn branch_smoke_reproduces_the_checked_in_golden_bytes() {
     );
 }
 
-// --- the stochastic-smoke grid (ci.sh stage 13): the per-packet
+// --- the stochastic-smoke grid (ci.sh stage 8, `sweep --stochastic-smoke`): the per-packet
 // --- loss/jitter cells draw from counter-based per-port streams and must
 // --- agree byte-for-byte with the checked-in golden — with the 45
 // --- fault-smoke cells byte-frozen inside (an inactive LinkModel consumes
