@@ -26,8 +26,10 @@
 #      bit-identity contract (docs/DETERMINISM.md): no floats,
 #      default-hashed maps, hash-order iteration, wall clocks, ambient
 #      randomness, or unsafe in result-affecting crates; det-lint allow
-#      annotations must be well-formed and live; the golden corpus must
-#      parse as JSON with no orphans and no dangling ci.sh references
+#      annotations must be well-formed and live, and their count may not
+#      exceed MAX_ALLOWS below (a ratchet: float sites only go down); the
+#      golden corpus must parse as JSON with no orphans and no dangling
+#      ci.sh references
 #  10. benchmark harness          — `benchmark/` is a package of its own
 #      (empty [workspace]), so stages 2-5 never compile it and a public-API
 #      change in crates/* could break it unnoticed: run its unit tests and
@@ -83,7 +85,14 @@ smoke sweep   --branch-smoke     tests/goldens/branch_smoke.json
 smoke sweep   --stochastic-smoke tests/goldens/stochastic_smoke.json
 
 step "determinism audit (atlahs lint, docs/DETERMINISM.md)"
-cargo run --release -p atlahs_bench --bin atlahs -- lint
+# Ratchet: the number of honoured `det-lint: allow` annotations may only go
+# down. Lower MAX_ALLOWS when a PR removes some; never raise it.
+MAX_ALLOWS=82
+cargo run --release -p atlahs_bench --bin atlahs -- lint | tee target/lint.txt
+allows=$(sed -n 's/.* \([0-9][0-9]*\) allow annotations honoured.*/\1/p' target/lint.txt)
+[ -n "$allows" ] || { echo "ci.sh: no allow count in the lint summary" >&2; exit 1; }
+[ "$allows" -le "$MAX_ALLOWS" ] \
+    || { echo "ci.sh: $allows allow annotations honoured, the ratchet is $MAX_ALLOWS" >&2; exit 1; }
 
 step "benchmark harness (unit tests + --quick report)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -304,14 +304,8 @@ impl ClusterFaultSpec {
                 if attempt >= retries {
                     return false;
                 }
-                let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                for b in (job as u64).to_le_bytes() {
-                    h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-                }
-                for b in attempt.to_le_bytes() {
-                    h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-                }
-                h % 100 < pct as u64
+                let parts: [&[u8]; 2] = [&(job as u64).to_le_bytes(), &attempt.to_le_bytes()];
+                faultgen::fnv_fold(seed, &parts) % 100 < pct as u64
             }
             // An MTBF failure depends on the attempt's duration; this
             // duration-free predicate cannot express it — use

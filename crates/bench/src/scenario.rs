@@ -1248,13 +1248,8 @@ pub(crate) fn unique<T, L: PartialEq>(
 /// backend are directly comparable, exactly as the paper's figures
 /// compare them — and the sweep builds each workload once.
 pub fn cell_seed(grid_seed: u64, key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ grid_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for byte in key.bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
     // Avoid the degenerate all-zero seed some PRNGs dislike.
-    h | 1
+    faultgen::fnv_fold(grid_seed, &[key.as_bytes()]) | 1
 }
 
 // ---------------------------------------------------------------- cell ----

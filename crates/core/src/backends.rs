@@ -15,7 +15,7 @@ use crate::api::{Backend, Completion, OpRef, Time};
 use crate::matcher::{MatchKey, Matcher};
 use crate::snapshot::Snapshot;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// An operation finishes.
     Done(OpRef),
@@ -39,9 +39,16 @@ pub struct IdealBackend {
     bandwidth: f64,
     /// One-way latency in nanoseconds.
     latency: Time,
+    s: IdealState,
+}
+
+/// Everything a run of the ideal backend mutates: clock, pending events,
+/// and unmatched messages (the rule is in [`crate::snapshot`]).
+#[derive(Debug, Clone, Default)]
+pub struct IdealState {
     now: Time,
-    /// Timer-wheel event core shared with the real backends; pops in the
-    /// exact `(time, push order)` order of the previous global heap.
+    /// Timer-wheel event core shared with the real backends; pops in
+    /// `(time, push order)` order.
     events: EventQueue<Ev>,
     matcher: Matcher<Time, OpRef>,
 }
@@ -52,17 +59,11 @@ impl IdealBackend {
     pub fn new(bandwidth: f64, latency: Time) -> Self {
         // det-lint: allow(float) — ideal-backend Gbps parameter; fixed-order IEEE-754 ops, bit-stable
         assert!(bandwidth > 0.0, "bandwidth must be positive");
-        IdealBackend {
-            bandwidth,
-            latency,
-            now: 0,
-            events: EventQueue::new(),
-            matcher: Matcher::new(),
-        }
+        IdealBackend { bandwidth, latency, s: IdealState::default() }
     }
 
     fn push(&mut self, time: Time, ev: Ev) {
-        self.events.push(time, ev);
+        self.s.events.push(time, ev);
     }
 
     fn tx_time(&self, bytes: u64) -> Time {
@@ -73,17 +74,15 @@ impl IdealBackend {
 
 impl Backend for IdealBackend {
     fn simulation_setup(&mut self, _num_ranks: usize) {
-        self.now = 0;
-        self.events.clear();
-        self.matcher = Matcher::new();
+        self.s = IdealState::default();
     }
 
     fn now(&self) -> Time {
-        self.now
+        self.s.now
     }
 
     fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
-        let done = self.now + self.tx_time(bytes);
+        let done = self.s.now + self.tx_time(bytes);
         self.push(done, Ev::Done(op));
         let key = (op.rank, dst, tag);
         let arrive = done + self.latency;
@@ -98,23 +97,23 @@ impl Backend for IdealBackend {
         // Posting a recv is non-blocking: the stream is released
         // immediately (like every real backend), otherwise schedules with
         // interleaved collectives on one stream could self-deadlock.
-        self.push(self.now, Ev::CpuFree(op));
-        if let Some(arrival) = self.matcher.offer_recv(key, op) {
+        self.push(self.s.now, Ev::CpuFree(op));
+        if let Some(arrival) = self.s.matcher.offer_recv(key, op) {
             // Message already arrived: complete at max(now, arrival) = now,
             // since arrivals are processed in time order.
-            let t = self.now.max(arrival);
+            let t = self.s.now.max(arrival);
             self.push(t, Ev::Done(op));
         }
     }
 
     fn calc(&mut self, op: OpRef, cost: u64) {
-        self.push(self.now + cost, Ev::Done(op));
+        self.push(self.s.now + cost, Ev::Done(op));
     }
 
     fn next_event(&mut self) -> Option<Completion> {
-        while let Some((time, ev)) = self.events.pop() {
-            debug_assert!(time >= self.now, "event queue went backwards");
-            self.now = time;
+        while let Some((time, ev)) = self.s.events.pop() {
+            debug_assert!(time >= self.s.now, "event queue went backwards");
+            self.s.now = time;
             match ev {
                 Ev::Done(op) => return Some(Completion::done(op, time)),
                 Ev::CpuFree(op) => return Some(Completion::cpu_free(op, time)),
@@ -134,33 +133,21 @@ impl IdealBackend {
     /// Record an in-flight message; if a recv is already posted, schedule its
     /// completion at the arrival time.
     fn matcher_stash(&mut self, key: MatchKey, arrive: Time) {
-        if let Some(recv_op) = self.matcher.offer_send(key, arrive) {
+        if let Some(recv_op) = self.s.matcher.offer_send(key, arrive) {
             self.push(arrive, Ev::Done(recv_op));
         }
     }
-}
-
-/// The ideal backend's complete mutable state: clock, pending events,
-/// and unmatched messages. Bandwidth/latency are construction-time
-/// configuration and stay on the backend.
-#[derive(Debug, Clone)]
-pub struct IdealState {
-    now: Time,
-    events: EventQueue<Ev>,
-    matcher: Matcher<Time, OpRef>,
 }
 
 impl Snapshot for IdealBackend {
     type State = IdealState;
 
     fn checkpoint(&self) -> IdealState {
-        IdealState { now: self.now, events: self.events.clone(), matcher: self.matcher.clone() }
+        self.s.clone()
     }
 
     fn restore(&mut self, state: &IdealState) {
-        self.now = state.now;
-        self.events = state.events.clone();
-        self.matcher = state.matcher.clone();
+        self.s.clone_from(state);
     }
 }
 

@@ -35,41 +35,36 @@
 /// every distributional fault golden.
 pub const LN2_Q32: u64 = 2_977_044_472;
 
-/// FNV-1a draw over `(seed, stream, n)` — the same fold (offset basis,
-/// golden-ratio seed mix, 64-bit FNV prime) as the grid layer's
-/// `cell_seed` and the straggler/job-failure decisions, so all fault
-/// randomness in the tree is one hash family.
-pub fn fnv_draw(seed: u64, stream: &str, n: u64) -> u64 {
+/// The one FNV-1a fold behind every fault draw in the tree — the grid
+/// layer's `cell_seed`, the straggler and job-failure decisions, and the
+/// two draws below: offset basis mixed with `seed` times the golden
+/// ratio, then the 64-bit FNV prime over the bytes of `parts` in order.
+#[inline]
+pub fn fnv_fold(seed: u64, parts: &[&[u8]]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in stream.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    for b in n.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    for part in parts {
+        for &b in *part {
+            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
     }
     h
 }
 
+/// FNV-1a draw over `(seed, stream, n)`: [`fnv_fold`] of the stream
+/// label then `n` little-endian.
+pub fn fnv_draw(seed: u64, stream: &str, n: u64) -> u64 {
+    fnv_fold(seed, &[stream.as_bytes(), &n.to_le_bytes()])
+}
+
 /// FNV-1a draw over `(seed, stream, a, b)` — the two-index variant of
-/// [`fnv_draw`] (same offset basis, seed mix, and prime, folding `a`
-/// then `b` little-endian). The per-packet stochastic link layer uses it
-/// as `fnv_draw2(seed, "loss"/"jitter", port, draw_counter)`: the
-/// counter pair addresses one draw per packet per port, so the stream is
-/// position-independent — re-runs, thread counts, and snapshot/restore
-/// all replay the identical sequence as long as the counters are
-/// carried in the checkpoint.
+/// [`fnv_draw`] (folding `a` then `b` little-endian). The per-packet
+/// stochastic link layer uses it as `fnv_draw2(seed, "loss"/"jitter",
+/// port, draw_counter)`: the counter pair addresses one draw per packet
+/// per port, so the stream is position-independent — re-runs, thread
+/// counts, and snapshot/restore all replay the identical sequence as
+/// long as the counters are carried in the checkpoint.
 pub fn fnv_draw2(seed: u64, stream: &str, a: u64, b: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in stream.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    for b in a.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    for b in b.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv_fold(seed, &[stream.as_bytes(), &a.to_le_bytes(), &b.to_le_bytes()])
 }
 
 /// `log2(m)` in Q32 for a Q32 mantissa `m` in `[1, 2)`, by 32 rounds of

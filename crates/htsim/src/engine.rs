@@ -24,13 +24,13 @@ use crate::cc::{CcAlgo, CcState};
 use crate::eventq::{EventQueue, QueueStats};
 use crate::fault::{FaultKind, PortFault};
 use crate::stochastic::LinkModel;
-use crate::topology::{PathRef, Topology, TopologyConfig};
+use crate::topology::{PathRef, PortSpec, RouteCache, Topology, TopologyConfig};
 
 /// Wire overhead per packet (headers), bytes.
 const HDR_BYTES: u32 = 64;
 
 /// Backend configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HtsimConfig {
     pub topology: TopologyConfig,
     pub cc: CcAlgo,
@@ -49,8 +49,6 @@ pub struct HtsimConfig {
     pub seed: u64,
     /// Record per-flow completion times (Fig. 11 MCT statistics).
     pub collect_flows: bool,
-    /// Retransmission timeout; 0 = auto (3×base RTT + 10 MTU).
-    pub rto_ns: u64,
     /// Per-packet path spraying (UEC/REPS-style adaptive load balancing)
     /// instead of per-flow ECMP hashing. Spraying removes hash-collision
     /// hotspots on fully provisioned fabrics at the cost of out-of-order
@@ -82,7 +80,6 @@ impl HtsimConfig {
             host_o: 200,
             seed: 1,
             collect_flows: false,
-            rto_ns: 0,
             spray: false,
             faults: Vec::new(),
             link_model: LinkModel::default(),
@@ -222,8 +219,8 @@ enum Ev {
     LocalDone {
         flow: u32,
     },
-    /// Fault-window boundary: `idx` into `cfg.faults`, `start` marks the
-    /// opening edge. Scheduled at reset, before any simulation traffic.
+    /// Fault-window boundary: `idx` into the state's fault table, `start`
+    /// marks the opening edge.
     Fault {
         idx: u32,
         start: bool,
@@ -260,6 +257,24 @@ struct Port {
     /// restored run resumes the exact draw sequence. Stays 0 while the
     /// link model is inactive.
     draws: u64,
+}
+
+impl Port {
+    /// Serialisation time of `wire` bytes at the port's current rate —
+    /// the one place the formula is written, so a fresh port, a degrade
+    /// window and the general path cannot drift apart.
+    fn tx_ns(&self, wire: u32) -> u64 {
+        // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
+        (wire as f64 / self.rate).ceil() as u64
+    }
+
+    /// Change the link rate and re-derive the cached serialisation times.
+    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
+    fn set_rate(&mut self, rate: f64) {
+        self.rate = rate;
+        self.tx_mtu = self.tx_ns(self.wire_mtu);
+        self.tx_hdr = self.tx_ns(HDR_BYTES);
+    }
 }
 
 /// Dense bitmaps for per-packet sender/receiver state.
@@ -312,7 +327,7 @@ struct Flow {
     dst: u32,
     bytes: u64,
     npkts: u32,
-    /// Interned forward/reverse routes (resolved via [`Topology::path`]).
+    /// Interned forward/reverse routes (resolved via [`PathRef::of`]).
     path: PathRef,
     rpath: PathRef,
     /// ECMP salt; per-packet spray values derive from it.
@@ -348,6 +363,20 @@ struct Flow {
 }
 
 impl Flow {
+    /// Take the next packet to put on the wire: the head of the
+    /// retransmission queue, else the next never-sent index. An rtx entry
+    /// acked since it was queued comes back as is — the window path skips
+    /// it, the pull path spends its credit on it.
+    fn next_packet(&mut self) -> Option<u32> {
+        let fresh = self.next_idx;
+        self.rtx.pop_front().or_else(|| {
+            (fresh < self.npkts).then(|| {
+                self.next_idx += 1;
+                fresh
+            })
+        })
+    }
+
     fn payload(&self, idx: u32, mtu: u32) -> u32 {
         if idx + 1 == self.npkts {
             let rem = self.bytes - (self.npkts as u64 - 1) * mtu as u64;
@@ -364,114 +393,139 @@ struct PullPacer {
     busy: bool,
 }
 
-/// The packet-level backend.
+/// The packet-level backend: configuration fixed at construction,
+/// everything a run mutates in [`HtsimState`].
 pub struct HtsimBackend {
     cfg: HtsimConfig,
     topo: Topology,
+    /// `ATLAHS_HTSIM_DEBUG` presence, sampled once at construction — the
+    /// env lookup must not sit in the event loop.
+    debug: bool,
+    s: HtsimState,
+}
+
+/// Everything a run of the packet engine mutates: every port's queue and
+/// link parameters (fault windows rescale them), every flow, the event
+/// queue, the clock, the RNG, the message matcher, NDP pull pacers,
+/// counters, and flow records — plus the *effective* fault table, CC
+/// algorithm and link model, which start as [`HtsimConfig`]'s and are what
+/// the branch overrides ([`HtsimBackend::inject_fault`],
+/// [`HtsimBackend::set_cc`], [`HtsimBackend::set_link_model`]) change.
+/// The rule is in [`atlahs_core::snapshot`].
+#[derive(Clone)]
+pub struct HtsimState {
     ports: Vec<Port>,
     flows: Vec<Flow>,
     queue: EventQueue<Ev>,
     now: Time,
-    /// `ATLAHS_HTSIM_DEBUG` presence, sampled once at construction — the
-    /// env lookup must not sit in the event loop.
-    debug: bool,
     rng: StdRng,
     matcher: Matcher<u32, (OpRef, Time)>,
     pacers: Vec<PullPacer>,
     stats: NetStats,
     records: Vec<FlowRecord>,
-    // per-port drop/trim/mark counters folded into stats live
+    /// Interned routes ([`Topology::route_ref`]): every [`PathRef`] held
+    /// by a flow or a packet in this state indexes `arena`, which is why
+    /// the arena and its lookup map are state and not a cache on the
+    /// topology — a state restored into another backend must bring the
+    /// routes its references point at.
+    arena: Vec<u32>,
+    routes: RouteCache,
+    /// In-queue [`Ev::Fault`] events index into this table.
+    faults: Vec<PortFault>,
+    cc: CcAlgo,
+    link_model: LinkModel,
+}
+
+impl HtsimState {
+    /// The state a run over `ports` starts from. A backend that was never
+    /// set up holds the port-less one.
+    fn new(cfg: &HtsimConfig, ports: &[PortSpec], hosts: usize) -> Self {
+        let wire_mtu = cfg.mtu + HDR_BYTES;
+        let ports = ports.iter().map(|spec| {
+            let rate = spec.link.bytes_per_ns();
+            let mut port = Port {
+                rate,
+                latency: spec.link.latency_ns,
+                to_host: spec.to_host,
+                is_core: spec.is_core,
+                busy: false,
+                queue: VecDeque::new(),
+                qbytes: 0,
+                in_service: None,
+                cap: cfg.queue_bytes,
+                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
+                kmin: (cfg.queue_bytes as f64 * cfg.kmin_frac) as u64,
+                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
+                kmax: (cfg.queue_bytes as f64 * cfg.kmax_frac) as u64,
+                wire_mtu,
+                tx_mtu: 0,
+                tx_hdr: 0,
+                down: false,
+                draws: 0,
+            };
+            port.set_rate(rate);
+            port
+        });
+        let mut queue = EventQueue::new();
+        // Configured fault windows enter the queue before any simulation
+        // traffic, so their push order (and hence tie-breaking at equal
+        // timestamps) is a pure function of the config — independent of
+        // the workload.
+        for (i, f) in cfg.faults.iter().enumerate() {
+            if f.end_ns > f.start_ns {
+                queue.push(f.start_ns, Ev::Fault { idx: i as u32, start: true });
+                queue.push(f.end_ns, Ev::Fault { idx: i as u32, start: false });
+            }
+        }
+        HtsimState {
+            ports: ports.collect(),
+            flows: Vec::new(),
+            queue,
+            now: 0,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            matcher: Matcher::new(),
+            pacers: vec![PullPacer { credits: VecDeque::new(), busy: false }; hosts],
+            stats: NetStats::default(),
+            records: Vec::new(),
+            arena: Vec::new(),
+            routes: RouteCache::default(),
+            faults: cfg.faults.clone(),
+            cc: cfg.cc,
+            link_model: cfg.link_model,
+        }
+    }
+}
+
+fn assert_fault_port(f: &PortFault, ports: usize) {
+    assert!(
+        (f.port as usize) < ports,
+        "fault targets port {} but topology has {ports} ports",
+        f.port
+    );
 }
 
 impl HtsimBackend {
     pub fn new(cfg: HtsimConfig) -> Self {
         let topo = Topology::build(cfg.topology.clone());
-        let mut b = HtsimBackend {
-            rng: StdRng::seed_from_u64(cfg.seed),
-            topo,
-            ports: Vec::new(),
-            flows: Vec::new(),
-            queue: EventQueue::new(),
-            now: 0,
+        for f in &cfg.faults {
+            assert_fault_port(f, topo.ports().len());
+        }
+        HtsimBackend {
             debug: std::env::var_os("ATLAHS_HTSIM_DEBUG").is_some(),
-            matcher: Matcher::new(),
-            pacers: Vec::new(),
-            stats: NetStats::default(),
-            records: Vec::new(),
+            s: HtsimState::new(&cfg, &[], 0),
+            topo,
             cfg,
-        };
-        b.reset();
-        b
-    }
-
-    fn reset(&mut self) {
-        let wire_mtu = self.cfg.mtu + HDR_BYTES;
-        self.ports = self
-            .topo
-            .ports()
-            .iter()
-            .map(|s| {
-                let rate = s.link.bytes_per_ns();
-                Port {
-                    rate,
-                    latency: s.link.latency_ns,
-                    to_host: s.to_host,
-                    is_core: s.is_core,
-                    busy: false,
-                    queue: VecDeque::new(),
-                    qbytes: 0,
-                    in_service: None,
-                    cap: self.cfg.queue_bytes,
-                    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                    kmin: (self.cfg.queue_bytes as f64 * self.cfg.kmin_frac) as u64,
-                    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                    kmax: (self.cfg.queue_bytes as f64 * self.cfg.kmax_frac) as u64,
-                    wire_mtu,
-                    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                    tx_mtu: (wire_mtu as f64 / rate).ceil() as u64,
-                    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                    tx_hdr: (HDR_BYTES as f64 / rate).ceil() as u64,
-                    down: false,
-                    draws: 0,
-                }
-            })
-            .collect();
-        self.flows.clear();
-        self.queue.clear();
-        self.now = 0;
-        self.rng = StdRng::seed_from_u64(self.cfg.seed);
-        self.matcher = Matcher::new();
-        self.pacers = (0..self.topo.num_hosts())
-            .map(|_| PullPacer { credits: VecDeque::new(), busy: false })
-            .collect();
-        self.stats = NetStats::default();
-        self.records.clear();
-        // Fault windows enter the queue before any simulation traffic, so
-        // their push order (and hence tie-breaking at equal timestamps) is
-        // a pure function of the config — independent of the workload.
-        for i in 0..self.cfg.faults.len() {
-            let f = self.cfg.faults[i];
-            assert!(
-                (f.port as usize) < self.ports.len(),
-                "fault targets port {} but topology has {} ports",
-                f.port,
-                self.ports.len()
-            );
-            if f.end_ns > f.start_ns {
-                self.queue.push(f.start_ns, Ev::Fault { idx: i as u32, start: true });
-                self.queue.push(f.end_ns, Ev::Fault { idx: i as u32, start: false });
-            }
         }
     }
 
     /// Network statistics accumulated so far.
     pub fn net_stats(&self) -> NetStats {
-        self.stats
+        self.s.stats
     }
 
     /// Flow completion records (only when `collect_flows` is set).
     pub fn flow_records(&self) -> &[FlowRecord] {
-        &self.records
+        &self.s.records
     }
 
     pub fn config(&self) -> &HtsimConfig {
@@ -481,30 +535,30 @@ impl HtsimBackend {
     /// Event-queue diagnostics: how pushes split across the O(1) lane,
     /// the timer wheel, and the overflow heap (perf tooling and tests).
     pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
+        self.s.queue.stats()
     }
 
     fn push(&mut self, t: Time, ev: Ev) {
-        self.queue.push(t, ev);
+        self.s.queue.push(t, ev);
     }
 
     // ---- port machinery ------------------------------------------------
 
     fn enqueue(&mut self, port_id: u32, mut pkt: Packet) {
-        if self.ports[port_id as usize].down {
+        if self.s.ports[port_id as usize].down {
             // Ingress blackhole: data, acks, and credits all die on the
             // down link; the retransmission timer recovers once the
             // window closes. No RNG draw — the ECN stream stays aligned
             // with a run where this packet was never offered.
-            self.stats.fault_drops += 1;
+            self.s.stats.fault_drops += 1;
             if pkt.kind == PktKind::Data {
-                self.flows[pkt.flow as usize].fault_lost.set(pkt.idx);
+                self.s.flows[pkt.flow as usize].fault_lost.set(pkt.idx);
             }
             return;
         }
         // One borrow of the port for the whole admission path (`rng`,
-        // `stats`, and `cfg` are disjoint fields).
-        let port = &mut self.ports[port_id as usize];
+        // `stats`, and `cc` are disjoint fields of the state).
+        let port = &mut self.s.ports[port_id as usize];
         if pkt.kind == PktKind::Data {
             let q = port.qbytes;
             // ECN marking on instantaneous occupancy.
@@ -514,33 +568,33 @@ impl HtsimBackend {
                 // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
                 let p = (q - port.kmin) as f64 / (port.kmax - port.kmin).max(1) as f64;
                 // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                if self.rng.random::<f64>() < p {
+                if self.s.rng.random::<f64>() < p {
                     pkt.ecn = true;
                 }
             }
             if pkt.ecn {
-                self.stats.ecn_marks += 1;
+                self.s.stats.ecn_marks += 1;
             }
             // Admission: trim (NDP) or drop on overflow.
             if q + pkt.wire as u64 > port.cap {
-                if self.cfg.cc == CcAlgo::Ndp {
+                if self.s.cc == CcAlgo::Ndp {
                     pkt.kind = PktKind::Trimmed;
                     pkt.wire = HDR_BYTES;
-                    self.stats.trims += 1;
+                    self.s.stats.trims += 1;
                     if port.is_core {
-                        self.stats.core_drops += 1;
+                        self.s.stats.core_drops += 1;
                     }
                 } else {
-                    self.stats.drops += 1;
+                    self.s.stats.drops += 1;
                     if port.is_core {
-                        self.stats.core_drops += 1;
+                        self.s.stats.core_drops += 1;
                     }
                     return;
                 }
             }
         }
         port.qbytes += pkt.wire as u64;
-        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(port.qbytes);
+        self.s.stats.max_queue_bytes = self.s.stats.max_queue_bytes.max(port.qbytes);
         port.queue.push_back(pkt);
         if !port.busy {
             self.start_tx(port_id);
@@ -549,7 +603,7 @@ impl HtsimBackend {
 
     fn start_tx(&mut self, port_id: u32) {
         let (tx_ns, ok) = {
-            let port = &mut self.ports[port_id as usize];
+            let port = &mut self.s.ports[port_id as usize];
             if let Some(pkt) = port.queue.pop_front() {
                 port.qbytes -= pkt.wire as u64;
                 port.busy = true;
@@ -558,8 +612,7 @@ impl HtsimBackend {
                 } else if pkt.wire == HDR_BYTES {
                     port.tx_hdr
                 } else {
-                    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                    (pkt.wire as f64 / port.rate).ceil() as u64
+                    port.tx_ns(pkt.wire)
                 };
                 port.in_service = Some(pkt);
                 (tx, true)
@@ -569,13 +622,13 @@ impl HtsimBackend {
             }
         };
         if ok {
-            self.push(self.now + tx_ns, Ev::TxDone(port_id));
+            self.push(self.s.now + tx_ns, Ev::TxDone(port_id));
         }
     }
 
     fn on_tx_done(&mut self, port_id: u32) {
         let (pkt, mut latency, stoch) = {
-            let port = &mut self.ports[port_id as usize];
+            let port = &mut self.s.ports[port_id as usize];
             let pkt = port.in_service.take().expect("TxDone without packet");
             // Per-packet stochastic link model: every packet leaving a
             // port consumes exactly one draw-counter value, loss or not,
@@ -583,7 +636,7 @@ impl HtsimBackend {
             // (port, packets transmitted), so it survives snapshot and
             // restore via the port clone, and an inactive model consumes
             // nothing at all.
-            let stoch = if self.cfg.link_model.active() {
+            let stoch = if self.s.link_model.active() {
                 let n = port.draws;
                 port.draws += 1;
                 Some((n, port.is_core))
@@ -593,39 +646,39 @@ impl HtsimBackend {
             (pkt, port.latency, stoch)
         };
         if let Some((n, is_core)) = stoch {
-            let model = self.cfg.link_model;
-            self.stats.stochastic_draws += 1;
+            let model = self.s.link_model;
+            self.s.stats.stochastic_draws += 1;
             if model.drops(port_id, n, is_core) {
                 // The packet vanishes on the wire: for data the RTO
                 // path recovers it (and the loss is attributed to the
                 // fault for the retransmission split); lost acks and
                 // credits are re-elicited the same way.
-                self.stats.stochastic_drops += 1;
+                self.s.stats.stochastic_drops += 1;
                 if pkt.kind == PktKind::Data {
-                    self.flows[pkt.flow as usize].fault_lost.set(pkt.idx);
+                    self.s.flows[pkt.flow as usize].fault_lost.set(pkt.idx);
                 }
                 self.start_tx(port_id);
                 return;
             }
             let extra = model.jitter_ns(port_id, n);
             if extra > 0 {
-                self.stats.jittered += 1;
+                self.s.stats.jittered += 1;
                 latency += extra;
             }
         }
-        self.push(self.now + latency, Ev::Arrive { port: port_id, pkt });
+        self.push(self.s.now + latency, Ev::Arrive { port: port_id, pkt });
         self.start_tx(port_id);
     }
 
     fn on_arrive(&mut self, port_id: u32, mut pkt: Packet) {
-        if let Some(host) = self.ports[port_id as usize].to_host {
+        if let Some(host) = self.s.ports[port_id as usize].to_host {
             self.host_receive(host, pkt);
             return;
         }
         // Forward through the switch: the packet carries its interned
         // route, so this is a single arena load — no flow access.
         pkt.hop += 1;
-        let next = self.topo.path(pkt.path)[pkt.hop as usize];
+        let next = pkt.path.of(&self.s.arena)[pkt.hop as usize];
         self.enqueue(next, pkt);
     }
 
@@ -633,31 +686,12 @@ impl HtsimBackend {
 
     fn try_send(&mut self, fid: u32) {
         loop {
-            let (idx, window_ok) = {
-                let f = &mut self.flows[fid as usize];
-                if f.complete {
-                    return;
-                }
-                let window = f.cc.window();
-                if f.inflight >= window {
-                    return;
-                }
-                let idx = if let Some(i) = f.rtx.pop_front() {
-                    if f.acked.get(i) {
-                        continue; // stale rtx entry
-                    }
-                    Some(i)
-                } else if f.next_idx < f.npkts {
-                    let i = f.next_idx;
-                    f.next_idx += 1;
-                    Some(i)
-                } else {
-                    None
-                };
-                (idx, true)
-            };
-            debug_assert!(window_ok);
-            match idx {
+            let f = &mut self.s.flows[fid as usize];
+            if f.complete || f.inflight >= f.cc.window() {
+                return;
+            }
+            match f.next_packet() {
+                Some(i) if f.acked.get(i) => continue, // stale rtx entry
                 Some(i) => self.send_packet(fid, i),
                 None => return,
             }
@@ -667,11 +701,11 @@ impl HtsimBackend {
     fn send_packet(&mut self, fid: u32, idx: u32) {
         let (pkt, was_rtx, was_fault_lost) = {
             let mtu = self.cfg.mtu;
-            let f = &mut self.flows[fid as usize];
+            let f = &mut self.s.flows[fid as usize];
             let payload = f.payload(idx, mtu);
-            f.send_ts[idx as usize] = self.now;
+            f.send_ts[idx as usize] = self.s.now;
             f.inflight += payload as u64;
-            f.last_activity = self.now;
+            f.last_activity = self.s.now;
             // Clear the retransmission marker: if this copy is lost too,
             // the next timeout must be able to requeue the packet.
             let was_rtx = f.in_rtx.get(idx);
@@ -687,7 +721,10 @@ impl HtsimBackend {
             let (ecmp, path) = if self.cfg.spray {
                 let ecmp = f.salt ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 // Resolve the sprayed route once; hops index into it.
-                (ecmp, self.topo.route_ref(f.src, f.dst, ecmp))
+                (
+                    ecmp,
+                    self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, f.src, f.dst, ecmp),
+                )
             } else {
                 (f.salt, f.path)
             };
@@ -704,31 +741,35 @@ impl HtsimBackend {
             (pkt, was_rtx, was_fault_lost)
         };
         let payload = (pkt.wire - HDR_BYTES) as u64;
-        self.stats.packets_sent += 1;
-        self.stats.payload_bytes += payload;
+        self.s.stats.packets_sent += 1;
+        self.s.stats.payload_bytes += payload;
         if was_rtx {
-            self.stats.retransmissions += 1;
-            self.stats.retransmitted_bytes += payload;
+            self.s.stats.retransmissions += 1;
+            self.s.stats.retransmitted_bytes += payload;
             // `retransmissions == rtx_fault_drop + rtx_timeout` holds by
             // construction: every retransmission lands in exactly one
             // bucket here.
             if was_fault_lost {
-                self.stats.rtx_fault_drop += 1;
+                self.s.stats.rtx_fault_drop += 1;
             } else {
-                self.stats.rtx_timeout += 1;
+                self.s.stats.rtx_timeout += 1;
             }
         }
-        let port0 = self.topo.path(pkt.path)[0];
+        let port0 = pkt.path.of(&self.s.arena)[0];
         self.enqueue(port0, pkt);
     }
 
     /// Control packets (ACK/NACK/PULL) travel the reverse path, reusing
     /// the triggering packet's ECMP selector (symmetric spraying).
     fn control_packet(&mut self, fid: u32, idx: u32, kind: PktKind, ecn: bool, ecmp: u64) {
-        let f = &self.flows[fid as usize];
-        let path = if self.cfg.spray { self.topo.route_ref(f.dst, f.src, ecmp) } else { f.rpath };
+        let f = &self.s.flows[fid as usize];
+        let path = if self.cfg.spray {
+            self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, f.dst, f.src, ecmp)
+        } else {
+            f.rpath
+        };
         let pkt = Packet { flow: fid, idx, hop: 0, kind, wire: HDR_BYTES, ecn, ecmp, path };
-        let port0 = self.topo.path(path)[0];
+        let port0 = path.of(&self.s.arena)[0];
         self.enqueue(port0, pkt);
     }
 
@@ -738,7 +779,7 @@ impl HtsimBackend {
         match pkt.kind {
             PktKind::Data => {
                 let fresh = {
-                    let f = &mut self.flows[pkt.flow as usize];
+                    let f = &mut self.s.flows[pkt.flow as usize];
                     if f.complete || f.rcvd.get(pkt.idx) {
                         false
                     } else {
@@ -748,12 +789,12 @@ impl HtsimBackend {
                     }
                 };
                 self.control_packet(pkt.flow, pkt.idx, PktKind::Ack, pkt.ecn, pkt.ecmp);
-                if self.cfg.cc == CcAlgo::Ndp {
+                if self.s.cc == CcAlgo::Ndp {
                     self.add_pull_credit(host, pkt.flow);
                 }
                 if fresh
-                    && self.flows[pkt.flow as usize].rcvd_count
-                        == self.flows[pkt.flow as usize].npkts
+                    && self.s.flows[pkt.flow as usize].rcvd_count
+                        == self.s.flows[pkt.flow as usize].npkts
                 {
                     self.complete_flow(pkt.flow);
                 }
@@ -764,7 +805,7 @@ impl HtsimBackend {
             }
             PktKind::Ack => {
                 let rtt_and_more = {
-                    let f = &mut self.flows[pkt.flow as usize];
+                    let f = &mut self.s.flows[pkt.flow as usize];
                     if f.complete || f.acked.get(pkt.idx) {
                         None
                     } else {
@@ -774,12 +815,12 @@ impl HtsimBackend {
                 };
                 if let Some(ts) = rtt_and_more {
                     let mtu = self.cfg.mtu;
-                    let f = &mut self.flows[pkt.flow as usize];
+                    let f = &mut self.s.flows[pkt.flow as usize];
                     let payload = f.payload(pkt.idx, mtu) as u64;
                     f.inflight = f.inflight.saturating_sub(payload);
-                    let rtt = self.now.saturating_sub(ts).max(1);
-                    f.cc.on_ack(self.now, rtt, pkt.ecn);
-                    f.last_activity = self.now;
+                    let rtt = self.s.now.saturating_sub(ts).max(1);
+                    f.cc.on_ack(self.s.now, rtt, pkt.ecn);
+                    f.last_activity = self.s.now;
                     if f.rto != f.rto_base {
                         // Backoff recovery: restore the base RTO and re-arm
                         // the timer promptly — the pending timeout event sits
@@ -789,7 +830,7 @@ impl HtsimBackend {
                         f.rto = f.rto_base;
                         f.timeout_gen = f.timeout_gen.wrapping_add(1);
                         let (t, ev) = (
-                            self.now + f.rto_base,
+                            self.s.now + f.rto_base,
                             Ev::Timeout { flow: pkt.flow, gen: f.timeout_gen },
                         );
                         self.push(t, ev);
@@ -798,7 +839,7 @@ impl HtsimBackend {
                 }
             }
             PktKind::Nack => {
-                let f = &mut self.flows[pkt.flow as usize];
+                let f = &mut self.s.flows[pkt.flow as usize];
                 if !f.complete && !f.acked.get(pkt.idx) && !f.in_rtx.get(pkt.idx) {
                     f.in_rtx.set(pkt.idx);
                     f.rtx.push_back(pkt.idx);
@@ -810,25 +851,11 @@ impl HtsimBackend {
             }
             PktKind::Pull => {
                 // Release exactly one packet, bypassing the window.
-                let idx = {
-                    let f = &mut self.flows[pkt.flow as usize];
-                    if f.complete {
-                        None
-                    } else if let Some(i) = f.rtx.pop_front() {
-                        if f.acked.get(i) {
-                            None
-                        } else {
-                            Some(i)
-                        }
-                    } else if f.next_idx < f.npkts {
-                        let i = f.next_idx;
-                        f.next_idx += 1;
-                        Some(i)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(i) = idx {
+                let f = &mut self.s.flows[pkt.flow as usize];
+                if f.complete {
+                    return;
+                }
+                if let Some(i) = f.next_packet().filter(|&i| !f.acked.get(i)) {
                     self.send_packet(pkt.flow, i);
                 }
             }
@@ -836,41 +863,40 @@ impl HtsimBackend {
     }
 
     fn add_pull_credit(&mut self, host: u32, fid: u32) {
-        if self.flows[fid as usize].complete {
+        if self.s.flows[fid as usize].complete {
             return;
         }
-        self.pacers[host as usize].credits.push_back(fid);
-        if !self.pacers[host as usize].busy {
-            self.pacers[host as usize].busy = true;
-            self.push(self.now, Ev::PullTick { host });
+        self.s.pacers[host as usize].credits.push_back(fid);
+        if !self.s.pacers[host as usize].busy {
+            self.s.pacers[host as usize].busy = true;
+            self.push(self.s.now, Ev::PullTick { host });
         }
     }
 
     fn on_pull_tick(&mut self, host: u32) {
-        let fid = self.pacers[host as usize].credits.pop_front();
+        let fid = self.s.pacers[host as usize].credits.pop_front();
         match fid {
             None => {
-                self.pacers[host as usize].busy = false;
+                self.s.pacers[host as usize].busy = false;
             }
             Some(fid) => {
-                if !self.flows[fid as usize].complete {
-                    let salt = self.flows[fid as usize].salt;
+                if !self.s.flows[fid as usize].complete {
+                    let salt = self.s.flows[fid as usize].salt;
                     self.control_packet(fid, 0, PktKind::Pull, false, salt);
                 }
-                // Pace at the receiver's edge-link rate.
-                let rate = self.ports[host as usize].rate;
-                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                let interval = ((self.cfg.mtu + HDR_BYTES) as f64 / rate).ceil() as u64;
-                self.push(self.now + interval, Ev::PullTick { host });
+                // Pace at the receiver's edge-link rate: one full frame's
+                // serialisation time per credit.
+                let interval = self.s.ports[host as usize].tx_mtu;
+                self.push(self.s.now + interval, Ev::PullTick { host });
             }
         }
     }
 
     fn complete_flow(&mut self, fid: u32) {
         let (op, recv_op, src, dst, bytes, start) = {
-            let f = &mut self.flows[fid as usize];
+            let f = &mut self.s.flows[fid as usize];
             f.complete = true;
-            f.complete_time = Some(self.now);
+            f.complete_time = Some(self.s.now);
             // Cancel the retransmission-timer chain: bumping the
             // generation lazily invalidates every pending `Timeout` for
             // this flow, so short-flow-heavy workloads don't drag dead
@@ -878,51 +904,46 @@ impl HtsimBackend {
             f.timeout_gen = f.timeout_gen.wrapping_add(1);
             (f.op, f.recv_op, f.src, f.dst, f.bytes, f.start)
         };
-        self.push(self.now, Ev::Emit { op, done: true });
+        self.push(self.s.now, Ev::Emit { op, done: true });
         if let Some(r) = recv_op {
-            self.push(self.now + self.cfg.host_o, Ev::Emit { op: r, done: true });
+            self.push(self.s.now + self.cfg.host_o, Ev::Emit { op: r, done: true });
         }
         if self.cfg.collect_flows {
-            self.records.push(FlowRecord { src, dst, bytes, start, end: self.now });
+            self.s.records.push(FlowRecord { src, dst, bytes, start, end: self.s.now });
         }
     }
 
     /// Apply or lift one fault window ([`Ev::Fault`]).
     ///
-    /// Degradation rescales the port's rate and latency and recomputes the
-    /// precomputed serialization times with the exact float formulas
-    /// `reset` uses; the closing edge restores the *nominal* link
-    /// parameters from the topology's port table.
+    /// Degradation rescales the port's rate and latency; the closing edge
+    /// restores the *nominal* link parameters from the topology's port
+    /// table.
     fn on_fault(&mut self, idx: u32, start: bool) {
-        let f = self.cfg.faults[idx as usize];
+        let f = self.s.faults[idx as usize];
         let link = self.topo.ports()[f.port as usize].link;
-        let port = &mut self.ports[f.port as usize];
+        let port = &mut self.s.ports[f.port as usize];
         match f.kind {
             FaultKind::Down => port.down = start,
             FaultKind::Degrade { bw_pct, lat_pct } => {
                 if start {
                     // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                    port.rate = link.bytes_per_ns() * bw_pct.max(1) as f64 / 100.0;
+                    port.set_rate(link.bytes_per_ns() * bw_pct.max(1) as f64 / 100.0);
                     port.latency = link.latency_ns * lat_pct as u64 / 100;
                 } else {
-                    port.rate = link.bytes_per_ns();
+                    port.set_rate(link.bytes_per_ns());
                     port.latency = link.latency_ns;
                 }
-                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                port.tx_mtu = (port.wire_mtu as f64 / port.rate).ceil() as u64;
-                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                port.tx_hdr = (HDR_BYTES as f64 / port.rate).ceil() as u64;
             }
         }
     }
 
     fn on_timeout(&mut self, fid: u32, gen: u32) {
         let reschedule = {
-            let f = &mut self.flows[fid as usize];
+            let f = &mut self.s.flows[fid as usize];
             // Staleness (completed flow / superseded chain) is filtered by
             // the Ev::Timeout dispatch arm; only live timers arrive here.
             debug_assert!(!f.complete && gen == f.timeout_gen);
-            if self.now.saturating_sub(f.last_activity) < f.rto {
+            if self.s.now.saturating_sub(f.last_activity) < f.rto {
                 Some(f.last_activity + f.rto)
             } else {
                 // Timeout fires: requeue every sent-but-unacked packet.
@@ -934,14 +955,14 @@ impl HtsimBackend {
                     }
                 }
                 f.inflight = 0;
-                f.last_activity = self.now;
+                f.last_activity = self.s.now;
                 // Exponential backoff (capped at 64x base): a static RTO
                 // sized from the *base* RTT livelocks once queueing delay
                 // exceeds it — every flow times out each RTO, re-injects
                 // its whole window, and the storm sustains the very
                 // congestion that caused it.
                 f.rto = f.rto.saturating_mul(2).min(f.rto_base.saturating_mul(64));
-                Some(self.now + f.rto)
+                Some(self.s.now + f.rto)
             }
         };
         if let Some(t) = reschedule {
@@ -959,41 +980,78 @@ impl Backend for HtsimBackend {
             "schedule needs {num_ranks} ranks but topology has {} hosts",
             self.topo.num_hosts()
         );
-        self.reset();
+        self.s = HtsimState::new(&self.cfg, self.topo.ports(), self.topo.num_hosts());
     }
 
     fn now(&self) -> Time {
-        self.now
+        self.s.now
     }
 
     fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
-        self.send_inner(op, dst, bytes, tag);
+        let key: MatchKey = (op.rank, dst, tag);
+        self.push(self.s.now + self.cfg.host_o, Ev::Emit { op, done: false });
+        let fid = self.s.flows.len() as u32;
+        self.s.stats.flows += 1;
+
+        if op.rank == dst {
+            // Intra-node message: no fabric traversal (Stage 4 normally
+            // replaces these with calcs; handle gracefully if present).
+            let mut f = self.make_flow(op, dst, bytes, true);
+            f.complete = true;
+            self.s.flows.push(f);
+            if let Some((recv_op, _)) = self.s.matcher.offer_send(key, fid) {
+                self.s.flows[fid as usize].recv_op = Some(recv_op);
+            }
+            self.push(self.s.now + self.cfg.host_o, Ev::LocalDone { flow: fid });
+            return;
+        }
+
+        let f = self.make_flow(op, dst, bytes, false);
+        let rto = f.rto;
+        self.s.flows.push(f);
+        if let Some((recv_op, _)) = self.s.matcher.offer_send(key, fid) {
+            self.s.flows[fid as usize].recv_op = Some(recv_op);
+        }
+        self.try_send(fid);
+        self.push(self.s.now + rto, Ev::Timeout { flow: fid, gen: 0 });
     }
 
-    fn recv(&mut self, op: OpRef, src: Rank, bytes: u64, tag: Tag) {
-        self.recv_inner(op, src, bytes, tag);
+    fn recv(&mut self, op: OpRef, src: Rank, _bytes: u64, tag: Tag) {
+        let key: MatchKey = (src, op.rank, tag);
+        self.push(self.s.now, Ev::Emit { op, done: false });
+        if let Some(fid) = self.s.matcher.offer_recv(key, (op, self.s.now)) {
+            let complete = self.s.flows[fid as usize].complete_time;
+            match complete {
+                Some(_t) => {
+                    self.push(self.s.now + self.cfg.host_o, Ev::Emit { op, done: true });
+                }
+                None => {
+                    self.s.flows[fid as usize].recv_op = Some(op);
+                }
+            }
+        }
     }
 
     fn calc(&mut self, op: OpRef, cost: u64) {
-        self.push(self.now + cost, Ev::Emit { op, done: true });
+        self.push(self.s.now + cost, Ev::Emit { op, done: true });
     }
 
     fn next_event(&mut self) -> Option<Completion> {
-        while let Some((t, ev)) = self.queue.pop() {
-            debug_assert!(t >= self.now);
-            self.now = t;
-            self.stats.internal_events += 1;
-            if self.debug && self.stats.internal_events % 200_000_000 == 0 {
+        while let Some((t, ev)) = self.s.queue.pop() {
+            debug_assert!(t >= self.s.now);
+            self.s.now = t;
+            self.s.stats.internal_events += 1;
+            if self.debug && self.s.stats.internal_events % 200_000_000 == 0 {
                 eprintln!(
                     "[htsim] internal={}M now={}ms queued={} pkts={} drops={} rtx={} timeouts={} flows={}",
-                    self.stats.internal_events / 1_000_000,
-                    self.now / 1_000_000,
-                    self.queue.len(),
-                    self.stats.packets_sent,
-                    self.stats.drops,
-                    self.stats.retransmissions,
-                    self.stats.timeouts,
-                    self.stats.flows,
+                    self.s.stats.internal_events / 1_000_000,
+                    self.s.now / 1_000_000,
+                    self.s.queue.len(),
+                    self.s.stats.packets_sent,
+                    self.s.stats.drops,
+                    self.s.stats.retransmissions,
+                    self.s.stats.timeouts,
+                    self.s.stats.flows,
                 );
             }
             match ev {
@@ -1009,9 +1067,9 @@ impl Backend for HtsimBackend {
                 Ev::Timeout { flow, gen } => {
                     // Lazily cancelled timers (completed flows, superseded
                     // chains) die here without touching flow state.
-                    let f = &self.flows[flow as usize];
+                    let f = &self.s.flows[flow as usize];
                     if !f.complete && gen == f.timeout_gen {
-                        self.stats.timeouts += 1;
+                        self.s.stats.timeouts += 1;
                         self.on_timeout(flow, gen);
                     }
                 }
@@ -1019,13 +1077,13 @@ impl Backend for HtsimBackend {
                 Ev::Fault { idx, start } => self.on_fault(idx, start),
                 Ev::LocalDone { flow } => {
                     let (op, recv_op) = {
-                        let f = &mut self.flows[flow as usize];
-                        f.complete_time = Some(self.now);
+                        let f = &mut self.s.flows[flow as usize];
+                        f.complete_time = Some(self.s.now);
                         (f.op, f.recv_op)
                     };
-                    self.push(self.now, Ev::Emit { op, done: true });
+                    self.push(self.s.now, Ev::Emit { op, done: true });
                     if let Some(r) = recv_op {
-                        self.push(self.now + self.cfg.host_o, Ev::Emit { op: r, done: true });
+                        self.push(self.s.now + self.cfg.host_o, Ev::Emit { op: r, done: true });
                     }
                 }
             }
@@ -1035,73 +1093,27 @@ impl Backend for HtsimBackend {
 }
 
 impl HtsimBackend {
-    fn send_inner(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
-        let key: MatchKey = (op.rank, dst, tag);
-        self.push(self.now + self.cfg.host_o, Ev::Emit { op, done: false });
-        let fid = self.flows.len() as u32;
-        self.stats.flows += 1;
-
-        if op.rank == dst {
-            // Intra-node message: no fabric traversal (Stage 4 normally
-            // replaces these with calcs; handle gracefully if present).
-            let mut f = self.make_flow(fid, op, dst, bytes, true);
-            f.complete = true;
-            self.flows.push(f);
-            if let Some((recv_op, _)) = self.matcher.offer_send(key, fid) {
-                self.flows[fid as usize].recv_op = Some(recv_op);
-            }
-            self.push(self.now + self.cfg.host_o, Ev::LocalDone { flow: fid });
-            return;
-        }
-
-        let f = self.make_flow(fid, op, dst, bytes, false);
-        let rto = f.rto;
-        self.flows.push(f);
-        if let Some((recv_op, _)) = self.matcher.offer_send(key, fid) {
-            self.flows[fid as usize].recv_op = Some(recv_op);
-        }
-        self.try_send(fid);
-        self.push(self.now + rto, Ev::Timeout { flow: fid, gen: 0 });
-    }
-
-    fn recv_inner(&mut self, op: OpRef, src: Rank, _bytes: u64, tag: Tag) {
-        let key: MatchKey = (src, op.rank, tag);
-        self.push(self.now, Ev::Emit { op, done: false });
-        if let Some(fid) = self.matcher.offer_recv(key, (op, self.now)) {
-            let complete = self.flows[fid as usize].complete_time;
-            match complete {
-                Some(_t) => {
-                    self.push(self.now + self.cfg.host_o, Ev::Emit { op, done: true });
-                }
-                None => {
-                    self.flows[fid as usize].recv_op = Some(op);
-                }
-            }
-        }
-    }
-
-    fn make_flow(&mut self, _fid: u32, op: OpRef, dst: Rank, bytes: u64, local: bool) -> Flow {
+    fn make_flow(&mut self, op: OpRef, dst: Rank, bytes: u64, local: bool) -> Flow {
         let bytes = bytes.max(1);
         let mtu = self.cfg.mtu as u64;
         let npkts = bytes.div_ceil(mtu) as u32;
         let (path, rpath, salt, rto, cc) = if local {
-            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, CcState::new(self.cfg.cc, self.cfg.mtu, 1, 1))
+            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, CcState::new(self.s.cc, self.cfg.mtu, 1, 1))
         } else {
-            let salt = self.rng.random::<u64>();
-            let path = self.topo.route_ref(op.rank, dst, salt);
-            let rpath = self.topo.route_ref(dst, op.rank, salt);
+            let salt = self.s.rng.random::<u64>();
+            let path =
+                self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, op.rank, dst, salt);
+            let rpath =
+                self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, dst, op.rank, salt);
             let base_rtt =
-                self.topo.base_rtt(self.topo.path(path), self.topo.path(rpath), self.cfg.mtu);
-            let host_rate = self.ports[op.rank as usize].rate;
+                self.topo.base_rtt(path.of(&self.s.arena), rpath.of(&self.s.arena), self.cfg.mtu);
+            let host_rate = self.s.ports[op.rank as usize].rate;
             // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
             let bdp = (base_rtt as f64 * host_rate) as u64;
-            let rto = if self.cfg.rto_ns > 0 {
-                self.cfg.rto_ns
-            } else {
-                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                3 * base_rtt + (10.0 * mtu as f64 / host_rate) as u64
-            };
-            let cc = CcState::new(self.cfg.cc, self.cfg.mtu, base_rtt, bdp);
+            // Retransmission timeout: 3×base RTT + 10 MTU.
+            // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
+            let rto = 3 * base_rtt + (10.0 * mtu as f64 / host_rate) as u64;
+            let cc = CcState::new(self.s.cc, self.cfg.mtu, base_rtt, bdp);
             (path, rpath, salt, rto, cc)
         };
         Flow {
@@ -1124,13 +1136,13 @@ impl HtsimBackend {
             in_rtx: Bitmap::new(npkts),
             fault_lost: Bitmap::new(npkts),
             send_ts: vec![0; npkts as usize].into_boxed_slice(),
-            last_activity: self.now,
+            last_activity: self.s.now,
             rcvd: Bitmap::new(npkts),
             rcvd_count: 0,
             complete: false,
             complete_time: None,
             recv_op: None,
-            start: self.now,
+            start: self.s.now,
         }
     }
 
@@ -1139,22 +1151,20 @@ impl HtsimBackend {
     /// Switch the congestion-control algorithm mid-run (what-if branch
     /// override). Flows created after the call use the new algorithm;
     /// flows already in flight keep their window state but inherit the
-    /// new trim-vs-drop admission behavior. The active algorithm is part
-    /// of the snapshot state, so a later [`Snapshot::restore`] undoes the
-    /// switch.
+    /// new trim-vs-drop admission behavior. Only the state's effective
+    /// algorithm changes, so a restore or the next run undoes the switch.
     pub fn set_cc(&mut self, cc: CcAlgo) {
-        self.cfg.cc = cc;
+        self.s.cc = cc;
     }
 
     /// Switch the per-packet stochastic link model mid-run (what-if
     /// branch override, `--branch loss:...` / `--branch jitter:...`).
     /// Packets already on the wire are unaffected; the next packet to
     /// finish transmitting on each port draws from the new model at the
-    /// port's current counter position. The active model is part of the
-    /// snapshot state, so a later [`Snapshot::restore`] undoes the
-    /// switch.
+    /// port's current counter position. Only the state's effective model
+    /// changes, so a restore or the next run undoes the switch.
     pub fn set_link_model(&mut self, model: LinkModel) {
-        self.cfg.link_model = model;
+        self.s.link_model = model;
     }
 
     /// Advance a port's stochastic draw counter by `n` without
@@ -1165,100 +1175,39 @@ impl HtsimBackend {
     /// tests detect stream misalignment. Never called by the engine.
     #[doc(hidden)]
     pub fn skip_stochastic_draws(&mut self, port: u32, n: u64) {
-        self.ports[port as usize].draws += n;
+        self.s.ports[port as usize].draws += n;
     }
 
     /// Inject a fault window into a *running* simulation (what-if branch
     /// override). The window is clamped to open no earlier than `now`;
     /// windows that would close at or before that are ignored. Unlike the
-    /// windows in [`HtsimConfig::faults`] (scheduled at reset, before any
+    /// windows in [`HtsimConfig::faults`] (scheduled at setup, before any
     /// traffic), injected windows enter the queue at call time — their
     /// tie-break order against same-timestamp traffic reflects the
     /// injection point, which is exactly the straight-through-equivalent
-    /// semantics the branch executor verifies.
+    /// semantics the branch executor verifies. The window joins the
+    /// state's fault table only, so a restore or the next run forgets it.
     pub fn inject_fault(&mut self, mut f: PortFault) {
-        assert!(
-            (f.port as usize) < self.ports.len(),
-            "fault targets port {} but topology has {} ports",
-            f.port,
-            self.ports.len()
-        );
-        f.start_ns = f.start_ns.max(self.now);
+        assert_fault_port(&f, self.topo.ports().len());
+        f.start_ns = f.start_ns.max(self.s.now);
         if f.end_ns <= f.start_ns {
             return;
         }
-        let idx = self.cfg.faults.len() as u32;
-        self.cfg.faults.push(f);
-        self.queue.push(f.start_ns, Ev::Fault { idx, start: true });
-        self.queue.push(f.end_ns, Ev::Fault { idx, start: false });
+        let idx = self.s.faults.len() as u32;
+        self.s.faults.push(f);
+        self.s.queue.push(f.start_ns, Ev::Fault { idx, start: true });
+        self.s.queue.push(f.end_ns, Ev::Fault { idx, start: false });
     }
-}
-
-/// The packet engine's complete mutable state: every port's queue and
-/// link parameters (fault windows mutate them), every flow, the event
-/// queue (cursor and tie-break sequence included), the clock, the RNG,
-/// the message matcher, NDP pull pacers, counters, and flow records.
-///
-/// The fault table, active CC algorithm, and stochastic link model are
-/// captured too — although they live in [`HtsimConfig`], branch
-/// overrides ([`set_cc`], [`inject_fault`], [`set_link_model`]) mutate
-/// them mid-run, and in-queue fault events index into the fault table,
-/// so restore must bring the table back in sync with the captured
-/// queue. The per-port stochastic draw counters ride in `ports`, which
-/// is what makes a run restored mid-loss resume the exact per-packet
-/// draw sequence.
-///
-/// [`set_cc`]: HtsimBackend::set_cc
-/// [`inject_fault`]: HtsimBackend::inject_fault
-/// [`set_link_model`]: HtsimBackend::set_link_model
-#[derive(Clone)]
-pub struct HtsimState {
-    ports: Vec<Port>,
-    flows: Vec<Flow>,
-    queue: EventQueue<Ev>,
-    now: Time,
-    rng: StdRng,
-    matcher: Matcher<u32, (OpRef, Time)>,
-    pacers: Vec<PullPacer>,
-    stats: NetStats,
-    records: Vec<FlowRecord>,
-    faults: Vec<PortFault>,
-    cc: CcAlgo,
-    link_model: LinkModel,
 }
 
 impl Snapshot for HtsimBackend {
     type State = HtsimState;
 
     fn checkpoint(&self) -> HtsimState {
-        HtsimState {
-            ports: self.ports.clone(),
-            flows: self.flows.clone(),
-            queue: self.queue.clone(),
-            now: self.now,
-            rng: self.rng.clone(),
-            matcher: self.matcher.clone(),
-            pacers: self.pacers.clone(),
-            stats: self.stats,
-            records: self.records.clone(),
-            faults: self.cfg.faults.clone(),
-            cc: self.cfg.cc,
-            link_model: self.cfg.link_model,
-        }
+        self.s.clone()
     }
 
     fn restore(&mut self, state: &HtsimState) {
-        self.ports = state.ports.clone();
-        self.flows = state.flows.clone();
-        self.queue = state.queue.clone();
-        self.now = state.now;
-        self.rng = state.rng.clone();
-        self.matcher = state.matcher.clone();
-        self.pacers = state.pacers.clone();
-        self.stats = state.stats;
-        self.records = state.records.clone();
-        self.cfg.faults = state.faults.clone();
-        self.cfg.cc = state.cc;
-        self.cfg.link_model = state.link_model;
+        self.s.clone_from(state);
     }
 }

@@ -541,6 +541,24 @@ mod tests {
         assert_eq!(b.net_stats(), sb.net_stats());
     }
 
+    /// A 2 MiB ping plus a pause-point clock: the driver can only pause at
+    /// completion events, and a bare ping emits none between the host
+    /// overhead and the flow finish — so rank 2 runs a chain of 5 µs calcs.
+    fn clocked_ping() -> GoalSchedule {
+        let mut b = GoalBuilder::new(3);
+        b.send(0, 1, 2 << 20, 0);
+        b.recv(1, 0, 2 << 20, 0);
+        let mut prev = None;
+        for _ in 0..6 {
+            let c = b.calc(2, 5_000);
+            if let Some(p) = prev {
+                b.requires(2, c, p);
+            }
+            prev = Some(c);
+        }
+        b.build().unwrap()
+    }
+
     /// Branch override: restoring one checkpoint twice — once clean, once
     /// with an injected fault — yields a clean continuation identical to
     /// the straight-through run and a faulted continuation identical to a
@@ -548,23 +566,7 @@ mod tests {
     #[test]
     fn injected_fault_branch_matches_straight_through_injection() {
         use atlahs_core::{RunState, SimDriver, Snapshot};
-        // The driver can only pause at completion events, and a bare ping
-        // emits none between the host overhead and the flow finish — so
-        // rank 2 runs a chain of 5 µs calcs as a pause-point clock.
-        let goal = {
-            let mut b = GoalBuilder::new(3);
-            b.send(0, 1, 2 << 20, 0);
-            b.recv(1, 0, 2 << 20, 0);
-            let mut prev = None;
-            for _ in 0..6 {
-                let c = b.calc(2, 5_000);
-                if let Some(p) = prev {
-                    b.requires(2, c, p);
-                }
-                prev = Some(c);
-            }
-            b.build().unwrap()
-        };
+        let goal = clocked_ping();
         let cfg = small_switch(CcAlgo::Mprdma);
         let (clean, _) = run_with(&goal, cfg.clone());
         let window = PortFault { port: 0, start_ns: 30_000, end_ns: 90_000, kind: FaultKind::Down };
@@ -743,22 +745,7 @@ mod tests {
     #[test]
     fn set_link_model_branch_matches_straight_through_override() {
         use atlahs_core::{RunState, SimDriver, Snapshot};
-        // Rank 2 runs a calc chain as a pause-point clock (the driver
-        // only pauses at completion events).
-        let goal = {
-            let mut b = GoalBuilder::new(3);
-            b.send(0, 1, 2 << 20, 0);
-            b.recv(1, 0, 2 << 20, 0);
-            let mut prev = None;
-            for _ in 0..6 {
-                let c = b.calc(2, 5_000);
-                if let Some(p) = prev {
-                    b.requires(2, c, p);
-                }
-                prev = Some(c);
-            }
-            b.build().unwrap()
-        };
+        let goal = clocked_ping();
         let cfg = small_switch(CcAlgo::Mprdma);
         let (clean, _) = run_with(&goal, cfg.clone());
         let model = loss_model(100_000, 0x10ad);
@@ -788,6 +775,39 @@ mod tests {
         let lossy_branch = lossy_driver.finish(&mut b).unwrap();
         assert_eq!(lossy_branch.makespan, reference.makespan);
         assert_eq!(b.net_stats(), rb.net_stats());
+    }
+
+    /// An override belongs to the run it was applied to: a second run on
+    /// the same backend is a fresh backend's clean run, and the
+    /// configuration is still what the caller passed.
+    #[test]
+    fn overrides_do_not_outlive_their_run() {
+        use atlahs_core::{RunState, SimDriver};
+        let goal = clocked_ping();
+        let mut cfg = small_switch(CcAlgo::Mprdma);
+        cfg.collect_flows = true;
+        let (clean, fresh) = run_with(&goal, cfg.clone());
+
+        let mut b = HtsimBackend::new(cfg.clone());
+        let mut driver = SimDriver::start(&goal, &mut b);
+        assert_eq!(driver.run_until(&mut b, 25_000).unwrap(), RunState::Paused);
+        b.inject_fault(PortFault {
+            port: 0,
+            start_ns: 30_000,
+            end_ns: 90_000,
+            kind: FaultKind::Down,
+        });
+        b.set_cc(CcAlgo::Ndp);
+        b.set_link_model(loss_model(100_000, 0x10ad));
+        let overridden = driver.finish(&mut b).unwrap();
+        assert!(overridden.makespan > clean.makespan, "the overrides must bite");
+        assert!(b.net_stats().fault_drops > 0 && b.net_stats().stochastic_drops > 0);
+        assert_eq!(b.config(), &cfg, "overrides must not rewrite the configuration");
+
+        let rerun = Simulation::new(&goal).run(&mut b).unwrap();
+        assert_eq!(rerun, clean);
+        assert_eq!(b.net_stats(), fresh.net_stats());
+        assert_eq!(b.flow_records(), fresh.flow_records());
     }
 
     #[test]

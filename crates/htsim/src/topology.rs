@@ -6,11 +6,14 @@
 //! equal-cost core links.
 //!
 //! Routes are **interned**: [`Topology::route_ref`] memoizes each distinct
-//! `(src, dst, ECMP bucket)` path into one shared flat arena and hands out
-//! a [`PathRef`] (offset + length). The engine stores `PathRef`s in flows
-//! and resolves per-hop next ports with pure index arithmetic — no
-//! per-packet or per-hop allocation, which is what makes per-packet
+//! `(src, dst, ECMP bucket)` path into one flat arena and hands out a
+//! [`PathRef`] (offset + length). The engine stores `PathRef`s in flows
+//! and packets and resolves per-hop next ports with pure index arithmetic
+//! — no per-packet or per-hop allocation, which is what makes per-packet
 //! spraying (a route decision on *every hop of every packet*) affordable.
+//! The arena and its lookup map belong to the *caller* (the engine keeps
+//! them in its run state, next to the `PathRef`s that index them); the
+//! topology itself is immutable once built.
 
 use std::collections::HashMap;
 
@@ -138,8 +141,9 @@ pub struct PortSpec {
     pub is_core: bool,
 }
 
-/// A route interned in the topology's path arena: `len` port ids starting
-/// at `off` in one shared backing vector. Resolve with [`Topology::path`].
+/// A route interned by [`Topology::route_ref`]: `len` port ids starting
+/// at `off` in the arena it was interned into. Resolve with
+/// [`PathRef::of`].
 ///
 /// The empty reference (`len == 0`) stands for "no fabric traversal"
 /// (intra-node flows).
@@ -161,6 +165,12 @@ impl PathRef {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Resolve against the arena the route was interned into.
+    #[inline]
+    pub fn of(self, arena: &[u32]) -> &[u32] {
+        &arena[self.off as usize..self.off as usize + self.len as usize]
+    }
 }
 
 /// Route-cache map for the packed `(src, dst, bucket)` key: the key is a
@@ -169,7 +179,7 @@ impl PathRef {
 /// multiplicative hasher shared with the message-level matcher
 /// (`atlahs_eventq::hash`); the bucket layout never influences routing —
 /// path selection is `ecmp % degree`, the map is lookup-only.
-type RouteCache = HashMap<u64, PathRef, FastBuildHasher>;
+pub type RouteCache = HashMap<u64, PathRef, FastBuildHasher>;
 
 /// Dragonfly bookkeeping: geometry plus the global-link wiring map.
 #[derive(Debug, Clone)]
@@ -194,10 +204,6 @@ pub struct Topology {
     tors: usize,
     // Dragonfly bookkeeping
     df: Option<DragonflyMap>,
-    /// Flat storage for every interned route (see [`PathRef`]).
-    arena: Vec<u32>,
-    /// `(src, dst, ECMP bucket)` → interned route.
-    cache: RouteCache,
 }
 
 impl Topology {
@@ -221,8 +227,6 @@ impl Topology {
                     uplinks: 0,
                     tors: 1,
                     df: None,
-                    arena: Vec::new(),
-                    cache: RouteCache::default(),
                 }
             }
             TopologyConfig::FatTree2L { hosts, hosts_per_tor, uplinks_per_tor, edge, core } => {
@@ -259,8 +263,6 @@ impl Topology {
                     uplinks: uplinks_per_tor,
                     tors,
                     df: None,
-                    arena: Vec::new(),
-                    cache: RouteCache::default(),
                 }
             }
             TopologyConfig::Dragonfly {
@@ -334,8 +336,6 @@ impl Topology {
                         local_base,
                         links,
                     }),
-                    arena: Vec::new(),
-                    cache: RouteCache::default(),
                 }
             }
         }
@@ -558,28 +558,29 @@ impl Topology {
     }
 
     /// The interned path for `src → dst` under selector `ecmp`: computed
-    /// at most once per `(src, dst, ECMP bucket)`, then served from the
-    /// arena as a [`PathRef`] — no allocation on cache hits.
-    pub fn route_ref(&mut self, src: u32, dst: u32, ecmp: u64) -> PathRef {
+    /// at most once per `(src, dst, ECMP bucket)` into the caller's
+    /// `arena`, then served from `cache` as a [`PathRef`] — no allocation
+    /// on cache hits. `cache` maps packed keys to references into `arena`;
+    /// the two travel together.
+    pub fn route_ref(
+        &self,
+        arena: &mut Vec<u32>,
+        cache: &mut RouteCache,
+        src: u32,
+        dst: u32,
+        ecmp: u64,
+    ) -> PathRef {
         let bucket = ecmp % self.ecmp_degree(src, dst);
         debug_assert!(self.hosts <= 1 << 24 && bucket < 1 << 16, "route key packing");
         let key = (src as u64) << 40 | (dst as u64) << 16 | bucket;
-        if let Some(&r) = self.cache.get(&key) {
+        if let Some(&r) = cache.get(&key) {
             return r;
         }
-        let mut arena = std::mem::take(&mut self.arena);
         let off = arena.len();
-        self.compute_route_into(src, dst, bucket, &mut arena);
+        self.compute_route_into(src, dst, bucket, arena);
         let r = PathRef { off: off as u32, len: (arena.len() - off) as u16 };
-        self.arena = arena;
-        self.cache.insert(key, r);
+        cache.insert(key, r);
         r
-    }
-
-    /// Resolve an interned route to its port ids.
-    #[inline]
-    pub fn path(&self, r: PathRef) -> &[u32] {
-        &self.arena[r.off as usize..r.off as usize + r.len as usize]
     }
 
     /// Base round-trip estimate for a path and its reverse: propagation plus
@@ -741,7 +742,8 @@ mod tests {
             Topology::build(TopologyConfig::fat_tree_oversubscribed(16, 4, 2)),
             Topology::build(TopologyConfig::dragonfly(3, 4, 2)),
         ];
-        for mut t in topos {
+        for t in topos {
+            let (mut arena, mut cache) = (Vec::new(), RouteCache::default());
             let n = t.num_hosts() as u32;
             for src in 0..n {
                 for dst in 0..n {
@@ -750,8 +752,8 @@ mod tests {
                     }
                     for ecmp in [0u64, 1, 7, 0xDEAD_BEEF] {
                         let owned = t.route(src, dst, ecmp);
-                        let r = t.route_ref(src, dst, ecmp);
-                        assert_eq!(t.path(r), &owned[..], "{src}->{dst} ecmp={ecmp}");
+                        let r = t.route_ref(&mut arena, &mut cache, src, dst, ecmp);
+                        assert_eq!(r.of(&arena), &owned[..], "{src}->{dst} ecmp={ecmp}");
                     }
                 }
             }
@@ -760,24 +762,24 @@ mod tests {
 
     #[test]
     fn route_ref_hits_cache_within_a_bucket() {
-        let mut t = Topology::build(TopologyConfig::fat_tree(16, 4));
+        let t = Topology::build(TopologyConfig::fat_tree(16, 4));
+        let (mut arena, mut cache) = (Vec::new(), RouteCache::default());
         // 4 uplinks: selectors congruent mod 4 share a bucket and must
         // return the same interned reference without growing the arena.
-        let a = t.route_ref(0, 5, 3);
-        let arena_len = t.path(a).as_ptr();
-        let b = t.route_ref(0, 5, 7);
+        let a = t.route_ref(&mut arena, &mut cache, 0, 5, 3);
+        let arena_len = arena.len();
+        let b = t.route_ref(&mut arena, &mut cache, 0, 5, 7);
         assert_eq!(a, b, "same ECMP bucket must intern once");
-        assert_eq!(t.path(b).as_ptr(), arena_len);
-        let c = t.route_ref(0, 5, 4);
-        assert_ne!(t.path(a), t.path(c), "different bucket, different uplink");
+        assert_eq!(arena.len(), arena_len);
+        let c = t.route_ref(&mut arena, &mut cache, 0, 5, 4);
+        assert_ne!(a.of(&arena), c.of(&arena), "different bucket, different uplink");
     }
 
     #[test]
     fn empty_pathref_is_empty() {
-        let t = Topology::build(TopologyConfig::fat_tree(16, 4));
         assert!(PathRef::EMPTY.is_empty());
         assert_eq!(PathRef::EMPTY.len(), 0);
-        assert_eq!(t.path(PathRef::EMPTY), &[] as &[u32]);
+        assert_eq!(PathRef::EMPTY.of(&[]), &[] as &[u32]);
     }
 
     // ---- Dragonfly --------------------------------------------------

@@ -156,10 +156,7 @@ impl StragglerSpec {
 
     /// The straggler decision for one rank: FNV-1a over `(seed, rank)`.
     pub fn is_straggler(&self, rank: usize) -> bool {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        for b in (rank as u64).to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        let h = atlahs_core::faultgen::fnv_fold(self.seed, &[&(rank as u64).to_le_bytes()]);
         h % 100 < self.prob_pct as u64
     }
 
@@ -180,18 +177,21 @@ impl StragglerSpec {
         }
         factor
     }
+
+    /// The per-rank calc-cost table (percent) a run dispatches through;
+    /// empty for a no-op spec, so `calc` stays one `is_empty` branch.
+    fn calc_scale(&self, num_ranks: usize) -> Vec<u64> {
+        if self.is_noop() {
+            Vec::new()
+        } else {
+            (0..num_ranks).map(|r| self.factor_pct_for(r)).collect()
+        }
+    }
 }
 
-/// A scheduled backend event.
-///
-/// The [`EventQueue`] orders solely by `(time, push order)`, so the
-/// `PartialOrd`/`Ord` derives below no longer influence simulation
-/// results — but the derived variant order *was* the tie-break of the
-/// previous `BinaryHeap<Reverse<(Time, seq, Ev)>>` implementation and
-/// remains a pinned contract (see `ev_variant_order_is_pinned`): any
-/// fallback or external consumer sorting on `Ev` must observe the same
-/// order, and reordering variants is a results-affecting change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A scheduled backend event; the [`EventQueue`] orders them by
+/// `(time, push order)` alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Emit a `Done` completion for the op.
     Done(OpRef),
@@ -207,14 +207,22 @@ enum Ev {
     DataArrive { recv_op: OpRef, bytes: u64 },
 }
 
-/// The LogGOPSim backend.
+/// The LogGOPSim backend: parameters and straggler spec fixed at
+/// construction, everything a run mutates in [`LgsState`].
 #[derive(Debug)]
 pub struct LgsBackend {
     params: LogGopsParams,
+    straggler: StragglerSpec,
+    s: LgsState,
+}
+
+/// Everything a run of the LGS backend mutates: clock, pending events,
+/// NIC occupancy rails, both match queues, counters, and the effective
+/// straggler table (the rule is in [`atlahs_core::snapshot`]).
+#[derive(Debug, Clone)]
+pub struct LgsState {
     now: Time,
-    /// Timer-wheel event core shared with the packet engine; yields
-    /// events in exactly the `(time, push order)` order the previous
-    /// global `BinaryHeap<Reverse<(Time, seq, Ev)>>` produced.
+    /// Timer-wheel event core shared with the packet engine.
     events: EventQueue<Ev>,
     nic_tx_free: Vec<Time>,
     nic_rx_free: Vec<Time>,
@@ -223,56 +231,42 @@ pub struct LgsBackend {
     /// Rendezvous: RTS arrivals vs posted recvs.
     rdv: Matcher<(OpRef, u64), (OpRef, Time)>,
     stats: LgsStats,
-    straggler: StragglerSpec,
-    /// Per-rank calc-cost scale in percent, materialized at
-    /// `simulation_setup`. Empty when the straggler spec is a no-op — the
-    /// `calc` fast path stays a single `is_empty` branch.
+    /// Per-rank calc-cost scale in percent: the configured straggler
+    /// spec's table until [`LgsBackend::apply_straggler_now`] replaces it.
     calc_scale: Vec<u64>,
+}
+
+impl LgsState {
+    fn new(straggler: &StragglerSpec, num_ranks: usize) -> Self {
+        LgsState {
+            now: 0,
+            events: EventQueue::new(),
+            nic_tx_free: vec![0; num_ranks],
+            nic_rx_free: vec![0; num_ranks],
+            eager: Matcher::new(),
+            rdv: Matcher::new(),
+            stats: LgsStats::default(),
+            calc_scale: straggler.calc_scale(num_ranks),
+        }
+    }
 }
 
 impl LgsBackend {
     pub fn new(params: LogGopsParams) -> Self {
-        LgsBackend {
-            params,
-            now: 0,
-            events: EventQueue::new(),
-            nic_tx_free: Vec::new(),
-            nic_rx_free: Vec::new(),
-            eager: Matcher::new(),
-            rdv: Matcher::new(),
-            stats: LgsStats::default(),
-            straggler: StragglerSpec::default(),
-            calc_scale: Vec::new(),
-        }
+        LgsBackend::with_straggler(params, StragglerSpec::default())
     }
 
     /// A backend with a straggler fault model attached.
     pub fn with_straggler(params: LogGopsParams, straggler: StragglerSpec) -> Self {
-        let mut b = LgsBackend::new(params);
-        b.straggler = straggler;
-        b
-    }
-
-    /// Attach (or clear, with the default spec) the straggler model.
-    /// Takes effect at the next `simulation_setup`.
-    pub fn set_straggler(&mut self, straggler: StragglerSpec) {
-        self.straggler = straggler;
+        LgsBackend { params, straggler, s: LgsState::new(&straggler, 0) }
     }
 
     /// Apply a straggler model to a *running* simulation (what-if branch
-    /// override): the per-rank calc-cost table is re-materialized
-    /// immediately, so calcs dispatched after the call are scaled by the
-    /// new spec while everything already scheduled keeps its timing. The
-    /// table is part of the snapshot state, so a later
-    /// [`Snapshot::restore`] undoes the override.
+    /// override): calcs dispatched after the call are scaled by `straggler`
+    /// while everything already scheduled keeps its timing. Only the
+    /// state's table changes, so a restore or the next run undoes it.
     pub fn apply_straggler_now(&mut self, straggler: StragglerSpec) {
-        self.straggler = straggler;
-        let num_ranks = self.nic_tx_free.len();
-        self.calc_scale = if straggler.is_noop() {
-            Vec::new()
-        } else {
-            (0..num_ranks).map(|r| straggler.factor_pct_for(r)).collect()
-        };
+        self.s.calc_scale = straggler.calc_scale(self.s.nic_tx_free.len());
     }
 
     pub fn params(&self) -> &LogGopsParams {
@@ -280,102 +274,59 @@ impl LgsBackend {
     }
 
     pub fn stats(&self) -> LgsStats {
-        self.stats
+        self.s.stats
     }
 
     fn push(&mut self, time: Time, ev: Ev) {
-        self.events.push(time, ev);
+        self.s.events.push(time, ev);
     }
 
     /// Occupy the sender NIC starting no earlier than `earliest`; returns
     /// the time the last byte has left.
     fn tx(&mut self, rank: Rank, earliest: Time, bytes: u64) -> Time {
-        let start = earliest.max(self.nic_tx_free[rank as usize]);
+        let start = earliest.max(self.s.nic_tx_free[rank as usize]);
         let end = start + self.params.nic_cost(bytes);
-        self.nic_tx_free[rank as usize] = end;
+        self.s.nic_tx_free[rank as usize] = end;
         end
     }
 
     /// Charge the receive-side NIC gap; returns the time the data is
     /// available to the host.
     fn rx(&mut self, rank: Rank, arrival: Time) -> Time {
-        let avail = arrival.max(self.nic_rx_free[rank as usize]);
-        self.nic_rx_free[rank as usize] = avail + self.params.g;
+        let avail = arrival.max(self.s.nic_rx_free[rank as usize]);
+        self.s.nic_rx_free[rank as usize] = avail + self.params.g;
         avail
     }
-}
-
-/// The LGS backend's complete mutable state: clock, pending events, NIC
-/// occupancy rails, both match queues, counters, and the materialized
-/// straggler table. `params` and the straggler *spec* are configuration
-/// and stay on the backend.
-#[derive(Debug, Clone)]
-pub struct LgsState {
-    now: Time,
-    events: EventQueue<Ev>,
-    nic_tx_free: Vec<Time>,
-    nic_rx_free: Vec<Time>,
-    eager: Matcher<Time, (OpRef, Time)>,
-    rdv: Matcher<(OpRef, u64), (OpRef, Time)>,
-    stats: LgsStats,
-    calc_scale: Vec<u64>,
 }
 
 impl Snapshot for LgsBackend {
     type State = LgsState;
 
     fn checkpoint(&self) -> LgsState {
-        LgsState {
-            now: self.now,
-            events: self.events.clone(),
-            nic_tx_free: self.nic_tx_free.clone(),
-            nic_rx_free: self.nic_rx_free.clone(),
-            eager: self.eager.clone(),
-            rdv: self.rdv.clone(),
-            stats: self.stats,
-            calc_scale: self.calc_scale.clone(),
-        }
+        self.s.clone()
     }
 
     fn restore(&mut self, state: &LgsState) {
-        self.now = state.now;
-        self.events = state.events.clone();
-        self.nic_tx_free = state.nic_tx_free.clone();
-        self.nic_rx_free = state.nic_rx_free.clone();
-        self.eager = state.eager.clone();
-        self.rdv = state.rdv.clone();
-        self.stats = state.stats;
-        self.calc_scale = state.calc_scale.clone();
+        self.s.clone_from(state);
     }
 }
 
 impl Backend for LgsBackend {
     fn simulation_setup(&mut self, num_ranks: usize) {
-        self.now = 0;
-        self.events.clear();
-        self.nic_tx_free = vec![0; num_ranks];
-        self.nic_rx_free = vec![0; num_ranks];
-        self.eager = Matcher::new();
-        self.rdv = Matcher::new();
-        self.stats = LgsStats::default();
-        self.calc_scale = if self.straggler.is_noop() {
-            Vec::new()
-        } else {
-            (0..num_ranks).map(|r| self.straggler.factor_pct_for(r)).collect()
-        };
+        self.s = LgsState::new(&self.straggler, num_ranks);
     }
 
     fn now(&self) -> Time {
-        self.now
+        self.s.now
     }
 
     fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
-        self.stats.messages += 1;
-        self.stats.bytes += bytes;
+        self.s.stats.messages += 1;
+        self.s.stats.bytes += bytes;
         let key: MatchKey = (op.rank, dst, tag);
-        let cpu_done = self.now + self.params.cpu_cost(bytes);
+        let cpu_done = self.s.now + self.params.cpu_cost(bytes);
         if self.params.is_rendezvous(bytes) {
-            self.stats.rendezvous_messages += 1;
+            self.s.stats.rendezvous_messages += 1;
             self.push(cpu_done, Ev::CpuFree(op));
             let rts_at = cpu_done + self.params.l;
             self.push(rts_at, Ev::RtsArrive { key, send_op: op, bytes });
@@ -391,45 +342,45 @@ impl Backend for LgsBackend {
     fn recv(&mut self, op: OpRef, src: Rank, bytes: u64, tag: Tag) {
         let key: MatchKey = (src, op.rank, tag);
         // Posting is cheap: release the stream immediately.
-        self.push(self.now, Ev::CpuFree(op));
+        self.push(self.s.now, Ev::CpuFree(op));
         if self.params.is_rendezvous(bytes) {
-            if let Some((send_op, b)) = self.rdv.offer_recv(key, (op, self.now)) {
+            if let Some((send_op, b)) = self.s.rdv.offer_recv(key, (op, self.s.now)) {
                 // RTS already here: CTS leaves after receiver overhead.
-                let cts_at = self.now + self.params.o + self.params.l;
+                let cts_at = self.s.now + self.params.o + self.params.l;
                 self.push(cts_at, Ev::CtsArrive { send_op, recv_op: op, bytes: b });
             }
-        } else if let Some(avail) = self.eager.offer_recv(key, (op, self.now)) {
+        } else if let Some(avail) = self.s.eager.offer_recv(key, (op, self.s.now)) {
             // Payload already arrived.
-            let done = avail.max(self.now) + self.params.cpu_cost(bytes);
+            let done = avail.max(self.s.now) + self.params.cpu_cost(bytes);
             self.push(done, Ev::Done(op));
         }
     }
 
     fn calc(&mut self, op: OpRef, cost: u64) {
-        let cost = if self.calc_scale.is_empty() {
+        let cost = if self.s.calc_scale.is_empty() {
             cost
         } else {
-            cost.saturating_mul(self.calc_scale[op.rank as usize]) / 100
+            cost.saturating_mul(self.s.calc_scale[op.rank as usize]) / 100
         };
-        self.push(self.now + cost, Ev::Done(op));
+        self.push(self.s.now + cost, Ev::Done(op));
     }
 
     fn next_event(&mut self) -> Option<Completion> {
-        while let Some((time, ev)) = self.events.pop() {
-            debug_assert!(time >= self.now);
-            self.now = time;
+        while let Some((time, ev)) = self.s.events.pop() {
+            debug_assert!(time >= self.s.now);
+            self.s.now = time;
             match ev {
                 Ev::Done(op) => return Some(Completion::done(op, time)),
                 Ev::CpuFree(op) => return Some(Completion::cpu_free(op, time)),
                 Ev::Arrive { key, bytes } => {
                     let avail = self.rx(key.1, time);
-                    if let Some((recv_op, post)) = self.eager.offer_send(key, avail) {
+                    if let Some((recv_op, post)) = self.s.eager.offer_send(key, avail) {
                         let done = avail.max(post) + self.params.cpu_cost(bytes);
                         self.push(done, Ev::Done(recv_op));
                     }
                 }
                 Ev::RtsArrive { key, send_op, bytes } => {
-                    if let Some((recv_op, _post)) = self.rdv.offer_send(key, (send_op, bytes)) {
+                    if let Some((recv_op, _post)) = self.s.rdv.offer_send(key, (send_op, bytes)) {
                         let cts_at = time + self.params.o + self.params.l;
                         self.push(cts_at, Ev::CtsArrive { send_op, recv_op, bytes });
                     }
@@ -467,35 +418,6 @@ mod tests {
         b.send(0, 1, bytes, 0);
         b.recv(1, 0, bytes, 0);
         b.build().unwrap()
-    }
-
-    /// The `Ev` tie-break contract. Event ordering at equal timestamps is
-    /// `(time, push order)` via the shared [`EventQueue`]; the *variant*
-    /// order of `Ev` was the previous heap's final tie-break and is still
-    /// a pinned, documented contract — `#[derive(PartialOrd, Ord)]` makes
-    /// it an artifact of source order, so a well-meaning reorder of the
-    /// enum would silently change any consumer that sorts events. This
-    /// test turns that into a loud failure.
-    #[test]
-    fn ev_variant_order_is_pinned() {
-        let op = OpRef::new(0, atlahs_goal::TaskId(0));
-        let key: MatchKey = (0, 0, 0);
-        let pinned = [
-            Ev::Done(op),
-            Ev::CpuFree(op),
-            Ev::Arrive { key, bytes: 0 },
-            Ev::RtsArrive { key, send_op: op, bytes: 0 },
-            Ev::CtsArrive { send_op: op, recv_op: op, bytes: 0 },
-            Ev::DataArrive { recv_op: op, bytes: 0 },
-        ];
-        // With identical payloads, `<` holds strictly between consecutive
-        // variants iff the declaration order matches this list.
-        for w in pinned.windows(2) {
-            assert!(w[0] < w[1], "Ev variant order drifted: {:?} !< {:?}", w[0], w[1]);
-        }
-        // Within a variant, the payload is the lexicographic fallback.
-        let later = OpRef::new(1, atlahs_goal::TaskId(0));
-        assert!(Ev::Done(op) < Ev::Done(later));
     }
 
     #[test]
@@ -717,6 +639,34 @@ mod tests {
         let mut b = LgsBackend::with_straggler(LogGopsParams::ai_alps(), spec);
         let spread_run = Simulation::new(&goal).run(&mut b).unwrap();
         assert!(spread_run.makespan > clean.makespan);
+    }
+
+    /// `apply_straggler_now` belongs to the run it was applied to: the
+    /// next run on the same backend is a fresh backend's clean run.
+    #[test]
+    fn straggler_override_does_not_outlive_its_run() {
+        use atlahs_core::{RunState, SimDriver};
+        let mut gb = GoalBuilder::new(2);
+        let calcs = [1_000, 1_000, 10_000].map(|cost| gb.calc(0, cost));
+        gb.requires(0, calcs[1], calcs[0]);
+        gb.requires(0, calcs[2], calcs[1]);
+        let goal = gb.build().unwrap();
+        let clean = run(&goal, LogGopsParams::ai_alps());
+
+        let mut b = LgsBackend::new(LogGopsParams::ai_alps());
+        let mut driver = SimDriver::start(&goal, &mut b);
+        assert_eq!(driver.run_until(&mut b, 500).unwrap(), RunState::Paused);
+        b.apply_straggler_now(StragglerSpec {
+            prob_pct: 100,
+            factor_pct: 300,
+            ..Default::default()
+        });
+        let slowed = driver.finish(&mut b).unwrap();
+        // The pause processed the first completion, which issued the
+        // second calc at face value; only the third is issued afterwards.
+        assert_eq!(slowed.makespan, 32_000, "calcs issued after the override triple");
+
+        assert_eq!(Simulation::new(&goal).run(&mut b).unwrap(), clean);
     }
 
     #[test]

@@ -37,11 +37,6 @@ pub struct NcclToGoalConfig {
     pub intra_base_ns: u64,
     // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
     pub intra_ns_per_byte: f64,
-    /// Allreduces on communicators larger than this switch from Ring to
-    /// Tree, mirroring NCCL's own size-based `NCCL_ALGO` heuristic
-    /// (rings over very large communicators pay O(k) latency per chunk
-    /// and O(k²) schedule size). `0` disables the switch.
-    pub tree_threshold: usize,
 }
 
 impl Default for NcclToGoalConfig {
@@ -52,10 +47,6 @@ impl Default for NcclToGoalConfig {
             intra_base_ns: 1_000,
             // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
             intra_ns_per_byte: 1.0 / 150.0,
-            // Disabled by default: the bandwidth-regime buckets the LLM
-            // tracers emit keep NCCL in its ring regime; set a threshold
-            // for latency-bound workloads with very large communicators.
-            tree_threshold: 0,
         }
     }
 }
@@ -127,9 +118,6 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
             }
             let mut ncfg = cfg.nccl;
             ncfg.stream = recs[0].stream;
-            if cfg.tree_threshold > 0 && members.len() > cfg.tree_threshold {
-                ncfg.algorithm = nc::NcclAlgo::Tree;
-            }
             let tag = alloc_tag(&mut next_tag);
             let bytes = recs[0].bytes;
             let p = match k0 {

@@ -23,10 +23,15 @@
 //! * **stochastic loss** — under per-packet random loss up to 20%
 //!   (200 000 ppm) every flow still completes (no RTO livelock), byte
 //!   conservation holds at the issue interface, same-seed re-runs are
-//!   bit-identical, a run checkpointed mid-loss and restored finishes
-//!   bit-identically to the straight-through run, and the harness
-//!   catches an engine that fails to carry its per-port draw counters
-//!   across restore.
+//!   bit-identical;
+//! * **snapshot anywhere** — pausing at *any* bound (0 and past the
+//!   makespan included), checkpointing, and continuing — on the same
+//!   backend, on a freshly constructed one that was never set up, or
+//!   from a checkpoint of an already-restored state — reproduces the
+//!   straight run's report, stats and flow records, for every backend
+//!   and every configured fault regime; and the harness catches an
+//!   engine that fails to carry its per-port draw counters across
+//!   restore.
 //!
 //! The generator emits schedules from the same family the synthetic
 //! workloads use (per-rank send chains and recv chains with interleaved
@@ -35,7 +40,7 @@
 
 use atlahs::core::api::EventKind;
 use atlahs::core::backends::IdealBackend;
-use atlahs::core::{Backend, Completion, OpRef, Simulation, Time};
+use atlahs::core::{Backend, Completion, OpRef, SimDriver, Simulation, Snapshot, Time};
 use atlahs::goal::merge::{compose, place, PlacedJob};
 use atlahs::goal::{GoalBuilder, GoalSchedule, Rank, Tag, TaskId, TaskKind};
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
@@ -350,6 +355,67 @@ fn assert_faults_bite(name: &str, clean: &RunTrace, faulty: &RunTrace) {
     );
 }
 
+// ----------------------------------------------------- snapshot anywhere ----
+
+/// Where a run is paused, as a share of its own makespan: the low draws
+/// pin the bound to 0, the ones above 1000‰ land past the last event.
+fn pause_permille() -> impl Strategy<Value = u64> {
+    (0u64..1_200).prop_map(|draw| if draw < 100 { 0 } else { draw })
+}
+
+/// `run_until(bound)` → `checkpoint` → finish, then every way back into
+/// that checkpoint: (i) the same backend, (ii) a freshly constructed
+/// backend that was never set up, (iii) a checkpoint taken of an
+/// already-restored state. Every continuation must reproduce the
+/// straight run's report and whatever `observe` reads off the backend.
+/// `tamper` runs on the restored backend of (i) — the identity for a
+/// real check, a deliberate corruption for the meta-test.
+fn assert_snapshot_anywhere<B: Backend + Snapshot, O: PartialEq + std::fmt::Debug>(
+    name: &str,
+    goal: &GoalSchedule,
+    permille: u64,
+    mk: impl Fn() -> B,
+    observe: impl Fn(&B) -> O,
+    tamper: impl Fn(&mut B),
+) {
+    let mut sb = mk();
+    let report = Simulation::new(goal).run(&mut sb).expect("generated schedules cannot deadlock");
+    let bound = report.makespan * permille / 1_000;
+    let straight = (report, observe(&sb));
+
+    let mut b = mk();
+    let mut driver = SimDriver::start(goal, &mut b);
+    driver.run_until(&mut b, bound).expect("generated schedules cannot deadlock");
+    let snap = b.checkpoint();
+    let finish = |b: &mut B| {
+        let report = driver.clone().finish(b).expect("generated schedules cannot deadlock");
+        (report, observe(b))
+    };
+    assert_eq!(finish(&mut b), straight, "{name}: pausing at {bound} perturbed the run");
+
+    b.restore(&snap);
+    tamper(&mut b);
+    assert_eq!(finish(&mut b), straight, "{name}: restored run diverged (paused at {bound})");
+
+    let mut fresh = mk();
+    fresh.restore(&snap);
+    assert_eq!(finish(&mut fresh), straight, "{name}: restore into a fresh backend diverged");
+
+    fresh.restore(&snap);
+    b.restore(&fresh.checkpoint());
+    assert_eq!(finish(&mut b), straight, "{name}: a checkpoint of a restored state diverged");
+}
+
+/// The `tamper` of a real check.
+fn untouched<B>(_: &mut B) {}
+
+/// The packet backend's observables beyond the report.
+fn htsim_observables(
+    b: &HtsimBackend,
+) -> (atlahs::htsim::NetStats, Vec<atlahs::htsim::FlowRecord>) {
+    (b.net_stats(), b.flow_records().to_vec())
+}
+
 // -------------------------------------------------------------- driver ----
 
 fn raw_msg() -> impl Strategy<Value = RawMsg> {
@@ -590,6 +656,38 @@ proptest! {
             lossy.makespan
         );
     }
+
+    /// Snapshot exactness at an arbitrary event, for every backend and
+    /// every configured regime (see [`assert_snapshot_anywhere`]).
+    #[test]
+    fn snapshot_anywhere_continues_bit_identically(
+        n in 2usize..6,
+        msgs in vec(raw_msg(), 1..16),
+        seed in 1u64..1_000_000,
+        permille in pause_permille(),
+        ppm in 1_000u32..200_001,
+    ) {
+        let goal = assemble(n, &msgs);
+
+        assert_snapshot_anywhere("ideal", &goal, permille, ideal_bound, |_| (), untouched);
+
+        let straggler = StragglerSpec { prob_pct: 50, factor_pct: 300, seed, ..Default::default() };
+        for (name, spec) in [("lgs", StragglerSpec::default()), ("lgs-straggler", straggler)] {
+            let rdv = LogGopsParams { s: 32 << 10, ..LogGopsParams::hpc_testbed() };
+            let mk = || LgsBackend::with_straggler(rdv, spec);
+            assert_snapshot_anywhere(name, &goal, permille, mk, LgsBackend::stats, untouched);
+        }
+
+        let regimes =
+            [("htsim", Vec::new(), 0), ("htsim-linkflap", flap_faults(n, seed), 0), ("htsim-loss", Vec::new(), ppm)];
+        for (name, faults, ppm) in regimes {
+            let mut cfg = lossy_htsim_config(n, seed, ppm);
+            cfg.faults = faults;
+            cfg.collect_flows = true;
+            let mk = || HtsimBackend::new(cfg.clone());
+            assert_snapshot_anywhere(name, &goal, permille, mk, htsim_observables, untouched);
+        }
+    }
 }
 
 /// The harness itself must catch a cheating backend: a "backend" that
@@ -674,60 +772,33 @@ fn harness_catches_a_backend_that_ignores_its_fault_spec() {
     assert_faults_bite("fault-blind", &clean, &fault_blind);
 }
 
-/// Snapshot-mid-loss resume bit-identity: the per-port draw counters
-/// ride in the checkpoint, so a run paused under sustained random loss,
-/// checkpointed, restored, and finished consumes exactly the draw
-/// stream a straight-through run consumes — same makespan, same
-/// realized drops, same net stats.
+/// Snapshot-mid-loss on a schedule dense enough that the loss is
+/// guaranteed to bite: the per-port draw counters ride in the
+/// checkpoint, so every continuation consumes exactly the draw stream a
+/// straight-through run consumes — same makespan, same realized drops.
 #[test]
 fn snapshot_mid_loss_resume_is_bit_identical() {
-    use atlahs::core::{RunState, SimDriver, Snapshot};
-    let goal = dense_goal();
     let cfg = lossy_htsim_config(4, 9, 100_000);
-    let mut sb = HtsimBackend::new(cfg.clone());
-    let straight = Simulation::new(&goal).run(&mut sb).expect("lossy runs still complete");
-    assert!(sb.net_stats().stochastic_drops > 0, "the scenario must actually drop packets");
-
-    let mut b = HtsimBackend::new(cfg);
-    let mut driver = SimDriver::start(&goal, &mut b);
-    assert_eq!(driver.run_until(&mut b, straight.makespan / 2).unwrap(), RunState::Paused);
-    let snap = b.checkpoint();
-    let fork_driver = driver.clone();
-    let original = driver.finish(&mut b).unwrap();
-    assert_eq!(original.makespan, straight.makespan, "pausing must not perturb the stream");
-    assert_eq!(b.net_stats(), sb.net_stats(), "pausing must not perturb the stats");
-
-    b.restore(&snap);
-    let fork = fork_driver.finish(&mut b).unwrap();
-    assert_eq!(fork.makespan, straight.makespan, "restored run diverged from straight-through");
-    assert_eq!(b.net_stats(), sb.net_stats(), "restored run realized different drops");
+    let mk = || HtsimBackend::new(cfg.clone());
+    let observe = |b: &HtsimBackend| {
+        assert!(b.net_stats().stochastic_drops > 0, "the scenario must actually drop packets");
+        htsim_observables(b)
+    };
+    assert_snapshot_anywhere("htsim-loss", &dense_goal(), 500, mk, observe, untouched);
 }
 
 /// The meta-test for the identity above: an engine that fails to carry
 /// its per-port draw counters across restore (emulated with the
 /// `skip_stochastic_draws` verification hook) samples a shifted stream,
 /// realizes different drops, and must be flagged by the same
-/// assertions `snapshot_mid_loss_resume_is_bit_identical` makes.
+/// assertions every snapshot-anywhere check makes.
 #[test]
-#[should_panic(expected = "restored run")]
+#[should_panic(expected = "restored run diverged")]
 fn harness_catches_an_engine_that_skips_draw_counters() {
-    use atlahs::core::{RunState, SimDriver, Snapshot};
-    let goal = dense_goal();
     let cfg = lossy_htsim_config(4, 9, 100_000);
-    let mut sb = HtsimBackend::new(cfg.clone());
-    let straight = Simulation::new(&goal).run(&mut sb).expect("lossy runs still complete");
-
-    let mut b = HtsimBackend::new(cfg);
-    let mut driver = SimDriver::start(&goal, &mut b);
-    assert_eq!(driver.run_until(&mut b, straight.makespan / 2).unwrap(), RunState::Paused);
-    let snap = b.checkpoint();
-    b.restore(&snap);
+    let mk = || HtsimBackend::new(cfg.clone());
     // A restore that loses counter positions: every host-side port
     // resumes 17 draws ahead of where the snapshot left it.
-    for port in 0..4 {
-        b.skip_stochastic_draws(port, 17);
-    }
-    let fork = driver.finish(&mut b).unwrap();
-    assert_eq!(fork.makespan, straight.makespan, "restored run diverged from straight-through");
-    assert_eq!(b.net_stats(), sb.net_stats(), "restored run realized different drops");
+    let skip = |b: &mut HtsimBackend| (0..4).for_each(|port| b.skip_stochastic_draws(port, 17));
+    assert_snapshot_anywhere("htsim-loss", &dense_goal(), 500, mk, htsim_observables, skip);
 }
