@@ -56,12 +56,27 @@ impl Args {
         self.switches.iter().any(|s| s == name) || self.values.contains_key(name)
     }
 
-    /// A typed `--key value`; falls back to `default` when absent,
-    /// panics with a usage message when present but malformed.
+    /// Every `--key` given, with or without a value, sorted.
+    pub fn keys(&self) -> Vec<&str> {
+        let mut keys: Vec<&str> =
+            self.values.keys().chain(&self.switches).map(String::as_str).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// A typed `--key value`: `Ok(None)` when absent, the reason when
+    /// present but malformed.
+    pub fn try_get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &String| v.parse().map_err(|_| format!("cannot parse {v:?}"));
+        self.values.get(name).map(parse).transpose()
+    }
+
+    /// [`Args::try_get`] for the figure binaries: falls back to `default`
+    /// when absent, panics with a usage message when malformed.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.values.get(name) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| panic!("--{name}: cannot parse {v:?}")),
+        match self.try_get(name) {
+            Ok(value) => value.unwrap_or(default),
+            Err(why) => panic!("--{name}: {why}"),
         }
     }
 

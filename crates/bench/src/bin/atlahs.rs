@@ -18,6 +18,12 @@
 //! atlahs help
 //! ```
 //!
+//! `sweep`, `cluster` and `lint` read fixed flag sets: a flag outside the
+//! set, a malformed number, a token no grammar matches or a fault outside
+//! the subcommand's scope exits 2 with `atlahs <sub>: --<flag>: <why>`.
+//! `list` prints every axis's token grammar from the constants the
+//! parsers' own errors print.
+//!
 //! `sweep` expands the cartesian grid, runs every cell across OS threads
 //! (each cell a deterministic single-threaded simulation with a derived
 //! seed), prints a summary table, and optionally writes the JSON/CSV/
@@ -50,15 +56,15 @@ use std::time::{Duration, Instant};
 
 use atlahs_bench::args::Args;
 use atlahs_bench::branch::execute_branched;
-use atlahs_bench::cluster::{
-    run_grid, ArrivalSpec, ClusterFaultSpec, ClusterGrid, ClusterReport, QueueDiscipline,
-};
+use atlahs_bench::cluster::{run_grid, ArrivalSpec, ClusterGrid, ClusterReport, QueueDiscipline};
 use atlahs_bench::scenario::{
-    parse_cc, BackendFamily, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
+    names, parse_cc, BackendFamily, FaultSpec, LlmPreset, PlacementSpec, ScenarioGrid,
+    TopologySpec, WorkloadSpec, CC_NAMES,
 };
 use atlahs_bench::smoke;
 use atlahs_bench::sweep::{execute, SweepReport};
 use atlahs_bench::table::Table;
+use atlahs_bench::workloads::HpcApp;
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().collect();
@@ -68,9 +74,9 @@ fn main() {
     let args = Args::from_tokens(argv);
 
     match sub.as_str() {
-        "sweep" => sweep(&args),
-        "cluster" => cluster(&args),
-        "lint" => lint(&args),
+        "sweep" => sweep(Cli::new("sweep", &args, SWEEP_FLAGS)),
+        "cluster" => cluster(Cli::new("cluster", &args, CLUSTER_FLAGS)),
+        "lint" => lint(Cli::new("lint", &args, "--root")),
         "list" => list(),
         "" | "help" | "-h" => usage(),
         other => {
@@ -92,25 +98,25 @@ fn usage() {
          \x20 hash-order iteration, wall clocks, ambient randomness and unsafe\n\
          \x20 from result-affecting crates; checks det-lint annotations and\n\
          \x20 golden hygiene. Exits 1 on any finding (runs as a ci.sh stage).\n\n\
-         SWEEP AXES (comma-separated; see `atlahs list` and docs/SCENARIOS.md):\n\
+         AXES (comma-separated; `atlahs list` prints every token grammar,\n\
+         docs/SCENARIOS.md explains them). A flag the subcommand does not read\n\
+         is an error.\n\
+         \x20 sweep:\n\
          \x20 --topos      topologies   (default ai-fattree:16:1,ai-fattree:16:4)\n\
          \x20 --workloads  workloads    (default ring:16:262144:1,moe:16:4:262144:2:5000)\n\
          \x20 --ccs        congestion controls for htsim (default mprdma,ndp)\n\
          \x20 --placements placements   (default packed)\n\
          \x20 --backends   backend families (default htsim,lgs)\n\
-         \x20 --faults     fault regimes  (default none; see `atlahs list`)\n\n\
-         CLUSTER AXES (dynamic multi-tenant engine; docs/SCENARIOS.md):\n\
-         \x20 --topo       the shared fabric (default ai-fattree:16:4)\n\
-         \x20 --catalog    workload catalog arrivals draw from\n\
+         \x20 --faults     sweep-scope fault regimes (default none)\n\
+         \x20 cluster (the dynamic multi-tenant engine):\n\
+         \x20 --topo       the one shared fabric (default ai-fattree:16:4)\n\
+         \x20 --catalog    single-job workloads arrivals draw from\n\
          \x20              (default ring:4:131072:1,incast:3:65536:1)\n\
-         \x20 --arrivals   poisson:<jobs>:<mean_gap_ns> | trace:<t0>;<t1>;…\n\
-         \x20              (default poisson:12:200000)\n\
-         \x20 --queues     fifo | smallest (default fifo)\n\
+         \x20 --arrivals   arrival processes (default poisson:12:200000)\n\
+         \x20 --queues     queue disciplines (default fifo)\n\
          \x20 --placements / --ccs / --backends as for sweep (default packed /\n\
          \x20              mprdma / lgs,ideal)\n\
-         \x20 --faults     none | jobfail:<pct>:<at_pct>:<retries> |\n\
-         \x20              mtbf:<mtbf_ns>:<retries> | loss:<ppm>[:core|:edge] |\n\
-         \x20              jitter:exp|weibull|uniform:… (htsim only; default none)\n\n\
+         \x20 --faults     cluster-scope fault regimes (default none)\n\n\
          EXECUTION:\n\
          \x20 --seed N         grid seed; every cell derives its own (default 1)\n\
          \x20 --threads N      worker threads; 0 = all cores (default 0)\n\
@@ -135,73 +141,47 @@ fn usage() {
     );
 }
 
+/// Every axis vocabulary, printed from the constants the parsers' own
+/// errors print.
 fn list() {
-    println!(
-        "topologies:\n\
-         \x20 ai-fattree:<nodes>[:<oversub>]        200 Gb/s Alps-class fat tree\n\
-         \x20 hpc-fattree:<procs>:<nodes>           56 Gb/s CSCS-class fat tree\n\
-         \x20 storage-fattree:<hosts>[:<oversub>]   100 Gb/s Direct Drive fabric\n\
-         \x20 dragonfly:<groups>:<routers>:<hosts>  balanced dragonfly\n\
-         \x20 switch:<hosts>                        single crossbar switch\n\
-         workloads:\n\
-         \x20 ring:<ranks>:<bytes>:<laps>\n\
-         \x20 perm:<ranks>:<bytes>:<shift>:<repeat>\n\
-         \x20 uniform:<ranks>:<bytes>:<msgs>\n\
-         \x20 incast:<ranks>:<bytes>:<repeat>\n\
-         \x20 moe:<ranks>:<group>:<bytes>:<layers>:<compute_ns>\n\
-         \x20 pipeline:<stages>:<microbatches>:<bytes>:<compute_ns>\n\
-         \x20 storage-incast:<clients>:<servers>:<bytes>:<reads>\n\
-         \x20 llm:<preset>:<scale>[:<iterations>:<cap_batch>]   (default 1:true)\n\
-         \x20   presets: llama7b-dp16 llama7b-dp128 llama70b mistral8x7b moe8x13b moe8x70b\n\
-         \x20 hpc:<app>:<procs>:<nodes>:<scale>   apps: cloverleaf hpcg lulesh\n\
-         \x20                                           lammps icon openmx\n\
-         \x20 storage:<ops>:<gap_ns>:<compress>\n\
-         \x20 multi[<workload>+<workload>+…]   co-scheduled jobs on one fabric (sweep only)\n\
-         ccs:        mprdma swift ndp dctcp\n\
-         placements: packed random roundrobin\n\
-         backends:   htsim htsim-spray lgs ideal\n\
-         faults (sweep):\n\
-         \x20 none\n\
-         \x20 linkflap:<links>:<down_ns>:<up_ns>              (htsim only)\n\
-         \x20 degrade:<links>:<bw_pct>:<lat_pct>:<from_ns>:<to_ns>  (htsim only)\n\
-         \x20 straggler:<prob_pct>:<factor_pct>[:<spread_pct>:<shape>]  (lgs only)\n\
-         \x20 markov:<links>:<up_ns>:<down_ns>:<horizon_ns>   (htsim only)\n\
-         \x20 rackfail:<racks>:<from_ns>:<to_ns>              (htsim only)\n\
-         \x20 switchfail:<switches>:<from_ns>:<to_ns>         (htsim only)\n\
-         \x20 churn:<t;dom;d|u,...> | churn:@<trace-file>     (htsim only)\n\
-         \x20 loss:<ppm>[:core|:edge]                         (htsim only)\n\
-         \x20 jitter:exp:<mean_ns> | jitter:weibull:<scale_ns>:<shape>\n\
-         \x20   | jitter:uniform:<max_ns>                     (htsim only)\n\
-         arrivals (cluster): poisson:<jobs>:<mean_gap_ns>  trace:<t0>;<t1>;…\n\
-         queues (cluster):   fifo smallest\n\
-         faults (cluster):   none  jobfail:<pct>:<at_pct>:<retries>\n\
-         \x20                   mtbf:<mtbf_ns>:<retries>  loss:…  jitter:…"
-    );
+    let section = |title: &str, grammar: &str| {
+        println!("{title}:");
+        grammar.lines().for_each(|form| println!("  {form}"));
+    };
+    section("topologies", TopologySpec::GRAMMAR);
+    section("workloads", WorkloadSpec::GRAMMAR);
+    println!("  llm presets: {}", names(&LlmPreset::NAMES));
+    println!("  hpc apps:    {}", names(&HpcApp::NAMES));
+    println!("ccs:        {}", names(&CC_NAMES));
+    println!("placements: {}", names(&PlacementSpec::NAMES));
+    println!("backends:   {}", names(&BackendFamily::NAMES));
+    section("faults (where accepted; backends they bite on)", FaultSpec::GRAMMAR);
+    section("arrivals (cluster)", ArrivalSpec::GRAMMAR);
+    println!("queues (cluster): {}", names(&QueueDiscipline::NAMES));
 }
 
 /// `atlahs lint`: the workspace determinism audit (docs/DETERMINISM.md).
 /// Exits non-zero on any unannotated violation, stale or malformed
 /// `det-lint` annotation, or golden-hygiene failure.
-fn lint(args: &Args) {
-    let root = {
-        let explicit = args.get_str("root", "");
-        if explicit.is_empty() {
-            find_workspace_root()
-        } else {
-            std::path::PathBuf::from(explicit)
+fn lint(cli: Cli<'_>) {
+    let explicit = cli.args.get_str("root", "");
+    let root = if explicit.is_empty() {
+        // Walk upward from the current directory to the workspace root.
+        let mut dir = std::env::current_dir().expect("current dir");
+        while !(dir.join("crates").is_dir() && dir.join("ci.sh").is_file()) {
+            if !dir.pop() {
+                cli.fail("no workspace root found above the current directory".into());
+            }
         }
+        dir
+    } else {
+        std::path::PathBuf::from(explicit)
     };
     if !root.join("crates").is_dir() {
-        eprintln!("atlahs lint: `{}` is not the workspace root (no crates/)", root.display());
-        std::process::exit(2);
+        cli.fail(format!("`{}` is not the workspace root (no crates/)", root.display()));
     }
-    let report = match atlahs_lint::run(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("atlahs lint: audit failed to read the workspace: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = atlahs_lint::run(&root)
+        .unwrap_or_else(|e| cli.fail(format!("audit failed to read the workspace: {e}")));
     for f in &report.findings {
         println!("{f}");
     }
@@ -218,23 +198,13 @@ fn lint(args: &Args) {
     }
 }
 
-/// Walk upward from the current directory to the workspace root.
-fn find_workspace_root() -> std::path::PathBuf {
-    let mut d = std::env::current_dir().expect("current dir");
-    loop {
-        if d.join("crates").is_dir() && d.join("ci.sh").is_file() {
-            return d;
-        }
-        if !d.pop() {
-            eprintln!("atlahs lint: no workspace root found above the current directory");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn split_list(s: &str) -> Vec<&str> {
-    s.split(',').map(str::trim).filter(|t| !t.is_empty()).collect()
-}
+/// The flags each subcommand reads. Anything else is refused: a mistyped
+/// flag must not silently run the default grid.
+const SWEEP_FLAGS: &str = "--topos --workloads --ccs --placements --backends --faults --seed \
+     --threads --collect-flows --smoke --fault-smoke --stochastic-smoke --branch-at --branch \
+     --branch-smoke --out --csv --md --quiet";
+const CLUSTER_FLAGS: &str = "--topo --catalog --arrivals --queues --placements --ccs --backends \
+     --faults --seed --threads --smoke --fault-smoke --out --csv --md --quiet";
 
 /// The subcommand being run and its flags: what axis parsing and report
 /// emission need to read input and to name themselves in errors.
@@ -243,7 +213,28 @@ struct Cli<'a> {
     args: &'a Args,
 }
 
-impl Cli<'_> {
+impl<'a> Cli<'a> {
+    fn new(sub: &'a str, args: &'a Args, flags: &str) -> Cli<'a> {
+        let cli = Cli { sub, args };
+        let read = |key: &&str| flags.split(' ').any(|flag| flag.strip_prefix("--") == Some(key));
+        if let Some(stray) = args.keys().into_iter().find(|key| !read(key)) {
+            cli.fail(format!("--{stray}: unknown flag ({sub} reads {flags})"));
+        }
+        cli
+    }
+
+    /// A usage error: say what is wrong, naming the subcommand, and exit 2.
+    fn fail(&self, what: String) -> ! {
+        eprintln!("atlahs {}: {what}", self.sub);
+        std::process::exit(2);
+    }
+
+    /// The numeric `--flag`.
+    fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        let given = self.args.try_get(flag).unwrap_or_else(|e| self.fail(format!("--{flag}: {e}")));
+        given.unwrap_or(default)
+    }
+
     /// Parse the comma-separated axis `--flag`.
     fn axis<T>(
         &self,
@@ -252,15 +243,38 @@ impl Cli<'_> {
         parse: impl Fn(&str) -> Result<T, String>,
     ) -> Vec<T> {
         let raw = self.args.get_str(flag, default);
-        split_list(&raw)
-            .into_iter()
-            .map(|tok| {
-                parse(tok).unwrap_or_else(|e| {
-                    eprintln!("atlahs {}: --{flag}: {e}", self.sub);
-                    std::process::exit(2);
-                })
-            })
+        let tokens = raw.split(',').map(str::trim).filter(|tok| !tok.is_empty());
+        tokens
+            .map(|tok| parse(tok).unwrap_or_else(|e| self.fail(format!("--{flag}: {e}"))))
             .collect()
+    }
+
+    /// The shared head of `sweep` and `cluster`: say what expansion
+    /// dropped, refuse an empty grid, read `--threads`, print the header
+    /// line (`shape` names the axes that were crossed).
+    fn cells<C>(
+        &self,
+        (cells, dropped): (Vec<C>, Vec<String>),
+        dropped_what: &str,
+        shape: String,
+        seed: u64,
+    ) -> (Vec<C>, usize) {
+        for reason in &dropped {
+            eprintln!("atlahs {}: skipping {dropped_what}: {reason}", self.sub);
+        }
+        if cells.is_empty() {
+            self.fail("the grid expanded to zero feasible cells".into());
+        }
+        let threads = self.number("threads", 0usize);
+        if !self.args.flag("quiet") {
+            println!(
+                "# atlahs {} — {} cells ({shape}), seed {seed}, threads {}",
+                self.sub,
+                cells.len(),
+                if threads == 0 { "auto".to_string() } else { threads.to_string() },
+            );
+        }
+        (cells, threads)
     }
 
     /// The shared tail of `sweep` and `cluster`: the summary table and
@@ -271,7 +285,7 @@ impl Cli<'_> {
         elapsed: Duration,
         cell_wall: Duration,
         table: Table,
-        reports: [(&str, &str, &dyn Fn() -> String); 3],
+        [json, csv, markdown]: [&dyn Fn() -> String; 3],
     ) {
         let quiet = self.args.flag("quiet");
         if !quiet {
@@ -282,7 +296,9 @@ impl Cli<'_> {
                 cell_wall.as_secs_f64(),
             );
         }
-        for (flag, what, render) in reports {
+        for (flag, what, render) in
+            [("out", "JSON", json), ("csv", "CSV", csv), ("md", "markdown", markdown)]
+        {
             let path = self.args.get_str(flag, "");
             if path.is_empty() {
                 continue;
@@ -298,9 +314,9 @@ impl Cli<'_> {
     }
 }
 
-fn sweep(args: &Args) {
-    let cli = Cli { sub: "sweep", args };
-    let grid = if args.flag("branch-smoke") {
+fn sweep(cli: Cli<'_>) {
+    let args = cli.args;
+    let mut grid = if args.flag("branch-smoke") {
         smoke::branch_smoke_grid()
     } else if args.flag("stochastic-smoke") {
         smoke::stochastic_smoke_grid()
@@ -319,8 +335,8 @@ fn sweep(args: &Args) {
             ccs: cli.axis("ccs", "mprdma,ndp", parse_cc),
             placements: cli.axis("placements", "packed", PlacementSpec::parse),
             backends: cli.axis("backends", "htsim,lgs", BackendFamily::parse),
-            faults: cli.axis("faults", "none", FaultSpec::parse),
-            seed: args.seed(),
+            faults: cli.axis("faults", "none", sweep_fault),
+            seed: cli.number("seed", 1),
             collect_flows: args.flag("collect-flows"),
         }
     };
@@ -331,50 +347,29 @@ fn sweep(args: &Args) {
     // applied *at the branch point*. `--branch <faults>` appends what-if
     // override values to the fault axis; `--branch-smoke` runs the fixed
     // CI branch grid at its pinned branch time.
-    let mut grid = grid;
+    let pinned = if args.flag("branch-smoke") { smoke::BRANCH_SMOKE_AT } else { 0 };
+    let branch_at = cli.number("branch-at", pinned);
     if !args.get_str("branch", "").is_empty() {
-        if args.get("branch-at", 0u64) == 0 && !args.flag("branch-smoke") {
-            eprintln!("atlahs sweep: --branch requires --branch-at <ns>");
-            std::process::exit(2);
+        if branch_at == 0 {
+            cli.fail("--branch requires --branch-at <ns>".into());
         }
-        grid.faults.extend(cli.axis("branch", "", FaultSpec::parse));
+        grid.faults.extend(cli.axis("branch", "", sweep_fault));
     }
-    let grid = grid;
-    let branch_at = if args.flag("branch-smoke") {
-        args.get("branch-at", smoke::BRANCH_SMOKE_AT)
-    } else {
-        args.get("branch-at", 0u64)
-    };
 
-    let (cells, dropped) = grid.expand_counted();
-    for reason in &dropped {
-        eprintln!("atlahs sweep: skipping infeasible combination: {reason}");
-    }
-    if cells.is_empty() {
-        eprintln!("atlahs sweep: the grid expanded to zero feasible cells");
-        std::process::exit(2);
-    }
-    let threads = args.get("threads", 0usize);
-    let quiet = args.flag("quiet");
-
-    if !quiet {
-        println!(
-            "# atlahs sweep — {} cells ({} topologies x {} workloads x {} placements x \
-             {} backend specs), seed {}, threads {}",
-            cells.len(),
-            grid.topologies.len(),
-            grid.workloads.len(),
-            grid.placements.len(),
-            grid.backends.len(),
-            grid.seed,
-            if threads == 0 { "auto".to_string() } else { threads.to_string() },
-        );
-    }
+    let shape = format!(
+        "{} topologies x {} workloads x {} placements x {} backend specs",
+        grid.topologies.len(),
+        grid.workloads.len(),
+        grid.placements.len(),
+        grid.backends.len(),
+    );
+    let (cells, threads) =
+        cli.cells(grid.expand_counted(), "infeasible combination", shape, grid.seed);
 
     let t0 = Instant::now();
     let (results, branch) = if branch_at > 0 {
         let (results, stats) = execute_branched(&cells, branch_at, threads);
-        if !quiet {
+        if !args.flag("quiet") {
             println!(
                 "# branch-and-continue at {branch_at} ns: {} shared prefixes for {} cells",
                 stats.prefix_runs,
@@ -392,28 +387,28 @@ fn sweep(args: &Args) {
         elapsed,
         report.total_cell_wall(),
         report.summary_table(),
-        [
-            ("out", "JSON", &|| report.to_json().pretty()),
-            ("csv", "CSV", &|| report.to_csv()),
-            ("md", "markdown", &|| report.to_markdown()),
-        ],
+        [&|| report.to_json().pretty(), &|| report.to_csv(), &|| report.to_markdown()],
     );
 }
 
-fn cluster(args: &Args) {
-    let cli = Cli { sub: "cluster", args };
+/// A `--faults` / `--branch` token of `atlahs sweep`.
+fn sweep_fault(tok: &str) -> Result<FaultSpec, String> {
+    FaultSpec::parse(tok)?.in_sweep()
+}
+
+fn cluster(cli: Cli<'_>) {
+    let args = cli.args;
     let grid = if args.flag("fault-smoke") {
         smoke::cluster_fault_smoke_grid()
     } else if args.flag("smoke") {
         smoke::cluster_smoke_grid()
     } else {
-        let topos = cli.axis("topo", "ai-fattree:16:4", TopologySpec::parse);
+        let mut topos = cli.axis("topo", "ai-fattree:16:4", TopologySpec::parse);
         if topos.len() != 1 {
-            eprintln!("atlahs cluster: --topo takes exactly one fabric");
-            std::process::exit(2);
+            cli.fail("--topo takes exactly one fabric".into());
         }
         ClusterGrid {
-            topology: topos.into_iter().next().expect("checked above"),
+            topology: topos.pop().expect("checked above"),
             catalog: cli.axis("catalog", "ring:4:131072:1,incast:3:65536:1", |tok| {
                 match WorkloadSpec::parse(tok)? {
                     WorkloadSpec::MultiJob { .. } => {
@@ -427,36 +422,21 @@ fn cluster(args: &Args) {
             placements: cli.axis("placements", "packed", PlacementSpec::parse),
             ccs: cli.axis("ccs", "mprdma", parse_cc),
             backends: cli.axis("backends", "lgs,ideal", BackendFamily::parse),
-            faults: cli.axis("faults", "none", ClusterFaultSpec::parse),
-            seed: args.seed(),
+            faults: cli.axis("faults", "none", |tok| FaultSpec::parse(tok)?.in_cluster()),
+            seed: cli.number("seed", 1),
         }
     };
 
-    let (cells, dropped) = grid.expand_counted();
-    for reason in &dropped {
-        eprintln!("atlahs cluster: skipping oversized catalog workload: {reason}");
-    }
-    if cells.is_empty() {
-        eprintln!("atlahs cluster: the grid expanded to zero feasible cells");
-        std::process::exit(2);
-    }
-    let threads = args.get("threads", 0usize);
-    let quiet = args.flag("quiet");
-
-    if !quiet {
-        println!(
-            "# atlahs cluster — {} cells ({} arrival specs x {} queues x {} placements x \
-             {} backend families) on {}, seed {}, threads {}",
-            cells.len(),
-            grid.arrivals.len(),
-            grid.queues.len(),
-            grid.placements.len(),
-            grid.backends.len(),
-            grid.topology.label(),
-            grid.seed,
-            if threads == 0 { "auto".to_string() } else { threads.to_string() },
-        );
-    }
+    let shape = format!(
+        "{} arrival specs x {} queues x {} placements x {} backend families on {}",
+        grid.arrivals.len(),
+        grid.queues.len(),
+        grid.placements.len(),
+        grid.backends.len(),
+        grid.topology.label(),
+    );
+    let (cells, threads) =
+        cli.cells(grid.expand_counted(), "oversized catalog workload", shape, grid.seed);
 
     let t0 = Instant::now();
     let results = run_grid(&cells, threads);
@@ -467,10 +447,6 @@ fn cluster(args: &Args) {
         elapsed,
         report.total_cell_wall(),
         report.summary_table(),
-        [
-            ("out", "JSON", &|| report.to_json().pretty()),
-            ("csv", "CSV", &|| report.to_csv()),
-            ("md", "markdown", &|| report.to_markdown()),
-        ],
+        [&|| report.to_json().pretty(), &|| report.to_csv(), &|| report.to_markdown()],
     );
 }

@@ -37,18 +37,17 @@ use atlahs_core::faultgen;
 use atlahs_core::{NodePool, SimReport};
 use atlahs_goal::merge::{compose, PlacedJob, MAX_JOBS};
 use atlahs_goal::{GoalSchedule, Rank};
-use atlahs_htsim::stochastic::LinkModelSpec;
 use atlahs_htsim::CcAlgo;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::json::Json;
 use crate::scenario::{
-    cell_seed, unique, BackendFamily, BackendSpec, FaultSpec, PlacementSpec, TopologySpec,
-    WorkloadSpec,
+    backend_faults, by_name, cell_seed, name_of, num, too_wide, unique, unknown, BackendFamily,
+    BackendSpec, FaultSpec, PlacementSpec, TopologySpec, WorkloadSpec,
 };
 use crate::session::{self, Session};
-use crate::sweep::{parallel_map, resolve_threads};
+use crate::sweep::{parallel_map, report_head, resolve_threads};
 use crate::table::Table;
 
 // ------------------------------------------------------------ arrivals ----
@@ -106,37 +105,27 @@ impl ArrivalSpec {
         }
     }
 
-    /// Parse a CLI token: `poisson:<jobs>:<mean_gap_ns>` or
-    /// `trace:<t0>;<t1>;…` (docs/SCENARIOS.md).
+    /// The token forms: what an unknown token's error and `atlahs list`
+    /// print.
+    pub const GRAMMAR: &'static str = "poisson:<jobs>:<mean_gap_ns>\ntrace:<t0>;<t1>;…";
+
+    /// Parse a CLI token (docs/SCENARIOS.md).
     pub fn parse(tok: &str) -> Result<ArrivalSpec, String> {
         let parts: Vec<&str> = tok.split(':').collect();
         match parts.as_slice() {
             ["poisson", jobs, gap] => {
-                let jobs = jobs
-                    .parse()
-                    .map_err(|_| format!("bad job count `{jobs}` in arrivals `{tok}`"))?;
-                let mean_gap_ns =
-                    gap.parse().map_err(|_| format!("bad mean gap `{gap}` in arrivals `{tok}`"))?;
-                Ok(ArrivalSpec::Poisson { jobs, mean_gap_ns })
+                Ok(ArrivalSpec::Poisson { jobs: num(tok, jobs)?, mean_gap_ns: num(tok, gap)? })
             }
             ["trace", times] => {
-                let mut times_ns = Vec::new();
-                for t in times.split(';').filter(|t| !t.is_empty()) {
-                    times_ns.push(
-                        t.parse()
-                            .map_err(|_| format!("bad arrival time `{t}` in arrivals `{tok}`"))?,
-                    );
-                }
+                let times = times.split(';').filter(|t| !t.is_empty());
+                let mut times_ns = times.map(|t| num(tok, t)).collect::<Result<Vec<u64>, _>>()?;
                 if times_ns.is_empty() {
                     return Err(format!("arrivals `{tok}`: empty trace"));
                 }
                 times_ns.sort_unstable();
                 Ok(ArrivalSpec::Trace { times_ns })
             }
-            _ => Err(format!(
-                "unknown arrivals `{tok}` (expected poisson:<jobs>:<mean_gap_ns> or \
-                 trace:<t0>;<t1>;…)"
-            )),
+            _ => Err(unknown("arrivals", tok, Self::GRAMMAR)),
         }
     }
 }
@@ -156,19 +145,15 @@ pub enum QueueDiscipline {
 }
 
 impl QueueDiscipline {
+    pub const NAMES: [(&'static str, QueueDiscipline); 2] =
+        [("fifo", QueueDiscipline::Fifo), ("smallest", QueueDiscipline::SmallestFirst)];
+
     pub fn label(&self) -> &'static str {
-        match self {
-            QueueDiscipline::Fifo => "fifo",
-            QueueDiscipline::SmallestFirst => "smallest",
-        }
+        name_of(&Self::NAMES, self)
     }
 
     pub fn parse(tok: &str) -> Result<QueueDiscipline, String> {
-        Ok(match tok {
-            "fifo" => QueueDiscipline::Fifo,
-            "smallest" => QueueDiscipline::SmallestFirst,
-            _ => return Err(format!("unknown queue discipline `{tok}` (fifo|smallest)")),
-        })
+        by_name("queue discipline", &Self::NAMES, tok)
     }
 }
 
@@ -188,7 +173,9 @@ pub fn admission_order(
 
 // --------------------------------------------------------------- fault ----
 
-/// Seeded job-level failure injection for the cluster engine.
+/// Seeded job-level failure injection: the job scope of the fault axis
+/// ([`FaultSpec::Job`]), parsed and decided here, next to the only engine
+/// with a job lifecycle to fail.
 ///
 /// A failed attempt occupies the job's allocation for a fraction of the
 /// simulated run time, then releases its nodes and re-queues the job
@@ -196,11 +183,9 @@ pub fn admission_order(
 /// queueing, backfill, and fragmentation exactly like real departures
 /// and re-arrivals. Whether attempt `k` of job `j` fails is a pure FNV
 /// hash of `(fault seed, j, k)`: no RNG stream is consumed, so a
-/// `None` fault spec leaves every other seeded draw untouched.
+/// fault-free cell leaves every other seeded draw untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterFaultSpec {
-    /// No failures: the engine behaves exactly as without a fault axis.
-    None,
+pub enum JobFaultSpec {
     /// Each attempt fails with probability `pct`% (first `retries`
     /// attempts only — attempt `retries` always succeeds, bounding every
     /// job's restart count). A failed attempt holds its nodes for
@@ -214,148 +199,75 @@ pub enum ClusterFaultSpec {
     /// first `retries` attempts may fail; attempt `retries` always runs
     /// to completion.
     Mtbf { mtbf_ns: u64, retries: u32 },
-    /// Per-packet stochastic link model (loss/jitter) applied inside
-    /// every packet-level simulation of the cell — batches and solo
-    /// baselines alike. Jobs never fail or restart; the noise shows up
-    /// as longer simulated runs (hence occupancy, queueing, slowdown).
-    /// Packet-level only: grids expand it for htsim backends and skip
-    /// it for message/ideal backends, like packet faults in the sweep.
-    Stochastic(LinkModelSpec),
 }
 
-impl ClusterFaultSpec {
+impl JobFaultSpec {
     pub fn label(&self) -> String {
         match self {
-            ClusterFaultSpec::None => "none".into(),
-            ClusterFaultSpec::JobFail { pct, at_pct, retries } => {
+            JobFaultSpec::JobFail { pct, at_pct, retries } => {
                 format!("jobfail:{pct}:{at_pct}:{retries}")
             }
-            ClusterFaultSpec::Mtbf { mtbf_ns, retries } => format!("mtbf:{mtbf_ns}:{retries}"),
-            ClusterFaultSpec::Stochastic(spec) => spec.label(),
+            JobFaultSpec::Mtbf { mtbf_ns, retries } => format!("mtbf:{mtbf_ns}:{retries}"),
         }
     }
 
-    /// Packet-level faults only make sense on packet-level backends;
-    /// job-failure processes apply everywhere.
-    pub fn applies_to(&self, backend: BackendSpec) -> bool {
-        match self {
-            ClusterFaultSpec::Stochastic(_) => matches!(backend, BackendSpec::Htsim { .. }),
-            _ => true,
-        }
-    }
-
-    /// Parse a CLI token: `none`, `jobfail:<pct>:<at_pct>:<retries>`, or
-    /// `mtbf:<mtbf_ns>:<retries>` (docs/SCENARIOS.md).
-    pub fn parse(tok: &str) -> Result<ClusterFaultSpec, String> {
-        if tok == "none" {
-            return Ok(ClusterFaultSpec::None);
-        }
-        // `loss:`/`jitter:` share one grammar with the sweep fault axis;
-        // validation (and its error text) lives in the htsim crate.
-        if let Some(parsed) = LinkModelSpec::parse(tok) {
-            return parsed.map(ClusterFaultSpec::Stochastic);
-        }
+    /// Parse a `jobfail:` / `mtbf:` token. Returns `None` when the token
+    /// is not from this family (so [`FaultSpec::parse`] can fall
+    /// through), `Some(Err(..))` when it is but is malformed or
+    /// degenerate. Percentages clamp to 100.
+    pub fn parse(tok: &str) -> Option<Result<JobFaultSpec, String>> {
         let parts: Vec<&str> = tok.split(':').collect();
-        match parts.as_slice() {
-            ["jobfail", pct, at_pct, retries] => {
-                let pct: u32 =
-                    pct.parse().map_err(|_| format!("bad failure pct `{pct}` in fault `{tok}`"))?;
-                let at_pct: u32 = at_pct
-                    .parse()
-                    .map_err(|_| format!("bad at-pct `{at_pct}` in fault `{tok}`"))?;
-                let retries: u32 = retries
-                    .parse()
-                    .map_err(|_| format!("bad retry bound `{retries}` in fault `{tok}`"))?;
-                Ok(ClusterFaultSpec::JobFail {
-                    pct: pct.min(100),
-                    at_pct: at_pct.min(100),
-                    retries,
-                })
-            }
-            ["mtbf", mtbf, retries] => {
-                let mtbf_ns: u64 =
-                    mtbf.parse().map_err(|_| format!("bad MTBF `{mtbf}` in fault `{tok}`"))?;
-                if mtbf_ns == 0 {
-                    return Err(format!(
-                        "fault `{tok}`: the mean time between failures must be >= 1 ns"
-                    ));
-                }
-                let retries: u32 = retries
-                    .parse()
-                    .map_err(|_| format!("bad retry bound `{retries}` in fault `{tok}`"))?;
-                Ok(ClusterFaultSpec::Mtbf { mtbf_ns, retries })
-            }
-            _ => Err(format!(
-                "unknown cluster fault `{tok}` (expected none, \
-                 jobfail:<pct>:<at_pct>:<retries>, mtbf:<mtbf_ns>:<retries>, \
-                 loss:<ppm>[:core|:edge], jitter:exp:<mean_ns>, \
-                 jitter:weibull:<scale_ns>:<shape>, or jitter:uniform:<max_ns>)"
+        let parsed = match parts.as_slice() {
+            ["jobfail", pct, at_pct, retries] => Self::jobfail(tok, pct, at_pct, retries),
+            ["mtbf", mtbf, retries] => Self::mtbf(tok, mtbf, retries),
+            ["jobfail" | "mtbf", ..] => Err(format!(
+                "fault `{tok}`: expected jobfail:<pct>:<at_pct>:<retries> or \
+                 mtbf:<mtbf_ns>:<retries>"
             )),
+            _ => return None,
+        };
+        Some(parsed)
+    }
+
+    fn jobfail(tok: &str, pct: &str, at_pct: &str, retries: &str) -> Result<Self, String> {
+        Ok(JobFaultSpec::JobFail {
+            pct: num::<u32>(tok, pct)?.min(100),
+            at_pct: num::<u32>(tok, at_pct)?.min(100),
+            retries: num(tok, retries)?,
+        })
+    }
+
+    fn mtbf(tok: &str, mtbf: &str, retries: &str) -> Result<Self, String> {
+        let mtbf_ns: u64 = num(tok, mtbf)?;
+        if mtbf_ns == 0 {
+            return Err(format!("fault `{tok}`: the mean time between failures must be >= 1 ns"));
         }
+        Ok(JobFaultSpec::Mtbf { mtbf_ns, retries: num(tok, retries)? })
     }
 
-    /// Does attempt `attempt` (0-based) of job `job` fail? Deterministic
-    /// in `(seed, job, attempt)`; attempts at or past the retry bound
-    /// always succeed, so every job eventually completes.
-    pub fn fails(&self, seed: u64, job: usize, attempt: u32) -> bool {
-        match *self {
-            ClusterFaultSpec::None => false,
-            ClusterFaultSpec::JobFail { pct, retries, .. } => {
-                if attempt >= retries {
-                    return false;
-                }
-                let parts: [&[u8]; 2] = [&(job as u64).to_le_bytes(), &attempt.to_le_bytes()];
-                faultgen::fnv_fold(seed, &parts) % 100 < pct as u64
-            }
-            // An MTBF failure depends on the attempt's duration; this
-            // duration-free predicate cannot express it — use
-            // [`Self::failure_at`].
-            ClusterFaultSpec::Mtbf { .. } => false,
-            // Stochastic link noise perturbs packets, never whole jobs.
-            ClusterFaultSpec::Stochastic(_) => false,
-        }
-    }
-
-    /// How long a failed attempt occupies its allocation, given the
-    /// duration the attempt would have run to completion. At least 1 ns,
-    /// so a failed attempt is always a distinct simulation instant.
-    pub fn failed_occupancy_ns(&self, duration_ns: u64) -> u64 {
-        match *self {
-            ClusterFaultSpec::None => 0,
-            ClusterFaultSpec::JobFail { at_pct, .. } => {
-                (duration_ns.saturating_mul(at_pct as u64) / 100).max(1)
-            }
-            ClusterFaultSpec::Mtbf { .. } | ClusterFaultSpec::Stochastic(_) => 0,
-        }
-    }
-
-    /// The seeded exponential time-to-failure of attempt `attempt` of
-    /// job `job` under an MTBF process.
-    fn mtbf_draw(seed: u64, mtbf_ns: u64, job: usize, attempt: u32) -> u64 {
-        let n = ((job as u64) << 32) | attempt as u64;
-        faultgen::exp_sample(mtbf_ns, faultgen::fnv_draw(seed, "mtbf", n))
-    }
-
-    /// Does attempt `attempt` of job `job` fail, and if so, how long
-    /// does it occupy its allocation before releasing? `None` means the
-    /// attempt runs to completion. This subsumes [`Self::fails`] +
-    /// [`Self::failed_occupancy_ns`]: the `JobFail` path reproduces them
-    /// exactly, while `Mtbf` draws a time-to-failure and fails iff it
-    /// lands inside `duration_ns`.
+    /// Does attempt `attempt` (0-based) of job `job` fail, and if so, how
+    /// long does it occupy its allocation before releasing? `None` means
+    /// the attempt runs to completion. Deterministic in
+    /// `(seed, job, attempt, duration_ns)`; attempts at or past the retry
+    /// bound always succeed, so every job eventually completes, and a
+    /// failed attempt holds its nodes for at least 1 ns, so it is always
+    /// a distinct simulation instant.
     pub fn failure_at(&self, seed: u64, job: usize, attempt: u32, duration_ns: u64) -> Option<u64> {
+        let (JobFaultSpec::JobFail { retries, .. } | JobFaultSpec::Mtbf { retries, .. }) = *self;
+        if attempt >= retries {
+            return None;
+        }
         match *self {
-            ClusterFaultSpec::None => None,
-            ClusterFaultSpec::JobFail { .. } => {
-                self.fails(seed, job, attempt).then(|| self.failed_occupancy_ns(duration_ns))
+            JobFaultSpec::JobFail { pct, at_pct, .. } => {
+                let parts: [&[u8]; 2] = [&(job as u64).to_le_bytes(), &attempt.to_le_bytes()];
+                let fails = faultgen::fnv_fold(seed, &parts) % 100 < pct as u64;
+                fails.then(|| (duration_ns.saturating_mul(at_pct as u64) / 100).max(1))
             }
-            ClusterFaultSpec::Mtbf { mtbf_ns, retries } => {
-                if attempt >= retries {
-                    return None;
-                }
-                let ttf = Self::mtbf_draw(seed, mtbf_ns, job, attempt);
+            JobFaultSpec::Mtbf { mtbf_ns, .. } => {
+                let n = ((job as u64) << 32) | attempt as u64;
+                let ttf = faultgen::exp_sample(mtbf_ns, faultgen::fnv_draw(seed, "mtbf", n));
                 (ttf < duration_ns).then(|| ttf.max(1))
             }
-            ClusterFaultSpec::Stochastic(_) => None,
         }
     }
 }
@@ -373,9 +285,13 @@ pub struct ClusterSpec {
     pub placement: PlacementSpec,
     pub backend: BackendSpec,
     pub queue: QueueDiscipline,
-    /// Job failure/restart injection ([`ClusterFaultSpec::None`] for a
-    /// failure-free cluster).
-    pub fault: ClusterFaultSpec,
+    /// The fault regime: [`FaultSpec::None`], a job-scope failure process
+    /// ([`FaultSpec::Job`]) or per-packet link noise
+    /// ([`FaultSpec::Stochastic`], applied inside every packet-level
+    /// simulation of the cell — batches and solo baselines alike; jobs
+    /// never restart, the noise shows up as longer simulated runs).
+    /// Nothing else ([`FaultSpec::in_cluster`]).
+    pub fault: FaultSpec,
     /// Cell seed: drives arrival draws, catalog choice, workload
     /// generation, random placement, and packet-level RNG.
     pub seed: u64,
@@ -387,19 +303,14 @@ impl ClusterSpec {
     /// segment appears only for faulted cells, so fault-free keys (and
     /// goldens) are byte-identical to a build without the fault axis.
     pub fn key(&self) -> String {
-        let mut key = format!(
+        self.fault.keyed(format!(
             "{}/{}/{}/{}/{}",
             self.topology.label(),
             self.arrivals.label(),
             self.queue.label(),
             self.placement.label(),
             self.backend.label()
-        );
-        if self.fault != ClusterFaultSpec::None {
-            key.push('/');
-            key.push_str(&self.fault.label());
-        }
-        key
+        ))
     }
 }
 
@@ -517,13 +428,6 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 
 // -------------------------------------------------------------- engine ----
 
-/// One simulation the engine needs at an admission instant: the composed
-/// batch, or one member alone on its allocation.
-enum SimTask<'a> {
-    Batch(&'a [(usize, Arc<GoalSchedule>, Vec<Rank>)]),
-    Solo(&'a (usize, Arc<GoalSchedule>, Vec<Rank>)),
-}
-
 /// Run one dynamic cluster cell. Deterministic: the result is a pure
 /// function of `spec`, independent of `threads` (which only parallelizes
 /// the independent simulations within each admission instant).
@@ -531,6 +435,9 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
     let t0 = std::time::Instant::now();
     let hosts = spec.topology.hosts();
     assert!(!spec.catalog.is_empty(), "cluster: empty workload catalog");
+    if let Err(why) = spec.fault.clone().in_cluster() {
+        panic!("cluster: {why} (the CLI refuses these)");
+    }
     for w in &spec.catalog {
         assert!(
             w.ranks() <= hosts,
@@ -581,8 +488,12 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
     let mut busy_node_ns = 0u64;
 
     // Per-job failure/restart state. All identically zero (and all
-    // branches on them dead) when `spec.fault` is `None`, so a
-    // failure-free cell runs the exact event sequence it always has.
+    // branches on them dead) without a job-scope fault, so a failure-free
+    // cell runs the exact event sequence it always has.
+    let job_fault = match spec.fault {
+        FaultSpec::Job(process) => Some(process),
+        _ => None,
+    };
     let fault_seed = cell_seed(spec.seed, "cluster-fault");
     let mut attempts: Vec<u32> = vec![0; arrival_times.len()];
     let mut failed_acc_ns: Vec<u64> = vec![0; arrival_times.len()];
@@ -655,25 +566,19 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
         let batch_idx = batches;
         batches += 1;
 
-        // Simulate the composed batch, plus each member alone on its
-        // allocation (the slowdown baseline). All independent
-        // single-threaded sims: parallelize across them.
-        let mut sims: Vec<SimTask<'_>> = vec![SimTask::Batch(&batch)];
+        // Simulate the composed batch, plus — when it has company — each
+        // member alone on its allocation (the slowdown baseline; a batch
+        // of one). All independent single-threaded sims: parallelize
+        // across them.
+        let mut sims = vec![(&batch[..], format!("batch:{batch_idx}"))];
         if batch.len() > 1 {
-            sims.extend(batch.iter().map(SimTask::Solo));
+            sims.extend(batch.iter().map(|m| (std::slice::from_ref(m), format!("solo:{}", m.0))));
         }
-        let reports: Vec<SimReport> = parallel_map(&sims, threads.max(1), |task| match task {
-            SimTask::Batch(members) => {
-                let placed: Vec<PlacedJob<'_>> =
-                    members.iter().map(|(_, g, nodes)| PlacedJob::new(g, nodes.clone())).collect();
-                let merged = compose(&placed, hosts).expect("pool allocations are disjoint");
-                simulate(spec, &merged, cell_seed(spec.seed, &format!("batch:{batch_idx}")))
-            }
-            SimTask::Solo((job, g, nodes)) => {
-                let merged = compose(&[PlacedJob::new(g, nodes.clone())], hosts)
-                    .expect("a single job composes");
-                simulate(spec, &merged, cell_seed(spec.seed, &format!("solo:{job}")))
-            }
+        let reports: Vec<SimReport> = parallel_map(&sims, threads.max(1), |(members, sim)| {
+            let placed: Vec<PlacedJob<'_>> =
+                members.iter().map(|(_, g, nodes)| PlacedJob::new(g, nodes.clone())).collect();
+            let merged = compose(&placed, hosts).expect("pool allocations are disjoint");
+            simulate(spec, &merged, cell_seed(spec.seed, sim))
         });
 
         for (i, (job, goal, nodes)) in batch.iter().enumerate() {
@@ -682,9 +587,9 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
             assert!(solo > 0, "a non-empty job must take time");
             wait_acc_ns[*job] += t - ready_ns[*job];
             cur_nodes[*job] = nodes.clone();
-            if let Some(occupied) =
-                spec.fault.failure_at(fault_seed, *job, attempts[*job], duration)
-            {
+            let failure =
+                job_fault.and_then(|f| f.failure_at(fault_seed, *job, attempts[*job], duration));
+            if let Some(occupied) = failure {
                 // Failed attempt: hold the allocation until the failure
                 // instant, then release and re-queue (handled when this
                 // entry pops off `running`).
@@ -730,11 +635,10 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
     // Restart telemetry only makes sense for job-failure processes;
     // stochastic link noise never restarts anything — its realizations
     // show up in the simulated durations instead.
-    let fault = (!matches!(spec.fault, ClusterFaultSpec::None | ClusterFaultSpec::Stochastic(_)))
-        .then(|| ClusterFaultTelemetry {
-            restarts: jobs.iter().map(|j| j.restarts as u64).sum(),
-            failed_ns: jobs.iter().map(|j| j.failed_ns).sum(),
-        });
+    let fault = job_fault.map(|_| ClusterFaultTelemetry {
+        restarts: jobs.iter().map(|j| j.restarts as u64).sum(),
+        failed_ns: jobs.iter().map(|j| j.failed_ns).sum(),
+    });
     ClusterOutcome {
         key: spec.key(),
         seed: spec.seed,
@@ -753,23 +657,20 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
 }
 
 /// Run a composed schedule on the cell's backend: a straight
-/// [`session`] that keeps only the report. Stochastic link noise lowers
-/// like the sweep's — its draw-stream seed derives from this
+/// [`session`] that keeps only the report. The cell's fault lowers like a
+/// sweep cell's (the job scope lowers to nothing: no single simulation
+/// sees a job fail) — a link model's draw-stream seed derives from this
 /// *simulation's* seed, so every batch and every solo baseline
 /// experiences its own loss/jitter realization and no two sims share a
 /// stream.
 fn simulate(spec: &ClusterSpec, goal: &GoalSchedule, sim_seed: u64) -> SimReport {
-    let fault = match spec.fault {
-        ClusterFaultSpec::Stochastic(model) => FaultSpec::Stochastic(model),
-        _ => FaultSpec::None,
-    };
     let session = Session {
         topology: &spec.topology,
         backend: spec.backend,
         seed: sim_seed,
         collect_flows: false,
     };
-    let outcome = session::run(&session, goal, None, &[&fault]).pop();
+    let outcome = session::run(&session, goal, None, &[&spec.fault]).pop();
     outcome.expect("one member, one outcome").report
 }
 
@@ -787,9 +688,10 @@ pub struct ClusterGrid {
     pub placements: Vec<PlacementSpec>,
     pub ccs: Vec<CcAlgo>,
     pub backends: Vec<BackendFamily>,
-    /// Fault axis; an empty list means a single fault-free regime, so
-    /// existing grids expand to exactly the cells they always have.
-    pub faults: Vec<ClusterFaultSpec>,
+    /// Fault axis ([`FaultSpec::in_cluster`] values); an empty list means
+    /// a single fault-free regime, so existing grids expand to exactly
+    /// the cells they always have.
+    pub faults: Vec<FaultSpec>,
     pub seed: u64,
 }
 
@@ -798,34 +700,16 @@ impl ClusterGrid {
     /// catalog workloads dropped because they are wider than the fabric.
     pub fn expand_counted(&self) -> (Vec<ClusterSpec>, Vec<String>) {
         let hosts = self.topology.hosts();
-        let mut dropped = Vec::new();
-        let catalog: Vec<WorkloadSpec> = self
-            .catalog
-            .iter()
-            .filter(|w| {
-                let fits = w.ranks() <= hosts;
-                if !fits {
-                    dropped.push(format!(
-                        "{} needs {} ranks but {} has {hosts} hosts",
-                        w.label(),
-                        w.ranks(),
-                        self.topology.label()
-                    ));
-                }
-                fits
-            })
-            .cloned()
-            .collect();
+        let (catalog, wide): (Vec<WorkloadSpec>, _) =
+            self.catalog.iter().cloned().partition(|w| w.ranks() <= hosts);
+        let dropped = wide.iter().map(|w| too_wide(w, &self.topology, hosts)).collect();
         if catalog.is_empty() {
             return (Vec::new(), dropped);
         }
         let mut cells = Vec::new();
         let queues = unique(&self.queues, |q| **q);
         let placements = unique(&self.placements, |p| **p);
-        let backends = unique(self.backends.iter().flat_map(|f| f.specs(&self.ccs)), |b| *b);
-        let none = [ClusterFaultSpec::None];
-        let faults = if self.faults.is_empty() { &none } else { &self.faults[..] };
-        let faults = unique(faults, |f| **f);
+        let regimes = backend_faults(&self.backends, &self.ccs, &self.faults);
         for arrivals in unique(&self.arrivals, |a| a.label()) {
             // One seed per grid: cells differing only in queue/placement/
             // backend/fault simulate the same arrival stream and job
@@ -834,19 +718,17 @@ impl ClusterGrid {
             let seed = cell_seed(self.seed, &arrivals.label());
             for queue in &queues {
                 for placement in &placements {
-                    for &backend in &backends {
-                        for fault in faults.iter().filter(|f| f.applies_to(backend)) {
-                            cells.push(ClusterSpec {
-                                topology: self.topology.clone(),
-                                catalog: catalog.clone(),
-                                arrivals: arrivals.clone(),
-                                placement: **placement,
-                                backend,
-                                queue: **queue,
-                                fault: **fault,
-                                seed,
-                            });
-                        }
+                    for &(backend, fault) in &regimes {
+                        cells.push(ClusterSpec {
+                            topology: self.topology.clone(),
+                            catalog: catalog.clone(),
+                            arrivals: arrivals.clone(),
+                            placement: **placement,
+                            backend,
+                            queue: **queue,
+                            fault: fault.clone(),
+                            seed,
+                        });
                     }
                 }
             }
@@ -885,17 +767,7 @@ impl ClusterReport {
     /// The deterministic JSON report: simulation outcomes only (no
     /// wall-clock), byte-identical across thread counts and re-runs.
     pub fn to_json(&self) -> Json {
-        let mut doc = Json::obj();
-        doc.set("schema", Json::Str("atlahs-cluster-v1".into()));
-        doc.set(
-            "seed",
-            if self.seed < (1 << 53) {
-                Json::Num(self.seed as f64)
-            } else {
-                Json::Str(format!("{:#018x}", self.seed))
-            },
-        );
-        doc.set("cells", Json::Num(self.results.len() as f64));
+        let mut doc = report_head("atlahs-cluster-v1", self.seed, self.results.len());
         let mut arr = Vec::with_capacity(self.results.len());
         for r in &self.results {
             let mut cell = Json::obj();
@@ -1028,6 +900,10 @@ impl ClusterReport {
 mod tests {
     use super::*;
 
+    fn jobfail(pct: u32, at_pct: u32, retries: u32) -> FaultSpec {
+        FaultSpec::Job(JobFaultSpec::JobFail { pct, at_pct, retries })
+    }
+
     fn small_spec(placement: PlacementSpec, backend: BackendSpec) -> ClusterSpec {
         ClusterSpec {
             topology: TopologySpec::SingleSwitch { hosts: 8 },
@@ -1039,7 +915,7 @@ mod tests {
             placement,
             backend,
             queue: QueueDiscipline::Fifo,
-            fault: ClusterFaultSpec::None,
+            fault: FaultSpec::None,
             seed: 9,
         }
     }
@@ -1210,7 +1086,7 @@ mod tests {
             placement: PlacementSpec::Packed,
             backend: BackendSpec::Ideal,
             queue: QueueDiscipline::Fifo,
-            fault: ClusterFaultSpec::None,
+            fault: FaultSpec::None,
             seed: 2,
         };
         let out = run_cluster(&spec, 4);
@@ -1299,7 +1175,7 @@ mod tests {
             placement: PlacementSpec::Random,
             backend: BackendSpec::Htsim { cc: CcAlgo::Mprdma, spray: false },
             queue: QueueDiscipline::Fifo,
-            fault: ClusterFaultSpec::None,
+            fault: FaultSpec::None,
             seed: 11,
         };
         let out = run_cluster(&spec, 2);
@@ -1314,60 +1190,34 @@ mod tests {
         assert!(out.mean_slowdown() > 1.0, "mean {}", out.mean_slowdown());
     }
 
+    /// The `jobfail:` decision (the grammar round-trips in
+    /// `scenario::tests::fault_labels_roundtrip`).
     #[test]
-    fn cluster_fault_specs_roundtrip_and_decide_deterministically() {
-        for tok in ["none", "jobfail:25:50:3", "jobfail:100:0:1", "mtbf:2000000:3"] {
-            let spec = ClusterFaultSpec::parse(tok).unwrap();
-            assert_eq!(spec.label(), tok);
-        }
-        assert!(ClusterFaultSpec::parse("jobfail:x:50:3").is_err());
-        assert!(ClusterFaultSpec::parse("jobfail:10:50").is_err());
-        assert!(ClusterFaultSpec::parse("nodefail:1").is_err());
-        // A zero MTBF would make the exponential time-to-failure sampler
-        // degenerate (every attempt fails at t=0, forever); it must die
-        // at parse time with a message naming the constraint.
-        let err = ClusterFaultSpec::parse("mtbf:0:3").unwrap_err();
-        assert!(err.contains("mean time between failures"), "{err}");
-        assert!(ClusterFaultSpec::parse("mtbf:1000").is_err());
-        // Percentages clamp instead of erroring (CLI forgiveness).
-        assert_eq!(
-            ClusterFaultSpec::parse("jobfail:150:200:2").unwrap(),
-            ClusterFaultSpec::JobFail { pct: 100, at_pct: 100, retries: 2 }
-        );
-
-        let always = ClusterFaultSpec::JobFail { pct: 100, at_pct: 50, retries: 2 };
-        let never = ClusterFaultSpec::JobFail { pct: 0, at_pct: 50, retries: 2 };
+    fn jobfail_draws_are_deterministic_and_retry_bounded() {
+        let always = JobFaultSpec::JobFail { pct: 100, at_pct: 50, retries: 2 };
+        let never = JobFaultSpec::JobFail { pct: 0, at_pct: 50, retries: 2 };
         for job in 0..8 {
-            assert!(always.fails(7, job, 0) && always.fails(7, job, 1));
-            assert!(!always.fails(7, job, 2), "attempt == retries always succeeds");
-            assert!(!never.fails(7, job, 0));
-            assert!(!ClusterFaultSpec::None.fails(7, job, 0));
+            assert_eq!(always.failure_at(7, job, 0, 1000), Some(500));
+            assert_eq!(always.failure_at(7, job, 1, 1000), Some(500));
+            assert_eq!(always.failure_at(7, job, 2, 1000), None, "attempt == retries succeeds");
+            assert_eq!(always.failure_at(7, job, 0, 0), Some(1), "a failed attempt takes >= 1 ns");
+            assert_eq!(never.failure_at(7, job, 0, 1000), None);
         }
         // The draw is a pure function of (seed, job, attempt) and actually
         // depends on each of them at a 50% rate.
-        let half = ClusterFaultSpec::JobFail { pct: 50, at_pct: 50, retries: 1 };
-        let draws: Vec<bool> = (0..64).map(|j| half.fails(1, j, 0)).collect();
-        assert_eq!(draws, (0..64).map(|j| half.fails(1, j, 0)).collect::<Vec<_>>());
-        let hits = draws.iter().filter(|&&b| b).count();
+        let half = JobFaultSpec::JobFail { pct: 50, at_pct: 50, retries: 1 };
+        let draws = |seed| -> Vec<bool> {
+            (0..64).map(|j| half.failure_at(seed, j, 0, 1000).is_some()).collect()
+        };
+        assert_eq!(draws(1), draws(1));
+        let hits = draws(1).iter().filter(|&&b| b).count();
         assert!(hits > 8 && hits < 56, "50% draw hit {hits}/64 jobs");
-        assert_ne!(draws, (0..64).map(|j| half.fails(2, j, 0)).collect::<Vec<_>>());
-
-        assert_eq!(always.failed_occupancy_ns(1000), 500);
-        assert_eq!(never.failed_occupancy_ns(0), 1, "failed attempts take at least 1 ns");
-        assert_eq!(ClusterFaultSpec::None.failed_occupancy_ns(1000), 0);
-
-        // `failure_at` subsumes fails + failed_occupancy_ns exactly.
-        for job in 0..8 {
-            assert_eq!(always.failure_at(7, job, 0, 1000), Some(500));
-            assert_eq!(always.failure_at(7, job, 2, 1000), None);
-            assert_eq!(never.failure_at(7, job, 0, 1000), None);
-            assert_eq!(ClusterFaultSpec::None.failure_at(7, job, 0, 1000), None);
-        }
+        assert_ne!(draws(1), draws(2));
     }
 
     #[test]
     fn mtbf_failures_scale_with_duration_and_respect_the_retry_bound() {
-        let mtbf = ClusterFaultSpec::Mtbf { mtbf_ns: 1_000_000, retries: 2 };
+        let mtbf = JobFaultSpec::Mtbf { mtbf_ns: 1_000_000, retries: 2 };
         // Short attempts rarely fail, long attempts usually do, and when
         // one fails it holds its nodes strictly inside its run.
         let mut short_fails = 0;
@@ -1390,16 +1240,13 @@ mod tests {
         }
         assert!(short_fails < 16, "10 µs attempts vs 1 ms MTBF: {short_fails}/64 failed");
         assert!(long_fails > 56, "20 ms attempts vs 1 ms MTBF: only {long_fails}/64 failed");
-        // The duration-free predicate cannot express an MTBF failure.
-        assert!(!mtbf.fails(7, 0, 0));
-        assert_eq!(mtbf.failed_occupancy_ns(1000), 0);
     }
 
     #[test]
     fn mtbf_cluster_runs_restart_jobs_and_report_telemetry() {
         let mut spec = small_spec(PlacementSpec::Packed, BackendSpec::Lgs);
         // Job runs are hundreds of µs; a 200 µs MTBF forces failures.
-        spec.fault = ClusterFaultSpec::Mtbf { mtbf_ns: 200_000, retries: 3 };
+        spec.fault = FaultSpec::Job(JobFaultSpec::Mtbf { mtbf_ns: 200_000, retries: 3 });
         let out = run_cluster(&spec, 2);
         let clean = run_cluster(&small_spec(PlacementSpec::Packed, BackendSpec::Lgs), 2);
         assert_eq!(out.jobs.len(), 8, "every job still completes");
@@ -1439,7 +1286,7 @@ mod tests {
         // Every job fails its first two attempts (holding nodes for half
         // the would-be run), then succeeds on the third.
         let mut spec = small_spec(PlacementSpec::Packed, BackendSpec::Lgs);
-        spec.fault = ClusterFaultSpec::JobFail { pct: 100, at_pct: 50, retries: 2 };
+        spec.fault = jobfail(100, 50, 2);
         let out = run_cluster(&spec, 2);
         let clean = run_cluster(&small_spec(PlacementSpec::Packed, BackendSpec::Lgs), 2);
         assert_eq!(out.jobs.len(), 8, "every job still completes");
@@ -1475,7 +1322,7 @@ mod tests {
         // A fault spec that never fires must leave every job metric
         // untouched — only the cell key gains a fault segment.
         let mut spec = small_spec(PlacementSpec::Random, BackendSpec::Lgs);
-        spec.fault = ClusterFaultSpec::JobFail { pct: 0, at_pct: 50, retries: 3 };
+        spec.fault = jobfail(0, 50, 3);
         let faulted = run_cluster(&spec, 2);
         let clean = run_cluster(&small_spec(PlacementSpec::Random, BackendSpec::Lgs), 2);
         assert_eq!(faulted.jobs, clean.jobs);
@@ -1495,9 +1342,8 @@ mod tests {
             spec.fault = fault;
             spec
         };
-        let clean = run_cluster(&mk(ClusterFaultSpec::None), 1);
-        let faulted =
-            run_cluster(&mk(ClusterFaultSpec::JobFail { pct: 100, at_pct: 100, retries: 1 }), 1);
+        let clean = run_cluster(&mk(FaultSpec::None), 1);
+        let faulted = run_cluster(&mk(jobfail(100, 100, 1)), 1);
         assert!(faulted.jobs.iter().all(|j| j.restarts == 1));
         assert!(
             faulted.peak_queue >= clean.peak_queue,
@@ -1525,7 +1371,7 @@ mod tests {
             placement: PlacementSpec::Packed,
             backend: BackendSpec::Ideal,
             queue: QueueDiscipline::Fifo,
-            fault: ClusterFaultSpec::JobFail { pct: 100, at_pct: 25, retries: 1 },
+            fault: jobfail(100, 25, 1),
             seed: 2,
         };
         let out = run_cluster(&spec, 4);
@@ -1555,11 +1401,7 @@ mod tests {
         let mut faulted = base.clone();
         // The repeated `none` (`--faults none,none`) names the same cells
         // again and must not repeat a key in the report.
-        faulted.faults = vec![
-            ClusterFaultSpec::None,
-            ClusterFaultSpec::None,
-            ClusterFaultSpec::JobFail { pct: 50, at_pct: 50, retries: 2 },
-        ];
+        faulted.faults = vec![FaultSpec::None, FaultSpec::None, jobfail(50, 50, 2)];
         let (plain, _) = base.expand_counted();
         let (cells, _) = faulted.expand_counted();
         assert_eq!(plain.len(), 2);
@@ -1578,29 +1420,11 @@ mod tests {
     }
 
     #[test]
-    fn stochastic_cluster_specs_parse_apply_only_to_packet_backends() {
-        // The loss/jitter grammar is shared with the sweep fault axis —
-        // labels round-trip and degenerate specs die with the htsim
-        // crate's own messages.
-        for tok in ["loss:20000", "loss:80000:core", "jitter:exp:2000", "jitter:uniform:1500"] {
-            let spec = ClusterFaultSpec::parse(tok).unwrap();
-            assert_eq!(spec.label(), tok);
-            assert!(matches!(spec, ClusterFaultSpec::Stochastic(_)));
-            // Packet noise never fails a job or holds nodes.
-            assert!(!spec.fails(7, 0, 0));
-            assert_eq!(spec.failed_occupancy_ns(1000), 0);
-            assert_eq!(spec.failure_at(7, 0, 0, 1000), None);
-        }
-        let err = ClusterFaultSpec::parse("loss:0").unwrap_err();
-        assert!(err.contains("drop the token instead"), "{err}");
-        let err = ClusterFaultSpec::parse("loss:1000000").unwrap_err();
-        assert!(err.contains("outage, not noise"), "{err}");
-        let err = ClusterFaultSpec::parse("jitter:exp:0").unwrap_err();
-        assert!(err.contains("never perturbs a timestamp"), "{err}");
-
+    fn cluster_faults_apply_per_backend() {
         // Grid expansion skips stochastic cells on message-level and
-        // ideal backends (packets only exist in htsim) and never
-        // perturbs the base seeds.
+        // ideal backends (packets only exist in htsim), pairs a job
+        // failure process with every backend, and never perturbs the
+        // base seeds.
         let grid = ClusterGrid {
             topology: TopologySpec::AiFatTree { nodes: 16, oversub: 4 },
             catalog: vec![WorkloadSpec::Ring { ranks: 4, bytes: 16 << 10, laps: 1 }],
@@ -1609,12 +1433,18 @@ mod tests {
             placements: vec![PlacementSpec::Packed],
             ccs: vec![CcAlgo::Mprdma],
             backends: vec![BackendFamily::Htsim, BackendFamily::Lgs, BackendFamily::Ideal],
-            faults: vec![ClusterFaultSpec::None, ClusterFaultSpec::parse("loss:50000").unwrap()],
+            faults: vec![
+                FaultSpec::None,
+                FaultSpec::parse("loss:50000").unwrap(),
+                jobfail(50, 50, 2),
+            ],
             seed: 5,
         };
         let (cells, _) = grid.expand_counted();
-        // htsim: none + loss; lgs: none; ideal: none.
-        assert_eq!(cells.len(), 4, "{:?}", cells.iter().map(|c| c.key()).collect::<Vec<_>>());
+        // htsim: none + loss + jobfail; lgs and ideal: none + jobfail (a
+        // job fails whatever simulates it).
+        assert_eq!(cells.len(), 7, "{:?}", cells.iter().map(|c| c.key()).collect::<Vec<_>>());
+        assert_eq!(cells.iter().filter(|c| c.key().ends_with("/jobfail:50:50:2")).count(), 3);
         let lossy: Vec<&ClusterSpec> =
             cells.iter().filter(|c| c.key().ends_with("/loss:50000")).collect();
         assert_eq!(lossy.len(), 1);
@@ -1636,8 +1466,8 @@ mod tests {
             fault,
             seed: 11,
         };
-        let clean = run_cluster(&mk(ClusterFaultSpec::None), 1);
-        let lossy_spec = mk(ClusterFaultSpec::parse("loss:100000").unwrap());
+        let clean = run_cluster(&mk(FaultSpec::None), 1);
+        let lossy_spec = mk(FaultSpec::parse("loss:100000").unwrap());
         let a = run_cluster(&lossy_spec, 1);
         let b = run_cluster(&lossy_spec, 4);
         // Liveness: sustained 10% loss stretches every run but the RTO

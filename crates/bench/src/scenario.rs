@@ -34,9 +34,43 @@ use atlahs_schedgen::synthetic;
 use atlahs_tracers::mpi::Scaling;
 use atlahs_tracers::nccl::{presets, LlmConfig};
 
+use crate::cluster::JobFaultSpec;
 use crate::runner::DistSummary;
 use crate::session::{self, Session};
 use crate::workloads::{self, HpcApp, HpcCase};
+
+// -------------------------------------------------------------- tokens ----
+
+/// One numeric field of the spec token `tok`.
+pub(crate) fn num<T: std::str::FromStr>(tok: &str, field: &str) -> Result<T, String> {
+    field.parse().map_err(|_| format!("bad number `{field}` in `{tok}`"))
+}
+
+/// The error for a token no form of `grammar` matches.
+pub(crate) fn unknown(what: &str, tok: &str, grammar: &str) -> String {
+    format!("unknown {what} `{tok}`, expected one of:\n{grammar}")
+}
+
+/// The names of a closed vocabulary (a table of every CLI name with the
+/// value it stands for), `a|b|c`.
+pub fn names<T>(table: &[(&'static str, T)]) -> String {
+    table.iter().map(|(name, _)| *name).collect::<Vec<_>>().join("|")
+}
+
+/// Parse a vocabulary token by lookup.
+pub(crate) fn by_name<T: Copy>(
+    what: &str,
+    table: &[(&'static str, T)],
+    tok: &str,
+) -> Result<T, String> {
+    let hit = table.iter().find(|(name, _)| *name == tok);
+    hit.map(|&(_, value)| value).ok_or_else(|| format!("unknown {what} `{tok}` ({})", names(table)))
+}
+
+/// The name of a vocabulary value (the inverse of [`by_name`]).
+pub(crate) fn name_of<T: PartialEq>(table: &[(&'static str, T)], value: &T) -> &'static str {
+    table.iter().find(|(_, v)| v == value).expect("every value is in its name table").0
+}
 
 // ------------------------------------------------------------ topology ----
 
@@ -106,12 +140,19 @@ impl TopologySpec {
         }
     }
 
+    /// The token forms, one per line: what an unknown token's error and
+    /// `atlahs list` print.
+    pub const GRAMMAR: &'static str = "\
+        ai-fattree:<nodes>[:<oversub>]        200 Gb/s Alps-class fat tree\n\
+        hpc-fattree:<procs>:<nodes>           56 Gb/s CSCS-class fat tree\n\
+        storage-fattree:<hosts>[:<oversub>]   100 Gb/s Direct Drive fabric\n\
+        dragonfly:<groups>:<routers>:<hosts>  balanced dragonfly\n\
+        switch:<hosts>                        single crossbar switch";
+
     /// Parse a CLI token (the inverse of [`TopologySpec::label`]).
     pub fn parse(tok: &str) -> Result<TopologySpec, String> {
         let parts: Vec<&str> = tok.split(':').collect();
-        let n = |s: &str| -> Result<usize, String> {
-            s.parse().map_err(|_| format!("bad number `{s}` in topology `{tok}`"))
-        };
+        let n = |s: &str| num::<usize>(tok, s);
         match parts.as_slice() {
             ["ai-fattree", nodes] => Ok(TopologySpec::AiFatTree { nodes: n(nodes)?, oversub: 1 }),
             ["ai-fattree", nodes, ov] => {
@@ -132,11 +173,7 @@ impl TopologySpec {
                 hosts_per_router: n(h)?,
             }),
             ["switch", hosts] => Ok(TopologySpec::SingleSwitch { hosts: n(hosts)? }),
-            _ => Err(format!(
-                "unknown topology `{tok}` (expected ai-fattree:<nodes>[:<oversub>], \
-                 hpc-fattree:<procs>:<nodes>, storage-fattree:<hosts>[:<oversub>], \
-                 dragonfly:<groups>:<routers>:<hosts>, switch:<hosts>)"
-            )),
+            _ => Err(unknown("topology", tok, Self::GRAMMAR)),
         }
     }
 }
@@ -155,15 +192,17 @@ pub enum LlmPreset {
 }
 
 impl LlmPreset {
+    pub const NAMES: [(&'static str, LlmPreset); 6] = [
+        ("llama7b-dp16", LlmPreset::Llama7bDp16),
+        ("llama7b-dp128", LlmPreset::Llama7bDp128),
+        ("llama70b", LlmPreset::Llama70b),
+        ("mistral8x7b", LlmPreset::Mistral8x7b),
+        ("moe8x13b", LlmPreset::Moe8x13b),
+        ("moe8x70b", LlmPreset::Moe8x70b),
+    ];
+
     pub fn name(self) -> &'static str {
-        match self {
-            LlmPreset::Llama7bDp16 => "llama7b-dp16",
-            LlmPreset::Llama7bDp128 => "llama7b-dp128",
-            LlmPreset::Llama70b => "llama70b",
-            LlmPreset::Mistral8x7b => "mistral8x7b",
-            LlmPreset::Moe8x13b => "moe8x13b",
-            LlmPreset::Moe8x70b => "moe8x70b",
-        }
+        name_of(&Self::NAMES, &self)
     }
 
     pub fn cfg(self, scale: f64) -> LlmConfig {
@@ -178,15 +217,7 @@ impl LlmPreset {
     }
 
     fn parse(tok: &str) -> Result<LlmPreset, String> {
-        Ok(match tok {
-            "llama7b-dp16" => LlmPreset::Llama7bDp16,
-            "llama7b-dp128" => LlmPreset::Llama7bDp128,
-            "llama70b" => LlmPreset::Llama70b,
-            "mistral8x7b" => LlmPreset::Mistral8x7b,
-            "moe8x13b" => LlmPreset::Moe8x13b,
-            "moe8x70b" => LlmPreset::Moe8x70b,
-            _ => return Err(format!("unknown LLM preset `{tok}`")),
-        })
+        by_name("LLM preset", &Self::NAMES, tok)
     }
 }
 
@@ -247,7 +278,7 @@ impl WorkloadSpec {
                 format!("llm:{}:{scale}:{iterations}:{cap_batch}", preset.name())
             }
             WorkloadSpec::Hpc { app, procs, nodes, scale } => {
-                format!("hpc:{}:{procs}:{nodes}:{scale}", app.name().to_ascii_lowercase())
+                format!("hpc:{}:{procs}:{nodes}:{scale}", name_of(&HpcApp::NAMES, app))
             }
             WorkloadSpec::Storage { ops, gap_ns, compress } => {
                 format!("storage:{ops}:{gap_ns}:{compress}")
@@ -411,14 +442,27 @@ impl WorkloadSpec {
         }
     }
 
+    /// The token forms, one per line: what an unknown token's error and
+    /// `atlahs list` print (the vocabularies are [`LlmPreset::NAMES`] and
+    /// [`HpcApp::NAMES`]).
+    pub const GRAMMAR: &'static str = "\
+        ring:<ranks>:<bytes>:<laps>\n\
+        perm:<ranks>:<bytes>:<shift>:<repeat>\n\
+        uniform:<ranks>:<bytes>:<msgs>\n\
+        incast:<ranks>:<bytes>:<repeat>\n\
+        moe:<ranks>:<group>:<bytes>:<layers>:<compute_ns>\n\
+        pipeline:<stages>:<microbatches>:<bytes>:<compute_ns>\n\
+        storage-incast:<clients>:<servers>:<bytes>:<reads>\n\
+        llm:<preset>:<scale>[:<iterations>:<cap_batch>]   (default 1:true)\n\
+        hpc:<app>:<procs>:<nodes>:<scale>\n\
+        storage:<ops>:<gap_ns>:<compress>\n\
+        multi[<workload>+<workload>+…]   co-scheduled jobs on one fabric (sweep only)";
+
     fn parse_inner(tok: &str) -> Result<WorkloadSpec, String> {
         let parts: Vec<&str> = tok.split(':').collect();
-        fn num<T: std::str::FromStr>(s: &str, tok: &str) -> Result<T, String> {
-            s.parse().map_err(|_| format!("bad number `{s}` in workload `{tok}`"))
-        }
-        let n = |s: &str| num::<usize>(s, tok);
-        let b = |s: &str| num::<u64>(s, tok);
-        let r = |s: &str| num::<u32>(s, tok);
+        let n = |s: &str| num::<usize>(tok, s);
+        let b = |s: &str| num::<u64>(tok, s);
+        let r = |s: &str| num::<u32>(tok, s);
         match parts.as_slice() {
             ["ring", ranks, bytes, laps] => {
                 Ok(WorkloadSpec::Ring { ranks: n(ranks)?, bytes: b(bytes)?, laps: r(laps)? })
@@ -459,53 +503,32 @@ impl WorkloadSpec {
             // The short form is one batch-capped iteration.
             ["llm", preset, scale] => Ok(WorkloadSpec::Llm {
                 preset: LlmPreset::parse(preset)?,
-                scale: num::<f64>(scale, tok)?,
+                scale: num(tok, scale)?,
                 iterations: 1,
                 cap_batch: true,
             }),
             ["llm", preset, scale, iterations, cap_batch] => Ok(WorkloadSpec::Llm {
                 preset: LlmPreset::parse(preset)?,
-                scale: num::<f64>(scale, tok)?,
+                scale: num(tok, scale)?,
                 iterations: r(iterations)?,
-                cap_batch: cap_batch.parse().map_err(|_| {
-                    format!("bad cap_batch `{cap_batch}` in workload `{tok}` (true|false)")
-                })?,
+                cap_batch: cap_batch
+                    .parse()
+                    .map_err(|_| format!("bad cap_batch `{cap_batch}` in `{tok}` (true|false)"))?,
             }),
             ["hpc", app, procs, nodes, scale] => Ok(WorkloadSpec::Hpc {
-                app: parse_hpc_app(app)?,
+                app: by_name("HPC app", &HpcApp::NAMES, app)?,
                 procs: n(procs)?,
                 nodes: n(nodes)?,
-                scale: num::<f64>(scale, tok)?,
+                scale: num(tok, scale)?,
             }),
             ["storage", ops, gap, compress] => Ok(WorkloadSpec::Storage {
                 ops: n(ops)?,
                 gap_ns: b(gap)?,
                 compress: b(compress)?.max(1),
             }),
-            _ => Err(format!(
-                "unknown workload `{tok}` (expected ring:<ranks>:<bytes>:<laps>, \
-                 perm:<ranks>:<bytes>:<shift>:<repeat>, uniform:<ranks>:<bytes>:<msgs>, \
-                 incast:<ranks>:<bytes>:<repeat>, moe:<ranks>:<group>:<bytes>:<layers>:<ns>, \
-                 pipeline:<stages>:<mbs>:<bytes>:<ns>, \
-                 storage-incast:<clients>:<servers>:<bytes>:<reads>, \
-                 llm:<preset>:<scale>[:<iterations>:<cap_batch>], \
-                 hpc:<app>:<procs>:<nodes>:<scale>, storage:<ops>:<gap>:<compress>, \
-                 multi[<workload>+<workload>+…])"
-            )),
+            _ => Err(unknown("workload", tok, Self::GRAMMAR)),
         }
     }
-}
-
-fn parse_hpc_app(tok: &str) -> Result<HpcApp, String> {
-    Ok(match tok {
-        "cloverleaf" => HpcApp::CloverLeaf,
-        "hpcg" => HpcApp::Hpcg,
-        "lulesh" => HpcApp::Lulesh,
-        "lammps" => HpcApp::Lammps,
-        "icon" => HpcApp::Icon,
-        "openmx" => HpcApp::OpenMx,
-        _ => return Err(format!("unknown HPC app `{tok}`")),
-    })
 }
 
 fn hpc_scaling(app: HpcApp) -> Scaling {
@@ -559,12 +582,14 @@ pub enum PlacementSpec {
 }
 
 impl PlacementSpec {
+    pub const NAMES: [(&'static str, PlacementSpec); 3] = [
+        ("packed", PlacementSpec::Packed),
+        ("random", PlacementSpec::Random),
+        ("roundrobin", PlacementSpec::RoundRobin),
+    ];
+
     pub fn label(&self) -> &'static str {
-        match self {
-            PlacementSpec::Packed => "packed",
-            PlacementSpec::Random => "random",
-            PlacementSpec::RoundRobin => "roundrobin",
-        }
+        name_of(&Self::NAMES, self)
     }
 
     pub fn strategy(&self, seed: u64) -> PlacementStrategy {
@@ -576,26 +601,26 @@ impl PlacementSpec {
     }
 
     pub fn parse(tok: &str) -> Result<PlacementSpec, String> {
-        Ok(match tok {
-            "packed" => PlacementSpec::Packed,
-            "random" => PlacementSpec::Random,
-            "roundrobin" => PlacementSpec::RoundRobin,
-            _ => return Err(format!("unknown placement `{tok}` (packed|random|roundrobin)")),
-        })
+        by_name("placement", &Self::NAMES, tok)
     }
 }
 
 // --------------------------------------------------------------- fault ----
 
-/// Fault/variability axis value.
+/// Fault/variability axis value — the one fault vocabulary of `atlahs
+/// sweep` and `atlahs cluster` alike ([`FaultSpec::GRAMMAR`]).
 ///
 /// A fault composes with every other axis but only *bites* on the layer
 /// it models: link faults are packet-level (htsim families), the
-/// straggler model is message-level (LGS), and the ideal reference is
-/// never faulted (it stays the contention- and fault-free lower bound).
-/// Grid expansion pairs each backend only with the faults that apply to
-/// it — plus [`FaultSpec::None`], which is always present and leaves the
-/// cell bit-identical to a grid without a fault axis.
+/// straggler model is message-level (LGS), the ideal reference is
+/// never faulted inside a simulation (it stays the contention- and
+/// fault-free lower bound), and job failures happen above the simulation,
+/// in the cluster engine's job lifecycle. Grid expansion pairs each
+/// backend only with the faults that apply to it — plus
+/// [`FaultSpec::None`], which is always present and leaves the cell
+/// bit-identical to a grid without a fault axis. Which subcommand takes
+/// which fault is decided where tokens enter ([`FaultSpec::in_sweep`],
+/// [`FaultSpec::in_cluster`]).
 ///
 /// Fault randomness (which links fail, which ranks straggle) is keyed by
 /// `cell_seed(cell.seed, fault_label)` at run time, so the base cell
@@ -639,9 +664,33 @@ pub enum FaultSpec {
     /// counter-based draw streams (packet-level; see
     /// [`atlahs_htsim::stochastic`]).
     Stochastic(LinkModelSpec),
+    /// Job-scope failure process (`jobfail:` / `mtbf:`): whole job
+    /// attempts fail, release their nodes and re-queue. Only the cluster
+    /// engine has a job lifecycle to fail, so only it takes these
+    /// (see [`JobFaultSpec`]).
+    Job(JobFaultSpec),
 }
 
 impl FaultSpec {
+    /// Every `--faults` token form, one per line, with where it is
+    /// accepted and the backends it bites on: what an unknown token's
+    /// error and `atlahs list` print.
+    pub const GRAMMAR: &'static str = "\
+        none                                                     sweep, cluster\n\
+        linkflap:<links>:<down_ns>:<up_ns>                       sweep; htsim\n\
+        degrade:<links>:<bw_pct>:<lat_pct>:<from_ns>:<to_ns>     sweep; htsim\n\
+        straggler:<prob_pct>:<factor_pct>[:<spread_pct>:<shape>] sweep; lgs\n\
+        markov:<links>:<up_ns>:<down_ns>:<horizon_ns>            sweep; htsim\n\
+        rackfail:<racks>:<from_ns>:<to_ns>                       sweep; htsim\n\
+        switchfail:<switches>:<from_ns>:<to_ns>                  sweep; htsim\n\
+        churn:<t;dom;d|u,...> | churn:@<trace-file>              sweep; htsim\n\
+        loss:<ppm>[:core|:edge]                                  sweep, cluster; htsim\n\
+        jitter:exp:<mean_ns>                                     sweep, cluster; htsim\n\
+        jitter:weibull:<scale_ns>:<shape>                        sweep, cluster; htsim\n\
+        jitter:uniform:<max_ns>                                  sweep, cluster; htsim\n\
+        jobfail:<pct>:<at_pct>:<retries>                         cluster\n\
+        mtbf:<mtbf_ns>:<retries>                                 cluster";
+
     pub fn label(&self) -> String {
         match *self {
             FaultSpec::None => "none".to_string(),
@@ -673,6 +722,16 @@ impl FaultSpec {
                 format!("churn:{}", faultgen::churn_inline_label(events))
             }
             FaultSpec::Stochastic(spec) => spec.label(),
+            FaultSpec::Job(spec) => spec.label(),
+        }
+    }
+
+    /// `prefix`, with a trailing `/fault` segment only for faulted cells:
+    /// fault-free keys are identical to a grid without the fault axis.
+    pub fn keyed(&self, prefix: String) -> String {
+        match self {
+            FaultSpec::None => prefix,
+            fault => format!("{prefix}/{}", fault.label()),
         }
     }
 
@@ -681,17 +740,37 @@ impl FaultSpec {
     /// the `none` cell under a misleading key.
     pub fn applies_to(&self, backend: &BackendSpec) -> bool {
         match self {
-            FaultSpec::None => true,
-            FaultSpec::LinkFlap { .. }
-            | FaultSpec::Degrade { .. }
-            | FaultSpec::Markov { .. }
-            | FaultSpec::RackFail { .. }
-            | FaultSpec::SwitchFail { .. }
-            | FaultSpec::Churn { .. }
-            | FaultSpec::Stochastic(_) => {
-                matches!(backend, BackendSpec::Htsim { .. })
-            }
+            // A job fails whatever simulates it.
+            FaultSpec::None | FaultSpec::Job(_) => true,
             FaultSpec::Straggler { .. } => matches!(backend, BackendSpec::Lgs),
+            // Port windows and link models are packet-level.
+            _ => matches!(backend, BackendSpec::Htsim { .. }),
+        }
+    }
+
+    /// This fault as a sweep axis value; refuses the job scope, saying why.
+    pub fn in_sweep(self) -> Result<FaultSpec, String> {
+        match self {
+            FaultSpec::Job(job) => Err(format!(
+                "fault `{}` fails and restarts whole jobs, and a sweep cell is one simulation \
+                 with no queue to restart into — it is an `atlahs cluster` fault",
+                job.label()
+            )),
+            fault => Ok(fault),
+        }
+    }
+
+    /// This fault as a cluster axis value; refuses window and straggler
+    /// faults, saying why.
+    pub fn in_cluster(self) -> Result<FaultSpec, String> {
+        match self {
+            FaultSpec::None | FaultSpec::Stochastic(_) | FaultSpec::Job(_) => Ok(self),
+            fault => Err(format!(
+                "fault `{}` picks its ports, windows or ranks for one simulation, and a cluster \
+                 cell runs many (every batch and every solo baseline, each from t=0) — it is \
+                 an `atlahs sweep` fault; cluster takes none, loss:/jitter:, jobfail:/mtbf:",
+                fault.label()
+            )),
         }
     }
 
@@ -719,9 +798,6 @@ impl FaultSpec {
     /// resulting spec labels itself with the canonical inline form, so a
     /// file-fed cell keys and reproduces identically to its inline twin.
     pub fn parse(tok: &str) -> Result<FaultSpec, String> {
-        fn num<T: std::str::FromStr>(s: &str, tok: &str) -> Result<T, String> {
-            s.parse().map_err(|_| format!("bad number `{s}` in fault `{tok}`"))
-        }
         if let Some(rest) = tok.strip_prefix("churn:") {
             let events = if let Some(path) = rest.strip_prefix('@') {
                 let text = std::fs::read_to_string(path)
@@ -735,28 +811,33 @@ impl FaultSpec {
             }
             return Ok(FaultSpec::Churn { events });
         }
-        // The `loss:`/`jitter:` token family (per-packet stochastic link
-        // models) parses and validates in the htsim crate; `None` means
+        // The `loss:`/`jitter:` and `jobfail:`/`mtbf:` families parse and
+        // validate next to the engines that consume them; `None` means
         // the token is not from that family and falls through.
         if let Some(parsed) = LinkModelSpec::parse(tok) {
             return parsed.map(FaultSpec::Stochastic);
         }
+        if let Some(parsed) = JobFaultSpec::parse(tok) {
+            return parsed.map(FaultSpec::Job);
+        }
+        // The `[from, to)` fields of a window fault.
+        let window = |from: &str, to: &str| -> Result<(u64, u64), String> {
+            let (from_ns, to_ns) = (num(tok, from)?, num(tok, to)?);
+            if to_ns <= from_ns {
+                return Err(format!("fault `{tok}`: the window must close after it opens"));
+            }
+            Ok((from_ns, to_ns))
+        };
         let parts: Vec<&str> = tok.split(':').collect();
         match parts.as_slice() {
             ["none"] => Ok(FaultSpec::None),
             ["linkflap", links, down, up] => {
-                let (down_ns, up_ns) = (num(down, tok)?, num(up, tok)?);
-                if up_ns <= down_ns {
-                    return Err(format!("fault `{tok}`: the window must close after it opens"));
-                }
-                Ok(FaultSpec::LinkFlap { links: num(links, tok)?, down_ns, up_ns })
+                let (down_ns, up_ns) = window(down, up)?;
+                Ok(FaultSpec::LinkFlap { links: num(tok, links)?, down_ns, up_ns })
             }
             ["degrade", links, bw, lat, from, to] => {
-                let (from_ns, to_ns) = (num(from, tok)?, num(to, tok)?);
-                if to_ns <= from_ns {
-                    return Err(format!("fault `{tok}`: the window must close after it opens"));
-                }
-                let (bw_pct, lat_pct): (u32, u32) = (num(bw, tok)?, num(lat, tok)?);
+                let (from_ns, to_ns) = window(from, to)?;
+                let (bw_pct, lat_pct): (u32, u32) = (num(tok, bw)?, num(tok, lat)?);
                 if bw_pct == 0 {
                     return Err(format!(
                         "fault `{tok}`: bw_pct must be >= 1 — a 0-bandwidth link never drains; \
@@ -769,23 +850,23 @@ impl FaultSpec {
                          degradation (100 = nominal, >100 = slower)"
                     ));
                 }
-                Ok(FaultSpec::Degrade { links: num(links, tok)?, bw_pct, lat_pct, from_ns, to_ns })
+                Ok(FaultSpec::Degrade { links: num(tok, links)?, bw_pct, lat_pct, from_ns, to_ns })
             }
             ["straggler", prob, factor] => Ok(FaultSpec::Straggler {
-                prob_pct: num::<u32>(prob, tok)?.min(100),
-                factor_pct: num(factor, tok)?,
+                prob_pct: num::<u32>(tok, prob)?.min(100),
+                factor_pct: num(tok, factor)?,
                 spread_pct: 0,
                 shape: 1,
             }),
             ["straggler", prob, factor, spread, shape] => Ok(FaultSpec::Straggler {
-                prob_pct: num::<u32>(prob, tok)?.min(100),
-                factor_pct: num(factor, tok)?,
-                spread_pct: num(spread, tok)?,
-                shape: num::<u32>(shape, tok)?.clamp(1, 16),
+                prob_pct: num::<u32>(tok, prob)?.min(100),
+                factor_pct: num(tok, factor)?,
+                spread_pct: num(tok, spread)?,
+                shape: num::<u32>(tok, shape)?.clamp(1, 16),
             }),
             ["markov", links, up, down, horizon] => {
                 let (up_ns, down_ns, horizon_ns): (u64, u64, u64) =
-                    (num(up, tok)?, num(down, tok)?, num(horizon, tok)?);
+                    (num(tok, up)?, num(tok, down)?, num(tok, horizon)?);
                 if up_ns == 0 || down_ns == 0 {
                     return Err(format!(
                         "fault `{tok}`: mean sojourn times must be >= 1 ns in both states"
@@ -794,33 +875,17 @@ impl FaultSpec {
                 if horizon_ns == 0 {
                     return Err(format!("fault `{tok}`: the flapping horizon must be >= 1 ns"));
                 }
-                Ok(FaultSpec::Markov { links: num(links, tok)?, up_ns, down_ns, horizon_ns })
+                Ok(FaultSpec::Markov { links: num(tok, links)?, up_ns, down_ns, horizon_ns })
             }
             ["rackfail", racks, from, to] => {
-                let (from_ns, to_ns) = (num(from, tok)?, num(to, tok)?);
-                if to_ns <= from_ns {
-                    return Err(format!("fault `{tok}`: the window must close after it opens"));
-                }
-                Ok(FaultSpec::RackFail { racks: num(racks, tok)?, from_ns, to_ns })
+                let (from_ns, to_ns) = window(from, to)?;
+                Ok(FaultSpec::RackFail { racks: num(tok, racks)?, from_ns, to_ns })
             }
             ["switchfail", switches, from, to] => {
-                let (from_ns, to_ns) = (num(from, tok)?, num(to, tok)?);
-                if to_ns <= from_ns {
-                    return Err(format!("fault `{tok}`: the window must close after it opens"));
-                }
-                Ok(FaultSpec::SwitchFail { switches: num(switches, tok)?, from_ns, to_ns })
+                let (from_ns, to_ns) = window(from, to)?;
+                Ok(FaultSpec::SwitchFail { switches: num(tok, switches)?, from_ns, to_ns })
             }
-            _ => Err(format!(
-                "unknown fault `{tok}` (expected none, linkflap:<links>:<down_ns>:<up_ns>, \
-                 degrade:<links>:<bw_pct>:<lat_pct>:<from_ns>:<to_ns>, \
-                 straggler:<prob_pct>:<factor_pct>[:<spread_pct>:<shape>], \
-                 markov:<links>:<up_ns>:<down_ns>:<horizon_ns>, \
-                 rackfail:<racks>:<from_ns>:<to_ns>, \
-                 switchfail:<switches>:<from_ns>:<to_ns>, \
-                 churn:<t;dom;d|u,...> or churn:@<trace-file>, \
-                 loss:<ppm>[:core|:edge], jitter:exp:<mean_ns>, \
-                 jitter:weibull:<scale_ns>:<shape>, jitter:uniform:<max_ns>)"
-            )),
+            _ => Err(unknown("fault", tok, Self::GRAMMAR)),
         }
     }
 
@@ -831,7 +896,8 @@ impl FaultSpec {
     /// `cell_seed(sim_seed, label)`, so the simulation seed (workload
     /// generation, placement, packet RNG) is untouched by the fault axis.
     /// `ranks` is the simulated schedule's width (straggler telemetry).
-    /// A fault that does not apply to `backend` lowers to nothing.
+    /// A fault that does not apply to `backend` lowers to nothing, and so
+    /// does the job scope: no single simulation sees a job fail.
     pub fn lower(
         &self,
         topology: &TopologySpec,
@@ -839,7 +905,7 @@ impl FaultSpec {
         ranks: usize,
         sim_seed: u64,
     ) -> (FaultAction, Option<FaultTelemetry>) {
-        if matches!(self, FaultSpec::None) || !self.applies_to(backend) {
+        if matches!(self, FaultSpec::None | FaultSpec::Job(_)) || !self.applies_to(backend) {
             return (FaultAction::None, None);
         }
         let fault_seed = cell_seed(sim_seed, &self.label());
@@ -876,27 +942,21 @@ impl FaultSpec {
     /// `topo` (empty for every other regime).
     fn port_windows(&self, topo: &Topology, fault_seed: u64) -> Vec<PortFault> {
         match *self {
-            FaultSpec::None | FaultSpec::Straggler { .. } | FaultSpec::Stochastic(_) => Vec::new(),
-            FaultSpec::LinkFlap { links, down_ns, up_ns } => {
+            FaultSpec::None
+            | FaultSpec::Straggler { .. }
+            | FaultSpec::Stochastic(_)
+            | FaultSpec::Job(_) => Vec::new(),
+            FaultSpec::LinkFlap { links, down_ns: start_ns, up_ns: end_ns }
+            | FaultSpec::Degrade { links, from_ns: start_ns, to_ns: end_ns, .. } => {
+                let kind = match *self {
+                    FaultSpec::Degrade { bw_pct, lat_pct, .. } => {
+                        FaultKind::Degrade { bw_pct, lat_pct }
+                    }
+                    _ => FaultKind::Down,
+                };
                 select_fault_ports(topo, links, fault_seed)
                     .into_iter()
-                    .map(|port| PortFault {
-                        port,
-                        start_ns: down_ns,
-                        end_ns: up_ns,
-                        kind: FaultKind::Down,
-                    })
-                    .collect()
-            }
-            FaultSpec::Degrade { links, bw_pct, lat_pct, from_ns, to_ns } => {
-                select_fault_ports(topo, links, fault_seed)
-                    .into_iter()
-                    .map(|port| PortFault {
-                        port,
-                        start_ns: from_ns,
-                        end_ns: to_ns,
-                        kind: FaultKind::Degrade { bw_pct, lat_pct },
-                    })
+                    .map(|port| PortFault { port, start_ns, end_ns, kind })
                     .collect()
             }
             FaultSpec::Markov { links, up_ns, down_ns, horizon_ns } => {
@@ -1071,14 +1131,15 @@ pub enum BackendFamily {
 }
 
 impl BackendFamily {
+    pub const NAMES: [(&'static str, BackendFamily); 4] = [
+        ("htsim", BackendFamily::Htsim),
+        ("htsim-spray", BackendFamily::HtsimSpray),
+        ("lgs", BackendFamily::Lgs),
+        ("ideal", BackendFamily::Ideal),
+    ];
+
     pub fn parse(tok: &str) -> Result<BackendFamily, String> {
-        Ok(match tok {
-            "htsim" => BackendFamily::Htsim,
-            "htsim-spray" => BackendFamily::HtsimSpray,
-            "lgs" => BackendFamily::Lgs,
-            "ideal" => BackendFamily::Ideal,
-            _ => return Err(format!("unknown backend `{tok}` (htsim|htsim-spray|lgs|ideal)")),
-        })
+        by_name("backend", &Self::NAMES, tok)
     }
 
     /// The concrete backends of this family: htsim families cross with
@@ -1106,7 +1167,7 @@ impl BackendSpec {
     pub fn label(&self) -> String {
         match self {
             BackendSpec::Htsim { cc, spray } => {
-                let cc = cc.to_string().to_ascii_lowercase();
+                let cc = name_of(&CC_NAMES, cc);
                 if *spray {
                     format!("htsim-{cc}-spray")
                 } else {
@@ -1119,15 +1180,17 @@ impl BackendSpec {
     }
 }
 
-/// Parse a CC token.
+/// The CC axis vocabulary.
+pub const CC_NAMES: [(&str, CcAlgo); 4] = [
+    ("mprdma", CcAlgo::Mprdma),
+    ("swift", CcAlgo::Swift),
+    ("ndp", CcAlgo::Ndp),
+    ("dctcp", CcAlgo::Dctcp),
+];
+
+/// Parse a CC token (any case: `CcAlgo` displays in capitals).
 pub fn parse_cc(tok: &str) -> Result<CcAlgo, String> {
-    Ok(match tok.to_ascii_lowercase().as_str() {
-        "mprdma" => CcAlgo::Mprdma,
-        "swift" => CcAlgo::Swift,
-        "ndp" => CcAlgo::Ndp,
-        "dctcp" => CcAlgo::Dctcp,
-        _ => return Err(format!("unknown CC `{tok}` (mprdma|swift|ndp|dctcp)")),
-    })
+    by_name("CC", &CC_NAMES, &tok.to_ascii_lowercase())
 }
 
 /// LogGOPS parameters calibrated against the testbed emulator for an
@@ -1180,44 +1243,61 @@ impl ScenarioGrid {
         let mut dropped = Vec::new();
         let workloads = unique(&self.workloads, |w| w.label());
         let placements = unique(&self.placements, |p| **p);
-        let backends = unique(self.backends.iter().flat_map(|f| f.specs(&self.ccs)), |b| *b);
-        // An empty fault axis is a fault-free grid.
-        let none = [FaultSpec::None];
-        let faults = if self.faults.is_empty() { &none } else { &self.faults[..] };
-        let faults = unique(faults, |f| f.label());
+        let regimes = backend_faults(&self.backends, &self.ccs, &self.faults);
         for topo in unique(&self.topologies, |t| t.label()) {
             let hosts = topo.hosts();
             for workload in &workloads {
                 if workload.ranks() > hosts {
                     // Infeasible: workload wider than the fabric.
-                    dropped.push(format!(
-                        "{} needs {} ranks but {} has {hosts} hosts",
-                        workload.label(),
-                        workload.ranks(),
-                        topo.label()
-                    ));
+                    dropped.push(too_wide(workload, topo, hosts));
                     continue;
                 }
                 let seed = cell_seed(self.seed, &workload.label());
                 for placement in &placements {
-                    for &backend in &backends {
-                        for fault in faults.iter().filter(|f| f.applies_to(&backend)) {
-                            cells.push(ScenarioCell {
-                                topology: topo.clone(),
-                                workload: (*workload).clone(),
-                                placement: **placement,
-                                backend,
-                                fault: (*fault).clone(),
-                                seed,
-                                collect_flows: self.collect_flows,
-                            });
-                        }
+                    for &(backend, fault) in &regimes {
+                        cells.push(ScenarioCell {
+                            topology: topo.clone(),
+                            workload: (*workload).clone(),
+                            placement: **placement,
+                            backend,
+                            fault: fault.clone(),
+                            seed,
+                            collect_flows: self.collect_flows,
+                        });
                     }
                 }
             }
         }
         (cells, dropped)
     }
+}
+
+/// The backend × fault regimes a grid crosses its other axes with, each
+/// once, backend-major: htsim families cross with the CC axis, CC-less
+/// backends appear once, and each backend pairs only with the faults that
+/// apply to it. An empty fault axis is a fault-free grid.
+pub(crate) fn backend_faults<'a>(
+    families: &[BackendFamily],
+    ccs: &[CcAlgo],
+    faults: &'a [FaultSpec],
+) -> Vec<(BackendSpec, &'a FaultSpec)> {
+    const FAULT_FREE: &[FaultSpec] = &[FaultSpec::None];
+    let faults = unique(if faults.is_empty() { FAULT_FREE } else { faults }, |f| f.label());
+    let backends = unique(families.iter().flat_map(|f| f.specs(ccs)), |b| *b);
+    let pairs = backends.iter().flat_map(|backend| {
+        faults.iter().filter(|f| f.applies_to(backend)).map(|&fault| (*backend, fault))
+    });
+    pairs.collect()
+}
+
+/// Why a workload was dropped from a grid: it is wider than the fabric.
+pub(crate) fn too_wide(workload: &WorkloadSpec, topo: &TopologySpec, hosts: usize) -> String {
+    format!(
+        "{} needs {} ranks but {} has {hosts} hosts",
+        workload.label(),
+        workload.ranks(),
+        topo.label()
+    )
 }
 
 /// The first occurrence of each value on one grid axis, in order. A value
@@ -1292,10 +1372,7 @@ impl ScenarioCell {
     /// segment only for faulted cells — fault-free keys are identical to
     /// a grid without the fault axis.
     pub fn key(&self) -> String {
-        match &self.fault {
-            FaultSpec::None => self.prefix_key(),
-            fault => format!("{}/{}", self.prefix_key(), fault.label()),
-        }
+        self.fault.keyed(self.prefix_key())
     }
 }
 
@@ -1333,7 +1410,8 @@ pub struct CellResult {
 /// Run one cell to completion. Single-threaded and deterministic: the
 /// same cell always produces the same result, bit for bit.
 pub fn run_cell(cell: &ScenarioCell) -> CellResult {
-    run_cell_prepared(cell, &cell.workload.build_jobs(cell.seed))
+    let jobs = cell.workload.build_jobs(cell.seed);
+    run_members(&[cell], &jobs, None).pop().expect("one member, one result")
 }
 
 /// A cell's composed schedule and per-job node placements.
@@ -1384,20 +1462,13 @@ pub fn prepare_goal(cell: &ScenarioCell, jobs: &[Arc<GoalSchedule>]) -> Prepared
     }
 }
 
-/// [`run_cell`] with the workload's job schedules already built — the
-/// sweep executor lowers each distinct (workload, seed) pair once and
-/// shares the `Arc`ed result across cells. `jobs` must equal
-/// `cell.workload.build_jobs(cell.seed)` (deterministic), so sharing
-/// cannot change any result.
-pub fn run_cell_prepared(cell: &ScenarioCell, jobs: &[Arc<GoalSchedule>]) -> CellResult {
-    run_members(&[cell], jobs, None).pop().expect("one member, one result")
-}
-
 /// Run cells that share everything but the fault axis — topology,
 /// workload (hence seed), placement, and backend — as one
 /// [`session`]: straight when `branch_at` is `None` (exactly one
 /// member), otherwise the shared prefix is simulated once and each
 /// member's fault applied at the branch point. Results in member order.
+/// `jobs` must equal the members' `workload.build_jobs(seed)`
+/// (deterministic, so the sweep builds it once and shares it).
 pub(crate) fn run_members(
     members: &[&ScenarioCell],
     jobs: &[Arc<GoalSchedule>],
@@ -1611,6 +1682,9 @@ mod tests {
         }
     }
 
+    /// The one label⇄parse round trip for every `--faults` token, the
+    /// families [`FaultSpec::parse`] delegates included: any fault segment
+    /// a report key prints can be fed back to `--faults`.
     #[test]
     fn fault_labels_roundtrip() {
         for spec in [
@@ -1626,22 +1700,66 @@ mod tests {
                 events: faultgen::parse_churn_inline("1000;0;d,5000;0;u,2000;1;d,7000;1;u")
                     .unwrap(),
             },
-            FaultSpec::parse("loss:20000").unwrap(),
-            FaultSpec::parse("loss:80000:core").unwrap(),
-            FaultSpec::parse("loss:5000:edge").unwrap(),
-            FaultSpec::parse("jitter:exp:2000").unwrap(),
-            FaultSpec::parse("jitter:weibull:3000:2").unwrap(),
-            FaultSpec::parse("jitter:uniform:1500").unwrap(),
+            FaultSpec::Job(JobFaultSpec::JobFail { pct: 25, at_pct: 50, retries: 3 }),
+            FaultSpec::Job(JobFaultSpec::JobFail { pct: 100, at_pct: 0, retries: 1 }),
+            FaultSpec::Job(JobFaultSpec::Mtbf { mtbf_ns: 2_000_000, retries: 3 }),
         ] {
             assert_eq!(FaultSpec::parse(&spec.label()).unwrap(), spec);
         }
-        assert!(FaultSpec::parse("meteor:1").is_err());
-        assert!(FaultSpec::parse("linkflap:1:500:100").is_err(), "window must close after open");
+        for tok in [
+            "loss:20000",
+            "loss:80000:core",
+            "loss:5000:edge",
+            "jitter:exp:2000",
+            "jitter:weibull:3000:2",
+            "jitter:uniform:1500",
+        ] {
+            let spec = FaultSpec::parse(tok).unwrap();
+            assert!(matches!(spec, FaultSpec::Stochastic(_)), "{tok}");
+            assert_eq!(spec.label(), tok);
+        }
         // The uniform straggler keeps its historical short label.
         assert_eq!(
             FaultSpec::Straggler { prob_pct: 25, factor_pct: 300, spread_pct: 0, shape: 7 }.label(),
             "straggler:25:300"
         );
+        // Out-of-range percentages and shapes clamp instead of erroring
+        // (CLI forgiveness), so they label as the value they clamp to.
+        for (tok, label) in [
+            ("straggler:250:300:100:99", "straggler:100:300:100:16"),
+            ("jobfail:150:200:2", "jobfail:100:100:2"),
+        ] {
+            assert_eq!(FaultSpec::parse(tok).unwrap().label(), label);
+        }
+    }
+
+    /// Every name-table vocabulary round-trips all its values (so no name
+    /// and no value appears twice), and a stranger's error lists the names.
+    #[test]
+    fn name_tables_roundtrip_every_value() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            table: &[(&'static str, T)],
+            parse: impl Fn(&str) -> Result<T, String>,
+            label: impl Fn(&T) -> String,
+        ) {
+            for &(name, value) in table {
+                assert_eq!(parse(name).unwrap(), value);
+                assert_eq!(label(&value), name);
+            }
+            let err = parse("no-such-name").unwrap_err();
+            assert!(err.contains(&names(table)), "{err}");
+        }
+        use crate::cluster::QueueDiscipline;
+        check(&LlmPreset::NAMES, LlmPreset::parse, |p| p.name().into());
+        let hpc = |tok: &str| by_name("HPC app", &HpcApp::NAMES, tok);
+        check(&HpcApp::NAMES, hpc, |a| name_of(&HpcApp::NAMES, a).into());
+        check(&PlacementSpec::NAMES, PlacementSpec::parse, |p| p.label().into());
+        check(&QueueDiscipline::NAMES, QueueDiscipline::parse, |q| q.label().into());
+        let family = |f: &BackendFamily| name_of(&BackendFamily::NAMES, f).into();
+        check(&BackendFamily::NAMES, BackendFamily::parse, family);
+        // The CC table agrees with `CcAlgo`'s own (capitalized) display.
+        check(&CC_NAMES, parse_cc, |cc| cc.to_string().to_ascii_lowercase());
+        assert_eq!(parse_cc("NDP"), Ok(CcAlgo::Ndp));
     }
 
     #[test]
@@ -1667,11 +1785,16 @@ mod tests {
         assert!(FaultSpec::parse("churn:").is_err(), "empty trace");
         assert!(FaultSpec::parse("churn:1000;0;d").is_err(), "domain left down");
         assert!(FaultSpec::parse("churn:@/no/such/trace-file").is_err(), "missing file");
-        // Clamps still apply on the extended straggler form.
-        assert_eq!(
-            FaultSpec::parse("straggler:250:300:100:99").unwrap(),
-            FaultSpec::Straggler { prob_pct: 100, factor_pct: 300, spread_pct: 100, shape: 16 }
-        );
+        assert!(FaultSpec::parse("meteor:1").unwrap_err().contains(FaultSpec::GRAMMAR));
+        assert!(FaultSpec::parse("linkflap:1:500:100").is_err(), "window must close after open");
+        // The job-scope family: bad numbers, wrong arity, and a zero MTBF
+        // (the exponential time-to-failure sampler would degenerate:
+        // every attempt fails at t=0, forever) die naming the constraint.
+        assert!(FaultSpec::parse("jobfail:x:50:3").unwrap_err().contains("bad number `x`"));
+        assert!(FaultSpec::parse("jobfail:10:50").unwrap_err().contains("expected jobfail:"));
+        assert!(FaultSpec::parse("mtbf:1000").is_err());
+        let err = FaultSpec::parse("mtbf:0:3").unwrap_err();
+        assert!(err.contains("mean time between failures"), "{err}");
         // Satellite: degenerate stochastic link models die at parse time
         // with messages that say what to use instead.
         let err = FaultSpec::parse("loss:0").unwrap_err();

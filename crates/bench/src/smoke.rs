@@ -10,7 +10,7 @@
 
 use atlahs_htsim::CcAlgo;
 
-use crate::cluster::{ArrivalSpec, ClusterFaultSpec, ClusterGrid, QueueDiscipline};
+use crate::cluster::{ArrivalSpec, ClusterGrid, JobFaultSpec, QueueDiscipline};
 use crate::scenario::{
     BackendFamily, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
 };
@@ -262,11 +262,11 @@ pub fn cluster_fault_smoke_grid() -> ClusterGrid {
         ccs: vec![],
         backends: vec![BackendFamily::Lgs],
         faults: vec![
-            ClusterFaultSpec::None,
-            ClusterFaultSpec::JobFail { pct: 50, at_pct: 50, retries: 2 },
+            FaultSpec::None,
+            FaultSpec::Job(JobFaultSpec::JobFail { pct: 50, at_pct: 50, retries: 2 }),
             // Job runs are tens of µs, so a 20 µs MTBF fires on a
             // realistic fraction of attempts.
-            ClusterFaultSpec::Mtbf { mtbf_ns: 20_000, retries: 3 },
+            FaultSpec::Job(JobFaultSpec::Mtbf { mtbf_ns: 20_000, retries: 3 }),
         ],
         seed: 1,
     }

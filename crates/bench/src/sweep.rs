@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use crate::json::Json;
 use crate::scenario::{run_members, CellResult, ScenarioCell};
-use crate::table::Table;
+use crate::table::{fmt_ns, Table};
 
 /// Claim-index parallel map: workers steal the next unclaimed item via
 /// one atomic `fetch_add`; results land in their item's slot, so the
@@ -123,6 +123,22 @@ pub(crate) fn execute_groups(
     slots.into_iter().map(|s| s.expect("every cell is in exactly one group")).collect()
 }
 
+/// The head every report shares: schema, grid seed, cell count. Small
+/// (typical, user-chosen) seeds stay plain numbers; seeds beyond f64's
+/// exact-integer window fall back to hex strings so the recorded grid
+/// seed always reproduces the run.
+pub(crate) fn report_head(schema: &str, seed: u64, cells: usize) -> Json {
+    let mut doc = Json::obj();
+    doc.set("schema", Json::Str(schema.into()));
+    let exact = seed < (1 << 53);
+    doc.set(
+        "seed",
+        if exact { Json::Num(seed as f64) } else { Json::Str(format!("{seed:#018x}")) },
+    );
+    doc.set("cells", Json::Num(cells as f64));
+    doc
+}
+
 /// A finished sweep: the grid seed, the cells, and their results.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
@@ -146,20 +162,7 @@ impl SweepReport {
     /// no wall-clock, no host data — so re-runs and different thread
     /// counts emit byte-identical documents.
     pub fn to_json(&self) -> Json {
-        let mut doc = Json::obj();
-        doc.set("schema", Json::Str("atlahs-sweep-v1".into()));
-        // Small (typical, user-chosen) seeds stay plain numbers; seeds
-        // beyond f64's exact-integer window fall back to hex strings so
-        // the recorded grid seed always reproduces the sweep.
-        doc.set(
-            "seed",
-            if self.seed < (1 << 53) {
-                Json::Num(self.seed as f64)
-            } else {
-                Json::Str(format!("{:#018x}", self.seed))
-            },
-        );
-        doc.set("cells", Json::Num(self.results.len() as f64));
+        let mut doc = report_head("atlahs-sweep-v1", self.seed, self.results.len());
         // Branched sweeps record the branch point and the shared-prefix
         // work counter; straight sweeps omit the object entirely so all
         // pre-existing goldens keep their exact bytes.
@@ -287,20 +290,14 @@ impl SweepReport {
              |---|---:|---:|---:|---:|---:|\n",
         );
         for r in &self.results {
-            let (mean, p99) = if r.mct.count > 0 {
-                (crate::table::fmt_ns(r.mct.mean.round() as u64), crate::table::fmt_ns(r.mct.p99))
-            } else {
-                ("-".into(), "-".into())
-            };
-            let drops = match &r.net {
-                Some(n) => (n.drops + n.trims).to_string(),
-                None => "-".into(),
-            };
+            let p99 = if r.mct.count > 0 { fmt_ns(r.mct.p99) } else { "-".into() };
             out.push_str(&format!(
-                "| {} | {} | {} | {mean} | {p99} | {drops} |\n",
+                "| {} | {} | {} | {} | {p99} | {} |\n",
                 r.key,
-                crate::table::fmt_ns(r.makespan),
+                fmt_ns(r.makespan),
                 r.tasks,
+                mean_mct(r),
+                lost(r),
             ));
         }
         out
@@ -310,26 +307,32 @@ impl SweepReport {
     pub fn summary_table(&self) -> Table {
         let mut t = Table::new(["scenario", "makespan", "tasks", "mean MCT", "drops", "wall"]);
         for r in &self.results {
-            let mean = if r.mct.count > 0 {
-                crate::table::fmt_ns(r.mct.mean.round() as u64)
-            } else {
-                "-".into()
-            };
-            let drops = match &r.net {
-                Some(n) => (n.drops + n.trims).to_string(),
-                None => "-".into(),
-            };
             t.row([
                 r.key.clone(),
-                crate::table::fmt_ns(r.makespan),
+                fmt_ns(r.makespan),
                 r.tasks.to_string(),
-                mean,
-                drops,
+                mean_mct(r),
+                lost(r),
                 format!("{:.0} ms", r.wall.as_secs_f64() * 1e3),
             ]);
         }
         t
     }
+}
+
+/// A cell's mean message completion time for a table, `-` without flows.
+fn mean_mct(r: &CellResult) -> String {
+    if r.mct.count > 0 {
+        fmt_ns(r.mct.mean.round() as u64)
+    } else {
+        "-".into()
+    }
+}
+
+/// A cell's dropped plus trimmed packets for a table, `-` off the
+/// packet-level backends.
+fn lost(r: &CellResult) -> String {
+    r.net.map_or("-".into(), |n| (n.drops + n.trims).to_string())
 }
 
 #[cfg(test)]

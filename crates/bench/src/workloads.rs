@@ -111,6 +111,17 @@ pub enum HpcApp {
 }
 
 impl HpcApp {
+    /// The CLI tokens (`hpc:<app>:…` workloads, docs/SCENARIOS.md).
+    pub const NAMES: [(&'static str, HpcApp); 6] = [
+        ("cloverleaf", HpcApp::CloverLeaf),
+        ("hpcg", HpcApp::Hpcg),
+        ("lulesh", HpcApp::Lulesh),
+        ("lammps", HpcApp::Lammps),
+        ("icon", HpcApp::Icon),
+        ("openmx", HpcApp::OpenMx),
+    ];
+
+    /// The application's own spelling (figure and table rows).
     pub fn name(self) -> &'static str {
         match self {
             HpcApp::CloverLeaf => "CloverLeaf",
@@ -257,9 +268,8 @@ pub fn ai_lgs_params(nodes: usize) -> atlahs_lgs::LogGopsParams {
 
 /// Cross-ToR permutation: every rank sends `bytes` to the rank half a
 /// ring away (tag = sender), so with ≤ `hosts/2` hosts per ToR every
-/// flow crosses the core. Shared by the criterion engine benches and
-/// the determinism goldens — one definition so they can never drift
-/// apart silently.
+/// flow crosses the core. The workload of the htsim determinism goldens
+/// (`tests/determinism_golden.rs`).
 pub fn cross_tor_permutation(hosts: u32, bytes: u64) -> GoalSchedule {
     let mut b = atlahs_goal::GoalBuilder::new(hosts as usize);
     for h in 0..hosts {

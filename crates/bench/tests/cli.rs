@@ -23,6 +23,44 @@ fn axis_errors_name_the_subcommand_that_was_run() {
     assert!(err.starts_with("atlahs sweep: --faults: "), "{err}");
 }
 
+/// A flag the subcommand does not read is refused — the singular
+/// `--topo … --workload …` used to exit 0 having simulated the *default*
+/// 16-node grid — and a malformed number is a usage error, not a panic
+/// with a backtrace.
+#[test]
+fn mistyped_flags_and_numbers_are_usage_errors() {
+    let singular = ["sweep", "--topo", "switch:4", "--workload", "ring:4:1024:1"];
+    let err = stderr_of_usage_error(&atlahs(&singular));
+    assert!(err.starts_with("atlahs sweep: --topo: unknown flag (sweep reads --topos "), "{err}");
+    let err = stderr_of_usage_error(&atlahs(&["cluster", "--topos", "switch:8"]));
+    assert!(err.starts_with("atlahs cluster: --topos: unknown flag"), "{err}");
+    for (sub, flag, value) in [
+        ("sweep", "--threads", "abc"),
+        ("sweep", "--seed", "x"),
+        ("sweep", "--branch-at", "y"),
+        ("cluster", "--threads", "abc"),
+        ("cluster", "--seed", "x"),
+    ] {
+        let err = stderr_of_usage_error(&atlahs(&[sub, flag, value]));
+        assert!(err.starts_with(&format!("atlahs {sub}: {flag}: cannot parse")), "{err}");
+    }
+}
+
+/// One fault grammar, two scopes: each subcommand refuses the tokens it
+/// cannot express and says why and where they belong.
+#[test]
+fn faults_outside_a_subcommands_scope_are_refused_with_the_reason() {
+    let err = stderr_of_usage_error(&atlahs(&["sweep", "--faults", "jobfail:50:50:2"]));
+    assert!(err.starts_with("atlahs sweep: --faults: fault `jobfail:50:50:2` fails and "), "{err}");
+    assert!(err.contains("it is an `atlahs cluster` fault"), "{err}");
+    let branch = ["sweep", "--branch-at", "1000", "--branch", "mtbf:20000:3"];
+    let err = stderr_of_usage_error(&atlahs(&branch));
+    assert!(err.starts_with("atlahs sweep: --branch: fault `mtbf:20000:3`"), "{err}");
+    let err = stderr_of_usage_error(&atlahs(&["cluster", "--faults", "linkflap:1:10:20"]));
+    assert!(err.starts_with("atlahs cluster: --faults: fault `linkflap:1:10:20` picks "), "{err}");
+    assert!(err.contains("it is an `atlahs sweep` fault"), "{err}");
+}
+
 /// A report key fed back to `--workloads` runs: the multi-job scenario is
 /// reachable from the CLI, and a repeated axis value repeats no key.
 #[test]

@@ -651,22 +651,24 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_ring_faster_than_recdoub_for_large_messages() {
-        // Bandwidth-optimal ring should beat recursive doubling on big data:
-        // recdoub sends the full buffer log2(k) times.
+    fn allreduce_ring_beats_recdoub_on_large_messages_and_loses_on_small() {
+        // Bandwidth-optimal ring should beat recursive doubling on big data
+        // (recdoub sends the full buffer log2(k) times) and lose to it on
+        // small data (2(k-1) latency-bound steps against log2(k)).
         let p = CollParams { reduce_ns_per_byte: 0.0, ..CollParams::default() };
-        let bytes = 1 << 20;
         let ranks: Vec<Rank> = (0..8).collect();
-
-        let mut b1 = GoalBuilder::new(8);
-        allreduce_ring(&mut b1, &ranks, bytes, 0, &p);
-        let ring = simulate(&b1.build().unwrap()).makespan;
-
-        let mut b2 = GoalBuilder::new(8);
-        allreduce_recdoub(&mut b2, &ranks, bytes, 0, &p);
-        let recdoub = simulate(&b2.build().unwrap()).makespan;
-
+        let makespan = |algo: fn(&mut GoalBuilder, &[Rank], u64, u32, &CollParams) -> Ports,
+                        bytes: u64| {
+            let mut b = GoalBuilder::new(8);
+            algo(&mut b, &ranks, bytes, 0, &p);
+            simulate(&b.build().unwrap()).makespan
+        };
+        let (ring, recdoub) =
+            (makespan(allreduce_ring, 1 << 20), makespan(allreduce_recdoub, 1 << 20));
         assert!(ring < recdoub, "ring {ring} should beat recdoub {recdoub}");
+        let (ring, recdoub) =
+            (makespan(allreduce_ring, 1 << 10), makespan(allreduce_recdoub, 1 << 10));
+        assert!(recdoub < ring, "at 1 KiB recdoub {recdoub} should beat ring {ring}");
     }
 
     #[test]

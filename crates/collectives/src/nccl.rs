@@ -655,6 +655,11 @@ mod tests {
         check(&goal);
         let stats = ScheduleStats::of(&goal);
         assert_eq!(stats.sends, 4); // 2 MiB / 512 KiB
+                                    // Smaller chunks pipeline finer and multiply the schedule.
+        let fine = NcclConfig { chunk_bytes: 64 << 10, ..cfg };
+        let mut b = GoalBuilder::new(2);
+        p2p(&mut b, 0, 1, 2 * 1024 * 1024, 0, &fine);
+        assert_eq!(ScheduleStats::of(&b.build().unwrap()).sends, 32); // 2 MiB / 64 KiB
     }
 
     #[test]

@@ -36,13 +36,9 @@ pub struct HtsimConfig {
     pub cc: CcAlgo,
     /// Payload bytes per packet.
     pub mtu: u32,
-    /// Per-port buffering capacity (paper: 1 MiB).
+    /// Per-port buffering capacity (paper: 1 MiB). ECN marking starts at
+    /// 20 % of it and is certain from 80 % (the paper's K_min / K_max).
     pub queue_bytes: u64,
-    /// ECN marking thresholds as fractions of `queue_bytes` (paper: 20%/80%).
-    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-    pub kmin_frac: f64,
-    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-    pub kmax_frac: f64,
     /// Host-side per-operation overhead (ns).
     pub host_o: u64,
     /// RNG seed (ECN probabilistic marking, ECMP salt).
@@ -73,10 +69,6 @@ impl HtsimConfig {
             cc,
             mtu: 4096,
             queue_bytes: 1 << 20,
-            // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-            kmin_frac: 0.2,
-            // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-            kmax_frac: 0.8,
             host_o: 200,
             seed: 1,
             collect_flows: false,
@@ -453,10 +445,8 @@ impl HtsimState {
                 qbytes: 0,
                 in_service: None,
                 cap: cfg.queue_bytes,
-                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                kmin: (cfg.queue_bytes as f64 * cfg.kmin_frac) as u64,
-                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                kmax: (cfg.queue_bytes as f64 * cfg.kmax_frac) as u64,
+                kmin: cfg.queue_bytes / 5,
+                kmax: cfg.queue_bytes * 4 / 5,
                 wire_mtu,
                 tx_mtu: 0,
                 tx_hdr: 0,

@@ -186,7 +186,6 @@ pub fn run(root: &Path) -> io::Result<Report> {
         // Crate test dirs join the haystack (tests reference goldens)
         // but are not rule-scanned: test code is exempt by policy.
         collect_sources(root, &dir.join("tests"), &mut sources)?;
-        collect_sources(root, &dir.join("benches"), &mut sources)?;
     }
 
     // ---- the umbrella crate at the workspace root ----

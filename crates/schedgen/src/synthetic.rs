@@ -129,7 +129,7 @@ pub fn ring(n: usize, bytes: u64, repeat: u32) -> Result<GoalSchedule, GoalError
 /// round's tasks chained on the previous round's: the deepest
 /// dependency chain a schedule of this size can have, with a single
 /// event in flight at any time. Exercises a scheduler's serial dispatch
-/// path (the `lgs` criterion suite replays it).
+/// path.
 pub fn pingpong_chain(rounds: u32, bytes: u64) -> Result<GoalSchedule, GoalError> {
     let mut b = GoalBuilder::new(2);
     let mut prev0 = None;

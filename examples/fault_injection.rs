@@ -23,7 +23,7 @@
 //! clean and a lossy run of the same workload.
 
 use atlahs_bench::cluster::{
-    run_grid, ArrivalSpec, ClusterFaultSpec, ClusterGrid, ClusterReport, QueueDiscipline,
+    run_grid, ArrivalSpec, ClusterGrid, ClusterReport, JobFaultSpec, QueueDiscipline,
 };
 use atlahs_bench::scenario::{
     BackendFamily, FaultAction, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
@@ -108,8 +108,8 @@ fn main() {
         ccs: vec![CcAlgo::Mprdma],
         backends: vec![BackendFamily::Lgs],
         faults: vec![
-            ClusterFaultSpec::None,
-            ClusterFaultSpec::JobFail { pct: 60, at_pct: 50, retries: 2 },
+            FaultSpec::None,
+            FaultSpec::Job(JobFaultSpec::JobFail { pct: 60, at_pct: 50, retries: 2 }),
         ],
         seed: 7,
     };

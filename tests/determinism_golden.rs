@@ -474,7 +474,7 @@ fn lgs_moe_straggler() {
     assert!(got.makespan > clean.makespan, "{} <= {}", got.makespan, clean.makespan);
 }
 
-// --- the fault-smoke grid (ci.sh stage 8, `sweep --fault-smoke`): every faulted cell must
+// --- the fault-smoke grid (ci.sh stage 7, `sweep --fault-smoke`): every faulted cell must
 // --- diverge from its fault-free sibling, or the golden would silently
 // --- pin a fault spec that does nothing.
 
@@ -647,7 +647,7 @@ fn checkpoint_resume_is_bit_identical_on_ideal() {
     }
 }
 
-// --- the branch-smoke grid (ci.sh stage 8, `sweep --branch-smoke`): the shared-prefix snapshot
+// --- the branch-smoke grid (ci.sh stage 7, `sweep --branch-smoke`): the shared-prefix snapshot
 // --- executor must agree byte-for-byte with the checked-in golden, and
 // --- its work counter must prove prefixes ran once per group.
 
@@ -672,7 +672,7 @@ fn branch_smoke_reproduces_the_checked_in_golden_bytes() {
     );
 }
 
-// --- the stochastic-smoke grid (ci.sh stage 8, `sweep --stochastic-smoke`): the per-packet
+// --- the stochastic-smoke grid (ci.sh stage 7, `sweep --stochastic-smoke`): the per-packet
 // --- loss/jitter cells draw from counter-based per-port streams and must
 // --- agree byte-for-byte with the checked-in golden — with the 45
 // --- fault-smoke cells byte-frozen inside (an inactive LinkModel consumes
