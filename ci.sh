@@ -8,7 +8,10 @@
 #   4. cargo test -q              — unit + integration + doc tests (tier-1)
 #   5. cargo doc --no-deps        — rustdoc must build warning-free
 #   6. large-trace LGS fingerprint — the ~1M-op pipeline_parallel golden
-#      (release-scale, so it runs here rather than in the debug suite)
+#      (release-scale, so it runs here rather than in the debug suite),
+#      then the lowering memory ratchet: tests/lowering_footprint.rs
+#      lowers the 3.19 M-task ai_lgs_trace input in a process of its own
+#      and fails if VmHWM passes its recorded bound
 #   7. golden smokes              — six fixed grids run on 2 threads and
 #      must reproduce their checked-in reports byte for byte
 #      (docs/SCENARIOS.md): `sweep --smoke` (24 cells), `sweep
@@ -63,6 +66,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 step "large-trace LGS fingerprint (~1M-op pipeline_parallel golden)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test determinism_golden \
     lgs_pipeline_parallel_1m
+
+step "lowering memory ratchet (3.19M-task nccl2goal trace, VmHWM bound)"
+ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test lowering_footprint
 
 # smoke <subcommand> <flag> <golden>: run one fixed grid on 2 threads and
 # byte-diff its JSON report against the checked-in golden.

@@ -230,18 +230,13 @@ impl<'g> SimDriver<'g> {
 
         let mut ranks: Vec<RankState> = Vec::with_capacity(goal.num_ranks());
         for sched in goal.ranks() {
-            let (full, start) = sched.indegrees();
             let n = sched.num_tasks();
             let stream_col = sched.streams();
             let mut stream_ids: Vec<Stream> = stream_col.to_vec();
             stream_ids.sort_unstable();
             stream_ids.dedup();
             let mut rs = RankState {
-                remaining: full
-                    .iter()
-                    .zip(&start)
-                    .map(|(&f, &s)| (s as u64) << 32 | f as u64)
-                    .collect(),
+                remaining: packed_indegrees(sched),
                 state: vec![TaskState::Waiting; n],
                 streams: stream_ids
                     .into_iter()
@@ -387,8 +382,9 @@ impl<'g> SimDriver<'g> {
                 // counter would borrow across halves on underflow
                 // instead of panicking like the old u32 arrays, so
                 // keep the debug guard explicit.
-                for &(succ, kind) in sched.succs(op.task) {
-                    if kind == DepKind::Full {
+                for dep in sched.succs(op.task) {
+                    if dep.kind() == DepKind::Full {
+                        let succ = dep.task();
                         let rs = &mut self.ranks[r];
                         debug_assert!(
                             rs.remaining[succ.index()] as u32 != 0,
@@ -403,6 +399,18 @@ impl<'g> SimDriver<'g> {
         }
         Ok(())
     }
+}
+
+/// The initial `remaining` column of a rank (see [`RankState`]): one pass
+/// over the predecessor lists, the counters of
+/// [`RankSchedule::indegrees`] already packed.
+fn packed_indegrees(sched: &RankSchedule) -> Vec<u64> {
+    (0..sched.num_tasks())
+        .map(|i| {
+            let preds = sched.preds(TaskId(i as u32));
+            preds.iter().map(|dep| if dep.kind() == DepKind::Full { 1 } else { START_ONE }).sum()
+        })
+        .collect()
 }
 
 fn maybe_ready(sched: &RankSchedule, rs: &mut RankState, id: TaskId) {
@@ -431,8 +439,9 @@ fn issue_task<B: Backend>(
         TaskKind::Calc { cost } => OpKind::Calc { cost },
     };
     backend.issue(OpRef::new(rank, id), kind);
-    for &(succ, k) in sched.succs(id) {
-        if k == DepKind::Start {
+    for dep in sched.succs(id) {
+        if dep.kind() == DepKind::Start {
+            let succ = dep.task();
             let rs = &mut ranks[rank as usize];
             debug_assert!(
                 rs.remaining[succ.index()] >> 32 != 0,
@@ -505,6 +514,27 @@ mod tests {
     fn run(goal: &GoalSchedule) -> SimReport {
         let mut b = IdealBackend::new(1.0, 100);
         Simulation::new(goal).run(&mut b).unwrap()
+    }
+
+    #[test]
+    fn packed_indegrees_equal_the_public_counters() {
+        let mut b = GoalBuilder::new(2);
+        let ids: Vec<_> = (0..6).map(|_| b.calc(0, 1)).collect();
+        b.requires(0, ids[3], ids[0]);
+        b.irequires(0, ids[3], ids[1]);
+        b.irequires(0, ids[3], ids[2]);
+        b.requires(0, ids[4], ids[3]);
+        b.requires(0, ids[5], ids[3]);
+        b.requires(0, ids[5], ids[4]);
+        b.irequires(0, ids[5], ids[0]);
+        let goal = b.build().unwrap();
+        for sched in goal.ranks() {
+            let (full, start) = sched.indegrees();
+            let want: Vec<u64> =
+                full.iter().zip(&start).map(|(&f, &s)| (s as u64) << 32 | f as u64).collect();
+            assert_eq!(packed_indegrees(sched), want);
+        }
+        assert_eq!(packed_indegrees(goal.rank(0))[3], 2 * START_ONE + 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use bytes::BufMut;
 
 use crate::error::GoalError;
 use crate::schedule::{check_edge, GoalSchedule, RankSchedule, TaskColumns};
-use crate::task::{DepKind, Rank, Task, TaskId, TaskKind};
+use crate::task::{Dep, DepKind, Rank, Task, TaskId, TaskKind};
 
 const MAGIC: &[u8; 8] = b"GOALB1\0\0";
 
@@ -61,7 +61,9 @@ impl Reader<'_> {
             let Some(&byte) = self.data.get(self.pos) else {
                 return Err(self.error("truncated varint"));
             };
-            if shift >= 64 {
+            // The tenth byte holds bit 63 alone: anything above it (or an
+            // eleventh byte) would be shifted out of the value.
+            if shift >= 64 || (shift == 63 && byte & 0x7e != 0) {
                 return Err(self.error("varint overflow"));
             }
             self.pos += 1;
@@ -71,6 +73,17 @@ impl Reader<'_> {
             }
             shift += 7;
         }
+    }
+
+    /// Read a varint that must fit the 32-bit `field` it fills.
+    #[inline]
+    fn varint_u32(&mut self, field: &str) -> Result<u32, GoalError> {
+        let offset = self.pos;
+        let v = self.varint()?;
+        u32::try_from(v).map_err(|_| GoalError::Decode {
+            offset,
+            msg: format!("{field} {v} does not fit 32 bits"),
+        })
     }
 
     /// Read an element count and bound it by the input left: a rank, task
@@ -96,9 +109,9 @@ impl Reader<'_> {
             return Err(self.error(format!("unknown task kind {code}")));
         }
         let payload = self.varint()?;
-        let peer = if code == KIND_CALC { 0 } else { self.varint()? as u32 };
-        let tag = if header & FLAG_TAG != 0 { self.varint()? as u32 } else { 0 };
-        let stream = if header & FLAG_STREAM != 0 { self.varint()? as u32 } else { 0 };
+        let peer = if code == KIND_CALC { 0 } else { self.varint_u32("peer")? };
+        let tag = if header & FLAG_TAG != 0 { self.varint_u32("tag")? } else { 0 };
+        let stream = if header & FLAG_STREAM != 0 { self.varint_u32("stream")? } else { 0 };
         let kind = match code {
             KIND_CALC => TaskKind::Calc { cost: payload },
             KIND_SEND => TaskKind::Send { bytes: payload, dst: peer, tag },
@@ -218,9 +231,9 @@ pub fn decode(data: &[u8]) -> Result<GoalSchedule, GoalError> {
             };
             check_edge(rank, num_tasks, TaskId(a as u32), TaskId(b))?;
             pred_counts[a as usize] += 1;
-            pred_targets.push((TaskId(b), kind));
+            pred_targets.push(Dep::new(TaskId(b), kind));
         }
-        ranks.push(RankSchedule::from_pred_lists(tasks, &pred_counts, pred_targets));
+        ranks.push(RankSchedule::from_pred_lists(rank, tasks, &pred_counts, pred_targets)?);
     }
     if r.remaining() > 0 {
         return Err(r.error("trailing bytes"));
@@ -355,6 +368,56 @@ mod tests {
             let mut r = Reader { data: &buf, pos: 0 };
             assert_eq!(r.varint().unwrap(), v);
             assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn tenth_varint_byte_may_only_carry_bit_63() {
+        let read = |last: &[u8]| {
+            let data = [&[0x80u8; 9][..], last].concat();
+            Reader { data: &data, pos: 0 }.varint()
+        };
+        assert_eq!(read(&[0x01]), Ok(1 << 63));
+        // Bits 1-6 of the tenth byte used to be shifted out silently.
+        for last in [&[0x02][..], &[0x7f], &[0x41], &[0x81, 0x00]] {
+            match read(last) {
+                Err(GoalError::Decode { msg, .. }) => assert_eq!(msg, "varint overflow"),
+                other => panic!("tenth byte {last:02x?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fields_wider_than_32_bits_are_rejected_not_truncated() {
+        // 1 rank, 1 task: a tagged send on an explicit stream, no edges.
+        let send = |peer: u64, tag: u64, stream: u64| {
+            let mut data = MAGIC.to_vec();
+            data.extend_from_slice(&[1, 1, KIND_SEND | FLAG_TAG | FLAG_STREAM, 64]);
+            for v in [peer, tag, stream, 0] {
+                put_varint(&mut data, v);
+            }
+            data
+        };
+        let max = u32::MAX as u64;
+        let goal = decode(&send(max, max, max)).unwrap();
+        assert_eq!(
+            goal.rank(0).task(TaskId(0)),
+            Task::send(u32::MAX, 64, u32::MAX).on_stream(u32::MAX)
+        );
+        // `2^32 + 1` used to decode as 1. The offset is the field's first byte.
+        let wide = (1 << 32) + 1;
+        for (field, offset, data) in [
+            ("peer", 12, send(wide, 2, 3)),
+            ("tag", 13, send(1, wide, 3)),
+            ("stream", 14, send(1, 2, wide)),
+        ] {
+            match decode(&data) {
+                Err(GoalError::Decode { offset: at, msg }) => {
+                    assert_eq!(at, offset, "{field}");
+                    assert!(msg.starts_with(field) && msg.contains("4294967297"), "{msg}");
+                }
+                other => panic!("{field}: wide value accepted: {other:?}"),
+            }
         }
     }
 

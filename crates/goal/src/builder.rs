@@ -2,7 +2,7 @@
 
 use crate::error::GoalError;
 use crate::schedule::{Edge, GoalSchedule, RankSchedule, TaskColumns};
-use crate::task::{DepKind, Rank, Stream, Tag, Task, TaskId};
+use crate::task::{Dep, DepKind, Rank, Stream, Tag, Task, TaskId};
 
 /// A fluent builder for [`GoalSchedule`].
 ///
@@ -68,8 +68,21 @@ impl GoalBuilder {
         for (i, t) in src.tasks().enumerate() {
             tasks.push(map(TaskId(base + i as u32), t)?);
         }
-        deps.extend(src.dep_edges().map(|(a, b, k)| (TaskId(base + a.0), TaskId(base + b.0), k)));
+        deps.extend(src.edges().map(|(a, dep)| {
+            (TaskId(base + a.0), Dep::new(TaskId(base + dep.task().0), dep.kind()))
+        }));
         Ok(())
+    }
+
+    /// Finish one rank on its own: move its tasks and edges out of the
+    /// builder, which keeps the rank but empty, and index them. A lowering
+    /// that goes through an intermediate level takes that level's ranks one
+    /// at a time with this (and [`GoalBuilder::append`]s each to the next
+    /// level), so the intermediate level never exists as a whole schedule.
+    /// Edge indices are checked; peers and cycles are not.
+    pub fn take_rank(&mut self, rank: Rank) -> Result<RankSchedule, GoalError> {
+        let (tasks, deps) = std::mem::take(&mut self.ranks[rank as usize]);
+        RankSchedule::assemble(rank, tasks, deps.iter().copied())
     }
 
     /// Add a calc of `cost` nanoseconds on stream 0.
@@ -118,12 +131,12 @@ impl GoalBuilder {
 
     /// Declare `task requires dep`: `task` starts only after `dep` completes.
     pub fn requires(&mut self, rank: Rank, task: TaskId, dep: TaskId) {
-        self.ranks[rank as usize].1.push((task, dep, DepKind::Full));
+        self.ranks[rank as usize].1.push((task, Dep::new(dep, DepKind::Full)));
     }
 
     /// Declare `task irequires dep`: `task` starts once `dep` has started.
     pub fn irequires(&mut self, rank: Rank, task: TaskId, dep: TaskId) {
-        self.ranks[rank as usize].1.push((task, dep, DepKind::Start));
+        self.ranks[rank as usize].1.push((task, Dep::new(dep, DepKind::Start)));
     }
 
     /// Chain a list of tasks sequentially (each requires the previous).
@@ -151,12 +164,9 @@ impl GoalBuilder {
     /// Intended for generators that construct schedules which are correct by
     /// construction (e.g. collective decompositions) at very large scale.
     /// Dependency edge indices are still checked.
-    pub fn build_unchecked(self) -> Result<GoalSchedule, GoalError> {
-        let mut ranks = Vec::with_capacity(self.ranks.len());
-        for (r, (tasks, deps)) in self.ranks.into_iter().enumerate() {
-            ranks.push(RankSchedule::assemble(r as Rank, tasks, &deps)?);
-        }
-        Ok(GoalSchedule::new(ranks))
+    pub fn build_unchecked(mut self) -> Result<GoalSchedule, GoalError> {
+        let ranks = (0..self.ranks.len() as Rank).map(|r| self.take_rank(r));
+        Ok(GoalSchedule::new(ranks.collect::<Result<_, _>>()?))
     }
 }
 
@@ -234,6 +244,21 @@ mod tests {
     }
 
     #[test]
+    fn take_rank_builds_one_rank_and_leaves_it_empty() {
+        let mut b = GoalBuilder::new(2);
+        let ids: Vec<_> = (0..3).map(|i| b.calc(1, i)).collect();
+        b.requires(1, ids[2], ids[0]);
+        b.irequires(1, ids[1], ids[0]);
+        b.calc(0, 7);
+        let whole = b.clone().build().unwrap();
+        assert_eq!(&b.take_rank(1).unwrap(), whole.rank(1));
+        assert_eq!((b.num_tasks(0), b.num_tasks(1)), (1, 0));
+        // What `build` rejects in a rank, taking that rank rejects too.
+        b.requires(0, TaskId(0), TaskId(7));
+        assert_eq!(b.take_rank(0), Err(GoalError::UnknownTask { rank: 0, task: TaskId(7) }));
+    }
+
+    #[test]
     fn send_recv_pair_matches() {
         let mut b = GoalBuilder::new(2);
         let (s, r) = send_recv_pair(&mut b, 0, 1, 64, 3);
@@ -257,6 +282,6 @@ mod tests {
         let c = b.calc(0, 1);
         b.irequires(0, c, a);
         let goal = b.build().unwrap();
-        assert_eq!(goal.rank(0).preds(c), &[(a, DepKind::Start)]);
+        assert_eq!(goal.rank(0).preds(c), &[Dep::new(a, DepKind::Start)]);
     }
 }

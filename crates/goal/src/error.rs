@@ -1,6 +1,6 @@
 //! Error type shared by the GOAL crate.
 
-use crate::task::{Rank, TaskId};
+use crate::task::{Dep, Rank, TaskId};
 
 /// Errors produced while building, validating, parsing, or decoding schedules.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,6 +15,9 @@ pub enum GoalError {
     Cycle { rank: Rank },
     /// A task depends on itself.
     SelfDependency { rank: Rank, task: TaskId },
+    /// A rank holds more tasks than the packed dependency entries can
+    /// address ([`crate::Dep::MAX_ID`]).
+    TooManyTasks { rank: Rank, tasks: usize },
     /// Textual format parse error.
     Parse { line: usize, msg: String },
     /// Binary format decode error.
@@ -38,6 +41,9 @@ impl std::fmt::Display for GoalError {
             }
             GoalError::SelfDependency { rank, task } => {
                 write!(f, "rank {rank}: task {task} depends on itself")
+            }
+            GoalError::TooManyTasks { rank, tasks } => {
+                write!(f, "rank {rank}: {tasks} tasks exceed the {} a rank can hold", Dep::MAX_ID)
             }
             GoalError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
             GoalError::Decode { offset, msg } => {

@@ -64,4 +64,4 @@ pub use builder::GoalBuilder;
 pub use error::GoalError;
 pub use schedule::{GoalSchedule, RankSchedule};
 pub use stats::{ScheduleStats, SimpleCostModel};
-pub use task::{DepKind, Rank, Stream, Tag, Task, TaskId, TaskKind};
+pub use task::{Dep, DepKind, Rank, Stream, Tag, Task, TaskId, TaskKind};

@@ -1,10 +1,10 @@
 //! In-memory representation of GOAL schedules.
 
 use crate::error::GoalError;
-use crate::task::{DepKind, Rank, Stream, Task, TaskId, TaskKind};
+use crate::task::{Dep, DepKind, Rank, Stream, Task, TaskId, TaskKind};
 
-/// A dependency edge `(task, depends_on, kind)`.
-pub(crate) type Edge = (TaskId, TaskId, DepKind);
+/// A dependency edge: the dependent task, then what it depends on and how.
+pub(crate) type Edge = (TaskId, Dep);
 
 /// Discriminant column of the task arena (1 byte per task).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,14 +79,14 @@ impl TaskColumns {
 
 /// One direction of the dependency graph in CSR form: the neighbours of
 /// task `i` are `targets[offsets[i]..offsets[i + 1]]`.
-type Csr = (Vec<u32>, Vec<(TaskId, DepKind)>);
+type Csr = (Vec<u32>, Vec<Dep>);
 
-/// Stable counting sort of `(key, neighbour, kind)` triples into CSR form:
-/// the neighbours of each key keep the order the iterator yields them in.
+/// Stable counting sort of `(key, neighbour)` pairs into CSR form: the
+/// neighbours of each key keep the order the iterator yields them in.
 fn csr(n: usize, edges: impl Iterator<Item = Edge> + Clone) -> Csr {
     let mut offsets = vec![0u32; n + 1];
     let mut m = 0usize;
-    for (key, _, _) in edges.clone() {
+    for (key, _) in edges.clone() {
         offsets[key.index() + 1] += 1;
         m += 1;
     }
@@ -96,10 +96,10 @@ fn csr(n: usize, edges: impl Iterator<Item = Edge> + Clone) -> Csr {
     for slot in &mut offsets[1..] {
         start += std::mem::replace(slot, start);
     }
-    let mut targets = vec![(TaskId(0), DepKind::Full); m];
-    for (key, other, kind) in edges {
+    let mut targets = vec![Dep::new(TaskId(0), DepKind::Full); m];
+    for (key, other) in edges {
         let cursor = &mut offsets[key.index() + 1];
-        targets[*cursor as usize] = (other, kind);
+        targets[*cursor as usize] = other;
         *cursor += 1;
     }
     (offsets, targets)
@@ -119,16 +119,25 @@ fn csr(n: usize, edges: impl Iterator<Item = Edge> + Clone) -> Csr {
 ///
 /// Dependency edges are stored in CSR form in both directions so that the
 /// scheduler can walk predecessors (to compute in-degrees) and successors
-/// (to release dependents on completion) without allocation.
+/// (to release dependents on completion) without allocation. An entry is a
+/// packed [`Dep`], so an edge costs 4 bytes per direction on top of the two
+/// 4-byte offset columns: `8·(n + 1) + 8·E` bytes in all
+/// ([`RankSchedule::dep_bytes`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankSchedule {
     tasks: TaskColumns,
     // CSR: predecessors of task i are pred_targets[pred_offsets[i]..pred_offsets[i+1]]
     pred_offsets: Vec<u32>,
-    pred_targets: Vec<(TaskId, DepKind)>,
+    pred_targets: Vec<Dep>,
     // CSR: successors of task i (tasks that depend on i)
     succ_offsets: Vec<u32>,
-    succ_targets: Vec<(TaskId, DepKind)>,
+    succ_targets: Vec<Dep>,
+}
+
+/// The successor-direction view of an edge.
+#[inline]
+fn reversed((a, dep): Edge) -> Edge {
+    (dep.task(), Dep::new(a, dep.kind()))
 }
 
 impl RankSchedule {
@@ -148,7 +157,7 @@ impl RankSchedule {
         for t in tasks {
             cols.push(t);
         }
-        Self::assemble(rank, cols, deps)
+        Self::assemble(rank, cols, deps.iter().map(|&(a, b, k)| (a, Dep::new(b, k))))
     }
 
     /// The one constructor: take over finished task columns and index the
@@ -157,14 +166,15 @@ impl RankSchedule {
     pub(crate) fn assemble(
         rank: Rank,
         tasks: TaskColumns,
-        deps: &[Edge],
+        deps: impl Iterator<Item = Edge> + Clone,
     ) -> Result<Self, GoalError> {
         let n = tasks.len();
-        for &(a, b, _) in deps {
-            check_edge(rank, n, a, b)?;
+        check_task_count(rank, n)?;
+        for (a, dep) in deps.clone() {
+            check_edge(rank, n, a, dep.task())?;
         }
-        let (pred_offsets, pred_targets) = csr(n, deps.iter().copied());
-        let (succ_offsets, succ_targets) = csr(n, deps.iter().map(|&(a, b, k)| (b, a, k)));
+        let (pred_offsets, pred_targets) = csr(n, deps.clone());
+        let (succ_offsets, succ_targets) = csr(n, deps.map(reversed));
         Ok(RankSchedule { tasks, pred_offsets, pred_targets, succ_offsets, succ_targets })
     }
 
@@ -173,10 +183,12 @@ impl RankSchedule {
     /// owns the next `pred_counts[i]` entries of `pred_targets`. Every edge
     /// must have passed [`check_edge`].
     pub(crate) fn from_pred_lists(
+        rank: Rank,
         tasks: TaskColumns,
         pred_counts: &[u32],
-        pred_targets: Vec<(TaskId, DepKind)>,
-    ) -> Self {
+        pred_targets: Vec<Dep>,
+    ) -> Result<Self, GoalError> {
+        check_task_count(rank, tasks.len())?;
         let mut pred_offsets = Vec::with_capacity(pred_counts.len() + 1);
         let mut end = 0u32;
         pred_offsets.push(end);
@@ -185,11 +197,10 @@ impl RankSchedule {
             end
         }));
         let mut s = RankSchedule { tasks, pred_offsets, pred_targets, ..Default::default() };
-        let (succ_offsets, succ_targets) =
-            csr(s.num_tasks(), s.dep_edges().map(|(a, b, k)| (b, a, k)));
+        let (succ_offsets, succ_targets) = csr(s.num_tasks(), s.edges().map(reversed));
         s.succ_offsets = succ_offsets;
         s.succ_targets = succ_targets;
-        s
+        Ok(s)
     }
 
     /// Number of tasks in this rank's schedule.
@@ -237,9 +248,19 @@ impl RankSchedule {
         (self.num_tasks() * per_task) as u64
     }
 
+    /// Bytes held by the dependency CSR in both directions: two 4-byte
+    /// offset columns of `n + 1` slots and two 4-byte [`Dep`] columns of
+    /// one slot per edge, `8·(n + 1) + 8·E` for an assembled rank.
+    /// Deterministic, like [`RankSchedule::task_arena_bytes`].
+    pub fn dep_bytes(&self) -> u64 {
+        let slots = self.pred_offsets.len() + self.succ_offsets.len();
+        let entries = self.pred_targets.len() + self.succ_targets.len();
+        (slots * std::mem::size_of::<u32>() + entries * std::mem::size_of::<Dep>()) as u64
+    }
+
     /// Predecessors of `id`: the tasks it depends on, with edge kinds.
     #[inline]
-    pub fn preds(&self, id: TaskId) -> &[(TaskId, DepKind)] {
+    pub fn preds(&self, id: TaskId) -> &[Dep] {
         let lo = self.pred_offsets[id.index()] as usize;
         let hi = self.pred_offsets[id.index() + 1] as usize;
         &self.pred_targets[lo..hi]
@@ -247,7 +268,7 @@ impl RankSchedule {
 
     /// Successors of `id`: the tasks that depend on it, with edge kinds.
     #[inline]
-    pub fn succs(&self, id: TaskId) -> &[(TaskId, DepKind)] {
+    pub fn succs(&self, id: TaskId) -> &[Dep] {
         let lo = self.succ_offsets[id.index()] as usize;
         let hi = self.succ_offsets[id.index() + 1] as usize;
         &self.succ_targets[lo..hi]
@@ -259,11 +280,17 @@ impl RankSchedule {
         self.pred_targets.len()
     }
 
-    /// All dependency edges as `(task, depends_on, kind)` triples.
+    /// All dependency edges as `(task, depends_on, kind)` triples, grouped
+    /// by dependent task in id order.
     pub fn dep_edges(&self) -> impl Iterator<Item = (TaskId, TaskId, DepKind)> + Clone + '_ {
+        self.edges().map(|(a, dep)| (a, dep.task(), dep.kind()))
+    }
+
+    /// [`RankSchedule::dep_edges`] with the entries still packed.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = Edge> + Clone + '_ {
         (0..self.num_tasks()).flat_map(move |i| {
             let a = TaskId(i as u32);
-            self.preds(a).iter().map(move |&(b, k)| (a, b, k))
+            self.preds(a).iter().map(move |&dep| (a, dep))
         })
     }
 
@@ -278,8 +305,8 @@ impl RankSchedule {
         let mut full = vec![0u32; n];
         let mut start = vec![0u32; n];
         for i in 0..n {
-            for &(_, k) in self.preds(TaskId(i as u32)) {
-                match k {
+            for dep in self.preds(TaskId(i as u32)) {
+                match dep.kind() {
                     DepKind::Full => full[i] += 1,
                     DepKind::Start => start[i] += 1,
                 }
@@ -328,10 +355,11 @@ impl RankSchedule {
         while head != NIL {
             visit(TaskId(head));
             visited += 1;
-            for &(succ, _) in self.succs(TaskId(head)) {
-                links[succ.index()] -= 1;
-                if links[succ.index()] == 0 {
-                    enqueue(links, succ.index());
+            for dep in self.succs(TaskId(head)) {
+                let succ = dep.task().index();
+                links[succ] -= 1;
+                if links[succ] == 0 {
+                    enqueue(links, succ);
                 }
             }
             head = links[head as usize];
@@ -402,6 +430,17 @@ impl GoalSchedule {
         }
         Ok(())
     }
+}
+
+/// Reject a rank whose `n` tasks do not fit the id range of a packed
+/// [`Dep`]. Every constructor calls this once per rank; it is also what
+/// makes the id out-of-range edges saturate to, [`Dep::MAX_ID`], an unknown
+/// task in every rank.
+pub(crate) fn check_task_count(rank: Rank, n: usize) -> Result<(), GoalError> {
+    if n > Dep::MAX_ID as usize {
+        return Err(GoalError::TooManyTasks { rank, tasks: n });
+    }
+    Ok(())
 }
 
 /// Reject an edge `a depends on b` that leaves the rank's `n` tasks or
@@ -487,6 +526,30 @@ mod tests {
         let deps = vec![(TaskId(0), TaskId(5), DepKind::Full)];
         let err = RankSchedule::from_parts(3, tasks, &deps).unwrap_err();
         assert_eq!(err, GoalError::UnknownTask { rank: 3, task: TaskId(5) });
+    }
+
+    #[test]
+    fn task_count_is_bounded_by_the_packed_id_range() {
+        let max = Dep::MAX_ID as usize;
+        assert_eq!(check_task_count(4, 0), Ok(()));
+        assert_eq!(check_task_count(4, max), Ok(()));
+        assert_eq!(
+            check_task_count(4, max + 1),
+            Err(GoalError::TooManyTasks { rank: 4, tasks: max + 1 })
+        );
+        // An id past the range is an unknown task, not an alias of `id - 2^31`.
+        let deps = [(TaskId(1), TaskId(1 << 31), DepKind::Full)];
+        let err = RankSchedule::from_parts(0, vec![Task::calc(1); 2], &deps).unwrap_err();
+        assert_eq!(err, GoalError::UnknownTask { rank: 0, task: TaskId(Dep::MAX_ID) });
+    }
+
+    #[test]
+    fn footprint_is_21_bytes_per_task_and_8_per_edge() {
+        assert_eq!(std::mem::size_of::<Dep>(), 4);
+        let s = diamond();
+        let (n, e) = (s.num_tasks() as u64, s.num_deps() as u64);
+        assert_eq!(s.task_arena_bytes(), 21 * n);
+        assert_eq!(s.dep_bytes(), 8 * (n + 1) + 8 * e);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl SimpleCostModel {
         let mut finish = vec![0u64; sched.num_tasks()];
         let mut best = 0u64;
         for id in order {
-            let start = sched.preds(id).iter().map(|&(p, _)| finish[p.index()]).max().unwrap_or(0);
+            let start = sched.preds(id).iter().map(|p| finish[p.task().index()]).max().unwrap_or(0);
             let f = start + self.task_cost(&sched.task(id).kind);
             finish[id.index()] = f;
             best = best.max(f);
@@ -110,8 +110,8 @@ pub fn dag_levels(sched: &RankSchedule) -> Option<Vec<u32>> {
     let order = sched.topo_order()?;
     let mut level = vec![0u32; sched.num_tasks()];
     for id in order {
-        for &(p, _) in sched.preds(id) {
-            level[id.index()] = level[id.index()].max(level[p.index()] + 1);
+        for p in sched.preds(id) {
+            level[id.index()] = level[id.index()].max(level[p.task().index()] + 1);
         }
     }
     Some(level)

@@ -106,15 +106,76 @@ impl Task {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// `a requires b`: `a` may start only after `b` has *completed*.
-    Full,
+    Full = 0,
     /// `a irequires b`: `a` may start once `b` has *started*
     /// (LogGOPSim's `irequires`, used to model overlapping initiation).
-    Start,
+    Start = 1,
+}
+
+/// One entry of a dependency list, packed into 4 bytes: the neighbouring
+/// task's id in the upper 31 bits and the edge's [`DepKind`] in the lowest.
+///
+/// Both CSR directions of a [`crate::RankSchedule`] and the builder's edge
+/// list store these, so an edge costs 4 bytes per direction. The price is
+/// the id range: a rank holds at most [`Dep::MAX_ID`] tasks, which the
+/// schedule constructors check once per rank.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Dep(u32);
+
+impl Dep {
+    /// The largest id an entry can carry, `2^31 - 1`. No schedule holds a
+    /// task with this id (ids stop one short), so it doubles as the value
+    /// out-of-range ids saturate to.
+    pub const MAX_ID: u32 = u32::MAX >> 1;
+
+    /// Pack `task` and `kind`. An id past [`Dep::MAX_ID`] saturates to it
+    /// rather than losing its top bit, so the range check every edge goes
+    /// through still rejects it as an unknown task.
+    #[inline]
+    pub fn new(task: TaskId, kind: DepKind) -> Self {
+        Dep(task.0.min(Dep::MAX_ID) << 1 | kind as u32)
+    }
+
+    /// The neighbouring task.
+    #[inline]
+    pub fn task(self) -> TaskId {
+        TaskId(self.0 >> 1)
+    }
+
+    /// The edge's dependency semantics.
+    #[inline]
+    pub fn kind(self) -> DepKind {
+        if self.0 & 1 == 0 {
+            DepKind::Full
+        } else {
+            DepKind::Start
+        }
+    }
+}
+
+impl std::fmt::Debug for Dep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "({:?}, {:?})", self.task(), self.kind())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dep_packs_both_kinds_across_the_id_range() {
+        assert_eq!(std::mem::size_of::<Dep>(), 4);
+        for id in [0, 1, Dep::MAX_ID - 1, Dep::MAX_ID] {
+            for kind in [DepKind::Full, DepKind::Start] {
+                let d = Dep::new(TaskId(id), kind);
+                assert_eq!((d.task(), d.kind()), (TaskId(id), kind), "id {id} {kind:?}");
+            }
+        }
+        // Past the range an id saturates; it never aliases a small one.
+        assert_eq!(Dep::new(TaskId(Dep::MAX_ID + 6), DepKind::Start).task(), TaskId(Dep::MAX_ID));
+        assert_eq!(Dep::new(TaskId(u32::MAX), DepKind::Full).task(), TaskId(Dep::MAX_ID));
+    }
 
     #[test]
     fn task_constructors_default_to_stream0() {

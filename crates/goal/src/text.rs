@@ -321,6 +321,7 @@ fn parse_task(body: &str, line: usize) -> Result<Task, GoalError> {
 mod tests {
     use super::*;
     use crate::builder::GoalBuilder;
+    use crate::task::Dep;
 
     const FIG3: &str = r#"
 num_ranks 2
@@ -399,7 +400,7 @@ rank 1 {
     fn irequires_roundtrip() {
         let src = "num_ranks 1\nrank 0 {\na: calc 1\nb: calc 2\nb irequires a\n}";
         let g = parse(src).unwrap();
-        assert_eq!(g.rank(0).preds(TaskId(1)), &[(TaskId(0), DepKind::Start)]);
+        assert_eq!(g.rank(0).preds(TaskId(1)), &[Dep::new(TaskId(0), DepKind::Start)]);
         let g2 = parse(&to_text(&g)).unwrap();
         assert_eq!(g, g2);
     }

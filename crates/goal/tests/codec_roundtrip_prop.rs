@@ -75,6 +75,16 @@ fn assemble_with_idle(num_ranks: usize, idle: Option<usize>, raw: Vec<RawTask>) 
     b.build().expect("assembled schedule is valid by construction")
 }
 
+/// LEB128 as the codec writes it; the test's own copy, so that it can write
+/// values the encoder never would.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 fn raw_task() -> impl Strategy<Value = RawTask> {
     (0u8..255, 0u64..(1 << 40), 0u32..1024, 0u32..(1 << 30), 0u32..64, vec(0u32..1024, 0..3))
 }
@@ -133,6 +143,65 @@ proptest! {
                 prop_assert_eq!(got.preds(id), want.preds(id));
                 prop_assert_eq!(got.succs(id), want.succs(id));
             }
+        }
+    }
+
+    #[test]
+    fn overwritten_bytes_never_panic(
+        num_ranks in 2usize..5,
+        raw in vec(raw_task(), 1..24),
+        at in 0usize..4096,
+        patch in vec(0u16..256, 1..12),
+    ) {
+        // Overwrite a run of bytes past the magic with arbitrary ones —
+        // continuation bits included, so varints grow, shrink and overflow.
+        // Decoding must return, and whatever it accepts it must have read
+        // faithfully: the accepted schedule survives its own round trip.
+        let mut data = binary::encode(&assemble(num_ranks, raw));
+        let at = 8 + at % (data.len() - 8);
+        for (slot, byte) in data[at..].iter_mut().zip(patch) {
+            *slot = byte as u8;
+        }
+        if let Ok(accepted) = binary::decode(&data) {
+            let again = binary::decode(&binary::encode(&accepted)).expect("re-encoded bytes decode");
+            prop_assert_eq!(again, accepted);
+        }
+    }
+
+    #[test]
+    fn wide_fields_are_rejected_not_truncated(
+        bytes in 0u64..u64::MAX,
+        fields in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+        keep_wide in 0u8..8,
+    ) {
+        // A hand-written file holding one send whose peer, tag and stream
+        // varints are drawn from the full 64-bit range (each narrowed to
+        // 32 bits unless its `keep_wide` bit is set). The decoder either
+        // returns exactly these values or names the first field that does
+        // not fit; it never keeps the low 32 bits of a wider number.
+        let narrow = |v: u64, bit: u8| if keep_wide >> bit & 1 == 1 { v } else { v & 0xffff_ffff };
+        let (peer, tag, stream) = (narrow(fields.0, 0), narrow(fields.1, 1), narrow(fields.2, 2));
+        let mut data = binary::encode(&GoalBuilder::new(0).build().unwrap());
+        data.truncate(8); // the magic
+        data.extend_from_slice(&[1, 1, 1 | 1 << 2 | 1 << 3]); // 1 rank, 1 task: tagged send on a stream
+        for v in [bytes, peer, tag, stream, 0] {
+            put_varint(&mut data, v);
+        }
+        let wide = [("peer", peer), ("tag", tag), ("stream", stream)]
+            .into_iter()
+            .find(|&(_, v)| v > u32::MAX as u64);
+        match (binary::decode(&data), wide) {
+            (Ok(goal), None) => {
+                let want = Task {
+                    kind: TaskKind::Send { bytes, dst: peer as u32, tag: tag as u32 },
+                    stream: stream as u32,
+                };
+                prop_assert_eq!(goal.rank(0).task(atlahs_goal::task::TaskId(0)), want);
+            }
+            (Err(atlahs_goal::GoalError::Decode { msg, .. }), Some((field, _))) => {
+                prop_assert!(msg.starts_with(field), "{}: {}", field, msg);
+            }
+            (other, wide) => prop_assert!(false, "wide field {:?}, decoder said {:?}", wide, other),
         }
     }
 

@@ -18,11 +18,14 @@
 //!   preserving the data flow. Passing a different `gpus_per_node`
 //!   restructures the job for "what-if" studies.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 use atlahs_collectives::nccl::{self as nc, NcclConfig};
 use atlahs_eventq::hash::FastBuildHasher;
-use atlahs_goal::{GoalBuilder, GoalError, GoalSchedule, Rank, Task, TaskId, TaskKind};
+use atlahs_goal::{
+    GoalBuilder, GoalError, GoalSchedule, Rank, RankSchedule, Task, TaskId, TaskKind,
+};
 use atlahs_tracers::nccl::{KernelRecord, NcclKernel, NsysReport};
 
 /// Converter configuration.
@@ -55,15 +58,24 @@ impl Default for NcclToGoalConfig {
 const STREAM_STRIDE: u32 = 16;
 
 /// Convert an nsys report into a node-level GOAL schedule.
+///
+/// Lowers in one level: Stage 4 takes the GPUs out of the Stage 2+3 builder
+/// one at a time, so the GPU-level schedule never exists next to the
+/// node-level one (only the GPU being merged is indexed).
 pub fn convert(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedule, GoalError> {
-    let gpu_goal = gpu_level(report, cfg)?;
+    let mut gpus = lower_gpus(report, cfg)?;
     let gpn = cfg.gpus_per_node.unwrap_or(report.gpus_per_node).max(1);
     let mapping: Vec<u32> = (0..report.num_gpus() as u32).map(|g| g / gpn).collect();
-    group_gpus(&gpu_goal, &mapping, cfg)
+    merge_gpus(&mapping, cfg, |g| gpus.take_rank(g))
 }
 
 /// Stages 2+3: a GOAL schedule with one rank per **GPU**.
 pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedule, GoalError> {
+    lower_gpus(report, cfg)?.build()
+}
+
+/// Stages 2+3 into a builder with one rank per GPU.
+fn lower_gpus(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalBuilder, GoalError> {
     let ngpus = report.num_gpus();
     let mut b = GoalBuilder::new(ngpus);
     // ports[gpu][record] = (entry, exit) vertices of the record's decomposition.
@@ -212,7 +224,7 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
         }
     }
 
-    b.build()
+    Ok(b)
 }
 
 fn alloc_tag(next: &mut u32) -> u32 {
@@ -240,6 +252,22 @@ pub fn group_gpus(
             msg: format!("mapping covers {} GPUs, schedule has {ngpus}", mapping.len()),
         });
     }
+    merge_gpus(mapping, cfg, |g| Ok(gpu_goal.rank(g)))
+}
+
+/// The Stage 4 body. `gpu(g)` is GPU `g`'s DAG, asked for once and in GPU
+/// order: borrowed from a finished schedule, or taken out of a builder and
+/// dropped here as soon as it is merged.
+fn merge_gpus<S: Borrow<RankSchedule>>(
+    mapping: &[u32],
+    cfg: &NcclToGoalConfig,
+    mut gpu: impl FnMut(Rank) -> Result<S, GoalError>,
+) -> Result<GoalSchedule, GoalError> {
+    let node_of = |gpu: u32| {
+        mapping.get(gpu as usize).copied().ok_or_else(|| GoalError::Compose {
+            msg: format!("peer GPU {gpu} outside the {}-GPU mapping", mapping.len()),
+        })
+    };
     let nnodes = mapping.iter().copied().max().map_or(0, |m| m as usize + 1);
     // GPUs placed on each node so far: a GPU's local index within its node.
     let mut counts = vec![0u32; nnodes];
@@ -251,16 +279,16 @@ pub fn group_gpus(
     let mut intra_sends: BTreeMap<(u32, u32, u32), Vec<TaskId>> = BTreeMap::new();
     let mut intra_recvs: BTreeMap<(u32, u32, u32), Vec<(u32, TaskId)>> = BTreeMap::new();
 
-    for (g, sched) in gpu_goal.ranks().iter().enumerate() {
+    for (g, &node) in mapping.iter().enumerate() {
         let g = g as u32;
-        let node = mapping[g as usize];
         let stream_base = counts[node as usize] * STREAM_STRIDE;
         counts[node as usize] += 1;
-        b.append(node, sched, |id, t| {
+        b.append(node, gpu(g)?.borrow(), |id, t| {
             let task = match t.kind {
                 TaskKind::Calc { cost } => Task::calc(cost),
                 TaskKind::Send { bytes, dst, tag } => {
-                    if mapping[dst as usize] == node {
+                    let dst_node = node_of(dst)?;
+                    if dst_node == node {
                         // NVLink copy: sender-side cost carries the transfer.
                         let cost =
                             // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
@@ -270,15 +298,16 @@ pub fn group_gpus(
                     } else {
                         // Tags gain the source GPU's low bits so merged
                         // node pairs don't cross-match different GPU pairs.
-                        Task::send(mapping[dst as usize], bytes, (tag << 3) | (g & 7))
+                        Task::send(dst_node, bytes, (tag << 3) | (g & 7))
                     }
                 }
                 TaskKind::Recv { bytes, src, tag } => {
-                    if mapping[src as usize] == node {
+                    let src_node = node_of(src)?;
+                    if src_node == node {
                         intra_recvs.entry((src, g, tag)).or_default().push((node, id));
                         Task::calc(0)
                     } else {
-                        Task::recv(mapping[src as usize], bytes, (tag << 3) | (src & 7))
+                        Task::recv(src_node, bytes, (tag << 3) | (src & 7))
                     }
                 }
             };
@@ -455,6 +484,17 @@ mod tests {
     fn short_mapping_is_an_error_not_a_panic() {
         let gpu_goal = gpu_level(&small_llama(), &NcclToGoalConfig::default()).unwrap();
         let err = group_gpus(&gpu_goal, &[0; 15], &NcclToGoalConfig::default()).unwrap_err();
+        assert!(matches!(err, GoalError::Compose { .. }), "{err}");
+    }
+
+    #[test]
+    fn peer_outside_the_mapping_is_an_error_not_a_panic() {
+        // An unvalidated GPU-level schedule can name a GPU that does not
+        // exist; Stage 4 indexes the mapping by peer.
+        let mut b = GoalBuilder::new(1);
+        b.send(0, 5, 64, 0);
+        let gpu_goal = b.build_unchecked().unwrap();
+        let err = group_gpus(&gpu_goal, &[0], &NcclToGoalConfig::default()).unwrap_err();
         assert!(matches!(err, GoalError::Compose { .. }), "{err}");
     }
 

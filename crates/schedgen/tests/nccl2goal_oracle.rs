@@ -117,15 +117,18 @@ fn one_iteration(mut cfg: LlmConfig, batch: u32) -> NsysReport {
     trace_llm(&cfg)
 }
 
-#[test]
-fn stage4_equals_the_map_based_reference() {
-    let cfg = NcclToGoalConfig::default();
-    let reports = [
+fn reports() -> [(&'static str, NsysReport); 3] {
+    [
         ("llama7b_dp16", one_iteration(presets::llama7b_dp16(0.01), 16)),
         ("mistral8x7b", one_iteration(presets::mistral8x7b(0.01), 8)),
         ("moe8x13b", one_iteration(presets::moe8x13b(0.01), 8)),
-    ];
-    for (name, report) in &reports {
+    ]
+}
+
+#[test]
+fn stage4_equals_the_map_based_reference() {
+    let cfg = NcclToGoalConfig::default();
+    for (name, report) in &reports() {
         let gpu_goal = gpu_level(report, &cfg).unwrap();
         let ngpus = gpu_goal.num_ranks() as u32;
         for gpn in [1u32, 2, 4, 8, 16] {
@@ -144,6 +147,27 @@ fn stage4_equals_the_map_based_reference() {
                     "{name} gpn={gpn} {shape}: encoding differs from oracle"
                 );
             }
+        }
+    }
+}
+
+/// `convert` takes the GPUs out of the Stage 2+3 builder one at a time and
+/// never builds the GPU-level schedule; `group_gpus` reads a built one.
+/// Both feed one Stage 4 body and must agree for every grouping factor.
+#[test]
+fn one_level_convert_equals_grouping_the_gpu_level_schedule() {
+    for (name, report) in &reports() {
+        let ngpus = report.num_gpus() as u32;
+        for gpn in [1u32, 2, 4, 8, 16] {
+            let cfg = NcclToGoalConfig { gpus_per_node: Some(gpn), ..NcclToGoalConfig::default() };
+            let contiguous: Vec<u32> = (0..ngpus).map(|g| g / gpn).collect();
+            let got = convert(report, &cfg).unwrap();
+            let want = group_gpus(&gpu_level(report, &cfg).unwrap(), &contiguous, &cfg).unwrap();
+            assert!(got == want, "{name} gpn={gpn}: one-level lowering differs");
+            assert!(
+                binary::encode(&got) == binary::encode(&want),
+                "{name} gpn={gpn}: one-level encoding differs"
+            );
         }
     }
 }
