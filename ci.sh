@@ -11,7 +11,10 @@
 #      (release-scale, so it runs here rather than in the debug suite),
 #      then the lowering memory ratchet: tests/lowering_footprint.rs
 #      lowers the 3.19 M-task ai_lgs_trace input in a process of its own
-#      and fails if VmHWM passes its recorded bound
+#      and fails if VmHWM passes its recorded bound; and the simulated-
+#      phase one: tests/sim_footprint.rs runs the ai_htsim_spray input on
+#      htsim (30.1 M events), likewise alone, and fails if VmHWM grows
+#      during the run by more than its recorded bound
 #   7. golden smokes              — six fixed grids run on 2 threads and
 #      must reproduce their checked-in reports byte for byte
 #      (docs/SCENARIOS.md): `sweep --smoke` (24 cells), `sweep
@@ -69,6 +72,9 @@ ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test determinism_golden \
 
 step "lowering memory ratchet (3.19M-task nccl2goal trace, VmHWM bound)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test lowering_footprint
+
+step "simulated-phase memory ratchet (30.1M-event htsim run, VmHWM growth bound)"
+ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test sim_footprint
 
 # smoke <subcommand> <flag> <golden>: run one fixed grid on 2 threads and
 # byte-diff its JSON report against the checked-in golden.

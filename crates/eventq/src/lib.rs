@@ -17,7 +17,7 @@
 //!
 //! * **Lane** — events scheduled for *exactly* the current timestamp (the
 //!   same-tick completions, pull-pacer kicks, and emit chains that
-//!   dominate congested runs) go into a FIFO `VecDeque` and pop without
+//!   dominate congested runs) are linked onto a FIFO list and pop without
 //!   touching the wheel at all.
 //! * **Level 0** — a 4096-slot wheel at 1 ns per slot covering the
 //!   current 4.1 µs *frame*. One slot holds one exact timestamp, so
@@ -37,10 +37,18 @@
 //! backends' previous global-heap implementations. The structure relies
 //! on time moving only forward: `push(t, _)` requires `t >= now`, where
 //! `now` is the timestamp of the most recently popped event.
+//!
+//! **Storage:** every event queued in the lane or the wheel lives in one
+//! slab of nodes; the lane and each wheel slot are a `(head, tail)` pair
+//! of node indices threading a FIFO list through it. Popped nodes go onto
+//! a LIFO free list, so the slab holds as many nodes as were ever queued
+//! at once and a push reuses the node freed most recently. Popping a slot
+//! hands its list to the lane and a cascade relinks nodes into level 0;
+//! neither moves a payload.
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 pub mod hash;
 
@@ -132,27 +140,96 @@ pub struct QueueStats {
     pub cascades: u64,
 }
 
+/// "No node": the end of a list, an empty list's head, an empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: a queued event, or (with `ev` empty) a free node.
+#[derive(Clone)]
+struct Node<T> {
+    /// The next node of the list this one is on — a slot's, the lane's,
+    /// or the free list.
+    next: u32,
+    t: u64,
+    ev: Option<T>,
+}
+
+/// A FIFO list threaded through the slab: the lane or one wheel slot.
+/// `tail` means something only while `head` is a node.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List { head: NIL, tail: NIL };
+
+    /// Link node `n`, whose `next` is `NIL`, at the tail.
+    #[inline]
+    fn append<T>(&mut self, nodes: &mut [Node<T>], n: u32) {
+        if self.head == NIL {
+            self.head = n;
+        } else {
+            nodes[self.tail as usize].next = n;
+        }
+        self.tail = n;
+    }
+}
+
+/// One wheel level: a list per slot and which of them are occupied.
+#[derive(Clone)]
+struct Level {
+    slots: Box<[List]>,
+    bits: Bits,
+    /// Occupied slots (set bits).
+    occupied: usize,
+}
+
+impl Level {
+    fn new() -> Level {
+        Level { slots: vec![List::EMPTY; SLOTS].into(), bits: Bits::new(), occupied: 0 }
+    }
+
+    #[inline]
+    fn append<T>(&mut self, nodes: &mut [Node<T>], s: usize, n: u32) {
+        if self.slots[s].head == NIL {
+            self.bits.set(s);
+            self.occupied += 1;
+        }
+        self.slots[s].append(nodes, n);
+    }
+
+    /// Empty occupied slot `s`, returning its list.
+    #[inline]
+    fn take(&mut self, s: usize) -> List {
+        self.bits.clear(s);
+        self.occupied -= 1;
+        std::mem::replace(&mut self.slots[s], List::EMPTY)
+    }
+}
+
 /// A discrete-event priority queue ordered by `(time, insertion order)`.
 ///
-/// `Clone` (for `T: Clone`) deep-copies the entire queue — wheel slots,
-/// lane, overflow heap, cursor, and sequence counter — so a clone pops
-/// the exact same `(time, event)` stream as the original. Backends rely
-/// on this for their `Snapshot` implementations: heap entries are keyed
-/// `(t, seq)`, so a cloned `BinaryHeap` yields the same total order even
-/// though its internal array layout is unspecified.
+/// `Clone` (for `T: Clone`) copies the entire queue — the node slab, the
+/// slot tables, the overflow heap, cursor, and sequence counter — so a
+/// clone pops the exact same `(time, event)` stream as the original.
+/// Backends rely on this for their `Snapshot` implementations: heap
+/// entries are keyed `(t, seq)`, so a cloned `BinaryHeap` yields the same
+/// total order even though its internal array layout is unspecified.
+#[derive(Clone)]
 pub struct EventQueue<T> {
     /// Timestamp of the most recent `pop` (and of everything in `lane`).
     now: u64,
     /// Scan position in ns; always `>= now` and `<=` every queued event.
     cursor: u64,
+    /// Every event in the lane or the wheel, plus the free nodes.
+    nodes: Vec<Node<T>>,
+    /// Most recently freed node, linked through `next` to the older ones.
+    free: u32,
     /// Events at exactly `now`, in insertion order.
-    lane: VecDeque<T>,
-    l0: Box<[Vec<(u64, T)>]>,
-    l1: Box<[Vec<(u64, T)>]>,
-    l0_bits: Bits,
-    l1_bits: Bits,
-    l0_count: usize,
-    l1_count: usize,
+    lane: List,
+    l0: Level,
+    l1: Level,
     heap: BinaryHeap<Overflow<T>>,
     /// Tie-break sequence for heap entries (wheel slots are FIFO by
     /// construction and need no explicit sequence).
@@ -167,28 +244,8 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-impl<T: Clone> Clone for EventQueue<T> {
-    fn clone(&self) -> Self {
-        EventQueue {
-            now: self.now,
-            cursor: self.cursor,
-            lane: self.lane.clone(),
-            l0: self.l0.clone(),
-            l1: self.l1.clone(),
-            l0_bits: self.l0_bits.clone(),
-            l1_bits: self.l1_bits.clone(),
-            l0_count: self.l0_count,
-            l1_count: self.l1_count,
-            heap: self.heap.clone(),
-            seq: self.seq,
-            len: self.len,
-            stats: self.stats,
-        }
-    }
-}
-
 impl<T> std::fmt::Debug for EventQueue<T> {
-    /// Summary only: the wheel's 8192 slot vectors are noise in debug
+    /// Summary only: the slab and the slot tables are noise in debug
     /// output, and `T: Debug` must not be required of backends.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
@@ -204,13 +261,11 @@ impl<T> EventQueue<T> {
         EventQueue {
             now: 0,
             cursor: 0,
-            lane: VecDeque::new(),
-            l0: (0..SLOTS).map(|_| Vec::new()).collect(),
-            l1: (0..SLOTS).map(|_| Vec::new()).collect(),
-            l0_bits: Bits::new(),
-            l1_bits: Bits::new(),
-            l0_count: 0,
-            l1_count: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            lane: List::EMPTY,
+            l0: Level::new(),
+            l1: Level::new(),
             heap: BinaryHeap::new(),
             seq: 0,
             len: 0,
@@ -235,23 +290,35 @@ impl<T> EventQueue<T> {
         self.stats
     }
 
-    /// Remove every queued event and rewind time to zero. Slot and lane
-    /// allocations are kept.
-    pub fn clear(&mut self) {
-        self.lane.clear();
-        for v in self.l0.iter_mut().chain(self.l1.iter_mut()) {
-            v.clear();
+    /// Put `ev` in a node on no list yet: the most recently freed one
+    /// (still in cache), or a new one when none is free.
+    #[inline]
+    fn alloc(&mut self, t: u64, ev: T) -> u32 {
+        let node = Node { next: NIL, t, ev: Some(ev) };
+        let n = self.free;
+        if n != NIL {
+            let slot = &mut self.nodes[n as usize];
+            self.free = slot.next;
+            *slot = node;
+            return n;
         }
-        self.l0_bits = Bits::new();
-        self.l1_bits = Bits::new();
-        self.l0_count = 0;
-        self.l1_count = 0;
-        self.heap.clear();
-        self.now = 0;
-        self.cursor = 0;
-        self.seq = 0;
-        self.len = 0;
-        self.stats = QueueStats::default();
+        let n = u32::try_from(self.nodes.len()).unwrap_or(NIL);
+        assert!(n != NIL, "more than u32::MAX - 1 events queued at once");
+        self.nodes.push(node);
+        n
+    }
+
+    /// Link a new node for `(t, ev)` into the wheel; `t` lies in the
+    /// cursor's superframe, at or after the cursor.
+    #[inline]
+    fn insert(&mut self, t: u64, ev: T) {
+        let n = self.alloc(t, ev);
+        let frame = t >> BITS0;
+        if frame == self.cursor >> BITS0 {
+            self.l0.append(&mut self.nodes, (t & MASK0) as usize, n);
+        } else {
+            self.l1.append(&mut self.nodes, (frame & MASK1) as usize, n);
+        }
     }
 
     /// Schedule `ev` at absolute time `t` (`t >= now()` required).
@@ -260,23 +327,11 @@ impl<T> EventQueue<T> {
         self.len += 1;
         if t == self.now {
             self.stats.lane_pushes += 1;
-            self.lane.push_back(ev);
-            return;
-        }
-        let frame = t >> BITS0;
-        let cur_frame = self.cursor >> BITS0;
-        if frame == cur_frame {
+            let n = self.alloc(t, ev);
+            self.lane.append(&mut self.nodes, n);
+        } else if t >> (BITS0 + BITS1) == self.cursor >> (BITS0 + BITS1) {
             self.stats.wheel_pushes += 1;
-            let s = (t & MASK0) as usize;
-            self.l0_bits.set(s);
-            self.l0[s].push((t, ev));
-            self.l0_count += 1;
-        } else if frame >> BITS1 == cur_frame >> BITS1 {
-            self.stats.wheel_pushes += 1;
-            let s = (frame & MASK1) as usize;
-            self.l1_bits.set(s);
-            self.l1[s].push((t, ev));
-            self.l1_count += 1;
+            self.insert(t, ev);
         } else {
             self.stats.heap_pushes += 1;
             self.heap.push(Overflow { t, seq: self.seq, ev });
@@ -284,18 +339,31 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Unlink the lane's head, free its node and return its event.
+    #[inline]
+    fn pop_lane(&mut self) -> (u64, T) {
+        let n = self.lane.head;
+        let node = &mut self.nodes[n as usize];
+        debug_assert_eq!(node.t, self.now);
+        let ev = node.ev.take().expect("a linked node holds an event");
+        self.lane.head = node.next;
+        node.next = self.free;
+        self.free = n;
+        self.len -= 1;
+        (self.now, ev)
+    }
+
     /// Pop the earliest event, `(time, insertion order)`-ordered.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        if let Some(ev) = self.lane.pop_front() {
-            self.len -= 1;
-            return Some((self.now, ev));
+        if self.lane.head != NIL {
+            return Some(self.pop_lane());
         }
         if self.len == 0 {
             return None;
         }
         loop {
             // Next occupied level-0 slot within the current frame.
-            if self.l0_count > 0 {
+            if self.l0.occupied > 0 {
                 let frame_base = (self.cursor >> BITS0) << BITS0;
                 // The scan position may never trail time itself nor its
                 // own frame: a snapshot restored with a stale cursor
@@ -312,44 +380,31 @@ impl<T> EventQueue<T> {
                     self.cursor
                 );
                 let from = (self.cursor - frame_base) as usize;
-                if let Some(s) = self.l0_bits.next(from) {
-                    let t = frame_base + s as u64;
-                    debug_assert!(
-                        t >= self.cursor,
-                        "level-0 slot at {t} behind the cursor {}",
-                        self.cursor
-                    );
-                    self.cursor = t;
-                    self.now = t;
-                    self.l0_bits.clear(s);
-                    let slot = &mut self.l0[s];
-                    self.l0_count -= slot.len();
-                    self.len -= 1;
-                    // Singleton slots (the common case) skip the lane.
-                    if slot.len() == 1 {
-                        let (et, ev) = slot.pop().expect("len checked");
-                        debug_assert_eq!(et, t);
-                        return Some((t, ev));
-                    }
-                    for (et, ev) in slot.drain(..) {
-                        debug_assert_eq!(et, t);
-                        self.lane.push_back(ev);
-                    }
-                    let ev = self.lane.pop_front().expect("occupied slot drained");
-                    return Some((t, ev));
-                }
-                unreachable!("l0_count > 0 but no occupied slot at/after the cursor");
+                let s =
+                    self.l0.bits.next(from).expect("an occupied level-0 slot at/after the cursor");
+                let t = frame_base + s as u64;
+                debug_assert!(
+                    t >= self.cursor,
+                    "level-0 slot at {t} behind the cursor {}",
+                    self.cursor
+                );
+                self.cursor = t;
+                self.now = t;
+                // One slot holds one timestamp, now the current one: its
+                // list, already in push order, is the new lane.
+                self.lane = self.l0.take(s);
+                return Some(self.pop_lane());
             }
             // Frame exhausted: advance to the next frame holding events.
             let cur_frame = self.cursor >> BITS0;
-            let next_frame = if self.l1_count > 0 {
+            let next_frame = if self.l1.occupied > 0 {
                 let sf_base = (cur_frame >> BITS1) << BITS1;
                 debug_assert!(
                     cur_frame + 1 > sf_base,
                     "frame {cur_frame} behind its superframe base {sf_base}"
                 );
                 let from = (cur_frame + 1 - sf_base) as usize;
-                let s = self.l1_bits.next(from).expect("level 1 only holds the current superframe");
+                let s = self.l1.bits.next(from).expect("level 1 only holds the current superframe");
                 sf_base + s as u64
             } else if let Some(top) = self.heap.peek() {
                 // The wheel is empty: jump straight to the heap's head.
@@ -369,36 +424,23 @@ impl<T> EventQueue<T> {
                         break;
                     }
                     let Overflow { t, ev, .. } = self.heap.pop().expect("peeked");
-                    let frame = t >> BITS0;
-                    if frame == next_frame {
-                        let s = (t & MASK0) as usize;
-                        self.l0_bits.set(s);
-                        self.l0[s].push((t, ev));
-                        self.l0_count += 1;
-                    } else {
-                        let s = (frame & MASK1) as usize;
-                        self.l1_bits.set(s);
-                        self.l1[s].push((t, ev));
-                        self.l1_count += 1;
-                    }
+                    self.insert(t, ev);
                 }
             }
-            // Cascade the new frame's level-1 slot into level 0.
+            // Cascade the new frame's level-1 slot into level 0: relink
+            // its nodes, in order, onto the slots of their timestamps.
             let s1 = (next_frame & MASK1) as usize;
-            if self.l1_bits.test(s1) {
+            if self.l1.bits.test(s1) {
                 self.stats.cascades += 1;
-                let l0 = &mut self.l0;
-                let l0_bits = &mut self.l0_bits;
-                let slot = &mut self.l1[s1];
-                self.l1_count -= slot.len();
-                self.l0_count += slot.len();
-                for (t, ev) in slot.drain(..) {
+                let mut n = self.l1.take(s1).head;
+                while n != NIL {
+                    let node = &mut self.nodes[n as usize];
+                    let t = node.t;
+                    let next = std::mem::replace(&mut node.next, NIL);
                     debug_assert_eq!(t >> BITS0, next_frame);
-                    let s0 = (t & MASK0) as usize;
-                    l0_bits.set(s0);
-                    l0[s0].push((t, ev));
+                    self.l0.append(&mut self.nodes, (t & MASK0) as usize, n);
+                    n = next;
                 }
-                self.l1_bits.clear(s1);
             }
         }
     }
@@ -409,6 +451,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// Reference implementation: the backends' previous global heap.
     struct RefQueue<T> {
@@ -491,17 +535,103 @@ mod tests {
         }
     }
 
+    /// The slab is O(live events): however many events pass through
+    /// however many slots, it never holds more nodes than were queued at
+    /// once. (With per-slot buffers, every slot kept the capacity of the
+    /// busiest moment it ever saw.)
     #[test]
-    fn clear_resets_time() {
+    fn slab_stays_bounded_by_the_standing_population() {
+        const STANDING: usize = 4096;
+        let mut rng = StdRng::seed_from_u64(0x51AB);
+        let mut delay = move || match rng.random::<u64>() % 16 {
+            0..=2 => 0,
+            3..=8 => rng.random::<u64>() % 4_000,
+            9..=13 => rng.random::<u64>() % 2_000_000,
+            14 => rng.random::<u64>() % 16_000_000,
+            _ => 17_000_000 + rng.random::<u64>() % 100_000_000,
+        };
         let mut q = EventQueue::new();
-        q.push(1_000, 1u8);
-        q.pop();
-        q.push(2_000, 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), 0);
-        q.push(5, 3); // would violate time order had clear not rewound
-        assert_eq!(q.pop(), Some((5, 3)));
+        for id in 0..STANDING as u64 {
+            q.push(delay(), id);
+        }
+        for id in 0..2_000_000u64 {
+            let (now, _) = q.pop().expect("standing population");
+            q.push(now + delay(), id);
+            assert_eq!(q.len(), STANDING);
+        }
+        assert!(q.nodes.len() <= STANDING, "{} nodes for {STANDING} live events", q.nodes.len());
+        let stats = q.stats();
+        for tier in [stats.lane_pushes, stats.wheel_pushes, stats.heap_pushes, stats.cascades] {
+            assert!(tier > 10_000, "a tier went unexercised: {stats:?}");
+        }
+    }
+
+    /// Counts constructions (`new` and `clone`) and drops of a payload.
+    #[derive(Default)]
+    struct Tally {
+        made: Cell<usize>,
+        dropped: Cell<usize>,
+    }
+
+    struct Counted(Rc<Tally>);
+
+    impl Counted {
+        fn new(tally: &Rc<Tally>) -> Counted {
+            tally.made.set(tally.made.get() + 1);
+            Counted(Rc::clone(tally))
+        }
+    }
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            Counted::new(&self.0)
+        }
+    }
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.dropped.set(self.0.dropped.get() + 1);
+        }
+    }
+
+    /// Every payload is dropped exactly once: by whoever popped it, by
+    /// dropping a queue it is still in, and — separately — as the copy a
+    /// `clone()` taken mid-drain made of it.
+    #[test]
+    fn payloads_drop_exactly_once() {
+        let tally = Rc::new(Tally::default());
+        let mut q = EventQueue::new();
+        q.push(10, Counted::new(&tally));
+        drop(q.pop());
+        // One more in the lane, then every other tier, ties included.
+        let times = [10, 10, 500, 500, 700, 50_000, 50_000, 60_000_000, 60_000_000, 5_000_000_000];
+        for t in times {
+            q.push(t, Counted::new(&tally));
+        }
+        assert_eq!((tally.made.get(), tally.dropped.get()), (11, 1));
+        // Popping hands the payload over; nothing is dropped behind it.
+        let held: Vec<_> = (0..4).map(|_| q.pop().expect("queued")).collect();
+        assert_eq!(tally.dropped.get(), 1);
+        drop(held);
+        assert_eq!(tally.dropped.get(), 5);
+        // Freed nodes are reused and hold no stale payload.
+        q.push(700, Counted::new(&tally));
+        assert_eq!((tally.made.get(), tally.dropped.get()), (12, 5));
+        // A clone copies exactly the queued payloads ...
+        let mut snap = q.clone();
+        assert_eq!(snap.len(), 7);
+        assert_eq!((tally.made.get(), tally.dropped.get()), (19, 5));
+        // ... draining it drops exactly those ...
+        while snap.pop().is_some() {}
+        assert_eq!(tally.dropped.get(), 12);
+        drop(snap);
+        assert_eq!(tally.dropped.get(), 12);
+        // ... and the original, popped across the cascade and then
+        // dropped non-empty, drops each of its own once.
+        drop(q.pop());
+        drop(q.pop());
+        drop(q.pop());
+        assert_eq!(tally.dropped.get(), 15);
+        drop(q);
+        assert_eq!((tally.made.get(), tally.dropped.get()), (19, 19));
     }
 
     /// The contract test: a long random interleaving of pushes and pops

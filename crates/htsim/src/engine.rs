@@ -219,6 +219,10 @@ enum Ev {
     },
 }
 
+// The event queue stores `Option<Ev>` in every node: a variant that used
+// up the enum's niche would grow them all.
+const _: () = assert!(std::mem::size_of::<Option<Ev>>() == std::mem::size_of::<Ev>());
+
 #[derive(Clone)]
 struct Port {
     // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
@@ -534,6 +538,16 @@ impl HtsimBackend {
 
     // ---- port machinery ------------------------------------------------
 
+    /// An injected fault killed this copy of `pkt`: mark a data packet
+    /// for the retransmission split. A straggling duplicate of a flow
+    /// that has completed will never be resent and has no bit left.
+    fn note_fault_loss(&mut self, pkt: &Packet) {
+        let f = &mut self.s.flows[pkt.flow as usize];
+        if pkt.kind == PktKind::Data && !f.complete {
+            f.fault_lost.set(pkt.idx);
+        }
+    }
+
     fn enqueue(&mut self, port_id: u32, mut pkt: Packet) {
         if self.s.ports[port_id as usize].down {
             // Ingress blackhole: data, acks, and credits all die on the
@@ -541,9 +555,7 @@ impl HtsimBackend {
             // window closes. No RNG draw — the ECN stream stays aligned
             // with a run where this packet was never offered.
             self.s.stats.fault_drops += 1;
-            if pkt.kind == PktKind::Data {
-                self.s.flows[pkt.flow as usize].fault_lost.set(pkt.idx);
-            }
+            self.note_fault_loss(&pkt);
             return;
         }
         // One borrow of the port for the whole admission path (`rng`,
@@ -644,9 +656,7 @@ impl HtsimBackend {
                 // fault for the retransmission split); lost acks and
                 // credits are re-elicited the same way.
                 self.s.stats.stochastic_drops += 1;
-                if pkt.kind == PktKind::Data {
-                    self.s.flows[pkt.flow as usize].fault_lost.set(pkt.idx);
-                }
+                self.note_fault_loss(&pkt);
                 self.start_tx(port_id);
                 return;
             }
@@ -693,6 +703,7 @@ impl HtsimBackend {
             let mtu = self.cfg.mtu;
             let f = &mut self.s.flows[fid as usize];
             let payload = f.payload(idx, mtu);
+            debug_assert!(!f.complete, "a completed flow has no per-packet state");
             f.send_ts[idx as usize] = self.s.now;
             f.inflight += payload as u64;
             f.last_activity = self.s.now;
@@ -800,6 +811,7 @@ impl HtsimBackend {
                         None
                     } else {
                         f.acked.set(pkt.idx);
+                        debug_assert!(!f.complete, "a completed flow has no per-packet state");
                         Some(f.send_ts[pkt.idx as usize])
                     }
                 };
@@ -892,6 +904,13 @@ impl HtsimBackend {
             // this flow, so short-flow-heavy workloads don't drag dead
             // timers through the event queue.
             f.timeout_gen = f.timeout_gen.wrapping_add(1);
+            // Nothing indexes a completed flow per packet (every reader
+            // checks `complete` first): give the buffers back.
+            f.send_ts = Box::default();
+            f.rtx = VecDeque::new();
+            for bits in [&mut f.acked, &mut f.in_rtx, &mut f.fault_lost, &mut f.rcvd] {
+                *bits = Bitmap::new(0);
+            }
             (f.op, f.recv_op, f.src, f.dst, f.bytes, f.start)
         };
         self.push(self.s.now, Ev::Emit { op, done: true });

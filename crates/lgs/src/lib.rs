@@ -207,6 +207,10 @@ enum Ev {
     DataArrive { recv_op: OpRef, bytes: u64 },
 }
 
+// The event queue stores `Option<Ev>` in every node: a variant that used
+// up the enum's niche would grow them all.
+const _: () = assert!(std::mem::size_of::<Option<Ev>>() == std::mem::size_of::<Ev>());
+
 /// The LogGOPSim backend: parameters and straggler spec fixed at
 /// construction, everything a run mutates in [`LgsState`].
 #[derive(Debug)]

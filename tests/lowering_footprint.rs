@@ -14,20 +14,16 @@
 //! and ci.sh runs it on its own; it is release-scale and runs only under
 //! `ATLAHS_LARGE_GOLDENS=1`.
 
+mod common;
+
 use atlahs::goal::binary;
 use atlahs::schedgen::nccl2goal::{convert, NcclToGoalConfig};
 use atlahs::tracers::nccl::{presets, trace_llm};
+use common::vm_hwm_kib;
 
 /// Measured 161 MiB (reached while the encoded bytes sit next to the
 /// schedule) plus 15 %.
 const VM_HWM_BOUND_KIB: u64 = 185 * 1024;
-
-/// `VmHWM` of this process in KiB, `None` where procfs does not provide it.
-fn vm_hwm_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    line.trim().trim_end_matches("kB").trim().parse().ok()
-}
 
 #[test]
 fn one_level_lowering_stays_under_the_recorded_peak() {
