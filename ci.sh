@@ -14,7 +14,10 @@
 #      and fails if VmHWM passes its recorded bound; and the simulated-
 #      phase one: tests/sim_footprint.rs runs the ai_htsim_spray input on
 #      htsim (30.1 M events), likewise alone, and fails if VmHWM grows
-#      during the run by more than its recorded bound
+#      during the run by more than its recorded bound; and the flow-table
+#      one: tests/flow_table_footprint.rs does the same with the
+#      storage_htsim_oversub input (389 560 flows), where what a delivered
+#      flow keeps is what grows
 #   7. golden smokes              — six fixed grids run on 2 threads and
 #      must reproduce their checked-in reports byte for byte
 #      (docs/SCENARIOS.md): `sweep --smoke` (24 cells), `sweep
@@ -75,6 +78,9 @@ ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test lowering_footprint
 
 step "simulated-phase memory ratchet (30.1M-event htsim run, VmHWM growth bound)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test sim_footprint
+
+step "flow-table memory ratchet (389 560-flow htsim run, VmHWM growth bound)"
+ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test flow_table_footprint
 
 # smoke <subcommand> <flag> <golden>: run one fixed grid on 2 threads and
 # byte-diff its JSON report against the checked-in golden.

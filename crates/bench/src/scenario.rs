@@ -30,6 +30,7 @@ use atlahs_htsim::stochastic::{LinkModel, LinkModelSpec};
 use atlahs_htsim::topology::{LinkParams, Topology, TopologyConfig};
 use atlahs_htsim::CcAlgo;
 use atlahs_lgs::{LogGopsParams, StragglerSpec};
+use atlahs_schedgen::storage2goal::{self, StorageToGoalConfig};
 use atlahs_schedgen::synthetic;
 use atlahs_tracers::mpi::Scaling;
 use atlahs_tracers::nccl::{presets, LlmConfig};
@@ -153,27 +154,51 @@ impl TopologySpec {
     pub fn parse(tok: &str) -> Result<TopologySpec, String> {
         let parts: Vec<&str> = tok.split(':').collect();
         let n = |s: &str| num::<usize>(tok, s);
-        match parts.as_slice() {
-            ["ai-fattree", nodes] => Ok(TopologySpec::AiFatTree { nodes: n(nodes)?, oversub: 1 }),
+        let spec = match parts.as_slice() {
+            ["ai-fattree", nodes] => TopologySpec::AiFatTree { nodes: n(nodes)?, oversub: 1 },
             ["ai-fattree", nodes, ov] => {
-                Ok(TopologySpec::AiFatTree { nodes: n(nodes)?, oversub: n(ov)? })
+                TopologySpec::AiFatTree { nodes: n(nodes)?, oversub: n(ov)? }
             }
             ["hpc-fattree", procs, nodes] => {
-                Ok(TopologySpec::HpcFatTree { procs: n(procs)?, nodes: n(nodes)? })
+                TopologySpec::HpcFatTree { procs: n(procs)?, nodes: n(nodes)? }
             }
             ["storage-fattree", hosts] => {
-                Ok(TopologySpec::StorageFatTree { hosts: n(hosts)?, oversub: 1 })
+                TopologySpec::StorageFatTree { hosts: n(hosts)?, oversub: 1 }
             }
             ["storage-fattree", hosts, ov] => {
-                Ok(TopologySpec::StorageFatTree { hosts: n(hosts)?, oversub: n(ov)? })
+                TopologySpec::StorageFatTree { hosts: n(hosts)?, oversub: n(ov)? }
             }
-            ["dragonfly", g, r, h] => Ok(TopologySpec::Dragonfly {
-                groups: n(g)?,
-                routers: n(r)?,
-                hosts_per_router: n(h)?,
-            }),
-            ["switch", hosts] => Ok(TopologySpec::SingleSwitch { hosts: n(hosts)? }),
-            _ => Err(unknown("topology", tok, Self::GRAMMAR)),
+            ["dragonfly", g, r, h] => {
+                TopologySpec::Dragonfly { groups: n(g)?, routers: n(r)?, hosts_per_router: n(h)? }
+            }
+            ["switch", hosts] => TopologySpec::SingleSwitch { hosts: n(hosts)? },
+            _ => return Err(unknown("topology", tok, Self::GRAMMAR)),
+        };
+        spec.check().map_err(|e| format!("topology `{tok}`: {e}"))?;
+        Ok(spec)
+    }
+
+    /// Every dimension is at least 1 — the fabric builders divide by them
+    /// — so a zero fails at the CLI, naming the field, not inside a worker.
+    fn check(&self) -> Result<(), String> {
+        let positive = |dims: &[(&str, usize)]| match dims.iter().find(|dim| dim.1 == 0) {
+            Some((field, _)) => Err(format!("{field} must be at least 1")),
+            None => Ok(()),
+        };
+        match *self {
+            TopologySpec::AiFatTree { nodes, oversub } => {
+                positive(&[("nodes", nodes), ("oversub", oversub)])
+            }
+            TopologySpec::HpcFatTree { procs, nodes } => {
+                positive(&[("procs", procs), ("nodes", nodes)])
+            }
+            TopologySpec::StorageFatTree { hosts, oversub } => {
+                positive(&[("hosts", hosts), ("oversub", oversub)])
+            }
+            TopologySpec::Dragonfly { groups, routers, hosts_per_router } => {
+                positive(&[("groups", groups), ("routers", routers), ("hosts", hosts_per_router)])
+            }
+            TopologySpec::SingleSwitch { hosts } => positive(&[("hosts", hosts)]),
         }
     }
 }
@@ -558,16 +583,20 @@ pub fn storage_service_params() -> atlahs_directdrive::ServiceParams {
 }
 
 fn storage_goal(ops: usize, gap_ns: u64, compress: u64, seed: u64) -> GoalSchedule {
-    let layout = storage_layout();
     let mut trace = workloads::storage_trace_at_load(ops, gap_ns, seed);
     // Compress arrival timestamps to reach the fabric-saturating offered
     // load the paper's 5k-operation burst represents.
     for rec in &mut trace.records {
         rec.ts_ns /= compress.max(1);
     }
-    let mut b = atlahs_goal::GoalBuilder::new(layout.total_ranks());
-    atlahs_directdrive::trace_to_goal(&trace, &layout, &storage_service_params(), &mut b);
-    b.build().expect("storage GOAL must build")
+    let layout = storage_layout();
+    let cfg = StorageToGoalConfig {
+        clients: layout.clients.len(),
+        ccs: layout.ccs.len(),
+        bss: layout.bss.len(),
+        params: storage_service_params(),
+    };
+    storage2goal::convert(&trace, &cfg).expect("storage GOAL must build").goal
 }
 
 // ----------------------------------------------------------- placement ----
@@ -1809,6 +1838,20 @@ mod tests {
         assert!(err.contains("weibull shape"), "{err}");
         let err = FaultSpec::parse("jitter:gauss:100").unwrap_err();
         assert!(err.contains("expected jitter:exp"), "{err}");
+        // A zero fabric dimension used to reach a worker and divide by it.
+        for (tok, field) in [
+            ("ai-fattree:16:0", "oversub"),
+            ("ai-fattree:0", "nodes"),
+            ("hpc-fattree:0:8", "procs"),
+            ("storage-fattree:16:0", "oversub"),
+            ("dragonfly:0:0:0", "groups"),
+            ("dragonfly:2:0:4", "routers"),
+            ("switch:0", "hosts"),
+        ] {
+            let err = TopologySpec::parse(tok).unwrap_err();
+            let want = format!("topology `{tok}`: {field} must be at least 1");
+            assert_eq!(err, want);
+        }
     }
 
     #[test]

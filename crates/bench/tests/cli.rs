@@ -46,6 +46,20 @@ fn mistyped_flags_and_numbers_are_usage_errors() {
     }
 }
 
+/// A zero fabric dimension used to pass the parser and divide by zero in
+/// the fabric builder (exit 101 with a backtrace).
+#[test]
+fn degenerate_topologies_are_usage_errors() {
+    for tok in ["ai-fattree:16:0", "storage-fattree:16:0", "dragonfly:0:0:0"] {
+        let err = stderr_of_usage_error(&atlahs(&["sweep", "--topos", tok]));
+        assert!(err.starts_with(&format!("atlahs sweep: --topos: topology `{tok}`: ")), "{err}");
+        assert!(err.contains("must be at least 1"), "{err}");
+    }
+    let err = stderr_of_usage_error(&atlahs(&["cluster", "--topo", "ai-fattree:16:0"]));
+    let want = "atlahs cluster: --topo: topology `ai-fattree:16:0`: oversub must be at least 1";
+    assert!(err.starts_with(want), "{err}");
+}
+
 /// One fault grammar, two scopes: each subcommand refuses the tokens it
 /// cannot express and says why and where they belong.
 #[test]

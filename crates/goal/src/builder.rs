@@ -170,21 +170,6 @@ impl GoalBuilder {
     }
 }
 
-/// Convenience: the matched pair of a send on `from` and recv on `to`.
-///
-/// Returns `(send_id, recv_id)`.
-pub fn send_recv_pair(
-    b: &mut GoalBuilder,
-    from: Rank,
-    to: Rank,
-    bytes: u64,
-    tag: Tag,
-) -> (TaskId, TaskId) {
-    let s = b.send(from, to, bytes, tag);
-    let r = b.recv(to, from, bytes, tag);
-    (s, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,15 +241,6 @@ mod tests {
         // What `build` rejects in a rank, taking that rank rejects too.
         b.requires(0, TaskId(0), TaskId(7));
         assert_eq!(b.take_rank(0), Err(GoalError::UnknownTask { rank: 0, task: TaskId(7) }));
-    }
-
-    #[test]
-    fn send_recv_pair_matches() {
-        let mut b = GoalBuilder::new(2);
-        let (s, r) = send_recv_pair(&mut b, 0, 1, 64, 3);
-        let goal = b.build().unwrap();
-        assert_eq!(goal.rank(0).task(s).kind, TaskKind::Send { bytes: 64, dst: 1, tag: 3 });
-        assert_eq!(goal.rank(1).task(r).kind, TaskKind::Recv { bytes: 64, src: 0, tag: 3 });
     }
 
     #[test]

@@ -7,9 +7,17 @@
 //! path and are themselves queued. A retransmission timer recovers losses.
 //!
 //! Operation semantics (paper §3.3): a send's compute stream is released
-//! after the host overhead `host_o`; the send is *done* when the receiver
+//! after the host overhead (200 ns); the send is *done* when the receiver
 //! holds every byte of the message. A recv is done when its FIFO-matched
 //! flow (by `(src, dst, tag)`, in issue order) has fully arrived.
+//!
+//! A flow is typed by its lifecycle. Until the receiver holds every byte,
+//! its entry in the flow table owns a boxed `InFlight` — sender window,
+//! receiver bitmap, timer chain — and a reader that wants per-packet
+//! state has to go through that `Option`. Delivery takes the box; what
+//! stays for the rest of the run is a 24-byte tombstone that can still
+//! ACK a late duplicate, and that the flow's packets, timers and credits
+//! still in the fabric find empty.
 
 use std::collections::VecDeque;
 
@@ -28,19 +36,21 @@ use crate::topology::{PathRef, PortSpec, RouteCache, Topology, TopologyConfig};
 
 /// Wire overhead per packet (headers), bytes.
 const HDR_BYTES: u32 = 64;
+/// Payload bytes per packet.
+const MTU: u32 = 4096;
+/// Wire size of a full frame.
+const WIRE_MTU: u32 = MTU + HDR_BYTES;
+/// Host-side per-operation overhead (ns).
+const HOST_O: u64 = 200;
 
 /// Backend configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HtsimConfig {
     pub topology: TopologyConfig,
     pub cc: CcAlgo,
-    /// Payload bytes per packet.
-    pub mtu: u32,
     /// Per-port buffering capacity (paper: 1 MiB). ECN marking starts at
     /// 20 % of it and is certain from 80 % (the paper's K_min / K_max).
     pub queue_bytes: u64,
-    /// Host-side per-operation overhead (ns).
-    pub host_o: u64,
     /// RNG seed (ECN probabilistic marking, ECMP salt).
     pub seed: u64,
     /// Record per-flow completion times (Fig. 11 MCT statistics).
@@ -67,9 +77,7 @@ impl HtsimConfig {
         HtsimConfig {
             topology,
             cc,
-            mtu: 4096,
             queue_bytes: 1 << 20,
-            host_o: 200,
             seed: 1,
             collect_flows: false,
             spray: false,
@@ -196,7 +204,8 @@ enum Ev {
     },
     /// Retransmission timer for `flow`. `gen` identifies the timer chain:
     /// events whose generation no longer matches the flow's are stale
-    /// (the chain was re-armed early on backoff recovery) and are dropped.
+    /// (the chain was re-armed early on backoff recovery) and are dropped,
+    /// as are all those of a delivered flow.
     Timeout {
         flow: u32,
         gen: u32,
@@ -241,7 +250,6 @@ struct Port {
     /// (full MTU frames and bare headers), precomputed with the exact
     /// same float formula the general path uses — the per-packet f64
     /// divide is off the hot path without changing a single timestamp.
-    wire_mtu: u32,
     tx_mtu: u64,
     tx_hdr: u64,
     /// Inside a [`FaultKind::Down`] window: the port discards everything
@@ -268,7 +276,7 @@ impl Port {
     // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
     fn set_rate(&mut self, rate: f64) {
         self.rate = rate;
-        self.tx_mtu = self.tx_ns(self.wire_mtu);
+        self.tx_mtu = self.tx_ns(WIRE_MTU);
         self.tx_hdr = self.tx_ns(HDR_BYTES);
     }
 }
@@ -276,9 +284,9 @@ impl Port {
 /// Dense bitmaps for per-packet sender/receiver state.
 ///
 /// Flows of ≤64 packets — the overwhelming majority in storage- and
-/// collective-style workloads — keep their bits inline in the flow record
-/// itself: no heap allocation at flow setup and no pointer chase on the
-/// per-packet ACK/receive path.
+/// collective-style workloads — keep their bits inline in the flow's
+/// [`InFlight`] state: four bitmaps cost no allocation of their own and
+/// no second pointer chase on the per-packet ACK/receive path.
 #[derive(Debug, Clone)]
 enum Bitmap {
     Small(u64),
@@ -316,16 +324,31 @@ impl Bitmap {
     }
 }
 
+/// One entry of the flow table, kept for the whole run because packets
+/// name flows by index: the part a *delivered* flow still needs — a late
+/// duplicate is ACKed along the reverse route — plus the state of a flow
+/// that is not delivered yet.
 #[derive(Clone)]
 struct Flow {
-    op: OpRef,
     src: u32,
     dst: u32,
+    /// Interned reverse route (resolved via [`PathRef::of`]).
+    rpath: PathRef,
+    /// `None` once the receiver holds every byte.
+    in_flight: Option<Box<InFlight>>,
+}
+
+// The table holds every flow of the run; an entry stays a tombstone.
+const _: () = assert!(std::mem::size_of::<Flow>() <= 32);
+
+/// Everything a flow needs until it is delivered.
+#[derive(Clone)]
+struct InFlight {
+    op: OpRef,
     bytes: u64,
     npkts: u32,
-    /// Interned forward/reverse routes (resolved via [`PathRef::of`]).
+    /// Interned forward route.
     path: PathRef,
-    rpath: PathRef,
     /// ECMP salt; per-packet spray values derive from it.
     salt: u64,
     /// Current retransmission timeout (backs off exponentially while the
@@ -352,13 +375,11 @@ struct Flow {
     // receiver state
     rcvd: Bitmap,
     rcvd_count: u32,
-    complete: bool,
-    complete_time: Option<Time>,
     recv_op: Option<OpRef>,
     start: Time,
 }
 
-impl Flow {
+impl InFlight {
     /// Take the next packet to put on the wire: the head of the
     /// retransmission queue, else the next never-sent index. An rtx entry
     /// acked since it was queued comes back as is — the window path skips
@@ -373,12 +394,11 @@ impl Flow {
         })
     }
 
-    fn payload(&self, idx: u32, mtu: u32) -> u32 {
+    fn payload(&self, idx: u32) -> u32 {
         if idx + 1 == self.npkts {
-            let rem = self.bytes - (self.npkts as u64 - 1) * mtu as u64;
-            rem as u32
+            (self.bytes - (self.npkts as u64 - 1) * MTU as u64) as u32
         } else {
-            mtu
+            MTU
         }
     }
 }
@@ -436,7 +456,6 @@ impl HtsimState {
     /// The state a run over `ports` starts from. A backend that was never
     /// set up holds the port-less one.
     fn new(cfg: &HtsimConfig, ports: &[PortSpec], hosts: usize) -> Self {
-        let wire_mtu = cfg.mtu + HDR_BYTES;
         let ports = ports.iter().map(|spec| {
             let rate = spec.link.bytes_per_ns();
             let mut port = Port {
@@ -451,7 +470,6 @@ impl HtsimState {
                 cap: cfg.queue_bytes,
                 kmin: cfg.queue_bytes / 5,
                 kmax: cfg.queue_bytes * 4 / 5,
-                wire_mtu,
                 tx_mtu: 0,
                 tx_hdr: 0,
                 down: false,
@@ -539,12 +557,13 @@ impl HtsimBackend {
     // ---- port machinery ------------------------------------------------
 
     /// An injected fault killed this copy of `pkt`: mark a data packet
-    /// for the retransmission split. A straggling duplicate of a flow
-    /// that has completed will never be resent and has no bit left.
+    /// for the retransmission split (a straggling duplicate of a
+    /// delivered flow will never be resent).
     fn note_fault_loss(&mut self, pkt: &Packet) {
-        let f = &mut self.s.flows[pkt.flow as usize];
-        if pkt.kind == PktKind::Data && !f.complete {
-            f.fault_lost.set(pkt.idx);
+        if pkt.kind == PktKind::Data {
+            if let Some(t) = self.s.flows[pkt.flow as usize].in_flight.as_mut() {
+                t.fault_lost.set(pkt.idx);
+            }
         }
     }
 
@@ -609,7 +628,7 @@ impl HtsimBackend {
             if let Some(pkt) = port.queue.pop_front() {
                 port.qbytes -= pkt.wire as u64;
                 port.busy = true;
-                let tx = if pkt.wire == port.wire_mtu {
+                let tx = if pkt.wire == WIRE_MTU {
                     port.tx_mtu
                 } else if pkt.wire == HDR_BYTES {
                     port.tx_hdr
@@ -686,12 +705,12 @@ impl HtsimBackend {
 
     fn try_send(&mut self, fid: u32) {
         loop {
-            let f = &mut self.s.flows[fid as usize];
-            if f.complete || f.inflight >= f.cc.window() {
+            let Some(t) = self.s.flows[fid as usize].in_flight.as_mut() else { return };
+            if t.inflight >= t.cc.window() {
                 return;
             }
-            match f.next_packet() {
-                Some(i) if f.acked.get(i) => continue, // stale rtx entry
+            match t.next_packet() {
+                Some(i) if t.acked.get(i) => continue, // stale rtx entry
                 Some(i) => self.send_packet(fid, i),
                 None => return,
             }
@@ -699,49 +718,42 @@ impl HtsimBackend {
     }
 
     fn send_packet(&mut self, fid: u32, idx: u32) {
-        let (pkt, was_rtx, was_fault_lost) = {
-            let mtu = self.cfg.mtu;
-            let f = &mut self.s.flows[fid as usize];
-            let payload = f.payload(idx, mtu);
-            debug_assert!(!f.complete, "a completed flow has no per-packet state");
-            f.send_ts[idx as usize] = self.s.now;
-            f.inflight += payload as u64;
-            f.last_activity = self.s.now;
-            // Clear the retransmission marker: if this copy is lost too,
-            // the next timeout must be able to requeue the packet.
-            let was_rtx = f.in_rtx.get(idx);
-            if was_rtx {
-                f.in_rtx.clear(idx);
-            }
-            // Attribute the retransmission: was the previous copy killed
-            // by an injected fault, or by congestion/timeout noise?
-            let was_fault_lost = f.fault_lost.get(idx);
-            if was_fault_lost {
-                f.fault_lost.clear(idx);
-            }
-            let (ecmp, path) = if self.cfg.spray {
-                let ecmp = f.salt ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                // Resolve the sprayed route once; hops index into it.
-                (
-                    ecmp,
-                    self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, f.src, f.dst, ecmp),
-                )
-            } else {
-                (f.salt, f.path)
-            };
-            let pkt = Packet {
-                flow: fid,
-                idx,
-                hop: 0,
-                kind: PktKind::Data,
-                wire: payload + HDR_BYTES,
-                ecn: false,
-                ecmp,
-                path,
-            };
-            (pkt, was_rtx, was_fault_lost)
+        let f = &mut self.s.flows[fid as usize];
+        let Some(t) = f.in_flight.as_mut() else { return };
+        let payload = t.payload(idx);
+        t.send_ts[idx as usize] = self.s.now;
+        t.inflight += payload as u64;
+        t.last_activity = self.s.now;
+        // Clear the retransmission marker: if this copy is lost too,
+        // the next timeout must be able to requeue the packet.
+        let was_rtx = t.in_rtx.get(idx);
+        if was_rtx {
+            t.in_rtx.clear(idx);
+        }
+        // Attribute the retransmission: was the previous copy killed
+        // by an injected fault, or by congestion/timeout noise?
+        let was_fault_lost = t.fault_lost.get(idx);
+        if was_fault_lost {
+            t.fault_lost.clear(idx);
+        }
+        let (ecmp, path) = if self.cfg.spray {
+            let ecmp = t.salt ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            // Resolve the sprayed route once; hops index into it.
+            (ecmp, self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, f.src, f.dst, ecmp))
+        } else {
+            (t.salt, t.path)
         };
-        let payload = (pkt.wire - HDR_BYTES) as u64;
+        let pkt = Packet {
+            flow: fid,
+            idx,
+            hop: 0,
+            kind: PktKind::Data,
+            wire: payload + HDR_BYTES,
+            ecn: false,
+            ecmp,
+            path,
+        };
+        let payload = payload as u64;
         self.s.stats.packets_sent += 1;
         self.s.stats.payload_bytes += payload;
         if was_rtx {
@@ -761,7 +773,8 @@ impl HtsimBackend {
     }
 
     /// Control packets (ACK/NACK/PULL) travel the reverse path, reusing
-    /// the triggering packet's ECMP selector (symmetric spraying).
+    /// the triggering packet's ECMP selector (symmetric spraying). This
+    /// reads only what a delivered flow keeps.
     fn control_packet(&mut self, fid: u32, idx: u32, kind: PktKind, ecn: bool, ecmp: u64) {
         let f = &self.s.flows[fid as usize];
         let path = if self.cfg.spray {
@@ -777,27 +790,29 @@ impl HtsimBackend {
     // ---- receiver ------------------------------------------------------
 
     fn host_receive(&mut self, host: u32, pkt: Packet) {
+        let now = self.s.now;
+        let in_flight = self.s.flows[pkt.flow as usize].in_flight.as_mut();
         match pkt.kind {
             PktKind::Data => {
-                let fresh = {
-                    let f = &mut self.s.flows[pkt.flow as usize];
-                    if f.complete || f.rcvd.get(pkt.idx) {
-                        false
-                    } else {
-                        f.rcvd.set(pkt.idx);
-                        f.rcvd_count += 1;
-                        true
+                let all_in = in_flight.is_some_and(|t| {
+                    let fresh = !t.rcvd.get(pkt.idx);
+                    if fresh {
+                        t.rcvd.set(pkt.idx);
+                        t.rcvd_count += 1;
                     }
-                };
+                    fresh && t.rcvd_count == t.npkts
+                });
                 self.control_packet(pkt.flow, pkt.idx, PktKind::Ack, pkt.ecn, pkt.ecmp);
                 if self.s.cc == CcAlgo::Ndp {
                     self.add_pull_credit(host, pkt.flow);
                 }
-                if fresh
-                    && self.s.flows[pkt.flow as usize].rcvd_count
-                        == self.s.flows[pkt.flow as usize].npkts
-                {
-                    self.complete_flow(pkt.flow);
+                if all_in {
+                    let t = self.deliver(pkt.flow);
+                    if self.cfg.collect_flows {
+                        let Flow { src, dst, .. } = self.s.flows[pkt.flow as usize];
+                        let (bytes, start) = (t.bytes, t.start);
+                        self.s.records.push(FlowRecord { src, dst, bytes, start, end: now });
+                    }
                 }
             }
             PktKind::Trimmed => {
@@ -805,59 +820,38 @@ impl HtsimBackend {
                 self.add_pull_credit(host, pkt.flow);
             }
             PktKind::Ack => {
-                let rtt_and_more = {
-                    let f = &mut self.s.flows[pkt.flow as usize];
-                    if f.complete || f.acked.get(pkt.idx) {
-                        None
-                    } else {
-                        f.acked.set(pkt.idx);
-                        debug_assert!(!f.complete, "a completed flow has no per-packet state");
-                        Some(f.send_ts[pkt.idx as usize])
-                    }
-                };
-                if let Some(ts) = rtt_and_more {
-                    let mtu = self.cfg.mtu;
-                    let f = &mut self.s.flows[pkt.flow as usize];
-                    let payload = f.payload(pkt.idx, mtu) as u64;
-                    f.inflight = f.inflight.saturating_sub(payload);
-                    let rtt = self.s.now.saturating_sub(ts).max(1);
-                    f.cc.on_ack(self.s.now, rtt, pkt.ecn);
-                    f.last_activity = self.s.now;
-                    if f.rto != f.rto_base {
-                        // Backoff recovery: restore the base RTO and re-arm
-                        // the timer promptly — the pending timeout event sits
-                        // up to 64x base in the future and would delay
-                        // detection of a new stall by that much. Bumping the
-                        // generation invalidates the old chain.
-                        f.rto = f.rto_base;
-                        f.timeout_gen = f.timeout_gen.wrapping_add(1);
-                        let (t, ev) = (
-                            self.s.now + f.rto_base,
-                            Ev::Timeout { flow: pkt.flow, gen: f.timeout_gen },
-                        );
-                        self.push(t, ev);
-                    }
-                    self.try_send(pkt.flow);
+                let Some(t) = in_flight.filter(|t| !t.acked.get(pkt.idx)) else { return };
+                t.acked.set(pkt.idx);
+                t.inflight = t.inflight.saturating_sub(t.payload(pkt.idx) as u64);
+                let rtt = now.saturating_sub(t.send_ts[pkt.idx as usize]).max(1);
+                t.cc.on_ack(now, rtt, pkt.ecn);
+                t.last_activity = now;
+                if t.rto != t.rto_base {
+                    // Backoff recovery: restore the base RTO and re-arm
+                    // the timer promptly — the pending timeout event sits
+                    // up to 64x base in the future and would delay
+                    // detection of a new stall by that much. Bumping the
+                    // generation invalidates the old chain.
+                    t.rto = t.rto_base;
+                    t.timeout_gen = t.timeout_gen.wrapping_add(1);
+                    let ev = Ev::Timeout { flow: pkt.flow, gen: t.timeout_gen };
+                    self.s.queue.push(now + t.rto_base, ev);
                 }
+                self.try_send(pkt.flow);
             }
             PktKind::Nack => {
-                let f = &mut self.s.flows[pkt.flow as usize];
-                if !f.complete && !f.acked.get(pkt.idx) && !f.in_rtx.get(pkt.idx) {
-                    f.in_rtx.set(pkt.idx);
-                    f.rtx.push_back(pkt.idx);
+                let Some(t) = in_flight else { return };
+                if !t.acked.get(pkt.idx) && !t.in_rtx.get(pkt.idx) {
+                    t.in_rtx.set(pkt.idx);
+                    t.rtx.push_back(pkt.idx);
                     // The trimmed payload is no longer in flight.
-                    let mtu = self.cfg.mtu;
-                    let payload = f.payload(pkt.idx, mtu) as u64;
-                    f.inflight = f.inflight.saturating_sub(payload);
+                    t.inflight = t.inflight.saturating_sub(t.payload(pkt.idx) as u64);
                 }
             }
             PktKind::Pull => {
                 // Release exactly one packet, bypassing the window.
-                let f = &mut self.s.flows[pkt.flow as usize];
-                if f.complete {
-                    return;
-                }
-                if let Some(i) = f.next_packet().filter(|&i| !f.acked.get(i)) {
+                let Some(t) = in_flight else { return };
+                if let Some(i) = t.next_packet().filter(|&i| !t.acked.get(i)) {
                     self.send_packet(pkt.flow, i);
                 }
             }
@@ -865,7 +859,7 @@ impl HtsimBackend {
     }
 
     fn add_pull_credit(&mut self, host: u32, fid: u32) {
-        if self.s.flows[fid as usize].complete {
+        if self.s.flows[fid as usize].in_flight.is_none() {
             return;
         }
         self.s.pacers[host as usize].credits.push_back(fid);
@@ -882,9 +876,8 @@ impl HtsimBackend {
                 self.s.pacers[host as usize].busy = false;
             }
             Some(fid) => {
-                if !self.s.flows[fid as usize].complete {
-                    let salt = self.s.flows[fid as usize].salt;
-                    self.control_packet(fid, 0, PktKind::Pull, false, salt);
+                if let Some(t) = &self.s.flows[fid as usize].in_flight {
+                    self.control_packet(fid, 0, PktKind::Pull, false, t.salt);
                 }
                 // Pace at the receiver's edge-link rate: one full frame's
                 // serialisation time per credit.
@@ -894,32 +887,19 @@ impl HtsimBackend {
         }
     }
 
-    fn complete_flow(&mut self, fid: u32) {
-        let (op, recv_op, src, dst, bytes, start) = {
-            let f = &mut self.s.flows[fid as usize];
-            f.complete = true;
-            f.complete_time = Some(self.s.now);
-            // Cancel the retransmission-timer chain: bumping the
-            // generation lazily invalidates every pending `Timeout` for
-            // this flow, so short-flow-heavy workloads don't drag dead
-            // timers through the event queue.
-            f.timeout_gen = f.timeout_gen.wrapping_add(1);
-            // Nothing indexes a completed flow per packet (every reader
-            // checks `complete` first): give the buffers back.
-            f.send_ts = Box::default();
-            f.rtx = VecDeque::new();
-            for bits in [&mut f.acked, &mut f.in_rtx, &mut f.fault_lost, &mut f.rcvd] {
-                *bits = Bitmap::new(0);
-            }
-            (f.op, f.recv_op, f.src, f.dst, f.bytes, f.start)
-        };
-        self.push(self.s.now, Ev::Emit { op, done: true });
-        if let Some(r) = recv_op {
-            self.push(self.s.now + self.cfg.host_o, Ev::Emit { op: r, done: true });
+    /// The last byte of `fid` is where it was going: the send is done
+    /// now, a recv already matched to it one host overhead later (a recv
+    /// posted from here on finds the flow delivered and completes
+    /// itself). Taking the in-flight state is what cancels the
+    /// retransmission-timer chain and turns away whatever of the flow is
+    /// still in the fabric; dropping it gives the buffers back.
+    fn deliver(&mut self, fid: u32) -> Box<InFlight> {
+        let t = self.s.flows[fid as usize].in_flight.take().expect("a flow is delivered once");
+        self.push(self.s.now, Ev::Emit { op: t.op, done: true });
+        if let Some(r) = t.recv_op {
+            self.push(self.s.now + HOST_O, Ev::Emit { op: r, done: true });
         }
-        if self.cfg.collect_flows {
-            self.s.records.push(FlowRecord { src, dst, bytes, start, end: self.s.now });
-        }
+        t
     }
 
     /// Apply or lift one fault window ([`Ev::Fault`]).
@@ -947,38 +927,35 @@ impl HtsimBackend {
     }
 
     fn on_timeout(&mut self, fid: u32, gen: u32) {
-        let reschedule = {
-            let f = &mut self.s.flows[fid as usize];
-            // Staleness (completed flow / superseded chain) is filtered by
-            // the Ev::Timeout dispatch arm; only live timers arrive here.
-            debug_assert!(!f.complete && gen == f.timeout_gen);
-            if self.s.now.saturating_sub(f.last_activity) < f.rto {
-                Some(f.last_activity + f.rto)
-            } else {
-                // Timeout fires: requeue every sent-but-unacked packet.
-                f.cc.on_timeout();
-                for i in 0..f.next_idx {
-                    if !f.acked.get(i) && !f.in_rtx.get(i) {
-                        f.in_rtx.set(i);
-                        f.rtx.push_back(i);
-                    }
+        let now = self.s.now;
+        // Lazily cancelled timers (delivered flows, superseded chains)
+        // die here without touching anything.
+        let in_flight = self.s.flows[fid as usize].in_flight.as_mut();
+        let Some(t) = in_flight.filter(|t| gen == t.timeout_gen) else { return };
+        self.s.stats.timeouts += 1;
+        let next = if now.saturating_sub(t.last_activity) < t.rto {
+            t.last_activity + t.rto
+        } else {
+            // Timeout fires: requeue every sent-but-unacked packet.
+            t.cc.on_timeout();
+            for i in 0..t.next_idx {
+                if !t.acked.get(i) && !t.in_rtx.get(i) {
+                    t.in_rtx.set(i);
+                    t.rtx.push_back(i);
                 }
-                f.inflight = 0;
-                f.last_activity = self.s.now;
-                // Exponential backoff (capped at 64x base): a static RTO
-                // sized from the *base* RTT livelocks once queueing delay
-                // exceeds it — every flow times out each RTO, re-injects
-                // its whole window, and the storm sustains the very
-                // congestion that caused it.
-                f.rto = f.rto.saturating_mul(2).min(f.rto_base.saturating_mul(64));
-                Some(self.s.now + f.rto)
             }
+            t.inflight = 0;
+            t.last_activity = now;
+            // Exponential backoff (capped at 64x base): a static RTO
+            // sized from the *base* RTT livelocks once queueing delay
+            // exceeds it — every flow times out each RTO, re-injects
+            // its whole window, and the storm sustains the very
+            // congestion that caused it.
+            t.rto = t.rto.saturating_mul(2).min(t.rto_base.saturating_mul(64));
+            now + t.rto
         };
-        if let Some(t) = reschedule {
-            // Count retransmissions triggered by the timeout path.
-            self.try_send(fid);
-            self.push(t, Ev::Timeout { flow: fid, gen });
-        }
+        self.try_send(fid);
+        self.push(next, Ev::Timeout { flow: fid, gen });
     }
 }
 
@@ -998,45 +975,30 @@ impl Backend for HtsimBackend {
 
     fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
         let key: MatchKey = (op.rank, dst, tag);
-        self.push(self.s.now + self.cfg.host_o, Ev::Emit { op, done: false });
+        self.push(self.s.now + HOST_O, Ev::Emit { op, done: false });
         let fid = self.s.flows.len() as u32;
         self.s.stats.flows += 1;
-
+        let (rpath, mut t) = self.make_flow(op, dst, bytes);
+        t.recv_op = self.s.matcher.offer_send(key, fid).map(|(recv_op, _)| recv_op);
+        let rto = t.rto;
+        self.s.flows.push(Flow { src: op.rank, dst, rpath, in_flight: Some(Box::new(t)) });
         if op.rank == dst {
             // Intra-node message: no fabric traversal (Stage 4 normally
             // replaces these with calcs; handle gracefully if present).
-            let mut f = self.make_flow(op, dst, bytes, true);
-            f.complete = true;
-            self.s.flows.push(f);
-            if let Some((recv_op, _)) = self.s.matcher.offer_send(key, fid) {
-                self.s.flows[fid as usize].recv_op = Some(recv_op);
-            }
-            self.push(self.s.now + self.cfg.host_o, Ev::LocalDone { flow: fid });
-            return;
+            self.push(self.s.now + HOST_O, Ev::LocalDone { flow: fid });
+        } else {
+            self.try_send(fid);
+            self.push(self.s.now + rto, Ev::Timeout { flow: fid, gen: 0 });
         }
-
-        let f = self.make_flow(op, dst, bytes, false);
-        let rto = f.rto;
-        self.s.flows.push(f);
-        if let Some((recv_op, _)) = self.s.matcher.offer_send(key, fid) {
-            self.s.flows[fid as usize].recv_op = Some(recv_op);
-        }
-        self.try_send(fid);
-        self.push(self.s.now + rto, Ev::Timeout { flow: fid, gen: 0 });
     }
 
     fn recv(&mut self, op: OpRef, src: Rank, _bytes: u64, tag: Tag) {
         let key: MatchKey = (src, op.rank, tag);
         self.push(self.s.now, Ev::Emit { op, done: false });
         if let Some(fid) = self.s.matcher.offer_recv(key, (op, self.s.now)) {
-            let complete = self.s.flows[fid as usize].complete_time;
-            match complete {
-                Some(_t) => {
-                    self.push(self.s.now + self.cfg.host_o, Ev::Emit { op, done: true });
-                }
-                None => {
-                    self.s.flows[fid as usize].recv_op = Some(op);
-                }
+            match self.s.flows[fid as usize].in_flight.as_mut() {
+                Some(t) => t.recv_op = Some(op),
+                None => self.push(self.s.now + HOST_O, Ev::Emit { op, done: true }),
             }
         }
     }
@@ -1073,28 +1035,10 @@ impl Backend for HtsimBackend {
                 }
                 Ev::TxDone(p) => self.on_tx_done(p),
                 Ev::Arrive { port, pkt } => self.on_arrive(port, pkt),
-                Ev::Timeout { flow, gen } => {
-                    // Lazily cancelled timers (completed flows, superseded
-                    // chains) die here without touching flow state.
-                    let f = &self.s.flows[flow as usize];
-                    if !f.complete && gen == f.timeout_gen {
-                        self.s.stats.timeouts += 1;
-                        self.on_timeout(flow, gen);
-                    }
-                }
+                Ev::Timeout { flow, gen } => self.on_timeout(flow, gen),
                 Ev::PullTick { host } => self.on_pull_tick(host),
                 Ev::Fault { idx, start } => self.on_fault(idx, start),
-                Ev::LocalDone { flow } => {
-                    let (op, recv_op) = {
-                        let f = &mut self.s.flows[flow as usize];
-                        f.complete_time = Some(self.s.now);
-                        (f.op, f.recv_op)
-                    };
-                    self.push(self.s.now, Ev::Emit { op, done: true });
-                    if let Some(r) = recv_op {
-                        self.push(self.s.now + self.cfg.host_o, Ev::Emit { op: r, done: true });
-                    }
-                }
+                Ev::LocalDone { flow } => drop(self.deliver(flow)),
             }
         }
         None
@@ -1102,37 +1046,34 @@ impl Backend for HtsimBackend {
 }
 
 impl HtsimBackend {
-    fn make_flow(&mut self, op: OpRef, dst: Rank, bytes: u64, local: bool) -> Flow {
+    /// The reverse route and the in-flight state of a new flow; an
+    /// intra-node one gets no routes, no salt draw and no timer.
+    fn make_flow(&mut self, op: OpRef, dst: Rank, bytes: u64) -> (PathRef, InFlight) {
         let bytes = bytes.max(1);
-        let mtu = self.cfg.mtu as u64;
-        let npkts = bytes.div_ceil(mtu) as u32;
-        let (path, rpath, salt, rto, cc) = if local {
-            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, CcState::new(self.s.cc, self.cfg.mtu, 1, 1))
+        let npkts = bytes.div_ceil(MTU as u64) as u32;
+        let (path, rpath, salt, rto, cc) = if op.rank == dst {
+            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, CcState::new(self.s.cc, MTU, 1, 1))
         } else {
             let salt = self.s.rng.random::<u64>();
             let path =
                 self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, op.rank, dst, salt);
             let rpath =
                 self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, dst, op.rank, salt);
-            let base_rtt =
-                self.topo.base_rtt(path.of(&self.s.arena), rpath.of(&self.s.arena), self.cfg.mtu);
+            let base_rtt = self.topo.base_rtt(path.of(&self.s.arena), rpath.of(&self.s.arena), MTU);
             let host_rate = self.s.ports[op.rank as usize].rate;
             // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
             let bdp = (base_rtt as f64 * host_rate) as u64;
             // Retransmission timeout: 3×base RTT + 10 MTU.
             // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-            let rto = 3 * base_rtt + (10.0 * mtu as f64 / host_rate) as u64;
-            let cc = CcState::new(self.s.cc, self.cfg.mtu, base_rtt, bdp);
+            let rto = 3 * base_rtt + (10.0 * MTU as f64 / host_rate) as u64;
+            let cc = CcState::new(self.s.cc, MTU, base_rtt, bdp);
             (path, rpath, salt, rto, cc)
         };
-        Flow {
+        let in_flight = InFlight {
             op,
-            src: op.rank,
-            dst,
             bytes,
             npkts,
             path,
-            rpath,
             salt,
             rto,
             rto_base: rto.max(1),
@@ -1148,11 +1089,10 @@ impl HtsimBackend {
             last_activity: self.s.now,
             rcvd: Bitmap::new(npkts),
             rcvd_count: 0,
-            complete: false,
-            complete_time: None,
             recv_op: None,
             start: self.s.now,
-        }
+        };
+        (rpath, in_flight)
     }
 
     // ---- branch overrides ----------------------------------------------

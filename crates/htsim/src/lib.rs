@@ -242,6 +242,51 @@ mod tests {
         assert_eq!(backend.net_stats().packets_sent, 0);
     }
 
+    /// Intra-node sends end in the same `deliver` as fabric flows. The
+    /// send is done one host overhead after it was issued; a recv matched
+    /// by then one more overhead later, a recv posted after delivery one
+    /// overhead after its own issue.
+    #[test]
+    fn local_flow_completion_times_in_either_issue_order() {
+        use atlahs_core::api::EventKind;
+        use atlahs_core::{Backend, OpRef};
+        use atlahs_goal::TaskId;
+        let (send, recv) = (OpRef::new(0, TaskId(0)), OpRef::new(0, TaskId(1)));
+        // The `Done` times of (send, recv), issuing through `issue` and,
+        // when `late_recv` is set, posting the recv at t = 1000.
+        let done_times = |issue: &dyn Fn(&mut HtsimBackend), late_recv: bool| {
+            let mut b = HtsimBackend::new(small_switch(CcAlgo::Mprdma));
+            b.simulation_setup(2);
+            issue(&mut b);
+            let (mut send_done, mut recv_done) = (None, None);
+            while let Some(c) = b.next_event() {
+                match (c.kind, c.op) {
+                    (EventKind::Done, op) if op == send => send_done = Some(c.time),
+                    (EventKind::Done, op) if op == recv => recv_done = Some(c.time),
+                    (EventKind::Done, _) if late_recv => b.recv(recv, 0, 4096, 7),
+                    _ => {}
+                }
+            }
+            assert_eq!(b.net_stats().packets_sent, 0);
+            (send_done.unwrap(), recv_done.unwrap())
+        };
+        let send_first = |b: &mut HtsimBackend| {
+            b.send(send, 0, 4096, 7);
+            b.recv(recv, 0, 4096, 7);
+        };
+        let recv_first = |b: &mut HtsimBackend| {
+            b.recv(recv, 0, 4096, 7);
+            b.send(send, 0, 4096, 7);
+        };
+        let send_then_wait = |b: &mut HtsimBackend| {
+            b.send(send, 0, 4096, 7);
+            b.calc(OpRef::new(1, TaskId(0)), 1000);
+        };
+        assert_eq!(done_times(&send_first, false), (200, 400));
+        assert_eq!(done_times(&recv_first, false), (200, 400));
+        assert_eq!(done_times(&send_then_wait, true), (200, 1200));
+    }
+
     #[test]
     fn swift_and_mprdma_similar_on_uncongested_path() {
         let goal = ping(1 << 20);
@@ -671,6 +716,53 @@ mod tests {
             );
             assert!(st.goodput_ppm() < 1_000_000, "{cc}: lossy runs burn overhead bytes");
         }
+    }
+
+    /// A delivered flow keeps nothing per packet, and its packets keep
+    /// arriving: under spraying, shallow queues, random loss, a core link
+    /// that goes down and jitter with a tail past the RTO, timeouts resend
+    /// packets whose originals or ACKs are merely late, the packet that
+    /// was really missing completes the flow, and the other copies land
+    /// on a flow that is already delivered (133 of them in this run) or
+    /// die on the way to it (6). They are ACKed along the reverse route
+    /// and change nothing.
+    #[test]
+    fn late_packets_of_a_delivered_flow_are_acked_and_touch_nothing() {
+        use atlahs_core::faultgen::Distribution;
+        let mut b = GoalBuilder::new(16);
+        for round in 0..4 {
+            for h in 0..16 {
+                let dst = (h + 4 + round) % 16;
+                b.send(h, dst, 96 * 1024, round);
+                b.recv(dst, h, 96 * 1024, round);
+            }
+        }
+        let goal = b.build().unwrap();
+        let mk = || {
+            let topology = TopologyConfig::fat_tree(16, 4);
+            let core = select_fault_ports(&Topology::build(topology.clone()), 1, 3)[0];
+            let mut cfg = HtsimConfig::new(topology, CcAlgo::Mprdma);
+            cfg.spray = true;
+            cfg.queue_bytes = 16 * 1024;
+            let jitter = Some(Distribution::Exp { mean_ns: 10_000 });
+            cfg.link_model = LinkModel { jitter, ..loss_model(30_000, 0xface) };
+            cfg.faults.push(PortFault {
+                port: core,
+                start_ns: 10_000,
+                end_ns: 60_000,
+                kind: FaultKind::Down,
+            });
+            cfg
+        };
+        let (rep, b1) = run_with(&goal, mk());
+        assert_eq!(rep.completed, goal.total_tasks());
+        let st = b1.net_stats();
+        assert!(st.fault_drops > 0 && st.stochastic_drops > 0 && st.drops > 0, "{st:?}");
+        assert!(st.timeouts > 0, "{st:?}");
+        assert_eq!(st.retransmissions, st.rtx_fault_drop + st.rtx_timeout, "{st:?}");
+        let (again, b2) = run_with(&goal, mk());
+        assert_eq!(rep, again);
+        assert_eq!(st, b2.net_stats());
     }
 
     #[test]

@@ -125,34 +125,6 @@ pub fn ring(n: usize, bytes: u64, repeat: u32) -> Result<GoalSchedule, GoalError
     b.build()
 }
 
-/// Two ranks exchanging one `bytes`-sized message per round, every
-/// round's tasks chained on the previous round's: the deepest
-/// dependency chain a schedule of this size can have, with a single
-/// event in flight at any time. Exercises a scheduler's serial dispatch
-/// path.
-pub fn pingpong_chain(rounds: u32, bytes: u64) -> Result<GoalSchedule, GoalError> {
-    let mut b = GoalBuilder::new(2);
-    let mut prev0 = None;
-    let mut prev1 = None;
-    for round in 0..rounds {
-        let s0 = b.send(0, 1, bytes, round);
-        let r1 = b.recv(1, 0, bytes, round);
-        let s1 = b.send(1, 0, bytes, round);
-        let r0 = b.recv(0, 1, bytes, round);
-        if let Some(p) = prev0 {
-            b.requires(0, s0, p);
-        }
-        b.requires(0, r0, s0);
-        b.requires(1, s1, r1);
-        if let Some(p) = prev1 {
-            b.requires(1, r1, p);
-        }
-        prev0 = Some(r0);
-        prev1 = Some(s1);
-    }
-    b.build()
-}
-
 /// MoE expert-parallel all-to-all: the `n` ranks are partitioned into
 /// expert-parallel groups of `group` consecutive ranks; every MoE layer
 /// performs two all-to-alls per group (token *dispatch* to the experts,
@@ -389,20 +361,6 @@ mod tests {
         runs(&g);
         let stats = atlahs_goal::ScheduleStats::of(&g);
         assert_eq!(stats.sends, 24);
-    }
-
-    #[test]
-    fn pingpong_chain_is_fully_serial() {
-        let g = pingpong_chain(50, 1024).unwrap();
-        runs(&g);
-        let stats = atlahs_goal::ScheduleStats::of(&g);
-        assert_eq!(stats.sends, 100);
-        assert_eq!(stats.recvs, 100);
-        // One message in flight at a time: makespan is the full sum of
-        // 100 sequential (tx + latency) legs on the ideal backend.
-        let mut be = IdealBackend::new(1.0, 100);
-        let rep = Simulation::new(&g).run(&mut be).unwrap();
-        assert_eq!(rep.makespan, 100 * (1024 + 100));
     }
 
     #[test]

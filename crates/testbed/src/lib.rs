@@ -59,10 +59,6 @@ enum Ev {
 #[derive(Debug)]
 struct Flow {
     op: OpRef,
-    #[allow(dead_code)]
-    dst: Rank,
-    #[allow(dead_code)]
-    key: MatchKey,
     remaining: f64,
     rate: f64,
     /// Latency to add between drain and delivery.
@@ -238,8 +234,6 @@ impl Backend for TestbedBackend {
             let deliver = self.now + self.cfg.host_o;
             let mut f = Flow {
                 op,
-                dst,
-                key,
                 remaining: 0.0,
                 rate: f64::INFINITY,
                 latency: 0,
@@ -265,8 +259,6 @@ impl Backend for TestbedBackend {
             path.iter().map(|&p| self.topo.ports()[p as usize].link.latency_ns).sum();
         let mut f = Flow {
             op,
-            dst,
-            key,
             remaining: bytes.max(1) as f64,
             rate: 0.0,
             latency: latency + self.cfg.host_o,
