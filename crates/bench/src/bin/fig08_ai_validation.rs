@@ -31,7 +31,7 @@ fn main() {
     let timing = args.flag("timing");
 
     println!("# Fig. 8 — AI validation (scale={scale}, seed={seed}, quick={quick})");
-    println!("# measured = fluid-flow testbed emulator (DESIGN.md §1); times per training run\n");
+    println!("# measured = fluid-flow testbed emulator (docs/ARCHITECTURE.md, Backends); times per training run\n");
 
     let mut table = Table::new([
         "workload",

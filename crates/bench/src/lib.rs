@@ -1,7 +1,7 @@
 //! # atlahs-bench
 //!
 //! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md §3 for the experiment index), plus shared
+//! evaluation (docs/ARCHITECTURE.md has the paper-section index), plus shared
 //! plumbing used by all of them:
 //!
 //! * [`args`] — a tiny `--flag value` parser (no CLI dependency),
@@ -29,10 +29,10 @@
 //! Every binary accepts `--seed <u64>` and `--scale <f64>` (workload
 //! scale; the default keeps packet-level runs tractable on a laptop) and
 //! prints the same rows/series as the corresponding figure. Absolute
-//! values differ from the paper (the substrate is synthetic; DESIGN.md
-//! §1), but the qualitative shape — who wins, by what factor, where the
-//! crossovers sit — is the reproduction target recorded in
-//! EXPERIMENTS.md.
+//! values differ from the paper (the substrate is synthetic;
+//! docs/ARCHITECTURE.md, "Backends"), but the qualitative shape — who
+//! wins, by what factor, where the crossovers sit — is the reproduction
+//! target: the paper's claims as PAPER.md summarises them.
 
 #![forbid(unsafe_code)]
 

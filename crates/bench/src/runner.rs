@@ -26,7 +26,7 @@ pub fn run_on<B: Backend>(goal: &GoalSchedule, backend: &mut B) -> (SimReport, D
 }
 
 /// "Measured" runtime: the fluid-flow testbed emulator standing in for
-/// the real cluster (DESIGN.md §1).
+/// the real cluster (docs/ARCHITECTURE.md, "Backends").
 pub fn run_testbed(goal: &GoalSchedule, topo: TopologyConfig, seed: u64) -> (SimReport, Duration) {
     let mut cfg = TestbedConfig::new(topo);
     cfg.seed = seed;

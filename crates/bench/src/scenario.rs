@@ -458,6 +458,10 @@ impl WorkloadSpec {
             WorkloadSpec::Llm { iterations: 0, .. } => {
                 Err("an LLM run needs at least 1 iteration".into())
             }
+            WorkloadSpec::Hpc { procs: 0, .. } => Err("an HPC run needs at least 1 process".into()),
+            WorkloadSpec::Storage { ops: 0, .. } => {
+                Err("a storage run needs at least 1 operation".into())
+            }
             WorkloadSpec::Llm { scale, .. } | WorkloadSpec::Hpc { scale, .. }
                 if !(scale > 0.0 && scale <= 1.0) =>
             {
@@ -1838,6 +1842,12 @@ mod tests {
         assert!(err.contains("weibull shape"), "{err}");
         let err = FaultSpec::parse("jitter:gauss:100").unwrap_err();
         assert!(err.contains("expected jitter:exp"), "{err}");
+        // Zero-work tokens: a 0-task schedule is a 0 ns sweep cell and a
+        // panic in the cluster engine, so they die at parse time.
+        let err = WorkloadSpec::parse("hpc:lulesh:0:1:1").unwrap_err();
+        assert_eq!(err, "workload `hpc:lulesh:0:1:1`: an HPC run needs at least 1 process");
+        let err = WorkloadSpec::parse("storage:0:1:1").unwrap_err();
+        assert_eq!(err, "workload `storage:0:1:1`: a storage run needs at least 1 operation");
         // A zero fabric dimension used to reach a worker and divide by it.
         for (tok, field) in [
             ("ai-fattree:16:0", "oversub"),

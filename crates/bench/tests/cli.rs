@@ -60,6 +60,22 @@ fn degenerate_topologies_are_usage_errors() {
     assert!(err.starts_with(want), "{err}");
 }
 
+/// A workload that does no work used to pass the parser: `atlahs cluster`
+/// then panicked on the empty schedule (exit 101) and `atlahs sweep`
+/// reported a 0-task, 0 ns cell.
+#[test]
+fn zero_work_workloads_are_usage_errors() {
+    let hpc = "workload `hpc:lulesh:0:1:1`: an HPC run needs at least 1 process";
+    let storage = "workload `storage:0:1:1`: a storage run needs at least 1 operation";
+    for (tok, reason) in [("hpc:lulesh:0:1:1", hpc), ("storage:0:1:1", storage)] {
+        let cluster = ["cluster", "--topo", "switch:64", "--catalog", tok, "--backends", "lgs"];
+        let err = stderr_of_usage_error(&atlahs(&cluster));
+        assert!(err.starts_with(&format!("atlahs cluster: --catalog: {reason}")), "{err}");
+        let err = stderr_of_usage_error(&atlahs(&["sweep", "--workloads", tok]));
+        assert!(err.starts_with(&format!("atlahs sweep: --workloads: {reason}")), "{err}");
+    }
+}
+
 /// One fault grammar, two scopes: each subcommand refuses the tokens it
 /// cannot express and says why and where they belong.
 #[test]

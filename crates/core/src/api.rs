@@ -52,14 +52,6 @@ impl OpRef {
     }
 }
 
-/// The operation kinds a backend receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    Send { dst: Rank, bytes: u64, tag: Tag },
-    Recv { src: Rank, bytes: u64, tag: Tag },
-    Calc { cost: u64 },
-}
-
 /// What a backend event signifies for the referenced operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
@@ -125,15 +117,6 @@ pub trait Backend {
     /// Advance simulated time to the next event and return it, or `None`
     /// if the backend is quiescent (no pending work).
     fn next_event(&mut self) -> Option<Completion>;
-
-    /// Dispatch an [`OpKind`] (convenience used by the scheduler).
-    fn issue(&mut self, op: OpRef, kind: OpKind) {
-        match kind {
-            OpKind::Send { dst, bytes, tag } => self.send(op, dst, bytes, tag),
-            OpKind::Recv { src, bytes, tag } => self.recv(op, src, bytes, tag),
-            OpKind::Calc { cost } => self.calc(op, cost),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,37 +135,5 @@ mod tests {
         let op = OpRef::new(0, TaskId(0));
         assert_eq!(Completion::done(op, 5).kind, EventKind::Done);
         assert_eq!(Completion::cpu_free(op, 5).kind, EventKind::CpuFree);
-    }
-
-    #[test]
-    fn issue_dispatches_by_kind() {
-        #[derive(Default)]
-        struct Probe {
-            log: Vec<&'static str>,
-        }
-        impl Backend for Probe {
-            fn simulation_setup(&mut self, _: usize) {}
-            fn now(&self) -> Time {
-                0
-            }
-            fn send(&mut self, _: OpRef, _: Rank, _: u64, _: Tag) {
-                self.log.push("send");
-            }
-            fn recv(&mut self, _: OpRef, _: Rank, _: u64, _: Tag) {
-                self.log.push("recv");
-            }
-            fn calc(&mut self, _: OpRef, _: u64) {
-                self.log.push("calc");
-            }
-            fn next_event(&mut self) -> Option<Completion> {
-                None
-            }
-        }
-        let mut p = Probe::default();
-        let op = OpRef::new(0, TaskId(0));
-        p.issue(op, OpKind::Calc { cost: 1 });
-        p.issue(op, OpKind::Send { dst: 1, bytes: 2, tag: 3 });
-        p.issue(op, OpKind::Recv { src: 1, bytes: 2, tag: 3 });
-        assert_eq!(p.log, vec!["calc", "send", "recv"]);
     }
 }

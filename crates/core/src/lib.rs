@@ -43,7 +43,7 @@ pub mod placement;
 pub mod scheduler;
 pub mod snapshot;
 
-pub use api::{Backend, Completion, OpKind, OpRef, Time};
+pub use api::{Backend, Completion, OpRef, Time};
 pub use matcher::Matcher;
 pub use placement::{allocate, FragStats, NodePool, PlacementStrategy};
 pub use scheduler::{RunState, SimDriver, SimError, SimReport, Simulation};

@@ -11,7 +11,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use atlahs_goal::{DepKind, GoalSchedule, Rank, RankSchedule, Stream, TaskId, TaskKind};
 
-use crate::api::{Backend, Completion, EventKind, OpKind, OpRef, Time};
+use crate::api::{Backend, Completion, EventKind, OpRef, Time};
 
 /// Final report of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,17 +64,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskState {
-    Waiting,
-    Ready,
-    /// Issued; stream still held.
-    Running,
-    /// Issued; stream already released by a `CpuFree` event.
-    RunningFreed,
-    Done,
-}
-
 /// Per-stream queue of ready task ids, popped in ascending-id order.
 ///
 /// GOAL generators emit each stream's tasks in issue order, so ids enter
@@ -114,6 +103,11 @@ impl ReadyQueue {
             (None, None) => None,
         }
     }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.ring.is_empty() && self.spill.is_empty()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -123,45 +117,152 @@ struct StreamState {
     ready: ReadyQueue,
 }
 
-/// One subtracted from a task's packed start-edge (`irequires`) counter.
-const START_ONE: u64 = 1 << 32;
+// A task's `remaining` word: while the task waits, the number of its
+// dependency edges still to fire — below `READY`, which setup checks — and
+// from then on its state.
+/// Queued on its stream.
+const READY: u32 = (1 << 31) - 3;
+/// Issued; stream already released by a `CpuFree` event.
+const FREED: u32 = (1 << 31) - 2;
+const DONE: u32 = (1 << 31) - 1;
+/// `RUNNING + s`: issued, stream slot `s` still held. A rank has fewer
+/// than 2^31 tasks, hence fewer streams, so every slot fits.
+const RUNNING: u32 = 1 << 31;
 
 #[derive(Clone)]
 struct RankState {
-    /// Packed per-task in-degree countdown: `start_remaining << 32 |
-    /// full_remaining`. Edge firing is the scheduler's most
-    /// random-access-heavy path (one decrement + readiness check per
-    /// dependency edge), so keeping both counters in one word halves the
-    /// cache lines it touches, and readiness is a single `== 0`.
-    remaining: Vec<u64>,
-    state: Vec<TaskState>,
-    /// Sorted by stream id; iterated in that (deterministic) order on
-    /// every dispatch, so a flat sorted vector beats a tree map — ranks
-    /// have a handful of streams and this sits on the per-event path.
+    /// One word per task: its countdown, then its state (see [`READY`]).
+    /// Readiness does not care which kind of edge fires last, so one
+    /// counter serves both kinds, and edge firing — the scheduler's most
+    /// random-access-heavy path — is one decrement and a `== 0`.
+    remaining: Vec<u32>,
+    /// Sorted by stream id: slot order is the deterministic issue order.
     streams: Vec<StreamState>,
+    /// Bit `s` is set iff stream slot `s` is idle and has a ready task,
+    /// so a dispatch visits only the slots that issue.
+    issuable: Vec<u64>,
 }
 
 impl RankState {
+    fn new(sched: &RankSchedule) -> Self {
+        // A stream column is mostly runs: drop repeats before sorting.
+        let mut stream_ids: Vec<Stream> = sched.streams().to_vec();
+        stream_ids.dedup();
+        stream_ids.sort_unstable();
+        stream_ids.dedup();
+        let mut rs = RankState {
+            remaining: countdowns(sched),
+            issuable: vec![0; stream_ids.len().div_ceil(64)],
+            streams: stream_ids
+                .into_iter()
+                .map(|stream| StreamState { stream, busy: false, ready: ReadyQueue::default() })
+                .collect(),
+        };
+        for i in 0..rs.remaining.len() {
+            if rs.remaining[i] == 0 {
+                rs.make_ready(sched, i);
+            }
+        }
+        rs
+    }
+
     #[inline]
-    fn stream_idx(&self, stream: Stream) -> usize {
-        // Most schedules use a single stream per rank: check it first.
-        if self.streams.len() == 1 || self.streams[0].stream == stream {
+    fn mark_issuable(&mut self, s: usize) {
+        self.issuable[s / 64] |= 1 << (s % 64);
+    }
+
+    /// Queue task `i`, whose countdown just reached zero, on its stream.
+    #[inline]
+    fn make_ready(&mut self, sched: &RankSchedule, i: usize) {
+        self.remaining[i] = READY;
+        // Most ranks have one stream: leave the stream column alone then.
+        let s = if self.streams.len() == 1 {
             0
         } else {
             self.streams
-                .binary_search_by_key(&stream, |ss| ss.stream)
+                .binary_search_by_key(&sched.streams()[i], |ss| ss.stream)
                 .expect("task stream registered at setup")
+        };
+        let ss = &mut self.streams[s];
+        ss.ready.push(i as u32);
+        if !ss.busy {
+            self.mark_issuable(s);
         }
     }
 
-    /// Stream slot of task `ti`, touching the schedule's stream column
-    /// only when the rank actually multiplexes streams.
+    /// Release stream slot `s`.
     #[inline]
-    fn stream_idx_of(&self, sched: &RankSchedule, ti: usize) -> usize {
-        if self.streams.len() == 1 {
-            0
-        } else {
-            self.stream_idx(sched.streams()[ti])
+    fn free(&mut self, s: usize) {
+        let ss = &mut self.streams[s];
+        ss.busy = false;
+        if !ss.ready.is_empty() {
+            self.mark_issuable(s);
+        }
+    }
+
+    /// Fire one dependency edge into `succ`.
+    #[inline]
+    fn release(&mut self, sched: &RankSchedule, succ: TaskId) {
+        let w = &mut self.remaining[succ.index()];
+        debug_assert!(*w < READY, "edge fired into {succ:?}, which no longer waits");
+        *w -= 1;
+        if *w == 0 {
+            self.make_ready(sched, succ.index());
+        }
+    }
+
+    /// Hand task `id`, already marked running, to the backend and fire its
+    /// start (`irequires`) edges.
+    #[inline]
+    fn issue<B: Backend>(&mut self, sched: &RankSchedule, rank: Rank, id: TaskId, backend: &mut B) {
+        let op = OpRef::new(rank, id);
+        match sched.kind(id) {
+            TaskKind::Send { bytes, dst, tag } => backend.send(op, dst, bytes, tag),
+            TaskKind::Recv { bytes, src, tag } => backend.recv(op, src, bytes, tag),
+            TaskKind::Calc { cost } => backend.calc(op, cost),
+        }
+        for dep in sched.succs(id) {
+            if dep.kind() == DepKind::Start {
+                self.release(sched, dep.task());
+            }
+        }
+    }
+
+    /// Issue every ready task whose stream is idle, to fixpoint (issuing
+    /// may fire `irequires` edges that ready tasks on other streams). A
+    /// round takes the head of every issuable slot in ascending slot order
+    /// before it issues any, so what an issue readies waits for the next
+    /// round.
+    ///
+    /// `batch` is caller-owned scratch (cleared here) so the per-event
+    /// dispatch path performs no allocation.
+    fn dispatch<B: Backend>(
+        &mut self,
+        sched: &RankSchedule,
+        rank: Rank,
+        backend: &mut B,
+        batch: &mut Vec<u32>,
+    ) {
+        loop {
+            batch.clear();
+            for (w, word) in self.issuable.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let s = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let ss = &mut self.streams[s];
+                    ss.busy = true;
+                    let id = ss.ready.pop().expect("an issuable slot has a ready task");
+                    self.remaining[id as usize] = RUNNING + s as u32;
+                    batch.push(id);
+                }
+            }
+            if batch.is_empty() {
+                return;
+            }
+            for &id in batch.iter() {
+                self.issue(sched, rank, TaskId(id), backend);
+            }
         }
     }
 }
@@ -214,7 +315,7 @@ pub struct SimDriver<'g> {
     goal: &'g GoalSchedule,
     ranks: Vec<RankState>,
     /// Reused across dispatch calls: the per-round issue batch.
-    issue_buf: Vec<TaskId>,
+    issue_buf: Vec<u32>,
     total: usize,
     completed: usize,
     makespan: Time,
@@ -227,35 +328,9 @@ impl<'g> SimDriver<'g> {
     /// task. The returned driver is positioned before the first event.
     pub fn start<B: Backend>(goal: &'g GoalSchedule, backend: &mut B) -> Self {
         backend.simulation_setup(goal.num_ranks());
-
-        let mut ranks: Vec<RankState> = Vec::with_capacity(goal.num_ranks());
-        for sched in goal.ranks() {
-            let n = sched.num_tasks();
-            let stream_col = sched.streams();
-            let mut stream_ids: Vec<Stream> = stream_col.to_vec();
-            stream_ids.sort_unstable();
-            stream_ids.dedup();
-            let mut rs = RankState {
-                remaining: packed_indegrees(sched),
-                state: vec![TaskState::Waiting; n],
-                streams: stream_ids
-                    .into_iter()
-                    .map(|stream| StreamState { stream, busy: false, ready: ReadyQueue::default() })
-                    .collect(),
-            };
-            for (i, &stream) in stream_col.iter().enumerate() {
-                if rs.remaining[i] == 0 {
-                    rs.state[i] = TaskState::Ready;
-                    let si = rs.stream_idx(stream);
-                    rs.streams[si].ready.push(i as u32);
-                }
-            }
-            ranks.push(rs);
-        }
-
         let mut driver = SimDriver {
             goal,
-            ranks,
+            ranks: goal.ranks().iter().map(RankState::new).collect(),
             issue_buf: Vec::new(),
             total: goal.total_tasks(),
             completed: 0,
@@ -263,10 +338,8 @@ impl<'g> SimDriver<'g> {
             rank_finish: vec![0u64; goal.num_ranks()],
             last_time: 0,
         };
-
-        // Initial dispatch on every rank.
-        for r in 0..driver.ranks.len() {
-            dispatch_rank(goal, &mut driver.ranks, r as Rank, backend, &mut driver.issue_buf);
+        for (r, rs) in driver.ranks.iter_mut().enumerate() {
+            rs.dispatch(goal.rank(r as Rank), r as Rank, backend, &mut driver.issue_buf);
         }
         driver
     }
@@ -306,21 +379,14 @@ impl<'g> SimDriver<'g> {
         }
 
         if self.completed != self.total {
-            let mut sample = Vec::new();
-            'outer: for (r, rs) in self.ranks.iter().enumerate() {
-                for (i, st) in rs.state.iter().enumerate() {
-                    if *st != TaskState::Done {
-                        sample.push(OpRef::new(r as Rank, TaskId(i as u32)));
-                        if sample.len() >= 8 {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
+            let stuck = self.ranks.iter().enumerate().flat_map(|(r, rs)| {
+                let unfinished = rs.remaining.iter().enumerate().filter(|&(_, &w)| w != DONE);
+                unfinished.map(move |(i, _)| OpRef::new(r as Rank, TaskId(i as u32)))
+            });
             return Err(SimError::Deadlock {
                 completed: self.completed,
                 total: self.total,
-                sample,
+                sample: stuck.take(8).collect(),
             });
         }
 
@@ -347,161 +413,49 @@ impl<'g> SimDriver<'g> {
         }
         self.last_time = ev.time;
         let op = ev.op;
-        let r = op.rank as usize;
-        let ti = op.task.index();
-        if r >= self.ranks.len() || ti >= self.ranks[r].state.len() {
+        let (r, ti) = (op.rank as usize, op.task.index());
+        let Some(rs) = self.ranks.get_mut(r).filter(|rs| ti < rs.remaining.len()) else {
             return Err(SimError::SpuriousCompletion { op });
-        }
-        let st = self.ranks[r].state[ti];
+        };
         let sched = self.goal.rank(op.rank);
-
-        match ev.kind {
-            EventKind::CpuFree => {
-                if st != TaskState::Running {
-                    return Err(SimError::SpuriousCompletion { op });
-                }
-                self.ranks[r].state[ti] = TaskState::RunningFreed;
-                let si = self.ranks[r].stream_idx_of(sched, ti);
-                self.ranks[r].streams[si].busy = false;
-                dispatch_rank(self.goal, &mut self.ranks, op.rank, backend, &mut self.issue_buf);
+        let w = rs.remaining[ti];
+        match (ev.kind, w) {
+            (EventKind::CpuFree, RUNNING..=u32::MAX) => {
+                rs.remaining[ti] = FREED;
+                rs.free((w - RUNNING) as usize);
             }
-            EventKind::Done => {
-                if st != TaskState::Running && st != TaskState::RunningFreed {
-                    return Err(SimError::SpuriousCompletion { op });
+            (EventKind::Done, RUNNING..=u32::MAX | FREED) => {
+                if w >= RUNNING {
+                    rs.free((w - RUNNING) as usize);
                 }
-                if st == TaskState::Running {
-                    let si = self.ranks[r].stream_idx_of(sched, ti);
-                    self.ranks[r].streams[si].busy = false;
-                }
-                self.ranks[r].state[ti] = TaskState::Done;
+                rs.remaining[ti] = DONE;
                 self.completed += 1;
                 self.makespan = self.makespan.max(ev.time);
                 self.rank_finish[r] = self.rank_finish[r].max(ev.time);
-
-                // Fire completion (`requires`) edges. The packed
-                // counter would borrow across halves on underflow
-                // instead of panicking like the old u32 arrays, so
-                // keep the debug guard explicit.
+                // Fire completion (`requires`) edges.
                 for dep in sched.succs(op.task) {
                     if dep.kind() == DepKind::Full {
-                        let succ = dep.task();
-                        let rs = &mut self.ranks[r];
-                        debug_assert!(
-                            rs.remaining[succ.index()] as u32 != 0,
-                            "full-edge underflow on {succ:?}"
-                        );
-                        rs.remaining[succ.index()] -= 1;
-                        maybe_ready(sched, rs, succ);
+                        rs.release(sched, dep.task());
                     }
                 }
-                dispatch_rank(self.goal, &mut self.ranks, op.rank, backend, &mut self.issue_buf);
             }
+            _ => return Err(SimError::SpuriousCompletion { op }),
         }
+        rs.dispatch(sched, op.rank, backend, &mut self.issue_buf);
         Ok(())
     }
 }
 
-/// The initial `remaining` column of a rank (see [`RankState`]): one pass
-/// over the predecessor lists, the counters of
-/// [`RankSchedule::indegrees`] already packed.
-fn packed_indegrees(sched: &RankSchedule) -> Vec<u64> {
+/// The initial `remaining` column of a rank (see [`RankState`]): each
+/// task's predecessor count.
+fn countdowns(sched: &RankSchedule) -> Vec<u32> {
     (0..sched.num_tasks())
         .map(|i| {
-            let preds = sched.preds(TaskId(i as u32));
-            preds.iter().map(|dep| if dep.kind() == DepKind::Full { 1 } else { START_ONE }).sum()
+            let preds = sched.preds(TaskId(i as u32)).len();
+            assert!(preds < READY as usize, "task {i} has {preds} predecessors");
+            preds as u32
         })
         .collect()
-}
-
-fn maybe_ready(sched: &RankSchedule, rs: &mut RankState, id: TaskId) {
-    let i = id.index();
-    if rs.remaining[i] == 0 && rs.state[i] == TaskState::Waiting {
-        rs.state[i] = TaskState::Ready;
-        let si = rs.stream_idx_of(sched, i);
-        rs.streams[si].ready.push(id.0);
-    }
-}
-
-/// Mark `id` running, hand it to the backend, and fire its start
-/// (`irequires`) edges.
-#[inline]
-fn issue_task<B: Backend>(
-    sched: &RankSchedule,
-    ranks: &mut [RankState],
-    rank: Rank,
-    id: TaskId,
-    backend: &mut B,
-) {
-    ranks[rank as usize].state[id.index()] = TaskState::Running;
-    let kind = match sched.task(id).kind {
-        TaskKind::Send { bytes, dst, tag } => OpKind::Send { dst, bytes, tag },
-        TaskKind::Recv { bytes, src, tag } => OpKind::Recv { src, bytes, tag },
-        TaskKind::Calc { cost } => OpKind::Calc { cost },
-    };
-    backend.issue(OpRef::new(rank, id), kind);
-    for dep in sched.succs(id) {
-        if dep.kind() == DepKind::Start {
-            let succ = dep.task();
-            let rs = &mut ranks[rank as usize];
-            debug_assert!(
-                rs.remaining[succ.index()] >> 32 != 0,
-                "start-edge underflow on {succ:?}"
-            );
-            rs.remaining[succ.index()] -= START_ONE;
-            maybe_ready(sched, rs, succ);
-        }
-    }
-}
-
-/// Issue every ready task whose stream is idle on `rank`, to fixpoint
-/// (issuing may fire `irequires` edges that ready tasks on other streams).
-///
-/// `issue_buf` is caller-owned scratch (cleared here) so the per-event
-/// dispatch path performs no allocation.
-fn dispatch_rank<B: Backend>(
-    goal: &GoalSchedule,
-    ranks: &mut [RankState],
-    rank: Rank,
-    backend: &mut B,
-    issue_buf: &mut Vec<TaskId>,
-) {
-    let sched = goal.rank(rank);
-    // Single-stream ranks (the overwhelmingly common shape, and this sits
-    // on the per-event path): at most one task can issue — the stream
-    // goes busy immediately, and `irequires` releases can only ready
-    // tasks on that same busy stream — so skip the batch machinery.
-    if ranks[rank as usize].streams.len() == 1 {
-        let ss = &mut ranks[rank as usize].streams[0];
-        if ss.busy {
-            return;
-        }
-        let Some(id) = ss.ready.pop() else {
-            return;
-        };
-        ss.busy = true;
-        issue_task(sched, ranks, rank, TaskId(id), backend);
-        return;
-    }
-    loop {
-        // Collect issuable tasks stream by stream (ascending stream id:
-        // deterministic).
-        let rs = &mut ranks[rank as usize];
-        issue_buf.clear();
-        for ss in rs.streams.iter_mut() {
-            if !ss.busy {
-                if let Some(id) = ss.ready.pop() {
-                    ss.busy = true;
-                    issue_buf.push(TaskId(id));
-                }
-            }
-        }
-        if issue_buf.is_empty() {
-            return;
-        }
-        for &id in issue_buf.iter() {
-            issue_task(sched, ranks, rank, id, backend);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -517,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_indegrees_equal_the_public_counters() {
+    fn countdowns_are_the_public_in_degrees_summed() {
         let mut b = GoalBuilder::new(2);
         let ids: Vec<_> = (0..6).map(|_| b.calc(0, 1)).collect();
         b.requires(0, ids[3], ids[0]);
@@ -530,11 +484,28 @@ mod tests {
         let goal = b.build().unwrap();
         for sched in goal.ranks() {
             let (full, start) = sched.indegrees();
-            let want: Vec<u64> =
-                full.iter().zip(&start).map(|(&f, &s)| (s as u64) << 32 | f as u64).collect();
-            assert_eq!(packed_indegrees(sched), want);
+            let want: Vec<u32> = full.iter().zip(&start).map(|(&f, &s)| f + s).collect();
+            assert_eq!(countdowns(sched), want);
         }
-        assert_eq!(packed_indegrees(goal.rank(0))[3], 2 * START_ONE + 1);
+        assert_eq!(countdowns(goal.rank(0)), [0, 0, 0, 3, 1, 3]);
+    }
+
+    /// Past waiting, a task's word is a state: a running task on slot 1
+    /// reads `RUNNING + 1`, which a decrement would silently turn into
+    /// `RUNNING`, another task's claim on slot 0.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "edge fired into TaskId(1), which no longer waits")]
+    fn firing_an_edge_into_a_task_that_no_longer_waits_panics_in_debug() {
+        let mut b = GoalBuilder::new(1);
+        b.calc_on(0, 10, 0);
+        b.calc_on(0, 10, 1);
+        let goal = b.build().unwrap();
+        let sched = goal.rank(0);
+        let mut rs = RankState::new(sched);
+        rs.dispatch(sched, 0, &mut SplitPhase::new(), &mut Vec::new());
+        assert_eq!(rs.remaining, [RUNNING, RUNNING + 1]);
+        rs.release(sched, TaskId(1));
     }
 
     #[test]

@@ -61,10 +61,13 @@ impl TaskColumns {
         self.streams.push(t.stream);
     }
 
-    /// Task `i`, reassembled by value. Panics if out of range.
-    #[inline]
-    fn get(&self, i: usize) -> Task {
-        let kind = match self.kinds[i] {
+    /// The kind of task `i`, from every column but the stream. Panics if
+    /// out of range.
+    // Always inlined, so that `get` compiles as it did before this was split
+    // out of it: the lowering phase's peak RSS moved 0.9 MiB with that code.
+    #[inline(always)]
+    fn kind(&self, i: usize) -> TaskKind {
+        match self.kinds[i] {
             KindTag::Send => {
                 TaskKind::Send { bytes: self.payloads[i], dst: self.peers[i], tag: self.tags[i] }
             }
@@ -72,8 +75,13 @@ impl TaskColumns {
                 TaskKind::Recv { bytes: self.payloads[i], src: self.peers[i], tag: self.tags[i] }
             }
             KindTag::Calc => TaskKind::Calc { cost: self.payloads[i] },
-        };
-        Task { kind, stream: self.streams[i] }
+        }
+    }
+
+    /// Task `i`, reassembled by value. Panics if out of range.
+    #[inline]
+    fn get(&self, i: usize) -> Task {
+        Task { kind: self.kind(i), stream: self.streams[i] }
     }
 }
 
@@ -220,6 +228,14 @@ impl RankSchedule {
     #[inline]
     pub fn task(&self, id: TaskId) -> Task {
         self.tasks.get(id.index())
+    }
+
+    /// The kind of task `id`: [`RankSchedule::task`] without the stream
+    /// column, so issuing a task reads only the columns the backend is
+    /// handed. Panics if out of range.
+    #[inline]
+    pub fn kind(&self, id: TaskId) -> TaskKind {
+        self.tasks.kind(id.index())
     }
 
     /// All tasks in id order (reassembled by value; see [`RankSchedule::task`]).

@@ -2,7 +2,7 @@
 //!
 //! A fluid-flow cluster emulator that stands in for the *measured* systems
 //! of the paper's validation (the Alps supercomputer and the CSCS HPC
-//! test-bed — hardware we do not have; see DESIGN.md §1).
+//! test-bed — hardware we do not have; see docs/ARCHITECTURE.md, "Backends").
 //!
 //! The model is deliberately *different* from both ATLAHS backends so that
 //! validation errors are honest:

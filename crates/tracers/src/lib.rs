@@ -7,7 +7,8 @@
 //! NVTX-annotated NCCL) for AI applications, and bpftrace block-I/O dumps in
 //! SPC format for storage. Since this reproduction has no cluster, the same
 //! *file formats* are produced by synthetic tracers that encode the
-//! published communication skeletons of each application (see DESIGN.md §1):
+//! published communication skeletons of each application (see
+//! docs/ARCHITECTURE.md, "The three application pipelines"):
 //!
 //! * [`mpi`] — liballprof-style MPI traces + skeletons for CloverLeaf,
 //!   HPCG, LULESH, LAMMPS, ICON, and OpenMX;
