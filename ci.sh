@@ -17,7 +17,11 @@
 #      during the run by more than its recorded bound; and the flow-table
 #      one: tests/flow_table_footprint.rs does the same with the
 #      storage_htsim_oversub input (389 560 flows), where what a delivered
-#      flow keeps is what grows
+#      flow keeps is what grows; and the trace-parser oracle on the
+#      benchmark's full-size inputs (LULESH 1024 x 70 ranks x iterations,
+#      llama7b_dp128(0.002)): crates/tracers/tests/parse_oracle.rs checks
+#      the byte-level MPI and nsys parsers give `==` results to the
+#      `str`-method loops they replaced — an equality check, not a timing
 #   7. golden smokes              — six fixed grids run on 2 threads and
 #      must reproduce their checked-in reports byte for byte
 #      (docs/SCENARIOS.md): `sweep --smoke` (24 cells), `sweep
@@ -81,6 +85,9 @@ ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test sim_footprint
 
 step "flow-table memory ratchet (389 560-flow htsim run, VmHWM growth bound)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test flow_table_footprint
+
+step "trace-parser oracle on the full-size benchmark inputs"
+ATLAHS_LARGE_GOLDENS=1 cargo test -q --release -p atlahs_tracers --test parse_oracle
 
 # smoke <subcommand> <flag> <golden>: run one fixed grid on 2 threads and
 # byte-diff its JSON report against the checked-in golden.

@@ -15,7 +15,10 @@ use atlahs_collectives::{mpi as coll, CollParams, Ports};
 use atlahs_goal::{GoalBuilder, GoalError, GoalSchedule, Rank, TaskId};
 use atlahs_tracers::mpi::{MpiOp, MpiTrace};
 
-/// Tag space reserved for collective instances (p2p tags must stay below).
+/// Lowest tag of the collective instances, 64 tags each. A trace whose
+/// point-to-point tags reach it (MPI allows far larger ones) has its
+/// collectives start above its largest p2p tag instead, so the two never
+/// match each other.
 pub const COLL_TAG_BASE: u32 = 1 << 20;
 
 /// Algorithm selection per collective, mirroring Schedgen's options.
@@ -88,7 +91,13 @@ pub fn convert(trace: &MpiTrace, cfg: &MpiToGoalConfig) -> Result<GoalSchedule, 
     let mut idx = vec![0usize; n];
     let mut tail: Vec<Option<TaskId>> = vec![None; n];
     let mut prev_end = vec![0u64; n];
-    let mut next_coll_tag = COLL_TAG_BASE;
+    let p2p_tags = trace.timelines.iter().flatten().filter_map(|rec| match rec.op {
+        MpiOp::Send { tag, .. } | MpiOp::Recv { tag, .. } | MpiOp::Sendrecv { tag, .. } => {
+            Some(tag)
+        }
+        _ => None,
+    });
+    let mut next_coll_tag = p2p_tags.map(|t| t.saturating_add(1)).fold(COLL_TAG_BASE, u32::max);
 
     // Helper: chain `t` after the rank's tail.
     macro_rules! chain {
@@ -185,7 +194,9 @@ pub fn convert(trace: &MpiTrace, cfg: &MpiToGoalConfig) -> Result<GoalSchedule, 
             prev_end[r] = rec.tend;
         }
         let tag = next_coll_tag;
-        next_coll_tag += 64;
+        next_coll_tag = tag.checked_add(64).ok_or_else(|| GoalError::Compose {
+            msg: format!("collective tags exhausted: no 64 tags left above tag {tag}"),
+        })?;
         let ports = emit_collective(&mut b, &ranks, &op0, tag, cfg);
         for r in 0..n {
             if let Some(prev) = tail[r] {
@@ -397,6 +408,43 @@ mod tests {
             ],
         };
         assert!(convert(&trace, &MpiToGoalConfig::default()).is_err());
+    }
+
+    /// Rank 0 sends 1 MiB to rank 1 under `tag` just before an allreduce;
+    /// rank 1 receives it just after — so a collective using the same tag
+    /// would match the p2p message instead of its own.
+    fn p2p_around_allreduce(tag: u32) -> MpiTrace {
+        let rec = |op, tstart| MpiRecord { op, tstart, tend: tstart + 10 };
+        let (send, recv) = (
+            MpiOp::Send { bytes: 1 << 20, dst: 1, tag },
+            MpiOp::Recv { bytes: 1 << 20, src: 0, tag },
+        );
+        let allreduce = MpiOp::Allreduce { bytes: 8 };
+        MpiTrace {
+            app: "tags".into(),
+            timelines: vec![
+                vec![rec(send, 0), rec(allreduce, 1_000_000)],
+                vec![rec(allreduce, 1_000_000), rec(recv, 6_000_000)],
+            ],
+        }
+    }
+
+    #[test]
+    fn relabelling_p2p_tags_leaves_the_report_unchanged() {
+        let report = |tag| {
+            let goal = convert_ok(&p2p_around_allreduce(tag));
+            Simulation::new(&goal).run(&mut IdealBackend::new(10.0, 500)).unwrap()
+        };
+        let base = report(7);
+        for tag in [COLL_TAG_BASE - 1, COLL_TAG_BASE, COLL_TAG_BASE + 63, 1 << 30, u32::MAX - 128] {
+            assert_eq!(report(tag), base, "p2p tag {tag}");
+        }
+    }
+
+    #[test]
+    fn exhausted_collective_tag_space_is_an_error() {
+        let err = convert(&p2p_around_allreduce(u32::MAX), &MpiToGoalConfig::default());
+        assert!(matches!(err, Err(GoalError::Compose { .. })), "{err:?}");
     }
 
     #[test]

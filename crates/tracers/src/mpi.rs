@@ -8,6 +8,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::scan;
+
 /// One MPI operation as recorded by the PMPI wrapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MpiOp {
@@ -130,49 +132,57 @@ impl MpiTrace {
     }
 
     /// Parse the text format back (round-trip of [`MpiTrace::to_text`]).
+    ///
+    /// The grammar is what `to_text` writes, read line by line:
+    ///
+    /// * blank lines are skipped; a line starting with `#` is a comment,
+    ///   and the text after its first `app ` (trimmed) names the app;
+    /// * `rank N` opens the timeline of rank `N`, which must be the next
+    ///   rank: `N` equals the number of `rank` headers before it, so ranks
+    ///   come in order from 0 and every later record belongs to `N`;
+    /// * `NAME: key=value …` is a record of the last opened rank, `NAME`
+    ///   one of the `MPI_*` ops `to_text` writes, keys from `bytes`,
+    ///   `dest`, `src`, `tag`, `root`, `tstart`, `tend` (absent keys are 0,
+    ///   a repeated key keeps its last value);
+    /// * numbers are decimal with an optional leading `+`; `bytes`,
+    ///   `tstart` and `tend` must fit 64 bits, the others 32;
+    /// * whitespace is ASCII (space, `\t`, `\x0B`, `\x0C`, `\r`; lines end
+    ///   at `\n`) — other Unicode whitespace does not separate anything.
+    ///
+    /// Anything else is an error `line N: …` naming the first bad line.
     pub fn parse(input: &str) -> Result<MpiTrace, String> {
         let mut app = String::new();
         let mut timelines: Vec<Vec<MpiRecord>> = Vec::new();
-        for (ln, line) in input.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
+        for line in scan::lines(input) {
+            if let Some(rest) = line.text.strip_prefix('#') {
                 if let Some(i) = rest.find("app ") {
-                    app = rest[i + 4..].trim().to_string();
+                    app = scan::trim(&rest[i + 4..]).to_string();
                 }
                 continue;
             }
-            if let Some(r) = line.strip_prefix("rank ") {
-                let r: usize =
-                    r.trim().parse().map_err(|_| format!("line {}: bad rank", ln + 1))?;
-                while timelines.len() <= r {
-                    timelines.push(Vec::new());
+            if let Some(r) = line.text.strip_prefix("rank ") {
+                let r: usize = scan::number(r).ok_or_else(|| line.err("bad rank"))?;
+                if r != timelines.len() {
+                    return Err(line.err(format_args!("rank {r}, expected {}", timelines.len())));
                 }
+                timelines.push(Vec::new());
                 continue;
             }
-            let (name, rest) =
-                line.split_once(':').ok_or(format!("line {}: missing colon", ln + 1))?;
-            let mut bytes = 0u64;
-            let mut dst = 0u32;
-            let mut src = 0u32;
-            let mut tag = 0u32;
-            let mut root = 0u32;
-            let mut tstart = 0u64;
-            let mut tend = 0u64;
-            for tok in rest.split_whitespace() {
-                let (k, v) = tok.split_once('=').ok_or(format!("line {}: bad token", ln + 1))?;
-                let err = |_| format!("line {}: bad value in {tok}", ln + 1);
-                match k {
-                    "bytes" => bytes = v.parse().map_err(err)?,
-                    "dest" => dst = v.parse().map_err(err)?,
-                    "src" => src = v.parse().map_err(err)?,
-                    "tag" => tag = v.parse().map_err(err)?,
-                    "root" => root = v.parse().map_err(err)?,
-                    "tstart" => tstart = v.parse().map_err(err)?,
-                    "tend" => tend = v.parse().map_err(err)?,
-                    other => return Err(format!("line {}: unknown key {other}", ln + 1)),
+            let (name, fields) = line.record().ok_or_else(|| line.err("missing colon"))?;
+            let (mut bytes, mut tstart, mut tend) = (0u64, 0u64, 0u64);
+            let (mut dst, mut src, mut tag, mut root) = (0u32, 0u32, 0u32, 0u32);
+            for field in fields {
+                let f = field.map_err(|_| line.err("bad token"))?;
+                let err = || line.err(format_args!("bad value in {}", f.token));
+                match f.key {
+                    "bytes" => bytes = f.value().ok_or_else(err)?,
+                    "dest" => dst = f.value().ok_or_else(err)?,
+                    "src" => src = f.value().ok_or_else(err)?,
+                    "tag" => tag = f.value().ok_or_else(err)?,
+                    "root" => root = f.value().ok_or_else(err)?,
+                    "tstart" => tstart = f.value().ok_or_else(err)?,
+                    "tend" => tend = f.value().ok_or_else(err)?,
+                    other => return Err(line.err(format_args!("unknown key {other}"))),
                 }
             }
             let op = match name {
@@ -188,9 +198,9 @@ impl MpiTrace {
                 "MPI_Gather" => MpiOp::Gather { bytes, root },
                 "MPI_Scatter" => MpiOp::Scatter { bytes, root },
                 "MPI_Barrier" => MpiOp::Barrier,
-                other => return Err(format!("line {}: unknown op {other}", ln + 1)),
+                other => return Err(line.err(format_args!("unknown op {other}"))),
             };
-            let tl = timelines.last_mut().ok_or(format!("line {}: record before rank", ln + 1))?;
+            let tl = timelines.last_mut().ok_or_else(|| line.err("record before rank"))?;
             tl.push(MpiRecord { op, tstart, tend });
         }
         Ok(MpiTrace { app, timelines })
@@ -610,6 +620,27 @@ mod tests {
         assert!(MpiTrace::parse("MPI_Send: bytes=1").is_err()); // record before rank
         assert!(MpiTrace::parse("rank 0\nMPI_Warp: bytes=1 tstart=0 tend=1").is_err());
         assert!(MpiTrace::parse("rank 0\nMPI_Send: bytes=x tstart=0 tend=1").is_err());
+    }
+
+    #[test]
+    fn rank_headers_name_the_next_rank() {
+        // Reopening rank 0 must not file its Recv under the last rank.
+        let text = "rank 0\nrank 1\nMPI_Send: bytes=8 dest=0 tag=0 tstart=0 tend=1\n\
+                    rank 0\nMPI_Recv: bytes=8 src=1 tag=0 tstart=0 tend=1\n";
+        assert_eq!(MpiTrace::parse(text).unwrap_err(), "line 4: rank 0, expected 2");
+        // A large rank number is an error, not millions of empty timelines.
+        assert_eq!(
+            MpiTrace::parse("rank 30000000").unwrap_err(),
+            "line 1: rank 30000000, expected 0"
+        );
+        assert_eq!(MpiTrace::parse("\nrank 1\n").unwrap_err(), "line 2: rank 1, expected 0");
+        assert_eq!(MpiTrace::parse("rank 0\nrank 0").unwrap_err(), "line 2: rank 0, expected 1");
+        assert_eq!(MpiTrace::parse("rank -1").unwrap_err(), "line 1: bad rank");
+        let two = MpiTrace::parse("rank 0\nrank  +1\nMPI_Barrier:").unwrap();
+        assert_eq!(
+            two.timelines,
+            [vec![], vec![MpiRecord { op: MpiOp::Barrier, tstart: 0, tend: 0 }]]
+        );
     }
 
     #[test]

@@ -10,6 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::scan;
+
 /// A NCCL kernel as it appears in an nsys report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NcclKernel {
@@ -114,65 +116,73 @@ impl NsysReport {
     }
 
     /// Parse the text artifact back.
+    ///
+    /// The grammar is what [`NsysReport::to_text`] writes, read line by
+    /// line with the whitespace rule of [`MpiTrace::parse`](crate::mpi::MpiTrace::parse)
+    /// (ASCII only; blank lines skipped):
+    ///
+    /// * a `#` line is the header: the app name sits between ` app ` and
+    ///   ` gpus `, and `gpus_per_node N` (the rest of the line) sets it;
+    /// * `comm ID gpus G,G,…` defines a communicator;
+    /// * `gpu G node N` opens the profile of GPU `G`, which must be the next
+    ///   GPU: `G` equals the number of `gpu` headers before it;
+    /// * `ncclKernel_NAME: key=value …` is a kernel of the last opened GPU,
+    ///   keys from `bytes`, `comm`, `stream`, `peer`, `root`, `tstart`,
+    ///   `tend` (absent keys are 0, a repeated key keeps its last value).
+    ///
+    /// Numbers are decimal with an optional leading `+`; `bytes`, `tstart`
+    /// and `tend` must fit 64 bits, the rest 32. Anything else is an error
+    /// `line N: …` naming the first bad line.
     pub fn parse(input: &str) -> Result<NsysReport, String> {
         let mut app = String::new();
         let mut gpus_per_node = 1u32;
         let mut comms = Vec::new();
         let mut gpus: Vec<GpuTrace> = Vec::new();
-        for (ln, line) in input.lines().enumerate() {
-            let line = line.trim();
-            let err = |m: &str| format!("line {}: {m}", ln + 1);
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
+        for line in scan::lines(input) {
+            let err = |m: &str| line.err(m);
+            let number = |s: &str, m: &str| scan::number(s).ok_or_else(|| err(m));
+            if let Some(rest) = line.text.strip_prefix('#') {
                 // The app name may contain spaces; it is delimited by the
                 // " app " and " gpus " markers.
                 if let Some(part) = rest.split(" app ").nth(1) {
                     app = part.split(" gpus ").next().unwrap_or("").to_string();
                 }
                 if let Some(i) = rest.find("gpus_per_node ") {
-                    gpus_per_node =
-                        rest[i + 14..].trim().parse().map_err(|_| err("bad gpus_per_node"))?;
+                    gpus_per_node = number(&rest[i + 14..], "bad gpus_per_node")?;
                 }
                 continue;
             }
-            if let Some(rest) = line.strip_prefix("comm ") {
-                let (id, list) = rest.split_once(" gpus ").ok_or(err("bad comm line"))?;
-                let id: u32 = id.trim().parse().map_err(|_| err("bad comm id"))?;
-                let gpus_list: Result<Vec<u32>, _> =
-                    list.split(',').map(|s| s.trim().parse()).collect();
-                comms.push(CommDef { id, gpus: gpus_list.map_err(|_| err("bad gpu list"))? });
+            if let Some(rest) = line.text.strip_prefix("comm ") {
+                let (id, list) = rest.split_once(" gpus ").ok_or_else(|| err("bad comm line"))?;
+                let id = number(id, "bad comm id")?;
+                let members: Result<Vec<u32>, _> =
+                    list.split(',').map(|s| number(s, "bad gpu list")).collect();
+                comms.push(CommDef { id, gpus: members? });
                 continue;
             }
-            if let Some(rest) = line.strip_prefix("gpu ") {
-                let (g, n) = rest.split_once(" node ").ok_or(err("bad gpu line"))?;
-                gpus.push(GpuTrace {
-                    gpu: g.trim().parse().map_err(|_| err("bad gpu id"))?,
-                    node: n.trim().parse().map_err(|_| err("bad node id"))?,
-                    records: Vec::new(),
-                });
+            if let Some(rest) = line.text.strip_prefix("gpu ") {
+                let (g, n) = rest.split_once(" node ").ok_or_else(|| err("bad gpu line"))?;
+                let gpu = number(g, "bad gpu id")?;
+                if gpu as usize != gpus.len() {
+                    return Err(line.err(format_args!("gpu {gpu}, expected {}", gpus.len())));
+                }
+                gpus.push(GpuTrace { gpu, node: number(n, "bad node id")?, records: Vec::new() });
                 continue;
             }
-            let (name, rest) = line.split_once(':').ok_or(err("missing colon"))?;
-            let name = name.strip_prefix("ncclKernel_").ok_or(err("not a kernel"))?;
-            let mut bytes = 0u64;
-            let mut comm = 0u32;
-            let mut stream = 0u32;
-            let mut peer = 0u32;
-            let mut root = 0u32;
-            let mut tstart = 0u64;
-            let mut tend = 0u64;
-            for tok in rest.split_whitespace() {
-                let (k, v) = tok.split_once('=').ok_or(err("bad token"))?;
-                match k {
-                    "bytes" => bytes = v.parse().map_err(|_| err("bad bytes"))?,
-                    "comm" => comm = v.parse().map_err(|_| err("bad comm"))?,
-                    "stream" => stream = v.parse().map_err(|_| err("bad stream"))?,
-                    "peer" => peer = v.parse().map_err(|_| err("bad peer"))?,
-                    "root" => root = v.parse().map_err(|_| err("bad root"))?,
-                    "tstart" => tstart = v.parse().map_err(|_| err("bad tstart"))?,
-                    "tend" => tend = v.parse().map_err(|_| err("bad tend"))?,
+            let (name, fields) = line.record().ok_or_else(|| err("missing colon"))?;
+            let name = name.strip_prefix("ncclKernel_").ok_or_else(|| err("not a kernel"))?;
+            let (mut bytes, mut tstart, mut tend) = (0u64, 0u64, 0u64);
+            let (mut comm, mut stream, mut peer, mut root) = (0u32, 0u32, 0u32, 0u32);
+            for field in fields {
+                let f = field.map_err(|_| err("bad token"))?;
+                match f.key {
+                    "bytes" => bytes = f.value().ok_or_else(|| err("bad bytes"))?,
+                    "comm" => comm = f.value().ok_or_else(|| err("bad comm"))?,
+                    "stream" => stream = f.value().ok_or_else(|| err("bad stream"))?,
+                    "peer" => peer = f.value().ok_or_else(|| err("bad peer"))?,
+                    "root" => root = f.value().ok_or_else(|| err("bad root"))?,
+                    "tstart" => tstart = f.value().ok_or_else(|| err("bad tstart"))?,
+                    "tend" => tend = f.value().ok_or_else(|| err("bad tend"))?,
                     _ => return Err(err("unknown key")),
                 }
             }
@@ -186,7 +196,7 @@ impl NsysReport {
                 "Recv" => NcclKernel::Recv { peer },
                 _ => return Err(err("unknown kernel")),
             };
-            let g = gpus.last_mut().ok_or(err("kernel before gpu"))?;
+            let g = gpus.last_mut().ok_or_else(|| err("kernel before gpu"))?;
             g.records.push(KernelRecord { kernel, bytes, comm, stream, tstart, tend });
         }
         Ok(NsysReport { app, gpus, comms, gpus_per_node })
@@ -354,11 +364,12 @@ pub mod presets {
 pub fn trace_llm(cfg: &LlmConfig) -> NsysReport {
     let gpus = cfg.gpus();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut traces: Vec<GpuTrace> = (0..gpus)
-        .map(|g| GpuTrace { gpu: g, node: g / cfg.gpus_per_node, records: Vec::new() })
-        .collect();
-    let mut clock0 = vec![0u64; gpus as usize]; // stream 0 clock
-    let mut clock1 = vec![0u64; gpus as usize]; // stream 1 clock (DP allreduce)
+    let mut s = Streams {
+        traces: (0..gpus)
+            .map(|g| GpuTrace { gpu: g, node: g / cfg.gpus_per_node, records: Vec::new() })
+            .collect(),
+        clock: vec![[0; 2]; gpus as usize],
+    };
     let mut comms: Vec<CommDef> = Vec::new();
 
     // Communicators.
@@ -416,6 +427,12 @@ pub fn trace_llm(cfg: &LlmConfig) -> NsysReport {
     };
     let stage_params = cfg.param_bytes / cfg.pp as u64;
     let moe_per_stage = cfg.moe_layers / cfg.pp;
+    // Payloads: PP activations, TP and EP kernels (aggregated over the
+    // stage's layers). `max(1)`: with no TP ranks or EP groups the value
+    // is never used, and must not divide by zero.
+    let act = act_bytes / cfg.tp.max(1) as u64;
+    let tp_bytes = act * layers_per_stage as u64 / 4;
+    let ep_bytes = act_bytes / cfg.ep.max(1) as u64 * moe_per_stage as u64 / 4;
 
     for _it in 0..cfg.iterations {
         let mb = cfg.microbatches();
@@ -428,74 +445,22 @@ pub fn trace_llm(cfg: &LlmConfig) -> NsysReport {
                         // recv activations from previous stage
                         if st > 0 {
                             let peer = cfg.rank(dp, st - 1, t);
-                            push(
-                                &mut traces,
-                                &mut clock0,
-                                g,
-                                KernelRecord {
-                                    kernel: NcclKernel::Recv { peer },
-                                    bytes: act_bytes / cfg.tp as u64,
-                                    comm: 0,
-                                    stream: 0,
-                                    tstart: 0,
-                                    tend: 0,
-                                },
-                                2_000,
-                            );
+                            s.push(g, 0, NcclKernel::Recv { peer }, act, 0, 2_000);
                         }
                         // forward compute
-                        advance(&mut clock0, g, fwd_ns(cfg, &mut rng));
+                        s.clock[g][0] += fwd_ns(cfg, &mut rng);
                         // TP allreduce per stage (aggregated over its layers)
                         if cfg.tp > 1 {
-                            push(
-                                &mut traces,
-                                &mut clock0,
-                                g,
-                                KernelRecord {
-                                    kernel: NcclKernel::AllReduce,
-                                    bytes: act_bytes / cfg.tp as u64 * layers_per_stage as u64 / 4,
-                                    comm: tp_comm[g],
-                                    stream: 0,
-                                    tstart: 0,
-                                    tend: 0,
-                                },
-                                20_000,
-                            );
+                            s.push(g, 0, NcclKernel::AllReduce, tp_bytes, tp_comm[g], 20_000);
                         }
                         // EP alltoall in MoE layers (fwd)
                         if cfg.ep > 1 && moe_per_stage > 0 {
-                            push(
-                                &mut traces,
-                                &mut clock0,
-                                g,
-                                KernelRecord {
-                                    kernel: NcclKernel::AllToAll,
-                                    bytes: act_bytes / cfg.ep as u64 * moe_per_stage as u64 / 4,
-                                    comm: ep_comm[g],
-                                    stream: 0,
-                                    tstart: 0,
-                                    tend: 0,
-                                },
-                                30_000,
-                            );
+                            s.push(g, 0, NcclKernel::AllToAll, ep_bytes, ep_comm[g], 30_000);
                         }
                         // send activations to next stage
                         if st + 1 < cfg.pp {
                             let peer = cfg.rank(dp, st + 1, t);
-                            push(
-                                &mut traces,
-                                &mut clock0,
-                                g,
-                                KernelRecord {
-                                    kernel: NcclKernel::Send { peer },
-                                    bytes: act_bytes / cfg.tp as u64,
-                                    comm: 0,
-                                    stream: 0,
-                                    tstart: 0,
-                                    tend: 0,
-                                },
-                                2_000,
-                            );
+                            s.push(g, 0, NcclKernel::Send { peer }, act, 0, 2_000);
                         }
                     }
                 }
@@ -505,70 +470,18 @@ pub fn trace_llm(cfg: &LlmConfig) -> NsysReport {
                         let g = cfg.rank(dp, st, t) as usize;
                         if st + 1 < cfg.pp {
                             let peer = cfg.rank(dp, st + 1, t);
-                            push(
-                                &mut traces,
-                                &mut clock0,
-                                g,
-                                KernelRecord {
-                                    kernel: NcclKernel::Recv { peer },
-                                    bytes: act_bytes / cfg.tp as u64,
-                                    comm: 0,
-                                    stream: 0,
-                                    tstart: 0,
-                                    tend: 0,
-                                },
-                                2_000,
-                            );
+                            s.push(g, 0, NcclKernel::Recv { peer }, act, 0, 2_000);
                         }
-                        advance(&mut clock0, g, 2 * fwd_ns(cfg, &mut rng));
+                        s.clock[g][0] += 2 * fwd_ns(cfg, &mut rng);
                         if cfg.tp > 1 {
-                            push(
-                                &mut traces,
-                                &mut clock0,
-                                g,
-                                KernelRecord {
-                                    kernel: NcclKernel::AllReduce,
-                                    bytes: act_bytes / cfg.tp as u64 * layers_per_stage as u64 / 4,
-                                    comm: tp_comm[g],
-                                    stream: 0,
-                                    tstart: 0,
-                                    tend: 0,
-                                },
-                                20_000,
-                            );
+                            s.push(g, 0, NcclKernel::AllReduce, tp_bytes, tp_comm[g], 20_000);
                         }
                         if cfg.ep > 1 && moe_per_stage > 0 {
-                            push(
-                                &mut traces,
-                                &mut clock0,
-                                g,
-                                KernelRecord {
-                                    kernel: NcclKernel::AllToAll,
-                                    bytes: act_bytes / cfg.ep as u64 * moe_per_stage as u64 / 4,
-                                    comm: ep_comm[g],
-                                    stream: 0,
-                                    tstart: 0,
-                                    tend: 0,
-                                },
-                                30_000,
-                            );
+                            s.push(g, 0, NcclKernel::AllToAll, ep_bytes, ep_comm[g], 30_000);
                         }
                         if st > 0 {
                             let peer = cfg.rank(dp, st - 1, t);
-                            push(
-                                &mut traces,
-                                &mut clock0,
-                                g,
-                                KernelRecord {
-                                    kernel: NcclKernel::Send { peer },
-                                    bytes: act_bytes / cfg.tp as u64,
-                                    comm: 0,
-                                    stream: 0,
-                                    tstart: 0,
-                                    tend: 0,
-                                },
-                                2_000,
-                            );
+                            s.push(g, 0, NcclKernel::Send { peer }, act, 0, 2_000);
                         }
                         // On the last microbatch, gradient buckets of this
                         // stage start their DP allreduce on stream 1,
@@ -579,21 +492,8 @@ pub fn trace_llm(cfg: &LlmConfig) -> NsysReport {
                             for _ in 0..buckets {
                                 let b = (stage_params / cfg.tp as u64 / buckets).max(1);
                                 // stream 1 kernels start no earlier than "now"
-                                clock1[g] = clock1[g].max(clock0[g]);
-                                push1(
-                                    &mut traces,
-                                    &mut clock1,
-                                    g,
-                                    KernelRecord {
-                                        kernel: NcclKernel::AllReduce,
-                                        bytes: b,
-                                        comm: dp_comm[g],
-                                        stream: 1,
-                                        tstart: 0,
-                                        tend: 0,
-                                    },
-                                    50_000,
-                                );
+                                s.clock[g][1] = s.clock[g][1].max(s.clock[g][0]);
+                                s.push(g, 1, NcclKernel::AllReduce, b, dp_comm[g], 50_000);
                             }
                         }
                     }
@@ -601,37 +501,39 @@ pub fn trace_llm(cfg: &LlmConfig) -> NsysReport {
             }
         }
         // Iteration boundary: optimizer step after DP sync.
-        for g in 0..gpus as usize {
-            clock0[g] = clock0[g].max(clock1[g]);
-            advance(&mut clock0, g, (stage_params / 50) / cfg.tp as u64);
+        for [clock0, clock1] in &mut s.clock {
+            *clock0 = (*clock0).max(*clock1) + (stage_params / 50) / cfg.tp as u64;
         }
     }
 
-    NsysReport { app: cfg.name.clone(), gpus: traces, comms, gpus_per_node: cfg.gpus_per_node }
+    NsysReport { app: cfg.name.clone(), gpus: s.traces, comms, gpus_per_node: cfg.gpus_per_node }
 }
 
-fn advance(clock: &mut [u64], g: usize, ns: u64) {
-    clock[g] += ns;
+/// Every GPU's records and the clocks of its two streams while a job is
+/// traced.
+struct Streams {
+    traces: Vec<GpuTrace>,
+    clock: Vec<[u64; 2]>,
 }
 
-fn push(traces: &mut [GpuTrace], clock: &mut [u64], g: usize, mut rec: KernelRecord, est_ns: u64) {
-    rec.tstart = clock[g];
-    rec.tend = clock[g] + est_ns;
-    clock[g] = rec.tend;
-    traces[g].records.push(rec);
-}
-
-fn push1(
-    traces: &mut [GpuTrace],
-    clock1: &mut [u64],
-    g: usize,
-    mut rec: KernelRecord,
-    est_ns: u64,
-) {
-    rec.tstart = clock1[g];
-    rec.tend = clock1[g] + est_ns;
-    clock1[g] = rec.tend;
-    traces[g].records.push(rec);
+impl Streams {
+    /// Record `kernel` on `stream` of GPU `g`: it starts at the stream's
+    /// clock and holds the stream for `est_ns`.
+    fn push(
+        &mut self,
+        g: usize,
+        stream: u32,
+        kernel: NcclKernel,
+        bytes: u64,
+        comm: u32,
+        est_ns: u64,
+    ) {
+        let clock = &mut self.clock[g][stream as usize];
+        let tstart = *clock;
+        *clock += est_ns;
+        let rec = KernelRecord { kernel, bytes, comm, stream, tstart, tend: *clock };
+        self.traces[g].records.push(rec);
+    }
 }
 
 #[cfg(test)]
@@ -765,5 +667,18 @@ mod tests {
         assert!(
             NsysReport::parse("gpu 0 node 0\nncclKernel_Bogus: bytes=1 tstart=0 tend=1").is_err()
         );
+    }
+
+    #[test]
+    fn gpu_headers_name_the_next_gpu() {
+        // A first profile labelled gpu 1 must not become gpus[0].
+        let text = "gpu 1 node 0\nncclKernel_AllReduce: bytes=8 tstart=0 tend=1\n";
+        assert_eq!(NsysReport::parse(text).unwrap_err(), "line 1: gpu 1, expected 0");
+        let text = "gpu 0 node 0\ngpu 0 node 1\n";
+        assert_eq!(NsysReport::parse(text).unwrap_err(), "line 2: gpu 0, expected 1");
+        let text = "gpu 0 node 0\ngpu 2 node 0\n";
+        assert_eq!(NsysReport::parse(text).unwrap_err(), "line 2: gpu 2, expected 1");
+        let ok = NsysReport::parse("gpu 0 node 0\ngpu +1 node 0\n").unwrap();
+        assert_eq!(ok.gpus.iter().map(|g| g.gpu).collect::<Vec<_>>(), [0, 1]);
     }
 }

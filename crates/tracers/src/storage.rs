@@ -55,7 +55,9 @@ impl SpcTrace {
         out
     }
 
-    /// Parse SPC CSV.
+    /// Parse SPC CSV. The timestamp is in seconds and is stored as rounded
+    /// nanoseconds; one that is not finite, is negative, or reaches 2^64
+    /// ns is an error, not a saturated `0` or `u64::MAX`.
     pub fn parse(input: &str) -> Result<SpcTrace, String> {
         let mut records = Vec::new();
         for (ln, line) in input.lines().enumerate() {
@@ -73,13 +75,17 @@ impl SpcTrace {
                 "R" | "r" => false,
                 _ => return Err(err("opcode must be R or W")),
             };
+            // Seconds → ns. `as u64` saturates what does not fit (NaN and
+            // negatives to 0, infinities and ≥ 2^64 = `u64::MAX as f64` ns
+            // to u64::MAX), so those are rejected first.
+            let ts_ns = f[4].trim().parse::<f64>().map(|s| (s * 1e9).round());
+            let ts_ns = ts_ns.ok().filter(|ns| ns.is_sign_positive() && *ns < u64::MAX as f64);
             records.push(SpcRecord {
                 asu: f[0].trim().parse().map_err(|_| err("bad ASU"))?,
                 lba: f[1].trim().parse().map_err(|_| err("bad LBA"))?,
                 bytes: f[2].trim().parse().map_err(|_| err("bad size"))?,
                 write,
-                ts_ns: (f[4].trim().parse::<f64>().map_err(|_| err("bad timestamp"))? * 1e9).round()
-                    as u64,
+                ts_ns: ts_ns.ok_or_else(|| err("bad timestamp"))? as u64,
             });
         }
         Ok(SpcTrace { records })
@@ -248,6 +254,20 @@ mod tests {
         // comments and blanks are fine
         let ok = SpcTrace::parse("# header\n\n0,100,4096,R,0.001\n").unwrap();
         assert_eq!(ok.len(), 1);
+    }
+
+    #[test]
+    fn timestamps_that_do_not_fit_u64_ns_are_rejected() {
+        for ts in ["-5", "-0.000000001", "-0", "nan", "NaN", "inf", "-inf", "1e300", "18446744074"]
+        {
+            let err = SpcTrace::parse(&format!("0,100,4096,R,{ts}\n")).unwrap_err();
+            assert_eq!(err, "line 1: bad timestamp", "{ts}");
+        }
+        // The largest whole second below 2^64 ns, and the format's own output.
+        let at = |ts: &str| SpcTrace::parse(&format!("0,1,512,W,{ts}")).unwrap().records[0].ts_ns;
+        assert!(at("18446744073") > 18_446_744_072_000_000_000);
+        assert_eq!(at("0"), 0);
+        assert_eq!(at("1.500000001"), 1_500_000_001);
     }
 
     #[test]
