@@ -5,7 +5,10 @@
 #   1. cargo fmt --check          — formatting (config in rustfmt.toml)
 #   2. cargo clippy -D warnings   — lints, all targets, no allowlist
 #   3. cargo build --release      — the tier-1 build
-#   4. cargo test -q              — unit + integration + doc tests (tier-1)
+#   4. cargo test -q              — unit + integration + doc tests (tier-1),
+#      the fidelity golden among them: tests/fidelity_smoke.rs runs the
+#      Fig. 8/10 validation cells (testbed, LGS, htsim) and must
+#      reproduce tests/goldens/fidelity_smoke.json byte for byte
 #   5. cargo doc --no-deps        — rustdoc must build warning-free
 #   6. large-trace LGS fingerprint — the ~1M-op pipeline_parallel golden
 #      (release-scale, so it runs here rather than in the debug suite),
@@ -32,7 +35,11 @@
 #      point — the golden's "prefix_runs": 8 proves the prefix was not
 #      re-simulated per cell) and `sweep --stochastic-smoke` (75: the 45
 #      fault-smoke cells byte-frozen inside plus 30 loss/jitter cells)
-#   8. determinism audit          — `atlahs lint` statically enforces the
+#   8. figures                    — `atlahs fig` prints every figure but
+#      fig08/fig10 (stage 4's fidelity golden covers their cells) at a
+#      small scale, on 2 threads where it reads --threads, and each must
+#      exit 0
+#   9. determinism audit          — `atlahs lint` statically enforces the
 #      bit-identity contract (docs/DETERMINISM.md): no floats,
 #      default-hashed maps, hash-order iteration, wall clocks, ambient
 #      randomness, or unsafe in result-affecting crates; det-lint allow
@@ -40,7 +47,7 @@
 #      exceed MAX_ALLOWS below (a ratchet: float sites only go down); the
 #      golden corpus must parse as JSON with no orphans and no dangling
 #      ci.sh references
-#   9. benchmark harness          — `benchmark/` is a package of its own
+#  10. benchmark harness          — `benchmark/` is a package of its own
 #      (empty [workspace]), so stages 2-5 never compile it and a public-API
 #      change in crates/* could break it unnoticed: run its unit tests and
 #      one `--quick` report (small sizes, every workload plain and traced).
@@ -105,6 +112,15 @@ smoke cluster --smoke            tests/goldens/cluster_smoke.json
 smoke cluster --fault-smoke      tests/goldens/cluster_fault_smoke.json
 smoke sweep   --branch-smoke     tests/goldens/branch_smoke.json
 smoke sweep   --stochastic-smoke tests/goldens/stochastic_smoke.json
+
+step "figures (atlahs fig; fig08/fig10 are pinned by tests/fidelity_smoke.rs)"
+for fig in "fig01 --scale 0.001 --ranks 16" "fig09" "fig11 --ops 500 --threads 2" \
+    "fig12 --scale 0.001 --threads 2" "fig13 --threads 2" "table1"; do
+    # Word splitting is the point: each entry is a name and its flags.
+    # shellcheck disable=SC2086
+    ./target/release/atlahs fig $fig > /dev/null \
+        || { echo "ci.sh: atlahs fig $fig failed" >&2; exit 1; }
+done
 
 step "determinism audit (atlahs lint, docs/DETERMINISM.md)"
 # Ratchet: the number of honoured `det-lint: allow` annotations may only go

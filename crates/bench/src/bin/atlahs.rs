@@ -13,14 +13,21 @@
 //!                [--threads N]
 //!                [--out report.json] [--csv report.csv] [--md report.md]
 //!                [--quiet] [--smoke] [--fault-smoke]
+//! atlahs fig <fig01|fig08|fig09|fig10|fig11|fig12|fig13|table1> [flags]
 //! atlahs lint [--root DIR]
 //! atlahs list
 //! atlahs help
 //! ```
 //!
-//! `sweep`, `cluster` and `lint` read fixed flag sets: a flag outside the
-//! set, a malformed number, a token no grammar matches or a fault outside
-//! the subcommand's scope exits 2 with `atlahs <sub>: --<flag>: <why>`.
+//! Every subcommand reads a fixed flag set: a flag outside the set, a
+//! malformed number, a token no grammar matches, a fault outside the
+//! subcommand's scope or a stray positional argument exits 2 with
+//! `atlahs <sub>: …`.
+//!
+//! `fig` prints one of the paper's figures or Table 1
+//! ([`atlahs_bench::figures`]); the figure name is its one positional
+//! argument.
+//!
 //! `list` prints every axis's token grammar from the constants the
 //! parsers' own errors print.
 //!
@@ -54,9 +61,10 @@
 
 use std::time::{Duration, Instant};
 
-use atlahs_bench::args::Args;
+use atlahs_bench::args::{Args, Cli};
 use atlahs_bench::branch::execute_branched;
 use atlahs_bench::cluster::{run_grid, ArrivalSpec, ClusterGrid, ClusterReport, QueueDiscipline};
+use atlahs_bench::figures;
 use atlahs_bench::scenario::{
     names, parse_cc, BackendFamily, FaultSpec, LlmPreset, PlacementSpec, ScenarioGrid,
     TopologySpec, WorkloadSpec, CC_NAMES,
@@ -77,6 +85,7 @@ fn main() {
         "sweep" => sweep(Cli::new("sweep", &args, SWEEP_FLAGS)),
         "cluster" => cluster(Cli::new("cluster", &args, CLUSTER_FLAGS)),
         "lint" => lint(Cli::new("lint", &args, "--root")),
+        "fig" => fig(&args),
         "list" => list(),
         "" | "help" | "-h" => usage(),
         other => {
@@ -92,7 +101,11 @@ fn usage() {
         "atlahs — the ATLAHS scenario-sweep CLI\n\n\
          USAGE:\n  atlahs sweep [axes] [execution] [output]\n  \
          atlahs cluster [axes] [execution] [output]\n  \
+         atlahs fig <fig01|fig08|fig09|fig10|fig11|fig12|fig13|table1> [flags]\n  \
          atlahs lint [--root DIR]\n  atlahs list\n\n\
+         FIG (docs/ARCHITECTURE.md has the paper-section index):\n\
+         \x20 print one of the paper's figures; each reads --seed and the\n\
+         \x20 knobs it names (--scale, --ranks, --ops, --threads, ...).\n\n\
          LINT (docs/DETERMINISM.md):\n\
          \x20 the static determinism audit: bans floats, default-hashed maps,\n\
          \x20 hash-order iteration, wall clocks, ambient randomness and unsafe\n\
@@ -139,6 +152,21 @@ fn usage() {
          \x20 --md FILE    write the markdown report\n\
          \x20 --quiet      suppress the summary table"
     );
+}
+
+/// `atlahs fig <name>`: print one of the paper's figures.
+fn fig(args: &Args) {
+    let name = args.positionals().first().map_or("", String::as_str);
+    let Some(&(_, flags, figure)) = figures::NAMES.iter().find(|(n, ..)| *n == name) else {
+        let known: Vec<&str> = figures::NAMES.iter().map(|(n, ..)| *n).collect();
+        let what = if name.is_empty() {
+            "name a figure".into()
+        } else {
+            format!("unknown figure `{name}`")
+        };
+        Cli { sub: "fig", args }.fail(format!("{what} ({})", known.join("|")));
+    };
+    print!("{}", figure(&Cli::new("fig", args, flags)));
 }
 
 /// Every axis vocabulary, printed from the constants the parsers' own
@@ -206,110 +234,66 @@ const SWEEP_FLAGS: &str = "--topos --workloads --ccs --placements --backends --f
 const CLUSTER_FLAGS: &str = "--topo --catalog --arrivals --queues --placements --ccs --backends \
      --faults --seed --threads --smoke --fault-smoke --out --csv --md --quiet";
 
-/// The subcommand being run and its flags: what axis parsing and report
-/// emission need to read input and to name themselves in errors.
-struct Cli<'a> {
-    sub: &'a str,
-    args: &'a Args,
+/// The shared head of `sweep` and `cluster`: say what expansion
+/// dropped, refuse an empty grid, read `--threads`, print the header
+/// line (`shape` names the axes that were crossed).
+fn expanded<C>(
+    cli: &Cli<'_>,
+    (cells, dropped): (Vec<C>, Vec<String>),
+    dropped_what: &str,
+    shape: String,
+    seed: u64,
+) -> (Vec<C>, usize) {
+    for reason in &dropped {
+        eprintln!("atlahs {}: skipping {dropped_what}: {reason}", cli.sub);
+    }
+    if cells.is_empty() {
+        cli.fail("the grid expanded to zero feasible cells".into());
+    }
+    let threads = cli.number("threads", 0usize);
+    if !cli.args.flag("quiet") {
+        println!(
+            "# atlahs {} — {} cells ({shape}), seed {seed}, threads {}",
+            cli.sub,
+            cells.len(),
+            if threads == 0 { "auto".to_string() } else { threads.to_string() },
+        );
+    }
+    (cells, threads)
 }
 
-impl<'a> Cli<'a> {
-    fn new(sub: &'a str, args: &'a Args, flags: &str) -> Cli<'a> {
-        let cli = Cli { sub, args };
-        let read = |key: &&str| flags.split(' ').any(|flag| flag.strip_prefix("--") == Some(key));
-        if let Some(stray) = args.keys().into_iter().find(|key| !read(key)) {
-            cli.fail(format!("--{stray}: unknown flag ({sub} reads {flags})"));
+/// The shared tail of `sweep` and `cluster`: the summary table and
+/// the JSON/CSV/markdown reports the flags ask for.
+fn emit(
+    cli: &Cli<'_>,
+    cells: usize,
+    elapsed: Duration,
+    cell_wall: Duration,
+    table: Table,
+    [json, csv, markdown]: [&dyn Fn() -> String; 3],
+) {
+    let quiet = cli.args.flag("quiet");
+    if !quiet {
+        table.print();
+        println!(
+            "\n{cells} cells in {:.2} s wall ({:.2} s of single-threaded cell time)",
+            elapsed.as_secs_f64(),
+            cell_wall.as_secs_f64(),
+        );
+    }
+    for (flag, what, render) in
+        [("out", "JSON", json), ("csv", "CSV", csv), ("md", "markdown", markdown)]
+    {
+        let path = cli.args.get_str(flag, "");
+        if path.is_empty() {
+            continue;
         }
-        cli
-    }
-
-    /// A usage error: say what is wrong, naming the subcommand, and exit 2.
-    fn fail(&self, what: String) -> ! {
-        eprintln!("atlahs {}: {what}", self.sub);
-        std::process::exit(2);
-    }
-
-    /// The numeric `--flag`.
-    fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        let given = self.args.try_get(flag).unwrap_or_else(|e| self.fail(format!("--{flag}: {e}")));
-        given.unwrap_or(default)
-    }
-
-    /// Parse the comma-separated axis `--flag`.
-    fn axis<T>(
-        &self,
-        flag: &str,
-        default: &str,
-        parse: impl Fn(&str) -> Result<T, String>,
-    ) -> Vec<T> {
-        let raw = self.args.get_str(flag, default);
-        let tokens = raw.split(',').map(str::trim).filter(|tok| !tok.is_empty());
-        tokens
-            .map(|tok| parse(tok).unwrap_or_else(|e| self.fail(format!("--{flag}: {e}"))))
-            .collect()
-    }
-
-    /// The shared head of `sweep` and `cluster`: say what expansion
-    /// dropped, refuse an empty grid, read `--threads`, print the header
-    /// line (`shape` names the axes that were crossed).
-    fn cells<C>(
-        &self,
-        (cells, dropped): (Vec<C>, Vec<String>),
-        dropped_what: &str,
-        shape: String,
-        seed: u64,
-    ) -> (Vec<C>, usize) {
-        for reason in &dropped {
-            eprintln!("atlahs {}: skipping {dropped_what}: {reason}", self.sub);
-        }
-        if cells.is_empty() {
-            self.fail("the grid expanded to zero feasible cells".into());
-        }
-        let threads = self.number("threads", 0usize);
-        if !self.args.flag("quiet") {
-            println!(
-                "# atlahs {} — {} cells ({shape}), seed {seed}, threads {}",
-                self.sub,
-                cells.len(),
-                if threads == 0 { "auto".to_string() } else { threads.to_string() },
-            );
-        }
-        (cells, threads)
-    }
-
-    /// The shared tail of `sweep` and `cluster`: the summary table and
-    /// the JSON/CSV/markdown reports the flags ask for.
-    fn emit(
-        &self,
-        cells: usize,
-        elapsed: Duration,
-        cell_wall: Duration,
-        table: Table,
-        [json, csv, markdown]: [&dyn Fn() -> String; 3],
-    ) {
-        let quiet = self.args.flag("quiet");
+        std::fs::write(&path, render()).unwrap_or_else(|e| {
+            eprintln!("atlahs {}: cannot write {what} report to {path}: {e}", cli.sub);
+            std::process::exit(1);
+        });
         if !quiet {
-            table.print();
-            println!(
-                "\n{cells} cells in {:.2} s wall ({:.2} s of single-threaded cell time)",
-                elapsed.as_secs_f64(),
-                cell_wall.as_secs_f64(),
-            );
-        }
-        for (flag, what, render) in
-            [("out", "JSON", json), ("csv", "CSV", csv), ("md", "markdown", markdown)]
-        {
-            let path = self.args.get_str(flag, "");
-            if path.is_empty() {
-                continue;
-            }
-            std::fs::write(&path, render()).unwrap_or_else(|e| {
-                eprintln!("atlahs {}: cannot write {what} report to {path}: {e}", self.sub);
-                std::process::exit(1);
-            });
-            if !quiet {
-                println!("wrote {what} report: {path}");
-            }
+            println!("wrote {what} report: {path}");
         }
     }
 }
@@ -364,7 +348,7 @@ fn sweep(cli: Cli<'_>) {
         grid.backends.len(),
     );
     let (cells, threads) =
-        cli.cells(grid.expand_counted(), "infeasible combination", shape, grid.seed);
+        expanded(&cli, grid.expand_counted(), "infeasible combination", shape, grid.seed);
 
     let t0 = Instant::now();
     let (results, branch) = if branch_at > 0 {
@@ -382,7 +366,8 @@ fn sweep(cli: Cli<'_>) {
     };
     let elapsed = t0.elapsed();
     let report = SweepReport { seed: grid.seed, results, branch };
-    cli.emit(
+    emit(
+        &cli,
         report.results.len(),
         elapsed,
         report.total_cell_wall(),
@@ -436,13 +421,14 @@ fn cluster(cli: Cli<'_>) {
         grid.topology.label(),
     );
     let (cells, threads) =
-        cli.cells(grid.expand_counted(), "oversized catalog workload", shape, grid.seed);
+        expanded(&cli, grid.expand_counted(), "oversized catalog workload", shape, grid.seed);
 
     let t0 = Instant::now();
     let results = run_grid(&cells, threads);
     let elapsed = t0.elapsed();
     let report = ClusterReport { seed: grid.seed, results };
-    cli.emit(
+    emit(
+        &cli,
         report.results.len(),
         elapsed,
         report.total_cell_wall(),

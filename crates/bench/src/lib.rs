@@ -1,22 +1,29 @@
 //! # atlahs-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation (docs/ARCHITECTURE.md has the paper-section index), plus shared
-//! plumbing used by all of them:
+//! The evaluation layer: the scenario engine behind the unified `atlahs`
+//! CLI and the paper's figures and tables (`atlahs fig <name>`;
+//! docs/ARCHITECTURE.md has the paper-section index), plus shared
+//! plumbing:
 //!
-//! * [`args`] — a tiny `--flag value` parser (no CLI dependency),
+//! * [`args`] — the CLI's `--flag value` parser and usage-error front
+//!   (no CLI dependency),
 //! * [`json`] — the workspace's one JSON codec (a re-export of
 //!   `atlahs_lint::json`): report writer and depth-bounded parser,
 //! * [`table`] — aligned text tables matching the paper's row format,
 //! * [`workloads`] — the AI / HPC / storage workload suites at
 //!   configurable scale, and the topologies the paper's experiments use,
-//! * [`runner`] — run one GOAL schedule across backends, with error and
-//!   wall-clock bookkeeping,
+//! * [`figures`] — one function per figure/table, each running its
+//!   simulations as scenario cells, and the `NAMES` table `atlahs fig`
+//!   dispatches on,
+//! * [`runner`] — the benchmark fidelity block's API
+//!   (`benchmark/src/fidelity.rs`): one GOAL schedule on a hand-built
+//!   testbed, LGS or htsim backend. It goes once that block moves onto
+//!   the figure cells,
 //! * [`scenario`] — declarative scenario grids (topology × workload × CC ×
 //!   placement × backend) expanded into deterministic cells,
 //! * [`session`] — the one cell executor: every sweep cell, branch
-//!   group, and cluster batch is a session on one backend (the only
-//!   place a `BackendSpec` is turned into a backend),
+//!   group, cluster batch and figure run is a session on one backend
+//!   (the only place a `BackendSpec` is turned into a backend),
 //! * [`sweep`] — the parallel sweep executor and JSON/CSV/markdown report
 //!   writers behind the unified `atlahs` CLI (`atlahs sweep`,
 //!   docs/SCENARIOS.md),
@@ -26,19 +33,20 @@
 //! * [`cluster`] — the dynamic multi-tenant cluster engine (`atlahs
 //!   cluster`).
 //!
-//! Every binary accepts `--seed <u64>` and `--scale <f64>` (workload
-//! scale; the default keeps packet-level runs tractable on a laptop) and
-//! prints the same rows/series as the corresponding figure. Absolute
-//! values differ from the paper (the substrate is synthetic;
-//! docs/ARCHITECTURE.md, "Backends"), but the qualitative shape — who
-//! wins, by what factor, where the crossovers sit — is the reproduction
-//! target: the paper's claims as PAPER.md summarises them.
+//! Every figure accepts `--seed <u64>` and, where it has a workload
+//! scale, `--scale <f64>` (the default keeps packet-level runs tractable
+//! on a laptop), and prints the same rows/series as the corresponding
+//! figure. Absolute values differ from the paper (the substrate is
+//! synthetic; docs/ARCHITECTURE.md, "Backends"), but the qualitative
+//! shape — who wins, by what factor, where the crossovers sit — is the
+//! reproduction target: the paper's claims as PAPER.md summarises them.
 
 #![forbid(unsafe_code)]
 
 pub mod args;
 pub mod branch;
 pub mod cluster;
+pub mod figures;
 pub mod runner;
 pub mod scenario;
 pub mod session;

@@ -1,4 +1,7 @@
-//! Run GOAL schedules across the backends with wall-clock bookkeeping.
+//! Run one GOAL schedule on a hand-built backend: the API of the
+//! benchmark's fidelity block (`benchmark/src/fidelity.rs`). The figures
+//! run their backends as scenario cells through [`crate::session`]; this
+//! module goes once that block moves onto the figure cells.
 
 use std::time::{Duration, Instant};
 
@@ -11,18 +14,12 @@ use atlahs_htsim::CcAlgo;
 use atlahs_lgs::{LgsBackend, LogGopsParams};
 use atlahs_testbed::{TestbedBackend, TestbedConfig};
 
-/// Time a closure.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed())
-}
-
 /// Run `goal` on an arbitrary backend, returning the report and the
 /// simulator's wall-clock cost.
-pub fn run_on<B: Backend>(goal: &GoalSchedule, backend: &mut B) -> (SimReport, Duration) {
-    let (rep, wall) = timed(|| Simulation::new(goal).run(backend));
-    (rep.expect("schedule must complete (deadlock-free by construction)"), wall)
+fn run_on<B: Backend>(goal: &GoalSchedule, backend: &mut B) -> (SimReport, Duration) {
+    let t0 = Instant::now();
+    let rep = Simulation::new(goal).run(backend);
+    (rep.expect("schedule must complete (deadlock-free by construction)"), t0.elapsed())
 }
 
 /// "Measured" runtime: the fluid-flow testbed emulator standing in for
@@ -57,14 +54,7 @@ pub fn run_htsim(
     let mut cfg = HtsimConfig::new(topo, cc);
     cfg.seed = seed;
     cfg.collect_flows = collect_flows;
-    run_htsim_cfg(goal, cfg)
-}
-
-/// ATLAHS htsim with a fully explicit configuration.
-pub fn run_htsim_cfg(goal: &GoalSchedule, cfg: HtsimConfig) -> HtsimRun {
-    let mut backend = HtsimBackend::new(cfg);
-    let (report, wall) = run_on(goal, &mut backend);
-    HtsimRun { report, stats: backend.net_stats(), flows: backend.flow_records().to_vec(), wall }
+    HtsimRun::of(goal, cfg)
 }
 
 /// ATLAHS htsim on the AI fabric: Slingshot/UEC-class adaptive load
@@ -74,7 +64,20 @@ pub fn run_htsim_ai(goal: &GoalSchedule, topo: TopologyConfig, cc: CcAlgo, seed:
     let mut cfg = HtsimConfig::new(topo, cc);
     cfg.seed = seed;
     cfg.spray = true;
-    run_htsim_cfg(goal, cfg)
+    HtsimRun::of(goal, cfg)
+}
+
+impl HtsimRun {
+    fn of(goal: &GoalSchedule, cfg: HtsimConfig) -> HtsimRun {
+        let mut backend = HtsimBackend::new(cfg);
+        let (report, wall) = run_on(goal, &mut backend);
+        HtsimRun {
+            report,
+            stats: backend.net_stats(),
+            flows: backend.flow_records().to_vec(),
+            wall,
+        }
+    }
 }
 
 /// The compute-only makespan: the same schedule on an effectively
@@ -85,31 +88,6 @@ pub fn compute_only_ns(goal: &GoalSchedule) -> u64 {
     let mut ideal = IdealBackend::new(1e9, 0);
     let (rep, _) = run_on(goal, &mut ideal);
     rep.makespan
-}
-
-/// Mean / p99 / max summary of a set of durations (Fig. 11's MCT rows).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistSummary {
-    pub mean: f64,
-    pub p99: u64,
-    pub max: u64,
-    pub count: usize,
-}
-
-impl DistSummary {
-    pub fn of(mut durations: Vec<u64>) -> DistSummary {
-        if durations.is_empty() {
-            // Degenerate workloads (e.g. `--ops 0`) summarize to zeros
-            // instead of panicking.
-            return DistSummary { mean: 0.0, p99: 0, max: 0, count: 0 };
-        }
-        durations.sort_unstable();
-        let count = durations.len();
-        let mean = durations.iter().map(|&d| d as f64).sum::<f64>() / count as f64;
-        let p99 = durations[((count as f64 * 0.99).ceil() as usize - 1).min(count - 1)];
-        let max = *durations.last().unwrap();
-        DistSummary { mean, p99, max, count }
-    }
 }
 
 #[cfg(test)]
@@ -160,20 +138,5 @@ mod tests {
         let with = run_htsim(&goal, topo, CcAlgo::Mprdma, 1, true);
         assert!(without.flows.is_empty());
         assert_eq!(with.flows.len(), 4);
-    }
-
-    #[test]
-    fn dist_summary_stats() {
-        let s = DistSummary::of((1..=100).collect());
-        assert!((s.mean - 50.5).abs() < 1e-9);
-        assert_eq!(s.p99, 99);
-        assert_eq!(s.max, 100);
-        assert_eq!(s.count, 100);
-    }
-
-    #[test]
-    fn dist_summary_of_empty_is_zeros() {
-        let s = DistSummary::of(Vec::new());
-        assert_eq!((s.mean, s.p99, s.max, s.count), (0.0, 0, 0, 0));
     }
 }

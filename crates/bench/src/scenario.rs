@@ -36,8 +36,7 @@ use atlahs_tracers::mpi::Scaling;
 use atlahs_tracers::nccl::{presets, LlmConfig};
 
 use crate::cluster::JobFaultSpec;
-use crate::runner::DistSummary;
-use crate::session::{self, Session};
+use crate::session::{self, DistSummary, Session};
 use crate::workloads::{self, HpcApp, HpcCase};
 
 // -------------------------------------------------------------- tokens ----
@@ -424,7 +423,7 @@ impl WorkloadSpec {
     /// Validate structural constraints the generators assert. Zero-work
     /// repetition counts are rejected too: an empty schedule is useless in
     /// a sweep and a hard error in the dynamic cluster engine.
-    fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         match *self {
             WorkloadSpec::Ring { ranks, laps, .. } if ranks < 2 || laps < 1 => {
                 Err("a ring needs at least 2 ranks and 1 lap".into())
@@ -1188,12 +1187,16 @@ impl BackendFamily {
     }
 }
 
-/// Fully resolved backend of one cell.
+/// Fully resolved backend of one cell. `Testbed` is the fluid-flow
+/// emulator standing in for the measured cluster, the reference the
+/// validation figures (Figs. 8/10) compute error against; no
+/// [`BackendFamily`] expands to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendSpec {
     Htsim { cc: CcAlgo, spray: bool },
     Lgs,
     Ideal,
+    Testbed,
 }
 
 impl BackendSpec {
@@ -1209,6 +1212,7 @@ impl BackendSpec {
             }
             BackendSpec::Lgs => "lgs".to_string(),
             BackendSpec::Ideal => "ideal".to_string(),
+            BackendSpec::Testbed => "testbed".to_string(),
         }
     }
 }
@@ -1379,7 +1383,7 @@ pub struct ScenarioCell {
     pub fault: FaultSpec,
     /// The simulation seed (workload generation, placement permutation,
     /// packet-level RNG). Grid expansion derives it via [`cell_seed`]
-    /// from the workload label; figure wrappers pin it explicitly. Fault
+    /// from the workload label; the figures pin it explicitly. Fault
     /// randomness uses the *derived* `cell_seed(seed, fault_label)`, so
     /// this seed — and every fault-free result — is independent of the
     /// fault axis.
@@ -1469,8 +1473,8 @@ impl PreparedGoal {
 
 /// Place and compose a cell's jobs into the schedule its backend will
 /// simulate. A single packed job runs un-remapped (the identity
-/// placement), so single-job cells reproduce the figure binaries
-/// exactly; everything else goes through allocate + compose.
+/// placement), so single-job cells simulate exactly the schedule their
+/// workload lowers to; everything else goes through allocate + compose.
 pub fn prepare_goal(cell: &ScenarioCell, jobs: &[Arc<GoalSchedule>]) -> PreparedGoal {
     let hosts = cell.topology.hosts();
     let single_packed = jobs.len() == 1 && cell.placement == PlacementSpec::Packed;

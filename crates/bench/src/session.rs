@@ -27,8 +27,8 @@ use atlahs_core::{Backend, SimDriver, SimReport, Snapshot};
 use atlahs_goal::GoalSchedule;
 use atlahs_htsim::engine::{HtsimBackend, HtsimConfig, NetStats};
 use atlahs_lgs::LgsBackend;
+use atlahs_testbed::{TestbedBackend, TestbedConfig};
 
-use crate::runner::DistSummary;
 use crate::scenario::{
     lgs_params_for, BackendSpec, FaultAction, FaultSpec, FaultTelemetry, TopologySpec,
 };
@@ -56,6 +56,32 @@ pub struct Outcome {
     pub wall: Duration,
 }
 
+/// Mean / p99 / max summary of a set of durations (the MCT columns of
+/// sweep reports and Fig. 11).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DistSummary {
+    pub mean: f64,
+    pub p99: u64,
+    pub max: u64,
+    pub count: usize,
+}
+
+impl DistSummary {
+    pub fn of(mut durations: Vec<u64>) -> DistSummary {
+        if durations.is_empty() {
+            // Degenerate workloads (e.g. `--ops 0`) summarize to zeros
+            // instead of panicking.
+            return DistSummary { mean: 0.0, p99: 0, max: 0, count: 0 };
+        }
+        durations.sort_unstable();
+        let count = durations.len();
+        let mean = durations.iter().map(|&d| d as f64).sum::<f64>() / count as f64;
+        let p99 = durations[((count as f64 * 0.99).ceil() as usize - 1).min(count - 1)];
+        let max = *durations.last().unwrap();
+        DistSummary { mean, p99, max, count }
+    }
+}
+
 /// What the driver needs from a backend beyond `Backend + Snapshot`.
 /// Actions a backend does not model are ignored (the defaults).
 trait CellBackend: Backend + Snapshot {
@@ -68,6 +94,8 @@ trait CellBackend: Backend + Snapshot {
 }
 
 impl CellBackend for IdealBackend {}
+
+impl CellBackend for TestbedBackend {}
 
 impl CellBackend for LgsBackend {
     fn apply_now(&mut self, fault: FaultAction) {
@@ -135,6 +163,14 @@ pub fn run(
             let build = |_| IdealBackend::new(link.bytes_per_ns(), link.latency_ns);
             drive(build, session, goal, branch_at, faults)
         }
+        BackendSpec::Testbed => {
+            let build = |_| {
+                let mut cfg = TestbedConfig::new(topology.config());
+                cfg.seed = seed;
+                TestbedBackend::new(cfg)
+            };
+            drive(build, session, goal, branch_at, faults)
+        }
     }
 }
 
@@ -193,3 +229,55 @@ fn drive<B: CellBackend>(
 }
 
 const DEADLOCK_FREE: &str = "schedule must complete (deadlock-free by construction)";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner;
+    use crate::scenario::WorkloadSpec;
+
+    #[test]
+    fn dist_summary_stats() {
+        let s = DistSummary::of((1..=100).collect());
+        assert!((s.mean - 50.5).abs() < 1e-9);
+        assert_eq!(s.p99, 99);
+        assert_eq!(s.max, 100);
+        assert_eq!(s.count, 100);
+    }
+
+    #[test]
+    fn dist_summary_of_empty_is_zeros() {
+        let s = DistSummary::of(Vec::new());
+        assert_eq!((s.mean, s.p99, s.max, s.count), (0.0, 0, 0, 0));
+    }
+
+    /// The testbed has two ways in while the benchmark's fidelity block
+    /// still calls `runner`: a session and `runner::run_testbed`. They
+    /// must give the same report, and so must a branched session whose
+    /// members restore the testbed's checkpoint.
+    #[test]
+    fn testbed_session_matches_the_runner() {
+        let topology = TopologySpec::AiFatTree { nodes: 8, oversub: 2 };
+        let workload = WorkloadSpec::MoeAllToAll {
+            ranks: 8,
+            group: 4,
+            bytes: 64 << 10,
+            layers: 2,
+            compute_ns: 3_000,
+        };
+        let goal = workload.build_jobs(5).pop().unwrap();
+        let session = Session {
+            topology: &topology,
+            backend: BackendSpec::Testbed,
+            seed: 5,
+            collect_flows: false,
+        };
+        let (want, _) = runner::run_testbed(&goal, topology.config(), 5);
+        let straight = run(&session, &goal, None, &[&FaultSpec::None]);
+        assert_eq!(straight[0].report, want);
+        let branched = run(&session, &goal, Some(want.makespan / 2), &[&FaultSpec::None; 2]);
+        for member in &branched {
+            assert_eq!(member.report, want);
+        }
+    }
+}

@@ -133,3 +133,40 @@ fn hostile_churn_trace_is_a_usage_error() {
     assert!(err.contains("nesting deeper than 128 levels"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A bare token used to be dropped: `--backends ideal smoke` ran the grid
+/// and exited 0 without a word about `smoke`. Only `fig` takes a
+/// positional, and exactly one: a figure it knows.
+#[test]
+fn stray_positionals_and_unknown_figures_are_usage_errors() {
+    let sweep = ["sweep", "--topos", "switch:4", "--workloads", "ring:4:1024:1", "--backends"];
+    let err = stderr_of_usage_error(&atlahs(&[&sweep[..], &["ideal", "smoke"]].concat()));
+    assert!(err.starts_with("atlahs sweep: stray argument `smoke`"), "{err}");
+    let err = stderr_of_usage_error(&atlahs(&["fig", "fig09", "extra"]));
+    assert!(err.starts_with("atlahs fig: stray argument `extra`"), "{err}");
+    let known = "(fig01|fig08|fig09|fig10|fig11|fig12|fig13|table1)";
+    let err = stderr_of_usage_error(&atlahs(&["fig", "fig99"]));
+    assert!(err.starts_with(&format!("atlahs fig: unknown figure `fig99` {known}")), "{err}");
+    let err = stderr_of_usage_error(&atlahs(&["fig"]));
+    assert!(err.starts_with(&format!("atlahs fig: name a figure {known}")), "{err}");
+}
+
+/// The figure binaries read their flags through a parser that panicked on
+/// a malformed number (`--seed banana`, exit 101), asserted on the scale
+/// range (`--scale 0`), divided by zero on `--ranks 0`, and ignored an
+/// unknown or mistyped flag (`--sclae 0.5` ran at the default scale).
+#[test]
+fn figure_flags_are_usage_errors() {
+    for (args, want) in [
+        (&["fig", "fig08", "--seed", "banana"][..], "atlahs fig: --seed: cannot parse \"banana\""),
+        (&["fig", "fig10", "--scale", "0"], "atlahs fig: --scale: 0 is not in (0, 1]"),
+        (
+            &["fig", "fig01", "--ranks", "0"],
+            "atlahs fig: --ranks: workload `incast:1:1048576:2`: incast needs a sink",
+        ),
+        (&["fig", "fig09", "--sclae", "0.5", "--bogus"], "atlahs fig: --bogus: unknown flag"),
+    ] {
+        let err = stderr_of_usage_error(&atlahs(args));
+        assert!(err.starts_with(want), "{args:?}: {err}");
+    }
+}

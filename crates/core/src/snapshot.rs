@@ -55,7 +55,8 @@
 
 /// Checkpoint/restore of a backend's complete mutable simulation state.
 ///
-/// Implemented by `IdealBackend`, `LgsBackend`, and the htsim engine.
+/// Implemented by `IdealBackend`, `LgsBackend`, the htsim engine, and the
+/// fluid-flow testbed emulator (`atlahs_testbed::TestbedBackend`).
 /// See the module docs for the bit-identity contract and the rule that
 /// keeps it.
 pub trait Snapshot {

@@ -15,9 +15,9 @@
 //! * computation is perturbed by seeded multiplicative noise (OS jitter,
 //!   DVFS, cache effects) so no backend can match it exactly.
 //!
-//! It implements the same [`Backend`] trait, so the same GOAL schedule can
-//! be "run on the cluster" (this crate) and *predicted* by `atlahs-lgs` /
-//! `atlahs-htsim`, mirroring the paper's methodology.
+//! It implements the same [`Backend`] and [`Snapshot`] traits, so the same
+//! GOAL schedule can be "run on the cluster" (this crate) and *predicted*
+//! by `atlahs-lgs` / `atlahs-htsim`, mirroring the paper's methodology.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use atlahs_core::matcher::MatchKey;
-use atlahs_core::{Backend, Completion, Matcher, OpRef, Time};
+use atlahs_core::{Backend, Completion, Matcher, OpRef, Snapshot, Time};
 use atlahs_goal::{Rank, Tag};
 use atlahs_htsim::topology::{Topology, TopologyConfig};
 
@@ -56,7 +56,7 @@ enum Ev {
     Emit { op: OpRef, done: bool },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Flow {
     op: OpRef,
     remaining: f64,
@@ -68,10 +68,20 @@ struct Flow {
     complete_time: Option<Time>,
 }
 
-/// The fluid-flow "measured cluster".
+/// The fluid-flow "measured cluster": configuration, fabric and per-port
+/// rates fixed at construction, everything a run mutates in
+/// [`TestbedState`] (the rule is in [`atlahs_core::snapshot`]).
 pub struct TestbedBackend {
     cfg: TestbedConfig,
     topo: Topology,
+    port_rates: Vec<f64>,
+    s: TestbedState,
+}
+
+/// Everything a run of the testbed mutates: clock, fixed-time events,
+/// flows, the matcher and the noise RNG.
+#[derive(Debug, Clone)]
+pub struct TestbedState {
     now: Time,
     last_advance: Time,
     seq: u64,
@@ -80,17 +90,11 @@ pub struct TestbedBackend {
     active: Vec<usize>,
     matcher: Matcher<usize, (OpRef, Time)>,
     rng: StdRng,
-    port_rates: Vec<f64>,
 }
 
-impl TestbedBackend {
-    pub fn new(cfg: TestbedConfig) -> Self {
-        let topo = Topology::build(cfg.topology.clone());
-        let port_rates =
-            topo.ports().iter().map(|p| p.link.bytes_per_ns() * cfg.efficiency).collect();
-        TestbedBackend {
-            rng: StdRng::seed_from_u64(cfg.seed),
-            topo,
+impl TestbedState {
+    fn new(cfg: &TestbedConfig) -> Self {
+        TestbedState {
             now: 0,
             last_advance: 0,
             seq: 0,
@@ -98,31 +102,39 @@ impl TestbedBackend {
             flows: Vec::new(),
             active: Vec::new(),
             matcher: Matcher::new(),
-            port_rates,
-            cfg,
+            rng: StdRng::seed_from_u64(cfg.seed),
         }
+    }
+}
+
+impl TestbedBackend {
+    pub fn new(cfg: TestbedConfig) -> Self {
+        let topo = Topology::build(cfg.topology.clone());
+        let port_rates =
+            topo.ports().iter().map(|p| p.link.bytes_per_ns() * cfg.efficiency).collect();
+        TestbedBackend { s: TestbedState::new(&cfg), topo, port_rates, cfg }
     }
 
     fn push(&mut self, t: Time, ev: Ev) {
-        self.heap.push(Reverse((t, self.seq, ev)));
-        self.seq += 1;
+        self.s.heap.push(Reverse((t, self.s.seq, ev)));
+        self.s.seq += 1;
     }
 
     /// Drain all active flows up to time `t`.
     fn advance(&mut self, t: Time) {
-        let dt = (t - self.last_advance) as f64;
+        let dt = (t - self.s.last_advance) as f64;
         if dt > 0.0 {
-            for &fi in &self.active {
-                let f = &mut self.flows[fi];
+            for &fi in &self.s.active {
+                let f = &mut self.s.flows[fi];
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
         }
-        self.last_advance = t;
+        self.s.last_advance = t;
     }
 
     /// Max-min fair rate allocation over ports (progressive filling).
     fn recompute_rates(&mut self) {
-        let n = self.active.len();
+        let n = self.s.active.len();
         if n == 0 {
             return;
         }
@@ -130,9 +142,9 @@ impl TestbedBackend {
         // Per-port: remaining capacity and unfrozen flow count.
         let mut cap: Vec<f64> = self.port_rates.clone();
         let mut count: Vec<u32> = vec![0; cap.len()];
-        for (ai, &fi) in self.active.iter().enumerate() {
+        for (ai, &fi) in self.s.active.iter().enumerate() {
             let _ = ai;
-            for &p in &self.flows[fi].path {
+            for &p in &self.s.flows[fi].path {
                 count[p as usize] += 1;
             }
         }
@@ -150,28 +162,28 @@ impl TestbedBackend {
             }
             let Some((share, port)) = best else { break };
             // Freeze every unfrozen flow crossing that port.
-            for (ai, &fi) in self.active.iter().enumerate() {
-                if assigned[ai].is_none() && self.flows[fi].path.contains(&(port as u32)) {
+            for (ai, &fi) in self.s.active.iter().enumerate() {
+                if assigned[ai].is_none() && self.s.flows[fi].path.contains(&(port as u32)) {
                     assigned[ai] = Some(share);
                     remaining -= 1;
-                    for &p in &self.flows[fi].path {
+                    for &p in &self.s.flows[fi].path {
                         count[p as usize] -= 1;
                         cap[p as usize] = (cap[p as usize] - share).max(0.0);
                     }
                 }
             }
         }
-        for (ai, &fi) in self.active.iter().enumerate() {
-            self.flows[fi].rate = assigned[ai].unwrap_or(f64::INFINITY).max(1e-9);
+        for (ai, &fi) in self.s.active.iter().enumerate() {
+            self.s.flows[fi].rate = assigned[ai].unwrap_or(f64::INFINITY).max(1e-9);
         }
     }
 
     /// Earliest (time, active-index) a flow drains, if any.
     fn next_flow_completion(&self) -> Option<(Time, usize)> {
         let mut best: Option<(Time, usize)> = None;
-        for (ai, &fi) in self.active.iter().enumerate() {
-            let f = &self.flows[fi];
-            let t = self.last_advance + (f.remaining / f.rate).ceil() as Time;
+        for (ai, &fi) in self.s.active.iter().enumerate() {
+            let f = &self.s.flows[fi];
+            let t = self.s.last_advance + (f.remaining / f.rate).ceil() as Time;
             if best.map_or(true, |(bt, _)| t < bt) {
                 best = Some((t, ai));
             }
@@ -180,10 +192,10 @@ impl TestbedBackend {
     }
 
     fn complete_flow(&mut self, ai: usize, t: Time) {
-        let fi = self.active.swap_remove(ai);
-        let deliver = t + self.flows[fi].latency;
+        let fi = self.s.active.swap_remove(ai);
+        let deliver = t + self.s.flows[fi].latency;
         let (op, recv_op) = {
-            let f = &mut self.flows[fi];
+            let f = &mut self.s.flows[fi];
             f.complete_time = Some(deliver);
             (f.op, f.recv_op)
         };
@@ -198,8 +210,20 @@ impl TestbedBackend {
         if self.cfg.noise_frac == 0.0 {
             1.0
         } else {
-            1.0 + self.cfg.noise_frac * (2.0 * self.rng.random::<f64>() - 1.0)
+            1.0 + self.cfg.noise_frac * (2.0 * self.s.rng.random::<f64>() - 1.0)
         }
+    }
+}
+
+impl Snapshot for TestbedBackend {
+    type State = TestbedState;
+
+    fn checkpoint(&self) -> TestbedState {
+        self.s.clone()
+    }
+
+    fn restore(&mut self, state: &TestbedState) {
+        self.s.clone_from(state);
     }
 }
 
@@ -210,28 +234,21 @@ impl Backend for TestbedBackend {
             "schedule needs {num_ranks} ranks but topology has {} hosts",
             self.topo.num_hosts()
         );
-        self.now = 0;
-        self.last_advance = 0;
-        self.seq = 0;
-        self.heap.clear();
-        self.flows.clear();
-        self.active.clear();
-        self.matcher = Matcher::new();
-        self.rng = StdRng::seed_from_u64(self.cfg.seed);
+        self.s = TestbedState::new(&self.cfg);
     }
 
     fn now(&self) -> Time {
-        self.now
+        self.s.now
     }
 
     fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
         let key: MatchKey = (op.rank, dst, tag);
-        self.push(self.now + self.cfg.host_o, Ev::Emit { op, done: false });
-        let fi = self.flows.len();
+        self.push(self.s.now + self.cfg.host_o, Ev::Emit { op, done: false });
+        let fi = self.s.flows.len();
 
         if op.rank == dst {
             // Intra-node copy: effectively instant at this fidelity.
-            let deliver = self.now + self.cfg.host_o;
+            let deliver = self.s.now + self.cfg.host_o;
             let mut f = Flow {
                 op,
                 remaining: 0.0,
@@ -241,19 +258,19 @@ impl Backend for TestbedBackend {
                 recv_op: None,
                 complete_time: Some(deliver),
             };
-            if let Some((recv_op, _)) = self.matcher.offer_send(key, fi) {
+            if let Some((recv_op, _)) = self.s.matcher.offer_send(key, fi) {
                 f.recv_op = Some(recv_op);
             }
             self.push(deliver, Ev::Emit { op, done: true });
             if let Some(r) = f.recv_op {
                 self.push(deliver + self.cfg.host_o, Ev::Emit { op: r, done: true });
             }
-            self.flows.push(f);
+            self.s.flows.push(f);
             return;
         }
 
-        self.advance(self.now);
-        let salt = self.rng.random::<u64>();
+        self.advance(self.s.now);
+        let salt = self.s.rng.random::<u64>();
         let path = self.topo.route(op.rank, dst, salt);
         let latency: u64 =
             path.iter().map(|&p| self.topo.ports()[p as usize].link.latency_ns).sum();
@@ -266,53 +283,53 @@ impl Backend for TestbedBackend {
             recv_op: None,
             complete_time: None,
         };
-        if let Some((recv_op, _)) = self.matcher.offer_send(key, fi) {
+        if let Some((recv_op, _)) = self.s.matcher.offer_send(key, fi) {
             f.recv_op = Some(recv_op);
         }
-        self.flows.push(f);
-        self.active.push(fi);
+        self.s.flows.push(f);
+        self.s.active.push(fi);
         self.recompute_rates();
     }
 
     fn recv(&mut self, op: OpRef, src: Rank, _bytes: u64, tag: Tag) {
         let key: MatchKey = (src, op.rank, tag);
-        self.push(self.now, Ev::Emit { op, done: false });
-        if let Some(fi) = self.matcher.offer_recv(key, (op, self.now)) {
-            match self.flows[fi].complete_time {
+        self.push(self.s.now, Ev::Emit { op, done: false });
+        if let Some(fi) = self.s.matcher.offer_recv(key, (op, self.s.now)) {
+            match self.s.flows[fi].complete_time {
                 Some(t) => {
-                    let done = t.max(self.now) + self.cfg.host_o;
+                    let done = t.max(self.s.now) + self.cfg.host_o;
                     self.push(done, Ev::Emit { op, done: true });
                 }
-                None => self.flows[fi].recv_op = Some(op),
+                None => self.s.flows[fi].recv_op = Some(op),
             }
         }
     }
 
     fn calc(&mut self, op: OpRef, cost: u64) {
         let noised = (cost as f64 * self.noise()).round() as u64;
-        self.push(self.now + noised, Ev::Emit { op, done: true });
+        self.push(self.s.now + noised, Ev::Emit { op, done: true });
     }
 
     fn next_event(&mut self) -> Option<Completion> {
         loop {
-            let fixed = self.heap.peek().map(|Reverse((t, _, _))| *t);
+            let fixed = self.s.heap.peek().map(|Reverse((t, _, _))| *t);
             let flow = self.next_flow_completion();
             match (fixed, flow) {
                 (None, None) => return None,
                 (Some(ft), Some((wt, ai))) if wt < ft => {
                     self.advance(wt);
-                    self.now = wt;
+                    self.s.now = wt;
                     self.complete_flow(ai, wt);
                 }
                 (None, Some((wt, ai))) => {
                     self.advance(wt);
-                    self.now = wt;
+                    self.s.now = wt;
                     self.complete_flow(ai, wt);
                 }
                 (Some(ft), _) => {
                     self.advance(ft);
-                    self.now = ft;
-                    let Reverse((t, _, Ev::Emit { op, done })) = self.heap.pop().unwrap();
+                    self.s.now = ft;
+                    let Reverse((t, _, Ev::Emit { op, done })) = self.s.heap.pop().unwrap();
                     return Some(if done {
                         Completion::done(op, t)
                     } else {

@@ -29,9 +29,9 @@
 //!   backend, on a freshly constructed one that was never set up, or
 //!   from a checkpoint of an already-restored state — reproduces the
 //!   straight run's report, stats and flow records, for every backend
-//!   and every configured fault regime; and the harness catches an
-//!   engine that fails to carry its per-port draw counters across
-//!   restore.
+//!   (the testbed reference included) and every configured fault regime;
+//!   and the harness catches an engine that fails to carry its per-port
+//!   draw counters across restore.
 //!
 //! The generator emits schedules from the same family the synthetic
 //! workloads use (per-rank send chains and recv chains with interleaved
@@ -49,6 +49,7 @@ use atlahs::htsim::topology::{LinkParams, Topology, TopologyConfig};
 use atlahs::htsim::CcAlgo;
 use atlahs::htsim::LinkModel;
 use atlahs::lgs::{LgsBackend, LogGopsParams, StragglerSpec};
+use atlahs::testbed::{TestbedBackend, TestbedConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -677,6 +678,14 @@ proptest! {
             let mk = || LgsBackend::with_straggler(rdv, spec);
             assert_snapshot_anywhere(name, &goal, permille, mk, LgsBackend::stats, untouched);
         }
+
+        // The testbed with its computation noise on: RNG draws ride in the
+        // state with the flows.
+        let testbed = || {
+            let topo = TopologyConfig::SingleSwitch { hosts: n, link: LinkParams::default() };
+            TestbedBackend::new(TestbedConfig { seed, ..TestbedConfig::new(topo) })
+        };
+        assert_snapshot_anywhere("testbed", &goal, permille, testbed, |_| (), untouched);
 
         let regimes =
             [("htsim", Vec::new(), 0), ("htsim-linkflap", flap_faults(n, seed), 0), ("htsim-loss", Vec::new(), ppm)];
