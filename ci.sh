@@ -6,9 +6,12 @@
 #   2. cargo clippy -D warnings   — lints, all targets, no allowlist
 #   3. cargo build --release      — the tier-1 build
 #   4. cargo test -q              — unit + integration + doc tests (tier-1),
-#      the fidelity golden among them: tests/fidelity_smoke.rs runs the
-#      Fig. 8/10 validation cells (testbed, LGS, htsim) and must
-#      reproduce tests/goldens/fidelity_smoke.json byte for byte
+#      the golden table among them: tests/golden_table/mod.rs holds the
+#      run behind every report under tests/goldens/ — the sweep,
+#      stochastic (the 45 fault-smoke cells byte-frozen inside), branch,
+#      cluster and cluster-fault smoke grids and the Fig. 8/10 fidelity
+#      cells — and one test per row runs it on 2 threads; each must
+#      reproduce its golden byte for byte
 #   5. cargo doc --no-deps        — rustdoc must build warning-free
 #   6. large-trace LGS fingerprint — the ~1M-op pipeline_parallel golden
 #      (release-scale, so it runs here rather than in the debug suite),
@@ -25,21 +28,11 @@
 #      llama7b_dp128(0.002)): crates/tracers/tests/parse_oracle.rs checks
 #      the byte-level MPI and nsys parsers give `==` results to the
 #      `str`-method loops they replaced — an equality check, not a timing
-#   7. golden smokes              — six fixed grids run on 2 threads and
-#      must reproduce their checked-in reports byte for byte
-#      (docs/SCENARIOS.md): `sweep --smoke` (24 cells), `sweep
-#      --fault-smoke` (45: link flaps, degraded links, stragglers, markov /
-#      rackfail / churn / Weibull-straggler), `cluster --smoke` (24),
-#      `cluster --fault-smoke` (3: clean / jobfail / MTBF), `sweep
-#      --branch-smoke` (24 cells over 8 shared prefixes at the 60 µs branch
-#      point — the golden's "prefix_runs": 8 proves the prefix was not
-#      re-simulated per cell) and `sweep --stochastic-smoke` (75: the 45
-#      fault-smoke cells byte-frozen inside plus 30 loss/jitter cells)
-#   8. figures                    — `atlahs fig` prints every figure but
+#   7. figures                    — `atlahs fig` prints every figure but
 #      fig08/fig10 (stage 4's fidelity golden covers their cells) at a
 #      small scale, on 2 threads where it reads --threads, and each must
 #      exit 0
-#   9. determinism audit          — `atlahs lint` statically enforces the
+#   8. determinism audit          — `atlahs lint` statically enforces the
 #      bit-identity contract (docs/DETERMINISM.md): no floats,
 #      default-hashed maps, hash-order iteration, wall clocks, ambient
 #      randomness, or unsafe in result-affecting crates; det-lint allow
@@ -47,7 +40,7 @@
 #      exceed MAX_ALLOWS below (a ratchet: float sites only go down); the
 #      golden corpus must parse as JSON with no orphans and no dangling
 #      ci.sh references
-#  10. benchmark harness          — `benchmark/` is a package of its own
+#   9. benchmark harness          — `benchmark/` is a package of its own
 #      (empty [workspace]), so stages 2-5 never compile it and a public-API
 #      change in crates/* could break it unnoticed: run its unit tests and
 #      one `--quick` report (small sizes, every workload plain and traced).
@@ -95,23 +88,6 @@ ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test flow_table_footprint
 
 step "trace-parser oracle on the full-size benchmark inputs"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release -p atlahs_tracers --test parse_oracle
-
-# smoke <subcommand> <flag> <golden>: run one fixed grid on 2 threads and
-# byte-diff its JSON report against the checked-in golden.
-smoke() {
-    step "$1 $2 vs $3"
-    local out="target/${3##*/}"
-    cargo run --release -p atlahs_bench --bin atlahs -- \
-        "$1" "$2" --threads 2 --quiet --out "$out"
-    diff -u "$3" "$out" \
-        || { echo "atlahs $1 $2: report drifted from $3" >&2; exit 1; }
-}
-smoke sweep   --smoke            tests/goldens/sweep_smoke.json
-smoke sweep   --fault-smoke      tests/goldens/fault_smoke.json
-smoke cluster --smoke            tests/goldens/cluster_smoke.json
-smoke cluster --fault-smoke      tests/goldens/cluster_fault_smoke.json
-smoke sweep   --branch-smoke     tests/goldens/branch_smoke.json
-smoke sweep   --stochastic-smoke tests/goldens/stochastic_smoke.json
 
 step "figures (atlahs fig; fig08/fig10 are pinned by tests/fidelity_smoke.rs)"
 for fig in "fig01 --scale 0.001 --ranks 16" "fig09" "fig11 --ops 500 --threads 2" \

@@ -105,7 +105,9 @@ impl<'a> Cli<'a> {
         given.unwrap_or(default)
     }
 
-    /// Parse the comma-separated axis `--flag`.
+    /// Parse the comma-separated axis `--flag`. A comma followed by a
+    /// digit continues the current token: every axis token starts with a
+    /// letter, and an inline churn trace joins its events with `,`.
     pub fn axis<T>(
         &self,
         flag: &str,
@@ -113,8 +115,19 @@ impl<'a> Cli<'a> {
         parse: impl Fn(&str) -> Result<T, String>,
     ) -> Vec<T> {
         let raw = self.args.get_str(flag, default);
-        let tokens = raw.split(',').map(str::trim).filter(|tok| !tok.is_empty());
+        let mut tokens = Vec::new();
+        let mut start = 0;
+        for (comma, _) in raw.match_indices(',') {
+            if !raw[comma + 1..].starts_with(|c: char| c.is_ascii_digit()) {
+                tokens.push(&raw[start..comma]);
+                start = comma + 1;
+            }
+        }
+        tokens.push(&raw[start..]);
         tokens
+            .into_iter()
+            .map(str::trim)
+            .filter(|tok| !tok.is_empty())
             .map(|tok| parse(tok).unwrap_or_else(|e| self.fail(format!("--{flag}: {e}"))))
             .collect()
     }

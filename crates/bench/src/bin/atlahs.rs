@@ -6,13 +6,13 @@
 //!              [--placements p1,p2] [--backends b1,b2] [--faults f1,f2]
 //!              [--seed N] [--threads N] [--collect-flows]
 //!              [--out report.json] [--csv report.csv] [--md report.md]
-//!              [--quiet] [--smoke] [--fault-smoke] [--stochastic-smoke]
+//!              [--branch-at NS] [--branch f1,f2] [--quiet]
 //! atlahs cluster [--topo t] [--catalog w1,w2] [--arrivals a1,a2]
 //!                [--queues q1,q2] [--placements p1,p2] [--ccs c1,c2]
 //!                [--backends b1,b2] [--faults f1,f2] [--seed N]
 //!                [--threads N]
 //!                [--out report.json] [--csv report.csv] [--md report.md]
-//!                [--quiet] [--smoke] [--fault-smoke]
+//!                [--quiet]
 //! atlahs fig <fig01|fig08|fig09|fig10|fig11|fig12|fig13|table1> [flags]
 //! atlahs lint [--root DIR]
 //! atlahs list
@@ -35,20 +35,12 @@
 //! (each cell a deterministic single-threaded simulation with a derived
 //! seed), prints a summary table, and optionally writes the JSON/CSV/
 //! markdown reports. The JSON report is byte-identical regardless of
-//! `--threads`. `--smoke` runs the fixed CI grid (ci.sh diffs its JSON
-//! against `tests/goldens/sweep_smoke.json`); `--fault-smoke` runs the
-//! fixed fault-injection grid (diffed against
-//! `tests/goldens/fault_smoke.json`); `--stochastic-smoke` runs the
-//! fixed per-packet stochastic link-model grid (diffed against
-//! `tests/goldens/stochastic_smoke.json`).
+//! `--threads`.
 //!
 //! `cluster` runs the dynamic multi-tenant engine: a seeded job-arrival
 //! process over a workload catalog, an online allocator with queueing and
 //! backfill, per-job wait/completion/slowdown metrics (docs/SCENARIOS.md).
-//! Same determinism guarantee; `--smoke` runs the fixed CI grid diffed
-//! against `tests/goldens/cluster_smoke.json`, and `--fault-smoke` the
-//! fixed failure-injection grid diffed against
-//! `tests/goldens/cluster_fault_smoke.json`.
+//! Same determinism guarantee.
 //!
 //! `lint` runs the offline determinism audit (docs/DETERMINISM.md): a
 //! static pass over every non-shim crate banning floats, default-hashed
@@ -69,7 +61,6 @@ use atlahs_bench::scenario::{
     names, parse_cc, BackendFamily, FaultSpec, LlmPreset, PlacementSpec, ScenarioGrid,
     TopologySpec, WorkloadSpec, CC_NAMES,
 };
-use atlahs_bench::smoke;
 use atlahs_bench::sweep::{execute, SweepReport};
 use atlahs_bench::table::Table;
 use atlahs_bench::workloads::HpcApp;
@@ -134,18 +125,12 @@ fn usage() {
          \x20 --seed N         grid seed; every cell derives its own (default 1)\n\
          \x20 --threads N      worker threads; 0 = all cores (default 0)\n\
          \x20 --collect-flows  record per-flow MCT statistics (sweep only)\n\
-         \x20 --smoke          run the fixed CI smoke grid (ignores axis flags)\n\
-         \x20 --fault-smoke    run the fixed fault-injection grid\n\
-         \x20 --stochastic-smoke  run the fixed per-packet stochastic grid\n\
-         \x20                  (sweep only)\n\
          \x20 --branch-at NS   branch-and-continue: simulate each shared prefix\n\
          \x20                  (topology+workload+placement+backend) once, snapshot,\n\
          \x20                  apply each cell's fault at NS, re-simulate only the\n\
          \x20                  suffix (sweep only)\n\
          \x20 --branch F1,F2   extra fault regimes applied only at the branch point\n\
-         \x20                  (appended to --faults; requires --branch-at)\n\
-         \x20 --branch-smoke   run the fixed branched CI grid at its pinned\n\
-         \x20                  branch time\n\n\
+         \x20                  (appended to --faults; requires --branch-at)\n\n\
          OUTPUT:\n\
          \x20 --out FILE   write the deterministic JSON report\n\
          \x20 --csv FILE   write the CSV report\n\
@@ -229,10 +214,9 @@ fn lint(cli: Cli<'_>) {
 /// The flags each subcommand reads. Anything else is refused: a mistyped
 /// flag must not silently run the default grid.
 const SWEEP_FLAGS: &str = "--topos --workloads --ccs --placements --backends --faults --seed \
-     --threads --collect-flows --smoke --fault-smoke --stochastic-smoke --branch-at --branch \
-     --branch-smoke --out --csv --md --quiet";
+     --threads --collect-flows --branch-at --branch --out --csv --md --quiet";
 const CLUSTER_FLAGS: &str = "--topo --catalog --arrivals --queues --placements --ccs --backends \
-     --faults --seed --threads --smoke --fault-smoke --out --csv --md --quiet";
+     --faults --seed --threads --out --csv --md --quiet";
 
 /// The shared head of `sweep` and `cluster`: say what expansion
 /// dropped, refuse an empty grid, read `--threads`, print the header
@@ -300,39 +284,27 @@ fn emit(
 
 fn sweep(cli: Cli<'_>) {
     let args = cli.args;
-    let mut grid = if args.flag("branch-smoke") {
-        smoke::branch_smoke_grid()
-    } else if args.flag("stochastic-smoke") {
-        smoke::stochastic_smoke_grid()
-    } else if args.flag("fault-smoke") {
-        smoke::fault_smoke_grid()
-    } else if args.flag("smoke") {
-        smoke::sweep_smoke_grid()
-    } else {
-        ScenarioGrid {
-            topologies: cli.axis("topos", "ai-fattree:16:1,ai-fattree:16:4", TopologySpec::parse),
-            workloads: cli.axis(
-                "workloads",
-                "ring:16:262144:1,moe:16:4:262144:2:5000",
-                WorkloadSpec::parse,
-            ),
-            ccs: cli.axis("ccs", "mprdma,ndp", parse_cc),
-            placements: cli.axis("placements", "packed", PlacementSpec::parse),
-            backends: cli.axis("backends", "htsim,lgs", BackendFamily::parse),
-            faults: cli.axis("faults", "none", sweep_fault),
-            seed: cli.number("seed", 1),
-            collect_flows: args.flag("collect-flows"),
-        }
+    let mut grid = ScenarioGrid {
+        topologies: cli.axis("topos", "ai-fattree:16:1,ai-fattree:16:4", TopologySpec::parse),
+        workloads: cli.axis(
+            "workloads",
+            "ring:16:262144:1,moe:16:4:262144:2:5000",
+            WorkloadSpec::parse,
+        ),
+        ccs: cli.axis("ccs", "mprdma,ndp", parse_cc),
+        placements: cli.axis("placements", "packed", PlacementSpec::parse),
+        backends: cli.axis("backends", "htsim,lgs", BackendFamily::parse),
+        faults: cli.axis("faults", "none", sweep_fault),
+        seed: cli.number("seed", 1),
+        collect_flows: args.flag("collect-flows"),
     };
 
     // Branch-and-continue: `--branch-at <ns>` simulates each shared
     // prefix (same topology/workload/placement/backend) once, snapshots,
     // and fans out into per-cell continuations whose fault axis is
     // applied *at the branch point*. `--branch <faults>` appends what-if
-    // override values to the fault axis; `--branch-smoke` runs the fixed
-    // CI branch grid at its pinned branch time.
-    let pinned = if args.flag("branch-smoke") { smoke::BRANCH_SMOKE_AT } else { 0 };
-    let branch_at = cli.number("branch-at", pinned);
+    // override values to the fault axis.
+    let branch_at = cli.number("branch-at", 0);
     if !args.get_str("branch", "").is_empty() {
         if branch_at == 0 {
             cli.fail("--branch requires --branch-at <ns>".into());
@@ -382,34 +354,27 @@ fn sweep_fault(tok: &str) -> Result<FaultSpec, String> {
 }
 
 fn cluster(cli: Cli<'_>) {
-    let args = cli.args;
-    let grid = if args.flag("fault-smoke") {
-        smoke::cluster_fault_smoke_grid()
-    } else if args.flag("smoke") {
-        smoke::cluster_smoke_grid()
-    } else {
-        let mut topos = cli.axis("topo", "ai-fattree:16:4", TopologySpec::parse);
-        if topos.len() != 1 {
-            cli.fail("--topo takes exactly one fabric".into());
-        }
-        ClusterGrid {
-            topology: topos.pop().expect("checked above"),
-            catalog: cli.axis("catalog", "ring:4:131072:1,incast:3:65536:1", |tok| {
-                match WorkloadSpec::parse(tok)? {
-                    WorkloadSpec::MultiJob { .. } => {
-                        Err(format!("catalog entries are single jobs, `{tok}` is several"))
-                    }
-                    single => Ok(single),
+    let mut topos = cli.axis("topo", "ai-fattree:16:4", TopologySpec::parse);
+    if topos.len() != 1 {
+        cli.fail("--topo takes exactly one fabric".into());
+    }
+    let grid = ClusterGrid {
+        topology: topos.pop().expect("checked above"),
+        catalog: cli.axis("catalog", "ring:4:131072:1,incast:3:65536:1", |tok| {
+            match WorkloadSpec::parse(tok)? {
+                WorkloadSpec::MultiJob { .. } => {
+                    Err(format!("catalog entries are single jobs, `{tok}` is several"))
                 }
-            }),
-            arrivals: cli.axis("arrivals", "poisson:12:200000", ArrivalSpec::parse),
-            queues: cli.axis("queues", "fifo", QueueDiscipline::parse),
-            placements: cli.axis("placements", "packed", PlacementSpec::parse),
-            ccs: cli.axis("ccs", "mprdma", parse_cc),
-            backends: cli.axis("backends", "lgs,ideal", BackendFamily::parse),
-            faults: cli.axis("faults", "none", |tok| FaultSpec::parse(tok)?.in_cluster()),
-            seed: cli.number("seed", 1),
-        }
+                single => Ok(single),
+            }
+        }),
+        arrivals: cli.axis("arrivals", "poisson:12:200000", ArrivalSpec::parse),
+        queues: cli.axis("queues", "fifo", QueueDiscipline::parse),
+        placements: cli.axis("placements", "packed", PlacementSpec::parse),
+        ccs: cli.axis("ccs", "mprdma", parse_cc),
+        backends: cli.axis("backends", "lgs,ideal", BackendFamily::parse),
+        faults: cli.axis("faults", "none", |tok| FaultSpec::parse(tok)?.in_cluster()),
+        seed: cli.number("seed", 1),
     };
 
     let shape = format!(

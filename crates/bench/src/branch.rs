@@ -22,7 +22,7 @@
 //! branch time, apply the override, finish — *no* checkpoint/restore)
 //! produce bit-identical [`CellResult`]s. That is the backend
 //! [`atlahs_core::Snapshot`] contract, pinned in this module's tests and by the
-//! `branch_smoke.json` golden diff in `ci.sh`.
+//! `branch_smoke.json` row of the golden table in `tests/golden_table/mod.rs`.
 //!
 //! Branched results are **not** comparable to a straight sweep that
 //! configures the same faults at t=0: a branched override clamps every

@@ -113,9 +113,10 @@ impl ArrivalSpec {
     pub fn parse(tok: &str) -> Result<ArrivalSpec, String> {
         let parts: Vec<&str> = tok.split(':').collect();
         match parts.as_slice() {
-            ["poisson", jobs, gap] => {
-                Ok(ArrivalSpec::Poisson { jobs: num(tok, jobs)?, mean_gap_ns: num(tok, gap)? })
-            }
+            ["poisson", jobs, gap] => match num(tok, jobs)? {
+                0 => Err(format!("arrivals `{tok}`: a Poisson process needs at least 1 job")),
+                jobs => Ok(ArrivalSpec::Poisson { jobs, mean_gap_ns: num(tok, gap)? }),
+            },
             ["trace", times] => {
                 let times = times.split(';').filter(|t| !t.is_empty());
                 let mut times_ns = times.map(|t| num(tok, t)).collect::<Result<Vec<u64>, _>>()?;

@@ -178,7 +178,8 @@ impl TopologySpec {
     }
 
     /// Every dimension is at least 1 — the fabric builders divide by them
-    /// — so a zero fails at the CLI, naming the field, not inside a worker.
+    /// — and a dragonfly has at least 2 groups, so a degenerate fabric
+    /// fails at the CLI, naming the field, not inside a worker.
     fn check(&self) -> Result<(), String> {
         let positive = |dims: &[(&str, usize)]| match dims.iter().find(|dim| dim.1 == 0) {
             Some((field, _)) => Err(format!("{field} must be at least 1")),
@@ -194,8 +195,11 @@ impl TopologySpec {
             TopologySpec::StorageFatTree { hosts, oversub } => {
                 positive(&[("hosts", hosts), ("oversub", oversub)])
             }
-            TopologySpec::Dragonfly { groups, routers, hosts_per_router } => {
-                positive(&[("groups", groups), ("routers", routers), ("hosts", hosts_per_router)])
+            TopologySpec::Dragonfly { groups: 0 | 1, .. } => {
+                Err("groups must be at least 2".into())
+            }
+            TopologySpec::Dragonfly { routers, hosts_per_router, .. } => {
+                positive(&[("routers", routers), ("hosts", hosts_per_router)])
             }
             TopologySpec::SingleSwitch { hosts } => positive(&[("hosts", hosts)]),
         }
@@ -1858,13 +1862,18 @@ mod tests {
             ("ai-fattree:0", "nodes"),
             ("hpc-fattree:0:8", "procs"),
             ("storage-fattree:16:0", "oversub"),
-            ("dragonfly:0:0:0", "groups"),
             ("dragonfly:2:0:4", "routers"),
+            ("dragonfly:2:4:0", "hosts"),
             ("switch:0", "hosts"),
         ] {
             let err = TopologySpec::parse(tok).unwrap_err();
             let want = format!("topology `{tok}`: {field} must be at least 1");
             assert_eq!(err, want);
+        }
+        // A one-group dragonfly has no global links to build.
+        for tok in ["dragonfly:0:0:0", "dragonfly:1:4:2"] {
+            let err = TopologySpec::parse(tok).unwrap_err();
+            assert_eq!(err, format!("topology `{tok}`: groups must be at least 2"));
         }
     }
 

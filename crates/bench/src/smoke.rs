@@ -1,12 +1,11 @@
-//! The fixed CI smoke grids (`atlahs sweep --smoke`, `atlahs sweep
-//! --fault-smoke`, `atlahs cluster --smoke`).
+//! The fixed smoke grids the goldens pin.
 //!
 //! Each grid is a frozen, fast (< a few seconds) cell set whose JSON
-//! report is goldened under `tests/goldens/` and byte-diffed by `ci.sh`:
-//! any change to simulation behavior, report formatting, or seed
-//! derivation shows up as a golden diff. The grids live here — not in
-//! the CLI binary — so integration tests can expand and run the exact
-//! grids CI runs without shelling out.
+//! report is goldened under `tests/goldens/` and reproduced byte for byte
+//! by the golden table in `tests/golden_table/mod.rs`: any change to
+//! simulation behavior, report formatting, or seed derivation shows up as
+//! a golden diff. Every grid is also reachable from the CLI as plain axis flags;
+//! docs/SCENARIOS.md spells each one out.
 
 use atlahs_htsim::CcAlgo;
 
@@ -51,8 +50,8 @@ pub fn sweep_smoke_grid() -> ScenarioGrid {
 }
 
 /// The fixed fault-injection smoke grid: 45 cells exercising every
-/// fault regime against the backends it applies to, goldened as
-/// `tests/goldens/fault_smoke.json`.
+/// fault regime against the backends it applies to, byte-frozen inside
+/// `tests/goldens/stochastic_smoke.json` (45 of its 75 results, in order).
 ///
 /// Per workload: `none` pairs with both htsim CCs and LGS (3 cells);
 /// `linkflap`, `degrade`, and the distributional `markov`, `rackfail`,
@@ -115,18 +114,18 @@ pub fn fault_smoke_grid() -> ScenarioGrid {
     }
 }
 
-/// The fixed per-packet stochastic smoke grid (`atlahs sweep
-/// --stochastic-smoke`): the fault smoke grid's exact axes plus five
-/// stochastic link models appended to the fault axis, goldened as
-/// `tests/goldens/stochastic_smoke.json`.
+/// The fixed per-packet stochastic smoke grid: the fault smoke grid's
+/// exact axes plus five stochastic link models appended to the fault
+/// axis, goldened as `tests/goldens/stochastic_smoke.json`.
 ///
 /// The five appended regimes — all-tier loss, core-only loss, and one
 /// jitter cell per faultgen sampler family — apply only to the two
 /// htsim CCs, adding 10 cells per workload: 45 + 30 = 75 cells total.
 /// Because the fault axis never perturbs cell seeds or the other axes'
 /// keys, the original 45 cells keep their exact [`fault_smoke_grid`]
-/// report bytes inside this golden; the 30 stochastic cells additionally
-/// carry the gated `net` realization fields (`stochastic_draws` et al.).
+/// report bytes inside this golden, which is what pins them; the 30
+/// stochastic cells additionally carry the gated `net` realization
+/// fields (`stochastic_draws` et al.).
 pub fn stochastic_smoke_grid() -> ScenarioGrid {
     let mut grid = fault_smoke_grid();
     for tok in [
@@ -147,10 +146,10 @@ pub fn stochastic_smoke_grid() -> ScenarioGrid {
     grid
 }
 
-/// The pinned branch time of the branch smoke grid (`atlahs sweep
-/// --branch-smoke`): 60 µs into the run, inside every workload's steady
-/// state, so each continuation replays a real mid-flight snapshot rather
-/// than an empty or drained simulation.
+/// The pinned branch time of the branch smoke grid (`--branch-at 60000`):
+/// 60 µs into the run, inside every workload's steady state, so each
+/// continuation replays a real mid-flight snapshot rather than an empty
+/// or drained simulation.
 pub const BRANCH_SMOKE_AT: u64 = 60_000;
 
 /// The fixed branch-and-continue smoke grid: 24 cells over 8 shared
@@ -244,8 +243,7 @@ pub fn cluster_smoke_grid() -> ClusterGrid {
     }
 }
 
-/// The fixed cluster fault smoke grid (`atlahs cluster --fault-smoke`):
-/// 3 message-level cells over one saturated arrival stream — fault-free,
+/// The fixed cluster fault smoke grid: 3 message-level cells over one saturated arrival stream — fault-free,
 /// Bernoulli `jobfail`, and the distributional `mtbf` process — goldened
 /// as `tests/goldens/cluster_fault_smoke.json`. Kept separate from
 /// [`cluster_smoke_grid`] so that golden's bytes stay frozen.

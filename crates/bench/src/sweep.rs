@@ -8,7 +8,7 @@
 //! coordination beyond one atomic. Results land in their cell's slot, so
 //! the report is **independent of the thread count and of completion
 //! order**: `--threads 1` and `--threads N` must produce byte-identical
-//! JSON (the determinism gate `ci.sh` enforces on the smoke grid).
+//! JSON (what lets `tests/golden_table/mod.rs` pin the smoke grids' reports).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;

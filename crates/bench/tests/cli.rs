@@ -47,13 +47,19 @@ fn mistyped_flags_and_numbers_are_usage_errors() {
 }
 
 /// A zero fabric dimension used to pass the parser and divide by zero in
-/// the fabric builder (exit 101 with a backtrace).
+/// the fabric builder (exit 101 with a backtrace); so did a one-group
+/// dragonfly, on the builder's `groups >= 2` assert.
 #[test]
 fn degenerate_topologies_are_usage_errors() {
-    for tok in ["ai-fattree:16:0", "storage-fattree:16:0", "dragonfly:0:0:0"] {
+    for (tok, reason) in [
+        ("ai-fattree:16:0", "oversub must be at least 1"),
+        ("storage-fattree:16:0", "oversub must be at least 1"),
+        ("dragonfly:0:0:0", "groups must be at least 2"),
+        ("dragonfly:1:4:2", "groups must be at least 2"),
+    ] {
         let err = stderr_of_usage_error(&atlahs(&["sweep", "--topos", tok]));
-        assert!(err.starts_with(&format!("atlahs sweep: --topos: topology `{tok}`: ")), "{err}");
-        assert!(err.contains("must be at least 1"), "{err}");
+        let want = format!("atlahs sweep: --topos: topology `{tok}`: {reason}");
+        assert!(err.starts_with(&want), "{err}");
     }
     let err = stderr_of_usage_error(&atlahs(&["cluster", "--topo", "ai-fattree:16:0"]));
     let want = "atlahs cluster: --topo: topology `ai-fattree:16:0`: oversub must be at least 1";
@@ -62,9 +68,14 @@ fn degenerate_topologies_are_usage_errors() {
 
 /// A workload that does no work used to pass the parser: `atlahs cluster`
 /// then panicked on the empty schedule (exit 101) and `atlahs sweep`
-/// reported a 0-task, 0 ns cell.
+/// reported a 0-task, 0 ns cell. A zero-job Poisson process likewise ran
+/// `atlahs cluster` cells with no jobs in them.
 #[test]
 fn zero_work_workloads_are_usage_errors() {
+    let err = stderr_of_usage_error(&atlahs(&["cluster", "--arrivals", "poisson:0:100"]));
+    let want = "atlahs cluster: --arrivals: arrivals `poisson:0:100`: a Poisson process needs \
+                at least 1 job";
+    assert!(err.starts_with(want), "{err}");
     let hpc = "workload `hpc:lulesh:0:1:1`: an HPC run needs at least 1 process";
     let storage = "workload `storage:0:1:1`: a storage run needs at least 1 operation";
     for (tok, reason) in [("hpc:lulesh:0:1:1", hpc), ("storage:0:1:1", storage)] {
@@ -131,6 +142,82 @@ fn hostile_churn_trace_is_a_usage_error() {
     let out = atlahs(&["sweep", "--faults", &format!("churn:@{}", trace.display())]);
     let err = stderr_of_usage_error(&out);
     assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--faults` used to split at every `,`, so the inline churn grammar,
+/// which joins its events with `,`, could not sit in a fault list. A
+/// comma followed by a digit now continues the current token.
+#[test]
+fn inline_churn_traces_fit_in_a_fault_list() {
+    let sweep = [
+        "sweep",
+        "--topos",
+        "ai-fattree:16:4",
+        "--workloads",
+        "ring:16:4096:1",
+        "--ccs",
+        "mprdma",
+        "--backends",
+        "htsim",
+        "--faults",
+        "none,churn:0;0;d,60000;0;u",
+    ];
+    let out = atlahs(&sweep);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("# atlahs sweep — 2 cells "), "{stdout}");
+    assert!(stdout.contains("/churn:0;0;d,60000;0;u"), "{stdout}");
+}
+
+/// The smoke goldens are reachable from the CLI as plain axis flags
+/// (docs/SCENARIOS.md spells each grid out): the stochastic grid, inline
+/// churn trace included, and the cluster grid reproduce their goldens.
+#[test]
+fn smoke_grids_spelled_as_axis_flags_reproduce_their_goldens() {
+    let dir = std::env::temp_dir().join(format!("atlahs_cli_smoke_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let faults = "none,linkflap:2:5000:60000,degrade:2:25:300:0:200000,straggler:50:300,\
+                  markov:4:20000:20000:300000,rackfail:1:20000:140000,\
+                  churn:0;0;d,60000;0;u,100000;1;d,180000;1;u,straggler:50:200:200:2,\
+                  loss:20000,loss:80000:core,jitter:exp:2000,jitter:weibull:3000:2,\
+                  jitter:uniform:1500";
+    let stochastic = [
+        "sweep",
+        "--topos",
+        "ai-fattree:16:4",
+        "--workloads",
+        "moe:16:16:65536:1:20000,moe:16:16:32768:2:4000,pipeline:16:2:65536:2000",
+        "--backends",
+        "htsim,lgs",
+        "--faults",
+        faults,
+        "--collect-flows",
+    ];
+    let cluster = [
+        "cluster",
+        "--catalog",
+        "ring:8:262144:1,incast:5:131072:1",
+        "--arrivals",
+        "poisson:8:40000,trace:0;0;0;30000;30000;400000",
+        "--queues",
+        "fifo,smallest",
+        "--placements",
+        "packed,random",
+        "--backends",
+        "htsim,lgs,ideal",
+    ];
+    for (grid, golden) in
+        [(&stochastic[..], "stochastic_smoke.json"), (&cluster[..], "cluster_smoke.json")]
+    {
+        let report = dir.join(golden);
+        let run = [grid, &["--threads", "2", "--quiet", "--out", report.to_str().unwrap()]];
+        let out = atlahs(&run.concat());
+        assert!(out.status.success(), "{out:?}");
+        let want = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens/");
+        let want = std::fs::read_to_string(format!("{want}{golden}")).unwrap();
+        assert!(std::fs::read_to_string(&report).unwrap() == want, "{golden} drifted");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

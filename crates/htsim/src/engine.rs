@@ -414,9 +414,6 @@ struct PullPacer {
 pub struct HtsimBackend {
     cfg: HtsimConfig,
     topo: Topology,
-    /// `ATLAHS_HTSIM_DEBUG` presence, sampled once at construction — the
-    /// env lookup must not sit in the event loop.
-    debug: bool,
     s: HtsimState,
 }
 
@@ -522,12 +519,7 @@ impl HtsimBackend {
         for f in &cfg.faults {
             assert_fault_port(f, topo.ports().len());
         }
-        HtsimBackend {
-            debug: std::env::var_os("ATLAHS_HTSIM_DEBUG").is_some(),
-            s: HtsimState::new(&cfg, &[], 0),
-            topo,
-            cfg,
-        }
+        HtsimBackend { s: HtsimState::new(&cfg, &[], 0), topo, cfg }
     }
 
     /// Network statistics accumulated so far.
@@ -1012,19 +1004,6 @@ impl Backend for HtsimBackend {
             debug_assert!(t >= self.s.now);
             self.s.now = t;
             self.s.stats.internal_events += 1;
-            if self.debug && self.s.stats.internal_events % 200_000_000 == 0 {
-                eprintln!(
-                    "[htsim] internal={}M now={}ms queued={} pkts={} drops={} rtx={} timeouts={} flows={}",
-                    self.s.stats.internal_events / 1_000_000,
-                    self.s.now / 1_000_000,
-                    self.s.queue.len(),
-                    self.s.stats.packets_sent,
-                    self.s.stats.drops,
-                    self.s.stats.retransmissions,
-                    self.s.stats.timeouts,
-                    self.s.stats.flows,
-                );
-            }
             match ev {
                 Ev::Emit { op, done } => {
                     return Some(if done {

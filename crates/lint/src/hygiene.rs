@@ -4,7 +4,7 @@
 //! it, so the audit checks the corpus itself:
 //!
 //! * every file under `tests/goldens/` must parse as JSON (a truncated
-//!   or hand-mangled golden must fail before a smoke diff reads it);
+//!   or hand-mangled golden must fail before a byte diff reads it);
 //! * every golden must be referenced by at least one test source or
 //!   `ci.sh` stage — an orphan golden is a contract nobody enforces;
 //! * every `tests/goldens/...` path named in `ci.sh` must exist.

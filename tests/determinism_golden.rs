@@ -18,6 +18,8 @@
 //! ATLAHS_PRINT_GOLDENS=1 cargo test --test determinism_golden -- --nocapture
 //! ```
 
+mod golden_table;
+
 use atlahs::core::Simulation;
 use atlahs::goal::GoalSchedule;
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
@@ -474,9 +476,10 @@ fn lgs_moe_straggler() {
     assert!(got.makespan > clean.makespan, "{} <= {}", got.makespan, clean.makespan);
 }
 
-// --- the fault-smoke grid (ci.sh stage 7, `sweep --fault-smoke`): every faulted cell must
-// --- diverge from its fault-free sibling, or the golden would silently
-// --- pin a fault spec that does nothing.
+// --- the fault smoke grid (byte-frozen inside stochastic_smoke.json,
+// --- which the golden table reproduces): every faulted cell must diverge
+// --- from its fault-free sibling, or the golden would silently pin a
+// --- fault spec that does nothing.
 
 #[test]
 fn fault_smoke_cells_diverge_from_their_clean_siblings() {
@@ -647,53 +650,22 @@ fn checkpoint_resume_is_bit_identical_on_ideal() {
     }
 }
 
-// --- the branch-smoke grid (ci.sh stage 7, `sweep --branch-smoke`): the shared-prefix snapshot
-// --- executor must agree byte-for-byte with the checked-in golden, and
-// --- its work counter must prove prefixes ran once per group.
+// --- the branch smoke grid (the `branch_smoke.json` row of the golden
+// --- table): the shared-prefix snapshot executor must agree byte for
+// --- byte with the checked-in golden, and its work counter must prove
+// --- prefixes ran once per group.
 
 #[test]
 fn branch_smoke_reproduces_the_checked_in_golden_bytes() {
-    use atlahs_bench::branch::execute_branched;
-    use atlahs_bench::smoke::{branch_smoke_grid, BRANCH_SMOKE_AT};
-    use atlahs_bench::sweep::SweepReport;
-
-    let grid = branch_smoke_grid();
-    let cells = grid.expand();
-    let (results, stats) = execute_branched(&cells, BRANCH_SMOKE_AT, 2);
-    assert_eq!(stats.prefix_runs, 8, "prefixes must run once per group, not per cell");
-    let report = SweepReport { seed: grid.seed, results, branch: Some(stats) };
-    let got = report.to_json().pretty();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/branch_smoke.json");
-    let want = std::fs::read_to_string(path).expect("golden branch_smoke.json is checked in");
-    assert_eq!(
-        got, want,
-        "the branched smoke sweep drifted from tests/goldens/branch_smoke.json: \
-         a backend snapshot missed state, or the report format moved"
-    );
+    golden_table::reproduce("branch_smoke.json");
 }
 
-// --- the stochastic-smoke grid (ci.sh stage 7, `sweep --stochastic-smoke`): the per-packet
-// --- loss/jitter cells draw from counter-based per-port streams and must
-// --- agree byte-for-byte with the checked-in golden — with the 45
-// --- fault-smoke cells byte-frozen inside (an inactive LinkModel consumes
-// --- zero draws, so adding the stochastic axis must not move them).
+// --- the stochastic smoke grid (the `stochastic_smoke.json` row): the
+// --- per-packet loss/jitter cells draw from counter-based per-port
+// --- streams and must agree byte for byte with the checked-in golden —
+// --- with the 45 fault smoke cells byte-frozen inside.
 
 #[test]
 fn stochastic_smoke_reproduces_the_checked_in_golden_bytes() {
-    use atlahs_bench::smoke::stochastic_smoke_grid;
-    use atlahs_bench::sweep::{execute, SweepReport};
-
-    let grid = stochastic_smoke_grid();
-    let cells = grid.expand();
-    assert_eq!(cells.len(), 75);
-    let report = SweepReport { seed: grid.seed, results: execute(&cells, 2), branch: None };
-    let got = report.to_json().pretty();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/stochastic_smoke.json");
-    let want = std::fs::read_to_string(path).expect("golden stochastic_smoke.json is checked in");
-    assert_eq!(
-        got, want,
-        "the stochastic smoke sweep drifted from tests/goldens/stochastic_smoke.json: \
-         a draw stream moved (seed, stream tag, or counter discipline), or the \
-         report format changed"
-    );
+    golden_table::reproduce("stochastic_smoke.json");
 }

@@ -1,39 +1,29 @@
-//! Regression pin: the fault axis must not perturb pre-existing cells.
+//! Regression pin: the fault axis must not perturb pre-existing cells,
+//! and the constants under the smoke goldens stay put.
 //!
-//! The fault-injection PR added a `faults` axis to [`ScenarioGrid`], a
-//! fault label suffix to cell keys, and run-time fault sub-seed
-//! derivation. This test locks the *no-fault* path in-process: expanding
-//! and executing the frozen CI smoke grid (`atlahs sweep --smoke`) must
-//! reproduce the checked-in golden report
-//! `tests/goldens/sweep_smoke.json` **byte for byte** — same keys (no
-//! fault suffix), same FNV cell seeds, same simulation outcomes, same
-//! JSON formatting. If fault machinery ever leaks into fault-free cells
-//! (a key gaining a label, a seed folding fault state, an engine
-//! scheduling a phantom event, a report gaining a field), this diff
-//! fails in `cargo test` before CI's shell-level golden diff does.
+//! The first test runs the `sweep_smoke.json` row of the golden table
+//! (`tests/golden_table/mod.rs`): the frozen no-fault smoke grid must
+//! reproduce its golden **byte for byte** — same keys (no fault suffix),
+//! same FNV cell seeds, same simulation outcomes, same JSON formatting.
+//! If fault machinery ever leaks into fault-free cells (a key gaining a
+//! label, a seed folding fault state, an engine scheduling a phantom
+//! event, a report gaining a field), this diff fails.
 //!
-//! The second test pins the seed derivation itself: [`cell_seed`] is an
-//! FNV-1a fold whose exact constants the goldens (and every faulty
-//! sub-seed derived from them) depend on.
+//! The rest pin the arithmetic itself: [`cell_seed`] is an FNV-1a fold
+//! whose exact constants the goldens (and every fault sub-seed derived
+//! from them) depend on; the faultgen samplers and the counter-based draw
+//! stream are what the distributional and stochastic cells realize. A
+//! moved constant would also fail a golden row, but there as a
+//! whole-report diff; here it is named.
+
+mod golden_table;
 
 use atlahs_bench::scenario::cell_seed;
-use atlahs_bench::smoke::sweep_smoke_grid;
-use atlahs_bench::sweep::{execute, SweepReport};
 use atlahs_core::faultgen::{exp_sample, fnv_draw2, uniform_sample, weibull_sample, LN2_Q32};
 
 #[test]
 fn no_fault_sweep_reproduces_the_checked_in_golden_bytes() {
-    let grid = sweep_smoke_grid();
-    let cells = grid.expand();
-    let report = SweepReport { seed: grid.seed, results: execute(&cells, 2), branch: None };
-    let got = report.to_json().pretty();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/sweep_smoke.json");
-    let want = std::fs::read_to_string(path).expect("golden sweep_smoke.json is checked in");
-    assert_eq!(
-        got, want,
-        "the no-fault smoke sweep drifted from tests/goldens/sweep_smoke.json: \
-         the fault axis (or a report-format change) perturbed fault-free cells"
-    );
+    golden_table::reproduce("sweep_smoke.json");
 }
 
 #[test]
@@ -55,7 +45,8 @@ fn distributional_fault_sub_seeds_are_pinned() {
     // Fault sub-seeds fold the *fault label* over the cell seed
     // (`cell_seed(cell.seed, &fault.label())`), so the label grammar is
     // part of the golden contract. These are the labels of the frozen
-    // fault-smoke and cluster-fault-smoke grids, folded with seed 1.
+    // fault (inside stochastic_smoke.json) and cluster-fault smoke grids,
+    // folded with seed 1.
     assert_eq!(cell_seed(1, "markov:4:20000:20000:300000"), 0x2b0f_6cf7_c548_b0c3);
     assert_eq!(cell_seed(1, "rackfail:1:20000:140000"), 0xcd84_7300_be65_5359);
     assert_eq!(cell_seed(1, "churn:0;0;d,60000;0;u,100000;1;d,180000;1;u"), 0x4ba5_c56d_4a10_87df);
