@@ -210,10 +210,12 @@ fn fig08(cli: &Cli) -> String {
     // 0 = one thread per core.
     let threads = if timing { 1 } else { 0 };
 
+    // `ai_suite` lists the cases in `LlmPreset::NAMES` order.
     let cases = workloads::ai_suite(scale, quick, seed);
-    let presets = LlmPreset::NAMES.map(|(_, preset)| preset);
-    let cells: Vec<ScenarioCell> =
-        presets.iter().flat_map(|&preset| fig08_cells(preset, scale, quick, seed)).collect();
+    let cells: Vec<ScenarioCell> = LlmPreset::NAMES
+        .iter()
+        .flat_map(|&(_, preset)| fig08_cells(preset, scale, quick, seed))
+        .collect();
     let results = execute(&cells, threads);
 
     let mut table = Table::new([

@@ -32,7 +32,6 @@ use atlahs_htsim::CcAlgo;
 use atlahs_lgs::{LogGopsParams, StragglerSpec};
 use atlahs_schedgen::storage2goal::{self, StorageToGoalConfig};
 use atlahs_schedgen::synthetic;
-use atlahs_tracers::mpi::Scaling;
 use atlahs_tracers::nccl::{presets, LlmConfig};
 
 use crate::cluster::JobFaultSpec;
@@ -391,7 +390,7 @@ impl WorkloadSpec {
                 goal
             }
             WorkloadSpec::Hpc { app, procs, nodes, scale } => {
-                let case = HpcCase { app, procs, nodes, scaling: hpc_scaling(app) };
+                let case = HpcCase { app, procs, nodes, scaling: app.scaling() };
                 let (_, goal) = workloads::hpc_goal(&case, scale, seed);
                 goal
             }
@@ -560,13 +559,6 @@ impl WorkloadSpec {
             }),
             _ => Err(unknown("workload", tok, Self::GRAMMAR)),
         }
-    }
-}
-
-fn hpc_scaling(app: HpcApp) -> Scaling {
-    match app {
-        HpcApp::Icon | HpcApp::OpenMx => Scaling::Strong,
-        _ => Scaling::Weak,
     }
 }
 

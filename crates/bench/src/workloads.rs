@@ -11,8 +11,10 @@ use atlahs_goal::GoalSchedule;
 use atlahs_htsim::topology::{LinkParams, TopologyConfig};
 use atlahs_schedgen::{mpi2goal, nccl2goal};
 use atlahs_tracers::mpi::{self, HpcAppConfig, MpiTrace, Scaling};
-use atlahs_tracers::nccl::{presets, trace_llm, LlmConfig, NsysReport};
+use atlahs_tracers::nccl::{trace_llm, LlmConfig, NsysReport};
 use atlahs_tracers::storage::{financial_like, OltpConfig, SpcTrace};
+
+use crate::scenario::LlmPreset;
 
 // ---------------------------------------------------------------- AI ----
 
@@ -45,28 +47,25 @@ impl AiCase {
     }
 }
 
-/// The six Fig. 8 training configurations.
+/// The six Fig. 8 training configurations, one per [`LlmPreset::NAMES`]
+/// entry in that order.
 ///
 /// `quick` caps the batch at two microbatches per pipeline and runs one
 /// iteration — the per-iteration communication *structure* (rings,
 /// pipelines, expert alltoalls, bucketed DP allreduce) is unchanged.
 pub fn ai_suite(scale: f64, quick: bool, seed: u64) -> Vec<AiCase> {
-    let mut cfgs = vec![
-        presets::llama7b_dp16(scale),
-        presets::llama7b_dp128(scale),
-        presets::llama70b(scale),
-        presets::mistral8x7b(scale),
-        presets::moe8x13b(scale),
-        presets::moe8x70b(scale),
-    ];
-    for c in &mut cfgs {
-        c.seed = seed;
-        if quick {
-            c.iterations = 1;
-            c.batch = c.batch.min(2 * c.dp);
-        }
-    }
-    cfgs.into_iter().map(AiCase::from_cfg).collect()
+    LlmPreset::NAMES
+        .iter()
+        .map(|&(_, preset)| {
+            let mut c = preset.cfg(scale);
+            c.seed = seed;
+            if quick {
+                c.iterations = 1;
+                c.batch = c.batch.min(2 * c.dp);
+            }
+            AiCase::from_cfg(c)
+        })
+        .collect()
 }
 
 /// Trace an LLM config and lower it to a node-level GOAL schedule.
@@ -133,6 +132,15 @@ impl HpcApp {
         }
     }
 
+    /// How the application's problem grows with the rank count: ICON and
+    /// OpenMX are the strong-scaling set, the rest scale weakly.
+    pub fn scaling(self) -> Scaling {
+        match self {
+            HpcApp::Icon | HpcApp::OpenMx => Scaling::Strong,
+            _ => Scaling::Weak,
+        }
+    }
+
     pub fn trace(self, cfg: &HpcAppConfig) -> MpiTrace {
         match self {
             HpcApp::CloverLeaf => mpi::cloverleaf(cfg),
@@ -160,27 +168,27 @@ impl HpcCase {
     }
 }
 
-/// The fifteen Fig. 10 validation points. CloverLeaf–LAMMPS are the weak
-/// scaling set, ICON and OpenMX the strong scaling set.
+/// The fifteen Fig. 10 validation points, each at its application's
+/// [`HpcApp::scaling`].
 pub fn hpc_suite() -> Vec<HpcCase> {
     use HpcApp::*;
-    let mk = |app, procs, nodes, scaling| HpcCase { app, procs, nodes, scaling };
+    let mk = |app: HpcApp, procs, nodes| HpcCase { app, procs, nodes, scaling: app.scaling() };
     vec![
-        mk(CloverLeaf, 128, 8, Scaling::Weak),
-        mk(Hpcg, 128, 8, Scaling::Weak),
-        mk(Hpcg, 512, 32, Scaling::Weak),
-        mk(Hpcg, 1024, 64, Scaling::Weak),
-        mk(Lulesh, 128, 8, Scaling::Weak),
-        mk(Lulesh, 432, 27, Scaling::Weak),
-        mk(Lulesh, 1024, 64, Scaling::Weak),
-        mk(Lammps, 128, 8, Scaling::Weak),
-        mk(Lammps, 512, 32, Scaling::Weak),
-        mk(Lammps, 1024, 64, Scaling::Weak),
-        mk(Icon, 128, 8, Scaling::Strong),
-        mk(Icon, 512, 32, Scaling::Strong),
-        mk(Icon, 1024, 64, Scaling::Strong),
-        mk(OpenMx, 128, 8, Scaling::Strong),
-        mk(OpenMx, 512, 32, Scaling::Strong),
+        mk(CloverLeaf, 128, 8),
+        mk(Hpcg, 128, 8),
+        mk(Hpcg, 512, 32),
+        mk(Hpcg, 1024, 64),
+        mk(Lulesh, 128, 8),
+        mk(Lulesh, 432, 27),
+        mk(Lulesh, 1024, 64),
+        mk(Lammps, 128, 8),
+        mk(Lammps, 512, 32),
+        mk(Lammps, 1024, 64),
+        mk(Icon, 128, 8),
+        mk(Icon, 512, 32),
+        mk(Icon, 1024, 64),
+        mk(OpenMx, 128, 8),
+        mk(OpenMx, 512, 32),
     ]
 }
 

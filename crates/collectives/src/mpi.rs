@@ -10,9 +10,11 @@
 //! unique per collective instance among concurrently outstanding collectives
 //! between the same ranks; one tag per instance suffices.
 
+use std::ops::Range;
+
 use atlahs_goal::{GoalBuilder, Rank, Tag};
 
-use crate::{chunk_sizes, CollParams, Group, Ports};
+use crate::{chunk_sizes, reduce_cost, CollParams, Group, Ports};
 
 /// Binomial-tree broadcast from `root` (participant index).
 pub fn bcast_binomial(
@@ -23,33 +25,8 @@ pub fn bcast_binomial(
     tag: Tag,
     params: &CollParams,
 ) -> Ports {
-    let k = ranks.len();
     let mut g = Group::new(b, ranks, params.stream);
-    if k > 1 {
-        for p in 0..k {
-            // Virtual rank, root at 0.
-            let v = (p + k - root) % k;
-            // Receive phase: find the bit that locates our parent.
-            let mut mask = 1usize;
-            while mask < k {
-                if v & mask != 0 {
-                    let parent = (v - mask + root) % k;
-                    g.recv(p, parent, bytes, tag);
-                    break;
-                }
-                mask <<= 1;
-            }
-            // Send phase: from the highest relevant bit downward.
-            let mut mask = prev_pow2(k);
-            while mask > 0 {
-                if v & (mask - 1) == 0 && v & mask == 0 && v + mask < k {
-                    let child = (v + mask + root) % k;
-                    g.send(p, child, bytes, tag);
-                }
-                mask >>= 1;
-            }
-        }
-    }
+    g.binomial_down(root, tag, |_| bytes);
     g.finish()
 }
 
@@ -70,14 +47,7 @@ pub fn bcast_ring_pipelined(
         let nseg = bytes.div_ceil(seg);
         for s in 0..nseg {
             let len = if s == nseg - 1 { bytes - seg * (nseg - 1) } else { seg };
-            // Each segment travels root -> root+1 -> ... -> root+k-1.
-            for hop in 0..k - 1 {
-                let from = (root + hop) % k;
-                let to = (root + hop + 1) % k;
-                // The relay's send is ordered after its recv by the frontier.
-                g.send(from, to, len, tag);
-                g.recv(to, from, len, tag);
-            }
+            g.ring_relay(root, len, tag);
         }
     }
     g.finish()
@@ -92,27 +62,9 @@ pub fn reduce_binomial(
     tag: Tag,
     params: &CollParams,
 ) -> Ports {
-    let k = ranks.len();
-    let reduce_cost = params.reduce_cost(bytes);
     let mut g = Group::new(b, ranks, params.stream);
-    if k > 1 {
-        for p in 0..k {
-            let v = (p + k - root) % k;
-            let mut mask = 1usize;
-            while mask < k {
-                if v & mask != 0 {
-                    let parent = (v - mask + root) % k;
-                    g.send(p, parent, bytes, tag);
-                    break;
-                } else if v + mask < k {
-                    let child = (v + mask + root) % k;
-                    g.recv(p, child, bytes, tag);
-                    g.calc(p, reduce_cost);
-                }
-                mask <<= 1;
-            }
-        }
-    }
+    let merge = reduce_cost(bytes, params.reduce_ps_per_byte);
+    g.binomial_up(root, tag, |_| bytes, Some(merge));
     g.finish()
 }
 
@@ -127,10 +79,10 @@ pub fn allreduce_recdoub(
     params: &CollParams,
 ) -> Ports {
     let k = ranks.len();
-    let reduce_cost = params.reduce_cost(bytes);
+    let merge = reduce_cost(bytes, params.reduce_ps_per_byte);
     let mut g = Group::new(b, ranks, params.stream);
     if k > 1 {
-        let pof2 = prev_pow2(k);
+        let pof2 = 1 << k.ilog2();
         // Number of excess ranks over the power of two.
         let r = k - pof2;
         // Fold: ranks 0..2r pair up (even sends to odd neighbour).
@@ -139,7 +91,7 @@ pub fn allreduce_recdoub(
             let c = 2 * i + 1; // participates for both
             g.send(a, c, bytes, tag);
             g.recv(c, a, bytes, tag);
-            g.calc(c, reduce_cost);
+            g.calc(c, merge);
         }
         // Core group: ranks 2i+1 for i<r, and 2r..k.
         let core: Vec<usize> = (0..r).map(|i| 2 * i + 1).chain(2 * r..k).collect();
@@ -149,7 +101,7 @@ pub fn allreduce_recdoub(
             for (ci, &p) in core.iter().enumerate() {
                 let peer = core[ci ^ mask];
                 g.sendrecv(p, peer, peer, bytes, tag);
-                g.calc(p, reduce_cost);
+                g.calc(p, merge);
             }
             mask <<= 1;
         }
@@ -173,51 +125,23 @@ pub fn allreduce_ring(
     tag: Tag,
     params: &CollParams,
 ) -> Ports {
-    let k = ranks.len();
+    ring(b, ranks, bytes, tag, params, 0..2)
+}
+
+/// The ring collectives: `bytes / k` chunks through the ring-step `halves`
+/// (0 = reduce-scatter, 1 = allgather).
+fn ring(
+    b: &mut GoalBuilder,
+    ranks: &[Rank],
+    bytes: u64,
+    tag: Tag,
+    params: &CollParams,
+    halves: Range<usize>,
+) -> Ports {
     let mut g = Group::new(b, ranks, params.stream);
-    if k > 1 && bytes > 0 {
-        let chunks = chunk_sizes(bytes, k as u64);
-        // Reduce-scatter: k-1 steps. At step s, rank p sends chunk (p-s) and
-        // receives chunk (p-s-1), reducing into it.
-        for s in 0..k - 1 {
-            for p in 0..k {
-                let send_chunk = (p + k - s) % k;
-                let recv_chunk = (p + k - s - 1) % k;
-                let dst = (p + 1) % k;
-                let src = (p + k - 1) % k;
-                let prev = g.frontier[p];
-                let r = g.ranks[p];
-                let snd = g.b.send_on(r, g.ranks[dst], chunks[send_chunk], tag, g.stream);
-                let rcv = g.b.recv_on(r, g.ranks[src], chunks[recv_chunk], tag, g.stream);
-                g.b.requires(r, snd, prev);
-                g.b.requires(r, rcv, prev);
-                let red = g.b.calc_on(r, params.reduce_cost(chunks[recv_chunk]), g.stream);
-                g.b.requires(r, red, rcv);
-                let join = g.b.dummy(r);
-                g.b.requires(r, join, snd);
-                g.b.requires(r, join, red);
-                g.frontier[p] = join;
-            }
-        }
-        // Allgather: k-1 steps forwarding the reduced chunks.
-        for s in 0..k - 1 {
-            for p in 0..k {
-                let send_chunk = (p + 1 + k - s) % k;
-                let recv_chunk = (p + k - s) % k;
-                let dst = (p + 1) % k;
-                let src = (p + k - 1) % k;
-                let prev = g.frontier[p];
-                let r = g.ranks[p];
-                let snd = g.b.send_on(r, g.ranks[dst], chunks[send_chunk], tag, g.stream);
-                let rcv = g.b.recv_on(r, g.ranks[src], chunks[recv_chunk], tag, g.stream);
-                g.b.requires(r, snd, prev);
-                g.b.requires(r, rcv, prev);
-                let join = g.b.dummy(r);
-                g.b.requires(r, join, snd);
-                g.b.requires(r, join, rcv);
-                g.frontier[p] = join;
-            }
-        }
+    if bytes > 0 {
+        let chunks = chunk_sizes(bytes, ranks.len() as u64);
+        g.ring_steps(halves, tag, |c| chunks[c], |b| b, params.reduce_ps_per_byte);
     }
     g.finish()
 }
@@ -245,7 +169,7 @@ pub fn allreduce_rabenseifner(
             for p in 0..k {
                 let peer = p ^ mask;
                 g.sendrecv(p, peer, peer, piece.max(1), tag);
-                g.calc(p, params.reduce_cost(piece.max(1)));
+                g.calc(p, reduce_cost(piece.max(1), params.reduce_ps_per_byte));
             }
             mask /= 2;
             piece /= 2;
@@ -345,34 +269,9 @@ pub fn alltoall_linear(
     tag: Tag,
     params: &CollParams,
 ) -> Ports {
-    let k = ranks.len();
     let mut g = Group::new(b, ranks, params.stream);
-    if k > 1 && block_bytes > 0 {
-        // All transfers are independent: fan out of the entry vertex, fan
-        // into the exit vertex, to model non-blocking isend/irecv + waitall.
-        let entry = g.entry.clone();
-        let mut last: Vec<Vec<atlahs_goal::TaskId>> = vec![Vec::new(); k];
-        for p in 0..k {
-            let r = g.ranks[p];
-            for i in 1..k {
-                let dst = (p + i) % k;
-                let src = (p + k - i) % k;
-                let s = g.b.send_on(r, g.ranks[dst], block_bytes, tag, g.stream);
-                let v = g.b.recv_on(r, g.ranks[src], block_bytes, tag, g.stream);
-                g.b.requires(r, s, entry[p]);
-                g.b.requires(r, v, entry[p]);
-                last[p].push(s);
-                last[p].push(v);
-            }
-        }
-        for (p, lasts) in last.iter().enumerate().take(k) {
-            let r = g.ranks[p];
-            let join = g.b.dummy(r);
-            for &t in lasts {
-                g.b.requires(r, join, t);
-            }
-            g.frontier[p] = join;
-        }
+    if block_bytes > 0 {
+        g.fan_exchange(block_bytes, tag);
     }
     g.finish()
 }
@@ -429,10 +328,7 @@ pub fn alltoall_bruck(
                 let src = (p + k - step) % k;
                 g.sendrecv(p, dst, src, blocks * block_bytes, tag + j);
                 // Local repack of the forwarded blocks.
-                let r = g.ranks[p];
-                let repack = g.b.calc_on(r, blocks * block_bytes / 64, g.stream);
-                g.b.requires(r, repack, g.frontier[p]);
-                g.frontier[p] = repack;
+                g.calc(p, blocks * block_bytes / 64);
             }
         }
     }
@@ -448,32 +344,7 @@ pub fn reduce_scatter_ring(
     tag: Tag,
     params: &CollParams,
 ) -> Ports {
-    let k = ranks.len();
-    let mut g = Group::new(b, ranks, params.stream);
-    if k > 1 && bytes > 0 {
-        let chunks = chunk_sizes(bytes, k as u64);
-        for s in 0..k - 1 {
-            for p in 0..k {
-                let send_chunk = (p + k - s) % k;
-                let recv_chunk = (p + k - s - 1) % k;
-                let dst = (p + 1) % k;
-                let src = (p + k - 1) % k;
-                let prev = g.frontier[p];
-                let r = g.ranks[p];
-                let snd = g.b.send_on(r, g.ranks[dst], chunks[send_chunk], tag, g.stream);
-                let rcv = g.b.recv_on(r, g.ranks[src], chunks[recv_chunk], tag, g.stream);
-                g.b.requires(r, snd, prev);
-                g.b.requires(r, rcv, prev);
-                let red = g.b.calc_on(r, params.reduce_cost(chunks[recv_chunk]), g.stream);
-                g.b.requires(r, red, rcv);
-                let join = g.b.dummy(r);
-                g.b.requires(r, join, snd);
-                g.b.requires(r, join, red);
-                g.frontier[p] = join;
-            }
-        }
-    }
-    g.finish()
+    ring(b, ranks, bytes, tag, params, 0..1)
 }
 
 /// Binomial-tree gather to `root`: children forward their aggregated
@@ -486,27 +357,9 @@ pub fn gather_binomial(
     tag: Tag,
     params: &CollParams,
 ) -> Ports {
-    let k = ranks.len();
     let mut g = Group::new(b, ranks, params.stream);
-    if k > 1 && block_bytes > 0 {
-        for p in 0..k {
-            let v = (p + k - root) % k;
-            let mut mask = 1usize;
-            while mask < k {
-                if v & mask != 0 {
-                    let parent = (v - mask + root) % k;
-                    // we forward our own block plus everything gathered below
-                    let subtree = mask.min(k - v) as u64;
-                    g.send(p, parent, subtree * block_bytes, tag);
-                    break;
-                } else if v + mask < k {
-                    let child = (v + mask + root) % k;
-                    let subtree = mask.min(k - (v + mask)) as u64;
-                    g.recv(p, child, subtree * block_bytes, tag);
-                }
-                mask <<= 1;
-            }
-        }
+    if block_bytes > 0 {
+        g.binomial_up(root, tag, |subtree| subtree * block_bytes, None);
     }
     g.finish()
 }
@@ -520,43 +373,11 @@ pub fn scatter_binomial(
     tag: Tag,
     params: &CollParams,
 ) -> Ports {
-    let k = ranks.len();
     let mut g = Group::new(b, ranks, params.stream);
-    if k > 1 && block_bytes > 0 {
-        for p in 0..k {
-            let v = (p + k - root) % k;
-            let mut mask = 1usize;
-            while mask < k {
-                if v & mask != 0 {
-                    let parent = (v - mask + root) % k;
-                    let subtree = mask.min(k - v) as u64;
-                    g.recv(p, parent, subtree * block_bytes, tag);
-                    break;
-                }
-                mask <<= 1;
-            }
-            // send phase from high bit down (after the recv, via frontier)
-            let mut mask = prev_pow2(k);
-            while mask > 0 {
-                if v & (mask - 1) == 0 && v & mask == 0 && v + mask < k {
-                    let child = (v + mask + root) % k;
-                    let subtree = mask.min(k - (v + mask)) as u64;
-                    g.send(p, child, subtree * block_bytes, tag);
-                }
-                mask >>= 1;
-            }
-        }
+    if block_bytes > 0 {
+        g.binomial_down(root, tag, |subtree| subtree * block_bytes);
     }
     g.finish()
-}
-
-/// Largest power of two `<= n` (`n >= 1`).
-fn prev_pow2(n: usize) -> usize {
-    let mut p = 1usize;
-    while p * 2 <= n {
-        p *= 2;
-    }
-    p
 }
 
 #[cfg(test)]
@@ -655,7 +476,7 @@ mod tests {
         // Bandwidth-optimal ring should beat recursive doubling on big data
         // (recdoub sends the full buffer log2(k) times) and lose to it on
         // small data (2(k-1) latency-bound steps against log2(k)).
-        let p = CollParams { reduce_ns_per_byte: 0.0, ..CollParams::default() };
+        let p = CollParams { reduce_ps_per_byte: 0, ..CollParams::default() };
         let ranks: Vec<Rank> = (0..8).collect();
         let makespan = |algo: fn(&mut GoalBuilder, &[Rank], u64, u32, &CollParams) -> Ports,
                         bytes: u64| {

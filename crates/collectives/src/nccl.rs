@@ -19,9 +19,11 @@
 //! frontier, so hop h of chunk c overlaps hop h+1 of chunk c-1, exactly the
 //! pipelining a real NCCL ring achieves.
 
+use std::ops::Range;
+
 use atlahs_goal::{GoalBuilder, Rank, Stream, Tag, TaskId};
 
-use crate::{chunk_sizes, Group, Ports};
+use crate::{chunk_sizes, reduce_cost, Group, Ports};
 
 /// NCCL transport protocol (`NCCL_PROTO`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +70,8 @@ pub struct NcclConfig {
     pub algorithm: NcclAlgo,
     /// Chunk size; 0 selects the protocol default.
     pub chunk_bytes: u64,
-    /// Reduction cost (ns per byte) charged on the receiving GPU.
-    // det-lint: allow(float) — protocol cost parameter, folded to integer ns via fixed-order ops
-    pub reduce_ns_per_byte: f64,
+    /// Reduction cost (ps per byte) charged on the receiving GPU.
+    pub reduce_ps_per_byte: u64,
     /// Kernel launch overhead charged once per collective per rank.
     pub launch_ns: u64,
     /// Compute stream the collective's tasks are tagged with.
@@ -84,8 +85,7 @@ impl Default for NcclConfig {
             protocol: NcclProtocol::Simple,
             algorithm: NcclAlgo::Ring,
             chunk_bytes: 0,
-            // det-lint: allow(float) — protocol cost parameter, folded to integer ns via fixed-order ops
-            reduce_ns_per_byte: 0.01,
+            reduce_ps_per_byte: 10,
             launch_ns: 1_500,
             stream: 0,
         }
@@ -101,23 +101,26 @@ impl NcclConfig {
         }
     }
 
-    fn reduce_cost(&self, bytes: u64) -> u64 {
-        // det-lint: allow(float) — protocol cost parameter, folded to integer ns via fixed-order ops
-        (bytes as f64 * self.reduce_ns_per_byte) as u64
+    /// `bytes` cut into near-equal pieces of at most one chunk.
+    fn pieces(&self, bytes: u64) -> Vec<u64> {
+        chunk_sizes(bytes, bytes.div_ceil(self.chunk()))
+    }
+
+    /// Wire bytes of a `data`-byte transfer; never an empty message.
+    fn wire(&self, data: u64) -> u64 {
+        self.protocol.wire_bytes(data).max(1)
     }
 }
 
-/// Split `bytes` into per-channel shares (first channels take the remainder).
-fn channel_shares(bytes: u64, channels: u32) -> Vec<u64> {
-    chunk_sizes(bytes, channels as u64)
-}
-
-fn launch(g: &mut Group<'_>, cfg: &NcclConfig) {
+/// A group whose every participant first pays the kernel launch.
+fn launched<'b>(b: &'b mut GoalBuilder, ranks: &[Rank], cfg: &NcclConfig) -> Group<'b> {
+    let mut g = Group::new(b, ranks, cfg.stream);
     if cfg.launch_ns > 0 {
         for p in 0..g.size() {
             g.calc(p, cfg.launch_ns);
         }
     }
+    g
 }
 
 /// NCCL allreduce. Ring: reduce-scatter + allgather per channel with chunk
@@ -130,98 +133,35 @@ pub fn allreduce(
     cfg: &NcclConfig,
 ) -> Ports {
     match cfg.algorithm {
-        NcclAlgo::Ring => allreduce_ring(b, ranks, bytes, tag, cfg),
+        NcclAlgo::Ring => ring(b, ranks, bytes, tag, cfg, 0..2),
         NcclAlgo::Tree => allreduce_tree(b, ranks, bytes, tag, cfg),
     }
 }
 
-fn allreduce_ring(
+/// The ring collectives: per channel, every rank's block (a `1/k` chunk of
+/// the share when the ring reduces, the whole share for allgather) is cut
+/// into protocol-chunk windows, and each window runs the ring-step
+/// `halves` (0 = reduce-scatter, 1 = allgather).
+fn ring(
     b: &mut GoalBuilder,
     ranks: &[Rank],
     bytes: u64,
     tag: Tag,
     cfg: &NcclConfig,
+    halves: Range<usize>,
 ) -> Ports {
     let k = ranks.len();
-    let mut g = Group::new(b, ranks, cfg.stream);
-    launch(&mut g, cfg);
-    if k > 1 && bytes > 0 {
-        let entry_frontier = g.frontier.clone();
-        // Per-channel frontiers so channels proceed independently.
-        let mut exits: Vec<Vec<TaskId>> = vec![Vec::new(); k];
-        for (c, &share) in channel_shares(bytes, cfg.channels).iter().enumerate() {
-            if share == 0 {
-                continue;
-            }
-            let ctag = tag + c as u32;
-            let mut frontier = entry_frontier.clone();
-            // Ring chunk per rank within this channel.
-            let per_rank = chunk_sizes(share, k as u64);
-            // Pipeline: each per-rank chunk may exceed the protocol chunk;
-            // split into windows that chain on the frontier.
-            let windows = per_rank[0].max(1).div_ceil(cfg.chunk());
-            for w in 0..windows {
-                let piece = |idx: usize| -> u64 {
-                    let total = per_rank[idx];
-                    let base = total / windows;
-                    let rem = total % windows;
-                    base + u64::from(w < rem)
-                };
-                // Reduce-scatter.
-                for s in 0..k - 1 {
-                    ring_step(&mut g, &mut frontier, s, piece, ctag, cfg, true);
-                }
-                // Allgather.
-                for s in k - 1..2 * (k - 1) {
-                    ring_step(&mut g, &mut frontier, s, piece, ctag, cfg, false);
-                }
-            }
-            for p in 0..k {
-                exits[p].push(frontier[p]);
-            }
+    let mut g = launched(b, ranks, cfg);
+    g.channels(bytes, cfg.channels, tag, |g, share, ctag| {
+        let per_rank =
+            if halves.start == 0 { chunk_sizes(share, k as u64) } else { vec![share; k] };
+        let windows = per_rank[0].max(1).div_ceil(cfg.chunk());
+        for w in 0..windows {
+            let piece = |c: usize| per_rank[c] / windows + u64::from(w < per_rank[c] % windows);
+            g.ring_steps(halves.clone(), ctag, piece, |b| cfg.wire(b), cfg.reduce_ps_per_byte);
         }
-        join_channels(&mut g, exits);
-    }
+    });
     g.finish()
-}
-
-/// One synchronized ring step: rank p sends its current chunk to p+1 and
-/// receives from p-1 (with optional reduction), all chained on `frontier`.
-fn ring_step(
-    g: &mut Group<'_>,
-    frontier: &mut [TaskId],
-    s: usize,
-    piece: impl Fn(usize) -> u64,
-    tag: Tag,
-    cfg: &NcclConfig,
-    reduce: bool,
-) {
-    let k = g.size();
-    for (p, front) in frontier.iter_mut().enumerate().take(k) {
-        // Chunk indices mirror the MPI ring; only sizes matter for timing.
-        let send_chunk = (p + 2 * k - s) % k;
-        let recv_chunk = (p + 2 * k - s - 1) % k;
-        let send_bytes = cfg.protocol.wire_bytes(piece(send_chunk));
-        let recv_bytes = cfg.protocol.wire_bytes(piece(recv_chunk));
-        let dst = (p + 1) % k;
-        let src = (p + k - 1) % k;
-        let r = g.ranks[p];
-        let prev = *front;
-        let snd = g.b.send_on(r, g.ranks[dst], send_bytes.max(1), tag, g.stream);
-        let rcv = g.b.recv_on(r, g.ranks[src], recv_bytes.max(1), tag, g.stream);
-        g.b.requires(r, snd, prev);
-        g.b.requires(r, rcv, prev);
-        let mut tail = rcv;
-        if reduce {
-            let red = g.b.calc_on(r, cfg.reduce_cost(piece(recv_chunk)), g.stream);
-            g.b.requires(r, red, rcv);
-            tail = red;
-        }
-        let join = g.b.dummy(r);
-        g.b.requires(r, join, snd);
-        g.b.requires(r, join, tail);
-        *front = join;
-    }
 }
 
 fn allreduce_tree(
@@ -232,68 +172,38 @@ fn allreduce_tree(
     cfg: &NcclConfig,
 ) -> Ports {
     let k = ranks.len();
-    let mut g = Group::new(b, ranks, cfg.stream);
-    launch(&mut g, cfg);
-    if k > 1 && bytes > 0 {
-        let entry_frontier = g.frontier.clone();
-        let mut exits: Vec<Vec<TaskId>> = vec![Vec::new(); k];
-        for (c, &share) in channel_shares(bytes, cfg.channels).iter().enumerate() {
-            if share == 0 {
-                continue;
-            }
-            let ctag = tag + c as u32;
-            let mut frontier = entry_frontier.clone();
-            // Chunks pipeline through the tree.
-            let nchunks = share.div_ceil(cfg.chunk());
-            let chunks = chunk_sizes(share, nchunks);
-            for &chunk in &chunks {
-                let wire = cfg.protocol.wire_bytes(chunk).max(1);
-                // Reduce up: children (2p+1, 2p+2) send to parent p.
-                // Deepest level first so recvs are posted in arrival order.
-                for p in (0..k).rev() {
-                    let r = g.ranks[p];
-                    let left = 2 * p + 1;
-                    let right = 2 * p + 2;
-                    for child in [left, right] {
-                        if child < k {
-                            let rcv = g.b.recv_on(r, g.ranks[child], wire, ctag, g.stream);
-                            g.b.requires(r, rcv, frontier[p]);
-                            let red = g.b.calc_on(r, cfg.reduce_cost(chunk), g.stream);
-                            g.b.requires(r, red, rcv);
-                            frontier[p] = red;
-                        }
-                    }
-                    if p > 0 {
-                        let parent = (p - 1) / 2;
-                        let snd = g.b.send_on(r, g.ranks[parent], wire, ctag, g.stream);
-                        g.b.requires(r, snd, frontier[p]);
-                        frontier[p] = snd;
+    let mut g = launched(b, ranks, cfg);
+    g.channels(bytes, cfg.channels, tag, |g, share, ctag| {
+        // Chunks pipeline through the tree.
+        for chunk in cfg.pieces(share) {
+            let wire = cfg.wire(chunk);
+            let merge = reduce_cost(chunk, cfg.reduce_ps_per_byte);
+            // Reduce up: children (2p+1, 2p+2) send to parent p.
+            // Deepest level first so recvs are posted in arrival order.
+            for p in (0..k).rev() {
+                for child in [2 * p + 1, 2 * p + 2] {
+                    if child < k {
+                        g.recv(p, child, wire, ctag);
+                        g.calc(p, merge);
                     }
                 }
-                // Broadcast down.
-                for (p, front) in frontier.iter_mut().enumerate().take(k) {
-                    let r = g.ranks[p];
-                    if p > 0 {
-                        let parent = (p - 1) / 2;
-                        let rcv = g.b.recv_on(r, g.ranks[parent], wire, ctag, g.stream);
-                        g.b.requires(r, rcv, *front);
-                        *front = rcv;
-                    }
-                    for child in [2 * p + 1, 2 * p + 2] {
-                        if child < k {
-                            let snd = g.b.send_on(r, g.ranks[child], wire, ctag, g.stream);
-                            g.b.requires(r, snd, *front);
-                            *front = snd;
-                        }
-                    }
+                if p > 0 {
+                    g.send(p, (p - 1) / 2, wire, ctag);
                 }
             }
+            // Broadcast down.
             for p in 0..k {
-                exits[p].push(frontier[p]);
+                if p > 0 {
+                    g.recv(p, (p - 1) / 2, wire, ctag);
+                }
+                for child in [2 * p + 1, 2 * p + 2] {
+                    if child < k {
+                        g.send(p, child, wire, ctag);
+                    }
+                }
             }
         }
-        join_channels(&mut g, exits);
-    }
+    });
     g.finish()
 }
 
@@ -308,41 +218,12 @@ pub fn broadcast(
     tag: Tag,
     cfg: &NcclConfig,
 ) -> Ports {
-    let k = ranks.len();
-    let mut g = Group::new(b, ranks, cfg.stream);
-    launch(&mut g, cfg);
-    if k > 1 && bytes > 0 {
-        let entry_frontier = g.frontier.clone();
-        let mut exits: Vec<Vec<TaskId>> = vec![Vec::new(); k];
-        for (c, &share) in channel_shares(bytes, cfg.channels).iter().enumerate() {
-            if share == 0 {
-                continue;
-            }
-            let ctag = tag + c as u32;
-            let mut frontier = entry_frontier.clone();
-            let nchunks = share.div_ceil(cfg.chunk());
-            let chunks = chunk_sizes(share, nchunks);
-            for &chunk in &chunks {
-                let wire = cfg.protocol.wire_bytes(chunk).max(1);
-                for hop in 0..k - 1 {
-                    let from = (root + hop) % k;
-                    let to = (root + hop + 1) % k;
-                    let rf = g.ranks[from];
-                    let rt = g.ranks[to];
-                    let snd = g.b.send_on(rf, rt, wire, ctag, g.stream);
-                    g.b.requires(rf, snd, frontier[from]);
-                    frontier[from] = snd;
-                    let rcv = g.b.recv_on(rt, rf, wire, ctag, g.stream);
-                    g.b.requires(rt, rcv, frontier[to]);
-                    frontier[to] = rcv;
-                }
-            }
-            for p in 0..k {
-                exits[p].push(frontier[p]);
-            }
+    let mut g = launched(b, ranks, cfg);
+    g.channels(bytes, cfg.channels, tag, |g, share, ctag| {
+        for chunk in cfg.pieces(share) {
+            g.ring_relay(root, cfg.wire(chunk), ctag);
         }
-        join_channels(&mut g, exits);
-    }
+    });
     g.finish()
 }
 
@@ -354,37 +235,7 @@ pub fn allgather(
     tag: Tag,
     cfg: &NcclConfig,
 ) -> Ports {
-    let k = ranks.len();
-    let mut g = Group::new(b, ranks, cfg.stream);
-    launch(&mut g, cfg);
-    if k > 1 && block_bytes > 0 {
-        let entry_frontier = g.frontier.clone();
-        let mut exits: Vec<Vec<TaskId>> = vec![Vec::new(); k];
-        for (c, &share) in channel_shares(block_bytes, cfg.channels).iter().enumerate() {
-            if share == 0 {
-                continue;
-            }
-            let ctag = tag + c as u32;
-            let mut frontier = entry_frontier.clone();
-            let windows = share.max(1).div_ceil(cfg.chunk());
-            for w in 0..windows {
-                let base = share / windows;
-                let rem = share % windows;
-                let piece_sz = base + u64::from(w < rem);
-                if piece_sz == 0 {
-                    continue;
-                }
-                for s in 0..k - 1 {
-                    ring_step(&mut g, &mut frontier, s, |_| piece_sz, ctag, cfg, false);
-                }
-            }
-            for p in 0..k {
-                exits[p].push(frontier[p]);
-            }
-        }
-        join_channels(&mut g, exits);
-    }
-    g.finish()
+    ring(b, ranks, block_bytes, tag, cfg, 1..2)
 }
 
 /// NCCL ring reduce-scatter: `bytes` total per rank, each ends with a chunk.
@@ -395,38 +246,7 @@ pub fn reduce_scatter(
     tag: Tag,
     cfg: &NcclConfig,
 ) -> Ports {
-    let k = ranks.len();
-    let mut g = Group::new(b, ranks, cfg.stream);
-    launch(&mut g, cfg);
-    if k > 1 && bytes > 0 {
-        let entry_frontier = g.frontier.clone();
-        let mut exits: Vec<Vec<TaskId>> = vec![Vec::new(); k];
-        for (c, &share) in channel_shares(bytes, cfg.channels).iter().enumerate() {
-            if share == 0 {
-                continue;
-            }
-            let ctag = tag + c as u32;
-            let mut frontier = entry_frontier.clone();
-            let per_rank = chunk_sizes(share, k as u64);
-            let windows = per_rank[0].max(1).div_ceil(cfg.chunk());
-            for w in 0..windows {
-                let piece = |idx: usize| -> u64 {
-                    let total = per_rank[idx];
-                    let base = total / windows;
-                    let rem = total % windows;
-                    base + u64::from(w < rem)
-                };
-                for s in 0..k - 1 {
-                    ring_step(&mut g, &mut frontier, s, piece, ctag, cfg, true);
-                }
-            }
-            for p in 0..k {
-                exits[p].push(frontier[p]);
-            }
-        }
-        join_channels(&mut g, exits);
-    }
-    g.finish()
+    ring(b, ranks, bytes, tag, cfg, 0..1)
 }
 
 /// NCCL alltoall (as used by expert parallelism): direct chunked P2P between
@@ -438,34 +258,9 @@ pub fn alltoall(
     tag: Tag,
     cfg: &NcclConfig,
 ) -> Ports {
-    let k = ranks.len();
-    let mut g = Group::new(b, ranks, cfg.stream);
-    launch(&mut g, cfg);
-    if k > 1 && block_bytes > 0 {
-        let wire = cfg.protocol.wire_bytes(block_bytes).max(1);
-        let entry = g.frontier.clone();
-        let mut last: Vec<Vec<TaskId>> = vec![Vec::new(); k];
-        for i in 1..k {
-            for p in 0..k {
-                let dst = (p + i) % k;
-                let src = (p + k - i) % k;
-                let r = g.ranks[p];
-                let s = g.b.send_on(r, g.ranks[dst], wire, tag, g.stream);
-                let v = g.b.recv_on(r, g.ranks[src], wire, tag, g.stream);
-                g.b.requires(r, s, entry[p]);
-                g.b.requires(r, v, entry[p]);
-                last[p].push(s);
-                last[p].push(v);
-            }
-        }
-        for (p, lasts) in last.iter().enumerate().take(k) {
-            let r = g.ranks[p];
-            let join = g.b.dummy(r);
-            for &t in lasts {
-                g.b.requires(r, join, t);
-            }
-            g.frontier[p] = join;
-        }
+    let mut g = launched(b, ranks, cfg);
+    if block_bytes > 0 {
+        g.fan_exchange(cfg.wire(block_bytes), tag);
     }
     g.finish()
 }
@@ -485,10 +280,8 @@ pub fn p2p(
     let re = b.calc_on(to, cfg.launch_ns, cfg.stream);
     let mut sf = se;
     let mut rf = re;
-    let nchunks = bytes.max(1).div_ceil(cfg.chunk());
-    let chunks = chunk_sizes(bytes.max(1), nchunks);
-    for &chunk in &chunks {
-        let wire = cfg.protocol.wire_bytes(chunk).max(1);
+    for chunk in cfg.pieces(bytes.max(1)) {
+        let wire = cfg.wire(chunk);
         let s = b.send_on(from, to, wire, tag, cfg.stream);
         b.requires(from, s, sf);
         sf = s;
@@ -501,21 +294,6 @@ pub fn p2p(
     let rx = b.calc_on(to, 0, cfg.stream);
     b.requires(to, rx, rf);
     (se, sx, re, rx)
-}
-
-/// Join per-channel exit vertices into each participant's frontier.
-fn join_channels(g: &mut Group<'_>, exits: Vec<Vec<TaskId>>) {
-    for (p, outs) in exits.into_iter().enumerate() {
-        if outs.is_empty() {
-            continue;
-        }
-        let r = g.ranks[p];
-        let join = g.b.dummy(r);
-        for t in outs {
-            g.b.requires(r, join, t);
-        }
-        g.frontier[p] = join;
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! * the human-readable textual format of the original toolchain ([`text`]),
 //! * a compact varint binary format ([`binary`]),
 //! * multi-job / multi-tenant composition ([`merge`]),
-//! * schedule statistics and a simple analytic critical-path model ([`stats`]).
+//! * schedule statistics and send/recv matching ([`stats`]).
 //!
 //! # Example
 //!
@@ -58,10 +58,9 @@ pub mod schedule;
 pub mod stats;
 pub mod task;
 pub mod text;
-pub mod transform;
 
 pub use builder::GoalBuilder;
 pub use error::GoalError;
 pub use schedule::{GoalSchedule, RankSchedule};
-pub use stats::{ScheduleStats, SimpleCostModel};
+pub use stats::ScheduleStats;
 pub use task::{Dep, DepKind, Rank, Stream, Tag, Task, TaskId, TaskKind};

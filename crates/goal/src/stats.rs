@@ -1,6 +1,6 @@
-//! Schedule statistics and a simple analytic cost model.
+//! Schedule statistics and send/recv matching.
 
-use crate::schedule::{GoalSchedule, RankSchedule};
+use crate::schedule::GoalSchedule;
 use crate::task::TaskKind;
 
 /// Aggregate statistics of a schedule.
@@ -44,77 +44,6 @@ impl ScheduleStats {
         }
         s
     }
-}
-
-/// A minimal LogGP-flavoured per-task cost assignment used for quick,
-/// network-oblivious critical-path estimates (no contention, no matching).
-///
-/// All values in nanoseconds (G in ns/byte).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimpleCostModel {
-    /// CPU overhead charged for issuing a send or recv.
-    pub o: u64,
-    /// Wire latency added to a message path (charged on the recv side).
-    pub latency: u64,
-    /// Per-byte cost charged to the sender.
-    // det-lint: allow(float) — analytic LogGP estimate, reporting aid only — never feeds simulated time
-    pub gap_per_byte: f64,
-}
-
-impl Default for SimpleCostModel {
-    fn default() -> Self {
-        // Loosely the paper's AI parameters: o=200ns, L=3700ns, G=0.04ns/B.
-        // det-lint: allow(float) — analytic LogGP estimate, reporting aid only — never feeds simulated time
-        SimpleCostModel { o: 200, latency: 3700, gap_per_byte: 0.04 }
-    }
-}
-
-impl SimpleCostModel {
-    /// Cost assigned to a single task.
-    pub fn task_cost(&self, kind: &TaskKind) -> u64 {
-        match *kind {
-            TaskKind::Calc { cost } => cost,
-            // det-lint: allow(float) — analytic LogGP estimate, reporting aid only — never feeds simulated time
-            TaskKind::Send { bytes, .. } => self.o + (bytes as f64 * self.gap_per_byte) as u64,
-            TaskKind::Recv { .. } => self.o + self.latency,
-        }
-    }
-
-    /// Longest weighted path through one rank's DAG (dependency edges only;
-    /// message timing across ranks is not modelled).
-    pub fn local_critical_path(&self, sched: &RankSchedule) -> u64 {
-        let Some(order) = sched.topo_order() else {
-            return 0;
-        };
-        let mut finish = vec![0u64; sched.num_tasks()];
-        let mut best = 0u64;
-        for id in order {
-            let start = sched.preds(id).iter().map(|p| finish[p.task().index()]).max().unwrap_or(0);
-            let f = start + self.task_cost(&sched.task(id).kind);
-            finish[id.index()] = f;
-            best = best.max(f);
-        }
-        best
-    }
-
-    /// The maximum local critical path over all ranks: a lower bound on any
-    /// simulated makespan that respects per-rank dependencies.
-    pub fn makespan_lower_bound(&self, goal: &GoalSchedule) -> u64 {
-        goal.ranks().iter().map(|r| self.local_critical_path(r)).max().unwrap_or(0)
-    }
-}
-
-/// Earliest-start levels of a rank DAG (level = longest hop count from any
-/// root), useful for visualization and tests.
-pub fn dag_levels(sched: &RankSchedule) -> Option<Vec<u32>> {
-    let order = sched.topo_order()?;
-    let mut level = vec![0u32; sched.num_tasks()];
-    for id in order {
-        for p in sched.preds(id) {
-            level[id.index()] = level[id.index()].max(level[p.task().index()] + 1);
-        }
-    }
-    Some(level)
 }
 
 /// Check that every send in the schedule has a matching recv (same pair of
@@ -188,49 +117,6 @@ mod tests {
         assert_eq!(s.calc_ns, 1000);
         assert_eq!(s.streams, 2);
         assert_eq!(s.deps, 1);
-    }
-
-    #[test]
-    fn critical_path_serial_chain() {
-        let mut b = GoalBuilder::new(1);
-        let ids: Vec<_> = (0..4).map(|_| b.calc(0, 100)).collect();
-        b.chain(0, &ids);
-        let g = b.build().unwrap();
-        let m = SimpleCostModel::default();
-        assert_eq!(m.local_critical_path(g.rank(0)), 400);
-    }
-
-    #[test]
-    fn critical_path_takes_longest_branch() {
-        let mut b = GoalBuilder::new(1);
-        let root = b.calc(0, 10);
-        let short = b.calc(0, 5);
-        let long = b.calc(0, 500);
-        let join = b.calc(0, 1);
-        b.requires(0, short, root);
-        b.requires(0, long, root);
-        b.requires(0, join, short);
-        b.requires(0, join, long);
-        let g = b.build().unwrap();
-        let m = SimpleCostModel { o: 0, latency: 0, gap_per_byte: 0.0 };
-        assert_eq!(m.local_critical_path(g.rank(0)), 511);
-    }
-
-    #[test]
-    fn makespan_lower_bound_is_max_over_ranks() {
-        let mut b = GoalBuilder::new(2);
-        b.calc(0, 10);
-        b.calc(1, 99);
-        let g = b.build().unwrap();
-        let m = SimpleCostModel { o: 0, latency: 0, gap_per_byte: 0.0 };
-        assert_eq!(m.makespan_lower_bound(&g), 99);
-    }
-
-    #[test]
-    fn dag_levels_simple() {
-        let g = sample();
-        let levels = dag_levels(g.rank(0)).unwrap();
-        assert_eq!(levels, vec![0, 1]);
     }
 
     #[test]

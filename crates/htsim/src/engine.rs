@@ -420,10 +420,10 @@ pub struct HtsimBackend {
 /// Everything a run of the packet engine mutates: every port's queue and
 /// link parameters (fault windows rescale them), every flow, the event
 /// queue, the clock, the RNG, the message matcher, NDP pull pacers,
-/// counters, and flow records — plus the *effective* fault table, CC
-/// algorithm and link model, which start as [`HtsimConfig`]'s and are what
-/// the branch overrides ([`HtsimBackend::inject_fault`],
-/// [`HtsimBackend::set_cc`], [`HtsimBackend::set_link_model`]) change.
+/// counters, and flow records — plus the *effective* fault table and link
+/// model, which start as [`HtsimConfig`]'s and are what the branch
+/// overrides ([`HtsimBackend::inject_fault`],
+/// [`HtsimBackend::set_link_model`]) change.
 /// The rule is in [`atlahs_core::snapshot`].
 #[derive(Clone)]
 pub struct HtsimState {
@@ -445,7 +445,6 @@ pub struct HtsimState {
     routes: RouteCache,
     /// In-queue [`Ev::Fault`] events index into this table.
     faults: Vec<PortFault>,
-    cc: CcAlgo,
     link_model: LinkModel,
 }
 
@@ -499,7 +498,6 @@ impl HtsimState {
             arena: Vec::new(),
             routes: RouteCache::default(),
             faults: cfg.faults.clone(),
-            cc: cfg.cc,
             link_model: cfg.link_model,
         }
     }
@@ -590,7 +588,7 @@ impl HtsimBackend {
             }
             // Admission: trim (NDP) or drop on overflow.
             if q + pkt.wire as u64 > port.cap {
-                if self.s.cc == CcAlgo::Ndp {
+                if self.cfg.cc == CcAlgo::Ndp {
                     pkt.kind = PktKind::Trimmed;
                     pkt.wire = HDR_BYTES;
                     self.s.stats.trims += 1;
@@ -795,7 +793,7 @@ impl HtsimBackend {
                     fresh && t.rcvd_count == t.npkts
                 });
                 self.control_packet(pkt.flow, pkt.idx, PktKind::Ack, pkt.ecn, pkt.ecmp);
-                if self.s.cc == CcAlgo::Ndp {
+                if self.cfg.cc == CcAlgo::Ndp {
                     self.add_pull_credit(host, pkt.flow);
                 }
                 if all_in {
@@ -1031,7 +1029,7 @@ impl HtsimBackend {
         let bytes = bytes.max(1);
         let npkts = bytes.div_ceil(MTU as u64) as u32;
         let (path, rpath, salt, rto, cc) = if op.rank == dst {
-            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, CcState::new(self.s.cc, MTU, 1, 1))
+            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, CcState::new(self.cfg.cc, MTU, 1, 1))
         } else {
             let salt = self.s.rng.random::<u64>();
             let path =
@@ -1045,7 +1043,7 @@ impl HtsimBackend {
             // Retransmission timeout: 3×base RTT + 10 MTU.
             // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
             let rto = 3 * base_rtt + (10.0 * MTU as f64 / host_rate) as u64;
-            let cc = CcState::new(self.s.cc, MTU, base_rtt, bdp);
+            let cc = CcState::new(self.cfg.cc, MTU, base_rtt, bdp);
             (path, rpath, salt, rto, cc)
         };
         let in_flight = InFlight {
@@ -1075,15 +1073,6 @@ impl HtsimBackend {
     }
 
     // ---- branch overrides ----------------------------------------------
-
-    /// Switch the congestion-control algorithm mid-run (what-if branch
-    /// override). Flows created after the call use the new algorithm;
-    /// flows already in flight keep their window state but inherit the
-    /// new trim-vs-drop admission behavior. Only the state's effective
-    /// algorithm changes, so a restore or the next run undoes the switch.
-    pub fn set_cc(&mut self, cc: CcAlgo) {
-        self.s.cc = cc;
-    }
 
     /// Switch the per-packet stochastic link model mid-run (what-if
     /// branch override, `--branch loss:...` / `--branch jitter:...`).

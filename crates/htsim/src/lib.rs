@@ -889,7 +889,6 @@ mod tests {
             end_ns: 90_000,
             kind: FaultKind::Down,
         });
-        b.set_cc(CcAlgo::Ndp);
         b.set_link_model(loss_model(100_000, 0x10ad));
         let overridden = driver.finish(&mut b).unwrap();
         assert!(overridden.makespan > clean.makespan, "the overrides must bite");

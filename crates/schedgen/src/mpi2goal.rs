@@ -182,6 +182,18 @@ pub fn convert(trace: &MpiTrace, cfg: &MpiToGoalConfig) -> Result<GoalSchedule, 
                     msg: format!("collective mismatch: rank 0 at {op0:?}, rank {r} at {opr:?}"),
                 });
             }
+            if root(&opr) != root(&op0) {
+                return Err(GoalError::Compose {
+                    msg: format!(
+                        "collective root mismatch: rank 0 at {op0:?}, rank {r} at {opr:?}"
+                    ),
+                });
+            }
+        }
+        if let Some(root) = root(&op0).filter(|&root| root as usize >= n) {
+            return Err(GoalError::Compose {
+                msg: format!("{op0:?}: root {root} is not one of the {n} ranks"),
+            });
         }
         // Pre-collective compute gaps.
         for r in 0..n {
@@ -212,6 +224,17 @@ pub fn convert(trace: &MpiTrace, cfg: &MpiToGoalConfig) -> Result<GoalSchedule, 
 
 fn is_collective(op: &MpiOp) -> bool {
     !matches!(op, MpiOp::Send { .. } | MpiOp::Recv { .. } | MpiOp::Sendrecv { .. })
+}
+
+/// The root rank of a rooted collective.
+fn root(op: &MpiOp) -> Option<u32> {
+    match *op {
+        MpiOp::Bcast { root, .. }
+        | MpiOp::Reduce { root, .. }
+        | MpiOp::Gather { root, .. }
+        | MpiOp::Scatter { root, .. } => Some(root),
+        _ => None,
+    }
 }
 
 fn emit_collective(
@@ -396,6 +419,35 @@ mod tests {
             ],
         };
         assert!(convert(&trace, &MpiToGoalConfig::default()).is_err());
+    }
+
+    /// A root past the group used to underflow the binomial tree's
+    /// renumbering (a panic in debug builds, a wrongly rooted tree in
+    /// release), and one in `ranks..2·ranks` silently re-rooted it.
+    #[test]
+    fn out_of_range_or_disputed_roots_rejected() {
+        let bcast = |roots: &[u32]| MpiTrace {
+            app: "root".into(),
+            timelines: roots
+                .iter()
+                .map(|&root| {
+                    vec![MpiRecord { op: MpiOp::Bcast { bytes: 8, root }, tstart: 0, tend: 1 }]
+                })
+                .collect(),
+        };
+        for (roots, needle) in [
+            (vec![20; 8], "root 20 is not one of the 8 ranks"),
+            (vec![10; 8], "root 10 is not one of the 8 ranks"),
+            (vec![1, 1, 2, 1], "root mismatch"),
+        ] {
+            match convert(&bcast(&roots), &MpiToGoalConfig::default()) {
+                Err(GoalError::Compose { msg }) => {
+                    assert!(msg.contains(needle) && msg.contains("Bcast"), "{msg}")
+                }
+                other => panic!("roots {roots:?}: expected a Compose error, got {other:?}"),
+            }
+        }
+        convert_ok(&bcast(&[7; 8]));
     }
 
     #[test]
