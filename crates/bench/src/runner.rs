@@ -85,7 +85,7 @@ impl HtsimRun {
 /// "non-overlapped computation" bar of Figs. 8/10 — the part of the
 /// runtime no network improvement can remove.
 pub fn compute_only_ns(goal: &GoalSchedule) -> u64 {
-    let mut ideal = IdealBackend::new(1e9, 0);
+    let mut ideal = IdealBackend::new(8_000_000_000, 0);
     let (rep, _) = run_on(goal, &mut ideal);
     rep.makespan
 }

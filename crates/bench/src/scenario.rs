@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use atlahs_core::faultgen::{self, ChurnEvent, Distribution};
-use atlahs_core::{allocate, PlacementStrategy};
+use atlahs_core::{allocate, NsPerByte, PlacementStrategy};
 use atlahs_goal::merge::{compose, PlacedJob};
 use atlahs_goal::GoalSchedule;
 use atlahs_htsim::engine::NetStats;
@@ -132,11 +132,7 @@ impl TopologySpec {
     /// The edge (host-facing) link class, from which the message-level
     /// and ideal backends derive their rate/latency parameters.
     pub fn edge_link(&self) -> LinkParams {
-        match self.config() {
-            TopologyConfig::SingleSwitch { link, .. } => link,
-            TopologyConfig::FatTree2L { edge, .. } => edge,
-            TopologyConfig::Dragonfly { edge, .. } => edge,
-        }
+        self.config().edge_link()
     }
 
     /// The token forms, one per line: what an unknown token's error and
@@ -464,6 +460,7 @@ impl WorkloadSpec {
             WorkloadSpec::Storage { ops: 0, .. } => {
                 Err("a storage run needs at least 1 operation".into())
             }
+            WorkloadSpec::Storage { compress: 0, .. } => Err("compress must be at least 1".into()),
             WorkloadSpec::Llm { scale, .. } | WorkloadSpec::Hpc { scale, .. }
                 if !(scale > 0.0 && scale <= 1.0) =>
             {
@@ -552,11 +549,9 @@ impl WorkloadSpec {
                 nodes: n(nodes)?,
                 scale: num(tok, scale)?,
             }),
-            ["storage", ops, gap, compress] => Ok(WorkloadSpec::Storage {
-                ops: n(ops)?,
-                gap_ns: b(gap)?,
-                compress: b(compress)?.max(1),
-            }),
+            ["storage", ops, gap, compress] => {
+                Ok(WorkloadSpec::Storage { ops: n(ops)?, gap_ns: b(gap)?, compress: b(compress)? })
+            }
             _ => Err(unknown("workload", tok, Self::GRAMMAR)),
         }
     }
@@ -574,9 +569,8 @@ pub fn storage_service_params() -> atlahs_directdrive::ServiceParams {
     atlahs_directdrive::ServiceParams {
         ccs_lookup_ns: 300,
         bss_read_base_ns: 1_500,
-        bss_read_per_byte: 0.005,
         bss_write_base_ns: 2_000,
-        bss_write_per_byte: 0.005,
+        bss_per_byte: NsPerByte::ps(5),
         ..atlahs_directdrive::ServiceParams::default()
     }
 }
@@ -586,7 +580,7 @@ fn storage_goal(ops: usize, gap_ns: u64, compress: u64, seed: u64) -> GoalSchedu
     // Compress arrival timestamps to reach the fabric-saturating offered
     // load the paper's 5k-operation burst represents.
     for rec in &mut trace.records {
-        rec.ts_ns /= compress.max(1);
+        rec.ts_ns /= compress;
     }
     let layout = storage_layout();
     let cfg = StorageToGoalConfig {
@@ -1866,6 +1860,18 @@ mod tests {
         for tok in ["dragonfly:0:0:0", "dragonfly:1:4:2"] {
             let err = TopologySpec::parse(tok).unwrap_err();
             assert_eq!(err, format!("topology `{tok}`: groups must be at least 2"));
+        }
+    }
+
+    /// `storage:<ops>:<gap_ns>:0` used to run as `…:1` under the typed
+    /// token's report key: the compression factor is a divisor, so 0 is an
+    /// error naming the field, and `parse` stays the inverse of `label`.
+    #[test]
+    fn storage_compress_zero_is_rejected_not_rewritten() {
+        let err = WorkloadSpec::parse("storage:500:50:0").unwrap_err();
+        assert_eq!(err, "workload `storage:500:50:0`: compress must be at least 1");
+        for tok in ["storage:500:50:1", "storage:500:50:12"] {
+            assert_eq!(WorkloadSpec::parse(tok).unwrap().label(), tok);
         }
     }
 

@@ -160,7 +160,7 @@ pub fn run(
         }
         BackendSpec::Ideal => {
             let link = topology.edge_link();
-            let build = |_| IdealBackend::new(link.bytes_per_ns(), link.latency_ns);
+            let build = |_| IdealBackend::new(link.gbps, link.latency_ns);
             drive(build, session, goal, branch_at, faults)
         }
         BackendSpec::Testbed => {

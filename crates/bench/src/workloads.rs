@@ -7,9 +7,11 @@
 //! so congestion structure (who shares which link) is authentic while
 //! packet-level simulation stays tractable.
 
+use atlahs_core::NsPerByte;
 use atlahs_goal::GoalSchedule;
 use atlahs_htsim::topology::{LinkParams, TopologyConfig};
 use atlahs_schedgen::{mpi2goal, nccl2goal};
+use atlahs_testbed::TestbedConfig;
 use atlahs_tracers::mpi::{self, HpcAppConfig, MpiTrace, Scaling};
 use atlahs_tracers::nccl::{trace_llm, LlmConfig, NsysReport};
 use atlahs_tracers::storage::{financial_like, OltpConfig, SpcTrace};
@@ -86,7 +88,7 @@ pub fn ai_topology(nodes: usize) -> TopologyConfig {
 pub fn ai_topology_oversubscribed(nodes: usize, ratio: usize) -> TopologyConfig {
     // 8 hosts per ToR keeps multiple ToRs in play from 16 nodes up.
     let hosts_per_tor = if nodes <= 8 { nodes.max(2) } else { 8 };
-    let link = LinkParams { gbps: 200.0, latency_ns: 500 };
+    let link = LinkParams { gbps: 200, latency_ns: 500 };
     TopologyConfig::FatTree2L {
         hosts: nodes,
         hosts_per_tor,
@@ -222,7 +224,7 @@ pub fn hpc_goal(case: &HpcCase, scale: f64, seed: u64) -> (MpiTrace, GoalSchedul
 }
 
 /// HPC fabric link class (ConnectX-3-era 56 Gb/s).
-const HPC_LINK: LinkParams = LinkParams { gbps: 56.0, latency_ns: 600 };
+const HPC_LINK: LinkParams = LinkParams { gbps: 56, latency_ns: 600 };
 
 /// The CSCS test-bed-class HPC fabric: 56 Gb/s links, one ToR per
 /// physical node's worth of MPI ranks (fat tree, fully provisioned).
@@ -240,19 +242,17 @@ pub fn hpc_topology(procs: usize, nodes: usize) -> TopologyConfig {
 /// LogGOPS parameters *calibrated against the testbed emulator* for a
 /// fabric built from `link`, the way the paper fits them to the physical
 /// cluster with Netgauge (§5.3): `L` is the 4-hop cross-ToR path latency
-/// (host→ToR→core→ToR→host), `o` the host overhead, `G` the inverse of
-/// the effective (efficiency-derated) link bandwidth. The single source
-/// of the calibration constants — the HPC/AI helpers below and the
-/// scenario-sweep engine all delegate here.
+/// (host→ToR→core→ToR→host), `o` the testbed's host overhead, `G` the
+/// inverse of its efficiency-derated link bandwidth, `8 / (gbps · pct/100)`
+/// ns per byte. The HPC/AI helpers below and the scenario-sweep engine
+/// all delegate here; the constants are the testbed's own.
 pub fn lgs_params_for_link(link: LinkParams) -> atlahs_lgs::LogGopsParams {
-    let testbed_efficiency = 0.92; // TestbedConfig::new default
-    let host_o = 250; // TestbedConfig::new default
     atlahs_lgs::LogGopsParams {
         l: 4 * link.latency_ns,
-        o: host_o,
+        o: TestbedConfig::HOST_O,
         g: 0,
-        big_g: 1.0 / (link.bytes_per_ns() * testbed_efficiency),
-        big_o: 0.0,
+        big_g: NsPerByte::ratio(800, link.gbps * TestbedConfig::EFFICIENCY_PCT),
+        big_o: NsPerByte::ZERO,
         s: 0,
     }
 }
@@ -264,12 +264,7 @@ pub fn hpc_lgs_params() -> atlahs_lgs::LogGopsParams {
 
 /// LogGOPS parameters calibrated against the testbed on the AI fabric.
 pub fn ai_lgs_params(nodes: usize) -> atlahs_lgs::LogGopsParams {
-    let link = match ai_topology(nodes) {
-        TopologyConfig::FatTree2L { edge, .. } => edge,
-        TopologyConfig::SingleSwitch { link, .. } => link,
-        TopologyConfig::Dragonfly { edge, .. } => edge,
-    };
-    lgs_params_for_link(link)
+    lgs_params_for_link(ai_topology(nodes).edge_link())
 }
 
 // ---------------------------------------------------------- Synthetic ----
@@ -307,7 +302,7 @@ pub fn storage_trace_at_load(operations: usize, mean_gap_ns: u64, seed: u64) -> 
 pub fn storage_topology(hosts: usize, ratio: usize) -> TopologyConfig {
     let hosts_per_tor = 8;
     let padded = hosts.div_ceil(hosts_per_tor) * hosts_per_tor;
-    let link = LinkParams { gbps: 100.0, latency_ns: 500 };
+    let link = LinkParams { gbps: 100, latency_ns: 500 };
     TopologyConfig::FatTree2L {
         hosts: padded,
         hosts_per_tor,

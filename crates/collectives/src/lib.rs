@@ -48,6 +48,7 @@ pub mod nccl;
 
 use std::ops::Range;
 
+use atlahs_core::NsPerByte;
 use atlahs_goal::{GoalBuilder, Rank, Stream, Tag, TaskId};
 
 /// Boundary vertices of a decomposed collective: `entry[i]` / `exit[i]` are
@@ -60,12 +61,12 @@ pub struct Ports {
 }
 
 /// Parameters shared by collective generators.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollParams {
     /// Compute stream the collective's tasks run on.
     pub stream: Stream,
-    /// Cost of reducing one byte, in picoseconds (used for allreduce/reduce).
-    pub reduce_ps_per_byte: u64,
+    /// Cost of reducing one byte, rounded down (used for allreduce/reduce).
+    pub reduce_per_byte: NsPerByte,
     /// Segment size for pipelined algorithms; 0 disables segmentation.
     pub seg_bytes: u64,
 }
@@ -73,7 +74,7 @@ pub struct CollParams {
 impl Default for CollParams {
     fn default() -> Self {
         // ~20 GB/s reduction rate, 64 KiB segments.
-        CollParams { stream: 0, reduce_ps_per_byte: 50, seg_bytes: 64 * 1024 }
+        CollParams { stream: 0, reduce_per_byte: NsPerByte::ps(50), seg_bytes: 64 * 1024 }
     }
 }
 
@@ -82,12 +83,6 @@ impl CollParams {
         self.stream = stream;
         self
     }
-}
-
-/// Nanoseconds to reduce `bytes` at `ps_per_byte` picoseconds per byte,
-/// rounded down.
-pub(crate) fn reduce_cost(bytes: u64, ps_per_byte: u64) -> u64 {
-    (u128::from(bytes) * u128::from(ps_per_byte) / 1000) as u64
 }
 
 /// Internal helper: per-participant entry/exit dummies plus a "frontier"
@@ -175,7 +170,7 @@ impl<'b> Group<'b> {
     /// `p` sends chunk `(p − s) mod k` to `p+1` and receives chunk
     /// `(p − s − 1) mod k` from `p−1`, both after its frontier, each of
     /// `wire(chunk(c))` bytes; in half 0 the received chunk is reduced at
-    /// `reduce_ps_per_byte`. A stream-0 dummy joins the send and the
+    /// `reduce_per_byte`. A stream-0 dummy joins the send and the
     /// receive (or its reduction) into the new frontier.
     fn ring_steps(
         &mut self,
@@ -183,7 +178,7 @@ impl<'b> Group<'b> {
         tag: Tag,
         chunk: impl Fn(usize) -> u64,
         wire: impl Fn(u64) -> u64,
-        reduce_ps_per_byte: u64,
+        reduce_per_byte: NsPerByte,
     ) {
         let k = self.size();
         if k < 2 {
@@ -201,7 +196,7 @@ impl<'b> Group<'b> {
                 self.b.requires(r, rcv, prev);
                 let mut tail = rcv;
                 if s < k - 1 {
-                    let cost = reduce_cost(chunk(recv_chunk), reduce_ps_per_byte);
+                    let cost = reduce_per_byte.trunc(chunk(recv_chunk));
                     tail = self.b.calc_on(r, cost, self.stream);
                     self.b.requires(r, tail, rcv);
                 }
@@ -376,30 +371,6 @@ mod tests {
         assert_eq!(chunk_sizes(7, 1), vec![7]);
         assert_eq!(chunk_sizes(0, 3), vec![0, 0, 0]);
         assert_eq!(chunk_sizes(5, 0), vec![5]);
-    }
-
-    /// The integer cost equals the float formula it replaced,
-    /// `(bytes as f64 * ns_per_byte) as u64`, for the two rates in use —
-    /// exhaustively up to 3·10^6 bytes and on 10^6 pseudo-random sizes
-    /// below 2^48. (They first differ past 2^53, where an f64 stops holding
-    /// every integer.)
-    #[test]
-    fn reduce_cost_equals_the_float_formula() {
-        let rates = [(50, 0.05), (10, 0.01)];
-        let float = |bytes: u64, ns: f64| (bytes as f64 * ns) as u64;
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let random = std::iter::repeat_with(move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x >> 16
-        });
-        for bytes in (0..3_000_000).chain(random.take(1_000_000)) {
-            for (ps, ns) in rates {
-                assert_eq!(reduce_cost(bytes, ps), float(bytes, ns), "{bytes} B at {ps} ps/B");
-            }
-        }
-        assert_eq!(reduce_cost(u64::MAX, 1000), u64::MAX, "the u128 product cannot overflow");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::ops::Range;
 
 use atlahs_goal::{GoalBuilder, Rank, Tag};
 
-use crate::{chunk_sizes, reduce_cost, CollParams, Group, Ports};
+use crate::{chunk_sizes, CollParams, Group, Ports};
 
 /// Binomial-tree broadcast from `root` (participant index).
 pub fn bcast_binomial(
@@ -63,7 +63,7 @@ pub fn reduce_binomial(
     params: &CollParams,
 ) -> Ports {
     let mut g = Group::new(b, ranks, params.stream);
-    let merge = reduce_cost(bytes, params.reduce_ps_per_byte);
+    let merge = params.reduce_per_byte.trunc(bytes);
     g.binomial_up(root, tag, |_| bytes, Some(merge));
     g.finish()
 }
@@ -79,7 +79,7 @@ pub fn allreduce_recdoub(
     params: &CollParams,
 ) -> Ports {
     let k = ranks.len();
-    let merge = reduce_cost(bytes, params.reduce_ps_per_byte);
+    let merge = params.reduce_per_byte.trunc(bytes);
     let mut g = Group::new(b, ranks, params.stream);
     if k > 1 {
         let pof2 = 1 << k.ilog2();
@@ -141,7 +141,7 @@ fn ring(
     let mut g = Group::new(b, ranks, params.stream);
     if bytes > 0 {
         let chunks = chunk_sizes(bytes, ranks.len() as u64);
-        g.ring_steps(halves, tag, |c| chunks[c], |b| b, params.reduce_ps_per_byte);
+        g.ring_steps(halves, tag, |c| chunks[c], |b| b, params.reduce_per_byte);
     }
     g.finish()
 }
@@ -169,7 +169,7 @@ pub fn allreduce_rabenseifner(
             for p in 0..k {
                 let peer = p ^ mask;
                 g.sendrecv(p, peer, peer, piece.max(1), tag);
-                g.calc(p, reduce_cost(piece.max(1), params.reduce_ps_per_byte));
+                g.calc(p, params.reduce_per_byte.trunc(piece.max(1)));
             }
             mask /= 2;
             piece /= 2;
@@ -383,12 +383,12 @@ pub fn scatter_binomial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlahs_core::{backends::IdealBackend, SimReport, Simulation};
+    use atlahs_core::{backends::IdealBackend, NsPerByte, SimReport, Simulation};
     use atlahs_goal::stats::check_matching;
     use atlahs_goal::GoalSchedule;
 
     fn simulate(goal: &GoalSchedule) -> SimReport {
-        let mut b = IdealBackend::new(10.0, 500);
+        let mut b = IdealBackend::new(80, 500);
         Simulation::new(goal).run(&mut b).expect("collective should not deadlock")
     }
 
@@ -476,7 +476,7 @@ mod tests {
         // Bandwidth-optimal ring should beat recursive doubling on big data
         // (recdoub sends the full buffer log2(k) times) and lose to it on
         // small data (2(k-1) latency-bound steps against log2(k)).
-        let p = CollParams { reduce_ps_per_byte: 0, ..CollParams::default() };
+        let p = CollParams { reduce_per_byte: NsPerByte::ZERO, ..CollParams::default() };
         let ranks: Vec<Rank> = (0..8).collect();
         let makespan = |algo: fn(&mut GoalBuilder, &[Rank], u64, u32, &CollParams) -> Ports,
                         bytes: u64| {

@@ -21,9 +21,10 @@
 
 use std::ops::Range;
 
+use atlahs_core::NsPerByte;
 use atlahs_goal::{GoalBuilder, Rank, Stream, Tag, TaskId};
 
-use crate::{chunk_sizes, reduce_cost, Group, Ports};
+use crate::{chunk_sizes, Group, Ports};
 
 /// NCCL transport protocol (`NCCL_PROTO`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +63,7 @@ pub enum NcclAlgo {
 
 /// Configuration of a NCCL communicator, mirroring the environment
 /// variables that select the schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NcclConfig {
     /// Parallel channels (`NCCL_MAX_NCHANNELS`); data is split across them.
     pub channels: u32,
@@ -70,8 +71,8 @@ pub struct NcclConfig {
     pub algorithm: NcclAlgo,
     /// Chunk size; 0 selects the protocol default.
     pub chunk_bytes: u64,
-    /// Reduction cost (ps per byte) charged on the receiving GPU.
-    pub reduce_ps_per_byte: u64,
+    /// Reduction cost per byte, rounded down, charged on the receiving GPU.
+    pub reduce_per_byte: NsPerByte,
     /// Kernel launch overhead charged once per collective per rank.
     pub launch_ns: u64,
     /// Compute stream the collective's tasks are tagged with.
@@ -85,7 +86,7 @@ impl Default for NcclConfig {
             protocol: NcclProtocol::Simple,
             algorithm: NcclAlgo::Ring,
             chunk_bytes: 0,
-            reduce_ps_per_byte: 10,
+            reduce_per_byte: NsPerByte::ps(10),
             launch_ns: 1_500,
             stream: 0,
         }
@@ -158,7 +159,7 @@ fn ring(
         let windows = per_rank[0].max(1).div_ceil(cfg.chunk());
         for w in 0..windows {
             let piece = |c: usize| per_rank[c] / windows + u64::from(w < per_rank[c] % windows);
-            g.ring_steps(halves.clone(), ctag, piece, |b| cfg.wire(b), cfg.reduce_ps_per_byte);
+            g.ring_steps(halves.clone(), ctag, piece, |b| cfg.wire(b), cfg.reduce_per_byte);
         }
     });
     g.finish()
@@ -177,7 +178,7 @@ fn allreduce_tree(
         // Chunks pipeline through the tree.
         for chunk in cfg.pieces(share) {
             let wire = cfg.wire(chunk);
-            let merge = reduce_cost(chunk, cfg.reduce_ps_per_byte);
+            let merge = cfg.reduce_per_byte.trunc(chunk);
             // Reduce up: children (2p+1, 2p+2) send to parent p.
             // Deepest level first so recvs are posted in arrival order.
             for p in (0..k).rev() {
@@ -304,7 +305,7 @@ mod tests {
     use atlahs_goal::{GoalSchedule, ScheduleStats};
 
     fn simulate(goal: &GoalSchedule) -> u64 {
-        let mut b = IdealBackend::new(25.0, 1_000);
+        let mut b = IdealBackend::new(200, 1_000);
         Simulation::new(goal).run(&mut b).expect("no deadlock").makespan
     }
 

@@ -11,6 +11,7 @@
 
 use atlahs_collectives::nccl::{NcclAlgo, NcclConfig, NcclProtocol};
 use atlahs_collectives::{mpi, nccl, CollParams, Ports};
+use atlahs_core::NsPerByte;
 use atlahs_goal::{binary, GoalBuilder, Rank, Tag};
 
 mod reference {
@@ -1251,7 +1252,7 @@ fn mpi_generators_equal_the_reference() {
             let (ps, ns) = REDUCE[(i + j) % REDUCE.len()];
             let stream = ((i + j) % 2) as u32 * 3;
             let tag = 40 + (i + j) as Tag;
-            let p = CollParams { stream, reduce_ps_per_byte: ps, seg_bytes: 0 };
+            let p = CollParams { stream, reduce_per_byte: NsPerByte::ps(ps), seg_bytes: 0 };
             let q = reference::CollParams { stream, reduce_ns_per_byte: ns, seg_bytes: 0 };
             for (name, new, old) in unrooted {
                 let what = format!("mpi::{name} bytes={bytes}");
@@ -1321,7 +1322,7 @@ fn nccl_configs() -> Vec<(NcclConfig, reference::nccl::NcclConfig)> {
                                 protocol,
                                 algorithm,
                                 chunk_bytes,
-                                reduce_ps_per_byte: ps,
+                                reduce_per_byte: NsPerByte::ps(ps),
                                 launch_ns,
                                 stream,
                             },

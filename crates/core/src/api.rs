@@ -36,6 +36,62 @@ use atlahs_goal::{Rank, Tag, TaskId};
 /// Simulated time in nanoseconds.
 pub type Time = u64;
 
+/// An exact per-byte cost of `num/den` nanoseconds per byte.
+///
+/// Every message-level time is `base + bytes × rate`: LogGOPS's `o + O·b`
+/// and `g + G·b`, the Direct Drive media time, the NVLink copy, the ideal
+/// wire time, a reduction. The rate is an integer fraction in lowest terms
+/// (so equal rates compare equal), and a cost is integer arithmetic:
+/// `u64` while `bytes · num` fits, `u128` past that, saturating at
+/// `u64::MAX` when the cost itself does not fit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NsPerByte {
+    num: u64,
+    den: u64,
+}
+
+impl NsPerByte {
+    /// No per-byte cost.
+    pub const ZERO: NsPerByte = NsPerByte { num: 0, den: 1 };
+
+    /// `ps` picoseconds per byte.
+    pub const fn ps(ps: u64) -> Self {
+        Self::ratio(ps, 1000)
+    }
+
+    /// `num/den` nanoseconds per byte; `den` must be positive.
+    pub const fn ratio(num: u64, den: u64) -> Self {
+        assert!(den > 0, "a per-byte rate needs a positive denominator");
+        let (mut a, mut b) = (num, den);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        NsPerByte { num: num / a, den: den / a }
+    }
+
+    /// Nanoseconds for `bytes`, rounded down.
+    pub fn trunc(self, bytes: u64) -> Time {
+        self.cost(bytes, 0)
+    }
+
+    /// Nanoseconds for `bytes`, rounded half up.
+    pub fn round(self, bytes: u64) -> Time {
+        self.cost(bytes, self.den / 2)
+    }
+
+    /// `⌊(bytes · num + bias) / den⌋`; a bias of `⌊den/2⌋` rounds half up.
+    fn cost(self, bytes: u64, bias: u64) -> Time {
+        match bytes.checked_mul(self.num).and_then(|p| p.checked_add(bias)) {
+            Some(p) => p / self.den,
+            None => {
+                let wide = (u128::from(bytes) * u128::from(self.num) + u128::from(bias))
+                    / u128::from(self.den);
+                Time::try_from(wide).unwrap_or(Time::MAX)
+            }
+        }
+    }
+}
+
 /// A reference to one GOAL task instance owned by the scheduler.
 ///
 /// Backends treat this as an opaque token and hand it back in completions.
@@ -135,5 +191,44 @@ mod tests {
         let op = OpRef::new(0, TaskId(0));
         assert_eq!(Completion::done(op, 5).kind, EventKind::Done);
         assert_eq!(Completion::cpu_free(op, 5).kind, EventKind::CpuFree);
+    }
+
+    #[test]
+    fn rates_are_kept_in_lowest_terms() {
+        assert_eq!(NsPerByte::ps(40), NsPerByte::ratio(1, 25));
+        assert_eq!(NsPerByte::ratio(800, 200 * 92), NsPerByte::ratio(1, 23));
+        assert_eq!(NsPerByte::ps(0), NsPerByte::ZERO);
+        assert_eq!(NsPerByte::ZERO.round(u64::MAX), 0);
+    }
+
+    #[test]
+    fn round_breaks_ties_upward_and_trunc_drops_them() {
+        // 0.18 ns/B: 25 B cost exactly 4.5 ns.
+        let g = NsPerByte::ps(180);
+        assert_eq!((g.trunc(25), g.round(25)), (4, 5));
+        assert_eq!((g.trunc(24), g.round(24)), (4, 4));
+        // An odd denominator has no ties: 1/3 and 2/3 of a nanosecond.
+        let third = NsPerByte::ratio(1, 3);
+        assert_eq!((third.round(1), third.round(2), third.round(3)), (0, 1, 1));
+    }
+
+    /// From 1 ns/B up, the cost of `u64::MAX` bytes does not fit in a
+    /// `u64` (or just does): both rounding modes saturate, as the float
+    /// cast they replaced did, instead of wrapping. Below 1 ns/B the
+    /// `u128` path is exact.
+    #[test]
+    fn costs_saturate_instead_of_wrapping() {
+        for rate in [
+            NsPerByte::ps(1000),    // LGS G = 1
+            NsPerByte::ps(2000),    // LGS O = 2
+            NsPerByte::ratio(8, 1), // the ideal backend at 1 Gb/s
+            NsPerByte::ratio(8, 7), // the ideal backend at 7 Gb/s
+            NsPerByte::ratio(3, 2), // a tie-breaking denominator
+        ] {
+            assert_eq!(rate.trunc(u64::MAX), u64::MAX, "{rate:?}");
+            assert_eq!(rate.round(u64::MAX), u64::MAX, "{rate:?}");
+        }
+        assert_eq!(NsPerByte::ratio(1, 2).trunc(u64::MAX), u64::MAX / 2);
+        assert_eq!(NsPerByte::ratio(1, 2).round(u64::MAX), u64::MAX / 2 + 1);
     }
 }

@@ -11,7 +11,7 @@
 use atlahs_eventq::EventQueue;
 use atlahs_goal::{Rank, Tag};
 
-use crate::api::{Backend, Completion, OpRef, Time};
+use crate::api::{Backend, Completion, NsPerByte, OpRef, Time};
 use crate::matcher::{MatchKey, Matcher};
 use crate::snapshot::Snapshot;
 
@@ -28,15 +28,14 @@ enum Ev {
 /// A contention-free fixed-rate network backend.
 ///
 /// * `send` completes once the last byte has left the sender:
-///   `bytes / bandwidth` after issue;
+///   `8 · bytes / gbps` ns after issue, rounded half up;
 /// * the message arrives `latency` ns after that;
 /// * `recv` completes at `max(arrival, post time)`;
 /// * `calc` completes after exactly `cost` ns.
 #[derive(Debug)]
 pub struct IdealBackend {
-    /// Bytes per nanosecond.
-    // det-lint: allow(float) — ideal-backend Gbps parameter; fixed-order IEEE-754 ops, bit-stable
-    bandwidth: f64,
+    /// Wire time per byte: `8 / gbps` ns.
+    per_byte: NsPerByte,
     /// One-way latency in nanoseconds.
     latency: Time,
     s: IdealState,
@@ -54,21 +53,19 @@ pub struct IdealState {
 }
 
 impl IdealBackend {
-    /// `bandwidth` in bytes/ns (e.g. `25.0` for 25 GB/s), `latency` in ns.
-    // det-lint: allow(float) — ideal-backend Gbps parameter; fixed-order IEEE-754 ops, bit-stable
-    pub fn new(bandwidth: f64, latency: Time) -> Self {
-        // det-lint: allow(float) — ideal-backend Gbps parameter; fixed-order IEEE-754 ops, bit-stable
-        assert!(bandwidth > 0.0, "bandwidth must be positive");
-        IdealBackend { bandwidth, latency, s: IdealState::default() }
+    /// Line rate in Gb/s (e.g. `200` for 25 B/ns), `latency` in ns.
+    pub fn new(gbps: u64, latency: Time) -> Self {
+        assert!(gbps > 0, "bandwidth must be positive");
+        IdealBackend { per_byte: NsPerByte::ratio(8, gbps), latency, s: IdealState::default() }
     }
 
     fn push(&mut self, time: Time, ev: Ev) {
         self.s.events.push(time, ev);
     }
 
-    fn tx_time(&self, bytes: u64) -> Time {
-        // det-lint: allow(float) — ideal-backend Gbps parameter; fixed-order IEEE-754 ops, bit-stable
-        (bytes as f64 / self.bandwidth).round() as Time
+    /// Time for the last of `bytes` to leave the sender.
+    pub fn tx_time(&self, bytes: u64) -> Time {
+        self.per_byte.round(bytes)
     }
 }
 
@@ -89,7 +86,11 @@ impl Backend for IdealBackend {
         // The arrival is processed as its own event so matching happens in
         // simulated-time order.
         self.push(arrive, Ev::Arrive(key));
-        self.matcher_stash(key, arrive);
+        // Record the message in flight; a recv already posted completes
+        // at the arrival.
+        if let Some(recv_op) = self.s.matcher.offer_send(key, arrive) {
+            self.push(arrive, Ev::Done(recv_op));
+        }
     }
 
     fn recv(&mut self, op: OpRef, src: Rank, _bytes: u64, tag: Tag) {
@@ -129,16 +130,6 @@ impl Backend for IdealBackend {
     }
 }
 
-impl IdealBackend {
-    /// Record an in-flight message; if a recv is already posted, schedule its
-    /// completion at the arrival time.
-    fn matcher_stash(&mut self, key: MatchKey, arrive: Time) {
-        if let Some(recv_op) = self.s.matcher.offer_send(key, arrive) {
-            self.push(arrive, Ev::Done(recv_op));
-        }
-    }
-}
-
 impl Snapshot for IdealBackend {
     type State = IdealState;
 
@@ -162,7 +153,7 @@ mod tests {
 
     #[test]
     fn calc_completes_after_cost() {
-        let mut b = IdealBackend::new(1.0, 10);
+        let mut b = IdealBackend::new(8, 10);
         b.simulation_setup(1);
         b.calc(op(0, 0), 42);
         let c = b.next_event().unwrap();
@@ -173,7 +164,7 @@ mod tests {
 
     #[test]
     fn send_then_recv_ordering() {
-        let mut b = IdealBackend::new(2.0, 10);
+        let mut b = IdealBackend::new(16, 10);
         b.simulation_setup(2);
         b.send(op(0, 0), 1, 100, 0); // tx = 50, arrive = 60
         b.recv(op(1, 0), 0, 100, 0);
@@ -192,7 +183,7 @@ mod tests {
 
     #[test]
     fn events_in_time_order_with_fifo_ties() {
-        let mut b = IdealBackend::new(1.0, 0);
+        let mut b = IdealBackend::new(8, 0);
         b.simulation_setup(1);
         b.calc(op(0, 1), 5);
         b.calc(op(0, 2), 5);
@@ -203,7 +194,7 @@ mod tests {
 
     #[test]
     fn setup_resets_state() {
-        let mut b = IdealBackend::new(1.0, 0);
+        let mut b = IdealBackend::new(8, 0);
         b.simulation_setup(1);
         b.calc(op(0, 0), 5);
         b.simulation_setup(1);
@@ -214,6 +205,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "bandwidth must be positive")]
     fn zero_bandwidth_rejected() {
-        let _ = IdealBackend::new(0.0, 0);
+        let _ = IdealBackend::new(0, 0);
     }
 }

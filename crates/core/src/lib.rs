@@ -28,7 +28,7 @@
 //! b.recv(1, 0, 4096, 0);
 //! let goal = b.build().unwrap();
 //!
-//! let mut backend = IdealBackend::new(1_000.0, 500); // 1000 B/ns, 500 ns latency
+//! let mut backend = IdealBackend::new(8_000, 500); // 8000 Gb/s (1000 B/ns), 500 ns latency
 //! let report = Simulation::new(&goal).run(&mut backend).unwrap();
 //! assert!(report.makespan > 1_000);
 //! ```
@@ -43,7 +43,7 @@ pub mod placement;
 pub mod scheduler;
 pub mod snapshot;
 
-pub use api::{Backend, Completion, OpRef, Time};
+pub use api::{Backend, Completion, NsPerByte, OpRef, Time};
 pub use matcher::Matcher;
 pub use placement::{allocate, FragStats, NodePool, PlacementStrategy};
 pub use scheduler::{RunState, SimDriver, SimError, SimReport, Simulation};

@@ -466,7 +466,7 @@ mod tests {
     use atlahs_goal::GoalBuilder;
 
     fn run(goal: &GoalSchedule) -> SimReport {
-        let mut b = IdealBackend::new(1.0, 100);
+        let mut b = IdealBackend::new(8, 100);
         Simulation::new(goal).run(&mut b).unwrap()
     }
 
@@ -588,7 +588,7 @@ mod tests {
         let mut b = GoalBuilder::new(2);
         b.recv(1, 0, 100, 7);
         let goal = b.build().unwrap();
-        let mut backend = IdealBackend::new(1.0, 100);
+        let mut backend = IdealBackend::new(8, 100);
         let err = Simulation::new(&goal).run(&mut backend).unwrap_err();
         match err {
             SimError::Deadlock { completed, total, sample } => {
@@ -693,11 +693,11 @@ mod tests {
         }
         let goal = b.build().unwrap();
 
-        let mut straight_backend = IdealBackend::new(1.0, 100);
+        let mut straight_backend = IdealBackend::new(8, 100);
         let straight = Simulation::new(&goal).run(&mut straight_backend).unwrap();
 
         for bound in [0u64, 1, 300, 700, 1_500, u64::MAX] {
-            let mut backend = IdealBackend::new(1.0, 100);
+            let mut backend = IdealBackend::new(8, 100);
             let mut driver = SimDriver::start(&goal, &mut backend);
             let state = driver.run_until(&mut backend, bound).unwrap();
             if bound == u64::MAX {
@@ -721,7 +721,7 @@ mod tests {
         let ids: Vec<_> = (0..5).map(|_| b.calc(0, 100)).collect();
         b.chain(0, &ids);
         let goal = b.build().unwrap();
-        let mut backend = IdealBackend::new(1.0, 0);
+        let mut backend = IdealBackend::new(8, 0);
         let mut driver = SimDriver::start(&goal, &mut backend);
         // Events fire at 100, 200, ...; the first event at time >= 250
         // is the one at 300, and run_until processes it before pausing.

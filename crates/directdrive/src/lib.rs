@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 
+use atlahs_core::NsPerByte;
 use atlahs_goal::{GoalBuilder, Rank, TaskId};
 use atlahs_tracers::storage::SpcTrace;
 
@@ -73,14 +74,12 @@ impl DirectDriveLayout {
 pub struct ServiceParams {
     /// CCS slab-lookup compute (ns).
     pub ccs_lookup_ns: u64,
-    /// BSS media read: base + per-byte (ns).
+    /// BSS media read base time (ns).
     pub bss_read_base_ns: u64,
-    // det-lint: allow(float) — per-byte cost parameter, one fixed-order multiply then integer cast
-    pub bss_read_per_byte: f64,
-    /// BSS media write: base + per-byte (ns).
+    /// BSS media write base time (ns).
     pub bss_write_base_ns: u64,
-    // det-lint: allow(float) — per-byte cost parameter, one fixed-order multiply then integer cast
-    pub bss_write_per_byte: f64,
+    /// BSS media time per byte, read or write, on top of the base.
+    pub bss_per_byte: NsPerByte,
     /// Control message sizes (bytes).
     pub req_bytes: u64,
     pub resp_bytes: u64,
@@ -96,17 +95,23 @@ impl Default for ServiceParams {
         ServiceParams {
             ccs_lookup_ns: 2_000,
             bss_read_base_ns: 15_000,
-            // det-lint: allow(float) — per-byte cost parameter, one fixed-order multiply then integer cast
-            bss_read_per_byte: 0.05,
             bss_write_base_ns: 20_000,
-            // det-lint: allow(float) — per-byte cost parameter, one fixed-order multiply then integer cast
-            bss_write_per_byte: 0.05,
+            bss_per_byte: NsPerByte::ps(50),
             req_bytes: 256,
             resp_bytes: 128,
             ack_bytes: 64,
             replicas: 3,
             slab_blocks: (64 << 20) / 512,
         }
+    }
+}
+
+impl ServiceParams {
+    /// BSS media time of a `bytes`-byte read or write: its base plus the
+    /// per-byte time, rounded down.
+    pub fn media_ns(&self, write: bool, bytes: u64) -> u64 {
+        let base = if write { self.bss_write_base_ns } else { self.bss_read_base_ns };
+        base + self.bss_per_byte.trunc(bytes)
     }
 }
 
@@ -172,11 +177,7 @@ pub fn trace_to_goal(
             b.requires(client, s_data, r_resp);
             let r_data = b.recv(primary, client, rec.bytes as u64, tag);
             // Primary persists and fans out to secondaries concurrently.
-            let w_prim = b.calc(
-                primary,
-                // det-lint: allow(float) — per-byte cost parameter, one fixed-order multiply then integer cast
-                params.bss_write_base_ns + (rec.bytes as f64 * params.bss_write_per_byte) as u64,
-            );
+            let w_prim = b.calc(primary, params.media_ns(true, rec.bytes as u64));
             b.requires(primary, w_prim, r_data);
             let mut acks = Vec::new();
             for &sec_i in &repl[1..] {
@@ -184,12 +185,7 @@ pub fn trace_to_goal(
                 let s_rep = b.send(primary, sec, rec.bytes as u64, tag);
                 b.requires(primary, s_rep, r_data);
                 let r_rep = b.recv(sec, primary, rec.bytes as u64, tag);
-                let w_sec = b.calc(
-                    sec,
-                    params.bss_write_base_ns
-                        // det-lint: allow(float) — per-byte cost parameter, one fixed-order multiply then integer cast
-                        + (rec.bytes as f64 * params.bss_write_per_byte) as u64,
-                );
+                let w_sec = b.calc(sec, params.media_ns(true, rec.bytes as u64));
                 b.requires(sec, w_sec, r_rep);
                 let s_ack = b.send(sec, primary, params.ack_bytes, tag);
                 b.requires(sec, s_ack, w_sec);
@@ -210,11 +206,7 @@ pub fn trace_to_goal(
             let s_rreq = b.send(client, primary, params.req_bytes, tag);
             b.requires(client, s_rreq, r_resp);
             let r_rreq = b.recv(primary, client, params.req_bytes, tag);
-            let media = b.calc(
-                primary,
-                // det-lint: allow(float) — per-byte cost parameter, one fixed-order multiply then integer cast
-                params.bss_read_base_ns + (rec.bytes as f64 * params.bss_read_per_byte) as u64,
-            );
+            let media = b.calc(primary, params.media_ns(false, rec.bytes as u64));
             b.requires(primary, media, r_rreq);
             let s_data = b.send(primary, client, rec.bytes as u64, tag);
             b.requires(primary, s_data, media);
@@ -274,7 +266,7 @@ mod tests {
         assert_eq!(done.len(), 100);
         let goal = b.build().unwrap();
         check_matching(&goal).unwrap();
-        let mut backend = IdealBackend::new(12.5, 500);
+        let mut backend = IdealBackend::new(100, 500);
         let rep = Simulation::new(&goal).run(&mut backend).unwrap();
         assert_eq!(rep.completed, goal.total_tasks());
     }
@@ -334,7 +326,7 @@ mod tests {
         let mut b = GoalBuilder::new(layout.total_ranks());
         trace_to_goal(&trace, &layout, &params, &mut b);
         let goal = b.build().unwrap();
-        let mut backend = IdealBackend::new(1000.0, 1);
+        let mut backend = IdealBackend::new(8000, 1);
         let rep = Simulation::new(&goal).run(&mut backend).unwrap();
         assert!(rep.makespan >= 1_000_000, "{}", rep.makespan);
     }
@@ -350,7 +342,7 @@ mod tests {
             let mut b = GoalBuilder::new(layout.total_ranks());
             trace_to_goal(&trace, &layout, &params, &mut b);
             let goal = b.build().unwrap();
-            let mut backend = IdealBackend::new(12.5, 500);
+            let mut backend = IdealBackend::new(100, 500);
             Simulation::new(&goal).run(&mut backend).unwrap().makespan
         };
         // (identical arrival pacing; concurrency shows up in the tail)

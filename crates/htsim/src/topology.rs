@@ -20,11 +20,10 @@ use std::collections::HashMap;
 use atlahs_eventq::hash::FastBuildHasher;
 
 /// Physical parameters of one link class.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkParams {
     /// Line rate in Gbit/s.
-    // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-    pub gbps: f64,
+    pub gbps: u64,
     /// Propagation latency in ns.
     pub latency_ns: u64,
 }
@@ -34,15 +33,14 @@ impl LinkParams {
     // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
     pub fn bytes_per_ns(&self) -> f64 {
         // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-        self.gbps / 8.0
+        self.gbps as f64 / 8.0
     }
 }
 
 impl Default for LinkParams {
     fn default() -> Self {
         // 100 Gb/s, 500 ns per hop.
-        // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-        LinkParams { gbps: 100.0, latency_ns: 500 }
+        LinkParams { gbps: 100, latency_ns: 500 }
     }
 }
 
@@ -115,8 +113,15 @@ impl TopologyConfig {
             global_per_router,
             edge: LinkParams::default(),
             local: LinkParams::default(),
-            // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-            global: LinkParams { gbps: 100.0, latency_ns: 1_500 }, // long fibres
+            global: LinkParams { gbps: 100, latency_ns: 1_500 }, // long fibres
+        }
+    }
+
+    /// The edge (host-facing) link class.
+    pub fn edge_link(&self) -> LinkParams {
+        match *self {
+            TopologyConfig::SingleSwitch { link, .. } => link,
+            TopologyConfig::FatTree2L { edge, .. } | TopologyConfig::Dragonfly { edge, .. } => edge,
         }
     }
 

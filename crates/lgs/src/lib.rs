@@ -5,16 +5,19 @@
 //! an eager/rendezvous switch `S`), the model behind the original
 //! LogGOPSim and the "ATLAHS LGS" configuration of the paper.
 //!
-//! Parameters (all times ns, rates ns/byte):
+//! Parameters:
 //!
-//! | param | meaning |
-//! |-------|---------|
-//! | `L`   | wire latency between any two ranks |
-//! | `o`   | per-message CPU overhead (send and recv side) |
-//! | `g`   | inter-message gap at the NIC |
-//! | `G`   | per-byte gap (inverse bandwidth) at the NIC |
-//! | `O`   | per-byte CPU overhead |
-//! | `S`   | rendezvous threshold: messages larger than `S` handshake first (`0` disables) |
+//! | param | unit | meaning |
+//! |-------|------|---------|
+//! | `L`   | ns | wire latency between any two ranks |
+//! | `o`   | ns | per-message CPU overhead (send and recv side) |
+//! | `g`   | ns | inter-message gap at the NIC |
+//! | `G`   | ns/B, an exact fraction | per-byte gap (inverse bandwidth) at the NIC |
+//! | `O`   | ns/B, an exact fraction | per-byte CPU overhead |
+//! | `S`   | B  | rendezvous threshold: messages larger than `S` handshake first (`0` disables) |
+//!
+//! `G` and `O` are [`NsPerByte`] rates; `G·b` and `O·b` round half up to
+//! whole nanoseconds.
 //!
 //! ## Operation timing
 //!
@@ -30,18 +33,19 @@
 //!   `o + O·b` after the matched payload has fully arrived (and the
 //!   receiving NIC charged its `g`).
 //!
-//! The paper's parameters: AI (Alps): `L=3700, o=200, g=5, G=0.04, O=0, S=0`;
-//! HPC test-bed: `L=3000, o=6000, g=0, G=0.18, O=0, S=256000`.
+//! The paper's parameters: AI (Alps): `L=3700, o=200, g=5, G=1/25 (0.04),
+//! O=0, S=0`; HPC test-bed: `L=3000, o=6000, g=0, G=9/50 (0.18), O=0,
+//! S=256000`.
 
 #![forbid(unsafe_code)]
 
 use atlahs_core::matcher::MatchKey;
-use atlahs_core::{Backend, Completion, Matcher, OpRef, Snapshot, Time};
+use atlahs_core::{Backend, Completion, Matcher, NsPerByte, OpRef, Snapshot, Time};
 use atlahs_eventq::EventQueue;
 use atlahs_goal::{Rank, Tag};
 
 /// LogGOPS parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogGopsParams {
     /// Wire latency (ns).
     pub l: u64,
@@ -49,12 +53,10 @@ pub struct LogGopsParams {
     pub o: u64,
     /// Inter-message NIC gap (ns).
     pub g: u64,
-    /// Per-byte NIC gap (ns/byte) — `G`.
-    // det-lint: allow(float) — LogGOPS paper parameter; fixed-order IEEE-754 ops, bit-stable
-    pub big_g: f64,
-    /// Per-byte CPU overhead (ns/byte) — `O`.
-    // det-lint: allow(float) — LogGOPS paper parameter; fixed-order IEEE-754 ops, bit-stable
-    pub big_o: f64,
+    /// Per-byte NIC gap — `G`.
+    pub big_g: NsPerByte,
+    /// Per-byte CPU overhead — `O`.
+    pub big_o: NsPerByte,
     /// Rendezvous threshold (bytes) — `S`; 0 disables rendezvous.
     pub s: u64,
 }
@@ -62,38 +64,31 @@ pub struct LogGopsParams {
 impl LogGopsParams {
     /// The paper's AI validation parameters (Alps, §5.2).
     pub fn ai_alps() -> Self {
-        // det-lint: allow(float) — LogGOPS paper parameter; fixed-order IEEE-754 ops, bit-stable
-        LogGopsParams { l: 3700, o: 200, g: 5, big_g: 0.04, big_o: 0.0, s: 0 }
+        Self { l: 3700, o: 200, g: 5, big_g: NsPerByte::ps(40), big_o: NsPerByte::ZERO, s: 0 }
     }
 
     /// The paper's HPC validation parameters (§5.3).
     pub fn hpc_testbed() -> Self {
-        // det-lint: allow(float) — LogGOPS paper parameter; fixed-order IEEE-754 ops, bit-stable
-        LogGopsParams { l: 3000, o: 6000, g: 0, big_g: 0.18, big_o: 0.0, s: 256_000 }
-    }
-
-    #[inline]
-    fn cpu_cost(&self, bytes: u64) -> u64 {
-        // `O = 0` in both of the paper's calibrations: skip the f64
-        // round-trip on that hot path (identical result — 0.0 rounds to 0).
-        // det-lint: allow(float) — LogGOPS paper parameter; fixed-order IEEE-754 ops, bit-stable
-        if self.big_o == 0.0 {
-            self.o
-        } else {
-            // det-lint: allow(float) — LogGOPS paper parameter; fixed-order IEEE-754 ops, bit-stable
-            self.o + (bytes as f64 * self.big_o).round() as u64
+        LogGopsParams {
+            l: 3000,
+            o: 6000,
+            g: 0,
+            big_g: NsPerByte::ps(180),
+            big_o: NsPerByte::ZERO,
+            s: 256_000,
         }
     }
 
+    /// CPU time of a `bytes`-byte send or receive: `o + O·b`.
     #[inline]
-    fn nic_cost(&self, bytes: u64) -> u64 {
-        // det-lint: allow(float) — LogGOPS paper parameter; fixed-order IEEE-754 ops, bit-stable
-        if self.big_g == 0.0 {
-            self.g
-        } else {
-            // det-lint: allow(float) — LogGOPS paper parameter; fixed-order IEEE-754 ops, bit-stable
-            self.g + (bytes as f64 * self.big_g).round() as u64
-        }
+    pub fn cpu_cost(&self, bytes: u64) -> u64 {
+        self.o + self.big_o.round(bytes)
+    }
+
+    /// NIC occupancy of a `bytes`-byte message: `g + G·b`.
+    #[inline]
+    pub fn nic_cost(&self, bytes: u64) -> u64 {
+        self.g + self.big_g.round(bytes)
     }
 
     #[inline]
@@ -426,7 +421,7 @@ mod tests {
 
     #[test]
     fn eager_ping_timing_exact() {
-        // o=200, g=5, G=0.04, L=3700, O=0:
+        // o=200, g=5, G=1/25, L=3700, O=0:
         // send done at o=200; wire: 200 + 5 + 40 = 245; arrive 3945;
         // recv done at 3945 + 200 = 4145.
         let p = LogGopsParams::ai_alps();
@@ -438,7 +433,14 @@ mod tests {
     #[test]
     fn rendezvous_ping_timing_exact() {
         // s=100 so 1000B is rendezvous. o=100, g=0, G=1, L=500, O=0.
-        let p = LogGopsParams { l: 500, o: 100, g: 0, big_g: 1.0, big_o: 0.0, s: 100 };
+        let p = LogGopsParams {
+            l: 500,
+            o: 100,
+            g: 0,
+            big_g: NsPerByte::ps(1000),
+            big_o: NsPerByte::ZERO,
+            s: 100,
+        };
         let rep = run(&ping(1000), p);
         // send cpu done 100; RTS at 600; recv posted at 0 -> CTS at 600+100+500=1200;
         // data tx 1200..2200 (G=1ns/B); send done 2200; arrive 2700;
@@ -449,7 +451,14 @@ mod tests {
 
     #[test]
     fn rendezvous_waits_for_late_recv() {
-        let p = LogGopsParams { l: 500, o: 100, g: 0, big_g: 1.0, big_o: 0.0, s: 100 };
+        let p = LogGopsParams {
+            l: 500,
+            o: 100,
+            g: 0,
+            big_g: NsPerByte::ps(1000),
+            big_o: NsPerByte::ZERO,
+            s: 100,
+        };
         let mut b = GoalBuilder::new(2);
         b.send(0, 1, 1000, 0);
         let c = b.calc(1, 50_000);
@@ -466,7 +475,14 @@ mod tests {
     #[test]
     fn nic_gap_serializes_back_to_back_sends() {
         // Two eager sends from rank 0: NIC occupancy serializes the wire.
-        let p = LogGopsParams { l: 0, o: 10, g: 100, big_g: 0.0, big_o: 0.0, s: 0 };
+        let p = LogGopsParams {
+            l: 0,
+            o: 10,
+            g: 100,
+            big_g: NsPerByte::ZERO,
+            big_o: NsPerByte::ZERO,
+            s: 0,
+        };
         let mut b = GoalBuilder::new(2);
         b.send(0, 1, 8, 0);
         b.send(0, 1, 8, 1);
@@ -482,7 +498,14 @@ mod tests {
 
     #[test]
     fn per_byte_cpu_overhead_counts() {
-        let p = LogGopsParams { l: 0, o: 0, g: 0, big_g: 0.0, big_o: 2.0, s: 0 };
+        let p = LogGopsParams {
+            l: 0,
+            o: 0,
+            g: 0,
+            big_g: NsPerByte::ZERO,
+            big_o: NsPerByte::ps(2000),
+            s: 0,
+        };
         let rep = run(&ping(100), p);
         // send done at 200 (O*b), arrive 200, recv done 200 + 200.
         assert_eq!(rep.rank_finish[0], 200);
@@ -493,7 +516,14 @@ mod tests {
     fn exchange_pattern_no_deadlock_under_rendezvous() {
         // Both ranks send then recv (same stream). Rendezvous requires the
         // peer's recv to be posted; CpuFree after o lets the recv post.
-        let p = LogGopsParams { l: 100, o: 10, g: 0, big_g: 0.1, big_o: 0.0, s: 10 };
+        let p = LogGopsParams {
+            l: 100,
+            o: 10,
+            g: 0,
+            big_g: NsPerByte::ps(100),
+            big_o: NsPerByte::ZERO,
+            s: 10,
+        };
         let mut b = GoalBuilder::new(2);
         b.send(0, 1, 1000, 0);
         b.recv(0, 1, 1000, 0);
@@ -530,8 +560,8 @@ mod tests {
 
     #[test]
     fn bandwidth_bound_scales_with_g() {
-        let slow = LogGopsParams { big_g: 1.0, ..LogGopsParams::ai_alps() };
-        let fast = LogGopsParams { big_g: 0.01, ..LogGopsParams::ai_alps() };
+        let slow = LogGopsParams { big_g: NsPerByte::ps(1000), ..LogGopsParams::ai_alps() };
+        let fast = LogGopsParams { big_g: NsPerByte::ps(10), ..LogGopsParams::ai_alps() };
         let t_slow = run(&ping(1 << 20), slow).makespan;
         let t_fast = run(&ping(1 << 20), fast).makespan;
         assert!(t_slow > 50 * t_fast, "slow {t_slow} vs fast {t_fast}");

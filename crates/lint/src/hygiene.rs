@@ -26,12 +26,8 @@ pub fn run(root: &Path, rust_sources: &[(String, String)]) -> Vec<Finding> {
     let mut goldens: Vec<std::path::PathBuf> = match fs::read_dir(&goldens_dir) {
         Ok(rd) => rd.filter_map(|e| e.ok().map(|e| e.path())).filter(|p| p.is_file()).collect(),
         Err(_) => {
-            out.push(Finding {
-                file: "tests/goldens".into(),
-                line: 0,
-                rule: "golden-missing".into(),
-                message: "golden directory tests/goldens/ not found".into(),
-            });
+            let why = "golden directory tests/goldens/ not found";
+            out.push(Finding::new("tests/goldens", 0, "golden-missing", why));
             return out;
         }
     };
@@ -39,35 +35,22 @@ pub fn run(root: &Path, rust_sources: &[(String, String)]) -> Vec<Finding> {
     for path in &goldens {
         let name = path.file_name().unwrap_or_default().to_string_lossy().into_owned();
         let rel = format!("tests/goldens/{name}");
-        match fs::read_to_string(path) {
+        let invalid = match fs::read_to_string(path) {
             Ok(body) => {
-                if let Err(e) = json::validate(&body) {
-                    out.push(Finding {
-                        file: rel.clone(),
-                        line: 0,
-                        rule: "golden-parse".into(),
-                        message: format!("golden is not valid JSON: {e}"),
-                    });
-                }
+                json::validate(&body).err().map(|e| format!("golden is not valid JSON: {e}"))
             }
-            Err(e) => out.push(Finding {
-                file: rel.clone(),
-                line: 0,
-                rule: "golden-parse".into(),
-                message: format!("golden unreadable: {e}"),
-            }),
+            Err(e) => Some(format!("golden unreadable: {e}")),
+        };
+        if let Some(why) = invalid {
+            out.push(Finding::new(&rel, 0, "golden-parse", why));
         }
         let referenced =
             ci.contains(&name) || rust_sources.iter().any(|(_, src)| src.contains(&name));
         if !referenced {
-            out.push(Finding {
-                file: rel,
-                line: 0,
-                rule: "golden-orphan".into(),
-                message: format!(
-                    "orphan golden: `{name}` is referenced by no test source and no ci.sh stage"
-                ),
-            });
+            let why = format!(
+                "orphan golden: `{name}` is referenced by no test source and no ci.sh stage"
+            );
+            out.push(Finding::new(&rel, 0, "golden-orphan", why));
         }
     }
 
@@ -81,12 +64,8 @@ pub fn run(root: &Path, rust_sources: &[(String, String)]) -> Vec<Finding> {
                 .unwrap_or(tail.len());
             let rel = &tail[..end];
             if rel.len() > "tests/goldens/".len() && !root.join(rel).is_file() {
-                out.push(Finding {
-                    file: "ci.sh".into(),
-                    line: (lineno + 1) as u32,
-                    rule: "golden-missing".into(),
-                    message: format!("ci.sh references `{rel}`, which does not exist"),
-                });
+                let why = format!("ci.sh references `{rel}`, which does not exist");
+                out.push(Finding::new("ci.sh", (lineno + 1) as u32, "golden-missing", why));
             }
             rest = &tail[end..];
         }

@@ -16,7 +16,9 @@
 //!    root must carry `#![forbid(unsafe_code)]`.
 //! 2. **Annotations** — legitimate sites are exempted in place via
 //!    `// det-lint: allow(<rule>) — <reason>` (`annotations`), and an
-//!    annotation that no longer suppresses anything is itself an error.
+//!    annotation that no longer suppresses anything is itself an error,
+//!    as is an `allow(float)` outside the crates that still keep floats
+//!    (`policy::FLOAT_ALLOW_CRATES`).
 //! 3. **Hygiene** — every golden under `tests/goldens/` must parse as
 //!    JSON and be referenced by a test or ci.sh stage, and every golden
 //!    path ci.sh names must exist (`hygiene`).
@@ -37,12 +39,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use annotations::Parsed;
-use policy::Tier;
+use policy::{Rule, Tier};
 
 /// One audit finding. `rule` is a stable machine-readable identifier:
 /// an annotatable rule name (`float`, `default-hash`, …) or one of the
-/// audit's own checks (`bad-annotation`, `stale-annotation`,
-/// `golden-parse`, `golden-orphan`, `golden-missing`).
+/// audit's own checks (`bad-annotation`, `refused-annotation`,
+/// `stale-annotation`, `golden-parse`, `golden-orphan`, `golden-missing`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Workspace-relative path.
@@ -51,6 +53,12 @@ pub struct Finding {
     pub line: u32,
     pub rule: String,
     pub message: String,
+}
+
+impl Finding {
+    pub fn new(file: &str, line: u32, rule: &str, message: impl Into<String>) -> Finding {
+        Finding { file: file.into(), line, rule: rule.into(), message: message.into() }
+    }
 }
 
 impl std::fmt::Display for Finding {
@@ -81,13 +89,17 @@ impl Report {
 
 /// Audit a single source file. Exposed so the fixture tests (and any
 /// future editor integration) can lint sources without a workspace.
-/// Returns the findings and the number of annotations that suppressed
-/// at least one raw hit.
+/// `float_allows` says whether the file's crate may still annotate floats
+/// ([`policy::FLOAT_ALLOW_CRATES`]); where it may not, an `allow(float)`
+/// is a `refused-annotation` finding and suppresses nothing. Returns the
+/// findings and the number of annotations that suppressed at least one
+/// raw hit.
 pub fn scan_source(
     file: &str,
     src: &str,
     tier: Tier,
     is_crate_root: bool,
+    float_allows: bool,
 ) -> (Vec<Finding>, usize) {
     let lexed = lexer::lex(src);
     let (raw, exempt_ranges) = rules::scan(&lexed.tokens, tier, is_crate_root);
@@ -105,6 +117,15 @@ pub fn scan_source(
         }
         match annotations::parse(c) {
             Parsed::Ok(mut a) => {
+                if !float_allows && a.rules.contains(&Rule::Float) {
+                    let why = "`allow(float)` is refused in this crate: floats remain only in \
+                               htsim, the testbed solver and core's placement ratios";
+                    findings.push(Finding::new(file, c.line, "refused-annotation", why));
+                    a.rules.retain(|&r| r != Rule::Float);
+                    if a.rules.is_empty() {
+                        continue;
+                    }
+                }
                 if !c.trailing {
                     // Standalone: covers the next line holding code.
                     match lexed.tokens.iter().find(|t| t.line > c.line) {
@@ -114,12 +135,9 @@ pub fn scan_source(
                 }
                 anns.push(a);
             }
-            Parsed::Malformed(msg) => findings.push(Finding {
-                file: file.to_string(),
-                line: c.line,
-                rule: "bad-annotation".into(),
-                message: msg,
-            }),
+            Parsed::Malformed(msg) => {
+                findings.push(Finding::new(file, c.line, "bad-annotation", msg));
+            }
         }
     }
 
@@ -133,28 +151,19 @@ pub fn scan_source(
             used[i] = true;
             continue;
         }
-        findings.push(Finding {
-            file: file.to_string(),
-            line: f.line,
-            rule: f.rule.name().into(),
-            message: f.message.clone(),
-        });
+        findings.push(Finding::new(file, f.line, f.rule.name(), f.message.clone()));
     }
     let mut used_count = 0usize;
     for (a, u) in anns.iter().zip(&used) {
         if *u {
             used_count += 1;
         } else {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: a.line,
-                rule: "stale-annotation".into(),
-                message: format!(
-                    "stale annotation: line {} no longer triggers {} — remove the allow",
-                    if a.target_line == u32::MAX { a.line } else { a.target_line },
-                    a.rules.iter().map(|r| r.name()).collect::<Vec<_>>().join(", "),
-                ),
-            });
+            let message = format!(
+                "stale annotation: line {} no longer triggers {} — remove the allow",
+                if a.target_line == u32::MAX { a.line } else { a.target_line },
+                a.rules.iter().map(|r| r.name()).collect::<Vec<_>>().join(", "),
+            );
+            findings.push(Finding::new(file, a.line, "stale-annotation", message));
         }
     }
     findings.sort_by_key(|x| (x.line, x.rule.clone()));
@@ -182,7 +191,8 @@ pub fn run(root: &Path) -> io::Result<Report> {
             continue; // shims mirror external crates verbatim
         }
         report.crates_scanned += 1;
-        scan_tree(root, &dir.join("src"), tier, &mut report, &mut sources)?;
+        let float_allows = policy::FLOAT_ALLOW_CRATES.contains(&name.as_str());
+        scan_tree(root, &dir.join("src"), tier, float_allows, &mut report, &mut sources)?;
         // Crate test dirs join the haystack (tests reference goldens)
         // but are not rule-scanned: test code is exempt by policy.
         collect_sources(root, &dir.join("tests"), &mut sources)?;
@@ -190,7 +200,8 @@ pub fn run(root: &Path) -> io::Result<Report> {
 
     // ---- the umbrella crate at the workspace root ----
     report.crates_scanned += 1;
-    scan_tree(root, &root.join("src"), policy::crate_tier("atlahs"), &mut report, &mut sources)?;
+    let tier = policy::crate_tier("atlahs");
+    scan_tree(root, &root.join("src"), tier, false, &mut report, &mut sources)?;
     collect_sources(root, &root.join("tests"), &mut sources)?;
     collect_sources(root, &root.join("examples"), &mut sources)?;
 
@@ -214,13 +225,15 @@ fn scan_tree(
     root: &Path,
     dir: &Path,
     tier: Tier,
+    float_allows: bool,
     report: &mut Report,
     sources: &mut Vec<(String, String)>,
 ) -> io::Result<()> {
     for path in walk_rs(dir)? {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().into_owned();
         let src = fs::read_to_string(&path)?;
-        let (mut findings, used) = scan_source(&rel, &src, tier, is_crate_root(&path));
+        let (mut findings, used) =
+            scan_source(&rel, &src, tier, is_crate_root(&path), float_allows);
         report.findings.append(&mut findings);
         report.annotations_used += used;
         report.files_scanned += 1;
@@ -269,7 +282,7 @@ mod tests {
     #[test]
     fn trailing_annotation_suppresses_and_counts() {
         let src = "fn f() { let x = 1.0; // det-lint: allow(float) — pinned\n}";
-        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false);
+        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false, true);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(used, 1);
     }
@@ -277,7 +290,7 @@ mod tests {
     #[test]
     fn standalone_annotation_covers_next_code_line() {
         let src = "fn f() {\n  // det-lint: allow(float) — pinned\n  let x = 1.0;\n}";
-        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false);
+        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false, true);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(used, 1);
     }
@@ -285,7 +298,7 @@ mod tests {
     #[test]
     fn stale_annotation_is_a_finding() {
         let src = "fn f() {\n  // det-lint: allow(float) — nothing here\n  let x = 1;\n}";
-        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false);
+        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false, true);
         assert_eq!(used, 0);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "stale-annotation");
@@ -294,7 +307,7 @@ mod tests {
     #[test]
     fn annotation_covers_only_its_named_rule() {
         let src = "fn f() { let t = Instant::now(); // det-lint: allow(float) — wrong rule\n}";
-        let (f, _) = scan_source("x.rs", src, Tier::ResultAffecting, false);
+        let (f, _) = scan_source("x.rs", src, Tier::ResultAffecting, false, true);
         let rules: Vec<&str> = f.iter().map(|x| x.rule.as_str()).collect();
         assert!(rules.contains(&"wall-clock"));
         assert!(rules.contains(&"stale-annotation"));
@@ -303,16 +316,31 @@ mod tests {
     #[test]
     fn malformed_annotation_is_a_finding() {
         let src = "fn f() { let x = 1.0; // det-lint: allow(float)\n}";
-        let (f, _) = scan_source("x.rs", src, Tier::ResultAffecting, false);
+        let (f, _) = scan_source("x.rs", src, Tier::ResultAffecting, false, true);
         assert!(f.iter().any(|x| x.rule == "bad-annotation"));
         // The unsuppressed float hit remains.
         assert!(f.iter().any(|x| x.rule == "float"));
     }
 
     #[test]
+    fn float_allow_is_refused_where_floats_are_gone() {
+        let src = "fn f() {\n  // det-lint: allow(float) — was pinned\n  let x = 1.0;\n}";
+        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false, false);
+        let rules: Vec<&str> = f.iter().map(|x| x.rule.as_str()).collect();
+        assert_eq!(rules, ["refused-annotation", "float"]);
+        assert_eq!(used, 0);
+        // The other rules of a multi-rule allow still apply.
+        let src = "fn f() { let t = Instant::now(); // det-lint: allow(float, wall-clock) — r\n}";
+        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false, false);
+        let rules: Vec<&str> = f.iter().map(|x| x.rule.as_str()).collect();
+        assert_eq!(rules, ["refused-annotation"]);
+        assert_eq!(used, 1);
+    }
+
+    #[test]
     fn annotations_inside_test_code_are_ignored() {
         let src = "#[cfg(test)]\nmod tests {\n  // det-lint: allow(float) — unused\n  fn t() { let x = 1.0; }\n}";
-        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false);
+        let (f, used) = scan_source("x.rs", src, Tier::ResultAffecting, false, true);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(used, 0);
     }

@@ -23,13 +23,14 @@ pub enum Tier {
 /// root crate is passed as `"atlahs"`).
 pub fn crate_tier(dir_name: &str) -> Tier {
     match dir_name {
-        // The engines, the schedule representation, the schedule
-        // generators, and the shared queue/hash substrate.
-        "core" | "eventq" | "htsim" | "lgs" | "goal" | "collectives" | "schedgen"
+        // The engines (the testbed is the session backend whose output
+        // the fidelity golden pins), the schedule representation, the
+        // schedule generators, and the shared queue/hash substrate.
+        "core" | "eventq" | "htsim" | "lgs" | "testbed" | "goal" | "collectives" | "schedgen"
         | "directdrive" => Tier::ResultAffecting,
         // Harnesses, tracers, reports, baselines, the audit itself, and
         // the umbrella re-export crate.
-        "bench" | "baselines" | "tracers" | "testbed" | "lint" | "atlahs" => Tier::Reporting,
+        "bench" | "baselines" | "tracers" | "lint" | "atlahs" => Tier::Reporting,
         "shims" => Tier::Exempt,
         // Unknown crates default to the strict tier so a new crate must
         // opt *out* of the contract explicitly (in this table), never
@@ -37,6 +38,12 @@ pub fn crate_tier(dir_name: &str) -> Tier {
         _ => Tier::ResultAffecting,
     }
 }
+
+/// The crates in which `det-lint: allow(float)` is still honoured: the
+/// htsim packet engine, the testbed's max-min solver, and the placement
+/// ratios in `core`. Everywhere else a float allow is itself a finding —
+/// every message-level cost is an exact `atlahs_core::NsPerByte` rate.
+pub const FLOAT_ALLOW_CRATES: [&str; 3] = ["core", "htsim", "testbed"];
 
 /// Rule identifiers, as written inside `det-lint: allow(<rule>)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -94,6 +101,7 @@ mod tests {
     fn tiers_cover_the_workspace() {
         assert_eq!(crate_tier("htsim"), Tier::ResultAffecting);
         assert_eq!(crate_tier("eventq"), Tier::ResultAffecting);
+        assert_eq!(crate_tier("testbed"), Tier::ResultAffecting);
         assert_eq!(crate_tier("bench"), Tier::Reporting);
         assert_eq!(crate_tier("shims"), Tier::Exempt);
         // Unknown crates land in the strict tier.

@@ -17,6 +17,12 @@ pub struct RawFinding {
     pub message: String,
 }
 
+impl RawFinding {
+    fn new(line: u32, rule: Rule, message: impl Into<String>) -> RawFinding {
+        RawFinding { line, rule, message: message.into() }
+    }
+}
+
 /// Iterator-producing methods whose order reflects hash-bucket layout.
 const ITER_METHODS: [&str; 10] = [
     "iter",
@@ -193,11 +199,11 @@ fn float_rule(toks: &[Token], exempt: &[bool], out: &mut Vec<RawFinding>) {
             _ => None,
         };
         if let Some(what) = hit {
-            out.push(RawFinding {
-                line: t.line,
-                rule: Rule::Float,
-                message: format!("{what} `{}` (Q32 fixed-point is the house arithmetic)", t.text),
-            });
+            let why = format!(
+                "{what} `{}` (integer arithmetic only: Q32 fixed point, `NsPerByte` rates)",
+                t.text
+            );
+            out.push(RawFinding::new(t.line, Rule::Float, why));
         }
     }
 }
@@ -208,26 +214,20 @@ fn default_hash_rule(toks: &[Token], exempt: &[bool], in_use: &[bool], out: &mut
             continue;
         }
         if t.text == "RandomState" {
-            out.push(RawFinding {
-                line: t.line,
-                rule: Rule::DefaultHash,
-                message: "explicit `RandomState` (per-process random hash seeds)".into(),
-            });
+            let why = "explicit `RandomState` (per-process random hash seeds)";
+            out.push(RawFinding::new(t.line, Rule::DefaultHash, why));
             continue;
         }
         if t.text != "HashMap" && t.text != "HashSet" {
             continue;
         }
         if !has_explicit_hasher(toks, k) {
-            out.push(RawFinding {
-                line: t.line,
-                rule: Rule::DefaultHash,
-                message: format!(
-                    "`{}` with default `RandomState` (use `eventq::hash::FastBuildHasher` \
-                     or a `BTreeMap`/`BTreeSet`)",
-                    t.text
-                ),
-            });
+            let why = format!(
+                "`{}` with default `RandomState` (use `eventq::hash::FastBuildHasher` \
+                 or a `BTreeMap`/`BTreeSet`)",
+                t.text
+            );
+            out.push(RawFinding::new(t.line, Rule::DefaultHash, why));
         }
     }
 }
@@ -302,15 +302,12 @@ fn hash_iter_rule(toks: &[Token], exempt: &[bool], out: &mut Vec<RawFinding>) {
         if k + 2 < toks.len() && toks[k + 1].text == "." {
             let m = toks[k + 2].text.as_str();
             if ITER_METHODS.contains(&m) && k + 3 < toks.len() && toks[k + 3].text == "(" {
-                out.push(RawFinding {
-                    line: t.line,
-                    rule: Rule::HashIter,
-                    message: format!(
-                        "iteration over hash map `{}` via `.{m}()` (order reflects bucket \
-                         layout; sort first or use a BTreeMap)",
-                        t.text
-                    ),
-                });
+                let why = format!(
+                    "iteration over hash map `{}` via `.{m}()` (order reflects bucket \
+                     layout; sort first or use a BTreeMap)",
+                    t.text
+                );
+                out.push(RawFinding::new(t.line, Rule::HashIter, why));
                 continue;
             }
         }
@@ -320,14 +317,11 @@ fn hash_iter_rule(toks: &[Token], exempt: &[bool], out: &mut Vec<RawFinding>) {
             p -= 1;
         }
         if p > 0 && toks[p - 1].text == "in" {
-            out.push(RawFinding {
-                line: t.line,
-                rule: Rule::HashIter,
-                message: format!(
-                    "`for` iteration over hash map `{}` (order reflects bucket layout)",
-                    t.text
-                ),
-            });
+            let why = format!(
+                "`for` iteration over hash map `{}` (order reflects bucket layout)",
+                t.text
+            );
+            out.push(RawFinding::new(t.line, Rule::HashIter, why));
         }
     }
 }
@@ -338,24 +332,17 @@ fn ident_rules(toks: &[Token], exempt: &[bool], out: &mut Vec<RawFinding>) {
         if exempt[k] || t.kind != TokKind::Ident {
             continue;
         }
-        match t.text.as_str() {
-            "Instant" | "SystemTime" => out.push(RawFinding {
-                line: t.line,
-                rule: Rule::WallClock,
-                message: format!("wall-clock `{}` in a result-affecting crate", t.text),
-            }),
-            "unsafe" => out.push(RawFinding {
-                line: t.line,
-                rule: Rule::UnsafeBlock,
-                message: "`unsafe` in a result-affecting crate".into(),
-            }),
-            s if AMBIENT_RAND.contains(&s) => out.push(RawFinding {
-                line: t.line,
-                rule: Rule::AmbientRand,
-                message: format!("ambient randomness `{s}` (seeded draws only)"),
-            }),
-            _ => {}
-        }
+        let (rule, why) = match t.text.as_str() {
+            "Instant" | "SystemTime" => {
+                (Rule::WallClock, format!("wall-clock `{}` in a result-affecting crate", t.text))
+            }
+            "unsafe" => (Rule::UnsafeBlock, "`unsafe` in a result-affecting crate".into()),
+            s if AMBIENT_RAND.contains(&s) => {
+                (Rule::AmbientRand, format!("ambient randomness `{s}` (seeded draws only)"))
+            }
+            _ => continue,
+        };
+        out.push(RawFinding::new(t.line, rule, why));
     }
 }
 
@@ -377,18 +364,16 @@ fn unsafe_attr_rule(toks: &[Token], out: &mut Vec<RawFinding>) {
             }
         }
     }
-    match deny_line {
-        Some(line) => out.push(RawFinding {
+    out.push(match deny_line {
+        Some(line) => RawFinding::new(
             line,
-            rule: Rule::UnsafeAttr,
-            message: "`#![deny(unsafe_code)]`: prefer `forbid`, or annotate why deny".into(),
-        }),
-        None => out.push(RawFinding {
-            line: 1,
-            rule: Rule::UnsafeAttr,
-            message: "crate root missing `#![forbid(unsafe_code)]`".into(),
-        }),
-    }
+            Rule::UnsafeAttr,
+            "`#![deny(unsafe_code)]`: prefer `forbid`, or annotate why deny",
+        ),
+        None => {
+            RawFinding::new(1, Rule::UnsafeAttr, "crate root missing `#![forbid(unsafe_code)]`")
+        }
+    });
 }
 
 #[cfg(test)]

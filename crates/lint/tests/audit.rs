@@ -19,7 +19,7 @@ fn fixture_dir() -> PathBuf {
 fn rules_hit(name: &str) -> Vec<String> {
     let path = fixture_dir().join("rules").join(name);
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    let (findings, _) = scan_source(name, &src, Tier::ResultAffecting, false);
+    let (findings, _) = scan_source(name, &src, Tier::ResultAffecting, false, true);
     findings.into_iter().map(|f| f.rule).collect()
 }
 
@@ -63,7 +63,8 @@ fn unsafe_trigger_and_pass() {
 #[test]
 fn annotated_float_is_clean_and_counted() {
     let src = std::fs::read_to_string(fixture_dir().join("rules/annotated_pass.rs")).unwrap();
-    let (findings, used) = scan_source("annotated_pass.rs", &src, Tier::ResultAffecting, false);
+    let (findings, used) =
+        scan_source("annotated_pass.rs", &src, Tier::ResultAffecting, false, true);
     assert!(findings.is_empty(), "{findings:?}");
     assert_eq!(used, 1, "the allow must be reported as honoured");
 }
@@ -78,29 +79,46 @@ fn stale_annotation_fixture_is_flagged() {
 fn reporting_tier_only_enforces_unsafe_hygiene() {
     // A float that would fail core is fine in a reporting crate.
     let src = std::fs::read_to_string(fixture_dir().join("rules/float_trigger.rs")).unwrap();
-    let (findings, _) = scan_source("float_trigger.rs", &src, Tier::Reporting, false);
+    let (findings, _) = scan_source("float_trigger.rs", &src, Tier::Reporting, false, true);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
+fn float_allow_fixture_is_refused_where_floats_are_gone() {
+    // The annotated float that passes above, in a crate outside
+    // `FLOAT_ALLOW_CRATES`: the allow is refused and the float stands.
+    let src = std::fs::read_to_string(fixture_dir().join("rules/annotated_pass.rs")).unwrap();
+    let (findings, used) =
+        scan_source("annotated_pass.rs", &src, Tier::ResultAffecting, false, false);
+    let rules: Vec<&str> = findings.iter().map(|f| f.rule.as_str()).collect();
+    assert_eq!(rules, ["refused-annotation", "float"]);
+    assert_eq!(used, 0, "a refused allow is not honoured");
+}
+
+#[test]
 fn clean_fixture_workspace_audits_clean() {
+    // `crates/htsim` keeps an annotated float: honoured and counted.
     let report = run(&fixture_dir().join("clean_ws")).expect("audit runs");
     assert!(report.is_clean(), "unexpected findings: {:?}", report.findings);
-    assert_eq!(report.files_scanned, 1);
+    assert_eq!(report.files_scanned, 2);
+    assert_eq!(report.annotations_used, 1);
 }
 
 #[test]
 fn seeded_violation_fails_the_audit() {
-    // The meta-test: plant a float in a result-affecting crate plus a
-    // full set of golden-hygiene defects, and the audit must catch all
-    // of them. If this test fails, the gate itself has rotted.
+    // The meta-test: plant a float in a result-affecting crate, an
+    // annotated float in a crate whose floats are gone, and a full set of
+    // golden-hygiene defects, and the audit must catch all of them. If
+    // this test fails, the gate itself has rotted.
     let report = run(&fixture_dir().join("violating_ws")).expect("audit runs");
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
     assert!(rules.contains(&"float"), "seeded float not caught: {rules:?}");
+    assert!(rules.contains(&"refused-annotation"), "lgs float allow honoured: {rules:?}");
     assert!(rules.contains(&"golden-orphan"), "orphan golden not caught: {rules:?}");
     assert!(rules.contains(&"golden-parse"), "broken golden not caught: {rules:?}");
     assert!(rules.contains(&"golden-missing"), "missing golden not caught: {rules:?}");
-    assert_eq!(report.findings.len(), 4, "exactly the seeded defects: {:?}", report.findings);
+    assert_eq!(report.findings.len(), 6, "exactly the seeded defects: {:?}", report.findings);
+    assert_eq!(report.annotations_used, 0);
 }
 
 #[test]

@@ -323,7 +323,7 @@ mod tests {
     fn convert_ok(trace: &MpiTrace) -> GoalSchedule {
         let goal = convert(trace, &MpiToGoalConfig::default()).expect("conversion");
         check_matching(&goal).expect("matching");
-        let mut backend = IdealBackend::new(10.0, 500);
+        let mut backend = IdealBackend::new(80, 500);
         let rep = Simulation::new(&goal).run(&mut backend).expect("no deadlock");
         assert_eq!(rep.completed, goal.total_tasks());
         goal
@@ -485,7 +485,7 @@ mod tests {
     fn relabelling_p2p_tags_leaves_the_report_unchanged() {
         let report = |tag| {
             let goal = convert_ok(&p2p_around_allreduce(tag));
-            Simulation::new(&goal).run(&mut IdealBackend::new(10.0, 500)).unwrap()
+            Simulation::new(&goal).run(&mut IdealBackend::new(80, 500)).unwrap()
         };
         let base = report(7);
         for tag in [COLL_TAG_BASE - 1, COLL_TAG_BASE, COLL_TAG_BASE + 63, 1 << 30, u32::MAX - 128] {
@@ -518,7 +518,7 @@ mod tests {
         });
         let run = |t: &MpiTrace| {
             let goal = convert(t, &MpiToGoalConfig::default()).unwrap();
-            let mut be = IdealBackend::new(10.0, 500);
+            let mut be = IdealBackend::new(80, 500);
             Simulation::new(&goal).run(&mut be).unwrap().makespan
         };
         assert!(run(&strong) < run(&weak));

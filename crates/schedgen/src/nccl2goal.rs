@@ -22,6 +22,7 @@ use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 use atlahs_collectives::nccl::{self as nc, NcclConfig};
+use atlahs_core::NsPerByte;
 use atlahs_eventq::hash::FastBuildHasher;
 use atlahs_goal::{
     GoalBuilder, GoalError, GoalSchedule, Rank, RankSchedule, Task, TaskId, TaskKind,
@@ -35,11 +36,10 @@ pub struct NcclToGoalConfig {
     pub nccl: NcclConfig,
     /// Override the report's GPUs-per-node for what-if restructuring.
     pub gpus_per_node: Option<u32>,
-    /// Intra-node transfer cost: base + per-byte (NVLink-class default:
-    /// 150 GB/s ≈ 0.0067 ns/B).
+    /// Intra-node transfer cost: base + per-byte, rounded down
+    /// (NVLink-class default: 150 GB/s, 1/150 ns/B).
     pub intra_base_ns: u64,
-    // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
-    pub intra_ns_per_byte: f64,
+    pub intra_per_byte: NsPerByte,
 }
 
 impl Default for NcclToGoalConfig {
@@ -48,8 +48,7 @@ impl Default for NcclToGoalConfig {
             nccl: NcclConfig::default(),
             gpus_per_node: None,
             intra_base_ns: 1_000,
-            // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
-            intra_ns_per_byte: 1.0 / 150.0,
+            intra_per_byte: NsPerByte::ratio(1, 150),
         }
     }
 }
@@ -290,11 +289,8 @@ fn merge_gpus<S: Borrow<RankSchedule>>(
                     let dst_node = node_of(dst)?;
                     if dst_node == node {
                         // NVLink copy: sender-side cost carries the transfer.
-                        let cost =
-                            // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
-                            cfg.intra_base_ns + (bytes as f64 * cfg.intra_ns_per_byte) as u64;
                         intra_sends.entry((g, dst, tag)).or_default().push(id);
-                        Task::calc(cost)
+                        Task::calc(cfg.intra_base_ns + cfg.intra_per_byte.trunc(bytes))
                     } else {
                         // Tags gain the source GPU's low bits so merged
                         // node pairs don't cross-match different GPU pairs.
@@ -348,7 +344,7 @@ mod tests {
     }
 
     fn run(goal: &GoalSchedule) -> atlahs_core::SimReport {
-        let mut be = IdealBackend::new(25.0, 1000);
+        let mut be = IdealBackend::new(200, 1000);
         Simulation::new(goal).run(&mut be).expect("no deadlock")
     }
 

@@ -52,7 +52,7 @@ mod tests {
         let sg = convert(&trace, &StorageToGoalConfig::default()).unwrap();
         assert_eq!(sg.completions.len(), 300);
         atlahs_goal::stats::check_matching(&sg.goal).unwrap();
-        let mut be = IdealBackend::new(12.5, 500);
+        let mut be = IdealBackend::new(100, 500);
         let rep = Simulation::new(&sg.goal).run(&mut be).unwrap();
         assert_eq!(rep.completed, sg.goal.total_tasks());
     }

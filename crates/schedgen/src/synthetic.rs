@@ -296,7 +296,7 @@ mod tests {
 
     fn runs(goal: &GoalSchedule) {
         check_matching(goal).unwrap();
-        let mut be = IdealBackend::new(10.0, 100);
+        let mut be = IdealBackend::new(80, 100);
         let rep = Simulation::new(goal).run(&mut be).unwrap();
         assert_eq!(rep.completed, goal.total_tasks());
     }
@@ -388,7 +388,7 @@ mod tests {
         // One layer vs three layers: makespan must grow ~linearly.
         let t = |layers| {
             let g = moe_alltoall(8, 4, 256 << 10, layers, 0).unwrap();
-            let mut be = IdealBackend::new(10.0, 100);
+            let mut be = IdealBackend::new(80, 100);
             Simulation::new(&g).run(&mut be).unwrap().makespan
         };
         assert!(t(3) > 2 * t(1));
@@ -412,7 +412,7 @@ mod tests {
         // warm-up/drain bubble, so makespan grows.
         let t = |stages| {
             let g = pipeline_parallel(stages, 2, 1 << 16, 10_000).unwrap();
-            let mut be = IdealBackend::new(10.0, 100);
+            let mut be = IdealBackend::new(80, 100);
             Simulation::new(&g).run(&mut be).unwrap().makespan
         };
         assert!(t(8) > t(2));

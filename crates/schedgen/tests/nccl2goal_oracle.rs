@@ -48,8 +48,8 @@ fn group_gpus_reference(
                 TaskKind::Calc { cost } => b.add_task(node, Task::calc(cost).on_stream(stream)),
                 TaskKind::Send { bytes, dst, tag } => {
                     if mapping[dst as usize] == node {
-                        let cost =
-                            cfg.intra_base_ns + (bytes as f64 * cfg.intra_ns_per_byte) as u64;
+                        // The parent's float NVLink rate, 1/150 ns/B.
+                        let cost = cfg.intra_base_ns + (bytes as f64 * (1.0 / 150.0)) as u64;
                         let id = b.add_task(node, Task::calc(cost).on_stream(stream));
                         intra_sends.entry((g as u32, dst, tag)).or_default().push(id);
                         id

@@ -10,8 +10,8 @@
 //! * messages are fluid flows sharing links by **max-min fairness**
 //!   (recomputed on every arrival/departure), not LogGOPS gaps and not
 //!   per-packet queues;
-//! * links run at a configurable `efficiency` of nominal rate (protocol and
-//!   scheduling overheads real fabrics exhibit);
+//! * links run at a configurable `efficiency_pct` of nominal rate (protocol
+//!   and scheduling overheads real fabrics exhibit);
 //! * computation is perturbed by seeded multiplicative noise (OS jitter,
 //!   DVFS, cache effects) so no backend can match it exactly.
 //!
@@ -38,16 +38,31 @@ pub struct TestbedConfig {
     pub topology: TopologyConfig,
     /// Host per-operation overhead (ns).
     pub host_o: u64,
-    /// Fraction of nominal link rate actually achievable (0..=1].
-    pub efficiency: f64,
+    /// Percent of nominal link rate actually achievable, 1..=100.
+    pub efficiency_pct: u64,
     /// Amplitude of multiplicative computation noise (e.g. 0.02 = ±2%).
+    // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
     pub noise_frac: f64,
     pub seed: u64,
 }
 
 impl TestbedConfig {
+    /// The default host overhead (ns): the `o` of the LogGOPS parameters
+    /// calibrated against this emulator.
+    pub const HOST_O: u64 = 250;
+    /// The default link efficiency (percent): the `G` of the calibrated
+    /// LogGOPS parameters is the inverse of the derated rate.
+    pub const EFFICIENCY_PCT: u64 = 92;
+
     pub fn new(topology: TopologyConfig) -> Self {
-        TestbedConfig { topology, host_o: 250, efficiency: 0.92, noise_frac: 0.015, seed: 42 }
+        TestbedConfig {
+            topology,
+            host_o: Self::HOST_O,
+            efficiency_pct: Self::EFFICIENCY_PCT,
+            // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
+            noise_frac: 0.015,
+            seed: 42,
+        }
     }
 }
 
@@ -59,7 +74,9 @@ enum Ev {
 #[derive(Debug, Clone)]
 struct Flow {
     op: OpRef,
+    // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
     remaining: f64,
+    // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
     rate: f64,
     /// Latency to add between drain and delivery.
     latency: u64,
@@ -74,6 +91,7 @@ struct Flow {
 pub struct TestbedBackend {
     cfg: TestbedConfig,
     topo: Topology,
+    // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
     port_rates: Vec<f64>,
     s: TestbedState,
 }
@@ -110,8 +128,9 @@ impl TestbedState {
 impl TestbedBackend {
     pub fn new(cfg: TestbedConfig) -> Self {
         let topo = Topology::build(cfg.topology.clone());
-        let port_rates =
-            topo.ports().iter().map(|p| p.link.bytes_per_ns() * cfg.efficiency).collect();
+        // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
+        let efficiency = cfg.efficiency_pct as f64 / 100.0;
+        let port_rates = topo.ports().iter().map(|p| p.link.bytes_per_ns() * efficiency).collect();
         TestbedBackend { s: TestbedState::new(&cfg), topo, port_rates, cfg }
     }
 
@@ -122,10 +141,13 @@ impl TestbedBackend {
 
     /// Drain all active flows up to time `t`.
     fn advance(&mut self, t: Time) {
+        // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
         let dt = (t - self.s.last_advance) as f64;
+        // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
         if dt > 0.0 {
             for &fi in &self.s.active {
                 let f = &mut self.s.flows[fi];
+                // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
         }
@@ -138,12 +160,13 @@ impl TestbedBackend {
         if n == 0 {
             return;
         }
+        // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
         let mut assigned: Vec<Option<f64>> = vec![None; n];
         // Per-port: remaining capacity and unfrozen flow count.
+        // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
         let mut cap: Vec<f64> = self.port_rates.clone();
         let mut count: Vec<u32> = vec![0; cap.len()];
-        for (ai, &fi) in self.s.active.iter().enumerate() {
-            let _ = ai;
+        for &fi in &self.s.active {
             for &p in &self.s.flows[fi].path {
                 count[p as usize] += 1;
             }
@@ -151,9 +174,11 @@ impl TestbedBackend {
         let mut remaining = n;
         while remaining > 0 {
             // Find the tightest port among those carrying unfrozen flows.
+            // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
             let mut best: Option<(f64, usize)> = None;
             for (p, &c) in count.iter().enumerate() {
                 if c > 0 {
+                    // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
                     let share = cap[p] / c as f64;
                     if best.map_or(true, |(s, _)| share < s) {
                         best = Some((share, p));
@@ -168,12 +193,14 @@ impl TestbedBackend {
                     remaining -= 1;
                     for &p in &self.s.flows[fi].path {
                         count[p as usize] -= 1;
+                        // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
                         cap[p as usize] = (cap[p as usize] - share).max(0.0);
                     }
                 }
             }
         }
         for (ai, &fi) in self.s.active.iter().enumerate() {
+            // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
             self.s.flows[fi].rate = assigned[ai].unwrap_or(f64::INFINITY).max(1e-9);
         }
     }
@@ -206,10 +233,14 @@ impl TestbedBackend {
         self.recompute_rates();
     }
 
+    // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
     fn noise(&mut self) -> f64 {
+        // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
         if self.cfg.noise_frac == 0.0 {
+            // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
             1.0
         } else {
+            // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
             1.0 + self.cfg.noise_frac * (2.0 * self.s.rng.random::<f64>() - 1.0)
         }
     }
@@ -251,7 +282,9 @@ impl Backend for TestbedBackend {
             let deliver = self.s.now + self.cfg.host_o;
             let mut f = Flow {
                 op,
+                // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
                 remaining: 0.0,
+                // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
                 rate: f64::INFINITY,
                 latency: 0,
                 path: Vec::new(),
@@ -276,7 +309,9 @@ impl Backend for TestbedBackend {
             path.iter().map(|&p| self.topo.ports()[p as usize].link.latency_ns).sum();
         let mut f = Flow {
             op,
+            // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
             remaining: bytes.max(1) as f64,
+            // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
             rate: 0.0,
             latency: latency + self.cfg.host_o,
             path,
@@ -306,6 +341,7 @@ impl Backend for TestbedBackend {
     }
 
     fn calc(&mut self, op: OpRef, cost: u64) {
+        // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
         let noised = (cost as f64 * self.noise()).round() as u64;
         self.push(self.s.now + noised, Ev::Emit { op, done: true });
     }
@@ -351,10 +387,10 @@ mod tests {
     fn cfg() -> TestbedConfig {
         let mut c = TestbedConfig::new(TopologyConfig::SingleSwitch {
             hosts: 16,
-            link: LinkParams { gbps: 100.0, latency_ns: 500 },
+            link: LinkParams { gbps: 100, latency_ns: 500 },
         });
         c.noise_frac = 0.0;
-        c.efficiency = 1.0;
+        c.efficiency_pct = 100;
         c
     }
 
@@ -427,7 +463,7 @@ mod tests {
     #[test]
     fn efficiency_slows_transfers() {
         let mut slow = cfg();
-        slow.efficiency = 0.5;
+        slow.efficiency_pct = 50;
         let fast = run(&ping(1 << 20), cfg()).makespan;
         let halved = run(&ping(1 << 20), slow).makespan;
         assert!(halved as f64 > fast as f64 * 1.7, "{halved} vs {fast}");

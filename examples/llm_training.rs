@@ -48,7 +48,7 @@ fn main() {
     println!("ATLAHS LGS   : {:.3} ms/iteration", rep_lgs.makespan as f64 / 1e6);
 
     // ---- Predict with the packet-level backend (accurate) ---------------
-    let link = LinkParams { gbps: 200.0, latency_ns: 500 };
+    let link = LinkParams { gbps: 200, latency_ns: 500 };
     let topo = TopologyConfig::FatTree2L {
         hosts: goal.num_ranks(),
         hosts_per_tor: 2,

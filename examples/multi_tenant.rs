@@ -40,7 +40,7 @@ fn ring_job(ranks: usize, bytes: u64, rounds: u32) -> GoalSchedule {
 }
 
 fn run(goal: &GoalSchedule, cluster: usize) -> Vec<u64> {
-    let link = LinkParams { gbps: 200.0, latency_ns: 500 };
+    let link = LinkParams { gbps: 200, latency_ns: 500 };
     let topo = TopologyConfig::FatTree2L {
         hosts: cluster,
         hosts_per_tor: 4,

@@ -8,7 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use atlahs::core::Simulation;
+use atlahs::core::{NsPerByte, Simulation};
 use atlahs::goal::{text, GoalBuilder};
 use atlahs::lgs::{LgsBackend, LogGopsParams};
 
@@ -46,7 +46,14 @@ fn main() {
     // ---- 3. Simulate on LogGOPSim ----------------------------------------
     // l2 and l3 run on different compute streams, so they overlap: the
     // send issues at t = 100 + 200, not 100 + 200 + 200.
-    let params = LogGopsParams { l: 1_000, o: 50, g: 10, big_g: 0.1, big_o: 0.0, s: 0 };
+    let params = LogGopsParams {
+        l: 1_000,
+        o: 50,
+        g: 10,
+        big_g: NsPerByte::ps(100),
+        big_o: NsPerByte::ZERO,
+        s: 0,
+    };
     let mut backend = LgsBackend::new(params);
     let report = Simulation::new(&goal).run(&mut backend).expect("completes");
 

@@ -34,7 +34,7 @@ fn main() {
     );
 
     // ---- run on an 8:1 oversubscribed fat tree, MPRDMA vs NDP -----------
-    let link = LinkParams { gbps: 100.0, latency_ns: 500 };
+    let link = LinkParams { gbps: 100, latency_ns: 500 };
     let hosts = layout.total_ranks().div_ceil(8) * 8;
     let topo = TopologyConfig::FatTree2L {
         hosts,

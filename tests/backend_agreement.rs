@@ -6,7 +6,7 @@
 //! diverge because it cannot see the thinner core.
 
 use atlahs::collectives::{mpi, CollParams};
-use atlahs::core::Simulation;
+use atlahs::core::{NsPerByte, Simulation};
 use atlahs::goal::{GoalBuilder, GoalSchedule};
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
 use atlahs::htsim::topology::{LinkParams, TopologyConfig};
@@ -25,14 +25,15 @@ fn bulk_pairs(n: usize, bytes: u64) -> GoalSchedule {
     b.build().unwrap()
 }
 
-/// LogGOPS parameters consistent with a `gbps` fabric.
-fn lgs_params_for(gbps: f64) -> LogGopsParams {
+/// LogGOPS parameters consistent with a `gbps` fabric: `G` is the wire
+/// time per byte, the ideal backend's `8 / gbps` ns.
+fn lgs_params_for(gbps: u64) -> LogGopsParams {
     LogGopsParams {
         l: 1_000,
         o: 200,
         g: 0,
-        big_g: 8.0 / gbps, // ns per byte
-        big_o: 0.0,
+        big_g: NsPerByte::ratio(8, gbps),
+        big_o: NsPerByte::ZERO,
         s: 0,
     }
 }
@@ -56,7 +57,7 @@ fn run_htsim_spray(goal: &GoalSchedule, topo: TopologyConfig) -> u64 {
 
 fn run_testbed(goal: &GoalSchedule, topo: TopologyConfig) -> u64 {
     let mut cfg = TestbedConfig::new(topo);
-    cfg.efficiency = 1.0;
+    cfg.efficiency_pct = 100;
     cfg.noise_frac = 0.0;
     let mut be = TestbedBackend::new(cfg);
     Simulation::new(goal).run(&mut be).unwrap().makespan
@@ -69,7 +70,7 @@ fn backends_agree_on_bandwidth_bound_transfers() {
     // within 15% of each other.
     let goal = bulk_pairs(8, 8 << 20);
     let topo = TopologyConfig::fat_tree(8, 8); // single ToR, no core
-    let lgs = run_lgs(&goal, lgs_params_for(100.0));
+    let lgs = run_lgs(&goal, lgs_params_for(100));
     let ht = run_htsim(&goal, topo.clone());
     let tb = run_testbed(&goal, topo);
     let lo = lgs.min(ht).min(tb) as f64;
@@ -91,7 +92,7 @@ fn lgs_blind_to_oversubscription_htsim_is_not() {
     one.recv(8, 0, 4 << 20, 0);
     let single = one.build().unwrap();
 
-    let lgs_single = run_lgs(&single, lgs_params_for(100.0));
+    let lgs_single = run_lgs(&single, lgs_params_for(100));
     let ht_single = run_htsim(&single, TopologyConfig::fat_tree(16, 4));
     let ratio = ht_single as f64 / lgs_single as f64;
     assert!(
@@ -109,7 +110,7 @@ fn lgs_blind_to_oversubscription_htsim_is_not() {
         b.recv(dst, r, 4 << 20, r);
     }
     let goal = b.build().unwrap();
-    let lgs = run_lgs(&goal, lgs_params_for(100.0));
+    let lgs = run_lgs(&goal, lgs_params_for(100));
     let full = run_htsim(&goal, TopologyConfig::fat_tree(16, 4));
     let over = run_htsim(&goal, TopologyConfig::fat_tree_oversubscribed(16, 4, 4));
     assert!(over as f64 > lgs as f64 * 2.0, "4:1 core must diverge: lgs={lgs} htsim={over}");
@@ -135,7 +136,7 @@ fn spraying_restores_lgs_agreement_on_full_bisection() {
     }
     let goal = b.build().unwrap();
 
-    let lgs = run_lgs(&goal, lgs_params_for(100.0));
+    let lgs = run_lgs(&goal, lgs_params_for(100));
     let hashed = run_htsim(&goal, TopologyConfig::fat_tree(16, 4));
     let sprayed = run_htsim_spray(&goal, TopologyConfig::fat_tree(16, 4));
 
@@ -203,7 +204,7 @@ fn collectives_rank_consistently_across_backends() {
         mpi::allreduce_recdoub(b, &ranks, big, 0, &CollParams::default());
     });
 
-    let p = lgs_params_for(100.0);
+    let p = lgs_params_for(100);
     let topo = TopologyConfig::fat_tree(16, 4);
     let lgs_ring = run_lgs(&ring, p);
     let lgs_rd = run_lgs(&recdoub, p);

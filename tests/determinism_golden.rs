@@ -638,7 +638,7 @@ fn checkpoint_resume_is_bit_identical_on_lgs_clean_and_straggled() {
 #[test]
 fn checkpoint_resume_is_bit_identical_on_ideal() {
     let goal = moe_goal();
-    let mk = || atlahs::core::backends::IdealBackend::new(25.0, 600);
+    let mk = || atlahs::core::backends::IdealBackend::new(200, 600);
     let mut straight_be = mk();
     let straight = Simulation::new(&goal).run(&mut straight_be).expect("completes");
     for pause_at in [1, straight.makespan / 3, straight.makespan - 1] {

@@ -84,7 +84,7 @@ proptest! {
 
     #[test]
     fn random_schedules_complete_on_the_scheduler(goal in arb_goal()) {
-        let mut be = IdealBackend::new(10.0, 100);
+        let mut be = IdealBackend::new(80, 100);
         let rep = Simulation::new(&goal).run(&mut be).expect("no deadlock");
         prop_assert_eq!(rep.completed, goal.total_tasks());
     }
@@ -131,7 +131,7 @@ r1: recv 10b from 0 tag 0
     assert_eq!(goal.num_ranks(), 2);
     assert_eq!(goal.rank(0).num_tasks(), 4);
     assert_eq!(goal.rank(1).num_tasks(), 1);
-    let mut be = IdealBackend::new(1.0, 10);
+    let mut be = IdealBackend::new(8, 10);
     let rep = Simulation::new(&goal).run(&mut be).unwrap();
     assert_eq!(rep.completed, 5);
 }

@@ -50,7 +50,7 @@ fn every_strategy_produces_a_runnable_composition() {
         )
         .unwrap();
         check_matching(&merged).unwrap();
-        let mut be = IdealBackend::new(10.0, 500);
+        let mut be = IdealBackend::new(80, 500);
         let rep = Simulation::new(&merged).run(&mut be).unwrap();
         assert_eq!(rep.completed, merged.total_tasks(), "{strategy:?}");
     }
@@ -141,7 +141,7 @@ fn spread_placement_crosses_the_core_packed_does_not() {
 fn empty_cluster_nodes_stay_idle() {
     let job = quiet_job(2, 1000);
     let placed = place(&job, vec![5, 9], 12).unwrap();
-    let mut be = IdealBackend::new(1.0, 10);
+    let mut be = IdealBackend::new(8, 10);
     let rep = Simulation::new(&placed).run(&mut be).unwrap();
     for (r, &finish) in rep.rank_finish.iter().enumerate() {
         if r == 5 || r == 9 {

@@ -2,7 +2,7 @@
 //! round-trip → 4-stage GOAL lowering → every backend (paper §3.1.2, §5.2).
 
 use atlahs::core::backends::IdealBackend;
-use atlahs::core::Simulation;
+use atlahs::core::{NsPerByte, Simulation};
 use atlahs::goal::stats::check_matching;
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
 use atlahs::htsim::topology::TopologyConfig;
@@ -41,7 +41,7 @@ fn llama_dp_pipeline_runs_on_every_backend() {
     let total = goal.total_tasks();
     let topo = TopologyConfig::fat_tree(4, 2);
 
-    let mut ideal = IdealBackend::new(25.0, 1_000);
+    let mut ideal = IdealBackend::new(200, 1_000);
     assert_eq!(Simulation::new(&goal).run(&mut ideal).unwrap().completed, total);
 
     let mut lgs = LgsBackend::new(LogGopsParams::ai_alps());
@@ -128,11 +128,11 @@ fn what_if_regrouping_trades_wire_for_nvlink() {
 fn slower_network_cannot_speed_up_training() {
     let cfg = tiny(presets::llama7b_dp16(0.002));
     let (_, goal) = lower(&cfg);
-    let time_with_g = |big_g: f64| {
-        let p = LogGopsParams { big_g, ..LogGopsParams::ai_alps() };
+    let time_with_g = |ps: u64| {
+        let p = LogGopsParams { big_g: NsPerByte::ps(ps), ..LogGopsParams::ai_alps() };
         let mut lgs = LgsBackend::new(p);
         Simulation::new(&goal).run(&mut lgs).unwrap().makespan
     };
-    assert!(time_with_g(0.4) > time_with_g(0.04));
-    assert!(time_with_g(4.0) > time_with_g(0.4));
+    assert!(time_with_g(400) > time_with_g(40));
+    assert!(time_with_g(4000) > time_with_g(400));
 }

@@ -124,7 +124,7 @@ fn storage_goal_survives_ideal_and_packet_backends_identically() {
     trace_to_goal(&trace, &layout, &params, &mut b);
     let goal = b.build().unwrap();
 
-    let mut ideal = IdealBackend::new(12.5, 500);
+    let mut ideal = IdealBackend::new(100, 500);
     let ri = Simulation::new(&goal).run(&mut ideal).unwrap();
 
     let hosts = layout.total_ranks().div_ceil(4) * 4;
@@ -150,7 +150,7 @@ fn heavier_offered_load_lengthens_the_tail() {
         let mut b = GoalBuilder::new(layout.total_ranks());
         let done = trace_to_goal(&trace, &layout, &params, &mut b);
         let goal = b.build().unwrap();
-        let mut be = IdealBackend::new(12.5, 500);
+        let mut be = IdealBackend::new(100, 500);
         let rep = Simulation::new(&goal).run(&mut be).unwrap();
         let _ = done;
         rep.makespan

@@ -278,7 +278,7 @@ fn htsim_backend(n: usize, seed: u64) -> HtsimBackend {
 /// Ideal reference at the same edge rate with zero latency and no
 /// protocol overheads: a lower bound for the packet-level run.
 fn ideal_bound() -> IdealBackend {
-    IdealBackend::new(LinkParams::default().bytes_per_ns(), 0)
+    IdealBackend::new(LinkParams::default().gbps, 0)
 }
 
 // ------------------------------------------------------- fault regimes ----

@@ -600,7 +600,7 @@ fn agree_paused<B: Backend + Snapshot>(goal: &GoalSchedule, make: impl Fn() -> B
 }
 
 fn ideal() -> IdealBackend {
-    IdealBackend::new(1.0, 100)
+    IdealBackend::new(8, 100)
 }
 
 fn lgs_eager() -> LgsBackend {
