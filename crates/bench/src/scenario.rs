@@ -28,7 +28,7 @@ use atlahs_htsim::fault::{
 };
 use atlahs_htsim::stochastic::{LinkModel, LinkModelSpec};
 use atlahs_htsim::topology::{LinkParams, Topology, TopologyConfig};
-use atlahs_htsim::CcAlgo;
+use atlahs_htsim::{CcAlgo, MAX_MESSAGE_BYTES};
 use atlahs_lgs::{LogGopsParams, StragglerSpec};
 use atlahs_schedgen::storage2goal::{self, StorageToGoalConfig};
 use atlahs_schedgen::synthetic;
@@ -421,8 +421,25 @@ impl WorkloadSpec {
 
     /// Validate structural constraints the generators assert. Zero-work
     /// repetition counts are rejected too: an empty schedule is useless in
-    /// a sweep and a hard error in the dynamic cluster engine.
+    /// a sweep and a hard error in the dynamic cluster engine. Every
+    /// synthetic generator sends exactly `<bytes>` per message, so that
+    /// field is bounded by the largest message the packet engine carries.
     pub(crate) fn check(&self) -> Result<(), String> {
+        if let WorkloadSpec::Ring { bytes, .. }
+        | WorkloadSpec::Permutation { bytes, .. }
+        | WorkloadSpec::UniformRandom { bytes, .. }
+        | WorkloadSpec::Incast { bytes, .. }
+        | WorkloadSpec::MoeAllToAll { bytes, .. }
+        | WorkloadSpec::PipelineLlm { bytes, .. }
+        | WorkloadSpec::StorageIncast { bytes, .. } = *self
+        {
+            if bytes > MAX_MESSAGE_BYTES {
+                return Err(format!(
+                    "<bytes> must be at most {MAX_MESSAGE_BYTES} ({} packets of 4096 B)",
+                    u32::MAX
+                ));
+            }
+        }
         match *self {
             WorkloadSpec::Ring { ranks, laps, .. } if ranks < 2 || laps < 1 => {
                 Err("a ring needs at least 2 ranks and 1 lap".into())
@@ -1627,6 +1644,30 @@ mod tests {
         assert!(WorkloadSpec::parse("uniform:4:1024:0").is_err());
         assert!(WorkloadSpec::parse("moe:8:4:1024:0:10").is_err());
         assert!(WorkloadSpec::parse("storage-incast:2:2:1024:0").is_err());
+    }
+
+    /// A message of more than `u32::MAX` packets used to wrap htsim's
+    /// packet count: 2⁴⁴ B became a 0-packet flow whose timer re-armed
+    /// forever, and larger sizes silently shrank.
+    #[test]
+    fn message_sizes_beyond_the_packet_engine_are_rejected() {
+        let max = MAX_MESSAGE_BYTES;
+        assert_eq!(max, 17_592_186_040_320);
+        assert!(WorkloadSpec::parse(&format!("ring:2:{max}:1")).is_ok());
+        let over = max + 1;
+        for tok in [
+            format!("ring:2:{over}:1"),
+            format!("perm:4:{over}:1:1"),
+            format!("uniform:4:{over}:1"),
+            format!("incast:4:{over}:1"),
+            format!("moe:4:2:{over}:1:0"),
+            format!("pipeline:2:1:{over}:0"),
+            format!("storage-incast:1:1:{}:1", u64::MAX),
+            format!("multi[ring:2:1024:1+ring:2:{}:1]", 1u64 << 44),
+        ] {
+            let err = WorkloadSpec::parse(&tok).unwrap_err();
+            assert!(err.contains(&format!("<bytes> must be at most {max}")), "{tok}: {err}");
+        }
     }
 
     #[test]

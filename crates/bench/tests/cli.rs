@@ -87,6 +87,21 @@ fn zero_work_workloads_are_usage_errors() {
     }
 }
 
+/// A message too large for htsim's 32-bit packet count used to hang
+/// `atlahs sweep --backends htsim` (2⁴⁴ B wrapped to a 0-packet flow) and
+/// to run on the message-level backends; every backend now refuses it.
+#[test]
+fn oversized_messages_are_usage_errors() {
+    for tok in ["ring:2:17592186044416:1", "storage-incast:1:1:18446744073709551615:1"] {
+        let sweep = ["sweep", "--topos", "switch:4", "--workloads", tok, "--backends", "lgs"];
+        let err = stderr_of_usage_error(&atlahs(&sweep));
+        let want = format!(
+            "atlahs sweep: --workloads: workload `{tok}`: <bytes> must be at most 17592186040320"
+        );
+        assert!(err.starts_with(&want), "{err}");
+    }
+}
+
 /// One fault grammar, two scopes: each subcommand refuses the tokens it
 /// cannot express and says why and where they belong.
 #[test]

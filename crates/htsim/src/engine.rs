@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 
 use atlahs_core::matcher::MatchKey;
 use atlahs_core::{Backend, Completion, Matcher, OpRef, Snapshot, Time};
@@ -42,6 +42,9 @@ const MTU: u32 = 4096;
 const WIRE_MTU: u32 = MTU + HDR_BYTES;
 /// Host-side per-operation overhead (ns).
 const HOST_O: u64 = 200;
+/// The largest message the engine carries: `u32::MAX` packets of 4096
+/// payload bytes. The workload grammar rejects larger `<bytes>` fields.
+pub const MAX_MESSAGE_BYTES: u64 = u32::MAX as u64 * MTU as u64;
 
 /// Backend configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,10 +235,12 @@ enum Ev {
 // up the enum's niche would grow them all.
 const _: () = assert!(std::mem::size_of::<Option<Ev>>() == std::mem::size_of::<Ev>());
 
+/// One output queue. `rate` is the link rate in units of 10 Mb/s
+/// ([`LinkParams::rate`](crate::LinkParams::rate)): the one value
+/// serialisation, pull pacing and a new flow's BDP and RTO derive from.
 #[derive(Clone)]
 struct Port {
-    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-    rate: f64,
+    rate: u64,
     latency: u64,
     to_host: Option<u32>,
     is_core: bool,
@@ -243,13 +248,9 @@ struct Port {
     queue: VecDeque<Packet>,
     qbytes: u64,
     in_service: Option<Packet>,
-    cap: u64,
-    kmin: u64,
-    kmax: u64,
     /// Serialization times for the two wire sizes that dominate traffic
-    /// (full MTU frames and bare headers), precomputed with the exact
-    /// same float formula the general path uses — the per-packet f64
-    /// divide is off the hot path without changing a single timestamp.
+    /// (full MTU frames and bare headers), cached from [`tx_ns`] so the
+    /// divide is off the per-packet path.
     tx_mtu: u64,
     tx_hdr: u64,
     /// Inside a [`FaultKind::Down`] window: the port discards everything
@@ -264,21 +265,37 @@ struct Port {
 }
 
 impl Port {
-    /// Serialisation time of `wire` bytes at the port's current rate —
-    /// the one place the formula is written, so a fresh port, a degrade
-    /// window and the general path cannot drift apart.
-    fn tx_ns(&self, wire: u32) -> u64 {
-        // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-        (wire as f64 / self.rate).ceil() as u64
-    }
-
     /// Change the link rate and re-derive the cached serialisation times.
-    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-    fn set_rate(&mut self, rate: f64) {
+    fn set_rate(&mut self, rate: u64) {
         self.rate = rate;
-        self.tx_mtu = self.tx_ns(WIRE_MTU);
-        self.tx_hdr = self.tx_ns(HDR_BYTES);
+        self.tx_mtu = tx_ns(rate, WIRE_MTU);
+        self.tx_hdr = tx_ns(rate, HDR_BYTES);
     }
+}
+
+/// Serialisation time of `wire` bytes at `rate` (units of 10 Mb/s):
+/// `⌈wire·800 / rate⌉` ns.
+pub fn tx_ns(rate: u64, wire: u32) -> u64 {
+    (wire as u64 * 800).div_ceil(rate)
+}
+
+/// A new flow's initial window and retransmission timeout at its host
+/// port's `rate`: one bandwidth-delay product, `⌊base_rtt·rate / 800⌋`
+/// bytes, and `3·base_rtt` plus ten MTUs' serialisation, rounded down.
+pub fn bdp_and_rto(rate: u64, base_rtt: u64) -> (u64, u64) {
+    let bdp = u64::try_from(base_rtt as u128 * rate as u128 / 800).unwrap_or(u64::MAX);
+    (bdp, 3 * base_rtt + 10 * MTU as u64 * 800 / rate)
+}
+
+/// Whether a data packet that finds `q` bytes queued in a buffer of
+/// `queue_bytes` is ECN-marked: never up to `K_min` (20 % of the buffer),
+/// always from `K_max` (80 %), and in between with probability
+/// `(q − K_min) / (K_max − K_min)`, taking the top 53 bits of one RNG
+/// `word` as the uniform variate and comparing exactly.
+pub fn ecn_mark(q: u64, queue_bytes: u64, word: impl FnOnce() -> u64) -> bool {
+    let (kmin, kmax) = (queue_bytes / 5, queue_bytes * 4 / 5);
+    let below = |w: u64| ((w >> 11) as u128 * (kmax - kmin) as u128) < ((q - kmin) as u128) << 53;
+    q >= kmax || (q > kmin && below(word()))
 }
 
 /// Dense bitmaps for per-packet sender/receiver state.
@@ -453,9 +470,8 @@ impl HtsimState {
     /// set up holds the port-less one.
     fn new(cfg: &HtsimConfig, ports: &[PortSpec], hosts: usize) -> Self {
         let ports = ports.iter().map(|spec| {
-            let rate = spec.link.bytes_per_ns();
             let mut port = Port {
-                rate,
+                rate: 0,
                 latency: spec.link.latency_ns,
                 to_host: spec.to_host,
                 is_core: spec.is_core,
@@ -463,15 +479,12 @@ impl HtsimState {
                 queue: VecDeque::new(),
                 qbytes: 0,
                 in_service: None,
-                cap: cfg.queue_bytes,
-                kmin: cfg.queue_bytes / 5,
-                kmax: cfg.queue_bytes * 4 / 5,
                 tx_mtu: 0,
                 tx_hdr: 0,
                 down: false,
                 draws: 0,
             };
-            port.set_rate(rate);
+            port.set_rate(spec.link.rate(100));
             port
         });
         let mut queue = EventQueue::new();
@@ -571,23 +584,14 @@ impl HtsimBackend {
         // `stats`, and `cc` are disjoint fields of the state).
         let port = &mut self.s.ports[port_id as usize];
         if pkt.kind == PktKind::Data {
-            let q = port.qbytes;
+            let (q, cap) = (port.qbytes, self.cfg.queue_bytes);
             // ECN marking on instantaneous occupancy.
-            if q >= port.kmax {
-                pkt.ecn = true;
-            } else if q > port.kmin {
-                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                let p = (q - port.kmin) as f64 / (port.kmax - port.kmin).max(1) as f64;
-                // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                if self.s.rng.random::<f64>() < p {
-                    pkt.ecn = true;
-                }
-            }
+            pkt.ecn |= ecn_mark(q, cap, || self.s.rng.next_u64());
             if pkt.ecn {
                 self.s.stats.ecn_marks += 1;
             }
             // Admission: trim (NDP) or drop on overflow.
-            if q + pkt.wire as u64 > port.cap {
+            if q + pkt.wire as u64 > cap {
                 if self.cfg.cc == CcAlgo::Ndp {
                     pkt.kind = PktKind::Trimmed;
                     pkt.wire = HDR_BYTES;
@@ -623,7 +627,7 @@ impl HtsimBackend {
                 } else if pkt.wire == HDR_BYTES {
                     port.tx_hdr
                 } else {
-                    port.tx_ns(pkt.wire)
+                    tx_ns(port.rate, pkt.wire)
                 };
                 port.in_service = Some(pkt);
                 (tx, true)
@@ -904,14 +908,9 @@ impl HtsimBackend {
         match f.kind {
             FaultKind::Down => port.down = start,
             FaultKind::Degrade { bw_pct, lat_pct } => {
-                if start {
-                    // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-                    port.set_rate(link.bytes_per_ns() * bw_pct.max(1) as f64 / 100.0);
-                    port.latency = link.latency_ns * lat_pct as u64 / 100;
-                } else {
-                    port.set_rate(link.bytes_per_ns());
-                    port.latency = link.latency_ns;
-                }
+                let (bw_pct, lat_pct) = if start { (bw_pct, lat_pct) } else { (100, 100) };
+                port.set_rate(link.rate(bw_pct));
+                port.latency = link.latency_ns * lat_pct as u64 / 100;
             }
         }
     }
@@ -1027,7 +1026,9 @@ impl HtsimBackend {
     /// intra-node one gets no routes, no salt draw and no timer.
     fn make_flow(&mut self, op: OpRef, dst: Rank, bytes: u64) -> (PathRef, InFlight) {
         let bytes = bytes.max(1);
-        let npkts = bytes.div_ceil(MTU as u64) as u32;
+        let npkts = u32::try_from(bytes.div_ceil(MTU as u64)).unwrap_or_else(|_| {
+            panic!("a {bytes} B message is over MAX_MESSAGE_BYTES = {MAX_MESSAGE_BYTES} B")
+        });
         let (path, rpath, salt, rto, cc) = if op.rank == dst {
             (PathRef::EMPTY, PathRef::EMPTY, 0, 0, CcState::new(self.cfg.cc, MTU, 1, 1))
         } else {
@@ -1037,12 +1038,7 @@ impl HtsimBackend {
             let rpath =
                 self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, dst, op.rank, salt);
             let base_rtt = self.topo.base_rtt(path.of(&self.s.arena), rpath.of(&self.s.arena), MTU);
-            let host_rate = self.s.ports[op.rank as usize].rate;
-            // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-            let bdp = (base_rtt as f64 * host_rate) as u64;
-            // Retransmission timeout: 3×base RTT + 10 MTU.
-            // det-lint: allow(float) — fixed-order IEEE-754 rate/window math, bit-stable; pinned by determinism goldens
-            let rto = 3 * base_rtt + (10.0 * MTU as f64 / host_rate) as u64;
+            let (bdp, rto) = bdp_and_rto(self.s.ports[op.rank as usize].rate, base_rtt);
             let cc = CcState::new(self.cfg.cc, MTU, base_rtt, bdp);
             (path, rpath, salt, rto, cc)
         };

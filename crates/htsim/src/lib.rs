@@ -41,7 +41,7 @@ pub mod topology;
 pub use atlahs_eventq as eventq;
 
 pub use cc::{CcAlgo, CcState};
-pub use engine::{FlowRecord, HtsimBackend, HtsimConfig, NetStats};
+pub use engine::{FlowRecord, HtsimBackend, HtsimConfig, NetStats, MAX_MESSAGE_BYTES};
 pub use eventq::EventQueue;
 pub use fault::{select_fault_ports, FaultKind, PortFault};
 pub use stochastic::{LinkModel, LinkModelSpec, LossTier};

@@ -29,11 +29,10 @@ pub struct LinkParams {
 }
 
 impl LinkParams {
-    /// Rate in bytes per nanosecond.
-    // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-    pub fn bytes_per_ns(&self) -> f64 {
-        // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-        self.gbps as f64 / 8.0
+    /// The port rate at `bw_pct` % of line rate (nominal is 100), in
+    /// units of 10 Mb/s: a byte takes `800 / rate` ns.
+    pub fn rate(&self, bw_pct: u32) -> u64 {
+        self.gbps.checked_mul(bw_pct.max(1) as u64).expect("link rate overflows u64")
     }
 }
 
@@ -213,7 +212,7 @@ pub struct Topology {
 
 impl Topology {
     pub fn build(config: TopologyConfig) -> Self {
-        match config {
+        let topo = match config {
             TopologyConfig::SingleSwitch { hosts, link } => {
                 let mut ports = Vec::with_capacity(2 * hosts);
                 // 0..hosts: host h -> switch
@@ -343,7 +342,9 @@ impl Topology {
                     }),
                 }
             }
-        }
+        };
+        assert!(topo.ports.iter().all(|p| p.link.gbps > 0), "a link needs a rate above 0 Gb/s");
+        topo
     }
 
     pub fn config(&self) -> &TopologyConfig {
@@ -590,27 +591,32 @@ impl Topology {
 
     /// Base round-trip estimate for a path and its reverse: propagation plus
     /// one MTU serialization per forward hop and one header per reverse hop.
+    /// A hop of `b` bytes costs `latency + 8·b / gbps` ns; the sum is kept
+    /// as an exact fraction and rounded half up once.
     pub fn base_rtt(&self, path: &[u32], rpath: &[u32], mtu: u32) -> u64 {
-        // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-        let fwd: f64 = path
-            .iter()
-            .map(|&p| {
-                let l = self.ports[p as usize].link;
-                // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-                l.latency_ns as f64 + mtu as f64 / l.bytes_per_ns()
-            })
-            .sum();
-        // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-        let rev: f64 = rpath
-            .iter()
-            .map(|&p| {
-                let l = self.ports[p as usize].link;
-                // det-lint: allow(float) — link-rate Gbps parameter, folded to integer ns once at build time
-                l.latency_ns as f64 + 64.0 / l.bytes_per_ns()
-            })
-            .sum();
-        (fwd + rev).round() as u64
+        let hops = path.iter().map(|&p| (p, mtu as u128)).chain(rpath.iter().map(|&p| (p, 64)));
+        let hops = hops.map(|(p, bytes)| (self.ports[p as usize].link, bytes));
+        // Serialisation over the lcm of the hop rates, which on most paths
+        // is their one rate: then no hop divides.
+        let den = hops.clone().fold(1, |d, (l, _)| lcm(d, l.gbps as u128));
+        let (latency, num) = hops.fold((0, 0), |(latency, num), (l, bytes)| {
+            let scale = if l.gbps as u128 == den { 1 } else { den / l.gbps as u128 };
+            (latency + l.latency_ns, num + 8 * bytes * scale)
+        });
+        latency + ((2 * num + den) / (2 * den)) as u64
     }
+}
+
+/// The least common multiple, without dividing when `a == b`.
+fn lcm(a: u128, b: u128) -> u128 {
+    if a == b {
+        return a;
+    }
+    let (mut x, mut y) = (a, b);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    a / x * b
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@
 //! 2. **Annotations** — legitimate sites are exempted in place via
 //!    `// det-lint: allow(<rule>) — <reason>` (`annotations`), and an
 //!    annotation that no longer suppresses anything is itself an error,
-//!    as is an `allow(float)` outside the crates that still keep floats
-//!    (`policy::FLOAT_ALLOW_CRATES`).
+//!    as is an `allow(float)` outside the files that still keep floats
+//!    (`policy::FLOAT_ALLOW_FILES`).
 //! 3. **Hygiene** — every golden under `tests/goldens/` must parse as
 //!    JSON and be referenced by a test or ci.sh stage, and every golden
 //!    path ci.sh names must exist (`hygiene`).
@@ -89,8 +89,8 @@ impl Report {
 
 /// Audit a single source file. Exposed so the fixture tests (and any
 /// future editor integration) can lint sources without a workspace.
-/// `float_allows` says whether the file's crate may still annotate floats
-/// ([`policy::FLOAT_ALLOW_CRATES`]); where it may not, an `allow(float)`
+/// `float_allows` says whether the file may still annotate floats
+/// ([`policy::FLOAT_ALLOW_FILES`]); where it may not, an `allow(float)`
 /// is a `refused-annotation` finding and suppresses nothing. Returns the
 /// findings and the number of annotations that suppressed at least one
 /// raw hit.
@@ -118,8 +118,9 @@ pub fn scan_source(
         match annotations::parse(c) {
             Parsed::Ok(mut a) => {
                 if !float_allows && a.rules.contains(&Rule::Float) {
-                    let why = "`allow(float)` is refused in this crate: floats remain only in \
-                               htsim, the testbed solver and core's placement ratios";
+                    let why = "`allow(float)` is refused in this file: floats remain only in \
+                               htsim's congestion windows, the testbed solver and core's \
+                               placement ratios";
                     findings.push(Finding::new(file, c.line, "refused-annotation", why));
                     a.rules.retain(|&r| r != Rule::Float);
                     if a.rules.is_empty() {
@@ -191,8 +192,7 @@ pub fn run(root: &Path) -> io::Result<Report> {
             continue; // shims mirror external crates verbatim
         }
         report.crates_scanned += 1;
-        let float_allows = policy::FLOAT_ALLOW_CRATES.contains(&name.as_str());
-        scan_tree(root, &dir.join("src"), tier, float_allows, &mut report, &mut sources)?;
+        scan_tree(root, &dir.join("src"), tier, &mut report, &mut sources)?;
         // Crate test dirs join the haystack (tests reference goldens)
         // but are not rule-scanned: test code is exempt by policy.
         collect_sources(root, &dir.join("tests"), &mut sources)?;
@@ -201,7 +201,7 @@ pub fn run(root: &Path) -> io::Result<Report> {
     // ---- the umbrella crate at the workspace root ----
     report.crates_scanned += 1;
     let tier = policy::crate_tier("atlahs");
-    scan_tree(root, &root.join("src"), tier, false, &mut report, &mut sources)?;
+    scan_tree(root, &root.join("src"), tier, &mut report, &mut sources)?;
     collect_sources(root, &root.join("tests"), &mut sources)?;
     collect_sources(root, &root.join("examples"), &mut sources)?;
 
@@ -225,13 +225,13 @@ fn scan_tree(
     root: &Path,
     dir: &Path,
     tier: Tier,
-    float_allows: bool,
     report: &mut Report,
     sources: &mut Vec<(String, String)>,
 ) -> io::Result<()> {
     for path in walk_rs(dir)? {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().into_owned();
         let src = fs::read_to_string(&path)?;
+        let float_allows = policy::FLOAT_ALLOW_FILES.contains(&rel.as_str());
         let (mut findings, used) =
             scan_source(&rel, &src, tier, is_crate_root(&path), float_allows);
         report.findings.append(&mut findings);

@@ -130,7 +130,9 @@ impl TestbedBackend {
         let topo = Topology::build(cfg.topology.clone());
         // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
         let efficiency = cfg.efficiency_pct as f64 / 100.0;
-        let port_rates = topo.ports().iter().map(|p| p.link.bytes_per_ns() * efficiency).collect();
+        // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
+        let port_rates = topo.ports().iter().map(|p| p.link.gbps as f64 / 8.0 * efficiency);
+        let port_rates = port_rates.collect();
         TestbedBackend { s: TestbedState::new(&cfg), topo, port_rates, cfg }
     }
 
