@@ -4,7 +4,9 @@
 # Stages:
 #   1. cargo fmt --check          — formatting (config in rustfmt.toml)
 #   2. cargo clippy -D warnings   — lints, all targets, no allowlist
-#   3. cargo build --release      — the tier-1 build
+#   3. cargo build --release      — the tier-1 build, then the examples:
+#      each one under examples/ is built in release and run, and must
+#      exit 0 (`cargo test` only compiles them)
 #   4. cargo test -q              — unit + integration + doc tests (tier-1),
 #      the golden table among them: tests/golden_table/mod.rs holds the
 #      run behind every report under tests/goldens/ — the sweep,
@@ -66,6 +68,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo build --release"
 cargo build --release --workspace
+
+step "examples (release, each must exit 0)"
+cargo build --release --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    ./target/release/examples/"$name" > /dev/null \
+        || { echo "ci.sh: example $name failed" >&2; exit 1; }
+done
 
 step "cargo test"
 cargo test -q --workspace

@@ -423,12 +423,16 @@ fn fig10(cli: &Cli) -> String {
 fn fig11(cli: &Cli) -> String {
     let ops = cli.number("ops", 5_000usize);
     let gap = cli.number("gap", 50u64);
-    let compress = cli.number("compress", 12u64).max(1);
+    let compress = cli.number("compress", 12u64);
     let seed = cli.number("seed", 1u64);
     let threads = cli.number("threads", 0usize);
 
     let hosts = storage_layout().total_ranks();
     let workload = WorkloadSpec::Storage { ops, gap_ns: gap, compress };
+    if let Err(e) = workload.check() {
+        let flag = if ops == 0 { "ops" } else { "compress" };
+        cli.fail(format!("--{flag}: workload `{}`: {e}", workload.label()));
+    }
     let grid = [
         (1, "fully provisioned", CcAlgo::Mprdma),
         (1, "fully provisioned", CcAlgo::Ndp),

@@ -6,9 +6,10 @@
 use std::time::{Duration, Instant};
 
 use atlahs_core::backends::IdealBackend;
+use atlahs_core::probe::{FlowRecord, Recorded};
 use atlahs_core::{Backend, SimReport, Simulation};
 use atlahs_goal::GoalSchedule;
-use atlahs_htsim::engine::{FlowRecord, HtsimBackend, HtsimConfig, NetStats};
+use atlahs_htsim::engine::{HtsimBackend, HtsimConfig, NetStats};
 use atlahs_htsim::topology::TopologyConfig;
 use atlahs_htsim::CcAlgo;
 use atlahs_lgs::{LgsBackend, LogGopsParams};
@@ -39,6 +40,7 @@ pub fn run_lgs(goal: &GoalSchedule, params: LogGopsParams) -> (SimReport, Durati
 pub struct HtsimRun {
     pub report: SimReport,
     pub stats: NetStats,
+    /// Empty unless the run recorded its flows.
     pub flows: Vec<FlowRecord>,
     pub wall: Duration,
 }
@@ -53,8 +55,13 @@ pub fn run_htsim(
 ) -> HtsimRun {
     let mut cfg = HtsimConfig::new(topo, cc);
     cfg.seed = seed;
-    cfg.collect_flows = collect_flows;
-    HtsimRun::of(goal, cfg)
+    if !collect_flows {
+        return HtsimRun::of(goal, cfg);
+    }
+    let mut backend = Recorded::new(HtsimBackend::new(cfg));
+    let (report, wall) = run_on(goal, &mut backend);
+    let stats = backend.inner().net_stats();
+    HtsimRun { report, stats, flows: backend.flows(), wall }
 }
 
 /// ATLAHS htsim on the AI fabric: Slingshot/UEC-class adaptive load
@@ -71,12 +78,7 @@ impl HtsimRun {
     fn of(goal: &GoalSchedule, cfg: HtsimConfig) -> HtsimRun {
         let mut backend = HtsimBackend::new(cfg);
         let (report, wall) = run_on(goal, &mut backend);
-        HtsimRun {
-            report,
-            stats: backend.net_stats(),
-            flows: backend.flow_records().to_vec(),
-            wall,
-        }
+        HtsimRun { report, stats: backend.net_stats(), flows: Vec::new(), wall }
     }
 }
 

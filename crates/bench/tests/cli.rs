@@ -102,6 +102,20 @@ fn oversized_messages_are_usage_errors() {
     }
 }
 
+/// A jitter scale past a second used to hang an htsim cell, its
+/// retransmission timer re-injecting every backed-off RTO until the
+/// jittered copy landed; next to a clean LGS cell it went unnoticed.
+#[test]
+fn unbounded_jitter_is_a_usage_error() {
+    let sweep = ["sweep", "--topos", "switch:4", "--workloads", "ring:4:1024:1", "--backends"];
+    let tok = "jitter:uniform:1000000000000000000";
+    let faults = format!("none,{tok}");
+    let err = stderr_of_usage_error(&atlahs(&[&sweep[..], &["lgs", "--faults", &faults]].concat()));
+    let want =
+        format!("atlahs sweep: --faults: fault `{tok}`: jitter max must be <= 1000000000 ns");
+    assert!(err.starts_with(&want), "{err}");
+}
+
 /// One fault grammar, two scopes: each subcommand refuses the tokens it
 /// cannot express and says why and where they belong.
 #[test]
@@ -257,6 +271,8 @@ fn stray_positionals_and_unknown_figures_are_usage_errors() {
 /// a malformed number (`--seed banana`, exit 101), asserted on the scale
 /// range (`--scale 0`), divided by zero on `--ranks 0`, and ignored an
 /// unknown or mistyped flag (`--sclae 0.5` ran at the default scale).
+/// fig11 ran `--compress 0` as 1x and printed an empty figure for
+/// `--ops 0`, both with exit 0.
 #[test]
 fn figure_flags_are_usage_errors() {
     for (args, want) in [
@@ -267,6 +283,15 @@ fn figure_flags_are_usage_errors() {
             "atlahs fig: --ranks: workload `incast:1:1048576:2`: incast needs a sink",
         ),
         (&["fig", "fig09", "--sclae", "0.5", "--bogus"], "atlahs fig: --bogus: unknown flag"),
+        (
+            &["fig", "fig11", "--compress", "0"],
+            "atlahs fig: --compress: workload `storage:5000:50:0`: compress must be at least 1",
+        ),
+        (
+            &["fig", "fig11", "--ops", "0"],
+            "atlahs fig: --ops: workload `storage:0:50:12`: a storage run needs at least 1 \
+             operation",
+        ),
     ] {
         let err = stderr_of_usage_error(&atlahs(args));
         assert!(err.starts_with(want), "{args:?}: {err}");

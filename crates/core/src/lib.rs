@@ -40,6 +40,7 @@ pub mod backends;
 pub mod faultgen;
 pub mod matcher;
 pub mod placement;
+pub mod probe;
 pub mod scheduler;
 pub mod snapshot;
 

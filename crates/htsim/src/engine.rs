@@ -56,8 +56,6 @@ pub struct HtsimConfig {
     pub queue_bytes: u64,
     /// RNG seed (ECN probabilistic marking, ECMP salt).
     pub seed: u64,
-    /// Record per-flow completion times (Fig. 11 MCT statistics).
-    pub collect_flows: bool,
     /// Per-packet path spraying (UEC/REPS-style adaptive load balancing)
     /// instead of per-flow ECMP hashing. Spraying removes hash-collision
     /// hotspots on fully provisioned fabrics at the cost of out-of-order
@@ -82,7 +80,6 @@ impl HtsimConfig {
             cc,
             queue_bytes: 1 << 20,
             seed: 1,
-            collect_flows: false,
             spray: false,
             faults: Vec::new(),
             link_model: LinkModel::default(),
@@ -150,22 +147,6 @@ impl NetStats {
     /// RTO policy is re-injecting faster than the fabric drains.
     pub fn rtx_storm_per_kflow(&self) -> u64 {
         self.timeouts * 1_000 / self.flows.max(1)
-    }
-}
-
-/// Completion record of one flow (message).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowRecord {
-    pub src: u32,
-    pub dst: u32,
-    pub bytes: u64,
-    pub start: Time,
-    pub end: Time,
-}
-
-impl FlowRecord {
-    pub fn duration(&self) -> Time {
-        self.end - self.start
     }
 }
 
@@ -393,7 +374,6 @@ struct InFlight {
     rcvd: Bitmap,
     rcvd_count: u32,
     recv_op: Option<OpRef>,
-    start: Time,
 }
 
 impl InFlight {
@@ -437,7 +417,7 @@ pub struct HtsimBackend {
 /// Everything a run of the packet engine mutates: every port's queue and
 /// link parameters (fault windows rescale them), every flow, the event
 /// queue, the clock, the RNG, the message matcher, NDP pull pacers,
-/// counters, and flow records — plus the *effective* fault table and link
+/// and counters — plus the *effective* fault table and link
 /// model, which start as [`HtsimConfig`]'s and are what the branch
 /// overrides ([`HtsimBackend::inject_fault`],
 /// [`HtsimBackend::set_link_model`]) change.
@@ -452,7 +432,6 @@ pub struct HtsimState {
     matcher: Matcher<u32, (OpRef, Time)>,
     pacers: Vec<PullPacer>,
     stats: NetStats,
-    records: Vec<FlowRecord>,
     /// Interned routes ([`Topology::route_ref`]): every [`PathRef`] held
     /// by a flow or a packet in this state indexes `arena`, which is why
     /// the arena and its lookup map are state and not a cache on the
@@ -507,7 +486,6 @@ impl HtsimState {
             matcher: Matcher::new(),
             pacers: vec![PullPacer { credits: VecDeque::new(), busy: false }; hosts],
             stats: NetStats::default(),
-            records: Vec::new(),
             arena: Vec::new(),
             routes: RouteCache::default(),
             faults: cfg.faults.clone(),
@@ -536,11 +514,6 @@ impl HtsimBackend {
     /// Network statistics accumulated so far.
     pub fn net_stats(&self) -> NetStats {
         self.s.stats
-    }
-
-    /// Flow completion records (only when `collect_flows` is set).
-    pub fn flow_records(&self) -> &[FlowRecord] {
-        &self.s.records
     }
 
     pub fn config(&self) -> &HtsimConfig {
@@ -801,12 +774,7 @@ impl HtsimBackend {
                     self.add_pull_credit(host, pkt.flow);
                 }
                 if all_in {
-                    let t = self.deliver(pkt.flow);
-                    if self.cfg.collect_flows {
-                        let Flow { src, dst, .. } = self.s.flows[pkt.flow as usize];
-                        let (bytes, start) = (t.bytes, t.start);
-                        self.s.records.push(FlowRecord { src, dst, bytes, start, end: now });
-                    }
+                    self.deliver(pkt.flow);
                 }
             }
             PktKind::Trimmed => {
@@ -887,13 +855,12 @@ impl HtsimBackend {
     /// itself). Taking the in-flight state is what cancels the
     /// retransmission-timer chain and turns away whatever of the flow is
     /// still in the fabric; dropping it gives the buffers back.
-    fn deliver(&mut self, fid: u32) -> Box<InFlight> {
+    fn deliver(&mut self, fid: u32) {
         let t = self.s.flows[fid as usize].in_flight.take().expect("a flow is delivered once");
         self.push(self.s.now, Ev::Emit { op: t.op, done: true });
         if let Some(r) = t.recv_op {
             self.push(self.s.now + HOST_O, Ev::Emit { op: r, done: true });
         }
-        t
     }
 
     /// Apply or lift one fault window ([`Ev::Fault`]).
@@ -1014,7 +981,7 @@ impl Backend for HtsimBackend {
                 Ev::Timeout { flow, gen } => self.on_timeout(flow, gen),
                 Ev::PullTick { host } => self.on_pull_tick(host),
                 Ev::Fault { idx, start } => self.on_fault(idx, start),
-                Ev::LocalDone { flow } => drop(self.deliver(flow)),
+                Ev::LocalDone { flow } => self.deliver(flow),
             }
         }
         None
@@ -1063,7 +1030,6 @@ impl HtsimBackend {
             rcvd: Bitmap::new(npkts),
             rcvd_count: 0,
             recv_op: None,
-            start: self.s.now,
         };
         (rpath, in_flight)
     }

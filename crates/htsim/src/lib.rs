@@ -9,7 +9,8 @@
 //! Packet-level simulation is what enables the statistics message-level
 //! models cannot see: packet drops, trims, queue occupancy, per-message
 //! completion times (Fig. 11 and Fig. 12 of the paper are regenerated from
-//! [`HtsimBackend::net_stats`] / [`HtsimBackend::flow_records`]).
+//! [`HtsimBackend::net_stats`] and, for per-message completion times, the
+//! call log of an [`atlahs_core::probe::Recorded`] wrapper).
 //!
 //! ```
 //! use atlahs_core::Simulation;
@@ -41,7 +42,7 @@ pub mod topology;
 pub use atlahs_eventq as eventq;
 
 pub use cc::{CcAlgo, CcState};
-pub use engine::{FlowRecord, HtsimBackend, HtsimConfig, NetStats, MAX_MESSAGE_BYTES};
+pub use engine::{HtsimBackend, HtsimConfig, NetStats, MAX_MESSAGE_BYTES};
 pub use eventq::EventQueue;
 pub use fault::{select_fault_ports, FaultKind, PortFault};
 pub use stochastic::{LinkModel, LinkModelSpec, LossTier};
@@ -50,11 +51,18 @@ pub use topology::{LinkParams, PathRef, Topology, TopologyConfig};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlahs_core::probe::Recorded;
     use atlahs_core::{SimReport, Simulation};
     use atlahs_goal::{GoalBuilder, GoalSchedule};
 
     fn run_with(goal: &GoalSchedule, cfg: HtsimConfig) -> (SimReport, HtsimBackend) {
         let mut backend = HtsimBackend::new(cfg);
+        let report = Simulation::new(goal).run(&mut backend).expect("no deadlock");
+        (report, backend)
+    }
+
+    fn run_recorded(goal: &GoalSchedule, cfg: HtsimConfig) -> (SimReport, Recorded<HtsimBackend>) {
+        let mut backend = Recorded::new(HtsimBackend::new(cfg));
         let report = Simulation::new(goal).run(&mut backend).expect("no deadlock");
         (report, backend)
     }
@@ -190,21 +198,6 @@ mod tests {
         let (r_full, _) = run_with(&goal, full);
         let (r_over, _) = run_with(&goal, over);
         assert_eq!(r_full.makespan, r_over.makespan);
-    }
-
-    #[test]
-    fn flow_records_collected_when_enabled() {
-        let mut cfg = small_switch(CcAlgo::Mprdma);
-        cfg.collect_flows = true;
-        let goal = incast(4, 64 * 1024);
-        let (_, backend) = run_with(&goal, cfg);
-        let recs = backend.flow_records();
-        assert_eq!(recs.len(), 4);
-        for r in recs {
-            assert_eq!(r.bytes, 64 * 1024);
-            assert!(r.duration() > 0);
-            assert_eq!(r.dst, 0);
-        }
     }
 
     #[test]
@@ -524,36 +517,40 @@ mod tests {
 
     // ---- checkpoint / restore ---------------------------------------
 
+    /// Pause `goal` at three bounds, checkpoint, finish, restore and
+    /// finish again: both finishes must match the straight run's
+    /// makespan, statistics and flow records. Returns the straight run.
+    fn assert_resumes_bit_identically(
+        goal: &GoalSchedule,
+        cfg: &HtsimConfig,
+    ) -> Recorded<HtsimBackend> {
+        use atlahs_core::{RunState, SimDriver, Snapshot};
+        let (straight, sb) = run_recorded(goal, cfg.clone());
+        let want = (straight.makespan, sb.inner().net_stats(), sb.flows());
+        for bound in [1, 50_000, straight.makespan / 2] {
+            let mut b = Recorded::new(HtsimBackend::new(cfg.clone()));
+            let mut driver = SimDriver::start(goal, &mut b);
+            assert_eq!(driver.run_until(&mut b, bound).unwrap(), RunState::Paused);
+            let snap = b.checkpoint();
+            let fork_driver = driver.clone();
+            let original = driver.finish(&mut b).unwrap().makespan;
+            assert_eq!((original, b.inner().net_stats(), b.flows()), want, "bound {bound}");
+
+            b.restore(&snap);
+            let fork = fork_driver.finish(&mut b).unwrap().makespan;
+            assert_eq!((fork, b.inner().net_stats(), b.flows()), want, "fork at {bound}");
+        }
+        sb
+    }
+
     /// Pause → checkpoint → resume must be byte-identical to running
     /// straight through, including the RNG-driven parts (ECN marking,
     /// ECMP salts) and per-flow records — on a congested, lossy run.
     #[test]
     fn checkpoint_resume_is_bit_identical() {
-        use atlahs_core::{RunState, SimDriver, Snapshot};
-        let goal = incast(8, 256 * 1024);
         let mut cfg = small_switch(CcAlgo::Mprdma);
         cfg.queue_bytes = 64 * 1024; // force drops + ECN draws
-        cfg.collect_flows = true;
-        let (straight, sb) = run_with(&goal, cfg.clone());
-        let straight_stats = sb.net_stats();
-
-        for bound in [1, 50_000, straight.makespan / 2] {
-            let mut b = HtsimBackend::new(cfg.clone());
-            let mut driver = SimDriver::start(&goal, &mut b);
-            assert_eq!(driver.run_until(&mut b, bound).unwrap(), RunState::Paused);
-            let snap = b.checkpoint();
-            let fork_driver = driver.clone();
-            let original = driver.finish(&mut b).unwrap();
-            assert_eq!(original.makespan, straight.makespan, "bound {bound}");
-            assert_eq!(b.net_stats(), straight_stats, "bound {bound}");
-            assert_eq!(b.flow_records(), sb.flow_records(), "bound {bound}");
-
-            b.restore(&snap);
-            let fork = fork_driver.finish(&mut b).unwrap();
-            assert_eq!(fork.makespan, straight.makespan, "fork at {bound}");
-            assert_eq!(b.net_stats(), straight_stats, "fork at {bound}");
-            assert_eq!(b.flow_records(), sb.flow_records(), "fork at {bound}");
-        }
+        assert_resumes_bit_identically(&incast(8, 256 * 1024), &cfg);
     }
 
     /// Checkpoint/resume composes with fault windows already in flight:
@@ -798,35 +795,15 @@ mod tests {
     #[test]
     fn checkpoint_resume_mid_loss_is_bit_identical() {
         use atlahs_core::faultgen::Distribution;
-        use atlahs_core::{RunState, SimDriver, Snapshot};
-        let goal = incast(8, 256 * 1024);
         let mut cfg = small_switch(CcAlgo::Mprdma);
-        cfg.collect_flows = true;
         cfg.link_model = LinkModel {
             core_loss_ppm: 30_000,
             edge_loss_ppm: 30_000,
             jitter: Some(Distribution::Uniform { max_ns: 1_500 }),
             seed: 0xf00d,
         };
-        let (straight, sb) = run_with(&goal, cfg.clone());
-        assert!(sb.net_stats().stochastic_drops > 0, "the scenario must be lossy");
-
-        for bound in [1, 50_000, straight.makespan / 2] {
-            let mut b = HtsimBackend::new(cfg.clone());
-            let mut driver = SimDriver::start(&goal, &mut b);
-            assert_eq!(driver.run_until(&mut b, bound).unwrap(), RunState::Paused);
-            let snap = b.checkpoint();
-            let fork_driver = driver.clone();
-            let original = driver.finish(&mut b).unwrap();
-            assert_eq!(original.makespan, straight.makespan, "bound {bound}");
-            assert_eq!(b.net_stats(), sb.net_stats(), "bound {bound}");
-
-            b.restore(&snap);
-            let fork = fork_driver.finish(&mut b).unwrap();
-            assert_eq!(fork.makespan, straight.makespan, "fork at {bound}");
-            assert_eq!(b.net_stats(), sb.net_stats(), "fork at {bound}");
-            assert_eq!(b.flow_records(), sb.flow_records(), "fork at {bound}");
-        }
+        let sb = assert_resumes_bit_identically(&incast(8, 256 * 1024), &cfg);
+        assert!(sb.inner().net_stats().stochastic_drops > 0, "the scenario must be lossy");
     }
 
     /// Branch override: restoring one checkpoint twice — once clean,
@@ -876,8 +853,7 @@ mod tests {
     fn overrides_do_not_outlive_their_run() {
         use atlahs_core::{RunState, SimDriver};
         let goal = clocked_ping();
-        let mut cfg = small_switch(CcAlgo::Mprdma);
-        cfg.collect_flows = true;
+        let cfg = small_switch(CcAlgo::Mprdma);
         let (clean, fresh) = run_with(&goal, cfg.clone());
 
         let mut b = HtsimBackend::new(cfg.clone());
@@ -898,6 +874,5 @@ mod tests {
         let rerun = Simulation::new(&goal).run(&mut b).unwrap();
         assert_eq!(rerun, clean);
         assert_eq!(b.net_stats(), fresh.net_stats());
-        assert_eq!(b.flow_records(), fresh.flow_records());
     }
 }

@@ -102,6 +102,11 @@ impl LinkModel {
     }
 }
 
+/// The largest jitter mean, scale or max a `jitter:` token takes: 1 s.
+/// Past it the retransmission timer re-injects the window every backed-off
+/// RTO until a jittered copy lands, and a run hangs or exhausts memory.
+const MAX_JITTER_NS: u64 = 1_000_000_000;
+
 /// A seedless `loss:` / `jitter:` grid token — the spec form of a
 /// [`LinkModel`], analogous to the grid layer's timed `FaultSpec`s:
 /// label-stable (labels suffix cell keys and seed the draw streams via
@@ -189,19 +194,23 @@ impl LinkModelSpec {
     }
 
     fn parse_jitter(tok: &str, rest: &[&str]) -> Result<Self, String> {
-        let zero_scale = |what: &str| {
-            format!(
+        let check = |what: &str, ns: u64| match ns {
+            0 => Err(format!(
                 "fault `{tok}`: jitter {what} must be >= 1 ns — a zero-scale distribution \
                  never perturbs a timestamp; drop the token instead"
-            )
+            )),
+            ns if ns > MAX_JITTER_NS => Err(format!(
+                "fault `{tok}`: jitter {what} must be <= {MAX_JITTER_NS} ns — a second of \
+                 added latency per packet is an outage, not noise; model it with \
+                 linkflap/markov/rackfail"
+            )),
+            _ => Ok(()),
         };
         let dist = match rest {
             ["exp", mean] => {
                 let mean_ns: u64 =
                     mean.parse().map_err(|_| format!("fault `{tok}`: bad mean `{mean}`"))?;
-                if mean_ns == 0 {
-                    return Err(zero_scale("mean"));
-                }
+                check("mean", mean_ns)?;
                 Distribution::Exp { mean_ns }
             }
             ["weibull", scale, shape] => {
@@ -209,9 +218,7 @@ impl LinkModelSpec {
                     scale.parse().map_err(|_| format!("fault `{tok}`: bad scale `{scale}`"))?;
                 let shape: u32 =
                     shape.parse().map_err(|_| format!("fault `{tok}`: bad shape `{shape}`"))?;
-                if scale_ns == 0 {
-                    return Err(zero_scale("scale"));
-                }
+                check("scale", scale_ns)?;
                 if !(1..=16).contains(&shape) {
                     return Err(format!(
                         "fault `{tok}`: weibull shape must be in [1, 16] (shape 1 is the \
@@ -223,9 +230,7 @@ impl LinkModelSpec {
             ["uniform", max] => {
                 let max_ns: u64 =
                     max.parse().map_err(|_| format!("fault `{tok}`: bad max `{max}`"))?;
-                if max_ns == 0 {
-                    return Err(zero_scale("max"));
-                }
+                check("max", max_ns)?;
                 Distribution::Uniform { max_ns }
             }
             _ => {
@@ -344,6 +349,11 @@ mod tests {
         assert!(err("jitter:exp:0").contains("zero-scale"));
         assert!(err("jitter:weibull:0:2").contains("zero-scale"));
         assert!(err("jitter:uniform:0").contains("zero-scale"));
+        assert!(err("jitter:exp:1000000001").contains("<= 1000000000 ns"));
+        assert!(err("jitter:exp:18446744073709551615").contains("outage"));
+        assert!(err("jitter:weibull:1000000001:2").contains("outage"));
+        assert!(err("jitter:uniform:1000000000000000000").contains("outage"));
+        assert!(LinkModelSpec::parse("jitter:uniform:1000000000").expect("our family").is_ok());
         assert!(err("jitter:weibull:100:0").contains("[1, 16]"));
         assert!(err("jitter:weibull:100:17").contains("[1, 16]"));
         assert!(err("jitter:gauss:100").contains("expected jitter:exp"));

@@ -7,6 +7,7 @@
 //! cargo run --release --example storage_directdrive
 //! ```
 
+use atlahs::core::probe::Recorded;
 use atlahs::core::Simulation;
 use atlahs::directdrive::{trace_to_goal, DirectDriveLayout, ServiceParams};
 use atlahs::goal::GoalBuilder;
@@ -14,6 +15,7 @@ use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
 use atlahs::htsim::topology::{LinkParams, TopologyConfig};
 use atlahs::htsim::CcAlgo;
 use atlahs::tracers::storage::{financial_like, OltpConfig};
+use atlahs_bench::session::DistSummary;
 
 fn main() {
     // ---- the workload: 1000 skewed, write-heavy OLTP operations ---------
@@ -45,22 +47,18 @@ fn main() {
     };
 
     for cc in [CcAlgo::Mprdma, CcAlgo::Ndp] {
-        let mut cfg = HtsimConfig::new(topo.clone(), cc);
-        cfg.collect_flows = true;
-        let mut backend = HtsimBackend::new(cfg);
+        let mut backend = Recorded::new(HtsimBackend::new(HtsimConfig::new(topo.clone(), cc)));
         let rep = Simulation::new(&goal).run(&mut backend).expect("completes");
 
-        let mut mct: Vec<u64> = backend.flow_records().iter().map(|f| f.duration()).collect();
-        mct.sort_unstable();
-        let mean = mct.iter().map(|&d| d as f64).sum::<f64>() / mct.len() as f64;
-        let p99 = mct[(mct.len() * 99 / 100).min(mct.len() - 1)];
+        let mct = DistSummary::of(backend.flows().iter().map(|f| f.duration()).collect());
+        let net = backend.inner().net_stats();
         println!(
             "{cc:8}: drained in {:.2} ms | MCT mean {:.1} µs p99 {:.1} µs max {:.1} µs | trims/drops {}",
             rep.makespan as f64 / 1e6,
-            mean / 1e3,
-            p99 as f64 / 1e3,
-            *mct.last().unwrap() as f64 / 1e3,
-            backend.net_stats().drops + backend.net_stats().trims,
+            mct.mean / 1e3,
+            mct.p99 as f64 / 1e3,
+            mct.max as f64 / 1e3,
+            net.drops + net.trims,
         );
     }
     println!("\n(receiver-driven NDP suffers when congestion sits in the oversubscribed core)");

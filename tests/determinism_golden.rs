@@ -1,11 +1,12 @@
 //! Determinism goldens for the packet engine.
 //!
 //! Same seed + same config ⇒ byte-identical results: makespan, the full
-//! [`NetStats`] block, and every [`FlowRecord`]. The golden values below
-//! were captured after the indexed-event-queue / route-arena refactor and
-//! pin the engine's exact event ordering: any change that reorders events,
-//! perturbs the RNG stream, or alters routing will move at least one of
-//! these fingerprints and must be a conscious decision.
+//! [`NetStats`] block, and every [`FlowRecord`] of a [`Recorded`] run. The
+//! golden values below were captured after the indexed-event-queue /
+//! route-arena refactor and pin the engine's exact event ordering: any
+//! change that reorders events, perturbs the RNG stream, or alters routing
+//! will move at least one of these fingerprints and must be a conscious
+//! decision.
 //!
 //! The grid covers the two topology families the paper validates against
 //! (a Clos/fat-tree with an oversubscribed core and a dragonfly), both a
@@ -20,11 +21,15 @@
 
 mod golden_table;
 
-use atlahs::core::Simulation;
+use atlahs::core::probe::Recorded;
+use atlahs::core::{SimReport, Simulation};
 use atlahs::goal::GoalSchedule;
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
+use atlahs::htsim::fault::{select_fault_ports, FaultKind, PortFault};
+use atlahs::htsim::topology::Topology;
 use atlahs::htsim::topology::TopologyConfig;
 use atlahs::htsim::CcAlgo;
+use atlahs::lgs::{LgsBackend, LogGopsParams, StragglerSpec};
 use atlahs_bench::workloads::cross_tor_permutation;
 
 /// Everything a run's observable outcome consists of, flattened to a
@@ -48,16 +53,43 @@ fn fnv(h: u64, x: u64) -> u64 {
     h
 }
 
-fn run(topo: TopologyConfig, cc: CcAlgo, spray: bool, goal: &GoalSchedule) -> Golden {
+/// One packet-level run on shallow (256 KiB) queues, enough to exercise
+/// the loss paths. A faulted run's fingerprint folds in `fault_drops`.
+fn run(
+    topo: TopologyConfig,
+    cc: CcAlgo,
+    spray: bool,
+    goal: &GoalSchedule,
+    faults: &[PortFault],
+) -> Golden {
     let mut cfg = HtsimConfig::new(topo, cc);
     cfg.spray = spray;
-    cfg.collect_flows = true;
-    cfg.queue_bytes = 256 * 1024; // shallow enough to exercise loss paths
-    let mut be = HtsimBackend::new(cfg);
+    cfg.queue_bytes = 256 * 1024;
+    cfg.faults = faults.to_vec();
+    let mut be = Recorded::new(HtsimBackend::new(cfg));
     let rep = Simulation::new(goal).run(&mut be).expect("scenario completes");
-    let st = be.net_stats();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in [
+    htsim_fingerprint(&rep, &be, !faults.is_empty())
+}
+
+/// Compare a run with its golden, and with an immediate re-run: that one
+/// must agree on every bit of the fingerprint, not just the headline
+/// numbers.
+fn check_golden(name: &str, golden: Golden, run: impl Fn() -> Golden) {
+    let got = run();
+    if std::env::var_os("ATLAHS_PRINT_GOLDENS").is_some() {
+        println!("{name}: {got:?}");
+        return;
+    }
+    assert_eq!(got, golden, "{name}: output drifted from the golden run");
+    assert_eq!(got, run(), "{name}: two runs with one seed disagree");
+}
+
+/// The [`Golden`] of one packet-level run: FNV-1a over the makespan, the
+/// NetStats block (`fault_drops` too when `faulted`) and every flow record
+/// in completion order.
+fn htsim_fingerprint(rep: &SimReport, be: &Recorded<HtsimBackend>, faulted: bool) -> Golden {
+    let st = be.inner().net_stats();
+    let mut words = vec![
         rep.makespan,
         st.packets_sent,
         st.drops,
@@ -69,19 +101,18 @@ fn run(topo: TopologyConfig, cc: CcAlgo, spray: bool, goal: &GoalSchedule) -> Go
         st.retransmissions,
         st.internal_events,
         st.timeouts,
-    ] {
-        h = fnv(h, x);
+    ];
+    if faulted {
+        words.push(st.fault_drops);
     }
-    for r in be.flow_records() {
-        for x in [r.src as u64, r.dst as u64, r.bytes, r.start, r.end] {
-            h = fnv(h, x);
-        }
+    for r in be.flows() {
+        words.extend([r.src as u64, r.dst as u64, r.bytes, r.start, r.end]);
     }
     Golden {
         makespan: rep.makespan,
         packets: st.packets_sent,
         losses: st.drops + st.trims,
-        fingerprint: h,
+        fingerprint: words.into_iter().fold(0xcbf2_9ce4_8422_2325, fnv),
     }
 }
 
@@ -104,16 +135,7 @@ fn check(
     goal: &GoalSchedule,
     golden: Golden,
 ) {
-    let got = run(topo.clone(), cc, spray, goal);
-    if std::env::var_os("ATLAHS_PRINT_GOLDENS").is_some() {
-        println!("{name}: {got:?}");
-        return;
-    }
-    assert_eq!(got, golden, "{name}: engine output drifted from the golden run");
-    // Byte-identical reproducibility: an immediate re-run must agree on
-    // every bit of the fingerprint, not just the headline numbers.
-    let again = run(topo, cc, spray, goal);
-    assert_eq!(got, again, "{name}: two runs with one seed disagree");
+    check_golden(name, golden, || run(topo.clone(), cc, spray, goal, &[]));
 }
 
 #[test]
@@ -206,8 +228,7 @@ fn dragonfly_ndp_ecmp() {
 
 /// LGS golden: makespan + FNV over every rank finish time and the
 /// backend's message counters (LGS has no NetStats/FlowRecords).
-fn run_lgs(goal: &GoalSchedule, params: atlahs::lgs::LogGopsParams) -> Golden {
-    let mut be = atlahs::lgs::LgsBackend::new(params);
+fn run_lgs(goal: &GoalSchedule, mut be: LgsBackend) -> Golden {
     let rep = Simulation::new(goal).run(&mut be).expect("scenario completes");
     let st = be.stats();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -221,14 +242,7 @@ fn run_lgs(goal: &GoalSchedule, params: atlahs::lgs::LogGopsParams) -> Golden {
 }
 
 fn check_lgs(name: &str, goal: &GoalSchedule, golden: Golden) {
-    let params = atlahs::lgs::LogGopsParams::ai_alps();
-    let got = run_lgs(goal, params);
-    if std::env::var_os("ATLAHS_PRINT_GOLDENS").is_some() {
-        println!("{name}: {got:?}");
-        return;
-    }
-    assert_eq!(got, golden, "{name}: LGS output drifted from the golden run");
-    assert_eq!(got, run_lgs(goal, params), "{name}: two runs disagree");
+    check_golden(name, golden, || run_lgs(goal, LgsBackend::new(LogGopsParams::ai_alps())));
 }
 
 fn check_synthetic(name: &str, goal: &GoalSchedule, htsim_golden: Golden, lgs_golden: Golden) {
@@ -339,56 +353,9 @@ fn dragonfly_ndp_spray() {
 }
 
 // --- fault-injection fingerprints: the same engines under seeded link
-// --- faults (packet level) and stragglers (message level). Separate
-// --- helpers so the fault-free fingerprints above stay untouched: the
-// --- faulty fingerprint additionally folds in `fault_drops`.
-
-use atlahs::htsim::fault::{select_fault_ports, FaultKind, PortFault};
-use atlahs::htsim::topology::Topology;
-use atlahs::lgs::StragglerSpec;
-
-fn run_faulty(
-    topo: TopologyConfig,
-    cc: CcAlgo,
-    goal: &GoalSchedule,
-    faults: &[PortFault],
-) -> Golden {
-    let mut cfg = HtsimConfig::new(topo, cc);
-    cfg.collect_flows = true;
-    cfg.queue_bytes = 256 * 1024;
-    cfg.faults = faults.to_vec();
-    let mut be = HtsimBackend::new(cfg);
-    let rep = Simulation::new(goal).run(&mut be).expect("faulted scenario still completes");
-    let st = be.net_stats();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in [
-        rep.makespan,
-        st.packets_sent,
-        st.drops,
-        st.trims,
-        st.ecn_marks,
-        st.max_queue_bytes,
-        st.core_drops,
-        st.flows,
-        st.retransmissions,
-        st.internal_events,
-        st.timeouts,
-        st.fault_drops,
-    ] {
-        h = fnv(h, x);
-    }
-    for r in be.flow_records() {
-        for x in [r.src as u64, r.dst as u64, r.bytes, r.start, r.end] {
-            h = fnv(h, x);
-        }
-    }
-    Golden {
-        makespan: rep.makespan,
-        packets: st.packets_sent,
-        losses: st.drops + st.trims,
-        fingerprint: h,
-    }
-}
+// --- faults (packet level) and stragglers (message level). The faulty
+// --- fingerprint additionally folds in `fault_drops`, so the fault-free
+// --- fingerprints above stay untouched.
 
 /// Three seeded core ports flap (down 20 µs – 80 µs into the run).
 fn clos_flap() -> Vec<PortFault> {
@@ -406,14 +373,7 @@ fn check_faulty(
     faults: &[PortFault],
     golden: Golden,
 ) {
-    let got = run_faulty(topo.clone(), cc, goal, faults);
-    if std::env::var_os("ATLAHS_PRINT_GOLDENS").is_some() {
-        println!("{name}: {got:?}");
-        return;
-    }
-    assert_eq!(got, golden, "{name}: faulted engine output drifted from the golden run");
-    let again = run_faulty(topo, cc, goal, faults);
-    assert_eq!(got, again, "{name}: two faulted runs with one seed disagree");
+    check_golden(name, golden, || run(topo.clone(), cc, false, goal, faults));
 }
 
 #[test]
@@ -441,38 +401,19 @@ fn clos_ndp_linkflap() {
 }
 
 /// LGS straggler golden: half the ranks at 3x calc cost, seeded.
-fn run_lgs_straggler(goal: &GoalSchedule) -> Golden {
-    let params = atlahs::lgs::LogGopsParams::ai_alps();
-    let straggler =
-        StragglerSpec { prob_pct: 50, factor_pct: 300, seed: 0xabc, ..Default::default() };
-    let mut be = atlahs::lgs::LgsBackend::with_straggler(params, straggler);
-    let rep = Simulation::new(goal).run(&mut be).expect("straggled scenario completes");
-    let st = be.stats();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in [rep.makespan, rep.completed as u64, st.messages, st.bytes, st.rendezvous_messages] {
-        h = fnv(h, x);
-    }
-    for &t in &rep.rank_finish {
-        h = fnv(h, t);
-    }
-    Golden { makespan: rep.makespan, packets: st.messages, losses: 0, fingerprint: h }
-}
-
 #[test]
 fn lgs_moe_straggler() {
     let goal = moe_goal();
-    let got = run_lgs_straggler(&goal);
-    if std::env::var_os("ATLAHS_PRINT_GOLDENS").is_some() {
-        println!("lgs_moe_straggler: {got:?}");
-        return;
-    }
+    let straggler =
+        StragglerSpec { prob_pct: 50, factor_pct: 300, seed: 0xabc, ..Default::default() };
+    let straggled = || LgsBackend::with_straggler(LogGopsParams::ai_alps(), straggler);
     let golden =
         Golden { makespan: 223374, packets: 448, losses: 0, fingerprint: 5031363226221018023 };
-    assert_eq!(got, golden, "lgs_moe_straggler: straggled LGS drifted from the golden run");
-    assert_eq!(got, run_lgs_straggler(&goal), "lgs_moe_straggler: two runs disagree");
+    check_golden("lgs_moe_straggler", golden, || run_lgs(&goal, straggled()));
     // The straggler must actually bite: same schedule without it is the
     // fault-free moe golden above, which finishes sooner.
-    let clean = run_lgs(&goal, atlahs::lgs::LogGopsParams::ai_alps());
+    let got = run_lgs(&goal, straggled());
+    let clean = run_lgs(&goal, LgsBackend::new(LogGopsParams::ai_alps()));
     assert!(got.makespan > clean.makespan, "{} <= {}", got.makespan, clean.makespan);
 }
 
@@ -546,58 +487,25 @@ fn run_resumed<B: atlahs::core::Backend + Snapshot>(
     driver.clone().finish(backend).expect("suffix completes")
 }
 
-fn htsim_fingerprint(rep: &atlahs::core::SimReport, be: &HtsimBackend) -> Golden {
-    let st = be.net_stats();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in [
-        rep.makespan,
-        st.packets_sent,
-        st.drops,
-        st.trims,
-        st.ecn_marks,
-        st.max_queue_bytes,
-        st.core_drops,
-        st.flows,
-        st.retransmissions,
-        st.internal_events,
-        st.timeouts,
-        st.fault_drops,
-    ] {
-        h = fnv(h, x);
-    }
-    for r in be.flow_records() {
-        for x in [r.src as u64, r.dst as u64, r.bytes, r.start, r.end] {
-            h = fnv(h, x);
-        }
-    }
-    Golden {
-        makespan: rep.makespan,
-        packets: st.packets_sent,
-        losses: st.drops + st.trims,
-        fingerprint: h,
-    }
-}
-
 #[test]
 fn checkpoint_resume_is_bit_identical_on_htsim_clean_and_faulted() {
     let goal = cross_tor_permutation(32, 256 * 1024);
     for faults in [Vec::new(), clos_flap()] {
         let mk = || {
             let mut cfg = HtsimConfig::new(clos(), CcAlgo::Dctcp);
-            cfg.collect_flows = true;
             cfg.queue_bytes = 256 * 1024;
             cfg.faults = faults.clone();
-            HtsimBackend::new(cfg)
+            Recorded::new(HtsimBackend::new(cfg))
         };
         let mut straight_be = mk();
         let straight = Simulation::new(&goal).run(&mut straight_be).expect("completes");
-        let want = htsim_fingerprint(&straight, &straight_be);
+        let want = htsim_fingerprint(&straight, &straight_be, true);
         // Before traffic, mid-flap, and deep into the run.
         for pause_at in [1, 50_000, straight.makespan / 2, straight.makespan - 1] {
             let mut be = mk();
             let rep = run_resumed(&goal, &mut be, pause_at);
             assert_eq!(
-                htsim_fingerprint(&rep, &be),
+                htsim_fingerprint(&rep, &be, true),
                 want,
                 "htsim resume at {pause_at} (faults: {}) drifted",
                 !faults.is_empty()
@@ -610,15 +518,15 @@ fn checkpoint_resume_is_bit_identical_on_htsim_clean_and_faulted() {
 #[test]
 fn checkpoint_resume_is_bit_identical_on_lgs_clean_and_straggled() {
     let goal = moe_goal();
-    let params = atlahs::lgs::LogGopsParams::ai_alps();
+    let params = LogGopsParams::ai_alps();
     let straggler =
         StragglerSpec { prob_pct: 50, factor_pct: 300, seed: 0xabc, ..Default::default() };
     for faulted in [false, true] {
         let mk = || {
             if faulted {
-                atlahs::lgs::LgsBackend::with_straggler(params, straggler)
+                LgsBackend::with_straggler(params, straggler)
             } else {
-                atlahs::lgs::LgsBackend::new(params)
+                LgsBackend::new(params)
             }
         };
         let mut straight_be = mk();

@@ -2,6 +2,7 @@
 //! onto the backends (paper §3.1.3, §6.1).
 
 use atlahs::core::backends::IdealBackend;
+use atlahs::core::probe::Recorded;
 use atlahs::core::Simulation;
 use atlahs::directdrive::{slab_replicas, trace_to_goal, DirectDriveLayout, ServiceParams};
 use atlahs::goal::stats::check_matching;
@@ -35,14 +36,13 @@ fn full_storage_pipeline_runs_on_packet_level() {
     check_matching(&goal).unwrap();
 
     let hosts = layout.total_ranks().div_ceil(4) * 4;
-    let mut cfg = HtsimConfig::new(TopologyConfig::fat_tree(hosts, 4), CcAlgo::Mprdma);
-    cfg.collect_flows = true;
-    let mut be = HtsimBackend::new(cfg);
+    let cfg = HtsimConfig::new(TopologyConfig::fat_tree(hosts, 4), CcAlgo::Mprdma);
+    let mut be = Recorded::new(HtsimBackend::new(cfg));
     let rep = Simulation::new(&goal).run(&mut be).unwrap();
     assert_eq!(rep.completed, goal.total_tasks());
 
     // Every network leg produced a flow record; completion times are sane.
-    let flows = be.flow_records();
+    let flows = be.flows();
     assert!(!flows.is_empty());
     for f in flows {
         assert!(f.end >= f.start);

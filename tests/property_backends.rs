@@ -40,7 +40,8 @@
 
 use atlahs::core::api::EventKind;
 use atlahs::core::backends::IdealBackend;
-use atlahs::core::{Backend, Completion, OpRef, SimDriver, Simulation, Snapshot, Time};
+use atlahs::core::probe::{Call, FlowRecord, Recorded};
+use atlahs::core::{Backend, Completion, OpRef, SimDriver, SimReport, Simulation, Snapshot, Time};
 use atlahs::goal::merge::{compose, place, PlacedJob};
 use atlahs::goal::{GoalBuilder, GoalSchedule, Rank, Tag, TaskId, TaskKind};
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
@@ -52,60 +53,6 @@ use atlahs::lgs::{LgsBackend, LogGopsParams, StragglerSpec};
 use atlahs::testbed::{TestbedBackend, TestbedConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-// ------------------------------------------------------------ recorder ----
-
-/// A transparent wrapper recording every issue and completion.
-struct Recording<B> {
-    inner: B,
-    /// (op, backend time at issue, kind, bytes) for send/recv issues.
-    issues: Vec<(OpRef, Time, u8, u64)>,
-    /// The full completion log in delivery order.
-    log: Vec<Completion>,
-}
-
-const ISSUE_SEND: u8 = 0;
-const ISSUE_RECV: u8 = 1;
-const ISSUE_CALC: u8 = 2;
-
-impl<B> Recording<B> {
-    fn new(inner: B) -> Self {
-        Recording { inner, issues: Vec::new(), log: Vec::new() }
-    }
-}
-
-impl<B: Backend> Backend for Recording<B> {
-    fn simulation_setup(&mut self, num_ranks: usize) {
-        self.inner.simulation_setup(num_ranks);
-    }
-
-    fn now(&self) -> Time {
-        self.inner.now()
-    }
-
-    fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
-        self.issues.push((op, self.inner.now(), ISSUE_SEND, bytes));
-        self.inner.send(op, dst, bytes, tag);
-    }
-
-    fn recv(&mut self, op: OpRef, src: Rank, bytes: u64, tag: Tag) {
-        self.issues.push((op, self.inner.now(), ISSUE_RECV, bytes));
-        self.inner.recv(op, src, bytes, tag);
-    }
-
-    fn calc(&mut self, op: OpRef, cost: u64) {
-        self.issues.push((op, self.inner.now(), ISSUE_CALC, cost));
-        self.inner.calc(op, cost);
-    }
-
-    fn next_event(&mut self) -> Option<Completion> {
-        let ev = self.inner.next_event();
-        if let Some(c) = ev {
-            self.log.push(c);
-        }
-        ev
-    }
-}
 
 // ----------------------------------------------------------- generator ----
 
@@ -160,19 +107,45 @@ fn assemble(n: usize, msgs: &[RawMsg]) -> GoalSchedule {
 struct RunTrace {
     makespan: u64,
     completed: usize,
-    issues: Vec<(OpRef, Time, u8, u64)>,
-    log: Vec<Completion>,
+    calls: Vec<Call>,
+}
+
+const KIND_SEND: u8 = 0;
+const KIND_RECV: u8 = 1;
+const KIND_CALC: u8 = 2;
+
+impl RunTrace {
+    fn of<B: Backend>(report: &SimReport, rec: &Recorded<B>) -> Self {
+        RunTrace {
+            makespan: report.makespan,
+            completed: report.completed,
+            calls: rec.calls().to_vec(),
+        }
+    }
+
+    /// The completions in delivery order.
+    fn log(&self) -> impl Iterator<Item = Completion> + '_ {
+        self.calls.iter().filter_map(|call| match *call {
+            Call::Event(ev) => ev,
+            _ => None,
+        })
+    }
+
+    /// `(op, backend time at issue, kind, bytes or cost)` per issue.
+    fn issues(&self) -> impl Iterator<Item = (OpRef, Time, u8, u64)> + '_ {
+        self.calls.iter().filter_map(|call| match *call {
+            Call::Send { op, bytes, at, .. } => Some((op, at, KIND_SEND, bytes)),
+            Call::Recv { op, bytes, at, .. } => Some((op, at, KIND_RECV, bytes)),
+            Call::Calc { op, cost, at } => Some((op, at, KIND_CALC, cost)),
+            Call::Setup(_) | Call::Event(_) => None,
+        })
+    }
 }
 
 fn run_recorded<B: Backend>(goal: &GoalSchedule, backend: B) -> RunTrace {
-    let mut rec = Recording::new(backend);
+    let mut rec = Recorded::new(backend);
     let report = Simulation::new(goal).run(&mut rec).expect("generated schedules cannot deadlock");
-    RunTrace {
-        makespan: report.makespan,
-        completed: report.completed,
-        issues: rec.issues,
-        log: rec.log,
-    }
+    RunTrace::of(&report, &rec)
 }
 
 /// Check the per-backend invariants; returns the makespan.
@@ -184,7 +157,7 @@ fn check_invariants(name: &str, goal: &GoalSchedule, trace: &RunTrace) {
     let mut done: std::collections::HashMap<OpRef, Time> = std::collections::HashMap::new();
     let mut cpu_free: std::collections::HashMap<OpRef, Time> = std::collections::HashMap::new();
     let mut last = 0u64;
-    for c in &trace.log {
+    for c in trace.log() {
         assert!(c.time >= last, "{name}: event log went backwards");
         last = c.time;
         match c.kind {
@@ -214,7 +187,7 @@ fn check_invariants(name: &str, goal: &GoalSchedule, trace: &RunTrace) {
     // Causality: completions respect every completion (`requires`) edge,
     // and no task is issued before its `requires` predecessors complete.
     let mut issue_time: std::collections::HashMap<OpRef, Time> = std::collections::HashMap::new();
-    for &(op, t, _, _) in &trace.issues {
+    for (op, t, _, _) in trace.issues() {
         issue_time.insert(op, t);
     }
     for (r, sched) in goal.ranks().iter().enumerate() {
@@ -251,10 +224,10 @@ fn check_invariants(name: &str, goal: &GoalSchedule, trace: &RunTrace) {
     }
     let mut got_send = vec![0u64; n];
     let mut got_recv = vec![0u64; n];
-    for &(op, _, kind, bytes) in &trace.issues {
+    for (op, _, kind, bytes) in trace.issues() {
         match kind {
-            ISSUE_SEND => got_send[op.rank as usize] += bytes,
-            ISSUE_RECV => got_recv[op.rank as usize] += bytes,
+            KIND_SEND => got_send[op.rank as usize] += bytes,
+            KIND_RECV => got_recv[op.rank as usize] += bytes,
             _ => {}
         }
     }
@@ -264,8 +237,7 @@ fn check_invariants(name: &str, goal: &GoalSchedule, trace: &RunTrace) {
 
 fn assert_identical(name: &str, a: &RunTrace, b: &RunTrace) {
     assert_eq!(a.makespan, b.makespan, "{name}: re-run changed the makespan");
-    assert_eq!(a.log, b.log, "{name}: re-run changed the event log");
-    assert_eq!(a.issues, b.issues, "{name}: re-run changed the issue stream");
+    assert_eq!(a.calls, b.calls, "{name}: re-run changed the call stream");
 }
 
 fn htsim_backend(n: usize, seed: u64) -> HtsimBackend {
@@ -334,11 +306,11 @@ type RecvChain = Vec<(OpRef, u64)>;
 fn issue_chains(trace: &RunTrace, rank: Rank) -> (SendChain, RecvChain) {
     let mut send_chain = Vec::new();
     let mut recv_chain = Vec::new();
-    for &(op, _, kind, bytes) in &trace.issues {
+    for (op, _, kind, bytes) in trace.issues() {
         if op.rank != rank {
             continue;
         }
-        if kind == ISSUE_RECV {
+        if kind == KIND_RECV {
             recv_chain.push((op, bytes));
         } else {
             send_chain.push((op, kind, bytes));
@@ -351,7 +323,7 @@ fn issue_chains(trace: &RunTrace, rank: Rank) -> (SendChain, RecvChain) {
 /// proves the harness catches a backend that swallows its spec.
 fn assert_faults_bite(name: &str, clean: &RunTrace, faulty: &RunTrace) {
     assert!(
-        clean.makespan != faulty.makespan || clean.log != faulty.log,
+        clean.makespan != faulty.makespan || clean.log().ne(faulty.log()),
         "{name}: fault spec had no effect"
     );
 }
@@ -411,10 +383,8 @@ fn assert_snapshot_anywhere<B: Backend + Snapshot, O: PartialEq + std::fmt::Debu
 fn untouched<B>(_: &mut B) {}
 
 /// The packet backend's observables beyond the report.
-fn htsim_observables(
-    b: &HtsimBackend,
-) -> (atlahs::htsim::NetStats, Vec<atlahs::htsim::FlowRecord>) {
-    (b.net_stats(), b.flow_records().to_vec())
+fn htsim_observables(b: &Recorded<HtsimBackend>) -> (atlahs::htsim::NetStats, Vec<FlowRecord>) {
+    (b.inner().net_stats(), b.flows())
 }
 
 // -------------------------------------------------------------- driver ----
@@ -437,7 +407,7 @@ type EventTimes = (
 fn restrict(trace: &RunTrace, nodes: &[Rank]) -> EventTimes {
     let mine = |r: Rank| nodes.contains(&r);
     let mut completions = std::collections::HashMap::new();
-    for c in &trace.log {
+    for c in trace.log() {
         if mine(c.op.rank) {
             assert!(
                 completions.insert((c.op, c.kind), c.time).is_none(),
@@ -447,7 +417,7 @@ fn restrict(trace: &RunTrace, nodes: &[Rank]) -> EventTimes {
         }
     }
     let mut issues = std::collections::HashMap::new();
-    for &(op, t, kind, bytes) in &trace.issues {
+    for (op, t, kind, bytes) in trace.issues() {
         if mine(op.rank) {
             assert!(issues.insert(op, (t, kind, bytes)).is_none());
         }
@@ -692,8 +662,7 @@ proptest! {
         for (name, faults, ppm) in regimes {
             let mut cfg = lossy_htsim_config(n, seed, ppm);
             cfg.faults = faults;
-            cfg.collect_flows = true;
-            let mk = || HtsimBackend::new(cfg.clone());
+            let mk = || Recorded::new(HtsimBackend::new(cfg.clone()));
             assert_snapshot_anywhere(name, &goal, permille, mk, htsim_observables, untouched);
         }
     }
@@ -727,20 +696,12 @@ fn harness_rejects_a_backend_that_drops_tasks() {
         }
     }
     let goal = assemble(3, &[(0, 0, 1024, 1, 0), (1, 1, 2048, 1, 0)]);
-    let mut rec = Recording::new(Lossy(ideal_bound()));
+    let mut rec = Recorded::new(Lossy(ideal_bound()));
     // The simulation errors with a deadlock; map it to the same panic the
     // invariant checker would raise so the meta-test asserts one message.
     match Simulation::new(&goal).run(&mut rec) {
         Err(_) => panic!("not every task completed"),
-        Ok(report) => {
-            let trace = RunTrace {
-                makespan: report.makespan,
-                completed: report.completed,
-                issues: rec.issues,
-                log: rec.log,
-            };
-            check_invariants("lossy", &goal, &trace);
-        }
+        Ok(report) => check_invariants("lossy", &goal, &RunTrace::of(&report, &rec)),
     }
 }
 
@@ -788,9 +749,10 @@ fn harness_catches_a_backend_that_ignores_its_fault_spec() {
 #[test]
 fn snapshot_mid_loss_resume_is_bit_identical() {
     let cfg = lossy_htsim_config(4, 9, 100_000);
-    let mk = || HtsimBackend::new(cfg.clone());
-    let observe = |b: &HtsimBackend| {
-        assert!(b.net_stats().stochastic_drops > 0, "the scenario must actually drop packets");
+    let mk = || Recorded::new(HtsimBackend::new(cfg.clone()));
+    let observe = |b: &Recorded<HtsimBackend>| {
+        let drops = b.inner().net_stats().stochastic_drops;
+        assert!(drops > 0, "the scenario must actually drop packets");
         htsim_observables(b)
     };
     assert_snapshot_anywhere("htsim-loss", &dense_goal(), 500, mk, observe, untouched);
@@ -805,9 +767,11 @@ fn snapshot_mid_loss_resume_is_bit_identical() {
 #[should_panic(expected = "restored run diverged")]
 fn harness_catches_an_engine_that_skips_draw_counters() {
     let cfg = lossy_htsim_config(4, 9, 100_000);
-    let mk = || HtsimBackend::new(cfg.clone());
+    let mk = || Recorded::new(HtsimBackend::new(cfg.clone()));
     // A restore that loses counter positions: every host-side port
     // resumes 17 draws ahead of where the snapshot left it.
-    let skip = |b: &mut HtsimBackend| (0..4).for_each(|port| b.skip_stochastic_draws(port, 17));
+    let skip = |b: &mut Recorded<HtsimBackend>| {
+        (0..4).for_each(|port| b.inner_mut().skip_stochastic_draws(port, 17))
+    };
     assert_snapshot_anywhere("htsim-loss", &dense_goal(), 500, mk, htsim_observables, skip);
 }

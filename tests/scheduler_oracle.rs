@@ -14,7 +14,8 @@
 use std::cell::Cell;
 
 use atlahs::core::backends::IdealBackend;
-use atlahs::core::{Backend, Completion, OpRef, SimDriver, SimError, SimReport};
+use atlahs::core::probe::{Call, Recorded};
+use atlahs::core::{Backend, SimDriver, SimError, SimReport};
 use atlahs::core::{Simulation, Snapshot, Time};
 use atlahs::goal::{GoalBuilder, GoalSchedule, Rank, Tag, Task};
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
@@ -483,65 +484,6 @@ mod oracle {
 
 // ------------------------------------------------------------ harness ----
 
-/// One call the scheduler made into its backend, or one event it got back.
-#[derive(Debug, Clone, PartialEq)]
-enum Call {
-    Setup(usize),
-    Send(OpRef, Rank, u64, Tag),
-    Recv(OpRef, Rank, u64, Tag),
-    Calc(OpRef, u64),
-    Event(Option<Completion>),
-}
-
-/// A transparent backend wrapper logging every call.
-struct Log<B> {
-    inner: B,
-    calls: Vec<Call>,
-}
-
-impl<B> Log<B> {
-    fn new(inner: B) -> Self {
-        Log { inner, calls: Vec::new() }
-    }
-}
-
-impl<B: Backend> Backend for Log<B> {
-    fn simulation_setup(&mut self, num_ranks: usize) {
-        self.calls.push(Call::Setup(num_ranks));
-        self.inner.simulation_setup(num_ranks);
-    }
-    fn now(&self) -> Time {
-        self.inner.now()
-    }
-    fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
-        self.calls.push(Call::Send(op, dst, bytes, tag));
-        self.inner.send(op, dst, bytes, tag);
-    }
-    fn recv(&mut self, op: OpRef, src: Rank, bytes: u64, tag: Tag) {
-        self.calls.push(Call::Recv(op, src, bytes, tag));
-        self.inner.recv(op, src, bytes, tag);
-    }
-    fn calc(&mut self, op: OpRef, cost: u64) {
-        self.calls.push(Call::Calc(op, cost));
-        self.inner.calc(op, cost);
-    }
-    fn next_event(&mut self) -> Option<Completion> {
-        let ev = self.inner.next_event();
-        self.calls.push(Call::Event(ev));
-        ev
-    }
-}
-
-impl<B: Snapshot> Snapshot for Log<B> {
-    type State = B::State;
-    fn checkpoint(&self) -> B::State {
-        self.inner.checkpoint()
-    }
-    fn restore(&mut self, state: &B::State) {
-        self.inner.restore(state);
-    }
-}
-
 fn assert_same_calls(got: &[Call], want: &[Call]) {
     if let Some(i) = (0..got.len().min(want.len())).find(|&i| got[i] != want[i]) {
         panic!("call {i} differs: {:?} where the oracle made {:?}", got[i], want[i]);
@@ -558,43 +500,44 @@ struct Agreed<B> {
 
 /// Run `goal` on a fresh backend from `make` through the scheduler and
 /// through the oracle, and assert the two runs are the same run.
-fn agree<B: Backend>(goal: &GoalSchedule, make: impl Fn() -> B) -> Agreed<B> {
-    let mut got = Log::new(make());
+fn agree<B: Backend>(goal: &GoalSchedule, make: impl Fn() -> B) -> Agreed<Recorded<B>> {
+    let mut got = Recorded::new(make());
     let outcome = Simulation::new(goal).run(&mut got);
-    let mut want = Log::new(make());
+    let mut want = Recorded::new(make());
     let expected = OracleDriver::start(goal, &mut want).finish(&mut want);
-    assert_same_calls(&got.calls, &want.calls);
+    assert_same_calls(got.calls(), want.calls());
     assert_eq!(outcome, expected);
-    Agreed { outcome, backend: got.inner }
+    Agreed { outcome, backend: got }
 }
 
 /// [`agree`] for a run paused at `bound`, branched there (driver clone plus
 /// backend checkpoint), and finished twice: original, then the restored
-/// branch.
+/// branch. The restore rewinds the log, so each finish's call stream is
+/// compared on its own.
 fn agree_paused<B: Backend + Snapshot>(goal: &GoalSchedule, make: impl Fn() -> B, bound: Time) {
-    let mut got = Log::new(make());
+    let mut got = Recorded::new(make());
     let mut driver = SimDriver::start(goal, &mut got);
     let paused = driver.run_until(&mut got, bound);
     let at = (paused, driver.completed(), driver.last_time());
     let snap = got.checkpoint();
     let fork = driver.clone();
-    let reports = (driver.finish(&mut got), {
-        got.restore(&snap);
-        fork.finish(&mut got)
-    });
+    let original = driver.finish(&mut got);
+    let original_calls = got.calls().to_vec();
+    got.restore(&snap);
+    let reports = (original, fork.finish(&mut got));
 
-    let mut want = Log::new(make());
+    let mut want = Recorded::new(make());
     let mut driver = OracleDriver::start(goal, &mut want);
     let paused = driver.run_until(&mut want, bound);
     let want_at = (paused, driver.completed(), driver.last_time());
     let snap = want.checkpoint();
     let fork = driver.clone();
-    let want_reports = (driver.finish(&mut want), {
-        want.restore(&snap);
-        fork.finish(&mut want)
-    });
+    let original = driver.finish(&mut want);
+    assert_same_calls(&original_calls, want.calls());
+    want.restore(&snap);
+    let want_reports = (original, fork.finish(&mut want));
 
-    assert_same_calls(&got.calls, &want.calls);
+    assert_same_calls(got.calls(), want.calls());
     assert_eq!(at, want_at, "paused at {bound}");
     assert_eq!(reports, want_reports, "branched at {bound}");
 }
@@ -841,7 +784,7 @@ fn hpc_pipeline_dispatches_like_the_oracle() {
     let goal = mpi2goal::convert(&trace, &Default::default()).unwrap();
     let run = agree(&goal, || LgsBackend::new(LogGopsParams::hpc_testbed()));
     assert_eq!(run.outcome.unwrap().completed, goal.total_tasks());
-    assert!(run.backend.stats().rendezvous_messages > 0);
+    assert!(run.backend.inner().stats().rendezvous_messages > 0);
 }
 
 /// `storage_htsim_oversub` in small: Direct Drive requests on the 8:1
@@ -864,5 +807,5 @@ fn storage_pipeline_dispatches_like_the_oracle() {
     let topo = workloads::storage_topology(goal.num_ranks(), 8);
     let run = agree(&goal, || HtsimBackend::new(HtsimConfig::new(topo.clone(), CcAlgo::Mprdma)));
     assert_eq!(run.outcome.unwrap().completed, goal.total_tasks());
-    assert!(run.backend.net_stats().drops > 0, "the fabric is oversubscribed");
+    assert!(run.backend.inner().net_stats().drops > 0, "the fabric is oversubscribed");
 }
