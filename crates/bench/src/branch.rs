@@ -5,7 +5,7 @@
 //! overrides*: every cell that shares a prefix — same topology,
 //! workload, placement, and backend, hence the same derived seed and the
 //! same composed schedule — is grouped; the group's simulation runs
-//! clean (no faults configured) up to the branch time, the backend is
+//! clean up to the branch time, the backend is
 //! [`atlahs_core::Snapshot::checkpoint`]ed and the scheduler driver cloned, and each
 //! cell then restores the snapshot, applies its override at the branch
 //! point, and runs to completion. Only the post-branch suffix is
@@ -24,12 +24,13 @@
 //! [`atlahs_core::Snapshot`] contract, pinned in this module's tests and by the
 //! `branch_smoke.json` row of the golden table in `tests/golden_table/mod.rs`.
 //!
-//! Branched results are **not** comparable to a straight sweep that
-//! configures the same faults at t=0: a branched override clamps every
-//! fault window to open no earlier than the branch time, and its events
-//! enter the queue at the injection point rather than before any
-//! traffic. The branch answers "what if this failed *from here on*?",
-//! not "what if this had been failing all along?".
+//! Branched results are **not** comparable to a straight sweep of the
+//! same faults. Both apply a fault the one way a backend takes one, as an
+//! override, but a straight cell applies it at t = 0, before the first
+//! task issues, while a branched override clamps every fault window to
+//! open no earlier than the branch time and its events enter the queue
+//! after the prefix's traffic. The branch answers "what if this failed
+//! *from here on*?", not "what if this had been failing all along?".
 
 use std::sync::Arc;
 

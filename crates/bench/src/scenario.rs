@@ -1100,14 +1100,16 @@ fn churn_events_from_text(text: &str) -> Result<Vec<ChurnEvent>, String> {
                 .as_arr()
                 .filter(|t| t.len() == 3)
                 .ok_or_else(|| format!("churn trace JSON: entry {i} is not a 3-element array"))?;
+            // A JSON number is an f64: above 2^53 it no longer names one
+            // integer, and `as` would saturate what it cannot hold.
             let t_ns = trip[0]
                 .as_f64()
-                .filter(|t| *t >= 0.0 && t.fract() == 0.0)
+                .filter(|t| (0.0..=(1u64 << 53) as f64).contains(t) && t.fract() == 0.0)
                 .ok_or_else(|| format!("churn trace JSON: entry {i}: bad timestamp"))?
                 as u64;
             let domain = trip[1]
                 .as_f64()
-                .filter(|d| *d >= 0.0 && d.fract() == 0.0)
+                .filter(|d| (0.0..=u32::MAX as f64).contains(d) && d.fract() == 0.0)
                 .ok_or_else(|| format!("churn trace JSON: entry {i}: bad domain"))?
                 as u32;
             let down = match trip[2].as_str() {
@@ -1125,8 +1127,8 @@ fn churn_events_from_text(text: &str) -> Result<Vec<ChurnEvent>, String> {
 }
 
 /// A [`FaultSpec`] lowered onto a concrete fabric and seed: the one thing
-/// a backend has to act on, at configuration time or mid-run
-/// ([`crate::session`]).
+/// a backend has to act on, applied as an override at the start of the
+/// run or at a branch point ([`crate::session`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
     None,
@@ -1937,6 +1939,30 @@ mod tests {
         assert_eq!(from_text, inline, "file traces canonicalize to the inline spec");
         assert_eq!(from_json, inline);
         assert_eq!(from_text.label(), "churn:1000;0;d,5000;0;u,20000;0;d,21000;0;u");
+        // A time past `u64` or a domain past `u32`, which the inline
+        // grammar rejects, is rejected by the JSON one too, naming the
+        // entry, instead of saturating to `u64::MAX` or `u32::MAX`.
+        for (inline, json, what) in [
+            (
+                "1e30;0;d,2e30;0;u",
+                "[[1e30, 0, \"down\"], [2e30, 0, \"up\"]]",
+                "entry 0: bad timestamp",
+            ),
+            (
+                "0;5000000000;d,1;5000000000;u",
+                "[[0, 5e9, \"down\"], [1, 5e9, \"up\"]]",
+                "entry 0: bad domain",
+            ),
+        ] {
+            assert!(FaultSpec::parse(&format!("churn:{inline}")).is_err(), "{inline}");
+            std::fs::write(&json_path, json).unwrap();
+            let err = FaultSpec::parse(&format!("churn:@{}", json_path.display())).unwrap_err();
+            assert!(err.contains(what), "{json}: {err}");
+        }
+        // Above 2^53 a JSON number no longer names one integer.
+        std::fs::write(&json_path, "[[0, 0, \"down\"], [9007199254740994, 0, \"up\"]]").unwrap();
+        let err = FaultSpec::parse(&format!("churn:@{}", json_path.display())).unwrap_err();
+        assert!(err.contains("entry 1: bad timestamp"), "{err}");
         // Hostile nesting (arrays or objects) is a typed error from the
         // one depth-bounded JSON parser, not a stack overflow.
         for deep in ["[".repeat(200_000), "[{\"k\":".repeat(100_000)] {

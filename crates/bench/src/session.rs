@@ -6,13 +6,17 @@
 //! start → [run_until(branch_at) → checkpoint] → per member: [restore →] apply fault → finish → collect
 //! ```
 //!
-//! * **Straight** (`branch_at = None`, one member): the member's fault is
-//!   part of the backend's *configuration* — port windows enter the event
-//!   queue before any traffic — and nothing is paused, checkpointed,
-//!   restored, or cloned.
-//! * **Branched** (`branch_at = Some(t)`): the backend starts clean, runs
-//!   to the first event at or after `t`, and each member's fault is
-//!   applied *now* (windows clamped to open no earlier than the branch
+//! A backend is built from its configuration alone, which holds no
+//! faults; every member's fault is lowered onto the fabric and applied
+//! to the set-up backend as an override (`CellBackend::apply_now`).
+//!
+//! * **Straight** (`branch_at = None`, one member): the fault is applied
+//!   right after `start`, before the driver issues the first task, so it
+//!   holds from time 0 — a branched session with no prefix. Nothing is
+//!   paused, checkpointed, restored, or cloned.
+//! * **Branched** (`branch_at = Some(t)`): the backend runs the clean
+//!   prefix to the first event at or after `t`, and each member's fault
+//!   is applied there (windows clamped to open no earlier than the branch
 //!   point). With one member that is the whole story; with several the
 //!   paused state is [`Snapshot::checkpoint`]ed once and every member
 //!   restores it first, so the prefix is simulated once per session.
@@ -91,7 +95,7 @@ fn p99_index(count: usize) -> usize {
 /// What the driver needs from a backend beyond `Backend + Snapshot`.
 /// Actions a backend does not model are ignored (the defaults).
 trait CellBackend: Backend + Snapshot {
-    /// Put a lowered fault onto the *running* backend.
+    /// Put a lowered fault onto the set-up backend, from now on.
     fn apply_now(&mut self, _fault: FaultAction) {}
 
     fn harvest(&self) -> (DistSummary, Option<NetStats>) {
@@ -152,70 +156,40 @@ pub fn run(
     let Session { topology, seed, collect_flows, .. } = *session;
     match session.backend {
         BackendSpec::Htsim { cc, spray } => {
-            let build = |fault| {
-                let mut cfg = HtsimConfig::new(topology.config(), cc);
-                cfg.seed = seed;
-                cfg.spray = spray;
-                match fault {
-                    FaultAction::Ports(windows) => cfg.faults = windows,
-                    FaultAction::Link(model) => cfg.link_model = model,
-                    FaultAction::None | FaultAction::Straggler(_) => {}
-                }
-                HtsimBackend::new(cfg)
-            };
+            let mut cfg = HtsimConfig::new(topology.config(), cc);
+            cfg.seed = seed;
+            cfg.spray = spray;
+            let backend = HtsimBackend::new(cfg);
             if collect_flows {
-                drive(|f| Recorded::new(build(f)), session, goal, branch_at, faults)
+                drive(Recorded::new(backend), session, goal, branch_at, faults)
             } else {
-                drive(build, session, goal, branch_at, faults)
+                drive(backend, session, goal, branch_at, faults)
             }
         }
         BackendSpec::Lgs => {
-            let build = |fault| {
-                let straggler = match fault {
-                    FaultAction::Straggler(spec) => spec,
-                    _ => Default::default(),
-                };
-                LgsBackend::with_straggler(lgs_params_for(topology), straggler)
-            };
-            drive(build, session, goal, branch_at, faults)
+            drive(LgsBackend::new(lgs_params_for(topology)), session, goal, branch_at, faults)
         }
         BackendSpec::Ideal => {
             let link = topology.edge_link();
-            let build = |_| IdealBackend::new(link.gbps, link.latency_ns);
-            drive(build, session, goal, branch_at, faults)
+            let backend = IdealBackend::new(link.gbps, link.latency_ns);
+            drive(backend, session, goal, branch_at, faults)
         }
         BackendSpec::Testbed => {
-            let build = |_| {
-                let mut cfg = TestbedConfig::new(topology.config());
-                cfg.seed = seed;
-                TestbedBackend::new(cfg)
-            };
-            drive(build, session, goal, branch_at, faults)
+            let mut cfg = TestbedConfig::new(topology.config());
+            cfg.seed = seed;
+            drive(TestbedBackend::new(cfg), session, goal, branch_at, faults)
         }
     }
 }
 
 fn drive<B: CellBackend>(
-    build: impl FnOnce(FaultAction) -> B,
+    mut backend: B,
     session: &Session<'_>,
     goal: &GoalSchedule,
     branch_at: Option<u64>,
     faults: &[&FaultSpec],
 ) -> Vec<Outcome> {
     assert!(branch_at.is_some() || faults.len() == 1, "a straight session has one member");
-    let lower = |fault: &FaultSpec| {
-        fault.lower(session.topology, &session.backend, goal.num_ranks(), session.seed)
-    };
-    // A straight session's one fault is part of the configuration; a
-    // branched one starts clean.
-    let (mut backend, configured) = match branch_at {
-        None => {
-            let (action, telemetry) = lower(faults[0]);
-            (build(action), telemetry)
-        }
-        Some(_) => (build(FaultAction::None), None),
-    };
-
     let t0 = Instant::now();
     let mut driver = SimDriver::start(goal, &mut backend);
     let mut snapshot = None;
@@ -230,15 +204,12 @@ fn drive<B: CellBackend>(
     let last = faults.len() - 1;
     let members = faults.iter().enumerate().map(|(i, fault)| {
         let t1 = Instant::now();
-        let mut telemetry = configured;
-        if branch_at.is_some() {
-            if let Some(state) = &snapshot {
-                backend.restore(state);
-            }
-            let (action, realized) = lower(fault);
-            backend.apply_now(action);
-            telemetry = realized;
+        if let Some(state) = &snapshot {
+            backend.restore(state);
         }
+        let (action, telemetry) =
+            fault.lower(session.topology, &session.backend, goal.num_ranks(), session.seed);
+        backend.apply_now(action);
         let driver = if i < last { driver.clone() } else { driver.take() };
         let driver = driver.expect("the driver lives until the last member takes it");
         let report = driver.finish(&mut backend).expect(DEADLOCK_FREE);

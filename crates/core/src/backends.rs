@@ -12,7 +12,7 @@ use atlahs_eventq::EventQueue;
 use atlahs_goal::{Rank, Tag};
 
 use crate::api::{Backend, Completion, NsPerByte, OpRef, Time};
-use crate::matcher::{MatchKey, Matcher};
+use crate::matcher::Matcher;
 use crate::snapshot::Snapshot;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +21,6 @@ enum Ev {
     Done(OpRef),
     /// An operation's CPU phase is over (recv posting).
     CpuFree(OpRef),
-    /// A message fully arrives at its destination.
-    Arrive(MatchKey),
 }
 
 /// A contention-free fixed-rate network backend.
@@ -83,9 +81,6 @@ impl Backend for IdealBackend {
         self.push(done, Ev::Done(op));
         let key = (op.rank, dst, tag);
         let arrive = done + self.latency;
-        // The arrival is processed as its own event so matching happens in
-        // simulated-time order.
-        self.push(arrive, Ev::Arrive(key));
         // Record the message in flight; a recv already posted completes
         // at the arrival.
         if let Some(recv_op) = self.s.matcher.offer_send(key, arrive) {
@@ -100,8 +95,7 @@ impl Backend for IdealBackend {
         // interleaved collectives on one stream could self-deadlock.
         self.push(self.s.now, Ev::CpuFree(op));
         if let Some(arrival) = self.s.matcher.offer_recv(key, op) {
-            // Message already arrived: complete at max(now, arrival) = now,
-            // since arrivals are processed in time order.
+            // The message was sent already: complete once it has arrived.
             let t = self.s.now.max(arrival);
             self.push(t, Ev::Done(op));
         }
@@ -112,21 +106,13 @@ impl Backend for IdealBackend {
     }
 
     fn next_event(&mut self) -> Option<Completion> {
-        while let Some((time, ev)) = self.s.events.pop() {
-            debug_assert!(time >= self.s.now, "event queue went backwards");
-            self.s.now = time;
-            match ev {
-                Ev::Done(op) => return Some(Completion::done(op, time)),
-                Ev::CpuFree(op) => return Some(Completion::cpu_free(op, time)),
-                Ev::Arrive(_key) => {
-                    // Matching state was updated eagerly in `send`/`recv`;
-                    // arrivals that matched a waiting recv were turned into
-                    // Done events there. Nothing to do: this event only
-                    // exists to advance time deterministically.
-                }
-            }
-        }
-        None
+        let (time, ev) = self.s.events.pop()?;
+        debug_assert!(time >= self.s.now, "event queue went backwards");
+        self.s.now = time;
+        Some(match ev {
+            Ev::Done(op) => Completion::done(op, time),
+            Ev::CpuFree(op) => Completion::cpu_free(op, time),
+        })
     }
 }
 

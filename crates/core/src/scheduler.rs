@@ -321,14 +321,19 @@ pub struct SimDriver<'g> {
     makespan: Time,
     rank_finish: Vec<Time>,
     last_time: Time,
+    /// Whether the initially ready tasks have been issued.
+    issued: bool,
 }
 
 impl<'g> SimDriver<'g> {
-    /// Set the backend up for `goal` and issue every initially ready
-    /// task. The returned driver is positioned before the first event.
+    /// Set the backend up for `goal` and issue nothing: the first
+    /// [`run_until`](Self::run_until) or [`finish`](Self::finish) issues
+    /// every initially ready task. Between the two the backend is set up
+    /// and idle at time 0, which is where an override lands that should
+    /// hold from the first task on.
     pub fn start<B: Backend>(goal: &'g GoalSchedule, backend: &mut B) -> Self {
         backend.simulation_setup(goal.num_ranks());
-        let mut driver = SimDriver {
+        SimDriver {
             goal,
             ranks: goal.ranks().iter().map(RankState::new).collect(),
             issue_buf: Vec::new(),
@@ -337,11 +342,19 @@ impl<'g> SimDriver<'g> {
             makespan: 0,
             rank_finish: vec![0u64; goal.num_ranks()],
             last_time: 0,
-        };
-        for (r, rs) in driver.ranks.iter_mut().enumerate() {
-            rs.dispatch(goal.rank(r as Rank), r as Rank, backend, &mut driver.issue_buf);
+            issued: false,
         }
-        driver
+    }
+
+    /// Issue every initially ready task, once.
+    fn issue_initial<B: Backend>(&mut self, backend: &mut B) {
+        if self.issued {
+            return;
+        }
+        self.issued = true;
+        for (r, rs) in self.ranks.iter_mut().enumerate() {
+            rs.dispatch(self.goal.rank(r as Rank), r as Rank, backend, &mut self.issue_buf);
+        }
     }
 
     /// Tasks completed so far.
@@ -362,6 +375,7 @@ impl<'g> SimDriver<'g> {
         backend: &mut B,
         bound: Time,
     ) -> Result<RunState, SimError> {
+        self.issue_initial(backend);
         while let Some(ev) = backend.next_event() {
             self.process_event(backend, ev)?;
             if ev.time >= bound {
@@ -374,6 +388,7 @@ impl<'g> SimDriver<'g> {
     /// Drain the backend and build the final report (or the deadlock
     /// error if tasks remain).
     pub fn finish<B: Backend>(mut self, backend: &mut B) -> Result<SimReport, SimError> {
+        self.issue_initial(backend);
         while let Some(ev) = backend.next_event() {
             self.process_event(backend, ev)?;
         }
@@ -713,6 +728,26 @@ mod tests {
             assert_eq!(original, straight, "paused run diverged (bound {bound})");
             assert_eq!(resumed, straight, "restored branch diverged (bound {bound})");
         }
+    }
+
+    /// `start` sets the backend up and issues nothing; the first `finish`
+    /// (or `run_until`) issues the roots at time 0.
+    #[test]
+    fn start_sets_up_and_issues_nothing() {
+        use crate::probe::{Call, Recorded};
+        let mut b = GoalBuilder::new(2);
+        b.send(0, 1, 1000, 0);
+        b.recv(1, 0, 1000, 0);
+        let goal = b.build().unwrap();
+        let mut backend = Recorded::new(IdealBackend::new(8, 100));
+        let driver = SimDriver::start(&goal, &mut backend);
+        assert_eq!(backend.calls(), [Call::Setup(2)]);
+        assert_eq!(driver.finish(&mut backend).unwrap().makespan, 1100);
+        let issued_at = backend.calls()[1..3].iter().map(|c| match *c {
+            Call::Send { at, .. } | Call::Recv { at, .. } => at,
+            other => panic!("the roots issue first, got {other:?}"),
+        });
+        assert_eq!(issued_at.collect::<Vec<_>>(), [0, 0]);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!
 //! A backend is **immutable configuration plus one state value**:
 //!
-//! * Everything fixed at construction (topology, LogGOPS parameters, the
-//!   configured fault schedule, debug flags) lives on the backend and is
-//!   never assigned after `new`.
+//! * Everything fixed at construction (topology, link and LogGOPS
+//!   parameters, CC algorithm, seeds) lives on the backend and is never
+//!   assigned after `new`. Configuration holds no faults.
 //! * Everything the event loop mutates — clock, event queue (cursor and
 //!   tie-break sequence included), matcher slabs, RNG, per-flow/per-port
 //!   engine state, counters — lives in the backend's single `s: State`
@@ -33,11 +33,13 @@
 //!   is `self.s.clone_from(state)`, and `simulation_setup` builds one
 //!   fresh state from the configuration, so a field cannot be forgotten
 //!   by either: there is no per-field list to forget it in.
-//! * **Overrides are state.** A what-if override applied mid-run (an
-//!   injected fault window, a switched CC algorithm or link model, a
-//!   straggler table) changes the state's *effective* copy of that
-//!   setting, which starts out as the configuration's. A restore or the
-//!   next `simulation_setup` therefore undoes every override by
+//! * **Every fault is an override, and overrides are state.** A fault
+//!   enters a set-up backend at a time: an injected fault window, a
+//!   stochastic link model, a straggler table — applied between
+//!   [`SimDriver::start`](crate::SimDriver::start) and the first task to
+//!   hold for the whole run, or at a pause point for a what-if branch. It
+//!   changes the state only, and every run's state starts without one, so
+//!   a restore or the next `simulation_setup` undoes every override by
 //!   construction.
 //! * **What the state refers to is state.** The packet engine interns
 //!   routes into an arena and its flows and packets hold offsets into it;

@@ -26,10 +26,10 @@ use rand::{RngCore, RngExt, SeedableRng};
 
 use atlahs_core::matcher::MatchKey;
 use atlahs_core::{Backend, Completion, Matcher, OpRef, Snapshot, Time};
+use atlahs_eventq::{EventQueue, QueueStats};
 use atlahs_goal::{Rank, Tag};
 
 use crate::cc::{CcAlgo, CcState};
-use crate::eventq::{EventQueue, QueueStats};
 use crate::fault::{FaultKind, PortFault};
 use crate::stochastic::LinkModel;
 use crate::topology::{PathRef, PortSpec, RouteCache, Topology, TopologyConfig};
@@ -61,29 +61,11 @@ pub struct HtsimConfig {
     /// hotspots on fully provisioned fabrics at the cost of out-of-order
     /// arrival (harmless here: receivers track per-packet bitmaps).
     pub spray: bool,
-    /// Timed link-fault windows ([`crate::fault`]). Empty (the default)
-    /// schedules nothing and leaves the run bit-identical to a fault-free
-    /// engine.
-    pub faults: Vec<PortFault>,
-    /// Per-packet stochastic link model ([`crate::stochastic`]): seeded
-    /// random loss and latency jitter evaluated in the forwarding hot
-    /// path via counter-based draw streams. The inactive default
-    /// consumes zero draws and is bit-identical to an engine without
-    /// the layer.
-    pub link_model: LinkModel,
 }
 
 impl HtsimConfig {
     pub fn new(topology: TopologyConfig, cc: CcAlgo) -> Self {
-        HtsimConfig {
-            topology,
-            cc,
-            queue_bytes: 1 << 20,
-            seed: 1,
-            spray: false,
-            faults: Vec::new(),
-            link_model: LinkModel::default(),
-        }
+        HtsimConfig { topology, cc, queue_bytes: 1 << 20, seed: 1, spray: false }
     }
 }
 
@@ -417,10 +399,9 @@ pub struct HtsimBackend {
 /// Everything a run of the packet engine mutates: every port's queue and
 /// link parameters (fault windows rescale them), every flow, the event
 /// queue, the clock, the RNG, the message matcher, NDP pull pacers,
-/// and counters — plus the *effective* fault table and link
-/// model, which start as [`HtsimConfig`]'s and are what the branch
-/// overrides ([`HtsimBackend::inject_fault`],
-/// [`HtsimBackend::set_link_model`]) change.
+/// and counters — plus the fault table and link model, which every run
+/// starts without and only the overrides ([`HtsimBackend::inject_fault`],
+/// [`HtsimBackend::set_link_model`]) fill in.
 /// The rule is in [`atlahs_core::snapshot`].
 #[derive(Clone)]
 pub struct HtsimState {
@@ -441,7 +422,8 @@ pub struct HtsimState {
     routes: RouteCache,
     /// In-queue [`Ev::Fault`] events index into this table.
     faults: Vec<PortFault>,
-    link_model: LinkModel,
+    /// The stochastic link model in force.
+    model: LinkModel,
 }
 
 impl HtsimState {
@@ -466,21 +448,10 @@ impl HtsimState {
             port.set_rate(spec.link.rate(100));
             port
         });
-        let mut queue = EventQueue::new();
-        // Configured fault windows enter the queue before any simulation
-        // traffic, so their push order (and hence tie-breaking at equal
-        // timestamps) is a pure function of the config — independent of
-        // the workload.
-        for (i, f) in cfg.faults.iter().enumerate() {
-            if f.end_ns > f.start_ns {
-                queue.push(f.start_ns, Ev::Fault { idx: i as u32, start: true });
-                queue.push(f.end_ns, Ev::Fault { idx: i as u32, start: false });
-            }
-        }
         HtsimState {
             ports: ports.collect(),
             flows: Vec::new(),
-            queue,
+            queue: EventQueue::new(),
             now: 0,
             rng: StdRng::seed_from_u64(cfg.seed),
             matcher: Matcher::new(),
@@ -488,26 +459,15 @@ impl HtsimState {
             stats: NetStats::default(),
             arena: Vec::new(),
             routes: RouteCache::default(),
-            faults: cfg.faults.clone(),
-            link_model: cfg.link_model,
+            faults: Vec::new(),
+            model: LinkModel::default(),
         }
     }
-}
-
-fn assert_fault_port(f: &PortFault, ports: usize) {
-    assert!(
-        (f.port as usize) < ports,
-        "fault targets port {} but topology has {ports} ports",
-        f.port
-    );
 }
 
 impl HtsimBackend {
     pub fn new(cfg: HtsimConfig) -> Self {
         let topo = Topology::build(cfg.topology.clone());
-        for f in &cfg.faults {
-            assert_fault_port(f, topo.ports().len());
-        }
         HtsimBackend { s: HtsimState::new(&cfg, &[], 0), topo, cfg }
     }
 
@@ -624,7 +584,7 @@ impl HtsimBackend {
             // (port, packets transmitted), so it survives snapshot and
             // restore via the port clone, and an inactive model consumes
             // nothing at all.
-            let stoch = if self.s.link_model.active() {
+            let stoch = if self.s.model.active() {
                 let n = port.draws;
                 port.draws += 1;
                 Some((n, port.is_core))
@@ -634,7 +594,7 @@ impl HtsimBackend {
             (pkt, port.latency, stoch)
         };
         if let Some((n, is_core)) = stoch {
-            let model = self.s.link_model;
+            let model = self.s.model;
             self.s.stats.stochastic_draws += 1;
             if model.drops(port_id, n, is_core) {
                 // The packet vanishes on the wire: for data the RTO
@@ -1034,16 +994,18 @@ impl HtsimBackend {
         (rpath, in_flight)
     }
 
-    // ---- branch overrides ----------------------------------------------
+    // ---- overrides -----------------------------------------------------
 
-    /// Switch the per-packet stochastic link model mid-run (what-if
-    /// branch override, `--branch loss:...` / `--branch jitter:...`).
-    /// Packets already on the wire are unaffected; the next packet to
-    /// finish transmitting on each port draws from the new model at the
-    /// port's current counter position. Only the state's effective model
-    /// changes, so a restore or the next run undoes the switch.
+    /// Switch the per-packet stochastic link model ([`crate::stochastic`])
+    /// — the one way a model enters the engine; every run starts with the
+    /// inactive one, which consumes no draws. Applied before the first
+    /// task, it holds for the whole run; mid-run, packets already on the
+    /// wire are unaffected and the next packet to finish transmitting on
+    /// each port draws from the new model at the port's current counter
+    /// position. Only the state's model changes, so a restore or the next
+    /// run undoes the switch.
     pub fn set_link_model(&mut self, model: LinkModel) {
-        self.s.link_model = model;
+        self.s.model = model;
     }
 
     /// Advance a port's stochastic draw counter by `n` without
@@ -1057,17 +1019,21 @@ impl HtsimBackend {
         self.s.ports[port as usize].draws += n;
     }
 
-    /// Inject a fault window into a *running* simulation (what-if branch
-    /// override). The window is clamped to open no earlier than `now`;
-    /// windows that would close at or before that are ignored. Unlike the
-    /// windows in [`HtsimConfig::faults`] (scheduled at setup, before any
-    /// traffic), injected windows enter the queue at call time — their
-    /// tie-break order against same-timestamp traffic reflects the
-    /// injection point, which is exactly the straight-through-equivalent
-    /// semantics the branch executor verifies. The window joins the
-    /// state's fault table only, so a restore or the next run forgets it.
+    /// Inject a fault window into a set-up simulation — the one way a
+    /// link fault enters the engine. The window is clamped to open no
+    /// earlier than `now`; windows that would close at or before that
+    /// are ignored. The window's events enter the queue at call time, so
+    /// their tie-break order against same-timestamp traffic reflects the
+    /// injection point: injected at time 0, before the driver issues the
+    /// first task, they precede all traffic. The window joins the state's
+    /// fault table only, so a restore or the next run forgets it.
     pub fn inject_fault(&mut self, mut f: PortFault) {
-        assert_fault_port(&f, self.topo.ports().len());
+        let ports = self.topo.ports().len();
+        assert!(
+            (f.port as usize) < ports,
+            "fault targets port {} but topology has {ports} ports",
+            f.port
+        );
         f.start_ns = f.start_ns.max(self.s.now);
         if f.end_ns <= f.start_ns {
             return;

@@ -7,11 +7,14 @@
 //! scaled for the duration of the window, so congestion control reacts to
 //! the slower link naturally).
 //!
-//! Windows are delivered through the engine's timer wheel as ordinary
-//! events, pushed at [`reset`](crate::engine::HtsimBackend) time *before*
-//! any simulation traffic. A configuration with an empty fault list
-//! schedules nothing, touches no RNG stream, and is bit-identical to a
-//! fault-free engine.
+//! A window enters a set-up engine through
+//! [`HtsimBackend::inject_fault`](crate::engine::HtsimBackend::inject_fault),
+//! the one way a fault gets in (the configuration holds none), and is
+//! delivered through the engine's timer wheel as two ordinary events.
+//! Injected between `SimDriver::start` and the first task, its events
+//! precede all simulation traffic. A run with no windows schedules
+//! nothing, touches no RNG stream, and is bit-identical to a fault-free
+//! engine.
 //!
 //! Integer percentages (not floats) keep fault specs `Eq`/hashable and
 //! their labels exact, which the grid layer's seeded cell keys rely on.
@@ -50,15 +53,6 @@ pub struct PortFault {
     pub kind: FaultKind,
 }
 
-/// Deterministically pick up to `count` fault-candidate ports.
-///
-/// Core (inter-switch) ports are preferred — they are the shared tier
-/// whose failures reroute or stall many flows at once; topologies without
-/// a core tier (`SingleSwitch`) fall back to the switch→host delivery
-/// ports. Selection is a seeded shuffle, so the same `(topology, seed)`
-/// always yields the same ports regardless of grid position or thread
-/// count; the result is sorted so downstream event scheduling is
-/// order-independent of the shuffle.
 /// Validate and normalize a fault schedule, **enforcing** the
 /// windows-on-one-port-must-not-overlap contract [`PortFault`] documents.
 ///
@@ -114,6 +108,15 @@ pub fn select_fault_domains(
     idx.into_iter().map(|i| domains[i].clone()).collect()
 }
 
+/// Deterministically pick up to `count` fault-candidate ports.
+///
+/// Core (inter-switch) ports are preferred — they are the shared tier
+/// whose failures reroute or stall many flows at once; topologies without
+/// a core tier (`SingleSwitch`) fall back to the switch→host delivery
+/// ports. Selection is a seeded shuffle, so the same `(topology, seed)`
+/// always yields the same ports regardless of grid position or thread
+/// count; the result is sorted so downstream event scheduling is
+/// order-independent of the shuffle.
 pub fn select_fault_ports(topo: &Topology, count: usize, seed: u64) -> Vec<u32> {
     let core: Vec<u32> =
         topo.ports().iter().enumerate().filter(|(_, p)| p.is_core).map(|(i, _)| i as u32).collect();

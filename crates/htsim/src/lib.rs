@@ -36,14 +36,8 @@ pub mod fault;
 pub mod stochastic;
 pub mod topology;
 
-/// The event core now lives in the shared `atlahs_eventq` crate (both
-/// the packet-level and the message-level backends schedule through it);
-/// re-exported here so `atlahs_htsim::eventq::EventQueue` keeps working.
-pub use atlahs_eventq as eventq;
-
 pub use cc::{CcAlgo, CcState};
 pub use engine::{HtsimBackend, HtsimConfig, NetStats, MAX_MESSAGE_BYTES};
-pub use eventq::EventQueue;
 pub use fault::{select_fault_ports, FaultKind, PortFault};
 pub use stochastic::{LinkModel, LinkModelSpec, LossTier};
 pub use topology::{LinkParams, PathRef, Topology, TopologyConfig};
@@ -52,7 +46,7 @@ pub use topology::{LinkParams, PathRef, Topology, TopologyConfig};
 mod tests {
     use super::*;
     use atlahs_core::probe::Recorded;
-    use atlahs_core::{SimReport, Simulation};
+    use atlahs_core::{SimDriver, SimReport, Simulation};
     use atlahs_goal::{GoalBuilder, GoalSchedule};
 
     fn run_with(goal: &GoalSchedule, cfg: HtsimConfig) -> (SimReport, HtsimBackend) {
@@ -61,9 +55,17 @@ mod tests {
         (report, backend)
     }
 
-    fn run_recorded(goal: &GoalSchedule, cfg: HtsimConfig) -> (SimReport, Recorded<HtsimBackend>) {
-        let mut backend = Recorded::new(HtsimBackend::new(cfg));
-        let report = Simulation::new(goal).run(&mut backend).expect("no deadlock");
+    /// Run `goal` with `apply`'s overrides in place before the first task
+    /// issues: a fault or link model that holds for the whole run.
+    fn run_overridden(
+        goal: &GoalSchedule,
+        cfg: HtsimConfig,
+        apply: impl FnOnce(&mut HtsimBackend),
+    ) -> (SimReport, HtsimBackend) {
+        let mut backend = HtsimBackend::new(cfg);
+        let driver = SimDriver::start(goal, &mut backend);
+        apply(&mut backend);
+        let report = driver.finish(&mut backend).expect("no deadlock");
         (report, backend)
     }
 
@@ -424,15 +426,10 @@ mod tests {
     fn link_flap_recovers_and_slows_the_run() {
         let goal = ping(2 << 20);
         let (clean, _) = run_with(&goal, small_switch(CcAlgo::Mprdma));
-        let mut cfg = small_switch(CcAlgo::Mprdma);
         // Port 0 is host 0's uplink: flap it squarely inside the transfer.
-        cfg.faults.push(PortFault {
-            port: 0,
-            start_ns: 20_000,
-            end_ns: 80_000,
-            kind: FaultKind::Down,
-        });
-        let (faulty, backend) = run_with(&goal, cfg);
+        let flap = PortFault { port: 0, start_ns: 20_000, end_ns: 80_000, kind: FaultKind::Down };
+        let (faulty, backend) =
+            run_overridden(&goal, small_switch(CcAlgo::Mprdma), |b| b.inject_fault(flap));
         assert_eq!(faulty.completed, goal.total_tasks(), "flap must be recovered");
         let st = backend.net_stats();
         assert!(st.fault_drops > 0, "the window must actually bite: {st:?}");
@@ -449,15 +446,15 @@ mod tests {
     fn degraded_link_slows_the_run_without_loss() {
         let goal = ping(2 << 20);
         let (clean, _) = run_with(&goal, small_switch(CcAlgo::Mprdma));
-        let mut cfg = small_switch(CcAlgo::Mprdma);
         // Quarter bandwidth, 4x latency for most of the transfer.
-        cfg.faults.push(PortFault {
+        let degrade = PortFault {
             port: 0,
             start_ns: 0,
             end_ns: 1_000_000,
             kind: FaultKind::Degrade { bw_pct: 25, lat_pct: 400 },
-        });
-        let (faulty, backend) = run_with(&goal, cfg);
+        };
+        let (faulty, backend) =
+            run_overridden(&goal, small_switch(CcAlgo::Mprdma), |b| b.inject_fault(degrade));
         assert_eq!(faulty.completed, goal.total_tasks());
         assert_eq!(backend.net_stats().fault_drops, 0, "degradation never discards");
         assert!(
@@ -474,14 +471,14 @@ mod tests {
         // leave the port at nominal parameters: same makespan as clean.
         let goal = ping(1 << 20);
         let (clean, _) = run_with(&goal, small_switch(CcAlgo::Mprdma));
-        let mut cfg = small_switch(CcAlgo::Mprdma);
-        cfg.faults.push(PortFault {
+        let blip = PortFault {
             port: 0,
             start_ns: 0,
             end_ns: 1,
             kind: FaultKind::Degrade { bw_pct: 10, lat_pct: 1000 },
-        });
-        let (faulty, _) = run_with(&goal, cfg);
+        };
+        let (faulty, _) =
+            run_overridden(&goal, small_switch(CcAlgo::Mprdma), |b| b.inject_fault(blip));
         assert_eq!(faulty.makespan, clean.makespan);
     }
 
@@ -489,8 +486,8 @@ mod tests {
     fn empty_fault_list_is_bit_identical_to_no_faults() {
         let goal = incast(8, 256 * 1024);
         let (a, ba) = run_with(&goal, small_switch(CcAlgo::Mprdma));
-        let cfg = small_switch(CcAlgo::Mprdma); // faults: Vec::new()
-        let (b, bb) = run_with(&goal, cfg);
+        // Nothing injected between `start` and `finish`.
+        let (b, bb) = run_overridden(&goal, small_switch(CcAlgo::Mprdma), |_| ());
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(ba.net_stats(), bb.net_stats());
     }
@@ -499,17 +496,17 @@ mod tests {
     fn faulty_runs_are_deterministic() {
         let goal = incast(6, 512 * 1024);
         let mk = || {
-            let mut cfg = small_switch(CcAlgo::Ndp);
-            cfg.faults.push(PortFault {
-                port: 6, // sender 6's uplink into the switch
-                start_ns: 50_000,
-                end_ns: 120_000,
-                kind: FaultKind::Down,
-            });
-            cfg
+            run_overridden(&goal, small_switch(CcAlgo::Ndp), |b| {
+                b.inject_fault(PortFault {
+                    port: 6, // sender 6's uplink into the switch
+                    start_ns: 50_000,
+                    end_ns: 120_000,
+                    kind: FaultKind::Down,
+                })
+            })
         };
-        let (r1, b1) = run_with(&goal, mk());
-        let (r2, b2) = run_with(&goal, mk());
+        let (r1, b1) = mk();
+        let (r2, b2) = mk();
         assert_eq!(r1.makespan, r2.makespan);
         assert_eq!(b1.net_stats(), b2.net_stats());
         assert!(b1.net_stats().fault_drops > 0);
@@ -519,17 +516,25 @@ mod tests {
 
     /// Pause `goal` at three bounds, checkpoint, finish, restore and
     /// finish again: both finishes must match the straight run's
-    /// makespan, statistics and flow records. Returns the straight run.
+    /// makespan, statistics and flow records. `apply` is applied before
+    /// the first task of every run. Returns the straight run.
     fn assert_resumes_bit_identically(
         goal: &GoalSchedule,
         cfg: &HtsimConfig,
+        apply: impl Fn(&mut HtsimBackend),
     ) -> Recorded<HtsimBackend> {
-        use atlahs_core::{RunState, SimDriver, Snapshot};
-        let (straight, sb) = run_recorded(goal, cfg.clone());
+        use atlahs_core::{RunState, Snapshot};
+        let start = || {
+            let mut b = Recorded::new(HtsimBackend::new(cfg.clone()));
+            let driver = SimDriver::start(goal, &mut b);
+            apply(b.inner_mut());
+            (driver, b)
+        };
+        let (driver, mut sb) = start();
+        let straight = driver.finish(&mut sb).expect("no deadlock");
         let want = (straight.makespan, sb.inner().net_stats(), sb.flows());
         for bound in [1, 50_000, straight.makespan / 2] {
-            let mut b = Recorded::new(HtsimBackend::new(cfg.clone()));
-            let mut driver = SimDriver::start(goal, &mut b);
+            let (mut driver, mut b) = start();
             assert_eq!(driver.run_until(&mut b, bound).unwrap(), RunState::Paused);
             let snap = b.checkpoint();
             let fork_driver = driver.clone();
@@ -550,7 +555,7 @@ mod tests {
     fn checkpoint_resume_is_bit_identical() {
         let mut cfg = small_switch(CcAlgo::Mprdma);
         cfg.queue_bytes = 64 * 1024; // force drops + ECN draws
-        assert_resumes_bit_identically(&incast(8, 256 * 1024), &cfg);
+        assert_resumes_bit_identically(&incast(8, 256 * 1024), &cfg, |_| ());
     }
 
     /// Checkpoint/resume composes with fault windows already in flight:
@@ -558,20 +563,16 @@ mod tests {
     /// recovery byte-for-byte.
     #[test]
     fn checkpoint_resume_inside_a_fault_window() {
-        use atlahs_core::{RunState, SimDriver, Snapshot};
+        use atlahs_core::{RunState, Snapshot};
         let goal = ping(2 << 20);
-        let mut cfg = small_switch(CcAlgo::Mprdma);
-        cfg.faults.push(PortFault {
-            port: 0,
-            start_ns: 20_000,
-            end_ns: 80_000,
-            kind: FaultKind::Down,
-        });
-        let (straight, sb) = run_with(&goal, cfg.clone());
+        let cfg = small_switch(CcAlgo::Mprdma);
+        let flap = PortFault { port: 0, start_ns: 20_000, end_ns: 80_000, kind: FaultKind::Down };
+        let (straight, sb) = run_overridden(&goal, cfg.clone(), |b| b.inject_fault(flap));
         assert!(sb.net_stats().fault_drops > 0);
 
         let mut b = HtsimBackend::new(cfg);
         let mut driver = SimDriver::start(&goal, &mut b);
+        b.inject_fault(flap);
         assert_eq!(driver.run_until(&mut b, 50_000).unwrap(), RunState::Paused);
         let snap = b.checkpoint();
         let fork_driver = driver.clone();
@@ -607,7 +608,7 @@ mod tests {
     /// fresh run that injects the same window at the same pause point.
     #[test]
     fn injected_fault_branch_matches_straight_through_injection() {
-        use atlahs_core::{RunState, SimDriver, Snapshot};
+        use atlahs_core::{RunState, Snapshot};
         let goal = clocked_ping();
         let cfg = small_switch(CcAlgo::Mprdma);
         let (clean, _) = run_with(&goal, cfg.clone());
@@ -649,9 +650,9 @@ mod tests {
     fn inactive_link_model_is_bit_identical_and_draw_free() {
         let goal = incast(8, 256 * 1024);
         let (a, ba) = run_with(&goal, small_switch(CcAlgo::Mprdma));
-        let mut cfg = small_switch(CcAlgo::Mprdma);
-        cfg.link_model = LinkModel::default(); // explicit inactive model
-        let (b, bb) = run_with(&goal, cfg);
+        let (b, bb) = run_overridden(&goal, small_switch(CcAlgo::Mprdma), |b| {
+            b.set_link_model(LinkModel::default()) // explicit inactive model
+        });
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(ba.net_stats(), bb.net_stats());
         assert_eq!(ba.net_stats().stochastic_draws, 0, "no model ⇒ no draws consumed");
@@ -662,12 +663,10 @@ mod tests {
     fn stochastic_loss_bites_recovers_and_reruns_identically() {
         let goal = ping(2 << 20);
         let (clean, cb) = run_with(&goal, small_switch(CcAlgo::Mprdma));
-        let mk = || {
-            let mut cfg = small_switch(CcAlgo::Mprdma);
-            cfg.link_model = loss_model(50_000, 0xbeef); // 5% everywhere
-            cfg
+        let lossy = |model: LinkModel| {
+            run_overridden(&goal, small_switch(CcAlgo::Mprdma), |b| b.set_link_model(model))
         };
-        let (faulty, b1) = run_with(&goal, mk());
+        let (faulty, b1) = lossy(loss_model(50_000, 0xbeef)); // 5% everywhere
         assert_eq!(faulty.completed, goal.total_tasks(), "all bytes delivered under 5% loss");
         let st = b1.net_stats();
         assert!(st.stochastic_draws > 0);
@@ -675,12 +674,10 @@ mod tests {
         assert!(st.rtx_fault_drop > 0, "stochastic losses are attributed to the fault: {st:?}");
         assert!(faulty.makespan > clean.makespan, "recovery takes time");
         // Same seed ⇒ bit-identical; different model seed ⇒ different run.
-        let (again, b2) = run_with(&goal, mk());
+        let (again, b2) = lossy(loss_model(50_000, 0xbeef));
         assert_eq!(faulty.makespan, again.makespan);
         assert_eq!(b1.net_stats(), b2.net_stats());
-        let mut other = small_switch(CcAlgo::Mprdma);
-        other.link_model = loss_model(50_000, 0xbef0);
-        let (_, b3) = run_with(&goal, other);
+        let (_, b3) = lossy(loss_model(50_000, 0xbef0));
         assert_ne!(b1.net_stats(), b3.net_stats(), "the model seed drives the draws");
         // The clean run is untouched by the layer existing.
         assert_eq!(cb.net_stats().stochastic_draws, 0);
@@ -695,9 +692,9 @@ mod tests {
     fn heavy_stochastic_loss_never_livelocks() {
         for cc in [CcAlgo::Mprdma, CcAlgo::Ndp] {
             let goal = incast(6, 128 * 1024);
-            let mut cfg = small_switch(cc);
-            cfg.link_model = loss_model(200_000, 7);
-            let (rep, backend) = run_with(&goal, cfg);
+            let model = loss_model(200_000, 7);
+            let (rep, backend) =
+                run_overridden(&goal, small_switch(cc), |b| b.set_link_model(model));
             assert_eq!(rep.completed, goal.total_tasks(), "{cc}: flows must complete");
             let st = backend.net_stats();
             assert!(st.stochastic_drops > 0, "{cc}: the model must bite: {st:?}");
@@ -742,22 +739,23 @@ mod tests {
             cfg.spray = true;
             cfg.queue_bytes = 16 * 1024;
             let jitter = Some(Distribution::Exp { mean_ns: 10_000 });
-            cfg.link_model = LinkModel { jitter, ..loss_model(30_000, 0xface) };
-            cfg.faults.push(PortFault {
-                port: core,
-                start_ns: 10_000,
-                end_ns: 60_000,
-                kind: FaultKind::Down,
-            });
-            cfg
+            run_overridden(&goal, cfg, |b| {
+                b.set_link_model(LinkModel { jitter, ..loss_model(30_000, 0xface) });
+                b.inject_fault(PortFault {
+                    port: core,
+                    start_ns: 10_000,
+                    end_ns: 60_000,
+                    kind: FaultKind::Down,
+                });
+            })
         };
-        let (rep, b1) = run_with(&goal, mk());
+        let (rep, b1) = mk();
         assert_eq!(rep.completed, goal.total_tasks());
         let st = b1.net_stats();
         assert!(st.fault_drops > 0 && st.stochastic_drops > 0 && st.drops > 0, "{st:?}");
         assert!(st.timeouts > 0, "{st:?}");
         assert_eq!(st.retransmissions, st.rtx_fault_drop + st.rtx_timeout, "{st:?}");
-        let (again, b2) = run_with(&goal, mk());
+        let (again, b2) = mk();
         assert_eq!(rep, again);
         assert_eq!(st, b2.net_stats());
     }
@@ -767,14 +765,14 @@ mod tests {
         use atlahs_core::faultgen::Distribution;
         let goal = ping(1 << 20);
         let (clean, _) = run_with(&goal, small_switch(CcAlgo::Mprdma));
-        let mut cfg = small_switch(CcAlgo::Mprdma);
-        cfg.link_model = LinkModel {
+        let model = LinkModel {
             core_loss_ppm: 0,
             edge_loss_ppm: 0,
             jitter: Some(Distribution::Exp { mean_ns: 2_000 }),
             seed: 3,
         };
-        let (jit, backend) = run_with(&goal, cfg);
+        let (jit, backend) =
+            run_overridden(&goal, small_switch(CcAlgo::Mprdma), |b| b.set_link_model(model));
         assert_eq!(jit.completed, goal.total_tasks());
         let st = backend.net_stats();
         assert!(st.jittered > 0, "exp(2 µs) jitter must perturb timestamps: {st:?}");
@@ -795,14 +793,16 @@ mod tests {
     #[test]
     fn checkpoint_resume_mid_loss_is_bit_identical() {
         use atlahs_core::faultgen::Distribution;
-        let mut cfg = small_switch(CcAlgo::Mprdma);
-        cfg.link_model = LinkModel {
+        let model = LinkModel {
             core_loss_ppm: 30_000,
             edge_loss_ppm: 30_000,
             jitter: Some(Distribution::Uniform { max_ns: 1_500 }),
             seed: 0xf00d,
         };
-        let sb = assert_resumes_bit_identically(&incast(8, 256 * 1024), &cfg);
+        let cfg = small_switch(CcAlgo::Mprdma);
+        let sb = assert_resumes_bit_identically(&incast(8, 256 * 1024), &cfg, |b| {
+            b.set_link_model(model)
+        });
         assert!(sb.inner().net_stats().stochastic_drops > 0, "the scenario must be lossy");
     }
 
@@ -813,7 +813,7 @@ mod tests {
     /// override at the same pause point.
     #[test]
     fn set_link_model_branch_matches_straight_through_override() {
-        use atlahs_core::{RunState, SimDriver, Snapshot};
+        use atlahs_core::{RunState, Snapshot};
         let goal = clocked_ping();
         let cfg = small_switch(CcAlgo::Mprdma);
         let (clean, _) = run_with(&goal, cfg.clone());
@@ -851,7 +851,7 @@ mod tests {
     /// configuration is still what the caller passed.
     #[test]
     fn overrides_do_not_outlive_their_run() {
-        use atlahs_core::{RunState, SimDriver};
+        use atlahs_core::RunState;
         let goal = clocked_ping();
         let cfg = small_switch(CcAlgo::Mprdma);
         let (clean, fresh) = run_with(&goal, cfg.clone());

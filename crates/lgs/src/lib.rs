@@ -107,13 +107,13 @@ pub struct LgsStats {
 
 /// Seeded per-rank straggler model (fault injection).
 ///
-/// At `simulation_setup` each rank independently becomes a straggler with
-/// probability `prob_pct`% (an FNV draw over `(seed, rank)` — no RNG
-/// stream, so the decision is a pure function of the spec and composes
-/// with any grid seeding). A straggler's every `calc` cost is scaled to
-/// `factor_pct`% of nominal at dispatch; communication timing (`L`, `o`,
-/// `g`, `G`) is untouched, so a rank's issue *order* can never change —
-/// only its timestamps stretch.
+/// Applied by [`LgsBackend::apply_straggler_now`], each rank
+/// independently becomes a straggler with probability `prob_pct`% (an FNV
+/// draw over `(seed, rank)` — no RNG stream, so the decision is a pure
+/// function of the spec and composes with any grid seeding). A
+/// straggler's every `calc` cost is scaled to `factor_pct`% of nominal at
+/// dispatch; communication timing (`L`, `o`, `g`, `G`) is untouched, so a
+/// rank's issue *order* can never change — only its timestamps stretch.
 ///
 /// With `spread_pct > 0` the factor is **distribution-drawn** instead of
 /// uniform: each straggler adds an independent Weibull sample (scale
@@ -206,12 +206,11 @@ enum Ev {
 // up the enum's niche would grow them all.
 const _: () = assert!(std::mem::size_of::<Option<Ev>>() == std::mem::size_of::<Ev>());
 
-/// The LogGOPSim backend: parameters and straggler spec fixed at
-/// construction, everything a run mutates in [`LgsState`].
+/// The LogGOPSim backend: parameters fixed at construction, everything a
+/// run mutates in [`LgsState`].
 #[derive(Debug)]
 pub struct LgsBackend {
     params: LogGopsParams,
-    straggler: StragglerSpec,
     s: LgsState,
 }
 
@@ -230,13 +229,13 @@ pub struct LgsState {
     /// Rendezvous: RTS arrivals vs posted recvs.
     rdv: Matcher<(OpRef, u64), (OpRef, Time)>,
     stats: LgsStats,
-    /// Per-rank calc-cost scale in percent: the configured straggler
-    /// spec's table until [`LgsBackend::apply_straggler_now`] replaces it.
+    /// Per-rank calc-cost scale in percent: empty (every calc at face
+    /// value) until [`LgsBackend::apply_straggler_now`] fills it.
     calc_scale: Vec<u64>,
 }
 
 impl LgsState {
-    fn new(straggler: &StragglerSpec, num_ranks: usize) -> Self {
+    fn new(num_ranks: usize) -> Self {
         LgsState {
             now: 0,
             events: EventQueue::new(),
@@ -245,25 +244,22 @@ impl LgsState {
             eager: Matcher::new(),
             rdv: Matcher::new(),
             stats: LgsStats::default(),
-            calc_scale: straggler.calc_scale(num_ranks),
+            calc_scale: Vec::new(),
         }
     }
 }
 
 impl LgsBackend {
     pub fn new(params: LogGopsParams) -> Self {
-        LgsBackend::with_straggler(params, StragglerSpec::default())
+        LgsBackend { params, s: LgsState::new(0) }
     }
 
-    /// A backend with a straggler fault model attached.
-    pub fn with_straggler(params: LogGopsParams, straggler: StragglerSpec) -> Self {
-        LgsBackend { params, straggler, s: LgsState::new(&straggler, 0) }
-    }
-
-    /// Apply a straggler model to a *running* simulation (what-if branch
-    /// override): calcs dispatched after the call are scaled by `straggler`
-    /// while everything already scheduled keeps its timing. Only the
-    /// state's table changes, so a restore or the next run undoes it.
+    /// Apply a straggler model to a set-up simulation — the one way a
+    /// straggler enters the backend. Calcs dispatched after the call are
+    /// scaled by `straggler` while everything already scheduled keeps its
+    /// timing; applied before the first task, it holds for the whole run.
+    /// Only the state's table changes, so a restore or the next run
+    /// undoes it.
     pub fn apply_straggler_now(&mut self, straggler: StragglerSpec) {
         self.s.calc_scale = straggler.calc_scale(self.s.nic_tx_free.len());
     }
@@ -312,7 +308,7 @@ impl Snapshot for LgsBackend {
 
 impl Backend for LgsBackend {
     fn simulation_setup(&mut self, num_ranks: usize) {
-        self.s = LgsState::new(&self.straggler, num_ranks);
+        self.s = LgsState::new(num_ranks);
     }
 
     fn now(&self) -> Time {
@@ -581,6 +577,14 @@ mod tests {
 
     // ---- straggler injection ----------------------------------------
 
+    /// Run `goal` with `straggler` applied before the first task issues.
+    fn run_straggled(goal: &GoalSchedule, straggler: StragglerSpec) -> atlahs_core::SimReport {
+        let mut b = LgsBackend::new(LogGopsParams::ai_alps());
+        let driver = atlahs_core::SimDriver::start(goal, &mut b);
+        b.apply_straggler_now(straggler);
+        driver.finish(&mut b).expect("no deadlock")
+    }
+
     fn compute_ping(cost: u64) -> GoalSchedule {
         let mut b = GoalBuilder::new(2);
         let c = b.calc(0, cost);
@@ -598,8 +602,7 @@ mod tests {
         let goal = compute_ping(10_000);
         let clean = run(&goal, LogGopsParams::ai_alps());
         let spec = StragglerSpec { prob_pct: 100, factor_pct: 300, seed: 9, ..Default::default() };
-        let mut b = LgsBackend::with_straggler(LogGopsParams::ai_alps(), spec);
-        let faulty = Simulation::new(&goal).run(&mut b).unwrap();
+        let faulty = run_straggled(&goal, spec);
         assert_eq!(clean.makespan, 14_145);
         assert_eq!(faulty.makespan, 34_145, "30_000 ns calc + the same wire time");
     }
@@ -613,8 +616,7 @@ mod tests {
             StragglerSpec { prob_pct: 0, factor_pct: 500, seed: 3, ..Default::default() },
             StragglerSpec { prob_pct: 100, factor_pct: 100, seed: 3, ..Default::default() },
         ] {
-            let mut b = LgsBackend::with_straggler(LogGopsParams::ai_alps(), spec);
-            let rep = Simulation::new(&goal).run(&mut b).unwrap();
+            let rep = run_straggled(&goal, spec);
             assert_eq!(rep.makespan, clean.makespan, "{spec:?}");
             assert_eq!(rep.rank_finish, clean.rank_finish, "{spec:?}");
         }
@@ -670,9 +672,26 @@ mod tests {
         // …and it slows a compute-heavy run down.
         let goal = compute_ping(10_000);
         let clean = run(&goal, LogGopsParams::ai_alps());
-        let mut b = LgsBackend::with_straggler(LogGopsParams::ai_alps(), spec);
-        let spread_run = Simulation::new(&goal).run(&mut b).unwrap();
+        let spread_run = run_straggled(&goal, spec);
         assert!(spread_run.makespan > clean.makespan);
+    }
+
+    /// A straggler applied between `start` and `finish` scales the very
+    /// first calc: `start` issues nothing, so no task runs at face value.
+    #[test]
+    fn straggler_applied_after_start_scales_the_first_calc() {
+        use atlahs_core::SimDriver;
+        let mut gb = GoalBuilder::new(1);
+        gb.calc(0, 10_000);
+        let goal = gb.build().unwrap();
+        let mut b = LgsBackend::new(LogGopsParams::ai_alps());
+        let driver = SimDriver::start(&goal, &mut b);
+        b.apply_straggler_now(StragglerSpec {
+            prob_pct: 100,
+            factor_pct: 300,
+            ..Default::default()
+        });
+        assert_eq!(driver.finish(&mut b).unwrap().makespan, 30_000);
     }
 
     /// `apply_straggler_now` belongs to the run it was applied to: the

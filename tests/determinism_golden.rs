@@ -22,7 +22,7 @@
 mod golden_table;
 
 use atlahs::core::probe::Recorded;
-use atlahs::core::{SimReport, Simulation};
+use atlahs::core::{Backend, SimDriver, SimReport, Simulation, Snapshot};
 use atlahs::goal::GoalSchedule;
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
 use atlahs::htsim::fault::{select_fault_ports, FaultKind, PortFault};
@@ -53,6 +53,23 @@ fn fnv(h: u64, x: u64) -> u64 {
     h
 }
 
+/// Run `goal` on `backend` with `apply`'s overrides in place before the
+/// first task issues: how a fault enters a backend for a whole run.
+fn run_applied<B: Backend>(
+    goal: &GoalSchedule,
+    backend: &mut B,
+    apply: impl Fn(&mut B),
+) -> SimReport {
+    let driver = SimDriver::start(goal, backend);
+    apply(backend);
+    driver.finish(backend).expect("scenario completes")
+}
+
+/// Inject `faults` into a set-up packet backend.
+fn inject(faults: &[PortFault]) -> impl Fn(&mut Recorded<HtsimBackend>) + '_ {
+    |be| faults.iter().for_each(|&f| be.inner_mut().inject_fault(f))
+}
+
 /// One packet-level run on shallow (256 KiB) queues, enough to exercise
 /// the loss paths. A faulted run's fingerprint folds in `fault_drops`.
 fn run(
@@ -65,9 +82,8 @@ fn run(
     let mut cfg = HtsimConfig::new(topo, cc);
     cfg.spray = spray;
     cfg.queue_bytes = 256 * 1024;
-    cfg.faults = faults.to_vec();
     let mut be = Recorded::new(HtsimBackend::new(cfg));
-    let rep = Simulation::new(goal).run(&mut be).expect("scenario completes");
+    let rep = run_applied(goal, &mut be, inject(faults));
     htsim_fingerprint(&rep, &be, !faults.is_empty())
 }
 
@@ -226,10 +242,12 @@ fn dragonfly_ndp_ecmp() {
 // --- parallel LLM, storage incast), fingerprinted on both the packet-
 // --- level and the message-level backend.
 
-/// LGS golden: makespan + FNV over every rank finish time and the
-/// backend's message counters (LGS has no NetStats/FlowRecords).
-fn run_lgs(goal: &GoalSchedule, mut be: LgsBackend) -> Golden {
-    let rep = Simulation::new(goal).run(&mut be).expect("scenario completes");
+/// LGS golden on `ai_alps` with `straggler` applied: makespan + FNV over
+/// every rank finish time and the backend's message counters (LGS has no
+/// NetStats/FlowRecords).
+fn run_lgs(goal: &GoalSchedule, straggler: StragglerSpec) -> Golden {
+    let mut be = LgsBackend::new(LogGopsParams::ai_alps());
+    let rep = run_applied(goal, &mut be, |be| be.apply_straggler_now(straggler));
     let st = be.stats();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for x in [rep.makespan, rep.completed as u64, st.messages, st.bytes, st.rendezvous_messages] {
@@ -242,7 +260,7 @@ fn run_lgs(goal: &GoalSchedule, mut be: LgsBackend) -> Golden {
 }
 
 fn check_lgs(name: &str, goal: &GoalSchedule, golden: Golden) {
-    check_golden(name, golden, || run_lgs(goal, LgsBackend::new(LogGopsParams::ai_alps())));
+    check_golden(name, golden, || run_lgs(goal, StragglerSpec::default()));
 }
 
 fn check_synthetic(name: &str, goal: &GoalSchedule, htsim_golden: Golden, lgs_golden: Golden) {
@@ -406,14 +424,13 @@ fn lgs_moe_straggler() {
     let goal = moe_goal();
     let straggler =
         StragglerSpec { prob_pct: 50, factor_pct: 300, seed: 0xabc, ..Default::default() };
-    let straggled = || LgsBackend::with_straggler(LogGopsParams::ai_alps(), straggler);
     let golden =
         Golden { makespan: 223374, packets: 448, losses: 0, fingerprint: 5031363226221018023 };
-    check_golden("lgs_moe_straggler", golden, || run_lgs(&goal, straggled()));
+    check_golden("lgs_moe_straggler", golden, || run_lgs(&goal, straggler));
     // The straggler must actually bite: same schedule without it is the
     // fault-free moe golden above, which finishes sooner.
-    let got = run_lgs(&goal, straggled());
-    let clean = run_lgs(&goal, LgsBackend::new(LogGopsParams::ai_alps()));
+    let got = run_lgs(&goal, straggler);
+    let clean = run_lgs(&goal, StragglerSpec::default());
     assert!(got.makespan > clean.makespan, "{} <= {}", got.makespan, clean.makespan);
 }
 
@@ -469,18 +486,19 @@ fn fault_smoke_cells_diverge_from_their_clean_siblings() {
 // --- snapshot missed mutable state (a matcher slab, a timer-wheel
 // --- cursor, an RNG stream) and branch-and-continue sweeps would lie.
 
-use atlahs::core::{SimDriver, Snapshot};
-
-/// Run `goal` on `backend` with a checkpoint/restore cycle at `pause_at`:
-/// pause, snapshot, restore the snapshot onto the same backend, and
-/// finish from a *clone* of the paused driver (the fan-out pattern of
+/// Run `goal` on `backend` with `apply`'s overrides in place before the
+/// first task and a checkpoint/restore cycle at `pause_at`: pause,
+/// snapshot, restore the snapshot onto the same backend, and finish from
+/// a *clone* of the paused driver (the fan-out pattern of
 /// `atlahs sweep --branch-at`).
-fn run_resumed<B: atlahs::core::Backend + Snapshot>(
+fn run_resumed<B: Backend + Snapshot>(
     goal: &GoalSchedule,
     backend: &mut B,
+    apply: impl Fn(&mut B),
     pause_at: u64,
-) -> atlahs::core::SimReport {
+) -> SimReport {
     let mut driver = SimDriver::start(goal, backend);
+    apply(backend);
     driver.run_until(backend, pause_at).expect("prefix completes");
     let snapshot = backend.checkpoint();
     backend.restore(&snapshot);
@@ -494,16 +512,15 @@ fn checkpoint_resume_is_bit_identical_on_htsim_clean_and_faulted() {
         let mk = || {
             let mut cfg = HtsimConfig::new(clos(), CcAlgo::Dctcp);
             cfg.queue_bytes = 256 * 1024;
-            cfg.faults = faults.clone();
             Recorded::new(HtsimBackend::new(cfg))
         };
         let mut straight_be = mk();
-        let straight = Simulation::new(&goal).run(&mut straight_be).expect("completes");
+        let straight = run_applied(&goal, &mut straight_be, inject(&faults));
         let want = htsim_fingerprint(&straight, &straight_be, true);
         // Before traffic, mid-flap, and deep into the run.
         for pause_at in [1, 50_000, straight.makespan / 2, straight.makespan - 1] {
             let mut be = mk();
-            let rep = run_resumed(&goal, &mut be, pause_at);
+            let rep = run_resumed(&goal, &mut be, inject(&faults), pause_at);
             assert_eq!(
                 htsim_fingerprint(&rep, &be, true),
                 want,
@@ -521,20 +538,14 @@ fn checkpoint_resume_is_bit_identical_on_lgs_clean_and_straggled() {
     let params = LogGopsParams::ai_alps();
     let straggler =
         StragglerSpec { prob_pct: 50, factor_pct: 300, seed: 0xabc, ..Default::default() };
-    for faulted in [false, true] {
-        let mk = || {
-            if faulted {
-                LgsBackend::with_straggler(params, straggler)
-            } else {
-                LgsBackend::new(params)
-            }
-        };
-        let mut straight_be = mk();
-        let straight = Simulation::new(&goal).run(&mut straight_be).expect("completes");
+    for spec in [StragglerSpec::default(), straggler] {
+        let apply = |be: &mut LgsBackend| be.apply_straggler_now(spec);
+        let mut straight_be = LgsBackend::new(params);
+        let straight = run_applied(&goal, &mut straight_be, apply);
         let (messages, bytes) = (straight_be.stats().messages, straight_be.stats().bytes);
         for pause_at in [1, 25_000, straight.makespan / 2, straight.makespan - 1] {
-            let mut be = mk();
-            let rep = run_resumed(&goal, &mut be, pause_at);
+            let mut be = LgsBackend::new(params);
+            let rep = run_resumed(&goal, &mut be, apply, pause_at);
             assert_eq!(rep.makespan, straight.makespan, "lgs resume at {pause_at} drifted");
             assert_eq!(rep.rank_finish, straight.rank_finish);
             assert_eq!(rep.completed, straight.completed);
@@ -551,7 +562,7 @@ fn checkpoint_resume_is_bit_identical_on_ideal() {
     let straight = Simulation::new(&goal).run(&mut straight_be).expect("completes");
     for pause_at in [1, straight.makespan / 3, straight.makespan - 1] {
         let mut be = mk();
-        let rep = run_resumed(&goal, &mut be, pause_at);
+        let rep = run_resumed(&goal, &mut be, |_| (), pause_at);
         assert_eq!(rep.makespan, straight.makespan, "ideal resume at {pause_at} drifted");
         assert_eq!(rep.rank_finish, straight.rank_finish);
         assert_eq!(rep.completed, straight.completed);

@@ -143,8 +143,20 @@ impl RunTrace {
 }
 
 fn run_recorded<B: Backend>(goal: &GoalSchedule, backend: B) -> RunTrace {
+    run_applied(goal, backend, |_| ())
+}
+
+/// [`run_recorded`] with `apply`'s overrides in place before the first
+/// task issues: how a fault enters a backend for a whole run.
+fn run_applied<B: Backend>(
+    goal: &GoalSchedule,
+    backend: B,
+    apply: impl FnOnce(&mut B),
+) -> RunTrace {
     let mut rec = Recorded::new(backend);
-    let report = Simulation::new(goal).run(&mut rec).expect("generated schedules cannot deadlock");
+    let driver = SimDriver::start(goal, &mut rec);
+    apply(rec.inner_mut());
+    let report = driver.finish(&mut rec).expect("generated schedules cannot deadlock");
     RunTrace::of(&report, &rec)
 }
 
@@ -255,29 +267,21 @@ fn ideal_bound() -> IdealBackend {
 
 // ------------------------------------------------------- fault regimes ----
 
-/// The packet backend with a fault schedule installed.
-fn faulty_htsim_backend(n: usize, seed: u64, faults: Vec<PortFault>) -> HtsimBackend {
-    let topo = TopologyConfig::SingleSwitch { hosts: n, link: LinkParams::default() };
-    let mut cfg = HtsimConfig::new(topo, CcAlgo::Mprdma);
-    cfg.seed = seed;
-    cfg.faults = faults;
-    HtsimBackend::new(cfg)
+/// Install a fault schedule in a set-up packet backend.
+fn inject(faults: &[PortFault]) -> impl Fn(&mut HtsimBackend) + '_ {
+    |b| faults.iter().for_each(|&f| b.inject_fault(f))
 }
 
-/// The packet backend with a per-packet stochastic loss model armed on
-/// every tier (the draw-stream seed is independent of the engine seed,
-/// mirroring how the sweep derives it from the fault label).
-fn lossy_htsim_config(n: usize, seed: u64, ppm: u32) -> HtsimConfig {
-    let topo = TopologyConfig::SingleSwitch { hosts: n, link: LinkParams::default() };
-    let mut cfg = HtsimConfig::new(topo, CcAlgo::Mprdma);
-    cfg.seed = seed;
-    cfg.link_model = LinkModel {
+/// A per-packet stochastic loss model armed on every tier (the
+/// draw-stream seed is independent of the engine seed, mirroring how the
+/// sweep derives it from the fault label).
+fn loss_model(seed: u64, ppm: u32) -> LinkModel {
+    LinkModel {
         core_loss_ppm: ppm,
         edge_loss_ppm: ppm,
         jitter: None,
         seed: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
-    };
-    cfg
+    }
 }
 
 /// Two seeded down-windows early in the run: on a `SingleSwitch` the
@@ -341,23 +345,30 @@ fn pause_permille() -> impl Strategy<Value = u64> {
 /// backend that was never set up, (iii) a checkpoint taken of an
 /// already-restored state. Every continuation must reproduce the
 /// straight run's report and whatever `observe` reads off the backend.
-/// `tamper` runs on the restored backend of (i) — the identity for a
-/// real check, a deliberate corruption for the meta-test.
+/// `apply` is the fault regime, applied before the first task of both
+/// runs. `tamper` runs on the restored backend of (i) — the identity for
+/// a real check, a deliberate corruption for the meta-test.
 fn assert_snapshot_anywhere<B: Backend + Snapshot, O: PartialEq + std::fmt::Debug>(
     name: &str,
     goal: &GoalSchedule,
     permille: u64,
     mk: impl Fn() -> B,
+    apply: impl Fn(&mut B),
     observe: impl Fn(&B) -> O,
     tamper: impl Fn(&mut B),
 ) {
-    let mut sb = mk();
-    let report = Simulation::new(goal).run(&mut sb).expect("generated schedules cannot deadlock");
+    let start = || {
+        let mut b = mk();
+        let driver = SimDriver::start(goal, &mut b);
+        apply(&mut b);
+        (driver, b)
+    };
+    let (driver, mut sb) = start();
+    let report = driver.finish(&mut sb).expect("generated schedules cannot deadlock");
     let bound = report.makespan * permille / 1_000;
     let straight = (report, observe(&sb));
 
-    let mut b = mk();
-    let mut driver = SimDriver::start(goal, &mut b);
+    let (mut driver, mut b) = start();
     driver.run_until(&mut b, bound).expect("generated schedules cannot deadlock");
     let snap = b.checkpoint();
     let finish = |b: &mut B| {
@@ -547,11 +558,11 @@ proptest! {
         // conservation at the issue interface — must still hold, and the
         // run must still complete once the links recover.
         let faults = flap_faults(n, seed);
-        let ht = run_recorded(&goal, faulty_htsim_backend(n, seed, faults.clone()));
+        let ht = run_applied(&goal, htsim_backend(n, seed), inject(&faults));
         check_invariants("htsim-linkflap", &goal, &ht);
 
         // Identical fault seed and schedule ⇒ bit-identical re-run.
-        let ht2 = run_recorded(&goal, faulty_htsim_backend(n, seed, faults));
+        let ht2 = run_applied(&goal, htsim_backend(n, seed), inject(&faults));
         assert_identical("htsim-linkflap", &ht, &ht2);
 
         // Faults only ever slow the packet run down, so the ideal
@@ -568,10 +579,13 @@ proptest! {
         // bit-identical, the makespan never shrinks, and each rank's two
         // dependency chains issue in exactly the clean run's order.
         let spec = StragglerSpec { prob_pct: 50, factor_pct: 300, seed, ..Default::default() };
-        let mk = || LgsBackend::with_straggler(LogGopsParams::ai_alps(), spec);
-        let straggled = run_recorded(&goal, mk());
+        let straggle = || {
+            let apply = |b: &mut LgsBackend| b.apply_straggler_now(spec);
+            run_applied(&goal, LgsBackend::new(LogGopsParams::ai_alps()), apply)
+        };
+        let straggled = straggle();
         check_invariants("lgs-straggler", &goal, &straggled);
-        assert_identical("lgs-straggler", &straggled, &run_recorded(&goal, mk()));
+        assert_identical("lgs-straggler", &straggled, &straggle());
 
         let clean = run_recorded(&goal, LgsBackend::new(LogGopsParams::ai_alps()));
         prop_assert!(
@@ -609,13 +623,17 @@ proptest! {
         ppm in 1_000u32..200_001,
     ) {
         let goal = assemble(n, &msgs);
-        let lossy = run_recorded(&goal, HtsimBackend::new(lossy_htsim_config(n, seed, ppm)));
+        let lossy_run = || {
+            let apply = |b: &mut HtsimBackend| b.set_link_model(loss_model(seed, ppm));
+            run_applied(&goal, htsim_backend(n, seed), apply)
+        };
+        let lossy = lossy_run();
         // Completion (no RTO livelock), causality, and per-rank byte
         // conservation under loss.
         check_invariants("htsim-loss", &goal, &lossy);
 
         // Identical draw-stream seed ⇒ bit-identical re-run.
-        let lossy2 = run_recorded(&goal, HtsimBackend::new(lossy_htsim_config(n, seed, ppm)));
+        let lossy2 = lossy_run();
         assert_identical("htsim-loss", &lossy, &lossy2);
 
         // Loss only ever wastes wire time; the ideal bound still holds.
@@ -640,13 +658,14 @@ proptest! {
     ) {
         let goal = assemble(n, &msgs);
 
-        assert_snapshot_anywhere("ideal", &goal, permille, ideal_bound, |_| (), untouched);
+        assert_snapshot_anywhere("ideal", &goal, permille, ideal_bound, untouched, |_| (), untouched);
 
         let straggler = StragglerSpec { prob_pct: 50, factor_pct: 300, seed, ..Default::default() };
         for (name, spec) in [("lgs", StragglerSpec::default()), ("lgs-straggler", straggler)] {
             let rdv = LogGopsParams { s: 32 << 10, ..LogGopsParams::hpc_testbed() };
-            let mk = || LgsBackend::with_straggler(rdv, spec);
-            assert_snapshot_anywhere(name, &goal, permille, mk, LgsBackend::stats, untouched);
+            let mk = || LgsBackend::new(rdv);
+            let apply = |b: &mut LgsBackend| b.apply_straggler_now(spec);
+            assert_snapshot_anywhere(name, &goal, permille, mk, apply, LgsBackend::stats, untouched);
         }
 
         // The testbed with its computation noise on: RNG draws ride in the
@@ -655,15 +674,17 @@ proptest! {
             let topo = TopologyConfig::SingleSwitch { hosts: n, link: LinkParams::default() };
             TestbedBackend::new(TestbedConfig { seed, ..TestbedConfig::new(topo) })
         };
-        assert_snapshot_anywhere("testbed", &goal, permille, testbed, |_| (), untouched);
+        assert_snapshot_anywhere("testbed", &goal, permille, testbed, untouched, |_| (), untouched);
 
         let regimes =
             [("htsim", Vec::new(), 0), ("htsim-linkflap", flap_faults(n, seed), 0), ("htsim-loss", Vec::new(), ppm)];
         for (name, faults, ppm) in regimes {
-            let mut cfg = lossy_htsim_config(n, seed, ppm);
-            cfg.faults = faults;
-            let mk = || Recorded::new(HtsimBackend::new(cfg.clone()));
-            assert_snapshot_anywhere(name, &goal, permille, mk, htsim_observables, untouched);
+            let mk = || Recorded::new(htsim_backend(n, seed));
+            let apply = |b: &mut Recorded<HtsimBackend>| {
+                inject(&faults)(b.inner_mut());
+                b.inner_mut().set_link_model(loss_model(seed, ppm));
+            };
+            assert_snapshot_anywhere(name, &goal, permille, mk, apply, htsim_observables, untouched);
         }
     }
 }
@@ -724,7 +745,7 @@ fn dense_goal() -> GoalSchedule {
 fn link_faults_observably_perturb_the_packet_run() {
     let goal = dense_goal();
     let clean = run_recorded(&goal, htsim_backend(4, 9));
-    let faulty = run_recorded(&goal, faulty_htsim_backend(4, 9, flap_faults(4, 9)));
+    let faulty = run_applied(&goal, htsim_backend(4, 9), inject(&flap_faults(4, 9)));
     check_invariants("htsim-linkflap", &goal, &faulty);
     assert_faults_bite("htsim-linkflap", &clean, &faulty);
 }
@@ -738,8 +759,13 @@ fn link_faults_observably_perturb_the_packet_run() {
 fn harness_catches_a_backend_that_ignores_its_fault_spec() {
     let goal = dense_goal();
     let clean = run_recorded(&goal, htsim_backend(4, 9));
-    let fault_blind = run_recorded(&goal, faulty_htsim_backend(4, 9, Vec::new()));
+    let fault_blind = run_applied(&goal, htsim_backend(4, 9), inject(&[]));
     assert_faults_bite("fault-blind", &clean, &fault_blind);
+}
+
+/// The 10 % loss regime of the two snapshot tests below.
+fn lossy(b: &mut Recorded<HtsimBackend>) {
+    b.inner_mut().set_link_model(loss_model(9, 100_000));
 }
 
 /// Snapshot-mid-loss on a schedule dense enough that the loss is
@@ -748,14 +774,13 @@ fn harness_catches_a_backend_that_ignores_its_fault_spec() {
 /// straight-through run consumes — same makespan, same realized drops.
 #[test]
 fn snapshot_mid_loss_resume_is_bit_identical() {
-    let cfg = lossy_htsim_config(4, 9, 100_000);
-    let mk = || Recorded::new(HtsimBackend::new(cfg.clone()));
+    let mk = || Recorded::new(htsim_backend(4, 9));
     let observe = |b: &Recorded<HtsimBackend>| {
         let drops = b.inner().net_stats().stochastic_drops;
         assert!(drops > 0, "the scenario must actually drop packets");
         htsim_observables(b)
     };
-    assert_snapshot_anywhere("htsim-loss", &dense_goal(), 500, mk, observe, untouched);
+    assert_snapshot_anywhere("htsim-loss", &dense_goal(), 500, mk, lossy, observe, untouched);
 }
 
 /// The meta-test for the identity above: an engine that fails to carry
@@ -766,12 +791,11 @@ fn snapshot_mid_loss_resume_is_bit_identical() {
 #[test]
 #[should_panic(expected = "restored run diverged")]
 fn harness_catches_an_engine_that_skips_draw_counters() {
-    let cfg = lossy_htsim_config(4, 9, 100_000);
-    let mk = || Recorded::new(HtsimBackend::new(cfg.clone()));
+    let mk = || Recorded::new(htsim_backend(4, 9));
     // A restore that loses counter positions: every host-side port
     // resumes 17 draws ahead of where the snapshot left it.
     let skip = |b: &mut Recorded<HtsimBackend>| {
         (0..4).for_each(|port| b.inner_mut().skip_stochastic_draws(port, 17))
     };
-    assert_snapshot_anywhere("htsim-loss", &dense_goal(), 500, mk, htsim_observables, skip);
+    assert_snapshot_anywhere("htsim-loss", &dense_goal(), 500, mk, lossy, htsim_observables, skip);
 }
