@@ -6,7 +6,7 @@
 //!              [--placements p1,p2] [--backends b1,b2] [--faults f1,f2]
 //!              [--seed N] [--threads N] [--collect-flows]
 //!              [--out report.json] [--csv report.csv] [--md report.md]
-//!              [--branch-at NS] [--branch f1,f2] [--quiet]
+//!              [--branch-at NS] [--quiet]
 //! atlahs cluster [--topo t] [--catalog w1,w2] [--arrivals a1,a2]
 //!                [--queues q1,q2] [--placements p1,p2] [--ccs c1,c2]
 //!                [--backends b1,b2] [--faults f1,f2] [--seed N]
@@ -46,8 +46,8 @@
 //! static pass over every non-shim crate banning floats, default-hashed
 //! maps, hash-order iteration, wall clocks, ambient randomness and
 //! `unsafe` from result-affecting code, honouring
-//! `// det-lint: allow(<rule>) — <reason>` annotations, and checking
-//! golden-file hygiene. Exits 1 on any finding (a ci.sh stage).
+//! `// det-lint: allow(<rule>) — <reason>` annotations. Exits 1 on any
+//! finding (a ci.sh stage).
 
 #![forbid(unsafe_code)]
 
@@ -100,8 +100,8 @@ fn usage() {
          LINT (docs/DETERMINISM.md):\n\
          \x20 the static determinism audit: bans floats, default-hashed maps,\n\
          \x20 hash-order iteration, wall clocks, ambient randomness and unsafe\n\
-         \x20 from result-affecting crates; checks det-lint annotations and\n\
-         \x20 golden hygiene. Exits 1 on any finding (runs as a ci.sh stage).\n\n\
+         \x20 from result-affecting crates; checks det-lint annotations.\n\
+         \x20 Exits 1 on any finding (runs as a ci.sh stage).\n\n\
          AXES (comma-separated; `atlahs list` prints every token grammar,\n\
          docs/SCENARIOS.md explains them). A flag the subcommand does not read\n\
          is an error.\n\
@@ -127,10 +127,8 @@ fn usage() {
          \x20 --collect-flows  record per-flow MCT statistics (sweep only)\n\
          \x20 --branch-at NS   branch-and-continue: simulate each shared prefix\n\
          \x20                  (topology+workload+placement+backend) once, snapshot,\n\
-         \x20                  apply each cell's fault at NS, re-simulate only the\n\
-         \x20                  suffix (sweep only)\n\
-         \x20 --branch F1,F2   extra fault regimes applied only at the branch point\n\
-         \x20                  (appended to --faults; requires --branch-at)\n\n\
+         \x20                  apply each cell's --faults value at NS, re-simulate\n\
+         \x20                  only the suffix (sweep only)\n\n\
          OUTPUT:\n\
          \x20 --out FILE   write the deterministic JSON report\n\
          \x20 --csv FILE   write the CSV report\n\
@@ -174,8 +172,8 @@ fn list() {
 }
 
 /// `atlahs lint`: the workspace determinism audit (docs/DETERMINISM.md).
-/// Exits non-zero on any unannotated violation, stale or malformed
-/// `det-lint` annotation, or golden-hygiene failure.
+/// Exits non-zero on any unannotated violation or stale, malformed or
+/// refused `det-lint` annotation.
 fn lint(cli: Cli<'_>) {
     let explicit = cli.args.get_str("root", "");
     let root = if explicit.is_empty() {
@@ -214,7 +212,7 @@ fn lint(cli: Cli<'_>) {
 /// The flags each subcommand reads. Anything else is refused: a mistyped
 /// flag must not silently run the default grid.
 const SWEEP_FLAGS: &str = "--topos --workloads --ccs --placements --backends --faults --seed \
-     --threads --collect-flows --branch-at --branch --out --csv --md --quiet";
+     --threads --collect-flows --branch-at --out --csv --md --quiet";
 const CLUSTER_FLAGS: &str = "--topo --catalog --arrivals --queues --placements --ccs --backends \
      --faults --seed --threads --out --csv --md --quiet";
 
@@ -284,7 +282,7 @@ fn emit(
 
 fn sweep(cli: Cli<'_>) {
     let args = cli.args;
-    let mut grid = ScenarioGrid {
+    let grid = ScenarioGrid {
         topologies: cli.axis("topos", "ai-fattree:16:1,ai-fattree:16:4", TopologySpec::parse),
         workloads: cli.axis(
             "workloads",
@@ -294,23 +292,16 @@ fn sweep(cli: Cli<'_>) {
         ccs: cli.axis("ccs", "mprdma,ndp", parse_cc),
         placements: cli.axis("placements", "packed", PlacementSpec::parse),
         backends: cli.axis("backends", "htsim,lgs", BackendFamily::parse),
-        faults: cli.axis("faults", "none", sweep_fault),
+        faults: cli.axis("faults", "none", |tok| FaultSpec::parse(tok)?.in_sweep()),
         seed: cli.number("seed", 1),
         collect_flows: args.flag("collect-flows"),
     };
 
     // Branch-and-continue: `--branch-at <ns>` simulates each shared
     // prefix (same topology/workload/placement/backend) once, snapshots,
-    // and fans out into per-cell continuations whose fault axis is
-    // applied *at the branch point*. `--branch <faults>` appends what-if
-    // override values to the fault axis.
+    // and fans out into per-cell continuations whose `--faults` value is
+    // applied *at the branch point*.
     let branch_at = cli.number("branch-at", 0);
-    if !args.get_str("branch", "").is_empty() {
-        if branch_at == 0 {
-            cli.fail("--branch requires --branch-at <ns>".into());
-        }
-        grid.faults.extend(cli.axis("branch", "", sweep_fault));
-    }
 
     let shape = format!(
         "{} topologies x {} workloads x {} placements x {} backend specs",
@@ -346,11 +337,6 @@ fn sweep(cli: Cli<'_>) {
         report.summary_table(),
         [&|| report.to_json().pretty(), &|| report.to_csv(), &|| report.to_markdown()],
     );
-}
-
-/// A `--faults` / `--branch` token of `atlahs sweep`.
-fn sweep_fault(tok: &str) -> Result<FaultSpec, String> {
-    FaultSpec::parse(tok)?.in_sweep()
 }
 
 fn cluster(cli: Cli<'_>) {

@@ -64,6 +64,10 @@ pub enum ArrivalSpec {
     Trace { times_ns: Vec<u64> },
 }
 
+/// The most jobs a `poisson:` process may draw: every arrival time is
+/// held in memory, and 10⁵ jobs already take seconds to run.
+const MAX_POISSON_JOBS: usize = 100_000;
+
 impl ArrivalSpec {
     pub fn label(&self) -> String {
         match self {
@@ -115,6 +119,9 @@ impl ArrivalSpec {
         match parts.as_slice() {
             ["poisson", jobs, gap] => match num(tok, jobs)? {
                 0 => Err(format!("arrivals `{tok}`: a Poisson process needs at least 1 job")),
+                jobs if jobs > MAX_POISSON_JOBS => {
+                    Err(format!("arrivals `{tok}`: <jobs> must be at most {MAX_POISSON_JOBS}"))
+                }
                 jobs => Ok(ArrivalSpec::Poisson { jobs, mean_gap_ns: num(tok, gap)? }),
             },
             ["trace", times] => {
@@ -202,6 +209,10 @@ pub enum JobFaultSpec {
     Mtbf { mtbf_ns: u64, retries: u32 },
 }
 
+/// The most retries a `jobfail:` or `mtbf:` token may allow. Every retry
+/// re-simulates the job, so the bound keeps a cell's run time bounded.
+const MAX_RETRIES: u32 = 100;
+
 impl JobFaultSpec {
     pub fn label(&self) -> String {
         match self {
@@ -234,7 +245,7 @@ impl JobFaultSpec {
         Ok(JobFaultSpec::JobFail {
             pct: num::<u32>(tok, pct)?.min(100),
             at_pct: num::<u32>(tok, at_pct)?.min(100),
-            retries: num(tok, retries)?,
+            retries: Self::retries(tok, retries)?,
         })
     }
 
@@ -243,7 +254,16 @@ impl JobFaultSpec {
         if mtbf_ns == 0 {
             return Err(format!("fault `{tok}`: the mean time between failures must be >= 1 ns"));
         }
-        Ok(JobFaultSpec::Mtbf { mtbf_ns, retries: num(tok, retries)? })
+        Ok(JobFaultSpec::Mtbf { mtbf_ns, retries: Self::retries(tok, retries)? })
+    }
+
+    fn retries(tok: &str, retries: &str) -> Result<u32, String> {
+        match num(tok, retries)? {
+            n if n > MAX_RETRIES => {
+                Err(format!("fault `{tok}`: <retries> must be at most {MAX_RETRIES}"))
+            }
+            n => Ok(n),
+        }
     }
 
     /// Does attempt `attempt` (0-based) of job `job` fail, and if so, how
@@ -930,6 +950,9 @@ mod tests {
         assert!(ArrivalSpec::parse("poisson:x:1").is_err());
         assert!(ArrivalSpec::parse("burst:3").is_err());
         assert!(ArrivalSpec::parse("trace:").is_err());
+        assert!(ArrivalSpec::parse("poisson:100000:1").is_ok());
+        let err = ArrivalSpec::parse("poisson:100001:1").unwrap_err();
+        assert_eq!(err, "arrivals `poisson:100001:1`: <jobs> must be at most 100000");
 
         let p = ArrivalSpec::Poisson { jobs: 100, mean_gap_ns: 10_000 };
         let a = p.times(1);

@@ -21,7 +21,7 @@ use std::time::Duration;
 use atlahs_core::faultgen::{self, ChurnEvent, Distribution};
 use atlahs_core::{allocate, NsPerByte, PlacementStrategy};
 use atlahs_goal::merge::{compose, PlacedJob};
-use atlahs_goal::GoalSchedule;
+use atlahs_goal::{GoalBuilder, GoalSchedule};
 use atlahs_htsim::engine::NetStats;
 use atlahs_htsim::fault::{
     normalize_windows, select_fault_domains, select_fault_ports, FaultKind, PortFault,
@@ -30,7 +30,6 @@ use atlahs_htsim::stochastic::{LinkModel, LinkModelSpec};
 use atlahs_htsim::topology::{LinkParams, Topology, TopologyConfig};
 use atlahs_htsim::{CcAlgo, MAX_MESSAGE_BYTES};
 use atlahs_lgs::{LogGopsParams, StragglerSpec};
-use atlahs_schedgen::storage2goal::{self, StorageToGoalConfig};
 use atlahs_schedgen::synthetic;
 use atlahs_tracers::nccl::{presets, LlmConfig};
 
@@ -600,13 +599,9 @@ fn storage_goal(ops: usize, gap_ns: u64, compress: u64, seed: u64) -> GoalSchedu
         rec.ts_ns /= compress;
     }
     let layout = storage_layout();
-    let cfg = StorageToGoalConfig {
-        clients: layout.clients.len(),
-        ccs: layout.ccs.len(),
-        bss: layout.bss.len(),
-        params: storage_service_params(),
-    };
-    storage2goal::convert(&trace, &cfg).expect("storage GOAL must build").goal
+    let mut b = GoalBuilder::new(layout.total_ranks());
+    atlahs_directdrive::trace_to_goal(&trace, &layout, &storage_service_params(), &mut b);
+    b.build().expect("storage GOAL must build")
 }
 
 // ----------------------------------------------------------- placement ----
@@ -1865,6 +1860,12 @@ mod tests {
         assert!(FaultSpec::parse("mtbf:1000").is_err());
         let err = FaultSpec::parse("mtbf:0:3").unwrap_err();
         assert!(err.contains("mean time between failures"), "{err}");
+        // Every retry re-simulates the job: the count is bounded.
+        assert!(FaultSpec::parse("jobfail:100:50:100").is_ok());
+        for tok in ["jobfail:100:50:101", "mtbf:1000:4294967295"] {
+            let err = FaultSpec::parse(tok).unwrap_err();
+            assert_eq!(err, format!("fault `{tok}`: <retries> must be at most 100"));
+        }
         // Satellite: degenerate stochastic link models die at parse time
         // with messages that say what to use instead.
         let err = FaultSpec::parse("loss:0").unwrap_err();

@@ -11,7 +11,7 @@ use atlahs_core::NsPerByte;
 use atlahs_goal::GoalSchedule;
 use atlahs_htsim::topology::{LinkParams, TopologyConfig};
 use atlahs_schedgen::{mpi2goal, nccl2goal};
-use atlahs_testbed::TestbedConfig;
+use atlahs_testbed::{EFFICIENCY_PCT, HOST_O};
 use atlahs_tracers::mpi::{self, HpcAppConfig, MpiTrace, Scaling};
 use atlahs_tracers::nccl::{trace_llm, LlmConfig, NsysReport};
 use atlahs_tracers::storage::{financial_like, OltpConfig, SpcTrace};
@@ -249,9 +249,9 @@ pub fn hpc_topology(procs: usize, nodes: usize) -> TopologyConfig {
 pub fn lgs_params_for_link(link: LinkParams) -> atlahs_lgs::LogGopsParams {
     atlahs_lgs::LogGopsParams {
         l: 4 * link.latency_ns,
-        o: TestbedConfig::HOST_O,
+        o: HOST_O,
         g: 0,
-        big_g: NsPerByte::ratio(800, link.gbps * TestbedConfig::EFFICIENCY_PCT),
+        big_g: NsPerByte::ratio(800, link.gbps * EFFICIENCY_PCT),
         big_o: NsPerByte::ZERO,
         s: 0,
     }
@@ -294,7 +294,7 @@ pub fn storage_trace(operations: usize, seed: u64) -> SpcTrace {
 /// inter-arrival gap per the whole trace (smaller = more concurrent
 /// requests in flight = more core congestion).
 pub fn storage_trace_at_load(operations: usize, mean_gap_ns: u64, seed: u64) -> SpcTrace {
-    financial_like(&OltpConfig { operations, mean_gap_ns, seed, ..OltpConfig::default() })
+    financial_like(&OltpConfig { operations, mean_gap_ns, seed })
 }
 
 /// Fat tree fronting the Direct Drive cluster; `ratio` = 1 (fully
@@ -315,6 +315,32 @@ pub fn storage_topology(hosts: usize, ratio: usize) -> TopologyConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The calibration itself: a lone bulk flow across the core of each
+    /// suite's fabric finishes on the testbed at `L + 2o` plus a drain
+    /// that is LGS's `G·b` to within 1 ns.
+    #[test]
+    fn a_lone_bulk_flow_drains_on_the_testbed_in_lgs_g_times_b() {
+        use atlahs_core::Simulation;
+        use atlahs_testbed::{TestbedBackend, TestbedConfig};
+        for (topo, dst) in
+            [(hpc_topology(4, 2), 2), (ai_topology(16), 8), (storage_topology(16, 1), 8)]
+        {
+            let p = lgs_params_for_link(topo.edge_link());
+            assert_eq!((p.g, p.big_o, p.s), (0, NsPerByte::ZERO, 0));
+            for bytes in [1 << 20, 8 << 20, 12_345_677] {
+                let mut b = atlahs_goal::GoalBuilder::new(dst as usize + 1);
+                b.send(0, dst, bytes, 0);
+                b.recv(dst, 0, bytes, 0);
+                let goal = b.build().unwrap();
+                let mut testbed = TestbedBackend::new(TestbedConfig::new(topo.clone()));
+                let makespan = Simulation::new(&goal).run(&mut testbed).unwrap().makespan;
+                let drain = makespan - p.l - 2 * p.o;
+                let g_b = p.big_g.round(bytes);
+                assert!(drain.abs_diff(g_b) <= 1, "{topo:?}, {bytes} B: {drain} vs G·b {g_b}");
+            }
+        }
+    }
 
     #[test]
     fn ai_suite_matches_fig8_geometry() {

@@ -34,6 +34,9 @@ fn mistyped_flags_and_numbers_are_usage_errors() {
     assert!(err.starts_with("atlahs sweep: --topo: unknown flag (sweep reads --topos "), "{err}");
     let err = stderr_of_usage_error(&atlahs(&["cluster", "--topos", "switch:8"]));
     assert!(err.starts_with("atlahs cluster: --topos: unknown flag"), "{err}");
+    // Branch-time overrides are `--faults` under `--branch-at`.
+    let err = stderr_of_usage_error(&atlahs(&["sweep", "--branch-at", "1", "--branch", "none"]));
+    assert!(err.starts_with("atlahs sweep: --branch: unknown flag"), "{err}");
     for (sub, flag, value) in [
         ("sweep", "--threads", "abc"),
         ("sweep", "--seed", "x"),
@@ -87,6 +90,24 @@ fn zero_work_workloads_are_usage_errors() {
     }
 }
 
+/// Each retry of a failed job re-simulates it (about 0.44 ms per retry
+/// on the ideal backend), so `jobfail:100:50:4294967295` would have run
+/// for about three weeks; and a Poisson process holds every arrival
+/// time, so `poisson:4294967295:1` aborted allocating 32 GiB. Both fields
+/// are bounded at parse time.
+#[test]
+fn unbounded_cluster_fields_are_usage_errors() {
+    for (flag, tok, want) in [
+        ("--faults", "jobfail:100:50:101", "<retries> must be at most 100"),
+        ("--faults", "mtbf:1000:101", "<retries> must be at most 100"),
+        ("--arrivals", "poisson:100001:1", "<jobs> must be at most 100000"),
+    ] {
+        let err = stderr_of_usage_error(&atlahs(&["cluster", flag, tok, "--backends", "ideal"]));
+        assert!(err.starts_with(&format!("atlahs cluster: {flag}: ")), "{err}");
+        assert!(err.contains(&format!("`{tok}`: {want}")), "{err}");
+    }
+}
+
 /// A message too large for htsim's 32-bit packet count used to hang
 /// `atlahs sweep --backends htsim` (2⁴⁴ B wrapped to a 0-packet flow) and
 /// to run on the message-level backends; every backend now refuses it.
@@ -123,9 +144,9 @@ fn faults_outside_a_subcommands_scope_are_refused_with_the_reason() {
     let err = stderr_of_usage_error(&atlahs(&["sweep", "--faults", "jobfail:50:50:2"]));
     assert!(err.starts_with("atlahs sweep: --faults: fault `jobfail:50:50:2` fails and "), "{err}");
     assert!(err.contains("it is an `atlahs cluster` fault"), "{err}");
-    let branch = ["sweep", "--branch-at", "1000", "--branch", "mtbf:20000:3"];
+    let branch = ["sweep", "--branch-at", "1000", "--faults", "mtbf:20000:3"];
     let err = stderr_of_usage_error(&atlahs(&branch));
-    assert!(err.starts_with("atlahs sweep: --branch: fault `mtbf:20000:3`"), "{err}");
+    assert!(err.starts_with("atlahs sweep: --faults: fault `mtbf:20000:3` fails "), "{err}");
     let err = stderr_of_usage_error(&atlahs(&["cluster", "--faults", "linkflap:1:10:20"]));
     assert!(err.starts_with("atlahs cluster: --faults: fault `linkflap:1:10:20` picks "), "{err}");
     assert!(err.contains("it is an `atlahs sweep` fault"), "{err}");

@@ -239,6 +239,8 @@ mod tests {
         assert_eq!(l.ccs, vec![4, 5]);
         assert_eq!(l.bss.len(), 6);
         assert_eq!(l.total_ranks(), 15);
+        // Clients, CCS and BSS, then MDS, GS and SLB.
+        assert_eq!(DirectDriveLayout::standard(4, 1, 6).total_ranks(), 4 + 1 + 6 + 3);
     }
 
     #[test]
@@ -265,6 +267,7 @@ mod tests {
         let done = trace_to_goal(&trace, &layout, &params, &mut b);
         assert_eq!(done.len(), 100);
         let goal = b.build().unwrap();
+        assert_eq!(goal.num_ranks(), layout.total_ranks());
         check_matching(&goal).unwrap();
         let mut backend = IdealBackend::new(100, 500);
         let rep = Simulation::new(&goal).run(&mut backend).unwrap();

@@ -58,8 +58,6 @@ pub struct CcState {
     alpha: f64,
     window_acks: u32,
     window_marks: u32,
-    window_end_seq: u64,
-    acks_seen: u64,
 }
 
 /// Swift target-delay multiplier over the base RTT.
@@ -91,8 +89,6 @@ impl CcState {
             alpha: 0.0,
             window_acks: 0,
             window_marks: 0,
-            window_end_seq: 0,
-            acks_seen: 0,
         }
     }
 
@@ -103,7 +99,6 @@ impl CcState {
 
     /// Process one ACK. `now`/`rtt` in ns, `marked` = ECN echo.
     pub fn on_ack(&mut self, now: u64, rtt: u64, marked: bool) {
-        self.acks_seen += 1;
         match self.algo {
             CcAlgo::Mprdma => {
                 if marked {
@@ -139,9 +134,9 @@ impl CcState {
                 // Close the observation window roughly once per cwnd of ACKs.
                 // det-lint: allow(float) — fixed-order IEEE-754 cwnd/rate state, bit-stable; pinned by determinism goldens
                 let per_window = (self.cwnd / self.mtu).max(1.0) as u64;
-                if self.acks_seen >= self.window_end_seq + per_window {
+                if self.window_acks as u64 >= per_window {
                     // det-lint: allow(float) — fixed-order IEEE-754 cwnd/rate state, bit-stable; pinned by determinism goldens
-                    let f = self.window_marks as f64 / self.window_acks.max(1) as f64;
+                    let f = self.window_marks as f64 / self.window_acks as f64;
                     // det-lint: allow(float) — fixed-order IEEE-754 cwnd/rate state, bit-stable; pinned by determinism goldens
                     self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
                     if self.window_marks > 0 {
@@ -150,7 +145,6 @@ impl CcState {
                     }
                     self.window_acks = 0;
                     self.window_marks = 0;
-                    self.window_end_seq = self.acks_seen;
                 }
                 if !marked {
                     self.cwnd += self.mtu * self.mtu / self.cwnd;

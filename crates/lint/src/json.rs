@@ -3,10 +3,9 @@
 //!
 //! Not a serde replacement. The report writers need stable, human-diffable
 //! pretty-printing (object keys keep insertion order, so goldens diff
-//! cleanly); the golden-hygiene pass and the churn-trace loader need a
-//! parser that turns *any* input — truncated, hand-mangled, or hostile —
-//! into a `line N: …` error, never a panic. `atlahs_bench::json`
-//! re-exports this module.
+//! cleanly); the churn-trace loader needs a parser that turns *any*
+//! input — truncated, hand-mangled, or hostile — into a `line N: …`
+//! error, never a panic. `atlahs_bench::json` re-exports this module.
 
 use std::fmt::Write as _;
 
@@ -128,11 +127,6 @@ impl Json {
         }
         Ok(v)
     }
-}
-
-/// Validate that `src` is one well-formed JSON document.
-pub fn validate(src: &str) -> Result<(), String> {
-    Json::parse(src).map(drop)
 }
 
 fn newline_indent(out: &mut String, depth: usize) {
@@ -374,29 +368,29 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{validate, Json, MAX_DEPTH};
+    use super::{Json, MAX_DEPTH};
 
     #[test]
     fn accepts_real_report_shapes() {
-        validate(r#"{"v": 1, "cells": [{"key": "a,b", "ns": 123}], "ok": true}"#).unwrap();
-        validate("[1, -2.5, 3e9, null, \"s\\n\", []]").unwrap();
-        validate("  {}\n").unwrap();
+        Json::parse(r#"{"v": 1, "cells": [{"key": "a,b", "ns": 123}], "ok": true}"#).unwrap();
+        Json::parse("[1, -2.5, 3e9, null, \"s\\n\", []]").unwrap();
+        Json::parse("  {}\n").unwrap();
     }
 
     #[test]
     fn rejects_truncation_and_trailing_garbage() {
-        assert!(validate(r#"{"a": [1, 2"#).is_err());
-        assert!(validate(r#"{"a": 1} trailing"#).is_err());
-        assert!(validate("").is_err());
+        assert!(Json::parse(r#"{"a": [1, 2"#).is_err());
+        assert!(Json::parse(r#"{"a": 1} trailing"#).is_err());
+        assert!(Json::parse("").is_err());
     }
 
     #[test]
     fn rejects_structural_breakage_with_line_numbers() {
-        let err = validate("{\n \"a\": 1,\n \"b\" 2\n}").unwrap_err();
+        let err = Json::parse("{\n \"a\": 1,\n \"b\" 2\n}").unwrap_err();
         assert!(err.contains("line 3"), "{err}");
-        assert!(validate("{'a': 1}").is_err());
+        assert!(Json::parse("{'a': 1}").is_err());
         assert!(
-            validate("{\"a\": 01}").is_ok(),
+            Json::parse("{\"a\": 01}").is_ok(),
             "leading zeros accepted (writers never emit them)"
         );
     }
@@ -494,7 +488,6 @@ mod tests {
         ] {
             let err = Json::parse(&src).unwrap_err();
             assert!(err.contains("nesting deeper than 128 levels"), "{err}");
-            assert_eq!(validate(&src).unwrap_err(), err);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! *statically*, so a default-hashed map or a stray float cannot ship
 //! and then break bit-identity on the next rustc or platform bump.
 //!
-//! The audit is three passes (see docs/DETERMINISM.md):
+//! The audit is two passes (see docs/DETERMINISM.md):
 //!
 //! 1. **Rules** — a lightweight Rust lexer (`lexer`) feeds a per-crate
 //!    policy engine (`policy`, `rules`): result-affecting crates may not
@@ -19,16 +19,15 @@
 //!    annotation that no longer suppresses anything is itself an error,
 //!    as is an `allow(float)` outside the files that still keep floats
 //!    (`policy::FLOAT_ALLOW_FILES`).
-//! 3. **Hygiene** — every golden under `tests/goldens/` must parse as
-//!    JSON and be referenced by a test or ci.sh stage, and every golden
-//!    path ci.sh names must exist (`hygiene`).
+//!
+//! The goldens themselves are checked by the golden table's tests
+//! (docs/DETERMINISM.md, "Golden hygiene"), not here.
 //!
 //! Run it as `atlahs lint` (a ci.sh stage) or via [`run`].
 
 #![forbid(unsafe_code)]
 
 pub mod annotations;
-pub mod hygiene;
 pub mod json;
 pub mod lexer;
 pub mod policy;
@@ -44,7 +43,7 @@ use policy::{Rule, Tier};
 /// One audit finding. `rule` is a stable machine-readable identifier:
 /// an annotatable rule name (`float`, `default-hash`, …) or one of the
 /// audit's own checks (`bad-annotation`, `refused-annotation`,
-/// `stale-annotation`, `golden-parse`, `golden-orphan`, `golden-missing`).
+/// `stale-annotation`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Workspace-relative path.
@@ -172,12 +171,9 @@ pub fn scan_source(
 }
 
 /// Audit the workspace rooted at `root` (the directory holding
-/// `Cargo.toml`, `crates/`, `tests/goldens/`, and `ci.sh`).
+/// `Cargo.toml`, `crates/` and the umbrella crate's `src/`).
 pub fn run(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
-    // (workspace-relative path, source) for every scanned file, reused
-    // as the reference haystack by the hygiene pass.
-    let mut sources: Vec<(String, String)> = Vec::new();
 
     // ---- the eleven-plus crates under crates/ ----
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
@@ -192,21 +188,13 @@ pub fn run(root: &Path) -> io::Result<Report> {
             continue; // shims mirror external crates verbatim
         }
         report.crates_scanned += 1;
-        scan_tree(root, &dir.join("src"), tier, &mut report, &mut sources)?;
-        // Crate test dirs join the haystack (tests reference goldens)
-        // but are not rule-scanned: test code is exempt by policy.
-        collect_sources(root, &dir.join("tests"), &mut sources)?;
+        scan_tree(root, &dir.join("src"), tier, &mut report)?;
     }
 
     // ---- the umbrella crate at the workspace root ----
     report.crates_scanned += 1;
     let tier = policy::crate_tier("atlahs");
-    scan_tree(root, &root.join("src"), tier, &mut report, &mut sources)?;
-    collect_sources(root, &root.join("tests"), &mut sources)?;
-    collect_sources(root, &root.join("examples"), &mut sources)?;
-
-    // ---- golden hygiene ----
-    report.findings.extend(hygiene::run(root, &sources));
+    scan_tree(root, &root.join("src"), tier, &mut report)?;
 
     report.findings.sort_by(|a, b| {
         (a.file.clone(), a.line, a.rule.clone()).cmp(&(b.file.clone(), b.line, b.rule.clone()))
@@ -221,13 +209,7 @@ fn is_crate_root(path: &Path) -> bool {
     (parent == "src" && (name == "lib.rs" || name == "main.rs")) || parent == "bin"
 }
 
-fn scan_tree(
-    root: &Path,
-    dir: &Path,
-    tier: Tier,
-    report: &mut Report,
-    sources: &mut Vec<(String, String)>,
-) -> io::Result<()> {
+fn scan_tree(root: &Path, dir: &Path, tier: Tier, report: &mut Report) -> io::Result<()> {
     for path in walk_rs(dir)? {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().into_owned();
         let src = fs::read_to_string(&path)?;
@@ -237,16 +219,6 @@ fn scan_tree(
         report.findings.append(&mut findings);
         report.annotations_used += used;
         report.files_scanned += 1;
-        sources.push((rel, src));
-    }
-    Ok(())
-}
-
-/// Add `.rs` files under `dir` to the hygiene haystack without scanning.
-fn collect_sources(root: &Path, dir: &Path, sources: &mut Vec<(String, String)>) -> io::Result<()> {
-    for path in walk_rs(dir)? {
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().into_owned();
-        sources.push((rel, fs::read_to_string(&path)?));
     }
     Ok(())
 }

@@ -10,7 +10,6 @@
 //!   DAGs with inferred computation (Stage 2), collective decomposition
 //!   under `NCCL_ALGO`/`NCCL_PROTO`/channels (Stage 3), and GPU→node
 //!   grouping with intra-node communication lowered to `calc` (Stage 4);
-//! * [`storage2goal`] — SPC block traces through the Direct Drive model;
 //! * [`synthetic`] — the microbenchmarks networking papers usually rely on
 //!   (incast, permutation, uniform, ring), for the Fig. 1C comparison.
 
@@ -18,5 +17,4 @@
 
 pub mod mpi2goal;
 pub mod nccl2goal;
-pub mod storage2goal;
 pub mod synthetic;

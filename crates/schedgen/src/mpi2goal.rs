@@ -43,7 +43,7 @@ pub enum AlltoallAlgo {
     Linear,
     Pairwise,
     Bruck,
-    /// Bruck below `auto_cutoff / k` bytes per block, pairwise above —
+    /// Bruck up to `AUTO_CUTOFF / 8` bytes per block, pairwise above —
     /// the latency/bandwidth switch real MPI libraries apply.
     Auto,
 }
@@ -63,10 +63,11 @@ pub struct MpiToGoalConfig {
     pub bcast: BcastAlgo,
     pub alltoall: AlltoallAlgo,
     pub allgather: AllgatherAlgo,
-    /// Size cutoff (bytes) separating latency- from bandwidth-optimal
-    /// algorithms under `Auto`.
-    pub auto_cutoff: u64,
 }
+
+/// Size cutoff (bytes) separating latency- from bandwidth-optimal
+/// algorithms under `Auto`.
+const AUTO_CUTOFF: u64 = 64 * 1024;
 
 impl Default for MpiToGoalConfig {
     fn default() -> Self {
@@ -76,7 +77,6 @@ impl Default for MpiToGoalConfig {
             bcast: BcastAlgo::Auto,
             alltoall: AlltoallAlgo::Auto,
             allgather: AllgatherAlgo::Auto,
-            auto_cutoff: 64 * 1024,
         }
     }
 }
@@ -251,7 +251,7 @@ fn emit_collective(
             AllreduceAlgo::RecursiveDoubling => coll::allreduce_recdoub(b, ranks, bytes, tag, p),
             AllreduceAlgo::Rabenseifner => coll::allreduce_rabenseifner(b, ranks, bytes, tag, p),
             AllreduceAlgo::Auto => {
-                if bytes <= cfg.auto_cutoff {
+                if bytes <= AUTO_CUTOFF {
                     coll::allreduce_recdoub(b, ranks, bytes, tag, p)
                 } else {
                     coll::allreduce_ring(b, ranks, bytes, tag, p)
@@ -264,7 +264,7 @@ fn emit_collective(
                 coll::bcast_ring_pipelined(b, ranks, bytes, root as usize, tag, p)
             }
             BcastAlgo::Auto => {
-                if bytes <= cfg.auto_cutoff {
+                if bytes <= AUTO_CUTOFF {
                     coll::bcast_binomial(b, ranks, bytes, root as usize, tag, p)
                 } else {
                     coll::bcast_ring_pipelined(b, ranks, bytes, root as usize, tag, p)
@@ -278,7 +278,7 @@ fn emit_collective(
             AllgatherAlgo::Ring => coll::allgather_ring(b, ranks, bytes, tag, p),
             AllgatherAlgo::Bruck => coll::allgather_bruck(b, ranks, bytes, tag, p),
             AllgatherAlgo::Auto => {
-                if bytes <= cfg.auto_cutoff {
+                if bytes <= AUTO_CUTOFF {
                     coll::allgather_bruck(b, ranks, bytes, tag, p)
                 } else {
                     coll::allgather_ring(b, ranks, bytes, tag, p)
@@ -293,7 +293,7 @@ fn emit_collective(
             AlltoallAlgo::Auto => {
                 // MPICH-style policy: Bruck for short blocks (log-round
                 // aggregation wins), pairwise exchange for long ones.
-                if bytes <= cfg.auto_cutoff / 8 {
+                if bytes <= AUTO_CUTOFF / 8 {
                     coll::alltoall_bruck(b, ranks, bytes, tag, p)
                 } else {
                     coll::alltoall_pairwise(b, ranks, bytes, tag, p)
@@ -407,6 +407,12 @@ mod tests {
         // recdoub at 4 ranks: 2 rounds x 4 sends = 8; ring: 2*4*3 = 24.
         assert_eq!(s_small.sends, 8);
         assert_eq!(s_large.sends, 24);
+        // The switch sits exactly at the cutoff.
+        let sends = |bytes| {
+            let goal = convert(&mk(bytes), &MpiToGoalConfig::default()).unwrap();
+            atlahs_goal::ScheduleStats::of(&goal).sends
+        };
+        assert_eq!((sends(AUTO_CUTOFF), sends(AUTO_CUTOFF + 1)), (8, 24));
     }
 
     #[test]

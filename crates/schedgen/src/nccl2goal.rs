@@ -30,28 +30,19 @@ use atlahs_goal::{
 use atlahs_tracers::nccl::{KernelRecord, NcclKernel, NsysReport};
 
 /// Converter configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NcclToGoalConfig {
     /// NCCL schedule parameters (algorithm, protocol, channels, chunking).
     pub nccl: NcclConfig,
     /// Override the report's GPUs-per-node for what-if restructuring.
     pub gpus_per_node: Option<u32>,
-    /// Intra-node transfer cost: base + per-byte, rounded down
-    /// (NVLink-class default: 150 GB/s, 1/150 ns/B).
-    pub intra_base_ns: u64,
-    pub intra_per_byte: NsPerByte,
 }
 
-impl Default for NcclToGoalConfig {
-    fn default() -> Self {
-        NcclToGoalConfig {
-            nccl: NcclConfig::default(),
-            gpus_per_node: None,
-            intra_base_ns: 1_000,
-            intra_per_byte: NsPerByte::ratio(1, 150),
-        }
-    }
-}
+/// Intra-node (NVLink-class, 150 GB/s) transfer cost: this base plus
+/// [`INTRA_PER_BYTE`] per byte, rounded down.
+pub const INTRA_BASE_NS: u64 = 1_000;
+/// Intra-node per-byte cost: 1/150 ns per byte.
+pub const INTRA_PER_BYTE: NsPerByte = NsPerByte::ratio(1, 150);
 
 /// Stream-id stride separating GPUs merged onto one node (Stage 4).
 const STREAM_STRIDE: u32 = 16;
@@ -65,7 +56,7 @@ pub fn convert(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedu
     let mut gpus = lower_gpus(report, cfg)?;
     let gpn = cfg.gpus_per_node.unwrap_or(report.gpus_per_node).max(1);
     let mapping: Vec<u32> = (0..report.num_gpus() as u32).map(|g| g / gpn).collect();
-    merge_gpus(&mapping, cfg, |g| gpus.take_rank(g))
+    merge_gpus(&mapping, |g| gpus.take_rank(g))
 }
 
 /// Stages 2+3: a GOAL schedule with one rank per **GPU**.
@@ -240,18 +231,14 @@ fn alloc_tag(next: &mut u32) -> u32 {
 /// Streams are offset per GPU so they stay independent; intra-node
 /// sends/recvs become calc vertices joined by an explicit dependency edge
 /// (the NVLink copy).
-pub fn group_gpus(
-    gpu_goal: &GoalSchedule,
-    mapping: &[u32],
-    cfg: &NcclToGoalConfig,
-) -> Result<GoalSchedule, GoalError> {
+pub fn group_gpus(gpu_goal: &GoalSchedule, mapping: &[u32]) -> Result<GoalSchedule, GoalError> {
     let ngpus = gpu_goal.num_ranks();
     if mapping.len() != ngpus {
         return Err(GoalError::Compose {
             msg: format!("mapping covers {} GPUs, schedule has {ngpus}", mapping.len()),
         });
     }
-    merge_gpus(mapping, cfg, |g| Ok(gpu_goal.rank(g)))
+    merge_gpus(mapping, |g| Ok(gpu_goal.rank(g)))
 }
 
 /// The Stage 4 body. `gpu(g)` is GPU `g`'s DAG, asked for once and in GPU
@@ -259,7 +246,6 @@ pub fn group_gpus(
 /// dropped here as soon as it is merged.
 fn merge_gpus<S: Borrow<RankSchedule>>(
     mapping: &[u32],
-    cfg: &NcclToGoalConfig,
     mut gpu: impl FnMut(Rank) -> Result<S, GoalError>,
 ) -> Result<GoalSchedule, GoalError> {
     let node_of = |gpu: u32| {
@@ -290,7 +276,7 @@ fn merge_gpus<S: Borrow<RankSchedule>>(
                     if dst_node == node {
                         // NVLink copy: sender-side cost carries the transfer.
                         intra_sends.entry((g, dst, tag)).or_default().push(id);
-                        Task::calc(cfg.intra_base_ns + cfg.intra_per_byte.trunc(bytes))
+                        Task::calc(INTRA_BASE_NS + INTRA_PER_BYTE.trunc(bytes))
                     } else {
                         // Tags gain the source GPU's low bits so merged
                         // node pairs don't cross-match different GPU pairs.
@@ -479,7 +465,7 @@ mod tests {
     #[test]
     fn short_mapping_is_an_error_not_a_panic() {
         let gpu_goal = gpu_level(&small_llama(), &NcclToGoalConfig::default()).unwrap();
-        let err = group_gpus(&gpu_goal, &[0; 15], &NcclToGoalConfig::default()).unwrap_err();
+        let err = group_gpus(&gpu_goal, &[0; 15]).unwrap_err();
         assert!(matches!(err, GoalError::Compose { .. }), "{err}");
     }
 
@@ -490,7 +476,7 @@ mod tests {
         let mut b = GoalBuilder::new(1);
         b.send(0, 5, 64, 0);
         let gpu_goal = b.build_unchecked().unwrap();
-        let err = group_gpus(&gpu_goal, &[0], &NcclToGoalConfig::default()).unwrap_err();
+        let err = group_gpus(&gpu_goal, &[0]).unwrap_err();
         assert!(matches!(err, GoalError::Compose { .. }), "{err}");
     }
 

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use atlahs_eventq::hash::FastBuildHasher;
 use atlahs_goal::{binary, GoalBuilder, GoalError, GoalSchedule, Rank, Task, TaskId, TaskKind};
-use atlahs_schedgen::nccl2goal::{convert, gpu_level, group_gpus, NcclToGoalConfig};
+use atlahs_schedgen::nccl2goal::{convert, gpu_level, group_gpus, NcclToGoalConfig, INTRA_BASE_NS};
 use atlahs_tracers::nccl::{presets, trace_llm, LlmConfig, NsysReport};
 
 const STREAM_STRIDE: u32 = 16;
@@ -19,7 +19,6 @@ const STREAM_STRIDE: u32 = 16;
 fn group_gpus_reference(
     gpu_goal: &GoalSchedule,
     mapping: &[u32],
-    cfg: &NcclToGoalConfig,
 ) -> Result<GoalSchedule, GoalError> {
     let ngpus = gpu_goal.num_ranks();
     assert_eq!(mapping.len(), ngpus, "mapping must cover every GPU");
@@ -49,7 +48,7 @@ fn group_gpus_reference(
                 TaskKind::Send { bytes, dst, tag } => {
                     if mapping[dst as usize] == node {
                         // The parent's float NVLink rate, 1/150 ns/B.
-                        let cost = cfg.intra_base_ns + (bytes as f64 * (1.0 / 150.0)) as u64;
+                        let cost = INTRA_BASE_NS + (bytes as f64 * (1.0 / 150.0)) as u64;
                         let id = b.add_task(node, Task::calc(cost).on_stream(stream));
                         intra_sends.entry((g as u32, dst, tag)).or_default().push(id);
                         id
@@ -139,8 +138,8 @@ fn stage4_equals_the_map_based_reference() {
             let contiguous: Vec<u32> = (0..ngpus).map(|g| g / gpn).collect();
             let round_robin: Vec<u32> = (0..ngpus).map(|g| g % nodes).collect();
             for (shape, mapping) in [("contiguous", contiguous), ("round-robin", round_robin)] {
-                let got = group_gpus(&gpu_goal, &mapping, &cfg).unwrap();
-                let want = group_gpus_reference(&gpu_goal, &mapping, &cfg).unwrap();
+                let got = group_gpus(&gpu_goal, &mapping).unwrap();
+                let want = group_gpus_reference(&gpu_goal, &mapping).unwrap();
                 assert!(got == want, "{name} gpn={gpn} {shape}: schedule differs from oracle");
                 assert!(
                     binary::encode(&got) == binary::encode(&want),
@@ -162,7 +161,7 @@ fn one_level_convert_equals_grouping_the_gpu_level_schedule() {
             let cfg = NcclToGoalConfig { gpus_per_node: Some(gpn), ..NcclToGoalConfig::default() };
             let contiguous: Vec<u32> = (0..ngpus).map(|g| g / gpn).collect();
             let got = convert(report, &cfg).unwrap();
-            let want = group_gpus(&gpu_level(report, &cfg).unwrap(), &contiguous, &cfg).unwrap();
+            let want = group_gpus(&gpu_level(report, &cfg).unwrap(), &contiguous).unwrap();
             assert!(got == want, "{name} gpn={gpn}: one-level lowering differs");
             assert!(
                 binary::encode(&got) == binary::encode(&want),

@@ -10,8 +10,8 @@
 //! * messages are fluid flows sharing links by **max-min fairness**
 //!   (recomputed on every arrival/departure), not LogGOPS gaps and not
 //!   per-packet queues;
-//! * links run at a configurable `efficiency_pct` of nominal rate (protocol
-//!   and scheduling overheads real fabrics exhibit);
+//! * links run at [`EFFICIENCY_PCT`] of nominal rate (protocol and
+//!   scheduling overheads real fabrics exhibit);
 //! * computation is perturbed by seeded multiplicative noise (OS jitter,
 //!   DVFS, cache effects) so no backend can match it exactly.
 //!
@@ -32,37 +32,28 @@ use atlahs_core::{Backend, Completion, Matcher, OpRef, Snapshot, Time};
 use atlahs_goal::{Rank, Tag};
 use atlahs_htsim::topology::{Topology, TopologyConfig};
 
-/// Emulator configuration.
+/// Emulator configuration: the fabric and the noise seed. The calibration
+/// is fixed: the LogGOPS parameters fitted to the testbed read [`HOST_O`]
+/// and [`EFFICIENCY_PCT`], so model and reference cannot drift apart.
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
     pub topology: TopologyConfig,
-    /// Host per-operation overhead (ns).
-    pub host_o: u64,
-    /// Percent of nominal link rate actually achievable, 1..=100.
-    pub efficiency_pct: u64,
-    /// Amplitude of multiplicative computation noise (e.g. 0.02 = ±2%).
-    // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
-    pub noise_frac: f64,
     pub seed: u64,
 }
 
-impl TestbedConfig {
-    /// The default host overhead (ns): the `o` of the LogGOPS parameters
-    /// calibrated against this emulator.
-    pub const HOST_O: u64 = 250;
-    /// The default link efficiency (percent): the `G` of the calibrated
-    /// LogGOPS parameters is the inverse of the derated rate.
-    pub const EFFICIENCY_PCT: u64 = 92;
+/// Host per-operation overhead (ns): the `o` of the LogGOPS parameters
+/// calibrated against this emulator.
+pub const HOST_O: u64 = 250;
+/// Percent of nominal link rate actually achievable: the `G` of the
+/// calibrated LogGOPS parameters is the inverse of the derated rate.
+pub const EFFICIENCY_PCT: u64 = 92;
+/// Amplitude of the multiplicative computation noise (±1.5 %).
+// det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
+const NOISE_FRAC: f64 = 0.015;
 
+impl TestbedConfig {
     pub fn new(topology: TopologyConfig) -> Self {
-        TestbedConfig {
-            topology,
-            host_o: Self::HOST_O,
-            efficiency_pct: Self::EFFICIENCY_PCT,
-            // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
-            noise_frac: 0.015,
-            seed: 42,
-        }
+        TestbedConfig { topology, seed: 42 }
     }
 }
 
@@ -129,7 +120,7 @@ impl TestbedBackend {
     pub fn new(cfg: TestbedConfig) -> Self {
         let topo = Topology::build(cfg.topology.clone());
         // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
-        let efficiency = cfg.efficiency_pct as f64 / 100.0;
+        let efficiency = EFFICIENCY_PCT as f64 / 100.0;
         // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
         let port_rates = topo.ports().iter().map(|p| p.link.gbps as f64 / 8.0 * efficiency);
         let port_rates = port_rates.collect();
@@ -230,7 +221,7 @@ impl TestbedBackend {
         };
         self.push(deliver, Ev::Emit { op, done: true });
         if let Some(r) = recv_op {
-            self.push(deliver + self.cfg.host_o, Ev::Emit { op: r, done: true });
+            self.push(deliver + HOST_O, Ev::Emit { op: r, done: true });
         }
         self.recompute_rates();
     }
@@ -238,13 +229,7 @@ impl TestbedBackend {
     // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
     fn noise(&mut self) -> f64 {
         // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
-        if self.cfg.noise_frac == 0.0 {
-            // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
-            1.0
-        } else {
-            // det-lint: allow(float) — calc noise, fixed-order IEEE-754, pinned by fidelity_smoke.json
-            1.0 + self.cfg.noise_frac * (2.0 * self.s.rng.random::<f64>() - 1.0)
-        }
+        1.0 + NOISE_FRAC * (2.0 * self.s.rng.random::<f64>() - 1.0)
     }
 }
 
@@ -276,12 +261,12 @@ impl Backend for TestbedBackend {
 
     fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
         let key: MatchKey = (op.rank, dst, tag);
-        self.push(self.s.now + self.cfg.host_o, Ev::Emit { op, done: false });
+        self.push(self.s.now + HOST_O, Ev::Emit { op, done: false });
         let fi = self.s.flows.len();
 
         if op.rank == dst {
             // Intra-node copy: effectively instant at this fidelity.
-            let deliver = self.s.now + self.cfg.host_o;
+            let deliver = self.s.now + HOST_O;
             let mut f = Flow {
                 op,
                 // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
@@ -298,7 +283,7 @@ impl Backend for TestbedBackend {
             }
             self.push(deliver, Ev::Emit { op, done: true });
             if let Some(r) = f.recv_op {
-                self.push(deliver + self.cfg.host_o, Ev::Emit { op: r, done: true });
+                self.push(deliver + HOST_O, Ev::Emit { op: r, done: true });
             }
             self.s.flows.push(f);
             return;
@@ -315,7 +300,7 @@ impl Backend for TestbedBackend {
             remaining: bytes.max(1) as f64,
             // det-lint: allow(float) — fluid solver, fixed-order IEEE-754, pinned by fidelity_smoke.json
             rate: 0.0,
-            latency: latency + self.cfg.host_o,
+            latency: latency + HOST_O,
             path,
             recv_op: None,
             complete_time: None,
@@ -334,7 +319,7 @@ impl Backend for TestbedBackend {
         if let Some(fi) = self.s.matcher.offer_recv(key, (op, self.s.now)) {
             match self.s.flows[fi].complete_time {
                 Some(t) => {
-                    let done = t.max(self.s.now) + self.cfg.host_o;
+                    let done = t.max(self.s.now) + HOST_O;
                     self.push(done, Ev::Emit { op, done: true });
                 }
                 None => self.s.flows[fi].recv_op = Some(op),
@@ -387,13 +372,15 @@ mod tests {
     use atlahs_htsim::LinkParams;
 
     fn cfg() -> TestbedConfig {
-        let mut c = TestbedConfig::new(TopologyConfig::SingleSwitch {
+        TestbedConfig::new(TopologyConfig::SingleSwitch {
             hosts: 16,
             link: LinkParams { gbps: 100, latency_ns: 500 },
-        });
-        c.noise_frac = 0.0;
-        c.efficiency_pct = 100;
-        c
+        })
+    }
+
+    /// 100 Gb/s derated to `EFFICIENCY_PCT`: 11.5 B/ns.
+    fn derated_bytes_per_ns() -> f64 {
+        12.5 * EFFICIENCY_PCT as f64 / 100.0
     }
 
     fn run(goal: &GoalSchedule, c: TestbedConfig) -> atlahs_core::SimReport {
@@ -410,11 +397,12 @@ mod tests {
 
     #[test]
     fn ping_matches_fluid_model() {
-        // 1 MiB at 12.5 B/ns = 83886 ns drain + 1000 ns path latency
-        // + host_o (latency term) + host_o (recv side).
+        // 1 MiB at 92 % of 12.5 B/ns = 91181 ns drain + 1000 ns path
+        // latency + HOST_O (latency term) + HOST_O (recv side).
         let rep = run(&ping(1 << 20), cfg());
-        let drain = ((1u64 << 20) as f64 / 12.5).ceil() as u64;
-        let expect = drain + 1000 + 250 + 250;
+        let drain = ((1u64 << 20) as f64 / derated_bytes_per_ns()).ceil() as u64;
+        assert_eq!(drain, 91_181);
+        let expect = drain + 1000 + 2 * HOST_O;
         assert!(rep.makespan.abs_diff(expect) <= 2, "{} vs {expect}", rep.makespan);
     }
 
@@ -449,26 +437,18 @@ mod tests {
     #[test]
     fn noise_is_reproducible_and_bounded() {
         let mut c = cfg();
-        c.noise_frac = 0.05;
         let mut b = GoalBuilder::new(1);
         b.calc(0, 1_000_000);
         let goal = b.build().unwrap();
         let r1 = run(&goal, c.clone()).makespan;
         let r2 = run(&goal, c.clone()).makespan;
         assert_eq!(r1, r2, "same seed, same noise");
-        assert!((950_000..=1_050_000).contains(&r1), "{r1}");
+        let spread = (1_000_000.0 * NOISE_FRAC) as u64;
+        assert_eq!(spread, 15_000);
+        assert!((1_000_000 - spread..=1_000_000 + spread).contains(&r1), "{r1}");
         c.seed = 7;
         let r3 = run(&goal, c).makespan;
         assert_ne!(r1, r3, "different seed should perturb");
-    }
-
-    #[test]
-    fn efficiency_slows_transfers() {
-        let mut slow = cfg();
-        slow.efficiency_pct = 50;
-        let fast = run(&ping(1 << 20), cfg()).makespan;
-        let halved = run(&ping(1 << 20), slow).makespan;
-        assert!(halved as f64 > fast as f64 * 1.7, "{halved} vs {fast}");
     }
 
     #[test]
@@ -503,10 +483,10 @@ mod tests {
         let full = mk(1);
         let over = mk(4);
         // ECMP collisions already slow the fully provisioned case, so
-        // compare against the contention-free wire time: 4 flows through
-        // one uplink cannot beat 3x line rate, and must be strictly worse
-        // than full provisioning.
-        let wire = ((1u64 << 20) as f64 / 12.5) as u64;
+        // compare against the contention-free wire time at the derated
+        // rate: 4 flows through one uplink cannot beat 3x it, and must be
+        // strictly worse than full provisioning.
+        let wire = ((1u64 << 20) as f64 / derated_bytes_per_ns()) as u64;
         assert!(over as f64 > 3.0 * wire as f64, "{over} vs wire {wire}");
         assert!(over > full, "{over} vs {full}");
     }

@@ -104,29 +104,25 @@ impl SpcTrace {
 #[derive(Debug, Clone)]
 pub struct OltpConfig {
     pub operations: usize,
-    /// Probability an operation is a write (Financial1 ≈ 0.77).
-    pub write_ratio: f64,
     /// Mean inter-arrival gap (ns); arrivals are exponential with bursts.
     pub mean_gap_ns: u64,
-    /// Number of distinct hot regions; accesses are Zipf-skewed over them.
-    pub hot_regions: usize,
-    /// Volume size in 512-byte blocks.
-    pub volume_blocks: u64,
     pub seed: u64,
 }
 
 impl Default for OltpConfig {
     fn default() -> Self {
-        OltpConfig {
-            operations: 5_000,
-            write_ratio: 0.77,
-            mean_gap_ns: 200_000,
-            hot_regions: 16,
-            volume_blocks: 1 << 24, // 8 GiB volume
-            seed: 11,
-        }
+        OltpConfig { operations: 5_000, mean_gap_ns: 200_000, seed: 11 }
     }
 }
+
+/// Probability an operation is a write (Financial1 ≈ 0.77).
+const WRITE_RATIO: f64 = 0.77;
+/// Number of distinct hot regions; accesses are Zipf-skewed over them.
+const HOT_REGIONS: usize = 16;
+/// Volume size in 512-byte blocks (an 8 GiB volume).
+const VOLUME_BLOCKS: u64 = 1 << 24;
+/// Blocks per hot region.
+const REGION_BLOCKS: u64 = VOLUME_BLOCKS / HOT_REGIONS as u64;
 
 /// Generate a Financial-like OLTP block trace: small write-dominant I/O,
 /// log-area sequential writes mixed with Zipf-skewed random accesses, and
@@ -137,9 +133,8 @@ pub fn financial_like(cfg: &OltpConfig) -> SpcTrace {
     let mut ts = 0u64;
     let mut log_head = 0u64;
     // Zipf-ish weights over hot regions: w_i ∝ 1/(i+1).
-    let weights: Vec<f64> = (0..cfg.hot_regions).map(|i| 1.0 / (i + 1) as f64).collect();
+    let weights: Vec<f64> = (0..HOT_REGIONS).map(|i| 1.0 / (i + 1) as f64).collect();
     let wsum: f64 = weights.iter().sum();
-    let region_blocks = cfg.volume_blocks / cfg.hot_regions.max(1) as u64;
 
     for _ in 0..cfg.operations {
         // Bursty arrivals: 30% of ops arrive back-to-back (1 µs), the rest
@@ -152,7 +147,7 @@ pub fn financial_like(cfg: &OltpConfig) -> SpcTrace {
         };
         ts += gap;
 
-        let write = rng.random::<f64>() < cfg.write_ratio;
+        let write = rng.random::<f64>() < WRITE_RATIO;
         let (lba, bytes, asu) = if write && rng.random::<f64>() < 0.5 {
             // Sequential log append: 512B..4KiB.
             let sz = 512u32 << rng.random_range(0..4u32);
@@ -170,7 +165,7 @@ pub fn financial_like(cfg: &OltpConfig) -> SpcTrace {
                 }
                 pick -= w;
             }
-            let lba = region as u64 * region_blocks + rng.random_range(0..region_blocks.max(1));
+            let lba = region as u64 * REGION_BLOCKS + rng.random_range(0..REGION_BLOCKS);
             // 4 KiB pages dominate; occasional 8-64 KiB.
             let sz = if rng.random::<f64>() < 0.85 {
                 4096
@@ -217,13 +212,11 @@ mod tests {
 
     #[test]
     fn accesses_are_skewed() {
-        let cfg = OltpConfig::default();
-        let t = financial_like(&cfg);
-        let region_blocks = cfg.volume_blocks / cfg.hot_regions as u64;
-        let mut counts = vec![0usize; cfg.hot_regions + 1];
+        let t = financial_like(&OltpConfig::default());
+        let mut counts = vec![0usize; HOT_REGIONS + 1];
         for r in t.records.iter().filter(|r| r.asu != 0) {
-            let region = (r.lba / region_blocks) as usize;
-            counts[region.min(cfg.hot_regions)] += 1;
+            let region = (r.lba / REGION_BLOCKS) as usize;
+            counts[region.min(HOT_REGIONS)] += 1;
         }
         // Hottest region should see several times the traffic of region 8.
         assert!(counts[0] > counts[8] * 3, "{counts:?}");

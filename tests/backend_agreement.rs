@@ -56,18 +56,15 @@ fn run_htsim_spray(goal: &GoalSchedule, topo: TopologyConfig) -> u64 {
 }
 
 fn run_testbed(goal: &GoalSchedule, topo: TopologyConfig) -> u64 {
-    let mut cfg = TestbedConfig::new(topo);
-    cfg.efficiency_pct = 100;
-    cfg.noise_frac = 0.0;
-    let mut be = TestbedBackend::new(cfg);
+    let mut be = TestbedBackend::new(TestbedConfig::new(topo));
     Simulation::new(goal).run(&mut be).unwrap().makespan
 }
 
 #[test]
 fn backends_agree_on_bandwidth_bound_transfers() {
-    // 8 MiB transfers at 100 Gb/s: serialization (~671 µs) dwarfs every
-    // model's latency/overhead differences. All three backends must land
-    // within 15% of each other.
+    // 8 MiB transfers at 100 Gb/s: serialization (~671 µs, ~729 µs on
+    // the testbed's derated links) dwarfs every model's latency/overhead
+    // differences. All three backends must land within 15% of each other.
     let goal = bulk_pairs(8, 8 << 20);
     let topo = TopologyConfig::fat_tree(8, 8); // single ToR, no core
     let lgs = run_lgs(&goal, lgs_params_for(100));

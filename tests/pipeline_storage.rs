@@ -141,12 +141,7 @@ fn heavier_offered_load_lengthens_the_tail() {
     let layout = DirectDriveLayout::standard(8, 2, 12);
     let params = ServiceParams::default();
     let tail = |gap: u64| {
-        let trace = financial_like(&OltpConfig {
-            operations: 400,
-            mean_gap_ns: gap,
-            seed: 3,
-            ..Default::default()
-        });
+        let trace = financial_like(&OltpConfig { operations: 400, mean_gap_ns: gap, seed: 3 });
         let mut b = GoalBuilder::new(layout.total_ranks());
         let done = trace_to_goal(&trace, &layout, &params, &mut b);
         let goal = b.build().unwrap();

@@ -32,7 +32,7 @@ use atlahs::directdrive::ServiceParams;
 use atlahs::htsim::engine::{bdp_and_rto, ecn_mark, tx_ns};
 use atlahs::htsim::topology::{LinkParams, Topology, TopologyConfig};
 use atlahs::lgs::LogGopsParams;
-use atlahs::schedgen::nccl2goal::NcclToGoalConfig;
+use atlahs::schedgen::nccl2goal::INTRA_PER_BYTE;
 use atlahs_bench::scenario::{storage_service_params, TopologySpec};
 use atlahs_bench::workloads::lgs_params_for_link;
 
@@ -137,8 +137,11 @@ fn ideal_tx_10e9_bytes_per_ns() {
 
 #[test]
 fn nvlink_copy_one_150th() {
-    let rate = NcclToGoalConfig::default().intra_per_byte;
-    check("NVLink copy at 1/150 ns/B", |b| rate.trunc(b), |b| (b as f64 * (1.0 / 150.0)) as u64);
+    check(
+        "NVLink copy at 1/150 ns/B",
+        |b| INTRA_PER_BYTE.trunc(b),
+        |b| (b as f64 * (1.0 / 150.0)) as u64,
+    );
 }
 
 fn media(what: &str, p: ServiceParams, ns_per_byte: f64) {
