@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use atlahs_core::faultgen;
-use atlahs_core::{NodePool, SimReport};
+use atlahs_core::{FragStats, NodePool, SimReport};
 use atlahs_goal::merge::{compose, PlacedJob, MAX_JOBS};
 use atlahs_goal::{GoalSchedule, Rank};
 use atlahs_htsim::CcAlgo;
@@ -383,7 +383,8 @@ pub struct JobOutcome {
 pub struct FragSummary {
     /// Most free extents ever observed.
     pub peak_extents: usize,
-    /// Mean fragmentation index (see [`atlahs_core::FragStats::index`]).
+    /// Mean fragmentation index of the free pool over the admission
+    /// batches: `1 - largest_extent / free`, 0 for one run or none.
     pub mean_index: f64,
 }
 
@@ -431,6 +432,16 @@ impl ClusterOutcome {
 
     pub fn max_slowdown(&self) -> f64 {
         self.jobs.iter().map(|j| j.slowdown).fold(0.0, f64::max)
+    }
+}
+
+/// Fragmentation index of a free set in `[0, 1]`: `1 - largest_extent /
+/// free` (0 when the free set is one contiguous run or empty).
+fn frag_index(frag: &FragStats) -> f64 {
+    if frag.free == 0 {
+        0.0
+    } else {
+        1.0 - frag.largest_extent as f64 / frag.free as f64
     }
 }
 
@@ -583,7 +594,7 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
 
         let frag = pool.frag();
         peak_extents = peak_extents.max(frag.extents);
-        frag_sum += frag.index();
+        frag_sum += frag_index(&frag);
         let batch_idx = batches;
         batches += 1;
 
@@ -920,6 +931,14 @@ impl ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frag_index_is_the_share_outside_the_largest_extent() {
+        let frag = |free, largest_extent| FragStats { free, extents: 2, largest_extent };
+        assert_eq!(frag_index(&frag(0, 0)), 0.0, "an empty free set is not fragmented");
+        assert_eq!(frag_index(&frag(10, 10)), 0.0, "one contiguous run");
+        assert_eq!(frag_index(&frag(8, 6)), 0.25);
+    }
 
     fn jobfail(pct: u32, at_pct: u32, retries: u32) -> FaultSpec {
         FaultSpec::Job(JobFaultSpec::JobFail { pct, at_pct, retries })

@@ -18,16 +18,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use atlahs_core::faultgen::{self, ChurnEvent, Distribution};
+use atlahs_core::faultgen::{self, ChurnEvent};
 use atlahs_core::{allocate, NsPerByte, PlacementStrategy};
 use atlahs_goal::merge::{compose, PlacedJob};
 use atlahs_goal::{GoalBuilder, GoalSchedule};
 use atlahs_htsim::engine::NetStats;
-use atlahs_htsim::fault::{
-    normalize_windows, select_fault_domains, select_fault_ports, FaultKind, PortFault,
-};
+use atlahs_htsim::fault::{PortFault, WindowFault};
 use atlahs_htsim::stochastic::{LinkModel, LinkModelSpec};
-use atlahs_htsim::topology::{LinkParams, Topology, TopologyConfig};
+use atlahs_htsim::topology::{LinkParams, Topology, TopologyConfig, MAX_ECMP, MAX_HOSTS};
 use atlahs_htsim::{CcAlgo, MAX_MESSAGE_BYTES};
 use atlahs_lgs::{LogGopsParams, StragglerSpec};
 use atlahs_schedgen::synthetic;
@@ -172,30 +170,59 @@ impl TopologySpec {
     }
 
     /// Every dimension is at least 1 — the fabric builders divide by them
-    /// — and a dragonfly has at least 2 groups, so a degenerate fabric
-    /// fails at the CLI, naming the field, not inside a worker.
+    /// — a dragonfly has at least 2 groups, an oversubscription ratio
+    /// divides the hosts per ToR, and the fabric fits the route cache's
+    /// key ([`MAX_HOSTS`] hosts, [`MAX_ECMP`] equal-cost routes), so a
+    /// degenerate fabric fails at the CLI, naming the field, not inside a
+    /// worker.
     fn check(&self) -> Result<(), String> {
         let positive = |dims: &[(&str, usize)]| match dims.iter().find(|dim| dim.1 == 0) {
             Some((field, _)) => Err(format!("{field} must be at least 1")),
             None => Ok(()),
         };
+        let at_most = |field: &str, value: usize, max: usize| {
+            if value <= max {
+                return Ok(());
+            }
+            Err(format!("{field} must be at most {max}"))
+        };
+        let divides = |oversub: usize, hosts_per_tor: usize| {
+            if hosts_per_tor % oversub == 0 {
+                return Ok(());
+            }
+            Err(format!("oversub {oversub} must divide the {hosts_per_tor} hosts per ToR"))
+        };
         match *self {
             TopologySpec::AiFatTree { nodes, oversub } => {
-                positive(&[("nodes", nodes), ("oversub", oversub)])
+                positive(&[("nodes", nodes), ("oversub", oversub)])?;
+                at_most("nodes", nodes, MAX_HOSTS)?;
+                divides(oversub, workloads::ai_hosts_per_tor(nodes))
             }
             TopologySpec::HpcFatTree { procs, nodes } => {
-                positive(&[("procs", procs), ("nodes", nodes)])
+                positive(&[("procs", procs), ("nodes", nodes)])?;
+                at_most("procs", procs, MAX_HOSTS)?;
+                // One ToR per node, with an uplink per host.
+                at_most("procs / nodes", procs / nodes, MAX_ECMP)
             }
             TopologySpec::StorageFatTree { hosts, oversub } => {
-                positive(&[("hosts", hosts), ("oversub", oversub)])
+                positive(&[("hosts", hosts), ("oversub", oversub)])?;
+                at_most("hosts", hosts, MAX_HOSTS)?;
+                divides(oversub, workloads::STORAGE_HOSTS_PER_TOR)
             }
             TopologySpec::Dragonfly { groups: 0 | 1, .. } => {
                 Err("groups must be at least 2".into())
             }
-            TopologySpec::Dragonfly { routers, hosts_per_router, .. } => {
-                positive(&[("routers", routers), ("hosts", hosts_per_router)])
+            TopologySpec::Dragonfly { groups, routers, hosts_per_router } => {
+                positive(&[("routers", routers), ("hosts", hosts_per_router)])?;
+                let hosts = groups.saturating_mul(routers).saturating_mul(hosts_per_router);
+                at_most("groups × routers × hosts", hosts, MAX_HOSTS)?;
+                // Two groups are joined by at most one global link per router.
+                at_most("routers", routers, MAX_ECMP)
             }
-            TopologySpec::SingleSwitch { hosts } => positive(&[("hosts", hosts)]),
+            TopologySpec::SingleSwitch { hosts } => {
+                positive(&[("hosts", hosts)])?;
+                at_most("hosts", hosts, MAX_HOSTS)
+            }
         }
     }
 }
@@ -664,34 +691,16 @@ impl PlacementSpec {
 pub enum FaultSpec {
     /// Perfect fabric (the default; label `none`).
     None,
-    /// `links` seeded fault-candidate ports go down at `down_ns` and come
-    /// back at `up_ns` (packet-level; recovered by retransmission).
-    LinkFlap { links: usize, down_ns: u64, up_ns: u64 },
-    /// `links` seeded ports run at `bw_pct`% bandwidth and `lat_pct`%
-    /// latency between `from_ns` and `to_ns` (packet-level).
-    Degrade { links: usize, bw_pct: u32, lat_pct: u32, from_ns: u64, to_ns: u64 },
+    /// A timed port-window regime: `linkflap`, `degrade`, `markov`,
+    /// `rackfail`, `switchfail` or `churn` (packet-level; see
+    /// [`WindowFault`]).
+    Window(WindowFault),
     /// Each rank straggles with probability `prob_pct`%, inflating calc
     /// costs to `factor_pct`% plus (when `spread_pct > 0`) a per-rank
     /// Weibull(`spread_pct`, `shape`) draw, so stragglers are slowed by
     /// *different* amounts (message-level; see
     /// [`atlahs_lgs::StragglerSpec`]).
     Straggler { prob_pct: u32, factor_pct: u32, spread_pct: u32, shape: u32 },
-    /// Gilbert–Elliott flapping: `links` seeded ports alternate between
-    /// up (Exp mean `up_ns`) and down (Exp mean `down_ns`) sojourns,
-    /// unrolled deterministically into down-windows over `[0, horizon_ns)`
-    /// (packet-level).
-    Markov { links: usize, up_ns: u64, down_ns: u64, horizon_ns: u64 },
-    /// Correlated failure: `racks` seeded edge-tier failure domains (a
-    /// ToR and every port touching it) go down whole between `from_ns`
-    /// and `to_ns` (packet-level).
-    RackFail { racks: usize, from_ns: u64, to_ns: u64 },
-    /// Correlated failure: `switches` seeded core-tier failure domains
-    /// down whole between `from_ns` and `to_ns` (packet-level).
-    SwitchFail { switches: usize, from_ns: u64, to_ns: u64 },
-    /// Churn-trace replay: a validated down/up event sequence per trace
-    /// domain, mapped onto the topology's edge failure domains
-    /// (packet-level; see [`atlahs_core::faultgen::parse_churn_trace`]).
-    Churn { events: Vec<ChurnEvent> },
     /// Per-packet stochastic link model: seeded random loss (`loss:` in
     /// ppm, optionally per tier) or latency jitter (`jitter:` from the
     /// faultgen Q32 samplers), evaluated in the forwarding hot path via
@@ -728,12 +737,7 @@ impl FaultSpec {
     pub fn label(&self) -> String {
         match *self {
             FaultSpec::None => "none".to_string(),
-            FaultSpec::LinkFlap { links, down_ns, up_ns } => {
-                format!("linkflap:{links}:{down_ns}:{up_ns}")
-            }
-            FaultSpec::Degrade { links, bw_pct, lat_pct, from_ns, to_ns } => {
-                format!("degrade:{links}:{bw_pct}:{lat_pct}:{from_ns}:{to_ns}")
-            }
+            FaultSpec::Window(ref window) => window.label(),
             // The short form is the pre-spread label: uniform-straggler
             // cells keep their historical keys (and therefore seeds and
             // goldens) byte-identical.
@@ -742,18 +746,6 @@ impl FaultSpec {
             }
             FaultSpec::Straggler { prob_pct, factor_pct, spread_pct, shape } => {
                 format!("straggler:{prob_pct}:{factor_pct}:{spread_pct}:{shape}")
-            }
-            FaultSpec::Markov { links, up_ns, down_ns, horizon_ns } => {
-                format!("markov:{links}:{up_ns}:{down_ns}:{horizon_ns}")
-            }
-            FaultSpec::RackFail { racks, from_ns, to_ns } => {
-                format!("rackfail:{racks}:{from_ns}:{to_ns}")
-            }
-            FaultSpec::SwitchFail { switches, from_ns, to_ns } => {
-                format!("switchfail:{switches}:{from_ns}:{to_ns}")
-            }
-            FaultSpec::Churn { ref events } => {
-                format!("churn:{}", faultgen::churn_inline_label(events))
             }
             FaultSpec::Stochastic(spec) => spec.label(),
             FaultSpec::Job(spec) => spec.label(),
@@ -814,10 +806,7 @@ impl FaultSpec {
     /// regimes predate the telemetry and their goldens stay byte-exact.
     pub fn distributional(&self) -> bool {
         match self {
-            FaultSpec::Markov { .. }
-            | FaultSpec::RackFail { .. }
-            | FaultSpec::SwitchFail { .. }
-            | FaultSpec::Churn { .. } => true,
+            FaultSpec::Window(window) => window.distributional(),
             FaultSpec::Straggler { spread_pct, .. } => *spread_pct > 0,
             _ => false,
         }
@@ -825,67 +814,31 @@ impl FaultSpec {
 
     /// Parse a CLI token (the inverse of [`FaultSpec::label`]).
     ///
-    /// `churn:` accepts either the inline event grammar
-    /// (`<t_ns>;<domain>;<d|u>` joined by `,`) or `churn:@<path>` to load
-    /// a trace file (text lines or a JSON array; see
-    /// [`atlahs_core::faultgen::parse_churn_trace`]). Either way the
-    /// resulting spec labels itself with the canonical inline form, so a
-    /// file-fed cell keys and reproduces identically to its inline twin.
+    /// `churn:@<path>` loads a trace file (text lines or a JSON array; see
+    /// [`atlahs_core::faultgen::parse_churn_trace`]); the resulting spec
+    /// labels itself with the canonical inline form, so a file-fed cell
+    /// keys and reproduces identically to its inline twin.
     pub fn parse(tok: &str) -> Result<FaultSpec, String> {
-        if let Some(rest) = tok.strip_prefix("churn:") {
-            let events = if let Some(path) = rest.strip_prefix('@') {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("fault `{tok}`: cannot read trace file: {e}"))?;
-                churn_events_from_text(&text)?
-            } else {
-                faultgen::parse_churn_inline(rest)?
-            };
-            if events.is_empty() {
-                return Err(format!("fault `{tok}`: the churn trace has no events"));
-            }
-            return Ok(FaultSpec::Churn { events });
+        if let Some(path) = tok.strip_prefix("churn:@") {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("fault `{tok}`: cannot read trace file: {e}"))?;
+            return WindowFault::churn(tok, churn_events_from_text(&text)?).map(FaultSpec::Window);
         }
-        // The `loss:`/`jitter:` and `jobfail:`/`mtbf:` families parse and
-        // validate next to the engines that consume them; `None` means
-        // the token is not from that family and falls through.
+        // The window, `loss:`/`jitter:` and `jobfail:`/`mtbf:` families
+        // parse and validate next to the engines that consume them; `None`
+        // means the token is not from that family and falls through.
+        if let Some(parsed) = WindowFault::parse(tok) {
+            return parsed.map(FaultSpec::Window);
+        }
         if let Some(parsed) = LinkModelSpec::parse(tok) {
             return parsed.map(FaultSpec::Stochastic);
         }
         if let Some(parsed) = JobFaultSpec::parse(tok) {
             return parsed.map(FaultSpec::Job);
         }
-        // The `[from, to)` fields of a window fault.
-        let window = |from: &str, to: &str| -> Result<(u64, u64), String> {
-            let (from_ns, to_ns) = (num(tok, from)?, num(tok, to)?);
-            if to_ns <= from_ns {
-                return Err(format!("fault `{tok}`: the window must close after it opens"));
-            }
-            Ok((from_ns, to_ns))
-        };
         let parts: Vec<&str> = tok.split(':').collect();
         match parts.as_slice() {
             ["none"] => Ok(FaultSpec::None),
-            ["linkflap", links, down, up] => {
-                let (down_ns, up_ns) = window(down, up)?;
-                Ok(FaultSpec::LinkFlap { links: num(tok, links)?, down_ns, up_ns })
-            }
-            ["degrade", links, bw, lat, from, to] => {
-                let (from_ns, to_ns) = window(from, to)?;
-                let (bw_pct, lat_pct): (u32, u32) = (num(tok, bw)?, num(tok, lat)?);
-                if bw_pct == 0 {
-                    return Err(format!(
-                        "fault `{tok}`: bw_pct must be >= 1 — a 0-bandwidth link never drains; \
-                         model an outage with linkflap/markov/rackfail instead"
-                    ));
-                }
-                if lat_pct == 0 {
-                    return Err(format!(
-                        "fault `{tok}`: lat_pct must be >= 1 — a zero-latency wire is not a \
-                         degradation (100 = nominal, >100 = slower)"
-                    ));
-                }
-                Ok(FaultSpec::Degrade { links: num(tok, links)?, bw_pct, lat_pct, from_ns, to_ns })
-            }
             ["straggler", prob, factor] => Ok(FaultSpec::Straggler {
                 prob_pct: num::<u32>(tok, prob)?.min(100),
                 factor_pct: num(tok, factor)?,
@@ -898,27 +851,6 @@ impl FaultSpec {
                 spread_pct: num(tok, spread)?,
                 shape: num::<u32>(tok, shape)?.clamp(1, 16),
             }),
-            ["markov", links, up, down, horizon] => {
-                let (up_ns, down_ns, horizon_ns): (u64, u64, u64) =
-                    (num(tok, up)?, num(tok, down)?, num(tok, horizon)?);
-                if up_ns == 0 || down_ns == 0 {
-                    return Err(format!(
-                        "fault `{tok}`: mean sojourn times must be >= 1 ns in both states"
-                    ));
-                }
-                if horizon_ns == 0 {
-                    return Err(format!("fault `{tok}`: the flapping horizon must be >= 1 ns"));
-                }
-                Ok(FaultSpec::Markov { links: num(tok, links)?, up_ns, down_ns, horizon_ns })
-            }
-            ["rackfail", racks, from, to] => {
-                let (from_ns, to_ns) = window(from, to)?;
-                Ok(FaultSpec::RackFail { racks: num(tok, racks)?, from_ns, to_ns })
-            }
-            ["switchfail", switches, from, to] => {
-                let (from_ns, to_ns) = window(from, to)?;
-                Ok(FaultSpec::SwitchFail { switches: num(tok, switches)?, from_ns, to_ns })
-            }
             _ => Err(unknown("fault", tok, Self::GRAMMAR)),
         }
     }
@@ -944,15 +876,16 @@ impl FaultSpec {
         }
         let fault_seed = cell_seed(sim_seed, &self.label());
         let action = match *self {
+            FaultSpec::None | FaultSpec::Job(_) => FaultAction::None,
+            FaultSpec::Window(ref window) => {
+                FaultAction::Ports(window.lower(&Topology::build(topology.config()), fault_seed))
+            }
             FaultSpec::Stochastic(spec) => FaultAction::Link(spec.model(fault_seed)),
             FaultSpec::Straggler { prob_pct, factor_pct, spread_pct, shape } => {
                 let spec =
                     StragglerSpec { prob_pct, factor_pct, spread_pct, shape, seed: fault_seed };
                 FaultAction::Straggler(spec)
             }
-            _ => FaultAction::Ports(
-                self.port_windows(&Topology::build(topology.config()), fault_seed),
-            ),
         };
         // Telemetry describes the *generated* schedule (downtime counts
         // per-port window durations; stochastic cells report through
@@ -971,115 +904,6 @@ impl FaultSpec {
         });
         (action, telemetry)
     }
-
-    /// The concrete port windows of a packet-level window fault on
-    /// `topo` (empty for every other regime).
-    fn port_windows(&self, topo: &Topology, fault_seed: u64) -> Vec<PortFault> {
-        match *self {
-            FaultSpec::None
-            | FaultSpec::Straggler { .. }
-            | FaultSpec::Stochastic(_)
-            | FaultSpec::Job(_) => Vec::new(),
-            FaultSpec::LinkFlap { links, down_ns: start_ns, up_ns: end_ns }
-            | FaultSpec::Degrade { links, from_ns: start_ns, to_ns: end_ns, .. } => {
-                let kind = match *self {
-                    FaultSpec::Degrade { bw_pct, lat_pct, .. } => {
-                        FaultKind::Degrade { bw_pct, lat_pct }
-                    }
-                    _ => FaultKind::Down,
-                };
-                select_fault_ports(topo, links, fault_seed)
-                    .into_iter()
-                    .map(|port| PortFault { port, start_ns, end_ns, kind })
-                    .collect()
-            }
-            FaultSpec::Markov { links, up_ns, down_ns, horizon_ns } => {
-                let up = Distribution::Exp { mean_ns: up_ns };
-                let down = Distribution::Exp { mean_ns: down_ns };
-                let faults = select_fault_ports(topo, links, fault_seed)
-                    .into_iter()
-                    .flat_map(|port| {
-                        // One derived seed per port: which ports the
-                        // shuffle picked never changes *how* a given
-                        // port flaps.
-                        let per_port = faultgen::fnv_draw(fault_seed, "markov-port", port as u64);
-                        faultgen::unroll_two_state(
-                            per_port,
-                            &up,
-                            &down,
-                            horizon_ns,
-                            MAX_FLAP_WINDOWS,
-                        )
-                        .into_iter()
-                        .map(move |(start_ns, end_ns)| PortFault {
-                            port,
-                            start_ns,
-                            end_ns,
-                            kind: FaultKind::Down,
-                        })
-                    })
-                    .collect();
-                // Per-port trains are disjoint by construction; normalize
-                // only re-sorts across ports (and would catch a generator
-                // regression).
-                normalize_windows(faults).expect("two-state unroll yields disjoint down-windows")
-            }
-            FaultSpec::RackFail { racks, from_ns, to_ns } => {
-                domain_windows(topo, racks, false, fault_seed, from_ns, to_ns)
-            }
-            FaultSpec::SwitchFail { switches, from_ns, to_ns } => {
-                domain_windows(topo, switches, true, fault_seed, from_ns, to_ns)
-            }
-            FaultSpec::Churn { ref events } => {
-                let domains = topo.failure_domains(false);
-                let mut faults = Vec::new();
-                let mut seen: Vec<u32> = events.iter().map(|e| e.domain).collect();
-                seen.sort_unstable();
-                seen.dedup();
-                for dom in seen {
-                    let ports = &domains[dom as usize % domains.len()];
-                    for (start_ns, end_ns) in faultgen::churn_windows(events, dom) {
-                        for &port in ports {
-                            faults.push(PortFault {
-                                port,
-                                start_ns,
-                                end_ns,
-                                kind: FaultKind::Down,
-                            });
-                        }
-                    }
-                }
-                // Two trace domains may alias to one topology domain;
-                // same-kind overlap merges into the union window.
-                normalize_windows(faults).expect("churn replay emits only Down windows")
-            }
-        }
-    }
-}
-
-/// Cap on generated windows per flapping port — a backstop against a
-/// pathological `up_ns`/`down_ns` vs. horizon ratio, far above anything
-/// a realistic spec unrolls.
-const MAX_FLAP_WINDOWS: usize = 4096;
-
-/// Down every port of `count` seeded failure domains for `[from_ns, to_ns)`.
-fn domain_windows(
-    topo: &Topology,
-    count: usize,
-    core_tier: bool,
-    fault_seed: u64,
-    from_ns: u64,
-    to_ns: u64,
-) -> Vec<PortFault> {
-    let faults = select_fault_domains(topo, count, core_tier, fault_seed)
-        .into_iter()
-        .flatten()
-        .map(|port| PortFault { port, start_ns: from_ns, end_ns: to_ns, kind: FaultKind::Down })
-        .collect();
-    // Edge domains partition the port table but core domains of a fat
-    // tree share nothing either; dedup via merge keeps this robust if a
-    // topology ever yields overlapping domains.
-    normalize_windows(faults).expect("domain failure emits only Down windows")
 }
 
 /// Parse a churn trace file body: a JSON array of `[t_ns, domain, "down"|"up"]`
@@ -1754,17 +1578,32 @@ mod tests {
     fn fault_labels_roundtrip() {
         for spec in [
             FaultSpec::None,
-            FaultSpec::LinkFlap { links: 2, down_ns: 10_000, up_ns: 60_000 },
-            FaultSpec::Degrade { links: 1, bw_pct: 25, lat_pct: 400, from_ns: 0, to_ns: 500_000 },
+            FaultSpec::Window(WindowFault::LinkFlap { links: 2, down_ns: 10_000, up_ns: 60_000 }),
+            FaultSpec::Window(WindowFault::Degrade {
+                links: 1,
+                bw_pct: 25,
+                lat_pct: 400,
+                from_ns: 0,
+                to_ns: 500_000,
+            }),
             FaultSpec::Straggler { prob_pct: 25, factor_pct: 300, spread_pct: 0, shape: 1 },
             FaultSpec::Straggler { prob_pct: 25, factor_pct: 300, spread_pct: 150, shape: 2 },
-            FaultSpec::Markov { links: 2, up_ns: 40_000, down_ns: 8_000, horizon_ns: 400_000 },
-            FaultSpec::RackFail { racks: 1, from_ns: 10_000, to_ns: 90_000 },
-            FaultSpec::SwitchFail { switches: 1, from_ns: 10_000, to_ns: 90_000 },
-            FaultSpec::Churn {
+            FaultSpec::Window(WindowFault::Markov {
+                links: 2,
+                up_ns: 40_000,
+                down_ns: 8_000,
+                horizon_ns: 400_000,
+            }),
+            FaultSpec::Window(WindowFault::RackFail { racks: 1, from_ns: 10_000, to_ns: 90_000 }),
+            FaultSpec::Window(WindowFault::SwitchFail {
+                switches: 1,
+                from_ns: 10_000,
+                to_ns: 90_000,
+            }),
+            FaultSpec::Window(WindowFault::Churn {
                 events: faultgen::parse_churn_inline("1000;0;d,5000;0;u,2000;1;d,7000;1;u")
                     .unwrap(),
-            },
+            }),
             FaultSpec::Job(JobFaultSpec::JobFail { pct: 25, at_pct: 50, retries: 3 }),
             FaultSpec::Job(JobFaultSpec::JobFail { pct: 100, at_pct: 0, retries: 1 }),
             FaultSpec::Job(JobFaultSpec::Mtbf { mtbf_ns: 2_000_000, retries: 3 }),
@@ -1907,6 +1746,58 @@ mod tests {
         }
     }
 
+    /// An oversubscription ratio that does not divide the hosts per ToR
+    /// used to be rounded: `ai-fattree:16:3` built a 4:1 fabric and
+    /// `ai-fattree:16:16` an 8:1 one under their labels.
+    #[test]
+    fn oversubscription_ratios_must_divide_the_rack() {
+        for (tok, oversub, hosts_per_tor) in [
+            ("ai-fattree:16:3", 3, 8),
+            ("ai-fattree:16:16", 16, 8),
+            ("ai-fattree:4:8", 8, 4),
+            ("storage-fattree:48:3", 3, 8),
+        ] {
+            let err = TopologySpec::parse(tok).unwrap_err();
+            let want = format!(
+                "topology `{tok}`: oversub {oversub} must divide the {hosts_per_tor} hosts per ToR"
+            );
+            assert_eq!(err, want);
+        }
+        for (tok, uplinks) in
+            [("ai-fattree:16:8", 1), ("ai-fattree:4:2", 2), ("storage-fattree:48:4", 2)]
+        {
+            let spec = TopologySpec::parse(tok).unwrap();
+            let TopologyConfig::FatTree2L { hosts_per_tor, uplinks_per_tor, .. } = spec.config()
+            else {
+                panic!("{tok} is a fat tree");
+            };
+            assert_eq!(uplinks_per_tor, uplinks, "{tok}");
+            assert_eq!(hosts_per_tor / uplinks_per_tor * uplinks_per_tor, hosts_per_tor);
+        }
+    }
+
+    /// Route-cache keys hold 2^24 hosts and 2^16 ECMP buckets:
+    /// `hpc-fattree:140000:2` gave each ToR 70 000 uplinks, and bucket
+    /// 65 536 of one destination aliased bucket 0 of the next.
+    #[test]
+    fn fabrics_past_the_route_key_are_rejected() {
+        for (tok, field, max) in [
+            ("hpc-fattree:140000:2", "procs / nodes", MAX_ECMP),
+            ("hpc-fattree:16777217:65536", "procs", MAX_HOSTS),
+            ("ai-fattree:16777217", "nodes", MAX_HOSTS),
+            ("storage-fattree:16777217", "hosts", MAX_HOSTS),
+            ("switch:16777217", "hosts", MAX_HOSTS),
+            ("dragonfly:1025:128:129", "groups × routers × hosts", MAX_HOSTS),
+            ("dragonfly:2:65537:1", "routers", MAX_ECMP),
+        ] {
+            let err = TopologySpec::parse(tok).unwrap_err();
+            assert_eq!(err, format!("topology `{tok}`: {field} must be at most {max}"));
+        }
+        for tok in ["hpc-fattree:131072:2", "switch:16777216", "dragonfly:2:65536:1"] {
+            assert!(TopologySpec::parse(tok).is_ok(), "{tok} fits the key");
+        }
+    }
+
     /// `storage:<ops>:<gap_ns>:0` used to run as `…:1` under the typed
     /// token's report key: the compression factor is a divisor, so 0 is an
     /// error naming the field, and `parse` stays the inverse of `label`.
@@ -1976,39 +1867,6 @@ mod tests {
     }
 
     #[test]
-    fn distributional_port_windows_are_seeded_and_normalized() {
-        let topo = Topology::build(TopologySpec::AiFatTree { nodes: 16, oversub: 4 }.config());
-        let markov =
-            FaultSpec::Markov { links: 2, up_ns: 40_000, down_ns: 8_000, horizon_ns: 400_000 };
-        let a = markov.port_windows(&topo, 7);
-        assert_eq!(a, markov.port_windows(&topo, 7), "same seed, same schedule");
-        assert_ne!(a, markov.port_windows(&topo, 8), "flap schedules are seed-sensitive");
-        assert!(!a.is_empty(), "a 5:1 up:down ratio over 400 µs must flap");
-        for w in windows_by_port(&a) {
-            assert!(w.windows(2).all(|p| p[0].1 <= p[1].0), "per-port windows stay disjoint");
-        }
-        // Correlated domain failure downs every port of the rack at once.
-        let rack =
-            FaultSpec::RackFail { racks: 1, from_ns: 10_000, to_ns: 90_000 }.port_windows(&topo, 7);
-        let dom_sizes: Vec<usize> = topo.failure_domains(false).iter().map(|d| d.len()).collect();
-        assert!(dom_sizes.contains(&rack.len()), "one whole rack domain fails: {rack:?}");
-        assert!(rack.iter().all(|f| f.start_ns == 10_000 && f.end_ns == 90_000));
-        // Churn maps trace domains onto rack domains and replays windows.
-        let churn = FaultSpec::parse("churn:1000;0;d,5000;0;u,2000;1;d,7000;1;u").unwrap();
-        let replay = churn.port_windows(&topo, 7);
-        assert_eq!(replay, churn.port_windows(&topo, 99), "replay ignores the seed");
-        assert_eq!(replay.len(), dom_sizes[0] + dom_sizes[1]);
-    }
-
-    fn windows_by_port(faults: &[PortFault]) -> Vec<Vec<(u64, u64)>> {
-        let mut per: std::collections::BTreeMap<u32, Vec<(u64, u64)>> = Default::default();
-        for f in faults {
-            per.entry(f.port).or_default().push((f.start_ns, f.end_ns));
-        }
-        per.into_values().collect()
-    }
-
-    #[test]
     fn markov_cell_diverges_and_reports_telemetry() {
         let mk = |fault| ScenarioCell {
             topology: TopologySpec::AiFatTree { nodes: 16, oversub: 4 },
@@ -2022,18 +1880,18 @@ mod tests {
         let clean = run_cell(&mk(FaultSpec::None));
         assert_eq!(clean.fault, None, "fault-free cells carry no telemetry");
         let markov =
-            FaultSpec::Markov { links: 2, up_ns: 30_000, down_ns: 60_000, horizon_ns: 400_000 };
-        let a = run_cell(&mk(markov.clone()));
-        let b = run_cell(&mk(markov.clone()));
+            WindowFault::Markov { links: 2, up_ns: 30_000, down_ns: 60_000, horizon_ns: 400_000 };
+        let a = run_cell(&mk(FaultSpec::Window(markov.clone())));
+        let b = run_cell(&mk(FaultSpec::Window(markov.clone())));
         assert_eq!(a.makespan, b.makespan, "distributional cells re-run bit-identically");
         assert_eq!(a.fault, b.fault);
         let tel = a.fault.expect("distributional cells report realized-fault telemetry");
         assert!(tel.windows > 0 && tel.downtime_ns > 0, "{tel:?}");
         // The telemetry identity: downtime is exactly the sum of the
         // generated windows' durations.
-        let topo = Topology::build(mk(markov.clone()).topology.config());
+        let topo = Topology::build(mk(FaultSpec::None).topology.config());
         let fault_seed = cell_seed(3, &markov.label());
-        let schedule = markov.port_windows(&topo, fault_seed);
+        let schedule = markov.lower(&topo, fault_seed);
         assert_eq!(tel.windows, schedule.len() as u64);
         assert_eq!(tel.downtime_ns, schedule.iter().map(|f| f.end_ns - f.start_ns).sum::<u64>());
         assert_ne!(a.makespan, clean.makespan, "heavy flapping must bite");
@@ -2051,7 +1909,7 @@ mod tests {
             collect_flows: false,
         };
         let clean = run_cell(&mk(FaultSpec::None));
-        let rack = run_cell(&mk(FaultSpec::RackFail { racks: 1, from_ns: 0, to_ns: 300_000 }));
+        let rack = run_cell(&mk(FaultSpec::parse("rackfail:1:0:300000").unwrap()));
         assert_ne!(rack.makespan, clean.makespan, "a rack outage must bite");
         assert!(rack.net.unwrap().fault_drops > 0, "rack ports drop traffic: {:?}", rack.net);
         let tel = rack.fault.unwrap();
@@ -2060,6 +1918,30 @@ mod tests {
         let churned = run_cell(&mk(churn));
         assert_ne!(churned.makespan, clean.makespan, "churn replay must bite");
         assert!(churned.fault.unwrap().windows > 0);
+    }
+
+    /// No golden carries `switchfail`: the realized windows of one
+    /// `switchfail` and one `rackfail` cell on a fat tree and on a
+    /// dragonfly, pinned at what the per-topology failure-domain
+    /// derivation the port table replaced gave.
+    #[test]
+    fn domain_failure_telemetry_is_pinned() {
+        let htsim = BackendSpec::Htsim { cc: CcAlgo::Mprdma, spray: false };
+        let rack_16_4: Vec<u32> = (8..16).chain(24..32).chain([34, 35, 37, 39]).collect();
+        let router = vec![6, 7, 18, 19, 26, 27, 33];
+        for (topo, fault, windows, downtime_ns, ports) in [
+            ("ai-fattree:16:4", "switchfail:1:10000:90000", 4, 320_000, vec![33, 35, 38, 39]),
+            ("ai-fattree:16:4", "rackfail:1:10000:90000", 20, 1_600_000, rack_16_4),
+            ("dragonfly:3:2:2", "switchfail:1:10000:90000", 7, 560_000, router.clone()),
+            ("dragonfly:3:2:2", "rackfail:1:10000:90000", 7, 560_000, router),
+        ] {
+            let topology = TopologySpec::parse(topo).unwrap();
+            let (action, tel) = FaultSpec::parse(fault).unwrap().lower(&topology, &htsim, 16, 7);
+            let tel = tel.expect("domain failures are distributional");
+            assert_eq!((tel.windows, tel.downtime_ns), (windows, downtime_ns), "{topo} {fault}");
+            let FaultAction::Ports(faults) = action else { panic!("{fault} lowers to ports") };
+            assert_eq!(faults.iter().map(|f| f.port).collect::<Vec<_>>(), ports, "{topo} {fault}");
+        }
     }
 
     #[test]
@@ -2116,7 +1998,7 @@ mod tests {
             faults: vec![
                 FaultSpec::None,
                 FaultSpec::None,
-                FaultSpec::LinkFlap { links: 1, down_ns: 1_000, up_ns: 50_000 },
+                FaultSpec::parse("linkflap:1:1000:50000").unwrap(),
                 FaultSpec::Straggler { prob_pct: 100, factor_pct: 200, spread_pct: 0, shape: 1 },
                 FaultSpec::parse("loss:20000").unwrap(),
                 FaultSpec::parse("loss:20000").unwrap(),
@@ -2151,7 +2033,7 @@ mod tests {
             collect_flows: false,
         };
         let clean = run_cell(&mk(FaultSpec::None));
-        let flap = FaultSpec::LinkFlap { links: 2, down_ns: 5_000, up_ns: 400_000 };
+        let flap = FaultSpec::parse("linkflap:2:5000:400000").unwrap();
         let a = run_cell(&mk(flap.clone()));
         let b = run_cell(&mk(flap));
         assert_eq!(a.makespan, b.makespan, "faulted cells re-run bit-identically");

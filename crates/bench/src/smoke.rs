@@ -7,6 +7,7 @@
 //! a golden diff. Every grid is also reachable from the CLI as plain axis flags;
 //! docs/SCENARIOS.md spells each one out.
 
+use atlahs_htsim::fault::WindowFault;
 use atlahs_htsim::CcAlgo;
 
 use crate::cluster::{ArrivalSpec, ClusterGrid, JobFaultSpec, QueueDiscipline};
@@ -98,15 +99,26 @@ pub fn fault_smoke_grid() -> ScenarioGrid {
         backends: vec![BackendFamily::Htsim, BackendFamily::Lgs],
         faults: vec![
             FaultSpec::None,
-            FaultSpec::LinkFlap { links: 2, down_ns: 5_000, up_ns: 60_000 },
-            FaultSpec::Degrade { links: 2, bw_pct: 25, lat_pct: 300, from_ns: 0, to_ns: 200_000 },
+            FaultSpec::Window(WindowFault::LinkFlap { links: 2, down_ns: 5_000, up_ns: 60_000 }),
+            FaultSpec::Window(WindowFault::Degrade {
+                links: 2,
+                bw_pct: 25,
+                lat_pct: 300,
+                from_ns: 0,
+                to_ns: 200_000,
+            }),
             FaultSpec::Straggler { prob_pct: 50, factor_pct: 300, spread_pct: 0, shape: 1 },
             // Distributional regimes (atlahs_core::faultgen): a heavy
             // Gilbert–Elliott flap, a whole-rack outage, a two-rack
             // churn replay, and Weibull-spread stragglers.
-            FaultSpec::Markov { links: 4, up_ns: 20_000, down_ns: 20_000, horizon_ns: 300_000 },
-            FaultSpec::RackFail { racks: 1, from_ns: 20_000, to_ns: 140_000 },
-            FaultSpec::Churn { events: churn_smoke_trace() },
+            FaultSpec::Window(WindowFault::Markov {
+                links: 4,
+                up_ns: 20_000,
+                down_ns: 20_000,
+                horizon_ns: 300_000,
+            }),
+            FaultSpec::Window(WindowFault::RackFail { racks: 1, from_ns: 20_000, to_ns: 140_000 }),
+            FaultSpec::Window(WindowFault::Churn { events: churn_smoke_trace() }),
             FaultSpec::Straggler { prob_pct: 50, factor_pct: 200, spread_pct: 200, shape: 2 },
         ],
         seed: 1,
@@ -188,15 +200,20 @@ pub fn branch_smoke_grid() -> ScenarioGrid {
         backends: vec![BackendFamily::Htsim, BackendFamily::Lgs, BackendFamily::Ideal],
         faults: vec![
             FaultSpec::None,
-            FaultSpec::LinkFlap { links: 2, down_ns: 70_000, up_ns: 140_000 },
-            FaultSpec::Degrade {
+            FaultSpec::Window(WindowFault::LinkFlap { links: 2, down_ns: 70_000, up_ns: 140_000 }),
+            FaultSpec::Window(WindowFault::Degrade {
                 links: 2,
                 bw_pct: 25,
                 lat_pct: 300,
                 from_ns: 60_000,
                 to_ns: 250_000,
-            },
-            FaultSpec::Markov { links: 2, up_ns: 20_000, down_ns: 20_000, horizon_ns: 300_000 },
+            }),
+            FaultSpec::Window(WindowFault::Markov {
+                links: 2,
+                up_ns: 20_000,
+                down_ns: 20_000,
+                horizon_ns: 300_000,
+            }),
             FaultSpec::Straggler { prob_pct: 50, factor_pct: 300, spread_pct: 0, shape: 1 },
             FaultSpec::Straggler { prob_pct: 50, factor_pct: 200, spread_pct: 200, shape: 2 },
         ],

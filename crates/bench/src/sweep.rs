@@ -397,9 +397,7 @@ mod tests {
         grid.topologies = vec![TopologySpec::AiFatTree { nodes: 8, oversub: 2 }];
         grid.workloads = vec![WorkloadSpec::Ring { ranks: 8, bytes: 64 << 10, laps: 1 }];
         grid.backends = vec![BackendFamily::Htsim];
-        grid.faults = vec![crate::scenario::FaultSpec::Churn {
-            events: atlahs_core::faultgen::parse_churn_inline("0;0;d,5000;0;u").unwrap(),
-        }];
+        grid.faults = vec![crate::scenario::FaultSpec::parse("churn:0;0;d,5000;0;u").unwrap()];
         let cells = grid.expand();
         assert_eq!(cells.len(), 1);
         let report = SweepReport { seed: 9, results: execute(&cells, 1), branch: None };

@@ -84,18 +84,33 @@ pub fn ai_topology(nodes: usize) -> TopologyConfig {
     ai_topology_oversubscribed(nodes, 1)
 }
 
-/// Same fabric with `ratio:1` ToR→core oversubscription (Figs. 12/13).
+/// Same fabric with `ratio:1` ToR→core oversubscription (Figs. 12/13);
+/// `ratio` must divide [`ai_hosts_per_tor`].
 pub fn ai_topology_oversubscribed(nodes: usize, ratio: usize) -> TopologyConfig {
-    // 8 hosts per ToR keeps multiple ToRs in play from 16 nodes up.
-    let hosts_per_tor = if nodes <= 8 { nodes.max(2) } else { 8 };
     let link = LinkParams { gbps: 200, latency_ns: 500 };
-    TopologyConfig::FatTree2L {
-        hosts: nodes,
-        hosts_per_tor,
-        uplinks_per_tor: (hosts_per_tor / ratio).max(1),
-        edge: link,
-        core: link,
+    fat_tree(nodes, ai_hosts_per_tor(nodes), ratio, link)
+}
+
+/// Hosts per ToR of the AI fabric: 8 keeps multiple ToRs in play from 16
+/// nodes up.
+pub fn ai_hosts_per_tor(nodes: usize) -> usize {
+    if nodes <= 8 {
+        nodes.max(2)
+    } else {
+        8
     }
+}
+
+/// A two-level fat tree of `link`s with `ratio:1` ToR→core
+/// oversubscription, which must divide `hosts_per_tor`: a ratio that does
+/// not would be rounded to one that does.
+fn fat_tree(hosts: usize, hosts_per_tor: usize, ratio: usize, link: LinkParams) -> TopologyConfig {
+    assert!(
+        ratio >= 1 && hosts_per_tor % ratio == 0,
+        "oversub {ratio} must divide the {hosts_per_tor} hosts per ToR"
+    );
+    let uplinks_per_tor = hosts_per_tor / ratio;
+    TopologyConfig::FatTree2L { hosts, hosts_per_tor, uplinks_per_tor, edge: link, core: link }
 }
 
 // --------------------------------------------------------------- HPC ----
@@ -229,14 +244,7 @@ const HPC_LINK: LinkParams = LinkParams { gbps: 56, latency_ns: 600 };
 /// The CSCS test-bed-class HPC fabric: 56 Gb/s links, one ToR per
 /// physical node's worth of MPI ranks (fat tree, fully provisioned).
 pub fn hpc_topology(procs: usize, nodes: usize) -> TopologyConfig {
-    let per_node = (procs / nodes.max(1)).max(1);
-    TopologyConfig::FatTree2L {
-        hosts: procs,
-        hosts_per_tor: per_node,
-        uplinks_per_tor: per_node,
-        edge: HPC_LINK,
-        core: HPC_LINK,
-    }
+    fat_tree(procs, (procs / nodes.max(1)).max(1), 1, HPC_LINK)
 }
 
 /// LogGOPS parameters *calibrated against the testbed emulator* for a
@@ -297,19 +305,16 @@ pub fn storage_trace_at_load(operations: usize, mean_gap_ns: u64, seed: u64) -> 
     financial_like(&OltpConfig { operations, mean_gap_ns, seed })
 }
 
+/// Hosts per ToR of the storage fabric.
+pub const STORAGE_HOSTS_PER_TOR: usize = 8;
+
 /// Fat tree fronting the Direct Drive cluster; `ratio` = 1 (fully
-/// provisioned) or 8 (the paper's 8:1 oversubscription).
+/// provisioned) or 8 (the paper's 8:1 oversubscription), and must divide
+/// [`STORAGE_HOSTS_PER_TOR`].
 pub fn storage_topology(hosts: usize, ratio: usize) -> TopologyConfig {
-    let hosts_per_tor = 8;
-    let padded = hosts.div_ceil(hosts_per_tor) * hosts_per_tor;
+    let padded = hosts.div_ceil(STORAGE_HOSTS_PER_TOR) * STORAGE_HOSTS_PER_TOR;
     let link = LinkParams { gbps: 100, latency_ns: 500 };
-    TopologyConfig::FatTree2L {
-        hosts: padded,
-        hosts_per_tor,
-        uplinks_per_tor: (hosts_per_tor / ratio).max(1),
-        edge: link,
-        core: link,
-    }
+    fat_tree(padded, STORAGE_HOSTS_PER_TOR, ratio, link)
 }
 
 #[cfg(test)]

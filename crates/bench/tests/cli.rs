@@ -51,7 +51,10 @@ fn mistyped_flags_and_numbers_are_usage_errors() {
 
 /// A zero fabric dimension used to pass the parser and divide by zero in
 /// the fabric builder (exit 101 with a backtrace); so did a one-group
-/// dragonfly, on the builder's `groups >= 2` assert.
+/// dragonfly, on the builder's `groups >= 2` assert. An oversubscription
+/// ratio that does not divide a rack used to be rounded silently, and a
+/// fabric past the route cache's key (2^16 ECMP routes) used to alias
+/// routes.
 #[test]
 fn degenerate_topologies_are_usage_errors() {
     for (tok, reason) in [
@@ -59,6 +62,9 @@ fn degenerate_topologies_are_usage_errors() {
         ("storage-fattree:16:0", "oversub must be at least 1"),
         ("dragonfly:0:0:0", "groups must be at least 2"),
         ("dragonfly:1:4:2", "groups must be at least 2"),
+        ("ai-fattree:16:3", "oversub 3 must divide the 8 hosts per ToR"),
+        ("storage-fattree:48:3", "oversub 3 must divide the 8 hosts per ToR"),
+        ("hpc-fattree:140000:2", "procs / nodes must be at most 65536"),
     ] {
         let err = stderr_of_usage_error(&atlahs(&["sweep", "--topos", tok]));
         let want = format!("atlahs sweep: --topos: topology `{tok}`: {reason}");

@@ -105,21 +105,6 @@ pub struct FragStats {
     pub largest_extent: usize,
 }
 
-impl FragStats {
-    /// Fragmentation index in `[0, 1]`: `1 - largest_extent / free`
-    /// (0 when the free set is one contiguous run or empty).
-    // det-lint: allow(float) — fragmentation diagnostic ratio, reporting only
-    pub fn index(&self) -> f64 {
-        if self.free == 0 {
-            // det-lint: allow(float) — fragmentation diagnostic ratio, reporting only
-            0.0
-        } else {
-            // det-lint: allow(float) — fragmentation diagnostic ratio, reporting only
-            1.0 - self.largest_extent as f64 / self.free as f64
-        }
-    }
-}
-
 /// An online cluster-node allocator: the allocate → run → release
 /// lifecycle behind dynamic job scheduling.
 ///
@@ -429,7 +414,6 @@ mod tests {
     fn frag_stats_track_extent_shatter() {
         let mut pool = NodePool::new(PlacementStrategy::Packed, 10);
         assert_eq!(pool.frag(), FragStats { free: 10, extents: 1, largest_extent: 10 });
-        assert_eq!(pool.frag().index(), 0.0);
         let a = pool.alloc(2).unwrap(); // 0,1
         let b = pool.alloc(2).unwrap(); // 2,3
         let c = pool.alloc(2).unwrap(); // 4,5
@@ -438,7 +422,6 @@ mod tests {
         // Free: {0,1} and {4..9} (the released 4,5 merge with the
         // untouched tail) — two extents, largest 6.
         assert_eq!(pool.frag(), FragStats { free: 8, extents: 2, largest_extent: 6 });
-        assert!(pool.frag().index() > 0.0);
         pool.release(&b);
         assert_eq!(pool.frag(), FragStats { free: 10, extents: 1, largest_extent: 10 });
     }

@@ -434,7 +434,7 @@ impl HtsimState {
             let mut port = Port {
                 rate: 0,
                 latency: spec.link.latency_ns,
-                to_host: spec.to_host,
+                to_host: ((spec.to as usize) < hosts).then_some(spec.to),
                 is_core: spec.is_core,
                 busy: false,
                 queue: VecDeque::new(),

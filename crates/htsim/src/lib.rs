@@ -38,7 +38,7 @@ pub mod topology;
 
 pub use cc::{CcAlgo, CcState};
 pub use engine::{HtsimBackend, HtsimConfig, NetStats, MAX_MESSAGE_BYTES};
-pub use fault::{select_fault_ports, FaultKind, PortFault};
+pub use fault::{select_fault_ports, FaultKind, PortFault, WindowFault};
 pub use stochastic::{LinkModel, LinkModelSpec, LossTier};
 pub use topology::{LinkParams, PathRef, Topology, TopologyConfig};
 

@@ -135,12 +135,28 @@ impl TopologyConfig {
     }
 }
 
+/// The route cache packs `(src, dst, bucket)` into one `u64` key
+/// (`src << 40 | dst << 16 | bucket`), so [`Topology::build`] refuses a
+/// fabric with more hosts than this.
+pub const MAX_HOSTS: usize = 1 << 24;
+
+/// The most equal-cost routes between two hosts a route key can tell
+/// apart (see [`MAX_HOSTS`]).
+pub const MAX_ECMP: usize = 1 << 16;
+
 /// Description of one port for the engine.
+///
+/// Ports connect *nodes*: hosts are nodes `0..hosts`, and the switches
+/// follow them, the edge tier (ToRs, dragonfly routers, the single
+/// switch) first and then the core tier.
 #[derive(Debug, Clone, Copy)]
 pub struct PortSpec {
     pub link: LinkParams,
-    /// Host id this port delivers to, if it is the last hop of a path.
-    pub to_host: Option<u32>,
+    /// The node the port leaves.
+    pub from: u32,
+    /// The node the port enters: a host id when the port is the last hop
+    /// of a path.
+    pub to: u32,
     /// True for ToR→core and core→ToR ports (used in statistics).
     pub is_core: bool,
 }
@@ -185,98 +201,43 @@ impl PathRef {
 /// path selection is `ecmp % degree`, the map is lookup-only.
 pub type RouteCache = HashMap<u64, PathRef, FastBuildHasher>;
 
-/// Dragonfly bookkeeping: geometry plus the global-link wiring map.
-#[derive(Debug, Clone)]
-struct DragonflyMap {
-    routers_per_group: usize,
-    hosts_per_router: usize,
-    local_base: usize,
-    /// `links[g][tg]` = global links from group `g` to group `tg`, each as
-    /// `(source router, port id, landing router)`.
-    links: Vec<Vec<Vec<(u32, u32, u32)>>>,
-}
-
 /// A built topology: port table plus routing.
 #[derive(Debug, Clone)]
 pub struct Topology {
     config: TopologyConfig,
     ports: Vec<PortSpec>,
     hosts: usize,
-    // FatTree2L bookkeeping
-    hosts_per_tor: usize,
-    uplinks: usize,
-    tors: usize,
-    // Dragonfly bookkeeping
-    df: Option<DragonflyMap>,
+    /// Switches per tier, edge then core; their node ids follow the hosts'.
+    switches: [usize; 2],
+    /// A dragonfly's global-link wiring (empty for other fabrics):
+    /// `globals[g][tg]` = the links from group `g` to group `tg`, each as
+    /// `(source router, port id, landing router)`.
+    globals: Vec<Vec<Vec<(u32, u32, u32)>>>,
 }
 
 impl Topology {
     pub fn build(config: TopologyConfig) -> Self {
-        let topo = match config {
-            TopologyConfig::SingleSwitch { hosts, link } => {
-                let mut ports = Vec::with_capacity(2 * hosts);
-                // 0..hosts: host h -> switch
-                for _ in 0..hosts {
-                    ports.push(PortSpec { link, to_host: None, is_core: false });
-                }
-                // hosts..2*hosts: switch -> host h
-                for h in 0..hosts {
-                    ports.push(PortSpec { link, to_host: Some(h as u32), is_core: false });
-                }
-                Topology {
-                    config: TopologyConfig::SingleSwitch { hosts, link },
-                    ports,
-                    hosts,
-                    hosts_per_tor: hosts,
-                    uplinks: 0,
-                    tors: 1,
-                    df: None,
-                }
-            }
-            TopologyConfig::FatTree2L { hosts, hosts_per_tor, uplinks_per_tor, edge, core } => {
+        let hosts = config.num_hosts();
+        assert!(hosts <= MAX_HOSTS, "{hosts} hosts: a route key holds at most {MAX_HOSTS}");
+        let port = |link: LinkParams, from: usize, to: usize, is_core: bool| PortSpec {
+            link,
+            from: from as u32,
+            to: to as u32,
+            is_core,
+        };
+        // Hosts per edge switch, and edge switches.
+        let (per_edge, edges) = match config {
+            TopologyConfig::SingleSwitch { .. } => (hosts.max(1), 1),
+            TopologyConfig::FatTree2L { hosts_per_tor, uplinks_per_tor, .. } => {
                 assert!(hosts_per_tor > 0 && uplinks_per_tor > 0);
-                let tors = hosts.div_ceil(hosts_per_tor);
-                let mut ports = Vec::new();
-                // 0..H: host h -> its ToR
-                for _ in 0..hosts {
-                    ports.push(PortSpec { link: edge, to_host: None, is_core: false });
-                }
-                // H..2H: ToR -> host h
-                for h in 0..hosts {
-                    ports.push(PortSpec { link: edge, to_host: Some(h as u32), is_core: false });
-                }
-                // 2H..2H+T*U: tor t uplink u -> core u
-                for _ in 0..tors * uplinks_per_tor {
-                    ports.push(PortSpec { link: core, to_host: None, is_core: true });
-                }
-                // 2H+T*U..2H+2*T*U: core u downlink -> tor t
-                for _ in 0..tors * uplinks_per_tor {
-                    ports.push(PortSpec { link: core, to_host: None, is_core: true });
-                }
-                Topology {
-                    config: TopologyConfig::FatTree2L {
-                        hosts,
-                        hosts_per_tor,
-                        uplinks_per_tor,
-                        edge,
-                        core,
-                    },
-                    ports,
-                    hosts,
-                    hosts_per_tor,
-                    uplinks: uplinks_per_tor,
-                    tors,
-                    df: None,
-                }
+                (hosts_per_tor, hosts.div_ceil(hosts_per_tor))
             }
             TopologyConfig::Dragonfly {
                 groups,
                 routers_per_group: r,
                 hosts_per_router: h,
                 global_per_router: gl,
-                edge,
-                local,
-                global,
+                ..
             } => {
                 assert!(groups >= 2 && r > 0 && h > 0 && gl > 0);
                 assert!(
@@ -286,65 +247,66 @@ impl Topology {
                     r * gl,
                     groups - 1
                 );
-                let hosts = groups * r * h;
-                let mut ports = Vec::new();
-                // [0, N): host -> its router.
-                for _ in 0..hosts {
-                    ports.push(PortSpec { link: edge, to_host: None, is_core: false });
-                }
-                // [N, 2N): router -> host.
-                for hh in 0..hosts {
-                    ports.push(PortSpec { link: edge, to_host: Some(hh as u32), is_core: false });
-                }
-                // Local all-to-all within each group: (g, a, b) with a != b.
-                let local_base = ports.len();
-                for _ in 0..groups * r * (r - 1) {
-                    ports.push(PortSpec { link: local, to_host: None, is_core: false });
-                }
-                // Global links: router (g, rr) owns `gl` of them.
-                let global_base = ports.len();
-                for _ in 0..groups * r * gl {
-                    ports.push(PortSpec { link: global, to_host: None, is_core: true });
-                }
-                // Wire globals: link j of group g targets the j-th other
-                // group in cyclic order, landing on a spread-out router.
-                let mut links = vec![vec![Vec::new(); groups]; groups];
-                for (g, from_g) in links.iter_mut().enumerate() {
-                    for j in 0..r * gl {
-                        let src_router = (j / gl) as u32;
-                        let k = j % gl;
-                        let tg = (g + 1 + (j % (groups - 1))) % groups;
-                        let dst_router = ((g + j / (groups - 1)) % r) as u32;
-                        let port = (global_base + (g * r + src_router as usize) * gl + k) as u32;
-                        from_g[tg].push((src_router, port, dst_router));
-                    }
-                }
-                Topology {
-                    config: TopologyConfig::Dragonfly {
-                        groups,
-                        routers_per_group: r,
-                        hosts_per_router: h,
-                        global_per_router: gl,
-                        edge,
-                        local,
-                        global,
-                    },
-                    ports,
-                    hosts,
-                    hosts_per_tor: r * h, // hosts per group (for stats naming)
-                    uplinks: gl,
-                    tors: groups,
-                    df: Some(DragonflyMap {
-                        routers_per_group: r,
-                        hosts_per_router: h,
-                        local_base,
-                        links,
-                    }),
-                }
+                (h, groups * r)
             }
         };
-        assert!(topo.ports.iter().all(|p| p.link.gbps > 0), "a link needs a rate above 0 Gb/s");
-        topo
+        let edge = config.edge_link();
+        // [0, H): host h -> its edge switch; [H, 2H): that switch -> host h.
+        let mut ports: Vec<PortSpec> =
+            (0..hosts).map(|h| port(edge, h, hosts + h / per_edge, false)).collect();
+        ports.extend((0..hosts).map(|h| port(edge, hosts + h / per_edge, h, false)));
+        let (mut cores, mut globals) = (0, Vec::new());
+        let ecmp = match config {
+            TopologyConfig::SingleSwitch { .. } => 1,
+            TopologyConfig::FatTree2L { uplinks_per_tor: u, core, .. } => {
+                cores = u;
+                // 2H + t·U + c: ToR t's uplink c -> core switch c.
+                for t in 0..edges {
+                    ports.extend((0..u).map(|c| port(core, hosts + t, hosts + edges + c, true)));
+                }
+                // 2H + T·U + c·T + t: core switch c -> ToR t.
+                for c in 0..u {
+                    ports
+                        .extend((0..edges).map(|t| port(core, hosts + edges + c, hosts + t, true)));
+                }
+                u
+            }
+            TopologyConfig::Dragonfly {
+                groups,
+                routers_per_group: r,
+                global_per_router: gl,
+                local,
+                global,
+                ..
+            } => {
+                let router = |g: usize, a: usize| hosts + g * r + a;
+                // [2H, 2H + G·R·(R-1)): local all-to-all within each
+                // group, (g, a, b) with a != b.
+                for (g, a) in (0..groups).flat_map(|g| (0..r).map(move |a| (g, a))) {
+                    ports.extend(
+                        (0..r)
+                            .filter(|&b| b != a)
+                            .map(|b| port(local, router(g, a), router(g, b), false)),
+                    );
+                }
+                // Global links: link j of group g, owned by router j / gl,
+                // targets the j-th other group in cyclic order, landing on
+                // a spread-out router.
+                globals = vec![vec![Vec::new(); groups]; groups];
+                for (g, from_g) in globals.iter_mut().enumerate() {
+                    for j in 0..r * gl {
+                        let (src, tg) = (j / gl, (g + 1 + (j % (groups - 1))) % groups);
+                        let dst = (g + j / (groups - 1)) % r;
+                        from_g[tg].push((src as u32, ports.len() as u32, dst as u32));
+                        ports.push(port(global, router(g, src), router(tg, dst), true));
+                    }
+                }
+                globals.iter().flatten().map(Vec::len).max().unwrap_or(1)
+            }
+        };
+        assert!(ecmp <= MAX_ECMP, "{ecmp} equal-cost routes: a route key tells {MAX_ECMP} apart");
+        assert!(ports.iter().all(|p| p.link.gbps > 0), "a link needs a rate above 0 Gb/s");
+        Topology { config, ports, hosts, switches: [edges, cores], globals }
     }
 
     pub fn config(&self) -> &TopologyConfig {
@@ -359,111 +321,35 @@ impl Topology {
         &self.ports
     }
 
-    /// Correlated failure domains: for each switch of the chosen tier,
-    /// the set of ports that stop moving packets when that switch dies —
-    /// the ports the switch owns (it can no longer forward) plus every
-    /// port whose egress feeds *into* it (traffic heading to a dead
-    /// switch is blackholed on entry). Downing a whole domain in one
-    /// window is how the fault layer models rack- and switch-level
-    /// failures.
+    /// Correlated failure domains: for each switch of the chosen tier, in
+    /// switch order, the ports that stop moving packets when that switch
+    /// dies — every port that leaves it (it can no longer forward) or
+    /// enters it (traffic heading to a dead switch is blackholed on
+    /// entry). Downing a whole domain in one window is how the fault layer
+    /// models rack- and switch-level failures.
     ///
-    /// `core_tier == false` enumerates edge switches (fat-tree ToRs with
-    /// their host links — "whole rack"; dragonfly routers; the single
-    /// switch). `core_tier == true` enumerates the core tier (fat-tree
-    /// core switches); topologies without a distinct core tier
-    /// (`SingleSwitch`, dragonfly's single router level) fall back to
-    /// the edge domains, mirroring [`crate::fault::select_fault_ports`]'s
-    /// fallback. Every domain is a sorted, non-empty port set; domain
-    /// order is the tier's switch order, so it is stable under any seed.
+    /// `core_tier == false` enumerates the edge switches (fat-tree ToRs
+    /// with their host links — "whole rack"; dragonfly routers; the single
+    /// switch), `core_tier == true` the core switches; a fabric without a
+    /// core tier (`SingleSwitch`, dragonfly's single router level) falls
+    /// back to the edge domains, mirroring
+    /// [`crate::fault::select_fault_ports`]'s fallback. Every domain is a
+    /// sorted, non-empty port set.
     pub fn failure_domains(&self, core_tier: bool) -> Vec<Vec<u32>> {
-        let mut domains: Vec<Vec<u32>> = match &self.config {
-            TopologyConfig::SingleSwitch { hosts, .. } => {
-                vec![(0..2 * *hosts as u32).collect()]
-            }
-            TopologyConfig::FatTree2L { hosts, .. } => {
-                let (h, t, u) = (*hosts, self.tors, self.uplinks);
-                if core_tier {
-                    // Core switch c: every ToR's uplink `c` feeds it; it
-                    // owns downlink `c*T + t` to each ToR.
-                    (0..u)
-                        .map(|c| {
-                            let mut d: Vec<u32> = (0..t)
-                                .map(|tor| (2 * h + tor * u + c) as u32)
-                                .chain((0..t).map(|tor| (2 * h + t * u + c * t + tor) as u32))
-                                .collect();
-                            d.sort_unstable();
-                            d
-                        })
-                        .collect()
-                } else {
-                    // Rack tor: both edge directions of its hosts, its
-                    // uplinks, and every core downlink landing on it.
-                    (0..t)
-                        .map(|tor| {
-                            let mut d: Vec<u32> = (0..h)
-                                .filter(|&host| self.tor_of(host as u32) == tor)
-                                .flat_map(|host| [host as u32, (h + host) as u32])
-                                .collect();
-                            d.extend((0..u).map(|up| (2 * h + tor * u + up) as u32));
-                            d.extend((0..u).map(|c| (2 * h + t * u + c * t + tor) as u32));
-                            d.sort_unstable();
-                            d
-                        })
-                        .collect()
+        let [edges, cores] = self.switches;
+        let (first, count) =
+            if core_tier && cores > 0 { (self.hosts + edges, cores) } else { (self.hosts, edges) };
+        let mut domains: Vec<Vec<u32>> = vec![Vec::new(); count];
+        for (id, p) in self.ports.iter().enumerate() {
+            for node in [p.from, p.to] {
+                if let Some(d) = (node as usize).checked_sub(first).and_then(|s| domains.get_mut(s))
+                {
+                    d.push(id as u32);
                 }
             }
-            TopologyConfig::Dragonfly { groups, .. } => {
-                // One router level: rack and core tiers coincide. Domain
-                // for router (g, rr): its hosts' edge ports (both
-                // directions), locals it owns and locals into it, globals
-                // it owns and globals landing on it.
-                let df = self.df.as_ref().expect("built dragonfly");
-                let (r, hpr) = (df.routers_per_group, df.hosts_per_router);
-                let local_port = |g: usize, a: usize, b: usize| -> u32 {
-                    let slot = if b < a { b } else { b - 1 };
-                    (df.local_base + (g * r + a) * (r - 1) + slot) as u32
-                };
-                (0..*groups)
-                    .flat_map(|g| (0..r).map(move |rr| (g, rr)))
-                    .map(|(g, rr)| {
-                        let router = g * r + rr;
-                        let mut d: Vec<u32> = (router * hpr..(router + 1) * hpr)
-                            .flat_map(|host| [host as u32, (self.hosts + host) as u32])
-                            .collect();
-                        for b in (0..r).filter(|&b| b != rr) {
-                            d.push(local_port(g, rr, b));
-                            d.push(local_port(g, b, rr));
-                        }
-                        // Globals the router owns.
-                        let global_base = df.local_base + *groups * r * (r - 1);
-                        d.extend(
-                            (0..self.uplinks)
-                                .map(|k| (global_base + router * self.uplinks + k) as u32),
-                        );
-                        // Globals landing on it: scan the wiring map.
-                        for (g2, from) in df.links.iter().enumerate() {
-                            if g2 == g {
-                                continue;
-                            }
-                            for &(_, port, dst_router) in &from[g] {
-                                if dst_router as usize == rr {
-                                    d.push(port);
-                                }
-                            }
-                        }
-                        d.sort_unstable();
-                        d.dedup();
-                        d
-                    })
-                    .collect()
-            }
-        };
+        }
         domains.retain(|d| !d.is_empty());
         domains
-    }
-
-    fn tor_of(&self, host: u32) -> usize {
-        host as usize / self.hosts_per_tor
     }
 
     /// Number of equal-cost routes between `src` and `dst`: every ECMP
@@ -472,21 +358,20 @@ impl Topology {
     fn ecmp_degree(&self, src: u32, dst: u32) -> u64 {
         match self.config {
             TopologyConfig::SingleSwitch { .. } => 1,
-            TopologyConfig::FatTree2L { .. } => {
-                if self.tor_of(src) == self.tor_of(dst) {
+            TopologyConfig::FatTree2L { hosts_per_tor, uplinks_per_tor, .. } => {
+                if src as usize / hosts_per_tor == dst as usize / hosts_per_tor {
                     1
                 } else {
-                    self.uplinks as u64
+                    uplinks_per_tor as u64
                 }
             }
-            TopologyConfig::Dragonfly { .. } => {
-                let df = self.df.as_ref().expect("built dragonfly");
-                let gh = df.routers_per_group * df.hosts_per_router;
+            TopologyConfig::Dragonfly { routers_per_group, hosts_per_router, .. } => {
+                let gh = routers_per_group * hosts_per_router;
                 let (gs, gd) = (src as usize / gh, dst as usize / gh);
                 if gs == gd {
                     1
                 } else {
-                    df.links[gs][gd].len() as u64
+                    self.globals[gs][gd].len() as u64
                 }
             }
         }
@@ -499,31 +384,28 @@ impl Topology {
             TopologyConfig::SingleSwitch { hosts, .. } => {
                 out.extend([src, (hosts + dst as usize) as u32]);
             }
-            TopologyConfig::FatTree2L { hosts, .. } => {
-                let h = hosts;
-                let ts = self.tor_of(src);
-                let td = self.tor_of(dst);
+            TopologyConfig::FatTree2L { hosts: h, hosts_per_tor, uplinks_per_tor: u, .. } => {
+                let ts = src as usize / hosts_per_tor;
+                let td = dst as usize / hosts_per_tor;
                 if ts == td {
                     out.extend([src, (h + dst as usize) as u32]);
                 } else {
                     // ECMP over the uplinks (one per core switch).
-                    let u = (ecmp % self.uplinks as u64) as usize;
-                    let tor_up = 2 * h + ts * self.uplinks + u;
-                    let core_down = 2 * h + self.tors * self.uplinks + u * self.tors + td;
+                    let up = (ecmp % u as u64) as usize;
+                    let tors = h.div_ceil(hosts_per_tor);
+                    let tor_up = 2 * h + ts * u + up;
+                    let core_down = 2 * h + tors * u + up * tors + td;
                     out.extend([src, tor_up as u32, core_down as u32, (h + dst as usize) as u32]);
                 }
             }
-            TopologyConfig::Dragonfly { .. } => {
-                let df = self.df.as_ref().expect("built dragonfly");
-                let r = df.routers_per_group;
-                let h = df.hosts_per_router;
+            TopologyConfig::Dragonfly { routers_per_group: r, hosts_per_router: h, .. } => {
                 let router_of = |host: u32| host as usize / h;
                 let group_of = |host: u32| host as usize / (r * h);
                 // Port id of the local link router a -> router b in group g.
                 let local_port = |g: usize, a: usize, b: usize| -> u32 {
                     debug_assert_ne!(a, b);
                     let slot = if b < a { b } else { b - 1 };
-                    (df.local_base + (g * r + a) * (r - 1) + slot) as u32
+                    (2 * self.hosts + (g * r + a) * (r - 1) + slot) as u32
                 };
                 let down = (self.hosts + dst as usize) as u32;
                 let gs = group_of(src);
@@ -537,7 +419,7 @@ impl Topology {
                     }
                 } else {
                     // Minimal routing, ECMP over the direct global links.
-                    let options = &df.links[gs][gd];
+                    let options = &self.globals[gs][gd];
                     let (ra, gport, rb) = options[(ecmp % options.len() as u64) as usize];
                     if rs != ra as usize {
                         out.push(local_port(gs, rs, ra as usize));
@@ -577,7 +459,6 @@ impl Topology {
         ecmp: u64,
     ) -> PathRef {
         let bucket = ecmp % self.ecmp_degree(src, dst);
-        debug_assert!(self.hosts <= 1 << 24 && bucket < 1 << 16, "route key packing");
         let key = (src as u64) << 40 | (dst as u64) << 16 | bucket;
         if let Some(&r) = cache.get(&key) {
             return r;
@@ -677,12 +558,51 @@ mod tests {
     }
 
     #[test]
+    fn routes_chain_through_the_port_table() {
+        // Every path leaves its source host, enters its destination host,
+        // and each hop enters the node the next hop leaves.
+        for t in [
+            Topology::build(TopologyConfig::SingleSwitch { hosts: 5, link: LinkParams::default() }),
+            Topology::build(TopologyConfig::fat_tree_oversubscribed(14, 4, 2)),
+            Topology::build(TopologyConfig::dragonfly(5, 2, 2)),
+        ] {
+            let n = t.num_hosts() as u32;
+            for (src, dst) in
+                (0..n).flat_map(|s| (0..n).map(move |d| (s, d))).filter(|(s, d)| s != d)
+            {
+                for ecmp in 0..3 {
+                    let hops: Vec<PortSpec> =
+                        t.route(src, dst, ecmp).iter().map(|&p| t.ports()[p as usize]).collect();
+                    assert_eq!(hops[0].from, src);
+                    assert_eq!(hops[hops.len() - 1].to, dst);
+                    assert!(hops.windows(2).all(|w| w[0].to == w[1].from), "{src}->{dst}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "route key tells 65536 apart")]
+    fn ecmp_degrees_past_the_route_key_are_refused() {
+        // 70 000 uplinks per ToR: bucket 65 536 of host 0 -> 70 000 would
+        // pack to the key of bucket 0 of host 0 -> 70 001.
+        Topology::build(TopologyConfig::fat_tree(140_000, 70_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "a route key holds at most 16777216")]
+    fn hosts_past_the_route_key_are_refused() {
+        let link = LinkParams::default();
+        Topology::build(TopologyConfig::SingleSwitch { hosts: MAX_HOSTS + 1, link });
+    }
+
+    #[test]
     fn single_switch_routes() {
         let t =
             Topology::build(TopologyConfig::SingleSwitch { hosts: 4, link: LinkParams::default() });
         assert_eq!(t.route(0, 3, 0), vec![0, 4 + 3]);
         assert_eq!(t.ports().len(), 8);
-        assert_eq!(t.ports()[7].to_host, Some(3));
+        assert_eq!(t.ports()[7].to, 3);
     }
 
     #[test]
@@ -719,7 +639,7 @@ mod tests {
         for (src, dst) in [(0u32, 5u32), (7, 2), (15, 0)] {
             let path = t.route(src, dst, 3);
             let last = *path.last().unwrap();
-            assert_eq!(t.ports()[last as usize].to_host, Some(dst));
+            assert_eq!(t.ports()[last as usize].to, dst);
         }
     }
 
@@ -816,7 +736,7 @@ mod tests {
         for (s, d) in [(0u32, 1u32), (0, 2), (0, 5), (0, 7), (0, 23), (13, 2), (22, 6)] {
             let path = t.route(s, d, 3);
             let last = *path.last().unwrap();
-            assert_eq!(t.ports()[last as usize].to_host, Some(d), "{s}->{d}: {path:?}");
+            assert_eq!(t.ports()[last as usize].to, d, "{s}->{d}: {path:?}");
             assert!(path.len() <= 5, "minimal route is ≤5 hops: {path:?}");
         }
     }
@@ -859,7 +779,7 @@ mod tests {
                     let s = a * 6;
                     let d = b * 6 + 1;
                     let path = t.route(s, d, a as u64 * 7 + b as u64);
-                    assert_eq!(t.ports()[*path.last().unwrap() as usize].to_host, Some(d));
+                    assert_eq!(t.ports()[*path.last().unwrap() as usize].to, d);
                 }
             }
         }

@@ -118,8 +118,7 @@ pub fn scan_source(
             Parsed::Ok(mut a) => {
                 if !float_allows && a.rules.contains(&Rule::Float) {
                     let why = "`allow(float)` is refused in this file: floats remain only in \
-                               htsim's congestion windows, the testbed solver and core's \
-                               placement ratios";
+                               htsim's congestion windows and the testbed solver";
                     findings.push(Finding::new(file, c.line, "refused-annotation", why));
                     a.rules.retain(|&r| r != Rule::Float);
                     if a.rules.is_empty() {

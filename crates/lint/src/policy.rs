@@ -40,12 +40,11 @@ pub fn crate_tier(dir_name: &str) -> Tier {
 }
 
 /// The files (workspace-relative) in which `det-lint: allow(float)` is
-/// still honoured: htsim's congestion-control windows, the testbed's
-/// max-min solver, and the placement ratios in `core`. Everywhere else a
-/// float allow is itself a finding — every message-level cost is an exact
-/// `atlahs_core::NsPerByte` rate, and htsim's link arithmetic is integer.
-pub const FLOAT_ALLOW_FILES: [&str; 3] =
-    ["crates/core/src/placement.rs", "crates/htsim/src/cc.rs", "crates/testbed/src/lib.rs"];
+/// still honoured: htsim's congestion-control windows and the testbed's
+/// max-min solver. Everywhere else a float allow is itself a finding —
+/// every message-level cost is an exact `atlahs_core::NsPerByte` rate,
+/// htsim's link arithmetic is integer, and `core` holds no float.
+pub const FLOAT_ALLOW_FILES: [&str; 2] = ["crates/htsim/src/cc.rs", "crates/testbed/src/lib.rs"];
 
 /// Rule identifiers, as written inside `det-lint: allow(<rule>)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -29,6 +29,7 @@ use atlahs_bench::scenario::{
     BackendFamily, FaultAction, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
 };
 use atlahs_bench::sweep::{execute, SweepReport};
+use atlahs_htsim::fault::WindowFault;
 use atlahs_htsim::CcAlgo;
 
 fn main() {
@@ -53,10 +54,16 @@ fn main() {
             FaultSpec::None,
             // Two core links down from 5 µs to 60 µs: blackholed packets
             // are recovered by retransmission once the links return.
-            FaultSpec::LinkFlap { links: 2, down_ns: 5_000, up_ns: 60_000 },
+            FaultSpec::Window(WindowFault::LinkFlap { links: 2, down_ns: 5_000, up_ns: 60_000 }),
             // Two core links at quarter bandwidth and 3x latency for the
             // first 200 µs: congestion control adapts to the slower wire.
-            FaultSpec::Degrade { links: 2, bw_pct: 25, lat_pct: 300, from_ns: 0, to_ns: 200_000 },
+            FaultSpec::Window(WindowFault::Degrade {
+                links: 2,
+                bw_pct: 25,
+                lat_pct: 300,
+                from_ns: 0,
+                to_ns: 200_000,
+            }),
             // Half the ranks straggle at 3x compute cost (message level).
             FaultSpec::Straggler { prob_pct: 50, factor_pct: 300, spread_pct: 0, shape: 1 },
         ],
@@ -164,10 +171,15 @@ fn main() {
             FaultSpec::None,
             // Exp(30 µs) up / Exp(10 µs) down sojourns on two core
             // links, unrolled over the first 300 µs.
-            FaultSpec::Markov { links: 2, up_ns: 30_000, down_ns: 10_000, horizon_ns: 300_000 },
+            FaultSpec::Window(WindowFault::Markov {
+                links: 2,
+                up_ns: 30_000,
+                down_ns: 10_000,
+                horizon_ns: 300_000,
+            }),
             // One whole rack (ToR + every port touching it) down from
             // 20 µs to 140 µs.
-            FaultSpec::RackFail { racks: 1, from_ns: 20_000, to_ns: 140_000 },
+            FaultSpec::Window(WindowFault::RackFail { racks: 1, from_ns: 20_000, to_ns: 140_000 }),
             // Replayed churn: rack 0 bounces early, rack 1 fails later.
             FaultSpec::parse("churn:0;0;d,60000;0;u,100000;1;d,180000;1;u").unwrap(),
         ],
