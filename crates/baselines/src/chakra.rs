@@ -125,7 +125,9 @@ impl ChakraTrace {
     }
 
     /// Serialize every per-rank file plus metadata into one text artifact
-    /// (whose size Fig. 9 measures against GOAL's binary encoding).
+    /// (whose size Fig. 9 measures against GOAL's binary encoding). The
+    /// text is written, never read back: AstraSim replays the in-memory
+    /// trace.
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -163,135 +165,6 @@ impl ChakraTrace {
             }
         }
         out
-    }
-
-    /// Parse the text artifact back (round-trip tested).
-    pub fn parse(input: &str) -> Result<ChakraTrace, String> {
-        let mut app = String::new();
-        let mut world = 0u32;
-        let mut groups = Vec::new();
-        let mut ranks: Vec<ChakraRankTrace> = Vec::new();
-        for (ln, raw) in input.lines().enumerate() {
-            let err = |m: &str| format!("line {}: {m}", ln + 1);
-            let line = raw.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# chakra_et ") {
-                let mut rest = rest.to_string();
-                if let Some(start) = rest.find("app=\"") {
-                    let after = &rest[start + 5..];
-                    let end = after.find('"').ok_or(err("unterminated app"))?;
-                    app = after[..end].to_string();
-                    rest.replace_range(start..start + 5 + end + 1, "");
-                }
-                for tok in rest.split_whitespace() {
-                    if let Some(v) = tok.strip_prefix("world=") {
-                        world = v.parse().map_err(|_| err("bad world"))?;
-                    }
-                }
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("process_group ") {
-                let mut id = 0u32;
-                let mut members = Vec::new();
-                for tok in rest.split_whitespace() {
-                    if let Some(v) = tok.strip_prefix("id=") {
-                        id = v.parse().map_err(|_| err("bad pg id"))?;
-                    } else if let Some(v) = tok.strip_prefix("ranks=") {
-                        members = v
-                            .split(',')
-                            .map(|s| s.parse())
-                            .collect::<Result<_, _>>()
-                            .map_err(|_| err("bad pg ranks"))?;
-                    }
-                }
-                groups.push((id, members));
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("rank ") {
-                let rank = rest.trim().parse().map_err(|_| err("bad rank"))?;
-                ranks.push(ChakraRankTrace { rank, nodes: Vec::new() });
-                continue;
-            }
-            if let Some(rest) = line.trim_start().strip_prefix("attr ") {
-                let (k, v) = rest.split_once('=').ok_or(err("bad attr"))?;
-                let node = ranks
-                    .last_mut()
-                    .and_then(|r| r.nodes.last_mut())
-                    .ok_or(err("attr before node"))?;
-                node.attrs.push(Attr::new(k, v));
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("node ") {
-                let mut node = ChakraNode {
-                    id: 0,
-                    name: String::new(),
-                    node_type: ChakraNodeType::Comp,
-                    data_deps: Vec::new(),
-                    duration_ns: 0,
-                    comm_bytes: 0,
-                    coll: None,
-                    peer: None,
-                    pg: None,
-                    attrs: Vec::new(),
-                };
-                // name="..." may contain spaces: extract it first.
-                let mut rest = rest.to_string();
-                if let Some(start) = rest.find("name=\"") {
-                    let after = &rest[start + 6..];
-                    let end = after.find('"').ok_or(err("unterminated name"))?;
-                    node.name = after[..end].to_string();
-                    rest.replace_range(start..start + 6 + end + 1, "");
-                }
-                for tok in rest.split_whitespace() {
-                    if let Some(v) = tok.strip_prefix("id=") {
-                        node.id = v.parse().map_err(|_| err("bad id"))?;
-                    } else if let Some(v) = tok.strip_prefix("type=") {
-                        node.node_type = match v {
-                            "COMP_NODE" => ChakraNodeType::Comp,
-                            "COMM_COLL_NODE" => ChakraNodeType::CommColl,
-                            "COMM_SEND_NODE" => ChakraNodeType::CommSend,
-                            "COMM_RECV_NODE" => ChakraNodeType::CommRecv,
-                            _ => return Err(err("bad node type")),
-                        };
-                    } else if let Some(v) = tok.strip_prefix("duration_ns=") {
-                        node.duration_ns = v.parse().map_err(|_| err("bad duration"))?;
-                    } else if let Some(v) = tok.strip_prefix("comm_bytes=") {
-                        node.comm_bytes = v.parse().map_err(|_| err("bad bytes"))?;
-                    } else if let Some(v) = tok.strip_prefix("coll=") {
-                        node.coll = Some(match v {
-                            "ALL_REDUCE" => CollKind::AllReduce,
-                            "ALL_GATHER" => CollKind::AllGather,
-                            "REDUCE_SCATTER" => CollKind::ReduceScatter,
-                            "ALL_TO_ALL" => CollKind::AllToAll,
-                            "BROADCAST" => CollKind::Broadcast,
-                            _ => return Err(err("bad coll kind")),
-                        });
-                    } else if let Some(v) = tok.strip_prefix("peer=") {
-                        node.peer = Some(v.parse().map_err(|_| err("bad peer"))?);
-                    } else if let Some(v) = tok.strip_prefix("pg=") {
-                        node.pg = Some(v.parse().map_err(|_| err("bad pg"))?);
-                    } else if let Some(v) = tok.strip_prefix("deps=") {
-                        let inner = v
-                            .strip_prefix('[')
-                            .and_then(|s| s.strip_suffix(']'))
-                            .ok_or(err("bad deps"))?;
-                        if !inner.is_empty() {
-                            node.data_deps = inner
-                                .split(',')
-                                .map(|s| s.parse())
-                                .collect::<Result<_, _>>()
-                                .map_err(|_| err("bad dep id"))?;
-                        }
-                    }
-                }
-                ranks.last_mut().ok_or(err("node before rank"))?.nodes.push(node);
-                continue;
-            }
-            return Err(err("unrecognized line"));
-        }
-        Ok(ChakraTrace { app, world, groups, ranks })
     }
 }
 
@@ -539,14 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip() {
-        let et = from_nsys(&small_report());
-        let text = et.to_text();
-        let back = ChakraTrace::parse(&text).unwrap();
-        assert_eq!(et, back);
-    }
-
-    #[test]
     fn nodes_carry_verbose_attrs() {
         let et = from_nsys(&small_report());
         for r in &et.ranks {
@@ -565,13 +430,6 @@ mod tests {
         let rep = small_report();
         let et = from_nsys(&rep);
         assert!(et.to_text().len() > rep.to_text().len());
-    }
-
-    #[test]
-    fn parse_rejects_malformed() {
-        assert!(ChakraTrace::parse("node id=0").is_err(), "node before rank");
-        assert!(ChakraTrace::parse("rank 0\nnode id=x deps=[]").is_err());
-        assert!(ChakraTrace::parse("garbage").is_err());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use atlahs_core::faultgen;
+use atlahs_core::faultgen::{self, num};
 use atlahs_core::{FragStats, NodePool, SimReport};
 use atlahs_goal::merge::{compose, PlacedJob, MAX_JOBS};
 use atlahs_goal::{GoalSchedule, Rank};
@@ -43,7 +43,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::json::Json;
 use crate::scenario::{
-    backend_faults, by_name, cell_seed, name_of, num, too_wide, unique, unknown, BackendFamily,
+    backend_faults, by_name, cell_seed, name_of, too_wide, unique, unknown, BackendFamily,
     BackendSpec, FaultSpec, PlacementSpec, TopologySpec, WorkloadSpec,
 };
 use crate::session::{self, Session};

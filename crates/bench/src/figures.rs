@@ -430,7 +430,9 @@ fn fig11(cli: &Cli) -> String {
     let hosts = storage_layout().total_ranks();
     let workload = WorkloadSpec::Storage { ops, gap_ns: gap, compress };
     if let Err(e) = workload.check() {
-        let flag = if ops == 0 { "ops" } else { "compress" };
+        // Blame `--compress` only when the operation count alone is fine.
+        let ops_ok = WorkloadSpec::Storage { ops, gap_ns: gap, compress: 1 }.check().is_ok();
+        let flag = if ops_ok { "compress" } else { "ops" };
         cli.fail(format!("--{flag}: workload `{}`: {e}", workload.label()));
     }
     let grid = [

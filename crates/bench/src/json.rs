@@ -3,9 +3,9 @@
 //!
 //! Not a serde replacement. The report writers need stable, human-diffable
 //! pretty-printing (object keys keep insertion order, so goldens diff
-//! cleanly); the churn-trace loader needs a parser that turns *any*
+//! cleanly); the benchmark's readers need a parser that turns *any*
 //! input — truncated, hand-mangled, or hostile — into a `line N: …`
-//! error, never a panic. `atlahs_bench::json` re-exports this module.
+//! error, never a panic.
 
 use std::fmt::Write as _;
 

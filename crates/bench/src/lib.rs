@@ -7,8 +7,8 @@
 //!
 //! * [`args`] — the CLI's `--flag value` parser and usage-error front
 //!   (no CLI dependency),
-//! * [`json`] — the workspace's one JSON codec (a re-export of
-//!   `atlahs_lint::json`): report writer and depth-bounded parser,
+//! * [`json`] — the workspace's one JSON codec: report writer and
+//!   depth-bounded parser (the benchmark's readers parse with it),
 //! * [`table`] — aligned text tables matching the paper's row format,
 //! * [`workloads`] — the AI / HPC / storage workload suites at
 //!   configurable scale, and the topologies the paper's experiments use,
@@ -47,6 +47,7 @@ pub mod args;
 pub mod branch;
 pub mod cluster;
 pub mod figures;
+pub mod json;
 pub mod runner;
 pub mod scenario;
 pub mod session;
@@ -54,5 +55,3 @@ pub mod smoke;
 pub mod sweep;
 pub mod table;
 pub mod workloads;
-
-pub use atlahs_lint::json;

@@ -3,12 +3,13 @@
 //! is one *session* on one backend.
 //!
 //! ```text
-//! start → [run_until(branch_at) → checkpoint] → per member: [restore →] apply fault → finish → collect
+//! start → [run_until(branch_at) → checkpoint] → per member: [restore →] apply(fault) → finish → collect
 //! ```
 //!
 //! A backend is built from its configuration alone, which holds no
-//! faults; every member's fault is lowered onto the fabric and applied
-//! to the set-up backend as an override (`CellBackend::apply_now`).
+//! faults; every member's fault is applied to the set-up backend as an
+//! override by the backend that models it (`CellBackend::apply`), against
+//! the state it already holds.
 //!
 //! * **Straight** (`branch_at = None`, one member): the fault is applied
 //!   right after `start`, before the driver issues the first task, so it
@@ -31,11 +32,11 @@ use atlahs_core::probe::Recorded;
 use atlahs_core::{Backend, SimDriver, SimReport, Snapshot};
 use atlahs_goal::GoalSchedule;
 use atlahs_htsim::engine::{HtsimBackend, HtsimConfig, NetStats};
-use atlahs_lgs::LgsBackend;
+use atlahs_lgs::{LgsBackend, StragglerSpec};
 use atlahs_testbed::{TestbedBackend, TestbedConfig};
 
 use crate::scenario::{
-    lgs_params_for, BackendSpec, FaultAction, FaultSpec, FaultTelemetry, TopologySpec,
+    cell_seed, lgs_params_for, BackendSpec, FaultSpec, FaultTelemetry, TopologySpec,
 };
 
 /// What one session simulates on: the fabric, the backend on top of it,
@@ -93,10 +94,14 @@ fn p99_index(count: usize) -> usize {
 }
 
 /// What the driver needs from a backend beyond `Backend + Snapshot`.
-/// Actions a backend does not model are ignored (the defaults).
+/// Fault families a backend does not model are ignored (the default).
 trait CellBackend: Backend + Snapshot {
-    /// Put a lowered fault onto the set-up backend, from now on.
-    fn apply_now(&mut self, _fault: FaultAction) {}
+    /// Put `fault` onto the set-up backend, from now on, with its draws
+    /// keyed by `seed`; returns the realized-fault telemetry of the
+    /// distributional regimes. `ranks` is the simulated schedule's width.
+    fn apply(&mut self, _fault: &FaultSpec, _seed: u64, _ranks: usize) -> Option<FaultTelemetry> {
+        None
+    }
 
     fn harvest(&self) -> (DistSummary, Option<NetStats>) {
         (DistSummary::of(Vec::new()), None)
@@ -108,22 +113,40 @@ impl CellBackend for IdealBackend {}
 impl CellBackend for TestbedBackend {}
 
 impl CellBackend for LgsBackend {
-    fn apply_now(&mut self, fault: FaultAction) {
-        if let FaultAction::Straggler(spec) = fault {
-            self.apply_straggler_now(spec);
-        }
+    fn apply(&mut self, fault: &FaultSpec, seed: u64, ranks: usize) -> Option<FaultTelemetry> {
+        let FaultSpec::Straggler(spec) = fault else { return None };
+        let spec = StragglerSpec { seed, ..*spec };
+        self.apply_straggler_now(spec);
+        (spec.spread_pct > 0).then(|| FaultTelemetry {
+            stragglers: (0..ranks).filter(|&r| spec.is_straggler(r)).count() as u64,
+            ..FaultTelemetry::default()
+        })
     }
 }
 
 impl CellBackend for HtsimBackend {
-    fn apply_now(&mut self, fault: FaultAction) {
+    fn apply(&mut self, fault: &FaultSpec, seed: u64, _ranks: usize) -> Option<FaultTelemetry> {
         match fault {
-            FaultAction::Ports(windows) => windows.into_iter().for_each(|w| self.inject_fault(w)),
+            FaultSpec::Window(window) => {
+                let ports = window.lower(self.topology(), seed);
+                // Telemetry describes the generated schedule, before a
+                // branch point clamps its windows.
+                let telemetry = window.distributional().then(|| FaultTelemetry {
+                    windows: ports.len() as u64,
+                    downtime_ns: ports.iter().map(|f| f.end_ns - f.start_ns).sum(),
+                    stragglers: 0,
+                });
+                ports.into_iter().for_each(|f| self.inject_fault(f));
+                telemetry
+            }
             // Packets already in flight were drawn (or not) under the
             // prefix's clean model; the per-port draw counters ride in
             // the snapshot, so every member continues the same stream.
-            FaultAction::Link(model) => self.set_link_model(model),
-            FaultAction::None | FaultAction::Straggler(_) => {}
+            FaultSpec::Stochastic(spec) => {
+                self.set_link_model(spec.model(seed));
+                None
+            }
+            _ => None,
         }
     }
 
@@ -135,8 +158,8 @@ impl CellBackend for HtsimBackend {
 /// A recorded cell reports its flows' completion times next to whatever
 /// the backend it wraps reports.
 impl<B: CellBackend> CellBackend for Recorded<B> {
-    fn apply_now(&mut self, fault: FaultAction) {
-        self.inner_mut().apply_now(fault);
+    fn apply(&mut self, fault: &FaultSpec, seed: u64, ranks: usize) -> Option<FaultTelemetry> {
+        self.inner_mut().apply(fault, seed, ranks)
     }
 
     fn harvest(&self) -> (DistSummary, Option<NetStats>) {
@@ -207,9 +230,11 @@ fn drive<B: CellBackend>(
         if let Some(state) = &snapshot {
             backend.restore(state);
         }
-        let (action, telemetry) =
-            fault.lower(session.topology, &session.backend, goal.num_ranks(), session.seed);
-        backend.apply_now(action);
+        // Every fault draw is keyed by a sub-seed of the simulation seed,
+        // so workload generation, placement and the packet RNG are
+        // untouched by the fault axis.
+        let seed = cell_seed(session.seed, &fault.label());
+        let telemetry = backend.apply(fault, seed, goal.num_ranks());
         let driver = if i < last { driver.clone() } else { driver.take() };
         let driver = driver.expect("the driver lives until the last member takes it");
         let report = driver.finish(&mut backend).expect(DEADLOCK_FREE);

@@ -7,10 +7,9 @@
 //! a golden diff. Every grid is also reachable from the CLI as plain axis flags;
 //! docs/SCENARIOS.md spells each one out.
 
-use atlahs_htsim::fault::WindowFault;
 use atlahs_htsim::CcAlgo;
 
-use crate::cluster::{ArrivalSpec, ClusterGrid, JobFaultSpec, QueueDiscipline};
+use crate::cluster::{ArrivalSpec, ClusterGrid, QueueDiscipline};
 use crate::scenario::{
     BackendFamily, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
 };
@@ -97,30 +96,20 @@ pub fn fault_smoke_grid() -> ScenarioGrid {
         ccs: vec![CcAlgo::Mprdma, CcAlgo::Ndp],
         placements: vec![PlacementSpec::Packed],
         backends: vec![BackendFamily::Htsim, BackendFamily::Lgs],
-        faults: vec![
-            FaultSpec::None,
-            FaultSpec::Window(WindowFault::LinkFlap { links: 2, down_ns: 5_000, up_ns: 60_000 }),
-            FaultSpec::Window(WindowFault::Degrade {
-                links: 2,
-                bw_pct: 25,
-                lat_pct: 300,
-                from_ns: 0,
-                to_ns: 200_000,
-            }),
-            FaultSpec::Straggler { prob_pct: 50, factor_pct: 300, spread_pct: 0, shape: 1 },
+        faults: faults(&[
+            "none",
+            "linkflap:2:5000:60000",
+            "degrade:2:25:300:0:200000",
+            "straggler:50:300",
             // Distributional regimes (atlahs_core::faultgen): a heavy
             // Gilbert–Elliott flap, a whole-rack outage, a two-rack
-            // churn replay, and Weibull-spread stragglers.
-            FaultSpec::Window(WindowFault::Markov {
-                links: 4,
-                up_ns: 20_000,
-                down_ns: 20_000,
-                horizon_ns: 300_000,
-            }),
-            FaultSpec::Window(WindowFault::RackFail { racks: 1, from_ns: 20_000, to_ns: 140_000 }),
-            FaultSpec::Window(WindowFault::Churn { events: churn_smoke_trace() }),
-            FaultSpec::Straggler { prob_pct: 50, factor_pct: 200, spread_pct: 200, shape: 2 },
-        ],
+            // churn replay (rack 0 bounces early, rack 1 fails later
+            // while 0 is already back), and Weibull-spread stragglers.
+            "markov:4:20000:20000:300000",
+            "rackfail:1:20000:140000",
+            "churn:0;0;d,60000;0;u,100000;1;d,180000;1;u",
+            "straggler:50:200:200:2",
+        ]),
         seed: 1,
         collect_flows: true,
     }
@@ -140,7 +129,7 @@ pub fn fault_smoke_grid() -> ScenarioGrid {
 /// fields (`stochastic_draws` et al.).
 pub fn stochastic_smoke_grid() -> ScenarioGrid {
     let mut grid = fault_smoke_grid();
-    for tok in [
+    grid.faults.extend(faults(&[
         // 2% everywhere: enough to force retransmissions on every
         // workload without drowning the run in timeouts.
         "loss:20000",
@@ -152,9 +141,7 @@ pub fn stochastic_smoke_grid() -> ScenarioGrid {
         "jitter:exp:2000",
         "jitter:weibull:3000:2",
         "jitter:uniform:1500",
-    ] {
-        grid.faults.push(FaultSpec::parse(tok).expect("frozen smoke tokens are valid"));
-    }
+    ]));
     grid
 }
 
@@ -198,35 +185,23 @@ pub fn branch_smoke_grid() -> ScenarioGrid {
         ccs: vec![CcAlgo::Mprdma, CcAlgo::Ndp],
         placements: vec![PlacementSpec::Packed],
         backends: vec![BackendFamily::Htsim, BackendFamily::Lgs, BackendFamily::Ideal],
-        faults: vec![
-            FaultSpec::None,
-            FaultSpec::Window(WindowFault::LinkFlap { links: 2, down_ns: 70_000, up_ns: 140_000 }),
-            FaultSpec::Window(WindowFault::Degrade {
-                links: 2,
-                bw_pct: 25,
-                lat_pct: 300,
-                from_ns: 60_000,
-                to_ns: 250_000,
-            }),
-            FaultSpec::Window(WindowFault::Markov {
-                links: 2,
-                up_ns: 20_000,
-                down_ns: 20_000,
-                horizon_ns: 300_000,
-            }),
-            FaultSpec::Straggler { prob_pct: 50, factor_pct: 300, spread_pct: 0, shape: 1 },
-            FaultSpec::Straggler { prob_pct: 50, factor_pct: 200, spread_pct: 200, shape: 2 },
-        ],
+        faults: faults(&[
+            "none",
+            "linkflap:2:70000:140000",
+            "degrade:2:25:300:60000:250000",
+            "markov:2:20000:20000:300000",
+            "straggler:50:300",
+            "straggler:50:200:200:2",
+        ]),
         seed: 1,
         collect_flows: true,
     }
 }
 
-/// The frozen churn trace the fault smoke grid replays: rack 0 bounces
-/// early, rack 1 fails later while 0 is already back.
-fn churn_smoke_trace() -> Vec<atlahs_core::faultgen::ChurnEvent> {
-    atlahs_core::faultgen::parse_churn_inline("0;0;d,60000;0;u,100000;1;d,180000;1;u")
-        .expect("the frozen smoke trace is valid")
+/// A grid's fault axis, written as the `--faults` tokens
+/// docs/SCENARIOS.md spells it in.
+fn faults(toks: &[&str]) -> Vec<FaultSpec> {
+    toks.iter().map(|tok| FaultSpec::parse(tok).expect("frozen smoke tokens are valid")).collect()
 }
 
 /// The fixed cluster smoke grid: 24 fast cells crossing both arrival
@@ -276,13 +251,9 @@ pub fn cluster_fault_smoke_grid() -> ClusterGrid {
         placements: vec![PlacementSpec::Packed],
         ccs: vec![],
         backends: vec![BackendFamily::Lgs],
-        faults: vec![
-            FaultSpec::None,
-            FaultSpec::Job(JobFaultSpec::JobFail { pct: 50, at_pct: 50, retries: 2 }),
-            // Job runs are tens of µs, so a 20 µs MTBF fires on a
-            // realistic fraction of attempts.
-            FaultSpec::Job(JobFaultSpec::Mtbf { mtbf_ns: 20_000, retries: 3 }),
-        ],
+        // Job runs are tens of µs, so a 20 µs MTBF fires on a realistic
+        // fraction of attempts.
+        faults: faults(&["none", "jobfail:50:50:2", "mtbf:20000:3"]),
         seed: 1,
     }
 }

@@ -114,6 +114,22 @@ fn unbounded_cluster_fields_are_usage_errors() {
     }
 }
 
+/// A storage workload holds a record per operation: `storage:<ops>:…`
+/// with 2⁶⁴−1 ops panicked on the allocation's capacity overflow, and
+/// 10⁹ ops aborted allocating 32 GB.
+#[test]
+fn oversized_storage_workloads_are_usage_errors() {
+    for ops in ["18446744073709551615", "1000000000"] {
+        let tok = format!("storage:{ops}:50:12");
+        let topos = "storage-fattree:48:1";
+        let sweep = ["sweep", "--workloads", &tok, "--topos", topos, "--backends", "lgs"];
+        let err = stderr_of_usage_error(&atlahs(&sweep));
+        let want =
+            format!("atlahs sweep: --workloads: workload `{tok}`: <ops> must be at most 1000000");
+        assert!(err.starts_with(&want), "{err}");
+    }
+}
+
 /// A message too large for htsim's 32-bit packet count used to hang
 /// `atlahs sweep --backends htsim` (2⁴⁴ B wrapped to a 0-packet flow) and
 /// to run on the message-level backends; every backend now refuses it.
@@ -187,8 +203,9 @@ fn report_keys_are_accepted_workloads_and_unique() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A hostile churn trace (200 000 unclosed brackets) is a parse error,
-/// not a stack overflow in the recursive-descent JSON parser.
+/// A hostile churn trace (200 000 unclosed brackets) is a parse error of
+/// its first line, not a stack overflow: a trace file has the line format
+/// only.
 #[test]
 fn hostile_churn_trace_is_a_usage_error() {
     let dir = std::env::temp_dir().join(format!("atlahs_cli_deep_{}", std::process::id()));
@@ -197,7 +214,8 @@ fn hostile_churn_trace_is_a_usage_error() {
     std::fs::write(&trace, "[".repeat(200_000)).unwrap();
     let out = atlahs(&["sweep", "--faults", &format!("churn:@{}", trace.display())]);
     let err = stderr_of_usage_error(&out);
-    assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+    let want = "churn trace line 1: expected `<t_ns> <domain> <down|up>`";
+    assert!(err.starts_with(&format!("atlahs sweep: --faults: {want}")), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -318,6 +336,11 @@ fn figure_flags_are_usage_errors() {
             &["fig", "fig11", "--ops", "0"],
             "atlahs fig: --ops: workload `storage:0:50:12`: a storage run needs at least 1 \
              operation",
+        ),
+        (
+            &["fig", "fig11", "--ops", "18446744073709551615"],
+            "atlahs fig: --ops: workload `storage:18446744073709551615:50:12`: <ops> must be at \
+             most 1000000",
         ),
     ] {
         let err = stderr_of_usage_error(&atlahs(args));

@@ -24,6 +24,7 @@
 //! * [`ChurnEvent`] + [`parse_churn_trace`] / [`parse_churn_inline`] —
 //!   a small `t, domain, down|up` trace format replayed into per-domain
 //!   down-windows ([`churn_windows`]).
+//! * [`num`] — the numeric-field parser every spec grammar shares.
 //!
 //! The grid layer maps windows onto topology failure domains (whole
 //! racks, whole switches) and ports; the cluster engine draws MTBF-style
@@ -276,6 +277,14 @@ pub fn churn_windows(events: &[ChurnEvent], domain: u32) -> Vec<(u64, u64)> {
         }
     }
     windows
+}
+
+/// One numeric field of the spec token `tok`. Inlined into each grammar's
+/// parser, as the per-crate copies it replaced were, rather than shared
+/// out of line from wherever the linker first placed it.
+#[inline]
+pub fn num<T: std::str::FromStr>(tok: &str, field: &str) -> Result<T, String> {
+    field.parse().map_err(|_| format!("bad number `{field}` in `{tok}`"))
 }
 
 /// Parse the churn trace *file* format: one `<t_ns> <domain> <down|up>`

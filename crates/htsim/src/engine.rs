@@ -480,6 +480,12 @@ impl HtsimBackend {
         &self.cfg
     }
 
+    /// The fabric built from the configuration: what a window fault
+    /// lowers onto ([`WindowFault::lower`](crate::fault::WindowFault::lower)).
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
     /// Event-queue diagnostics: how pushes split across the O(1) lane,
     /// the timer wheel, and the overflow heap (perf tooling and tests).
     pub fn queue_stats(&self) -> QueueStats {

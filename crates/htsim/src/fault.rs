@@ -26,7 +26,7 @@
 //! Integer percentages (not floats) keep fault specs `Eq`/hashable and
 //! their labels exact, which the grid layer's seeded cell keys rely on.
 
-use atlahs_core::faultgen::{self, ChurnEvent, Distribution};
+use atlahs_core::faultgen::{self, num, ChurnEvent, Distribution};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -279,11 +279,6 @@ impl WindowFault {
             }
         }
     }
-}
-
-/// One numeric field of the spec token `tok`.
-fn num<T: std::str::FromStr>(tok: &str, field: &str) -> Result<T, String> {
-    field.parse().map_err(|_| format!("bad number `{field}` in `{tok}`"))
 }
 
 /// Cap on generated windows per flapping port — a backstop against a

@@ -36,9 +36,16 @@
 //! The paper's parameters: AI (Alps): `L=3700, o=200, g=5, G=1/25 (0.04),
 //! O=0, S=0`; HPC test-bed: `L=3000, o=6000, g=0, G=9/50 (0.18), O=0,
 //! S=256000`.
+//!
+//! ## Stragglers
+//!
+//! The message-level fault family lives next to the backend it slows:
+//! [`StragglerSpec`] parses and labels its `straggler:` token, and
+//! [`LgsBackend::apply_straggler_now`] puts it onto a set-up run.
 
 #![forbid(unsafe_code)]
 
+use atlahs_core::faultgen::num;
 use atlahs_core::matcher::MatchKey;
 use atlahs_core::{Backend, Completion, Matcher, NsPerByte, OpRef, Snapshot, Time};
 use atlahs_eventq::EventQueue;
@@ -144,6 +151,44 @@ pub struct StragglerSpec {
 }
 
 impl StragglerSpec {
+    /// Parse a `straggler:<prob_pct>:<factor_pct>[:<spread_pct>:<shape>]`
+    /// fault token (the inverse of [`StragglerSpec::label`]) with seed 0;
+    /// the run seeds it. `prob_pct` clamps to 100 and `shape` to 1..=16.
+    /// Returns `None` when the token is not this grammar (so callers can
+    /// fall through to other fault grammars), `Some(Err(..))` when it is
+    /// but a number is malformed.
+    pub fn parse(tok: &str) -> Option<Result<Self, String>> {
+        Self::parse_fields(tok).transpose()
+    }
+
+    fn parse_fields(tok: &str) -> Result<Option<Self>, String> {
+        let parts: Vec<&str> = tok.split(':').collect();
+        let (prob, factor, spread, shape) = match parts[..] {
+            ["straggler", prob, factor] => (prob, factor, "0", "1"),
+            ["straggler", prob, factor, spread, shape] => (prob, factor, spread, shape),
+            _ => return Ok(None),
+        };
+        Ok(Some(StragglerSpec {
+            prob_pct: num::<u32>(tok, prob)?.min(100),
+            factor_pct: num(tok, factor)?,
+            spread_pct: num(tok, spread)?,
+            shape: num::<u32>(tok, shape)?.clamp(1, 16),
+            seed: 0,
+        }))
+    }
+
+    /// The fault token of this spec (the seed is not part of it). Without
+    /// a spread it is the short pre-spread form, so uniform-straggler
+    /// cells keep their historical keys (and therefore seeds and goldens).
+    pub fn label(&self) -> String {
+        let StragglerSpec { prob_pct, factor_pct, spread_pct, shape, .. } = *self;
+        if spread_pct == 0 {
+            format!("straggler:{prob_pct}:{factor_pct}")
+        } else {
+            format!("straggler:{prob_pct}:{factor_pct}:{spread_pct}:{shape}")
+        }
+    }
+
     /// True when the spec cannot change any timing.
     pub fn is_noop(&self) -> bool {
         self.prob_pct == 0 || (self.factor_pct == 100 && self.spread_pct == 0)
@@ -619,6 +664,27 @@ mod tests {
             let rep = run_straggled(&goal, spec);
             assert_eq!(rep.makespan, clean.makespan, "{spec:?}");
             assert_eq!(rep.rank_finish, clean.rank_finish, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn straggler_tokens_parse_clamp_and_fall_through() {
+        let spec = StragglerSpec::parse("straggler:25:300:150:2").unwrap().unwrap();
+        let want =
+            StragglerSpec { prob_pct: 25, factor_pct: 300, spread_pct: 150, shape: 2, seed: 0 };
+        assert_eq!(spec, want);
+        assert_eq!(spec.label(), "straggler:25:300:150:2");
+        let short = StragglerSpec::parse("straggler:25:300").unwrap().unwrap();
+        assert_eq!(
+            (short.spread_pct, short.shape, short.label()),
+            (0, 1, "straggler:25:300".into())
+        );
+        let clamped = StragglerSpec::parse("straggler:250:300:100:99").unwrap().unwrap();
+        assert_eq!(clamped.label(), "straggler:100:300:100:16");
+        let err = StragglerSpec::parse("straggler:25:x").unwrap().unwrap_err();
+        assert_eq!(err, "bad number `x` in `straggler:25:x`");
+        for other in ["straggler:1:2:3", "straggler", "loss:5000"] {
+            assert_eq!(StragglerSpec::parse(other), None, "{other}");
         }
     }
 

@@ -21,14 +21,14 @@
 //!    (`policy::FLOAT_ALLOW_FILES`).
 //!
 //! The goldens themselves are checked by the golden table's tests
-//! (docs/DETERMINISM.md, "Golden hygiene"), not here.
+//! (docs/DETERMINISM.md, "Golden hygiene"), not here: the audit reads
+//! Rust source only, and holds no JSON codec (that is `atlahs_bench::json`).
 //!
 //! Run it as `atlahs lint` (a ci.sh stage) or via [`run`].
 
 #![forbid(unsafe_code)]
 
 pub mod annotations;
-pub mod json;
 pub mod lexer;
 pub mod policy;
 pub mod rules;

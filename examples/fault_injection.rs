@@ -26,10 +26,11 @@ use atlahs_bench::cluster::{
     run_grid, ArrivalSpec, ClusterGrid, ClusterReport, JobFaultSpec, QueueDiscipline,
 };
 use atlahs_bench::scenario::{
-    BackendFamily, FaultAction, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
+    cell_seed, BackendFamily, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
 };
 use atlahs_bench::sweep::{execute, SweepReport};
 use atlahs_htsim::fault::WindowFault;
+use atlahs_htsim::topology::Topology;
 use atlahs_htsim::CcAlgo;
 
 fn main() {
@@ -65,7 +66,7 @@ fn main() {
                 to_ns: 200_000,
             }),
             // Half the ranks straggle at 3x compute cost (message level).
-            FaultSpec::Straggler { prob_pct: 50, factor_pct: 300, spread_pct: 0, shape: 1 },
+            FaultSpec::parse("straggler:50:300").unwrap(),
         ],
         seed: 1,
         collect_flows: false,
@@ -203,10 +204,13 @@ fn main() {
             continue;
         }
         let tel = r.fault.expect("distributional cells report realized-fault telemetry");
-        let (lowered, _) = cell.fault.lower(&cell.topology, &cell.backend, 0, cell.seed);
-        let FaultAction::Ports(schedule) = lowered else {
-            panic!("{}: window faults lower to port windows", r.key);
+        // Regenerate the schedule the backend applied: the window
+        // lowered onto the cell's fabric under the fault's sub-seed.
+        let FaultSpec::Window(window) = &cell.fault else {
+            panic!("{}: every distributional regime here is a port window", r.key);
         };
+        let topology = Topology::build(cell.topology.config());
+        let schedule = window.lower(&topology, cell_seed(cell.seed, &cell.fault.label()));
         assert_eq!(tel.windows, schedule.len() as u64, "{}: window count", r.key);
         assert_eq!(
             tel.downtime_ns,
