@@ -4,7 +4,20 @@
 //! packets that traverse output-queued switch ports with finite buffers,
 //! ECN marking between `K_min` and `K_max`, tail drop (or NDP trimming), and
 //! per-flow congestion control ([`crate::cc`]). ACKs travel the reverse
-//! path and are themselves queued. A retransmission timer recovers losses.
+//! path and are themselves queued.
+//!
+//! Loss recovery follows RFC 6298 and RFC 3522. The retransmission timeout
+//! is measured: every (source, destination) pair keeps an integer SRTT and
+//! RTTVAR that all its flows feed and start from, and a flow's timeout is
+//! `SRTT + max(G, 4·RTTVAR)` with [`bdp_and_rto`]'s static timeout as `G`.
+//! Only ACKs of originals that were never resent are sampled (Karn). An
+//! expiry collapses the window and resends one probe, the oldest unacked
+//! packet, not the window. Every data packet says whether it is a
+//! retransmitted copy and its ACK echoes that bit, so the sender learns
+//! which copy arrived: if it is the probe's, every unacked packet sent
+//! before the probe is lost and they are all resent; if it is the
+//! original's, the expiry was spurious and nothing else is resent. Under
+//! NDP a trimmed packet's NACK resends exactly that packet.
 //!
 //! Operation semantics (paper §3.3): a send's compute stream is released
 //! after the host overhead (200 ns); the send is *done* when the receiver
@@ -19,13 +32,14 @@
 //! ACK a late duplicate, and that the flow's packets, timers and credits
 //! still in the fabric find empty.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 
 use atlahs_core::matcher::MatchKey;
 use atlahs_core::{Backend, Completion, Matcher, OpRef, Snapshot, Time};
+use atlahs_eventq::hash::FastBuildHasher;
 use atlahs_eventq::{EventQueue, QueueStats};
 use atlahs_goal::{Rank, Tag};
 
@@ -83,7 +97,10 @@ pub struct NetStats {
     pub retransmissions: u64,
     /// Internal engine events processed (cost diagnostic).
     pub internal_events: u64,
-    /// Timeout events processed (retransmission-storm diagnostic).
+    /// Retransmission-timer wake-ups processed: every expiry, plus every
+    /// lazy re-arm of a timer that woke while its flow was still active.
+    /// Wake-ups of delivered flows and of superseded timer chains are
+    /// not counted.
     pub timeouts: u64,
     /// Packets discarded by a down link (fault injection), all kinds.
     /// Counted separately from `drops` so congestion loss and injected
@@ -124,9 +141,10 @@ impl NetStats {
         (self.payload_bytes - self.retransmitted_bytes) * 1_000_000 / self.payload_bytes
     }
 
-    /// Retransmission-storm diagnostic: timeout *firings* per thousand
-    /// flows. A handful is normal recovery; hundreds per flow means the
-    /// RTO policy is re-injecting faster than the fabric drains.
+    /// Retransmission-storm diagnostic: retransmission-timer wake-ups
+    /// ([`NetStats::timeouts`], lazy re-arms included, so not only
+    /// expiries) per thousand flows. A handful per flow is normal; hundreds
+    /// per flow means timers keep waking on flows that make no progress.
     pub fn rtx_storm_per_kflow(&self) -> u64 {
         self.timeouts * 1_000 / self.flows.max(1)
     }
@@ -152,6 +170,9 @@ struct Packet {
     kind: PktKind,
     wire: u32,
     ecn: bool,
+    /// Data: this is a retransmitted copy. ACK: echoes the flag of the
+    /// data copy it acknowledges.
+    rtx: bool,
     /// ECMP selector: the flow's salt, or a per-packet value when
     /// spraying.
     ecmp: u64,
@@ -195,7 +216,9 @@ enum Ev {
 }
 
 // The event queue stores `Option<Ev>` in every node: a variant that used
-// up the enum's niche would grow them all.
+// up the enum's niche would grow them all; a bigger packet would too.
+const _: () = assert!(std::mem::size_of::<Packet>() == 32);
+const _: () = assert!(std::mem::size_of::<Ev>() == 40);
 const _: () = assert!(std::mem::size_of::<Option<Ev>>() == std::mem::size_of::<Ev>());
 
 /// One output queue. `rate` is the link rate in units of 10 Mb/s
@@ -242,9 +265,10 @@ pub fn tx_ns(rate: u64, wire: u32) -> u64 {
     (wire as u64 * 800).div_ceil(rate)
 }
 
-/// A new flow's initial window and retransmission timeout at its host
-/// port's `rate`: one bandwidth-delay product, `⌊base_rtt·rate / 800⌋`
-/// bytes, and `3·base_rtt` plus ten MTUs' serialisation, rounded down.
+/// A new flow's initial window and the static part of its retransmission
+/// timeout at its host port's `rate`: one bandwidth-delay product,
+/// `⌊base_rtt·rate / 800⌋` bytes, and `3·base_rtt` plus ten MTUs'
+/// serialisation, rounded down.
 pub fn bdp_and_rto(rate: u64, base_rtt: u64) -> (u64, u64) {
     let bdp = u64::try_from(base_rtt as u128 * rate as u128 / 800).unwrap_or(u64::MAX);
     (bdp, 3 * base_rtt + 10 * MTU as u64 * 800 / rate)
@@ -261,11 +285,45 @@ pub fn ecn_mark(q: u64, queue_bytes: u64, word: impl FnOnce() -> u64) -> bool {
     q >= kmax || (q > kmin && below(word()))
 }
 
+/// The round-trip estimator of one (source, destination) pair, RFC 6298
+/// in integer nanoseconds. Every flow between the pair feeds it, and a
+/// new flow starts from its timeout: each collective message is a new
+/// flow, so a per-flow estimator would never warm up.
+#[derive(Debug, Clone, Copy, Default)]
+struct RttEstimator {
+    /// Smoothed RTT; 0 until the first sample (samples are ≥ 1 ns).
+    srtt: u64,
+    rttvar: u64,
+}
+
+impl RttEstimator {
+    fn sample(&mut self, rtt: u64) {
+        if self.srtt == 0 {
+            self.srtt = rtt;
+            self.rttvar = rtt / 2;
+        } else {
+            self.rttvar = (3 * self.rttvar + self.srtt.abs_diff(rtt)) / 4;
+            self.srtt = (7 * self.srtt + rtt) / 8;
+        }
+    }
+
+    /// RFC 6298's `SRTT + max(G, 4·RTTVAR)` with `G = rto_min`: never
+    /// below `rto_min` (which is all it is before the first sample), and
+    /// `rto_min` clear of the smoothed round trip when samples barely
+    /// vary.
+    fn rto(&self, rto_min: u64) -> u64 {
+        self.srtt + rto_min.max(4 * self.rttvar)
+    }
+}
+
+/// [`InFlight::probe`] when no probe is outstanding.
+const NO_PROBE: u32 = u32::MAX;
+
 /// Dense bitmaps for per-packet sender/receiver state.
 ///
 /// Flows of ≤64 packets — the overwhelming majority in storage- and
 /// collective-style workloads — keep their bits inline in the flow's
-/// [`InFlight`] state: four bitmaps cost no allocation of their own and
+/// [`InFlight`] state: five bitmaps cost no allocation of their own and
 /// no second pointer chase on the per-packet ACK/receive path.
 #[derive(Debug, Clone)]
 enum Bitmap {
@@ -331,11 +389,17 @@ struct InFlight {
     path: PathRef,
     /// ECMP salt; per-packet spray values derive from it.
     salt: u64,
-    /// Current retransmission timeout (backs off exponentially while the
-    /// flow makes no progress; see [`HtsimBackend::on_timeout`]).
-    rto: u64,
-    /// The RTO the flow started with; restored on ACK progress.
-    rto_base: u64,
+    /// [`bdp_and_rto`]'s static timeout for this flow's path: the least
+    /// timeout, and the margin over the smoothed round trip.
+    rto_min: u64,
+    /// The flow's (source, destination) slot in [`HtsimState::rtt`].
+    pair: u32,
+    /// Expiries since the last ACK progress: the timeout is doubled this
+    /// many times (see [`InFlight::rto`]).
+    backoff: u32,
+    /// The packet the last expiry resent, until an ACK for it arrives
+    /// ([`NO_PROBE`] otherwise).
+    probe: u32,
     /// Current timer-chain generation (see [`Ev::Timeout`]).
     timeout_gen: u32,
     cc: CcState,
@@ -344,7 +408,11 @@ struct InFlight {
     acked: Bitmap,
     inflight: u64,
     rtx: VecDeque<u32>,
+    /// Queued in `rtx` and not yet resent.
     in_rtx: Bitmap,
+    /// A retransmitted copy has been sent: an ACK of the original no
+    /// longer times the path (Karn).
+    resent: Bitmap,
     /// Indices whose most recent copy died to an *injected* fault (down
     /// link or stochastic loss), set at the discard site and cleared on
     /// resend — attributing each retransmission to its cause exactly
@@ -358,7 +426,21 @@ struct InFlight {
     recv_op: Option<OpRef>,
 }
 
+/// Expiries back off at most this many doublings, and never past this
+/// many doublings of the static timeout (64× `rto_min`).
+const MAX_BACKOFF: u32 = 6;
+
 impl InFlight {
+    /// The current retransmission timeout: the pair's estimate read now,
+    /// doubled once per expiry since the last ACK progress, but backed
+    /// off no further than 64× `rto_min`. A pair whose estimate grew
+    /// under heavy queueing would otherwise leave a flow that keeps
+    /// losing its probe silent for 64 of those.
+    fn rto(&self, rtt: &[RttEstimator]) -> u64 {
+        let rto = rtt[self.pair as usize].rto(self.rto_min);
+        (rto << self.backoff).min(rto.max(self.rto_min << MAX_BACKOFF))
+    }
+
     /// Take the next packet to put on the wire: the head of the
     /// retransmission queue, else the next never-sent index. An rtx entry
     /// acked since it was queued comes back as is — the window path skips
@@ -422,6 +504,11 @@ pub struct HtsimState {
     routes: RouteCache,
     /// In-queue [`Ev::Fault`] events index into this table.
     faults: Vec<PortFault>,
+    /// Round-trip estimators, one per (source, destination) pair that has
+    /// carried a fabric flow; `rtt_slots` maps `src << 32 | dst` to its
+    /// index, which the pair's flows keep in [`InFlight::pair`].
+    rtt: Vec<RttEstimator>,
+    rtt_slots: HashMap<u64, u32, FastBuildHasher>,
     /// The stochastic link model in force.
     model: LinkModel,
 }
@@ -461,6 +548,8 @@ impl HtsimState {
             routes: RouteCache::default(),
             faults: Vec::new(),
             model: LinkModel::default(),
+            rtt: Vec::new(),
+            rtt_slots: Default::default(),
         }
     }
 }
@@ -662,6 +751,7 @@ impl HtsimBackend {
         let was_rtx = t.in_rtx.get(idx);
         if was_rtx {
             t.in_rtx.clear(idx);
+            t.resent.set(idx);
         }
         // Attribute the retransmission: was the previous copy killed
         // by an injected fault, or by congestion/timeout noise?
@@ -683,6 +773,7 @@ impl HtsimBackend {
             kind: PktKind::Data,
             wire: payload + HDR_BYTES,
             ecn: false,
+            rtx: was_rtx,
             ecmp,
             path,
         };
@@ -706,16 +797,25 @@ impl HtsimBackend {
     }
 
     /// Control packets (ACK/NACK/PULL) travel the reverse path, reusing
-    /// the triggering packet's ECMP selector (symmetric spraying). This
-    /// reads only what a delivered flow keeps.
-    fn control_packet(&mut self, fid: u32, idx: u32, kind: PktKind, ecn: bool, ecmp: u64) {
+    /// the triggering packet's ECMP selector (symmetric spraying) and
+    /// echoing its ECN mark and retransmission flag. This reads only what
+    /// a delivered flow keeps.
+    fn control_packet(
+        &mut self,
+        fid: u32,
+        idx: u32,
+        kind: PktKind,
+        ecn: bool,
+        rtx: bool,
+        ecmp: u64,
+    ) {
         let f = &self.s.flows[fid as usize];
         let path = if self.cfg.spray {
             self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, f.dst, f.src, ecmp)
         } else {
             f.rpath
         };
-        let pkt = Packet { flow: fid, idx, hop: 0, kind, wire: HDR_BYTES, ecn, ecmp, path };
+        let pkt = Packet { flow: fid, idx, hop: 0, kind, wire: HDR_BYTES, ecn, rtx, ecmp, path };
         let port0 = path.of(&self.s.arena)[0];
         self.enqueue(port0, pkt);
     }
@@ -735,7 +835,7 @@ impl HtsimBackend {
                     }
                     fresh && t.rcvd_count == t.npkts
                 });
-                self.control_packet(pkt.flow, pkt.idx, PktKind::Ack, pkt.ecn, pkt.ecmp);
+                self.control_packet(pkt.flow, pkt.idx, PktKind::Ack, pkt.ecn, pkt.rtx, pkt.ecmp);
                 if self.cfg.cc == CcAlgo::Ndp {
                     self.add_pull_credit(host, pkt.flow);
                 }
@@ -744,26 +844,47 @@ impl HtsimBackend {
                 }
             }
             PktKind::Trimmed => {
-                self.control_packet(pkt.flow, pkt.idx, PktKind::Nack, false, pkt.ecmp);
+                self.control_packet(pkt.flow, pkt.idx, PktKind::Nack, false, false, pkt.ecmp);
                 self.add_pull_credit(host, pkt.flow);
             }
             PktKind::Ack => {
-                let Some(t) = in_flight.filter(|t| !t.acked.get(pkt.idx)) else { return };
-                t.acked.set(pkt.idx);
-                t.inflight = t.inflight.saturating_sub(t.payload(pkt.idx) as u64);
-                let rtt = now.saturating_sub(t.send_ts[pkt.idx as usize]).max(1);
+                let idx = pkt.idx;
+                let Some(t) = in_flight.filter(|t| !t.acked.get(idx)) else { return };
+                t.acked.set(idx);
+                t.inflight = t.inflight.saturating_sub(t.payload(idx) as u64);
+                let sent = t.send_ts[idx as usize];
+                let rtt = now.saturating_sub(sent).max(1);
                 t.cc.on_ack(now, rtt, pkt.ecn);
                 t.last_activity = now;
-                if t.rto != t.rto_base {
-                    // Backoff recovery: restore the base RTO and re-arm
-                    // the timer promptly — the pending timeout event sits
-                    // up to 64x base in the future and would delay
-                    // detection of a new stall by that much. Bumping the
-                    // generation invalidates the old chain.
-                    t.rto = t.rto_base;
+                if !pkt.rtx && !t.resent.get(idx) {
+                    self.s.rtt[t.pair as usize].sample(rtt);
+                }
+                if idx == t.probe {
+                    // An ACK of the original says the expiry was
+                    // spurious: nothing else is resent. The probe's copy
+                    // answering while the original did not says that
+                    // everything still unacked that left before it is
+                    // lost.
+                    t.probe = NO_PROBE;
+                    if pkt.rtx {
+                        for i in 0..t.next_idx {
+                            if !t.acked.get(i) && !t.in_rtx.get(i) && t.send_ts[i as usize] < sent {
+                                t.in_rtx.set(i);
+                                t.rtx.push_back(i);
+                            }
+                        }
+                    }
+                }
+                if t.backoff > 0 {
+                    // Backoff recovery: re-arm the timer promptly — the
+                    // pending timeout event sits up to 64x `rto_min` in
+                    // the future and would delay detection of a new stall
+                    // by that much. Bumping the generation invalidates the
+                    // old chain.
+                    t.backoff = 0;
                     t.timeout_gen = t.timeout_gen.wrapping_add(1);
                     let ev = Ev::Timeout { flow: pkt.flow, gen: t.timeout_gen };
-                    self.s.queue.push(now + t.rto_base, ev);
+                    self.s.queue.push(now + t.rto(&self.s.rtt), ev);
                 }
                 self.try_send(pkt.flow);
             }
@@ -805,7 +926,7 @@ impl HtsimBackend {
             }
             Some(fid) => {
                 if let Some(t) = &self.s.flows[fid as usize].in_flight {
-                    self.control_packet(fid, 0, PktKind::Pull, false, t.salt);
+                    self.control_packet(fid, 0, PktKind::Pull, false, false, t.salt);
                 }
                 // Pace at the receiver's edge-link rate: one full frame's
                 // serialisation time per credit.
@@ -855,26 +976,30 @@ impl HtsimBackend {
         let in_flight = self.s.flows[fid as usize].in_flight.as_mut();
         let Some(t) = in_flight.filter(|t| gen == t.timeout_gen) else { return };
         self.s.stats.timeouts += 1;
-        let next = if now.saturating_sub(t.last_activity) < t.rto {
-            t.last_activity + t.rto
+        let rto = t.rto(&self.s.rtt);
+        let next = if now.saturating_sub(t.last_activity) < rto {
+            t.last_activity + rto
         } else {
-            // Timeout fires: requeue every sent-but-unacked packet.
+            // Expiry: collapse the window and resend one probe, the
+            // oldest unacked packet, ahead of anything queued. Its ACK
+            // says whether the rest of the window is lost too (see the
+            // ACK handler). Whatever was in flight no longer holds the
+            // window.
             t.cc.on_timeout();
-            for i in 0..t.next_idx {
-                if !t.acked.get(i) && !t.in_rtx.get(i) {
+            t.probe = NO_PROBE;
+            if let Some(i) = (0..t.next_idx).find(|&i| !t.acked.get(i)) {
+                if !t.in_rtx.get(i) {
                     t.in_rtx.set(i);
-                    t.rtx.push_back(i);
+                    t.rtx.push_front(i);
                 }
+                t.probe = i;
             }
             t.inflight = 0;
             t.last_activity = now;
-            // Exponential backoff (capped at 64x base): a static RTO
-            // sized from the *base* RTT livelocks once queueing delay
-            // exceeds it — every flow times out each RTO, re-injects
-            // its whole window, and the storm sustains the very
-            // congestion that caused it.
-            t.rto = t.rto.saturating_mul(2).min(t.rto_base.saturating_mul(64));
-            now + t.rto
+            // Exponential backoff: a flow whose probes die too keeps
+            // probing ever more rarely.
+            t.backoff = (t.backoff + 1).min(MAX_BACKOFF);
+            now + t.rto(&self.s.rtt)
         };
         self.try_send(fid);
         self.push(next, Ev::Timeout { flow: fid, gen });
@@ -902,7 +1027,7 @@ impl Backend for HtsimBackend {
         self.s.stats.flows += 1;
         let (rpath, mut t) = self.make_flow(op, dst, bytes);
         t.recv_op = self.s.matcher.offer_send(key, fid).map(|(recv_op, _)| recv_op);
-        let rto = t.rto;
+        let rto = if op.rank == dst { 0 } else { t.rto(&self.s.rtt) };
         self.s.flows.push(Flow { src: op.rank, dst, rpath, in_flight: Some(Box::new(t)) });
         if op.rank == dst {
             // Intra-node message: no fabric traversal (Stage 4 normally
@@ -962,8 +1087,8 @@ impl HtsimBackend {
         let npkts = u32::try_from(bytes.div_ceil(MTU as u64)).unwrap_or_else(|_| {
             panic!("a {bytes} B message is over MAX_MESSAGE_BYTES = {MAX_MESSAGE_BYTES} B")
         });
-        let (path, rpath, salt, rto, cc) = if op.rank == dst {
-            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, CcState::new(self.cfg.cc, MTU, 1, 1))
+        let (path, rpath, salt, rto_min, pair, cc) = if op.rank == dst {
+            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, u32::MAX, CcState::new(self.cfg.cc, MTU, 1, 1))
         } else {
             let salt = self.s.rng.random::<u64>();
             let path =
@@ -973,7 +1098,13 @@ impl HtsimBackend {
             let base_rtt = self.topo.base_rtt(path.of(&self.s.arena), rpath.of(&self.s.arena), MTU);
             let (bdp, rto) = bdp_and_rto(self.s.ports[op.rank as usize].rate, base_rtt);
             let cc = CcState::new(self.cfg.cc, MTU, base_rtt, bdp);
-            (path, rpath, salt, rto, cc)
+            let slots = self.s.rtt.len() as u32;
+            let key = (op.rank as u64) << 32 | dst as u64;
+            let pair = *self.s.rtt_slots.entry(key).or_insert(slots);
+            if pair == slots {
+                self.s.rtt.push(RttEstimator::default());
+            }
+            (path, rpath, salt, rto.max(1), pair, cc)
         };
         let in_flight = InFlight {
             op,
@@ -981,8 +1112,10 @@ impl HtsimBackend {
             npkts,
             path,
             salt,
-            rto,
-            rto_base: rto.max(1),
+            rto_min,
+            pair,
+            backoff: 0,
+            probe: NO_PROBE,
             timeout_gen: 0,
             cc,
             next_idx: 0,
@@ -990,6 +1123,7 @@ impl HtsimBackend {
             inflight: 0,
             rtx: VecDeque::new(),
             in_rtx: Bitmap::new(npkts),
+            resent: Bitmap::new(npkts),
             fault_lost: Bitmap::new(npkts),
             send_ts: vec![0; npkts as usize].into_boxed_slice(),
             last_activity: self.s.now,

@@ -717,8 +717,8 @@ mod tests {
     /// that goes down and jitter with a tail past the RTO, timeouts resend
     /// packets whose originals or ACKs are merely late, the packet that
     /// was really missing completes the flow, and the other copies land
-    /// on a flow that is already delivered (133 of them in this run) or
-    /// die on the way to it (6). They are ACKed along the reverse route
+    /// on a flow that is already delivered (48 of them in this run) or
+    /// die on the way to it (2). They are ACKed along the reverse route
     /// and change nothing.
     #[test]
     fn late_packets_of_a_delivered_flow_are_acked_and_touch_nothing() {
@@ -804,6 +804,37 @@ mod tests {
             b.set_link_model(model)
         });
         assert!(sb.inner().net_stats().stochastic_drops > 0, "the scenario must be lossy");
+    }
+
+    /// The round-trip estimators are run state, not backend state: a
+    /// lossy run checkpointed just after its first expiries (its first
+    /// retransmissions are their probes), restored into a backend
+    /// that never ran and finished there, reports what the straight run
+    /// does.
+    #[test]
+    fn checkpoint_after_first_expiry_resumes_in_a_fresh_backend() {
+        use atlahs_core::{RunState, Snapshot};
+        let goal = incast(8, 256 * 1024);
+        let cfg = small_switch(CcAlgo::Mprdma);
+        let model = loss_model(20_000, 0x5eed);
+        let (straight, sb) = run_overridden(&goal, cfg.clone(), |b| b.set_link_model(model));
+
+        let mut b = HtsimBackend::new(cfg.clone());
+        let mut driver = SimDriver::start(&goal, &mut b);
+        b.set_link_model(model);
+        let mut bound = 0;
+        while b.net_stats().retransmissions == 0 {
+            bound += 200;
+            assert_eq!(driver.run_until(&mut b, bound).unwrap(), RunState::Paused);
+        }
+        let probes = b.net_stats().retransmissions;
+        assert!(probes <= 8, "one probe per expired flow, 8 flows: {probes}");
+        let mut fresh = HtsimBackend::new(cfg);
+        fresh.restore(&b.checkpoint());
+        let resumed = driver.finish(&mut fresh).unwrap();
+        assert_eq!(resumed, straight);
+        assert_eq!(fresh.net_stats(), sb.net_stats());
+        assert!(sb.net_stats().retransmissions > 1, "the run goes on losing: {:?}", sb.net_stats());
     }
 
     /// Branch override: restoring one checkpoint twice — once clean,

@@ -2,11 +2,11 @@
 //!
 //! Same seed + same config ⇒ byte-identical results: makespan, the full
 //! [`NetStats`] block, and every [`FlowRecord`] of a [`Recorded`] run. The
-//! golden values below were captured after the indexed-event-queue /
-//! route-arena refactor and pin the engine's exact event ordering: any
-//! change that reorders events, perturbs the RNG stream, or alters routing
-//! will move at least one of these fingerprints and must be a conscious
-//! decision.
+//! packet-level golden values below were last captured when loss
+//! recovery moved to a measured timeout and one probe per expiry, and
+//! they pin the engine's exact event ordering: any change that reorders
+//! events, perturbs the RNG stream, or alters routing will move at least
+//! one of these fingerprints and must be a conscious decision.
 //!
 //! The grid covers the two topology families the paper validates against
 //! (a Clos/fat-tree with an oversubscribed core and a dragonfly), both a
@@ -162,7 +162,7 @@ fn clos_dctcp_ecmp() {
         CcAlgo::Dctcp,
         false,
         &cross_tor_permutation(32, 256 * 1024),
-        Golden { makespan: 170070, packets: 2749, losses: 85, fingerprint: 9533739521534378490 },
+        Golden { makespan: 167643, packets: 2174, losses: 94, fingerprint: 12438568260993544145 },
     );
 }
 
@@ -174,7 +174,7 @@ fn clos_dctcp_spray() {
         CcAlgo::Dctcp,
         true,
         &cross_tor_permutation(32, 256 * 1024),
-        Golden { makespan: 142224, packets: 2668, losses: 36, fingerprint: 17379750916316369363 },
+        Golden { makespan: 168453, packets: 2083, losses: 3, fingerprint: 14146956961978388183 },
     );
 }
 
@@ -186,7 +186,7 @@ fn clos_ndp_ecmp() {
         CcAlgo::Ndp,
         false,
         &cross_tor_permutation(32, 256 * 1024),
-        Golden { makespan: 159004, packets: 3700, losses: 879, fingerprint: 13801768378120913788 },
+        Golden { makespan: 118173, packets: 2551, losses: 471, fingerprint: 840806994713709856 },
     );
 }
 
@@ -198,7 +198,7 @@ fn clos_ndp_spray() {
         CcAlgo::Ndp,
         true,
         &cross_tor_permutation(32, 256 * 1024),
-        Golden { makespan: 185839, packets: 5706, losses: 1982, fingerprint: 4573557411911614248 },
+        Golden { makespan: 99270, packets: 2476, losses: 396, fingerprint: 18162966215301456900 },
     );
 }
 
@@ -210,7 +210,7 @@ fn dragonfly_dctcp_ecmp() {
         CcAlgo::Dctcp,
         false,
         &cross_tor_permutation(24, 256 * 1024),
-        Golden { makespan: 125227, packets: 1633, losses: 12, fingerprint: 13005166264371180354 },
+        Golden { makespan: 154011, packets: 1551, losses: 12, fingerprint: 2248097393317271397 },
     );
 }
 
@@ -222,7 +222,7 @@ fn dragonfly_dctcp_spray() {
         CcAlgo::Dctcp,
         true,
         &cross_tor_permutation(24, 256 * 1024),
-        Golden { makespan: 53538, packets: 1536, losses: 0, fingerprint: 7838740639894170979 },
+        Golden { makespan: 53538, packets: 1536, losses: 0, fingerprint: 11069991137537306291 },
     );
 }
 
@@ -234,7 +234,7 @@ fn dragonfly_ndp_ecmp() {
         CcAlgo::Ndp,
         false,
         &cross_tor_permutation(24, 256 * 1024),
-        Golden { makespan: 90539, packets: 1621, losses: 15, fingerprint: 7366083823433530007 },
+        Golden { makespan: 90311, packets: 1554, losses: 15, fingerprint: 9316938397200103599 },
     );
 }
 
@@ -286,7 +286,7 @@ fn synthetic_moe_alltoall() {
     check_synthetic(
         "synthetic_moe_alltoall",
         &moe_goal(),
-        Golden { makespan: 624344, packets: 22810, losses: 29, fingerprint: 9882847408263673026 },
+        Golden { makespan: 469621, packets: 14546, losses: 15, fingerprint: 821258127679016863 },
         Golden { makespan: 183374, packets: 448, losses: 0, fingerprint: 5609275606591164578 },
     );
 }
@@ -296,7 +296,7 @@ fn synthetic_pipeline_parallel() {
     check_synthetic(
         "synthetic_pipeline_parallel",
         &pipeline_goal(),
-        Golden { makespan: 1141354, packets: 3584, losses: 0, fingerprint: 13655304210608727665 },
+        Golden { makespan: 1141354, packets: 3584, losses: 0, fingerprint: 9611266133804975409 },
         Golden { makespan: 866674, packets: 56, losses: 0, fingerprint: 8908028073276139227 },
     );
 }
@@ -353,7 +353,7 @@ fn synthetic_storage_incast() {
     check_synthetic(
         "synthetic_storage_incast",
         &storage_incast_goal(),
-        Golden { makespan: 652450, packets: 3661, losses: 301, fingerprint: 1207351324072312170 },
+        Golden { makespan: 587516, packets: 3335, losses: 162, fingerprint: 18246111397793561672 },
         Golden { makespan: 52392, packets: 192, losses: 0, fingerprint: 4204762182558412328 },
     );
 }
@@ -366,7 +366,7 @@ fn dragonfly_ndp_spray() {
         CcAlgo::Ndp,
         true,
         &cross_tor_permutation(24, 256 * 1024),
-        Golden { makespan: 55346, packets: 1536, losses: 0, fingerprint: 7130154478266168476 },
+        Golden { makespan: 55346, packets: 1536, losses: 0, fingerprint: 6629732990125816890 },
     );
 }
 
@@ -402,7 +402,7 @@ fn clos_dctcp_linkflap() {
         CcAlgo::Dctcp,
         &cross_tor_permutation(32, 256 * 1024),
         &clos_flap(),
-        Golden { makespan: 276694, packets: 2763, losses: 18, fingerprint: 14339675977075112708 },
+        Golden { makespan: 273434, packets: 2622, losses: 18, fingerprint: 14398268034225586474 },
     );
 }
 
@@ -414,7 +414,7 @@ fn clos_ndp_linkflap() {
         CcAlgo::Ndp,
         &cross_tor_permutation(32, 256 * 1024),
         &clos_flap(),
-        Golden { makespan: 218506, packets: 3811, losses: 272, fingerprint: 18207225906497027579 },
+        Golden { makespan: 241039, packets: 3116, losses: 249, fingerprint: 1211163631588772433 },
     );
 }
 

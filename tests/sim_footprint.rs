@@ -55,8 +55,8 @@ fn a_packet_level_run_stays_under_the_recorded_growth() {
     // The bound is for this much work: the benchmark's seed-1 counts.
     let net = backend.net_stats();
     assert_eq!(goal.num_ranks(), 32);
-    assert_eq!(net.packets_sent, 2_494_627, "the benchmark's ai_htsim_spray run");
-    assert_eq!(net.internal_events, 30_090_799, "the benchmark's ai_htsim_spray run");
+    assert_eq!(net.packets_sent, 1_642_954, "the benchmark's ai_htsim_spray run");
+    assert_eq!(net.internal_events, 19_493_780, "the benchmark's ai_htsim_spray run");
 
     let grew = after - before;
     eprintln!(
