@@ -21,7 +21,7 @@
 #      lowers the 3.19 M-task ai_lgs_trace input in a process of its own
 #      and fails if VmHWM passes its recorded bound; and the simulated-
 #      phase one: tests/sim_footprint.rs runs the ai_htsim_spray input on
-#      htsim (30.1 M events), likewise alone, and fails if VmHWM grows
+#      htsim (19.5 M events), likewise alone, and fails if VmHWM grows
 #      during the run by more than its recorded bound; and the flow-table
 #      one: tests/flow_table_footprint.rs does the same with the
 #      storage_htsim_oversub input (389 560 flows), where what a delivered
@@ -88,7 +88,7 @@ ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test determinism_golden \
 step "lowering memory ratchet (3.19M-task nccl2goal trace, VmHWM bound)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test lowering_footprint
 
-step "simulated-phase memory ratchet (30.1M-event htsim run, VmHWM growth bound)"
+step "simulated-phase memory ratchet (19.5M-event htsim run, VmHWM growth bound)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test sim_footprint
 
 step "flow-table memory ratchet (389 560-flow htsim run, VmHWM growth bound)"

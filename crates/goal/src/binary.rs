@@ -10,31 +10,32 @@
 //!   (`a` is non-decreasing; `a - b` is usually a small positive number).
 //!
 //! The trace-size results of Table 1 / Fig. 9 are measured on this encoding.
-
-use bytes::BufMut;
+//!
+//! Both directions work on the task arena and the predecessor CSR of
+//! [`RankSchedule`] directly: the encoder walks the columns and the
+//! predecessor lists, and the decoder pushes each task's fields into the
+//! columns and each edge into the predecessor CSR as it reads them, then
+//! lets the schedule derive its successor CSR — no `Task` value is built in
+//! either direction, and every task is written once.
 
 use crate::error::GoalError;
-use crate::schedule::{check_edge, GoalSchedule, RankSchedule, TaskColumns};
-use crate::task::{Dep, DepKind, Rank, Task, TaskId, TaskKind};
+use crate::schedule::{
+    check_edge, check_task_count, GoalSchedule, KindTag, RankSchedule, TaskColumns, TaskRec,
+};
+use crate::task::{Dep, DepKind, Rank, TaskId};
 
 const MAGIC: &[u8; 8] = b"GOALB1\0\0";
 
-const KIND_CALC: u8 = 0;
-const KIND_SEND: u8 = 1;
-const KIND_RECV: u8 = 2;
 const FLAG_TAG: u8 = 1 << 2;
 const FLAG_STREAM: u8 = 1 << 3;
 
+#[inline]
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
     }
+    buf.push(v as u8);
 }
 
 /// Cursor over encoded bytes; `pos` doubles as the offset errors report.
@@ -53,8 +54,20 @@ impl Reader<'_> {
         self.data.len() - self.pos
     }
 
+    /// Read a varint. Most values of a schedule fit one byte (edge deltas,
+    /// small peers and streams), so that case returns first.
     #[inline]
     fn varint(&mut self) -> Result<u64, GoalError> {
+        match self.data.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(byte as u64)
+            }
+            _ => self.varint_long(),
+        }
+    }
+
+    fn varint_long(&mut self) -> Result<u64, GoalError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -98,26 +111,64 @@ impl Reader<'_> {
         Ok(n as usize)
     }
 
+    /// Read one task straight into the arena. A calc's tag, if the header
+    /// flags one, is read and dropped: calcs carry none.
     #[inline]
-    fn task(&mut self) -> Result<Task, GoalError> {
+    fn task_into(&mut self, tasks: &mut TaskColumns) -> Result<(), GoalError> {
         let Some(&header) = self.data.get(self.pos) else {
             return Err(self.error("truncated task header"));
         };
         self.pos += 1;
         let code = header & 0x3;
-        if code > KIND_RECV {
+        let Some(kind) = KindTag::from_code(code) else {
             return Err(self.error(format!("unknown task kind {code}")));
-        }
+        };
         let payload = self.varint()?;
-        let peer = if code == KIND_CALC { 0 } else { self.varint_u32("peer")? };
+        let peer = if kind == KindTag::Calc { 0 } else { self.varint_u32("peer")? };
         let tag = if header & FLAG_TAG != 0 { self.varint_u32("tag")? } else { 0 };
         let stream = if header & FLAG_STREAM != 0 { self.varint_u32("stream")? } else { 0 };
-        let kind = match code {
-            KIND_CALC => TaskKind::Calc { cost: payload },
-            KIND_SEND => TaskKind::Send { bytes: payload, dst: peer, tag },
-            _ => TaskKind::Recv { bytes: payload, src: peer, tag },
-        };
-        Ok(Task { kind, stream })
+        let tag = if kind == KindTag::Calc { 0 } else { tag };
+        tasks.push_fields(kind, TaskRec { payload, peer, tag }, stream);
+        Ok(())
+    }
+
+    /// Read one rank: its tasks into an arena, its edges — stored grouped
+    /// by dependent task in increasing order, i.e. as predecessor lists
+    /// already — into a predecessor CSR whose offsets are counted in place
+    /// and summed once.
+    fn rank(&mut self, rank: Rank) -> Result<RankSchedule, GoalError> {
+        let n = self.count("task")?;
+        let mut tasks = TaskColumns::default();
+        tasks.reserve(n);
+        for _ in 0..n {
+            self.task_into(&mut tasks)?;
+        }
+        let num_deps = self.count("edge")?;
+        let mut pred_offsets = vec![0u32; n + 1];
+        let mut pred_targets = Vec::with_capacity(num_deps);
+        let mut a = 0u64;
+        for _ in 0..num_deps {
+            a = a.saturating_add(self.varint()?);
+            let packed = self.varint()?;
+            let kind = if packed & 1 == 1 { DepKind::Start } else { DepKind::Full };
+            let b = u32::try_from(a)
+                .ok()
+                .and_then(|a| i64::from(a).checked_sub(unzigzag(packed >> 1)))
+                .and_then(|b| u32::try_from(b).ok());
+            let Some(b) = b else {
+                return Err(self.error("edge index out of range"));
+            };
+            check_edge(rank, n, TaskId(a as u32), TaskId(b))?;
+            pred_offsets[a as usize + 1] += 1;
+            pred_targets.push(Dep::new(TaskId(b), kind));
+        }
+        let mut end = 0u32;
+        for slot in &mut pred_offsets {
+            end += *slot;
+            *slot = end;
+        }
+        check_task_count(rank, n)?;
+        Ok(RankSchedule::with_preds(tasks, pred_offsets, pred_targets))
     }
 }
 
@@ -131,7 +182,8 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encode a schedule into the compact binary format.
+/// Encode a schedule into the compact binary format, straight from each
+/// rank's task arena and predecessor CSR.
 pub fn encode(goal: &GoalSchedule) -> Vec<u8> {
     // Rough pre-size: ~6 bytes per task + ~3 per edge.
     let cap =
@@ -140,59 +192,42 @@ pub fn encode(goal: &GoalSchedule) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     put_varint(&mut out, goal.num_ranks() as u64);
     for sched in goal.ranks() {
-        put_varint(&mut out, sched.num_tasks() as u64);
-        for t in sched.tasks() {
-            encode_task(&mut out, &t);
+        let cols = sched.columns();
+        put_varint(&mut out, cols.len() as u64);
+        for ((&kind, rec), &stream) in cols.kinds.iter().zip(&cols.recs).zip(&cols.streams) {
+            let mut header = kind as u8;
+            if rec.tag != 0 {
+                header |= FLAG_TAG;
+            }
+            if stream != 0 {
+                header |= FLAG_STREAM;
+            }
+            out.push(header);
+            put_varint(&mut out, rec.payload);
+            if kind != KindTag::Calc {
+                put_varint(&mut out, rec.peer as u64);
+            }
+            if rec.tag != 0 {
+                put_varint(&mut out, rec.tag as u64);
+            }
+            if stream != 0 {
+                put_varint(&mut out, stream as u64);
+            }
         }
-        put_varint(&mut out, sched.num_deps() as u64);
+        let (pred_offsets, pred_targets) = sched.pred_lists();
+        put_varint(&mut out, pred_targets.len() as u64);
         let mut prev_a = 0u64;
-        for (a, b, k) in sched.dep_edges() {
-            // dep_edges yields edges grouped by `a` in increasing order.
-            let a = a.0 as u64;
-            put_varint(&mut out, a - prev_a);
-            prev_a = a;
-            let diff = zigzag(a as i64 - b.0 as i64);
-            let kind_bit = match k {
-                DepKind::Full => 0,
-                DepKind::Start => 1,
-            };
-            put_varint(&mut out, (diff << 1) | kind_bit);
+        for (a, w) in pred_offsets.windows(2).enumerate() {
+            let a = a as u64;
+            for dep in &pred_targets[w[0] as usize..w[1] as usize] {
+                put_varint(&mut out, a - prev_a);
+                prev_a = a;
+                let diff = zigzag(a as i64 - dep.task().0 as i64);
+                put_varint(&mut out, (diff << 1) | dep.kind() as u64);
+            }
         }
     }
     out
-}
-
-fn encode_task(out: &mut Vec<u8>, t: &Task) {
-    let (kind, tag) = match t.kind {
-        TaskKind::Calc { .. } => (KIND_CALC, 0),
-        TaskKind::Send { tag, .. } => (KIND_SEND, tag),
-        TaskKind::Recv { tag, .. } => (KIND_RECV, tag),
-    };
-    let mut header = kind;
-    if tag != 0 {
-        header |= FLAG_TAG;
-    }
-    if t.stream != 0 {
-        header |= FLAG_STREAM;
-    }
-    out.put_u8(header);
-    match t.kind {
-        TaskKind::Calc { cost } => put_varint(out, cost),
-        TaskKind::Send { bytes, dst, .. } => {
-            put_varint(out, bytes);
-            put_varint(out, dst as u64);
-        }
-        TaskKind::Recv { bytes, src, .. } => {
-            put_varint(out, bytes);
-            put_varint(out, src as u64);
-        }
-    }
-    if tag != 0 {
-        put_varint(out, tag as u64);
-    }
-    if t.stream != 0 {
-        put_varint(out, t.stream as u64);
-    }
 }
 
 /// Decode a schedule from the compact binary format.
@@ -206,34 +241,7 @@ pub fn decode(data: &[u8]) -> Result<GoalSchedule, GoalError> {
     let num_ranks = r.count("rank")?;
     let mut ranks = Vec::with_capacity(num_ranks);
     for rank in 0..num_ranks as Rank {
-        let num_tasks = r.count("task")?;
-        let mut tasks = TaskColumns::default();
-        tasks.reserve(num_tasks);
-        for _ in 0..num_tasks {
-            tasks.push(r.task()?);
-        }
-        // Edges are stored grouped by dependent task in increasing order,
-        // i.e. as predecessor lists already: count and append.
-        let num_deps = r.count("edge")?;
-        let mut pred_counts = vec![0u32; num_tasks];
-        let mut pred_targets = Vec::with_capacity(num_deps);
-        let mut a = 0u64;
-        for _ in 0..num_deps {
-            a = a.saturating_add(r.varint()?);
-            let packed = r.varint()?;
-            let kind = if packed & 1 == 1 { DepKind::Start } else { DepKind::Full };
-            let b = u32::try_from(a)
-                .ok()
-                .and_then(|a| i64::from(a).checked_sub(unzigzag(packed >> 1)))
-                .and_then(|b| u32::try_from(b).ok());
-            let Some(b) = b else {
-                return Err(r.error("edge index out of range"));
-            };
-            check_edge(rank, num_tasks, TaskId(a as u32), TaskId(b))?;
-            pred_counts[a as usize] += 1;
-            pred_targets.push(Dep::new(TaskId(b), kind));
-        }
-        ranks.push(RankSchedule::from_pred_lists(rank, tasks, &pred_counts, pred_targets)?);
+        ranks.push(r.rank(rank)?);
     }
     if r.remaining() > 0 {
         return Err(r.error("trailing bytes"));
@@ -245,6 +253,7 @@ pub fn decode(data: &[u8]) -> Result<GoalSchedule, GoalError> {
 mod tests {
     use super::*;
     use crate::builder::GoalBuilder;
+    use crate::task::Task;
 
     fn sample() -> GoalSchedule {
         let mut b = GoalBuilder::new(3);
@@ -392,7 +401,7 @@ mod tests {
         // 1 rank, 1 task: a tagged send on an explicit stream, no edges.
         let send = |peer: u64, tag: u64, stream: u64| {
             let mut data = MAGIC.to_vec();
-            data.extend_from_slice(&[1, 1, KIND_SEND | FLAG_TAG | FLAG_STREAM, 64]);
+            data.extend_from_slice(&[1, 1, KindTag::Send as u8 | FLAG_TAG | FLAG_STREAM, 64]);
             for v in [peer, tag, stream, 0] {
                 put_varint(&mut data, v);
             }

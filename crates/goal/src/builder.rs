@@ -1,7 +1,7 @@
 //! Programmatic construction of GOAL schedules.
 
 use crate::error::GoalError;
-use crate::schedule::{Edge, GoalSchedule, RankSchedule, TaskColumns};
+use crate::schedule::{pred_csr, Edge, GoalSchedule, RankSchedule, TaskColumns};
 use crate::task::{Dep, DepKind, Rank, Stream, Tag, Task, TaskId};
 
 /// A fluent builder for [`GoalSchedule`].
@@ -53,36 +53,72 @@ impl GoalBuilder {
 
     /// Append a whole rank schedule to `rank`: every task of `src`, passed
     /// through `map` together with the id it receives here, then every
-    /// dependency edge of `src`. New ids are `base + old id`, where `base`
-    /// is [`GoalBuilder::num_tasks`] at the time of the call — merging DAGs
+    /// dependency edge of `src`, grouped by dependent task in id order.
+    /// New ids are `base + old id`, where `base` is
+    /// [`GoalBuilder::num_tasks`] at the time of the call — merging DAGs
     /// needs no id table.
     pub fn append(
         &mut self,
         rank: Rank,
         src: &RankSchedule,
+        map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
+    ) -> Result<(), GoalError> {
+        let (pred_offsets, pred_targets) = src.pred_lists();
+        self.append_parts(rank, src.columns(), pred_offsets, pred_targets, map)
+    }
+
+    /// [`GoalBuilder::append`] with the source rank `src_rank` of another
+    /// builder, moved out of it (it keeps the rank but empty). The source
+    /// is checked as [`GoalBuilder::take_rank`] would check it, and its
+    /// edges are grouped by dependent in one stable counting pass, so the
+    /// result equals appending the taken rank — without the successor
+    /// index that taking it would build. A lowering that goes through an
+    /// intermediate level moves that level's ranks one at a time with
+    /// this, so the intermediate level never exists as a whole schedule.
+    pub fn append_from(
+        &mut self,
+        rank: Rank,
+        src: &mut GoalBuilder,
+        src_rank: Rank,
+        map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
+    ) -> Result<(), GoalError> {
+        let (tasks, deps) = std::mem::take(&mut src.ranks[src_rank as usize]);
+        let (pred_offsets, pred_targets) = pred_csr(src_rank, tasks.len(), deps)?;
+        self.append_parts(rank, &tasks, &pred_offsets, &pred_targets, map)
+    }
+
+    /// The body of both appends: `tasks` and their predecessor CSR.
+    fn append_parts(
+        &mut self,
+        rank: Rank,
+        tasks: &TaskColumns,
+        pred_offsets: &[u32],
+        pred_targets: &[Dep],
         mut map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
     ) -> Result<(), GoalError> {
-        let (tasks, deps) = &mut self.ranks[rank as usize];
-        let base = tasks.len() as u32;
-        tasks.reserve(src.num_tasks());
-        for (i, t) in src.tasks().enumerate() {
-            tasks.push(map(TaskId(base + i as u32), t)?);
+        let (dst, deps) = &mut self.ranks[rank as usize];
+        let base = dst.len() as u32;
+        dst.reserve(tasks.len());
+        for i in 0..tasks.len() {
+            dst.push(map(TaskId(base + i as u32), tasks.get(i))?);
         }
-        deps.extend(src.edges().map(|(a, dep)| {
-            (TaskId(base + a.0), Dep::new(TaskId(base + dep.task().0), dep.kind()))
-        }));
+        for (a, w) in pred_offsets.windows(2).enumerate() {
+            let a = TaskId(base + a as u32);
+            deps.extend(
+                pred_targets[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .map(|dep| (a, Dep::new(TaskId(base + dep.task().0), dep.kind()))),
+            );
+        }
         Ok(())
     }
 
     /// Finish one rank on its own: move its tasks and edges out of the
-    /// builder, which keeps the rank but empty, and index them. A lowering
-    /// that goes through an intermediate level takes that level's ranks one
-    /// at a time with this (and [`GoalBuilder::append`]s each to the next
-    /// level), so the intermediate level never exists as a whole schedule.
-    /// Edge indices are checked; peers and cycles are not.
+    /// builder, which keeps the rank but empty, and index them. Edge
+    /// indices are checked; peers and cycles are not.
     pub fn take_rank(&mut self, rank: Rank) -> Result<RankSchedule, GoalError> {
         let (tasks, deps) = std::mem::take(&mut self.ranks[rank as usize]);
-        RankSchedule::assemble(rank, tasks, deps.iter().copied())
+        RankSchedule::assemble(rank, tasks, deps)
     }
 
     /// Add a calc of `cost` nanoseconds on stream 0.
@@ -241,6 +277,29 @@ mod tests {
         // What `build` rejects in a rank, taking that rank rejects too.
         b.requires(0, TaskId(0), TaskId(7));
         assert_eq!(b.take_rank(0), Err(GoalError::UnknownTask { rank: 0, task: TaskId(7) }));
+    }
+
+    #[test]
+    fn append_from_equals_appending_the_taken_rank() {
+        // Edges out of dependent order, both kinds, and a moved stream.
+        let mut src = GoalBuilder::new(2);
+        let ids: Vec<_> = (0..4).map(|i| src.calc_on(1, i, i as u32)).collect();
+        src.requires(1, ids[3], ids[1]);
+        src.irequires(1, ids[2], ids[0]);
+        src.requires(1, ids[3], ids[0]);
+        src.send(0, 1, 8, 0);
+        let taken = src.clone().take_rank(1).unwrap();
+        let mut dst = GoalBuilder::new(1);
+        dst.calc(0, 9);
+        let mut want = dst.clone();
+        want.append(0, &taken, |_, t| Ok(t.on_stream(t.stream + 1))).unwrap();
+        dst.append_from(0, &mut src, 1, |_, t| Ok(t.on_stream(t.stream + 1))).unwrap();
+        assert_eq!(dst.build().unwrap(), want.build().unwrap());
+        assert_eq!((src.num_tasks(0), src.num_tasks(1)), (1, 0));
+        // What taking the rank rejects, moving it rejects.
+        src.requires(0, TaskId(0), TaskId(7));
+        let err = GoalBuilder::new(1).append_from(0, &mut src, 0, |_, t| Ok(t)).unwrap_err();
+        assert_eq!(err, GoalError::UnknownTask { rank: 0, task: TaskId(7) });
     }
 
     #[test]

@@ -1,35 +1,66 @@
 //! In-memory representation of GOAL schedules.
+//!
+//! A rank is a task arena (one kind byte, one 16-byte record and one stream
+//! id per task) plus its dependency edges in CSR form, predecessors first.
+//! Every constructor — the builder, the binary decoder, `from_parts` —
+//! produces the predecessor CSR its own way and hands it to one routine
+//! that derives the successor CSR, so tasks and edges are written once on
+//! the way from a lowering or a file to the scheduler.
 
 use crate::error::GoalError;
-use crate::task::{Dep, DepKind, Rank, Stream, Task, TaskId, TaskKind};
+use crate::task::{Dep, DepKind, Rank, Stream, Tag, Task, TaskId, TaskKind};
 
 /// A dependency edge: the dependent task, then what it depends on and how.
 pub(crate) type Edge = (TaskId, Dep);
 
-/// Discriminant column of the task arena (1 byte per task).
+/// Discriminant column of the task arena (1 byte per task). The values are
+/// the binary codec's kind codes, so the codec converts without a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-enum KindTag {
-    Send,
-    Recv,
-    Calc,
+pub(crate) enum KindTag {
+    Calc = 0,
+    Send = 1,
+    Recv = 2,
 }
 
-/// The struct-of-arrays task arena: column `i` describes task `i`.
+impl KindTag {
+    /// The tag of codec kind code `code`, if it names one.
+    #[inline]
+    pub(crate) fn from_code(code: u8) -> Option<KindTag> {
+        match code {
+            0 => Some(KindTag::Calc),
+            1 => Some(KindTag::Send),
+            2 => Some(KindTag::Recv),
+            _ => None,
+        }
+    }
+}
+
+/// Everything about a task but its kind and stream, in one 16-byte record,
+/// so issuing a task loads one cache line slot instead of three columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TaskRec {
+    /// Message bytes (send/recv) or calc nanoseconds.
+    pub(crate) payload: u64,
+    /// Peer rank: dst for sends, src for recvs, 0 for calcs.
+    pub(crate) peer: Rank,
+    /// Match tag; 0 for calcs.
+    pub(crate) tag: Tag,
+}
+
+const _: () = assert!(std::mem::size_of::<TaskRec>() == 16);
+
+/// The struct-of-arrays task arena: entry `i` of each column describes
+/// task `i`.
 ///
 /// Every producer — [`crate::GoalBuilder`], the codecs, `merge::compose` —
 /// pushes tasks straight into these columns and a finished
 /// [`RankSchedule`] takes them over by move, so a task is written once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct TaskColumns {
-    kinds: Vec<KindTag>,
-    /// Message bytes (send/recv) or calc nanoseconds.
-    payloads: Vec<u64>,
-    /// Peer rank: dst for sends, src for recvs, 0 for calcs.
-    peers: Vec<Rank>,
-    /// Match tag; 0 for calcs.
-    tags: Vec<u32>,
-    streams: Vec<Stream>,
+    pub(crate) kinds: Vec<KindTag>,
+    pub(crate) recs: Vec<TaskRec>,
+    pub(crate) streams: Vec<Stream>,
 }
 
 impl TaskColumns {
@@ -40,10 +71,17 @@ impl TaskColumns {
 
     pub(crate) fn reserve(&mut self, n: usize) {
         self.kinds.reserve(n);
-        self.payloads.reserve(n);
-        self.peers.reserve(n);
-        self.tags.reserve(n);
+        self.recs.reserve(n);
         self.streams.reserve(n);
+    }
+
+    /// Append a task from its fields; its id is the previous
+    /// [`TaskColumns::len`]. A calc's `peer` and `tag` must be 0.
+    #[inline]
+    pub(crate) fn push_fields(&mut self, kind: KindTag, rec: TaskRec, stream: Stream) {
+        self.kinds.push(kind);
+        self.recs.push(rec);
+        self.streams.push(stream);
     }
 
     /// Append a task; its id is the previous [`TaskColumns::len`].
@@ -54,83 +92,108 @@ impl TaskColumns {
             TaskKind::Recv { bytes, src, tag } => (KindTag::Recv, bytes, src, tag),
             TaskKind::Calc { cost } => (KindTag::Calc, cost, 0, 0),
         };
-        self.kinds.push(kind);
-        self.payloads.push(payload);
-        self.peers.push(peer);
-        self.tags.push(tag);
-        self.streams.push(t.stream);
+        self.push_fields(kind, TaskRec { payload, peer, tag }, t.stream);
     }
 
-    /// The kind of task `i`, from every column but the stream. Panics if
-    /// out of range.
-    // Always inlined, so that `get` compiles as it did before this was split
-    // out of it: the lowering phase's peak RSS moved 0.9 MiB with that code.
+    /// The kind of task `i`, from its tag and record. Panics if out of
+    /// range.
     #[inline(always)]
     fn kind(&self, i: usize) -> TaskKind {
+        let TaskRec { payload, peer, tag } = self.recs[i];
         match self.kinds[i] {
-            KindTag::Send => {
-                TaskKind::Send { bytes: self.payloads[i], dst: self.peers[i], tag: self.tags[i] }
-            }
-            KindTag::Recv => {
-                TaskKind::Recv { bytes: self.payloads[i], src: self.peers[i], tag: self.tags[i] }
-            }
-            KindTag::Calc => TaskKind::Calc { cost: self.payloads[i] },
+            KindTag::Send => TaskKind::Send { bytes: payload, dst: peer, tag },
+            KindTag::Recv => TaskKind::Recv { bytes: payload, src: peer, tag },
+            KindTag::Calc => TaskKind::Calc { cost: payload },
         }
     }
 
     /// Task `i`, reassembled by value. Panics if out of range.
     #[inline]
-    fn get(&self, i: usize) -> Task {
+    pub(crate) fn get(&self, i: usize) -> Task {
         Task { kind: self.kind(i), stream: self.streams[i] }
     }
 }
 
 /// One direction of the dependency graph in CSR form: the neighbours of
 /// task `i` are `targets[offsets[i]..offsets[i + 1]]`.
-type Csr = (Vec<u32>, Vec<Dep>);
+pub(crate) type Csr = (Vec<u32>, Vec<Dep>);
 
-/// Stable counting sort of `(key, neighbour)` pairs into CSR form: the
-/// neighbours of each key keep the order the iterator yields them in.
-fn csr(n: usize, edges: impl Iterator<Item = Edge> + Clone) -> Csr {
-    let mut offsets = vec![0u32; n + 1];
-    let mut m = 0usize;
-    for (key, _) in edges.clone() {
-        offsets[key.index() + 1] += 1;
-        m += 1;
-    }
-    // Exclusive scan kept one slot to the right, so that `offsets[k + 1]`
-    // is key k's fill cursor and ends up as key k + 1's start.
+/// Turn the counts of a counting sort, kept one slot to the right of
+/// their key, into fill cursors: an exclusive scan after which
+/// `offsets[k + 1]` is key k's start, and once key k's entries are placed
+/// by incrementing it, key k + 1's start.
+fn fill_cursors(offsets: &mut [u32]) {
     let mut start = 0u32;
     for slot in &mut offsets[1..] {
         start += std::mem::replace(slot, start);
     }
-    let mut targets = vec![Dep::new(TaskId(0), DepKind::Full); m];
-    for (key, other) in edges {
-        let cursor = &mut offsets[key.index() + 1];
-        targets[*cursor as usize] = other;
+}
+
+/// The predecessor CSR of a rank of `n` tasks: check the task count and
+/// every edge in order ([`check_edge`]) while counting, then group the
+/// edges by dependent task in one stable pass, so each task's entries keep
+/// the order of `edges`. Takes the edge list by value, so it is freed
+/// before the caller allocates the next index.
+pub(crate) fn pred_csr(rank: Rank, n: usize, edges: Vec<Edge>) -> Result<Csr, GoalError> {
+    check_task_count(rank, n)?;
+    let mut offsets = vec![0u32; n + 1];
+    for &(a, dep) in &edges {
+        check_edge(rank, n, a, dep.task())?;
+        offsets[a.index() + 1] += 1;
+    }
+    fill_cursors(&mut offsets);
+    let mut targets = vec![Dep::new(TaskId(0), DepKind::Full); edges.len()];
+    for (a, dep) in edges {
+        let cursor = &mut offsets[a.index() + 1];
+        targets[*cursor as usize] = dep;
         *cursor += 1;
+    }
+    Ok((offsets, targets))
+}
+
+/// The successor CSR of a predecessor CSR: task `b`'s successors are the
+/// tasks that list it, in dependent-id order (and, within one dependent,
+/// in its predecessor order). Every constructor derives the successor
+/// direction here, so two schedules with equal predecessor lists are `==`
+/// however their edges were inserted.
+fn succ_csr(pred_offsets: &[u32], pred_targets: &[Dep]) -> Csr {
+    let n = pred_offsets.len() - 1;
+    let mut offsets = vec![0u32; n + 1];
+    for dep in pred_targets {
+        offsets[dep.task().index() + 1] += 1;
+    }
+    fill_cursors(&mut offsets);
+    let mut targets = vec![Dep::new(TaskId(0), DepKind::Full); pred_targets.len()];
+    for (a, w) in pred_offsets.windows(2).enumerate() {
+        for dep in &pred_targets[w[0] as usize..w[1] as usize] {
+            let cursor = &mut offsets[dep.task().index() + 1];
+            targets[*cursor as usize] = Dep::new(TaskId(a as u32), dep.kind());
+            *cursor += 1;
+        }
     }
     (offsets, targets)
 }
 
 /// One rank's schedule: a DAG of tasks.
 ///
-/// Tasks are stored as a **struct-of-arrays arena**: parallel
-/// `kind`/`payload`/`peer`/`tag`/`stream` columns indexed by dense
-/// [`TaskId`]s, 21 bytes per task amortized versus the 32 bytes of a
-/// `Vec<Task>` array-of-structs. The scheduler's issue loop walks
-/// ids in near-dense order, so column reads stay cache-linear, and hot
-/// single-field queries (a dispatch needs only the stream id) touch one
-/// 4-byte column instead of loading a 32-byte struct. [`RankSchedule::task`]
-/// reassembles a [`Task`] value on demand — it is `Copy`-cheap, so the
-/// arena is an internal layout choice, not an API regime.
+/// Tasks are stored as a **struct-of-arrays arena** indexed by dense
+/// [`TaskId`]s: a 1-byte kind column, a column of 16-byte records
+/// (payload, peer, tag) and a 4-byte stream column, 21 bytes per task
+/// versus the 32 bytes of a `Vec<Task>` array-of-structs. Issuing a task
+/// reads its kind and one record ([`RankSchedule::kind`]); a dispatch needs
+/// only the stream id and touches the 4-byte stream column alone.
+/// [`RankSchedule::task`] reassembles a [`Task`] value on demand — it is
+/// `Copy`-cheap, so the arena is an internal layout choice, not an API
+/// regime.
 ///
 /// Dependency edges are stored in CSR form in both directions so that the
 /// scheduler can walk predecessors (to compute in-degrees) and successors
 /// (to release dependents on completion) without allocation. An entry is a
 /// packed [`Dep`], so an edge costs 4 bytes per direction on top of the two
 /// 4-byte offset columns: `8·(n + 1) + 8·E` bytes in all
-/// ([`RankSchedule::dep_bytes`]).
+/// ([`RankSchedule::dep_bytes`]). The successor direction is always derived
+/// from the predecessor one, so it lists each task's dependents in id
+/// order whatever order the edges were added in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankSchedule {
     tasks: TaskColumns,
@@ -140,12 +203,6 @@ pub struct RankSchedule {
     // CSR: successors of task i (tasks that depend on i)
     succ_offsets: Vec<u32>,
     succ_targets: Vec<Dep>,
-}
-
-/// The successor-direction view of an edge.
-#[inline]
-fn reversed((a, dep): Edge) -> Edge {
-    (dep.task(), Dep::new(a, dep.kind()))
 }
 
 impl RankSchedule {
@@ -165,50 +222,45 @@ impl RankSchedule {
         for t in tasks {
             cols.push(t);
         }
-        Self::assemble(rank, cols, deps.iter().map(|&(a, b, k)| (a, Dep::new(b, k))))
+        let deps = deps.iter().map(|&(a, b, k)| (a, Dep::new(b, k))).collect();
+        Self::assemble(rank, cols, deps)
     }
 
-    /// The one constructor: take over finished task columns and index the
-    /// edges in both directions. Predecessor and successor lists keep the
-    /// order of `deps`, which is what makes schedules comparable with `==`.
+    /// Take over finished task columns and index `deps`, edges in any
+    /// order: each task's predecessors keep the order of `deps`.
     pub(crate) fn assemble(
         rank: Rank,
         tasks: TaskColumns,
-        deps: impl Iterator<Item = Edge> + Clone,
+        deps: Vec<Edge>,
     ) -> Result<Self, GoalError> {
-        let n = tasks.len();
-        check_task_count(rank, n)?;
-        for (a, dep) in deps.clone() {
-            check_edge(rank, n, a, dep.task())?;
-        }
-        let (pred_offsets, pred_targets) = csr(n, deps.clone());
-        let (succ_offsets, succ_targets) = csr(n, deps.map(reversed));
-        Ok(RankSchedule { tasks, pred_offsets, pred_targets, succ_offsets, succ_targets })
+        let (pred_offsets, pred_targets) = pred_csr(rank, tasks.len(), deps)?;
+        Ok(Self::with_preds(tasks, pred_offsets, pred_targets))
     }
 
-    /// [`RankSchedule::assemble`] for edges that arrive already grouped by
-    /// dependent task in id order (the binary codec's layout): task `i`
-    /// owns the next `pred_counts[i]` entries of `pred_targets`. Every edge
-    /// must have passed [`check_edge`].
-    pub(crate) fn from_pred_lists(
-        rank: Rank,
+    /// The one constructor: take over task columns and a checked
+    /// predecessor CSR, and derive the successor direction from it
+    /// ([`succ_csr`]).
+    pub(crate) fn with_preds(
         tasks: TaskColumns,
-        pred_counts: &[u32],
+        pred_offsets: Vec<u32>,
         pred_targets: Vec<Dep>,
-    ) -> Result<Self, GoalError> {
-        check_task_count(rank, tasks.len())?;
-        let mut pred_offsets = Vec::with_capacity(pred_counts.len() + 1);
-        let mut end = 0u32;
-        pred_offsets.push(end);
-        pred_offsets.extend(pred_counts.iter().map(|&count| {
-            end += count;
-            end
-        }));
-        let mut s = RankSchedule { tasks, pred_offsets, pred_targets, ..Default::default() };
-        let (succ_offsets, succ_targets) = csr(s.num_tasks(), s.edges().map(reversed));
-        s.succ_offsets = succ_offsets;
-        s.succ_targets = succ_targets;
-        Ok(s)
+    ) -> Self {
+        debug_assert_eq!(pred_offsets.len(), tasks.len() + 1);
+        let (succ_offsets, succ_targets) = succ_csr(&pred_offsets, &pred_targets);
+        RankSchedule { tasks, pred_offsets, pred_targets, succ_offsets, succ_targets }
+    }
+
+    /// The task arena, for the codec.
+    #[inline]
+    pub(crate) fn columns(&self) -> &TaskColumns {
+        &self.tasks
+    }
+
+    /// The predecessor CSR `(offsets, targets)`, for the codec and the
+    /// builder.
+    #[inline]
+    pub(crate) fn pred_lists(&self) -> (&[u32], &[Dep]) {
+        (&self.pred_offsets, &self.pred_targets)
     }
 
     /// Number of tasks in this rank's schedule.
@@ -231,8 +283,8 @@ impl RankSchedule {
     }
 
     /// The kind of task `id`: [`RankSchedule::task`] without the stream
-    /// column, so issuing a task reads only the columns the backend is
-    /// handed. Panics if out of range.
+    /// column, so issuing a task reads its kind byte and its 16-byte record
+    /// and nothing else. Panics if out of range.
     #[inline]
     pub fn kind(&self, id: TaskId) -> TaskKind {
         self.tasks.kind(id.index())
@@ -257,9 +309,7 @@ impl RankSchedule {
     /// in byte-compared reports.
     pub fn task_arena_bytes(&self) -> u64 {
         let per_task = std::mem::size_of::<KindTag>()
-            + std::mem::size_of::<u64>()
-            + std::mem::size_of::<Rank>()
-            + std::mem::size_of::<u32>()
+            + std::mem::size_of::<TaskRec>()
             + std::mem::size_of::<Stream>();
         (self.num_tasks() * per_task) as u64
     }
@@ -435,9 +485,9 @@ impl GoalSchedule {
         for (r, sched) in self.ranks.iter().enumerate() {
             let rank = r as Rank;
             let cols = &sched.tasks;
-            let bad = |i: &usize| cols.kinds[*i] != KindTag::Calc && cols.peers[*i] >= nr;
+            let bad = |i: &usize| cols.kinds[*i] != KindTag::Calc && cols.recs[*i].peer >= nr;
             if let Some(i) = (0..cols.len()).find(bad) {
-                let (task, peer) = (TaskId(i as u32), cols.peers[i]);
+                let (task, peer) = (TaskId(i as u32), cols.recs[i].peer);
                 return Err(GoalError::PeerOutOfRange { rank, task, peer });
             }
             if !sched.kahn(&mut links, |_| {}) {
@@ -503,6 +553,17 @@ mod tests {
         assert_eq!(s.succs(TaskId(3)), &[]);
         let roots: Vec<_> = s.roots().collect();
         assert_eq!(roots, vec![TaskId(0)]);
+    }
+
+    #[test]
+    fn successors_come_in_dependent_order_whatever_the_insertion_order() {
+        let tasks = vec![Task::calc(1); 3];
+        let deps = [(TaskId(2), TaskId(0), DepKind::Full), (TaskId(1), TaskId(0), DepKind::Start)];
+        let s = RankSchedule::from_parts(0, tasks.clone(), &deps).unwrap();
+        let want = [Dep::new(TaskId(1), DepKind::Start), Dep::new(TaskId(2), DepKind::Full)];
+        assert_eq!(s.succs(TaskId(0)), &want);
+        let reversed = [deps[1], deps[0]];
+        assert_eq!(RankSchedule::from_parts(0, tasks, &reversed).unwrap(), s);
     }
 
     #[test]

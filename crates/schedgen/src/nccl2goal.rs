@@ -16,17 +16,18 @@
 //!   GPUs of the same node are replaced by `calc` vertices costed from the
 //!   intra-node (NVLink-class) bandwidth, with an explicit dependency edge
 //!   preserving the data flow. Passing a different `gpus_per_node`
-//!   restructures the job for "what-if" studies.
+//!   restructures the job for "what-if" studies. [`convert`] moves each
+//!   GPU out of the Stage 2+3 builder as its task columns and edge list,
+//!   so the GPU level is never indexed; intra-node sends and recvs are
+//!   paired FIFO per (src GPU, dst GPU, tag) through a lookup table and
+//!   joined in ascending key order.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 use atlahs_collectives::nccl::{self as nc, NcclConfig};
 use atlahs_core::NsPerByte;
 use atlahs_eventq::hash::FastBuildHasher;
-use atlahs_goal::{
-    GoalBuilder, GoalError, GoalSchedule, Rank, RankSchedule, Task, TaskId, TaskKind,
-};
+use atlahs_goal::{GoalBuilder, GoalError, GoalSchedule, Rank, Task, TaskId, TaskKind};
 use atlahs_tracers::nccl::{KernelRecord, NcclKernel, NsysReport};
 
 /// Converter configuration.
@@ -49,14 +50,14 @@ const STREAM_STRIDE: u32 = 16;
 
 /// Convert an nsys report into a node-level GOAL schedule.
 ///
-/// Lowers in one level: Stage 4 takes the GPUs out of the Stage 2+3 builder
-/// one at a time, so the GPU-level schedule never exists next to the
-/// node-level one (only the GPU being merged is indexed).
+/// Lowers in one level: Stage 4 moves the GPUs out of the Stage 2+3
+/// builder one at a time as their task columns and edge lists, so the
+/// GPU-level schedule is never indexed, nor held next to the node-level one.
 pub fn convert(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedule, GoalError> {
-    let mut gpus = lower_gpus(report, cfg)?;
+    let gpus = lower_gpus(report, cfg)?;
     let gpn = cfg.gpus_per_node.unwrap_or(report.gpus_per_node).max(1);
     let mapping: Vec<u32> = (0..report.num_gpus() as u32).map(|g| g / gpn).collect();
-    merge_gpus(&mapping, |g| gpus.take_rank(g))
+    merge_gpus(&mapping, Gpus::Lowered(gpus))
 }
 
 /// Stages 2+3: a GOAL schedule with one rank per **GPU**.
@@ -238,16 +239,79 @@ pub fn group_gpus(gpu_goal: &GoalSchedule, mapping: &[u32]) -> Result<GoalSchedu
             msg: format!("mapping covers {} GPUs, schedule has {ngpus}", mapping.len()),
         });
     }
-    merge_gpus(mapping, |g| Ok(gpu_goal.rank(g)))
+    merge_gpus(mapping, Gpus::Built(gpu_goal))
 }
 
-/// The Stage 4 body. `gpu(g)` is GPU `g`'s DAG, asked for once and in GPU
-/// order: borrowed from a finished schedule, or taken out of a builder and
-/// dropped here as soon as it is merged.
-fn merge_gpus<S: Borrow<RankSchedule>>(
-    mapping: &[u32],
-    mut gpu: impl FnMut(Rank) -> Result<S, GoalError>,
-) -> Result<GoalSchedule, GoalError> {
+/// Where Stage 4 reads the GPU DAGs from.
+enum Gpus<'a> {
+    /// A finished GPU-level schedule ([`group_gpus`]).
+    Built(&'a GoalSchedule),
+    /// The Stage 2+3 builder ([`convert`]): each GPU's task columns and
+    /// edge list are moved out and dropped as soon as they are merged.
+    Lowered(GoalBuilder),
+}
+
+/// Intra-node transfers awaiting their data-flow edge: per (src GPU,
+/// dst GPU, tag) key, the send-side and the recv-side calcs in arrival
+/// order (FIFO lists), found through a lookup table from key to slot.
+#[derive(Default)]
+struct IntraPairs {
+    /// Lookup-only, never iterated: the pairing order comes from sorting
+    /// `keys`.
+    slots: HashMap<(u32, u32, u32), u32, FastBuildHasher>,
+    keys: Vec<(u32, u32, u32)>,
+    /// Per slot: the sends, then the recvs.
+    lists: Vec<[Vec<TaskId>; 2]>,
+}
+
+impl IntraPairs {
+    const SEND: usize = 0;
+    const RECV: usize = 1;
+
+    fn push(&mut self, key: (u32, u32, u32), side: usize, task: TaskId) {
+        let next = self.keys.len() as u32;
+        let slot = *self.slots.entry(key).or_insert(next) as usize;
+        if slot == self.keys.len() {
+            self.keys.push(key);
+            self.lists.push(Default::default());
+        }
+        self.lists[slot][side].push(task);
+    }
+
+    /// Add the data-flow edge of every pair to `b`, on the node of the
+    /// pair's GPUs: keys that have sends in ascending key order, each
+    /// key's sends and recvs paired FIFO.
+    fn emit(self, b: &mut GoalBuilder, mapping: &[u32]) -> Result<(), GoalError> {
+        let mut order: Vec<u32> = (0..self.keys.len() as u32).collect();
+        order.sort_unstable_by_key(|&slot| self.keys[slot as usize]);
+        for slot in order {
+            let key = self.keys[slot as usize];
+            let [sends, recvs] = &self.lists[slot as usize];
+            if sends.is_empty() {
+                continue;
+            }
+            if recvs.is_empty() {
+                return Err(GoalError::Compose {
+                    msg: format!("intra-node send {key:?} has no matching recv"),
+                });
+            }
+            if sends.len() != recvs.len() {
+                return Err(GoalError::Compose {
+                    msg: format!("intra-node pair {key:?}: send/recv count mismatch"),
+                });
+            }
+            let node = mapping[key.1 as usize];
+            for (&s, &r) in sends.iter().zip(recvs) {
+                b.requires(node, r, s);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The Stage 4 body: GPU `g`'s DAG is appended to its node from `gpus`,
+/// once and in GPU order.
+fn merge_gpus(mapping: &[u32], mut gpus: Gpus<'_>) -> Result<GoalSchedule, GoalError> {
     let node_of = |gpu: u32| {
         mapping.get(gpu as usize).copied().ok_or_else(|| GoalError::Compose {
             msg: format!("peer GPU {gpu} outside the {}-GPU mapping", mapping.len()),
@@ -258,24 +322,20 @@ fn merge_gpus<S: Borrow<RankSchedule>>(
     let mut counts = vec![0u32; nnodes];
 
     let mut b = GoalBuilder::new(nnodes);
-    // intra-node pairing: (src_gpu, dst_gpu, tag) -> fifo lists of new
-    // ids. Ordered maps: the pairing loop below iterates them, and the
-    // dependency-edge insertion order feeds the CSR layout.
-    let mut intra_sends: BTreeMap<(u32, u32, u32), Vec<TaskId>> = BTreeMap::new();
-    let mut intra_recvs: BTreeMap<(u32, u32, u32), Vec<(u32, TaskId)>> = BTreeMap::new();
+    let mut intra = IntraPairs::default();
 
     for (g, &node) in mapping.iter().enumerate() {
         let g = g as u32;
         let stream_base = counts[node as usize] * STREAM_STRIDE;
         counts[node as usize] += 1;
-        b.append(node, gpu(g)?.borrow(), |id, t| {
+        let map = |id, t: Task| {
             let task = match t.kind {
                 TaskKind::Calc { cost } => Task::calc(cost),
                 TaskKind::Send { bytes, dst, tag } => {
                     let dst_node = node_of(dst)?;
                     if dst_node == node {
                         // NVLink copy: sender-side cost carries the transfer.
-                        intra_sends.entry((g, dst, tag)).or_default().push(id);
+                        intra.push((g, dst, tag), IntraPairs::SEND, id);
                         Task::calc(INTRA_BASE_NS + INTRA_PER_BYTE.trunc(bytes))
                     } else {
                         // Tags gain the source GPU's low bits so merged
@@ -286,7 +346,7 @@ fn merge_gpus<S: Borrow<RankSchedule>>(
                 TaskKind::Recv { bytes, src, tag } => {
                     let src_node = node_of(src)?;
                     if src_node == node {
-                        intra_recvs.entry((src, g, tag)).or_default().push((node, id));
+                        intra.push((src, g, tag), IntraPairs::RECV, id);
                         Task::calc(0)
                     } else {
                         Task::recv(src_node, bytes, (tag << 3) | (src & 7))
@@ -294,24 +354,15 @@ fn merge_gpus<S: Borrow<RankSchedule>>(
                 }
             };
             Ok(task.on_stream(stream_base + t.stream))
-        })?;
-    }
-
-    // Data-flow edges for intra-node transfers (FIFO per key).
-    for (key, sends) in &intra_sends {
-        let recvs = intra_recvs.get(key).ok_or_else(|| GoalError::Compose {
-            msg: format!("intra-node send {key:?} has no matching recv"),
-        })?;
-        if sends.len() != recvs.len() {
-            return Err(GoalError::Compose {
-                msg: format!("intra-node pair {key:?}: send/recv count mismatch"),
-            });
-        }
-        for (&s, &(node, r)) in sends.iter().zip(recvs) {
-            b.requires(node, r, s);
+        };
+        match &mut gpus {
+            Gpus::Built(goal) => b.append(node, goal.rank(g), map)?,
+            Gpus::Lowered(lowered) => b.append_from(node, lowered, g, map)?,
         }
     }
 
+    // Data-flow edges for intra-node transfers.
+    intra.emit(&mut b, mapping)?;
     b.build()
 }
 

@@ -1,10 +1,14 @@
 //! Release-scale memory ratchet for the AI lowering path.
 //!
-//! `nccl2goal::convert` lowers in one level: the per-GPU DAGs are moved
-//! into their nodes' and never held as a second schedule. Holding both
-//! levels at once doubled the peak (333 MiB in this test against 161 MiB),
-//! which is what put the `nccl2goal` cliff of docs/PERFORMANCE.md where it
-//! was. This test lowers the `ai_lgs_trace` benchmark input — the
+//! `nccl2goal::convert` lowers in one level: each GPU's task columns and
+//! edge list are moved into its node's, unindexed, and the GPU level is
+//! never held as a second schedule. Holding both levels at once doubled
+//! the peak (333 MiB in this test against 161 MiB), which is what put the
+//! `nccl2goal` cliff of docs/PERFORMANCE.md where it was. Indexing each
+//! GPU on its way to its node (a predecessor and a successor CSR per GPU)
+//! is gone too, which took the peak from 161 MiB to 155 MiB.
+//!
+//! This test lowers the `ai_lgs_trace` benchmark input — the
 //! `llama7b_dp128(0.002)` trace, 3.19 M tasks — through `convert` → encode
 //! → decode and fails if the process's peak resident set (`VmHWM`) exceeds
 //! the bound recorded below, so the two-level peak cannot come back
@@ -22,7 +26,8 @@ use atlahs::tracers::nccl::{presets, trace_llm};
 use common::vm_hwm_kib;
 
 /// Measured 161 MiB (reached while the encoded bytes sit next to the
-/// schedule) plus 15 %.
+/// schedule) plus 15 %; the one-level lowering with unindexed GPU ranks
+/// reads 155 MiB.
 const VM_HWM_BOUND_KIB: u64 = 185 * 1024;
 
 #[test]
