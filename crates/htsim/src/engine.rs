@@ -28,9 +28,19 @@
 //! its entry in the flow table owns a boxed `InFlight` — sender window,
 //! receiver bitmap, timer chain — and a reader that wants per-packet
 //! state has to go through that `Option`. Delivery takes the box; what
-//! stays for the rest of the run is a 24-byte tombstone that can still
+//! stays for the rest of the run is a 16-byte tombstone that can still
 //! ACK a late duplicate, and that the flow's packets, timers and credits
 //! still in the fabric find empty.
+//!
+//! Packets live in one pool in the run state and travel as 4-byte
+//! handles: events, port queues and a port's in-service slot name a
+//! packet by its pool index, so a hop moves 4 bytes, not the 32-byte
+//! packet, and an event is 12 bytes. A packet takes a slot where it
+//! originates and gives it back at its one fate: dropped on admission,
+//! blackholed by a down port, lost on the wire, or received by its host.
+//! Routes come from per-pair route sets ([`crate::topology`]): a flow
+//! keeps its pair's forward and reverse sets, and a sprayed packet picks
+//! its route by index, without hashing.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -46,7 +56,7 @@ use atlahs_goal::{Rank, Tag};
 use crate::cc::{CcAlgo, CcState};
 use crate::fault::{FaultKind, PortFault};
 use crate::stochastic::LinkModel;
-use crate::topology::{PathRef, PortSpec, RouteCache, Topology, TopologyConfig};
+use crate::topology::{PathRef, PortSpec, RouteCache, RouteSet, Topology, TopologyConfig};
 
 /// Wire overhead per packet (headers), bytes.
 const HDR_BYTES: u32 = 64;
@@ -102,6 +112,9 @@ pub struct NetStats {
     /// Wake-ups of delivered flows and of superseded timer chains are
     /// not counted.
     pub timeouts: u64,
+    /// Retransmission-timer expiries alone: the wake-ups of `timeouts`
+    /// that collapsed a window and resent a probe.
+    pub expiries: u64,
     /// Packets discarded by a down link (fault injection), all kinds.
     /// Counted separately from `drops` so congestion loss and injected
     /// loss stay distinguishable in reports.
@@ -182,12 +195,17 @@ struct Packet {
     path: PathRef,
 }
 
+/// [`Port::in_service`] of an idle port.
+const NO_PKT: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 enum Ev {
     TxDone(u32),
+    /// Packet `pkt` (a handle into [`HtsimState::pkts`]) reaches the far
+    /// end of `port`.
     Arrive {
         port: u32,
-        pkt: Packet,
+        pkt: u32,
     },
     /// Retransmission timer for `flow`. `gen` identifies the timer chain:
     /// events whose generation no longer matches the flow's are stale
@@ -216,9 +234,9 @@ enum Ev {
 }
 
 // The event queue stores `Option<Ev>` in every node: a variant that used
-// up the enum's niche would grow them all; a bigger packet would too.
+// up the enum's niche, or a payload past 8 bytes, would grow them all.
 const _: () = assert!(std::mem::size_of::<Packet>() == 32);
-const _: () = assert!(std::mem::size_of::<Ev>() == 40);
+const _: () = assert!(std::mem::size_of::<Ev>() == 12);
 const _: () = assert!(std::mem::size_of::<Option<Ev>>() == std::mem::size_of::<Ev>());
 
 /// One output queue. `rate` is the link rate in units of 10 Mb/s
@@ -230,10 +248,12 @@ struct Port {
     latency: u64,
     to_host: Option<u32>,
     is_core: bool,
-    busy: bool,
-    queue: VecDeque<Packet>,
+    /// Packet handles, as [`Ev::Arrive`] carries them.
+    queue: VecDeque<u32>,
     qbytes: u64,
-    in_service: Option<Packet>,
+    /// The handle of the packet on the wire, or [`NO_PKT`] while the port
+    /// is idle.
+    in_service: u32,
     /// Serialization times for the two wire sizes that dominate traffic
     /// (full MTU frames and bare headers), cached from [`tx_ns`] so the
     /// divide is off the per-packet path.
@@ -368,16 +388,15 @@ impl Bitmap {
 /// that is not delivered yet.
 #[derive(Clone)]
 struct Flow {
-    src: u32,
-    dst: u32,
-    /// Interned reverse route (resolved via [`PathRef::of`]).
-    rpath: PathRef,
+    /// The pair's reverse route set: a control packet takes the route its
+    /// triggering packet's ECMP selector picks (symmetric spraying).
+    rset: RouteSet,
     /// `None` once the receiver holds every byte.
     in_flight: Option<Box<InFlight>>,
 }
 
 // The table holds every flow of the run; an entry stays a tombstone.
-const _: () = assert!(std::mem::size_of::<Flow>() <= 32);
+const _: () = assert!(std::mem::size_of::<Flow>() <= 16);
 
 /// Everything a flow needs until it is delivered.
 #[derive(Clone)]
@@ -385,8 +404,9 @@ struct InFlight {
     op: OpRef,
     bytes: u64,
     npkts: u32,
-    /// Interned forward route.
-    path: PathRef,
+    /// The pair's forward route set, which a data packet picks its route
+    /// from with its ECMP selector.
+    fwd: RouteSet,
     /// ECMP salt; per-packet spray values derive from it.
     salt: u64,
     /// [`bdp_and_rto`]'s static timeout for this flow's path: the least
@@ -495,11 +515,20 @@ pub struct HtsimState {
     matcher: Matcher<u32, (OpRef, Time)>,
     pacers: Vec<PullPacer>,
     stats: NetStats,
-    /// Interned routes ([`Topology::route_ref`]): every [`PathRef`] held
-    /// by a flow or a packet in this state indexes `arena`, which is why
-    /// the arena and its lookup map are state and not a cache on the
-    /// topology — a state restored into another backend must bring the
-    /// routes its references point at.
+    /// Every packet in the fabric, named by its handle (index). A slot is
+    /// taken where the packet originates ([`HtsimBackend::send_packet`],
+    /// [`HtsimBackend::control_packet`]) and given back at its one fate:
+    /// an admission drop or a down port ([`HtsimBackend::enqueue`]), a
+    /// loss on the wire ([`HtsimBackend::on_tx_done`]), or arrival at its
+    /// host ([`HtsimBackend::on_arrive`]). An NDP trim keeps it.
+    pkts: Vec<Packet>,
+    /// Free slots of `pkts`, reused last freed first.
+    free: Vec<u32>,
+    /// Interned routes ([`Topology::route_set`]): every [`RouteSet`] and
+    /// [`PathRef`] held by a flow or a packet in this state indexes
+    /// `routes` and `arena`, which is why they are state and not a cache
+    /// on the topology — a state restored into another backend must
+    /// bring the routes its references point at.
     arena: Vec<u32>,
     routes: RouteCache,
     /// In-queue [`Ev::Fault`] events index into this table.
@@ -523,10 +552,9 @@ impl HtsimState {
                 latency: spec.link.latency_ns,
                 to_host: ((spec.to as usize) < hosts).then_some(spec.to),
                 is_core: spec.is_core,
-                busy: false,
                 queue: VecDeque::new(),
                 qbytes: 0,
-                in_service: None,
+                in_service: NO_PKT,
                 tx_mtu: 0,
                 tx_hdr: 0,
                 down: false,
@@ -544,12 +572,28 @@ impl HtsimState {
             matcher: Matcher::new(),
             pacers: vec![PullPacer { credits: VecDeque::new(), busy: false }; hosts],
             stats: NetStats::default(),
+            pkts: Vec::new(),
+            free: Vec::new(),
             arena: Vec::new(),
             routes: RouteCache::default(),
             faults: Vec::new(),
             model: LinkModel::default(),
             rtt: Vec::new(),
             rtt_slots: Default::default(),
+        }
+    }
+
+    /// Put `pkt` in a pool slot and return its handle.
+    fn alloc_pkt(&mut self, pkt: Packet) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.pkts[h as usize] = pkt;
+                h
+            }
+            None => {
+                self.pkts.push(pkt);
+                (self.pkts.len() - 1) as u32
+            }
         }
     }
 }
@@ -585,32 +629,41 @@ impl HtsimBackend {
         self.s.queue.push(t, ev);
     }
 
+    /// Packets waiting in port queues, the ones on the wire not counted.
+    #[cfg(test)]
+    pub(crate) fn queued_packets(&self) -> usize {
+        self.s.ports.iter().map(|p| p.queue.len()).sum()
+    }
+
     // ---- port machinery ------------------------------------------------
 
-    /// An injected fault killed this copy of `pkt`: mark a data packet
-    /// for the retransmission split (a straggling duplicate of a
-    /// delivered flow will never be resent).
-    fn note_fault_loss(&mut self, pkt: &Packet) {
+    /// An injected fault killed packet `h`: mark a data packet for the
+    /// retransmission split (a straggling duplicate of a delivered flow
+    /// will never be resent), and give its slot back.
+    fn fault_loss(&mut self, h: u32) {
+        let pkt = &self.s.pkts[h as usize];
         if pkt.kind == PktKind::Data {
             if let Some(t) = self.s.flows[pkt.flow as usize].in_flight.as_mut() {
                 t.fault_lost.set(pkt.idx);
             }
         }
+        self.s.free.push(h);
     }
 
-    fn enqueue(&mut self, port_id: u32, mut pkt: Packet) {
+    fn enqueue(&mut self, port_id: u32, h: u32) {
         if self.s.ports[port_id as usize].down {
             // Ingress blackhole: data, acks, and credits all die on the
             // down link; the retransmission timer recovers once the
             // window closes. No RNG draw — the ECN stream stays aligned
             // with a run where this packet was never offered.
             self.s.stats.fault_drops += 1;
-            self.note_fault_loss(&pkt);
+            self.fault_loss(h);
             return;
         }
-        // One borrow of the port for the whole admission path (`rng`,
-        // `stats`, and `cc` are disjoint fields of the state).
+        // One borrow of the port and the packet for the whole admission
+        // path (`rng`, `stats`, and `cc` are disjoint fields of the state).
         let port = &mut self.s.ports[port_id as usize];
+        let pkt = &mut self.s.pkts[h as usize];
         if pkt.kind == PktKind::Data {
             let (q, cap) = (port.qbytes, self.cfg.queue_bytes);
             // ECN marking on instantaneous occupancy.
@@ -632,47 +685,41 @@ impl HtsimBackend {
                     if port.is_core {
                         self.s.stats.core_drops += 1;
                     }
+                    self.s.free.push(h);
                     return;
                 }
             }
         }
         port.qbytes += pkt.wire as u64;
         self.s.stats.max_queue_bytes = self.s.stats.max_queue_bytes.max(port.qbytes);
-        port.queue.push_back(pkt);
-        if !port.busy {
+        port.queue.push_back(h);
+        if port.in_service == NO_PKT {
             self.start_tx(port_id);
         }
     }
 
+    /// Put the head of the port's queue on the wire, if there is one.
     fn start_tx(&mut self, port_id: u32) {
-        let (tx_ns, ok) = {
-            let port = &mut self.s.ports[port_id as usize];
-            if let Some(pkt) = port.queue.pop_front() {
-                port.qbytes -= pkt.wire as u64;
-                port.busy = true;
-                let tx = if pkt.wire == WIRE_MTU {
-                    port.tx_mtu
-                } else if pkt.wire == HDR_BYTES {
-                    port.tx_hdr
-                } else {
-                    tx_ns(port.rate, pkt.wire)
-                };
-                port.in_service = Some(pkt);
-                (tx, true)
-            } else {
-                port.busy = false;
-                (0, false)
-            }
+        let port = &mut self.s.ports[port_id as usize];
+        let Some(h) = port.queue.pop_front() else { return };
+        let wire = self.s.pkts[h as usize].wire;
+        port.qbytes -= wire as u64;
+        port.in_service = h;
+        let tx = if wire == WIRE_MTU {
+            port.tx_mtu
+        } else if wire == HDR_BYTES {
+            port.tx_hdr
+        } else {
+            tx_ns(port.rate, wire)
         };
-        if ok {
-            self.push(self.s.now + tx_ns, Ev::TxDone(port_id));
-        }
+        self.push(self.s.now + tx, Ev::TxDone(port_id));
     }
 
     fn on_tx_done(&mut self, port_id: u32) {
-        let (pkt, mut latency, stoch) = {
+        let (h, mut latency, stoch) = {
             let port = &mut self.s.ports[port_id as usize];
-            let pkt = port.in_service.take().expect("TxDone without packet");
+            let h = std::mem::replace(&mut port.in_service, NO_PKT);
+            debug_assert_ne!(h, NO_PKT, "TxDone without packet");
             // Per-packet stochastic link model: every packet leaving a
             // port consumes exactly one draw-counter value, loss or not,
             // jitter or not — the stream position is a pure function of
@@ -686,7 +733,7 @@ impl HtsimBackend {
             } else {
                 None
             };
-            (pkt, port.latency, stoch)
+            (h, port.latency, stoch)
         };
         if let Some((n, is_core)) = stoch {
             let model = self.s.model;
@@ -697,7 +744,7 @@ impl HtsimBackend {
                 // fault for the retransmission split); lost acks and
                 // credits are re-elicited the same way.
                 self.s.stats.stochastic_drops += 1;
-                self.note_fault_loss(&pkt);
+                self.fault_loss(h);
                 self.start_tx(port_id);
                 return;
             }
@@ -707,20 +754,25 @@ impl HtsimBackend {
                 latency += extra;
             }
         }
-        self.push(self.s.now + latency, Ev::Arrive { port: port_id, pkt });
+        self.push(self.s.now + latency, Ev::Arrive { port: port_id, pkt: h });
         self.start_tx(port_id);
     }
 
-    fn on_arrive(&mut self, port_id: u32, mut pkt: Packet) {
+    fn on_arrive(&mut self, port_id: u32, h: u32) {
         if let Some(host) = self.s.ports[port_id as usize].to_host {
+            // The packet's journey ends: its slot is free before the host
+            // originates anything in answer.
+            let pkt = self.s.pkts[h as usize];
+            self.s.free.push(h);
             self.host_receive(host, pkt);
             return;
         }
         // Forward through the switch: the packet carries its interned
         // route, so this is a single arena load — no flow access.
+        let pkt = &mut self.s.pkts[h as usize];
         pkt.hop += 1;
         let next = pkt.path.of(&self.s.arena)[pkt.hop as usize];
-        self.enqueue(next, pkt);
+        self.enqueue(next, h);
     }
 
     // ---- sender --------------------------------------------------------
@@ -740,8 +792,7 @@ impl HtsimBackend {
     }
 
     fn send_packet(&mut self, fid: u32, idx: u32) {
-        let f = &mut self.s.flows[fid as usize];
-        let Some(t) = f.in_flight.as_mut() else { return };
+        let Some(t) = self.s.flows[fid as usize].in_flight.as_mut() else { return };
         let payload = t.payload(idx);
         t.send_ts[idx as usize] = self.s.now;
         t.inflight += payload as u64;
@@ -759,13 +810,13 @@ impl HtsimBackend {
         if was_fault_lost {
             t.fault_lost.clear(idx);
         }
-        let (ecmp, path) = if self.cfg.spray {
-            let ecmp = t.salt ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            // Resolve the sprayed route once; hops index into it.
-            (ecmp, self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, f.src, f.dst, ecmp))
+        let ecmp = if self.cfg.spray {
+            t.salt ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         } else {
-            (t.salt, t.path)
+            t.salt
         };
+        // Resolve the route once; hops index into it.
+        let path = self.s.routes.route(t.fwd, ecmp);
         let pkt = Packet {
             flow: fid,
             idx,
@@ -792,8 +843,9 @@ impl HtsimBackend {
                 self.s.stats.rtx_timeout += 1;
             }
         }
-        let port0 = pkt.path.of(&self.s.arena)[0];
-        self.enqueue(port0, pkt);
+        let port0 = path.of(&self.s.arena)[0];
+        let h = self.s.alloc_pkt(pkt);
+        self.enqueue(port0, h);
     }
 
     /// Control packets (ACK/NACK/PULL) travel the reverse path, reusing
@@ -809,15 +861,11 @@ impl HtsimBackend {
         rtx: bool,
         ecmp: u64,
     ) {
-        let f = &self.s.flows[fid as usize];
-        let path = if self.cfg.spray {
-            self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, f.dst, f.src, ecmp)
-        } else {
-            f.rpath
-        };
+        let path = self.s.routes.route(self.s.flows[fid as usize].rset, ecmp);
         let pkt = Packet { flow: fid, idx, hop: 0, kind, wire: HDR_BYTES, ecn, rtx, ecmp, path };
         let port0 = path.of(&self.s.arena)[0];
-        self.enqueue(port0, pkt);
+        let h = self.s.alloc_pkt(pkt);
+        self.enqueue(port0, h);
     }
 
     // ---- receiver ------------------------------------------------------
@@ -985,6 +1033,7 @@ impl HtsimBackend {
             // says whether the rest of the window is lost too (see the
             // ACK handler). Whatever was in flight no longer holds the
             // window.
+            self.s.stats.expiries += 1;
             t.cc.on_timeout();
             t.probe = NO_PROBE;
             if let Some(i) = (0..t.next_idx).find(|&i| !t.acked.get(i)) {
@@ -1025,10 +1074,10 @@ impl Backend for HtsimBackend {
         self.push(self.s.now + HOST_O, Ev::Emit { op, done: false });
         let fid = self.s.flows.len() as u32;
         self.s.stats.flows += 1;
-        let (rpath, mut t) = self.make_flow(op, dst, bytes);
+        let (rset, mut t) = self.make_flow(op, dst, bytes);
         t.recv_op = self.s.matcher.offer_send(key, fid).map(|(recv_op, _)| recv_op);
         let rto = if op.rank == dst { 0 } else { t.rto(&self.s.rtt) };
-        self.s.flows.push(Flow { src: op.rank, dst, rpath, in_flight: Some(Box::new(t)) });
+        self.s.flows.push(Flow { rset, in_flight: Some(Box::new(t)) });
         if op.rank == dst {
             // Intra-node message: no fabric traversal (Stage 4 normally
             // replaces these with calcs; handle gracefully if present).
@@ -1080,22 +1129,23 @@ impl Backend for HtsimBackend {
 }
 
 impl HtsimBackend {
-    /// The reverse route and the in-flight state of a new flow; an
+    /// The reverse route set and the in-flight state of a new flow; an
     /// intra-node one gets no routes, no salt draw and no timer.
-    fn make_flow(&mut self, op: OpRef, dst: Rank, bytes: u64) -> (PathRef, InFlight) {
+    fn make_flow(&mut self, op: OpRef, dst: Rank, bytes: u64) -> (RouteSet, InFlight) {
         let bytes = bytes.max(1);
         let npkts = u32::try_from(bytes.div_ceil(MTU as u64)).unwrap_or_else(|_| {
             panic!("a {bytes} B message is over MAX_MESSAGE_BYTES = {MAX_MESSAGE_BYTES} B")
         });
-        let (path, rpath, salt, rto_min, pair, cc) = if op.rank == dst {
-            (PathRef::EMPTY, PathRef::EMPTY, 0, 0, u32::MAX, CcState::new(self.cfg.cc, MTU, 1, 1))
+        let (fwd, rset, salt, rto_min, pair, cc) = if op.rank == dst {
+            let cc = CcState::new(self.cfg.cc, MTU, 1, 1);
+            (RouteSet::default(), RouteSet::default(), 0, 0, u32::MAX, cc)
         } else {
             let salt = self.s.rng.random::<u64>();
-            let path =
-                self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, op.rank, dst, salt);
-            let rpath =
-                self.topo.route_ref(&mut self.s.arena, &mut self.s.routes, dst, op.rank, salt);
-            let base_rtt = self.topo.base_rtt(path.of(&self.s.arena), rpath.of(&self.s.arena), MTU);
+            let (arena, routes) = (&mut self.s.arena, &mut self.s.routes);
+            let fwd = self.topo.route_set(arena, routes, op.rank, dst);
+            let rset = self.topo.route_set(arena, routes, dst, op.rank);
+            let (path, rpath) = (routes.route(fwd, salt), routes.route(rset, salt));
+            let base_rtt = self.topo.base_rtt(path.of(arena), rpath.of(arena), MTU);
             let (bdp, rto) = bdp_and_rto(self.s.ports[op.rank as usize].rate, base_rtt);
             let cc = CcState::new(self.cfg.cc, MTU, base_rtt, bdp);
             let slots = self.s.rtt.len() as u32;
@@ -1104,13 +1154,13 @@ impl HtsimBackend {
             if pair == slots {
                 self.s.rtt.push(RttEstimator::default());
             }
-            (path, rpath, salt, rto.max(1), pair, cc)
+            (fwd, rset, salt, rto.max(1), pair, cc)
         };
         let in_flight = InFlight {
             op,
             bytes,
             npkts,
-            path,
+            fwd,
             salt,
             rto_min,
             pair,
@@ -1131,7 +1181,7 @@ impl HtsimBackend {
             rcvd_count: 0,
             recv_op: None,
         };
-        (rpath, in_flight)
+        (rset, in_flight)
     }
 
     // ---- overrides -----------------------------------------------------
@@ -1194,5 +1244,95 @@ impl Snapshot for HtsimBackend {
 
     fn restore(&mut self, state: &HtsimState) {
         self.s.clone_from(state);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use atlahs_core::Simulation;
+    use atlahs_goal::GoalBuilder;
+
+    use crate::topology::LinkParams;
+
+    /// Every other host of a 16-host switch sends 256 KiB to host 0 into
+    /// 64 KiB port buffers.
+    fn incast_on_switch(cc: CcAlgo) -> (HtsimBackend, atlahs_goal::GoalSchedule) {
+        let mut b = GoalBuilder::new(16);
+        for s in 1..16 {
+            b.send(s, 0, 256 << 10, 0);
+            b.recv(0, s, 256 << 10, 0);
+        }
+        let topology = TopologyConfig::SingleSwitch { hosts: 16, link: LinkParams::default() };
+        let mut cfg = HtsimConfig::new(topology, cc);
+        cfg.queue_bytes = 64 << 10;
+        (HtsimBackend::new(cfg), b.build().unwrap())
+    }
+
+    /// Nothing is in the fabric and no slot leaked: every pool slot is on
+    /// the free list, once.
+    fn assert_pool_drained(be: &HtsimBackend, case: &str) {
+        let mut free = be.s.free.clone();
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), be.s.free.len(), "{case}: a slot was freed twice");
+        assert_eq!(free.len(), be.s.pkts.len(), "{case}: a slot leaked");
+        assert!(!be.s.pkts.is_empty(), "{case}: no packet was sent");
+    }
+
+    /// A packet gives its pool slot back at every fate: a congestion
+    /// drop, an NDP trim (which keeps the slot until the trimmed header
+    /// arrives), a down port, a loss on the wire, and a late duplicate
+    /// of a delivered flow, which is ACKed.
+    #[test]
+    fn every_packet_fate_returns_its_slot() {
+        let run = |cc, apply: &dyn Fn(&mut HtsimBackend)| {
+            let (mut be, goal) = incast_on_switch(cc);
+            let driver = atlahs_core::SimDriver::start(&goal, &mut be);
+            apply(&mut be);
+            let rep = driver.finish(&mut be).expect("no deadlock");
+            assert_eq!(rep.completed, goal.total_tasks());
+            be
+        };
+
+        let be = run(CcAlgo::Mprdma, &|_| ());
+        assert!(be.net_stats().drops > 0, "{:?}", be.net_stats());
+        assert_pool_drained(&be, "congestion drop");
+
+        let be = run(CcAlgo::Ndp, &|_| ());
+        assert!(be.net_stats().trims > 0, "{:?}", be.net_stats());
+        assert_pool_drained(&be, "NDP trim");
+
+        let down = PortFault { port: 3, start_ns: 5_000, end_ns: 40_000, kind: FaultKind::Down };
+        let be = run(CcAlgo::Mprdma, &|be| be.inject_fault(down));
+        assert!(be.net_stats().fault_drops > 0, "{:?}", be.net_stats());
+        assert_pool_drained(&be, "down port");
+
+        let loss =
+            LinkModel { core_loss_ppm: 10_000, edge_loss_ppm: 10_000, jitter: None, seed: 1 };
+        let be = run(CcAlgo::Mprdma, &|be| be.set_link_model(loss));
+        assert!(be.net_stats().stochastic_drops > 0, "{:?}", be.net_stats());
+        assert_pool_drained(&be, "loss:10000");
+
+        // A copy of flow 0's first packet, offered after the run ended:
+        // its flow is delivered, so the receiver only ACKs it.
+        let mut b = GoalBuilder::new(2);
+        b.send(0, 1, 64 << 10, 0);
+        b.recv(1, 0, 64 << 10, 0);
+        let topology = TopologyConfig::SingleSwitch { hosts: 2, link: LinkParams::default() };
+        let mut be = HtsimBackend::new(HtsimConfig::new(topology, CcAlgo::Mprdma));
+        Simulation::new(&b.build().unwrap()).run(&mut be).expect("no deadlock");
+        assert!(be.s.flows[0].in_flight.is_none());
+        let path = be.topo.route_ref(&mut be.s.arena, &mut be.s.routes, 0, 1, 0);
+        let (kind, wire) = (PktKind::Data, WIRE_MTU);
+        let dup =
+            Packet { flow: 0, idx: 0, hop: 0, kind, wire, ecn: false, rtx: true, ecmp: 0, path };
+        let h = be.s.alloc_pkt(dup);
+        let events = be.net_stats().internal_events;
+        be.enqueue(path.of(&be.s.arena)[0], h);
+        assert!(be.next_event().is_none(), "a late duplicate completes nothing");
+        // Two hops and their transmissions for the copy, then for its ACK.
+        assert_eq!(be.net_stats().internal_events - events, 8);
+        assert_pool_drained(&be, "late duplicate");
     }
 }

@@ -837,6 +837,33 @@ mod tests {
         assert!(sb.net_stats().retransmissions > 1, "the run goes on losing: {:?}", sb.net_stats());
     }
 
+    /// The packet pool is run state too: events and port queues name
+    /// packets by their slot, so a checkpoint taken while ports hold
+    /// queued packets, restored into a backend that never ran, finishes
+    /// with the straight run's report and statistics.
+    #[test]
+    fn checkpoint_with_queued_packets_resumes_in_a_fresh_backend() {
+        use atlahs_core::{RunState, Snapshot};
+        let goal = incast(8, 256 * 1024);
+        let mut cfg = small_switch(CcAlgo::Mprdma);
+        cfg.queue_bytes = 64 * 1024;
+        let (straight, sb) = run_with(&goal, cfg.clone());
+        assert!(sb.net_stats().drops > 0, "{:?}", sb.net_stats());
+
+        let mut b = HtsimBackend::new(cfg.clone());
+        let mut driver = SimDriver::start(&goal, &mut b);
+        let mut bound = 0;
+        while b.queued_packets() == 0 {
+            bound += 200;
+            assert_eq!(driver.run_until(&mut b, bound).unwrap(), RunState::Paused);
+        }
+        let mut fresh = HtsimBackend::new(cfg);
+        fresh.restore(&b.checkpoint());
+        let resumed = driver.finish(&mut fresh).unwrap();
+        assert_eq!(resumed, straight);
+        assert_eq!(fresh.net_stats(), sb.net_stats());
+    }
+
     /// Branch override: restoring one checkpoint twice — once clean,
     /// once with a stochastic model switched on mid-run — yields a
     /// clean continuation identical to the straight-through run and a

@@ -5,15 +5,17 @@
 //! computes per-flow paths (lists of port ids) with ECMP hashing across
 //! equal-cost core links.
 //!
-//! Routes are **interned**: [`Topology::route_ref`] memoizes each distinct
-//! `(src, dst, ECMP bucket)` path into one flat arena and hands out a
-//! [`PathRef`] (offset + length). The engine stores `PathRef`s in flows
-//! and packets and resolves per-hop next ports with pure index arithmetic
-//! — no per-packet or per-hop allocation, which is what makes per-packet
-//! spraying (a route decision on *every hop of every packet*) affordable.
-//! The arena and its lookup map belong to the *caller* (the engine keeps
-//! them in its run state, next to the `PathRef`s that index them); the
-//! topology itself is immutable once built.
+//! Routes are **interned** per host pair: on a pair's first use,
+//! [`Topology::route_set`] computes all of its equal-cost routes into one
+//! flat arena, one [`PathRef`] (offset + length) each, and files them as a
+//! contiguous [`RouteSet`] in bucket order. Picking a route is then
+//! `set.first + ecmp % set.degree`, an index into the set table with no
+//! hashing, which is what makes per-packet spraying (a route decision for
+//! *every packet*) affordable; forwarding hops are index arithmetic on the
+//! `PathRef` the packet carries. The arena, the set table and the pair
+//! map ([`RouteCache`]) belong to the *caller* (the engine keeps them in
+//! its run state, next to the references that index them); the topology
+//! itself is immutable once built.
 
 use std::collections::HashMap;
 
@@ -135,13 +137,15 @@ impl TopologyConfig {
     }
 }
 
-/// The route cache packs `(src, dst, bucket)` into one `u64` key
-/// (`src << 40 | dst << 16 | bucket`), so [`Topology::build`] refuses a
-/// fabric with more hosts than this.
+/// A route is named by its key `(src, dst, bucket)`: the pair picks a
+/// [`RouteSet`], the bucket a route in it. [`Topology::build`] refuses a
+/// fabric with more hosts than a key holds, so the scenario grammar can
+/// name the bound and reject an oversized fabric at the CLI.
 pub const MAX_HOSTS: usize = 1 << 24;
 
-/// The most equal-cost routes between two hosts a route key can tell
-/// apart (see [`MAX_HOSTS`]).
+/// The most equal-cost routes between two hosts a route key tells apart
+/// (see [`MAX_HOSTS`]). A pair's first flow interns its whole set, so this
+/// also bounds what one pair costs: `degree` routes of at most five ports.
 pub const MAX_ECMP: usize = 1 << 16;
 
 /// Description of one port for the engine.
@@ -193,13 +197,36 @@ impl PathRef {
     }
 }
 
-/// Route-cache map for the packed `(src, dst, bucket)` key: the key is a
-/// single well-mixed `u64`, so SipHash's per-lookup cost (this sits on
-/// the per-hop spray path) buys nothing. Uses the deterministic
-/// multiplicative hasher shared with the message-level matcher
-/// (`atlahs_eventq::hash`); the bucket layout never influences routing —
-/// path selection is `ecmp % degree`, the map is lookup-only.
-pub type RouteCache = HashMap<u64, PathRef, FastBuildHasher>;
+/// All equal-cost routes of one host pair, interned by
+/// [`Topology::route_set`]: `degree` [`PathRef`]s from `first` in the
+/// set table of the [`RouteCache`] that interned them, in bucket order.
+/// The default set is empty and stands for "no fabric traversal".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RouteSet {
+    first: u32,
+    degree: u32,
+}
+
+/// The interned route sets: the set table, and the map from a pair to
+/// its set. The map is keyed by `src << 32 | dst`, a single well-mixed
+/// `u64`, with the deterministic multiplicative hasher shared with the
+/// message-level matcher (`atlahs_eventq::hash`); it is lookup-only, so
+/// its bucket layout never influences routing. Only a pair's first flow
+/// looks it up: packets pick their routes from the set the flow keeps.
+#[derive(Debug, Clone, Default)]
+pub struct RouteCache {
+    pairs: HashMap<u64, RouteSet, FastBuildHasher>,
+    sets: Vec<PathRef>,
+}
+
+impl RouteCache {
+    /// The route of `set` that selector `ecmp` picks: bucket
+    /// `ecmp % degree`, as in [`Topology::route`].
+    #[inline]
+    pub fn route(&self, set: RouteSet, ecmp: u64) -> PathRef {
+        self.sets[set.first as usize + (ecmp % set.degree as u64) as usize]
+    }
+}
 
 /// A built topology: port table plus routing.
 #[derive(Debug, Clone)]
@@ -445,11 +472,35 @@ impl Topology {
         out
     }
 
-    /// The interned path for `src → dst` under selector `ecmp`: computed
-    /// at most once per `(src, dst, ECMP bucket)` into the caller's
-    /// `arena`, then served from `cache` as a [`PathRef`] — no allocation
-    /// on cache hits. `cache` maps packed keys to references into `arena`;
-    /// the two travel together.
+    /// The interned route set of `src → dst`: on the pair's first use
+    /// every equal-cost route is computed into the caller's `arena` and
+    /// filed in `cache`'s set table, then the set is served from `cache`
+    /// with no allocation. `cache` holds references into `arena`; the two
+    /// travel together.
+    pub fn route_set(
+        &self,
+        arena: &mut Vec<u32>,
+        cache: &mut RouteCache,
+        src: u32,
+        dst: u32,
+    ) -> RouteSet {
+        let key = (src as u64) << 32 | dst as u64;
+        if let Some(&set) = cache.pairs.get(&key) {
+            return set;
+        }
+        let degree = self.ecmp_degree(src, dst);
+        let set = RouteSet { first: cache.sets.len() as u32, degree: degree as u32 };
+        for bucket in 0..degree {
+            let off = arena.len();
+            self.compute_route_into(src, dst, bucket, arena);
+            cache.sets.push(PathRef { off: off as u32, len: (arena.len() - off) as u16 });
+        }
+        cache.pairs.insert(key, set);
+        set
+    }
+
+    /// The interned path for `src → dst` under selector `ecmp`: the
+    /// pair's [`Topology::route_set`], indexed by bucket.
     pub fn route_ref(
         &self,
         arena: &mut Vec<u32>,
@@ -458,16 +509,8 @@ impl Topology {
         dst: u32,
         ecmp: u64,
     ) -> PathRef {
-        let bucket = ecmp % self.ecmp_degree(src, dst);
-        let key = (src as u64) << 40 | (dst as u64) << 16 | bucket;
-        if let Some(&r) = cache.get(&key) {
-            return r;
-        }
-        let off = arena.len();
-        self.compute_route_into(src, dst, bucket, arena);
-        let r = PathRef { off: off as u32, len: (arena.len() - off) as u16 };
-        cache.insert(key, r);
-        r
+        let set = self.route_set(arena, cache, src, dst);
+        cache.route(set, ecmp)
     }
 
     /// Base round-trip estimate for a path and its reverse: propagation plus

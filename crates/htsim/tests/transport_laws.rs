@@ -12,7 +12,9 @@
 //!   resends each loss about once.
 //! * **Law 2 (recovery under random loss).** With every link dropping
 //!   one packet in a hundred (`loss:10000`), `retransmissions ≤
-//!   1.5·(drops + trims + stochastic_drops)`, with no slack.
+//!   1.5·(drops + trims + stochastic_drops)`, with no slack, and the
+//!   timers expire fewer times than packets are lost: `expiries < drops +
+//!   trims + stochastic_drops`.
 //!
 //! The shapes are {`switch:16`, `ai-fattree:16:4`} × {incast, perm,
 //! ring} × the four congestion controls × {ECMP, spray}. Integer
@@ -129,9 +131,10 @@ fn violations(cells: &[(String, NetStats)], law: impl Fn(&NetStats) -> bool) -> 
     let mut bad = Vec::new();
     for (cell, st) in cells {
         let line = format!(
-            "{cell}: retransmissions {} for drops {} + trims {} + fault_drops {} + \
-             stochastic_drops {} of {} packets",
+            "{cell}: retransmissions {} and expiries {} for drops {} + trims {} + \
+             fault_drops {} + stochastic_drops {} of {} packets",
             st.retransmissions,
+            st.expiries,
             st.drops,
             st.trims,
             st.fault_drops,
@@ -162,7 +165,8 @@ fn law2_random_loss_is_resent_about_once() {
     let cells = run_all(Some("loss:10000"));
     let bad = violations(&cells, |st| {
         assert!(st.stochastic_drops > 0, "1% loss must bite: {st:?}");
-        2 * st.retransmissions <= 3 * (st.drops + st.trims + st.stochastic_drops)
+        let lost = st.drops + st.trims + st.stochastic_drops;
+        2 * st.retransmissions <= 3 * lost && st.expiries < lost
     });
     assert!(bad.is_empty(), "law 2 broken:\n{}", bad.join("\n"));
 }
