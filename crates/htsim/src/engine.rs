@@ -591,8 +591,10 @@ impl HtsimState {
                 h
             }
             None => {
+                let h = u32::try_from(self.pkts.len()).ok().filter(|&h| h != NO_PKT);
+                let h = h.expect("packet pool past u32 handles");
                 self.pkts.push(pkt);
-                (self.pkts.len() - 1) as u32
+                h
             }
         }
     }

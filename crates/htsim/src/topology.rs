@@ -6,9 +6,9 @@
 //! equal-cost core links.
 //!
 //! Routes are **interned** per host pair: on a pair's first use,
-//! [`Topology::route_set`] computes all of its equal-cost routes into one
+//! `Topology::route_set` computes all of its equal-cost routes into one
 //! flat arena, one [`PathRef`] (offset + length) each, and files them as a
-//! contiguous [`RouteSet`] in bucket order. Picking a route is then
+//! contiguous `RouteSet` in bucket order. Picking a route is then
 //! `set.first + ecmp % set.degree`, an index into the set table with no
 //! hashing, which is what makes per-packet spraying (a route decision for
 //! *every packet*) affordable; forwarding hops are index arithmetic on the
@@ -138,9 +138,10 @@ impl TopologyConfig {
 }
 
 /// A route is named by its key `(src, dst, bucket)`: the pair picks a
-/// [`RouteSet`], the bucket a route in it. [`Topology::build`] refuses a
-/// fabric with more hosts than a key holds, so the scenario grammar can
-/// name the bound and reject an oversized fabric at the CLI.
+/// `RouteSet`, the bucket a route in it. [`Topology::build`] refuses a
+/// fabric with more hosts than a key's `src` and `dst` range over, and
+/// the scenario grammar checks the same bound, so an oversized fabric
+/// fails at the CLI, naming the field.
 pub const MAX_HOSTS: usize = 1 << 24;
 
 /// The most equal-cost routes between two hosts a route key tells apart
@@ -165,7 +166,7 @@ pub struct PortSpec {
     pub is_core: bool,
 }
 
-/// A route interned by [`Topology::route_ref`]: `len` port ids starting
+/// A route interned by `Topology::route_set`: `len` port ids starting
 /// at `off` in the arena it was interned into. Resolve with
 /// [`PathRef::of`].
 ///
@@ -202,7 +203,7 @@ impl PathRef {
 /// set table of the [`RouteCache`] that interned them, in bucket order.
 /// The default set is empty and stands for "no fabric traversal".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RouteSet {
+pub(crate) struct RouteSet {
     first: u32,
     degree: u32,
 }
@@ -223,7 +224,7 @@ impl RouteCache {
     /// The route of `set` that selector `ecmp` picks: bucket
     /// `ecmp % degree`, as in [`Topology::route`].
     #[inline]
-    pub fn route(&self, set: RouteSet, ecmp: u64) -> PathRef {
+    pub(crate) fn route(&self, set: RouteSet, ecmp: u64) -> PathRef {
         self.sets[set.first as usize + (ecmp % set.degree as u64) as usize]
     }
 }
@@ -465,7 +466,7 @@ impl Topology {
     /// `ecmp` to pick among equal-cost core links.
     ///
     /// Allocates a fresh vector per call; the engine's hot paths use the
-    /// interning [`Topology::route_ref`] instead.
+    /// interned route sets of `Topology::route_set` instead.
     pub fn route(&self, src: u32, dst: u32, ecmp: u64) -> Vec<u32> {
         let mut out = Vec::with_capacity(5);
         self.compute_route_into(src, dst, ecmp, &mut out);
@@ -477,7 +478,7 @@ impl Topology {
     /// filed in `cache`'s set table, then the set is served from `cache`
     /// with no allocation. `cache` holds references into `arena`; the two
     /// travel together.
-    pub fn route_set(
+    pub(crate) fn route_set(
         &self,
         arena: &mut Vec<u32>,
         cache: &mut RouteCache,
@@ -489,18 +490,19 @@ impl Topology {
             return set;
         }
         let degree = self.ecmp_degree(src, dst);
-        let set = RouteSet { first: cache.sets.len() as u32, degree: degree as u32 };
+        let first = u32::try_from(cache.sets.len()).expect("route sets past u32 indices");
+        let set = RouteSet { first, degree: degree as u32 };
         for bucket in 0..degree {
-            let off = arena.len();
+            let off = u32::try_from(arena.len()).expect("route arena past u32 offsets");
             self.compute_route_into(src, dst, bucket, arena);
-            cache.sets.push(PathRef { off: off as u32, len: (arena.len() - off) as u16 });
+            cache.sets.push(PathRef { off, len: (arena.len() - off as usize) as u16 });
         }
         cache.pairs.insert(key, set);
         set
     }
 
     /// The interned path for `src → dst` under selector `ecmp`: the
-    /// pair's [`Topology::route_set`], indexed by bucket.
+    /// pair's `Topology::route_set`, indexed by bucket.
     pub fn route_ref(
         &self,
         arena: &mut Vec<u32>,
