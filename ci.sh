@@ -9,11 +9,13 @@
 #      exit 0 (`cargo test` only compiles them)
 #   4. cargo test -q              — unit + integration + doc tests (tier-1),
 #      the golden table among them: tests/golden_table/mod.rs holds the
-#      run behind every report under tests/goldens/ — the sweep,
-#      stochastic (the 45 fault-smoke cells byte-frozen inside), branch,
-#      cluster and cluster-fault smoke grids and the Fig. 8/10 fidelity
-#      cells — and one test per row runs it on 2 threads; each must
-#      reproduce its golden byte for byte
+#      run behind every report under tests/goldens/ — the `atlahs sweep`
+#      and `atlahs cluster` flag lines of the sweep, stochastic (the 45
+#      fault-smoke cells byte-frozen inside), branch, cluster and
+#      cluster-fault smoke grids, parsed by the CLI's parser, and the
+#      Fig. 8/10 fidelity cells — and one test per row runs it on 2
+#      threads; each must reproduce its golden byte for byte, and each
+#      flag line must match the command docs/SCENARIOS.md prints for it
 #   5. cargo doc --no-deps        — rustdoc must build warning-free
 #   6. large-trace LGS fingerprint — the ~1M-op pipeline_parallel golden
 #      (release-scale, so it runs here rather than in the debug suite),

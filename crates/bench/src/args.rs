@@ -67,6 +67,42 @@ impl Args {
     pub fn get_str(&self, name: &str, default: &str) -> String {
         self.values.get(name).cloned().unwrap_or_else(|| default.to_string())
     }
+
+    /// The numeric `--flag`, `default` when absent, `--flag: reason` when
+    /// malformed.
+    pub fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        let given = self.try_get(flag).map_err(|e| format!("--{flag}: {e}"))?;
+        Ok(given.unwrap_or(default))
+    }
+
+    /// The comma-separated axis `--flag` (`default` when absent), each
+    /// token through `parse`; `--flag: reason` at the first bad token. A
+    /// comma followed by a digit continues the current token: every axis
+    /// token starts with a letter, and an inline churn trace joins its
+    /// events with `,`.
+    pub fn axis<T>(
+        &self,
+        flag: &str,
+        default: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let raw = self.get_str(flag, default);
+        let mut tokens = Vec::new();
+        let mut start = 0;
+        for (comma, _) in raw.match_indices(',') {
+            if !raw[comma + 1..].starts_with(|c: char| c.is_ascii_digit()) {
+                tokens.push(&raw[start..comma]);
+                start = comma + 1;
+            }
+        }
+        tokens.push(&raw[start..]);
+        tokens
+            .into_iter()
+            .map(str::trim)
+            .filter(|tok| !tok.is_empty())
+            .map(|tok| parse(tok).map_err(|e| format!("--{flag}: {e}")))
+            .collect()
+    }
 }
 
 /// The subcommand being run and its flags: what flag parsing needs to
@@ -101,35 +137,7 @@ impl<'a> Cli<'a> {
 
     /// The numeric `--flag`.
     pub fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        let given = self.args.try_get(flag).unwrap_or_else(|e| self.fail(format!("--{flag}: {e}")));
-        given.unwrap_or(default)
-    }
-
-    /// Parse the comma-separated axis `--flag`. A comma followed by a
-    /// digit continues the current token: every axis token starts with a
-    /// letter, and an inline churn trace joins its events with `,`.
-    pub fn axis<T>(
-        &self,
-        flag: &str,
-        default: &str,
-        parse: impl Fn(&str) -> Result<T, String>,
-    ) -> Vec<T> {
-        let raw = self.args.get_str(flag, default);
-        let mut tokens = Vec::new();
-        let mut start = 0;
-        for (comma, _) in raw.match_indices(',') {
-            if !raw[comma + 1..].starts_with(|c: char| c.is_ascii_digit()) {
-                tokens.push(&raw[start..comma]);
-                start = comma + 1;
-            }
-        }
-        tokens.push(&raw[start..]);
-        tokens
-            .into_iter()
-            .map(str::trim)
-            .filter(|tok| !tok.is_empty())
-            .map(|tok| parse(tok).unwrap_or_else(|e| self.fail(format!("--{flag}: {e}"))))
-            .collect()
+        self.args.number(flag, default).unwrap_or_else(|e| self.fail(e))
     }
 }
 

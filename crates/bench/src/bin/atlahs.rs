@@ -54,14 +54,13 @@
 use std::time::{Duration, Instant};
 
 use atlahs_bench::args::{Args, Cli};
-use atlahs_bench::branch::execute_branched;
 use atlahs_bench::cluster::{run_grid, ArrivalSpec, ClusterGrid, ClusterReport, QueueDiscipline};
 use atlahs_bench::figures;
 use atlahs_bench::scenario::{
-    names, parse_cc, BackendFamily, FaultSpec, LlmPreset, PlacementSpec, ScenarioGrid,
-    TopologySpec, WorkloadSpec, CC_NAMES,
+    names, BackendFamily, FaultSpec, LlmPreset, PlacementSpec, ScenarioGrid, TopologySpec,
+    WorkloadSpec, CC_NAMES,
 };
-use atlahs_bench::sweep::{execute, SweepReport};
+use atlahs_bench::sweep::SweepReport;
 use atlahs_bench::table::Table;
 use atlahs_bench::workloads::HpcApp;
 
@@ -281,22 +280,7 @@ fn emit(
 }
 
 fn sweep(cli: Cli<'_>) {
-    let args = cli.args;
-    let grid = ScenarioGrid {
-        topologies: cli.axis("topos", "ai-fattree:16:1,ai-fattree:16:4", TopologySpec::parse),
-        workloads: cli.axis(
-            "workloads",
-            "ring:16:262144:1,moe:16:4:262144:2:5000",
-            WorkloadSpec::parse,
-        ),
-        ccs: cli.axis("ccs", "mprdma,ndp", parse_cc),
-        placements: cli.axis("placements", "packed", PlacementSpec::parse),
-        backends: cli.axis("backends", "htsim,lgs", BackendFamily::parse),
-        faults: cli.axis("faults", "none", |tok| FaultSpec::parse(tok)?.in_sweep()),
-        seed: cli.number("seed", 1),
-        collect_flows: args.flag("collect-flows"),
-    };
-
+    let grid = ScenarioGrid::from_args(cli.args).unwrap_or_else(|e| cli.fail(e));
     // Branch-and-continue: `--branch-at <ns>` simulates each shared
     // prefix (same topology/workload/placement/backend) once, snapshots,
     // and fans out into per-cell continuations whose `--faults` value is
@@ -314,21 +298,15 @@ fn sweep(cli: Cli<'_>) {
         expanded(&cli, grid.expand_counted(), "infeasible combination", shape, grid.seed);
 
     let t0 = Instant::now();
-    let (results, branch) = if branch_at > 0 {
-        let (results, stats) = execute_branched(&cells, branch_at, threads);
-        if !args.flag("quiet") {
-            println!(
-                "# branch-and-continue at {branch_at} ns: {} shared prefixes for {} cells",
-                stats.prefix_runs,
-                cells.len(),
-            );
-        }
-        (results, Some(stats))
-    } else {
-        (execute(&cells, threads), None)
-    };
+    let report = SweepReport::run(grid.seed, &cells, branch_at, threads);
     let elapsed = t0.elapsed();
-    let report = SweepReport { seed: grid.seed, results, branch };
+    if let (Some(stats), false) = (report.branch, cli.args.flag("quiet")) {
+        println!(
+            "# branch-and-continue at {branch_at} ns: {} shared prefixes for {} cells",
+            stats.prefix_runs,
+            cells.len(),
+        );
+    }
     emit(
         &cli,
         report.results.len(),
@@ -340,29 +318,7 @@ fn sweep(cli: Cli<'_>) {
 }
 
 fn cluster(cli: Cli<'_>) {
-    let mut topos = cli.axis("topo", "ai-fattree:16:4", TopologySpec::parse);
-    if topos.len() != 1 {
-        cli.fail("--topo takes exactly one fabric".into());
-    }
-    let grid = ClusterGrid {
-        topology: topos.pop().expect("checked above"),
-        catalog: cli.axis("catalog", "ring:4:131072:1,incast:3:65536:1", |tok| {
-            match WorkloadSpec::parse(tok)? {
-                WorkloadSpec::MultiJob { .. } => {
-                    Err(format!("catalog entries are single jobs, `{tok}` is several"))
-                }
-                single => Ok(single),
-            }
-        }),
-        arrivals: cli.axis("arrivals", "poisson:12:200000", ArrivalSpec::parse),
-        queues: cli.axis("queues", "fifo", QueueDiscipline::parse),
-        placements: cli.axis("placements", "packed", PlacementSpec::parse),
-        ccs: cli.axis("ccs", "mprdma", parse_cc),
-        backends: cli.axis("backends", "lgs,ideal", BackendFamily::parse),
-        faults: cli.axis("faults", "none", |tok| FaultSpec::parse(tok)?.in_cluster()),
-        seed: cli.number("seed", 1),
-    };
-
+    let grid = ClusterGrid::from_args(cli.args).unwrap_or_else(|e| cli.fail(e));
     let shape = format!(
         "{} arrival specs x {} queues x {} placements x {} backend families on {}",
         grid.arrivals.len(),

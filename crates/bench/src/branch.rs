@@ -98,7 +98,7 @@ mod tests {
 
     use super::*;
     use crate::scenario::FaultSpec;
-    use crate::smoke::{branch_smoke_grid, BRANCH_SMOKE_AT};
+    use crate::smoke::{self, sweep_grid};
     use crate::sweep::SweepReport;
 
     fn strip_wall(mut results: Vec<CellResult>) -> String {
@@ -108,22 +108,29 @@ mod tests {
         SweepReport { seed: 1, results, branch: None }.to_json().pretty()
     }
 
+    /// The branch smoke grid's `--branch-at`: a mid-run point.
+    fn branch_smoke_at() -> u64 {
+        smoke::args(smoke::BRANCH).number("branch-at", 0).unwrap()
+    }
+
     /// Branch times the session's shapes are compared at: the first
-    /// event, the smoke grid's pinned mid-run point, and a time past
-    /// every makespan (`run_until` goes quiescent before the checkpoint,
-    /// so overrides land on a finished run).
-    const BRANCH_TIMES: [u64; 3] = [1, BRANCH_SMOKE_AT, u64::MAX];
+    /// event, the smoke grid's mid-run point, and a time past every
+    /// makespan (`run_until` goes quiescent before the checkpoint, so
+    /// overrides land on a finished run).
+    fn branch_times() -> [u64; 3] {
+        [1, branch_smoke_at(), u64::MAX]
+    }
 
     /// The tentpole contract: the shared-prefix snapshot fan-out is
     /// byte-identical to pausing-and-injecting each cell independently,
     /// and the prefix is simulated once per group, not once per cell.
     #[test]
     fn branched_sweep_matches_straight_through_byte_for_byte() {
-        let grid = branch_smoke_grid();
+        let grid = sweep_grid(smoke::BRANCH);
         let cells = grid.expand();
         assert_eq!(cells.len(), 24);
 
-        for branch_at in BRANCH_TIMES {
+        for branch_at in branch_times() {
             let (branched, stats) = execute_branched(&cells, branch_at, 2);
             assert_eq!(stats.prefix_runs, 8, "4 prefix groups per workload");
             assert!(stats.prefix_runs < cells.len(), "suffix-only re-simulation");
@@ -141,9 +148,9 @@ mod tests {
     /// siblings somewhere in the grid.
     #[test]
     fn branched_sweep_is_thread_count_independent_and_faults_bite() {
-        let cells = branch_smoke_grid().expand();
-        let (serial, s1) = execute_branched(&cells, BRANCH_SMOKE_AT, 1);
-        let (parallel, s4) = execute_branched(&cells, BRANCH_SMOKE_AT, 4);
+        let cells = sweep_grid(smoke::BRANCH).expand();
+        let (serial, s1) = execute_branched(&cells, branch_smoke_at(), 1);
+        let (parallel, s4) = execute_branched(&cells, branch_smoke_at(), 4);
         assert_eq!(s1, s4);
         assert_eq!(strip_wall(serial.clone()), strip_wall(parallel));
 
@@ -190,11 +197,13 @@ mod tests {
             mk(FaultSpec::parse("loss:50000").unwrap()),
             mk(FaultSpec::parse("jitter:uniform:1500").unwrap()),
         ];
-        let (branched, stats) = execute_branched(&cells, BRANCH_SMOKE_AT, 2);
+        let (branched, stats) = execute_branched(&cells, branch_smoke_at(), 2);
         assert_eq!(stats.prefix_runs, 1, "all three cells share one clean prefix");
         let straight: Vec<CellResult> = cells
             .iter()
-            .map(|c| run_cell_branched_straight(c, &c.workload.build_jobs(c.seed), BRANCH_SMOKE_AT))
+            .map(|c| {
+                run_cell_branched_straight(c, &c.workload.build_jobs(c.seed), branch_smoke_at())
+            })
             .collect();
         assert_eq!(strip_wall(branched.clone()), strip_wall(straight));
         let lossy = branched.iter().find(|r| r.key.contains("loss:")).unwrap();
@@ -215,13 +224,13 @@ mod tests {
     /// snapshot like any faulted sibling.
     #[test]
     fn clean_branch_cells_equal_the_straight_executor() {
-        let cells = branch_smoke_grid().expand();
+        let cells = sweep_grid(smoke::BRANCH).expand();
         let clean = |results: Vec<CellResult>| -> Vec<CellResult> {
             let keep = cells.iter().zip(results).filter(|(c, _)| c.fault == FaultSpec::None);
             keep.map(|(_, r)| r).collect()
         };
         let plain = strip_wall(clean(crate::sweep::execute(&cells, 2)));
-        for branch_at in BRANCH_TIMES {
+        for branch_at in branch_times() {
             let (branched, _) = execute_branched(&cells, branch_at, 2);
             assert_eq!(strip_wall(clean(branched)), plain, "branch at {branch_at}");
         }

@@ -41,10 +41,11 @@ use atlahs_htsim::CcAlgo;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::args::Args;
 use crate::json::Json;
 use crate::scenario::{
-    backend_faults, by_name, cell_seed, name_of, too_wide, unique, unknown, BackendFamily,
-    BackendSpec, FaultSpec, PlacementSpec, TopologySpec, WorkloadSpec,
+    backend_faults, by_name, cell_seed, name_of, parse_cc, too_wide, unique, unknown,
+    BackendFamily, BackendSpec, FaultSpec, PlacementSpec, TopologySpec, WorkloadSpec,
 };
 use crate::session::{self, Session};
 use crate::sweep::{parallel_map, report_head, resolve_threads};
@@ -728,6 +729,33 @@ pub struct ClusterGrid {
 }
 
 impl ClusterGrid {
+    /// The grid `atlahs cluster` runs for these flags (docs/SCENARIOS.md):
+    /// one `--topo`, every other axis a comma-separated list, unset axes
+    /// at their defaults. An error is the `--flag: reason` the CLI prints.
+    pub fn from_args(args: &Args) -> Result<ClusterGrid, String> {
+        let mut topos = args.axis("topo", "ai-fattree:16:4", TopologySpec::parse)?;
+        if topos.len() != 1 {
+            return Err("--topo takes exactly one fabric".into());
+        }
+        let single = |tok: &str| match WorkloadSpec::parse(tok)? {
+            WorkloadSpec::MultiJob { .. } => {
+                Err(format!("catalog entries are single jobs, `{tok}` is several"))
+            }
+            single => Ok(single),
+        };
+        Ok(ClusterGrid {
+            topology: topos.pop().expect("checked above"),
+            catalog: args.axis("catalog", "ring:4:131072:1,incast:3:65536:1", single)?,
+            arrivals: args.axis("arrivals", "poisson:12:200000", ArrivalSpec::parse)?,
+            queues: args.axis("queues", "fifo", QueueDiscipline::parse)?,
+            placements: args.axis("placements", "packed", PlacementSpec::parse)?,
+            ccs: args.axis("ccs", "mprdma", parse_cc)?,
+            backends: args.axis("backends", "lgs,ideal", BackendFamily::parse)?,
+            faults: args.axis("faults", "none", |tok| FaultSpec::parse(tok)?.in_cluster())?,
+            seed: args.number("seed", 1)?,
+        })
+    }
+
     /// Expand to concrete cells (every key once), also returning the
     /// catalog workloads dropped because they are wider than the fabric.
     pub fn expand_counted(&self) -> (Vec<ClusterSpec>, Vec<String>) {

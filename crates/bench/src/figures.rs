@@ -132,10 +132,13 @@ fn fig01(cli: &Cli) -> String {
 
     // Synthetic microbenchmarks on a fully provisioned fabric: congestion
     // only at the last hop (incast) or nowhere structural (permutation).
-    // Incast needs ranks+1 hosts (n senders + 1 sink); pad to the ToR size.
+    // Incast needs ranks+1 hosts (n senders + 1 sink); pad to the ToR size,
+    // through the topology grammar, whose bound refuses a fabric too large
+    // to route before any workload is built (a saturated sum is past it).
+    let fabric = format!("ai-fattree:{}:1", ranks.saturating_add(8) / 8 * 8);
+    let fabric = TopologySpec::parse(&fabric).unwrap_or_else(|e| cli.fail(format!("--ranks: {e}")));
     // The application trace: PP victim flows + DP ring allreduce on an
     // oversubscribed core (the Fig. 1A/1B scenario).
-    let fabric = TopologySpec::AiFatTree { nodes: (ranks + 8) / 8 * 8, oversub: 1 };
     let llm = LlmPreset::Mistral8x7b.cfg(scale);
     let rows = [
         (

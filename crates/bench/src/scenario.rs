@@ -31,6 +31,7 @@ use atlahs_lgs::{LogGopsParams, StragglerSpec};
 use atlahs_schedgen::synthetic;
 use atlahs_tracers::nccl::{presets, LlmConfig};
 
+use crate::args::Args;
 use crate::cluster::JobFaultSpec;
 use crate::session::{self, DistSummary, Session};
 use crate::workloads::{self, HpcApp, HpcCase};
@@ -972,6 +973,30 @@ pub struct ScenarioGrid {
 }
 
 impl ScenarioGrid {
+    /// The grid `atlahs sweep` runs for these flags (docs/SCENARIOS.md):
+    /// each axis a comma-separated list, unset axes at their defaults. An
+    /// error is the `--flag: reason` the CLI prints.
+    pub fn from_args(args: &Args) -> Result<ScenarioGrid, String> {
+        Ok(ScenarioGrid {
+            topologies: args.axis(
+                "topos",
+                "ai-fattree:16:1,ai-fattree:16:4",
+                TopologySpec::parse,
+            )?,
+            workloads: args.axis(
+                "workloads",
+                "ring:16:262144:1,moe:16:4:262144:2:5000",
+                WorkloadSpec::parse,
+            )?,
+            ccs: args.axis("ccs", "mprdma,ndp", parse_cc)?,
+            placements: args.axis("placements", "packed", PlacementSpec::parse)?,
+            backends: args.axis("backends", "htsim,lgs", BackendFamily::parse)?,
+            faults: args.axis("faults", "none", |tok| FaultSpec::parse(tok)?.in_sweep())?,
+            seed: args.number("seed", 1)?,
+            collect_flows: args.flag("collect-flows"),
+        })
+    }
+
     /// Expand to concrete cells: the cartesian product, minus infeasible
     /// combinations (workload wider than the fabric). htsim families are
     /// crossed with the CC axis; CC-less backends appear once; every key

@@ -1,273 +1,127 @@
-//! The fixed smoke grids the goldens pin.
+//! The fixed smoke grids the goldens pin, each written once: as the
+//! `atlahs sweep`/`atlahs cluster` flags docs/SCENARIOS.md prints for it.
 //!
 //! Each grid is a frozen, fast (< a few seconds) cell set whose JSON
 //! report is goldened under `tests/goldens/` and reproduced byte for byte
-//! by the golden table in `tests/golden_table/mod.rs`: any change to
-//! simulation behavior, report formatting, or seed derivation shows up as
-//! a golden diff. Every grid is also reachable from the CLI as plain axis flags;
-//! docs/SCENARIOS.md spells each one out.
+//! by the golden table in `tests/golden_table/mod.rs`, which parses these
+//! lines with the CLI's own [`ScenarioGrid::from_args`] and
+//! [`ClusterGrid::from_args`]: any change to simulation behavior, report
+//! formatting, seed derivation or the flag grammar shows up as a golden
+//! diff. `tests/goldens.rs` checks each line against its documented
+//! command.
 
-use atlahs_htsim::CcAlgo;
+use crate::args::Args;
+use crate::cluster::ClusterGrid;
+use crate::scenario::ScenarioGrid;
 
-use crate::cluster::{ArrivalSpec, ClusterGrid, QueueDiscipline};
-use crate::scenario::{
-    BackendFamily, FaultSpec, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec,
-};
+/// The sweep grid: 24 fast cells spanning both packet-level CC
+/// algorithms, spraying, the message-level model and the ideal bound.
+/// Golden `tests/goldens/sweep_smoke.json`; the fault axis is left at
+/// `none` so these cells (and their seeds and keys) are frozen at their
+/// pre-fault-axis bytes.
+pub const SWEEP: &str = "--topos switch:8,ai-fattree:16:4 \
+    --workloads ring:8:131072:1,moe:8:4:65536:1:2000 \
+    --backends htsim,htsim-spray,lgs,ideal --collect-flows";
 
-/// The fixed sweep smoke grid: 24 fast cells spanning both packet-level
-/// CC algorithms, spraying, the message-level model, and the ideal
-/// bound. Goldened as `tests/goldens/sweep_smoke.json`; the fault axis
-/// is deliberately empty so these cells (and their seeds and keys) are
-/// frozen at their pre-fault-axis bytes.
-pub fn sweep_smoke_grid() -> ScenarioGrid {
-    ScenarioGrid {
-        topologies: vec![
-            TopologySpec::SingleSwitch { hosts: 8 },
-            TopologySpec::AiFatTree { nodes: 16, oversub: 4 },
-        ],
-        workloads: vec![
-            WorkloadSpec::Ring { ranks: 8, bytes: 128 << 10, laps: 1 },
-            WorkloadSpec::MoeAllToAll {
-                ranks: 8,
-                group: 4,
-                bytes: 64 << 10,
-                layers: 1,
-                compute_ns: 2_000,
-            },
-        ],
-        ccs: vec![CcAlgo::Mprdma, CcAlgo::Ndp],
-        placements: vec![PlacementSpec::Packed],
-        backends: vec![
-            BackendFamily::Htsim,
-            BackendFamily::HtsimSpray,
-            BackendFamily::Lgs,
-            BackendFamily::Ideal,
-        ],
-        faults: vec![],
-        seed: 1,
-        collect_flows: true,
-    }
-}
-
-/// The fixed fault-injection smoke grid: 45 cells exercising every
-/// fault regime against the backends it applies to, byte-frozen inside
-/// `tests/goldens/stochastic_smoke.json` (45 of its 75 results, in order).
-///
-/// Per workload: `none` pairs with both htsim CCs and LGS (3 cells);
-/// `linkflap`, `degrade`, and the distributional `markov`, `rackfail`,
-/// and `churn` regimes with the two htsim CCs (2 each); and the uniform
-/// plus the Weibull-spread `straggler` with LGS (1 each) — 15 cells ×
-/// 3 workloads = 45. The original 24 cells keep their exact
-/// pre-distributional keys, seeds, and report bytes; the 21
-/// distributional cells additionally carry realized-fault telemetry.
+/// The fault grid: 45 cells, per workload `none` with both htsim CCs and
+/// LGS (3); `linkflap`, `degrade` and the distributional `markov`,
+/// `rackfail` and `churn` with the two htsim CCs (2 each); the uniform and
+/// the Weibull-spread `straggler` with LGS (1 each). Its results are, in
+/// order and byte for byte, 45 of the 75 in `stochastic_smoke.json`.
 ///
 /// Every workload spans all 16 nodes (both ToRs), so packed placement
-/// still pushes traffic through the core uplinks the link faults
-/// target, and every workload carries per-rank compute, so the
-/// straggler has calc costs to inflate: each faulted cell demonstrably
-/// diverges from its `none` sibling (pinned by the
-/// `fault_smoke_cells_diverge_from_their_clean_siblings` test in
-/// `tests/determinism_golden.rs`).
-pub fn fault_smoke_grid() -> ScenarioGrid {
-    ScenarioGrid {
-        topologies: vec![TopologySpec::AiFatTree { nodes: 16, oversub: 4 }],
-        workloads: vec![
-            WorkloadSpec::MoeAllToAll {
-                ranks: 16,
-                group: 16,
-                bytes: 64 << 10,
-                layers: 1,
-                compute_ns: 20_000,
-            },
-            WorkloadSpec::MoeAllToAll {
-                ranks: 16,
-                group: 16,
-                bytes: 32 << 10,
-                layers: 2,
-                compute_ns: 4_000,
-            },
-            WorkloadSpec::PipelineLlm {
-                stages: 16,
-                microbatches: 2,
-                bytes: 64 << 10,
-                compute_ns: 2_000,
-            },
-        ],
-        ccs: vec![CcAlgo::Mprdma, CcAlgo::Ndp],
-        placements: vec![PlacementSpec::Packed],
-        backends: vec![BackendFamily::Htsim, BackendFamily::Lgs],
-        faults: faults(&[
-            "none",
-            "linkflap:2:5000:60000",
-            "degrade:2:25:300:0:200000",
-            "straggler:50:300",
-            // Distributional regimes (atlahs_core::faultgen): a heavy
-            // Gilbert–Elliott flap, a whole-rack outage, a two-rack
-            // churn replay (rack 0 bounces early, rack 1 fails later
-            // while 0 is already back), and Weibull-spread stragglers.
-            "markov:4:20000:20000:300000",
-            "rackfail:1:20000:140000",
-            "churn:0;0;d,60000;0;u,100000;1;d,180000;1;u",
-            "straggler:50:200:200:2",
-        ]),
-        seed: 1,
-        collect_flows: true,
-    }
+/// still pushes traffic through the core uplinks the link faults target,
+/// and every workload carries per-rank compute for the straggler to
+/// inflate: each faulted cell diverges from its `none` sibling (pinned by
+/// `fault_smoke_cells_diverge_from_their_clean_siblings` in
+/// `tests/determinism_golden.rs`). The churn replay bounces rack 0 early
+/// and fails rack 1 later, while rack 0 is already back.
+pub const FAULT: &str = "--topos ai-fattree:16:4 --backends htsim,lgs --collect-flows \
+    --workloads moe:16:16:65536:1:20000,moe:16:16:32768:2:4000,pipeline:16:2:65536:2000 \
+    --faults none,linkflap:2:5000:60000,degrade:2:25:300:0:200000,straggler:50:300,\
+    markov:4:20000:20000:300000,rackfail:1:20000:140000,\
+    churn:0;0;d,60000;0;u,100000;1;d,180000;1;u,straggler:50:200:200:2";
+
+/// The stochastic grid: [`FAULT`] with five per-packet link models
+/// appended to the fault axis — 2 % loss everywhere, 8 % on the
+/// oversubscribed core uplinks only, and one jitter cell per sampler
+/// family at scales near the per-hop latency, so reordering happens. They
+/// apply to the two htsim CCs only: 45 + 30 = 75 cells, golden
+/// `tests/goldens/stochastic_smoke.json`. The fault axis never perturbs
+/// cell seeds or the other axes' keys, so the fault grid's 45 cells keep
+/// their bytes inside this golden.
+pub const STOCHASTIC: &str = "--topos ai-fattree:16:4 --backends htsim,lgs --collect-flows \
+    --workloads moe:16:16:65536:1:20000,moe:16:16:32768:2:4000,pipeline:16:2:65536:2000 \
+    --faults none,linkflap:2:5000:60000,degrade:2:25:300:0:200000,straggler:50:300,\
+    markov:4:20000:20000:300000,rackfail:1:20000:140000,\
+    churn:0;0;d,60000;0;u,100000;1;d,180000;1;u,straggler:50:200:200:2,\
+    loss:20000,loss:80000:core,jitter:exp:2000,jitter:weibull:3000:2,jitter:uniform:1500";
+
+/// The branch-and-continue grid: 24 cells over 8 shared prefixes, golden
+/// `tests/goldens/branch_smoke.json`. Per workload `none` and the three
+/// window regimes pair with both htsim CCs (8 cells), the two stragglers
+/// and `none` with LGS (3) and `none` with the ideal bound (1). The
+/// branch time, 60 µs, falls inside every workload's steady state, so
+/// each continuation replays a real mid-flight snapshot; both workloads
+/// carry per-rank compute, so completions (the only points the scheduler
+/// can pause at) exist well before it. The windows open at or after the
+/// branch time where possible, but clamping is part of what is smoked:
+/// injection at the branch point must clip already-elapsed windows
+/// instead of rewriting history.
+pub const BRANCH: &str = "--topos ai-fattree:16:4 \
+    --workloads moe:16:16:65536:1:20000,pipeline:16:2:65536:2000 \
+    --backends htsim,lgs,ideal --collect-flows --branch-at 60000 \
+    --faults none,linkflap:2:70000:140000,degrade:2:25:300:60000:250000,\
+    markov:2:20000:20000:300000,straggler:50:300,straggler:50:200:200:2";
+
+/// The cluster grid: 24 cells crossing both arrival families, both queue
+/// disciplines and packed/random placement over the packet-level
+/// (MPRDMA), message-level and ideal backends on the default 16-node
+/// 4:1 fabric, where random placement scatters rings across the thin
+/// uplinks. The offered load keeps the queue and the slowdown paths busy
+/// (mean gap far below a job's duration). Golden
+/// `tests/goldens/cluster_smoke.json`; no fault axis, for the same
+/// frozen-bytes reason as [`SWEEP`].
+pub const CLUSTER: &str = "--catalog ring:8:262144:1,incast:5:131072:1 \
+    --arrivals poisson:8:40000,trace:0;0;0;30000;30000;400000 \
+    --queues fifo,smallest --placements packed,random \
+    --backends htsim,lgs,ideal";
+
+/// The cluster fault grid: 3 message-level cells over one saturated
+/// arrival stream — fault-free, Bernoulli `jobfail` and the
+/// distributional `mtbf` process, whose 20 µs MTBF fires on a fair share
+/// of tens-of-µs job runs. Golden `tests/goldens/cluster_fault_smoke.json`,
+/// kept apart from [`CLUSTER`] so that golden's bytes stay frozen.
+pub const CLUSTER_FAULT: &str = "--catalog ring:8:262144:1,incast:5:131072:1 \
+    --arrivals poisson:8:40000 --backends lgs \
+    --faults none,jobfail:50:50:2,mtbf:20000:3";
+
+/// The flags of a whitespace-separated flag line, as the CLI reads them.
+pub fn args(line: &str) -> Args {
+    Args::from_tokens(["atlahs"].into_iter().chain(line.split_whitespace()).map(String::from))
 }
 
-/// The fixed per-packet stochastic smoke grid: the fault smoke grid's
-/// exact axes plus five stochastic link models appended to the fault
-/// axis, goldened as `tests/goldens/stochastic_smoke.json`.
-///
-/// The five appended regimes — all-tier loss, core-only loss, and one
-/// jitter cell per faultgen sampler family — apply only to the two
-/// htsim CCs, adding 10 cells per workload: 45 + 30 = 75 cells total.
-/// Because the fault axis never perturbs cell seeds or the other axes'
-/// keys, the original 45 cells keep their exact [`fault_smoke_grid`]
-/// report bytes inside this golden, which is what pins them; the 30
-/// stochastic cells additionally carry the gated `net` realization
-/// fields (`stochastic_draws` et al.).
-pub fn stochastic_smoke_grid() -> ScenarioGrid {
-    let mut grid = fault_smoke_grid();
-    grid.faults.extend(faults(&[
-        // 2% everywhere: enough to force retransmissions on every
-        // workload without drowning the run in timeouts.
-        "loss:20000",
-        // 8% on the oversubscribed core uplinks only — the edge stays
-        // clean, so recovery cost tracks core traversal.
-        "loss:80000:core",
-        // One cell per sampler family, scales near the fabric's own
-        // per-hop latency so reordering actually happens.
-        "jitter:exp:2000",
-        "jitter:weibull:3000:2",
-        "jitter:uniform:1500",
-    ]));
-    grid
+/// The sweep grid of one of the flag lines above.
+pub fn sweep_grid(line: &str) -> ScenarioGrid {
+    ScenarioGrid::from_args(&args(line)).expect("smoke flag lines parse")
 }
 
-/// The pinned branch time of the branch smoke grid (`--branch-at 60000`):
-/// 60 µs into the run, inside every workload's steady state, so each
-/// continuation replays a real mid-flight snapshot rather than an empty
-/// or drained simulation.
-pub const BRANCH_SMOKE_AT: u64 = 60_000;
-
-/// The fixed branch-and-continue smoke grid: 24 cells over 8 shared
-/// prefixes, goldened as `tests/goldens/branch_smoke.json` from a run
-/// with `--branch-at` [`BRANCH_SMOKE_AT`].
-///
-/// Per workload (2): the four fault axis values pair with both htsim CCs
-/// (8 cells), the two straggler regimes plus `none` with LGS (3), and
-/// `none` with the ideal bound (1) — 12 cells across 4 prefix groups
-/// (htsim-mprdma, htsim-ndp, lgs, ideal). Both workloads carry per-rank
-/// compute so completions — the only points the scheduler can pause at —
-/// exist well before the branch time. The fault windows open at or after
-/// [`BRANCH_SMOKE_AT`] where possible, but clamping is part of the
-/// contract being smoked: injection at the branch point must clip
-/// already-elapsed windows instead of rewriting history.
-pub fn branch_smoke_grid() -> ScenarioGrid {
-    ScenarioGrid {
-        topologies: vec![TopologySpec::AiFatTree { nodes: 16, oversub: 4 }],
-        workloads: vec![
-            WorkloadSpec::MoeAllToAll {
-                ranks: 16,
-                group: 16,
-                bytes: 64 << 10,
-                layers: 1,
-                compute_ns: 20_000,
-            },
-            WorkloadSpec::PipelineLlm {
-                stages: 16,
-                microbatches: 2,
-                bytes: 64 << 10,
-                compute_ns: 2_000,
-            },
-        ],
-        ccs: vec![CcAlgo::Mprdma, CcAlgo::Ndp],
-        placements: vec![PlacementSpec::Packed],
-        backends: vec![BackendFamily::Htsim, BackendFamily::Lgs, BackendFamily::Ideal],
-        faults: faults(&[
-            "none",
-            "linkflap:2:70000:140000",
-            "degrade:2:25:300:60000:250000",
-            "markov:2:20000:20000:300000",
-            "straggler:50:300",
-            "straggler:50:200:200:2",
-        ]),
-        seed: 1,
-        collect_flows: true,
-    }
-}
-
-/// A grid's fault axis, written as the `--faults` tokens
-/// docs/SCENARIOS.md spells it in.
-fn faults(toks: &[&str]) -> Vec<FaultSpec> {
-    toks.iter().map(|tok| FaultSpec::parse(tok).expect("frozen smoke tokens are valid")).collect()
-}
-
-/// The fixed cluster smoke grid: 24 fast cells crossing both arrival
-/// families, both queue disciplines, and packed/random placement over
-/// the packet-level (MPRDMA), message-level, and ideal backends on a
-/// small oversubscribed fabric. Goldened as
-/// `tests/goldens/cluster_smoke.json`; fault axis empty for the same
-/// frozen-bytes reason as [`sweep_smoke_grid`].
-pub fn cluster_smoke_grid() -> ClusterGrid {
-    ClusterGrid {
-        // 16 nodes across two ToRs behind a 4:1 core: random placement
-        // scatters rings across the thin uplinks, so the placement axis
-        // (and the htsim slowdown path) actually moves the goldens.
-        topology: TopologySpec::AiFatTree { nodes: 16, oversub: 4 },
-        catalog: vec![
-            WorkloadSpec::Ring { ranks: 8, bytes: 256 << 10, laps: 1 },
-            WorkloadSpec::Incast { ranks: 5, bytes: 128 << 10, repeat: 1 },
-        ],
-        arrivals: vec![
-            // Offered load high enough that the queue and the slowdown
-            // paths are actually exercised (mean gap << job duration).
-            ArrivalSpec::Poisson { jobs: 8, mean_gap_ns: 40_000 },
-            ArrivalSpec::Trace { times_ns: vec![0, 0, 0, 30_000, 30_000, 400_000] },
-        ],
-        queues: vec![QueueDiscipline::Fifo, QueueDiscipline::SmallestFirst],
-        placements: vec![PlacementSpec::Packed, PlacementSpec::Random],
-        ccs: vec![CcAlgo::Mprdma],
-        backends: vec![BackendFamily::Htsim, BackendFamily::Lgs, BackendFamily::Ideal],
-        faults: vec![],
-        seed: 1,
-    }
-}
-
-/// The fixed cluster fault smoke grid: 3 message-level cells over one saturated arrival stream — fault-free,
-/// Bernoulli `jobfail`, and the distributional `mtbf` process — goldened
-/// as `tests/goldens/cluster_fault_smoke.json`. Kept separate from
-/// [`cluster_smoke_grid`] so that golden's bytes stay frozen.
-pub fn cluster_fault_smoke_grid() -> ClusterGrid {
-    ClusterGrid {
-        topology: TopologySpec::AiFatTree { nodes: 16, oversub: 4 },
-        catalog: vec![
-            WorkloadSpec::Ring { ranks: 8, bytes: 256 << 10, laps: 1 },
-            WorkloadSpec::Incast { ranks: 5, bytes: 128 << 10, repeat: 1 },
-        ],
-        arrivals: vec![ArrivalSpec::Poisson { jobs: 8, mean_gap_ns: 40_000 }],
-        queues: vec![QueueDiscipline::Fifo],
-        placements: vec![PlacementSpec::Packed],
-        ccs: vec![],
-        backends: vec![BackendFamily::Lgs],
-        // Job runs are tens of µs, so a 20 µs MTBF fires on a realistic
-        // fraction of attempts.
-        faults: faults(&["none", "jobfail:50:50:2", "mtbf:20000:3"]),
-        seed: 1,
-    }
+/// The cluster grid of one of the flag lines above.
+pub fn cluster_grid(line: &str) -> ClusterGrid {
+    ClusterGrid::from_args(&args(line)).expect("smoke flag lines parse")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::FaultSpec;
 
     #[test]
     fn smoke_grids_have_their_frozen_cell_counts() {
-        assert_eq!(sweep_smoke_grid().expand().len(), 24);
-        assert_eq!(cluster_smoke_grid().expand_counted().0.len(), 24);
-        assert_eq!(cluster_fault_smoke_grid().expand_counted().0.len(), 3);
-        let cells = fault_smoke_grid().expand();
+        assert_eq!(sweep_grid(SWEEP).expand().len(), 24);
+        assert_eq!(cluster_grid(CLUSTER).expand_counted().0.len(), 24);
+        assert_eq!(cluster_grid(CLUSTER_FAULT).expand_counted().0.len(), 3);
+        let cells = sweep_grid(FAULT).expand();
         assert_eq!(cells.len(), 45);
         // 15 cells per workload: 3 fault-free, 10 packet-level faulted
         // (5 regimes × 2 CCs), 2 message-level stragglers.
@@ -286,8 +140,8 @@ mod tests {
 
     #[test]
     fn stochastic_smoke_grid_extends_the_fault_grid_without_moving_it() {
-        let base = fault_smoke_grid().expand();
-        let cells = stochastic_smoke_grid().expand();
+        let base = sweep_grid(FAULT).expand();
+        let cells = sweep_grid(STOCHASTIC).expand();
         assert_eq!(cells.len(), 75, "45 fault cells + 5 models x 2 CCs x 3 workloads");
         let stochastic: Vec<_> =
             cells.iter().filter(|c| matches!(c.fault, FaultSpec::Stochastic(_))).collect();
@@ -313,7 +167,7 @@ mod tests {
 
     #[test]
     fn branch_smoke_grid_has_its_frozen_shape() {
-        let cells = branch_smoke_grid().expand();
+        let cells = sweep_grid(BRANCH).expand();
         assert_eq!(cells.len(), 24, "12 cells per workload");
         // 4 shared prefixes per workload: htsim×2 CCs, lgs, ideal.
         let mut prefixes: Vec<String> = cells
@@ -340,7 +194,7 @@ mod tests {
     #[test]
     fn fault_smoke_seeds_ignore_the_fault_axis() {
         use crate::scenario::cell_seed;
-        for c in fault_smoke_grid().expand() {
+        for c in sweep_grid(FAULT).expand() {
             assert_eq!(c.seed, cell_seed(1, &c.workload.label()));
         }
     }

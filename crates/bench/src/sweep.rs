@@ -151,6 +151,18 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
+    /// Run `cells` on `threads` workers, straight through or, when
+    /// `branch_at` is set (`--branch-at`; 0 = off), branched at that time.
+    pub fn run(seed: u64, cells: &[ScenarioCell], branch_at: u64, threads: usize) -> SweepReport {
+        let (results, branch) = if branch_at > 0 {
+            let (results, stats) = crate::branch::execute_branched(cells, branch_at, threads);
+            (results, Some(stats))
+        } else {
+            (execute(cells, threads), None)
+        };
+        SweepReport { seed, results, branch }
+    }
+
     /// Total simulated-cell wall-clock (the single-threaded cost; the
     /// parallel sweep's elapsed time divides this by the effective
     /// parallelism).

@@ -293,14 +293,10 @@ pub fn cross_tor_permutation(hosts: u32, bytes: u64) -> GoalSchedule {
 
 // ------------------------------------------------------------ Storage ----
 
-/// The Fig. 11 storage workload: Financial-distribution-like OLTP I/O.
-pub fn storage_trace(operations: usize, seed: u64) -> SpcTrace {
-    financial_like(&OltpConfig { operations, seed, ..OltpConfig::default() })
-}
-
-/// Same workload at a controlled offered load: `mean_gap_ns` is the mean
-/// inter-arrival gap per the whole trace (smaller = more concurrent
-/// requests in flight = more core congestion).
+/// The Fig. 11 storage workload, Financial-distribution-like OLTP I/O, at
+/// a controlled offered load: `mean_gap_ns` is the mean inter-arrival gap
+/// per the whole trace (smaller = more concurrent requests in flight =
+/// more core congestion).
 pub fn storage_trace_at_load(operations: usize, mean_gap_ns: u64, seed: u64) -> SpcTrace {
     financial_like(&OltpConfig { operations, mean_gap_ns, seed })
 }
@@ -421,7 +417,7 @@ mod tests {
 
     #[test]
     fn storage_trace_is_financial_like() {
-        let t = storage_trace(2000, 11);
+        let t = storage_trace_at_load(2000, 200_000, 11);
         assert_eq!(t.len(), 2000);
         let wf = t.write_fraction();
         assert!(wf > 0.5, "Financial is write-heavy: {wf}");

@@ -317,7 +317,10 @@ fn stray_positionals_and_unknown_figures_are_usage_errors() {
 /// range (`--scale 0`), divided by zero on `--ranks 0`, and ignored an
 /// unknown or mistyped flag (`--sclae 0.5` ran at the default scale).
 /// fig11 ran `--compress 0` as 1x and printed an empty figure for
-/// `--ops 0`, both with exit 0.
+/// `--ops 0`, both with exit 0. fig01 padded `--ranks` to its fabric
+/// unchecked: a count near `usize::MAX` overflowed (a capacity-overflow
+/// panic, exit 101), one past the route-key bound started a 1.6 GB
+/// allocation.
 #[test]
 fn figure_flags_are_usage_errors() {
     for (args, want) in [
@@ -328,6 +331,15 @@ fn figure_flags_are_usage_errors() {
             "atlahs fig: --ranks: workload `incast:1:1048576:2`: incast needs a sink",
         ),
         (&["fig", "fig09", "--sclae", "0.5", "--bogus"], "atlahs fig: --bogus: unknown flag"),
+        (
+            &["fig", "fig01", "--ranks", "18446744073709551612"],
+            "atlahs fig: --ranks: topology `ai-fattree:18446744073709551608:1`: nodes must be at \
+             most 16777216",
+        ),
+        (
+            &["fig", "fig01", "--ranks", "16777300"],
+            "atlahs fig: --ranks: topology `ai-fattree:16777304:1`: nodes must be at most 16777216",
+        ),
         (
             &["fig", "fig11", "--compress", "0"],
             "atlahs fig: --compress: workload `storage:5000:50:0`: compress must be at least 1",

@@ -512,7 +512,7 @@ pub struct HtsimState {
     queue: EventQueue<Ev>,
     now: Time,
     rng: StdRng,
-    matcher: Matcher<u32, (OpRef, Time)>,
+    matcher: Matcher<u32, OpRef>,
     pacers: Vec<PullPacer>,
     stats: NetStats,
     /// Every packet in the fabric, named by its handle (index). A slot is
@@ -1077,7 +1077,7 @@ impl Backend for HtsimBackend {
         let fid = self.s.flows.len() as u32;
         self.s.stats.flows += 1;
         let (rset, mut t) = self.make_flow(op, dst, bytes);
-        t.recv_op = self.s.matcher.offer_send(key, fid).map(|(recv_op, _)| recv_op);
+        t.recv_op = self.s.matcher.offer_send(key, fid);
         let rto = if op.rank == dst { 0 } else { t.rto(&self.s.rtt) };
         self.s.flows.push(Flow { rset, in_flight: Some(Box::new(t)) });
         if op.rank == dst {
@@ -1093,7 +1093,7 @@ impl Backend for HtsimBackend {
     fn recv(&mut self, op: OpRef, src: Rank, _bytes: u64, tag: Tag) {
         let key: MatchKey = (src, op.rank, tag);
         self.push(self.s.now, Ev::Emit { op, done: false });
-        if let Some(fid) = self.s.matcher.offer_recv(key, (op, self.s.now)) {
+        if let Some(fid) = self.s.matcher.offer_recv(key, op) {
             match self.s.flows[fid as usize].in_flight.as_mut() {
                 Some(t) => t.recv_op = Some(op),
                 None => self.push(self.s.now + HOST_O, Ev::Emit { op, done: true }),
@@ -1325,7 +1325,8 @@ mod tests {
         let mut be = HtsimBackend::new(HtsimConfig::new(topology, CcAlgo::Mprdma));
         Simulation::new(&b.build().unwrap()).run(&mut be).expect("no deadlock");
         assert!(be.s.flows[0].in_flight.is_none());
-        let path = be.topo.route_ref(&mut be.s.arena, &mut be.s.routes, 0, 1, 0);
+        let set = be.topo.route_set(&mut be.s.arena, &mut be.s.routes, 0, 1);
+        let path = be.s.routes.route(set, 0);
         let (kind, wire) = (PktKind::Data, WIRE_MTU);
         let dup =
             Packet { flow: 0, idx: 0, hop: 0, kind, wire, ecn: false, rtx: true, ecmp: 0, path };

@@ -501,20 +501,6 @@ impl Topology {
         set
     }
 
-    /// The interned path for `src → dst` under selector `ecmp`: the
-    /// pair's `Topology::route_set`, indexed by bucket.
-    pub fn route_ref(
-        &self,
-        arena: &mut Vec<u32>,
-        cache: &mut RouteCache,
-        src: u32,
-        dst: u32,
-        ecmp: u64,
-    ) -> PathRef {
-        let set = self.route_set(arena, cache, src, dst);
-        cache.route(set, ecmp)
-    }
-
     /// Base round-trip estimate for a path and its reverse: propagation plus
     /// one MTU serialization per forward hop and one header per reverse hop.
     /// A hop of `b` bytes costs `latency + 8·b / gbps` ns; the sum is kept
@@ -728,7 +714,8 @@ mod tests {
                     }
                     for ecmp in [0u64, 1, 7, 0xDEAD_BEEF] {
                         let owned = t.route(src, dst, ecmp);
-                        let r = t.route_ref(&mut arena, &mut cache, src, dst, ecmp);
+                        let set = t.route_set(&mut arena, &mut cache, src, dst);
+                        let r = cache.route(set, ecmp);
                         assert_eq!(r.of(&arena), &owned[..], "{src}->{dst} ecmp={ecmp}");
                     }
                 }
@@ -742,12 +729,15 @@ mod tests {
         let (mut arena, mut cache) = (Vec::new(), RouteCache::default());
         // 4 uplinks: selectors congruent mod 4 share a bucket and must
         // return the same interned reference without growing the arena.
-        let a = t.route_ref(&mut arena, &mut cache, 0, 5, 3);
-        let arena_len = arena.len();
-        let b = t.route_ref(&mut arena, &mut cache, 0, 5, 7);
+        let mut route = |ecmp| {
+            let set = t.route_set(&mut arena, &mut cache, 0, 5);
+            (cache.route(set, ecmp), arena.len())
+        };
+        let (a, arena_len) = route(3);
+        let (b, len) = route(7);
         assert_eq!(a, b, "same ECMP bucket must intern once");
-        assert_eq!(arena.len(), arena_len);
-        let c = t.route_ref(&mut arena, &mut cache, 0, 5, 4);
+        assert_eq!(len, arena_len);
+        let (c, _) = route(4);
         assert_ne!(a.of(&arena), c.of(&arena), "different bucket, different uplink");
     }
 

@@ -272,7 +272,7 @@ pub struct LgsState {
     /// Eager: in-flight arrivals (value: time data is available) vs posted recvs.
     eager: Matcher<Time, (OpRef, Time)>,
     /// Rendezvous: RTS arrivals vs posted recvs.
-    rdv: Matcher<(OpRef, u64), (OpRef, Time)>,
+    rdv: Matcher<(OpRef, u64), OpRef>,
     stats: LgsStats,
     /// Per-rank calc-cost scale in percent: empty (every calc at face
     /// value) until [`LgsBackend::apply_straggler_now`] fills it.
@@ -384,7 +384,7 @@ impl Backend for LgsBackend {
         // Posting is cheap: release the stream immediately.
         self.push(self.s.now, Ev::CpuFree(op));
         if self.params.is_rendezvous(bytes) {
-            if let Some((send_op, b)) = self.s.rdv.offer_recv(key, (op, self.s.now)) {
+            if let Some((send_op, b)) = self.s.rdv.offer_recv(key, op) {
                 // RTS already here: CTS leaves after receiver overhead.
                 let cts_at = self.s.now + self.params.o + self.params.l;
                 self.push(cts_at, Ev::CtsArrive { send_op, recv_op: op, bytes: b });
@@ -420,7 +420,7 @@ impl Backend for LgsBackend {
                     }
                 }
                 Ev::RtsArrive { key, send_op, bytes } => {
-                    if let Some((recv_op, _post)) = self.s.rdv.offer_send(key, (send_op, bytes)) {
+                    if let Some(recv_op) = self.s.rdv.offer_send(key, (send_op, bytes)) {
                         let cts_at = time + self.params.o + self.params.l;
                         self.push(cts_at, Ev::CtsArrive { send_op, recv_op, bytes });
                     }

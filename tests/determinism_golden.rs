@@ -441,10 +441,10 @@ fn lgs_moe_straggler() {
 
 #[test]
 fn fault_smoke_cells_diverge_from_their_clean_siblings() {
-    use atlahs_bench::smoke::fault_smoke_grid;
+    use atlahs_bench::smoke;
     use atlahs_bench::sweep::execute;
 
-    let cells = fault_smoke_grid().expand();
+    let cells = smoke::sweep_grid(smoke::FAULT).expand();
     assert_eq!(cells.len(), 45);
     let results = execute(&cells, 4);
     let clean: std::collections::HashMap<String, &atlahs_bench::scenario::CellResult> = results

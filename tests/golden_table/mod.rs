@@ -1,11 +1,15 @@
 //! The golden table: every report under `tests/goldens/` and the run that
 //! must reproduce it byte for byte.
 //!
-//! Each run uses 2 worker threads (reports are `--threads`-invariant).
-//! The grids are the frozen ones in [`atlahs_bench::smoke`]; the
-//! fidelity cells are the ones `atlahs fig fig08` and `atlahs fig fig10`
-//! build ([`fig08_cells`], [`fig10_cells`]): Fig. 8's Llama 7B DP16 case
-//! and Fig. 10's six 128-rank points, each on {testbed, LGS, htsim}, at a
+//! The five grid rows are `atlahs sweep`/`atlahs cluster` commands: a
+//! subcommand and the flag line [`atlahs_bench::smoke`] writes once, run
+//! through the CLI's own parser ([`ScenarioGrid::from_args`],
+//! [`ClusterGrid::from_args`]) and executors on 2 worker threads (reports
+//! are `--threads`-invariant); `tests/goldens.rs` checks each line
+//! against the command docs/SCENARIOS.md prints for it. The fidelity row
+//! is the cells `atlahs fig fig08` and `atlahs fig fig10` build
+//! ([`fig08_cells`], [`fig10_cells`]): Fig. 8's Llama 7B DP16 case and
+//! Fig. 10's six 128-rank points, each on {testbed, LGS, htsim}, at a
 //! fixed small scale — the paper's §5 claim (simulated runtimes within
 //! single-digit percent of the reference) as a byte-compared artefact.
 //! Their reference is `atlahs_testbed`, the repository's own fluid-flow
@@ -31,7 +35,6 @@
 
 use std::path::{Path, PathBuf};
 
-use atlahs_bench::branch::execute_branched;
 use atlahs_bench::cluster::{run_grid, ClusterGrid, ClusterReport};
 use atlahs_bench::figures::{fig08_cells, fig10_cells};
 use atlahs_bench::scenario::{LlmPreset, ScenarioGrid};
@@ -41,18 +44,18 @@ use atlahs_bench::workloads::hpc_suite;
 
 const THREADS: usize = 2;
 
-/// A run that renders its JSON report.
-type Run = fn() -> String;
-
-/// Golden file name → the run whose JSON report must equal it.
-pub const GOLDENS: [(&str, Run); 6] = [
-    ("sweep_smoke.json", || sweep(smoke::sweep_smoke_grid())),
-    ("stochastic_smoke.json", stochastic_smoke),
-    ("branch_smoke.json", branch_smoke),
-    ("cluster_smoke.json", || cluster(smoke::cluster_smoke_grid())),
-    ("cluster_fault_smoke.json", || cluster(smoke::cluster_fault_smoke_grid())),
-    ("fidelity_smoke.json", fidelity),
+/// Golden file name → the `atlahs` subcommand and flags whose JSON report
+/// must equal it.
+pub const GOLDENS: [(&str, &str, &str); 5] = [
+    ("sweep_smoke.json", "sweep", smoke::SWEEP),
+    ("stochastic_smoke.json", "sweep", smoke::STOCHASTIC),
+    ("branch_smoke.json", "sweep", smoke::BRANCH),
+    ("cluster_smoke.json", "cluster", smoke::CLUSTER),
+    ("cluster_fault_smoke.json", "cluster", smoke::CLUSTER_FAULT),
 ];
+
+/// The golden of the Fig. 8/10 validation cells, which no grid spells.
+pub const FIDELITY: &str = "fidelity_smoke.json";
 
 /// The directory holding the checked-in goldens.
 pub fn dir() -> PathBuf {
@@ -62,8 +65,13 @@ pub fn dir() -> PathBuf {
 /// Run `name`'s row and panic unless its report equals the golden byte
 /// for byte, leaving the actual report under `CARGO_TARGET_TMPDIR`.
 pub fn reproduce(name: &str) {
-    let (_, run) = GOLDENS.iter().find(|(n, _)| *n == name).expect("the golden has a row");
-    let got = run();
+    let got = match GOLDENS.iter().find(|(n, ..)| *n == name) {
+        Some(&(_, "sweep", flags)) => sweep(name, flags),
+        Some(&(_, "cluster", flags)) => cluster(flags),
+        Some(&(_, sub, _)) => panic!("`{sub}` is not a grid subcommand"),
+        None if name == FIDELITY => fidelity(),
+        None => panic!("tests/goldens/{name} has no row"),
+    };
     if got != std::fs::read_to_string(dir().join(name)).unwrap_or_default() {
         let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
         std::fs::write(&actual, &got).expect("the target directory is writable");
@@ -74,30 +82,28 @@ pub fn reproduce(name: &str) {
     }
 }
 
-fn sweep(grid: ScenarioGrid) -> String {
-    let results = execute(&grid.expand(), THREADS);
-    SweepReport { seed: grid.seed, results, branch: None }.to_json().pretty()
+/// `atlahs sweep <flags>`'s JSON report. 45 of the stochastic grid's 75
+/// cells, in order, are the fault grid's: an inactive link model consumes
+/// zero draws, so the stochastic axis must not move them. A branched grid
+/// must run each shared prefix once per group, not per cell.
+fn sweep(name: &str, flags: &str) -> String {
+    let args = smoke::args(flags);
+    let grid = ScenarioGrid::from_args(&args).expect("a golden's flags parse");
+    let cells = grid.expand();
+    if name == "stochastic_smoke.json" {
+        assert_eq!(cells.len(), 75);
+    }
+    let branch_at = args.number("branch-at", 0).expect("a golden's flags parse");
+    let report = SweepReport::run(grid.seed, &cells, branch_at, THREADS);
+    if let Some(stats) = report.branch {
+        assert_eq!(stats.prefix_runs, 8, "prefixes must run once per group, not per cell");
+    }
+    report.to_json().pretty()
 }
 
-/// 45 of the 75 cells, in order, are `smoke::fault_smoke_grid`'s: an
-/// inactive link model consumes zero draws, so the stochastic axis must
-/// not move them.
-fn stochastic_smoke() -> String {
-    let grid = smoke::stochastic_smoke_grid();
-    assert_eq!(grid.expand().len(), 75);
-    sweep(grid)
-}
-
-/// The branch grid at its pinned branch time; each shared prefix must
-/// run once per group, not per cell.
-fn branch_smoke() -> String {
-    let grid = smoke::branch_smoke_grid();
-    let (results, stats) = execute_branched(&grid.expand(), smoke::BRANCH_SMOKE_AT, THREADS);
-    assert_eq!(stats.prefix_runs, 8, "prefixes must run once per group, not per cell");
-    SweepReport { seed: grid.seed, results, branch: Some(stats) }.to_json().pretty()
-}
-
-fn cluster(grid: ClusterGrid) -> String {
+/// `atlahs cluster <flags>`'s JSON report.
+fn cluster(flags: &str) -> String {
+    let grid = ClusterGrid::from_args(&smoke::args(flags)).expect("a golden's flags parse");
     let results = run_grid(&grid.expand_counted().0, THREADS);
     ClusterReport { seed: grid.seed, results }.to_json().pretty()
 }
