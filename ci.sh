@@ -26,8 +26,11 @@
 #      htsim (19.5 M events), likewise alone, and fails if VmHWM grows
 #      during the run by more than its recorded bound; and the flow-table
 #      one: tests/flow_table_footprint.rs does the same with the
-#      storage_htsim_oversub input (389 560 flows), where what a delivered
-#      flow keeps is what grows; and the trace-parser oracle on the
+#      storage_htsim_oversub input (389 560 flows), and fails if the flow
+#      table passes 40 000 slots, or grows past 1.75x its slots when the
+#      same input runs at twice the operations: a delivered flow's slot
+#      is reused, so the table follows the flows in flight, not the
+#      run's length; and the trace-parser oracle on the
 #      benchmark's full-size inputs (LULESH 1024 x 70 ranks x iterations,
 #      llama7b_dp128(0.002)): crates/tracers/tests/parse_oracle.rs checks
 #      the byte-level MPI and nsys parsers give `==` results to the
@@ -93,7 +96,7 @@ ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test lowering_footprint
 step "simulated-phase memory ratchet (19.5M-event htsim run, VmHWM growth bound)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test sim_footprint
 
-step "flow-table memory ratchet (389 560-flow htsim run, VmHWM growth bound)"
+step "flow-table memory ratchet (389 560-flow htsim run, VmHWM growth and flow-slot bounds)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test flow_table_footprint
 
 step "trace-parser oracle on the full-size benchmark inputs"

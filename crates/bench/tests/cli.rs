@@ -3,6 +3,8 @@
 
 use std::process::{Command, Output};
 
+use atlahs_bench::smoke;
+
 fn atlahs(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_atlahs")).args(args).output().expect("atlahs runs")
 }
@@ -245,48 +247,22 @@ fn inline_churn_traces_fit_in_a_fault_list() {
 }
 
 /// The smoke goldens are reachable from the CLI as plain axis flags
-/// (docs/SCENARIOS.md spells each grid out): the stochastic grid, inline
-/// churn trace included, and the cluster grid reproduce their goldens.
+/// (docs/SCENARIOS.md spells each grid out): the binary, run on the
+/// stochastic grid's flag line, inline churn trace included, and on the
+/// cluster grid's, reproduces their goldens.
 #[test]
 fn smoke_grids_spelled_as_axis_flags_reproduce_their_goldens() {
     let dir = std::env::temp_dir().join(format!("atlahs_cli_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let faults = "none,linkflap:2:5000:60000,degrade:2:25:300:0:200000,straggler:50:300,\
-                  markov:4:20000:20000:300000,rackfail:1:20000:140000,\
-                  churn:0;0;d,60000;0;u,100000;1;d,180000;1;u,straggler:50:200:200:2,\
-                  loss:20000,loss:80000:core,jitter:exp:2000,jitter:weibull:3000:2,\
-                  jitter:uniform:1500";
-    let stochastic = [
-        "sweep",
-        "--topos",
-        "ai-fattree:16:4",
-        "--workloads",
-        "moe:16:16:65536:1:20000,moe:16:16:32768:2:4000,pipeline:16:2:65536:2000",
-        "--backends",
-        "htsim,lgs",
-        "--faults",
-        faults,
-        "--collect-flows",
-    ];
-    let cluster = [
-        "cluster",
-        "--catalog",
-        "ring:8:262144:1,incast:5:131072:1",
-        "--arrivals",
-        "poisson:8:40000,trace:0;0;0;30000;30000;400000",
-        "--queues",
-        "fifo,smallest",
-        "--placements",
-        "packed,random",
-        "--backends",
-        "htsim,lgs,ideal",
-    ];
-    for (grid, golden) in
-        [(&stochastic[..], "stochastic_smoke.json"), (&cluster[..], "cluster_smoke.json")]
-    {
+    for (sub, flags, golden) in [
+        ("sweep", smoke::STOCHASTIC, "stochastic_smoke.json"),
+        ("cluster", smoke::CLUSTER, "cluster_smoke.json"),
+    ] {
         let report = dir.join(golden);
-        let run = [grid, &["--threads", "2", "--quiet", "--out", report.to_str().unwrap()]];
-        let out = atlahs(&run.concat());
+        let tail = ["--threads", "2", "--quiet", "--out", report.to_str().unwrap()];
+        let argv: Vec<&str> =
+            [sub].into_iter().chain(flags.split_whitespace()).chain(tail).collect();
+        let out = atlahs(&argv);
         assert!(out.status.success(), "{out:?}");
         let want = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens/");
         let want = std::fs::read_to_string(format!("{want}{golden}")).unwrap();

@@ -17,20 +17,26 @@
 //!
 //! * keys the map with the deterministic multiplicative hasher shared
 //!   with the simulators' other hot maps ([`atlahs_eventq::hash`]);
-//! * stores unmatched entries as **pooled intrusive lists**: one shared
-//!   slab of nodes with a free list, so queue storage is recycled across
-//!   keys and an offer never allocates once the slab has warmed up;
+//! * keeps a key's one waiting entry **inline in its map value**: a
+//!   lone send or a lone recv costs the table slot and nothing else, and
+//!   a matching offer removes the key without touching any other memory;
+//! * stores the entries of a key with two or more waiting as a **pooled
+//!   intrusive list**: one shared slab of nodes with a free list, so
+//!   queue storage is recycled across keys and an offer never allocates
+//!   once the slab has warmed up. A list that drains to one entry turns
+//!   back into a lone entry, so pool nodes exist only for keys with two
+//!   or more waiting;
 //! * removes a key as soon as its queue drains, keeping the map sized by
 //!   the number of *currently unmatched* keys (thousands) rather than
 //!   every key ever seen (hundreds of thousands).
 //!
 //! A key's queue only ever holds one side at a time — an arriving
 //! opposite-side entry always matches the head instead of enqueueing —
-//! so one list per key suffices. Per-key FIFO order is the list order,
+//! so one queue per key suffices. Per-key FIFO order is the list order,
 //! exactly as before; match results never depend on the hasher (nothing
 //! iterates the map), which `order_is_independent_of_hasher_seed` pins.
 
-use std::collections::hash_map::{Entry, OccupiedEntry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use atlahs_eventq::hash::FastBuildHasher;
@@ -39,9 +45,9 @@ use atlahs_goal::{Rank, Tag};
 /// Match key: (src, dst, tag).
 pub type MatchKey = (Rank, Rank, Tag);
 
-/// One pooled entry: an unmatched send- or recv-side value. `Vacant`
-/// marks free-list membership (and lets values be moved out of the slab
-/// without unsafe code).
+/// One waiting entry: an unmatched send- or recv-side value. In a pool
+/// node, `Vacant` marks free-list membership (and lets values be moved
+/// out of the slab without unsafe code).
 #[derive(Debug, Clone)]
 enum Slot<S, R> {
     Vacant,
@@ -58,12 +64,34 @@ struct Node<S, R> {
 
 const NIL: u32 = u32::MAX;
 
-/// Head/tail of one key's FIFO list of unmatched entries (all the same
-/// side; never empty — drained keys are removed from the map).
-#[derive(Debug, Clone, Copy)]
-struct KeyQueue {
-    head: u32,
-    tail: u32,
+/// The waiting entries of one key, all on the same side and never none
+/// (drained keys are removed from the map): a lone entry inline, or the
+/// head and tail of a FIFO list of two or more pool nodes.
+#[derive(Debug, Clone)]
+enum KeyQueue<S, R> {
+    Send(S),
+    Recv(R),
+    List { head: u32, tail: u32 },
+}
+
+impl<S, R> KeyQueue<S, R> {
+    /// The lone entry `slot` (never `Vacant`).
+    fn lone(slot: Slot<S, R>) -> Self {
+        match slot {
+            Slot::Send(s) => KeyQueue::Send(s),
+            Slot::Recv(r) => KeyQueue::Recv(r),
+            Slot::Vacant => unreachable!("a waiting entry is a send or a recv"),
+        }
+    }
+
+    /// The entry of a lone queue.
+    fn into_slot(self) -> Slot<S, R> {
+        match self {
+            KeyQueue::Send(s) => Slot::Send(s),
+            KeyQueue::Recv(r) => Slot::Recv(r),
+            KeyQueue::List { .. } => unreachable!("a list holds its entries in the pool"),
+        }
+    }
 }
 
 /// A FIFO matcher pairing send-side entries (`S`) with recv-side entries (`R`).
@@ -75,7 +103,7 @@ struct KeyQueue {
 /// bucket layout; nothing iterates the map.)
 #[derive(Debug, Clone)]
 pub struct Matcher<S, R> {
-    queues: HashMap<MatchKey, KeyQueue, FastBuildHasher>,
+    queues: HashMap<MatchKey, KeyQueue<S, R>, FastBuildHasher>,
     pool: Vec<Node<S, R>>,
     free: u32,
     pending_sends: usize,
@@ -108,56 +136,88 @@ impl<S, R> Matcher<S, R> {
 
     /// Offer a send-side entry. If a recv is already waiting for this key,
     /// it is removed and returned; otherwise the entry is queued.
-    ///
-    /// One map probe per offer: the entry API resolves the key once,
-    /// whether the outcome is a match (head detach + possible key
-    /// removal), an append, or a fresh queue.
     pub fn offer_send(&mut self, key: MatchKey, send: S) -> Option<R> {
-        match self.queues.entry(key) {
-            Entry::Occupied(mut o) => {
-                let q = *o.get();
-                if matches!(self.pool[q.head as usize].slot, Slot::Recv(_)) {
-                    let slot = detach_head(&mut self.pool, &mut self.free, o);
-                    self.pending_recvs -= 1;
-                    let Slot::Recv(r) = slot else { unreachable!("head was Recv") };
-                    return Some(r);
-                }
-                let idx = alloc_node(&mut self.pool, &mut self.free, Slot::Send(send));
-                self.pool[q.tail as usize].next = idx;
-                o.get_mut().tail = idx;
-            }
-            Entry::Vacant(v) => {
-                let idx = alloc_node(&mut self.pool, &mut self.free, Slot::Send(send));
-                v.insert(KeyQueue { head: idx, tail: idx });
-            }
+        match self.offer(key, Slot::Send(send)) {
+            Slot::Recv(r) => Some(r),
+            _ => None,
         }
-        self.pending_sends += 1;
-        None
     }
 
     /// Offer a recv-side entry. If a send is already waiting for this key,
     /// it is removed and returned; otherwise the entry is queued.
     pub fn offer_recv(&mut self, key: MatchKey, recv: R) -> Option<S> {
+        match self.offer(key, Slot::Recv(recv)) {
+            Slot::Send(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Match `entry` against the oldest opposite-side entry of `key` and
+    /// return that one, or queue `entry` and return `Vacant`.
+    ///
+    /// One map probe per offer: the entry API resolves the key once,
+    /// whether the outcome is a match (with a possible key removal), an
+    /// append, or a fresh queue.
+    fn offer(&mut self, key: MatchKey, entry: Slot<S, R>) -> Slot<S, R> {
+        let is_send = matches!(entry, Slot::Send(_));
         match self.queues.entry(key) {
-            Entry::Occupied(mut o) => {
-                let q = *o.get();
-                if matches!(self.pool[q.head as usize].slot, Slot::Send(_)) {
-                    let slot = detach_head(&mut self.pool, &mut self.free, o);
-                    self.pending_sends -= 1;
-                    let Slot::Send(s) = slot else { unreachable!("head was Send") };
-                    return Some(s);
-                }
-                let idx = alloc_node(&mut self.pool, &mut self.free, Slot::Recv(recv));
-                self.pool[q.tail as usize].next = idx;
-                o.get_mut().tail = idx;
-            }
             Entry::Vacant(v) => {
-                let idx = alloc_node(&mut self.pool, &mut self.free, Slot::Recv(recv));
-                v.insert(KeyQueue { head: idx, tail: idx });
+                v.insert(KeyQueue::lone(entry));
+            }
+            Entry::Occupied(mut o) => {
+                let (pool, free) = (&mut self.pool, &mut self.free);
+                let waiting_send = match o.get() {
+                    KeyQueue::Send(_) => true,
+                    KeyQueue::Recv(_) => false,
+                    KeyQueue::List { head, .. } => {
+                        matches!(pool[*head as usize].slot, Slot::Send(_))
+                    }
+                };
+                if waiting_send != is_send {
+                    let matched = match *o.get() {
+                        KeyQueue::List { head, tail } => {
+                            let next = pool[head as usize].next;
+                            if next == tail {
+                                // One entry stays: it moves back inline.
+                                *o.get_mut() = KeyQueue::lone(free_node(pool, free, tail));
+                            } else {
+                                *o.get_mut() = KeyQueue::List { head: next, tail };
+                            }
+                            free_node(pool, free, head)
+                        }
+                        _ => o.remove().into_slot(),
+                    };
+                    if is_send {
+                        self.pending_recvs -= 1;
+                    } else {
+                        self.pending_sends -= 1;
+                    }
+                    return matched;
+                }
+                match o.get_mut() {
+                    KeyQueue::List { tail, .. } => {
+                        let idx = alloc_node(pool, free, entry);
+                        pool[*tail as usize].next = idx;
+                        *tail = idx;
+                    }
+                    lone => {
+                        // A second entry: both move to the pool, the lone
+                        // one first.
+                        let old = std::mem::replace(lone, KeyQueue::List { head: NIL, tail: NIL });
+                        let head = alloc_node(pool, free, old.into_slot());
+                        let tail = alloc_node(pool, free, entry);
+                        pool[head as usize].next = tail;
+                        *lone = KeyQueue::List { head, tail };
+                    }
+                }
             }
         }
-        self.pending_recvs += 1;
-        None
+        if is_send {
+            self.pending_sends += 1;
+        } else {
+            self.pending_recvs += 1;
+        }
+        Slot::Vacant
     }
 
     /// Number of unmatched send-side entries across all keys.
@@ -179,7 +239,7 @@ impl<S, R> Matcher<S, R> {
 /// Take a node from the free list (or grow the slab) and fill it.
 ///
 /// Free functions over the slab fields (not `&mut self` methods) so the
-/// offer paths can hold a live map entry at the same time.
+/// offer path can hold a live map entry at the same time.
 fn alloc_node<S, R>(pool: &mut Vec<Node<S, R>>, free: &mut u32, slot: Slot<S, R>) -> u32 {
     if *free != NIL {
         let idx = *free;
@@ -196,24 +256,11 @@ fn alloc_node<S, R>(pool: &mut Vec<Node<S, R>>, free: &mut u32, slot: Slot<S, R>
     }
 }
 
-/// Detach the head node of an occupied key queue — removing the key when
-/// its list drains — recycle the node, and return its value slot.
-fn detach_head<S, R>(
-    pool: &mut [Node<S, R>],
-    free: &mut u32,
-    mut o: OccupiedEntry<'_, MatchKey, KeyQueue>,
-) -> Slot<S, R> {
-    let head = o.get().head as usize;
-    let next = pool[head].next;
-    if next == NIL {
-        o.remove();
-    } else {
-        o.get_mut().head = next;
-    }
-    let slot = std::mem::replace(&mut pool[head].slot, Slot::Vacant);
-    pool[head].next = *free;
-    *free = head as u32;
-    slot
+/// Put node `idx` on the free list and return the entry it held.
+fn free_node<S, R>(pool: &mut [Node<S, R>], free: &mut u32, idx: u32) -> Slot<S, R> {
+    let node = &mut pool[idx as usize];
+    node.next = std::mem::replace(free, idx);
+    std::mem::replace(&mut node.slot, Slot::Vacant)
 }
 
 #[cfg(test)]
@@ -310,16 +357,77 @@ mod tests {
     #[test]
     fn pool_nodes_are_recycled_across_keys() {
         let mut m: Matcher<u32, u32> = Matcher::new();
-        // Many keys used once each: the slab must stay bounded by the
-        // peak number of simultaneously unmatched entries, not by the
-        // number of keys ever touched.
+        // Many keys used once each, never two entries at a time: every
+        // waiting entry lives in its map value, so the pool stays empty.
         for tag in 0..10_000u32 {
             m.offer_send((0, 1, tag), tag);
             assert_eq!(m.offer_recv((0, 1, tag), tag), Some(tag));
         }
         assert!(m.is_empty());
+        assert!(m.pool.is_empty(), "lone entries took {} pool nodes", m.pool.len());
+        assert!(m.queues.is_empty(), "drained keys must be removed");
+        // Two entries per key: the slab must stay bounded by the peak
+        // number of simultaneously pooled entries, not by the number of
+        // keys ever touched.
+        for tag in 0..10_000u32 {
+            m.offer_recv((0, 1, tag), tag);
+            m.offer_recv((0, 1, tag), tag + 1);
+            assert_eq!(m.offer_send((0, 1, tag), 0), Some(tag));
+            assert_eq!(m.offer_send((0, 1, tag), 0), Some(tag + 1));
+        }
+        assert!(m.is_empty());
         assert!(m.pool.len() <= 2, "slab grew to {} nodes", m.pool.len());
         assert!(m.queues.is_empty(), "drained keys must be removed");
+    }
+
+    /// A seeded random offer script over a few keys, checked offer by
+    /// offer against the obvious map of FIFO queues: the same match
+    /// results and the same pending counts. The side of each offer is
+    /// steered so queues stay one to three deep, which crosses between
+    /// a lone entry and a pooled list thousands of times.
+    #[test]
+    fn matches_a_map_of_fifo_queues() {
+        use std::collections::{HashMap, VecDeque};
+        let mut m: Matcher<u32, u32> = Matcher::new();
+        // Per key, the waiting entries: (is_send, value), all one side.
+        let mut oracle: HashMap<MatchKey, VecDeque<(bool, u32)>> = HashMap::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let (mut grew_to_two, mut shrank_to_one) = (0, 0);
+        for v in 0..40_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = ((x >> 8) as u32 % 2, 1, (x >> 16) as u32 % 3);
+            let q = oracle.entry(key).or_default();
+            let mut is_send = x & 1 == 0;
+            if q.len() >= 3 && q[0].0 == is_send {
+                is_send = !is_send;
+            }
+            let want = match q.front() {
+                Some(&(side, w)) if side != is_send => {
+                    q.pop_front();
+                    shrank_to_one += usize::from(q.len() == 1);
+                    Some(w)
+                }
+                _ => {
+                    q.push_back((is_send, v));
+                    grew_to_two += usize::from(q.len() == 2);
+                    None
+                }
+            };
+            let got = if is_send { m.offer_send(key, v) } else { m.offer_recv(key, v) };
+            assert_eq!(got, want, "offer {v}");
+            let waiting =
+                |send: bool| oracle.values().flatten().filter(|&&(side, _)| side == send).count();
+            assert_eq!((m.pending_sends(), m.pending_recvs()), (waiting(true), waiting(false)));
+            let pooled: usize = oracle.values().map(|q| q.len()).filter(|&n| n >= 2).sum();
+            let free = std::iter::successors((m.free != NIL).then_some(m.free), |&i| {
+                let next = m.pool[i as usize].next;
+                (next != NIL).then_some(next)
+            });
+            assert_eq!(m.pool.len() - free.count(), pooled, "pool nodes in use at offer {v}");
+        }
+        assert!(grew_to_two > 2_000 && shrank_to_one > 2_000, "{grew_to_two} {shrank_to_one}");
     }
 
     /// The determinism contract of the fast hasher swap: every observable

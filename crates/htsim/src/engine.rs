@@ -25,12 +25,20 @@
 //! flow (by `(src, dst, tag)`, in issue order) has fully arrived.
 //!
 //! A flow is typed by its lifecycle. Until the receiver holds every byte,
-//! its entry in the flow table owns a boxed `InFlight` — sender window,
+//! its slot in the flow table owns a boxed `InFlight` — sender window,
 //! receiver bitmap, timer chain — and a reader that wants per-packet
 //! state has to go through that `Option`. Delivery takes the box; what
-//! stays for the rest of the run is a 16-byte tombstone that can still
-//! ACK a late duplicate, and that the flow's packets, timers and credits
-//! still in the fabric find empty.
+//! stays is a 24-byte entry that can still ACK a late duplicate, and that
+//! the flow's packets, timers and credits still in the fabric find empty.
+//! The entry counts what can still name its slot: packets in the pool,
+//! NDP pull credits, the matcher while it holds the send for a recv not
+//! yet posted, and until delivery the flow's timer chain or its local
+//! delivery. Delivery ends the chain by moving its generation on, so the
+//! chain's queued event is turned away without holding the slot. A
+//! delivered slot whose count reaches zero goes on a free list, and the
+//! next send takes it, so the table is as large as the most flows ever
+//! named at once, not as the run is long. Flow ids never order, hash or
+//! salt anything, so which slot a flow gets changes no result.
 //!
 //! Packets live in one pool in the run state and travel as 4-byte
 //! handles: events, port queues and a port's in-service slot name a
@@ -208,9 +216,9 @@ enum Ev {
         pkt: u32,
     },
     /// Retransmission timer for `flow`. `gen` identifies the timer chain:
-    /// events whose generation no longer matches the flow's are stale
-    /// (the chain was re-armed early on backoff recovery) and are dropped,
-    /// as are all those of a delivered flow.
+    /// events whose generation no longer matches the slot's are stale
+    /// (the chain was re-armed early on backoff recovery, its flow was
+    /// delivered, or the slot has a new flow since) and are dropped.
     Timeout {
         flow: u32,
         gen: u32,
@@ -382,10 +390,10 @@ impl Bitmap {
     }
 }
 
-/// One entry of the flow table, kept for the whole run because packets
-/// name flows by index: the part a *delivered* flow still needs — a late
-/// duplicate is ACKed along the reverse route — plus the state of a flow
-/// that is not delivered yet.
+/// One slot of the flow table, which packets, events and the matcher name
+/// by index: the part a *delivered* flow still needs — a late duplicate
+/// is ACKed along the reverse route — plus the state of a flow that is
+/// not delivered yet, and the references that keep the slot from reuse.
 #[derive(Clone)]
 struct Flow {
     /// The pair's reverse route set: a control packet takes the route its
@@ -393,10 +401,21 @@ struct Flow {
     rset: RouteSet,
     /// `None` once the receiver holds every byte.
     in_flight: Option<Box<InFlight>>,
+    /// What can still name this slot: pool packets of the flow, until
+    /// delivery its timer chain or its [`Ev::LocalDone`], its queued NDP
+    /// pull credits, and the matcher while it holds the send. Timer
+    /// events of an ended chain are not counted: their generation turns
+    /// them away, whoever holds the slot by then.
+    refs: u32,
+    /// Current timer-chain generation (see [`Ev::Timeout`]), moved on by
+    /// backoff recovery and by delivery. It carries over to the slot's
+    /// next flow, one past, so that flow's chain matches no timer event
+    /// of an earlier one.
+    gen: u32,
 }
 
-// The table holds every flow of the run; an entry stays a tombstone.
-const _: () = assert!(std::mem::size_of::<Flow>() <= 16);
+// The table holds a slot per flow named at once, read on every packet.
+const _: () = assert!(std::mem::size_of::<Flow>() <= 24);
 
 /// Everything a flow needs until it is delivered.
 #[derive(Clone)]
@@ -420,8 +439,6 @@ struct InFlight {
     /// The packet the last expiry resent, until an ACK for it arrives
     /// ([`NO_PROBE`] otherwise).
     probe: u32,
-    /// Current timer-chain generation (see [`Ev::Timeout`]).
-    timeout_gen: u32,
     cc: CcState,
     // sender state
     next_idx: u32,
@@ -508,7 +525,12 @@ pub struct HtsimBackend {
 #[derive(Clone)]
 pub struct HtsimState {
     ports: Vec<Port>,
+    /// Flow slots, named by packets, events, pull credits and the
+    /// matcher; the table only grows, to the most flows named at once.
     flows: Vec<Flow>,
+    /// Delivered slots nothing names any more ([`Flow::refs`] 0), reused
+    /// last freed first.
+    flow_free: Vec<u32>,
     queue: EventQueue<Ev>,
     now: Time,
     rng: StdRng,
@@ -566,6 +588,7 @@ impl HtsimState {
         HtsimState {
             ports: ports.collect(),
             flows: Vec::new(),
+            flow_free: Vec::new(),
             queue: EventQueue::new(),
             now: 0,
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -583,7 +606,23 @@ impl HtsimState {
         }
     }
 
-    /// Put `pkt` in a pool slot and return its handle.
+    /// One more reference names flow slot `fid`.
+    fn hold(&mut self, fid: u32) {
+        self.flows[fid as usize].refs += 1;
+    }
+
+    /// A reference to flow slot `fid` is gone: a delivered slot that
+    /// nothing names any more is free for the next send.
+    fn release(&mut self, fid: u32) {
+        let flow = &mut self.flows[fid as usize];
+        flow.refs -= 1;
+        if flow.refs == 0 && flow.in_flight.is_none() {
+            self.flow_free.push(fid);
+        }
+    }
+
+    /// Put `pkt` in a pool slot and return its handle. The caller has
+    /// given the packet a reference to its flow's slot.
     fn alloc_pkt(&mut self, pkt: Packet) -> u32 {
         match self.free.pop() {
             Some(h) => {
@@ -597,6 +636,12 @@ impl HtsimState {
                 h
             }
         }
+    }
+
+    /// Give packet `h`'s pool slot back, and its reference to its flow.
+    fn free_pkt(&mut self, h: u32) {
+        self.free.push(h);
+        self.release(self.pkts[h as usize].flow);
     }
 }
 
@@ -637,6 +682,20 @@ impl HtsimBackend {
         self.s.ports.iter().map(|p| p.queue.len()).sum()
     }
 
+    /// Flow slots on the free list, and slots something still names.
+    #[cfg(test)]
+    pub(crate) fn flow_slot_census(&self) -> (usize, usize) {
+        (self.s.flow_free.len(), self.s.flows.iter().filter(|f| f.refs > 0).count())
+    }
+
+    /// The flow table's size: the most flows named at once so far, since
+    /// a slot is reused once nothing names it and the table never
+    /// shrinks. For the memory ratchets; `NetStats::flows` counts flows.
+    #[doc(hidden)]
+    pub fn flow_slots(&self) -> usize {
+        self.s.flows.len()
+    }
+
     // ---- port machinery ------------------------------------------------
 
     /// An injected fault killed packet `h`: mark a data packet for the
@@ -649,7 +708,7 @@ impl HtsimBackend {
                 t.fault_lost.set(pkt.idx);
             }
         }
-        self.s.free.push(h);
+        self.s.free_pkt(h);
     }
 
     fn enqueue(&mut self, port_id: u32, h: u32) {
@@ -687,7 +746,7 @@ impl HtsimBackend {
                     if port.is_core {
                         self.s.stats.core_drops += 1;
                     }
-                    self.s.free.push(h);
+                    self.s.free_pkt(h);
                     return;
                 }
             }
@@ -794,7 +853,11 @@ impl HtsimBackend {
     }
 
     fn send_packet(&mut self, fid: u32, idx: u32) {
-        let Some(t) = self.s.flows[fid as usize].in_flight.as_mut() else { return };
+        let flow = &mut self.s.flows[fid as usize];
+        let Some(t) = flow.in_flight.as_mut() else { return };
+        // The packet names the slot until it is lost, or answered by a
+        // control packet that takes the reference over.
+        flow.refs += 1;
         let payload = t.payload(idx);
         t.send_ts[idx as usize] = self.s.now;
         t.inflight += payload as u64;
@@ -853,7 +916,9 @@ impl HtsimBackend {
     /// Control packets (ACK/NACK/PULL) travel the reverse path, reusing
     /// the triggering packet's ECMP selector (symmetric spraying) and
     /// echoing its ECN mark and retransmission flag. This reads only what
-    /// a delivered flow keeps.
+    /// a delivered flow keeps. A control packet takes over the flow-slot
+    /// reference of what it answers: the data or trimmed packet that
+    /// arrived, or the pull credit that was spent.
     fn control_packet(
         &mut self,
         fid: u32,
@@ -873,8 +938,15 @@ impl HtsimBackend {
     // ---- receiver ------------------------------------------------------
 
     fn host_receive(&mut self, host: u32, pkt: Packet) {
+        if !matches!(pkt.kind, PktKind::Data | PktKind::Trimmed) {
+            // Nothing answers an ACK, a NACK or a credit, so its reference
+            // goes now; a flow in flight holds its slot through its timer
+            // chain.
+            self.s.release(pkt.flow);
+        }
         let now = self.s.now;
-        let in_flight = self.s.flows[pkt.flow as usize].in_flight.as_mut();
+        let Flow { in_flight, gen, .. } = &mut self.s.flows[pkt.flow as usize];
+        let in_flight = in_flight.as_mut();
         match pkt.kind {
             PktKind::Data => {
                 let all_in = in_flight.is_some_and(|t| {
@@ -930,10 +1002,10 @@ impl HtsimBackend {
                     // pending timeout event sits up to 64x `rto_min` in
                     // the future and would delay detection of a new stall
                     // by that much. Bumping the generation invalidates the
-                    // old chain.
+                    // old chain; the slot's reference moves to the new one.
                     t.backoff = 0;
-                    t.timeout_gen = t.timeout_gen.wrapping_add(1);
-                    let ev = Ev::Timeout { flow: pkt.flow, gen: t.timeout_gen };
+                    *gen = gen.wrapping_add(1);
+                    let ev = Ev::Timeout { flow: pkt.flow, gen: *gen };
                     self.s.queue.push(now + t.rto(&self.s.rtt), ev);
                 }
                 self.try_send(pkt.flow);
@@ -961,6 +1033,7 @@ impl HtsimBackend {
         if self.s.flows[fid as usize].in_flight.is_none() {
             return;
         }
+        self.s.hold(fid);
         self.s.pacers[host as usize].credits.push_back(fid);
         if !self.s.pacers[host as usize].busy {
             self.s.pacers[host as usize].busy = true;
@@ -975,8 +1048,9 @@ impl HtsimBackend {
                 self.s.pacers[host as usize].busy = false;
             }
             Some(fid) => {
-                if let Some(t) = &self.s.flows[fid as usize].in_flight {
-                    self.control_packet(fid, 0, PktKind::Pull, false, false, t.salt);
+                match &self.s.flows[fid as usize].in_flight {
+                    Some(t) => self.control_packet(fid, 0, PktKind::Pull, false, false, t.salt),
+                    None => self.s.release(fid),
                 }
                 // Pace at the receiver's edge-link rate: one full frame's
                 // serialisation time per credit.
@@ -989,15 +1063,20 @@ impl HtsimBackend {
     /// The last byte of `fid` is where it was going: the send is done
     /// now, a recv already matched to it one host overhead later (a recv
     /// posted from here on finds the flow delivered and completes
-    /// itself). Taking the in-flight state is what cancels the
-    /// retransmission-timer chain and turns away whatever of the flow is
-    /// still in the fabric; dropping it gives the buffers back.
+    /// itself). Taking the in-flight state turns away whatever of the
+    /// flow is still in the fabric, and dropping it gives the buffers
+    /// back. Moving the generation on ends the retransmission-timer
+    /// chain: its queued event is turned away like a superseded one, so
+    /// the chain (or the local delivery) lets go of the slot here.
     fn deliver(&mut self, fid: u32) {
-        let t = self.s.flows[fid as usize].in_flight.take().expect("a flow is delivered once");
+        let flow = &mut self.s.flows[fid as usize];
+        let t = flow.in_flight.take().expect("a flow is delivered once");
+        flow.gen = flow.gen.wrapping_add(1);
         self.push(self.s.now, Ev::Emit { op: t.op, done: true });
         if let Some(r) = t.recv_op {
             self.push(self.s.now + HOST_O, Ev::Emit { op: r, done: true });
         }
+        self.s.release(fid);
     }
 
     /// Apply or lift one fault window ([`Ev::Fault`]).
@@ -1021,10 +1100,10 @@ impl HtsimBackend {
 
     fn on_timeout(&mut self, fid: u32, gen: u32) {
         let now = self.s.now;
-        // Lazily cancelled timers (delivered flows, superseded chains)
-        // die here without touching anything.
-        let in_flight = self.s.flows[fid as usize].in_flight.as_mut();
-        let Some(t) = in_flight.filter(|t| gen == t.timeout_gen) else { return };
+        // Lazily cancelled timers (superseded chains, delivered flows,
+        // earlier flows of the slot) die here without touching anything.
+        let flow = &mut self.s.flows[fid as usize];
+        let Some(t) = flow.in_flight.as_mut().filter(|_| gen == flow.gen) else { return };
         self.s.stats.timeouts += 1;
         let rto = t.rto(&self.s.rtt);
         let next = if now.saturating_sub(t.last_activity) < rto {
@@ -1074,19 +1153,30 @@ impl Backend for HtsimBackend {
     fn send(&mut self, op: OpRef, dst: Rank, bytes: u64, tag: Tag) {
         let key: MatchKey = (op.rank, dst, tag);
         self.push(self.s.now + HOST_O, Ev::Emit { op, done: false });
-        let fid = self.s.flows.len() as u32;
+        let fid = match self.s.flow_free.pop() {
+            Some(fid) => fid,
+            None => u32::try_from(self.s.flows.len()).expect("flow table past u32 slots"),
+        };
         self.s.stats.flows += 1;
         let (rset, mut t) = self.make_flow(op, dst, bytes);
         t.recv_op = self.s.matcher.offer_send(key, fid);
         let rto = if op.rank == dst { 0 } else { t.rto(&self.s.rtt) };
-        self.s.flows.push(Flow { rset, in_flight: Some(Box::new(t)) });
+        // The timer chain or the local delivery names the slot, and the
+        // matcher does until the recv is posted.
+        let refs = 1 + u32::from(t.recv_op.is_none());
+        let gen = self.s.flows.get(fid as usize).map_or(0, |slot| slot.gen.wrapping_add(1));
+        let flow = Flow { rset, in_flight: Some(Box::new(t)), refs, gen };
+        match self.s.flows.get_mut(fid as usize) {
+            Some(slot) => *slot = flow,
+            None => self.s.flows.push(flow),
+        }
         if op.rank == dst {
             // Intra-node message: no fabric traversal (Stage 4 normally
             // replaces these with calcs; handle gracefully if present).
             self.push(self.s.now + HOST_O, Ev::LocalDone { flow: fid });
         } else {
             self.try_send(fid);
-            self.push(self.s.now + rto, Ev::Timeout { flow: fid, gen: 0 });
+            self.push(self.s.now + rto, Ev::Timeout { flow: fid, gen });
         }
     }
 
@@ -1098,6 +1188,7 @@ impl Backend for HtsimBackend {
                 Some(t) => t.recv_op = Some(op),
                 None => self.push(self.s.now + HOST_O, Ev::Emit { op, done: true }),
             }
+            self.s.release(fid);
         }
     }
 
@@ -1168,7 +1259,6 @@ impl HtsimBackend {
             pair,
             backoff: 0,
             probe: NO_PROBE,
-            timeout_gen: 0,
             cc,
             next_idx: 0,
             acked: Bitmap::new(npkts),
@@ -1272,14 +1362,48 @@ mod tests {
     }
 
     /// Nothing is in the fabric and no slot leaked: every pool slot is on
-    /// the free list, once.
-    fn assert_pool_drained(be: &HtsimBackend, case: &str) {
+    /// the free list, once, and so is every flow slot, with nothing
+    /// naming it.
+    fn assert_drained(be: &HtsimBackend, case: &str) {
         let mut free = be.s.free.clone();
         free.sort_unstable();
         free.dedup();
         assert_eq!(free.len(), be.s.free.len(), "{case}: a slot was freed twice");
         assert_eq!(free.len(), be.s.pkts.len(), "{case}: a slot leaked");
         assert!(!be.s.pkts.is_empty(), "{case}: no packet was sent");
+        let mut free = be.s.flow_free.clone();
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), be.s.flow_free.len(), "{case}: a flow slot was freed twice");
+        assert_eq!(free.len(), be.s.flows.len(), "{case}: a flow slot leaked");
+        for (fid, flow) in be.s.flows.iter().enumerate() {
+            assert_eq!(flow.refs, 0, "{case}: flow slot {fid} is still named");
+            assert!(flow.in_flight.is_none(), "{case}: flow slot {fid} was never delivered");
+        }
+    }
+
+    fn op(rank: Rank, task: u32) -> OpRef {
+        OpRef::new(rank, atlahs_goal::TaskId(task))
+    }
+
+    /// A 2-host switch, set up for a run.
+    fn pair(cc: CcAlgo) -> HtsimBackend {
+        let topology = TopologyConfig::SingleSwitch { hosts: 2, link: LinkParams::default() };
+        let mut be = HtsimBackend::new(HtsimConfig::new(topology, cc));
+        be.simulation_setup(2);
+        be
+    }
+
+    /// The retransmission-timer events in the queue, as `(time, flow,
+    /// generation)`, in pop order.
+    fn queued_timers(be: &HtsimBackend) -> Vec<(Time, u32, u32)> {
+        let mut queue = be.s.queue.clone();
+        std::iter::from_fn(|| queue.pop())
+            .filter_map(|(t, ev)| match ev {
+                Ev::Timeout { flow, gen } => Some((t, flow, gen)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// A packet gives its pool slot back at every fate: a congestion
@@ -1299,22 +1423,22 @@ mod tests {
 
         let be = run(CcAlgo::Mprdma, &|_| ());
         assert!(be.net_stats().drops > 0, "{:?}", be.net_stats());
-        assert_pool_drained(&be, "congestion drop");
+        assert_drained(&be, "congestion drop");
 
         let be = run(CcAlgo::Ndp, &|_| ());
         assert!(be.net_stats().trims > 0, "{:?}", be.net_stats());
-        assert_pool_drained(&be, "NDP trim");
+        assert_drained(&be, "NDP trim");
 
         let down = PortFault { port: 3, start_ns: 5_000, end_ns: 40_000, kind: FaultKind::Down };
         let be = run(CcAlgo::Mprdma, &|be| be.inject_fault(down));
         assert!(be.net_stats().fault_drops > 0, "{:?}", be.net_stats());
-        assert_pool_drained(&be, "down port");
+        assert_drained(&be, "down port");
 
         let loss =
             LinkModel { core_loss_ppm: 10_000, edge_loss_ppm: 10_000, jitter: None, seed: 1 };
         let be = run(CcAlgo::Mprdma, &|be| be.set_link_model(loss));
         assert!(be.net_stats().stochastic_drops > 0, "{:?}", be.net_stats());
-        assert_pool_drained(&be, "loss:10000");
+        assert_drained(&be, "loss:10000");
 
         // A copy of flow 0's first packet, offered after the run ended:
         // its flow is delivered, so the receiver only ACKs it.
@@ -1325,6 +1449,10 @@ mod tests {
         let mut be = HtsimBackend::new(HtsimConfig::new(topology, CcAlgo::Mprdma));
         Simulation::new(&b.build().unwrap()).run(&mut be).expect("no deadlock");
         assert!(be.s.flows[0].in_flight.is_none());
+        // The copy names flow 0's slot: it is not free while the copy and
+        // its ACK travel.
+        assert_eq!(be.s.flow_free.pop(), Some(0));
+        be.s.hold(0);
         let set = be.topo.route_set(&mut be.s.arena, &mut be.s.routes, 0, 1);
         let path = be.s.routes.route(set, 0);
         let (kind, wire) = (PktKind::Data, WIRE_MTU);
@@ -1336,6 +1464,79 @@ mod tests {
         assert!(be.next_event().is_none(), "a late duplicate completes nothing");
         // Two hops and their transmissions for the copy, then for its ACK.
         assert_eq!(be.net_stats().internal_events - events, 8);
-        assert_pool_drained(&be, "late duplicate");
+        assert_drained(&be, "late duplicate");
+    }
+
+    /// The matcher names a send until its recv is posted: a flow
+    /// delivered before that keeps its slot, which the recv lets go of
+    /// and the next send takes.
+    #[test]
+    fn a_recv_posted_after_delivery_keeps_the_slot_until_it_takes_it() {
+        let mut be = pair(CcAlgo::Mprdma);
+        let send = op(0, 0);
+        be.send(send, 1, 64 << 10, 0);
+        let events: Vec<Completion> = std::iter::from_fn(|| be.next_event()).collect();
+        assert_eq!(events.last(), Some(&Completion::done(send, events[1].time)), "{events:?}");
+        assert!(be.s.flows[0].in_flight.is_none(), "delivered");
+        assert_eq!(be.s.flows[0].refs, 1, "the matcher names it");
+        assert!(be.s.flow_free.is_empty());
+
+        let recv = op(1, 0);
+        let now = be.now();
+        be.recv(recv, 0, 64 << 10, 0);
+        assert!(be.s.flow_free == [0], "the recv took the send and let go of the slot");
+        let events: Vec<Completion> = std::iter::from_fn(|| be.next_event()).collect();
+        let done = Completion::done(recv, now + HOST_O);
+        assert_eq!(events, [Completion::cpu_free(recv, now), done]);
+        assert_drained(&be, "recv after delivery");
+
+        be.send(op(0, 1), 1, 4096, 1);
+        assert!(be.s.flows.len() == 1 && be.s.flow_free.is_empty(), "the next send took slot 0");
+    }
+
+    /// Timer events outlive their chain: backoff recovery leaves the
+    /// superseded chain's event queued far out, and delivery leaves the
+    /// last chain's. Neither holds the slot, so the next send takes it
+    /// while they are still queued, and they must not touch the new flow:
+    /// the run equals one where the new flow gets a slot of its own.
+    #[test]
+    fn a_stale_timer_of_a_reused_slot_leaves_the_new_flow_untouched() {
+        let run = |reuse: bool| {
+            let mut be = pair(CcAlgo::Mprdma);
+            let to_host1 = be.s.ports.iter().position(|p| p.to_host == Some(1)).unwrap();
+            let port = to_host1 as u32;
+            be.inject_fault(PortFault { port, start_ns: 0, end_ns: 60_000, kind: FaultKind::Down });
+            be.send(op(0, 0), 1, 64 << 10, 0);
+            be.recv(op(1, 0), 0, 64 << 10, 0);
+            let done = |c: &Completion| c.kind == atlahs_core::api::EventKind::Done;
+            assert_eq!(std::iter::from_fn(|| be.next_event()).filter(done).take(2).count(), 2);
+            // Generation 0 expired into backoff, recovery started 1,
+            // delivery ended it.
+            assert_eq!(be.s.flows[0].gen, 2);
+            let timers = queued_timers(&be);
+            assert!(timers.iter().all(|&(_, f, g)| f == 0 && g < 2), "{timers:?}");
+            let stale = *timers.last().expect("a superseded event is queued");
+            assert_eq!(stale.2, 0, "the first chain's event is the last to fire: {timers:?}");
+
+            // Run to just before the first chain's event: the slot is
+            // free, the stale event queued.
+            be.calc(op(0, 1), stale.0 - 1_000 - be.now());
+            assert_eq!(be.next_event().map(|c| c.time), Some(stale.0 - 1_000));
+            assert!(be.s.flow_free == [0], "nothing names slot 0 but stale timers");
+            if !reuse {
+                be.s.flow_free.clear();
+            }
+            be.send(op(0, 2), 1, 64 << 10, 1);
+            be.recv(op(1, 1), 0, 64 << 10, 1);
+            assert_eq!(be.s.flows.len(), if reuse { 1 } else { 2 });
+            let events: Vec<Completion> = std::iter::from_fn(|| be.next_event()).collect();
+            assert!(events.last().unwrap().time > stale.0, "the stale event fired mid-flow");
+            if !reuse {
+                be.s.flow_free.push(0);
+            }
+            assert_drained(&be, if reuse { "reused slot" } else { "fresh slot" });
+            (events, be.net_stats())
+        };
+        assert_eq!(run(true), run(false));
     }
 }

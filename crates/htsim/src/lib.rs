@@ -864,6 +864,55 @@ mod tests {
         assert_eq!(fresh.net_stats(), sb.net_stats());
     }
 
+    /// The flow table is run state too: packets, timers and the matcher
+    /// name flows by slot, and a delivered slot goes on a free list. A
+    /// checkpoint taken while that list holds slots and other slots are
+    /// still named, restored into a backend that never ran, finishes with
+    /// the straight run's report and statistics, reusing the same slots.
+    #[test]
+    fn checkpoint_with_free_flow_slots_resumes_in_a_fresh_backend() {
+        use atlahs_core::{RunState, Snapshot};
+        // Eight senders, four messages each, one after the other: later
+        // messages are sent after earlier ones are delivered.
+        let mut b = GoalBuilder::new(9);
+        for s in 1..=8 {
+            let mut prev = None;
+            for r in 0..4 {
+                let send = b.send(s, 0, 64 * 1024, r);
+                b.recv(0, s, 64 * 1024, r);
+                if let Some(p) = prev {
+                    b.requires(s, send, p);
+                }
+                prev = Some(send);
+            }
+        }
+        let goal = b.build().unwrap();
+        let mut cfg = small_switch(CcAlgo::Mprdma);
+        cfg.queue_bytes = 64 * 1024;
+        let (straight, sb) = run_with(&goal, cfg.clone());
+        assert!(sb.net_stats().drops > 0, "{:?}", sb.net_stats());
+        assert!(sb.flow_slots() < 32, "slots are reused: {} for 32 flows", sb.flow_slots());
+
+        let mut b = HtsimBackend::new(cfg.clone());
+        let mut driver = SimDriver::start(&goal, &mut b);
+        let mut bound = 0;
+        loop {
+            let (free, named) = b.flow_slot_census();
+            if free > 0 && named > 0 {
+                break;
+            }
+            bound += 200;
+            assert_eq!(driver.run_until(&mut b, bound).unwrap(), RunState::Paused);
+        }
+        assert!(b.net_stats().flows < 32, "sends that can take a free slot are still to come");
+        let mut fresh = HtsimBackend::new(cfg);
+        fresh.restore(&b.checkpoint());
+        let resumed = driver.finish(&mut fresh).unwrap();
+        assert_eq!(resumed, straight);
+        assert_eq!(fresh.net_stats(), sb.net_stats());
+        assert_eq!(fresh.flow_slots(), sb.flow_slots());
+    }
+
     /// Branch override: restoring one checkpoint twice — once clean,
     /// once with a stochastic model switched on mid-run — yields a
     /// clean continuation identical to the straight-through run and a
