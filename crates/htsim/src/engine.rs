@@ -1409,7 +1409,8 @@ mod tests {
     /// A packet gives its pool slot back at every fate: a congestion
     /// drop, an NDP trim (which keeps the slot until the trimmed header
     /// arrives), a down port, a loss on the wire, and a late duplicate
-    /// of a delivered flow, which is ACKed.
+    /// of a delivered flow, which is ACKed. At the end every flow slot is
+    /// free too: whatever named it let go.
     #[test]
     fn every_packet_fate_returns_its_slot() {
         let run = |cc, apply: &dyn Fn(&mut HtsimBackend)| {
