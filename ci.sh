@@ -54,6 +54,9 @@
 #      into benchmark/target, and its lock file must come out byte-identical
 #      — a crate added to, dropped from or re-wired in the non-dev
 #      dependency graph of crates/* would rewrite benchmark/Cargo.lock.
+#  10. code size                  — prints the code-only line count of
+#      non-shim crates/*/src (docs/PERFORMANCE.md, "Measuring"); printed
+#      for the record, not gated
 #
 # The build is fully offline: external deps are vendored shims under
 # crates/shims/ (see README.md).
@@ -127,5 +130,12 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
 cmp target/benchmark-Cargo.lock benchmark/Cargo.lock \
     || { echo "ci.sh: building the benchmark rewrote benchmark/Cargo.lock" >&2; exit 1; }
+
+step "code-only line count (printed, not gated; docs/PERFORMANCE.md, Measuring)"
+find crates -path 'crates/*/src/*.rs' ! -path 'crates/shims/*' -exec awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    !test && !/^[[:space:]]*(\/\/|$)/ { n++ }
+    END { print n + 0 " code-only lines in non-shim crates/*/src" }' {} +
 
 printf '\nCI gate passed.\n'

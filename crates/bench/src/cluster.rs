@@ -49,7 +49,7 @@ use crate::scenario::{
 };
 use crate::session::{self, Session};
 use crate::sweep::{parallel_map, report_head, resolve_threads};
-use crate::table::Table;
+use crate::table::{fmt_ns, Table};
 
 // ------------------------------------------------------------ arrivals ----
 
@@ -885,67 +885,57 @@ impl ClusterReport {
 
     /// CSV: one row per (cell, job).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "key,job,workload,ranks,arrival_ns,start_ns,wait_ns,duration_ns,finish_ns,\
-             solo_ns,slowdown,batch\n",
-        );
+        let head = "key,job,workload,ranks,arrival_ns,start_ns,wait_ns,duration_ns,finish_ns,\
+                    solo_ns,slowdown,batch";
+        let mut t = Table::new(head.split(','));
         for r in &self.results {
             for j in &r.jobs {
-                out.push_str(&format!(
-                    "{},{},{},{},{},{},{},{},{},{},{:.4},{}\n",
-                    crate::table::csv_field(&r.key),
-                    j.id,
-                    crate::table::csv_field(&j.workload),
-                    j.ranks,
-                    j.arrival_ns,
-                    j.start_ns,
-                    j.wait_ns,
-                    j.duration_ns,
-                    j.finish_ns,
-                    j.solo_ns,
-                    j.slowdown,
-                    j.batch
-                ));
+                t.row([
+                    r.key.clone(),
+                    j.id.to_string(),
+                    j.workload.clone(),
+                    j.ranks.to_string(),
+                    j.arrival_ns.to_string(),
+                    j.start_ns.to_string(),
+                    j.wait_ns.to_string(),
+                    j.duration_ns.to_string(),
+                    j.finish_ns.to_string(),
+                    j.solo_ns.to_string(),
+                    format!("{:.4}", j.slowdown),
+                    j.batch.to_string(),
+                ]);
             }
         }
-        out
+        t.csv()
     }
 
     /// GitHub-flavored markdown: one row per cell.
     pub fn to_markdown(&self) -> String {
-        let mut out = String::from(
-            "| scenario | jobs | makespan | mean wait | mean slowdown | max slowdown | util |\n\
-             |---|---:|---:|---:|---:|---:|---:|\n",
-        );
-        for r in &self.results {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {:.3} | {:.3} | {:.0}% |\n",
-                r.key,
-                r.jobs.len(),
-                crate::table::fmt_ns(r.makespan_ns),
-                crate::table::fmt_ns(r.mean_wait_ns().round() as u64),
-                r.mean_slowdown(),
-                r.max_slowdown(),
-                r.utilization * 100.0,
-            ));
-        }
-        out
+        self.table(false).markdown()
     }
 
-    /// Human-readable summary table for terminal output.
+    /// The markdown table plus each cell's wall clock, for the terminal.
     pub fn summary_table(&self) -> Table {
-        let mut t =
-            Table::new(["scenario", "jobs", "makespan", "mean wait", "slowdown", "util", "wall"]);
+        self.table(true)
+    }
+
+    /// One row per cell; `wall` adds the cell's wall-clock column.
+    fn table(&self, wall: bool) -> Table {
+        let head =
+            ["scenario", "jobs", "makespan", "mean wait", "mean slowdown", "max slowdown", "util"];
+        let mut t = Table::new(head.into_iter().chain(wall.then_some("wall")));
         for r in &self.results {
-            t.row([
+            let cells = [
                 r.key.clone(),
                 r.jobs.len().to_string(),
-                crate::table::fmt_ns(r.makespan_ns),
-                crate::table::fmt_ns(r.mean_wait_ns().round() as u64),
+                fmt_ns(r.makespan_ns),
+                fmt_ns(r.mean_wait_ns().round() as u64),
                 format!("{:.3}", r.mean_slowdown()),
+                format!("{:.3}", r.max_slowdown()),
                 format!("{:.0}%", r.utilization * 100.0),
-                format!("{:.0} ms", r.wall.as_secs_f64() * 1e3),
-            ]);
+            ];
+            let ms = wall.then(|| format!("{:.0} ms", r.wall.as_secs_f64() * 1e3));
+            t.row(cells.into_iter().chain(ms));
         }
         t
     }
@@ -1231,6 +1221,69 @@ mod tests {
         let total_jobs: usize = serial.results.iter().map(|r| r.jobs.len()).sum();
         assert_eq!(serial.to_csv().lines().count(), total_jobs + 1);
         assert_eq!(serial.to_markdown().lines().count(), 8 + 2);
+    }
+
+    /// The markdown and CSV bytes of a small grid with a failing job.
+    #[test]
+    fn markdown_and_csv_bytes_are_pinned() {
+        let grid = ClusterGrid {
+            topology: TopologySpec::SingleSwitch { hosts: 4 },
+            catalog: vec![
+                WorkloadSpec::Ring { ranks: 4, bytes: 16 << 10, laps: 1 },
+                WorkloadSpec::Incast { ranks: 3, bytes: 16 << 10, repeat: 1 },
+            ],
+            arrivals: vec![ArrivalSpec::Trace { times_ns: vec![0, 0, 5_000] }],
+            queues: vec![QueueDiscipline::Fifo],
+            placements: vec![PlacementSpec::Packed],
+            ccs: vec![CcAlgo::Mprdma],
+            backends: vec![BackendFamily::Htsim, BackendFamily::Lgs],
+            faults: vec![FaultSpec::None, jobfail(50, 50, 1)],
+            seed: 5,
+        };
+        let (cells, _) = grid.expand_counted();
+        let report = ClusterReport { seed: 5, results: run_grid(&cells, 1) };
+        assert_eq!(
+            report.to_markdown(),
+            "| scenario | jobs | makespan | mean wait | mean slowdown | max slowdown | util |\n\
+             |---|---:|---:|---:|---:|---:|---:|\n\
+             | switch:4/trace:0;0;5000/fifo/packed/htsim-mprdma | 3 | 12.59 µs | 2.53 µs \
+             | 1.000 | 1.000 | 75% |\n\
+             | switch:4/trace:0;0;5000/fifo/packed/htsim-mprdma/jobfail:50:50:1 | 3 | 14.69 µs \
+             | 3.23 µs | 1.000 | 1.000 | 75% |\n\
+             | switch:4/trace:0;0;5000/fifo/packed/lgs | 3 | 11.78 µs | 2.26 µs \
+             | 1.000 | 1.000 | 75% |\n\
+             | switch:4/trace:0;0;5000/fifo/packed/lgs/jobfail:50:50:1 | 3 | 13.74 µs | 2.91 µs \
+             | 1.000 | 1.000 | 75% |\n"
+        );
+        assert_eq!(
+            report.to_csv(),
+            "key,job,workload,ranks,arrival_ns,start_ns,wait_ns,duration_ns,finish_ns,\
+             solo_ns,slowdown,batch\n\
+             switch:4/trace:0;0;5000/fifo/packed/htsim-mprdma,\
+             0,incast:3:16384:1,3,0,0,0,4197,4197,4197,1.0000,0\n\
+             switch:4/trace:0;0;5000/fifo/packed/htsim-mprdma,\
+             1,incast:3:16384:1,3,0,4197,4197,4197,8394,4197,1.0000,1\n\
+             switch:4/trace:0;0;5000/fifo/packed/htsim-mprdma,\
+             2,incast:3:16384:1,3,5000,8394,3394,4197,12591,4197,1.0000,2\n\
+             switch:4/trace:0;0;5000/fifo/packed/htsim-mprdma/jobfail:50:50:1,\
+             0,incast:3:16384:1,3,0,0,0,4197,4197,4197,1.0000,0\n\
+             switch:4/trace:0;0;5000/fifo/packed/htsim-mprdma/jobfail:50:50:1,\
+             1,incast:3:16384:1,3,0,10492,8394,4197,14689,4197,1.0000,3\n\
+             switch:4/trace:0;0;5000/fifo/packed/htsim-mprdma/jobfail:50:50:1,\
+             2,incast:3:16384:1,3,5000,6295,1295,4197,10492,4197,1.0000,2\n\
+             switch:4/trace:0;0;5000/fifo/packed/lgs,\
+             0,incast:3:16384:1,3,0,0,0,3925,3925,3925,1.0000,0\n\
+             switch:4/trace:0;0;5000/fifo/packed/lgs,\
+             1,incast:3:16384:1,3,0,3925,3925,3925,7850,3925,1.0000,1\n\
+             switch:4/trace:0;0;5000/fifo/packed/lgs,\
+             2,incast:3:16384:1,3,5000,7850,2850,3925,11775,3925,1.0000,2\n\
+             switch:4/trace:0;0;5000/fifo/packed/lgs/jobfail:50:50:1,\
+             0,incast:3:16384:1,3,0,0,0,3925,3925,3925,1.0000,0\n\
+             switch:4/trace:0;0;5000/fifo/packed/lgs/jobfail:50:50:1,\
+             1,incast:3:16384:1,3,0,9812,7850,3925,13737,3925,1.0000,3\n\
+             switch:4/trace:0;0;5000/fifo/packed/lgs/jobfail:50:50:1,\
+             2,incast:3:16384:1,3,5000,5887,887,3925,9812,3925,1.0000,2\n"
+        );
     }
 
     #[test]

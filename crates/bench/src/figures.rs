@@ -5,8 +5,8 @@
 //! Every figure that simulates runs its simulations as scenario cells
 //! through [`crate::sweep::execute`] — the executor `atlahs sweep` uses —
 //! with a pinned seed, packed placement and no fault. Only the AstraSim
-//! baseline (not a GOAL backend) and [`runner::compute_only_ns`] (an
-//! instant network, not a fabric) run outside the cells. Each function
+//! baseline (not a GOAL backend) and `compute_only_ns` (an instant
+//! network, not a fabric) run outside the cells. Each function
 //! returns the figure's printed text; [`NAMES`] lists the flags each
 //! reads, and anything else is a usage error.
 //!
@@ -18,16 +18,17 @@
 use std::time::Instant;
 
 use atlahs_baselines::{chakra, AstraSim, AstraSystemConfig};
+use atlahs_core::backends::IdealBackend;
+use atlahs_core::Simulation;
 use atlahs_goal::{binary, GoalSchedule};
 use atlahs_htsim::CcAlgo;
 use atlahs_tracers::mpi::Scaling;
 use atlahs_tracers::nccl::presets;
 
 use crate::args::Cli;
-use crate::runner;
 use crate::scenario::{
-    storage_layout, BackendSpec, FaultSpec, LlmPreset, PlacementSpec, ScenarioCell, TopologySpec,
-    WorkloadSpec,
+    storage_layout, BackendSpec, CellResult, FaultSpec, LlmPreset, PlacementSpec, ScenarioCell,
+    TopologySpec, WorkloadSpec,
 };
 use crate::sweep::execute;
 use crate::table::{fmt_bytes, fmt_pct, pct_err, Table};
@@ -98,9 +99,9 @@ fn validation_cells(
 /// capped at two microbatches per pipeline, otherwise the preset's own
 /// iterations and batch.
 pub fn fig08_cells(preset: LlmPreset, scale: f64, quick: bool, seed: u64) -> [ScenarioCell; 3] {
-    let cfg = preset.cfg(scale);
-    let iterations = if quick { 1 } else { cfg.iterations };
-    let workload = WorkloadSpec::Llm { preset, scale, iterations, cap_batch: quick };
+    let cfg = workloads::shape_llm(preset.cfg(scale), seed, quick.then_some(1), quick);
+    let workload =
+        WorkloadSpec::Llm { preset, scale, iterations: cfg.iterations, cap_batch: quick };
     let fabric = TopologySpec::AiFatTree { nodes: cfg.nodes() as usize, oversub: 1 };
     validation_cells(fabric, workload, true, seed)
 }
@@ -110,6 +111,35 @@ pub fn fig10_cells(case: &HpcCase, scale: f64, seed: u64) -> [ScenarioCell; 3] {
     let &HpcCase { app, procs, nodes, .. } = case;
     let workload = WorkloadSpec::Hpc { app, procs, nodes, scale };
     validation_cells(TopologySpec::HpcFatTree { procs, nodes }, workload, false, seed)
+}
+
+/// The compute-only makespan: the same schedule on an effectively
+/// instant, contention-free network. This is the dark-blue
+/// "non-overlapped computation" bar of Figs. 8/10 — the part of the
+/// runtime no network improvement can remove.
+fn compute_only_ns(goal: &GoalSchedule) -> u64 {
+    let mut instant = IdealBackend::new(8_000_000_000, 0);
+    let report = Simulation::new(goal).run(&mut instant);
+    report.expect("schedule must complete (deadlock-free by construction)").makespan
+}
+
+/// The columns a Fig. 8/10 row shares, from the three runs of `goal`
+/// ([`validation_cells`]): the measured makespan, its non-overlapped
+/// computation share, then LGS and htsim each with its signed error
+/// against measured. Also returns those two errors.
+fn validation_row(goal: &GoalSchedule, runs: &[CellResult]) -> ([String; 6], [f64; 2]) {
+    let [measured, lgs, ht] = runs else { unreachable!("three cells per row") };
+    let nonovl = compute_only_ns(goal) as f64 / measured.makespan as f64 * 100.0;
+    let errors = [lgs, ht].map(|run| pct_err(measured.makespan, run.makespan));
+    let columns = [
+        ms(measured.makespan),
+        format!("{nonovl:.1}%"),
+        ms(lgs.makespan),
+        fmt_pct(errors[0]),
+        ms(ht.makespan),
+        fmt_pct(errors[1]),
+    ];
+    (columns, errors)
 }
 
 /// **E1 / Fig. 1C** — Why application traces matter: Swift vs MPRDMA on
@@ -237,9 +267,8 @@ fn fig08(cli: &Cli) -> String {
     let mut walls =
         Table::new(["workload", "ATLAHS LGS", "ATLAHS htsim", "AstraSim", "LGS speedup"]);
     for (case, runs) in cases.iter().zip(results.chunks(3)) {
-        let [measured, lgs, ht] = runs else { unreachable!("three cells per case") };
         let (report, goal) = workloads::ai_goal(&case.cfg);
-        let nonovl = runner::compute_only_ns(&goal) as f64 / measured.makespan as f64 * 100.0;
+        let (validation, _) = validation_row(&goal, runs);
 
         // The baseline replays its own Chakra conversion of the same trace.
         let et = chakra::from_nsys(&report);
@@ -252,28 +281,17 @@ fn fig08(cli: &Cli) -> String {
         let astra_wall = t0.elapsed().as_secs_f64();
 
         let (astra_cell, astra_err) = match &astra {
-            Ok(rep) => (ms(rep.makespan_ns), fmt_pct(pct_err(measured.makespan, rep.makespan_ns))),
+            Ok(rep) => (ms(rep.makespan_ns), fmt_pct(pct_err(runs[0].makespan, rep.makespan_ns))),
             Err(e) => {
                 let msg = e.to_string();
                 let short = msg.split(": ").last().unwrap_or(&msg).to_string();
                 (short, "—".to_string())
             }
         };
-        table.row([
-            case.name.clone(),
-            case.geometry.clone(),
-            case.parallelism.clone(),
-            ms(measured.makespan),
-            format!("{nonovl:.1}%"),
-            ms(lgs.makespan),
-            fmt_pct(pct_err(measured.makespan, lgs.makespan)),
-            ms(ht.makespan),
-            fmt_pct(pct_err(measured.makespan, ht.makespan)),
-            astra_cell,
-            astra_err,
-        ]);
+        let head = [case.name.clone(), case.geometry.clone(), case.parallelism.clone()];
+        table.row(head.into_iter().chain(validation).chain([astra_cell, astra_err]));
 
-        let lgs_wall = lgs.wall.as_secs_f64();
+        let lgs_wall = runs[1].wall.as_secs_f64();
         let (astra_cell, speedup) = match astra {
             Ok(_) => {
                 (format!("{astra_wall:.3} s"), format!("{:.1}x", astra_wall / lgs_wall.max(1e-9)))
@@ -283,7 +301,7 @@ fn fig08(cli: &Cli) -> String {
         walls.row([
             format!("{} {}", case.name, case.geometry),
             format!("{lgs_wall:.3} s"),
-            format!("{:.3} s", ht.wall.as_secs_f64()),
+            format!("{:.3} s", runs[2].wall.as_secs_f64()),
             astra_cell,
             speedup,
         ]);
@@ -372,26 +390,15 @@ fn fig10(cli: &Cli) -> String {
     let mut worst_lgs: f64 = 0.0;
     let mut worst_ht: f64 = 0.0;
     for (case, runs) in cases.iter().zip(results.chunks(3)) {
-        let [measured, lgs, ht] = runs else { unreachable!("three cells per case") };
         let (_, goal) = workloads::hpc_goal(case, scale, seed);
-        let nonovl = runner::compute_only_ns(&goal) as f64 / measured.makespan as f64 * 100.0;
-        let e_lgs = pct_err(measured.makespan, lgs.makespan);
-        let e_ht = pct_err(measured.makespan, ht.makespan);
+        let (validation, [e_lgs, e_ht]) = validation_row(&goal, runs);
         worst_lgs = worst_lgs.max(e_lgs.abs());
         worst_ht = worst_ht.max(e_ht.abs());
-        table.row([
-            case.label(),
-            match case.scaling {
-                Scaling::Weak => "weak".to_string(),
-                Scaling::Strong => "strong".to_string(),
-            },
-            ms(measured.makespan),
-            format!("{nonovl:.1}%"),
-            ms(lgs.makespan),
-            fmt_pct(e_lgs),
-            ms(ht.makespan),
-            fmt_pct(e_ht),
-        ]);
+        let scaling = match case.scaling {
+            Scaling::Weak => "weak",
+            Scaling::Strong => "strong",
+        };
+        table.row([case.label(), scaling.to_string()].into_iter().chain(validation));
     }
     format!(
         "# Fig. 10 — HPC validation (scale={scale}, seed={seed})\n\
@@ -411,13 +418,18 @@ fn fig10(cli: &Cli) -> String {
 /// atlahs fig fig11 [--ops 5000] [--gap 50] [--compress 12] [--seed 1] [--threads 0]
 /// ```
 ///
-/// The four cells ({full, 8:1} × {MPRDMA, NDP}) are the standalone sweep
+/// The four cells ({full, 8:1} × {MPRDMA, NDP}) are the fabrics,
+/// workload, CCs and backend of the sweep
 ///
 /// ```text
 /// atlahs sweep --topos storage-fattree:48:1,storage-fattree:48:8 \
 ///              --workloads storage:5000:50:12 --ccs mprdma,ndp \
 ///              --backends htsim --collect-flows
 /// ```
+///
+/// but not its seeds: the figure runs every cell at `--seed`, where the
+/// sweep runs each at `cell_seed(seed, workload label)`. So the sweep
+/// generates a different storage trace, and its MCTs are not the figure's.
 ///
 /// Expected shape (paper): comparable MCT on the fully provisioned
 /// fabric; under 8:1 oversubscription NDP degrades — mean +14%, p99 +35%,
@@ -501,14 +513,20 @@ fn fig11(cli: &Cli) -> String {
 /// atlahs fig fig12 [--scale 0.002] [--seed 1] [--threads 0]
 /// ```
 ///
-/// Per oversubscription ratio one LGS cell and one sprayed-htsim cell,
-/// i.e. the grid
+/// Per oversubscription ratio one sprayed-htsim cell, and one LGS cell
+/// on the fully provisioned fabric for both rows. The grid
 ///
 /// ```text
 /// atlahs sweep --topos ai-fattree:32:1,ai-fattree:32:4 \
 ///              --workloads llm:llama7b-dp128:0.002 --ccs mprdma \
 ///              --backends htsim-spray,lgs
 /// ```
+///
+/// has the same fabrics, workload and backends, but differs twice:
+/// - it runs two LGS cells, one per fabric, where the figure runs one;
+/// - the figure runs every cell at `--seed`, where the sweep runs each at
+///   `cell_seed(seed, workload label)`, so the sweep traces the LLM from
+///   another seed.
 ///
 /// Expected shape (paper): on the fully provisioned fabric the two
 /// backends agree within ~1%; with 4:1 oversubscription LGS (whose `G`
@@ -665,14 +683,9 @@ fn table1(cli: &Cli) -> String {
     };
 
     // ---- AI rows (DLRM + the Fig. 8 configurations) ----
-    let mut ai = vec![presets::dlrm(scale)];
-    ai.extend(workloads::ai_suite(scale, quick, seed).into_iter().map(|c| c.cfg));
-    for mut cfg in ai {
-        cfg.seed = seed;
-        if quick {
-            cfg.iterations = 1;
-            cfg.batch = cfg.batch.min(2 * cfg.dp);
-        }
+    let dlrm = workloads::shape_llm(presets::dlrm(scale), seed, quick.then_some(1), quick);
+    let suite = workloads::ai_suite(scale, quick, seed).into_iter().map(|c| c.cfg);
+    for cfg in std::iter::once(dlrm).chain(suite) {
         let (report, goal) = workloads::ai_goal(&cfg);
         let configuration = format!("{} GPUs {} Nodes", cfg.gpus(), cfg.nodes());
         row(&cfg.name, configuration, report.to_text().len(), &goal);
@@ -687,4 +700,32 @@ fn table1(cli: &Cli) -> String {
         row(case.app.name(), configuration, trace.to_text().len(), &goal);
     }
     format!("# Table 1 — trace dataset summary (scale={scale}, seed={seed})\n\n{}", table.render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fig. 8 prints `ai_suite`'s cases beside the cells it simulates:
+    /// each case's configuration is the one its cells run.
+    #[test]
+    fn fig08_prints_the_configuration_it_simulates() {
+        let (scale, seed) = (0.002, 1);
+        let suite = workloads::ai_suite(scale, true, seed);
+        for (i, preset) in [(0, LlmPreset::Llama7bDp16), (3, LlmPreset::Mistral8x7b)] {
+            let (_, printed) = workloads::ai_goal(&suite[i].cfg);
+            let simulated = fig08_cells(preset, scale, true, seed)[0].workload.build_jobs(seed);
+            assert_eq!(printed, *simulated[0], "{}", suite[i].name);
+        }
+    }
+
+    #[test]
+    fn compute_only_is_a_lower_bound() {
+        let suite = workloads::ai_suite(0.005, true, 7);
+        let (_, goal) = workloads::ai_goal(&suite[0].cfg);
+        let comp = compute_only_ns(&goal);
+        let (meas, _) = crate::runner::run_testbed(&goal, workloads::ai_topology(4), 1);
+        assert!(comp > 0);
+        assert!(comp <= meas.makespan, "comp {comp} vs measured {}", meas.makespan);
+    }
 }

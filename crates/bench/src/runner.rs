@@ -5,7 +5,6 @@
 
 use std::time::{Duration, Instant};
 
-use atlahs_core::backends::IdealBackend;
 use atlahs_core::probe::{FlowRecord, Recorded};
 use atlahs_core::{Backend, SimReport, Simulation};
 use atlahs_goal::GoalSchedule;
@@ -82,16 +81,6 @@ impl HtsimRun {
     }
 }
 
-/// The compute-only makespan: the same schedule on an effectively
-/// instant, contention-free network. This is the dark-blue
-/// "non-overlapped computation" bar of Figs. 8/10 — the part of the
-/// runtime no network improvement can remove.
-pub fn compute_only_ns(goal: &GoalSchedule) -> u64 {
-    let mut ideal = IdealBackend::new(8_000_000_000, 0);
-    let (rep, _) = run_on(goal, &mut ideal);
-    rep.makespan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,16 +109,6 @@ mod tests {
             assert_eq!(rep.completed, goal.total_tasks());
             assert!(rep.makespan > 0);
         }
-    }
-
-    #[test]
-    fn compute_only_is_a_lower_bound() {
-        let suite = workloads::ai_suite(0.005, true, 7);
-        let (_, goal) = workloads::ai_goal(&suite[0].cfg);
-        let comp = compute_only_ns(&goal);
-        let (meas, _) = run_testbed(&goal, workloads::ai_topology(4), 1);
-        assert!(comp > 0);
-        assert!(comp <= meas.makespan, "comp {comp} vs measured {}", meas.makespan);
     }
 
     #[test]

@@ -398,12 +398,8 @@ impl WorkloadSpec {
                     .expect("storage incast is well-formed")
             }
             WorkloadSpec::Llm { preset, scale, iterations, cap_batch } => {
-                let mut cfg = preset.cfg(scale);
-                cfg.seed = seed;
-                cfg.iterations = iterations;
-                if cap_batch {
-                    cfg.batch = cfg.batch.min(2 * cfg.dp);
-                }
+                let cfg =
+                    workloads::shape_llm(preset.cfg(scale), seed, Some(iterations), cap_batch);
                 let (_, goal) = workloads::ai_goal(&cfg);
                 goal
             }
@@ -678,9 +674,9 @@ impl PlacementSpec {
 ///
 /// A fault composes with every other axis but only *bites* on the layer
 /// it models: link faults are packet-level (htsim families), the
-/// straggler model is message-level (LGS), the ideal reference is
-/// never faulted inside a simulation (it stays the contention- and
-/// fault-free lower bound), and job failures happen above the simulation,
+/// straggler model is message-level (LGS), the ideal backend is never
+/// faulted inside a simulation (it stays the contention-free, fault-free
+/// fixed-rate reference), and job failures happen above the simulation,
 /// in the cluster engine's job lifecycle. Grid expansion pairs each
 /// backend only with the faults that apply to it — plus
 /// [`FaultSpec::None`], which is always present and leaves the cell

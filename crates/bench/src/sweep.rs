@@ -260,91 +260,60 @@ impl SweepReport {
 
     /// CSV: one row per cell, fixed columns, `-` for absent values.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "key,seed,makespan_ns,tasks,mct_mean_ns,mct_p99_ns,mct_max_ns,flows,\
-             packets,drops,trims,core_drops\n",
-        );
+        let head = "key,seed,makespan_ns,tasks,mct_mean_ns,mct_p99_ns,mct_max_ns,flows,\
+                    packets,drops,trims,core_drops";
+        let mut t = Table::new(head.split(','));
+        let dash = || "-".to_string();
         for r in &self.results {
-            let (mean, p99, max, flows) = if r.mct.count > 0 {
-                (
-                    format!("{:.1}", r.mct.mean),
-                    r.mct.p99.to_string(),
-                    r.mct.max.to_string(),
-                    r.mct.count.to_string(),
-                )
-            } else {
-                ("-".into(), "-".into(), "-".into(), "-".into())
-            };
-            let (packets, drops, trims, core) = match &r.net {
-                Some(n) => (
-                    n.packets_sent.to_string(),
-                    n.drops.to_string(),
-                    n.trims.to_string(),
-                    n.core_drops.to_string(),
-                ),
-                None => ("-".into(), "-".into(), "-".into(), "-".into()),
-            };
-            out.push_str(&format!(
-                "{},{},{},{},{mean},{p99},{max},{flows},{packets},{drops},{trims},{core}\n",
-                crate::table::csv_field(&r.key),
-                r.seed,
-                r.makespan,
-                r.tasks
-            ));
+            let mct = (r.mct.count > 0).then_some(r.mct);
+            t.row([
+                r.key.clone(),
+                r.seed.to_string(),
+                r.makespan.to_string(),
+                r.tasks.to_string(),
+                mct.map_or_else(dash, |m| format!("{:.1}", m.mean)),
+                mct.map_or_else(dash, |m| m.p99.to_string()),
+                mct.map_or_else(dash, |m| m.max.to_string()),
+                mct.map_or_else(dash, |m| m.count.to_string()),
+                r.net.map_or_else(dash, |n| n.packets_sent.to_string()),
+                r.net.map_or_else(dash, |n| n.drops.to_string()),
+                r.net.map_or_else(dash, |n| n.trims.to_string()),
+                r.net.map_or_else(dash, |n| n.core_drops.to_string()),
+            ]);
         }
-        out
+        t.csv()
     }
 
     /// GitHub-flavored markdown table (one row per cell).
     pub fn to_markdown(&self) -> String {
-        let mut out = String::from(
-            "| scenario | makespan | tasks | mean MCT | p99 MCT | drops |\n\
-             |---|---:|---:|---:|---:|---:|\n",
-        );
-        for r in &self.results {
-            let p99 = if r.mct.count > 0 { fmt_ns(r.mct.p99) } else { "-".into() };
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {p99} | {} |\n",
-                r.key,
-                fmt_ns(r.makespan),
-                r.tasks,
-                mean_mct(r),
-                lost(r),
-            ));
-        }
-        out
+        self.table(false).markdown()
     }
 
-    /// Human-readable summary table for terminal output.
+    /// The markdown table plus each cell's wall clock, for the terminal.
     pub fn summary_table(&self) -> Table {
-        let mut t = Table::new(["scenario", "makespan", "tasks", "mean MCT", "drops", "wall"]);
+        self.table(true)
+    }
+
+    /// One row per cell; `wall` adds the cell's wall-clock column.
+    fn table(&self, wall: bool) -> Table {
+        let head = ["scenario", "makespan", "tasks", "mean MCT", "p99 MCT", "drops"];
+        let mut t = Table::new(head.into_iter().chain(wall.then_some("wall")));
         for r in &self.results {
-            t.row([
+            let mct = |ns: u64| if r.mct.count > 0 { fmt_ns(ns) } else { "-".into() };
+            let cells = [
                 r.key.clone(),
                 fmt_ns(r.makespan),
                 r.tasks.to_string(),
-                mean_mct(r),
-                lost(r),
-                format!("{:.0} ms", r.wall.as_secs_f64() * 1e3),
-            ]);
+                mct(r.mct.mean.round() as u64),
+                mct(r.mct.p99),
+                // Dropped plus trimmed packets; `-` off the packet-level backends.
+                r.net.map_or("-".into(), |n| (n.drops + n.trims).to_string()),
+            ];
+            let ms = wall.then(|| format!("{:.0} ms", r.wall.as_secs_f64() * 1e3));
+            t.row(cells.into_iter().chain(ms));
         }
         t
     }
-}
-
-/// A cell's mean message completion time for a table, `-` without flows.
-fn mean_mct(r: &CellResult) -> String {
-    if r.mct.count > 0 {
-        fmt_ns(r.mct.mean.round() as u64)
-    } else {
-        "-".into()
-    }
-}
-
-/// A cell's dropped plus trimmed packets for a table, `-` off the
-/// packet-level backends.
-fn lost(r: &CellResult) -> String {
-    r.net.map_or("-".into(), |n| (n.drops + n.trims).to_string())
 }
 
 #[cfg(test)]
@@ -433,6 +402,44 @@ mod tests {
             })
             .count();
         assert_eq!(fields, columns);
+    }
+
+    /// The markdown and CSV bytes of a small flow-recording grid: MCT
+    /// columns filled and `-`, net columns filled and `-`, a quoted key.
+    #[test]
+    fn markdown_and_csv_bytes_are_pinned() {
+        let grid = ScenarioGrid {
+            topologies: vec![TopologySpec::SingleSwitch { hosts: 4 }],
+            workloads: vec![WorkloadSpec::Ring { ranks: 4, bytes: 64 << 10, laps: 1 }],
+            ccs: vec![CcAlgo::Mprdma],
+            placements: vec![PlacementSpec::Packed],
+            backends: vec![BackendFamily::Htsim, BackendFamily::Lgs],
+            faults: ["none", "churn:0;0;d,5000;0;u"]
+                .map(|f| crate::scenario::FaultSpec::parse(f).unwrap())
+                .to_vec(),
+            seed: 9,
+            collect_flows: true,
+        };
+        let report = SweepReport { seed: 9, results: execute(&grid.expand(), 1), branch: None };
+        assert_eq!(
+            report.to_markdown(),
+            "| scenario | makespan | tasks | mean MCT | p99 MCT | drops |\n\
+             |---|---:|---:|---:|---:|---:|\n\
+             | switch:4/ring:4:65536:1/packed/htsim-mprdma | 8.20 µs | 12 | 8.00 µs | 8.00 µs | 0 |\n\
+             | switch:4/ring:4:65536:1/packed/htsim-mprdma/churn:0;0;d,5000;0;u | 26.86 µs | 12 \
+             | 26.66 µs | 26.66 µs | 0 |\n\
+             | switch:4/ring:4:65536:1/packed/lgs | 8.20 µs | 12 | - | - | - |\n"
+        );
+        assert_eq!(
+            report.to_csv(),
+            "key,seed,makespan_ns,tasks,mct_mean_ns,mct_p99_ns,mct_max_ns,flows,\
+             packets,drops,trims,core_drops\n\
+             switch:4/ring:4:65536:1/packed/htsim-mprdma,9328889867645612571,8200,12,\
+             8000.0,8000,8000,4,64,0,0,0\n\
+             \"switch:4/ring:4:65536:1/packed/htsim-mprdma/churn:0;0;d,5000;0;u\",\
+             9328889867645612571,26856,12,26656.0,26656,26656,4,100,0,0,0\n\
+             switch:4/ring:4:65536:1/packed/lgs,9328889867645612571,8199,12,-,-,-,-,-,-,-,-\n"
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Aligned text tables for harness output.
 
+use std::borrow::Cow;
+
 /// A simple column-aligned table with a header row.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -69,6 +71,36 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
+
+    /// GitHub-flavored markdown, aligned as [`Table::render`] aligns:
+    /// the first column left, the rest right.
+    pub fn markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = line(&self.headers);
+        out.push_str("|---");
+        out.push_str(&"|---:".repeat(self.headers.len() - 1));
+        out.push_str("|\n");
+        for row in &self.rows {
+            out.push_str(&line(row));
+        }
+        out
+    }
+
+    /// CSV: the header line, then one line per row, every field
+    /// RFC 4180-escaped.
+    pub fn csv(&self) -> String {
+        let mut out = String::new();
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            for (i, cell) in cells.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&csv_field(cell));
+            }
+            out.push('\n');
+        }
+        out
+    }
 }
 
 /// RFC 4180 CSV field escaping: fields containing a comma, double
@@ -78,11 +110,11 @@ impl Table {
 /// because cell keys are not comma-free — churn fault labels embed the
 /// inline event grammar (e.g. `churn:0;r0;d,5;r0;u`), which would
 /// otherwise shear the row into extra columns.
-pub fn csv_field(s: &str) -> String {
+fn csv_field(s: &str) -> Cow<'_, str> {
     if s.contains([',', '"', '\r', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
     } else {
-        s.to_string()
+        Cow::Borrowed(s)
     }
 }
 

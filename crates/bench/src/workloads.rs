@@ -50,24 +50,35 @@ impl AiCase {
 }
 
 /// The six Fig. 8 training configurations, one per [`LlmPreset::NAMES`]
-/// entry in that order.
-///
-/// `quick` caps the batch at two microbatches per pipeline and runs one
-/// iteration — the per-iteration communication *structure* (rings,
-/// pipelines, expert alltoalls, bucketed DP allreduce) is unchanged.
+/// entry in that order. `quick` runs one iteration with the batch capped
+/// at two microbatches per pipeline, otherwise the preset's own iterations
+/// and batch.
 pub fn ai_suite(scale: f64, quick: bool, seed: u64) -> Vec<AiCase> {
     LlmPreset::NAMES
         .iter()
         .map(|&(_, preset)| {
-            let mut c = preset.cfg(scale);
-            c.seed = seed;
-            if quick {
-                c.iterations = 1;
-                c.batch = c.batch.min(2 * c.dp);
-            }
-            AiCase::from_cfg(c)
+            AiCase::from_cfg(shape_llm(preset.cfg(scale), seed, quick.then_some(1), quick))
         })
         .collect()
+}
+
+/// Shape `cfg` for one run: its trace seed, its iterations (the
+/// preset's own for `None`), and with `cap_batch` a batch of at most two
+/// microbatches per pipeline. The quick run is one iteration, capped:
+/// the per-iteration communication *structure* (rings, pipelines, expert
+/// alltoalls, bucketed DP allreduce) is unchanged.
+pub(crate) fn shape_llm(
+    mut cfg: LlmConfig,
+    seed: u64,
+    iterations: Option<u32>,
+    cap_batch: bool,
+) -> LlmConfig {
+    cfg.seed = seed;
+    cfg.iterations = iterations.unwrap_or(cfg.iterations);
+    if cap_batch {
+        cfg.batch = cfg.batch.min(2 * cfg.dp);
+    }
+    cfg
 }
 
 /// Trace an LLM config and lower it to a node-level GOAL schedule.

@@ -4,9 +4,11 @@
 //! API: a contention-free network with fixed per-byte bandwidth and fixed
 //! latency, and hosts that execute calcs at face value. It exists to
 //! document the backend contract, to serve as a fixture for scheduler
-//! tests, and as a lower bound in experiments (no congestion, no protocol
-//! overheads). Real backends live in `atlahs-lgs`, `atlahs-htsim`, and
-//! `atlahs-testbed`.
+//! tests, and as the contention-free fixed-rate reference in experiments
+//! (no congestion, no protocol overheads). It is not a lower bound on the
+//! other backends: a send completes here when its last byte leaves the
+//! sender, an LGS eager send after `o`, so LGS can finish first. Real
+//! backends live in `atlahs-lgs`, `atlahs-htsim`, and `atlahs-testbed`.
 
 use atlahs_eventq::EventQueue;
 use atlahs_goal::{Rank, Tag};
