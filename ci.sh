@@ -55,8 +55,8 @@
 #      — a crate added to, dropped from or re-wired in the non-dev
 #      dependency graph of crates/* would rewrite benchmark/Cargo.lock.
 #  10. code size                  — prints the code-only line count of
-#      non-shim crates/*/src (docs/PERFORMANCE.md, "Measuring"); printed
-#      for the record, not gated
+#      each non-shim crates/*/src and their total (docs/PERFORMANCE.md,
+#      "Measuring"); printed for the record, not gated
 #
 # The build is fully offline: external deps are vendored shims under
 # crates/shims/ (see README.md).
@@ -133,9 +133,13 @@ cmp target/benchmark-Cargo.lock benchmark/Cargo.lock \
 
 step "code-only line count (printed, not gated; docs/PERFORMANCE.md, Measuring)"
 find crates -path 'crates/*/src/*.rs' ! -path 'crates/shims/*' -exec awk '
-    FNR == 1 { test = 0 }
+    FNR == 1 { test = 0; split(FILENAME, path, "/") }
     /^#\[cfg\(test\)\]/ { test = 1 }
-    !test && !/^[[:space:]]*(\/\/|$)/ { n++ }
-    END { print n + 0 " code-only lines in non-shim crates/*/src" }' {} +
+    !test && !/^[[:space:]]*(\/\/|$)/ { n++; per_crate[path[2]]++ }
+    END {
+        for (c in per_crate) printf "%6d  crates/%s/src\n", per_crate[c], c | "sort -k2"
+        close("sort -k2")
+        print n + 0 " code-only lines in non-shim crates/*/src"
+    }' {} +
 
 printf '\nCI gate passed.\n'

@@ -1,5 +1,6 @@
-//! The `atlahs` CLI's argument layer: a minimal `--flag [value]` parser
-//! and the usage-error front every subcommand reads its flags through.
+//! The `atlahs` CLI's token layer: a minimal `--flag [value]` parser, the
+//! usage-error front every subcommand reads its flags through, and the
+//! lookups of the closed vocabularies (name tables) axis tokens draw from.
 //!
 //! Not a CLI framework: every subcommand takes a handful of axis lists,
 //! numeric knobs and boolean switches, so a small parser beats a
@@ -139,6 +140,32 @@ impl<'a> Cli<'a> {
     pub fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
         self.args.number(flag, default).unwrap_or_else(|e| self.fail(e))
     }
+}
+
+/// The error for a token no form of `grammar` matches.
+pub(crate) fn unknown(what: &str, tok: &str, grammar: &str) -> String {
+    format!("unknown {what} `{tok}`, expected one of:\n{grammar}")
+}
+
+/// The names of a closed vocabulary (a table of every CLI name with the
+/// value it stands for), `a|b|c`.
+pub fn names<T>(table: &[(&'static str, T)]) -> String {
+    table.iter().map(|(name, _)| *name).collect::<Vec<_>>().join("|")
+}
+
+/// Parse a vocabulary token by lookup.
+pub(crate) fn by_name<T: Copy>(
+    what: &str,
+    table: &[(&'static str, T)],
+    tok: &str,
+) -> Result<T, String> {
+    let hit = table.iter().find(|(name, _)| *name == tok);
+    hit.map(|&(_, value)| value).ok_or_else(|| format!("unknown {what} `{tok}` ({})", names(table)))
+}
+
+/// The name of a vocabulary value (the inverse of [`by_name`]).
+pub(crate) fn name_of<T: PartialEq>(table: &[(&'static str, T)], value: &T) -> &'static str {
+    table.iter().find(|(_, v)| v == value).expect("every value is in its name table").0
 }
 
 #[cfg(test)]

@@ -53,16 +53,14 @@
 
 use std::time::{Duration, Instant};
 
-use atlahs_bench::args::{Args, Cli};
+use atlahs_bench::args::{names, Args, Cli};
 use atlahs_bench::cluster::{run_grid, ArrivalSpec, ClusterGrid, ClusterReport, QueueDiscipline};
 use atlahs_bench::figures;
-use atlahs_bench::scenario::{
-    names, BackendFamily, FaultSpec, LlmPreset, PlacementSpec, ScenarioGrid, TopologySpec,
-    WorkloadSpec, CC_NAMES,
-};
+use atlahs_bench::scenario::{BackendFamily, PlacementSpec, ScenarioGrid, WorkloadSpec};
+use atlahs_bench::spec::{FaultSpec, TopologySpec, CC_NAMES};
 use atlahs_bench::sweep::SweepReport;
 use atlahs_bench::table::Table;
-use atlahs_bench::workloads::HpcApp;
+use atlahs_bench::workloads::{HpcApp, LlmPreset};
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().collect();

@@ -1,104 +1,18 @@
-//! Branch-and-continue sweep execution: simulate a shared prefix once,
-//! snapshot, fan out into N what-if continuations.
-//!
-//! A branched sweep reinterprets the grid's fault axis as *branch
-//! overrides*: every cell that shares a prefix — same topology,
-//! workload, placement, and backend, hence the same derived seed and the
-//! same composed schedule — is grouped; the group's simulation runs
-//! clean up to the branch time, the backend is
-//! [`atlahs_core::Snapshot::checkpoint`]ed and the scheduler driver cloned, and each
-//! cell then restores the snapshot, applies its override at the branch
-//! point, and runs to completion. Only the post-branch suffix is
-//! re-simulated per cell; the prefix is paid once per group (the
-//! `prefix_runs` counter in [`BranchStats`], surfaced in the JSON
-//! report, is how CI verifies that). The mechanics are
-//! [`crate::session`]'s: a group is a session with a branch point and
-//! several members.
-//!
-//! ## Exactness
-//!
-//! The snapshot path must be invisible: for every cell,
-//! [`execute_branched`] and [`run_cell_branched_straight`] (pause at the
-//! branch time, apply the override, finish — *no* checkpoint/restore)
-//! produce bit-identical [`CellResult`]s. That is the backend
-//! [`atlahs_core::Snapshot`] contract, pinned in this module's tests and by the
-//! `branch_smoke.json` row of the golden table in `tests/golden_table/mod.rs`.
-//!
-//! Branched results are **not** comparable to a straight sweep of the
-//! same faults. Both apply a fault the one way a backend takes one, as an
-//! override, but a straight cell applies it at t = 0, before the first
-//! task issues, while a branched override clamps every fault window to
-//! open no earlier than the branch time and its events enter the queue
-//! after the prefix's traffic. The branch answers "what if this failed
-//! *from here on*?", not "what if this had been failing all along?".
+//! The old path of branch-and-continue execution (`atlahs sweep
+//! --branch-at`), which lives in [`crate::sweep`] beside the straight
+//! executor it shares its groups with; this module keeps the path and
+//! the branched executor's tests.
 
-use std::sync::Arc;
-
-use atlahs_goal::GoalSchedule;
-
-use crate::scenario::{run_members, CellResult, ScenarioCell};
-use crate::sweep::execute_groups;
-
-/// Shared-prefix work accounting of one branched sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchStats {
-    /// The branch time (ns): overrides apply at the first pause at or
-    /// after this simulated time.
-    pub branch_at: u64,
-    /// Shared-prefix groups — and therefore how many times a prefix was
-    /// actually simulated. A grid whose cells all differ only in the
-    /// fault axis has `prefix_runs` = 1; CI asserts `prefix_runs` <
-    /// number of cells on the branch smoke grid.
-    pub prefix_runs: usize,
-}
-
-/// Run a branched sweep: group cells by shared prefix, simulate each
-/// prefix once, and fan each group out into its per-cell continuations.
-///
-/// Results are in cell order and independent of `threads` (groups
-/// parallelize across the claim-index pool; cells within a group run
-/// serially against the group's snapshot).
-pub fn execute_branched(
-    cells: &[ScenarioCell],
-    branch_at: u64,
-    threads: usize,
-) -> (Vec<CellResult>, BranchStats) {
-    // Group by everything except the fault axis: topology, workload and
-    // seed, placement, and backend — exactly the state the prefix
-    // depends on.
-    let mut index_of: std::collections::HashMap<(String, u64), usize> =
-        std::collections::HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let g = *index_of.entry((cell.prefix_key(), cell.seed)).or_insert(groups.len());
-        if g == groups.len() {
-            groups.push(Vec::new());
-        }
-        groups[g].push(i);
-    }
-    let results = execute_groups(cells, &groups, Some(branch_at), threads);
-    (results, BranchStats { branch_at, prefix_runs: groups.len() })
-}
-
-/// The straight-through reference for one branched cell: pause at the
-/// branch time, apply the override, run to completion — the identical
-/// mechanics with **no** checkpoint/restore (a one-member session).
-/// [`execute_branched`] must match this bit for bit on every cell.
-pub fn run_cell_branched_straight(
-    cell: &ScenarioCell,
-    jobs: &[Arc<GoalSchedule>],
-    branch_at: u64,
-) -> CellResult {
-    run_members(&[cell], jobs, Some(branch_at)).pop().expect("one member, one result")
-}
+pub use crate::sweep::{execute_branched, run_cell_branched_straight, BranchStats};
 
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::scenario::FaultSpec;
+    use crate::scenario::{CellResult, ScenarioCell};
     use crate::smoke::{self, sweep_grid};
+    use crate::spec::FaultSpec;
     use crate::sweep::SweepReport;
 
     fn strip_wall(mut results: Vec<CellResult>) -> String {
@@ -175,7 +89,7 @@ mod tests {
     #[test]
     fn stochastic_branch_cells_match_straight_through() {
         let mk = |fault| ScenarioCell {
-            topology: crate::scenario::TopologySpec::AiFatTree { nodes: 16, oversub: 4 },
+            topology: crate::spec::TopologySpec::AiFatTree { nodes: 16, oversub: 4 },
             workload: crate::scenario::WorkloadSpec::MoeAllToAll {
                 ranks: 16,
                 group: 16,
@@ -184,7 +98,7 @@ mod tests {
                 compute_ns: 20_000,
             },
             placement: crate::scenario::PlacementSpec::Packed,
-            backend: crate::scenario::BackendSpec::Htsim {
+            backend: crate::spec::BackendSpec::Htsim {
                 cc: atlahs_htsim::CcAlgo::Mprdma,
                 spray: false,
             },

@@ -33,7 +33,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use atlahs_core::faultgen::{self, num};
+use atlahs_core::faultgen::num;
 use atlahs_core::{FragStats, NodePool, SimReport};
 use atlahs_goal::merge::{compose, PlacedJob, MAX_JOBS};
 use atlahs_goal::{GoalSchedule, Rank};
@@ -41,13 +41,14 @@ use atlahs_htsim::CcAlgo;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::args::Args;
+use crate::args::{by_name, name_of, unknown, Args};
 use crate::json::Json;
 use crate::scenario::{
-    backend_faults, by_name, cell_seed, name_of, parse_cc, too_wide, unique, unknown,
-    BackendFamily, BackendSpec, FaultSpec, PlacementSpec, TopologySpec, WorkloadSpec,
+    backend_faults, too_wide, unique, BackendFamily, PlacementSpec, WorkloadSpec,
 };
 use crate::session::{self, Session};
+pub use crate::spec::JobFaultSpec;
+use crate::spec::{cell_seed, parse_cc, BackendSpec, FaultSpec, TopologySpec};
 use crate::sweep::{parallel_map, report_head, resolve_threads};
 use crate::table::{fmt_ns, Table};
 
@@ -68,6 +69,13 @@ pub enum ArrivalSpec {
 /// The most jobs a `poisson:` process may draw: every arrival time is
 /// held in memory, and 10⁵ jobs already take seconds to run.
 const MAX_POISSON_JOBS: usize = 100_000;
+
+/// The simulated-time horizon of an arrival process, 2⁵³ ns (about 104
+/// days): no trace time and no Poisson process's mean span
+/// (`jobs × mean_gap_ns`) may lie past it. Reports write times as JSON
+/// numbers, which hold every integer up to 2⁵³, and the jobs that start
+/// at an arrival keep the rest of the `u64` clock to run in.
+const HORIZON_NS: u64 = 1 << 53;
 
 impl ArrivalSpec {
     pub fn label(&self) -> String {
@@ -102,7 +110,7 @@ impl ArrivalSpec {
                     // keeps ln finite.
                     let u: f64 = rng.random();
                     let gap = (-(1.0 - u).ln() * *mean_gap_ns as f64).round();
-                    t += gap as u64;
+                    t = later(t, gap as u64);
                     out.push(t);
                 }
                 out
@@ -123,7 +131,12 @@ impl ArrivalSpec {
                 jobs if jobs > MAX_POISSON_JOBS => {
                     Err(format!("arrivals `{tok}`: <jobs> must be at most {MAX_POISSON_JOBS}"))
                 }
-                jobs => Ok(ArrivalSpec::Poisson { jobs, mean_gap_ns: num(tok, gap)? }),
+                jobs => match num(tok, gap)? {
+                    gap if gap > HORIZON_NS / jobs as u64 => Err(format!(
+                        "arrivals `{tok}`: <jobs> × <mean_gap_ns> must be at most {HORIZON_NS} ns"
+                    )),
+                    mean_gap_ns => Ok(ArrivalSpec::Poisson { jobs, mean_gap_ns }),
+                },
             },
             ["trace", times] => {
                 let times = times.split(';').filter(|t| !t.is_empty());
@@ -132,6 +145,9 @@ impl ArrivalSpec {
                     return Err(format!("arrivals `{tok}`: empty trace"));
                 }
                 times_ns.sort_unstable();
+                if times_ns[times_ns.len() - 1] > HORIZON_NS {
+                    return Err(format!("arrivals `{tok}`: times must be at most {HORIZON_NS} ns"));
+                }
                 Ok(ArrivalSpec::Trace { times_ns })
             }
             _ => Err(unknown("arrivals", tok, Self::GRAMMAR)),
@@ -178,120 +194,6 @@ pub fn admission_order(
         order.sort_by_key(|&job| (ranks_of(job), job));
     }
     order
-}
-
-// --------------------------------------------------------------- fault ----
-
-/// Seeded job-level failure injection: the job scope of the fault axis
-/// ([`FaultSpec::Job`]), parsed and decided here, next to the only engine
-/// with a job lifecycle to fail.
-///
-/// A failed attempt occupies the job's allocation for a fraction of the
-/// simulated run time, then releases its nodes and re-queues the job
-/// through the ordinary admission scan — so failures interact with
-/// queueing, backfill, and fragmentation exactly like real departures
-/// and re-arrivals. Whether attempt `k` of job `j` fails is a pure FNV
-/// hash of `(fault seed, j, k)`: no RNG stream is consumed, so a
-/// fault-free cell leaves every other seeded draw untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobFaultSpec {
-    /// Each attempt fails with probability `pct`% (first `retries`
-    /// attempts only — attempt `retries` always succeeds, bounding every
-    /// job's restart count). A failed attempt holds its nodes for
-    /// `at_pct`% of its simulated duration before releasing them.
-    JobFail { pct: u32, at_pct: u32, retries: u32 },
-    /// MTBF process: each attempt draws a seeded exponential
-    /// time-to-failure with mean `mtbf_ns`
-    /// ([`atlahs_core::faultgen::exp_sample`]) and fails iff the draw
-    /// lands inside its run — so long jobs fail more often, and a failed
-    /// attempt holds its nodes exactly until the failure instant. The
-    /// first `retries` attempts may fail; attempt `retries` always runs
-    /// to completion.
-    Mtbf { mtbf_ns: u64, retries: u32 },
-}
-
-/// The most retries a `jobfail:` or `mtbf:` token may allow. Every retry
-/// re-simulates the job, so the bound keeps a cell's run time bounded.
-const MAX_RETRIES: u32 = 100;
-
-impl JobFaultSpec {
-    pub fn label(&self) -> String {
-        match self {
-            JobFaultSpec::JobFail { pct, at_pct, retries } => {
-                format!("jobfail:{pct}:{at_pct}:{retries}")
-            }
-            JobFaultSpec::Mtbf { mtbf_ns, retries } => format!("mtbf:{mtbf_ns}:{retries}"),
-        }
-    }
-
-    /// Parse a `jobfail:` / `mtbf:` token. Returns `None` when the token
-    /// is not from this family (so [`FaultSpec::parse`] can fall
-    /// through), `Some(Err(..))` when it is but is malformed or
-    /// degenerate. Percentages clamp to 100.
-    pub fn parse(tok: &str) -> Option<Result<JobFaultSpec, String>> {
-        let parts: Vec<&str> = tok.split(':').collect();
-        let parsed = match parts.as_slice() {
-            ["jobfail", pct, at_pct, retries] => Self::jobfail(tok, pct, at_pct, retries),
-            ["mtbf", mtbf, retries] => Self::mtbf(tok, mtbf, retries),
-            ["jobfail" | "mtbf", ..] => Err(format!(
-                "fault `{tok}`: expected jobfail:<pct>:<at_pct>:<retries> or \
-                 mtbf:<mtbf_ns>:<retries>"
-            )),
-            _ => return None,
-        };
-        Some(parsed)
-    }
-
-    fn jobfail(tok: &str, pct: &str, at_pct: &str, retries: &str) -> Result<Self, String> {
-        Ok(JobFaultSpec::JobFail {
-            pct: num::<u32>(tok, pct)?.min(100),
-            at_pct: num::<u32>(tok, at_pct)?.min(100),
-            retries: Self::retries(tok, retries)?,
-        })
-    }
-
-    fn mtbf(tok: &str, mtbf: &str, retries: &str) -> Result<Self, String> {
-        let mtbf_ns: u64 = num(tok, mtbf)?;
-        if mtbf_ns == 0 {
-            return Err(format!("fault `{tok}`: the mean time between failures must be >= 1 ns"));
-        }
-        Ok(JobFaultSpec::Mtbf { mtbf_ns, retries: Self::retries(tok, retries)? })
-    }
-
-    fn retries(tok: &str, retries: &str) -> Result<u32, String> {
-        match num(tok, retries)? {
-            n if n > MAX_RETRIES => {
-                Err(format!("fault `{tok}`: <retries> must be at most {MAX_RETRIES}"))
-            }
-            n => Ok(n),
-        }
-    }
-
-    /// Does attempt `attempt` (0-based) of job `job` fail, and if so, how
-    /// long does it occupy its allocation before releasing? `None` means
-    /// the attempt runs to completion. Deterministic in
-    /// `(seed, job, attempt, duration_ns)`; attempts at or past the retry
-    /// bound always succeed, so every job eventually completes, and a
-    /// failed attempt holds its nodes for at least 1 ns, so it is always
-    /// a distinct simulation instant.
-    pub fn failure_at(&self, seed: u64, job: usize, attempt: u32, duration_ns: u64) -> Option<u64> {
-        let (JobFaultSpec::JobFail { retries, .. } | JobFaultSpec::Mtbf { retries, .. }) = *self;
-        if attempt >= retries {
-            return None;
-        }
-        match *self {
-            JobFaultSpec::JobFail { pct, at_pct, .. } => {
-                let parts: [&[u8]; 2] = [&(job as u64).to_le_bytes(), &attempt.to_le_bytes()];
-                let fails = faultgen::fnv_fold(seed, &parts) % 100 < pct as u64;
-                fails.then(|| (duration_ns.saturating_mul(at_pct as u64) / 100).max(1))
-            }
-            JobFaultSpec::Mtbf { mtbf_ns, .. } => {
-                let n = ((job as u64) << 32) | attempt as u64;
-                let ttf = faultgen::exp_sample(mtbf_ns, faultgen::fnv_draw(seed, "mtbf", n));
-                (ttf < duration_ns).then(|| ttf.max(1))
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------- spec ----
@@ -424,11 +326,16 @@ pub struct ClusterFaultTelemetry {
 
 impl ClusterOutcome {
     pub fn mean_wait_ns(&self) -> f64 {
-        mean(self.jobs.iter().map(|j| j.wait_ns as f64))
+        self.mean(|j| j.wait_ns as f64)
     }
 
     pub fn mean_slowdown(&self) -> f64 {
-        mean(self.jobs.iter().map(|j| j.slowdown))
+        self.mean(|j| j.slowdown)
+    }
+
+    /// The mean of `value` over the jobs, 0 for none.
+    fn mean(&self, value: impl Fn(&JobOutcome) -> f64) -> f64 {
+        self.jobs.iter().map(value).fold(0.0, |sum, x| sum + x) / self.jobs.len().max(1) as f64
     }
 
     pub fn max_slowdown(&self) -> f64 {
@@ -443,19 +350,6 @@ fn frag_index(frag: &FragStats) -> f64 {
         0.0
     } else {
         1.0 - frag.largest_extent as f64 / frag.free as f64
-    }
-}
-
-fn mean(it: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for x in it {
-        sum += x;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
     }
 }
 
@@ -518,7 +412,8 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
     let mut peak_queue = 0usize;
     let mut peak_extents = 0usize;
     let mut frag_sum = 0.0f64;
-    let mut busy_node_ns = 0u64;
+    // Node-time can pass the `u64` clock: `u128` holds any run's.
+    let mut busy_node_ns = 0u128;
 
     // Per-job failure/restart state. All identically zero (and all
     // branches on them dead) without a job-scope fault, so a failure-free
@@ -541,14 +436,8 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
 
     loop {
         // Next instant anything changes: a completion or an arrival.
-        let next_finish = running.peek().map(|&Reverse((t, _))| t);
-        let next_arrival = arrival_times.get(arr_ptr).copied();
-        let t = match (next_finish, next_arrival) {
-            (Some(f), Some(a)) => f.min(a),
-            (Some(f), None) => f,
-            (None, Some(a)) => a,
-            (None, None) => break,
-        };
+        let next = [running.peek().map(|&Reverse((t, _))| t), arrival_times.get(arr_ptr).copied()];
+        let Some(t) = next.into_iter().flatten().min() else { break };
 
         // Completions first, so freed nodes can be re-allocated to jobs
         // arriving at the very same instant. A failed attempt releases
@@ -628,15 +517,16 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
                 // entry pops off `running`).
                 attempts[*job] += 1;
                 failed_acc_ns[*job] += occupied;
-                busy_node_ns += occupied * goal.num_ranks() as u64;
-                ready_ns[*job] = t + occupied;
+                busy_node_ns += occupied as u128 * goal.num_ranks() as u128;
+                ready_ns[*job] = later(t, occupied);
                 cur_failed[*job] = true;
-                running.push(Reverse((t + occupied, *job)));
+                running.push(Reverse((ready_ns[*job], *job)));
                 continue;
             }
             let w = &spec.catalog[picks[*job]];
-            busy_node_ns += duration * goal.num_ranks() as u64;
-            running.push(Reverse((t + duration, *job)));
+            busy_node_ns += duration as u128 * goal.num_ranks() as u128;
+            let finish_ns = later(t, duration);
+            running.push(Reverse((finish_ns, *job)));
             outcomes[*job] = Some(JobOutcome {
                 id: *job,
                 workload: w.label(),
@@ -645,8 +535,8 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
                 start_ns: t,
                 wait_ns: wait_acc_ns[*job],
                 duration_ns: duration,
-                finish_ns: t + duration,
-                completion_ns: t + duration - arrival_times[*job],
+                finish_ns,
+                completion_ns: finish_ns - arrival_times[*job],
                 solo_ns: solo,
                 slowdown: duration as f64 / solo as f64,
                 restarts: attempts[*job],
@@ -660,11 +550,8 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
     let jobs: Vec<JobOutcome> =
         outcomes.into_iter().map(|o| o.expect("every arrived job eventually runs")).collect();
     let makespan_ns = jobs.iter().map(|j| j.finish_ns).max().unwrap_or(0);
-    let utilization = if makespan_ns == 0 {
-        0.0
-    } else {
-        busy_node_ns as f64 / (hosts as f64 * makespan_ns as f64)
-    };
+    // Every job takes time, so only a cell without jobs has no makespan.
+    let utilization = busy_node_ns as f64 / (hosts as f64 * makespan_ns.max(1) as f64);
     // Restart telemetry only makes sense for job-failure processes;
     // stochastic link noise never restarts anything — its realizations
     // show up in the simulated durations instead.
@@ -687,6 +574,12 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
         },
         wall: t0.elapsed(),
     }
+}
+
+/// `t + ns` on the simulated clock: a time past `u64` ns is refused,
+/// never wrapped into the past.
+fn later(t: u64, ns: u64) -> u64 {
+    t.checked_add(ns).expect("cluster: simulated time overflowed u64 ns")
 }
 
 /// Run a composed schedule on the cell's backend: a straight
@@ -949,6 +842,7 @@ impl ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::smoke;
 
     #[test]
     fn frag_index_is_the_share_outside_the_largest_extent() {
@@ -1609,5 +1503,29 @@ mod tests {
         let ja = json(a);
         assert_eq!(ja, json(b), "thread count must not change a lossy report");
         assert_eq!(ja, json(run_cluster(&lossy_spec, 1)), "lossy reruns are byte-identical");
+    }
+
+    /// The job accounting identities, on every job of both cluster smoke
+    /// grids: a job starts once it has arrived, waited and burned its
+    /// failed attempts; it finishes one run after it starts; and it
+    /// restarted exactly when failed attempts held nodes.
+    #[test]
+    fn smoke_grid_jobs_account_for_their_time() {
+        let mut restarted = 0;
+        for line in [smoke::CLUSTER, smoke::CLUSTER_FAULT] {
+            let (cells, dropped) = smoke::cluster_grid(line).expand_counted();
+            assert!(dropped.is_empty() && !cells.is_empty());
+            for cell in run_grid(&cells, 2) {
+                for j in &cell.jobs {
+                    let at = format!("{} job {}", cell.key, j.id);
+                    assert_eq!(j.start_ns, j.arrival_ns + j.wait_ns + j.failed_ns, "{at}");
+                    assert_eq!(j.finish_ns, j.start_ns + j.duration_ns, "{at}");
+                    assert_eq!(j.completion_ns, j.finish_ns - j.arrival_ns, "{at}");
+                    assert_eq!(j.restarts > 0, j.failed_ns > 0, "{at}");
+                    restarted += usize::from(j.restarts > 0);
+                }
+            }
+        }
+        assert!(restarted > 0, "the fault grid restarts jobs");
     }
 }

@@ -26,13 +26,11 @@ use atlahs_tracers::mpi::Scaling;
 use atlahs_tracers::nccl::presets;
 
 use crate::args::Cli;
-use crate::scenario::{
-    storage_layout, BackendSpec, CellResult, FaultSpec, LlmPreset, PlacementSpec, ScenarioCell,
-    TopologySpec, WorkloadSpec,
-};
+use crate::scenario::{storage_layout, CellResult, PlacementSpec, ScenarioCell, WorkloadSpec};
+use crate::spec::{BackendSpec, FaultSpec, TopologySpec};
 use crate::sweep::execute;
 use crate::table::{fmt_bytes, fmt_pct, pct_err, Table};
-use crate::workloads::{self, HpcApp, HpcCase};
+use crate::workloads::{self, HpcApp, HpcCase, LlmPreset};
 
 /// A figure: reads its flags, returns its printed text.
 pub type Figure = fn(&Cli) -> String;

@@ -29,13 +29,13 @@ use std::time::{Duration, Instant};
 
 use atlahs_core::backends::IdealBackend;
 use atlahs_core::probe::Recorded;
-use atlahs_core::{Backend, SimDriver, SimReport, Snapshot};
+use atlahs_core::{Backend, SimDriver, SimError, SimReport, Snapshot};
 use atlahs_goal::GoalSchedule;
 use atlahs_htsim::engine::{HtsimBackend, HtsimConfig, NetStats};
 use atlahs_lgs::{LgsBackend, StragglerSpec};
 use atlahs_testbed::{TestbedBackend, TestbedConfig};
 
-use crate::scenario::{
+use crate::spec::{
     cell_seed, lgs_params_for, BackendSpec, FaultSpec, FaultTelemetry, TopologySpec,
 };
 
@@ -217,7 +217,7 @@ fn drive<B: CellBackend>(
     let mut driver = SimDriver::start(goal, &mut backend);
     let mut snapshot = None;
     if let Some(at) = branch_at {
-        driver.run_until(&mut backend, at).expect(DEADLOCK_FREE);
+        completed(driver.run_until(&mut backend, at));
         // One member needs no way back to the branch point.
         snapshot = (faults.len() > 1).then(|| backend.checkpoint());
     }
@@ -237,7 +237,7 @@ fn drive<B: CellBackend>(
         let telemetry = backend.apply(fault, seed, goal.num_ranks());
         let driver = if i < last { driver.clone() } else { driver.take() };
         let driver = driver.expect("the driver lives until the last member takes it");
-        let report = driver.finish(&mut backend).expect(DEADLOCK_FREE);
+        let report = completed(driver.finish(&mut backend));
         let (mct, net) = backend.harvest();
         let wall = std::mem::take(&mut prefix_wall) + t1.elapsed();
         Outcome { report, mct, net, fault: telemetry, wall }
@@ -245,7 +245,15 @@ fn drive<B: CellBackend>(
     members.collect()
 }
 
-const DEADLOCK_FREE: &str = "schedule must complete (deadlock-free by construction)";
+/// A run's result. Schedules are deadlock-free by construction, so an
+/// error is a bug, except that a backend's clock can pass `u64` ns and
+/// wrap: it then reports a time before an earlier one.
+fn completed<T>(run: Result<T, SimError>) -> T {
+    run.unwrap_or_else(|e| match e {
+        SimError::TimeRegression { .. } => panic!("simulated time overflowed u64 ns: {e}"),
+        e => panic!("schedule must complete (deadlock-free by construction): {e:?}"),
+    })
+}
 
 #[cfg(test)]
 mod tests {
@@ -280,6 +288,17 @@ mod tests {
         }
         let first = 150_399_820_919_799;
         assert_eq!((p99_index(first), float(first)), (148_895_822_710_601, 148_895_822_710_600));
+    }
+
+    /// A clock past `u64` ns wraps, and the scheduler sees time run
+    /// backwards (`atlahs sweep --workloads
+    /// pipeline:2:2:1024:9223372036854775807` in a release build); the
+    /// panic used to call that a deadlock.
+    #[test]
+    #[should_panic(expected = "simulated time overflowed u64 ns: backend time went backwards")]
+    fn a_clock_past_u64_is_named_as_an_overflow() {
+        let op = atlahs_core::OpRef { rank: 0, task: atlahs_goal::TaskId(2) };
+        completed::<()>(Err(SimError::TimeRegression { op, time: 248, previous: u64::MAX - 8 }));
     }
 
     #[test]

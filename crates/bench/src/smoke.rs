@@ -114,7 +114,7 @@ pub fn cluster_grid(line: &str) -> ClusterGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::FaultSpec;
+    use crate::spec::FaultSpec;
 
     #[test]
     fn smoke_grids_have_their_frozen_cell_counts() {
@@ -149,7 +149,7 @@ mod tests {
         // Stochastic regimes are packet-level: htsim cells only.
         assert!(stochastic
             .iter()
-            .all(|c| matches!(c.backend, crate::scenario::BackendSpec::Htsim { .. })));
+            .all(|c| matches!(c.backend, crate::spec::BackendSpec::Htsim { .. })));
         // Every original fault-smoke cell survives with its exact key
         // and seed — the appended axis values cannot move the frozen 45.
         for b in &base {
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn fault_smoke_seeds_ignore_the_fault_axis() {
-        use crate::scenario::cell_seed;
+        use crate::spec::cell_seed;
         for c in sweep_grid(FAULT).expand() {
             assert_eq!(c.seed, cell_seed(1, &c.workload.label()));
         }

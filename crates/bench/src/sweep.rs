@@ -9,9 +9,48 @@
 //! the report is **independent of the thread count and of completion
 //! order**: `--threads 1` and `--threads N` must produce byte-identical
 //! JSON (what lets `tests/golden_table/mod.rs` pin the smoke grids' reports).
+//!
+//! ## Branch and continue
+//!
+//! A branched sweep (`atlahs sweep --branch-at`, [`execute_branched`])
+//! simulates a shared prefix once, snapshots, and fans out into N what-if
+//! continuations. It reinterprets the grid's fault axis as *branch
+//! overrides*: every cell that shares a prefix — same topology,
+//! workload, placement, and backend, hence the same derived seed and the
+//! same composed schedule — is grouped; the group's simulation runs
+//! clean up to the branch time, the backend is
+//! [`atlahs_core::Snapshot::checkpoint`]ed and the scheduler driver
+//! cloned, and each cell then restores the snapshot, applies its override at the branch
+//! point, and runs to completion. Only the post-branch suffix is
+//! re-simulated per cell; the prefix is paid once per group (the
+//! `prefix_runs` counter in [`BranchStats`], surfaced in the JSON
+//! report, is how CI verifies that). The mechanics are
+//! [`crate::session`]'s: a group is a session with a branch point and
+//! several members.
+//!
+//! ### Exactness
+//!
+//! The snapshot path must be invisible: for every cell,
+//! [`execute_branched`] and [`run_cell_branched_straight`] (pause at the
+//! branch time, apply the override, finish — *no* checkpoint/restore)
+//! produce bit-identical [`CellResult`]s. That is the backend
+//! [`atlahs_core::Snapshot`] contract, pinned by the tests in
+//! [`crate::branch`] and by the `branch_smoke.json` row of the golden
+//! table in `tests/golden_table/mod.rs`.
+//!
+//! Branched results are **not** comparable to a straight sweep of the
+//! same faults. Both apply a fault the one way a backend takes one, as an
+//! override, but a straight cell applies it at t = 0, before the first
+//! task issues, while a branched override clamps every fault window to
+//! open no earlier than the branch time and its events enter the queue
+//! after the prefix's traffic. The branch answers "what if this failed
+//! *from here on*?", not "what if this had been failing all along?".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+
+use atlahs_goal::GoalSchedule;
 
 use crate::json::Json;
 use crate::scenario::{run_members, CellResult, ScenarioCell};
@@ -123,6 +162,59 @@ pub(crate) fn execute_groups(
     slots.into_iter().map(|s| s.expect("every cell is in exactly one group")).collect()
 }
 
+/// Shared-prefix work accounting of one branched sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BranchStats {
+    /// The branch time (ns): overrides apply at the first pause at or
+    /// after this simulated time.
+    pub branch_at: u64,
+    /// Shared-prefix groups — and therefore how many times a prefix was
+    /// actually simulated. A grid whose cells all differ only in the
+    /// fault axis has `prefix_runs` = 1; CI asserts `prefix_runs` <
+    /// number of cells on the branch smoke grid.
+    pub prefix_runs: usize,
+}
+
+/// Run a branched sweep: group cells by shared prefix, simulate each
+/// prefix once, and fan each group out into its per-cell continuations.
+///
+/// Results are in cell order and independent of `threads` (groups
+/// parallelize across the claim-index pool; cells within a group run
+/// serially against the group's snapshot).
+pub fn execute_branched(
+    cells: &[ScenarioCell],
+    branch_at: u64,
+    threads: usize,
+) -> (Vec<CellResult>, BranchStats) {
+    // Group by everything except the fault axis: topology, workload and
+    // seed, placement, and backend — exactly the state the prefix
+    // depends on.
+    let mut index_of: std::collections::HashMap<(String, u64), usize> =
+        std::collections::HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        let g = *index_of.entry((cell.prefix_key(), cell.seed)).or_insert(groups.len());
+        if g == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[g].push(i);
+    }
+    let results = execute_groups(cells, &groups, Some(branch_at), threads);
+    (results, BranchStats { branch_at, prefix_runs: groups.len() })
+}
+
+/// The straight-through reference for one branched cell: pause at the
+/// branch time, apply the override, run to completion — the identical
+/// mechanics with **no** checkpoint/restore (a one-member session).
+/// [`execute_branched`] must match this bit for bit on every cell.
+pub fn run_cell_branched_straight(
+    cell: &ScenarioCell,
+    jobs: &[Arc<GoalSchedule>],
+    branch_at: u64,
+) -> CellResult {
+    run_members(&[cell], jobs, Some(branch_at)).pop().expect("one member, one result")
+}
+
 /// The head every report shares: schema, grid seed, cell count. Small
 /// (typical, user-chosen) seeds stay plain numbers; seeds beyond f64's
 /// exact-integer window fall back to hex strings so the recorded grid
@@ -144,10 +236,10 @@ pub(crate) fn report_head(schema: &str, seed: u64, cells: usize) -> Json {
 pub struct SweepReport {
     pub seed: u64,
     pub results: Vec<CellResult>,
-    /// Set when the sweep ran branched ([`crate::branch::execute_branched`]):
-    /// records the branch time and the shared-prefix work actually done,
-    /// so reports prove the prefix was simulated per group, not per cell.
-    pub branch: Option<crate::branch::BranchStats>,
+    /// Set when the sweep ran branched ([`execute_branched`]): records
+    /// the branch time and the shared-prefix work actually done, so
+    /// reports prove the prefix was simulated per group, not per cell.
+    pub branch: Option<BranchStats>,
 }
 
 impl SweepReport {
@@ -155,7 +247,7 @@ impl SweepReport {
     /// `branch_at` is set (`--branch-at`; 0 = off), branched at that time.
     pub fn run(seed: u64, cells: &[ScenarioCell], branch_at: u64, threads: usize) -> SweepReport {
         let (results, branch) = if branch_at > 0 {
-            let (results, stats) = crate::branch::execute_branched(cells, branch_at, threads);
+            let (results, stats) = execute_branched(cells, branch_at, threads);
             (results, Some(stats))
         } else {
             (execute(cells, threads), None)
@@ -319,7 +411,8 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{BackendFamily, PlacementSpec, ScenarioGrid, TopologySpec, WorkloadSpec};
+    use crate::scenario::{BackendFamily, PlacementSpec, ScenarioGrid, WorkloadSpec};
+    use crate::spec::TopologySpec;
     use atlahs_htsim::CcAlgo;
 
     fn small_grid() -> ScenarioGrid {
@@ -378,7 +471,7 @@ mod tests {
         grid.topologies = vec![TopologySpec::AiFatTree { nodes: 8, oversub: 2 }];
         grid.workloads = vec![WorkloadSpec::Ring { ranks: 8, bytes: 64 << 10, laps: 1 }];
         grid.backends = vec![BackendFamily::Htsim];
-        grid.faults = vec![crate::scenario::FaultSpec::parse("churn:0;0;d,5000;0;u").unwrap()];
+        grid.faults = vec![crate::spec::FaultSpec::parse("churn:0;0;d,5000;0;u").unwrap()];
         let cells = grid.expand();
         assert_eq!(cells.len(), 1);
         let report = SweepReport { seed: 9, results: execute(&cells, 1), branch: None };
@@ -415,7 +508,7 @@ mod tests {
             placements: vec![PlacementSpec::Packed],
             backends: vec![BackendFamily::Htsim, BackendFamily::Lgs],
             faults: ["none", "churn:0;0;d,5000;0;u"]
-                .map(|f| crate::scenario::FaultSpec::parse(f).unwrap())
+                .map(|f| crate::spec::FaultSpec::parse(f).unwrap())
                 .to_vec(),
             seed: 9,
             collect_flows: true,
@@ -448,7 +541,7 @@ mod tests {
         let results = execute(&cells, 2);
         for (cell, result) in cells.iter().zip(&results) {
             match cell.backend {
-                crate::scenario::BackendSpec::Htsim { .. } => {
+                crate::spec::BackendSpec::Htsim { .. } => {
                     assert!(result.net.is_some(), "{}", result.key)
                 }
                 _ => assert!(result.net.is_none(), "{}", result.key),

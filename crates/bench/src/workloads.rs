@@ -13,12 +13,53 @@ use atlahs_htsim::topology::{LinkParams, TopologyConfig};
 use atlahs_schedgen::{mpi2goal, nccl2goal};
 use atlahs_testbed::{EFFICIENCY_PCT, HOST_O};
 use atlahs_tracers::mpi::{self, HpcAppConfig, MpiTrace, Scaling};
-use atlahs_tracers::nccl::{trace_llm, LlmConfig, NsysReport};
+use atlahs_tracers::nccl::{presets, trace_llm, LlmConfig, NsysReport};
 use atlahs_tracers::storage::{financial_like, OltpConfig, SpcTrace};
 
-use crate::scenario::LlmPreset;
+use crate::args::{by_name, name_of};
 
 // ---------------------------------------------------------------- AI ----
+
+/// The six Fig. 8 LLM training presets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LlmPreset {
+    Llama7bDp16,
+    Llama7bDp128,
+    Llama70b,
+    Mistral8x7b,
+    Moe8x13b,
+    Moe8x70b,
+}
+
+impl LlmPreset {
+    pub const NAMES: [(&'static str, LlmPreset); 6] = [
+        ("llama7b-dp16", LlmPreset::Llama7bDp16),
+        ("llama7b-dp128", LlmPreset::Llama7bDp128),
+        ("llama70b", LlmPreset::Llama70b),
+        ("mistral8x7b", LlmPreset::Mistral8x7b),
+        ("moe8x13b", LlmPreset::Moe8x13b),
+        ("moe8x70b", LlmPreset::Moe8x70b),
+    ];
+
+    pub fn name(self) -> &'static str {
+        name_of(&Self::NAMES, &self)
+    }
+
+    pub fn cfg(self, scale: f64) -> LlmConfig {
+        match self {
+            LlmPreset::Llama7bDp16 => presets::llama7b_dp16(scale),
+            LlmPreset::Llama7bDp128 => presets::llama7b_dp128(scale),
+            LlmPreset::Llama70b => presets::llama70b(scale),
+            LlmPreset::Mistral8x7b => presets::mistral8x7b(scale),
+            LlmPreset::Moe8x13b => presets::moe8x13b(scale),
+            LlmPreset::Moe8x70b => presets::moe8x70b(scale),
+        }
+    }
+
+    pub(crate) fn parse(tok: &str) -> Result<LlmPreset, String> {
+        by_name("LLM preset", &Self::NAMES, tok)
+    }
+}
 
 /// One AI validation case (a Fig. 8 column).
 #[derive(Debug, Clone)]

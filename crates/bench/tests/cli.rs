@@ -101,14 +101,24 @@ fn zero_work_workloads_are_usage_errors() {
 /// Each retry of a failed job re-simulates it (about 0.44 ms per retry
 /// on the ideal backend), so `jobfail:100:50:4294967295` would have run
 /// for about three weeks; and a Poisson process holds every arrival
-/// time, so `poisson:4294967295:1` aborted allocating 32 GiB. Both fields
-/// are bounded at parse time.
+/// time, so `poisson:4294967295:1` aborted allocating 32 GiB. Arrival
+/// times past `u64` ns wrapped: a Poisson stream reported job 1 arriving
+/// before job 0, and a trace at 2⁶⁴ − 1 ns a 2.59 µs makespan at 100 %
+/// utilization. Every field is bounded at parse time, arrivals by the
+/// 2⁵³ ns horizon.
 #[test]
 fn unbounded_cluster_fields_are_usage_errors() {
+    let horizon = "must be at most 9007199254740992 ns";
     for (flag, tok, want) in [
         ("--faults", "jobfail:100:50:101", "<retries> must be at most 100"),
         ("--faults", "mtbf:1000:101", "<retries> must be at most 100"),
         ("--arrivals", "poisson:100001:1", "<jobs> must be at most 100000"),
+        (
+            "--arrivals",
+            "poisson:3:9223372036854775807",
+            &format!("<jobs> × <mean_gap_ns> {horizon}"),
+        ),
+        ("--arrivals", "trace:0;18446744073709551615", &format!("times {horizon}")),
     ] {
         let err = stderr_of_usage_error(&atlahs(&["cluster", flag, tok, "--backends", "ideal"]));
         assert!(err.starts_with(&format!("atlahs cluster: {flag}: ")), "{err}");
@@ -335,3 +345,58 @@ fn figure_flags_are_usage_errors() {
         assert!(err.starts_with(want), "{args:?}: {err}");
     }
 }
+
+/// `atlahs list` prints every axis grammar from the constants the
+/// parsers' own errors print; its bytes are pinned here, so moving a
+/// constant between modules cannot change what the CLI documents.
+#[test]
+fn list_prints_every_grammar_byte_for_byte() {
+    let out = atlahs(&["list"]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), LIST);
+}
+
+const LIST: &str = "\
+topologies:
+  ai-fattree:<nodes>[:<oversub>]        200 Gb/s Alps-class fat tree
+  hpc-fattree:<procs>:<nodes>           56 Gb/s CSCS-class fat tree
+  storage-fattree:<hosts>[:<oversub>]   100 Gb/s Direct Drive fabric
+  dragonfly:<groups>:<routers>:<hosts>  balanced dragonfly
+  switch:<hosts>                        single crossbar switch
+workloads:
+  ring:<ranks>:<bytes>:<laps>
+  perm:<ranks>:<bytes>:<shift>:<repeat>
+  uniform:<ranks>:<bytes>:<msgs>
+  incast:<ranks>:<bytes>:<repeat>
+  moe:<ranks>:<group>:<bytes>:<layers>:<compute_ns>
+  pipeline:<stages>:<microbatches>:<bytes>:<compute_ns>
+  storage-incast:<clients>:<servers>:<bytes>:<reads>
+  llm:<preset>:<scale>[:<iterations>:<cap_batch>]   (default 1:true)
+  hpc:<app>:<procs>:<nodes>:<scale>
+  storage:<ops>:<gap_ns>:<compress>
+  multi[<workload>+<workload>+…]   co-scheduled jobs on one fabric (sweep only)
+  llm presets: llama7b-dp16|llama7b-dp128|llama70b|mistral8x7b|moe8x13b|moe8x70b
+  hpc apps:    cloverleaf|hpcg|lulesh|lammps|icon|openmx
+ccs:        mprdma|swift|ndp|dctcp
+placements: packed|random|roundrobin
+backends:   htsim|htsim-spray|lgs|ideal
+faults (where accepted; backends they bite on):
+  none                                                     sweep, cluster
+  linkflap:<links>:<down_ns>:<up_ns>                       sweep; htsim
+  degrade:<links>:<bw_pct>:<lat_pct>:<from_ns>:<to_ns>     sweep; htsim
+  straggler:<prob_pct>:<factor_pct>[:<spread_pct>:<shape>] sweep; lgs
+  markov:<links>:<up_ns>:<down_ns>:<horizon_ns>            sweep; htsim
+  rackfail:<racks>:<from_ns>:<to_ns>                       sweep; htsim
+  switchfail:<switches>:<from_ns>:<to_ns>                  sweep; htsim
+  churn:<t;dom;d|u,...> | churn:@<trace-file>              sweep; htsim
+  loss:<ppm>[:core|:edge]                                  sweep, cluster; htsim
+  jitter:exp:<mean_ns>                                     sweep, cluster; htsim
+  jitter:weibull:<scale_ns>:<shape>                        sweep, cluster; htsim
+  jitter:uniform:<max_ns>                                  sweep, cluster; htsim
+  jobfail:<pct>:<at_pct>:<retries>                         cluster
+  mtbf:<mtbf_ns>:<retries>                                 cluster
+arrivals (cluster):
+  poisson:<jobs>:<mean_gap_ns>
+  trace:<t0>;<t1>;…
+queues (cluster): fifo|smallest
+";
