@@ -21,7 +21,9 @@
 #      (release-scale, so it runs here rather than in the debug suite),
 #      then the lowering memory ratchet: tests/lowering_footprint.rs
 #      lowers the 3.19 M-task ai_lgs_trace input in a process of its own
-#      and fails if VmHWM passes its recorded bound; and the simulated-
+#      and fails if VmHWM passes its recorded bound, and
+#      tests/mpi_lowering_footprint.rs does the same with the 1024-rank
+#      hpc_lgs_rendezvous input through mpi2goal; and the simulated-
 #      phase one: tests/sim_footprint.rs runs the ai_htsim_spray input on
 #      htsim (19.5 M events), likewise alone, and fails if VmHWM grows
 #      during the run by more than its recorded bound; and the flow-table
@@ -95,6 +97,9 @@ ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test determinism_golden \
 
 step "lowering memory ratchet (3.19M-task nccl2goal trace, VmHWM bound)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test lowering_footprint
+
+step "MPI lowering memory ratchet (1024-rank mpi2goal trace, VmHWM bound)"
+ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test mpi_lowering_footprint
 
 step "simulated-phase memory ratchet (19.5M-event htsim run, VmHWM growth bound)"
 ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test sim_footprint

@@ -48,7 +48,7 @@ use crate::scenario::{
 };
 use crate::session::{self, Session};
 pub use crate::spec::JobFaultSpec;
-use crate::spec::{cell_seed, parse_cc, BackendSpec, FaultSpec, TopologySpec};
+use crate::spec::{cell_seed, parse_cc, BackendSpec, FaultSpec, TopologySpec, HORIZON_NS};
 use crate::sweep::{parallel_map, report_head, resolve_threads};
 use crate::table::{fmt_ns, Table};
 
@@ -69,13 +69,6 @@ pub enum ArrivalSpec {
 /// The most jobs a `poisson:` process may draw: every arrival time is
 /// held in memory, and 10⁵ jobs already take seconds to run.
 const MAX_POISSON_JOBS: usize = 100_000;
-
-/// The simulated-time horizon of an arrival process, 2⁵³ ns (about 104
-/// days): no trace time and no Poisson process's mean span
-/// (`jobs × mean_gap_ns`) may lie past it. Reports write times as JSON
-/// numbers, which hold every integer up to 2⁵³, and the jobs that start
-/// at an arrival keep the rest of the `u64` clock to run in.
-const HORIZON_NS: u64 = 1 << 53;
 
 impl ArrivalSpec {
     pub fn label(&self) -> String {

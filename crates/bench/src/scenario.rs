@@ -28,8 +28,8 @@ use atlahs_schedgen::synthetic;
 
 use crate::args::{by_name, name_of, unknown, Args};
 use crate::session::{self, DistSummary, Session};
-use crate::spec::FaultTelemetry;
 pub use crate::spec::{cell_seed, lgs_params_for, parse_cc, BackendSpec, FaultSpec, TopologySpec};
+use crate::spec::{FaultTelemetry, HORIZON_NS};
 pub use crate::workloads::LlmPreset;
 use crate::workloads::{self, HpcApp, HpcCase};
 
@@ -211,6 +211,10 @@ impl WorkloadSpec {
     /// a sweep and a hard error in the dynamic cluster engine. Every
     /// synthetic generator sends exactly `<bytes>` per message, so that
     /// field is bounded by the largest message the packet engine carries.
+    /// The total compute of a pipeline (a forward calc of `<compute_ns>`
+    /// and a backward one of twice that per stage and microbatch) or an
+    /// MoE run (one calc per rank and layer) is bounded by
+    /// [`HORIZON_NS`], so no chain of its calcs runs past the `u64` clock.
     pub(crate) fn check(&self) -> Result<(), String> {
         if let WorkloadSpec::Ring { bytes, .. }
         | WorkloadSpec::Permutation { bytes, .. }
@@ -225,6 +229,24 @@ impl WorkloadSpec {
                     "<bytes> must be at most {MAX_MESSAGE_BYTES} ({} packets of 4096 B)",
                     u32::MAX
                 ));
+            }
+        }
+        let product =
+            |factors: [u64; 4]| factors.iter().fold(1u128, |p, &f| p.saturating_mul(f.into()));
+        let compute = match *self {
+            WorkloadSpec::PipelineLlm { stages, microbatches, compute_ns, .. } => Some((
+                "<stages> × <microbatches> × 3 × <compute_ns>",
+                product([stages as u64, microbatches.into(), 3, compute_ns]),
+            )),
+            WorkloadSpec::MoeAllToAll { ranks, layers, compute_ns, .. } => Some((
+                "<ranks> × <layers> × <compute_ns>",
+                product([ranks as u64, layers.into(), 1, compute_ns]),
+            )),
+            _ => None,
+        };
+        if let Some((span, total)) = compute {
+            if total > u128::from(HORIZON_NS) {
+                return Err(format!("{span} must be at most {HORIZON_NS} ns"));
             }
         }
         match *self {
@@ -923,6 +945,22 @@ mod tests {
         ] {
             let err = WorkloadSpec::parse(&tok).unwrap_err();
             assert!(err.contains(&format!("<bytes> must be at most {max}")), "{tok}: {err}");
+        }
+    }
+
+    #[test]
+    fn total_compute_is_bounded_by_the_horizon() {
+        // 2 stages × 1 microbatch × 3 calcs' worth, and 4 ranks × 1 layer.
+        let (pipe, moe) = (HORIZON_NS / 6, HORIZON_NS / 4);
+        assert!(WorkloadSpec::parse(&format!("pipeline:2:1:1024:{pipe}")).is_ok());
+        assert!(WorkloadSpec::parse(&format!("moe:4:2:1024:1:{moe}")).is_ok());
+        for tok in [
+            format!("pipeline:2:1:1024:{}", pipe + 1),
+            format!("moe:4:2:1024:1:{}", moe + 1),
+            format!("pipeline:4294967295:4294967295:1024:{}", u64::MAX),
+        ] {
+            let err = WorkloadSpec::parse(&tok).unwrap_err();
+            assert!(err.ends_with(&format!("must be at most {HORIZON_NS} ns")), "{tok}: {err}");
         }
     }
 

@@ -19,6 +19,13 @@ use atlahs_lgs::{LogGopsParams, StragglerSpec};
 use crate::args::{by_name, name_of, unknown};
 use crate::workloads;
 
+/// The simulated-time horizon of a spec, 2⁵³ ns (about 104 days): no
+/// arrival time, no Poisson process's mean span (`jobs × mean_gap_ns`) and
+/// no synthetic workload's total compute may lie past it. Reports write
+/// times as JSON numbers, which hold every integer up to 2⁵³, and what
+/// starts inside the horizon keeps the rest of the `u64` clock to run in.
+pub const HORIZON_NS: u64 = 1 << 53;
+
 // ------------------------------------------------------------ topology ----
 
 /// One topology axis value.

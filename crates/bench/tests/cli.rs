@@ -126,6 +126,27 @@ fn unbounded_cluster_fields_are_usage_errors() {
     }
 }
 
+/// A synthetic workload's compute used to run past `u64` ns:
+/// `pipeline:2:2:1024:9223372036854775807` panicked on LGS's time sum in a
+/// debug build and wrapped into a `TimeRegression` in release. A pipeline's
+/// or an MoE run's total compute is bounded by the 2⁵³ ns horizon at parse
+/// time, which bounds every `<compute_ns>` too.
+#[test]
+fn unbounded_compute_is_a_usage_error() {
+    for (tok, want) in [
+        ("pipeline:2:2:1024:9223372036854775807", "<stages> × <microbatches> × 3 × <compute_ns>"),
+        ("pipeline:2:1000:1024:9007199254740992", "<stages> × <microbatches> × 3 × <compute_ns>"),
+        ("moe:4:2:1024:1:9223372036854775807", "<ranks> × <layers> × <compute_ns>"),
+    ] {
+        let sweep = ["sweep", "--topos", "switch:4", "--workloads", tok, "--backends", "lgs"];
+        let err = stderr_of_usage_error(&atlahs(&sweep));
+        let want = format!(
+            "atlahs sweep: --workloads: workload `{tok}`: {want} must be at most 9007199254740992 ns"
+        );
+        assert!(err.starts_with(&want), "{err}");
+    }
+}
+
 /// A storage workload holds a record per operation: `storage:<ops>:…`
 /// with 2⁶⁴−1 ops panicked on the allocation's capacity overflow, and
 /// 10⁹ ops aborted allocating 32 GB.

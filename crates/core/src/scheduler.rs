@@ -4,12 +4,17 @@
 //! as their dependencies are satisfied and their compute stream becomes
 //! idle. Backend events drive progress: `CpuFree` releases the issuing
 //! stream, `Done` releases dependents (`requires` edges fire on completion,
-//! `irequires` edges on issue).
+//! `irequires` edges on issue). A schedule stores only its predecessor
+//! lists; the successor index the releases walk is derived once per rank
+//! when a run starts ([`atlahs_goal::RankSchedule::successors`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
-use atlahs_goal::{DepKind, GoalSchedule, Rank, RankSchedule, Stream, TaskId, TaskKind};
+use atlahs_goal::{
+    DepKind, GoalSchedule, Rank, RankSchedule, Stream, Successors, TaskId, TaskKind,
+};
 
 use crate::api::{Backend, Completion, EventKind, OpRef, Time};
 
@@ -145,11 +150,18 @@ struct RankState {
 
 impl RankState {
     fn new(sched: &RankSchedule) -> Self {
-        // A stream column is mostly runs: drop repeats before sorting.
-        let mut stream_ids: Vec<Stream> = sched.streams().to_vec();
-        stream_ids.dedup();
-        stream_ids.sort_unstable();
-        stream_ids.dedup();
+        // A stream column is mostly runs of a few distinct ids: skip
+        // repeats, and insert each new id into its sorted place.
+        let mut stream_ids: Vec<Stream> = Vec::new();
+        let mut last = None;
+        for &stream in sched.streams() {
+            if last != Some(stream) {
+                last = Some(stream);
+                if let Err(at) = stream_ids.binary_search(&stream) {
+                    stream_ids.insert(at, stream);
+                }
+            }
+        }
         let mut rs = RankState {
             remaining: countdowns(sched),
             issuable: vec![0; stream_ids.len().div_ceil(64)],
@@ -214,14 +226,21 @@ impl RankState {
     /// Hand task `id`, already marked running, to the backend and fire its
     /// start (`irequires`) edges.
     #[inline]
-    fn issue<B: Backend>(&mut self, sched: &RankSchedule, rank: Rank, id: TaskId, backend: &mut B) {
+    fn issue<B: Backend>(
+        &mut self,
+        sched: &RankSchedule,
+        succs: &Successors,
+        rank: Rank,
+        id: TaskId,
+        backend: &mut B,
+    ) {
         let op = OpRef::new(rank, id);
         match sched.kind(id) {
             TaskKind::Send { bytes, dst, tag } => backend.send(op, dst, bytes, tag),
             TaskKind::Recv { bytes, src, tag } => backend.recv(op, src, bytes, tag),
             TaskKind::Calc { cost } => backend.calc(op, cost),
         }
-        for dep in sched.succs(id) {
+        for dep in succs.of(id) {
             if dep.kind() == DepKind::Start {
                 self.release(sched, dep.task());
             }
@@ -239,6 +258,7 @@ impl RankState {
     fn dispatch<B: Backend>(
         &mut self,
         sched: &RankSchedule,
+        succs: &Successors,
         rank: Rank,
         backend: &mut B,
         batch: &mut Vec<u32>,
@@ -261,7 +281,7 @@ impl RankState {
                 return;
             }
             for &id in batch.iter() {
-                self.issue(sched, rank, TaskId(id), backend);
+                self.issue(sched, succs, rank, TaskId(id), backend);
             }
         }
     }
@@ -303,7 +323,10 @@ pub enum RunState {
 /// [`crate::Snapshot::checkpoint`] captures a *complete* simulation
 /// state. The pair restores into any number of what-if continuations,
 /// each bit-identical to a straight-through run (the branch-and-continue
-/// engine in `atlahs_bench` is built on exactly this pair).
+/// engine in `atlahs_bench` is built on exactly this pair). What the loop
+/// only reads — each rank's successor index, derived from the schedule at
+/// [`SimDriver::start`] — sits behind an `Arc`, so a clone copies the
+/// mutable state alone.
 ///
 /// The pause boundary is deterministic by construction: `run_until(t)`
 /// processes events strictly in backend order and stops *after* the
@@ -313,6 +336,9 @@ pub enum RunState {
 #[derive(Clone)]
 pub struct SimDriver<'g> {
     goal: &'g GoalSchedule,
+    /// Each rank's successor index, derived once at [`SimDriver::start`]
+    /// and never mutated, so a cloned driver shares it.
+    succs: Arc<[Successors]>,
     ranks: Vec<RankState>,
     /// Reused across dispatch calls: the per-round issue batch.
     issue_buf: Vec<u32>,
@@ -333,9 +359,12 @@ impl<'g> SimDriver<'g> {
     /// hold from the first task on.
     pub fn start<B: Backend>(goal: &'g GoalSchedule, backend: &mut B) -> Self {
         backend.simulation_setup(goal.num_ranks());
+        let (ranks, succs): (Vec<_>, Vec<_>) =
+            goal.ranks().iter().map(|sched| (RankState::new(sched), sched.successors())).unzip();
         SimDriver {
             goal,
-            ranks: goal.ranks().iter().map(RankState::new).collect(),
+            succs: succs.into(),
+            ranks,
             issue_buf: Vec::new(),
             total: goal.total_tasks(),
             completed: 0,
@@ -353,7 +382,8 @@ impl<'g> SimDriver<'g> {
         }
         self.issued = true;
         for (r, rs) in self.ranks.iter_mut().enumerate() {
-            rs.dispatch(self.goal.rank(r as Rank), r as Rank, backend, &mut self.issue_buf);
+            let (sched, succs) = (self.goal.rank(r as Rank), &self.succs[r]);
+            rs.dispatch(sched, succs, r as Rank, backend, &mut self.issue_buf);
         }
     }
 
@@ -432,7 +462,7 @@ impl<'g> SimDriver<'g> {
         let Some(rs) = self.ranks.get_mut(r).filter(|rs| ti < rs.remaining.len()) else {
             return Err(SimError::SpuriousCompletion { op });
         };
-        let sched = self.goal.rank(op.rank);
+        let (sched, succs) = (self.goal.rank(op.rank), &self.succs[r]);
         let w = rs.remaining[ti];
         match (ev.kind, w) {
             (EventKind::CpuFree, RUNNING..=u32::MAX) => {
@@ -448,7 +478,7 @@ impl<'g> SimDriver<'g> {
                 self.makespan = self.makespan.max(ev.time);
                 self.rank_finish[r] = self.rank_finish[r].max(ev.time);
                 // Fire completion (`requires`) edges.
-                for dep in sched.succs(op.task) {
+                for dep in succs.of(op.task) {
                     if dep.kind() == DepKind::Full {
                         rs.release(sched, dep.task());
                     }
@@ -456,7 +486,7 @@ impl<'g> SimDriver<'g> {
             }
             _ => return Err(SimError::SpuriousCompletion { op }),
         }
-        rs.dispatch(sched, op.rank, backend, &mut self.issue_buf);
+        rs.dispatch(sched, succs, op.rank, backend, &mut self.issue_buf);
         Ok(())
     }
 }
@@ -518,9 +548,56 @@ mod tests {
         let goal = b.build().unwrap();
         let sched = goal.rank(0);
         let mut rs = RankState::new(sched);
-        rs.dispatch(sched, 0, &mut SplitPhase::new(), &mut Vec::new());
+        let succs = sched.successors();
+        rs.dispatch(sched, &succs, 0, &mut SplitPhase::new(), &mut Vec::new());
         assert_eq!(rs.remaining, [RUNNING, RUNNING + 1]);
         rs.release(sched, TaskId(1));
+    }
+
+    /// The successor index decides which dependents a completion or an
+    /// issue releases first, so its order is pinned: dependents in
+    /// ascending id, and within one dependent its predecessor order,
+    /// whatever order the edges were inserted in and whichever kind they
+    /// are. A cloned driver shares the index rather than copying it.
+    #[test]
+    fn the_release_order_is_dependent_order_and_clones_share_it() {
+        use atlahs_goal::Dep;
+        let mut b = GoalBuilder::new(1);
+        let ids: Vec<_> = (0..5).map(|s| b.calc_on(0, 10, s)).collect();
+        b.requires(0, ids[4], ids[0]);
+        b.irequires(0, ids[2], ids[0]);
+        b.requires(0, ids[3], ids[1]);
+        b.irequires(0, ids[4], ids[0]);
+        b.requires(0, ids[1], ids[0]);
+        b.requires(0, ids[2], ids[0]);
+        let goal = b.build().unwrap();
+        let mut backend = IdealBackend::new(8, 100);
+        let driver = SimDriver::start(&goal, &mut backend);
+        let want = [
+            Dep::new(ids[1], DepKind::Full),
+            Dep::new(ids[2], DepKind::Start),
+            Dep::new(ids[2], DepKind::Full),
+            Dep::new(ids[4], DepKind::Full),
+            Dep::new(ids[4], DepKind::Start),
+        ];
+        assert_eq!(driver.succs[0].of(ids[0]), want);
+        assert_eq!(driver.succs[0].of(ids[1]), [Dep::new(ids[3], DepKind::Full)]);
+        assert_eq!(driver.succs[0], goal.rank(0).successors());
+        let fork = driver.clone();
+        assert!(Arc::ptr_eq(&driver.succs, &fork.succs));
+        assert_eq!(fork.finish(&mut backend).unwrap().completed, 5);
+    }
+
+    #[test]
+    fn stream_slots_are_the_sorted_distinct_stream_ids() {
+        let mut b = GoalBuilder::new(1);
+        for s in [7, 7, 2, 9, 2, 2, 7, 0] {
+            b.calc_on(0, 10, s);
+        }
+        let goal = b.build().unwrap();
+        let rs = RankState::new(goal.rank(0));
+        let slots: Vec<Stream> = rs.streams.iter().map(|ss| ss.stream).collect();
+        assert_eq!(slots, [0, 2, 7, 9]);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! Both directions work on the task arena and the predecessor CSR of
 //! [`RankSchedule`] directly: the encoder walks the columns and the
 //! predecessor lists, and the decoder pushes each task's fields into the
-//! columns and each edge into the predecessor CSR as it reads them, then
-//! lets the schedule derive its successor CSR — no `Task` value is built in
-//! either direction, and every task is written once.
+//! columns and each edge into the predecessor CSR as it reads them — no
+//! `Task` value is built in either direction, every task is written once,
+//! and no successor index is built.
 
 use crate::error::GoalError;
 use crate::schedule::{

@@ -1,7 +1,7 @@
 //! Programmatic construction of GOAL schedules.
 
 use crate::error::GoalError;
-use crate::schedule::{pred_csr, Edge, GoalSchedule, RankSchedule, TaskColumns};
+use crate::schedule::{Edge, GoalSchedule, RankSchedule, TaskColumns};
 use crate::task::{Dep, DepKind, Rank, Stream, Tag, Task, TaskId};
 
 /// A fluent builder for [`GoalSchedule`].
@@ -61,41 +61,9 @@ impl GoalBuilder {
         &mut self,
         rank: Rank,
         src: &RankSchedule,
-        map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
-    ) -> Result<(), GoalError> {
-        let (pred_offsets, pred_targets) = src.pred_lists();
-        self.append_parts(rank, src.columns(), pred_offsets, pred_targets, map)
-    }
-
-    /// [`GoalBuilder::append`] with the source rank `src_rank` of another
-    /// builder, moved out of it (it keeps the rank but empty). The source
-    /// is checked as [`GoalBuilder::take_rank`] would check it, and its
-    /// edges are grouped by dependent in one stable counting pass, so the
-    /// result equals appending the taken rank — without the successor
-    /// index that taking it would build. A lowering that goes through an
-    /// intermediate level moves that level's ranks one at a time with
-    /// this, so the intermediate level never exists as a whole schedule.
-    pub fn append_from(
-        &mut self,
-        rank: Rank,
-        src: &mut GoalBuilder,
-        src_rank: Rank,
-        map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
-    ) -> Result<(), GoalError> {
-        let (tasks, deps) = std::mem::take(&mut src.ranks[src_rank as usize]);
-        let (pred_offsets, pred_targets) = pred_csr(src_rank, tasks.len(), deps)?;
-        self.append_parts(rank, &tasks, &pred_offsets, &pred_targets, map)
-    }
-
-    /// The body of both appends: `tasks` and their predecessor CSR.
-    fn append_parts(
-        &mut self,
-        rank: Rank,
-        tasks: &TaskColumns,
-        pred_offsets: &[u32],
-        pred_targets: &[Dep],
         mut map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
     ) -> Result<(), GoalError> {
+        let (tasks, (pred_offsets, pred_targets)) = (src.columns(), src.pred_lists());
         let (dst, deps) = &mut self.ranks[rank as usize];
         let base = dst.len() as u32;
         dst.reserve(tasks.len());
@@ -111,6 +79,22 @@ impl GoalBuilder {
             );
         }
         Ok(())
+    }
+
+    /// [`GoalBuilder::append`] with the source rank `src_rank` of another
+    /// builder, taken out of it ([`GoalBuilder::take_rank`]; it keeps the
+    /// rank but empty). A lowering that goes through an intermediate level
+    /// moves that level's ranks one at a time with this, so the
+    /// intermediate level never exists as a whole schedule.
+    pub fn append_from(
+        &mut self,
+        rank: Rank,
+        src: &mut GoalBuilder,
+        src_rank: Rank,
+        map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
+    ) -> Result<(), GoalError> {
+        let taken = src.take_rank(src_rank)?;
+        self.append(rank, &taken, map)
     }
 
     /// Finish one rank on its own: move its tasks and edges out of the

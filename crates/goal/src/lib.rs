@@ -61,6 +61,6 @@ pub mod text;
 
 pub use builder::GoalBuilder;
 pub use error::GoalError;
-pub use schedule::{GoalSchedule, RankSchedule};
+pub use schedule::{GoalSchedule, RankSchedule, Successors};
 pub use stats::ScheduleStats;
 pub use task::{Dep, DepKind, Rank, Stream, Tag, Task, TaskId, TaskKind};

@@ -1,11 +1,13 @@
 //! In-memory representation of GOAL schedules.
 //!
 //! A rank is a task arena (one kind byte, one 16-byte record and one stream
-//! id per task) plus its dependency edges in CSR form, predecessors first.
-//! Every constructor — the builder, the binary decoder, `from_parts` —
-//! produces the predecessor CSR its own way and hands it to one routine
-//! that derives the successor CSR, so tasks and edges are written once on
-//! the way from a lowering or a file to the scheduler.
+//! id per task) plus its dependency edges as a predecessor CSR, in the
+//! order they were inserted: exactly what the codecs, the text writer and
+//! composition read. Every constructor — the builder, the binary decoder,
+//! `from_parts` — produces that CSR its own way, so tasks and edges are
+//! written once on the way from a lowering or a file to the scheduler.
+//! The successor direction is not stored: a simulation derives it once per
+//! rank at setup ([`RankSchedule::successors`]).
 
 use crate::error::GoalError;
 use crate::task::{Dep, DepKind, Rank, Stream, Tag, Task, TaskId, TaskKind};
@@ -116,7 +118,7 @@ impl TaskColumns {
 
 /// One direction of the dependency graph in CSR form: the neighbours of
 /// task `i` are `targets[offsets[i]..offsets[i + 1]]`.
-pub(crate) type Csr = (Vec<u32>, Vec<Dep>);
+type Csr = (Vec<u32>, Vec<Dep>);
 
 /// Turn the counts of a counting sort, kept one slot to the right of
 /// their key, into fill cursors: an exclusive scan after which
@@ -134,7 +136,7 @@ fn fill_cursors(offsets: &mut [u32]) {
 /// edges by dependent task in one stable pass, so each task's entries keep
 /// the order of `edges`. Takes the edge list by value, so it is freed
 /// before the caller allocates the next index.
-pub(crate) fn pred_csr(rank: Rank, n: usize, edges: Vec<Edge>) -> Result<Csr, GoalError> {
+fn pred_csr(rank: Rank, n: usize, edges: Vec<Edge>) -> Result<Csr, GoalError> {
     check_task_count(rank, n)?;
     let mut offsets = vec![0u32; n + 1];
     for &(a, dep) in &edges {
@@ -151,27 +153,26 @@ pub(crate) fn pred_csr(rank: Rank, n: usize, edges: Vec<Edge>) -> Result<Csr, Go
     Ok((offsets, targets))
 }
 
-/// The successor CSR of a predecessor CSR: task `b`'s successors are the
-/// tasks that list it, in dependent-id order (and, within one dependent,
-/// in its predecessor order). Every constructor derives the successor
-/// direction here, so two schedules with equal predecessor lists are `==`
-/// however their edges were inserted.
-fn succ_csr(pred_offsets: &[u32], pred_targets: &[Dep]) -> Csr {
-    let n = pred_offsets.len() - 1;
-    let mut offsets = vec![0u32; n + 1];
-    for dep in pred_targets {
-        offsets[dep.task().index() + 1] += 1;
+/// The successor index of one rank, derived from its predecessor CSR by
+/// [`RankSchedule::successors`]: the dependents of task `i` are
+/// `targets[offsets[i]..offsets[i + 1]]`. A schedule does not store it;
+/// the scheduler builds one per rank when a run starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Successors {
+    offsets: Vec<u32>,
+    targets: Vec<Dep>,
+}
+
+impl Successors {
+    /// Successors of `id`: the tasks that depend on it, with edge kinds, in
+    /// ascending dependent id (and, within one dependent, in its
+    /// predecessor order). Panics if out of range.
+    #[inline]
+    pub fn of(&self, id: TaskId) -> &[Dep] {
+        let lo = self.offsets[id.index()] as usize;
+        let hi = self.offsets[id.index() + 1] as usize;
+        &self.targets[lo..hi]
     }
-    fill_cursors(&mut offsets);
-    let mut targets = vec![Dep::new(TaskId(0), DepKind::Full); pred_targets.len()];
-    for (a, w) in pred_offsets.windows(2).enumerate() {
-        for dep in &pred_targets[w[0] as usize..w[1] as usize] {
-            let cursor = &mut offsets[dep.task().index() + 1];
-            targets[*cursor as usize] = Dep::new(TaskId(a as u32), dep.kind());
-            *cursor += 1;
-        }
-    }
-    (offsets, targets)
 }
 
 /// One rank's schedule: a DAG of tasks.
@@ -186,23 +187,19 @@ fn succ_csr(pred_offsets: &[u32], pred_targets: &[Dep]) -> Csr {
 /// `Copy`-cheap, so the arena is an internal layout choice, not an API
 /// regime.
 ///
-/// Dependency edges are stored in CSR form in both directions so that the
-/// scheduler can walk predecessors (to compute in-degrees) and successors
-/// (to release dependents on completion) without allocation. An entry is a
-/// packed [`Dep`], so an edge costs 4 bytes per direction on top of the two
-/// 4-byte offset columns: `8·(n + 1) + 8·E` bytes in all
-/// ([`RankSchedule::dep_bytes`]). The successor direction is always derived
-/// from the predecessor one, so it lists each task's dependents in id
-/// order whatever order the edges were added in.
+/// Dependency edges are stored once, as predecessor lists in CSR form: an
+/// entry is a packed [`Dep`], so the index costs a 4-byte offset column of
+/// `n + 1` slots plus 4 bytes per edge, `4·(n + 1) + 4·E` in all
+/// ([`RankSchedule::dep_bytes`]). Each task's predecessors keep the order
+/// their edges were added in, which is what the codecs write. The
+/// successor direction, which only a simulation walks, is derived on
+/// demand by [`RankSchedule::successors`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankSchedule {
     tasks: TaskColumns,
     // CSR: predecessors of task i are pred_targets[pred_offsets[i]..pred_offsets[i+1]]
     pred_offsets: Vec<u32>,
     pred_targets: Vec<Dep>,
-    // CSR: successors of task i (tasks that depend on i)
-    succ_offsets: Vec<u32>,
-    succ_targets: Vec<Dep>,
 }
 
 impl RankSchedule {
@@ -238,16 +235,14 @@ impl RankSchedule {
     }
 
     /// The one constructor: take over task columns and a checked
-    /// predecessor CSR, and derive the successor direction from it
-    /// ([`succ_csr`]).
+    /// predecessor CSR.
     pub(crate) fn with_preds(
         tasks: TaskColumns,
         pred_offsets: Vec<u32>,
         pred_targets: Vec<Dep>,
     ) -> Self {
         debug_assert_eq!(pred_offsets.len(), tasks.len() + 1);
-        let (succ_offsets, succ_targets) = succ_csr(&pred_offsets, &pred_targets);
-        RankSchedule { tasks, pred_offsets, pred_targets, succ_offsets, succ_targets }
+        RankSchedule { tasks, pred_offsets, pred_targets }
     }
 
     /// The task arena, for the codec.
@@ -314,14 +309,13 @@ impl RankSchedule {
         (self.num_tasks() * per_task) as u64
     }
 
-    /// Bytes held by the dependency CSR in both directions: two 4-byte
-    /// offset columns of `n + 1` slots and two 4-byte [`Dep`] columns of
-    /// one slot per edge, `8·(n + 1) + 8·E` for an assembled rank.
-    /// Deterministic, like [`RankSchedule::task_arena_bytes`].
+    /// Bytes held by the predecessor CSR: a 4-byte offset column of `n + 1`
+    /// slots and one 4-byte [`Dep`] per edge, `4·(n + 1) + 4·E` for an
+    /// assembled rank. Deterministic, like
+    /// [`RankSchedule::task_arena_bytes`].
     pub fn dep_bytes(&self) -> u64 {
-        let slots = self.pred_offsets.len() + self.succ_offsets.len();
-        let entries = self.pred_targets.len() + self.succ_targets.len();
-        (slots * std::mem::size_of::<u32>() + entries * std::mem::size_of::<Dep>()) as u64
+        (self.pred_offsets.len() * std::mem::size_of::<u32>()
+            + self.pred_targets.len() * std::mem::size_of::<Dep>()) as u64
     }
 
     /// Predecessors of `id`: the tasks it depends on, with edge kinds.
@@ -332,12 +326,28 @@ impl RankSchedule {
         &self.pred_targets[lo..hi]
     }
 
-    /// Successors of `id`: the tasks that depend on it, with edge kinds.
-    #[inline]
-    pub fn succs(&self, id: TaskId) -> &[Dep] {
-        let lo = self.succ_offsets[id.index()] as usize;
-        let hi = self.succ_offsets[id.index() + 1] as usize;
-        &self.succ_targets[lo..hi]
+    /// The successor index of this rank: task `b`'s successors are the
+    /// tasks that list it, in ascending dependent id (and, within one
+    /// dependent, in its predecessor order), so two schedules with equal
+    /// predecessor lists give equal indexes however their edges were
+    /// inserted. One counting pass over the predecessor targets and one
+    /// fill pass over the lists; the result holds `4·(n + 1) + 4·E` bytes,
+    /// as much as the predecessor CSR ([`RankSchedule::dep_bytes`]).
+    pub fn successors(&self) -> Successors {
+        let mut offsets = vec![0u32; self.num_tasks() + 1];
+        for dep in &self.pred_targets {
+            offsets[dep.task().index() + 1] += 1;
+        }
+        fill_cursors(&mut offsets);
+        let mut targets = vec![Dep::new(TaskId(0), DepKind::Full); self.pred_targets.len()];
+        for (a, w) in self.pred_offsets.windows(2).enumerate() {
+            for dep in &self.pred_targets[w[0] as usize..w[1] as usize] {
+                let cursor = &mut offsets[dep.task().index() + 1];
+                targets[*cursor as usize] = Dep::new(TaskId(a as u32), dep.kind());
+                *cursor += 1;
+            }
+        }
+        Successors { offsets, targets }
     }
 
     /// Total number of dependency edges.
@@ -387,51 +397,65 @@ impl RankSchedule {
     /// predecessor to have been issued first).
     pub fn topo_order(&self) -> Option<Vec<TaskId>> {
         let mut order = Vec::with_capacity(self.num_tasks());
-        self.kahn(&mut Vec::new(), |id| order.push(id)).then_some(order)
+        self.walk_preds(&mut Vec::new(), &mut Vec::new(), |id| order.push(id)).then_some(order)
     }
 
-    /// Kahn's algorithm: `visit` every task in a topological order (roots in
-    /// id order first, then tasks as their last predecessor is visited) and
-    /// report whether that reached all of them, i.e. the DAG has no cycle.
+    /// Depth-first search over the predecessor lists: `visit` every task
+    /// once all its predecessors have been visited, starting from each task
+    /// in id order, and report whether that reached all of them without
+    /// meeting a task still on the path, i.e. the DAG has no cycle. A rank
+    /// whose edges all point to smaller ids — what the generators emit —
+    /// is visited in id order with a path one task deep.
     ///
-    /// All working state lives in the caller's `links` column, so checking
-    /// many ranks allocates once: a slot holds its task's remaining
-    /// in-degree until that drops to zero and the task joins the ready
-    /// queue, and from then on the id of the task queued after it. The
-    /// extra slot `n` anchors the queue (its link is the first ready task).
-    fn kahn(&self, links: &mut Vec<u32>, mut visit: impl FnMut(TaskId)) -> bool {
-        const NIL: u32 = u32::MAX;
+    /// All working state lives in the caller's `marks` column and `path`
+    /// stack, so checking many ranks allocates once. A path entry is a task
+    /// and the position in the predecessor targets it resumes from.
+    fn walk_preds(
+        &self,
+        marks: &mut Vec<Mark>,
+        path: &mut Vec<(u32, u32)>,
+        mut visit: impl FnMut(TaskId),
+    ) -> bool {
         let n = self.num_tasks();
-        links.clear();
-        links.extend(self.pred_offsets.windows(2).map(|w| w[1] - w[0]));
-        links.push(NIL);
-        let mut tail = n;
-        let mut enqueue = |links: &mut Vec<u32>, id: usize| {
-            links[tail] = id as u32;
-            links[id] = NIL;
-            tail = id;
-        };
-        for id in 0..n {
-            if links[id] == 0 {
-                enqueue(links, id);
+        marks.clear();
+        marks.resize(n, Mark::New);
+        path.clear();
+        for start in 0..n {
+            if marks[start] != Mark::New {
+                continue;
             }
-        }
-        let mut head = links[n];
-        let mut visited = 0;
-        while head != NIL {
-            visit(TaskId(head));
-            visited += 1;
-            for dep in self.succs(TaskId(head)) {
-                let succ = dep.task().index();
-                links[succ] -= 1;
-                if links[succ] == 0 {
-                    enqueue(links, succ);
+            marks[start] = Mark::OnPath;
+            path.push((start as u32, self.pred_offsets[start]));
+            while let Some(top) = path.last_mut() {
+                let (id, cursor) = *top;
+                if cursor == self.pred_offsets[id as usize + 1] {
+                    marks[id as usize] = Mark::Visited;
+                    visit(TaskId(id));
+                    path.pop();
+                    continue;
+                }
+                top.1 += 1;
+                let pred = self.pred_targets[cursor as usize].task().index();
+                match marks[pred] {
+                    Mark::New => {
+                        marks[pred] = Mark::OnPath;
+                        path.push((pred as u32, self.pred_offsets[pred]));
+                    }
+                    Mark::OnPath => return false,
+                    Mark::Visited => {}
                 }
             }
-            head = links[head as usize];
         }
-        visited == n
+        true
     }
+}
+
+/// The state of a task in [`RankSchedule::walk_preds`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    New,
+    OnPath,
+    Visited,
 }
 
 /// A complete GOAL schedule: one [`RankSchedule`] per rank.
@@ -481,7 +505,7 @@ impl GoalSchedule {
     /// * every per-rank DAG is acyclic.
     pub fn validate(&self) -> Result<(), GoalError> {
         let nr = self.num_ranks() as Rank;
-        let mut links = Vec::new();
+        let (mut marks, mut path) = (Vec::new(), Vec::new());
         for (r, sched) in self.ranks.iter().enumerate() {
             let rank = r as Rank;
             let cols = &sched.tasks;
@@ -490,7 +514,7 @@ impl GoalSchedule {
                 let (task, peer) = (TaskId(i as u32), cols.recs[i].peer);
                 return Err(GoalError::PeerOutOfRange { rank, task, peer });
             }
-            if !sched.kahn(&mut links, |_| {}) {
+            if !sched.walk_preds(&mut marks, &mut path, |_| {}) {
                 return Err(GoalError::Cycle { rank });
             }
         }
@@ -549,8 +573,9 @@ mod tests {
         assert_eq!(s.num_deps(), 4);
         assert_eq!(s.preds(TaskId(0)), &[]);
         assert_eq!(s.preds(TaskId(3)).len(), 2);
-        assert_eq!(s.succs(TaskId(0)).len(), 2);
-        assert_eq!(s.succs(TaskId(3)), &[]);
+        let succs = s.successors();
+        assert_eq!(succs.of(TaskId(0)).len(), 2);
+        assert_eq!(succs.of(TaskId(3)), &[]);
         let roots: Vec<_> = s.roots().collect();
         assert_eq!(roots, vec![TaskId(0)]);
     }
@@ -561,9 +586,11 @@ mod tests {
         let deps = [(TaskId(2), TaskId(0), DepKind::Full), (TaskId(1), TaskId(0), DepKind::Start)];
         let s = RankSchedule::from_parts(0, tasks.clone(), &deps).unwrap();
         let want = [Dep::new(TaskId(1), DepKind::Start), Dep::new(TaskId(2), DepKind::Full)];
-        assert_eq!(s.succs(TaskId(0)), &want);
+        assert_eq!(s.successors().of(TaskId(0)), &want);
         let reversed = [deps[1], deps[0]];
-        assert_eq!(RankSchedule::from_parts(0, tasks, &reversed).unwrap(), s);
+        let r = RankSchedule::from_parts(0, tasks, &reversed).unwrap();
+        assert_eq!(r, s);
+        assert_eq!(r.successors(), s.successors());
     }
 
     #[test]
@@ -576,6 +603,34 @@ mod tests {
         assert!(pos(TaskId(0)) < pos(TaskId(2)));
         assert!(pos(TaskId(1)) < pos(TaskId(3)));
         assert!(pos(TaskId(2)) < pos(TaskId(3)));
+    }
+
+    #[test]
+    fn topo_order_follows_edges_that_point_forward() {
+        // 3 <- 0, 0 <- 2, 2 <- 1: the only order is 1, 2, 0, 3.
+        let deps = [
+            (TaskId(3), TaskId(0), DepKind::Full),
+            (TaskId(0), TaskId(2), DepKind::Start),
+            (TaskId(2), TaskId(1), DepKind::Full),
+        ];
+        let s = RankSchedule::from_parts(0, vec![Task::calc(1); 4], &deps).unwrap();
+        assert_eq!(s.topo_order(), Some(vec![TaskId(1), TaskId(2), TaskId(0), TaskId(3)]));
+    }
+
+    #[test]
+    fn a_cycle_behind_a_visited_task_is_found() {
+        // 1 -> 2 -> 3 -> 1, entered from 4, with 0 finished first.
+        let deps = [
+            (TaskId(4), TaskId(1), DepKind::Full),
+            (TaskId(1), TaskId(0), DepKind::Full),
+            (TaskId(1), TaskId(3), DepKind::Start),
+            (TaskId(3), TaskId(2), DepKind::Full),
+            (TaskId(2), TaskId(1), DepKind::Full),
+        ];
+        let s = RankSchedule::from_parts(2, vec![Task::calc(1); 5], &deps).unwrap();
+        assert!(s.topo_order().is_none());
+        let g = GoalSchedule::new(vec![RankSchedule::default(), RankSchedule::default(), s]);
+        assert_eq!(g.validate(), Err(GoalError::Cycle { rank: 2 }));
     }
 
     #[test]
@@ -621,12 +676,12 @@ mod tests {
     }
 
     #[test]
-    fn footprint_is_21_bytes_per_task_and_8_per_edge() {
+    fn footprint_is_21_bytes_per_task_and_4_per_edge() {
         assert_eq!(std::mem::size_of::<Dep>(), 4);
         let s = diamond();
         let (n, e) = (s.num_tasks() as u64, s.num_deps() as u64);
         assert_eq!(s.task_arena_bytes(), 21 * n);
-        assert_eq!(s.dep_bytes(), 8 * (n + 1) + 8 * e);
+        assert_eq!(s.dep_bytes(), 4 * (n + 1) + 4 * e);
     }
 
     #[test]

@@ -115,8 +115,9 @@ pub enum DepKind {
 /// One entry of a dependency list, packed into 4 bytes: the neighbouring
 /// task's id in the upper 31 bits and the edge's [`DepKind`] in the lowest.
 ///
-/// Both CSR directions of a [`crate::RankSchedule`] and the builder's edge
-/// list store these, so an edge costs 4 bytes per direction. The price is
+/// The predecessor CSR of a [`crate::RankSchedule`], its derived
+/// [`crate::Successors`] and the builder's edge list store these, so an
+/// edge costs 4 bytes per index. The price is
 /// the id range: a rank holds at most [`Dep::MAX_ID`] tasks, which the
 /// schedule constructors check once per rank.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]

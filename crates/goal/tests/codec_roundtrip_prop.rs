@@ -119,11 +119,12 @@ proptest! {
         raw in vec(raw_task(), 8..40),
     ) {
         // The decoder fills the task columns and the predecessor CSR
-        // straight from the byte stream and derives the successor CSR from
-        // them. Besides `==`, read everything back through the public
-        // accessors, on schedules that are sure to hold an empty rank and
-        // a tagged send on stream 1 with a `requires` and an `irequires`
-        // edge (8+ tasks on at most 4 ranks: the last has a predecessor).
+        // straight from the byte stream, and the successor index derived
+        // from them must match the source's. Besides `==`, read everything
+        // back through the public accessors, on schedules that are sure to
+        // hold an empty rank and a tagged send on stream 1 with a
+        // `requires` and an `irequires` edge (8+ tasks on at most 4 ranks:
+        // the last has a predecessor).
         let mut raw = raw;
         let last = raw.last_mut().expect("at least 8 tasks");
         (last.0, last.3, last.4, last.5) = (1, last.3 | 1, 1, vec![0, 0]);
@@ -137,11 +138,12 @@ proptest! {
             prop_assert_eq!(got.indegrees(), want.indegrees());
             prop_assert_eq!(got.roots().collect::<Vec<_>>(), want.roots().collect::<Vec<_>>());
             prop_assert_eq!(got.topo_order(), want.topo_order());
+            let (got_succs, want_succs) = (got.successors(), want.successors());
             for i in 0..want.num_tasks() {
                 let id = atlahs_goal::task::TaskId(i as u32);
                 prop_assert_eq!(got.task(id), want.task(id));
                 prop_assert_eq!(got.preds(id), want.preds(id));
-                prop_assert_eq!(got.succs(id), want.succs(id));
+                prop_assert_eq!(got_succs.of(id), want_succs.of(id));
             }
         }
     }

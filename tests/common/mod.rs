@@ -1,4 +1,5 @@
-//! Shared by the memory-ratchet tests (`lowering_footprint`, `sim_footprint`,
+//! Shared by the memory-ratchet tests (`lowering_footprint`,
+//! `mpi_lowering_footprint`, `sim_footprint`,
 //! `flow_table_footprint`).
 
 /// `VmHWM` of this process in KiB, `None` where procfs does not provide it.

@@ -4,7 +4,9 @@
 //! `TaskState` in a column of its own, `u64` packed countdowns, every
 //! stream slot scanned per event, issue through `Task` → `OpKind` →
 //! `Backend::issue` — lives on below, verbatim, as a test-only oracle
-//! (the one addition is a counter of spill-heap pushes). The rewrite must
+//! (the additions are a counter of spill-heap pushes and, since a schedule
+//! no longer stores its successor lists, the oracle's own, derived from
+//! `dep_edges()` at start). The rewrite must
 //! make the same `Backend` calls with the same arguments in the same
 //! order, see the same completion stream, and return the same
 //! `SimReport` or `SimError`, on random DAGs and on small instances of
@@ -40,7 +42,9 @@ mod oracle {
 
     use atlahs::core::api::EventKind;
     use atlahs::core::{Backend, Completion, OpRef, RunState, SimError, SimReport, Time};
-    use atlahs::goal::{DepKind, GoalSchedule, Rank, RankSchedule, Stream, Tag, TaskId, TaskKind};
+    use atlahs::goal::{
+        Dep, DepKind, GoalSchedule, Rank, RankSchedule, Stream, Tag, TaskId, TaskKind,
+    };
 
     use super::SPILLS;
 
@@ -170,6 +174,8 @@ mod oracle {
     #[derive(Clone)]
     pub struct OracleDriver<'g> {
         goal: &'g GoalSchedule,
+        /// `succs[r][i]`: the tasks of rank `r` that depend on task `i`.
+        succs: Vec<Vec<Vec<Dep>>>,
         ranks: Vec<RankState>,
         /// Reused across dispatch calls: the per-round issue batch.
         issue_buf: Vec<TaskId>,
@@ -217,6 +223,7 @@ mod oracle {
 
             let mut driver = OracleDriver {
                 goal,
+                succs: goal.ranks().iter().map(successor_lists).collect(),
                 ranks,
                 issue_buf: Vec::new(),
                 total: goal.total_tasks(),
@@ -228,7 +235,15 @@ mod oracle {
 
             // Initial dispatch on every rank.
             for r in 0..driver.ranks.len() {
-                dispatch_rank(goal, &mut driver.ranks, r as Rank, backend, &mut driver.issue_buf);
+                let succs = &driver.succs[r];
+                dispatch_rank(
+                    goal,
+                    succs,
+                    &mut driver.ranks,
+                    r as Rank,
+                    backend,
+                    &mut driver.issue_buf,
+                );
             }
             driver
         }
@@ -327,6 +342,7 @@ mod oracle {
                     self.ranks[r].streams[si].busy = false;
                     dispatch_rank(
                         self.goal,
+                        &self.succs[r],
                         &mut self.ranks,
                         op.rank,
                         backend,
@@ -350,7 +366,7 @@ mod oracle {
                     // counter would borrow across halves on underflow
                     // instead of panicking like the old u32 arrays, so
                     // keep the debug guard explicit.
-                    for dep in sched.succs(op.task) {
+                    for dep in &self.succs[r][ti] {
                         if dep.kind() == DepKind::Full {
                             let succ = dep.task();
                             let rs = &mut self.ranks[r];
@@ -364,6 +380,7 @@ mod oracle {
                     }
                     dispatch_rank(
                         self.goal,
+                        &self.succs[r],
                         &mut self.ranks,
                         op.rank,
                         backend,
@@ -373,6 +390,17 @@ mod oracle {
             }
             Ok(())
         }
+    }
+
+    /// The successor lists of a rank, straight from its edge list: each
+    /// task's dependents in ascending id, and within one dependent in its
+    /// predecessor order.
+    fn successor_lists(sched: &RankSchedule) -> Vec<Vec<Dep>> {
+        let mut succs = vec![Vec::new(); sched.num_tasks()];
+        for (a, b, kind) in sched.dep_edges() {
+            succs[b.index()].push(Dep::new(a, kind));
+        }
+        succs
     }
 
     /// The initial `remaining` column of a rank (see [`RankState`]): one pass
@@ -404,6 +432,7 @@ mod oracle {
     #[inline]
     fn issue_task<B: Backend>(
         sched: &RankSchedule,
+        succs: &[Vec<Dep>],
         ranks: &mut [RankState],
         rank: Rank,
         id: TaskId,
@@ -416,7 +445,7 @@ mod oracle {
             TaskKind::Calc { cost } => OpKind::Calc { cost },
         };
         issue(backend, OpRef::new(rank, id), kind);
-        for dep in sched.succs(id) {
+        for dep in &succs[id.index()] {
             if dep.kind() == DepKind::Start {
                 let succ = dep.task();
                 let rs = &mut ranks[rank as usize];
@@ -437,6 +466,7 @@ mod oracle {
     /// dispatch path performs no allocation.
     fn dispatch_rank<B: Backend>(
         goal: &GoalSchedule,
+        succs: &[Vec<Dep>],
         ranks: &mut [RankState],
         rank: Rank,
         backend: &mut B,
@@ -456,7 +486,7 @@ mod oracle {
                 return;
             };
             ss.busy = true;
-            issue_task(sched, ranks, rank, TaskId(id), backend);
+            issue_task(sched, succs, ranks, rank, TaskId(id), backend);
             return;
         }
         loop {
@@ -476,7 +506,7 @@ mod oracle {
                 return;
             }
             for &id in issue_buf.iter() {
-                issue_task(sched, ranks, rank, id, backend);
+                issue_task(sched, succs, ranks, rank, id, backend);
             }
         }
     }
