@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use atlahs_core::faultgen::num;
 use atlahs_core::{FragStats, NodePool, SimReport};
-use atlahs_goal::merge::{compose, PlacedJob, MAX_JOBS};
+use atlahs_goal::merge::{compose, PlacedJob};
 use atlahs_goal::{GoalSchedule, Rank};
 use atlahs_htsim::CcAlgo;
 use rand::rngs::StdRng;
@@ -455,15 +455,10 @@ pub fn run_cluster(spec: &ClusterSpec, threads: usize) -> ClusterOutcome {
         }
 
         // Backfilling admission: scan in discipline order, admit whatever
-        // fits the free pool right now. One batch holds at most MAX_JOBS
-        // jobs (compose's tag-namespace bound); any overflow simply stays
-        // queued for the next instant.
+        // fits the free pool right now, as one batch however many jobs.
         let order = admission_order(&queue, spec.queue, |job| goals[job].num_ranks());
         let mut batch: Vec<(usize, Arc<GoalSchedule>, Vec<Rank>)> = Vec::new();
         for job in order {
-            if batch.len() == MAX_JOBS {
-                break;
-            }
             if let Some(nodes) = pool.alloc(goals[job].num_ranks()) {
                 batch.push((job, Arc::clone(&goals[job]), nodes));
             }
@@ -1022,11 +1017,10 @@ mod tests {
     }
 
     #[test]
-    fn admission_caps_batches_at_the_tag_namespace_bound() {
+    fn admission_takes_a_burst_as_one_batch() {
         // 300 two-rank jobs all arrive at t=0 on a 600-host switch:
-        // everything fits the pool, but one composed batch can hold at
-        // most MAX_JOBS (256) tenants, so admission must split the burst
-        // instead of panicking inside compose.
+        // everything fits the pool, so admission composes the whole burst
+        // as one batch.
         let spec = ClusterSpec {
             topology: TopologySpec::SingleSwitch { hosts: 600 },
             catalog: vec![WorkloadSpec::Incast { ranks: 2, bytes: 1 << 10, repeat: 1 }],
@@ -1039,10 +1033,8 @@ mod tests {
         };
         let out = run_cluster(&spec, 4);
         assert_eq!(out.jobs.len(), 300);
-        let first_batch = out.jobs.iter().filter(|j| j.batch == 0).count();
-        assert_eq!(first_batch, MAX_JOBS, "first batch capped at the compose bound");
-        assert!(out.batches >= 2, "overflow admitted in a later batch");
-        assert!(out.jobs.iter().all(|j| j.duration_ns > 0));
+        assert_eq!(out.batches, 1);
+        assert!(out.jobs.iter().all(|j| j.batch == 0 && j.duration_ns > 0));
     }
 
     #[test]
@@ -1371,10 +1363,10 @@ mod tests {
     }
 
     #[test]
-    fn restarts_respect_the_tag_namespace_bound() {
-        // The MAX_JOBS burst test, with every job failing once: re-queued
-        // jobs flow through the same capped admission scan, so no batch
-        // may ever exceed the compose bound.
+    fn restarts_of_a_burst_are_admitted_together() {
+        // The one-batch burst, with every job failing once at the same
+        // point of the same co-run: the re-queued jobs are freed at one
+        // instant and admitted again as one batch.
         let spec = ClusterSpec {
             topology: TopologySpec::SingleSwitch { hosts: 600 },
             catalog: vec![WorkloadSpec::Incast { ranks: 2, bytes: 1 << 10, repeat: 1 }],
@@ -1388,12 +1380,8 @@ mod tests {
         let out = run_cluster(&spec, 4);
         assert_eq!(out.jobs.len(), 300);
         assert!(out.jobs.iter().all(|j| j.restarts == 1));
-        let mut per_batch = std::collections::HashMap::new();
-        for j in &out.jobs {
-            *per_batch.entry(j.batch).or_insert(0usize) += 1;
-        }
-        assert!(per_batch.values().all(|&n| n <= MAX_JOBS), "successful-attempt batches capped");
-        assert!(out.batches >= 3, "failures force extra admission batches");
+        assert_eq!(out.batches, 2, "the burst, then its retries");
+        assert!(out.jobs.iter().all(|j| j.batch == 1), "successful attempts share a batch");
     }
 
     #[test]

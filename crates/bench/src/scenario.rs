@@ -1044,6 +1044,32 @@ mod tests {
         }
     }
 
+    /// A job's own tags are kept whatever its placement: tags past 2^24
+    /// (as a large nccl2goal lowering mints) used to panic in `compose`
+    /// under any non-packed placement.
+    #[test]
+    fn random_placement_runs_a_job_whose_tags_pass_2_pow_24() {
+        let mut b = GoalBuilder::new(4);
+        for r in 0..4u32 {
+            let tag = (1 << 24) + r;
+            b.send(r, (r + 1) % 4, 4096, tag);
+            b.recv((r + 1) % 4, r, 4096, tag);
+        }
+        let jobs = [Arc::new(b.build().unwrap())];
+        let cell = ScenarioCell {
+            topology: TopologySpec::SingleSwitch { hosts: 8 },
+            workload: WorkloadSpec::Ring { ranks: 4, bytes: 4096, laps: 1 },
+            placement: PlacementSpec::Random,
+            backend: BackendSpec::Lgs,
+            fault: FaultSpec::None,
+            seed: 5,
+            collect_flows: false,
+        };
+        let result = run_members(&[&cell], &jobs, None).pop().unwrap();
+        assert_eq!(result.tasks, 8);
+        assert!(result.makespan > 0);
+    }
+
     /// The one label⇄parse round trip for every `--faults` token, the
     /// families [`FaultSpec::parse`] delegates included: any fault segment
     /// a report key prints can be fed back to `--faults`.

@@ -302,6 +302,28 @@ fn smoke_grids_spelled_as_axis_flags_reproduce_their_goldens() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Valid input runs as its twin: `perm` cast a shift past `u32` before the
+/// modulo, so a shift of 2³² − 1 overflowed the peer arithmetic, sends
+/// and recvs named different peers and the run deadlocked (exit 101).
+#[test]
+fn valid_inputs_run_and_match_their_twins() {
+    let dir = std::env::temp_dir().join(format!("atlahs_cli_twins_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = dir.join("report.json");
+    let (token, twin) = ("perm:6:1024:4294967295:1", "perm:6:1024:3:1");
+    let workloads = format!("{token},{twin}");
+    let tail = ["--backends", "lgs", "--threads", "1", "--quiet", "--out"];
+    let argv = ["sweep", "--topos", "switch:8", "--workloads", &workloads];
+    let out = atlahs(&[&argv[..], &tail, &[report.to_str().unwrap()]].concat());
+    assert_eq!(out.status.code(), Some(0), "{token}: {out:?}");
+    let text = std::fs::read_to_string(&report).unwrap();
+    let makespans: Vec<&str> =
+        text.lines().filter_map(|line| line.trim().strip_prefix("\"makespan_ns\": ")).collect();
+    assert_eq!(makespans.len(), 2, "{text}");
+    assert_eq!(makespans[0], makespans[1], "{token} vs {twin}: {text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A bare token used to be dropped: `--backends ideal smoke` ran the grid
 /// and exited 0 without a word about `smoke`. Only `fig` takes a
 /// positional, and exactly one: a figure it knows.

@@ -81,25 +81,12 @@ impl GoalBuilder {
         Ok(())
     }
 
-    /// [`GoalBuilder::append`] with the source rank `src_rank` of another
-    /// builder, taken out of it ([`GoalBuilder::take_rank`]; it keeps the
-    /// rank but empty). A lowering that goes through an intermediate level
-    /// moves that level's ranks one at a time with this, so the
-    /// intermediate level never exists as a whole schedule.
-    pub fn append_from(
-        &mut self,
-        rank: Rank,
-        src: &mut GoalBuilder,
-        src_rank: Rank,
-        map: impl FnMut(TaskId, Task) -> Result<Task, GoalError>,
-    ) -> Result<(), GoalError> {
-        let taken = src.take_rank(src_rank)?;
-        self.append(rank, &taken, map)
-    }
-
     /// Finish one rank on its own: move its tasks and edges out of the
     /// builder, which keeps the rank but empty, and index them. Edge
-    /// indices are checked; peers and cycles are not.
+    /// indices are checked; peers and cycles are not. A lowering that goes
+    /// through an intermediate level moves that level's ranks one at a time
+    /// with this and [`GoalBuilder::append`], so the intermediate level
+    /// never exists as a whole schedule.
     pub fn take_rank(&mut self, rank: Rank) -> Result<RankSchedule, GoalError> {
         let (tasks, deps) = std::mem::take(&mut self.ranks[rank as usize]);
         RankSchedule::assemble(rank, tasks, deps)
@@ -261,29 +248,6 @@ mod tests {
         // What `build` rejects in a rank, taking that rank rejects too.
         b.requires(0, TaskId(0), TaskId(7));
         assert_eq!(b.take_rank(0), Err(GoalError::UnknownTask { rank: 0, task: TaskId(7) }));
-    }
-
-    #[test]
-    fn append_from_equals_appending_the_taken_rank() {
-        // Edges out of dependent order, both kinds, and a moved stream.
-        let mut src = GoalBuilder::new(2);
-        let ids: Vec<_> = (0..4).map(|i| src.calc_on(1, i, i as u32)).collect();
-        src.requires(1, ids[3], ids[1]);
-        src.irequires(1, ids[2], ids[0]);
-        src.requires(1, ids[3], ids[0]);
-        src.send(0, 1, 8, 0);
-        let taken = src.clone().take_rank(1).unwrap();
-        let mut dst = GoalBuilder::new(1);
-        dst.calc(0, 9);
-        let mut want = dst.clone();
-        want.append(0, &taken, |_, t| Ok(t.on_stream(t.stream + 1))).unwrap();
-        dst.append_from(0, &mut src, 1, |_, t| Ok(t.on_stream(t.stream + 1))).unwrap();
-        assert_eq!(dst.build().unwrap(), want.build().unwrap());
-        assert_eq!((src.num_tasks(0), src.num_tasks(1)), (1, 0));
-        // What taking the rank rejects, moving it rejects.
-        src.requires(0, TaskId(0), TaskId(7));
-        let err = GoalBuilder::new(1).append_from(0, &mut src, 0, |_, t| Ok(t)).unwrap_err();
-        assert_eq!(err, GoalError::UnknownTask { rank: 0, task: TaskId(7) });
     }
 
     #[test]

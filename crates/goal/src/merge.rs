@@ -6,23 +6,19 @@
 //! * **Multi-tenancy**: several jobs share nodes. Their per-rank DAGs are
 //!   merged into one schedule per node. Each job gets a disjoint range of
 //!   compute streams (so tenants execute concurrently, as with the dummy-node
-//!   construction of the paper) and a disjoint tag namespace (so message
-//!   matching never crosses job boundaries).
+//!   construction of the paper).
+//!
+//! Tags follow the same split. A message matches on `(src node, dst node,
+//! tag)`, so a job none of whose working ranks shares a node (a *sole
+//! tenant*) cannot cross-match anyone and keeps its schedule verbatim,
+//! tags included. Jobs that do share a node are shifted past each other
+//! densely, in job order: each one's tags start one past the largest tag
+//! of the previous sharing job.
 
 use crate::builder::GoalBuilder;
 use crate::error::GoalError;
 use crate::schedule::GoalSchedule;
 use crate::task::{Rank, Task, TaskId, TaskKind};
-
-/// Tags are namespaced per job in the upper byte; applications must keep
-/// their own tags below this bound to be composable.
-pub const TAG_STRIDE: u32 = 1 << 24;
-
-/// The most jobs one composition can hold: the tag namespace dedicates the
-/// upper byte of the 32-bit tag to the job index (`u32::MAX / TAG_STRIDE + 1`
-/// slots), so job indices beyond 255 would collide with earlier tenants'
-/// tag ranges. [`compose`] rejects larger batches up front.
-pub const MAX_JOBS: usize = (u32::MAX / TAG_STRIDE) as usize + 1;
 
 /// A job to compose: a schedule plus the physical node each of its ranks
 /// is placed on (`nodes[r]` = physical node of job rank `r`).
@@ -38,27 +34,23 @@ impl<'a> PlacedJob<'a> {
     }
 }
 
-/// Compose jobs onto a cluster of `total_ranks` physical nodes.
+/// Compose jobs onto a cluster of `total_ranks` physical nodes; a single
+/// job is placed by composing it alone.
 ///
 /// Jobs whose placements are disjoint produce a plain multi-job schedule;
-/// overlapping placements produce multi-tenant ranks. Tags are offset by
-/// [`TAG_STRIDE`] per job (at most [`MAX_JOBS`] jobs per composition);
-/// compute streams of co-located tenants are offset so they never serialize
-/// against each other. On nodes that genuinely host two or more tenants,
-/// each tenant's sub-DAG is anchored under a zero-cost dummy root vertex,
-/// mirroring the dummy-vertex merge of the paper; nodes with a single
-/// tenant keep that tenant's schedule verbatim, so a disjoint multi-job
-/// composition is task-for-task identical to placing each job alone.
+/// overlapping placements produce multi-tenant ranks. A sole tenant (no
+/// working rank on a node another job works on) keeps its schedule
+/// verbatim, tags included, so a disjoint multi-job composition is
+/// task-for-task identical to placing each job alone. Sharing tenants
+/// get dense, disjoint tag ranges in job order, and their compute streams
+/// are offset so they never serialize against each other. On nodes that
+/// genuinely host two or more tenants, each tenant's sub-DAG is anchored
+/// under a zero-cost dummy root vertex, mirroring the dummy-vertex merge
+/// of the paper.
+///
+/// Fails with [`GoalError::Compose`] on a malformed placement, or when
+/// the sharing tenants' shifted tags pass `u32::MAX`.
 pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedule, GoalError> {
-    if jobs.len() > MAX_JOBS {
-        return Err(GoalError::Compose {
-            msg: format!(
-                "{} jobs exceed the {MAX_JOBS}-job tag-namespace bound \
-                 (each job owns one TAG_STRIDE slice of the 32-bit tag space)",
-                jobs.len()
-            ),
-        });
-    }
     // Validate placements.
     for (j, job) in jobs.iter().enumerate() {
         if job.nodes.len() != job.goal.num_ranks() {
@@ -91,8 +83,7 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
     }
 
     // How many tenants with actual work land on each node: only nodes
-    // hosting >= 2 of them need dummy-root anchors (a sole tenant's
-    // schedule is kept verbatim, exactly as `place` would emit it).
+    // hosting >= 2 of them need dummy-root anchors and shifted tags.
     let mut tenants: Vec<u32> = vec![0; total_ranks];
     for job in jobs {
         for (r, sched) in job.goal.ranks().iter().enumerate() {
@@ -105,11 +96,19 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
     let mut b = GoalBuilder::new(total_ranks);
     // Next free stream id per node, so tenants get disjoint stream ranges.
     let mut next_stream: Vec<u32> = vec![0; total_ranks];
+    // One past the largest tag of the sharing tenants so far: the next
+    // sharing tenant's tag base. A u64, so a tenant may end at u32::MAX.
+    let mut free_tag = 0u64;
 
     for (j, job) in jobs.iter().enumerate() {
-        // In range by the MAX_JOBS check above: j <= 255, so the product
-        // stays within u32 and distinct jobs get disjoint tag slices.
-        let tag_base = (j as u32) * TAG_STRIDE;
+        let shares = job
+            .goal
+            .ranks()
+            .iter()
+            .zip(&job.nodes)
+            .any(|(sched, &node)| !sched.is_empty() && tenants[node as usize] >= 2);
+        let tag_base = if shares { free_tag } else { 0 };
+        let mut tag_end = tag_base;
         for (r, sched) in job.goal.ranks().iter().enumerate() {
             if sched.is_empty() {
                 // Places nothing and consumes no streams (repeated
@@ -127,15 +126,20 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
 
             b.append(node, sched, |_, t| {
                 max_stream = max_stream.max(t.stream);
+                let mut shift = |tag: u32| {
+                    let tag = tag_base + u64::from(tag);
+                    tag_end = tag_end.max(tag + 1);
+                    u32::try_from(tag).map_err(|_| GoalError::Compose {
+                        msg: format!("job {j}: co-located tenants' tags pass u32::MAX"),
+                    })
+                };
                 let kind = match t.kind {
                     TaskKind::Calc { cost } => TaskKind::Calc { cost },
                     TaskKind::Send { bytes, dst, tag } => {
-                        check_tag(j, tag)?;
-                        TaskKind::Send { bytes, dst: job.nodes[dst as usize], tag: tag_base + tag }
+                        TaskKind::Send { bytes, dst: job.nodes[dst as usize], tag: shift(tag)? }
                     }
                     TaskKind::Recv { bytes, src, tag } => {
-                        check_tag(j, tag)?;
-                        TaskKind::Recv { bytes, src: job.nodes[src as usize], tag: tag_base + tag }
+                        TaskKind::Recv { bytes, src: job.nodes[src as usize], tag: shift(tag)? }
                     }
                 };
                 Ok(Task { kind, stream: stream_base + t.stream })
@@ -147,26 +151,11 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
             }
             next_stream[node as usize] = stream_base + max_stream + 1;
         }
+        if shares {
+            free_tag = tag_end;
+        }
     }
     b.build()
-}
-
-fn check_tag(job: usize, tag: u32) -> Result<(), GoalError> {
-    if tag >= TAG_STRIDE {
-        return Err(GoalError::Compose {
-            msg: format!("job {job}: tag {tag} exceeds composable range {TAG_STRIDE}"),
-        });
-    }
-    Ok(())
-}
-
-/// Place a single job onto a larger cluster (multi-job building block).
-pub fn place(
-    goal: &GoalSchedule,
-    nodes: Vec<Rank>,
-    total_ranks: usize,
-) -> Result<GoalSchedule, GoalError> {
-    compose(&[PlacedJob::new(goal, nodes)], total_ranks)
 }
 
 #[cfg(test)]
@@ -184,7 +173,7 @@ mod tests {
     #[test]
     fn place_remaps_peers() {
         let job = ping(2, 64);
-        let placed = place(&job, vec![3, 1], 4).unwrap();
+        let placed = compose(&[PlacedJob::new(&job, vec![3, 1])], 4).unwrap();
         assert_eq!(placed.num_ranks(), 4);
         // rank 3 sends to rank 1
         let send =
@@ -213,11 +202,11 @@ mod tests {
             );
         }
         // Task-for-task identical to placing each job alone.
-        let solo_a = place(&a, vec![0, 1], 4).unwrap();
+        let solo_a = compose(&[PlacedJob::new(&a, vec![0, 1])], 4).unwrap();
         for r in 0..2 {
             assert_eq!(merged.rank(r).num_tasks(), solo_a.rank(r).num_tasks());
         }
-        // Tags are namespaced by job.
+        // Sole tenants keep their tags.
         let t = merged
             .rank(2)
             .tasks()
@@ -226,7 +215,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        assert_eq!(t, TAG_STRIDE);
+        assert_eq!(t, 0);
     }
 
     #[test]
@@ -322,33 +311,76 @@ mod tests {
         }
     }
 
+    /// `(kind, tag)` of every message task of `rank`, in task order.
+    fn tags(goal: &GoalSchedule, rank: Rank) -> Vec<(char, u32)> {
+        goal.rank(rank)
+            .tasks()
+            .filter_map(|t| match t.kind {
+                TaskKind::Send { tag, .. } => Some(('s', tag)),
+                TaskKind::Recv { tag, .. } => Some(('r', tag)),
+                TaskKind::Calc { .. } => None,
+            })
+            .collect()
+    }
+
+    /// A two-rank job exchanging one message per tag in `tags`.
+    fn exchange(tags: &[u32]) -> GoalSchedule {
+        let mut b = GoalBuilder::new(2);
+        for &tag in tags {
+            b.send(0, 1, 8, tag);
+            b.recv(1, 0, 8, tag);
+        }
+        b.build().unwrap()
+    }
+
     #[test]
-    fn job_count_boundary_at_the_tag_namespace_limit() {
-        assert_eq!(MAX_JOBS, 256);
-        let mut gb = GoalBuilder::new(1);
-        gb.calc(0, 1);
-        let tiny = gb.build().unwrap();
-        // Job index 255 (the 256th job) composes: its tag slice is the
-        // last one in the 32-bit namespace.
-        let jobs: Vec<PlacedJob<'_>> =
-            (0..MAX_JOBS).map(|_| PlacedJob::new(&tiny, vec![0])).collect();
-        let merged = compose(&jobs, 1).unwrap();
-        assert_eq!(merged.total_tasks(), MAX_JOBS + MAX_JOBS); // calc + dummy each
-                                                               // Job index 256 (a 257th job) is rejected with the explicit bound.
-        let jobs: Vec<PlacedJob<'_>> =
-            (0..MAX_JOBS + 1).map(|_| PlacedJob::new(&tiny, vec![0])).collect();
-        let err = compose(&jobs, 1).unwrap_err();
-        let msg = format!("{err:?}");
-        assert!(msg.contains("256-job tag-namespace bound"), "{msg}");
+    fn a_sole_tenant_keeps_tags_near_u32_max_under_any_placement() {
+        let job = exchange(&[u32::MAX - 1, u32::MAX]);
+        let placed = compose(&[PlacedJob::new(&job, vec![2, 0])], 3).unwrap();
+        assert_eq!(tags(&placed, 2), [('s', u32::MAX - 1), ('s', u32::MAX)]);
+        assert_eq!(tags(&placed, 0), [('r', u32::MAX - 1), ('r', u32::MAX)]);
+    }
+
+    #[test]
+    fn colocated_copies_get_disjoint_dense_tag_ranges() {
+        // Two copies share nodes 0 and 1; a third job on nodes 2 and 3 is
+        // a sole tenant and neither moves nor takes tag space.
+        let job = exchange(&[0, 5]);
+        let lone = exchange(&[3]);
+        let jobs = [
+            PlacedJob::new(&job, vec![0, 1]),
+            PlacedJob::new(&lone, vec![2, 3]),
+            PlacedJob::new(&job, vec![1, 0]),
+        ];
+        let merged = compose(&jobs, 4).unwrap();
+        assert_eq!(tags(&merged, 0), [('s', 0), ('s', 5), ('r', 6), ('r', 11)]);
+        assert_eq!(tags(&merged, 1), [('r', 0), ('r', 5), ('s', 6), ('s', 11)]);
+        assert_eq!(tags(&merged, 2), [('s', 3)]);
+        assert_eq!(crate::stats::check_matching(&merged), Ok(5));
+    }
+
+    #[test]
+    fn compose_has_no_job_count_bound() {
+        // 300 co-located one-message jobs: one batch, tags 0..300.
+        let job = exchange(&[0]);
+        let jobs: Vec<PlacedJob<'_>> = (0..300).map(|_| PlacedJob::new(&job, vec![0, 1])).collect();
+        let merged = compose(&jobs, 2).unwrap();
+        let want: Vec<(char, u32)> = (0..300).map(|tag| ('s', tag)).collect();
+        assert_eq!(tags(&merged, 0), want);
+        assert_eq!(merged.total_tasks(), 4 * 300); // send/recv + dummy each
     }
 
     #[test]
     fn oversized_tag_rejected() {
-        let mut b = GoalBuilder::new(2);
-        b.send(0, 1, 8, TAG_STRIDE);
-        b.recv(1, 0, 8, TAG_STRIDE);
-        let g = b.build().unwrap();
-        let err = compose(&[PlacedJob::new(&g, vec![0, 1])], 2).unwrap_err();
-        assert!(matches!(err, GoalError::Compose { .. }));
+        // Co-located tenants whose shifted tags end exactly at u32::MAX
+        // compose; one tag further is a typed error, not a wrap.
+        let high = exchange(&[u32::MAX - 1]);
+        let low = exchange(&[0]);
+        let fits = [PlacedJob::new(&high, vec![0, 1]), PlacedJob::new(&low, vec![0, 1])];
+        assert_eq!(tags(&compose(&fits, 2).unwrap(), 0), [('s', u32::MAX - 1), ('s', u32::MAX)]);
+        let top = exchange(&[u32::MAX]);
+        let err = compose(&[PlacedJob::new(&top, vec![0, 1]), PlacedJob::new(&low, vec![1, 0])], 2)
+            .unwrap_err();
+        assert!(matches!(err, GoalError::Compose { .. }), "{err:?}");
     }
 }

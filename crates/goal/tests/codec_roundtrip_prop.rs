@@ -33,7 +33,7 @@ fn assemble_with_idle(num_ranks: usize, idle: Option<usize>, raw: Vec<RawTask>) 
         raw.into_iter().enumerate()
     {
         let rank = busy[i % busy.len()];
-        // Tags stay below merge::TAG_STRIDE; streams small (realistic).
+        // Tags span one- to four-byte varints; streams small (realistic).
         let tag = tag_draw % (1 << 24);
         let stream = stream_draw % 3;
         // Sends/recvs need a distinct peer; degenerate 1-rank schedules

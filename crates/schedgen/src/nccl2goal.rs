@@ -55,9 +55,7 @@ const STREAM_STRIDE: u32 = 16;
 /// GPU-level schedule is never indexed, nor held next to the node-level one.
 pub fn convert(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedule, GoalError> {
     let gpus = lower_gpus(report, cfg)?;
-    let gpn = cfg.gpus_per_node.unwrap_or(report.gpus_per_node).max(1);
-    let mapping: Vec<u32> = (0..report.num_gpus() as u32).map(|g| g / gpn).collect();
-    merge_gpus(&mapping, Gpus::Lowered(gpus))
+    merge_gpus(gpus, cfg.gpus_per_node.unwrap_or(report.gpus_per_node).max(1))
 }
 
 /// Stages 2+3: a GOAL schedule with one rank per **GPU**.
@@ -224,33 +222,6 @@ fn alloc_tag(next: &mut u32) -> u32 {
     t
 }
 
-/// Stage 4: merge GPU ranks into node ranks.
-///
-/// `mapping[g]` is the node of GPU `g`. A node's tasks are its GPUs' tasks
-/// back to back in GPU order, so a task's node-local id is its old id plus
-/// the task count of the node's earlier GPUs and no id table is needed.
-/// Streams are offset per GPU so they stay independent; intra-node
-/// sends/recvs become calc vertices joined by an explicit dependency edge
-/// (the NVLink copy).
-pub fn group_gpus(gpu_goal: &GoalSchedule, mapping: &[u32]) -> Result<GoalSchedule, GoalError> {
-    let ngpus = gpu_goal.num_ranks();
-    if mapping.len() != ngpus {
-        return Err(GoalError::Compose {
-            msg: format!("mapping covers {} GPUs, schedule has {ngpus}", mapping.len()),
-        });
-    }
-    merge_gpus(mapping, Gpus::Built(gpu_goal))
-}
-
-/// Where Stage 4 reads the GPU DAGs from.
-enum Gpus<'a> {
-    /// A finished GPU-level schedule ([`group_gpus`]).
-    Built(&'a GoalSchedule),
-    /// The Stage 2+3 builder ([`convert`]): each GPU's task columns and
-    /// edge list are moved out and dropped as soon as they are merged.
-    Lowered(GoalBuilder),
-}
-
 /// Intra-node transfers awaiting their data-flow edge: per (src GPU,
 /// dst GPU, tag) key, the send-side and the recv-side calcs in arrival
 /// order (FIFO lists), found through a lookup table from key to slot.
@@ -279,9 +250,9 @@ impl IntraPairs {
     }
 
     /// Add the data-flow edge of every pair to `b`, on the node of the
-    /// pair's GPUs: keys that have sends in ascending key order, each
-    /// key's sends and recvs paired FIFO.
-    fn emit(self, b: &mut GoalBuilder, mapping: &[u32]) -> Result<(), GoalError> {
+    /// pair's GPUs (`gpn` GPUs per node): keys that have sends in
+    /// ascending key order, each key's sends and recvs paired FIFO.
+    fn emit(self, b: &mut GoalBuilder, gpn: u32) -> Result<(), GoalError> {
         let mut order: Vec<u32> = (0..self.keys.len() as u32).collect();
         order.sort_unstable_by_key(|&slot| self.keys[slot as usize]);
         for slot in order {
@@ -300,7 +271,7 @@ impl IntraPairs {
                     msg: format!("intra-node pair {key:?}: send/recv count mismatch"),
                 });
             }
-            let node = mapping[key.1 as usize];
+            let node = key.1 / gpn;
             for (&s, &r) in sends.iter().zip(recvs) {
                 b.requires(node, r, s);
             }
@@ -309,30 +280,28 @@ impl IntraPairs {
     }
 }
 
-/// The Stage 4 body: GPU `g`'s DAG is appended to its node from `gpus`,
-/// once and in GPU order.
-fn merge_gpus(mapping: &[u32], mut gpus: Gpus<'_>) -> Result<GoalSchedule, GoalError> {
-    let node_of = |gpu: u32| {
-        mapping.get(gpu as usize).copied().ok_or_else(|| GoalError::Compose {
-            msg: format!("peer GPU {gpu} outside the {}-GPU mapping", mapping.len()),
-        })
-    };
-    let nnodes = mapping.iter().copied().max().map_or(0, |m| m as usize + 1);
-    // GPUs placed on each node so far: a GPU's local index within its node.
-    let mut counts = vec![0u32; nnodes];
-
-    let mut b = GoalBuilder::new(nnodes);
+/// Stage 4: merge GPU ranks into node ranks, `gpn` consecutive GPUs per
+/// node. Each GPU is moved out of the Stage 2+3 builder `gpus` in GPU
+/// order and dropped once merged.
+///
+/// A node's tasks are its GPUs' tasks back to back in GPU order, so a
+/// task's node-local id is its old id plus the task count of the node's
+/// earlier GPUs and no id table is needed. Streams are offset per GPU so
+/// they stay independent; intra-node sends/recvs become calc vertices
+/// joined by an explicit dependency edge (the NVLink copy).
+fn merge_gpus(mut gpus: GoalBuilder, gpn: u32) -> Result<GoalSchedule, GoalError> {
+    let ngpus = gpus.num_ranks() as u32;
+    let mut b = GoalBuilder::new(ngpus.div_ceil(gpn) as usize);
     let mut intra = IntraPairs::default();
 
-    for (g, &node) in mapping.iter().enumerate() {
-        let g = g as u32;
-        let stream_base = counts[node as usize] * STREAM_STRIDE;
-        counts[node as usize] += 1;
+    for g in 0..ngpus {
+        let node = g / gpn;
+        let stream_base = (g % gpn) * STREAM_STRIDE;
         let map = |id, t: Task| {
             let task = match t.kind {
                 TaskKind::Calc { cost } => Task::calc(cost),
                 TaskKind::Send { bytes, dst, tag } => {
-                    let dst_node = node_of(dst)?;
+                    let dst_node = dst / gpn;
                     if dst_node == node {
                         // NVLink copy: sender-side cost carries the transfer.
                         intra.push((g, dst, tag), IntraPairs::SEND, id);
@@ -344,7 +313,7 @@ fn merge_gpus(mapping: &[u32], mut gpus: Gpus<'_>) -> Result<GoalSchedule, GoalE
                     }
                 }
                 TaskKind::Recv { bytes, src, tag } => {
-                    let src_node = node_of(src)?;
+                    let src_node = src / gpn;
                     if src_node == node {
                         intra.push((src, g, tag), IntraPairs::RECV, id);
                         Task::calc(0)
@@ -355,14 +324,11 @@ fn merge_gpus(mapping: &[u32], mut gpus: Gpus<'_>) -> Result<GoalSchedule, GoalE
             };
             Ok(task.on_stream(stream_base + t.stream))
         };
-        match &mut gpus {
-            Gpus::Built(goal) => b.append(node, goal.rank(g), map)?,
-            Gpus::Lowered(lowered) => b.append_from(node, lowered, g, map)?,
-        }
+        b.append(node, &gpus.take_rank(g)?, map)?;
     }
 
     // Data-flow edges for intra-node transfers.
-    intra.emit(&mut b, mapping)?;
+    intra.emit(&mut b, gpn)?;
     b.build()
 }
 
@@ -511,24 +477,6 @@ mod tests {
         let msg = err.to_string();
         assert!(matches!(err, GoalError::Compose { .. }), "{msg}");
         assert!(msg.contains("communicator 7") && msg.contains("root 2"), "{msg}");
-    }
-
-    #[test]
-    fn short_mapping_is_an_error_not_a_panic() {
-        let gpu_goal = gpu_level(&small_llama(), &NcclToGoalConfig::default()).unwrap();
-        let err = group_gpus(&gpu_goal, &[0; 15]).unwrap_err();
-        assert!(matches!(err, GoalError::Compose { .. }), "{err}");
-    }
-
-    #[test]
-    fn peer_outside_the_mapping_is_an_error_not_a_panic() {
-        // An unvalidated GPU-level schedule can name a GPU that does not
-        // exist; Stage 4 indexes the mapping by peer.
-        let mut b = GoalBuilder::new(1);
-        b.send(0, 5, 64, 0);
-        let gpu_goal = b.build_unchecked().unwrap();
-        let err = group_gpus(&gpu_goal, &[0]).unwrap_err();
-        assert!(matches!(err, GoalError::Compose { .. }), "{err}");
     }
 
     #[test]

@@ -39,11 +39,12 @@ pub fn permutation(
     shift: usize,
     repeat: u32,
 ) -> Result<GoalSchedule, GoalError> {
-    assert!(shift % n != 0, "shift must move data");
+    let shift = (shift % n) as u32;
+    assert!(shift != 0, "shift must move data");
     let mut b = GoalBuilder::new(n);
     for i in 0..n as u32 {
-        let dst = (i + shift as u32) % n as u32;
-        let src = (i + n as u32 - shift as u32 % n as u32) % n as u32;
+        let dst = (i + shift) % n as u32;
+        let src = (i + n as u32 - shift) % n as u32;
         let mut prev_s = None;
         let mut prev_r = None;
         for rep in 0..repeat {
@@ -330,6 +331,16 @@ mod tests {
                 .count();
             assert_eq!(sends, 2);
         }
+    }
+
+    #[test]
+    fn shifts_past_u32_lower_as_their_residue() {
+        // 2^32 + 1 used to be cast to u32 (1) before the modulo.
+        assert_eq!(
+            permutation(3, 1024, (1 << 32) + 1, 1).unwrap(),
+            permutation(3, 1024, 2, 1).unwrap()
+        );
+        runs(&permutation(6, 1024, u32::MAX as usize, 1).unwrap());
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Stage 4 against its former implementation, and the lowered GOAL bytes
-//! against hashes taken at the parent commit.
+//! against hashes taken at an earlier commit.
 //!
-//! `group_gpus` assigns node-local task ids arithmetically (`base + old
-//! id`). The map-based Stage 4 it replaced lives on below, verbatim, as a
-//! test-only oracle: for every preset, grouping factor and mapping shape
-//! the two must produce `==` schedules and identical binary encodings.
+//! `convert` assigns node-local task ids arithmetically (`base + old id`)
+//! while it moves the GPUs out of the Stage 2+3 builder. The map-based
+//! Stage 4 it replaced lives on below, verbatim, as a test-only oracle
+//! over the built GPU-level schedule: for every preset and grouping
+//! factor the two must produce `==` schedules and identical binary
+//! encodings.
 
 use std::collections::{BTreeMap, HashMap};
 
 use atlahs_eventq::hash::FastBuildHasher;
 use atlahs_goal::{binary, GoalBuilder, GoalError, GoalSchedule, Rank, Task, TaskId, TaskKind};
-use atlahs_schedgen::nccl2goal::{convert, gpu_level, group_gpus, NcclToGoalConfig, INTRA_BASE_NS};
+use atlahs_schedgen::nccl2goal::{convert, gpu_level, NcclToGoalConfig, INTRA_BASE_NS};
 use atlahs_tracers::nccl::{presets, trace_llm, LlmConfig, NsysReport};
 
 const STREAM_STRIDE: u32 = 16;
@@ -126,46 +128,18 @@ fn reports() -> [(&'static str, NsysReport); 3] {
 
 #[test]
 fn stage4_equals_the_map_based_reference() {
-    let cfg = NcclToGoalConfig::default();
-    for (name, report) in &reports() {
-        let gpu_goal = gpu_level(report, &cfg).unwrap();
-        let ngpus = gpu_goal.num_ranks() as u32;
-        for gpn in [1u32, 2, 4, 8, 16] {
-            let nodes = ngpus.div_ceil(gpn);
-            // Contiguous (what `convert` uses) and round-robin, where a
-            // node's GPUs are not adjacent and only the per-node running
-            // base makes `base + old id` land on the right task.
-            let contiguous: Vec<u32> = (0..ngpus).map(|g| g / gpn).collect();
-            let round_robin: Vec<u32> = (0..ngpus).map(|g| g % nodes).collect();
-            for (shape, mapping) in [("contiguous", contiguous), ("round-robin", round_robin)] {
-                let got = group_gpus(&gpu_goal, &mapping).unwrap();
-                let want = group_gpus_reference(&gpu_goal, &mapping).unwrap();
-                assert!(got == want, "{name} gpn={gpn} {shape}: schedule differs from oracle");
-                assert!(
-                    binary::encode(&got) == binary::encode(&want),
-                    "{name} gpn={gpn} {shape}: encoding differs from oracle"
-                );
-            }
-        }
-    }
-}
-
-/// `convert` takes the GPUs out of the Stage 2+3 builder one at a time and
-/// never builds the GPU-level schedule; `group_gpus` reads a built one.
-/// Both feed one Stage 4 body and must agree for every grouping factor.
-#[test]
-fn one_level_convert_equals_grouping_the_gpu_level_schedule() {
     for (name, report) in &reports() {
         let ngpus = report.num_gpus() as u32;
         for gpn in [1u32, 2, 4, 8, 16] {
             let cfg = NcclToGoalConfig { gpus_per_node: Some(gpn), ..NcclToGoalConfig::default() };
             let contiguous: Vec<u32> = (0..ngpus).map(|g| g / gpn).collect();
             let got = convert(report, &cfg).unwrap();
-            let want = group_gpus(&gpu_level(report, &cfg).unwrap(), &contiguous).unwrap();
-            assert!(got == want, "{name} gpn={gpn}: one-level lowering differs");
+            let want =
+                group_gpus_reference(&gpu_level(report, &cfg).unwrap(), &contiguous).unwrap();
+            assert!(got == want, "{name} gpn={gpn}: schedule differs from oracle");
             assert!(
                 binary::encode(&got) == binary::encode(&want),
-                "{name} gpn={gpn}: one-level encoding differs"
+                "{name} gpn={gpn}: encoding differs from oracle"
             );
         }
     }

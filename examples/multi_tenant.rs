@@ -95,7 +95,7 @@ fn main() {
     }
 
     // ---- multi-tenant: both tenants share the same 8 nodes --------------
-    let solo = run(&atlahs::goal::merge::place(&hpc, (0..8).collect(), cluster).unwrap(), cluster);
+    let solo = run(&compose(&[PlacedJob::new(&hpc, (0..8).collect())], cluster).unwrap(), cluster);
     let tenants = compose(
         &[PlacedJob::new(&hpc, (0..8).collect()), PlacedJob::new(&hpc, (0..8).collect())],
         cluster,

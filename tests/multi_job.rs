@@ -3,7 +3,7 @@
 
 use atlahs::core::backends::IdealBackend;
 use atlahs::core::{allocate, PlacementStrategy, Simulation};
-use atlahs::goal::merge::{compose, place, PlacedJob, TAG_STRIDE};
+use atlahs::goal::merge::{compose, PlacedJob};
 use atlahs::goal::stats::check_matching;
 use atlahs::goal::{GoalBuilder, GoalSchedule, TaskKind};
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
@@ -72,22 +72,32 @@ fn composition_preserves_task_counts_plus_anchors() {
 #[test]
 fn tags_never_cross_job_boundaries() {
     // Two identical jobs co-located on the same nodes: their matching
-    // send/recv pairs use identical application tags. Composition must
-    // namespace them (TAG_STRIDE) so messages never cross-match.
+    // send/recv pairs use identical application tags. Composition shifts
+    // the second past the first's largest tag so messages never
+    // cross-match; a third job on nodes of its own keeps its tags.
     let a = chatty_job(2, 4096);
-    let merged =
-        compose(&[PlacedJob::new(&a, vec![0, 1]), PlacedJob::new(&a, vec![0, 1])], 2).unwrap();
+    let jobs = [
+        PlacedJob::new(&a, vec![0, 1]),
+        PlacedJob::new(&a, vec![2, 3]),
+        PlacedJob::new(&a, vec![0, 1]),
+    ];
+    let merged = compose(&jobs, 4).unwrap();
     check_matching(&merged).unwrap();
-    let mut tags: Vec<u32> = Vec::new();
-    for r in merged.ranks() {
-        for t in r.tasks() {
-            if let TaskKind::Send { tag, .. } = t.kind {
-                tags.push(tag);
-            }
-        }
-    }
-    assert!(tags.iter().any(|&t| t < TAG_STRIDE), "job 0 tags in low space");
-    assert!(tags.iter().any(|&t| t >= TAG_STRIDE), "job 1 tags offset");
+    let sends = |nodes: &[u32]| -> Vec<u32> {
+        let mut tags: Vec<u32> = nodes
+            .iter()
+            .flat_map(|&n| merged.rank(n).tasks())
+            .filter_map(|t| match t.kind {
+                TaskKind::Send { tag, .. } => Some(tag),
+                _ => None,
+            })
+            .collect();
+        tags.sort_unstable();
+        tags
+    };
+    // chatty_job(2) tags its messages 1 and 2: the shared pair spans 1..=5.
+    assert_eq!(sends(&[0, 1]), [1, 2, 4, 5], "co-located copies: disjoint, dense");
+    assert_eq!(sends(&[2, 3]), [1, 2], "sole tenant: verbatim");
 
     // And the composition actually runs without mismatched completions.
     let mut be = LgsBackend::new(LogGopsParams::ai_alps());
@@ -99,7 +109,7 @@ fn tags_never_cross_job_boundaries() {
 fn colocated_tenants_slow_each_other_on_a_real_network() {
     let job = chatty_job(4, 1 << 20);
     let topo = TopologyConfig::fat_tree(8, 4);
-    let solo = place(&job, vec![0, 1, 2, 3], 8).unwrap();
+    let solo = compose(&[PlacedJob::new(&job, vec![0, 1, 2, 3])], 8).unwrap();
     let both = compose(
         &[PlacedJob::new(&job, vec![0, 1, 2, 3]), PlacedJob::new(&job, vec![0, 1, 2, 3])],
         8,
@@ -125,7 +135,7 @@ fn spread_placement_crosses_the_core_packed_does_not() {
     let job = chatty_job(8, 1 << 20);
     let topo = TopologyConfig::fat_tree_oversubscribed(16, 8, 8);
     let time = |nodes: Vec<u32>| {
-        let placed = place(&job, nodes, 16).unwrap();
+        let placed = compose(&[PlacedJob::new(&job, nodes)], 16).unwrap();
         let mut be = HtsimBackend::new(HtsimConfig::new(topo.clone(), CcAlgo::Mprdma));
         Simulation::new(&placed).run(&mut be).unwrap().makespan
     };
@@ -140,7 +150,7 @@ fn spread_placement_crosses_the_core_packed_does_not() {
 #[test]
 fn empty_cluster_nodes_stay_idle() {
     let job = quiet_job(2, 1000);
-    let placed = place(&job, vec![5, 9], 12).unwrap();
+    let placed = compose(&[PlacedJob::new(&job, vec![5, 9])], 12).unwrap();
     let mut be = IdealBackend::new(8, 10);
     let rep = Simulation::new(&placed).run(&mut be).unwrap();
     for (r, &finish) in rep.rank_finish.iter().enumerate() {
@@ -155,8 +165,10 @@ fn empty_cluster_nodes_stay_idle() {
 /// `merge::compose` as it stood before it was rebuilt on
 /// `GoalBuilder::append`: per-node `Vec<Task>` + edge lists with
 /// hand-written id offsets, through `RankSchedule::from_parts`. Kept
-/// verbatim (minus the placement validation, which did not change) as the
-/// oracle for [`compose_equals_the_copy_loop_reference`].
+/// (minus the placement validation, which did not change) as the oracle
+/// for [`compose_equals_the_copy_loop_reference`], with the tag rule
+/// written out apart: every job's tag base is fixed up front from its
+/// largest tag, where `compose` tracks it while copying.
 fn compose_reference(jobs: &[PlacedJob<'_>], total_ranks: usize) -> GoalSchedule {
     use atlahs::goal::{DepKind, Rank, RankSchedule, Task, TaskId};
 
@@ -169,14 +181,32 @@ fn compose_reference(jobs: &[PlacedJob<'_>], total_ranks: usize) -> GoalSchedule
         }
     }
 
+    // A job that works on a shared node is shifted past every earlier
+    // such job's largest tag; a sole tenant keeps its tags.
+    let mut tag_bases: Vec<u32> = Vec::new();
+    let mut next_base = 0u32;
+    for job in jobs {
+        let shares = (0..job.goal.num_ranks())
+            .any(|r| !job.goal.rank(r as Rank).is_empty() && tenants[job.nodes[r] as usize] >= 2);
+        let largest = (job.goal.ranks().iter().flat_map(|s| s.tasks()))
+            .filter_map(|t| match t.kind {
+                TaskKind::Send { tag, .. } | TaskKind::Recv { tag, .. } => Some(tag),
+                TaskKind::Calc { .. } => None,
+            })
+            .max();
+        tag_bases.push(if shares { next_base } else { 0 });
+        if let (true, Some(largest)) = (shares, largest) {
+            next_base += largest + 1;
+        }
+    }
+
     // Per physical node: accumulated tasks and deps.
     let mut tasks: Vec<Vec<Task>> = vec![Vec::new(); total_ranks];
     let mut deps: Vec<Vec<(TaskId, TaskId, DepKind)>> = vec![Vec::new(); total_ranks];
     // Next free stream id per node, so tenants get disjoint stream ranges.
     let mut next_stream: Vec<u32> = vec![0; total_ranks];
 
-    for (j, job) in jobs.iter().enumerate() {
-        let tag_base = (j as u32) * TAG_STRIDE;
+    for (job, &tag_base) in jobs.iter().zip(&tag_bases) {
         for (r, sched) in job.goal.ranks().iter().enumerate() {
             let node = job.nodes[r] as usize;
             let base = tasks[node].len() as u32;
@@ -284,6 +314,15 @@ fn compose_equals_the_copy_loop_reference() {
             PlacedJob::new(&layered, vec![2, 3, 4, 5]),
         ],
         6,
+    ));
+    cases.push((
+        "a sole tenant between sharing ones".into(),
+        vec![
+            PlacedJob::new(&layered, vec![0, 1, 2, 3]),
+            PlacedJob::new(&chatty, vec![4, 5, 6, 7]),
+            PlacedJob::new(&layered, vec![3, 2, 1, 0]),
+        ],
+        8,
     ));
     cases.push((
         "empty ranks between tenants".into(),

@@ -42,7 +42,7 @@ use atlahs::core::api::EventKind;
 use atlahs::core::backends::IdealBackend;
 use atlahs::core::probe::{Call, FlowRecord, Recorded};
 use atlahs::core::{Backend, Completion, OpRef, SimDriver, SimReport, Simulation, Snapshot, Time};
-use atlahs::goal::merge::{compose, place, PlacedJob};
+use atlahs::goal::merge::{compose, PlacedJob};
 use atlahs::goal::{GoalBuilder, GoalSchedule, Rank, Tag, TaskId, TaskKind};
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
 use atlahs::htsim::fault::{select_fault_ports, FaultKind, PortFault};
@@ -444,8 +444,8 @@ proptest! {
     /// same send/recv issue stream with the same byte counts, the same
     /// per-op completion times, and the same per-rank finish times — on
     /// both the message-level and the ideal backend. (The multi-job
-    /// composition assigns the job the same task ids, streams, and tag
-    /// namespace as a solo placement, and neither backend models
+    /// composition assigns the job the same task ids, streams, and tags
+    /// as a solo placement, and neither backend models
     /// cross-node contention, so any divergence is a compose bug — e.g.
     /// the phantom per-rank dummy tasks this pins down.)
     #[test]
@@ -459,7 +459,8 @@ proptest! {
         let cluster = n + 3;
         let job_nodes: Vec<Rank> = (0..n as Rank).collect();
         let noise_nodes: Vec<Rank> = (n as Rank..cluster as Rank).collect();
-        let solo = place(&job, job_nodes.clone(), cluster).expect("solo placement composes");
+        let solo = compose(&[PlacedJob::new(&job, job_nodes.clone())], cluster)
+            .expect("solo placement composes");
         let multi = compose(
             &[
                 PlacedJob::new(&job, job_nodes.clone()),
