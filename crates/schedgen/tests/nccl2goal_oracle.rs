@@ -126,8 +126,33 @@ fn reports() -> [(&'static str, NsysReport); 3] {
     ]
 }
 
+/// `convert` groups the report's own `gpus_per_node` when the config
+/// leaves it unset, and a factor that does not divide the GPU count leaves
+/// a last node with fewer GPUs; both must match the reference.
 #[test]
 fn stage4_equals_the_map_based_reference() {
+    for (name, report) in &reports() {
+        let ngpus = report.num_gpus() as u32;
+        for gpn in [None, Some(3u32), Some(5)] {
+            let cfg = NcclToGoalConfig { gpus_per_node: gpn, ..NcclToGoalConfig::default() };
+            let per_node = gpn.unwrap_or(report.gpus_per_node).max(1);
+            let mapping: Vec<u32> = (0..ngpus).map(|g| g / per_node).collect();
+            let got = convert(report, &cfg).unwrap();
+            let want = group_gpus_reference(&gpu_level(report, &cfg).unwrap(), &mapping).unwrap();
+            assert!(got == want, "{name} gpn={gpn:?}: schedule differs from oracle");
+            assert!(
+                binary::encode(&got) == binary::encode(&want),
+                "{name} gpn={gpn:?}: encoding differs from oracle"
+            );
+        }
+    }
+}
+
+/// `convert` takes the GPUs out of the Stage 2+3 builder one at a time and
+/// never builds the GPU-level schedule; the reference groups the built one.
+/// The two must agree for every grouping factor that divides the GPUs.
+#[test]
+fn one_level_convert_equals_grouping_the_gpu_level_schedule() {
     for (name, report) in &reports() {
         let ngpus = report.num_gpus() as u32;
         for gpn in [1u32, 2, 4, 8, 16] {
@@ -136,10 +161,10 @@ fn stage4_equals_the_map_based_reference() {
             let got = convert(report, &cfg).unwrap();
             let want =
                 group_gpus_reference(&gpu_level(report, &cfg).unwrap(), &contiguous).unwrap();
-            assert!(got == want, "{name} gpn={gpn}: schedule differs from oracle");
+            assert!(got == want, "{name} gpn={gpn}: one-level lowering differs");
             assert!(
                 binary::encode(&got) == binary::encode(&want),
-                "{name} gpn={gpn}: encoding differs from oracle"
+                "{name} gpn={gpn}: one-level encoding differs"
             );
         }
     }
