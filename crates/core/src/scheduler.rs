@@ -12,9 +12,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use atlahs_goal::{
-    DepKind, GoalSchedule, Rank, RankSchedule, Stream, Successors, TaskId, TaskKind,
-};
+use atlahs_goal::{DepKind, GoalSchedule, Rank, RankSchedule, Successors, TaskId, TaskKind};
 
 use crate::api::{Backend, Completion, EventKind, OpRef, Time};
 
@@ -115,9 +113,10 @@ impl ReadyQueue {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One stream slot of a rank: slot `s` is the stream
+/// `RankSchedule::stream_ids()[s]`.
+#[derive(Debug, Default, Clone)]
 struct StreamState {
-    stream: Stream,
     busy: bool,
     ready: ReadyQueue,
 }
@@ -130,8 +129,8 @@ const READY: u32 = (1 << 31) - 3;
 /// Issued; stream already released by a `CpuFree` event.
 const FREED: u32 = (1 << 31) - 2;
 const DONE: u32 = (1 << 31) - 1;
-/// `RUNNING + s`: issued, stream slot `s` still held. A rank has fewer
-/// than 2^31 tasks, hence fewer streams, so every slot fits.
+/// `RUNNING + s`: issued, stream slot `s` still held. A slot is a `u16`,
+/// so every one fits.
 const RUNNING: u32 = 1 << 31;
 
 #[derive(Clone)]
@@ -141,7 +140,8 @@ struct RankState {
     /// counter serves both kinds, and edge firing — the scheduler's most
     /// random-access-heavy path — is one decrement and a `== 0`.
     remaining: Vec<u32>,
-    /// Sorted by stream id: slot order is the deterministic issue order.
+    /// One per entry of the schedule's stream table, in its order
+    /// (ascending stream id): slot order is the deterministic issue order.
     streams: Vec<StreamState>,
     /// Bit `s` is set iff stream slot `s` is idle and has a ready task,
     /// so a dispatch visits only the slots that issue.
@@ -150,25 +150,11 @@ struct RankState {
 
 impl RankState {
     fn new(sched: &RankSchedule) -> Self {
-        // A stream column is mostly runs of a few distinct ids: skip
-        // repeats, and insert each new id into its sorted place.
-        let mut stream_ids: Vec<Stream> = Vec::new();
-        let mut last = None;
-        for &stream in sched.streams() {
-            if last != Some(stream) {
-                last = Some(stream);
-                if let Err(at) = stream_ids.binary_search(&stream) {
-                    stream_ids.insert(at, stream);
-                }
-            }
-        }
+        let slots = sched.stream_ids().len();
         let mut rs = RankState {
             remaining: countdowns(sched),
-            issuable: vec![0; stream_ids.len().div_ceil(64)],
-            streams: stream_ids
-                .into_iter()
-                .map(|stream| StreamState { stream, busy: false, ready: ReadyQueue::default() })
-                .collect(),
+            issuable: vec![0; slots.div_ceil(64)],
+            streams: vec![StreamState::default(); slots],
         };
         for i in 0..rs.remaining.len() {
             if rs.remaining[i] == 0 {
@@ -187,14 +173,7 @@ impl RankState {
     #[inline]
     fn make_ready(&mut self, sched: &RankSchedule, i: usize) {
         self.remaining[i] = READY;
-        // Most ranks have one stream: leave the stream column alone then.
-        let s = if self.streams.len() == 1 {
-            0
-        } else {
-            self.streams
-                .binary_search_by_key(&sched.streams()[i], |ss| ss.stream)
-                .expect("task stream registered at setup")
-        };
+        let s = sched.slot(TaskId(i as u32));
         let ss = &mut self.streams[s];
         ss.ready.push(i as u32);
         if !ss.busy {
@@ -586,18 +565,6 @@ mod tests {
         let fork = driver.clone();
         assert!(Arc::ptr_eq(&driver.succs, &fork.succs));
         assert_eq!(fork.finish(&mut backend).unwrap().completed, 5);
-    }
-
-    #[test]
-    fn stream_slots_are_the_sorted_distinct_stream_ids() {
-        let mut b = GoalBuilder::new(1);
-        for s in [7, 7, 2, 9, 2, 2, 7, 0] {
-            b.calc_on(0, 10, s);
-        }
-        let goal = b.build().unwrap();
-        let rs = RankState::new(goal.rank(0));
-        let slots: Vec<Stream> = rs.streams.iter().map(|ss| ss.stream).collect();
-        assert_eq!(slots, [0, 2, 7, 9]);
     }
 
     #[test]

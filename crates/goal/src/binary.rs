@@ -168,7 +168,7 @@ impl Reader<'_> {
             *slot = end;
         }
         check_task_count(rank, n)?;
-        Ok(RankSchedule::with_preds(tasks, pred_offsets, pred_targets))
+        RankSchedule::with_preds(rank, tasks, pred_offsets, pred_targets)
     }
 }
 
@@ -194,7 +194,8 @@ pub fn encode(goal: &GoalSchedule) -> Vec<u8> {
     for sched in goal.ranks() {
         let cols = sched.columns();
         put_varint(&mut out, cols.len() as u64);
-        for ((&kind, rec), &stream) in cols.kinds.iter().zip(&cols.recs).zip(&cols.streams) {
+        for (i, (&kind, rec)) in cols.kinds.iter().zip(&cols.recs).enumerate() {
+            let stream = cols.stream(i);
             let mut header = kind as u8;
             if rec.tag != 0 {
                 header |= FLAG_TAG;

@@ -18,6 +18,9 @@ pub enum GoalError {
     /// A rank holds more tasks than the packed dependency entries can
     /// address ([`crate::Dep::MAX_ID`]).
     TooManyTasks { rank: Rank, tasks: usize },
+    /// A rank uses more distinct compute streams than a task's 16-bit
+    /// stream slot can address ([`crate::schedule::MAX_STREAMS`]).
+    TooManyStreams { rank: Rank },
     /// Textual format parse error.
     Parse { line: usize, msg: String },
     /// Binary format decode error.
@@ -45,6 +48,11 @@ impl std::fmt::Display for GoalError {
             GoalError::TooManyTasks { rank, tasks } => {
                 write!(f, "rank {rank}: {tasks} tasks exceed the {} a rank can hold", Dep::MAX_ID)
             }
+            GoalError::TooManyStreams { rank } => write!(
+                f,
+                "rank {rank}: more than {} distinct compute streams",
+                crate::schedule::MAX_STREAMS
+            ),
             GoalError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
             GoalError::Decode { offset, msg } => {
                 write!(f, "binary decode error at byte {offset}: {msg}")

@@ -1,11 +1,13 @@
 //! In-memory representation of GOAL schedules.
 //!
-//! A rank is a task arena (one kind byte, one 16-byte record and one stream
-//! id per task) plus its dependency edges as a predecessor CSR, in the
-//! order they were inserted: exactly what the codecs, the text writer and
-//! composition read. Every constructor — the builder, the binary decoder,
-//! `from_parts` — produces that CSR its own way, so tasks and edges are
-//! written once on the way from a lowering or a file to the scheduler.
+//! A rank is a task arena (one kind byte and one 16-byte record per task,
+//! plus its compute streams: a sorted table of the distinct ids and, on a
+//! rank with two or more, a 2-byte slot per task) plus its dependency
+//! edges as a predecessor CSR, in the order they were inserted: exactly
+//! what the codecs, the text writer and composition read. Every
+//! constructor — the builder, the binary decoder, `from_parts` — produces
+//! that CSR its own way, so tasks and edges are written once on the way
+//! from a lowering or a file to the scheduler.
 //! The successor direction is not stored: a simulation derives it once per
 //! rank at setup ([`RankSchedule::successors`]).
 
@@ -52,17 +54,37 @@ pub(crate) struct TaskRec {
 
 const _: () = assert!(std::mem::size_of::<TaskRec>() == 16);
 
+/// The most distinct compute streams one rank may use: a task names its
+/// stream by a `u16` slot in the rank's stream table.
+pub const MAX_STREAMS: usize = 1 << 16;
+
 /// The struct-of-arrays task arena: entry `i` of each column describes
 /// task `i`.
 ///
 /// Every producer — [`crate::GoalBuilder`], the codecs, `merge::compose` —
 /// pushes tasks straight into these columns and a finished
 /// [`RankSchedule`] takes them over by move, so a task is written once.
+/// Streams are stored once per rank: a sorted table of the distinct ids
+/// and, only when there are two or more, a `u16` slot per task.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct TaskColumns {
     pub(crate) kinds: Vec<KindTag>,
     pub(crate) recs: Vec<TaskRec>,
-    pub(crate) streams: Vec<Stream>,
+    /// The distinct stream ids of the tasks, ascending: slot order, which
+    /// is the scheduler's issue order. Once past [`MAX_STREAMS`] it stops
+    /// growing, one entry over, and [`TaskColumns::finish`] fails.
+    stream_ids: Vec<Stream>,
+    /// Task `i`'s index into `stream_ids`; empty while there is at most
+    /// one stream, so a one-stream rank stores no per-task stream bytes.
+    slots: Vec<u16>,
+    /// While tasks arrive, `slots` numbers the streams in order of first
+    /// appearance, `appearance[k]` being that number for `stream_ids[k]`,
+    /// so a new stream never renumbers earlier tasks.
+    /// [`TaskColumns::finish`] renumbers them once and empties this.
+    appearance: Vec<u16>,
+    /// The stream of the last task once `slots` exists, so a run of tasks
+    /// on one stream repeats the last slot without a search.
+    last_stream: Stream,
 }
 
 impl TaskColumns {
@@ -74,7 +96,6 @@ impl TaskColumns {
     pub(crate) fn reserve(&mut self, n: usize) {
         self.kinds.reserve(n);
         self.recs.reserve(n);
-        self.streams.reserve(n);
     }
 
     /// Append a task from its fields; its id is the previous
@@ -83,7 +104,52 @@ impl TaskColumns {
     pub(crate) fn push_fields(&mut self, kind: KindTag, rec: TaskRec, stream: Stream) {
         self.kinds.push(kind);
         self.recs.push(rec);
-        self.streams.push(stream);
+        match self.slots.last() {
+            Some(&slot) if stream == self.last_stream => self.slots.push(slot),
+            None if self.stream_ids.first() == Some(&stream) => {}
+            _ => self.push_stream(stream),
+        }
+    }
+
+    /// Record the stream of the task just pushed, unless it is the rank's
+    /// only stream so far or the last task's.
+    fn push_stream(&mut self, stream: Stream) {
+        let at = match self.stream_ids.binary_search(&stream) {
+            Ok(at) => at,
+            Err(_) if self.stream_ids.len() > MAX_STREAMS => return,
+            // The entry past the limit only marks the rank for `finish`
+            // to reject, so its appearance number may wrap.
+            Err(at) => {
+                self.appearance.insert(at, self.stream_ids.len() as u16);
+                self.stream_ids.insert(at, stream);
+                at
+            }
+        };
+        if self.stream_ids.len() > 1 {
+            if self.slots.is_empty() {
+                // The second stream: every earlier task ran on the first.
+                self.slots = Vec::with_capacity(self.kinds.capacity());
+                self.slots.resize(self.kinds.len() - 1, 0);
+            }
+            self.slots.push(self.appearance[at]);
+            self.last_stream = stream;
+        }
+    }
+
+    /// Renumber the slots into the sorted table's order, once every task
+    /// is in. Fails if the rank uses more than [`MAX_STREAMS`] streams.
+    pub(crate) fn finish(&mut self, rank: Rank) -> Result<(), GoalError> {
+        if self.stream_ids.len() > MAX_STREAMS {
+            return Err(GoalError::TooManyStreams { rank });
+        }
+        let mut slot_of = vec![0u16; self.appearance.len()];
+        for (k, a) in std::mem::take(&mut self.appearance).into_iter().enumerate() {
+            slot_of[usize::from(a)] = k as u16;
+        }
+        for slot in &mut self.slots {
+            *slot = slot_of[usize::from(*slot)];
+        }
+        Ok(())
     }
 
     /// Append a task; its id is the previous [`TaskColumns::len`].
@@ -109,10 +175,28 @@ impl TaskColumns {
         }
     }
 
+    /// The slot of task `i` in the stream table: 0 on a one-stream rank
+    /// without reading any per-task column. Panics if out of range on a
+    /// rank with several streams.
+    #[inline(always)]
+    pub(crate) fn slot(&self, i: usize) -> usize {
+        if self.slots.is_empty() {
+            0
+        } else {
+            usize::from(self.slots[i])
+        }
+    }
+
+    /// The stream of task `i`; out of range, as [`TaskColumns::slot`].
+    #[inline]
+    pub(crate) fn stream(&self, i: usize) -> Stream {
+        self.stream_ids[self.slot(i)]
+    }
+
     /// Task `i`, reassembled by value. Panics if out of range.
     #[inline]
     pub(crate) fn get(&self, i: usize) -> Task {
-        Task { kind: self.kind(i), stream: self.streams[i] }
+        Task { kind: self.kind(i), stream: self.stream(i) }
     }
 }
 
@@ -178,11 +262,16 @@ impl Successors {
 /// One rank's schedule: a DAG of tasks.
 ///
 /// Tasks are stored as a **struct-of-arrays arena** indexed by dense
-/// [`TaskId`]s: a 1-byte kind column, a column of 16-byte records
-/// (payload, peer, tag) and a 4-byte stream column, 21 bytes per task
-/// versus the 32 bytes of a `Vec<Task>` array-of-structs. Issuing a task
-/// reads its kind and one record ([`RankSchedule::kind`]); a dispatch needs
-/// only the stream id and touches the 4-byte stream column alone.
+/// [`TaskId`]s: a 1-byte kind column and a column of 16-byte records
+/// (payload, peer, tag), 17 bytes per task versus the 32 bytes of a
+/// `Vec<Task>` array-of-structs. Compute streams are stored once per rank:
+/// the distinct stream ids, ascending ([`RankSchedule::stream_ids`]), and,
+/// only on a rank with two or more of them, a 2-byte slot column indexing
+/// that table ([`RankSchedule::slot`]) — 19 bytes per task there. Slot
+/// order is ascending stream id, the scheduler's issue order, and the form
+/// is canonical, so `==` still compares tasks. A rank may use at most
+/// [`MAX_STREAMS`] streams. Issuing a task reads its kind and one record
+/// ([`RankSchedule::kind`]); a dispatch needs only the slot.
 /// [`RankSchedule::task`] reassembles a [`Task`] value on demand — it is
 /// `Copy`-cheap, so the arena is an internal layout choice, not an API
 /// regime.
@@ -231,18 +320,21 @@ impl RankSchedule {
         deps: Vec<Edge>,
     ) -> Result<Self, GoalError> {
         let (pred_offsets, pred_targets) = pred_csr(rank, tasks.len(), deps)?;
-        Ok(Self::with_preds(tasks, pred_offsets, pred_targets))
+        Self::with_preds(rank, tasks, pred_offsets, pred_targets)
     }
 
     /// The one constructor: take over task columns and a checked
-    /// predecessor CSR.
+    /// predecessor CSR, and finish the stream table
+    /// ([`GoalError::TooManyStreams`] past [`MAX_STREAMS`]).
     pub(crate) fn with_preds(
-        tasks: TaskColumns,
+        rank: Rank,
+        mut tasks: TaskColumns,
         pred_offsets: Vec<u32>,
         pred_targets: Vec<Dep>,
-    ) -> Self {
+    ) -> Result<Self, GoalError> {
         debug_assert_eq!(pred_offsets.len(), tasks.len() + 1);
-        RankSchedule { tasks, pred_offsets, pred_targets }
+        tasks.finish(rank)?;
+        Ok(RankSchedule { tasks, pred_offsets, pred_targets })
     }
 
     /// The task arena, for the codec.
@@ -277,9 +369,9 @@ impl RankSchedule {
         self.tasks.get(id.index())
     }
 
-    /// The kind of task `id`: [`RankSchedule::task`] without the stream
-    /// column, so issuing a task reads its kind byte and its 16-byte record
-    /// and nothing else. Panics if out of range.
+    /// The kind of task `id`: [`RankSchedule::task`] without the stream,
+    /// so issuing a task reads its kind byte and its 16-byte record and
+    /// nothing else. Panics if out of range.
     #[inline]
     pub fn kind(&self, id: TaskId) -> TaskKind {
         self.tasks.kind(id.index())
@@ -291,22 +383,37 @@ impl RankSchedule {
         (0..self.num_tasks()).map(move |i| self.tasks.get(i))
     }
 
-    /// The compute-stream column: `streams()[id.index()]` is the stream of
-    /// task `id`. The scheduler reads this column directly — a dispatch
-    /// needs nothing else about the task.
+    /// The compute stream of task `id`. Panics if out of range (see
+    /// [`RankSchedule::slot`]).
     #[inline]
-    pub fn streams(&self) -> &[Stream] {
-        &self.tasks.streams
+    pub fn stream(&self, id: TaskId) -> Stream {
+        self.tasks.stream(id.index())
     }
 
-    /// Bytes held by the task arena columns (excludes dependency CSR).
-    /// Deterministic: a pure function of the task count, so it can appear
-    /// in byte-compared reports.
+    /// The rank's distinct stream ids, ascending; empty for an empty rank.
+    /// Entry `s` is the stream of every task whose slot is `s`.
+    #[inline]
+    pub fn stream_ids(&self) -> &[Stream] {
+        &self.tasks.stream_ids
+    }
+
+    /// The slot of task `id`: its stream's index in
+    /// [`RankSchedule::stream_ids`]. A dispatch needs nothing else about
+    /// the task, and on a one-stream rank this is 0 without a memory read,
+    /// so an out-of-range id panics only on a rank with several streams.
+    #[inline]
+    pub fn slot(&self, id: TaskId) -> usize {
+        self.tasks.slot(id.index())
+    }
+
+    /// Bytes held by the task arena columns: 17 per task, plus 2 per task
+    /// on a rank with two or more streams. Excludes the dependency CSR and
+    /// the per-rank stream table (4 bytes per distinct stream).
+    /// Deterministic: a pure function of the task and stream counts, so it
+    /// can appear in byte-compared reports.
     pub fn task_arena_bytes(&self) -> u64 {
-        let per_task = std::mem::size_of::<KindTag>()
-            + std::mem::size_of::<TaskRec>()
-            + std::mem::size_of::<Stream>();
-        (self.num_tasks() * per_task) as u64
+        let per_task = std::mem::size_of::<KindTag>() + std::mem::size_of::<TaskRec>();
+        (self.num_tasks() * per_task + self.tasks.slots.len() * std::mem::size_of::<u16>()) as u64
     }
 
     /// Bytes held by the predecessor CSR: a 4-byte offset column of `n + 1`
@@ -676,12 +783,35 @@ mod tests {
     }
 
     #[test]
-    fn footprint_is_21_bytes_per_task_and_4_per_edge() {
+    fn footprint_is_17_bytes_per_task_19_with_streams_and_4_per_edge() {
         assert_eq!(std::mem::size_of::<Dep>(), 4);
         let s = diamond();
         let (n, e) = (s.num_tasks() as u64, s.num_deps() as u64);
-        assert_eq!(s.task_arena_bytes(), 21 * n);
+        assert_eq!(s.task_arena_bytes(), 17 * n);
         assert_eq!(s.dep_bytes(), 4 * (n + 1) + 4 * e);
+        let tasks = vec![Task::calc(1), Task::calc(2).on_stream(3), Task::calc(3)];
+        let two = RankSchedule::from_parts(0, tasks, &[]).unwrap();
+        assert_eq!(two.task_arena_bytes(), 19 * 3);
+    }
+
+    #[test]
+    fn stream_slots_are_the_sorted_distinct_stream_ids() {
+        let tasks: Vec<_> = [7, 7, 2, 9, 2, 2, 7, 0].map(|s| Task::calc(10).on_stream(s)).into();
+        let s = RankSchedule::from_parts(0, tasks.clone(), &[]).unwrap();
+        assert_eq!(s.stream_ids(), [0, 2, 7, 9]);
+        let slots: Vec<_> = (0..8).map(|i| s.slot(TaskId(i))).collect();
+        assert_eq!(slots, [2, 2, 1, 3, 1, 1, 2, 0]);
+        assert!(s.tasks().eq(tasks));
+    }
+
+    #[test]
+    fn a_one_stream_rank_keeps_no_slot_column() {
+        let tasks = vec![Task::calc(1).on_stream(u32::MAX); 3];
+        let s = RankSchedule::from_parts(0, tasks, &[]).unwrap();
+        assert_eq!(s.stream_ids(), [u32::MAX]);
+        assert_eq!((s.slot(TaskId(2)), s.stream(TaskId(2))), (0, u32::MAX));
+        assert!(s.tasks.slots.is_empty());
+        assert!(RankSchedule::default().stream_ids().is_empty());
     }
 
     #[test]

@@ -12,12 +12,13 @@ pub struct ScheduleStats {
     pub recvs: usize,
     pub calcs: usize,
     pub deps: usize,
-    /// Total bytes across all send tasks.
+    /// Total bytes across all send tasks, saturating at `u64::MAX`.
     pub bytes_sent: u64,
-    /// Total nanoseconds across all calc tasks.
+    /// Total nanoseconds across all calc tasks, saturating at `u64::MAX`.
     pub calc_ns: u64,
-    /// Highest compute-stream id used, plus one (0 for an empty schedule).
-    pub streams: u32,
+    /// Highest compute-stream id used, plus one (0 for an empty schedule);
+    /// a `u64`, so stream `u32::MAX` counts as 2^32.
+    pub streams: u64,
 }
 
 impl ScheduleStats {
@@ -27,17 +28,19 @@ impl ScheduleStats {
         for sched in goal.ranks() {
             s.tasks += sched.num_tasks();
             s.deps += sched.num_deps();
+            if let Some(&top) = sched.stream_ids().last() {
+                s.streams = s.streams.max(u64::from(top) + 1);
+            }
             for t in sched.tasks() {
-                s.streams = s.streams.max(t.stream + 1);
                 match t.kind {
                     TaskKind::Send { bytes, .. } => {
                         s.sends += 1;
-                        s.bytes_sent += bytes;
+                        s.bytes_sent = s.bytes_sent.saturating_add(bytes);
                     }
                     TaskKind::Recv { .. } => s.recvs += 1,
                     TaskKind::Calc { cost } => {
                         s.calcs += 1;
-                        s.calc_ns += cost;
+                        s.calc_ns = s.calc_ns.saturating_add(cost);
                     }
                 }
             }
@@ -117,6 +120,18 @@ mod tests {
         assert_eq!(s.calc_ns, 1000);
         assert_eq!(s.streams, 2);
         assert_eq!(s.deps, 1);
+    }
+
+    #[test]
+    fn extreme_streams_and_sums_do_not_overflow() {
+        let mut b = GoalBuilder::new(2);
+        b.calc_on(0, u64::MAX, u32::MAX);
+        b.calc(0, 1);
+        b.send(0, 1, u64::MAX, 0);
+        b.send(0, 1, 1, 0);
+        let s = ScheduleStats::of(&b.build().unwrap());
+        assert_eq!(s.streams, 1 << 32);
+        assert_eq!((s.calc_ns, s.bytes_sent), (u64::MAX, u64::MAX));
     }
 
     #[test]

@@ -28,8 +28,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::error::GoalError;
-use crate::schedule::{GoalSchedule, RankSchedule};
-use crate::task::{DepKind, Rank, Task, TaskId, TaskKind};
+use crate::schedule::{Edge, GoalSchedule, RankSchedule, TaskColumns};
+use crate::task::{Dep, DepKind, Rank, Task, TaskId, TaskKind};
 
 /// Parse a textual GOAL schedule.
 pub fn parse(input: &str) -> Result<GoalSchedule, GoalError> {
@@ -152,8 +152,8 @@ impl<'a> Parser<'a> {
 
     fn parse_rank_block(&mut self, rank: Rank) -> Result<RankSchedule, GoalError> {
         let mut labels: BTreeMap<&'a str, TaskId> = BTreeMap::new();
-        let mut tasks: Vec<Task> = Vec::new();
-        let mut deps: Vec<(TaskId, TaskId, DepKind)> = Vec::new();
+        let mut tasks = TaskColumns::default();
+        let mut deps: Vec<Edge> = Vec::new();
 
         for (lineno, raw) in self.lines.by_ref() {
             let line = strip_comment(raw).trim();
@@ -162,7 +162,7 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if line == "}" {
-                return RankSchedule::from_parts(rank, tasks, &deps);
+                return RankSchedule::assemble(rank, tasks, deps);
             }
             if let Some((label, body)) = line.split_once(':') {
                 // task definition
@@ -205,7 +205,7 @@ impl<'a> Parser<'a> {
                     line: lineno,
                     msg: format!("unknown label `{b}`"),
                 })?;
-                deps.push((ida, idb, kind));
+                deps.push((ida, Dep::new(idb, kind)));
             }
         }
         Err(GoalError::Parse { line: 0, msg: format!("unterminated block for rank {rank}") })

@@ -134,7 +134,7 @@ proptest! {
         prop_assert!(decoded.rank((idle % num_ranks) as u32).is_empty());
         for (got, want) in decoded.ranks().iter().zip(goal.ranks()) {
             prop_assert_eq!(got.num_tasks(), want.num_tasks());
-            prop_assert_eq!(got.streams(), want.streams());
+            prop_assert_eq!(got.stream_ids(), want.stream_ids());
             prop_assert_eq!(got.indegrees(), want.indegrees());
             prop_assert_eq!(got.roots().collect::<Vec<_>>(), want.roots().collect::<Vec<_>>());
             prop_assert_eq!(got.topo_order(), want.topo_order());

@@ -232,7 +232,9 @@ macro_rules! prop_assert_ne {
 }
 
 /// Define property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over `cases` generated inputs.
+/// runs the body over `cases` generated inputs. As in proptest, the
+/// function keeps its attributes: `#[test]` makes it a test, and
+/// `#[ignore]` and doc comments apply as on any function.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -251,7 +253,7 @@ macro_rules! proptest {
 macro_rules! __proptest_impl {
     ($cfg:expr; $( $(#[$meta:meta])* fn $name:ident ( $($arg:pat in $strat:expr),+ $(,)? ) $body:block )*) => {
         $(
-            #[test]
+            $(#[$meta])*
             fn $name() {
                 let cfg: $crate::test_runner::ProptestConfig = $cfg;
                 let mut rng = $crate::test_runner::TestRng::deterministic();

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 
 use atlahs_bench::cluster::{run_grid, ClusterGrid, ClusterReport};
 use atlahs_bench::figures::{fig08_cells, fig10_cells};
-use atlahs_bench::scenario::{LlmPreset, ScenarioGrid};
+use atlahs_bench::scenario::{LlmPreset, ScenarioCell, ScenarioGrid};
 use atlahs_bench::smoke;
 use atlahs_bench::sweep::{execute, SweepReport};
 use atlahs_bench::workloads::hpc_suite;
@@ -108,11 +108,18 @@ fn cluster(flags: &str) -> String {
     ClusterReport { seed: grid.seed, results }.to_json().pretty()
 }
 
-fn fidelity() -> String {
+/// The fidelity row's cells: Fig. 8's Llama 7B DP16 case and Fig. 10's
+/// six 128-rank points, each on {testbed, LGS, htsim}.
+pub fn fidelity_cells() -> Vec<ScenarioCell> {
     let mut cells = fig08_cells(LlmPreset::Llama7bDp16, 0.002, true, 1).to_vec();
     for case in hpc_suite().iter().filter(|case| case.procs == 128) {
         cells.extend(fig10_cells(case, 0.05, 1));
     }
     assert_eq!(cells.len(), 3 * 7);
-    SweepReport { seed: 1, results: execute(&cells, THREADS), branch: None }.to_json().pretty()
+    cells
+}
+
+fn fidelity() -> String {
+    let results = execute(&fidelity_cells(), THREADS);
+    SweepReport { seed: 1, results, branch: None }.to_json().pretty()
 }

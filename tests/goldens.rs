@@ -3,14 +3,22 @@
 //! docs/SCENARIOS.md prints for it, and the cluster-engine rows (whose
 //! goldens no older test file owns) reproduce byte for byte. The other
 //! rows are checked where their grids' tests live; the table's module
-//! docs list which test checks which row.
+//! docs list which test checks which row. Last, the ordering laws
+//! `ideal ≤ lgs`, `ideal ≤ htsim` and `ideal ≤ testbed` on every cell of
+//! one simulation; the two that a Fig. 8 cell breaks are ignored, with
+//! the measured makespans in the reason.
 
 mod golden_table;
 
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
+
 use atlahs_bench::args::Args;
 use atlahs_bench::cluster::ClusterGrid;
-use atlahs_bench::scenario::ScenarioGrid;
+use atlahs_bench::scenario::{ScenarioCell, ScenarioGrid};
 use atlahs_bench::smoke;
+use atlahs_bench::spec::{BackendSpec, FaultSpec};
+use atlahs_bench::sweep::execute;
 
 #[test]
 fn every_golden_has_a_row() {
@@ -97,4 +105,76 @@ fn cluster_smoke_reproduces_the_checked_in_golden_bytes() {
 #[test]
 fn cluster_fault_smoke_reproduces_the_checked_in_golden_bytes() {
     golden_table::reproduce("cluster_fault_smoke.json");
+}
+
+/// Every golden-table cell that is one simulation — each sweep row's and
+/// the fidelity row's — as `(key, backend, makespan, ideal makespan)`: the
+/// last is its ideal twin's, the same topology, workload, placement and
+/// seed on the contention-free fixed-rate backend with no fault. Faults,
+/// loss and jitter only slow a run, so the fault-free twin bounds a
+/// faulted cell too. A cluster row's makespan is a queueing outcome over
+/// many simulations, which a faster backend need not shorten, so those
+/// rows are left out. Run once per test binary and shared by the laws
+/// below.
+fn golden_cells_with_ideal_twins() -> &'static [(String, String, u64, u64)] {
+    static RUNS: OnceLock<Vec<(String, String, u64, u64)>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let sweeps = golden_table::GOLDENS.iter().filter(|(_, sub, _)| *sub == "sweep");
+        let mut cells: Vec<ScenarioCell> =
+            sweeps.flat_map(|(_, _, flags)| smoke::sweep_grid(flags).expand()).collect();
+        cells.extend(golden_table::fidelity_cells());
+        let twin = |c: &ScenarioCell| ScenarioCell {
+            backend: BackendSpec::Ideal,
+            fault: FaultSpec::None,
+            collect_flows: false,
+            ..c.clone()
+        };
+        let mut twins: Vec<ScenarioCell> = cells.iter().map(twin).collect();
+        twins.sort_by_key(|c| (c.key(), c.seed));
+        twins.dedup_by_key(|c| (c.key(), c.seed));
+        let ideal: BTreeMap<(String, u64), u64> = twins
+            .iter()
+            .zip(execute(&twins, 2))
+            .map(|(c, run)| ((c.key(), c.seed), run.makespan))
+            .collect();
+        let runs = cells.iter().zip(execute(&cells, 2));
+        runs.map(|(c, run)| {
+            let t = twin(c);
+            (run.key, c.backend.label(), run.makespan, ideal[&(t.key(), t.seed)])
+        })
+        .collect()
+    })
+}
+
+/// The golden cells whose backend label starts with `family` and whose
+/// ideal twin finishes later than they do.
+fn ideal_bound_violations(family: &str) -> Vec<String> {
+    let cells = golden_cells_with_ideal_twins();
+    let mine: Vec<_> =
+        cells.iter().filter(|(_, backend, ..)| backend.starts_with(family)).collect();
+    assert!(!mine.is_empty(), "the golden table has {family} cells");
+    mine.iter()
+        .filter(|(.., makespan, ideal)| ideal > makespan)
+        .map(|(key, _, makespan, ideal)| format!("{key}: ideal {ideal} ns > {makespan} ns"))
+        .collect()
+}
+
+#[test]
+#[ignore = "broken: llama7b-dp16 reads ideal 3 259 079 ns > lgs 3 172 279 ns"]
+fn ideal_lower_bounds_every_lgs_golden_cell() {
+    let violations = ideal_bound_violations("lgs");
+    assert!(violations.is_empty(), "ideal ≤ lgs fails on {violations:#?}");
+}
+
+#[test]
+fn ideal_lower_bounds_every_htsim_golden_cell() {
+    let violations = ideal_bound_violations("htsim");
+    assert!(violations.is_empty(), "ideal ≤ htsim fails on {violations:#?}");
+}
+
+#[test]
+#[ignore = "broken: llama7b-dp16 reads ideal 3 259 079 ns > testbed 3 192 096 ns"]
+fn ideal_lower_bounds_every_testbed_golden_cell() {
+    let violations = ideal_bound_violations("testbed");
+    assert!(violations.is_empty(), "ideal ≤ testbed fails on {violations:#?}");
 }

@@ -12,8 +12,9 @@
 //! * **determinism** — re-running a backend on the same schedule
 //!   reproduces the complete event log bit for bit;
 //! * **optimality bound** — the contention-free ideal backend at the same
-//!   link rate and zero latency is a lower bound on the packet-level
-//!   makespan;
+//!   link rate and zero latency is a lower bound on the packet-level,
+//!   the rendezvous message-level and the testbed makespan (eager LGS
+//!   breaks it; that test is ignored with the measured makespans);
 //! * **fault regimes** — every invariant above survives seeded fault
 //!   injection: link flaps force retransmissions without breaking byte
 //!   conservation, straggler inflation never reorders a rank's issue
@@ -540,6 +541,46 @@ proptest! {
             ideal.makespan,
             ht.makespan
         );
+    }
+
+    /// The ideal bound holds against the message-level model under
+    /// rendezvous, which adds overheads, latency and a handshake to the
+    /// same wire time.
+    #[test]
+    fn ideal_lower_bounds_rendezvous_lgs(n in 2usize..6, msgs in vec(raw_msg(), 1..16)) {
+        let goal = assemble(n, &msgs);
+        let ideal = run_recorded(&goal, ideal_bound()).makespan;
+        let rdv = LogGopsParams { s: 32 << 10, ..LogGopsParams::hpc_testbed() };
+        let lgs = run_recorded(&goal, LgsBackend::new(rdv)).makespan;
+        prop_assert!(ideal <= lgs, "ideal {ideal} must lower-bound rendezvous lgs {lgs}");
+    }
+
+    /// The same law for eager LGS, which it breaks: an eager send
+    /// completes `o` after issue, before its bytes have left, while an
+    /// ideal send completes when its last byte leaves.
+    #[test]
+    #[ignore = "broken: the first failing case reads ideal 54 024 ns > eager LGS 49 985 ns"]
+    fn ideal_lower_bounds_eager_lgs(n in 2usize..6, msgs in vec(raw_msg(), 1..16)) {
+        let goal = assemble(n, &msgs);
+        let ideal = run_recorded(&goal, ideal_bound()).makespan;
+        let lgs = run_recorded(&goal, LgsBackend::new(LogGopsParams::ai_alps())).makespan;
+        prop_assert!(ideal <= lgs, "ideal {ideal} must lower-bound eager lgs {lgs}");
+    }
+
+    /// The ideal bound holds against the testbed reference, computation
+    /// noise on.
+    #[test]
+    fn ideal_lower_bounds_testbed(
+        n in 2usize..6,
+        msgs in vec(raw_msg(), 1..16),
+        seed in 1u64..1_000_000,
+    ) {
+        let goal = assemble(n, &msgs);
+        let ideal = run_recorded(&goal, ideal_bound()).makespan;
+        let topo = TopologyConfig::SingleSwitch { hosts: n, link: LinkParams::default() };
+        let testbed = TestbedBackend::new(TestbedConfig { seed, ..TestbedConfig::new(topo) });
+        let testbed = run_recorded(&goal, testbed).makespan;
+        prop_assert!(ideal <= testbed, "ideal {ideal} must lower-bound the testbed {testbed}");
     }
 
     /// The backend contract under fault injection: link flaps and

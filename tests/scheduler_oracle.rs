@@ -19,7 +19,7 @@ use atlahs::core::backends::IdealBackend;
 use atlahs::core::probe::{Call, Recorded};
 use atlahs::core::{Backend, SimDriver, SimError, SimReport};
 use atlahs::core::{Simulation, Snapshot, Time};
-use atlahs::goal::{GoalBuilder, GoalSchedule, Rank, Tag, Task};
+use atlahs::goal::{GoalBuilder, GoalSchedule, Rank, Tag, Task, TaskId};
 use atlahs::htsim::engine::{HtsimBackend, HtsimConfig};
 use atlahs::htsim::topology::{LinkParams, TopologyConfig};
 use atlahs::htsim::CcAlgo;
@@ -158,14 +158,14 @@ mod oracle {
             }
         }
 
-        /// Stream slot of task `ti`, touching the schedule's stream column
-        /// only when the rank actually multiplexes streams.
+        /// Stream slot of task `ti`, looking its stream up only when the
+        /// rank actually multiplexes streams.
         #[inline]
         fn stream_idx_of(&self, sched: &RankSchedule, ti: usize) -> usize {
             if self.streams.len() == 1 {
                 0
             } else {
-                self.stream_idx(sched.streams()[ti])
+                self.stream_idx(sched.stream(TaskId(ti as u32)))
             }
         }
     }
@@ -195,8 +195,9 @@ mod oracle {
             let mut ranks: Vec<RankState> = Vec::with_capacity(goal.num_ranks());
             for sched in goal.ranks() {
                 let n = sched.num_tasks();
-                let stream_col = sched.streams();
-                let mut stream_ids: Vec<Stream> = stream_col.to_vec();
+                let stream_col: Vec<Stream> =
+                    (0..n).map(|i| sched.stream(TaskId(i as u32))).collect();
+                let mut stream_ids = stream_col.clone();
                 stream_ids.sort_unstable();
                 stream_ids.dedup();
                 let mut rs = RankState {
@@ -649,7 +650,8 @@ fn random_goal(seed: u64, ranks: u32, tasks: usize, streams: u32, edges: usize) 
 
 fn distinct_streams(goal: &GoalSchedule) -> usize {
     let per_rank = goal.ranks().iter().map(|sched| {
-        let mut ids = sched.streams().to_vec();
+        let mut ids: Vec<_> =
+            (0..sched.num_tasks()).map(|i| sched.stream(TaskId(i as u32))).collect();
         ids.sort_unstable();
         ids.dedup();
         ids.len()
