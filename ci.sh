@@ -153,7 +153,7 @@ cmp target/benchmark-Cargo.lock benchmark/Cargo.lock \
 step "code-only line count (ratchet; docs/PERFORMANCE.md, Measuring)"
 # Ratchet: the code-only line count may only go down. Lower MAX_CODE_LINES
 # when a PR removes code; raising it needs a CHANGES.md line saying why.
-MAX_CODE_LINES=12967
+MAX_CODE_LINES=13006
 find crates -path 'crates/*/src/*.rs' ! -path 'crates/shims/*' -exec awk '
     FNR == 1 { test = 0; split(FILENAME, path, "/") }
     /^#\[cfg\(test\)\]/ { test = 1 }

@@ -20,7 +20,7 @@
 
 use crate::error::GoalError;
 use crate::schedule::{
-    check_edge, check_task_count, GoalSchedule, KindTag, RankSchedule, TaskColumns, TaskRec,
+    check_edge, check_task_count, GoalSchedule, KindTag, RankSchedule, TaskColumns,
 };
 use crate::task::{Dep, DepKind, Rank, TaskId};
 
@@ -128,7 +128,7 @@ impl Reader<'_> {
         let tag = if header & FLAG_TAG != 0 { self.varint_u32("tag")? } else { 0 };
         let stream = if header & FLAG_STREAM != 0 { self.varint_u32("stream")? } else { 0 };
         let tag = if kind == KindTag::Calc { 0 } else { tag };
-        tasks.push_fields(kind, TaskRec { payload, peer, tag }, stream);
+        tasks.push_fields(kind, payload, peer, tag, stream);
         Ok(())
     }
 
@@ -204,7 +204,7 @@ pub fn encode(goal: &GoalSchedule) -> Vec<u8> {
                 header |= FLAG_STREAM;
             }
             out.push(header);
-            put_varint(&mut out, rec.payload);
+            put_varint(&mut out, cols.payload(i));
             if kind != KindTag::Calc {
                 put_varint(&mut out, rec.peer as u64);
             }

@@ -48,8 +48,9 @@ impl<'a> PlacedJob<'a> {
 /// under a zero-cost dummy root vertex, mirroring the dummy-vertex merge
 /// of the paper.
 ///
-/// Fails with [`GoalError::Compose`] on a malformed placement, or when
-/// the sharing tenants' shifted tags pass `u32::MAX`.
+/// Fails with [`GoalError::Compose`] on a malformed placement, when the
+/// sharing tenants' shifted tags pass `u32::MAX`, or when a node's
+/// tenants' stream ranges do not fit below it.
 pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedule, GoalError> {
     // Validate placements.
     for (j, job) in jobs.iter().enumerate() {
@@ -95,7 +96,8 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
 
     let mut b = GoalBuilder::new(total_ranks);
     // Next free stream id per node, so tenants get disjoint stream ranges.
-    let mut next_stream: Vec<u32> = vec![0; total_ranks];
+    // A u64, so a tenant may end at stream u32::MAX.
+    let mut next_stream: Vec<u64> = vec![0; total_ranks];
     // One past the largest tag of the sharing tenants so far: the next
     // sharing tenant's tag base. A u64, so a tenant may end at u32::MAX.
     let mut free_tag = 0u64;
@@ -117,11 +119,19 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
             }
             let node = job.nodes[r];
             let stream_base = next_stream[node as usize];
+            let stream_of = |s: u32| {
+                u32::try_from(stream_base + u64::from(s)).map_err(|_| GoalError::Compose {
+                    msg: format!("job {j}: co-located tenants' streams pass u32::MAX"),
+                })
+            };
             let mut max_stream = 0u32;
 
             // Dummy root anchoring this tenant's sub-DAG, only where the
             // node is genuinely shared.
-            let dummy = (tenants[node as usize] >= 2).then(|| b.calc_on(node, 0, stream_base));
+            let dummy = match tenants[node as usize] {
+                2.. => Some(b.calc_on(node, 0, stream_of(0)?)),
+                _ => None,
+            };
             let base = b.num_tasks(node) as u32;
 
             b.append(node, sched, |_, t| {
@@ -142,14 +152,14 @@ pub fn compose(jobs: &[PlacedJob<'_>], total_ranks: usize) -> Result<GoalSchedul
                         TaskKind::Recv { bytes, src: job.nodes[src as usize], tag: shift(tag)? }
                     }
                 };
-                Ok(Task { kind, stream: stream_base + t.stream })
+                Ok(Task { kind, stream: stream_of(t.stream)? })
             })?;
             if let Some(dummy) = dummy {
                 for root in sched.roots() {
                     b.requires(node, TaskId(base + root.0), dummy);
                 }
             }
-            next_stream[node as usize] = stream_base + max_stream + 1;
+            next_stream[node as usize] = stream_base + u64::from(max_stream) + 1;
         }
         if shares {
             free_tag = tag_end;
@@ -368,6 +378,35 @@ mod tests {
         let want: Vec<(char, u32)> = (0..300).map(|tag| ('s', tag)).collect();
         assert_eq!(tags(&merged, 0), want);
         assert_eq!(merged.total_tasks(), 4 * 300); // send/recv + dummy each
+    }
+
+    /// A job of one calc on `stream` and a one-message exchange on stream 0.
+    fn on_stream(stream: u32) -> GoalSchedule {
+        let mut b = GoalBuilder::new(2);
+        b.calc_on(0, 5, stream);
+        b.send(0, 1, 8, 0);
+        b.recv(1, 0, 8, 0);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn stream_ranges_past_u32_max_are_rejected_not_wrapped() {
+        // Alone, a job keeps stream u32::MAX.
+        let top = on_stream(u32::MAX);
+        let alone = compose(&[PlacedJob::new(&top, vec![0, 1])], 2).unwrap();
+        assert_eq!(alone.rank(0).stream_ids(), [0, u32::MAX]);
+        // Its node has no stream left for a second tenant, in either order.
+        let low = on_stream(0);
+        for jobs in [[&top, &low], [&low, &top]] {
+            let placed = jobs.map(|goal| PlacedJob::new(goal, vec![0, 1]));
+            let err = compose(&placed, 2).unwrap_err();
+            assert!(matches!(err, GoalError::Compose { .. }), "{err:?}");
+        }
+        // Ending exactly at u32::MAX composes.
+        let high = on_stream(u32::MAX - 1);
+        let fits =
+            compose(&[PlacedJob::new(&low, vec![0, 1]), PlacedJob::new(&high, vec![0, 1])], 2);
+        assert_eq!(fits.unwrap().rank(0).stream_ids(), [0, 1, u32::MAX]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! In-memory representation of GOAL schedules.
 //!
-//! A rank is a task arena (one kind byte and one 16-byte record per task,
-//! plus its compute streams: a sorted table of the distinct ids and, on a
-//! rank with two or more, a 2-byte slot per task) plus its dependency
+//! A rank is a task arena (one kind byte and one 12-byte record per task,
+//! an overflow table for the rare payload that does not fit 32 bits, plus
+//! its compute streams: a sorted table of the distinct ids and, on a rank
+//! with two or more, a 2-byte slot per task) plus its dependency
 //! edges as a predecessor CSR, in the order they were inserted: exactly
 //! what the codecs, the text writer and composition read. Every
 //! constructor — the builder, the binary decoder, `from_parts` — produces
@@ -40,19 +41,24 @@ impl KindTag {
     }
 }
 
-/// Everything about a task but its kind and stream, in one 16-byte record,
+/// Everything about a task but its kind and stream, in one 12-byte record,
 /// so issuing a task loads one cache line slot instead of three columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TaskRec {
-    /// Message bytes (send/recv) or calc nanoseconds.
-    pub(crate) payload: u64,
+    /// Message bytes (send/recv) or calc nanoseconds when below
+    /// [`WIDE`]; [`WIDE`] when the rank's overflow table holds them.
+    payload: u32,
     /// Peer rank: dst for sends, src for recvs, 0 for calcs.
     pub(crate) peer: Rank,
     /// Match tag; 0 for calcs.
     pub(crate) tag: Tag,
 }
 
-const _: () = assert!(std::mem::size_of::<TaskRec>() == 16);
+const _: () = assert!(std::mem::size_of::<TaskRec>() == 12);
+
+/// The record payload marking a task whose payload, `u32::MAX` or more,
+/// is in [`TaskColumns`]'s overflow table.
+const WIDE: u32 = u32::MAX;
 
 /// The most distinct compute streams one rank may use: a task names its
 /// stream by a `u16` slot in the rank's stream table.
@@ -65,11 +71,15 @@ pub const MAX_STREAMS: usize = 1 << 16;
 /// pushes tasks straight into these columns and a finished
 /// [`RankSchedule`] takes them over by move, so a task is written once.
 /// Streams are stored once per rank: a sorted table of the distinct ids
-/// and, only when there are two or more, a `u16` slot per task.
+/// and, only when there are two or more, a `u16` slot per task. A payload
+/// of `u32::MAX` or more is stored once too, in the overflow table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct TaskColumns {
     pub(crate) kinds: Vec<KindTag>,
     pub(crate) recs: Vec<TaskRec>,
+    /// `(task, payload)` for every task whose record holds [`WIDE`], in
+    /// ascending task order: tasks are only appended.
+    wide: Vec<(u32, u64)>,
     /// The distinct stream ids of the tasks, ascending: slot order, which
     /// is the scheduler's issue order. Once past [`MAX_STREAMS`] it stops
     /// growing, one entry over, and [`TaskColumns::finish`] fails.
@@ -100,15 +110,32 @@ impl TaskColumns {
 
     /// Append a task from its fields; its id is the previous
     /// [`TaskColumns::len`]. A calc's `peer` and `tag` must be 0.
-    #[inline]
-    pub(crate) fn push_fields(&mut self, kind: KindTag, rec: TaskRec, stream: Stream) {
+    #[inline(always)]
+    pub(crate) fn push_fields(
+        &mut self,
+        kind: KindTag,
+        payload: u64,
+        peer: Rank,
+        tag: Tag,
+        stream: Stream,
+    ) {
+        let payload =
+            if payload < u64::from(WIDE) { payload as u32 } else { self.push_wide(payload) };
         self.kinds.push(kind);
-        self.recs.push(rec);
+        self.recs.push(TaskRec { payload, peer, tag });
         match self.slots.last() {
             Some(&slot) if stream == self.last_stream => self.slots.push(slot),
             None if self.stream_ids.first() == Some(&stream) => {}
             _ => self.push_stream(stream),
         }
+    }
+
+    /// Put `payload`, too wide for a record, into the overflow table for
+    /// the task about to be pushed, and return the record's marker.
+    #[cold]
+    fn push_wide(&mut self, payload: u64) -> u32 {
+        self.wide.push((self.kinds.len() as u32, payload));
+        WIDE
     }
 
     /// Record the stream of the task just pushed, unless it is the rank's
@@ -160,14 +187,31 @@ impl TaskColumns {
             TaskKind::Recv { bytes, src, tag } => (KindTag::Recv, bytes, src, tag),
             TaskKind::Calc { cost } => (KindTag::Calc, cost, 0, 0),
         };
-        self.push_fields(kind, TaskRec { payload, peer, tag }, t.stream);
+        self.push_fields(kind, payload, peer, tag, t.stream);
+    }
+
+    /// The payload of task `i`: message bytes or calc nanoseconds. Panics
+    /// if out of range.
+    #[inline(always)]
+    pub(crate) fn payload(&self, i: usize) -> u64 {
+        match self.recs[i].payload {
+            WIDE => self.wide_payload(i),
+            narrow => u64::from(narrow),
+        }
+    }
+
+    /// The payload of task `i` from the overflow table.
+    #[cold]
+    fn wide_payload(&self, i: usize) -> u64 {
+        let at = self.wide.binary_search_by_key(&(i as u32), |&(task, _)| task);
+        self.wide[at.expect("a task marked wide has an overflow entry")].1
     }
 
     /// The kind of task `i`, from its tag and record. Panics if out of
     /// range.
     #[inline(always)]
     fn kind(&self, i: usize) -> TaskKind {
-        let TaskRec { payload, peer, tag } = self.recs[i];
+        let (payload, TaskRec { peer, tag, .. }) = (self.payload(i), self.recs[i]);
         match self.kinds[i] {
             KindTag::Send => TaskKind::Send { bytes: payload, dst: peer, tag },
             KindTag::Recv => TaskKind::Recv { bytes: payload, src: peer, tag },
@@ -262,15 +306,20 @@ impl Successors {
 /// One rank's schedule: a DAG of tasks.
 ///
 /// Tasks are stored as a **struct-of-arrays arena** indexed by dense
-/// [`TaskId`]s: a 1-byte kind column and a column of 16-byte records
-/// (payload, peer, tag), 17 bytes per task versus the 32 bytes of a
-/// `Vec<Task>` array-of-structs. Compute streams are stored once per rank:
-/// the distinct stream ids, ascending ([`RankSchedule::stream_ids`]), and,
-/// only on a rank with two or more of them, a 2-byte slot column indexing
-/// that table ([`RankSchedule::slot`]) — 19 bytes per task there. Slot
-/// order is ascending stream id, the scheduler's issue order, and the form
-/// is canonical, so `==` still compares tasks. A rank may use at most
-/// [`MAX_STREAMS`] streams. Issuing a task reads its kind and one record
+/// [`TaskId`]s: a 1-byte kind column and a column of 12-byte records
+/// (payload, peer, tag), 13 bytes per task versus the 32 bytes of a
+/// `Vec<Task>` array-of-structs. A record's payload is 32 bits: one of
+/// `u32::MAX` or more (over 4 GiB, or over 4.29 s of compute) marks the
+/// record and goes to a per-rank overflow table of `(task, payload)`
+/// entries, 16 bytes each, in task order. Compute streams are stored once
+/// per rank: the distinct stream ids, ascending
+/// ([`RankSchedule::stream_ids`]), and, only on a rank with two or more of
+/// them, a 2-byte slot column indexing that table ([`RankSchedule::slot`])
+/// — 15 bytes per task there. Slot order is ascending stream id, the
+/// scheduler's issue order; a payload is in the overflow table exactly
+/// when it does not fit below the marker; so the form is canonical and
+/// `==` still compares tasks. A rank may use at most [`MAX_STREAMS`]
+/// streams. Issuing a task reads its kind and one record
 /// ([`RankSchedule::kind`]); a dispatch needs only the slot.
 /// [`RankSchedule::task`] reassembles a [`Task`] value on demand — it is
 /// `Copy`-cheap, so the arena is an internal layout choice, not an API
@@ -370,8 +419,9 @@ impl RankSchedule {
     }
 
     /// The kind of task `id`: [`RankSchedule::task`] without the stream,
-    /// so issuing a task reads its kind byte and its 16-byte record and
-    /// nothing else. Panics if out of range.
+    /// so issuing a task reads its kind byte and its 12-byte record and,
+    /// only for a payload past 32 bits, the overflow table. Panics if out
+    /// of range.
     #[inline]
     pub fn kind(&self, id: TaskId) -> TaskKind {
         self.tasks.kind(id.index())
@@ -406,14 +456,18 @@ impl RankSchedule {
         self.tasks.slot(id.index())
     }
 
-    /// Bytes held by the task arena columns: 17 per task, plus 2 per task
-    /// on a rank with two or more streams. Excludes the dependency CSR and
-    /// the per-rank stream table (4 bytes per distinct stream).
-    /// Deterministic: a pure function of the task and stream counts, so it
-    /// can appear in byte-compared reports.
+    /// Bytes held by the task arena columns: 13 per task, plus 2 per task
+    /// on a rank with two or more streams, plus 16 per overflow entry.
+    /// Excludes the dependency CSR and the per-rank stream table (4 bytes
+    /// per distinct stream). Deterministic: a pure function of the task
+    /// and stream counts and the payloads, so it can appear in
+    /// byte-compared reports.
     pub fn task_arena_bytes(&self) -> u64 {
         let per_task = std::mem::size_of::<KindTag>() + std::mem::size_of::<TaskRec>();
-        (self.num_tasks() * per_task + self.tasks.slots.len() * std::mem::size_of::<u16>()) as u64
+        let cols = &self.tasks;
+        (cols.len() * per_task
+            + cols.slots.len() * std::mem::size_of::<u16>()
+            + cols.wide.len() * std::mem::size_of::<(u32, u64)>()) as u64
     }
 
     /// Bytes held by the predecessor CSR: a 4-byte offset column of `n + 1`
@@ -783,15 +837,36 @@ mod tests {
     }
 
     #[test]
-    fn footprint_is_17_bytes_per_task_19_with_streams_and_4_per_edge() {
+    fn footprint_is_13_bytes_per_task_15_with_streams_16_per_wide_payload_and_4_per_edge() {
         assert_eq!(std::mem::size_of::<Dep>(), 4);
         let s = diamond();
         let (n, e) = (s.num_tasks() as u64, s.num_deps() as u64);
-        assert_eq!(s.task_arena_bytes(), 17 * n);
+        assert_eq!(s.task_arena_bytes(), 13 * n);
         assert_eq!(s.dep_bytes(), 4 * (n + 1) + 4 * e);
         let tasks = vec![Task::calc(1), Task::calc(2).on_stream(3), Task::calc(3)];
         let two = RankSchedule::from_parts(0, tasks, &[]).unwrap();
-        assert_eq!(two.task_arena_bytes(), 19 * 3);
+        assert_eq!(two.task_arena_bytes(), 15 * 3);
+        let wide = [Task::calc(u64::from(u32::MAX)), Task::send(0, 1 << 32, 0), Task::calc(7)];
+        let three = RankSchedule::from_parts(0, wide.to_vec(), &[]).unwrap();
+        assert_eq!(three.task_arena_bytes(), 13 * 3 + 16 * 2);
+    }
+
+    #[test]
+    fn payloads_from_the_marker_up_go_to_the_overflow_table() {
+        let payloads = [0, u64::from(u32::MAX) - 1, u64::from(u32::MAX), 1 << 32, u64::MAX, 9];
+        let tasks: Vec<_> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| match i % 3 {
+                0 => Task::calc(p),
+                1 => Task::send(0, p, 1),
+                _ => Task::recv(0, p, 2),
+            })
+            .collect();
+        let s = RankSchedule::from_parts(0, tasks.clone(), &[]).unwrap();
+        assert!(s.tasks().eq(tasks));
+        assert_eq!(s.tasks.wide, [(2, u64::from(u32::MAX)), (3, 1 << 32), (4, u64::MAX)]);
+        assert_eq!(s.tasks.recs[1].payload, u32::MAX - 1);
     }
 
     #[test]

@@ -406,6 +406,31 @@ mod tests {
     }
 
     #[test]
+    fn stage4_keeps_payloads_wider_than_32_bits() {
+        // GPUs 0 and 2 sit on nodes 0 and 1: GPU 0 computes and sends to
+        // GPU 2 every payload at the edge of a task record's 32 bits.
+        let edges = [0, (1 << 32) - 2, (1 << 32) - 1, 1 << 32, u64::MAX];
+        let mut gpus = GoalBuilder::new(4);
+        for (i, &p) in edges.iter().enumerate() {
+            gpus.calc_on(0, p, 1);
+            gpus.send(0, 2, p, i as u32);
+            gpus.recv(2, 0, p, i as u32);
+        }
+        let goal = merge_gpus(gpus, 2).unwrap();
+        let sends = edges
+            .iter()
+            .zip(0u32..)
+            .flat_map(|(&p, tag)| [Task::calc(p).on_stream(1), Task::send(1, p, tag << 3)]);
+        assert!(goal.rank(0).tasks().eq(sends));
+        let recvs = edges.iter().zip(0u32..).map(|(&p, tag)| Task::recv(0, p, tag << 3));
+        assert!(goal.rank(1).tasks().eq(recvs));
+        // 15 B per task on two streams, 13 on one, 16 per payload of
+        // u32::MAX or more.
+        assert_eq!(goal.rank(0).task_arena_bytes(), 10 * 15 + 6 * 16);
+        assert_eq!(goal.rank(1).task_arena_bytes(), 5 * 13 + 3 * 16);
+    }
+
+    #[test]
     fn pp_traces_convert() {
         let mut c = presets::mistral8x7b(0.01);
         c.iterations = 1;
