@@ -11,7 +11,7 @@
 #      the golden table among them: tests/golden_table/mod.rs holds the
 #      run behind every report under tests/goldens/ — the `atlahs sweep`
 #      and `atlahs cluster` flag lines of the sweep, stochastic (the 45
-#      fault-smoke cells byte-frozen inside), branch, cluster and
+#      fault-smoke cells among its 75), branch, cluster and
 #      cluster-fault smoke grids, parsed by the CLI's parser, and the
 #      Fig. 8/10 fidelity cells — and one test per row runs it on 2
 #      threads; each must reproduce its golden byte for byte, and each
@@ -153,7 +153,7 @@ cmp target/benchmark-Cargo.lock benchmark/Cargo.lock \
 step "code-only line count (ratchet; docs/PERFORMANCE.md, Measuring)"
 # Ratchet: the code-only line count may only go down. Lower MAX_CODE_LINES
 # when a PR removes code; raising it needs a CHANGES.md line saying why.
-MAX_CODE_LINES=13006
+MAX_CODE_LINES=12999
 find crates -path 'crates/*/src/*.rs' ! -path 'crates/shims/*' -exec awk '
     FNR == 1 { test = 0; split(FILENAME, path, "/") }
     /^#\[cfg\(test\)\]/ { test = 1 }

@@ -724,8 +724,7 @@ impl ClusterReport {
             frag.set("peak_extents", Json::Num(r.frag.peak_extents as f64));
             frag.set("mean_index", Json::Num(round4(r.frag.mean_index)));
             cell.set("frag", frag);
-            // Realized-fault telemetry, faulted cells only: fault-free
-            // reports keep their exact historical bytes.
+            // Realized-fault telemetry, for cells with a job fault.
             if let Some(tel) = &r.fault {
                 let mut f = Json::obj();
                 f.set("restarts", Json::Num(tel.restarts as f64));
@@ -746,13 +745,8 @@ impl ClusterReport {
                 job.set("completion_ns", Json::Num(j.completion_ns as f64));
                 job.set("solo_ns", Json::Num(j.solo_ns as f64));
                 job.set("slowdown", Json::Num(round4(j.slowdown)));
-                // Restart accounting only for jobs that actually failed:
-                // failure-free reports stay byte-identical to builds
-                // without the fault axis.
-                if j.restarts > 0 {
-                    job.set("restarts", Json::Num(j.restarts as f64));
-                    job.set("failed_ns", Json::Num(j.failed_ns as f64));
-                }
+                job.set("restarts", Json::Num(j.restarts as f64));
+                job.set("failed_ns", Json::Num(j.failed_ns as f64));
                 job.set("nodes", Json::Arr(j.nodes.iter().map(|&n| Json::Num(n as f64)).collect()));
                 job.set("batch", Json::Num(j.batch as f64));
                 jobs.push(job);
@@ -1317,7 +1311,8 @@ mod tests {
         assert_eq!(ja, json(run_cluster(&spec, 1)), "faulted cell is thread-count independent");
         assert!(ja.contains("\"restarts\": 2"), "restart accounting reaches the report");
         assert!(ja.contains("\"failed_ns\""));
-        assert!(!json(clean).contains("restarts"), "fault-free reports carry no restart fields");
+        let clean = json(clean);
+        assert_eq!(clean.matches("\"restarts\": 0,").count(), 8, "every job row has restarts");
     }
 
     #[test]

@@ -713,8 +713,8 @@ pub struct CellResult {
     /// multi-job schedule when placement remaps ranks). Deterministic,
     /// so memory regressions surface in byte-compared sweep reports.
     pub task_arena_bytes: u64,
-    /// Realized-fault telemetry; `Some` only for distributional fault
-    /// regimes (see [`FaultSpec::distributional`]).
+    /// Realized-fault telemetry; `Some` exactly for window and straggler
+    /// faults on a backend that models them.
     pub fault: Option<FaultTelemetry>,
     /// Host wall-clock cost of the cell (not part of the JSON report).
     pub wall: Duration,
@@ -1371,9 +1371,9 @@ mod tests {
             WindowFault::Markov { links: 2, up_ns: 30_000, down_ns: 60_000, horizon_ns: 400_000 };
         let a = run_cell(&mk(FaultSpec::Window(markov.clone())));
         let b = run_cell(&mk(FaultSpec::Window(markov.clone())));
-        assert_eq!(a.makespan, b.makespan, "distributional cells re-run bit-identically");
+        assert_eq!(a.makespan, b.makespan, "markov cells re-run bit-identically");
         assert_eq!(a.fault, b.fault);
-        let tel = a.fault.expect("distributional cells report realized-fault telemetry");
+        let tel = a.fault.expect("window cells report realized-fault telemetry");
         assert!(tel.windows > 0 && tel.downtime_ns > 0, "{tel:?}");
         // The telemetry identity: downtime is exactly the sum of the
         // generated windows' durations.
@@ -1426,7 +1426,6 @@ mod tests {
             let Ok(FaultSpec::Window(window)) = FaultSpec::parse(fault) else {
                 panic!("{fault} is a window fault")
             };
-            assert!(window.distributional(), "domain failures are distributional");
             let faults = window.lower(&topology, cell_seed(7, fault));
             let downtime: u64 = faults.iter().map(|f| f.end_ns - f.start_ns).sum();
             assert_eq!((faults.len(), downtime), (windows, downtime_ns), "{topo} {fault}");
@@ -1452,11 +1451,12 @@ mod tests {
             collect_flows: false,
         };
         let uniform = run_cell(&mk(FaultSpec::parse("straggler:100:400").unwrap()));
-        assert_eq!(uniform.fault, None, "pre-existing uniform stragglers stay telemetry-free");
         let spread = run_cell(&mk(FaultSpec::parse("straggler:100:400:200:2").unwrap()));
-        let tel = spread.fault.expect("spread stragglers are distributional");
-        assert_eq!(tel.stragglers, 8, "prob 100% slows every rank");
-        assert_eq!((tel.windows, tel.downtime_ns), (0, 0), "message-level: no port windows");
+        for tel in [uniform.fault, spread.fault] {
+            let tel = tel.expect("straggler cells report realized-fault telemetry");
+            assert_eq!(tel.stragglers, 8, "prob 100% slows every rank");
+            assert_eq!((tel.windows, tel.downtime_ns), (0, 0), "message-level: no port windows");
+        }
         assert!(
             spread.makespan > uniform.makespan,
             "the Weibull spread only adds slowdown: {} vs {}",
@@ -1599,9 +1599,9 @@ mod tests {
     /// Every fault family against every backend: the families a backend
     /// does not model (`applies_to` false) and the job scope leave the
     /// cell bit-identical to the clean one with no telemetry, and where a
-    /// family applies, telemetry is present exactly for the
-    /// distributional regimes. This ties `FaultSpec::applies_to` to what
-    /// each backend's `apply` models.
+    /// family applies, telemetry is present exactly for window and
+    /// straggler faults. This ties `FaultSpec::applies_to` to what each
+    /// backend's `apply` models.
     #[test]
     fn every_fault_family_meets_every_backend() {
         let mk = |backend, fault| ScenarioCell {
@@ -1615,6 +1615,7 @@ mod tests {
         };
         let faults = [
             "linkflap:2:5000:60000",
+            "degrade:2:10:300:0:60000",
             "markov:2:20000:20000:400000",
             "loss:5000",
             "straggler:50:300",
@@ -1640,7 +1641,13 @@ mod tests {
                     assert_eq!(cell.net, clean.net, "{at}");
                     assert_eq!(cell.fault, None, "{at}");
                 } else {
-                    assert_eq!(cell.fault.is_some(), fault.distributional(), "{at}");
+                    let windowed = matches!(fault, FaultSpec::Window(_) | FaultSpec::Straggler(_));
+                    assert_eq!(cell.fault.is_some(), windowed, "{at}");
+                    // A degraded port is slow, not down.
+                    if tok.starts_with("degrade") {
+                        let tel = cell.fault.unwrap();
+                        assert!(tel.windows > 0 && tel.downtime_ns == 0, "{at}: {tel:?}");
+                    }
                 }
             }
         }

@@ -32,6 +32,7 @@ use atlahs_core::probe::Recorded;
 use atlahs_core::{Backend, SimDriver, SimError, SimReport, Snapshot};
 use atlahs_goal::GoalSchedule;
 use atlahs_htsim::engine::{HtsimBackend, HtsimConfig, NetStats};
+use atlahs_htsim::fault::FaultKind;
 use atlahs_lgs::{LgsBackend, StragglerSpec};
 use atlahs_testbed::{TestbedBackend, TestbedConfig};
 
@@ -97,8 +98,8 @@ fn p99_index(count: usize) -> usize {
 /// Fault families a backend does not model are ignored (the default).
 trait CellBackend: Backend + Snapshot {
     /// Put `fault` onto the set-up backend, from now on, with its draws
-    /// keyed by `seed`; returns the realized-fault telemetry of the
-    /// distributional regimes. `ranks` is the simulated schedule's width.
+    /// keyed by `seed`; returns the realized-fault telemetry of a window
+    /// or straggler fault. `ranks` is the simulated schedule's width.
     fn apply(&mut self, _fault: &FaultSpec, _seed: u64, _ranks: usize) -> Option<FaultTelemetry> {
         None
     }
@@ -117,7 +118,7 @@ impl CellBackend for LgsBackend {
         let FaultSpec::Straggler(spec) = fault else { return None };
         let spec = StragglerSpec { seed, ..*spec };
         self.apply_straggler_now(spec);
-        (spec.spread_pct > 0).then(|| FaultTelemetry {
+        Some(FaultTelemetry {
             stragglers: (0..ranks).filter(|&r| spec.is_straggler(r)).count() as u64,
             ..FaultTelemetry::default()
         })
@@ -131,13 +132,14 @@ impl CellBackend for HtsimBackend {
                 let ports = window.lower(self.topology(), seed);
                 // Telemetry describes the generated schedule, before a
                 // branch point clamps its windows.
-                let telemetry = window.distributional().then(|| FaultTelemetry {
+                let down = ports.iter().filter(|f| f.kind == FaultKind::Down);
+                let telemetry = FaultTelemetry {
                     windows: ports.len() as u64,
-                    downtime_ns: ports.iter().map(|f| f.end_ns - f.start_ns).sum(),
+                    downtime_ns: down.map(|f| f.end_ns - f.start_ns).sum(),
                     stragglers: 0,
-                });
+                };
                 ports.into_iter().for_each(|f| self.inject_fault(f));
-                telemetry
+                Some(telemetry)
             }
             // Packets already in flight were drawn (or not) under the
             // prefix's clean model; the per-port draw counters ride in

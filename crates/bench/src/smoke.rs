@@ -17,14 +17,13 @@ use crate::scenario::ScenarioGrid;
 /// The sweep grid: 24 fast cells spanning both packet-level CC
 /// algorithms, spraying, the message-level model and the ideal bound.
 /// Golden `tests/goldens/sweep_smoke.json`; the fault axis is left at
-/// `none` so these cells (and their seeds and keys) are frozen at their
-/// pre-fault-axis bytes.
+/// `none`, so no key has a fault segment ([`FAULT`] covers faults).
 pub const SWEEP: &str = "--topos switch:8,ai-fattree:16:4 \
     --workloads ring:8:131072:1,moe:8:4:65536:1:2000 \
     --backends htsim,htsim-spray,lgs,ideal --collect-flows";
 
 /// The fault grid: 45 cells, per workload `none` with both htsim CCs and
-/// LGS (3); `linkflap`, `degrade` and the distributional `markov`,
+/// LGS (3); `linkflap`, `degrade` and the generated `markov`,
 /// `rackfail` and `churn` with the two htsim CCs (2 each); the uniform and
 /// the Weibull-spread `straggler` with LGS (1 each). Its results are, in
 /// order and byte for byte, 45 of the 75 in `stochastic_smoke.json`.
@@ -80,8 +79,8 @@ pub const BRANCH: &str = "--topos ai-fattree:16:4 \
 /// 4:1 fabric, where random placement scatters rings across the thin
 /// uplinks. The offered load keeps the queue and the slowdown paths busy
 /// (mean gap far below a job's duration). Golden
-/// `tests/goldens/cluster_smoke.json`; no fault axis, for the same
-/// frozen-bytes reason as [`SWEEP`].
+/// `tests/goldens/cluster_smoke.json`; no fault axis ([`CLUSTER_FAULT`]
+/// covers job faults).
 pub const CLUSTER: &str = "--catalog ring:8:262144:1,incast:5:131072:1 \
     --arrivals poisson:8:40000,trace:0;0;0;30000;30000;400000 \
     --queues fifo,smallest --placements packed,random \
@@ -89,9 +88,10 @@ pub const CLUSTER: &str = "--catalog ring:8:262144:1,incast:5:131072:1 \
 
 /// The cluster fault grid: 3 message-level cells over one saturated
 /// arrival stream — fault-free, Bernoulli `jobfail` and the
-/// distributional `mtbf` process, whose 20 µs MTBF fires on a fair share
+/// exponential `mtbf` process, whose 20 µs MTBF fires on a fair share
 /// of tens-of-µs job runs. Golden `tests/goldens/cluster_fault_smoke.json`,
-/// kept apart from [`CLUSTER`] so that golden's bytes stay frozen.
+/// a grid of its own so the fault axis does not multiply [`CLUSTER`]'s
+/// 24 cells.
 pub const CLUSTER_FAULT: &str = "--catalog ring:8:262144:1,incast:5:131072:1 \
     --arrivals poisson:8:40000 --backends lgs \
     --faults none,jobfail:50:50:2,mtbf:20000:3";
@@ -127,8 +127,12 @@ mod tests {
         // (5 regimes × 2 CCs), 2 message-level stragglers.
         let faulted = cells.iter().filter(|c| c.fault != FaultSpec::None).count();
         assert_eq!(faulted, 36);
-        let distributional = cells.iter().filter(|c| c.fault.distributional()).count();
-        assert_eq!(distributional, 21, "7 distributional cells per workload");
+        // Every faulted cell is a window or straggler cell, so it reports
+        // a `fault` object.
+        assert!(cells
+            .iter()
+            .filter(|c| c.fault != FaultSpec::None)
+            .all(|c| matches!(c.fault, FaultSpec::Window(_) | FaultSpec::Straggler(_))));
         let mut keys: Vec<String> = cells.iter().map(|c| c.key()).collect();
         keys.sort();
         keys.dedup();

@@ -359,18 +359,6 @@ impl FaultSpec {
         }
     }
 
-    /// Whether this is one of the distributional regimes (generated by
-    /// `atlahs_core::faultgen` rather than fixed windows). Only these
-    /// cells carry realized-fault telemetry in reports — the primitive
-    /// regimes predate the telemetry and their goldens stay byte-exact.
-    pub fn distributional(&self) -> bool {
-        match self {
-            FaultSpec::Window(window) => window.distributional(),
-            FaultSpec::Straggler(spec) => spec.spread_pct > 0,
-            _ => false,
-        }
-    }
-
     /// Parse a CLI token (the inverse of [`FaultSpec::label`]).
     ///
     /// `churn:@<path>` loads a trace file in the line format of
@@ -406,11 +394,12 @@ impl FaultSpec {
     }
 }
 
-/// Realized-fault telemetry for one cell: what the distributional fault
-/// generator actually produced, so a report is auditable without
-/// re-deriving the draw chain. `windows`/`downtime_ns` describe the
-/// packet-level schedule (downtime counts per-port window durations);
-/// `stragglers` counts slowed ranks on the message-level path.
+/// Realized-fault telemetry for one window or straggler cell: what the
+/// fault actually produced, so a report is auditable without re-deriving
+/// the draw chain. `windows`/`downtime_ns` describe the packet-level
+/// schedule (every per-port window, and the summed durations of its
+/// `down` windows; a degraded port is slow, not down); `stragglers`
+/// counts slowed ranks on the message-level path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultTelemetry {
     pub windows: u64,

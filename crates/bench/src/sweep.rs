@@ -268,8 +268,7 @@ impl SweepReport {
     pub fn to_json(&self) -> Json {
         let mut doc = report_head("atlahs-sweep-v1", self.seed, self.results.len());
         // Branched sweeps record the branch point and the shared-prefix
-        // work counter; straight sweeps omit the object entirely so all
-        // pre-existing goldens keep their exact bytes.
+        // work counter; a straight sweep has neither.
         if let Some(b) = &self.branch {
             let mut br = Json::obj();
             br.set("at_ns", Json::Num(b.branch_at as f64));
@@ -304,33 +303,20 @@ impl SweepReport {
                 n.set("core_drops", Json::Num(net.core_drops as f64));
                 n.set("ecn_marks", Json::Num(net.ecn_marks as f64));
                 n.set("retransmissions", Json::Num(net.retransmissions as f64));
-                // Injected-fault discards, only for cells whose fault
-                // window actually bit: fault-free reports keep their
-                // exact historical bytes.
-                if net.fault_drops > 0 {
-                    n.set("fault_drops", Json::Num(net.fault_drops as f64));
-                }
-                // Per-packet stochastic realizations, only for cells
-                // running a link model: every other cell makes zero
-                // draws, so all pre-existing reports keep their exact
-                // historical bytes.
-                if net.stochastic_draws > 0 {
-                    n.set("stochastic_draws", Json::Num(net.stochastic_draws as f64));
-                    n.set("stochastic_drops", Json::Num(net.stochastic_drops as f64));
-                    n.set("jittered", Json::Num(net.jittered as f64));
-                    n.set("rtx_timeout", Json::Num(net.rtx_timeout as f64));
-                    n.set("rtx_fault_drop", Json::Num(net.rtx_fault_drop as f64));
-                    n.set("payload_bytes", Json::Num(net.payload_bytes as f64));
-                    n.set("retransmitted_bytes", Json::Num(net.retransmitted_bytes as f64));
-                    n.set("goodput_ppm", Json::Num(net.goodput_ppm() as f64));
-                    n.set("rtx_storm_per_kflow", Json::Num(net.rtx_storm_per_kflow() as f64));
-                }
+                n.set("fault_drops", Json::Num(net.fault_drops as f64));
+                n.set("stochastic_draws", Json::Num(net.stochastic_draws as f64));
+                n.set("stochastic_drops", Json::Num(net.stochastic_drops as f64));
+                n.set("jittered", Json::Num(net.jittered as f64));
+                n.set("rtx_timeout", Json::Num(net.rtx_timeout as f64));
+                n.set("rtx_fault_drop", Json::Num(net.rtx_fault_drop as f64));
+                n.set("payload_bytes", Json::Num(net.payload_bytes as f64));
+                n.set("retransmitted_bytes", Json::Num(net.retransmitted_bytes as f64));
+                n.set("goodput_ppm", Json::Num(net.goodput_ppm() as f64));
+                n.set("rtx_storm_per_kflow", Json::Num(net.rtx_storm_per_kflow() as f64));
                 cell.set("net", n);
             }
-            // Realized-fault telemetry: what the distributional generator
-            // actually produced for this cell. Only distributional
-            // regimes set it (see `FaultSpec::distributional`), so every
-            // pre-existing cell keeps its exact historical bytes.
+            // Realized-fault telemetry: what a window or straggler fault
+            // actually produced for this cell.
             if let Some(tel) = &r.fault {
                 let mut f = Json::obj();
                 f.set("windows", Json::Num(tel.windows as f64));

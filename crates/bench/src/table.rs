@@ -105,8 +105,7 @@ impl Table {
 
 /// RFC 4180 CSV field escaping: fields containing a comma, double
 /// quote, or line break are wrapped in double quotes with embedded
-/// quotes doubled; anything else passes through byte-identical, so
-/// existing report outputs keep their exact historical form. Needed
+/// quotes doubled; anything else passes through unchanged. Needed
 /// because cell keys are not comma-free — churn fault labels embed the
 /// inline event grammar (e.g. `churn:0;r0;d,5;r0;u`), which would
 /// otherwise shear the row into extra columns.

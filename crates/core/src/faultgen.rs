@@ -33,7 +33,7 @@
 /// `round(ln 2 · 2^32)` — the Q32 fixed-point natural log of 2, the
 /// only non-trivial constant in the sampler. Pinned (together with
 /// sample values) in `tests/sweep_smoke_pin.rs`: moving it re-seeds
-/// every distributional fault golden.
+/// every fault golden whose windows or failures the sampler draws.
 pub const LN2_Q32: u64 = 2_977_044_472;
 
 /// The one FNV-1a fold behind every fault draw in the tree — the grid

@@ -80,11 +80,13 @@ pub fn to_text(goal: &GoalSchedule) -> String {
 
 struct Parser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// The input's length in bytes: the bound on an honest rank count.
+    len: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { lines: input.lines().enumerate() }
+        Parser { lines: input.lines().enumerate(), len: input.len() }
     }
 
     fn parse(mut self) -> Result<GoalSchedule, GoalError> {
@@ -103,6 +105,14 @@ impl<'a> Parser<'a> {
                     line: lineno,
                     msg: format!("invalid rank count `{}`", rest.trim()),
                 })?;
+                // A count no rank id can name, or larger than the input,
+                // cannot be honest and must not reach an allocator.
+                if n > self.len || n as u64 > 1 << 32 {
+                    return Err(GoalError::Parse {
+                        line: lineno,
+                        msg: format!("rank count {n} exceeds the {} bytes of input", self.len),
+                    });
+                }
                 num_ranks = Some(n);
                 ranks = vec![RankSchedule::default(); n];
                 seen = vec![false; n];
@@ -415,6 +425,17 @@ rank 1 {
 
         let err = parse("rank 0 {\n}").unwrap_err();
         assert!(matches!(err, GoalError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn rank_counts_beyond_the_input_are_parse_errors() {
+        for n in [u64::MAX, 4_000_000_000, 1 << 32, 64] {
+            let src = format!("// one rank\nnum_ranks {n}\n");
+            let err = parse(&src).unwrap_err();
+            let want = format!("rank count {n} exceeds the {} bytes of input", src.len());
+            assert_eq!(err, GoalError::Parse { line: 2, msg: want });
+        }
+        assert_eq!(parse("num_ranks 12\n").unwrap().num_ranks(), 12);
     }
 
     #[test]

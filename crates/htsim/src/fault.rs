@@ -114,13 +114,6 @@ impl WindowFault {
         }
     }
 
-    /// Whether this is one of the distributional regimes (generated by
-    /// `atlahs_core::faultgen` rather than fixed windows), whose cells
-    /// carry realized-fault telemetry in reports.
-    pub fn distributional(&self) -> bool {
-        !matches!(self, WindowFault::LinkFlap { .. } | WindowFault::Degrade { .. })
-    }
-
     /// Parse a window-fault token (the inverse of [`WindowFault::label`]).
     /// Returns `None` when the token is not from this family (so callers
     /// can fall through to other fault grammars), `Some(Err(..))` when it
@@ -479,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn distributional_port_windows_are_seeded_and_normalized() {
+    fn generated_port_windows_are_seeded_and_normalized() {
         // The AI fabric of `ai-fattree:16:4`: 2 ToRs of 8, 2 uplinks each.
         let topo = Topology::build(TopologyConfig::fat_tree_oversubscribed(16, 8, 4));
         let markov =

@@ -178,8 +178,8 @@ impl StragglerSpec {
     }
 
     /// The fault token of this spec (the seed is not part of it). Without
-    /// a spread it is the short pre-spread form, so uniform-straggler
-    /// cells keep their historical keys (and therefore seeds and goldens).
+    /// a spread it is the short `straggler:<prob_pct>:<factor_pct>` form,
+    /// which is what keys (and therefore seeds) a uniform-straggler cell.
     pub fn label(&self) -> String {
         let StragglerSpec { prob_pct, factor_pct, spread_pct, shape, .. } = *self;
         if spread_pct == 0 {

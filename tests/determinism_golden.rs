@@ -434,8 +434,8 @@ fn lgs_moe_straggler() {
     assert!(got.makespan > clean.makespan, "{} <= {}", got.makespan, clean.makespan);
 }
 
-// --- the fault smoke grid (byte-frozen inside stochastic_smoke.json,
-// --- which the golden table reproduces): every faulted cell must diverge
+// --- the fault smoke grid (45 of stochastic_smoke.json's cells, which
+// --- the golden table reproduces): every faulted cell must diverge
 // --- from its fault-free sibling, or the golden would silently pin a
 // --- fault spec that does nothing.
 
@@ -464,16 +464,9 @@ fn fault_smoke_cells_diverge_from_their_clean_siblings() {
             || r.net.map(|n| n.fault_drops).unwrap_or(0) > 0
             || r.mct != sibling.mct;
         assert!(moved, "{}: fault spec had no observable effect", r.key);
-        // Distributional regimes must also report realized-fault
-        // telemetry; legacy regimes must not (their goldens are frozen).
-        if let Some(cell) = cells.iter().find(|c| c.key() == r.key) {
-            assert_eq!(
-                r.fault.is_some(),
-                cell.fault.distributional(),
-                "{}: telemetry presence must track distributional()",
-                r.key
-            );
-        }
+        // Every faulted cell here is a window or straggler cell, so each
+        // reports realized-fault telemetry.
+        assert!(r.fault.is_some(), "{}: a faulted cell reports its fault", r.key);
     }
     assert_eq!(faulted, 36);
 }
@@ -582,7 +575,7 @@ fn branch_smoke_reproduces_the_checked_in_golden_bytes() {
 // --- the stochastic smoke grid (the `stochastic_smoke.json` row): the
 // --- per-packet loss/jitter cells draw from counter-based per-port
 // --- streams and must agree byte for byte with the checked-in golden —
-// --- with the 45 fault smoke cells byte-frozen inside.
+// --- the 45 fault smoke cells among them, in order.
 
 #[test]
 fn stochastic_smoke_reproduces_the_checked_in_golden_bytes() {

@@ -15,6 +15,7 @@ use std::sync::OnceLock;
 
 use atlahs_bench::args::Args;
 use atlahs_bench::cluster::ClusterGrid;
+use atlahs_bench::json::Json;
 use atlahs_bench::scenario::{ScenarioCell, ScenarioGrid};
 use atlahs_bench::smoke;
 use atlahs_bench::spec::{BackendSpec, FaultSpec};
@@ -95,6 +96,46 @@ fn documented_grid_commands_are_the_golden_rows() {
             "{name}: the documented command runs {candidates:?}, the row runs {want:?}"
         );
     }
+}
+
+/// One schema per report row kind, on every sweep and cluster golden:
+/// every `net` object has the same keys, every window or straggler cell
+/// (its key's fault segment) has a `fault` object, and every cluster job
+/// row has `restarts` and `failed_ns`.
+#[test]
+fn every_report_row_kind_has_one_schema() {
+    let rows = golden_table::GOLDENS.iter().map(|&(name, sub, _)| (name, sub));
+    let mut net_keys: Option<Vec<String>> = None;
+    let (mut nets, mut faulted, mut jobs) = (0, 0, 0);
+    for (name, sub) in rows.chain([(golden_table::FIDELITY, "sweep")]) {
+        let text = std::fs::read_to_string(golden_table::dir().join(name)).unwrap();
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for cell in doc.get("results").and_then(Json::as_arr).expect("a report has results") {
+            let key = cell.get("key").and_then(Json::as_str).expect("a cell has a key");
+            if sub == "cluster" {
+                for job in cell.get("jobs").and_then(Json::as_arr).expect("a cell has jobs") {
+                    for field in ["restarts", "failed_ns"] {
+                        assert!(job.get(field).is_some(), "{name} {key}: a job row lacks {field}");
+                    }
+                    jobs += 1;
+                }
+                continue;
+            }
+            if let Some(Json::Obj(net)) = cell.get("net") {
+                let keys: Vec<String> = net.iter().map(|(k, _)| k.clone()).collect();
+                let want = net_keys.get_or_insert_with(|| keys.clone());
+                assert_eq!(&keys, want, "{name} {key}: `net` keys differ");
+                nets += 1;
+            }
+            let fault = key.split('/').nth(4).map(|tok| FaultSpec::parse(tok).unwrap());
+            if matches!(fault, Some(FaultSpec::Window(_) | FaultSpec::Straggler(_))) {
+                assert!(cell.get("fault").is_some(), "{name} {key}: no `fault` object");
+                faulted += 1;
+            }
+        }
+    }
+    assert_eq!(net_keys.map(|k| k.len()), Some(16), "a `net` object has 16 fields");
+    assert!(nets > 0 && faulted > 0 && jobs > 0, "{nets} nets, {faulted} faulted, {jobs} jobs");
 }
 
 #[test]
